@@ -11,6 +11,7 @@
 //! worklist; [`analyze_parallel`] is a round-based bulk-synchronous
 //! parallelisation in the spirit of Méndez-Lojo et al. \[8\].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod parallel;

@@ -1,10 +1,9 @@
 //! Fair interleaved A/B of the matrix engine's scan representations:
-//! per round, runs unpacked-1w / packed-1w / packed-pooled-8w in
-//! rotating order on each matrix-sized bench and prints per-variant
-//! median walls. Drift on a throttling host hits every variant equally.
+//! per round, runs unpacked-1w / packed-1w / packed-8w in rotating order
+//! on each matrix-sized bench and prints per-variant median walls. Drift
+//! on a throttling host hits every variant equally.
 
-use parcfl_runtime::{run_matrix_pooled, Backend, Mode, RunConfig, SweepPool};
-use std::sync::Arc;
+use parcfl_runtime::{run_matrix, Backend, Mode, RunConfig};
 
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -20,35 +19,27 @@ fn main() {
         if b.pag.node_count() > 1_400 {
             continue;
         }
-        let unpacked = RunConfig::new(Mode::Naive, 1, Backend::Simulated)
-            .with_solver(b.solver.clone().with_packed(false));
-        let packed = RunConfig::new(Mode::Naive, 1, Backend::Simulated)
-            .with_solver(b.solver.clone().with_packed(true));
-        let pooled = RunConfig::new(Mode::Naive, 8, Backend::Simulated)
-            .with_solver(b.solver.clone().with_packed(true));
-        let pool = Arc::new(SweepPool::new(8));
+        let cfgs = [(1, false), (1, true), (8, true)].map(|(threads, packed)| {
+            RunConfig::new(Mode::Naive, threads, Backend::Simulated)
+                .with_solver(b.solver.clone().with_packed(packed))
+        });
         let mut walls: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
         let mut wakes = 0u64;
         for r in 0..rounds {
             for k in 0..3usize {
                 let v = (r + k) % 3;
-                let (cfg, p) = match v {
-                    0 => (&unpacked, None),
-                    1 => (&packed, None),
-                    _ => (&pooled, Some(pool.clone())),
-                };
                 let t = std::time::Instant::now();
-                let out = run_matrix_pooled(&b.pag, &b.queries, cfg, p);
+                let out = run_matrix(&b.pag, &b.queries, &cfgs[v]);
                 walls[v].push(t.elapsed().as_secs_f64() * 1e3);
                 assert!(out.stats.queries == b.queries.len());
-                if v == 2 && r == 0 {
+                if v == 2 {
                     wakes = out.stats.pool_wakes;
                 }
             }
         }
         let m: Vec<f64> = walls.iter().map(|w| median(w.clone())).collect();
         println!(
-            "{:<16} unpacked1w={:8.3}ms packed1w={:8.3}ms pooled8w={:8.3}ms packed_ratio={:.3} pooled_speedup={:.3} wakes={}",
+            "{:<16} unpacked1w={:8.3}ms packed1w={:8.3}ms packed8w={:8.3}ms packed_ratio={:.3} par_speedup={:.3} wakes={}",
             b.name,
             m[0],
             m[1],

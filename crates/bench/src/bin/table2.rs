@@ -9,7 +9,7 @@
 //! plus sequential demand-dense / demand-hash rows, a one-worker
 //! `seq-matrix` row and a `par-matrix` row at 8 sweep workers, with
 //! makespan, traversed/charged steps, peak memoisation footprint, peak
-//! dense-state words, sweep-pool spawn/wake gauges, packed-gather and
+//! dense-state words, fanned-out wave counts, packed-gather and
 //! CSR-fallback row counters, the engine each row
 //! actually dispatched to, the dense-vs-hash and matrix-vs-demand wall
 //! ratios, the `matrix_par_speedup` makespan ratio of the parallel
@@ -27,16 +27,16 @@
 //! `TraceLevel::Full` on the *simulated* backend (deterministic, so the
 //! CI artifact is reproducible) and writes the Chrome-trace JSON there —
 //! load it in `chrome://tracing` or Perfetto. `--trace-engine matrix`
-//! makes that re-run a parallel matrix run instead (8 sweep workers,
-//! persistent pool): the artifact then carries one lane per sweep worker
-//! with `wave N` spans, `sweep_segment` instants and `pool_wake`/
-//! `pool_park` markers — the real sweep timeline of the engine.
+//! makes that re-run a parallel matrix run instead (8 sweep workers):
+//! the artifact then carries one lane per sweep worker with `wave N`
+//! spans, `sweep_segment` instants and `fan_out` markers — the real
+//! sweep timeline of the engine.
 
 use parcfl_bench::{cfg_for, print_worker_table, run_mode};
 use parcfl_core::{NoJmpStore, Solver, SolverConfig, StateBackend};
 use parcfl_runtime::{
-    run_matrix, run_matrix_pooled, run_seq, run_simulated, run_threaded, Backend, Mode, RunConfig,
-    RunResult, SweepPool, TraceLevel,
+    run_matrix, run_seq, run_simulated, run_threaded, Backend, Mode, RunConfig, RunResult,
+    TraceLevel,
 };
 use parcfl_synth::{build_bench, table1_profiles, Bench};
 use std::io::Write;
@@ -170,7 +170,7 @@ fn json_record(
             "\"charged_steps\":{},\"steps_saved\":{},\"jmp_edges\":{},",
             "\"store_entries\":{},\"peak_mem_items\":{},\"peak_state_words\":{},",
             "\"interner_ctxs\":{},\"jmp_bytes\":{},",
-            "\"pool_spawns\":{},\"pool_wakes\":{},",
+            "\"pool_wakes\":{},",
             "\"packed_gathers\":{},\"csr_fallback_rows\":{},\"wall_ms\":{:.3}}}"
         ),
         b.name,
@@ -191,7 +191,6 @@ fn json_record(
         s.peak_state_words,
         s.interner_ctxs,
         s.jmp_bytes,
-        s.pool_spawns,
         s.pool_wakes,
         s.packed_gathers,
         s.csr_fallback_rows,
@@ -237,11 +236,8 @@ fn repeated_interleaved<const N: usize>(
 /// matrix-vs-demand sequential wall-time ratios, the
 /// `matrix_par_speedup` makespan ratio (sequential matrix span over
 /// parallel matrix span; both runs are asserted bit-identical first) and
-/// the `matrix_par_wall_speedup` median-wall ratio of the same pair. The
-/// `par-matrix` row holds one persistent [`parcfl_runtime::SweepPool`]
-/// across all its repeats, so its `pool_spawns` gauge stays at
-/// `JSON_THREADS - 1` while `pool_wakes` accumulates — the reuse CI
-/// greps for. All five rows of a bench interleave their repeats
+/// the `matrix_par_wall_speedup` median-wall ratio of the same pair.
+/// All five rows of a bench interleave their repeats
 /// ([`repeated_interleaved`]) so the wall medians feeding the speedup
 /// ratios are drift-fair.
 fn emit_bench_json(path: &str, benches: &[Bench], smoke: bool, repeat: usize) {
@@ -256,16 +252,14 @@ fn emit_bench_json(path: &str, benches: &[Bench], smoke: bool, repeat: usize) {
             ..b.solver.clone()
         };
         // The `seq-matrix` row is the sequential-matrix *baseline*: one
-        // worker, no pool, scalar CSR scans (packed off). `par-matrix` is
-        // the full parallel engine — packed rows, persistent pool, 8
-        // workers — so `matrix_par_wall_speedup` measures exactly what
+        // worker, scalar CSR scans (packed off). `par-matrix` is the full
+        // parallel engine — packed rows, 8 workers — so `matrix_par_wall_speedup` measures exactly what
         // the parallel engine buys on real wall clock over that baseline
         // (both rows are asserted bit-identical in every answer first).
         let seq_matrix_cfg = RunConfig::new(Mode::Naive, 1, Backend::Simulated)
             .with_solver(dense_cfg.clone().with_packed(false));
         let par_matrix_cfg = RunConfig::new(Mode::Naive, JSON_THREADS, Backend::Simulated)
             .with_solver(dense_cfg.clone());
-        let pool = std::sync::Arc::new(SweepPool::new(JSON_THREADS));
         let ([headline, dense, hash, matrix, par_matrix], walls) = repeated_interleaved(
             repeat,
             [
@@ -273,9 +267,7 @@ fn emit_bench_json(path: &str, benches: &[Bench], smoke: bool, repeat: usize) {
                 Box::new(|| run_seq(&b.pag, &b.queries, &dense_cfg)),
                 Box::new(|| run_seq(&b.pag, &b.queries, &hash_cfg)),
                 Box::new(|| run_matrix(&b.pag, &b.queries, &seq_matrix_cfg)),
-                Box::new(|| {
-                    run_matrix_pooled(&b.pag, &b.queries, &par_matrix_cfg, Some(pool.clone()))
-                }),
+                Box::new(|| run_matrix(&b.pag, &b.queries, &par_matrix_cfg)),
             ],
         );
         let [headline_wall, dense_wall, hash_wall, matrix_wall, par_matrix_wall] = walls;
@@ -304,8 +296,8 @@ fn emit_bench_json(path: &str, benches: &[Bench], smoke: bool, repeat: usize) {
         let matrix_speedup = ratio(dense_wall, matrix_wall);
         // Makespan is virtual span (critical path), so this speedup is
         // deterministic — independent of host load; the wall variant
-        // below is the real-clock claim the persistent pool + packed
-        // kernels are tuned for (median over repeats).
+        // below is the real-clock figure for the same pair (median over
+        // repeats).
         let par_speedup = matrix.stats.makespan as f64 / par_matrix.stats.makespan.max(1) as f64;
         let par_wall_speedup = ratio(matrix_wall, par_matrix_wall);
         records.push(json_record(
@@ -363,13 +355,13 @@ fn emit_bench_json(path: &str, benches: &[Bench], smoke: bool, repeat: usize) {
 /// simulated backend; `"matrix"` traces a parallel matrix run
 /// ([`JSON_THREADS`] sweep workers, packed kernels) of the same bench,
 /// whose per-worker lanes carry the wave spans, sweep-segment instants
-/// and pool wake/park markers — event *structure* (wave ids, widths,
+/// and fan-out markers — event *structure* (wave ids, widths,
 /// segment attribution) is deterministic, only the real-clock timestamps
 /// vary. Table-I frontiers stay below the engine's fan-out threshold
 /// (single-lane timelines), so `"matrix-stress"` instead traces
 /// [`parcfl_synth::sweep_stress_bench`], whose 512-bit waves dispatch
 /// across all [`JSON_THREADS`] workers — the multi-lane artifact CI
-/// validates pool wakes and packed/CSR gather markers against.
+/// validates fan-out and packed/CSR gather markers against.
 fn emit_trace(path: &str, b: &Bench, engine: &str) {
     let stress;
     let (b, engine) = match engine {

@@ -15,11 +15,6 @@
 //!   beyond the threshold are reported as warnings by default and only
 //!   fail under [`GateMode::All`].
 //!
-//! `pool_wakes` is deliberately *not* in the deterministic set: the
-//! `par-matrix` row shares one persistent sweep pool across its repeats,
-//! so its wake gauge scales with `--repeat` rather than with solver
-//! behaviour.
-//!
 //! The parser is a ~hundred-line recursive-descent JSON reader: the
 //! artifact is hand-rendered (no serde anywhere in the workspace) so the
 //! diff side stays dependency-free too. Numeric scalars are kept as raw
@@ -37,7 +32,7 @@ pub const WALL_WARN_RATIO: f64 = 0.30;
 /// Per-row counters that must be **bit-identical** between two runs of
 /// the same configuration. Everything here is derived from virtual time,
 /// seeded synthesis, or deterministic solver behaviour — never from the
-/// host clock. (`pool_wakes` is excluded: see the module docs.)
+/// host clock.
 pub const DETERMINISTIC_FIELDS: &[&str] = &[
     "queries",
     "completed",
@@ -50,7 +45,7 @@ pub const DETERMINISTIC_FIELDS: &[&str] = &[
     "store_entries",
     "peak_state_words",
     "interner_ctxs",
-    "pool_spawns",
+    "pool_wakes",
     "packed_gathers",
     "csr_fallback_rows",
 ];
@@ -484,7 +479,7 @@ mod tests {
                         "\"queries\":10,\"completed\":10,\"out_of_budget\":0,",
                         "\"makespan\":100,\"traversed_steps\":{},\"charged_steps\":90,",
                         "\"steps_saved\":5,\"jmp_edges\":3,\"store_entries\":2,",
-                        "\"peak_state_words\":64,\"interner_ctxs\":4,\"pool_spawns\":7,",
+                        "\"peak_state_words\":64,\"interner_ctxs\":4,",
                         "\"pool_wakes\":40,\"packed_gathers\":12,\"csr_fallback_rows\":1,",
                         "\"wall_ms\":{:.3}}}"
                     ),

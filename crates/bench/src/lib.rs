@@ -16,6 +16,7 @@
 //!
 //! Criterion micro-benchmarks live under `benches/`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod diff;

@@ -17,6 +17,7 @@
 //!
 //! Exposed to users as `parcfl check` (see `parcfl check --help`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod andersen_check;

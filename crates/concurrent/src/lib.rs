@@ -20,18 +20,15 @@
 //!   hot loop selects between (DESIGN.md §11);
 //! * [`counters`] — cache-padded atomic statistics counters and the
 //!   named-counter registry ([`counters::CounterSet`]) behind the
-//!   Prometheus exporter;
-//! * [`pool::SweepPool`] — the persistent park-and-wake worker pool the
-//!   matrix engine's frontier sweeps dispatch to (spawn once per
-//!   solver/session, epoch-barrier wakes per wave).
+//!   Prometheus exporter.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bitset;
 pub mod counters;
 pub mod fxhash;
 pub mod interner;
-pub mod pool;
 pub mod sharded_map;
 pub mod stealing;
 pub mod worklist;
@@ -40,7 +37,6 @@ pub use bitset::{kernel, Chunk, ChunkedBitset, DenseVisitSet, HashVisitSet, Stat
 pub use counters::{Counter, CounterSet, MaxTracker};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use interner::{CtxId, CtxInterner};
-pub use pool::SweepPool;
 pub use sharded_map::ShardedMap;
 pub use stealing::{StealQueues, WorkerObs};
 pub use worklist::SharedWorkList;

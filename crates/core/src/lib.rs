@@ -29,6 +29,7 @@
 //! assert_eq!(out.answer.nodes().unwrap().len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

@@ -33,16 +33,13 @@
 use crate::config::SolverConfig;
 use crate::context::Ctx;
 use crate::footprint::{DirtySet, Footprint, FpBuilder};
-use crate::jmp::Dir;
 use crate::solver::CtxNode;
 use crate::stats::{Answer, QueryOutput, QueryStats};
-use parcfl_concurrent::{
-    kernel, ChunkedBitset, CtxId, CtxInterner, FxHashMap, FxHashSet, SweepPool,
-};
+use parcfl_concurrent::{kernel, ChunkedBitset, CtxId, CtxInterner, FxHashMap, FxHashSet};
 use parcfl_obs::{EventKind, ObsHists, TraceRecorder};
-use parcfl_pag::{EdgeClass, FieldId, NodeId, PackedAdj, PackedClass, Pag, EDGE_CLASSES};
+use parcfl_pag::{Edge, EdgeClass, NodeId, PackedAdj, PackedClass, Pag, EDGE_CLASSES};
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Payload-free classes the packed gather path covers (`New`,
@@ -53,16 +50,15 @@ const PACKED_CLASSES: usize = 3;
 /// An interned traversal state.
 type IState = (NodeId, CtxId);
 
-/// Waves below this many scans run on the calling thread even when the
-/// solver has workers: thread-spawn latency dwarfs a few hundred scans.
+/// The one fan-out gate: waves below this many scans run inline on the
+/// calling thread even when the solver has workers; waves at or above it
+/// get one scoped thread per partition share. At the ledger's 2460 ns per
+/// matrix step (`benchmark/results/baseline.seed1.json`,
+/// `core.matrix.ns_per_step`) 256 scans are ≈ 0.6 ms of work against a
+/// tens-of-µs scoped spawn; Table-I waves (≤ 64 scans) never reach it.
 /// Span accounting always uses the partition, so the answer *and* the
 /// reported virtual time are independent of whether threads were spawned.
-const SPAWN_MIN_SCANS: u64 = 2_048;
-
-/// The same gate when a persistent [`SweepPool`] is attached: a
-/// park-and-wake barrier costs microseconds, not a spawn, so much smaller
-/// waves are worth fanning out.
-const POOL_MIN_SCANS: u64 = 256;
+const FAN_OUT_MIN_SCANS: u64 = 256;
 
 /// Recycled-bitset pool cap for worker scratch rows (the row tables
 /// themselves recycle unbounded, as before): workers allocate scratch per
@@ -93,6 +89,9 @@ struct MemoEntry {
     fp: Option<Arc<Footprint>>,
 }
 
+/// Key of one memoised closure: relation tag, node, interned context.
+type MemoKey = (Rel, NodeId, CtxId);
+
 /// A batch-global memo detached from its solver for cross-batch reuse:
 /// the completed closures plus the interner giving their `CtxId`s
 /// meaning. An incremental session extracts it after a batch
@@ -102,32 +101,13 @@ struct MemoEntry {
 #[derive(Default)]
 pub struct MatrixMemo {
     ctxs: Option<Arc<CtxInterner>>,
-    memo_pts: FxHashMap<IState, MemoEntry>,
-    memo_flows: FxHashMap<IState, MemoEntry>,
-    memo_rch: FxHashMap<(Dir, NodeId, CtxId), MemoEntry>,
-}
-
-fn retain_valid<K: Eq + std::hash::Hash>(
-    m: &mut FxHashMap<K, MemoEntry>,
-    dirty: &DirtySet,
-    invalidated: &mut u64,
-    retained: &mut u64,
-) {
-    m.retain(|_, e| {
-        let keep = e.fp.as_ref().is_some_and(|fp| !fp.intersects(dirty));
-        if keep {
-            *retained += 1;
-        } else {
-            *invalidated += 1;
-        }
-        keep
-    });
+    entries: FxHashMap<MemoKey, MemoEntry>,
 }
 
 impl MatrixMemo {
     /// Memoised closures currently resident.
     pub fn entry_count(&self) -> usize {
-        self.memo_pts.len() + self.memo_flows.len() + self.memo_rch.len()
+        self.entries.len()
     }
 
     /// The interner the memo's `CtxId`s resolve against (set once the
@@ -141,20 +121,18 @@ impl MatrixMemo {
     /// `(invalidated, retained)`. Same law as the jmp store's
     /// [`crate::SharedJmpStore::invalidate_delta`].
     pub fn invalidate_delta(&mut self, dirty: &DirtySet) -> (u64, u64) {
-        let (mut invalidated, mut retained) = (0u64, 0u64);
-        retain_valid(&mut self.memo_pts, dirty, &mut invalidated, &mut retained);
-        retain_valid(&mut self.memo_flows, dirty, &mut invalidated, &mut retained);
-        retain_valid(&mut self.memo_rch, dirty, &mut invalidated, &mut retained);
-        (invalidated, retained)
+        let before = self.entries.len() as u64;
+        self.entries
+            .retain(|_, e| e.fp.as_ref().is_some_and(|fp| !fp.intersects(dirty)));
+        let retained = self.entries.len() as u64;
+        (before - retained, retained)
     }
 
     /// Drops every entry (full cold restart of the memo; the interner is
     /// kept so resident `CtxId`s elsewhere stay meaningful).
     pub fn clear(&mut self) -> u64 {
-        let n = self.entry_count() as u64;
-        self.memo_pts.clear();
-        self.memo_flows.clear();
-        self.memo_rch.clear();
+        let n = self.entries.len() as u64;
+        self.entries.clear();
         n
     }
 }
@@ -167,12 +145,10 @@ pub struct MatrixSolver<'a> {
     /// Private interner: the matrix backend never shares a jmp store, so
     /// it owns its context-id space.
     ctxs: Arc<CtxInterner>,
-    /// Batch-global memo of completed closures. Only fixpoint (complete)
-    /// results are stored, so entries are valid for every later query
-    /// regardless of its budget.
-    memo_pts: FxHashMap<IState, MemoEntry>,
-    memo_flows: FxHashMap<IState, MemoEntry>,
-    memo_rch: FxHashMap<(Dir, NodeId, CtxId), MemoEntry>,
+    /// Batch-global memo of completed closures, all relations in one map.
+    /// Only fixpoint (complete) results are stored, so entries are valid
+    /// for every later query regardless of its budget.
+    memo: FxHashMap<MemoKey, MemoEntry>,
     /// Index of the query currently being evaluated
     /// ([`MatrixSolver::set_query_index`]) — stamped as the owner of every
     /// memo completed during it.
@@ -184,9 +160,7 @@ pub struct MatrixSolver<'a> {
     /// In-flight sub-query detection: a dependency cycle can never reach a
     /// fixpoint, so it aborts the query — mirroring the demand solver,
     /// which burns its remaining budget on the same cycles.
-    on_stack_pts: FxHashSet<IState>,
-    on_stack_flows: FxHashSet<IState>,
-    on_stack_rch: FxHashSet<(Dir, NodeId, CtxId)>,
+    on_stack: FxHashSet<MemoKey>,
     depth: u32,
     /// Frontier bits scanned by the current query (all nested closures
     /// included) — charged against `cfg.budget`. Independent of the
@@ -205,16 +179,12 @@ pub struct MatrixSolver<'a> {
     /// falls back to the CSR path everywhere (so does any individual
     /// class the density heuristic left unpacked).
     packed: Option<&'a PackedAdj>,
-    /// Persistent sweep workers ([`MatrixSolver::with_pool`]): waves fan
-    /// out via park-and-wake barriers instead of per-wave thread spawns.
-    sweep_pool: Option<Arc<SweepPool>>,
     /// Recycled row bitsets; allocations persist across queries, so
     /// [`QueryStats::state_words`] reports the resident row storage.
     pool: Vec<ChunkedBitset>,
     /// Per-lane trace sinks ([`MatrixSolver::with_recorders`]): part `p`
-    /// of a wave lands in lane `p % rec.len()`, matching the pool's
-    /// strided part→helper assignment, so the Chrome export shows one
-    /// sweep track per worker. All emission happens on the barrier
+    /// of a wave lands in lane `p % rec.len()`, so the Chrome export shows
+    /// one sweep track per worker. All emission happens on the barrier
     /// thread; workers only stamp timestamps into their [`SweepOut`].
     /// `None` (the default) keeps every emit to a single branch.
     rec: Option<&'a [TraceRecorder]>,
@@ -223,15 +193,13 @@ pub struct MatrixSolver<'a> {
     epoch: Option<Instant>,
     /// Monotone wave counter, reset per query (`WaveStart.a`).
     wave_id: u32,
-    /// Always-on sweep histograms (wave width, segments per wave, pool
-    /// dispatch latency), drained by [`MatrixSolver::take_hists`].
+    /// Always-on sweep histograms (wave width, segments per wave, fan-out
+    /// spawn latency), drained by [`MatrixSolver::take_hists`].
     hists: ObsHists,
-    /// Per-query counter accumulators, reset by `points_to_query` and
-    /// surfaced through [`QueryStats`].
-    qc_packed: u64,
-    qc_csr: u64,
-    qc_dispatch_ns: u64,
-    qc_class: [u64; EDGE_CLASSES],
+    /// The current query's sweep counters (gathers, fallbacks, fan-outs,
+    /// per-class steps), accumulated in place and handed out — with the
+    /// step totals filled in — by `points_to_query`.
+    qstats: QueryStats,
     /// Footprint recording frames (`cfg.record_footprints` only): one per
     /// in-flight closure compute, child reads merging into the parent on
     /// pop. Purely metadata — answers, scan counts and interner contents
@@ -306,8 +274,10 @@ impl RowTable {
 // order, scan totals, Halt verdicts) is identical for every worker count,
 // including one: the parallel path *is* the sequential path.
 
-/// Which closure's transition relation a sweep applies.
-#[derive(Clone, Copy, PartialEq)]
+/// Which closure's transition relation a sweep applies. The two are
+/// mirror images over the same edge classes, so every direction-dependent
+/// choice of the engine is one of the methods below.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum SweepKind {
     /// `PointsTo`: incoming per-kind slices; `param` pops, `ret` pushes,
     /// `new` edges land in the points-to rows, `load`s pend aliasing.
@@ -315,6 +285,65 @@ enum SweepKind {
     /// `FlowsTo`: outgoing slices; `param` pushes, `ret` pops, `store`s
     /// pend aliasing.
     Flows,
+}
+
+impl SweepKind {
+    /// The `class` adjacency slice of `n` this kind walks: incoming edges
+    /// backward, outgoing edges forward.
+    #[inline]
+    fn edges(self, pag: &Pag, n: NodeId, class: EdgeClass) -> &[Edge] {
+        match self {
+            SweepKind::Pts => pag.incoming_kind(n, class),
+            SweepKind::Flows => pag.outgoing_kind(n, class),
+        }
+    }
+
+    /// The endpoint of `e` a walk of this kind arrives at.
+    #[inline]
+    fn far(self, e: &Edge) -> NodeId {
+        match self {
+            SweepKind::Pts => e.src,
+            SweepKind::Flows => e.dst,
+        }
+    }
+
+    /// The packed rows of `class` in this kind's direction, if it packed.
+    #[inline]
+    fn packed(self, adj: &PackedAdj, class: EdgeClass) -> Option<&PackedClass> {
+        match self {
+            SweepKind::Pts => adj.in_packed(class),
+            SweepKind::Flows => adj.out_packed(class),
+        }
+    }
+
+    /// The call-edge class whose site this kind matches against the top of
+    /// the context and pops; the other call-edge class pushes its site.
+    #[inline]
+    fn pop_class(self) -> EdgeClass {
+        match self {
+            SweepKind::Pts => EdgeClass::Param,
+            SweepKind::Flows => EdgeClass::Ret,
+        }
+    }
+
+    /// The field-access class that pends an alias obligation.
+    #[inline]
+    fn alias_class(self) -> EdgeClass {
+        match self {
+            SweepKind::Pts => EdgeClass::Load,
+            SweepKind::Flows => EdgeClass::Store,
+        }
+    }
+}
+
+/// Relation tag of a memoised (or in-flight) closure.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Rel {
+    /// The `PointsTo` / `FlowsTo` fixpoint of the given kind.
+    Closure(SweepKind),
+    /// `ReachableNodes`: the alias step a sweep of the given kind pends
+    /// (backward over loads for `Pts`, forward over stores for `Flows`).
+    Rch(SweepKind),
 }
 
 /// One partition unit: `mask`'s set bits of one `u64` word
@@ -344,36 +373,31 @@ struct ScratchRows {
 }
 
 impl ScratchRows {
+    /// The scratch row of `c`, plus whether this call created it.
+    fn row(&mut self, c: CtxId) -> (&mut ChunkedBitset, bool) {
+        let next = self.ctxs.len();
+        let i = *self.idx.entry(c).or_insert(next);
+        if i == next {
+            self.ctxs.push(c);
+            self.bits.push(ChunkedBitset::default());
+        }
+        (&mut self.bits[i], i == next)
+    }
+
     /// Inserts `n` under `c`; returns `true` iff this created the row.
     fn insert(&mut self, n: u32, c: CtxId) -> bool {
-        if let Some(&i) = self.idx.get(&c) {
-            self.bits[i].insert(n);
-            return false;
-        }
-        let i = self.ctxs.len();
-        self.idx.insert(c, i);
-        self.ctxs.push(c);
-        let mut b = ChunkedBitset::default();
-        b.insert(n);
-        self.bits.push(b);
-        true
+        let (bits, created) = self.row(c);
+        bits.insert(n);
+        created
     }
 
     /// Unions a packed successor row under `c` (word-level OR, the packed
     /// counterpart of per-edge [`ScratchRows::insert`]); returns `true`
     /// iff this created the row.
     fn union_row(&mut self, words: &[u64], c: CtxId) -> bool {
-        if let Some(&i) = self.idx.get(&c) {
-            self.bits[i].union_words(words);
-            return false;
-        }
-        let i = self.ctxs.len();
-        self.idx.insert(c, i);
-        self.ctxs.push(c);
-        let mut b = ChunkedBitset::default();
-        b.union_words(words);
-        self.bits.push(b);
-        true
+        let (bits, created) = self.row(c);
+        bits.union_words(words);
+        created
     }
 
     fn drain(&mut self) -> impl Iterator<Item = (CtxId, ChunkedBitset)> + '_ {
@@ -460,20 +484,6 @@ struct SweepEnv<'b> {
     epoch: Option<Instant>,
 }
 
-impl<'b> SweepEnv<'b> {
-    /// The packed incoming rows of `class`, if that class packed.
-    #[inline]
-    fn in_packed(&self, class: EdgeClass) -> Option<&'b PackedClass> {
-        self.packed.and_then(|p| p.in_packed(class))
-    }
-
-    /// The packed outgoing rows of `class`, if that class packed.
-    #[inline]
-    fn out_packed(&self, class: EdgeClass) -> Option<&'b PackedClass> {
-        self.packed.and_then(|p| p.out_packed(class))
-    }
-}
-
 /// Scans one contiguous run of segments, in order, bits ascending — the
 /// exact order the one-worker sweep uses for the same slice.
 fn scan_part(
@@ -496,10 +506,7 @@ fn scan_part(
             let nr = base + w.trailing_zeros();
             w &= w - 1;
             out.scans += 1;
-            match kind {
-                SweepKind::Pts => scan_bit_pts(env, nr, cx, &mut out),
-                SweepKind::Flows => scan_bit_flows(env, nr, cx, &mut out),
-            }
+            scan_bit(env, kind, nr, cx, &mut out);
         }
     }
     if let Some(e) = env.epoch {
@@ -508,151 +515,72 @@ fn scan_part(
     out
 }
 
-/// Applies every incoming edge class to state `(x, cx)` — one bit of the
-/// backward (points-to) SpMV. The payload-free classes gather through the
-/// packed rows when available (`frontier-bit × successor-row → scratch`,
-/// one word-level OR per row); the CSR walk below each arm is both the
-/// fallback for unpacked classes and the reference the packed path must
-/// match bit-for-bit.
-fn scan_bit_pts(env: &SweepEnv<'_>, xr: u32, cx: CtxId, out: &mut SweepOut) {
-    let pag = env.pag;
-    let x = NodeId::new(xr);
-    // pts rows are order-free set content; no Touch op needed. A `None`
-    // row on a packed class is a thin row (below `ROW_MIN_BITS`) — the
-    // scalar walk below each arm covers it.
-    if let Some(row) = env.in_packed(EdgeClass::New).and_then(|pc| pc.row(xr)) {
-        out.pts.union_row(row, cx);
-        out.packed_rows[EdgeClass::New as usize] += 1;
-        out.class_steps[EdgeClass::New as usize] += 1;
-    } else {
-        out.csr_rows[EdgeClass::New as usize] += 1;
-        for e in pag.incoming_kind(x, EdgeClass::New) {
-            out.pts.insert(e.src.raw(), cx);
-            out.class_steps[EdgeClass::New as usize] += 1;
-        }
-    }
-    if let Some(row) = env
-        .in_packed(EdgeClass::AssignLocal)
-        .and_then(|pc| pc.row(xr))
-    {
-        out.ins_row(row, cx);
-        out.packed_rows[EdgeClass::AssignLocal as usize] += 1;
-        out.class_steps[EdgeClass::AssignLocal as usize] += 1;
-    } else {
-        out.csr_rows[EdgeClass::AssignLocal as usize] += 1;
-        for e in pag.incoming_kind(x, EdgeClass::AssignLocal) {
-            out.ins(e.src.raw(), cx);
-            out.class_steps[EdgeClass::AssignLocal as usize] += 1;
-        }
-    }
-    let cg = if env.ctx_sens { CtxId::EMPTY } else { cx };
-    if let Some(row) = env
-        .in_packed(EdgeClass::AssignGlobal)
-        .and_then(|pc| pc.row(xr))
-    {
-        out.ins_row(row, cg);
-        out.packed_rows[EdgeClass::AssignGlobal as usize] += 1;
-        out.class_steps[EdgeClass::AssignGlobal as usize] += 1;
-    } else {
-        out.csr_rows[EdgeClass::AssignGlobal as usize] += 1;
-        for e in pag.incoming_kind(x, EdgeClass::AssignGlobal) {
-            out.ins(e.src.raw(), cg);
-            out.class_steps[EdgeClass::AssignGlobal as usize] += 1;
-        }
-    }
-    for e in pag.incoming_kind(x, EdgeClass::Param) {
-        out.class_steps[EdgeClass::Param as usize] += 1;
-        let i = e.kind.call_site().expect("param edge");
-        let c2 = if !env.ctx_sens || cx.is_empty() {
-            cx
-        } else if env.ctxs.top(cx) == Some(i.raw()) {
-            env.ctxs.parent(cx)
-        } else {
-            continue;
-        };
-        out.ins(e.src.raw(), c2);
-    }
-    for e in pag.incoming_kind(x, EdgeClass::Ret) {
-        out.class_steps[EdgeClass::Ret as usize] += 1;
-        let i = e.kind.call_site().expect("ret edge");
-        if env.ctx_sens {
-            out.ops.push(Op::Push {
-                n: e.src.raw(),
-                parent: cx,
-                site: i.raw(),
-            });
-        } else {
-            out.ins(e.src.raw(), cx);
-        }
-    }
-    if !pag.incoming_kind(x, EdgeClass::Load).is_empty() {
-        out.class_steps[EdgeClass::Load as usize] += 1;
-        out.ops.push(Op::Pend { n: xr, c: cx });
-    }
-}
-
-/// The forward dual: outgoing slices, `param` pushes, `ret` pops, stores
-/// pend aliasing. Packed rows gather `new`/`assign_l` (same target
-/// context) and `assign_g` exactly as in [`scan_bit_pts`].
-fn scan_bit_flows(env: &SweepEnv<'_>, nr: u32, cn: CtxId, out: &mut SweepOut) {
+/// Applies every edge class of `kind`'s direction to state `(n, c)` — one
+/// bit of the SpMV. The payload-free classes gather through the packed
+/// rows when available (`frontier-bit × successor-row → scratch`, one
+/// word-level OR per row); the CSR walk in the `else` arm is both the
+/// fallback for unpacked classes and thin rows (below `ROW_MIN_BITS`) and
+/// the reference the packed path must match bit-for-bit. Class order —
+/// `new`, `assign_l`, `assign_g`, `param`, `ret`, alias trigger — is the
+/// same in both directions and fixes the order of the emitted ops.
+fn scan_bit(env: &SweepEnv<'_>, kind: SweepKind, nr: u32, c: CtxId, out: &mut SweepOut) {
     let pag = env.pag;
     let n = NodeId::new(nr);
-    for class in [EdgeClass::New, EdgeClass::AssignLocal] {
-        if let Some(row) = env.out_packed(class).and_then(|pc| pc.row(nr)) {
-            out.ins_row(row, cn);
-            out.packed_rows[class as usize] += 1;
-            out.class_steps[class as usize] += 1;
+    let cg = if env.ctx_sens { CtxId::EMPTY } else { c };
+    for (class, target) in [
+        (EdgeClass::New, c),
+        (EdgeClass::AssignLocal, c),
+        (EdgeClass::AssignGlobal, cg),
+    ] {
+        let k = class as usize;
+        // The one asymmetry: backward `new` hits are answer content, not
+        // closure states — order-free set content, so no Touch op.
+        let to_pts = kind == SweepKind::Pts && class == EdgeClass::New;
+        let packed = env.packed.and_then(|adj| kind.packed(adj, class));
+        if let Some(row) = packed.and_then(|pc| pc.row(nr)) {
+            if to_pts {
+                out.pts.union_row(row, target);
+            } else {
+                out.ins_row(row, target);
+            }
+            out.packed_rows[k] += 1;
+            out.class_steps[k] += 1;
         } else {
-            out.csr_rows[class as usize] += 1;
-            for e in pag.outgoing_kind(n, class) {
-                out.ins(e.dst.raw(), cn);
-                out.class_steps[class as usize] += 1;
+            out.csr_rows[k] += 1;
+            for e in kind.edges(pag, n, class) {
+                let m = kind.far(e).raw();
+                if to_pts {
+                    out.pts.insert(m, target);
+                } else {
+                    out.ins(m, target);
+                }
+                out.class_steps[k] += 1;
             }
         }
     }
-    let cg = if env.ctx_sens { CtxId::EMPTY } else { cn };
-    if let Some(row) = env
-        .out_packed(EdgeClass::AssignGlobal)
-        .and_then(|pc| pc.row(nr))
-    {
-        out.ins_row(row, cg);
-        out.packed_rows[EdgeClass::AssignGlobal as usize] += 1;
-        out.class_steps[EdgeClass::AssignGlobal as usize] += 1;
-    } else {
-        out.csr_rows[EdgeClass::AssignGlobal as usize] += 1;
-        for e in pag.outgoing_kind(n, EdgeClass::AssignGlobal) {
-            out.ins(e.dst.raw(), cg);
-            out.class_steps[EdgeClass::AssignGlobal as usize] += 1;
+    for class in [EdgeClass::Param, EdgeClass::Ret] {
+        let pops = class == kind.pop_class();
+        for e in kind.edges(pag, n, class) {
+            out.class_steps[class as usize] += 1;
+            let site = e.kind.call_site().expect("call edge").raw();
+            let m = kind.far(e).raw();
+            if !env.ctx_sens || (pops && c.is_empty()) {
+                out.ins(m, c);
+            } else if !pops {
+                out.ops.push(Op::Push {
+                    n: m,
+                    parent: c,
+                    site,
+                });
+            } else if env.ctxs.top(c) == Some(site) {
+                out.ins(m, env.ctxs.parent(c));
+            }
         }
     }
-    for e in pag.outgoing_kind(n, EdgeClass::Param) {
-        out.class_steps[EdgeClass::Param as usize] += 1;
-        let i = e.kind.call_site().expect("param edge");
-        if env.ctx_sens {
-            out.ops.push(Op::Push {
-                n: e.dst.raw(),
-                parent: cn,
-                site: i.raw(),
-            });
-        } else {
-            out.ins(e.dst.raw(), cn);
-        }
-    }
-    for e in pag.outgoing_kind(n, EdgeClass::Ret) {
-        out.class_steps[EdgeClass::Ret as usize] += 1;
-        let i = e.kind.call_site().expect("ret edge");
-        let c2 = if !env.ctx_sens || cn.is_empty() {
-            cn
-        } else if env.ctxs.top(cn) == Some(i.raw()) {
-            env.ctxs.parent(cn)
-        } else {
-            continue;
-        };
-        out.ins(e.dst.raw(), c2);
-    }
-    if !pag.outgoing_kind(n, EdgeClass::Store).is_empty() {
-        out.class_steps[EdgeClass::Store as usize] += 1;
-        out.ops.push(Op::Pend { n: nr, c: cn });
+    let alias = kind.alias_class();
+    if !kind.edges(pag, n, alias).is_empty() {
+        out.class_steps[alias as usize] += 1;
+        out.ops.push(Op::Pend { n: nr, c });
     }
 }
 
@@ -687,6 +615,35 @@ fn partition_segs(segs: &[Seg], workers: usize) -> Vec<Range<usize>> {
     parts
 }
 
+/// The engine's only dispatch: a single part runs inline on the calling
+/// thread; several parts get one scoped thread each. Outputs come back in
+/// part order either way. When it fanned out, also returns the nanoseconds
+/// from that decision to the last worker spawned. A worker panic is
+/// re-raised with its original payload, so a proptest or fuzzer message
+/// survives the join.
+fn run_parts<T: Send>(
+    parts: &[Range<usize>],
+    scan: impl Fn(Range<usize>) -> T + Sync,
+) -> (Vec<T>, Option<u64>) {
+    if parts.len() <= 1 {
+        return (parts.iter().map(|p| scan(p.clone())).collect(), None);
+    }
+    let t0 = Instant::now();
+    std::thread::scope(|sc| {
+        let scan = &scan;
+        let handles: Vec<_> = parts
+            .iter()
+            .map(|p| sc.spawn(move || scan(p.clone())))
+            .collect();
+        let spawn_ns = t0.elapsed().as_nanos() as u64;
+        let outs = handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect();
+        (outs, Some(spawn_ns))
+    })
+}
+
 impl<'a> MatrixSolver<'a> {
     /// Creates a batch solver over `pag`. Of `cfg`, the backend honours
     /// `budget`, `context_sensitive` and `max_recursion_depth`; the
@@ -697,18 +654,13 @@ impl<'a> MatrixSolver<'a> {
             pag,
             cfg,
             ctxs: Arc::new(CtxInterner::new()),
-            memo_pts: FxHashMap::default(),
-            memo_flows: FxHashMap::default(),
-            memo_rch: FxHashMap::default(),
-            on_stack_pts: FxHashSet::default(),
-            on_stack_flows: FxHashSet::default(),
-            on_stack_rch: FxHashSet::default(),
+            memo: FxHashMap::default(),
+            on_stack: FxHashSet::default(),
             depth: 0,
             work: 0,
             span: 0,
             workers: 1,
             packed: cfg.packed.then(|| pag.packed()),
-            sweep_pool: None,
             query_index: 0,
             providers: FxHashSet::default(),
             pool: Vec::new(),
@@ -716,10 +668,7 @@ impl<'a> MatrixSolver<'a> {
             epoch: None,
             wave_id: 0,
             hists: ObsHists::default(),
-            qc_packed: 0,
-            qc_csr: 0,
-            qc_dispatch_ns: 0,
-            qc_class: [0; EDGE_CLASSES],
+            qstats: QueryStats::default(),
             fp_stack: Vec::new(),
         }
     }
@@ -730,18 +679,13 @@ impl<'a> MatrixSolver<'a> {
     /// and its entries are re-stamped [`ADOPTED`] so hits on them never
     /// become precedence edges. Must be applied before the first query.
     pub fn with_memo(mut self, memo: MatrixMemo) -> Self {
-        fn adopt<K>(mut m: FxHashMap<K, MemoEntry>) -> FxHashMap<K, MemoEntry> {
-            for e in m.values_mut() {
-                e.owner = ADOPTED;
-            }
-            m
-        }
         if let Some(ctxs) = memo.ctxs {
             self.ctxs = ctxs;
         }
-        self.memo_pts = adopt(memo.memo_pts);
-        self.memo_flows = adopt(memo.memo_flows);
-        self.memo_rch = adopt(memo.memo_rch);
+        self.memo = memo.entries;
+        for e in self.memo.values_mut() {
+            e.owner = ADOPTED;
+        }
         self
     }
 
@@ -751,9 +695,7 @@ impl<'a> MatrixSolver<'a> {
     pub fn take_memo(&mut self) -> MatrixMemo {
         MatrixMemo {
             ctxs: Some(Arc::clone(&self.ctxs)),
-            memo_pts: std::mem::take(&mut self.memo_pts),
-            memo_flows: std::mem::take(&mut self.memo_flows),
-            memo_rch: std::mem::take(&mut self.memo_rch),
+            entries: std::mem::take(&mut self.memo),
         }
     }
 
@@ -785,20 +727,10 @@ impl<'a> MatrixSolver<'a> {
         self
     }
 
-    /// Attaches a persistent [`SweepPool`]: parallel waves are dispatched
-    /// to its parked helpers (epoch barrier) instead of spawning a
-    /// `std::thread::scope` per wave. Purely a wall-clock change — the
-    /// partition, the ordered barrier replay and every observable are the
-    /// same with or without a pool, at any pool size.
-    pub fn with_pool(mut self, pool: Arc<SweepPool>) -> Self {
-        self.sweep_pool = Some(pool);
-        self
-    }
-
     /// Attaches per-lane trace recorders: part `p` of every fanned-out
-    /// wave is emitted into lane `p % recs.len()` (the pool's strided
-    /// part→helper map), lane 0 additionally carries the outer wave
-    /// spans, pool wake/park instants and the per-class gather instants.
+    /// wave is emitted into lane `p % recs.len()`, lane 0 additionally
+    /// carries the outer wave spans, the fan-out instants and the
+    /// per-class gather instants.
     /// Timestamps are nanoseconds since `epoch`. Purely observational —
     /// no answer, scan count or interner observable moves.
     pub fn with_recorders(mut self, recs: &'a [TraceRecorder], epoch: Instant) -> Self {
@@ -808,7 +740,7 @@ impl<'a> MatrixSolver<'a> {
     }
 
     /// Drains the always-on sweep histograms (wave width, segments per
-    /// fanned-out wave, pool dispatch latency) accumulated since the last
+    /// fanned-out wave, fan-out spawn latency) accumulated since the last
     /// call, for merging into run statistics.
     pub fn take_hists(&mut self) -> ObsHists {
         std::mem::take(&mut self.hists)
@@ -848,7 +780,7 @@ impl<'a> MatrixSolver<'a> {
         }
     }
 
-    /// Emits every post-barrier event of one wave: pool wake/park, the
+    /// Emits every post-barrier event of one wave: the fan-out instant, the
     /// per-part `WaveStart`/`WaveEnd` spans and `SweepSegment` instants
     /// (worker-stamped timestamps, one lane per part stride), the
     /// aggregated packed/CSR gather instants, and the outer `WaveEnd`.
@@ -859,18 +791,18 @@ impl<'a> MatrixSolver<'a> {
         &self,
         wid: u32,
         outs: &[SweepOut],
-        pool_disp: Option<u64>,
+        fan_out_ns: Option<u64>,
         wave_packed: &[u64; PACKED_CLASSES],
         wave_csr: &[u64; PACKED_CLASSES],
     ) {
         let Some(recs) = self.rec else { return };
         let sat = |v: u64| v.min(u32::MAX as u64) as u32;
         let parts = outs.len() as u32;
-        if let Some(ns) = pool_disp {
+        if let Some(ns) = fan_out_ns {
             // Stamped at the first part's start: ≥ the outer WaveStart,
-            // ≤ every part event, so lane 0 stays ts-monotone.
+            // ≤ every lane-0 part event, so lane 0 stays ts-monotone.
             let ts = outs.first().map_or_else(|| self.now_ns(), |o| o.t0_ns);
-            recs[0].instant(EventKind::PoolWake, ts, parts, sat(ns));
+            recs[0].instant(EventKind::FanOut, ts, parts, sat(ns));
         }
         for (p, out) in outs.iter().enumerate() {
             let lane = &recs[p % recs.len()];
@@ -879,9 +811,6 @@ impl<'a> MatrixSolver<'a> {
             lane.span(EventKind::WaveEnd, out.t1_ns, wid, parts);
         }
         let now = self.now_ns();
-        if pool_disp.is_some() {
-            recs[0].instant(EventKind::PoolPark, now, parts, 0);
-        }
         for k in 0..PACKED_CLASSES {
             if wave_packed[k] > 0 {
                 recs[0].instant(EventKind::PackedGather, now, k as u32, sat(wave_packed[k]));
@@ -907,29 +836,20 @@ impl<'a> MatrixSolver<'a> {
         self.span = 0;
         self.depth = 0;
         self.wave_id = 0;
-        self.qc_packed = 0;
-        self.qc_csr = 0;
-        self.qc_dispatch_ns = 0;
-        self.qc_class = [0; EDGE_CLASSES];
+        self.qstats = QueryStats::default();
         self.providers.clear();
         // A halted query leaves its in-flight guards set; clear them so
         // the next query starts clean (the memo holds only completed
         // results and stays valid). Halts likewise strand recording
         // frames, and a halted query memoises nothing.
-        self.on_stack_pts.clear();
-        self.on_stack_flows.clear();
-        self.on_stack_rch.clear();
+        self.on_stack.clear();
         self.fp_stack.clear();
-        let result = self.pts_set(l, CtxId::EMPTY);
-        let mut stats = QueryStats::default();
+        let result = self.set(Rel::Closure(SweepKind::Pts), l, CtxId::EMPTY);
+        let mut stats = std::mem::take(&mut self.qstats);
         stats.charged_steps = self.work;
         stats.traversed_steps = self.work;
         stats.span_steps = self.span;
         stats.state_words = self.pool.iter().map(ChunkedBitset::allocated_words).sum();
-        stats.packed_gathers = self.qc_packed;
-        stats.csr_fallback_rows = self.qc_csr;
-        stats.pool_dispatch_ns = self.qc_dispatch_ns;
-        stats.sweep_class_steps = self.qc_class;
         // Mirrors the demand solver's allocation proxy, except the memo
         // is batch-resident: later queries report everything still held.
         stats.mem_items = self.work + self.memo_items() + stats.state_words;
@@ -952,81 +872,7 @@ impl<'a> MatrixSolver<'a> {
     }
 
     fn memo_items(&self) -> u64 {
-        self.memo_pts
-            .values()
-            .map(|e| e.set.len() as u64)
-            .sum::<u64>()
-            + self
-                .memo_flows
-                .values()
-                .map(|e| e.set.len() as u64)
-                .sum::<u64>()
-            + self
-                .memo_rch
-                .values()
-                .map(|e| e.set.len() as u64)
-                .sum::<u64>()
-    }
-
-    /// Records a memo hit on `owner`'s entry: cross-query hits become
-    /// provider (precedence) edges for the batch scheduler. Adopted
-    /// entries ([`ADOPTED`]) are warm cross-batch state, not in-batch
-    /// sharing, so they never constrain the schedule.
-    #[inline]
-    fn note_hit(providers: &mut FxHashSet<u32>, owner: u32, current: u32) {
-        if owner != current && owner != ADOPTED {
-            providers.insert(owner);
-        }
-    }
-
-    // ----- footprint recording (cfg.record_footprints) -----
-
-    #[inline]
-    fn fp_on(&self) -> bool {
-        self.cfg.record_footprints
-    }
-
-    fn fp_push_frame(&mut self) {
-        self.fp_stack.push(FpBuilder::new());
-    }
-
-    /// Pops the current frame, merging its reads into the parent frame,
-    /// and returns the footprint to store with the completed entry.
-    fn fp_pop_frame(&mut self) -> Option<Arc<Footprint>> {
-        let child = self.fp_stack.pop().expect("fp frame pushed");
-        let fp = child.clone().finish();
-        if let Some(parent) = self.fp_stack.last_mut() {
-            parent.merge_child(child);
-        }
-        fp
-    }
-
-    #[inline]
-    fn fp_node(&mut self, n: NodeId) {
-        if let Some(f) = self.fp_stack.last_mut() {
-            f.record_node(n);
-        }
-    }
-
-    #[inline]
-    fn fp_field(&mut self, f: FieldId) {
-        if let Some(fr) = self.fp_stack.last_mut() {
-            fr.record_field(f);
-        }
-    }
-
-    #[inline]
-    fn fp_nodes(&mut self, bits: &ChunkedBitset) {
-        if let Some(fr) = self.fp_stack.last_mut() {
-            fr.record_node_set(bits);
-        }
-    }
-
-    #[inline]
-    fn fp_absorb(&mut self, dep: Option<&Footprint>) {
-        if let Some(fr) = self.fp_stack.last_mut() {
-            fr.absorb(dep);
-        }
+        self.memo.values().map(|e| e.set.len() as u64).sum()
     }
 
     /// Sorts interned states by materialised `(node, call string)` — the
@@ -1036,46 +882,52 @@ impl<'a> MatrixSolver<'a> {
         v.sort_by_cached_key(|&(n, c)| (n, self.ctxs.stack_of(c)));
     }
 
-    /// Depth guard shared by the three closure kinds.
-    fn enter(&mut self) -> Result<(), Halt> {
-        self.depth += 1;
-        if self.depth > self.cfg.max_recursion_depth {
-            Err(Halt)
-        } else {
-            Ok(())
-        }
-    }
+    // ----- memoised closures -----
 
-    // ----- POINTSTO closure -----
-
-    fn pts_set(&mut self, l: NodeId, c: CtxId) -> Result<Arc<Vec<IState>>, Halt> {
-        let key = (l, c);
-        if let Some(e) = self.memo_pts.get(&key) {
-            Self::note_hit(&mut self.providers, e.owner, self.query_index);
-            let set = Arc::clone(&e.set);
-            let fp = e.fp.clone();
-            if self.fp_on() {
-                self.fp_absorb(fp.as_deref());
+    /// The memoised entry point of every relation: a hit shares the stored
+    /// fixpoint (and absorbs its footprint); a miss computes it under the
+    /// depth and re-entrancy guards and stores it stamped with the current
+    /// query.
+    fn set(&mut self, rel: Rel, n: NodeId, c: CtxId) -> Result<Arc<Vec<IState>>, Halt> {
+        let key = (rel, n, c);
+        if let Some(e) = self.memo.get(&key) {
+            // Cross-query hits become provider (precedence) edges for the
+            // batch scheduler. Adopted entries are warm cross-batch state,
+            // not in-batch sharing, so they never constrain the schedule.
+            if e.owner != self.query_index && e.owner != ADOPTED {
+                self.providers.insert(e.owner);
             }
-            return Ok(set);
+            if let Some(frame) = self.fp_stack.last_mut() {
+                frame.absorb(e.fp.as_deref());
+            }
+            return Ok(Arc::clone(&e.set));
         }
-        self.enter()?;
-        if !self.on_stack_pts.insert(key) {
+        self.depth += 1;
+        if self.depth > self.cfg.max_recursion_depth || !self.on_stack.insert(key) {
             return Err(Halt);
         }
-        if self.fp_on() {
-            self.fp_push_frame();
+        // One recording frame per in-flight compute; with recording off
+        // the stack stays empty and every `last_mut`/`pop` below is `None`.
+        if self.cfg.record_footprints {
+            self.fp_stack.push(FpBuilder::new());
         }
-        let out = self.pts_closure(l, c)?;
-        self.on_stack_pts.remove(&key);
-        self.depth -= 1;
-        let fp = if self.fp_on() {
-            self.fp_pop_frame()
-        } else {
-            None
+        let out = match rel {
+            Rel::Closure(kind) => self.closure(kind, n, c)?,
+            Rel::Rch(kind) => self.rch(kind, n, c)?,
         };
+        self.on_stack.remove(&key);
+        self.depth -= 1;
+        // The frame's reads are this entry's footprint and, merged upward,
+        // part of the parent's.
+        let fp = self.fp_stack.pop().and_then(|frame| {
+            let fp = frame.clone().finish();
+            if let Some(parent) = self.fp_stack.last_mut() {
+                parent.merge_child(frame);
+            }
+            fp
+        });
         let out = Arc::new(out);
-        self.memo_pts.insert(
+        self.memo.insert(
             key,
             MemoEntry {
                 set: Arc::clone(&out),
@@ -1086,24 +938,42 @@ impl<'a> MatrixSolver<'a> {
         Ok(out)
     }
 
-    fn pts_closure(&mut self, l: NodeId, c: CtxId) -> Result<Vec<IState>, Halt> {
+    /// The `PointsTo(n, c)` / `FlowsTo(n, c)` fixpoint: the objects the
+    /// backward sweeps collected, or the variables the forward sweeps
+    /// visited, in canonical order.
+    fn closure(&mut self, kind: SweepKind, n: NodeId, c: CtxId) -> Result<Vec<IState>, Halt> {
         let mut rows = RowTable::default();
         let mut pts_rows: FxHashMap<CtxId, ChunkedBitset> = FxHashMap::default();
         let mut pending: Vec<IState> = Vec::new();
-        rows.insert(l.raw(), c, &mut self.pool);
-        let r = self.pts_fixpoint(&mut rows, &mut pts_rows, &mut pending);
-        let mut pts: Vec<IState> = Vec::new();
+        rows.insert(n.raw(), c, &mut self.pool);
+        let r = self.fixpoint(kind, &mut rows, &mut pts_rows, &mut pending);
+        let mut out: Vec<IState> = Vec::new();
         if r.is_ok() {
-            for (&cx, bits) in pts_rows.iter() {
-                pts.extend(bits.iter().map(|n| (NodeId::new(n), cx)));
+            match kind {
+                SweepKind::Pts => {
+                    for (&cx, bits) in pts_rows.iter() {
+                        out.extend(bits.iter().map(|o| (NodeId::new(o), cx)));
+                    }
+                }
+                SweepKind::Flows => {
+                    let pag = self.pag;
+                    for (&cx, bits) in rows.ctx_of.iter().zip(&rows.visited) {
+                        out.extend(
+                            bits.iter()
+                                .map(NodeId::new)
+                                .filter(|&v| pag.kind(v).is_variable())
+                                .map(|v| (v, cx)),
+                        );
+                    }
+                }
             }
-            if self.fp_on() {
+            if let Some(frame) = self.fp_stack.last_mut() {
                 // At fixpoint every visited node's adjacency was swept
                 // exactly once, so the visited union *is* the closure's
                 // node read-set; alias sub-queries merged their own reads
                 // via their frames.
                 for bits in &rows.visited {
-                    self.fp_nodes(bits);
+                    frame.record_node_set(bits);
                 }
             }
         }
@@ -1113,24 +983,25 @@ impl<'a> MatrixSolver<'a> {
             self.pool.push(b);
         }
         r?;
-        self.sort_canonical(&mut pts);
-        Ok(pts)
+        self.sort_canonical(&mut out);
+        Ok(out)
     }
 
-    fn pts_fixpoint(
+    fn fixpoint(
         &mut self,
+        kind: SweepKind,
         rows: &mut RowTable,
         pts_rows: &mut FxHashMap<CtxId, ChunkedBitset>,
         pending: &mut Vec<IState>,
     ) -> Result<(), Halt> {
         loop {
-            self.sweep(SweepKind::Pts, rows, Some(pts_rows), pending)?;
+            self.sweep(kind, rows, pts_rows, pending)?;
             // Edge propagation is drained; resolve one alias obligation
             // and re-drain. Fixpoint order is irrelevant to the result.
             let Some((x, cx)) = pending.pop() else {
                 return Ok(());
             };
-            let rch = self.rch_set(x, cx, Dir::Bwd)?;
+            let rch = self.set(Rel::Rch(kind), x, cx)?;
             for &(n2, c2) in rch.iter() {
                 rows.insert(n2.raw(), c2, &mut self.pool);
             }
@@ -1147,7 +1018,7 @@ impl<'a> MatrixSolver<'a> {
         &mut self,
         kind: SweepKind,
         rows: &mut RowTable,
-        mut pts_rows: Option<&mut FxHashMap<CtxId, ChunkedBitset>>,
+        pts_rows: &mut FxHashMap<CtxId, ChunkedBitset>,
         pending: &mut Vec<IState>,
     ) -> Result<(), Halt> {
         while !rows.dirty.is_empty() {
@@ -1176,19 +1047,13 @@ impl<'a> MatrixSolver<'a> {
             let wid = self.wave_id;
             self.wave_id = self.wave_id.wrapping_add(1);
             self.emit_wave_start(wid, total);
-            // A persistent pool makes fan-out a park-and-wake barrier, so
-            // the inline threshold drops; waves below the threshold take
-            // the exact single-worker segmentation (grain 64, one part),
-            // since fine grains would only add `Seg` bookkeeping to a
-            // wave that runs inline anyway. The partition (and with it
-            // every answer-observable) is fixed before dispatch either
-            // way; only `span_steps` and wall clock depend on it.
-            let min_scans = if self.sweep_pool.is_some() {
-                POOL_MIN_SCANS
-            } else {
-                SPAWN_MIN_SCANS
-            };
-            let fan_out = self.workers > 1 && total >= min_scans;
+            // Waves below the gate take the exact single-worker
+            // segmentation (grain 64, one part), since fine grains would
+            // only add `Seg` bookkeeping to a wave that runs inline
+            // anyway. The partition (and with it every answer-observable)
+            // is fixed before dispatch either way; only `span_steps` and
+            // wall clock depend on it.
+            let fan_out = self.workers > 1 && total >= FAN_OUT_MIN_SCANS;
             let grain = if fan_out {
                 (total / (self.workers as u64 * 4)).clamp(1, 64) as u32
             } else {
@@ -1230,47 +1095,8 @@ impl<'a> MatrixSolver<'a> {
                 packed: self.packed,
                 epoch: self.epoch,
             };
-            let mut pool_disp: Option<u64> = None;
-            let outs: Vec<SweepOut> = if parts.len() <= 1 {
-                parts
-                    .iter()
-                    .map(|p| scan_part(&env, kind, &fronts, &segs[p.clone()]))
-                    .collect()
-            } else if let Some(pool) = &self.sweep_pool {
-                let disp0 = pool.dispatch_ns();
-                let slots: Vec<Mutex<Option<SweepOut>>> =
-                    parts.iter().map(|_| Mutex::new(None)).collect();
-                pool.run(parts.len(), &|p| {
-                    let out = scan_part(&env, kind, &fronts, &segs[parts[p].clone()]);
-                    *slots[p].lock().expect("slot lock") = Some(out);
-                });
-                pool_disp = Some(pool.dispatch_ns().saturating_sub(disp0));
-                slots
-                    .into_iter()
-                    .map(|s| {
-                        s.into_inner()
-                            .expect("slot lock")
-                            .expect("every part scanned")
-                    })
-                    .collect()
-            } else {
-                std::thread::scope(|sc| {
-                    let fronts = &fronts;
-                    let segs = &segs[..];
-                    let env = &env;
-                    let handles: Vec<_> = parts
-                        .iter()
-                        .map(|p| {
-                            let part = &segs[p.clone()];
-                            sc.spawn(move || scan_part(env, kind, fronts, part))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("sweep worker panicked"))
-                        .collect()
-                })
-            };
+            let (outs, fan_out_ns) =
+                run_parts(&parts, |p| scan_part(&env, kind, &fronts, &segs[p]));
             // Whole waves are charged and span-accounted from the
             // partition, so both figures are execution-independent. The
             // budget verdict matches bit-at-a-time charging: cumulative
@@ -1281,8 +1107,8 @@ impl<'a> MatrixSolver<'a> {
             // Observation only — nothing below feeds back into the
             // fixpoint. Placed before the budget check so halted waves
             // still attribute their work; everything except the
-            // wall-clock-derived dispatch latency is deterministic per
-            // configuration (worker-count and pool invariant).
+            // wall-clock-derived spawn latency is deterministic per
+            // configuration (worker-count invariant).
             self.hists.wave_width.record(total);
             if parts.len() > 1 {
                 self.hists.wave_segments.record(parts.len() as u64);
@@ -1295,17 +1121,18 @@ impl<'a> MatrixSolver<'a> {
                     wave_csr[k] += out.csr_rows[k];
                 }
                 for k in 0..EDGE_CLASSES {
-                    self.qc_class[k] += out.class_steps[k];
+                    self.qstats.sweep_class_steps[k] += out.class_steps[k];
                 }
             }
-            self.qc_packed += wave_packed.iter().sum::<u64>();
-            self.qc_csr += wave_csr.iter().sum::<u64>();
-            if let Some(ns) = pool_disp {
+            self.qstats.packed_gathers += wave_packed.iter().sum::<u64>();
+            self.qstats.csr_fallback_rows += wave_csr.iter().sum::<u64>();
+            if let Some(ns) = fan_out_ns {
                 self.hists.pool_dispatch.record(ns);
-                self.qc_dispatch_ns += ns;
+                self.qstats.pool_wakes += 1;
+                self.qstats.pool_dispatch_ns += ns;
             }
             if self.rec.is_some() {
-                self.emit_wave_events(wid, &outs, pool_disp, &wave_packed, &wave_csr);
+                self.emit_wave_events(wid, &outs, fan_out_ns, &wave_packed, &wave_csr);
             }
             for (_, mut b) in fronts {
                 b.clear();
@@ -1341,16 +1168,14 @@ impl<'a> MatrixSolver<'a> {
                         self.pool.push(bits);
                     }
                 }
-                if let Some(pts) = pts_rows.as_deref_mut() {
-                    for (c, bits) in out.pts.drain() {
-                        pts.entry(c)
-                            .or_insert_with(|| self.pool.pop().unwrap_or_default())
-                            .union_with(&bits);
-                        if self.pool.len() < SCRATCH_POOL_CAP {
-                            let mut bits = bits;
-                            bits.clear();
-                            self.pool.push(bits);
-                        }
+                for (c, mut bits) in out.pts.drain() {
+                    pts_rows
+                        .entry(c)
+                        .or_insert_with(|| self.pool.pop().unwrap_or_default())
+                        .union_with(&bits);
+                    if self.pool.len() < SCRATCH_POOL_CAP {
+                        bits.clear();
+                        self.pool.push(bits);
                     }
                 }
             }
@@ -1358,194 +1183,44 @@ impl<'a> MatrixSolver<'a> {
         Ok(())
     }
 
-    // ----- FLOWSTO closure -----
-
-    fn flows_set(&mut self, o: NodeId, c: CtxId) -> Result<Arc<Vec<IState>>, Halt> {
-        let key = (o, c);
-        if let Some(e) = self.memo_flows.get(&key) {
-            Self::note_hit(&mut self.providers, e.owner, self.query_index);
-            let set = Arc::clone(&e.set);
-            let fp = e.fp.clone();
-            if self.fp_on() {
-                self.fp_absorb(fp.as_deref());
-            }
-            return Ok(set);
-        }
-        self.enter()?;
-        if !self.on_stack_flows.insert(key) {
-            return Err(Halt);
-        }
-        if self.fp_on() {
-            self.fp_push_frame();
-        }
-        let out = self.flows_closure(o, c)?;
-        self.on_stack_flows.remove(&key);
-        self.depth -= 1;
-        let fp = if self.fp_on() {
-            self.fp_pop_frame()
-        } else {
-            None
-        };
-        let out = Arc::new(out);
-        self.memo_flows.insert(
-            key,
-            MemoEntry {
-                set: Arc::clone(&out),
-                owner: self.query_index,
-                fp,
-            },
-        );
-        Ok(out)
-    }
-
-    fn flows_closure(&mut self, o: NodeId, c: CtxId) -> Result<Vec<IState>, Halt> {
-        let mut rows = RowTable::default();
-        let mut pending: Vec<IState> = Vec::new();
-        rows.insert(o.raw(), c, &mut self.pool);
-        let r = self.flows_fixpoint(&mut rows, &mut pending);
-        let mut reached: Vec<IState> = Vec::new();
-        if r.is_ok() {
-            let pag = self.pag;
-            for ri in 0..rows.ctx_of.len() {
-                let cx = rows.ctx_of[ri];
-                reached.extend(
-                    rows.visited[ri]
-                        .iter()
-                        .map(NodeId::new)
-                        .filter(|&n| pag.kind(n).is_variable())
-                        .map(|n| (n, cx)),
-                );
-            }
-            if self.fp_on() {
-                for bits in &rows.visited {
-                    self.fp_nodes(bits);
-                }
-            }
-        }
-        rows.release(&mut self.pool);
-        r?;
-        self.sort_canonical(&mut reached);
-        Ok(reached)
-    }
-
-    fn flows_fixpoint(
-        &mut self,
-        rows: &mut RowTable,
-        pending: &mut Vec<IState>,
-    ) -> Result<(), Halt> {
-        loop {
-            self.sweep(SweepKind::Flows, rows, None, pending)?;
-            let Some((y, cy)) = pending.pop() else {
-                return Ok(());
-            };
-            let rch = self.rch_set(y, cy, Dir::Fwd)?;
-            for &(n2, c2) in rch.iter() {
-                rows.insert(n2.raw(), c2, &mut self.pool);
-            }
-        }
-    }
-
-    // ----- REACHABLENODES -----
-
-    fn rch_set(&mut self, x: NodeId, c: CtxId, dir: Dir) -> Result<Arc<Vec<IState>>, Halt> {
-        let key = (dir, x, c);
-        if let Some(e) = self.memo_rch.get(&key) {
-            Self::note_hit(&mut self.providers, e.owner, self.query_index);
-            let set = Arc::clone(&e.set);
-            let fp = e.fp.clone();
-            if self.fp_on() {
-                self.fp_absorb(fp.as_deref());
-            }
-            return Ok(set);
-        }
-        self.enter()?;
-        if !self.on_stack_rch.insert(key) {
-            return Err(Halt);
-        }
-        if self.fp_on() {
-            self.fp_push_frame();
-        }
-        let out = match dir {
-            Dir::Bwd => self.rch_bwd(x, c)?,
-            Dir::Fwd => self.rch_fwd(x, c)?,
-        };
-        self.on_stack_rch.remove(&key);
-        self.depth -= 1;
-        let fp = if self.fp_on() {
-            self.fp_pop_frame()
-        } else {
-            None
-        };
-        let out = Arc::new(out);
-        self.memo_rch.insert(
-            key,
-            MemoEntry {
-                set: Arc::clone(&out),
-                owner: self.query_index,
-                fp,
-            },
-        );
-        Ok(out)
-    }
-
-    /// Backward alias step, identical to the demand solver's: for each
-    /// incoming load on field `f`, `alias = ∪ FlowsTo(o, c')` over
-    /// `PointsTo(p, c)`, matched against the stores of `f`.
-    fn rch_bwd(&mut self, x: NodeId, c: CtxId) -> Result<Vec<IState>, Halt> {
+    /// `ReachableNodes(x, c)`, identical to the demand solver's alias
+    /// step. Backward (`Pts`): for each incoming load `x = p.f`,
+    /// `alias = ∪ FlowsTo(o, c')` over `PointsTo(p, c)`, matched against
+    /// the bases of the stores of `f`. Forward (`Flows`) is the dual:
+    /// outgoing stores matched against the loads of `f`.
+    fn rch(&mut self, kind: SweepKind, x: NodeId, c: CtxId) -> Result<Vec<IState>, Halt> {
         let pag = self.pag;
-        // `x`'s load slice is consulted even when empty, and each loaded
-        // field's store population even when the `is_empty` gate skips it
-        // — record both before any early-out so a delta that populates
-        // them invalidates this entry.
-        self.fp_node(x);
+        // `x`'s access slice is consulted even when empty, and each
+        // field's opposite-access population even when the `is_empty` gate
+        // skips it — record both before any early-out so a delta that
+        // populates them invalidates this entry.
+        if let Some(frame) = self.fp_stack.last_mut() {
+            frame.record_node(x);
+        }
         let mut out: FxHashSet<IState> = FxHashSet::default();
-        for e in pag.incoming_kind(x, EdgeClass::Load) {
-            let (p, f) = (e.src, e.kind.field().expect("load edge"));
-            self.fp_field(f);
-            if pag.stores_of(f).is_empty() {
+        for e in kind.edges(pag, x, kind.alias_class()) {
+            let (base, f) = (kind.far(e), e.kind.field().expect("field edge"));
+            if let Some(frame) = self.fp_stack.last_mut() {
+                frame.record_field(f);
+            }
+            let matches = match kind {
+                SweepKind::Pts => pag.stores_of(f),
+                SweepKind::Flows => pag.loads_of(f),
+            };
+            if matches.is_empty() {
                 continue;
             }
             let mut alias: FxHashMap<u32, FxHashSet<CtxId>> = FxHashMap::default();
-            let pts = self.pts_set(p, c)?;
+            let pts = self.set(Rel::Closure(SweepKind::Pts), base, c)?;
             for &(o, c0) in pts.iter() {
-                let ft = self.flows_set(o, c0)?;
-                for &(q2, c2) in ft.iter() {
-                    alias.entry(q2.raw()).or_default().insert(c2);
+                let ft = self.set(Rel::Closure(SweepKind::Flows), o, c0)?;
+                for &(q, c2) in ft.iter() {
+                    alias.entry(q.raw()).or_default().insert(c2);
                 }
             }
-            for &(q, y) in pag.stores_of(f) {
+            for &(q, y) in matches {
                 if let Some(cs) = alias.get(&q.raw()) {
                     out.extend(cs.iter().map(|&c2| (y, c2)));
-                }
-            }
-        }
-        let mut v: Vec<IState> = out.into_iter().collect();
-        self.sort_canonical(&mut v);
-        Ok(v)
-    }
-
-    /// Forward dual: outgoing stores matched against the loads of `f`.
-    fn rch_fwd(&mut self, y: NodeId, c: CtxId) -> Result<Vec<IState>, Halt> {
-        let pag = self.pag;
-        self.fp_node(y);
-        let mut out: FxHashSet<IState> = FxHashSet::default();
-        for e in pag.outgoing_kind(y, EdgeClass::Store) {
-            let (q, f) = (e.dst, e.kind.field().expect("store edge"));
-            self.fp_field(f);
-            if pag.loads_of(f).is_empty() {
-                continue;
-            }
-            let mut alias: FxHashMap<u32, FxHashSet<CtxId>> = FxHashMap::default();
-            let pts = self.pts_set(q, c)?;
-            for &(o, c0) in pts.iter() {
-                let ft = self.flows_set(o, c0)?;
-                for &(p2, c2) in ft.iter() {
-                    alias.entry(p2.raw()).or_default().insert(c2);
-                }
-            }
-            for &(p, x) in pag.loads_of(f) {
-                if let Some(cs) = alias.get(&p.raw()) {
-                    out.extend(cs.iter().map(|&c2| (x, c2)));
                 }
             }
         }
@@ -1720,36 +1395,31 @@ mod tests {
         }
     }
 
-    /// The persistent pool is a pure wall-clock substitute for per-wave
-    /// scoped threads: same partition, same barrier replay, same outputs.
+    /// A panic inside a fanned-out scan must surface with its original
+    /// payload — a proptest or fuzzer failure message, not an opaque
+    /// "worker panicked" string.
     #[test]
-    fn pooled_sweeps_bit_identical_and_reused() {
-        let src = "class Obj { }
-                   class Box { field f: Obj;
-                     method set(v: Obj) { this.f = v; }
-                     method get(): Obj { var r: Obj; r = this.f; return r; }
-                   }
-                   class A { method m() {
-                     var b: Box; var x: Obj; var y: Obj; var z: Obj;
-                     b = new Box; x = new Obj;
-                     call b.set(x);
-                     y = call b.get(); z = call b.get();
-                   } }";
-        let pag = build_pag(src).unwrap().pag;
-        let cfg = SolverConfig::default();
-        let mut base = MatrixSolver::new(&pag, &cfg);
-        let pool = Arc::new(SweepPool::new(4));
-        let mut pooled = MatrixSolver::new(&pag, &cfg)
-            .with_workers(4)
-            .with_pool(Arc::clone(&pool));
-        for n in pag.node_ids().filter(|&n| pag.kind(n).is_variable()) {
-            let b = base.points_to_query(n);
-            let p = pooled.points_to_query(n);
-            assert_eq!(b.answer, p.answer, "pooled query {n:?}");
-            assert_eq!(b.stats.traversed_steps, p.stats.traversed_steps);
-        }
-        assert_eq!(base.interner().len(), pooled.interner().len());
-        assert_eq!(pool.spawns(), 3, "helpers spawned once for the whole batch");
+    fn scoped_worker_panic_payload_is_preserved() {
+        let parts = [0..1, 1..2, 2..3];
+        let err = std::panic::catch_unwind(|| {
+            run_parts(&parts, |p| {
+                if p.start == 1 {
+                    panic!("scan failed on part {}", p.start);
+                }
+                p.start
+            })
+        })
+        .expect_err("the worker panic propagates");
+        assert_eq!(
+            err.downcast_ref::<String>().map(String::as_str),
+            Some("scan failed on part 1")
+        );
+        // The inline branch is the closure itself; healthy parts come back
+        // in part order with a spawn latency only when threads were used.
+        assert_eq!(run_parts(&parts[..1], |p| p.start), (vec![0], None));
+        let (outs, spawn_ns) = run_parts(&parts, |p| p.start);
+        assert_eq!(outs, vec![0, 1, 2]);
+        assert!(spawn_ns.is_some());
     }
 
     /// The observability layer is observation-only: the attribution

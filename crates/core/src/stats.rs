@@ -48,16 +48,20 @@ pub struct QueryStats {
     pub span_steps: u64,
     /// Bit-packed adjacency rows gathered by matrix-engine sweeps across
     /// the payload-free edge classes (DESIGN.md §9). Deterministic for a
-    /// fixed configuration: identical at every worker count, with or
-    /// without a pool. 0 for the demand solver.
+    /// fixed configuration: identical at every worker count. 0 for the
+    /// demand solver.
     pub packed_gathers: u64,
     /// Payload-free rows the matrix engine walked through the scalar CSR
     /// slices instead — the class was left unpacked or the row fell below
     /// the packing threshold. Deterministic like `packed_gathers`.
     pub csr_fallback_rows: u64,
-    /// Nanoseconds the matrix engine spent dispatching pooled sweep waves
-    /// (the park-and-wake barrier cost, summed over the query's waves).
-    /// Wall-clock derived, so noisy; 0 without a pool.
+    /// Matrix-engine waves of this query that crossed the fan-out gate and
+    /// ran on scoped worker threads. Deterministic for a fixed worker
+    /// count above one; 0 at one worker and for the demand solver.
+    pub pool_wakes: u64,
+    /// Nanoseconds the matrix engine spent spawning those workers (from
+    /// each fan-out decision to its last spawn, summed over the query's
+    /// waves). Wall-clock derived, so noisy; 0 when nothing fanned out.
     pub pool_dispatch_ns: u64,
     /// Sweep step attribution per [`parcfl_pag::EdgeClass`] (indexed by
     /// `class as usize`): scalar CSR walks count one per edge applied,

@@ -17,6 +17,7 @@
 //! assert!(e.pag.node_by_name("x@A.m").is_some());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod callgraph;

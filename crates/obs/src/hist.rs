@@ -139,9 +139,9 @@ pub struct ObsHists {
     /// Sweep segments per fanned-out wave — how many worker shares the
     /// partitioner produced (one sample per wave).
     pub wave_segments: LogHistogram,
-    /// Sweep-pool dispatch latency in nanoseconds: from handing a wave to
-    /// `SweepPool::run` until every helper share has checked in (one
-    /// sample per pooled wave).
+    /// Sweep fan-out latency in nanoseconds: from the decision to fan a
+    /// wave out until its last scoped worker is spawned (one sample per
+    /// fanned-out wave).
     pub pool_dispatch: LogHistogram,
 }
 

@@ -20,6 +20,7 @@
 //! This crate depends on nothing, so every layer of the pipeline can
 //! record into it without dependency cycles.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chrome;
@@ -122,12 +123,10 @@ pub enum EventKind {
     /// One worker share of a partitioned sweep. `a` = part index within
     /// the wave, `b` = scans in the part.
     SweepSegment,
-    /// The persistent sweep pool dispatched a wave. `a` = parts
-    /// dispatched, `b` = dispatch latency in ns (saturated to `u32::MAX`).
-    PoolWake,
-    /// The sweep pool finished a wave and its helpers re-parked. `a` =
-    /// parts completed.
-    PoolPark,
+    /// A matrix-engine wave crossed the fan-out gate and was spread over
+    /// scoped worker threads. `a` = parts spawned, `b` = nanoseconds from
+    /// the decision to the last spawn (saturated to `u32::MAX`).
+    FanOut,
     /// A payload-free edge class was scanned through a bit-packed
     /// adjacency row. `a` = edge class (0 new, 1 assign-local,
     /// 2 assign-global), `b` = packed rows gathered.
@@ -173,8 +172,7 @@ impl EventKind {
             EventKind::WaveStart => "wave_start",
             EventKind::WaveEnd => "wave_end",
             EventKind::SweepSegment => "sweep_segment",
-            EventKind::PoolWake => "pool_wake",
-            EventKind::PoolPark => "pool_park",
+            EventKind::FanOut => "fan_out",
             EventKind::PackedGather => "packed_gather",
             EventKind::CsrFallback => "csr_fallback",
         }
@@ -224,13 +222,12 @@ mod tests {
         assert!(!EventKind::JmpHit.is_span());
         assert!(!EventKind::StealAttempt.is_span());
         assert!(!EventKind::SweepSegment.is_span());
-        assert!(!EventKind::PoolWake.is_span());
-        assert!(!EventKind::PoolPark.is_span());
+        assert!(!EventKind::FanOut.is_span());
         assert!(!EventKind::PackedGather.is_span());
         assert!(!EventKind::CsrFallback.is_span());
         assert_eq!(EventKind::Eviction.label(), "eviction");
         assert_eq!(EventKind::WaveStart.label(), "wave_start");
-        assert_eq!(EventKind::PoolWake.label(), "pool_wake");
+        assert_eq!(EventKind::FanOut.label(), "fan_out");
         assert_eq!(EventKind::CsrFallback.label(), "csr_fallback");
     }
 

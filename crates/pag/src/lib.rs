@@ -23,6 +23,7 @@
 //! *overlay* maintained by `parcfl-core`'s concurrent jmp store; the graph
 //! here stays immutable and is shared read-only across threads.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod algo;

@@ -24,6 +24,7 @@
 //! assert_eq!(seq.sorted_answers(), par.sorted_answers());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod mode;
@@ -34,14 +35,12 @@ mod stats;
 pub mod threaded;
 
 pub use mode::{Backend, Engine, Mode, RunConfig, SimPerturb};
-pub use parcfl_concurrent::{CounterSet, SweepPool, WorkerObs};
+pub use parcfl_concurrent::{CounterSet, WorkerObs};
 pub use parcfl_obs::{
     chrome_trace_json, Event, EventKind, LogHistogram, ObsHists, PromText, RunTrace, TraceLevel,
     TraceRecorder, WorkerTrace,
 };
-pub use seq::{
-    run_matrix, run_matrix_pooled, run_matrix_session, run_seq, run_seq_traced, run_seq_with_store,
-};
+pub use seq::{run_matrix, run_seq, run_seq_traced, run_seq_with_store};
 pub use session::{AnalysisSession, DeltaReport};
 pub use sim::{run_simulated, run_simulated_batch, run_simulated_with_store};
 pub use stats::{RunResult, RunStats};
@@ -81,21 +80,32 @@ pub fn schedule_with_cap(
     }
 }
 
-/// The `Engine::Auto` heuristic (DESIGN.md §11), tuned against the
-/// measured crossover in `BENCH_solver.json`: the matrix engine
+/// The `Engine::Auto` heuristic (DESIGN.md §11). The matrix engine
 /// evaluates each sub-query closure once and reuses it across the whole
 /// batch, but its rows are bitsets over the *whole* node space, so its
 /// wall cost per traversed step grows with program size while the demand
-/// solver's stays flat. On the Table-I corpus every bench where the
-/// matrix engine beats demand wall-clock (`_200_check` 1.44×,
-/// `_201_compress` 1.30×, `_205_raytrace` 1.52×, `_209_db` 1.18×,
-/// `_227_mtrt` 1.02×, `_999_checkit` 1.36×) has ≤ 1399 PAG nodes and
-/// ≤ 479 call sites; every bench where it loses (worst: `_213_javac`
-/// 0.11×, `_202_jess` 0.17×) has ≥ 1456 nodes. The thresholds below sit
-/// in that measured gap (`crates/synth/examples/probe_features.rs` dumps
-/// the feature table). The batch itself must still be *dense* — many
-/// queries covering a large fraction of the program's variables — since
-/// sparse batches never amortise the whole-program closures.
+/// solver's stays flat; the thresholds below therefore admit only small
+/// programs (≤ 1400 PAG nodes, < 500 call sites) queried densely.
+///
+/// **On wall clock this dispatch currently loses.** The thresholds were
+/// read off single-shot `BENCH_solver.json` walls that claimed matrix
+/// wins on the six Table-I programs they admit (`_200_check`,
+/// `_201_compress`, `_205_raytrace`, `_209_db`, `_227_mtrt`,
+/// `_999_checkit`). The committed ledger
+/// (`benchmark/results/baseline.seed1.json`, workload `dense_small`,
+/// which runs exactly those six) contradicts that:
+/// `runtime.auto.matrix_share` is 1.0 — `Auto` does send all six to the
+/// matrix engine — and `core.matrix.over_demand` is 0.78, i.e. the
+/// matrix engine takes 1.29× the demand solver's wall on them. It does
+/// traverse fewer steps (`core.matrix.traversed_steps`), but each costs
+/// `core.matrix.ns_per_step` = 2460 ns, so the step win is not a wall
+/// win. Retuning moves `dense_small` and is its own measured change;
+/// until then `Engine::Auto` is a step-count optimisation, not a wall
+/// one (`crates/synth/examples/probe_features.rs` dumps the feature
+/// table the constants were read from). The batch itself must still be
+/// *dense* — many queries covering a large fraction of the program's
+/// variables — since sparse batches never amortise the whole-program
+/// closures.
 pub fn matrix_pays_off(pag: &Pag, queries: &[NodeId]) -> bool {
     /// Below this the batch cannot amortise the whole-program closures.
     const MIN_BATCH: usize = 32;
@@ -103,17 +113,19 @@ pub fn matrix_pays_off(pag: &Pag, queries: &[NodeId]) -> bool {
     /// whole-node-space bitsets and the packed adjacency is built once
     /// per PAG (`probe_features` measures ≤ 0.3 ms even at `xalan`'s
     /// 118k packed words), so a batch must bring roughly one query per
-    /// 24 nodes before those per-program costs amortise. At the
-    /// measured crossover (`_205_raytrace`, 1399 nodes) this asks for
-    /// 58 queries — comfortably under its 1085-query Table-I batch.
+    /// 24 nodes before those per-program costs amortise. At the node cap
+    /// (`_205_raytrace`, 1399 nodes) this asks for 58 queries —
+    /// comfortably under its 1085-query Table-I batch.
     const NODES_PER_QUERY: usize = 24;
-    /// Measured node-count crossover: largest winner 1399 (`_205_raytrace`),
-    /// smallest loser 1456 (`luindex`).
+    /// Node-count cut between the six admitted programs (largest:
+    /// `_205_raytrace`, 1399 nodes) and the rest (smallest: `luindex`,
+    /// 1456), whose matrix runs lose by far more (worst `_213_javac`,
+    /// `_202_jess`).
     const MAX_NODES: usize = 1_400;
     /// Context-explosion guard: interned-context counts track call-site
     /// counts (~1.2–1.4×), and the worst matrix losses (`jess`, `javac`)
-    /// pair thousands of contexts with big node spaces. Largest winner:
-    /// 479 call sites (`_205_raytrace`).
+    /// pair thousands of contexts with big node spaces. Largest admitted
+    /// program: 479 call sites (`_205_raytrace`).
     const MAX_CALL_SITES: usize = 500;
     let locals = pag.application_locals().len();
     if queries.is_empty() || locals == 0 {

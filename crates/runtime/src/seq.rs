@@ -3,11 +3,9 @@
 //! matrix engine's batch driver, which shares its shape.
 
 use crate::stats::{RunResult, RunStats};
-use parcfl_concurrent::SweepPool;
 use parcfl_core::{Answer, JmpStore, MatrixMemo, MatrixSolver, NoJmpStore, Solver, SolverConfig};
 use parcfl_obs::{EventKind, RunTrace, TraceLevel, TraceRecorder};
 use parcfl_pag::{NodeId, Pag};
-use std::sync::Arc;
 
 /// Runs every query sequentially with data sharing disabled.
 pub fn run_seq(pag: &Pag, queries: &[NodeId], solver_cfg: &SolverConfig) -> RunResult {
@@ -106,38 +104,20 @@ pub fn run_seq_traced(
 /// are inert (the dispatch is recorded in
 /// [`RunStats::engine_dispatched`]).
 pub fn run_matrix(pag: &Pag, queries: &[NodeId], cfg: &crate::RunConfig) -> RunResult {
-    run_matrix_pooled(pag, queries, cfg, None)
+    run_matrix_with_memo(pag, queries, cfg, MatrixMemo::default()).0
 }
 
-/// [`run_matrix`] against a caller-owned persistent [`SweepPool`] — the
-/// session building block: an [`crate::AnalysisSession`] passes the same
-/// pool to every matrix batch, so sweep helpers are spawned once per
-/// session, not once per batch (let alone per wave). With `pool: None`, a
-/// transient pool is created for the batch when `cfg.threads > 1`. Either
-/// way [`RunStats::pool_spawns`] / [`RunStats::pool_wakes`] record the
-/// pool's end-of-batch counters.
-pub fn run_matrix_pooled(
-    pag: &Pag,
-    queries: &[NodeId],
-    cfg: &crate::RunConfig,
-    pool: Option<Arc<SweepPool>>,
-) -> RunResult {
-    run_matrix_session(pag, queries, cfg, pool, MatrixMemo::default()).0
-}
-
-/// [`run_matrix_pooled`] against a caller-owned cross-batch
+/// The body of [`run_matrix`], against a caller-owned cross-batch
 /// [`MatrixMemo`]: the batch's solver adopts `memo`'s surviving closures
 /// (warm hits cost nothing and never become precedence edges) and the
 /// grown memo is handed back for the next batch. An
 /// [`crate::AnalysisSession`] passes its memo through every matrix batch
 /// and selectively invalidates it on
-/// [`crate::AnalysisSession::apply_delta`]. An empty default memo makes
-/// this identical to [`run_matrix_pooled`].
-pub fn run_matrix_session(
+/// [`crate::AnalysisSession::apply_delta`].
+pub(crate) fn run_matrix_with_memo(
     pag: &Pag,
     queries: &[NodeId],
     cfg: &crate::RunConfig,
-    pool: Option<Arc<SweepPool>>,
     memo: MatrixMemo,
 ) -> (RunResult, MatrixMemo) {
     let start = std::time::Instant::now();
@@ -152,7 +132,6 @@ pub fn run_matrix_session(
     let recs: Vec<TraceRecorder> = (0..cfg.threads.max(1))
         .map(|_| TraceRecorder::external(tracing))
         .collect();
-    let pool = pool.or_else(|| (cfg.threads > 1).then(|| Arc::new(SweepPool::new(cfg.threads))));
     let mut stats = RunStats::default();
     let mut answers = Vec::with_capacity(queries.len());
     let mut durations = Vec::with_capacity(queries.len());
@@ -162,9 +141,6 @@ pub fn run_matrix_session(
         .with_memo(memo);
     if tracing.enabled() {
         solver = solver.with_recorders(&recs, start);
-    }
-    if let Some(p) = &pool {
-        solver = solver.with_pool(Arc::clone(p));
     }
     for (i, &q) in queries.iter().enumerate() {
         recs[0].span(
@@ -199,10 +175,6 @@ pub fn run_matrix_session(
     stats.avg_group_size = 1.0;
     stats.interner_ctxs = solver.interner().len();
     stats.engine_dispatched = Some(crate::Engine::Matrix);
-    if let Some(p) = &pool {
-        stats.pool_spawns = p.spawns();
-        stats.pool_wakes = p.wakes();
-    }
     let memo = solver.take_memo();
     drop(solver);
     let trace = tracing.enabled().then(|| RunTrace {
@@ -305,10 +277,6 @@ mod tests {
         assert_eq!(mat.sorted_answers(), par.sorted_answers());
         assert_eq!(mat.stats.traversed_steps, par.stats.traversed_steps);
         assert!(par.stats.makespan <= mat.stats.makespan);
-        // Pool accounting: one thread needs no pool; four threads spawn
-        // exactly three helpers for the whole batch.
-        assert_eq!(mat.stats.pool_spawns, 0);
-        assert_eq!(par.stats.pool_spawns, 3);
     }
 
     /// Matrix tracing is observation-only and fills per-worker lanes:
@@ -365,49 +333,49 @@ mod tests {
     }
 
     /// The sweep-stress bench is engineered to cross the engine's
-    /// fan-out threshold: a parallel matrix run must wake the pool,
-    /// gather through packed rows *and* the CSR fallback, and fill
-    /// multiple trace lanes — all without perturbing the answers or the
-    /// deterministic counters of a one-worker run.
+    /// fan-out gate: at every worker count above one a matrix run must
+    /// fan waves out, gather through packed rows *and* the CSR fallback,
+    /// and fill multiple trace lanes — all without perturbing the answers,
+    /// the interner or the deterministic counters of a one-worker run.
     #[test]
     fn sweep_stress_fans_out_across_lanes() {
         let b = parcfl_synth::sweep_stress_bench();
-        let cfg = crate::RunConfig::new(crate::Mode::Naive, 8, crate::Backend::Simulated)
-            .with_solver(b.solver.clone())
-            .with_tracing(TraceLevel::Full);
-        let par = run_matrix(&b.pag, &b.queries, &cfg);
-        assert!(par.stats.pool_wakes > 0, "wide waves wake the sweep pool");
-        assert!(
-            par.stats.packed_gathers > 0,
-            "fat assign rows gather packed"
-        );
-        assert!(par.stats.csr_fallback_rows > 0, "thin new rows fall back");
-        let trace = par.trace.as_ref().expect("trace present at Full");
-        assert!(
-            trace.workers.len() > 1,
-            "fan-out fills lanes beyond worker 0 (got {})",
-            trace.workers.len()
-        );
-        assert!(trace
-            .workers
-            .iter()
-            .all(|w| w.events.iter().any(|e| e.kind == EventKind::WaveStart)));
-        assert!(trace.workers[0]
-            .events
-            .iter()
-            .any(|e| e.kind == EventKind::PoolWake));
-        assert!(trace.workers[0]
-            .events
-            .iter()
-            .any(|e| e.kind == EventKind::PackedGather));
         let seq_cfg = crate::RunConfig::new(crate::Mode::Naive, 1, crate::Backend::Simulated)
             .with_solver(b.solver.clone());
         let seq = run_matrix(&b.pag, &b.queries, &seq_cfg);
-        assert_eq!(seq.sorted_answers(), par.sorted_answers());
-        assert_eq!(seq.stats.traversed_steps, par.stats.traversed_steps);
-        assert_eq!(seq.stats.packed_gathers, par.stats.packed_gathers);
-        assert_eq!(seq.stats.csr_fallback_rows, par.stats.csr_fallback_rows);
-        assert_eq!(seq.stats.sweep_class_steps, par.stats.sweep_class_steps);
+        assert_eq!(seq.stats.pool_wakes, 0, "one worker never fans out");
+        for workers in [2usize, 4, 8] {
+            let cfg = crate::RunConfig::new(crate::Mode::Naive, workers, crate::Backend::Simulated)
+                .with_solver(b.solver.clone())
+                .with_tracing(TraceLevel::Full);
+            let par = run_matrix(&b.pag, &b.queries, &cfg);
+            assert!(par.stats.pool_wakes > 0, "wide waves fan out at {workers}");
+            assert!(
+                par.stats.packed_gathers > 0,
+                "fat assign rows gather packed"
+            );
+            assert!(par.stats.csr_fallback_rows > 0, "thin new rows fall back");
+            let trace = par.trace.as_ref().expect("trace present at Full");
+            assert!(
+                trace.workers.len() > 1,
+                "fan-out fills lanes beyond worker 0 (got {})",
+                trace.workers.len()
+            );
+            assert!(trace
+                .workers
+                .iter()
+                .all(|w| w.events.iter().any(|e| e.kind == EventKind::WaveStart)));
+            let lane0 = &trace.workers[0].events;
+            let fan_outs = lane0.iter().filter(|e| e.kind == EventKind::FanOut);
+            assert_eq!(fan_outs.count() as u64, par.stats.pool_wakes);
+            assert!(lane0.iter().any(|e| e.kind == EventKind::PackedGather));
+            assert_eq!(seq.sorted_answers(), par.sorted_answers());
+            assert_eq!(seq.stats.traversed_steps, par.stats.traversed_steps);
+            assert_eq!(seq.stats.interner_ctxs, par.stats.interner_ctxs);
+            assert_eq!(seq.stats.packed_gathers, par.stats.packed_gathers);
+            assert_eq!(seq.stats.csr_fallback_rows, par.stats.csr_fallback_rows);
+            assert_eq!(seq.stats.sweep_class_steps, par.stats.sweep_class_steps);
+        }
     }
 
     #[test]

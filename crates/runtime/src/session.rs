@@ -25,13 +25,12 @@ use crate::seq::run_seq_traced;
 use crate::sim::run_simulated_batch;
 use crate::stats::{RunResult, RunStats};
 use crate::threaded::run_threaded_batch;
-use parcfl_concurrent::{CounterSet, SweepPool};
+use parcfl_concurrent::CounterSet;
 use parcfl_core::{DirtySet, JmpStore, MatrixMemo, SharedJmpStore, SolverConfig};
 use parcfl_obs::{Event, EventKind, PromText, TraceLevel};
 use parcfl_pag::{NodeId, Pag, PagDelta};
 use parcfl_sched::{Schedule, ScheduleCache, ScheduleOptions};
 use std::borrow::Cow;
-use std::sync::Arc;
 
 /// Outcome of one [`AnalysisSession::apply_delta`]: the PAG revision now
 /// live plus exact selective-invalidation accounting. The invalidation
@@ -103,11 +102,6 @@ pub struct AnalysisSession<'p> {
     /// `BatchStart`/`BatchEnd` spans in session virtual time (recorded
     /// only when tracing is enabled).
     session_events: Vec<Event>,
-    /// The session's persistent sweep-worker pool, created lazily by the
-    /// first matrix batch that runs with `threads > 1` and reused by every
-    /// later one — helpers are spawned once per session, never per batch
-    /// ([`RunStats::pool_spawns`] stays at `threads - 1`).
-    sweep_pool: Option<Arc<SweepPool>>,
     /// The matrix engine's cross-batch closure memo: each matrix batch
     /// adopts it, extends it, and hands it back, so later batches answer
     /// repeated closures for free (answers stay bit-identical — adopted
@@ -138,7 +132,6 @@ impl<'p> AnalysisSession<'p> {
             tracing: TraceLevel::Off,
             counters: CounterSet::new(),
             session_events: Vec::new(),
-            sweep_pool: None,
             matrix_memo: MatrixMemo::default(),
         }
     }
@@ -232,12 +225,8 @@ impl<'p> AnalysisSession<'p> {
         };
         if matrix {
             let base = self.vclock;
-            if self.sweep_pool.is_none() && self.threads > 1 {
-                self.sweep_pool = Some(Arc::new(SweepPool::new(self.threads)));
-            }
             let memo = std::mem::take(&mut self.matrix_memo);
-            let (result, memo) =
-                crate::run_matrix_session(&self.pag, queries, &cfg, self.sweep_pool.clone(), memo);
+            let (result, memo) = crate::seq::run_matrix_with_memo(&self.pag, queries, &cfg, memo);
             self.matrix_memo = memo;
             self.vclock = base + result.stats.makespan + 1;
             self.cumulative.merge(&result.stats);
@@ -325,10 +314,10 @@ impl<'p> AnalysisSession<'p> {
     /// Renders the session's operational metrics in Prometheus text
     /// exposition format: the named batch/query counters, jmp-store
     /// totals (lookup hits, inserts, evictions, residency), matrix-sweep
-    /// counters (packed gathers, CSR fallbacks, pool dispatch time,
-    /// per-edge-class step attribution), pool/engine/state gauges, and
-    /// the cumulative latency, wave-width, wave-segment and pool-dispatch
-    /// histograms, plus per-worker steal counters.
+    /// counters (packed gathers, CSR fallbacks, fanned-out waves and their
+    /// spawn time, per-edge-class step attribution), engine/state gauges,
+    /// and the cumulative latency, wave-width, wave-segment and
+    /// fan-out-spawn histograms, plus per-worker steal counters.
     pub fn metrics_snapshot(&self) -> String {
         let mut p = PromText::new();
         for (name, value) in self.counters.snapshot() {
@@ -365,8 +354,13 @@ impl<'p> AnalysisSession<'p> {
             self.cumulative.csr_fallback_rows,
         );
         p.counter(
+            "parcfl_pool_wakes_total",
+            "Matrix sweep waves that crossed the fan-out gate and ran on scoped worker threads.",
+            self.cumulative.pool_wakes,
+        );
+        p.counter(
             "parcfl_pool_dispatch_ns_total",
-            "Nanoseconds spent dispatching pooled sweep waves (park-and-wake barrier cost).",
+            "Nanoseconds from each fan-out decision to its last worker spawned.",
             self.cumulative.pool_dispatch_ns,
         );
         let class_series: Vec<(String, u64)> = parcfl_pag::EdgeClass::all()
@@ -382,16 +376,6 @@ impl<'p> AnalysisSession<'p> {
             "parcfl_sweep_class_steps_total",
             "Matrix sweep steps attributed per PAG edge class.",
             &class_series,
-        );
-        p.gauge(
-            "parcfl_pool_spawns",
-            "Sweep helper threads spawned by the persistent pool (flat across batches proves reuse).",
-            self.cumulative.pool_spawns,
-        );
-        p.gauge(
-            "parcfl_pool_wakes",
-            "Park-and-wake barriers the sweep pool has dispatched.",
-            self.cumulative.pool_wakes,
         );
         p.gauge(
             "parcfl_peak_state_words",
@@ -422,7 +406,7 @@ impl<'p> AnalysisSession<'p> {
         );
         p.histogram(
             "parcfl_pool_dispatch_latency",
-            "Sweep-pool dispatch latency per pooled wave (ns).",
+            "Spawn latency per fanned-out matrix wave (ns).",
             &self.cumulative.hists.pool_dispatch,
         );
         let series = |f: &dyn Fn(&parcfl_concurrent::WorkerObs) -> u64| -> Vec<(String, u64)> {
@@ -886,8 +870,10 @@ mod tests {
             text.contains("parcfl_sweep_class_steps_total{class=\"ret\"} 0"),
             "{text}"
         );
-        assert!(text.contains("# TYPE parcfl_pool_spawns gauge"), "{text}");
-        assert!(text.contains("# HELP parcfl_pool_wakes"), "{text}");
+        assert!(
+            text.contains("# TYPE parcfl_pool_wakes_total counter"),
+            "{text}"
+        );
         assert!(text.contains("# HELP parcfl_peak_state_words"), "{text}");
         assert!(
             text.contains("parcfl_engine_dispatched{engine=\"demand\"} 1"),
@@ -963,37 +949,6 @@ mod tests {
             matrix.cumulative().engine_dispatched,
             Some(crate::Engine::Matrix)
         );
-    }
-
-    #[test]
-    fn matrix_session_spawns_sweep_workers_at_most_once() {
-        let pag = build_pag(SRC).unwrap().pag;
-        let queries = pag.application_locals();
-        let mut s = AnalysisSession::new(&pag)
-            .with_threads(4)
-            .with_solver(solver())
-            .with_engine(crate::Engine::Matrix);
-        let mut last_wakes = 0;
-        for _ in 0..3 {
-            let r = s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
-            // One pool for the whole session: every batch reports the same
-            // three helper spawns, while the wake counter carries across
-            // batches (monotone — proof the same pool kept serving).
-            assert_eq!(r.stats.pool_spawns, 3);
-            assert!(r.stats.pool_wakes >= last_wakes);
-            last_wakes = r.stats.pool_wakes;
-        }
-        // `pool_spawns` merges as a gauge: the session total is still the
-        // one spawn wave, not 3 batches × 3 helpers.
-        assert_eq!(s.cumulative().pool_spawns, 3);
-
-        // A single-threaded matrix session never needs a pool at all.
-        let mut solo = AnalysisSession::new(&pag)
-            .with_solver(solver())
-            .with_engine(crate::Engine::Matrix);
-        let r = solo.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
-        assert_eq!(r.stats.pool_spawns, 0);
-        assert_eq!(solo.cumulative().pool_spawns, 0);
     }
 
     #[test]

@@ -65,19 +65,10 @@ pub struct RunStats {
     /// records it (`None` only for empty/default accumulators); like the
     /// other gauges, merging takes the latest batch's observation.
     pub engine_dispatched: Option<crate::Engine>,
-    /// Sweep helper threads spawned by the matrix engine's persistent
-    /// worker pool over its lifetime, as observed at the end of the batch
-    /// (`workers - 1` for a live pool; 0 for demand engines or
-    /// single-threaded runs). A **gauge**: session merges take the latest
-    /// batch's observation, so a multi-batch session whose value stays at
-    /// `workers - 1` provably reused one pool instead of respawning per
-    /// batch (or, as before PR 8, per wave).
-    pub pool_spawns: u64,
-    /// Cumulative park-and-wake barriers the pool dispatched (parallel
-    /// waves fanned out to the helpers), observed at the end of the batch.
-    /// Also a gauge — it grows monotonically over a session while
-    /// `pool_spawns` stays flat, which is the reuse signature
-    /// `BENCH_solver.json` records per bench.
+    /// Matrix-engine waves that crossed the fan-out gate and ran on scoped
+    /// worker threads, summed over queries (0 for demand engines and at
+    /// one worker). A **counter**: deterministic per configuration and
+    /// worker count, so `bench-diff` gates it exactly.
     pub pool_wakes: u64,
     /// Wall-clock duration of the run.
     pub wall: std::time::Duration,
@@ -100,9 +91,9 @@ pub struct RunStats {
     /// slices instead of a packed gather. Deterministic like
     /// `packed_gathers`.
     pub csr_fallback_rows: u64,
-    /// Nanoseconds the matrix engine spent dispatching pooled sweep
-    /// waves, summed over queries. Wall-clock derived (noisy); 0 without
-    /// a pool.
+    /// Nanoseconds from each fan-out decision to its last worker spawned,
+    /// summed over queries. Wall-clock derived (noisy); 0 when
+    /// `pool_wakes` is.
     pub pool_dispatch_ns: u64,
     /// Sweep step attribution per [`parcfl_pag::EdgeClass`] (index =
     /// `class as usize`), summed over queries: CSR edges, packed row
@@ -150,6 +141,7 @@ impl RunStats {
         self.jmp_inserts += qs.finished_published + qs.unfinished_published;
         self.packed_gathers += qs.packed_gathers;
         self.csr_fallback_rows += qs.csr_fallback_rows;
+        self.pool_wakes += qs.pool_wakes;
         self.pool_dispatch_ns += qs.pool_dispatch_ns;
         for (acc, &v) in self
             .sweep_class_steps
@@ -189,6 +181,7 @@ impl RunStats {
         self.jmp_inserts += other.jmp_inserts;
         self.packed_gathers += other.packed_gathers;
         self.csr_fallback_rows += other.csr_fallback_rows;
+        self.pool_wakes += other.pool_wakes;
         self.pool_dispatch_ns += other.pool_dispatch_ns;
         self.invalidated_jmps += other.invalidated_jmps;
         self.invalidated_memos += other.invalidated_memos;
@@ -214,8 +207,6 @@ impl RunStats {
             self.avg_group_size = other.avg_group_size;
             self.interner_ctxs = other.interner_ctxs;
             self.engine_dispatched = other.engine_dispatched;
-            self.pool_spawns = other.pool_spawns;
-            self.pool_wakes = other.pool_wakes;
         }
         for (i, w) in other.workers.iter().enumerate() {
             if self.workers.len() <= i {
@@ -353,8 +344,7 @@ mod tests {
                 interner_ctxs: 12,
                 makespan: 50,
                 engine_dispatched: Some(crate::Engine::Demand),
-                pool_spawns: 0,
-                pool_wakes: 0,
+                pool_wakes: 2,
                 wall: std::time::Duration::from_millis(3),
                 avg_group_size: 2.0,
                 workers: vec![],
@@ -389,7 +379,6 @@ mod tests {
                 interner_ctxs: 9,
                 makespan: 9,
                 engine_dispatched: Some(crate::Engine::Matrix),
-                pool_spawns: 7,
                 pool_wakes: 41,
                 wall: std::time::Duration::from_millis(2),
                 avg_group_size: 1.5,
@@ -422,6 +411,7 @@ mod tests {
         assert_eq!(cum.jmp_inserts, 5);
         assert_eq!(cum.packed_gathers, 15, "sweep counters sum");
         assert_eq!(cum.csr_fallback_rows, 5);
+        assert_eq!(cum.pool_wakes, 43, "fanned-out waves sum");
         assert_eq!(cum.pool_dispatch_ns, 150);
         assert_eq!(cum.sweep_class_steps, [11, 2, 3, 4, 5, 6, 8]);
         assert_eq!(cum.invalidated_jmps, 7, "invalidation counters sum");
@@ -445,8 +435,6 @@ mod tests {
             Some(crate::Engine::Matrix),
             "dispatched engine follows the latest batch"
         );
-        assert_eq!(cum.pool_spawns, 7, "pool gauges follow the latest batch");
-        assert_eq!(cum.pool_wakes, 41);
     }
 
     /// Pins the merge class of *every* `RunStats` field. The batch
@@ -477,6 +465,7 @@ mod tests {
             jmp_inserts: k,
             packed_gathers: k,
             csr_fallback_rows: k,
+            pool_wakes: k,
             pool_dispatch_ns: k,
             sweep_class_steps: [k; parcfl_pag::EDGE_CLASSES],
             invalidated_jmps: k,
@@ -497,8 +486,6 @@ mod tests {
             avg_group_size: k as f64,
             interner_ctxs: k as usize,
             engine_dispatched: Some(crate::Engine::Demand),
-            pool_spawns: k,
-            pool_wakes: k,
             // Structured: workers sum slot-wise, hists merge.
             workers: vec![WorkerObs {
                 worker: 0,
@@ -524,6 +511,7 @@ mod tests {
         assert_eq!(cum.jmp_inserts, 13);
         assert_eq!(cum.packed_gathers, 13);
         assert_eq!(cum.csr_fallback_rows, 13);
+        assert_eq!(cum.pool_wakes, 13, "fan-outs SUM, not latest");
         assert_eq!(cum.pool_dispatch_ns, 13);
         assert_eq!(cum.sweep_class_steps, [13; parcfl_pag::EDGE_CLASSES]);
         assert_eq!(cum.invalidated_jmps, 13, "invalidations SUM, not latest");
@@ -544,8 +532,6 @@ mod tests {
         assert_eq!(cum.avg_group_size, 3.0);
         assert_eq!(cum.interner_ctxs, 3);
         assert_eq!(cum.engine_dispatched, Some(crate::Engine::Demand));
-        assert_eq!(cum.pool_spawns, 3);
-        assert_eq!(cum.pool_wakes, 3);
         // Structured.
         assert_eq!(cum.workers.len(), 1);
         assert_eq!(cum.workers[0].local_pops, 13);

@@ -18,6 +18,7 @@
 //! PAG) use [`cache::ScheduleCache`] to compute the query-independent
 //! metadata once and memoise whole schedules per query set.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

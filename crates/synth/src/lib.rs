@@ -9,6 +9,7 @@
 //! from, the paper's Table I rows — see DESIGN.md for the substitution
 //! argument.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod generator;

@@ -3,13 +3,13 @@
 //!
 //! The Table-I profiles mirror the paper's benchmarks: PAGs with one-ish
 //! edge per node per class, whose per-query frontiers stay a few dozen
-//! bits wide. That never crosses the matrix engine's fan-out threshold
-//! (`POOL_MIN_SCANS`) and never builds a packed adjacency row, so a trace
-//! of a Table-I matrix run is a single-lane timeline with every gather on
-//! the CSR fallback — faithful, but it exercises neither the sweep pool
-//! nor the packed kernels. This bench is the complement: a layered
-//! fan-out graph engineered so one query produces waves wide enough to
-//! dispatch across every sweep worker (pool wakes, multi-lane trace) and
+//! bits wide. That never crosses the matrix engine's fan-out gate
+//! (`FAN_OUT_MIN_SCANS`) and never builds a packed adjacency row, so a
+//! trace of a Table-I matrix run is a single-lane timeline with every
+//! gather on the CSR fallback — faithful, but it exercises neither the
+//! scoped fan-out nor the packed kernels. This bench is the complement: a
+//! layered fan-out graph engineered so one query produces waves wide
+//! enough to spread across every sweep worker (multi-lane trace) and
 //! routes its gathers through both the packed rows (fat assignment hubs)
 //! and the CSR fallback (thin allocation rows). CI traces it via
 //! `table2 --trace-engine matrix-stress` and the runtime's tier-1 tests
@@ -23,14 +23,14 @@ const ROOTS: usize = 2;
 /// Assignment hubs per root — the first (narrow) wave.
 const HUBS: usize = 32;
 /// Leaves per hub — the wide wave (`HUBS * LEAVES_PER_HUB` scans, well
-/// past `POOL_MIN_SCANS = 256`).
+/// past `FAN_OUT_MIN_SCANS = 256`).
 const LEAVES_PER_HUB: usize = 16;
 
 /// Builds the sweep-stress bench: `ROOTS` roots, each assigned from
 /// [`HUBS`] hubs, each hub assigned from [`LEAVES_PER_HUB`] private
 /// leaves, each leaf allocating one private object. A points-to query on
 /// a root therefore sweeps waves of width 1 → [`HUBS`] →
-/// `HUBS * LEAVES_PER_HUB` (= 512, past the pool threshold) → objects.
+/// `HUBS * LEAVES_PER_HUB` (= 512, past the fan-out gate) → objects.
 /// Roots and hubs carry ≥ 4 incoming `assign_l` edges (packed rows,
 /// `packed_gathers`); leaves carry a single `new` edge (thin rows,
 /// `csr_fallback_rows`). The graph is acyclic, context-free and built

@@ -103,7 +103,7 @@ USAGE:
       deterministic trace; --threaded records real wall-clock spans.
       --engine matrix traces the whole-program matrix engine instead:
       one lane per sweep worker (--threads) with wave spans,
-      sweep-segment instants and pool wake/park markers (mode and
+      sweep-segment instants and fan-out markers (mode and
       --threaded are inert there; the lanes are real-clock).
   parcfl gen <name>
       Print a Table-I benchmark's generated mini-Java source on stdout
@@ -334,7 +334,7 @@ fn cmd_trace(args: &[String]) {
     let r = match engine {
         Engine::Matrix => {
             // Whole-program matrix engine: per-sweep-worker lanes with
-            // wave spans and pool wake/park instants, stamped on the
+            // wave spans and fan-out instants, stamped on the
             // real clock (mode/backend are inert under this engine).
             cfg.solver.state = parcfl::core::StateBackend::Dense;
             parcfl::runtime::run_matrix(&pag, &queries, &cfg)

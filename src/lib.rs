@@ -2,6 +2,8 @@
 //!
 //! Umbrella crate re-exporting the whole system. See README.md for a tour.
 
+#![forbid(unsafe_code)]
+
 pub mod clients;
 
 pub use parcfl_runtime::AnalysisSession;

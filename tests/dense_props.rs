@@ -16,7 +16,7 @@ use parcfl::core::{Answer, MatrixSolver, SolverConfig, StateBackend};
 use parcfl::pag::EdgeClass;
 use parcfl::runtime::{run_matrix, run_seq, Backend, Engine, Mode, RunConfig, TraceLevel};
 use parcfl::synth::mutate::canonicalize;
-use parcfl::synth::{build_bench, Profile};
+use parcfl::synth::{build_bench, sweep_stress_bench, table1_profiles, Profile};
 use proptest::prelude::*;
 
 /// The node ids set in one packed adjacency row, ascending.
@@ -415,6 +415,47 @@ fn parallel_matrix_bit_identical_across_worker_counts() {
                 base.stats.makespan
             );
         }
+    }
+}
+
+/// Pins the single fan-out gate from both sides. Below it: a Table-I-sized
+/// graph at 8 workers spawns nothing — no fanned-out wave, no spawn time,
+/// a single trace lane. Above it: the sweep-stress bench fans out at
+/// every stress worker count above one, fills several lanes, and leaves
+/// answers, scan totals, interner ids and kernel counters identical to
+/// the one-worker run.
+#[test]
+fn fan_out_gate_is_pinned_from_both_sides() {
+    let traced = |workers: usize, solver: &SolverConfig| {
+        RunConfig::new(Mode::Naive, workers, Backend::Simulated)
+            .with_solver(solver.clone())
+            .with_tracing(TraceLevel::Full)
+    };
+    let profiles = table1_profiles();
+    let check = build_bench(profiles.iter().find(|p| p.name == "_200_check").unwrap());
+    let small = run_matrix(&check.pag, &check.queries, &traced(8, &check.solver));
+    assert_eq!(small.stats.pool_wakes, 0, "Table-I waves stay inline");
+    assert_eq!(small.stats.pool_dispatch_ns, 0);
+    assert!(small.stats.hists.wave_segments.is_empty());
+    assert_eq!(small.trace.expect("traced").workers.len(), 1);
+
+    let stress = sweep_stress_bench();
+    let base = run_matrix(&stress.pag, &stress.queries, &matrix_cfg(&stress.solver));
+    assert_eq!(base.stats.pool_wakes, 0, "one worker never fans out");
+    for workers in worker_counts().into_iter().filter(|&w| w > 1) {
+        let par = run_matrix(
+            &stress.pag,
+            &stress.queries,
+            &traced(workers, &stress.solver),
+        );
+        assert!(par.stats.pool_wakes > 0, "workers={workers}: no fan-out");
+        assert!(par.trace.as_ref().expect("traced").workers.len() > 1);
+        assert_eq!(base.sorted_answers(), par.sorted_answers());
+        assert_eq!(base.stats.traversed_steps, par.stats.traversed_steps);
+        assert_eq!(base.stats.interner_ctxs, par.stats.interner_ctxs);
+        assert_eq!(base.stats.packed_gathers, par.stats.packed_gathers);
+        assert_eq!(base.stats.csr_fallback_rows, par.stats.csr_fallback_rows);
+        assert_eq!(base.stats.sweep_class_steps, par.stats.sweep_class_steps);
     }
 }
 
