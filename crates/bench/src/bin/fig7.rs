@@ -8,8 +8,17 @@
 //! finished edges appear; the thresholds remove exactly those.
 
 use parcfl_bench::cfg_for;
-use parcfl_core::JmpHistogram;
-use parcfl_runtime::{run_simulated_with_store, Mode};
+use parcfl_core::{JmpHistogram, SharedJmpStore};
+use parcfl_runtime::{run_simulated_batch, schedule_with_cap, Mode, RunConfig};
+use parcfl_synth::Bench;
+
+/// The jmp edges one simulated run of `b` leaves behind.
+fn histogram(b: &Bench, cfg: &RunConfig) -> JmpHistogram {
+    let schedule = schedule_with_cap(&b.pag, &b.queries, cfg.mode, cfg.group_cap);
+    let store = SharedJmpStore::timestamped();
+    run_simulated_batch(&b.pag, &schedule, cfg, &store, 0);
+    JmpHistogram::of(&store)
+}
 
 fn main() {
     let suite = parcfl_synth::build_suite();
@@ -17,14 +26,11 @@ fn main() {
     let mut raw = JmpHistogram::default();
     for b in &suite {
         // With thresholds (the paper's default configuration).
-        let cfg = cfg_for(b, Mode::DataSharingSched, 16);
-        let (_, store) = run_simulated_with_store(&b.pag, &b.queries, &cfg);
-        let h = JmpHistogram::of(&store);
+        let h = histogram(b, &cfg_for(b, Mode::DataSharingSched, 16));
         // Without thresholds (the ablation drawn as Finished/Unfinished).
         let mut cfg0 = cfg_for(b, Mode::DataSharingSched, 16);
         cfg0.solver = cfg0.solver.without_tau_thresholds();
-        let (_, store0) = run_simulated_with_store(&b.pag, &b.queries, &cfg0);
-        let h0 = JmpHistogram::of(&store0);
+        let h0 = histogram(b, &cfg0);
         for i in 0..18 {
             opt.finished[i] += h.finished[i];
             opt.unfinished[i] += h.unfinished[i];

@@ -32,11 +32,10 @@
 //! spans, `sweep_segment` instants and `fan_out` markers — the real
 //! sweep timeline of the engine.
 
-use parcfl_bench::{cfg_for, print_worker_table, run_mode};
+use parcfl_bench::{cfg_for, run_mode};
 use parcfl_core::{NoJmpStore, Solver, SolverConfig, StateBackend};
 use parcfl_runtime::{
-    run_matrix, run_seq, run_simulated, run_threaded, Backend, Mode, RunConfig, RunResult,
-    TraceLevel,
+    run_matrix, run_seq, run_simulated, Backend, Mode, RunConfig, RunResult, TraceLevel,
 };
 use parcfl_synth::{build_bench, table1_profiles, Bench};
 use std::io::Write;
@@ -510,28 +509,6 @@ fn main() {
     println!(
         "Precision: CFL is context-sensitive; Andersen conflates call sites \
          (see tests/properties.rs::andersen_over_approximates_cfl)."
-    );
-
-    // Per-worker contention sidebar: the same threaded workload dispatched
-    // through the paper's mutex work list and through the work-stealing
-    // scheduler, with each worker's fetch/steal/idle/wait record.
-    println!("\n--- sidebar: threaded dispatch contention (mutex vs stealing, 4 workers) ---");
-    let base = RunConfig::new(Mode::DataSharingSched, 4, Backend::Threaded)
-        .with_solver(b.solver.clone().without_tau_thresholds());
-    let mutex = run_threaded(&b.pag, &b.queries, &base);
-    let stealing = run_threaded(&b.pag, &b.queries, &base.clone().with_stealing(true));
-    assert_eq!(
-        mutex.sorted_answers(),
-        stealing.sorted_answers(),
-        "dispatch discipline must not change answers"
-    );
-    print_worker_table("mutex", &mutex.stats);
-    print_worker_table("stealing", &stealing.stats);
-    println!(
-        "total lock wait: mutex {:?} vs stealing {:?} (stealing also waited {:?} on steals)",
-        mutex.stats.total_lock_wait(),
-        stealing.stats.total_lock_wait(),
-        stealing.stats.total_steal_wait(),
     );
 
     emit_bench_json(&json_path, &suite, false, repeat);

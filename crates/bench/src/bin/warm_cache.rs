@@ -21,10 +21,6 @@
 //! has nothing to stay warm. τ policy itself is the `ablation_tau` bench's
 //! subject, not this one's.
 //!
-//! With `--stealing` the bench instead compares the two *threaded*
-//! dispatch disciplines (mutex work list vs work-stealing scheduler) on
-//! warm sessions: identical answers, strictly less total lock waiting.
-//!
 //! With `--engine {demand|matrix|auto}` the bench instead submits each
 //! full batch through a session configured with that engine
 //! ([`AnalysisSession::with_engine`], 8 sweep workers for matrix) and
@@ -50,80 +46,12 @@
 //! artifact (default `BENCH_incremental.json`) records cold/incremental
 //! re-query steps and the invalidation counters per bench.
 
-use parcfl_bench::{cfg_for, print_worker_table};
+use parcfl_bench::cfg_for;
 use parcfl_core::{Answer, SolverConfig};
 use parcfl_pag::PagDelta;
 use parcfl_runtime::{run_simulated, AnalysisSession, Backend, Engine, Mode, RunResult};
 use parcfl_synth::mutate::sample_edits;
 use std::io::Write;
-
-/// `--stealing`: the real-thread warm-session comparison instead of the
-/// simulated table. Every benchmark runs the same two-batch warm session
-/// (prime with half the queries, then the full batch) on 8 OS threads
-/// twice — once dispatched through the paper's mutex work list, once
-/// through the work-stealing scheduler. Answers must be identical
-/// query-for-query; across the whole suite the stealing backend must spend
-/// strictly less total time waiting on work-list locks.
-fn run_stealing_comparison() {
-    let threads = 8;
-    println!(
-        "{:<16} {:>12} {:>12} {:>9} {:>9}",
-        "Benchmark", "MtxLockWait", "StlLockWait", "StealOk", "IdleSpin"
-    );
-    let suite = parcfl_synth::build_suite();
-    let mode = Mode::DataSharingSched;
-    let mut mutex_wait_ns = 0u64;
-    let mut stealing_wait_ns = 0u64;
-    let mut last: Option<(parcfl_runtime::RunStats, parcfl_runtime::RunStats)> = None;
-    for b in &suite {
-        let half = &b.queries[..b.queries.len() / 2];
-        let solver: SolverConfig = b.solver.clone().without_tau_thresholds();
-        let run = |stealing: bool| {
-            let mut sess = AnalysisSession::new(&b.pag)
-                .with_threads(threads)
-                .with_solver(solver.clone())
-                .with_stealing(stealing);
-            sess.submit(half, mode, Backend::Threaded);
-            let full = sess.submit(&b.queries, mode, Backend::Threaded);
-            let cumulative = sess.cumulative().clone();
-            (full, cumulative)
-        };
-        let (mutex_full, mutex_cum) = run(false);
-        let (stealing_full, stealing_cum) = run(true);
-        assert_eq!(
-            mutex_full.sorted_answers(),
-            stealing_full.sorted_answers(),
-            "{}: stealing answers diverged from mutex",
-            b.name
-        );
-        let m = mutex_cum.obs_totals();
-        let s = stealing_cum.obs_totals();
-        mutex_wait_ns += m.lock_wait_ns;
-        stealing_wait_ns += s.lock_wait_ns;
-        println!(
-            "{:<16} {:>12?} {:>12?} {:>9} {:>9}",
-            b.name,
-            m.lock_wait(),
-            s.lock_wait(),
-            s.steals_succeeded,
-            s.idle_spins
-        );
-        last = Some((mutex_cum, stealing_cum));
-    }
-    if let Some((mutex_cum, stealing_cum)) = &last {
-        println!("\nper-worker records, last benchmark (both batches):");
-        print_worker_table("mutex", mutex_cum);
-        print_worker_table("stealing", stealing_cum);
-    }
-    assert!(
-        stealing_wait_ns < mutex_wait_ns,
-        "stealing lock wait {stealing_wait_ns}ns !< mutex {mutex_wait_ns}ns on {threads} threads"
-    );
-    println!(
-        "\nsuite total lock wait on {threads} threads: mutex {mutex_wait_ns}ns vs \
-         stealing {stealing_wait_ns}ns — identical answers, strictly less waiting"
-    );
-}
 
 /// One `BENCH_warm.json` record: warm-vs-cold step counts plus the warm
 /// batch's query-latency percentiles (histogram bucket upper bounds, in
@@ -314,10 +242,6 @@ fn run_delta_comparison(json_path: &str) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--stealing") {
-        run_stealing_comparison();
-        return;
-    }
     if let Some(i) = args.iter().position(|a| a == "--delta") {
         let path = args
             .get(i + 1)

@@ -21,7 +21,7 @@
 
 pub mod diff;
 
-use parcfl_runtime::{run_simulated, Backend, Mode, RunConfig, RunResult, RunStats};
+use parcfl_runtime::{run_simulated, Backend, Mode, RunConfig, RunResult};
 use parcfl_synth::Bench;
 
 /// Speedup of `r` relative to a sequential makespan.
@@ -39,55 +39,6 @@ pub fn cfg_for(b: &Bench, mode: Mode, threads: usize) -> RunConfig {
 /// Runs a benchmark under the simulated backend.
 pub fn run_mode(b: &Bench, mode: Mode, threads: usize) -> RunResult {
     run_simulated(&b.pag, &b.queries, &cfg_for(b, mode, threads))
-}
-
-/// Prints the per-worker observability table for a threaded run: one row
-/// per worker (local pops, steals attempted/succeeded, items stolen, idle
-/// spins, queries, steps, lock/steal wait), plus a totals row. `label`
-/// names the dispatch backend (e.g. "mutex" or "stealing").
-pub fn print_worker_table(label: &str, stats: &RunStats) {
-    println!(
-        "  [{label}] {:>3} {:>8} {:>8} {:>8} {:>8} {:>9} {:>8} {:>10} {:>11} {:>11}",
-        "w",
-        "pops",
-        "stealAtt",
-        "stealOk",
-        "stolen",
-        "idleSpin",
-        "queries",
-        "steps",
-        "lockWait",
-        "stealWait"
-    );
-    for w in &stats.workers {
-        println!(
-            "  [{label}] {:>3} {:>8} {:>8} {:>8} {:>8} {:>9} {:>8} {:>10} {:>11?} {:>11?}",
-            w.worker,
-            w.local_pops,
-            w.steals_attempted,
-            w.steals_succeeded,
-            w.items_stolen,
-            w.idle_spins,
-            w.queries,
-            w.steps,
-            w.lock_wait(),
-            w.steal_wait(),
-        );
-    }
-    let t = stats.obs_totals();
-    println!(
-        "  [{label}] {:>3} {:>8} {:>8} {:>8} {:>8} {:>9} {:>8} {:>10} {:>11?} {:>11?}",
-        "sum",
-        t.local_pops,
-        t.steals_attempted,
-        t.steals_succeeded,
-        t.items_stolen,
-        t.idle_spins,
-        t.queries,
-        t.steps,
-        t.lock_wait(),
-        t.steal_wait(),
-    );
 }
 
 /// Arithmetic mean (the paper reports arithmetic averages).

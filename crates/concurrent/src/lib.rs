@@ -11,10 +11,9 @@
 //!   contexts become `Copy` 32-bit [`interner::CtxId`]s with lock-free
 //!   resolve and sharded-lock first-time interning;
 //! * [`worklist::SharedWorkList`] — the lock-protected shared query work
-//!   list of Section III-A;
-//! * [`stealing::StealQueues`] — the work-stealing successor to the shared
-//!   list: per-worker deques, steal-half, idle-count/final-sweep
-//!   termination, with per-worker observability ([`stealing::WorkerObs`]);
+//!   list of Section III-A, the runtime's only dispatch structure, with
+//!   the per-worker record of what fetching from it cost
+//!   ([`worklist::WorkerObs`]);
 //! * [`bitset`] — chunked bitsets over the dense `CtxId` space and the
 //!   [`bitset::StateSet`] visited-state tables (hash and dense) the solver
 //!   hot loop selects between (DESIGN.md §11);
@@ -30,7 +29,6 @@ pub mod counters;
 pub mod fxhash;
 pub mod interner;
 pub mod sharded_map;
-pub mod stealing;
 pub mod worklist;
 
 pub use bitset::{kernel, Chunk, ChunkedBitset, DenseVisitSet, HashVisitSet, StateSet, CHUNK_BITS};
@@ -38,5 +36,4 @@ pub use counters::{Counter, CounterSet, MaxTracker};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use interner::{CtxId, CtxInterner};
 pub use sharded_map::ShardedMap;
-pub use stealing::{StealQueues, WorkerObs};
-pub use worklist::SharedWorkList;
+pub use worklist::{SharedWorkList, StealQueues, WorkerObs};

@@ -1,9 +1,54 @@
 //! The lock-protected shared work list of the paper's parallelisation
 //! strategies (Section III-A): threads repeatedly fetch the next query (or
-//! group of queries) until the list is empty.
+//! group of queries) until the list is empty — and [`WorkerObs`], the
+//! per-worker record of what fetching from it cost.
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::time::Duration;
+
+/// Per-worker dispatch observability: one record per worker per batch,
+/// filled by the runtime's batch driver (groups fetched, queries
+/// answered, steps traversed) and by the threaded fetch path (time spent
+/// acquiring the work-list lock).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct WorkerObs {
+    /// Worker index within the batch.
+    pub worker: usize,
+    /// Groups this worker fetched from the work list.
+    pub local_pops: u64,
+    /// Queries this worker answered.
+    pub queries: u64,
+    /// Steps this worker traversed.
+    pub steps: u64,
+    /// Nanoseconds spent acquiring the work-list lock — the contention
+    /// measure of the paper's single shared list.
+    pub lock_wait_ns: u64,
+}
+
+impl WorkerObs {
+    /// A zeroed record for worker `worker`.
+    pub fn new(worker: usize) -> Self {
+        WorkerObs {
+            worker,
+            ..WorkerObs::default()
+        }
+    }
+
+    /// Lock wait as a [`Duration`].
+    pub fn lock_wait(&self) -> Duration {
+        Duration::from_nanos(self.lock_wait_ns)
+    }
+
+    /// Folds another record's counters in (the owning `worker` index is
+    /// kept): sessions sum batch records per worker slot.
+    pub fn absorb(&mut self, other: &WorkerObs) {
+        self.local_pops += other.local_pops;
+        self.queries += other.queries;
+        self.steps += other.steps;
+        self.lock_wait_ns += other.lock_wait_ns;
+    }
+}
 
 /// A FIFO work list shared by query-processing threads.
 ///
@@ -41,9 +86,8 @@ impl<T> SharedWorkList<T> {
     }
 
     /// [`Self::pop`] plus the nanoseconds spent acquiring the list's lock
-    /// — the contention measure the per-worker observability layer
-    /// aggregates (every worker pays this wait on *every* fetch; compare
-    /// [`crate::StealQueues`]).
+    /// — the contention measure [`WorkerObs::lock_wait_ns`] aggregates
+    /// (every worker pays this wait on *every* fetch).
     pub fn pop_timed(&self) -> (Option<T>, u64) {
         let t0 = std::time::Instant::now();
         let mut q = self.queue.lock();
@@ -75,6 +119,26 @@ impl<T> Default for SharedWorkList<T> {
     }
 }
 
+/// Source-compatibility shim for the frozen `benchmark/` crate, which
+/// still drains a "stealing" queue in its dispatch micro-loop: the
+/// work-stealing scheduler lost its ledger row and was deleted
+/// (DESIGN.md §7), so this is the one FIFO [`SharedWorkList`] under the
+/// old name.
+#[doc(hidden)]
+pub struct StealQueues<T>(SharedWorkList<T>);
+
+impl<T> StealQueues<T> {
+    /// One shared list holding `items` in order, whatever `workers` is.
+    pub fn round_robin(_workers: usize, items: impl IntoIterator<Item = T>) -> Self {
+        StealQueues(SharedWorkList::with_items(items))
+    }
+
+    /// [`SharedWorkList::pop`]; `obs` is left untouched.
+    pub fn next(&self, _worker: usize, _obs: &mut WorkerObs) -> Option<T> {
+        self.0.pop()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,6 +165,14 @@ mod tests {
         assert_eq!(b, Some(2));
         let (c, _) = w.pop_timed();
         assert_eq!(c, None);
+    }
+
+    #[test]
+    fn steal_queues_shim_drains_fifo() {
+        let q = StealQueues::round_robin(1, 0..100u32);
+        let mut obs = WorkerObs::new(0);
+        let drained: Vec<u32> = std::iter::from_fn(|| q.next(0, &mut obs)).collect();
+        assert_eq!(drained, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

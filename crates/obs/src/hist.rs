@@ -126,10 +126,8 @@ impl LogHistogram {
 pub struct ObsHists {
     /// Per-query latency (one sample per query answered).
     pub query_latency: LogHistogram,
-    /// Time inside steal attempts (one sample per attempt round that
-    /// waited; stealing backend only).
-    pub steal_wait: LogHistogram,
-    /// Time acquiring work-list/deque locks (one sample per fetch).
+    /// Time acquiring the work-list lock (one sample per fetch that
+    /// waited; threaded backend only).
     pub lock_wait: LogHistogram,
     /// Dequeue-to-completion makespan of each query group.
     pub group_makespan: LogHistogram,
@@ -149,7 +147,6 @@ impl ObsHists {
     /// Folds another set in slot-wise.
     pub fn merge(&mut self, other: &ObsHists) {
         self.query_latency.merge(&other.query_latency);
-        self.steal_wait.merge(&other.steal_wait);
         self.lock_wait.merge(&other.lock_wait);
         self.group_makespan.merge(&other.group_makespan);
         self.wave_width.merge(&other.wave_width);
@@ -160,7 +157,6 @@ impl ObsHists {
     /// Whether no histogram holds any sample.
     pub fn is_empty(&self) -> bool {
         self.query_latency.is_empty()
-            && self.steal_wait.is_empty()
             && self.lock_wait.is_empty()
             && self.group_makespan.is_empty()
             && self.wave_width.is_empty()
@@ -270,7 +266,6 @@ mod tests {
         a.lock_wait.record(7);
         let mut b = ObsHists::default();
         b.query_latency.record(9);
-        b.steal_wait.record(3);
         b.group_makespan.record(100);
         b.wave_width.record(512);
         b.wave_segments.record(4);
@@ -278,7 +273,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.query_latency.count(), 2);
         assert_eq!(a.lock_wait.count(), 1);
-        assert_eq!(a.steal_wait.count(), 1);
         assert_eq!(a.group_makespan.count(), 1);
         assert_eq!(a.wave_width.count(), 1);
         assert_eq!(a.wave_segments.count(), 1);

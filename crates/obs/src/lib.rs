@@ -1,7 +1,7 @@
 //! # parcfl-obs — observability substrate
 //!
-//! The diagnostic layer every backend (sequential, simulated, threaded,
-//! work-stealing) and the session service emit into (DESIGN.md §9):
+//! The diagnostic layer every executor (inline, simulated, threaded),
+//! the matrix engine and the session service emit into (DESIGN.md §9):
 //!
 //! * [`TraceRecorder`] — a per-worker, allocation-free event sink: a
 //!   bounded [`ring::EventRing`] of timestamped [`Event`]s behind a cheap
@@ -9,11 +9,11 @@
 //!   Each worker owns its recorder (single-threaded interior mutability,
 //!   no locks, no atomics on the record path);
 //! * [`LogHistogram`] / [`ObsHists`] — fixed-bucket log2 latency
-//!   histograms (query latency, steal wait, lock wait, group makespan)
+//!   histograms (query latency, lock wait, group makespan, wave shape)
 //!   that merge slot-wise into run statistics;
 //! * [`chrome`] — `chrome://tracing` / Perfetto JSON export of a
 //!   [`RunTrace`] (one track per worker, spans from `QueryStart`/`End`
-//!   pairs, instant events for steals/evictions/jmp traffic);
+//!   pairs, instant events for evictions/jmp traffic);
 //! * [`prometheus`] — a text-exposition-format renderer for counters and
 //!   histograms, consumed by `AnalysisSession::metrics_snapshot()`.
 //!
@@ -49,8 +49,8 @@ pub enum TraceLevel {
     /// Span skeleton only: `QueryStart`/`QueryEnd`, `GroupDequeued`,
     /// `BatchStart`/`BatchEnd` — enough for a per-worker timeline.
     Spans,
-    /// Spans plus instant events from the hot paths: steal traffic, jmp
-    /// hits/inserts, evictions, memo hits, early terminations.
+    /// Spans plus instant events from the hot paths: jmp hits/inserts,
+    /// evictions, memo hits, early terminations.
     Full,
 }
 
@@ -91,11 +91,6 @@ pub enum EventKind {
     QueryEnd,
     /// A worker fetched a query group. `a` = group size.
     GroupDequeued,
-    /// A steal attempt (victim visit). `a` = victim worker index.
-    StealAttempt,
-    /// A steal that came back with items. `a` = victim worker index,
-    /// `b` = items stolen.
-    StealSuccess,
     /// A finished jmp entry served a shortcut. `a` = node id,
     /// `b` = steps saved (saturated to `u32::MAX`).
     JmpHit,
@@ -160,8 +155,6 @@ impl EventKind {
             EventKind::QueryStart => "query_start",
             EventKind::QueryEnd => "query_end",
             EventKind::GroupDequeued => "group_dequeued",
-            EventKind::StealAttempt => "steal_attempt",
-            EventKind::StealSuccess => "steal_success",
             EventKind::JmpHit => "jmp_hit",
             EventKind::JmpInsert => "jmp_insert",
             EventKind::Eviction => "eviction",
@@ -220,7 +213,7 @@ mod tests {
         assert!(EventKind::WaveStart.is_span());
         assert!(EventKind::WaveEnd.is_span());
         assert!(!EventKind::JmpHit.is_span());
-        assert!(!EventKind::StealAttempt.is_span());
+        assert!(!EventKind::Eviction.is_span());
         assert!(!EventKind::SweepSegment.is_span());
         assert!(!EventKind::FanOut.is_span());
         assert!(!EventKind::PackedGather.is_span());

@@ -117,18 +117,18 @@ mod tests {
     fn labeled_series() {
         let mut p = PromText::new();
         p.labeled_counter(
-            "parcfl_worker_steals_total",
-            "Successful steals per worker.",
+            "parcfl_worker_local_pops_total",
+            "Work-list pops per worker.",
             &[
                 ("worker=\"0\"".to_string(), 3),
                 ("worker=\"1\"".to_string(), 7),
             ],
         );
         let s = p.finish();
-        assert!(s.contains("parcfl_worker_steals_total{worker=\"0\"} 3"));
-        assert!(s.contains("parcfl_worker_steals_total{worker=\"1\"} 7"));
+        assert!(s.contains("parcfl_worker_local_pops_total{worker=\"0\"} 3"));
+        assert!(s.contains("parcfl_worker_local_pops_total{worker=\"1\"} 7"));
         assert_eq!(
-            s.matches("# TYPE parcfl_worker_steals_total").count(),
+            s.matches("# TYPE parcfl_worker_local_pops_total").count(),
             1,
             "one TYPE line per family"
         );

@@ -29,16 +29,6 @@ pub struct TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// A recorder that records nothing (the `Off` fast path; allocates
-    /// nothing).
-    pub fn disabled() -> Self {
-        TraceRecorder {
-            level: TraceLevel::Off,
-            clock: TraceClock::External,
-            ring: EventRing::new(0),
-        }
-    }
-
     /// A wall-clock recorder stamping nanoseconds since `epoch`.
     pub fn real(level: TraceLevel, epoch: Instant) -> Self {
         Self::with_capacity(level, TraceClock::Real(epoch), DEFAULT_RING_CAPACITY)
@@ -189,7 +179,7 @@ mod tests {
 
     #[test]
     fn off_records_nothing() {
-        let r = TraceRecorder::disabled();
+        let r = TraceRecorder::external(TraceLevel::Off);
         r.span(EventKind::QueryStart, 1, 2, 3);
         r.instant(EventKind::JmpHit, 4, 5, 6);
         assert!(r.is_empty());
@@ -217,7 +207,7 @@ mod tests {
     fn full_records_everything() {
         let r = TraceRecorder::external(TraceLevel::Full);
         r.span(EventKind::QueryStart, 1, 0, 0);
-        r.instant(EventKind::StealAttempt, 2, 3, 0);
+        r.instant(EventKind::Eviction, 2, 3, 0);
         assert_eq!(r.len(), 2);
     }
 

@@ -1,0 +1,293 @@
+//! The one demand batch driver (DESIGN.md §1): the per-query body, the
+//! per-group body and the batch epilogue, each written once.
+//!
+//! A batch is a set of *lanes* — one per worker — answering query groups
+//! against one jmp store. The executors differ only in the clock their
+//! lanes read and in who pulls the next group, and each owns that loop and
+//! nothing else: [`crate::run_seq`] walks the queries inline on the calling
+//! thread, [`crate::sim`] advances the lowest-clock virtual worker,
+//! [`crate::threaded`] has OS threads pop the shared work list. The choice
+//! is made once per batch; nothing here is dynamic per step.
+
+use crate::stats::{RunResult, RunStats};
+use parcfl_concurrent::{CtxInterner, WorkerObs};
+use parcfl_core::{Answer, JmpStore, NoJmpStore, SharedJmpStore, Solver, SolverConfig};
+use parcfl_obs::{EventKind, RunTrace, TraceLevel, TraceRecorder, WorkerTrace};
+use parcfl_pag::{NodeId, Pag};
+use std::panic::AssertUnwindSafe;
+use std::sync::Arc;
+use std::time::Instant;
+
+/// The clock a batch's lanes read.
+#[derive(Copy, Clone)]
+pub(crate) enum Clock {
+    /// Wall time: recorders stamp nanoseconds since the batch start,
+    /// latencies are nanoseconds, and every query runs at the batch's base
+    /// virtual time (real workers see each other's publications at once).
+    Wall,
+    /// The simulator's traversal-step clock: a lane's `now` advances by
+    /// fetch costs and traversed steps, and is what recorders, latency
+    /// samples and jmp-store visibility see.
+    Virtual,
+}
+
+/// What every lane of one batch shares.
+pub(crate) struct Batch<'a> {
+    pub pag: &'a Pag,
+    /// The batch's solver configuration, warm floor already applied.
+    pub cfg: &'a SolverConfig,
+    /// The batch's jmp store; `None` runs without sharing ([`NoJmpStore`]).
+    pub store: Option<&'a SharedJmpStore>,
+    /// The batch's base virtual time (0 for one-shot runs).
+    pub base: u64,
+    pub tracing: TraceLevel,
+    pub clock: Clock,
+    /// When the batch began: the wall clock's epoch.
+    pub start: Instant,
+}
+
+/// What one lane's solver borrows for the batch: the lane's event sink and
+/// its own eviction-scoped handle on the batch's store
+/// ([`SharedJmpStore::scoped`]), so the evictions a lane's publishes
+/// trigger are attributed to that lane — and, summed, to this batch —
+/// exactly, whoever else evicts from the same store meanwhile.
+pub(crate) struct Port {
+    rec: TraceRecorder,
+    store: Option<SharedJmpStore>,
+}
+
+/// One worker's share of a batch.
+pub(crate) struct Lane<'a> {
+    port: &'a Port,
+    solver: Solver<'a>,
+    clock: Clock,
+    /// The lane's virtual instant: what the solver and an external-clock
+    /// recorder are told the time is. Never moves under [`Clock::Wall`].
+    now: u64,
+    obs: WorkerObs,
+    stats: RunStats,
+    /// Scope evictions already reported as `Eviction` instants.
+    evictions_seen: u64,
+}
+
+/// What a finished lane hands to [`Batch::finish`].
+pub(crate) struct LaneDone {
+    stats: RunStats,
+    obs: WorkerObs,
+    /// The lane's final virtual instant.
+    end: u64,
+    interner: Arc<CtxInterner>,
+}
+
+fn jmp(store: Option<&SharedJmpStore>) -> &dyn JmpStore {
+    match store {
+        Some(store) => store,
+        None => &NoJmpStore,
+    }
+}
+
+/// Best-effort extraction of a panic payload's message.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "opaque panic payload".to_string()
+    }
+}
+
+impl Port {
+    fn evictions(&self) -> u64 {
+        self.store.as_ref().map_or(0, |s| s.scope_evictions())
+    }
+
+    /// Consumes the port into the lane's share of the run trace.
+    pub(crate) fn into_trace(self, worker: usize) -> WorkerTrace {
+        self.rec.into_trace(worker)
+    }
+}
+
+impl Batch<'_> {
+    /// A fresh port; create one per lane, before the lane. At
+    /// [`TraceLevel::Off`] the recorder allocates nothing.
+    pub(crate) fn port(&self) -> Port {
+        Port {
+            rec: match self.clock {
+                Clock::Wall => TraceRecorder::real(self.tracing, self.start),
+                Clock::Virtual => TraceRecorder::external(self.tracing),
+            },
+            store: self.store.map(SharedJmpStore::scoped),
+        }
+    }
+
+    /// Worker `worker`'s lane over `port`. The solver records hot-path
+    /// instants into the lane's recorder at [`TraceLevel::Full`] only.
+    pub(crate) fn lane<'l>(&'l self, worker: usize, port: &'l Port) -> Lane<'l> {
+        let mut solver = Solver::new(self.pag, self.cfg, jmp(port.store.as_ref()));
+        if self.tracing.full() {
+            solver = solver.with_recorder(&port.rec);
+        }
+        Lane {
+            port,
+            solver,
+            clock: self.clock,
+            now: self.base,
+            obs: WorkerObs::new(worker),
+            stats: RunStats::default(),
+            evictions_seen: 0,
+        }
+    }
+
+    /// The batch epilogue: folds the finished lanes (in worker order) into
+    /// one [`RunResult`]. `stats.evictions` is the sum of the lanes' own
+    /// eviction scopes — an exact partition of this batch's eviction
+    /// traffic on every executor.
+    pub(crate) fn finish(
+        &self,
+        avg_group_size: f64,
+        answers: Vec<(NodeId, Answer)>,
+        lanes: impl IntoIterator<Item = (LaneDone, WorkerTrace)>,
+    ) -> RunResult {
+        // The first lane's partial is the accumulator, so a one-lane batch
+        // (every `run_seq`) merges nothing.
+        let mut lanes = lanes.into_iter();
+        let (first, first_trace) = lanes.next().expect("a batch has at least one lane");
+        let (mut stats, mut end) = (first.stats, first.end);
+        let mut workers = vec![first.obs];
+        let mut traces = vec![first_trace];
+        for (lane, trace) in lanes {
+            stats.merge(&lane.stats);
+            end = end.max(lane.end);
+            workers.push(lane.obs);
+            traces.push(trace);
+        }
+        stats.wall = self.start.elapsed();
+        stats.makespan = match self.clock {
+            // Real time is measured by `wall`; the step-denominated
+            // makespan of a wall-clock batch is its total traversed work.
+            Clock::Wall => stats.traversed_steps,
+            Clock::Virtual => end - self.base,
+        };
+        stats.batches = 1;
+        let store = jmp(self.store);
+        stats.store_entries = store.entry_count();
+        stats.jmp_edges = store.stats().total_edges();
+        stats.jmp_bytes = store.approx_bytes();
+        stats.avg_group_size = avg_group_size;
+        // Every lane of a shared store resolves against the store's one
+        // interner; without a store there is one lane and it owns its own.
+        stats.interner_ctxs = first.interner.len();
+        stats.engine_dispatched = Some(crate::Engine::Demand);
+        stats.workers = workers;
+        let trace = self.tracing.enabled().then_some(RunTrace {
+            real_time: matches!(self.clock, Clock::Wall),
+            workers: traces,
+        });
+        RunResult {
+            answers,
+            stats,
+            trace,
+        }
+    }
+}
+
+impl Lane<'_> {
+    /// The lane's virtual instant.
+    pub(crate) fn now(&self) -> u64 {
+        self.now
+    }
+
+    /// Time since `(t0, v0)` on the lane's clock: nanoseconds or steps.
+    fn since(&self, t0: Instant, v0: u64) -> u64 {
+        match self.clock {
+            Clock::Wall => t0.elapsed().as_nanos() as u64,
+            Clock::Virtual => self.now - v0,
+        }
+    }
+
+    /// Accounts the time a fetch spent acquiring the work-list lock.
+    pub(crate) fn note_lock_wait(&mut self, ns: u64) {
+        if ns > 0 {
+            self.obs.lock_wait_ns += ns;
+            self.stats.hists.lock_wait.record(ns);
+        }
+    }
+
+    /// Forces an eviction sweep through this lane's scope (the simulator's
+    /// perturbation hook).
+    pub(crate) fn evict_to_budget(&self) {
+        jmp(self.port.store.as_ref()).evict_to_budget();
+    }
+
+    /// Answers one fetched group: dequeue span, fetch cost, the per-query
+    /// body for each member, group makespan sample. `fetch_steps` is the
+    /// virtual price of the fetch; wall-clock executors pass 0.
+    pub(crate) fn run_group(
+        &mut self,
+        group: &[NodeId],
+        fetch_steps: u64,
+        answers: &mut Vec<(NodeId, Answer)>,
+    ) {
+        self.obs.local_pops += 1;
+        let (t0, v0) = (Instant::now(), self.now);
+        let rec = &self.port.rec;
+        rec.span(EventKind::GroupDequeued, v0, group.len() as u32, 0);
+        self.now += fetch_steps;
+        for &q in group {
+            self.answer(q, group, answers);
+        }
+        let makespan = self.since(t0, v0);
+        self.stats.hists.group_makespan.record(makespan);
+    }
+
+    /// The per-query body. A panic inside the query is re-raised with the
+    /// worker, the query and its group attached, so a crash on a worker
+    /// thread is diagnosable from the message alone instead of surfacing
+    /// as an opaque `std::thread::scope` abort.
+    fn answer(&mut self, q: NodeId, group: &[NodeId], answers: &mut Vec<(NodeId, Answer)>) {
+        let rec = &self.port.rec;
+        rec.span(EventKind::QueryStart, self.now, q.raw(), 0);
+        let (t0, v0) = (Instant::now(), self.now);
+        let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            self.solver.points_to_query(q, self.now)
+        }))
+        .unwrap_or_else(|payload| {
+            std::panic::panic_any(format!(
+                "worker {} panicked answering query {q:?} of group {group:?}: {}",
+                self.obs.worker,
+                panic_message(payload.as_ref())
+            ))
+        });
+        if let Clock::Virtual = self.clock {
+            self.now += out.stats.traversed_steps;
+        }
+        let latency = self.since(t0, v0);
+        self.stats.hists.query_latency.record(latency);
+        let complete = matches!(out.answer, Answer::Complete(_));
+        rec.span(EventKind::QueryEnd, self.now, q.raw(), complete as u32);
+        if rec.full() {
+            let evictions = self.port.evictions();
+            if evictions > self.evictions_seen {
+                let fresh = (evictions - self.evictions_seen) as u32;
+                rec.instant(EventKind::Eviction, self.now, fresh, 0);
+                self.evictions_seen = evictions;
+            }
+        }
+        self.obs.queries += 1;
+        self.obs.steps += out.stats.traversed_steps;
+        self.stats.absorb(&out.stats, &out.answer);
+        answers.push((q, out.answer));
+    }
+
+    /// Closes the lane.
+    pub(crate) fn finish(mut self) -> LaneDone {
+        self.stats.evictions = self.port.evictions();
+        LaneDone {
+            stats: self.stats,
+            obs: self.obs,
+            end: self.now,
+            interner: Arc::clone(self.solver.interner()),
+        }
+    }
+}

@@ -5,6 +5,12 @@
 //! deterministic virtual-time simulation) × thread count, against the
 //! sequential baseline [`run_seq`] (`SeqCFL`).
 //!
+//! The demand engine has one batch driver (`batch.rs`: one per-query
+//! body, one epilogue) and three executors over it that differ only in
+//! clock and in who pulls the next group: [`run_seq`] inline on the
+//! calling thread, [`sim`] on a virtual clock, [`threaded`] on OS threads
+//! popping the paper's shared work list.
+//!
 //! One-shot entry points ([`run`], [`run_seq`]) build a fresh jmp store
 //! per call. Clients answering *several* batches over one PAG should hold
 //! an [`AnalysisSession`] instead: later batches warm-start from earlier
@@ -27,6 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod batch;
 mod mode;
 mod seq;
 pub mod session;
@@ -40,9 +47,9 @@ pub use parcfl_obs::{
     chrome_trace_json, Event, EventKind, LogHistogram, ObsHists, PromText, RunTrace, TraceLevel,
     TraceRecorder, WorkerTrace,
 };
-pub use seq::{run_matrix, run_seq, run_seq_traced, run_seq_with_store};
+pub use seq::{run_matrix, run_seq};
 pub use session::{AnalysisSession, DeltaReport};
-pub use sim::{run_simulated, run_simulated_batch, run_simulated_with_store};
+pub use sim::{run_simulated, run_simulated_batch};
 pub use stats::{RunResult, RunStats};
 pub use threaded::{run_threaded, run_threaded_batch};
 
@@ -144,12 +151,7 @@ pub fn matrix_pays_off(pag: &Pag, queries: &[NodeId]) -> bool {
 /// configured `Backend`. The engine that actually ran is recorded in
 /// [`RunStats::engine_dispatched`].
 pub fn run(pag: &Pag, queries: &[NodeId], cfg: &RunConfig) -> RunResult {
-    let matrix = match cfg.engine {
-        Engine::Matrix => true,
-        Engine::Demand => false,
-        Engine::Auto => matrix_pays_off(pag, queries),
-    };
-    if matrix {
+    if cfg.engine.resolves_to_matrix(pag, queries) {
         return run_matrix(pag, queries, cfg);
     }
     match cfg.backend {

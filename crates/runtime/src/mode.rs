@@ -2,6 +2,7 @@
 
 use parcfl_core::SolverConfig;
 use parcfl_obs::TraceLevel;
+use parcfl_pag::{NodeId, Pag};
 
 /// The paper's three parallelisation strategies (Section III / IV-C).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -45,9 +46,8 @@ impl Mode {
 /// (DESIGN.md §11): each frontier sweep is partitioned across that many
 /// workers, and the batch makespan is a deterministic list schedule of
 /// the queries over the same worker count, with memo-sharing edges as
-/// precedence constraints. `Mode`/`Backend`/`stealing` describe
-/// demand-solver scheduling and stay inert when the matrix engine is
-/// selected.
+/// precedence constraints. `Mode`/`Backend` describe demand-solver
+/// scheduling and stay inert when the matrix engine is selected.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// The paper's demand-driven work-list solver (the default).
@@ -70,6 +70,18 @@ impl Engine {
             Engine::Demand => "demand",
             Engine::Matrix => "matrix",
             Engine::Auto => "auto",
+        }
+    }
+
+    /// Whether a batch of `queries` over `pag` runs on the matrix engine
+    /// under this setting: `Matrix` always, `Demand` never, `Auto` when
+    /// [`crate::matrix_pays_off`]. The one place the decision is spelled;
+    /// [`crate::run`] and [`crate::AnalysisSession::submit`] both ask it.
+    pub fn resolves_to_matrix(self, pag: &Pag, queries: &[NodeId]) -> bool {
+        match self {
+            Engine::Matrix => true,
+            Engine::Demand => false,
+            Engine::Auto => crate::matrix_pays_off(pag, queries),
         }
     }
 }
@@ -154,16 +166,10 @@ pub struct RunConfig {
     /// thread-aware cap). Used by ablation experiments to separate the
     /// effect of *ordering* (cap = 1) from *grouping*.
     pub group_cap: Option<usize>,
-    /// Threaded backend only: dispatch through the work-stealing
-    /// scheduler (per-worker deques, steal-half) instead of the paper's
-    /// single lock-protected work list. Answers are identical either way;
-    /// only contention changes — the paper-faithful mutex list stays the
-    /// default baseline.
-    pub stealing: bool,
     /// Event-tracing level (DESIGN.md §9). `Off` (the default) keeps the
     /// whole pipeline free of recording work; `Spans` collects the
     /// per-worker query/group timeline; `Full` adds hot-path instants
-    /// (steals, jmp traffic, evictions, memo hits). Answers and step
+    /// (jmp traffic, evictions, memo hits). Answers and step
     /// counts are identical at every level.
     pub tracing: TraceLevel,
     /// Simulated backend only: seeded perturbation of dispatch order,
@@ -187,7 +193,6 @@ impl RunConfig {
             solver: SolverConfig::default(),
             fetch_cost: 1,
             group_cap: None,
-            stealing: false,
             tracing: TraceLevel::Off,
             perturb: None,
             engine: Engine::default(),
@@ -200,9 +205,11 @@ impl RunConfig {
         self
     }
 
-    /// Selects the work-stealing scheduler for the threaded backend.
-    pub fn with_stealing(mut self, stealing: bool) -> Self {
-        self.stealing = stealing;
+    /// Source-compatibility shim for the frozen `benchmark/` crate: the
+    /// work-stealing dispatcher is gone (DESIGN.md §7), so this returns
+    /// the configuration unchanged and the run uses the one work list.
+    #[doc(hidden)]
+    pub fn with_stealing(self, _stealing: bool) -> Self {
         self
     }
 

@@ -1,9 +1,16 @@
 //! `SeqCFL` — the sequential baseline: Algorithm 1 (no sharing, no
 //! scheduling), queries processed in input order — and the whole-program
-//! matrix engine's batch driver, which shares its shape.
+//! matrix engine's batch driver.
+//!
+//! `run_seq` *is* the demand batch driver ([`crate::batch`]) at one
+//! worker: one lane, inline on the calling thread, wall clock, each query
+//! its own group in input order, sharing off — the literal form of the
+//! paper's `ParCFL(1, naive) ≈ SeqCFL` (Section IV-D1). It spawns nothing
+//! and allocates no store.
 
+use crate::batch::{Batch, Clock};
 use crate::stats::{RunResult, RunStats};
-use parcfl_core::{Answer, JmpStore, MatrixMemo, MatrixSolver, NoJmpStore, Solver, SolverConfig};
+use parcfl_core::{Answer, MatrixMemo, MatrixSolver, SharedJmpStore, SolverConfig};
 use parcfl_obs::{EventKind, RunTrace, TraceLevel, TraceRecorder};
 use parcfl_pag::{NodeId, Pag};
 
@@ -11,85 +18,43 @@ use parcfl_pag::{NodeId, Pag};
 pub fn run_seq(pag: &Pag, queries: &[NodeId], solver_cfg: &SolverConfig) -> RunResult {
     let mut cfg = solver_cfg.clone();
     cfg.data_sharing = false;
-    run_seq_with_store(pag, queries, &cfg, &NoJmpStore, 0)
+    run_inline(pag, queries, &cfg, None, 0, TraceLevel::Off)
 }
 
-/// Sequential execution against a caller-owned jmp store.
+/// The inline executor: the calling thread is the batch's one worker and
+/// pulls the queries in input order, one per group (the unscheduled
+/// schedule, without materialising its per-query `Vec`s).
 ///
-/// The session building block for single-threaded batches: unlike
-/// [`run_seq`] it honours `solver_cfg.data_sharing`, so a warm store from
-/// earlier batches is consulted and extended. New publications are
-/// stamped `base`; hits on entries stamped `< base` count as warm hits.
-pub fn run_seq_with_store(
+/// Unlike [`run_seq`] it honours `solver_cfg.data_sharing`, so a session
+/// can pass its warm store ([`crate::AnalysisSession::submit_seq`]): new
+/// publications are stamped `base`, hits on entries stamped `< base`
+/// count as warm hits. `store` should be an untimestamped handle — a
+/// wall-clock worker must see every entry whatever its timestamp.
+pub(crate) fn run_inline(
     pag: &Pag,
     queries: &[NodeId],
     solver_cfg: &SolverConfig,
-    store: &dyn JmpStore,
-    base: u64,
-) -> RunResult {
-    run_seq_traced(pag, queries, solver_cfg, store, base, TraceLevel::Off)
-}
-
-/// [`run_seq_with_store`] with event tracing: the single worker records a
-/// wall-clock `QueryStart`/`QueryEnd` timeline (track 0) and, at
-/// [`TraceLevel::Full`], the solver's hot-path instants. Answers and step
-/// counts are identical at every level.
-pub fn run_seq_traced(
-    pag: &Pag,
-    queries: &[NodeId],
-    solver_cfg: &SolverConfig,
-    store: &dyn JmpStore,
+    store: Option<&SharedJmpStore>,
     base: u64,
     tracing: TraceLevel,
 ) -> RunResult {
-    let cfg = solver_cfg.clone().with_warm_floor(base);
-    let evictions_before = store.stats().evictions;
-
-    let start = std::time::Instant::now();
-    let rec = TraceRecorder::real(tracing, start);
-    let mut stats = RunStats::default();
+    let batch = Batch {
+        pag,
+        cfg: &solver_cfg.clone().with_warm_floor(base),
+        store,
+        base,
+        tracing,
+        clock: Clock::Wall,
+        start: std::time::Instant::now(),
+    };
+    let port = batch.port();
+    let mut lane = batch.lane(0, &port);
     let mut answers = Vec::with_capacity(queries.len());
-    let interner_ctxs;
-    {
-        let mut solver = Solver::new(pag, &cfg, store);
-        if tracing.full() {
-            solver = solver.with_recorder(&rec);
-        }
-        for &q in queries {
-            rec.span(EventKind::QueryStart, 0, q.raw(), 0);
-            let t0 = std::time::Instant::now();
-            let out = solver.points_to_query(q, base);
-            stats
-                .hists
-                .query_latency
-                .record(t0.elapsed().as_nanos() as u64);
-            let complete = matches!(out.answer, Answer::Complete(_));
-            rec.span(EventKind::QueryEnd, 0, q.raw(), complete as u32);
-            stats.absorb(&out.stats, &out.answer);
-            answers.push((q, out.answer));
-        }
-        interner_ctxs = solver.interner().len();
+    for group in queries.chunks(1) {
+        lane.run_group(group, 0, &mut answers);
     }
-    stats.wall = start.elapsed();
-    // Sequential virtual time is simply the total traversed work.
-    stats.makespan = stats.traversed_steps;
-    stats.batches = 1;
-    stats.evictions = store.stats().evictions - evictions_before;
-    stats.store_entries = store.entry_count();
-    stats.jmp_edges = store.stats().total_edges();
-    stats.jmp_bytes = store.approx_bytes();
-    stats.avg_group_size = 1.0;
-    stats.interner_ctxs = interner_ctxs;
-    stats.engine_dispatched = Some(crate::Engine::Demand);
-    let trace = tracing.enabled().then(|| RunTrace {
-        real_time: true,
-        workers: vec![rec.into_trace(0)],
-    });
-    RunResult {
-        answers,
-        stats,
-        trace,
-    }
+    let done = lane.finish();
+    batch.finish(1.0, answers, [(done, port.into_trace(0))])
 }
 
 /// Runs the whole batch on the matrix engine
@@ -100,9 +65,8 @@ pub fn run_seq_traced(
 /// queries over those workers (DESIGN.md §11). Answers, scan counts and
 /// budget verdicts are bit-identical at every worker count. Data
 /// sharing, modes and the demand backends do not apply;
-/// `cfg.solver.data_sharing` is ignored and `cfg.backend`/`cfg.stealing`
-/// are inert (the dispatch is recorded in
-/// [`RunStats::engine_dispatched`]).
+/// `cfg.solver.data_sharing` is ignored and `cfg.backend` is inert (the
+/// dispatch is recorded in [`RunStats::engine_dispatched`]).
 pub fn run_matrix(pag: &Pag, queries: &[NodeId], cfg: &crate::RunConfig) -> RunResult {
     run_matrix_with_memo(pag, queries, cfg, MatrixMemo::default()).0
 }

@@ -21,7 +21,7 @@
 //! answers are unaffected — only the amount of reuse is.
 
 use crate::mode::{Backend, Mode, RunConfig};
-use crate::seq::run_seq_traced;
+use crate::seq::run_inline;
 use crate::sim::run_simulated_batch;
 use crate::stats::{RunResult, RunStats};
 use crate::threaded::run_threaded_batch;
@@ -93,7 +93,6 @@ pub struct AnalysisSession<'p> {
     threads: usize,
     fetch_cost: u64,
     group_cap: Option<usize>,
-    stealing: bool,
     engine: crate::Engine,
     tracing: TraceLevel,
     /// Named operational counters, fed on every submit and rendered by
@@ -127,7 +126,6 @@ impl<'p> AnalysisSession<'p> {
             threads: 1,
             fetch_cost: 1,
             group_cap: None,
-            stealing: false,
             engine: crate::Engine::Demand,
             tracing: TraceLevel::Off,
             counters: CounterSet::new(),
@@ -160,14 +158,6 @@ impl<'p> AnalysisSession<'p> {
             "set the budget before submitting"
         );
         self.store = SharedJmpStore::timestamped().with_max_entries(max);
-        self
-    }
-
-    /// Dispatches threaded batches through the work-stealing scheduler
-    /// instead of the paper's single mutex work list (see
-    /// [`RunConfig::stealing`]). Answers are identical either way.
-    pub fn with_stealing(mut self, stealing: bool) -> Self {
-        self.stealing = stealing;
         self
     }
 
@@ -218,12 +208,7 @@ impl<'p> AnalysisSession<'p> {
     /// [`RunStats::engine_dispatched`] records what actually ran.
     pub fn submit(&mut self, queries: &[NodeId], mode: Mode, backend: Backend) -> RunResult {
         let cfg = self.run_config(mode, backend);
-        let matrix = match self.engine {
-            crate::Engine::Matrix => true,
-            crate::Engine::Demand => false,
-            crate::Engine::Auto => crate::matrix_pays_off(&self.pag, queries),
-        };
-        if matrix {
+        if self.engine.resolves_to_matrix(&self.pag, queries) {
             let base = self.vclock;
             let memo = std::mem::take(&mut self.matrix_memo);
             let (result, memo) = crate::seq::run_matrix_with_memo(&self.pag, queries, &cfg, memo);
@@ -262,7 +247,14 @@ impl<'p> AnalysisSession<'p> {
         let solver_cfg = self.solver.clone().with_data_sharing();
         let base = self.vclock;
         let view = self.store.untimestamped_view();
-        let result = run_seq_traced(&self.pag, queries, &solver_cfg, &view, base, self.tracing);
+        let result = run_inline(
+            &self.pag,
+            queries,
+            &solver_cfg,
+            Some(&view),
+            base,
+            self.tracing,
+        );
         self.vclock = base + result.stats.traversed_steps + 1;
         self.cumulative.merge(&result.stats);
         self.account_batch(base, &result.stats);
@@ -317,7 +309,7 @@ impl<'p> AnalysisSession<'p> {
     /// counters (packed gathers, CSR fallbacks, fanned-out waves and their
     /// spawn time, per-edge-class step attribution), engine/state gauges,
     /// and the cumulative latency, wave-width, wave-segment and
-    /// fan-out-spawn histograms, plus per-worker steal counters.
+    /// fan-out-spawn histograms, plus per-worker work-list pops.
     pub fn metrics_snapshot(&self) -> String {
         let mut p = PromText::new();
         for (name, value) in self.counters.snapshot() {
@@ -409,27 +401,16 @@ impl<'p> AnalysisSession<'p> {
             "Spawn latency per fanned-out matrix wave (ns).",
             &self.cumulative.hists.pool_dispatch,
         );
-        let series = |f: &dyn Fn(&parcfl_concurrent::WorkerObs) -> u64| -> Vec<(String, u64)> {
-            self.cumulative
-                .workers
-                .iter()
-                .map(|w| (format!("worker=\"{}\"", w.worker), f(w)))
-                .collect()
-        };
-        p.labeled_counter(
-            "parcfl_worker_steal_attempts_total",
-            "Steal attempts per worker.",
-            &series(&|w| w.steals_attempted),
-        );
-        p.labeled_counter(
-            "parcfl_worker_steals_total",
-            "Successful steals per worker.",
-            &series(&|w| w.steals_succeeded),
-        );
+        let pops: Vec<(String, u64)> = self
+            .cumulative
+            .workers
+            .iter()
+            .map(|w| (format!("worker=\"{}\"", w.worker), w.local_pops))
+            .collect();
         p.labeled_counter(
             "parcfl_worker_local_pops_total",
-            "Local deque/work-list pops per worker.",
-            &series(&|w| w.local_pops),
+            "Work-list pops per worker.",
+            &pops,
         );
         p.finish()
     }
@@ -562,7 +543,6 @@ impl<'p> AnalysisSession<'p> {
             solver: self.solver.clone(),
             fetch_cost: self.fetch_cost,
             group_cap: self.group_cap,
-            stealing: self.stealing,
             tracing: self.tracing,
             perturb: None,
             engine: self.engine,
@@ -678,28 +658,6 @@ mod tests {
     }
 
     #[test]
-    fn stealing_session_matches_mutex_session() {
-        let pag = build_pag(SRC).unwrap().pag;
-        let queries = pag.application_locals();
-        let mut mutex = AnalysisSession::new(&pag)
-            .with_threads(4)
-            .with_solver(solver());
-        let mut stealing = AnalysisSession::new(&pag)
-            .with_threads(4)
-            .with_solver(solver())
-            .with_stealing(true);
-        for _ in 0..3 {
-            let m = mutex.submit(&queries, Mode::DataSharingSched, Backend::Threaded);
-            let s = stealing.submit(&queries, Mode::DataSharingSched, Backend::Threaded);
-            assert_eq!(m.sorted_answers(), s.sorted_answers());
-        }
-        // Stealing workers fetch locally; the mutex list never steals.
-        let obs = stealing.cumulative().obs_totals();
-        assert!(obs.local_pops + obs.steals_succeeded > 0);
-        assert_eq!(mutex.cumulative().obs_totals().steals_attempted, 0);
-    }
-
-    #[test]
     fn cumulative_stats_accumulate() {
         let pag = build_pag(SRC).unwrap().pag;
         let queries = pag.application_locals();
@@ -792,6 +750,46 @@ mod tests {
         assert_eq!(warm.sorted_answers(), seq.sorted_answers());
         assert!(warm.stats.warm_hits > 0);
         assert!(warm.stats.traversed_steps < cold.stats.traversed_steps);
+    }
+
+    /// Sequential batches attribute evictions through their own scoped
+    /// handle, like the other executors: an outsider evicting from the
+    /// same store mid-batch is never charged to the batch. (The store-wide
+    /// before/after delta `submit_seq` used to take counted the
+    /// outsider's evictions as the batch's own.)
+    #[test]
+    fn submit_seq_evictions_exclude_concurrent_outsiders() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let src = many_chains_src(6);
+        let pag = build_pag(&src).unwrap().pag;
+        let queries = pag.application_locals();
+        let mut s = AnalysisSession::new(&pag)
+            .with_solver(solver())
+            .with_store_budget(2);
+        let outsider = s.store().scoped();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    outsider.retain(&mut |_, _| false);
+                }
+            });
+            // Keep submitting until the outsider has certainly evicted
+            // something (and for a good few batches regardless).
+            let mut batches = 0;
+            while batches < 40 || outsider.scope_evictions() == 0 {
+                s.submit_seq(&queries);
+                batches += 1;
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        assert!(outsider.scope_evictions() > 0);
+        assert!(s.cumulative().evictions > 0, "the tiny budget evicts too");
+        assert_eq!(
+            s.cumulative().evictions + outsider.scope_evictions(),
+            s.evictions(),
+            "batch scopes + the outsider's scope partition the store-wide total"
+        );
     }
 
     #[test]

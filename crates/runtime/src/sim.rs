@@ -25,37 +25,23 @@
 //! speedups emerge exactly as in the paper: data sharing removes redundant
 //! traversals, so total work shrinks below the sequential total.
 
+use crate::batch::{Batch, Clock, Lane, Port};
 use crate::mode::RunConfig;
 use crate::schedule_with_cap;
-use crate::stats::{RunResult, RunStats};
-use parcfl_concurrent::WorkerObs;
-use parcfl_core::{Answer, JmpStore, SharedJmpStore, Solver};
-use parcfl_obs::{EventKind, RunTrace, TraceRecorder};
+use crate::stats::RunResult;
+use parcfl_core::SharedJmpStore;
 use parcfl_pag::{NodeId, Pag};
 use parcfl_sched::Schedule;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use std::collections::VecDeque;
 
-/// Runs the configured analysis under the virtual-time simulator.
+/// Runs the configured analysis under the virtual-time simulator, on a
+/// fresh store. (To inspect the store afterwards — Fig. 7's histogram —
+/// hand [`run_simulated_batch`] a [`SharedJmpStore::timestamped`] of your
+/// own.)
 pub fn run_simulated(pag: &Pag, queries: &[NodeId], cfg: &RunConfig) -> RunResult {
-    run_simulated_with_store(pag, queries, cfg).0
-}
-
-/// Snapshot of the jmp store left behind by a simulated run (Fig. 7 needs
-/// the histogram, so the store must outlive the run).
-///
-/// Always executes on the virtual-time simulator regardless of
-/// `cfg.backend` — the threaded backend has no store-snapshot path; use
-/// [`crate::run`] when backend dispatch is wanted.
-pub fn run_simulated_with_store(
-    pag: &Pag,
-    queries: &[NodeId],
-    cfg: &RunConfig,
-) -> (RunResult, SharedJmpStore) {
-    let store = SharedJmpStore::timestamped();
     let schedule = schedule_with_cap(pag, queries, cfg.mode, cfg.group_cap);
-    let (result, _end) = run_simulated_batch(pag, &schedule, cfg, &store, 0);
-    (result, store)
+    run_simulated_batch(pag, &schedule, cfg, &SharedJmpStore::timestamped(), 0).0
 }
 
 /// One simulated batch against a caller-owned (possibly warm) store.
@@ -67,6 +53,11 @@ pub fn run_simulated_with_store(
 /// result (`makespan` is batch-relative: final clock minus `base`) and the
 /// absolute virtual end time — the owning session resumes its clock just
 /// past it.
+///
+/// The executor half of the batch driver ([`crate::batch`]): `t` lanes on
+/// the virtual clock, and this loop deciding which lane pulls which group
+/// next — the lowest clock takes the head of the FIFO list, unless a
+/// [`crate::SimPerturb`] stream says otherwise.
 pub fn run_simulated_batch(
     pag: &Pag,
     schedule: &Schedule,
@@ -74,123 +65,69 @@ pub fn run_simulated_batch(
     store: &SharedJmpStore,
     base: u64,
 ) -> (RunResult, u64) {
-    let solver_cfg = cfg.effective_solver().with_warm_floor(base);
-    let store = store.scoped();
-    let start = std::time::Instant::now();
+    let batch = Batch {
+        pag,
+        cfg: &cfg.effective_solver().with_warm_floor(base),
+        store: Some(store),
+        base,
+        tracing: cfg.tracing,
+        clock: Clock::Virtual,
+        start: std::time::Instant::now(),
+    };
     let t = cfg.threads.max(1);
-    let mut clocks: Vec<u64> = vec![base; t];
-    let mut workers: Vec<WorkerObs> = (0..t).map(WorkerObs::new).collect();
+    // One external-clock recorder per simulated worker: events carry
+    // virtual timestamps, so the exported trace shows the simulated
+    // parallelism, not the sequential wall time of simulating it.
+    let ports: Vec<Port> = (0..t).map(|_| batch.port()).collect();
+    let mut lanes: Vec<Lane> = ports
+        .iter()
+        .enumerate()
+        .map(|(w, port)| batch.lane(w, port))
+        .collect();
     // Seeded perturbation stream (None keeps the classic deterministic
     // dispatch bit-for-bit: FIFO groups, lowest-index tie-break, fixed
     // fetch cost).
     let mut perturb = cfg.perturb.map(|p| (p, StdRng::seed_from_u64(p.seed)));
     let mut pending: VecDeque<usize> = (0..schedule.groups.len()).collect();
     let mut dispatched: u64 = 0;
-    let mut stats = RunStats::default();
     let mut answers = Vec::with_capacity(schedule.query_count());
-    let mut end = base;
-    // One external-clock recorder per simulated worker: events carry
-    // virtual timestamps, so the exported trace shows the simulated
-    // parallelism, not the sequential wall time of simulating it.
-    let recorders: Vec<TraceRecorder> = (0..t)
-        .map(|_| TraceRecorder::external(cfg.tracing))
-        .collect();
-    let mut ev_prev = store.scope_evictions();
-    {
-        let solver = Solver::new(pag, &solver_cfg, &store);
-        while !pending.is_empty() {
-            let tid = match &mut perturb {
-                Some((p, rng)) if p.scramble_ties => {
-                    let min = (0..t).map(|i| clocks[i]).min().unwrap();
-                    let ties: Vec<usize> = (0..t).filter(|&i| clocks[i] == min).collect();
-                    ties[rng.random_range(0..ties.len())]
-                }
-                _ => (0..t).min_by_key(|&i| (clocks[i], i)).unwrap(),
-            };
-            let gi = match &mut perturb {
-                Some((p, rng)) if p.pick_window > 1 => {
-                    let w = p.pick_window.min(pending.len());
-                    pending.remove(rng.random_range(0..w)).unwrap()
-                }
-                _ => pending.pop_front().unwrap(),
-            };
-            dispatched += 1;
-            if let Some((p, _)) = &perturb {
-                if p.evict_period > 0 && dispatched.is_multiple_of(p.evict_period) {
-                    store.evict_to_budget();
-                }
+    while !pending.is_empty() {
+        let tid = match &mut perturb {
+            Some((p, rng)) if p.scramble_ties => {
+                let min = lanes.iter().map(Lane::now).min().unwrap();
+                let ties: Vec<usize> = (0..t).filter(|&i| lanes[i].now() == min).collect();
+                ties[rng.random_range(0..ties.len())]
             }
-            let rec = &recorders[tid];
-            let group = &schedule.groups[gi];
-            workers[tid].local_pops += 1;
-            let fetch_start = clocks[tid];
-            let jitter = match &mut perturb {
-                Some((p, rng)) if p.fetch_jitter > 0 => rng.random_range(0..=p.fetch_jitter),
-                _ => 0,
-            };
-            let mut v = clocks[tid] + cfg.fetch_cost + jitter;
-            rec.span(EventKind::GroupDequeued, fetch_start, group.len() as u32, 0);
-            for &q in group {
-                rec.span(EventKind::QueryStart, v, q.raw(), 0);
-                let out = if cfg.tracing.full() {
-                    // Rebind the (stateless) solver to this worker's
-                    // recorder so nested-traversal instants land on the
-                    // right track; the shared store keeps ids and
-                    // visibility identical to the untraced path.
-                    Solver::new(pag, &solver_cfg, &store)
-                        .with_recorder(rec)
-                        .points_to_query(q, v)
-                } else {
-                    solver.points_to_query(q, v)
-                };
-                v += out.stats.traversed_steps;
-                stats.hists.query_latency.record(out.stats.traversed_steps);
-                let complete = matches!(out.answer, Answer::Complete(_));
-                rec.span(EventKind::QueryEnd, v, q.raw(), complete as u32);
-                if cfg.tracing.full() {
-                    let ev_now = store.scope_evictions();
-                    if ev_now > ev_prev {
-                        rec.instant(EventKind::Eviction, v, (ev_now - ev_prev) as u32, 0);
-                        ev_prev = ev_now;
-                    }
-                }
-                workers[tid].queries += 1;
-                workers[tid].steps += out.stats.traversed_steps;
-                stats.absorb(&out.stats, &out.answer);
-                answers.push((q, out.answer));
+            _ => (0..t).min_by_key(|&i| (lanes[i].now(), i)).unwrap(),
+        };
+        let gi = match &mut perturb {
+            Some((p, rng)) if p.pick_window > 1 => {
+                let w = p.pick_window.min(pending.len());
+                pending.remove(rng.random_range(0..w)).unwrap()
             }
-            stats.hists.group_makespan.record(v - fetch_start);
-            clocks[tid] = v;
-            end = end.max(v);
+            _ => pending.pop_front().unwrap(),
+        };
+        dispatched += 1;
+        if let Some((p, _)) = &perturb {
+            if p.evict_period > 0 && dispatched.is_multiple_of(p.evict_period) {
+                lanes[tid].evict_to_budget();
+            }
         }
+        let jitter = match &mut perturb {
+            Some((p, rng)) if p.fetch_jitter > 0 => rng.random_range(0..=p.fetch_jitter),
+            _ => 0,
+        };
+        lanes[tid].run_group(&schedule.groups[gi], cfg.fetch_cost + jitter, &mut answers);
     }
-    stats.wall = start.elapsed();
-    stats.makespan = end - base;
-    stats.batches = 1;
-    stats.evictions = store.scope_evictions();
-    stats.workers = workers;
-    stats.store_entries = store.entry_count();
-    stats.jmp_edges = store.stats().total_edges();
-    stats.jmp_bytes = store.approx_bytes();
-    stats.avg_group_size = schedule.avg_group_size;
-    stats.interner_ctxs = store.interner().len();
-    stats.engine_dispatched = Some(crate::Engine::Demand);
-    let trace = cfg.tracing.enabled().then(|| RunTrace {
-        real_time: false,
-        workers: recorders
-            .into_iter()
-            .enumerate()
-            .map(|(w, r)| r.into_trace(w))
-            .collect(),
-    });
-    (
-        RunResult {
-            answers,
-            stats,
-            trace,
-        },
-        end,
-    )
+    let done: Vec<_> = lanes.into_iter().map(Lane::finish).collect();
+    let traces = ports.into_iter().enumerate().map(|(w, p)| p.into_trace(w));
+    let result = batch.finish(
+        schedule.avg_group_size,
+        answers,
+        done.into_iter().zip(traces),
+    );
+    let end = base + result.stats.makespan;
+    (result, end)
 }
 
 #[cfg(test)]
@@ -257,19 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn one_thread_naive_equals_seq_work() {
-        // PARCFL(1, naive) must be as efficient as SeqCFL apart from the
-        // fetch overhead (paper Section IV-D1).
-        let pag = build_pag(SRC).unwrap().pag;
-        let queries = pag.application_locals();
-        let seq = run_seq(&pag, &queries, &SolverConfig::default());
-        let naive1 = run_simulated(&pag, &queries, &cfg(Mode::Naive, 1));
-        assert_eq!(naive1.stats.traversed_steps, seq.stats.traversed_steps);
-        let fetch_overhead = queries.len() as u64; // one fetch per query
-        assert_eq!(naive1.stats.makespan, seq.stats.makespan + fetch_overhead);
-    }
-
-    #[test]
     fn more_threads_never_increase_virtual_makespan_naive() {
         // Without sharing, queries are independent: makespan decreases (or
         // stays) as threads grow.
@@ -301,10 +225,17 @@ mod tests {
     }
 
     #[test]
-    fn store_snapshot_exposes_histogram() {
+    fn caller_owned_store_exposes_histogram() {
         let pag = build_pag(SRC).unwrap().pag;
         let queries = pag.application_locals();
-        let (r, store) = run_simulated_with_store(&pag, &queries, &cfg(Mode::DataSharing, 2));
+        let cfg = cfg(Mode::DataSharing, 2);
+        let schedule = schedule_with_cap(&pag, &queries, cfg.mode, cfg.group_cap);
+        let store = SharedJmpStore::timestamped();
+        let (r, end) = run_simulated_batch(&pag, &schedule, &cfg, &store, 0);
+        assert_eq!(
+            end, r.stats.makespan,
+            "a batch based at 0 ends at its makespan"
+        );
         let h = parcfl_core::JmpHistogram::of(&store);
         assert_eq!(
             h.finished_total() + h.unfinished_total(),

@@ -74,11 +74,11 @@ pub struct RunStats {
     pub wall: std::time::Duration,
     /// Average group size of the schedule (`S_g`; 1.0 when unscheduled).
     pub avg_group_size: f64,
-    /// Per-worker scheduler observability: one record per worker, filled
-    /// by the threaded backend (both the mutex work list and the
-    /// work-stealing scheduler) and, for the queries/steps columns, by
-    /// the simulator. Empty for sequential runs. Session merges sum the
-    /// records per worker slot across batches.
+    /// Per-worker dispatch observability: one record per worker, filled
+    /// by the demand batch driver on every executor (a sequential run has
+    /// one worker; only the threaded backend has lock wait to report).
+    /// Empty for matrix runs. Session merges sum the records per worker
+    /// slot across batches.
     pub workers: Vec<WorkerObs>,
     /// jmp entries published during this run (finished + unfinished
     /// publications that won their race).
@@ -112,8 +112,8 @@ pub struct RunStats {
     /// summed over deltas — the reuse the footprints bought. Also a
     /// counter: an entry surviving two deltas is two retention events.
     pub retained_warm: u64,
-    /// Latency histograms (query latency, steal wait, lock wait, group
-    /// makespan), merged slot-wise across workers and batches. Units are
+    /// Latency histograms (query latency, lock wait, group makespan,
+    /// wave shape), merged slot-wise across workers and batches. Units are
     /// nanoseconds under real execution, traversal steps under the
     /// simulator.
     pub hists: ObsHists,
@@ -235,14 +235,16 @@ impl RunStats {
         total
     }
 
-    /// Total time workers spent acquiring work-list/deque locks.
+    /// Total time workers spent acquiring the work-list lock.
     pub fn total_lock_wait(&self) -> std::time::Duration {
         std::time::Duration::from_nanos(self.workers.iter().map(|w| w.lock_wait_ns).sum())
     }
 
-    /// Total time workers spent inside steal attempts.
+    /// Source-compatibility shim for the frozen `benchmark/` crate: no
+    /// dispatcher steals any more (DESIGN.md §7), so nobody waits on one.
+    #[doc(hidden)]
     pub fn total_steal_wait(&self) -> std::time::Duration {
-        std::time::Duration::from_nanos(self.workers.iter().map(|w| w.steal_wait_ns).sum())
+        std::time::Duration::ZERO
     }
 }
 
@@ -590,7 +592,7 @@ mod tests {
                 },
                 WorkerObs {
                     worker: 1,
-                    steals_succeeded: 1,
+                    lock_wait_ns: 1,
                     ..WorkerObs::new(1)
                 },
             ],
@@ -602,9 +604,9 @@ mod tests {
         assert_eq!(cum.workers.len(), 2);
         assert_eq!(cum.workers[0].local_pops, 7);
         assert_eq!(cum.workers[0].queries, 11);
-        assert_eq!(cum.workers[1].steals_succeeded, 2);
+        assert_eq!(cum.workers[1].lock_wait_ns, 2);
         assert_eq!(cum.obs_totals().local_pops, 7);
-        assert_eq!(cum.obs_totals().steals_succeeded, 2);
+        assert_eq!(cum.total_lock_wait(), std::time::Duration::from_nanos(2));
     }
 
     #[test]

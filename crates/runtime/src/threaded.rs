@@ -1,35 +1,26 @@
 //! The real-thread backend: `t` OS worker threads answer query groups
 //! against the shared read-only PAG, publishing jmp edges into the shared
-//! concurrent store. Two dispatch disciplines are available:
-//!
-//! * the paper-faithful **mutex work list** (Section III-A): one
-//!   lock-protected shared queue every worker hits on every fetch — the
-//!   baseline, and the known scalability ceiling;
-//! * the **work-stealing scheduler** ([`RunConfig::stealing`]): per-worker
-//!   deques seeded round-robin with the schedule's groups, LIFO local
-//!   pops, steal-half from rotating victims, idle-count/final-sweep
-//!   termination (see `parcfl_concurrent::stealing`).
-//!
-//! Either way the answers are identical — dispatch order affects cost,
-//! never results — and every worker leaves a [`WorkerObs`] record (pops,
-//! steals, idle spins, lock/steal wait, queries, steps) in
-//! [`RunStats::workers`], so contention is measured rather than guessed.
+//! concurrent store. Dispatch is the paper's (Section III-A): one
+//! lock-protected shared work list every worker pops on every fetch.
+//! Dispatch order affects cost, never results, and every worker leaves a
+//! [`parcfl_concurrent::WorkerObs`] record (pops, lock wait, queries,
+//! steps) in [`crate::RunStats::workers`], so contention is measured
+//! rather than guessed — it measured 5 ms of lock wait in a 3.8 s pass,
+//! which is why there is no second dispatcher (DESIGN.md §7).
 //!
 //! This is the production implementation — correct on any core count.
 //! (Wall-clock speedups require real cores; the evaluation harness uses the
 //! simulated backend for speedup *shapes* on this single-core machine, see
 //! DESIGN.md.)
 
+use crate::batch::{Batch, Clock};
 use crate::mode::RunConfig;
 use crate::schedule_with_cap;
-use crate::stats::{RunResult, RunStats};
-use parcfl_concurrent::{SharedWorkList, StealQueues, WorkerObs};
-use parcfl_core::{Answer, JmpStore, SharedJmpStore, Solver, SolverConfig};
-use parcfl_obs::{EventKind, RunTrace, TraceLevel, TraceRecorder, WorkerTrace};
+use crate::stats::RunResult;
+use parcfl_concurrent::SharedWorkList;
+use parcfl_core::SharedJmpStore;
 use parcfl_pag::{NodeId, Pag};
 use parcfl_sched::Schedule;
-use std::panic::AssertUnwindSafe;
-use std::time::Instant;
 
 /// Worker stack size: the solver's mutual recursion can be deep on heap-
 /// heavy programs (bounded by `max_recursion_depth`, but each frame holds
@@ -43,197 +34,6 @@ pub fn run_threaded(pag: &Pag, queries: &[NodeId], cfg: &RunConfig) -> RunResult
     run_threaded_batch(pag, &schedule, cfg, &store, 0)
 }
 
-/// What one worker thread hands back when it joins.
-type WorkerYield = (Vec<(NodeId, Answer)>, RunStats, WorkerObs, WorkerTrace);
-
-/// What [`run_workers`] hands back after the join: all answers, the merged
-/// stats, and the per-worker observability records and event traces in
-/// worker-index order.
-type JoinedWorkers = (
-    Vec<(NodeId, Answer)>,
-    RunStats,
-    Vec<WorkerObs>,
-    Vec<WorkerTrace>,
-);
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
-/// The per-worker query loop, shared by both dispatch disciplines:
-/// `fetch` yields the next group (recording its costs into the worker's
-/// observability record) until the batch is drained.
-///
-/// A panic inside a query (budget-burn bugs, recursion-depth blowouts,
-/// malformed query ids) would otherwise surface as an opaque
-/// `std::thread::scope` abort; it is caught here and re-raised with the
-/// worker index, the offending query and its group attached, so crashes
-/// are diagnosable from the message alone.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    pag: &Pag,
-    solver_cfg: &SolverConfig,
-    store: &SharedJmpStore,
-    base: u64,
-    worker: usize,
-    tracing: TraceLevel,
-    epoch: Instant,
-    mut fetch: impl FnMut(&mut WorkerObs, &TraceRecorder) -> Option<Vec<NodeId>>,
-    on_panic: impl Fn(),
-) -> WorkerYield {
-    // Per-worker eviction scope: this worker's publishes attribute their
-    // evictions here, so the batch total is an exact partition over the
-    // worker partials (`RunStats::merge` sums them).
-    let wstore = store.scoped();
-    let rec = TraceRecorder::real(tracing, epoch);
-    let mut stats = RunStats::default();
-    let mut answers = Vec::new();
-    let mut obs = WorkerObs::new(worker);
-    let mut ev_prev = 0u64;
-    {
-        let mut solver = Solver::new(pag, solver_cfg, &wstore);
-        if tracing.full() {
-            solver = solver.with_recorder(&rec);
-        }
-        let mut lock_wait_prev = 0u64;
-        let mut steal_wait_prev = 0u64;
-        while let Some(group) = fetch(&mut obs, &rec) {
-            // Fetch-path contention, sampled per fetch from the obs deltas
-            // the schedulers maintain.
-            if obs.lock_wait_ns > lock_wait_prev {
-                stats
-                    .hists
-                    .lock_wait
-                    .record(obs.lock_wait_ns - lock_wait_prev);
-                lock_wait_prev = obs.lock_wait_ns;
-            }
-            if obs.steal_wait_ns > steal_wait_prev {
-                stats
-                    .hists
-                    .steal_wait
-                    .record(obs.steal_wait_ns - steal_wait_prev);
-                steal_wait_prev = obs.steal_wait_ns;
-            }
-            rec.span(EventKind::GroupDequeued, 0, group.len() as u32, 0);
-            let group_t0 = Instant::now();
-            for &q in &group {
-                rec.span(EventKind::QueryStart, 0, q.raw(), 0);
-                let t0 = Instant::now();
-                let attempt =
-                    std::panic::catch_unwind(AssertUnwindSafe(|| solver.points_to_query(q, base)));
-                let out = match attempt {
-                    Ok(out) => out,
-                    Err(payload) => {
-                        // Release the peers first (a dead worker can never
-                        // satisfy the stealing termination protocol), then
-                        // re-raise with the context attached.
-                        on_panic();
-                        std::panic::panic_any(format!(
-                            "worker {worker} panicked answering query {q:?} of group {group:?}: {}",
-                            panic_message(payload.as_ref())
-                        ))
-                    }
-                };
-                stats
-                    .hists
-                    .query_latency
-                    .record(t0.elapsed().as_nanos() as u64);
-                let complete = matches!(out.answer, Answer::Complete(_));
-                rec.span(EventKind::QueryEnd, 0, q.raw(), complete as u32);
-                if tracing.full() {
-                    let ev_now = wstore.scope_evictions();
-                    if ev_now > ev_prev {
-                        rec.instant(EventKind::Eviction, 0, (ev_now - ev_prev) as u32, 0);
-                        ev_prev = ev_now;
-                    }
-                }
-                obs.queries += 1;
-                obs.steps += out.stats.traversed_steps;
-                stats.absorb(&out.stats, &out.answer);
-                answers.push((q, out.answer));
-            }
-            stats
-                .hists
-                .group_makespan
-                .record(group_t0.elapsed().as_nanos() as u64);
-        }
-    }
-    stats.evictions = wstore.scope_evictions();
-    (answers, stats, obs, rec.into_trace(worker))
-}
-
-/// Spawns `threads` workers running `make_fetch(worker)`-driven loops and
-/// joins them, re-raising any (context-enriched) worker panic.
-#[allow(clippy::too_many_arguments)]
-fn run_workers<F, G, P>(
-    pag: &Pag,
-    solver_cfg: &SolverConfig,
-    store: &SharedJmpStore,
-    base: u64,
-    threads: usize,
-    query_capacity: usize,
-    tracing: TraceLevel,
-    epoch: Instant,
-    make_fetch: G,
-    on_panic: P,
-) -> JoinedWorkers
-where
-    F: FnMut(&mut WorkerObs, &TraceRecorder) -> Option<Vec<NodeId>> + Send,
-    G: Fn(usize) -> F + Sync,
-    P: Fn() + Sync,
-{
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let make_fetch = &make_fetch;
-            let on_panic = &on_panic;
-            let handle = std::thread::Builder::new()
-                .stack_size(WORKER_STACK)
-                .spawn_scoped(scope, move || {
-                    worker_loop(
-                        pag,
-                        solver_cfg,
-                        store,
-                        base,
-                        w,
-                        tracing,
-                        epoch,
-                        make_fetch(w),
-                        on_panic,
-                    )
-                })
-                .expect("spawn worker");
-            handles.push(handle);
-        }
-        let mut answers = Vec::with_capacity(query_capacity);
-        let mut stats = RunStats::default();
-        let mut workers = Vec::with_capacity(threads);
-        let mut traces = Vec::with_capacity(threads);
-        for h in handles {
-            match h.join() {
-                Ok((a, s, o, t)) => {
-                    answers.extend(a);
-                    stats.merge(&s);
-                    workers.push(o);
-                    traces.push(t);
-                }
-                // The payload already carries worker/query/group context
-                // (see `worker_loop`); re-raise it instead of the opaque
-                // "a scoped thread panicked".
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        (answers, stats, workers, traces)
-    })
-}
-
 /// One real-thread batch against a caller-owned (possibly warm) store.
 ///
 /// The session building block. `store` should be an untimestamped handle
@@ -244,10 +44,16 @@ where
 /// entries stamped `< base` count as warm hits. `makespan` is the batch's
 /// own traversed-step total (real time is measured by `wall`).
 ///
-/// Eviction accounting is scoped per batch ([`SharedJmpStore::scoped`]):
-/// `stats.evictions` counts only evictions *this batch's* publishes
-/// triggered, even when other sessions or an external `evict_to_budget`
-/// hammer the same store concurrently.
+/// Eviction accounting is scoped per worker and summed per batch
+/// ([`SharedJmpStore::scoped`]): `stats.evictions` counts only evictions
+/// *this batch's* publishes triggered, even when other sessions or an
+/// external `evict_to_budget` hammer the same store concurrently.
+///
+/// The executor half of the batch driver ([`crate::batch`]): one
+/// wall-clock lane per OS thread, each popping group *indices* off the
+/// shared list until it is empty. A query that panics is re-raised with
+/// its worker, query and group attached; the peers drain the list and
+/// the join re-raises that payload.
 pub fn run_threaded_batch(
     pag: &Pag,
     schedule: &Schedule,
@@ -255,76 +61,50 @@ pub fn run_threaded_batch(
     store: &SharedJmpStore,
     base: u64,
 ) -> RunResult {
-    let solver_cfg = cfg.effective_solver().with_warm_floor(base);
-    let store = store.scoped();
-    let threads = cfg.threads.max(1);
-    let start = std::time::Instant::now();
-
-    let (answers, mut stats, workers, traces) = if cfg.stealing {
-        let queues: StealQueues<Vec<NodeId>> = StealQueues::new(schedule.seed_round_robin(threads));
-        let queues = &queues;
-        run_workers(
-            pag,
-            &solver_cfg,
-            &store,
-            base,
-            threads,
-            schedule.query_count(),
-            cfg.tracing,
-            start,
-            |w| move |obs: &mut WorkerObs, rec: &TraceRecorder| queues.next_traced(w, obs, rec),
-            || queues.abort(),
-        )
-    } else {
-        let work: SharedWorkList<Vec<NodeId>> =
-            SharedWorkList::with_items(schedule.groups.iter().cloned());
-        let work = &work;
-        run_workers(
-            pag,
-            &solver_cfg,
-            &store,
-            base,
-            threads,
-            schedule.query_count(),
-            cfg.tracing,
-            start,
-            |_w| {
-                move |obs: &mut WorkerObs, _rec: &TraceRecorder| {
-                    let (group, wait) = work.pop_timed();
-                    obs.lock_wait_ns += wait;
-                    if group.is_some() {
-                        obs.local_pops += 1;
-                    }
-                    group
-                }
-            },
-            // Mutex pops never block on peers: no abort needed.
-            || {},
-        )
+    let batch = Batch {
+        pag,
+        cfg: &cfg.effective_solver().with_warm_floor(base),
+        store: Some(store),
+        base,
+        tracing: cfg.tracing,
+        clock: Clock::Wall,
+        start: std::time::Instant::now(),
     };
-
-    stats.wall = start.elapsed();
-    stats.makespan = stats.traversed_steps; // real time is measured by `wall`
-    stats.batches = 1;
-    // `stats.evictions` was summed from the per-worker scopes during the
-    // merge of worker partials — an exact partition of the batch's own
-    // eviction traffic.
-    stats.store_entries = store.entry_count();
-    stats.jmp_edges = store.stats().total_edges();
-    stats.jmp_bytes = store.approx_bytes();
-    stats.avg_group_size = schedule.avg_group_size;
-    stats.interner_ctxs = store.interner().len();
-    stats.engine_dispatched = Some(crate::Engine::Demand);
-    stats.workers = workers;
-    let trace = cfg.tracing.enabled().then_some(RunTrace {
-        real_time: true,
-        workers: traces,
+    let work = SharedWorkList::with_items(0..schedule.groups.len());
+    let (batch, work) = (&batch, &work);
+    let mut answers = Vec::with_capacity(schedule.query_count());
+    let lanes = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..cfg.threads.max(1))
+            .map(|w| {
+                std::thread::Builder::new()
+                    .stack_size(WORKER_STACK)
+                    .spawn_scoped(scope, move || {
+                        let port = batch.port();
+                        let mut lane = batch.lane(w, &port);
+                        let mut answers = Vec::new();
+                        loop {
+                            let (next, wait) = work.pop_timed();
+                            lane.note_lock_wait(wait);
+                            let Some(gi) = next else { break };
+                            lane.run_group(&schedule.groups[gi], 0, &mut answers);
+                        }
+                        (answers, lane.finish(), port.into_trace(w))
+                    })
+                    .expect("spawn worker")
+            })
+            .collect();
+        let mut lanes = Vec::with_capacity(handles.len());
+        for h in handles {
+            // The payload already carries worker/query/group context (see
+            // `batch::Lane`); re-raise it instead of the opaque "a scoped
+            // thread panicked".
+            let (a, done, trace) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            answers.extend(a);
+            lanes.push((done, trace));
+        }
+        lanes
     });
-    RunResult {
-        answers,
-        stats,
-        trace,
-    }
+    batch.finish(schedule.avg_group_size, answers, lanes)
 }
 
 #[cfg(test)]
@@ -334,6 +114,7 @@ mod tests {
     use crate::seq::run_seq;
     use parcfl_core::SolverConfig;
     use parcfl_frontend::build_pag;
+    use std::panic::AssertUnwindSafe;
 
     const SRC: &str = "class Obj { }
         class Box { field f: Obj; }
@@ -361,17 +142,14 @@ mod tests {
         let seq = run_seq(&pag, &queries, &SolverConfig::default());
         for mode in [Mode::Naive, Mode::DataSharing, Mode::DataSharingSched] {
             for threads in [1, 4] {
-                for stealing in [false, true] {
-                    let cfg =
-                        RunConfig::new(mode, threads, Backend::Threaded).with_stealing(stealing);
-                    let par = run_threaded(&pag, &queries, &cfg);
-                    assert_eq!(par.stats.queries, queries.len());
-                    assert_eq!(
-                        par.sorted_answers(),
-                        seq.sorted_answers(),
-                        "{mode:?} x{threads} stealing={stealing} diverged"
-                    );
-                }
+                let cfg = RunConfig::new(mode, threads, Backend::Threaded);
+                let par = run_threaded(&pag, &queries, &cfg);
+                assert_eq!(par.stats.queries, queries.len());
+                assert_eq!(
+                    par.sorted_answers(),
+                    seq.sorted_answers(),
+                    "{mode:?} x{threads} diverged"
+                );
             }
         }
     }
@@ -398,23 +176,34 @@ mod tests {
     fn worker_records_account_for_every_query_and_fetch() {
         let pag = build_pag(SRC).unwrap().pag;
         let queries = pag.application_locals();
-        for stealing in [false, true] {
-            let cfg = RunConfig::new(Mode::DataSharingSched, 3, Backend::Threaded)
-                .with_stealing(stealing);
-            let schedule = schedule_with_cap(&pag, &queries, cfg.mode, cfg.group_cap);
-            let r = run_threaded(&pag, &queries, &cfg);
-            assert_eq!(r.stats.workers.len(), 3);
-            let totals = r.stats.obs_totals();
-            assert_eq!(totals.queries as usize, queries.len());
-            assert_eq!(totals.steps, r.stats.traversed_steps);
-            // Every group is fetched exactly once: either a local pop or
-            // the in-hand item of a successful steal.
-            assert_eq!(
-                totals.local_pops + if stealing { totals.steals_succeeded } else { 0 },
-                schedule.groups.len() as u64,
-                "stealing={stealing}"
-            );
-        }
+        let cfg = RunConfig::new(Mode::DataSharingSched, 3, Backend::Threaded);
+        let schedule = schedule_with_cap(&pag, &queries, cfg.mode, cfg.group_cap);
+        let r = run_threaded(&pag, &queries, &cfg);
+        assert_eq!(r.stats.workers.len(), 3);
+        let totals = r.stats.obs_totals();
+        assert_eq!(totals.queries as usize, queries.len());
+        assert_eq!(totals.steps, r.stats.traversed_steps);
+        // Every group is fetched exactly once.
+        assert_eq!(totals.local_pops, schedule.groups.len() as u64);
+    }
+
+    /// The two runtime shims the frozen benchmark compiles against are
+    /// inert: a "stealing" run is the default run.
+    #[test]
+    fn stealing_shims_change_nothing() {
+        let pag = build_pag(SRC).unwrap().pag;
+        let queries = pag.application_locals();
+        let cfg = RunConfig::new(Mode::DataSharingSched, 1, Backend::Threaded);
+        let plain = run_threaded(&pag, &queries, &cfg);
+        let shim = run_threaded(&pag, &queries, &cfg.clone().with_stealing(true));
+        assert_eq!(shim.answers, plain.answers);
+        assert_eq!(shim.stats.traversed_steps, plain.stats.traversed_steps);
+        assert_eq!(shim.stats.charged_steps, plain.stats.charged_steps);
+        assert_eq!(shim.stats.steps_saved, plain.stats.steps_saved);
+        assert_eq!(shim.stats.jmp_edges, plain.stats.jmp_edges);
+        assert_eq!(shim.stats.interner_ctxs, plain.stats.interner_ctxs);
+        assert_eq!(shim.stats.makespan, plain.stats.makespan);
+        assert_eq!(shim.stats.total_steal_wait(), std::time::Duration::ZERO);
     }
 
     #[test]
@@ -426,19 +215,20 @@ mod tests {
         // the scope opaquely.
         let bogus = parcfl_pag::NodeId::new(u32::MAX - 1);
         queries.push(bogus);
-        for stealing in [false, true] {
-            let cfg = RunConfig::new(Mode::Naive, 2, Backend::Threaded).with_stealing(stealing);
-            let caught =
-                std::panic::catch_unwind(AssertUnwindSafe(|| run_threaded(&pag, &queries, &cfg)))
-                    .expect_err("bogus query must panic");
-            let msg = caught
-                .downcast_ref::<String>()
-                .expect("enriched payload is a String");
-            assert!(
-                msg.contains("worker") && msg.contains("panicked answering query"),
-                "stealing={stealing}: missing context in {msg:?}"
-            );
-            assert!(msg.contains("group"), "group attached: {msg:?}");
-        }
+        let cfg = RunConfig::new(Mode::Naive, 2, Backend::Threaded);
+        let caught =
+            std::panic::catch_unwind(AssertUnwindSafe(|| run_threaded(&pag, &queries, &cfg)))
+                .expect_err("bogus query must panic");
+        let msg = caught
+            .downcast_ref::<String>()
+            .expect("enriched payload is a String");
+        assert!(
+            msg.contains("worker") && msg.contains("panicked answering query"),
+            "missing context in {msg:?}"
+        );
+        assert!(
+            msg.contains(&format!("group {:?}", [bogus])),
+            "group attached: {msg:?}"
+        );
     }
 }

@@ -53,21 +53,6 @@ impl Schedule {
         self.groups.iter().flatten().copied().collect()
     }
 
-    /// Distributes the groups round-robin over `workers` deques for the
-    /// work-stealing backend: `seeds[w]` holds groups `w, w+workers, …`
-    /// in schedule order, so each worker's local pops follow the DQ
-    /// order (intra-group dependence order is untouched — a group is one
-    /// indivisible work item) and the interleaving across workers
-    /// approximates the shared-list dispatch the paper evaluates.
-    pub fn seed_round_robin(&self, workers: usize) -> Vec<Vec<Vec<NodeId>>> {
-        let workers = workers.max(1);
-        let mut seeds: Vec<Vec<Vec<NodeId>>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, g) in self.groups.iter().enumerate() {
-            seeds[i % workers].push(g.clone());
-        }
-        seeds
-    }
-
     /// The unscheduled baseline: each query its own group, input order
     /// (used by the naive and D-only modes).
     pub fn unscheduled(queries: &[NodeId]) -> Schedule {
@@ -283,34 +268,6 @@ mod tests {
         let s = build_schedule(&pag, &ids, &opts);
         assert!(s.groups.iter().all(|g| g.len() <= 2), "{:?}", s.groups);
         assert_eq!(s.query_count(), ids.len());
-    }
-
-    #[test]
-    fn round_robin_seeding_covers_groups_in_order() {
-        let u = Schedule::unscheduled(&[
-            NodeId::new(0),
-            NodeId::new(1),
-            NodeId::new(2),
-            NodeId::new(3),
-            NodeId::new(4),
-        ]);
-        let seeds = u.seed_round_robin(2);
-        assert_eq!(seeds.len(), 2);
-        assert_eq!(
-            seeds[0],
-            vec![
-                vec![NodeId::new(0)],
-                vec![NodeId::new(2)],
-                vec![NodeId::new(4)]
-            ]
-        );
-        assert_eq!(seeds[1], vec![vec![NodeId::new(1)], vec![NodeId::new(3)]]);
-        // More workers than groups: tails stay empty; zero clamps to one.
-        let wide = u.seed_round_robin(8);
-        assert_eq!(wide.iter().filter(|s| !s.is_empty()).count(), 5);
-        let narrow = u.seed_round_robin(0);
-        assert_eq!(narrow.len(), 1);
-        assert_eq!(narrow[0].len(), 5);
     }
 
     #[test]

@@ -78,13 +78,12 @@ USAGE:
       PAG statistics after extraction and cycle collapsing.
   parcfl dot <file.mj>
       Graphviz DOT of the PAG on stdout.
-  parcfl bench <name> [--threads N] [--mode naive|d|dq] [--threaded] [--stealing]
+  parcfl bench <name> [--threads N] [--mode naive|d|dq] [--threaded]
                [--state hash|dense] [--engine demand|matrix|auto]
       Run one Table-I benchmark and report the speedup over SeqCFL.
       --threaded uses real OS threads instead of the virtual-time
-      simulator; --stealing additionally dispatches through the
-      work-stealing scheduler (implies --threaded) and reports per-worker
-      contention. --state/--engine select the solver core as in `query`
+      simulator and reports the work-list contention they saw.
+      --state/--engine select the solver core as in `query`
       (mode/threads are inert under the matrix engine).
   parcfl bench-diff <baseline.json> <current.json> [--gate none|deterministic|all]
                [--report PATH]
@@ -473,8 +472,7 @@ fn cmd_bench(args: &[String]) {
             exit(2);
         }
     };
-    let stealing = args.iter().any(|a| a == "--stealing");
-    let threaded = stealing || args.iter().any(|a| a == "--threaded");
+    let threaded = args.iter().any(|a| a == "--threaded");
     let engine = engine_flag(args);
     let b = parcfl::synth::build_bench(&profile);
     let mut seq_solver = b.solver.clone();
@@ -490,9 +488,7 @@ fn cmd_bench(args: &[String]) {
     } else {
         Backend::Simulated
     };
-    let mut cfg = RunConfig::new(mode, threads, backend)
-        .with_stealing(stealing)
-        .with_engine(engine);
+    let mut cfg = RunConfig::new(mode, threads, backend).with_engine(engine);
     cfg.solver = seq_solver;
     let par = parcfl::runtime::run(&b.pag, &b.queries, &cfg);
     // Report the engine that actually ran (`Auto` resolves per batch),
@@ -512,15 +508,9 @@ fn cmd_bench(args: &[String]) {
     if threaded && dispatched == Engine::Demand {
         let t = par.stats.obs_totals();
         outln!(
-            "dispatch [{}]: {} local pops, {} steals ({} items), {} idle spins, \
-             lock wait {:?}, steal wait {:?}",
-            if stealing { "stealing" } else { "mutex" },
+            "dispatch: {} work-list pops, lock wait {:?}",
             t.local_pops,
-            t.steals_succeeded,
-            t.items_stolen,
-            t.idle_spins,
-            t.lock_wait(),
-            t.steal_wait()
+            t.lock_wait()
         );
     }
 }

@@ -9,8 +9,8 @@
 //! agree.)
 
 use parcfl::core::{Answer, SolverConfig};
-use parcfl::runtime::{run, run_seq, Backend, Mode, RunConfig};
-use parcfl::synth::{build_bench, Profile};
+use parcfl::runtime::{run, run_seq, run_simulated, run_threaded, Backend, Mode, RunConfig};
+use parcfl::synth::{build_bench, table1_profiles, Profile};
 
 fn bench() -> parcfl::synth::Bench {
     build_bench(&Profile::tiny(1234))
@@ -38,6 +38,52 @@ fn all_modes_agree_with_ample_budget() {
                 );
             }
         }
+    }
+}
+
+/// The paper's `ParCFL(1, naive) ≈ SeqCFL` (Section IV-D1), literally:
+/// the three executors are one batch driver, so at one worker with
+/// sharing off they do the same work in the same order — same answers,
+/// same step and budget accounting, same interned contexts — and the
+/// simulator's virtual clock adds exactly one fetch per query on top of
+/// the sequential makespan. Run under each bench's own (tight) budget, so
+/// out-of-budget verdicts are compared too.
+#[test]
+fn one_worker_naive_is_seq_on_every_executor() {
+    let profiles = table1_profiles();
+    let check = profiles.iter().find(|p| p.name == "_200_check").unwrap();
+    for b in [build_bench(check), bench()] {
+        let seq = run_seq(&b.pag, &b.queries, &b.solver);
+        let sim_cfg =
+            RunConfig::new(Mode::Naive, 1, Backend::Simulated).with_solver(b.solver.clone());
+        let sim = run_simulated(&b.pag, &b.queries, &sim_cfg);
+        let thr_cfg =
+            RunConfig::new(Mode::Naive, 1, Backend::Threaded).with_solver(b.solver.clone());
+        let thr = run_threaded(&b.pag, &b.queries, &thr_cfg);
+        for (name, par) in [("simulated", &sim), ("threaded", &thr)] {
+            assert_eq!(par.sorted_answers(), seq.sorted_answers(), "{name}");
+            assert_eq!(
+                par.stats.traversed_steps, seq.stats.traversed_steps,
+                "{name}"
+            );
+            assert_eq!(par.stats.charged_steps, seq.stats.charged_steps, "{name}");
+            assert_eq!(par.stats.completed, seq.stats.completed, "{name}");
+            assert_eq!(par.stats.out_of_budget, seq.stats.out_of_budget, "{name}");
+            assert_eq!(par.stats.interner_ctxs, seq.stats.interner_ctxs, "{name}");
+            let (w, s) = (par.stats.obs_totals(), seq.stats.obs_totals());
+            assert_eq!(par.stats.workers.len(), 1, "{name}");
+            assert_eq!(
+                (w.local_pops, w.queries, w.steps),
+                (s.local_pops, s.queries, s.steps),
+                "{name}: the one worker's record"
+            );
+        }
+        assert_eq!(seq.stats.makespan, seq.stats.traversed_steps);
+        assert_eq!(thr.stats.makespan, seq.stats.makespan);
+        assert_eq!(
+            sim.stats.makespan,
+            seq.stats.makespan + sim_cfg.fetch_cost * b.queries.len() as u64
+        );
     }
 }
 

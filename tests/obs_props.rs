@@ -11,9 +11,8 @@
 //! step counts between runs), so the threaded legs pin one worker for the
 //! exact-count comparison and check answers only at higher counts.
 
-use parcfl::core::NoJmpStore;
 use parcfl::runtime::{
-    run_matrix, run_seq_traced, run_simulated, run_threaded, Backend, LogHistogram, Mode,
+    run_matrix, run_simulated, run_threaded, AnalysisSession, Backend, LogHistogram, Mode,
     RunConfig, TraceLevel,
 };
 use parcfl::synth::{build_bench, Profile};
@@ -44,16 +43,24 @@ fn bench_for(seed: u64) -> parcfl::synth::Bench {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// Sequential backend: every trace level answers exactly what Off
-    /// answers, with identical step accounting; Off yields no trace,
-    /// Spans and Full yield a single-worker trace with events.
+    /// Inline (sequential) executor: every trace level answers exactly
+    /// what Off answers, with identical step accounting; Off yields no
+    /// trace, Spans and Full yield a single-worker wall-clock trace with
+    /// events. `AnalysisSession::submit_seq` is the public traced route
+    /// onto the executor `run_seq` runs on.
     #[test]
     fn seq_tracing_is_observation_only(seed in 0u64..1_000) {
         let b = bench_for(seed);
-        let off = run_seq_traced(&b.pag, &b.queries, &b.solver, &NoJmpStore, 0, TraceLevel::Off);
+        let submit = |level: TraceLevel| {
+            AnalysisSession::new(&b.pag)
+                .with_solver(b.solver.clone())
+                .with_tracing(level)
+                .submit_seq(&b.queries)
+        };
+        let off = submit(TraceLevel::Off);
         prop_assert!(off.trace.is_none(), "Off must not allocate a trace");
         for level in [TraceLevel::Spans, TraceLevel::Full] {
-            let on = run_seq_traced(&b.pag, &b.queries, &b.solver, &NoJmpStore, 0, level);
+            let on = submit(level);
             prop_assert_eq!(on.sorted_answers(), off.sorted_answers(), "{:?} seed {}", level, seed);
             prop_assert_eq!(on.stats.traversed_steps, off.stats.traversed_steps);
             prop_assert_eq!(on.stats.charged_steps, off.stats.charged_steps);
@@ -89,41 +96,33 @@ proptest! {
         }
     }
 
-    /// Threaded backend, both dispatch disciplines: with one worker the
-    /// run is deterministic, so Full must match Off's step counts
-    /// exactly; with four workers answers must still match and the trace
-    /// must carry one wall-clock track per worker.
+    /// Threaded backend: with one worker the run is deterministic, so
+    /// Full must match Off's step counts exactly; with four workers
+    /// answers must still match and the trace must carry one wall-clock
+    /// track per worker.
     #[test]
     fn threaded_tracing_is_observation_only(seed in 0u64..1_000) {
         let b = bench_for(seed);
-        for stealing in [false, true] {
-            let cfg1 = RunConfig::new(Mode::DataSharingSched, 1, Backend::Threaded)
-                .with_solver(b.solver.clone())
-                .with_stealing(stealing);
-            let off = run_threaded(&b.pag, &b.queries, &cfg1);
-            prop_assert!(off.trace.is_none());
-            let full = run_threaded(
-                &b.pag, &b.queries, &cfg1.clone().with_tracing(TraceLevel::Full));
-            prop_assert_eq!(
-                full.sorted_answers(), off.sorted_answers(),
-                "stealing={} seed {}", stealing, seed);
-            prop_assert_eq!(full.stats.traversed_steps, off.stats.traversed_steps);
-            prop_assert_eq!(full.stats.charged_steps, off.stats.charged_steps);
-            prop_assert!(full.trace.expect("Full yields a trace").event_count() > 0);
+        let cfg1 = RunConfig::new(Mode::DataSharingSched, 1, Backend::Threaded)
+            .with_solver(b.solver.clone());
+        let off = run_threaded(&b.pag, &b.queries, &cfg1);
+        prop_assert!(off.trace.is_none());
+        let full = run_threaded(
+            &b.pag, &b.queries, &cfg1.clone().with_tracing(TraceLevel::Full));
+        prop_assert_eq!(full.sorted_answers(), off.sorted_answers(), "seed {}", seed);
+        prop_assert_eq!(full.stats.traversed_steps, off.stats.traversed_steps);
+        prop_assert_eq!(full.stats.charged_steps, off.stats.charged_steps);
+        prop_assert!(full.trace.expect("Full yields a trace").event_count() > 0);
 
-            let cfg4 = RunConfig::new(Mode::DataSharingSched, 4, Backend::Threaded)
-                .with_solver(b.solver.clone())
-                .with_stealing(stealing)
-                .with_tracing(TraceLevel::Full);
-            let r4 = run_threaded(&b.pag, &b.queries, &cfg4);
-            prop_assert_eq!(
-                r4.sorted_answers(), off.sorted_answers(),
-                "stealing={} x4 seed {}", stealing, seed);
-            let trace = r4.trace.expect("Full yields a trace");
-            prop_assert!(trace.real_time);
-            prop_assert_eq!(trace.workers.len(), 4);
-            prop_assert!(trace.event_count() > 0);
-        }
+        let cfg4 = RunConfig::new(Mode::DataSharingSched, 4, Backend::Threaded)
+            .with_solver(b.solver.clone())
+            .with_tracing(TraceLevel::Full);
+        let r4 = run_threaded(&b.pag, &b.queries, &cfg4);
+        prop_assert_eq!(r4.sorted_answers(), off.sorted_answers(), "x4 seed {}", seed);
+        let trace = r4.trace.expect("Full yields a trace");
+        prop_assert!(trace.real_time);
+        prop_assert_eq!(trace.workers.len(), 4);
+        prop_assert!(trace.event_count() > 0);
     }
 
     /// Whole-program matrix engine: tracing must be observation-only at
