@@ -178,14 +178,14 @@ fn bench_points_to_hot(c: &mut Criterion) {
 
     g.bench_function("single_query_cold", |bench| {
         bench.iter_with_setup(SharedJmpStore::new, |store| {
-            let s = Solver::new(&b.pag, &b.solver, &store);
+            let mut s = Solver::new(&b.pag, &b.solver, &store);
             std::hint::black_box(s.points_to_query(q, 0))
         })
     });
 
     g.bench_function("batch_cold_store", |bench| {
         bench.iter_with_setup(SharedJmpStore::new, |store| {
-            let s = Solver::new(&b.pag, &b.solver, &store);
+            let mut s = Solver::new(&b.pag, &b.solver, &store);
             let mut completed = 0usize;
             for &v in &b.queries {
                 if s.points_to_query(v, 0).answer.complete().is_some() {

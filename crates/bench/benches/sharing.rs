@@ -22,14 +22,14 @@ fn bench_sharing(c: &mut Criterion) {
     g.sample_size(30);
     g.bench_function("query_cold_store", |bench| {
         bench.iter_with_setup(SharedJmpStore::new, |store| {
-            let s = Solver::new(&b.pag, &cfg, &store);
+            let mut s = Solver::new(&b.pag, &cfg, &store);
             std::hint::black_box(s.points_to_query(q, 0))
         })
     });
     g.bench_function("query_warm_store", |bench| {
         let store = SharedJmpStore::new();
         // Warm it with the whole batch once.
-        let s = Solver::new(&b.pag, &cfg, &store);
+        let mut s = Solver::new(&b.pag, &cfg, &store);
         for &v in &b.queries {
             let _ = s.points_to_query(v, 0);
         }

@@ -18,15 +18,15 @@ fn bench_solver(c: &mut Criterion) {
     let mut g = c.benchmark_group("solver");
     g.sample_size(30);
     g.bench_function("points_to_plain", |bench| {
-        let s = Solver::new(&b.pag, &cfg, &store);
+        let mut s = Solver::new(&b.pag, &cfg, &store);
         bench.iter(|| std::hint::black_box(s.points_to_query(q, 0)))
     });
     g.bench_function("points_to_memo", |bench| {
-        let s = Solver::new(&b.pag, &memo_cfg, &store);
+        let mut s = Solver::new(&b.pag, &memo_cfg, &store);
         bench.iter(|| std::hint::black_box(s.points_to_query(q, 0)))
     });
     g.bench_function("flows_to_plain", |bench| {
-        let s = Solver::new(&b.pag, &cfg, &store);
+        let mut s = Solver::new(&b.pag, &cfg, &store);
         let o = b
             .pag
             .node_ids()

@@ -491,7 +491,7 @@ fn main() {
     assert_eq!(whole.total_pts(), par.total_pts());
 
     let store = NoJmpStore;
-    let solver = Solver::new(&b.pag, &b.solver, &store);
+    let mut solver = Solver::new(&b.pag, &b.solver, &store);
     for k in [1usize, 10, 100] {
         let t2 = std::time::Instant::now();
         for &q in b.queries.iter().take(k) {

@@ -10,9 +10,11 @@
 //! id space cost one `Option` pointer per chunk; touched regions pay one
 //! cache line per 512 ids.
 //!
-//! [`DenseVisitSet`] layers a per-node vector of inline-first rows on top
-//! (a few ctx ids stored directly in the row, spilling to a chunked bitset
-//! only on overflow) — the dense replacement for the solver's historical
+//! [`DenseVisitSet`] layers inline-first rows on top (a few ctx ids stored
+//! directly in the row, spilling to a chunked bitset only on overflow),
+//! indexed by node id and held in lazily allocated fixed-size pages, so a
+//! table costs what traversals touched and not a row per graph node — the
+//! dense replacement for the solver's historical
 //! `FxHashMap<NodeId, FxHashSet<CtxId>>` visit sets — and [`StateSet`]
 //! is the small trait that keeps the hash implementation
 //! ([`HashVisitSet`]) selectable for differential testing.
@@ -262,10 +264,12 @@ impl ChunkedBitset {
         })
     }
 
-    /// `u64` words currently allocated (the honest memory figure dense
-    /// state reporting uses; `len()` counts logical members instead).
+    /// `u64` words currently allocated: the chunks plus one pointer-sized
+    /// directory slot per chunk position, allocated or not (the honest
+    /// memory figure dense state reporting uses; `len()` counts logical
+    /// members instead).
     pub fn allocated_words(&self) -> u64 {
-        (self.chunks.iter().flatten().count() * CHUNK_WORDS) as u64 + self.chunks.len() as u64 / 8
+        (self.chunks.iter().flatten().count() * CHUNK_WORDS + self.chunks.len()) as u64
     }
 }
 
@@ -317,6 +321,13 @@ impl Iterator for SetBits<'_> {
 /// order-insensitive (the solver canonically re-sorts everything that
 /// crosses a traversal boundary). That is what keeps hash- and dense-backed
 /// runs bit-identical.
+///
+/// A table outlives the query that first needed it (the solver keeps a
+/// pool per lane), so memory accounting is per *query generation*:
+/// [`StateSet::begin_query`] names the query a table is about to serve and
+/// [`StateSet::approx_words`] reads a counter the insert path keeps — the
+/// words the table has touched for that query, the same number whatever
+/// it served before.
 pub trait StateSet: Default {
     /// Records `(node, ctx)`; returns `true` iff the state was new.
     fn insert(&mut self, node: u32, ctx: CtxId) -> bool;
@@ -326,23 +337,41 @@ pub trait StateSet: Default {
     fn for_ctxs(&self, node: u32, f: impl FnMut(CtxId));
     /// Empties the table, retaining allocations where possible.
     fn reset(&mut self);
-    /// Approximate `u64` words of memory currently held. Dense sets report
-    /// allocated bitset words exactly; hash sets report a two-words-per-
-    /// entry estimate (key + bucket overhead).
+    /// Tells an empty table which query it serves next. A generation it
+    /// has not seen restarts [`StateSet::approx_words`] from zero; the
+    /// generation it already carries changes nothing.
+    fn begin_query(&mut self, gen: u64);
+    /// `u64` words of memory the table has touched for the current query
+    /// generation, read in O(1). Dense sets count the pages and spill
+    /// bitsets inserts landed in; hash sets a two-words-per-slot estimate
+    /// (key + bucket overhead).
     fn approx_words(&self) -> u64;
 }
 
 /// The historical hash-of-hashes visit set (`node → {ctx}`), kept as the
-/// differential-testing reference for [`DenseVisitSet`].
+/// differential-testing reference for [`DenseVisitSet`]. It keeps the
+/// historical lifetime too: nothing survives into the next query
+/// generation, so its cost and its accounting are those of a table built
+/// for one query and dropped after it.
 #[derive(Default)]
 pub struct HashVisitSet {
     map: FxHashMap<u32, FxHashSet<CtxId>>,
+    gen: u64,
+    words: u64,
 }
 
 impl StateSet for HashVisitSet {
     #[inline]
     fn insert(&mut self, node: u32, ctx: CtxId) -> bool {
-        self.map.entry(node).or_default().insert(ctx)
+        let nodes = self.map.len();
+        let set = self.map.entry(node).or_default();
+        let cap = set.capacity();
+        let fresh = set.insert(ctx);
+        // Two words per slot of the node's set plus two for its map entry,
+        // counted as they appear (`reset` keeps both).
+        let grown = set.capacity() - cap + self.map.len() - nodes;
+        self.words += 2 * grown as u64;
+        fresh
     }
 
     #[inline]
@@ -359,16 +388,24 @@ impl StateSet for HashVisitSet {
     }
 
     fn reset(&mut self) {
-        // Clear in place, keeping node entries and set capacity — the
-        // mirror of the dense table's retained rows, so pooled reuse and
-        // footprint reporting behave the same across backends.
+        // Clear in place, keeping node entries and set capacity for the
+        // query's next traversal.
         for s in self.map.values_mut() {
             s.clear();
         }
     }
 
+    fn begin_query(&mut self, gen: u64) {
+        if self.gen != gen {
+            *self = HashVisitSet {
+                gen,
+                ..HashVisitSet::default()
+            };
+        }
+    }
+
     fn approx_words(&self) -> u64 {
-        self.map.values().map(|s| 2 * s.capacity() as u64 + 2).sum()
+        self.words
     }
 }
 
@@ -379,14 +416,12 @@ const INLINE_CTXS: usize = 4;
 
 /// One row of a [`DenseVisitSet`]. The epoch stamp makes `reset` O(1) —
 /// a row whose stamp is stale is logically empty and is re-initialised
-/// (inline slots emptied, spill allocation kept) on its first touch of the
-/// new epoch.
+/// (inline slots emptied) on its first touch of the new epoch.
 ///
 /// The row is **inline-first**: the first [`INLINE_CTXS`] contexts live in
 /// the row itself, so the hot membership test is one linear scan in the
 /// same cache line as the epoch — no second pointer chase and no hashing.
-/// Only rows that overflow pay for a [`ChunkedBitset`] (recycled across
-/// epochs, so a hot row allocates once per table lifetime).
+/// Only rows that overflow pay for a [`Spill`].
 #[derive(Default)]
 struct DenseRow {
     epoch: u64,
@@ -394,35 +429,129 @@ struct DenseRow {
     len: u8,
     spilled: bool,
     inline: [u32; INLINE_CTXS],
-    spill: Option<Box<ChunkedBitset>>,
+    spill: Option<Box<Spill>>,
 }
 
-/// The dense visited-state table: a vector of inline-first [`DenseRow`]s
-/// indexed by node id, each holding the interned `CtxId`s the node was
-/// visited in.
-///
-/// Rows are allocated on first touch (the vector grows to the highest node
-/// id actually visited, not the graph size), and the whole table resets in
-/// O(1) via an epoch bump, so pooled reuse across the solver's nested
-/// traversals costs nothing up front.
+/// The overflow bitset of a [`DenseRow`]. It is recycled across the epochs
+/// of one query generation (a hot row allocates once per query) and
+/// rebuilt empty by the first overflow of a later one, so every word it
+/// holds was allocated for — and counted against — the current query.
 #[derive(Default)]
+struct Spill {
+    gen: u64,
+    bits: ChunkedBitset,
+}
+
+impl Spill {
+    /// Inserts `id`, first adding to `words` what the insert is about to
+    /// grow [`ChunkedBitset::allocated_words`] by: the directory slots up
+    /// to `id`'s chunk, and the chunk if it is new.
+    fn insert(&mut self, id: u32, words: &mut u64) -> bool {
+        let ci = id as usize / CHUNK_BITS;
+        let slots = (ci + 1).saturating_sub(self.bits.chunk_count());
+        let chunk = if self.bits.chunk(ci).is_none() {
+            CHUNK_WORDS
+        } else {
+            0
+        };
+        *words += (slots + chunk) as u64;
+        self.bits.insert(id)
+    }
+}
+
+/// Rows per [`Page`]: the allocation, zero-fill and accounting unit of a
+/// [`DenseVisitSet`]. Times are flat from 16 to 256 rows; touched words
+/// double with each doubling while the directory a table zero-fills to
+/// reach a high node id halves — at 32 it is 27 KB over a 108 k-node
+/// graph (`results/pr17_pairs.txt` has the sweep).
+const PAGE_ROWS: usize = 32;
+
+/// `u64` words one [`Page`] occupies.
+const PAGE_WORDS: u64 = (std::mem::size_of::<Page>() / 8) as u64;
+
+/// [`PAGE_ROWS`] consecutive rows, allocated together the first time any
+/// of them is touched.
+struct Page {
+    /// The query generation that last counted this page (0 = none yet).
+    gen: u64,
+    rows: [DenseRow; PAGE_ROWS],
+}
+
+impl Default for Page {
+    fn default() -> Self {
+        Page {
+            gen: 0,
+            rows: std::array::from_fn(|_| DenseRow::default()),
+        }
+    }
+}
+
+/// The dense visited-state table: inline-first [`DenseRow`]s indexed by
+/// node id, each holding the interned `CtxId`s the node was visited in.
+///
+/// Rows live in fixed-size [`Page`]s behind a directory of one pointer per
+/// page, and a page is allocated the first time one of its rows is
+/// touched — a table costs the directory up to the highest node id it has
+/// seen plus the pages traversals actually landed in, never a row per
+/// graph node. The whole table resets in O(1) via an epoch bump and is
+/// meant to be kept: the solver pools tables for the life of a lane, so a
+/// warm table serves a traversal without allocating at all.
+///
+/// [`StateSet::approx_words`] is the words of the pages (and spill
+/// bitsets) touched since [`StateSet::begin_query`] last named a new query
+/// generation. A page is counted the first time the generation touches
+/// it, whether that allocates it or finds it warm, so the figure is what
+/// a table created for this query alone would hold.
 pub struct DenseVisitSet {
-    rows: Vec<DenseRow>,
+    pages: Vec<Option<Box<Page>>>,
+    /// Starts at 1: a zeroed row (epoch 0) is stale.
     epoch: u64,
+    /// Starts at 1: a zeroed page or spill (gen 0) is uncounted.
+    gen: u64,
+    words: u64,
+}
+
+impl Default for DenseVisitSet {
+    fn default() -> Self {
+        DenseVisitSet {
+            pages: Vec::new(),
+            epoch: 1,
+            gen: 1,
+            words: 0,
+        }
+    }
+}
+
+impl DenseVisitSet {
+    /// `node`'s row, if it has been touched this epoch.
+    #[inline]
+    fn row(&self, node: u32) -> Option<&DenseRow> {
+        let page = self.pages.get(node as usize / PAGE_ROWS)?.as_deref()?;
+        let row = &page.rows[node as usize % PAGE_ROWS];
+        (row.epoch == self.epoch).then_some(row)
+    }
 }
 
 impl StateSet for DenseVisitSet {
     #[inline]
     fn insert(&mut self, node: u32, ctx: CtxId) -> bool {
-        let idx = node as usize;
-        if idx >= self.rows.len() {
-            self.rows.resize_with(idx + 1, DenseRow::default);
+        let pi = node as usize / PAGE_ROWS;
+        if pi >= self.pages.len() {
+            self.pages.resize_with(pi + 1, || None);
         }
-        let row = &mut self.rows[idx];
+        let page = &mut **self.pages[pi].get_or_insert_with(Box::default);
+        let row = &mut page.rows[node as usize % PAGE_ROWS];
         if row.epoch != self.epoch {
             row.epoch = self.epoch;
             row.len = 0;
             row.spilled = false;
+            // Every epoch of a query is younger than any row an earlier
+            // query left behind, so a page new to the query is always met
+            // here first.
+            if page.gen != self.gen {
+                page.gen = self.gen;
+                self.words += PAGE_WORDS;
+            }
         }
         let raw = ctx.raw();
         if row.spilled {
@@ -430,7 +559,7 @@ impl StateSet for DenseVisitSet {
                 .spill
                 .as_mut()
                 .expect("spilled row has bits")
-                .insert(raw);
+                .insert(raw, &mut self.words);
         }
         let n = row.len as usize;
         if row.inline[..n].contains(&raw) {
@@ -441,42 +570,43 @@ impl StateSet for DenseVisitSet {
             row.len = n as u8 + 1;
             return true;
         }
-        // Overflow: move the inline slots into the (recycled) spill bitset.
+        // Overflow: move the inline slots into the spill bitset.
         let spill = row.spill.get_or_insert_with(Box::default);
-        spill.clear();
+        if spill.gen == self.gen {
+            spill.bits.clear();
+        } else {
+            **spill = Spill {
+                gen: self.gen,
+                bits: ChunkedBitset::new(),
+            };
+        }
         for &v in &row.inline {
-            spill.insert(v);
+            spill.insert(v, &mut self.words);
         }
         row.spilled = true;
-        spill.insert(raw)
+        spill.insert(raw, &mut self.words)
     }
 
     #[inline]
     fn contains(&self, node: u32, ctx: CtxId) -> bool {
-        let Some(row) = self.rows.get(node as usize) else {
+        let Some(row) = self.row(node) else {
             return false;
         };
-        if row.epoch != self.epoch {
-            return false;
-        }
         let raw = ctx.raw();
         if row.spilled {
-            row.spill.as_ref().is_some_and(|b| b.contains(raw))
+            row.spill.as_ref().is_some_and(|s| s.bits.contains(raw))
         } else {
             row.inline[..row.len as usize].contains(&raw)
         }
     }
 
     fn for_ctxs(&self, node: u32, mut f: impl FnMut(CtxId)) {
-        let Some(row) = self.rows.get(node as usize) else {
+        let Some(row) = self.row(node) else {
             return;
         };
-        if row.epoch != self.epoch {
-            return;
-        }
         if row.spilled {
-            if let Some(bits) = row.spill.as_deref() {
-                for raw in bits.iter() {
+            if let Some(spill) = row.spill.as_deref() {
+                for raw in spill.bits.iter() {
                     f(CtxId::from_raw(raw));
                 }
             }
@@ -492,15 +622,17 @@ impl StateSet for DenseVisitSet {
         self.epoch += 1;
     }
 
+    #[inline]
+    fn begin_query(&mut self, gen: u64) {
+        if self.gen != gen {
+            self.gen = gen;
+            self.words = 0;
+        }
+    }
+
+    #[inline]
     fn approx_words(&self) -> u64 {
-        // Count every allocated row (header + any spill bitset): stale
-        // rows' allocations are still resident memory even though they are
-        // logically empty this epoch.
-        let row_words = (std::mem::size_of::<DenseRow>() / 8) as u64;
-        self.rows
-            .iter()
-            .map(|r| row_words + r.spill.as_deref().map_or(0, ChunkedBitset::allocated_words))
-            .sum()
+        self.words
     }
 }
 
@@ -742,10 +874,11 @@ mod tests {
         let spilled_words = d.approx_words();
         d.reset();
         assert!(!d.contains(7, CtxId::from_raw(3)));
-        // The fresh epoch goes inline again; the spill allocation is kept.
+        // The fresh epoch goes inline again; the spill allocation is kept
+        // for the query generation's next overflow.
         assert!(d.insert(7, CtxId::from_raw(3)));
         assert!(d.contains(7, CtxId::from_raw(3)));
-        assert_eq!(d.approx_words(), spilled_words, "spill allocation kept");
+        assert_eq!(d.approx_words(), spilled_words, "nothing new touched");
         // Overflowing again must not leak last epoch's contexts.
         for c in 100..105u32 {
             assert!(d.insert(7, CtxId::from_raw(c)));
@@ -758,9 +891,28 @@ mod tests {
         assert_eq!(seen, vec![3, 100, 101, 102, 103, 104]);
     }
 
+    /// Every page and spill bitset `d` holds, by walking them: what the
+    /// insert-path counter must equal on a table that has served a single
+    /// query generation.
+    fn held_words(d: &DenseVisitSet) -> u64 {
+        let spills = |p: &Page| -> u64 {
+            p.rows
+                .iter()
+                .filter_map(|r| r.spill.as_deref())
+                .map(|s| s.bits.allocated_words())
+                .sum()
+        };
+        d.pages
+            .iter()
+            .flatten()
+            .map(|p| PAGE_WORDS + spills(p))
+            .sum()
+    }
+
     /// Hash and dense state sets must answer identically under any
     /// operation sequence — the bit-for-bit equivalence the solver's
-    /// backend switch rests on.
+    /// backend switch rests on — and each keeps its words counter equal to
+    /// what a walk of the table finds.
     #[test]
     fn dense_and_hash_state_sets_agree() {
         let mut seed = 42u64;
@@ -772,12 +924,17 @@ mod tests {
         };
         let mut dense = DenseVisitSet::default();
         let mut hash = HashVisitSet::default();
+        let mut inserts: Vec<Vec<(u32, CtxId)>> = Vec::new();
         for round in 0..4 {
+            inserts.push(Vec::new());
             for _ in 0..5000 {
                 let n = rng() % 300;
                 let c = CtxId::from_raw(rng() % 2000);
                 match rng() % 4 {
-                    0..=2 => assert_eq!(dense.insert(n, c), hash.insert(n, c)),
+                    0..=2 => {
+                        assert_eq!(dense.insert(n, c), hash.insert(n, c));
+                        inserts[round].push((n, c));
+                    }
                     _ => assert_eq!(dense.contains(n, c), hash.contains(n, c)),
                 }
             }
@@ -793,10 +950,42 @@ mod tests {
                 h.sort_unstable();
                 assert_eq!(d, h, "ctxs of node {n} in round {round}");
             }
+            assert_eq!(dense.approx_words(), held_words(&dense), "round {round}");
+            let slots: u64 = hash.map.values().map(|s| 2 * s.capacity() as u64 + 2).sum();
+            assert_eq!(hash.approx_words(), slots, "round {round}");
             dense.reset();
             hash.reset();
             assert!(!dense.contains(0, CtxId::EMPTY));
         }
-        assert!(dense.approx_words() > 0, "stale rows still counted");
+        // A later generation on the warm table is charged what a table
+        // made for it would hold, round by round.
+        let mut fresh = DenseVisitSet::default();
+        dense.begin_query(2);
+        assert_eq!(dense.approx_words(), 0);
+        for round in &inserts {
+            for &(n, c) in round {
+                assert_eq!(dense.insert(n, c), fresh.insert(n, c));
+            }
+            assert_eq!(dense.approx_words(), fresh.approx_words());
+            assert_eq!(fresh.approx_words(), held_words(&fresh));
+            dense.reset();
+            fresh.reset();
+        }
+        // The hash reference keeps nothing across generations.
+        hash.begin_query(2);
+        assert_eq!(hash.approx_words(), 0);
+        assert!(hash.map.is_empty());
+    }
+
+    /// The directory is one pointer-sized slot per chunk position.
+    #[test]
+    fn allocated_words_count_the_directory_slot_for_slot() {
+        let mut b = ChunkedBitset::new();
+        assert_eq!(b.allocated_words(), 0);
+        b.insert(3);
+        assert_eq!(b.allocated_words(), (CHUNK_WORDS + 1) as u64);
+        // A far id grows the directory to reach it and allocates one chunk.
+        b.insert(100 * CHUNK_BITS as u32);
+        assert_eq!(b.allocated_words(), (2 * CHUNK_WORDS + 101) as u64);
     }
 }

@@ -8,20 +8,22 @@ use std::str::FromStr;
 /// Both backends are **bit-identical** in every observable output —
 /// answers, step counts, publication decisions — because the tables are
 /// pure membership structures whose iteration order the solver never
-/// depends on. `Hash` is kept selectable so differential tests (and the
-/// `parcfl check --fuzz` backend dimension) can prove that claim on every
-/// run.
+/// depends on. `Hash` is the reference: differential tests, the
+/// benchmark's correctness gate and the `parcfl check --fuzz` backend
+/// dimension prove that claim against it on every run. It is not a user
+/// choice — `Dense` is faster on every ledger workload.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub enum StateBackend {
     /// `FxHashMap<node, FxHashSet<ctx>>` — the historical layout.
     Hash,
-    /// Chunked `CtxId` bitsets per node — the cache-dense default.
+    /// Paged inline-first rows per node, spilling to chunked `CtxId`
+    /// bitsets — the default, pooled per solver.
     #[default]
     Dense,
 }
 
 impl StateBackend {
-    /// Stable lower-case name (CLI flags, snapshots, JSON).
+    /// Stable lower-case name (snapshots, JSON).
     pub fn name(self) -> &'static str {
         match self {
             StateBackend::Hash => "hash",

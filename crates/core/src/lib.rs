@@ -23,7 +23,7 @@
 //! let pag = parcfl_frontend::build_pag(src).unwrap().pag;
 //! let cfg = SolverConfig::default();
 //! let store = NoJmpStore;
-//! let solver = Solver::new(&pag, &cfg, &store);
+//! let mut solver = Solver::new(&pag, &cfg, &store);
 //! let x = pag.node_by_name("x@A.m").unwrap();
 //! let out = solver.points_to_query(x, 0);
 //! assert_eq!(out.answer.nodes().unwrap().len(), 1);

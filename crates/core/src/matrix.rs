@@ -1241,7 +1241,7 @@ mod tests {
         let pag = build_pag(src).unwrap().pag;
         let cfg = SolverConfig::default();
         let store = NoJmpStore;
-        let demand = Solver::new(&pag, &cfg, &store);
+        let mut demand = Solver::new(&pag, &cfg, &store);
         let mut matrix = MatrixSolver::new(&pag, &cfg);
         for n in pag.node_ids() {
             if !pag.kind(n).is_variable() {

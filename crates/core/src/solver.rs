@@ -61,7 +61,8 @@ pub type CtxNode = (NodeId, Ctx);
 /// An interned traversal state: what the solver actually pushes around.
 type IState = (NodeId, CtxId);
 
-/// The solver: immutable analysis state shared by every query.
+/// The solver: the analysis inputs every query reads, plus the scratch one
+/// worker's queries reuse.
 pub struct Solver<'a> {
     pag: &'a Pag,
     cfg: &'a SolverConfig,
@@ -75,6 +76,17 @@ pub struct Solver<'a> {
     /// recording branches beyond one pointer test per site — the runtime
     /// only attaches a recorder at `TraceLevel::Full`.
     rec: Option<&'a TraceRecorder>,
+    /// The state backend is a monomorphisation switch, not a branch in the
+    /// hot loop: each backend gets its own fully-specialised traversal
+    /// code over its own scratch. Both produce bit-identical outputs.
+    scratch: Backend,
+}
+
+/// A solver's scratch, typed by the visited-state backend it was
+/// configured with.
+enum Backend {
+    Hash(Scratch<HashVisitSet>),
+    Dense(Scratch<DenseVisitSet>),
 }
 
 impl<'a> Solver<'a> {
@@ -90,6 +102,10 @@ impl<'a> Solver<'a> {
             jmp,
             interner,
             rec: None,
+            scratch: match cfg.state {
+                StateBackend::Hash => Backend::Hash(Scratch::default()),
+                StateBackend::Dense => Backend::Dense(Scratch::default()),
+            },
         }
     }
 
@@ -110,74 +126,49 @@ impl<'a> Solver<'a> {
     /// Answers `PointsTo(l, ∅)`: the context-sensitive points-to set of
     /// variable `l`. `vtime_base` is the query's virtual start time (0 for
     /// real-thread execution).
-    pub fn points_to_query(&self, l: NodeId, vtime_base: u64) -> QueryOutput {
-        self.run(l, vtime_base, Dir::Bwd)
+    pub fn points_to_query(&mut self, l: NodeId, vtime_base: u64) -> QueryOutput {
+        self.run(l, vtime_base, Dir::Bwd, false).0
     }
 
     /// Answers `FlowsTo(o, ∅)`: the variables object `o` may flow to.
-    pub fn flows_to_query(&self, o: NodeId, vtime_base: u64) -> QueryOutput {
-        self.run(o, vtime_base, Dir::Fwd)
+    pub fn flows_to_query(&mut self, o: NodeId, vtime_base: u64) -> QueryOutput {
+        self.run(o, vtime_base, Dir::Fwd, false).0
     }
 
     /// Like [`Solver::points_to_query`], but records the discovery forest
     /// so [`Trace::witness`] can explain *why* each object is in the
     /// answer. Tracing covers the top-level traversal; heap hops appear as
     /// single `alias` steps.
-    pub fn traced_points_to_query(&self, l: NodeId, vtime_base: u64) -> (QueryOutput, Trace) {
-        match self.cfg.state {
-            StateBackend::Hash => self.traced_with::<HashVisitSet>(l, vtime_base),
-            StateBackend::Dense => self.traced_with::<DenseVisitSet>(l, vtime_base),
-        }
+    pub fn traced_points_to_query(&mut self, l: NodeId, vtime_base: u64) -> (QueryOutput, Trace) {
+        self.run(l, vtime_base, Dir::Bwd, true)
     }
 
-    fn traced_with<S: StateSet>(&self, l: NodeId, vtime_base: u64) -> (QueryOutput, Trace) {
-        assert!(
-            (l.raw() as usize) < self.pag.node_count(),
-            "query node {} outside PAG universe of {} nodes",
-            l.raw(),
-            self.pag.node_count()
-        );
-        let mut q: QueryState<'_, S> =
-            QueryState::new(self.pag, self.cfg, self.jmp, &self.interner, vtime_base);
-        q.rec = self.rec;
-        q.trace = Some(Trace::default());
-        if let Some(t) = q.trace.as_mut() {
-            t.parent
-                .insert((l, Ctx::empty()), ((l, Ctx::empty()), Via::Root));
-        }
-        let result = q.points_to(l, CtxId::EMPTY);
-        let trace = q.trace.take().unwrap_or_default();
-        (q.finalize(result), trace)
-    }
-
-    fn run(&self, start: NodeId, vtime_base: u64, dir: Dir) -> QueryOutput {
-        // The state backend is a monomorphisation switch, not a branch in
-        // the hot loop: each backend gets its own fully-specialised
-        // traversal code. Both produce bit-identical outputs.
-        match self.cfg.state {
-            StateBackend::Hash => self.run_with::<HashVisitSet>(start, vtime_base, dir),
-            StateBackend::Dense => self.run_with::<DenseVisitSet>(start, vtime_base, dir),
-        }
-    }
-
-    fn run_with<S: StateSet>(&self, start: NodeId, vtime_base: u64, dir: Dir) -> QueryOutput {
-        // Reject out-of-universe ids before the dense table sizes itself by
-        // the raw node id; the hash backend would only trip on the first
-        // CSR lookup, after already seeding state.
+    fn run(
+        &mut self,
+        start: NodeId,
+        vtime_base: u64,
+        dir: Dir,
+        traced: bool,
+    ) -> (QueryOutput, Trace) {
+        // Reject out-of-universe ids before any state is seeded: the
+        // traversal would only trip on the first CSR lookup.
         assert!(
             (start.raw() as usize) < self.pag.node_count(),
             "query node {} outside PAG universe of {} nodes",
             start.raw(),
             self.pag.node_count()
         );
-        let mut q: QueryState<'_, S> =
-            QueryState::new(self.pag, self.cfg, self.jmp, &self.interner, vtime_base);
-        q.rec = self.rec;
-        let result = match dir {
-            Dir::Bwd => q.points_to(start, CtxId::EMPTY),
-            Dir::Fwd => q.flows_to(start, CtxId::EMPTY),
+        let env = Env {
+            pag: self.pag,
+            cfg: self.cfg,
+            jmp: self.jmp,
+            ctxs: &self.interner,
+            rec: self.rec,
         };
-        q.finalize(result)
+        match &mut self.scratch {
+            Backend::Hash(s) => QueryState::begin(env, s, vtime_base).answer(start, dir, traced),
+            Backend::Dense(s) => QueryState::begin(env, s, vtime_base).answer(start, dir, traced),
+        }
     }
 }
 
@@ -185,24 +176,39 @@ impl<'a> Solver<'a> {
 #[derive(Debug)]
 struct Oob;
 
-/// Query-local mutable state shared by every nested traversal.
-///
-/// Generic over the visited-state table `S` (hash or chunked-bitset, see
-/// [`StateBackend`]): the solver is monomorphised per backend, so insert
-/// sites compile down to the chosen representation with no dynamic
-/// dispatch. Tables are pooled ([`QueryState::acquire`]) — nested
-/// traversals reuse allocations instead of rebuilding them, which is what
-/// makes the dense backend's lazily-chunked rows pay off.
-struct QueryState<'a, S: StateSet> {
+/// What a query reads and never writes: the solver's inputs.
+#[derive(Copy, Clone)]
+struct Env<'a> {
     pag: &'a Pag,
     cfg: &'a SolverConfig,
     jmp: &'a dyn JmpStore,
     ctxs: &'a CtxInterner,
-    /// Steps charged against the budget (`steps` in the paper).
-    steps: u64,
-    /// Steps actually traversed (work-list pops performed).
-    work: u64,
-    vtime_base: u64,
+    /// Event sink for hot-path instants (see [`Solver::with_recorder`]).
+    rec: Option<&'a TraceRecorder>,
+}
+
+/// Everything a query allocates that the next query can use again: one
+/// per [`Solver`], so one per worker lane, living as long as the lane. It
+/// is **reset at query entry** ([`Scratch::begin_query`]), never rebuilt
+/// and never trusted to have been left clean — an out-of-budget exit
+/// unwinds through `?` with its frames still recorded here.
+///
+/// Generic over the visited-state table `S` (hash or paged dense rows, see
+/// [`StateBackend`]): the solver is monomorphised per backend, so insert
+/// sites compile down to the chosen representation with no dynamic
+/// dispatch.
+#[derive(Default)]
+struct Scratch<S> {
+    /// The query generation, bumped at every entry: what the tables'
+    /// touched-words accounting is relative to.
+    gen: u64,
+    /// Visited-state tables between uses, each already reset. Nested
+    /// traversals take and return them in stack order, so which table
+    /// plays which part in a query does not depend on what the pool held
+    /// when the query began.
+    pool: Vec<S>,
+    /// Work-list stacks between uses, each already empty.
+    stacks: Vec<Vec<IState>>,
     /// The paper's `S`: in-progress `ReachableNodes` frames
     /// `(dir, x, c, s0)`, used by `OutOfBudget` to record unfinished jmps.
     in_progress: Vec<(Dir, NodeId, CtxId, u64)>,
@@ -218,17 +224,6 @@ struct QueryState<'a, S: StateSet> {
     on_stack_pts: FxHashSet<IState>,
     on_stack_flows: FxHashSet<IState>,
     on_stack_rch: FxHashSet<(Dir, NodeId, CtxId)>,
-    depth: u32,
-    stats: QueryStats,
-    /// Discovery forest for witness reconstruction; recorded only for the
-    /// top-level traversal (depth 1) and only when tracing is requested.
-    trace: Option<Trace>,
-    /// Event sink for hot-path instants (see [`Solver::with_recorder`]).
-    rec: Option<&'a TraceRecorder>,
-    /// Pool of visited-state tables reused across nested traversals.
-    /// At `finalize` every table is back in the pool, so summing their
-    /// footprints gives the query's peak state memory.
-    pool: Vec<S>,
     /// Reverse-dependency recording (`record_footprints` only, DESIGN.md
     /// §12): one frame per in-flight footprinted computation. Reads are
     /// recorded into the innermost frame; a popped frame folds into its
@@ -247,39 +242,89 @@ struct QueryState<'a, S: StateSet> {
     memo_rch_fp: FxHashMap<(Dir, NodeId, CtxId), Option<Arc<Footprint>>>,
 }
 
+impl<S> Scratch<S> {
+    /// Puts the scratch in the state a fresh solver's would be in, keeping
+    /// every allocation. The pooled tables and stacks need nothing: they
+    /// are reset as they are returned, and one lost to an unwinding panic
+    /// never comes back.
+    fn begin_query(&mut self) {
+        self.gen += 1;
+        self.in_progress.clear();
+        self.memo_pts.clear();
+        self.memo_flows.clear();
+        self.memo_rch.clear();
+        self.on_stack_pts.clear();
+        self.on_stack_flows.clear();
+        self.on_stack_rch.clear();
+        self.fp_stack.clear();
+        self.memo_pts_fp.clear();
+        self.memo_flows_fp.clear();
+        self.memo_rch_fp.clear();
+    }
+}
+
+/// One query in flight: its cost accounting, over the solver's inputs and
+/// the worker's scratch.
+struct QueryState<'a, S: StateSet> {
+    pag: &'a Pag,
+    cfg: &'a SolverConfig,
+    jmp: &'a dyn JmpStore,
+    ctxs: &'a CtxInterner,
+    rec: Option<&'a TraceRecorder>,
+    s: &'a mut Scratch<S>,
+    /// Steps charged against the budget (`steps` in the paper).
+    steps: u64,
+    /// Steps actually traversed (work-list pops performed).
+    work: u64,
+    vtime_base: u64,
+    depth: u32,
+    /// `state_words` is kept current as tables come and go: the words the
+    /// query's tables have touched ([`StateSet::approx_words`]), summed
+    /// over the tables in the pool; a table in use is out of the sum until
+    /// [`QueryState::release`]. Every traversal returns its tables before
+    /// `?` propagates, so at `finish` it is the query's whole state
+    /// footprint.
+    stats: QueryStats,
+    /// Discovery forest for witness reconstruction; recorded only for the
+    /// top-level traversal (depth 1) and only when tracing is requested.
+    trace: Option<Trace>,
+}
+
 impl<'a, S: StateSet> QueryState<'a, S> {
-    fn new(
-        pag: &'a Pag,
-        cfg: &'a SolverConfig,
-        jmp: &'a dyn JmpStore,
-        ctxs: &'a CtxInterner,
-        vtime_base: u64,
-    ) -> Self {
+    /// Opens a query on a reset scratch.
+    fn begin(env: Env<'a>, s: &'a mut Scratch<S>, vtime_base: u64) -> Self {
+        s.begin_query();
         QueryState {
-            pag,
-            cfg,
-            jmp,
-            ctxs,
+            pag: env.pag,
+            cfg: env.cfg,
+            jmp: env.jmp,
+            ctxs: env.ctxs,
+            rec: env.rec,
+            s,
             steps: 0,
             work: 0,
             vtime_base,
-            in_progress: Vec::new(),
-            memo_pts: FxHashMap::default(),
-            memo_flows: FxHashMap::default(),
-            memo_rch: FxHashMap::default(),
-            on_stack_pts: FxHashSet::default(),
-            on_stack_flows: FxHashSet::default(),
-            on_stack_rch: FxHashSet::default(),
             depth: 0,
             stats: QueryStats::default(),
             trace: None,
-            rec: None,
-            pool: Vec::new(),
-            fp_stack: Vec::new(),
-            memo_pts_fp: FxHashMap::default(),
-            memo_flows_fp: FxHashMap::default(),
-            memo_rch_fp: FxHashMap::default(),
         }
+    }
+
+    /// Runs the top-level traversal from `start` and closes the query.
+    /// The returned trace is empty unless `traced`.
+    fn answer(mut self, start: NodeId, dir: Dir, traced: bool) -> (QueryOutput, Trace) {
+        if traced {
+            let mut t = Trace::default();
+            let root = (start, Ctx::empty());
+            t.parent.insert(root.clone(), (root, Via::Root));
+            self.trace = Some(t);
+        }
+        let result = match dir {
+            Dir::Bwd => self.points_to(start, CtxId::EMPTY),
+            Dir::Fwd => self.flows_to(start, CtxId::EMPTY),
+        };
+        let trace = self.trace.take().unwrap_or_default();
+        (self.finish(result), trace)
     }
 
     // ----- footprint recording (record_footprints only) -----
@@ -293,7 +338,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
     /// Records a consulted node's adjacency into the innermost frame.
     #[inline]
     fn fp_node(&mut self, n: NodeId) {
-        if let Some(f) = self.fp_stack.last_mut() {
+        if let Some(f) = self.s.fp_stack.last_mut() {
             f.record_node(n);
         }
     }
@@ -301,7 +346,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
     /// Records a consulted field index into the innermost frame.
     #[inline]
     fn fp_field(&mut self, f: FieldId) {
-        if let Some(b) = self.fp_stack.last_mut() {
+        if let Some(b) = self.s.fp_stack.last_mut() {
             b.record_field(f);
         }
     }
@@ -310,23 +355,23 @@ impl<'a, S: StateSet> QueryState<'a, S> {
     /// poisons it — the dependency's read-set is unknown).
     #[inline]
     fn fp_absorb(&mut self, dep: Option<&Footprint>) {
-        if let Some(b) = self.fp_stack.last_mut() {
+        if let Some(b) = self.s.fp_stack.last_mut() {
             b.absorb(dep);
         }
     }
 
     /// Opens a recording frame (callers gate on [`Self::fp_on`]).
     fn fp_push_frame(&mut self) {
-        self.fp_stack.push(FpBuilder::new());
+        self.s.fp_stack.push(FpBuilder::new());
     }
 
     /// Closes the innermost frame: returns its footprint (for the jmp/memo
     /// entry it guards) and folds its reads — poison included — into the
     /// parent frame.
     fn fp_pop_frame(&mut self) -> Option<Arc<Footprint>> {
-        let child = self.fp_stack.pop().expect("unbalanced footprint frame");
+        let child = self.s.fp_stack.pop().expect("unbalanced footprint frame");
         let fp = child.clone().finish();
-        if let Some(parent) = self.fp_stack.last_mut() {
+        if let Some(parent) = self.s.fp_stack.last_mut() {
             parent.merge_child(child);
         }
         fp
@@ -335,7 +380,12 @@ impl<'a, S: StateSet> QueryState<'a, S> {
     /// Takes a (reset) visited-state table from the pool, or creates one.
     #[inline]
     fn acquire(&mut self) -> S {
-        self.pool.pop().unwrap_or_default()
+        let mut set = self.s.pool.pop().unwrap_or_default();
+        set.begin_query(self.s.gen);
+        // Out of the sum while out of the pool; `release` adds it back
+        // with whatever this use touches.
+        self.stats.state_words -= set.approx_words();
+        set
     }
 
     /// Returns a table to the pool. Reset happens here (dense tables reset
@@ -343,8 +393,22 @@ impl<'a, S: StateSet> QueryState<'a, S> {
     /// tables.
     #[inline]
     fn release(&mut self, mut set: S) {
+        self.stats.state_words += set.approx_words();
         set.reset();
-        self.pool.push(set);
+        self.s.pool.push(set);
+    }
+
+    /// Takes an empty work-list stack from the scratch, or creates one.
+    #[inline]
+    fn acquire_stack(&mut self) -> Vec<IState> {
+        self.s.stacks.pop().unwrap_or_default()
+    }
+
+    /// Returns a work-list stack (non-empty after an out-of-budget exit).
+    #[inline]
+    fn release_stack(&mut self, mut w: Vec<IState>) {
+        w.clear();
+        self.s.stacks.push(w);
     }
 
     /// Records a hot-path instant event, timestamped at the query's
@@ -381,10 +445,10 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         v.sort_by_cached_key(|&(n, c)| (n, self.ctxs.stack_of(c)));
     }
 
-    /// Answer/stats finalisation shared by [`Solver::run`] and
-    /// [`Solver::traced_points_to_query`]: materialise the result set and
-    /// close out the cost accounting.
-    fn finalize(mut self, result: Result<Arc<Vec<IState>>, Oob>) -> QueryOutput {
+    /// Closes the query: materialises the result set and closes out the
+    /// cost accounting. Frees nothing — the scratch keeps what the query
+    /// allocated for the next one.
+    fn finish(mut self, result: Result<Arc<Vec<IState>>, Oob>) -> QueryOutput {
         let answer = match result {
             Ok(set) => {
                 let mut v: Vec<CtxNode> = set.iter().map(|&(n, c)| (n, self.mat(c))).collect();
@@ -396,21 +460,12 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         };
         self.stats.charged_steps = self.steps;
         self.stats.traversed_steps = self.work;
-        // Every traversal returns its tables to the pool (release happens
-        // before `?` propagation), so the pool holds the query's full state
-        // footprint here. Dense tables report allocated bitset words
-        // exactly; hash tables report a per-entry estimate — see
-        // `StateSet::approx_words`.
-        self.stats.state_words = self.pool.iter().map(S::approx_words).sum();
-        self.stats.mem_items = self.work
-            + self.memo_pts.values().map(|v| v.len() as u64).sum::<u64>()
-            + self
-                .memo_flows
-                .values()
-                .map(|v| v.len() as u64)
-                .sum::<u64>()
-            + self.memo_rch.values().map(|v| v.len() as u64).sum::<u64>()
-            + self.stats.state_words;
+        let memoised: u64 = (self.s.memo_pts.values())
+            .chain(self.s.memo_flows.values())
+            .chain(self.s.memo_rch.values())
+            .map(|v| v.len() as u64)
+            .sum();
+        self.stats.mem_items = self.work + memoised + self.stats.state_words;
         QueryOutput {
             answer,
             stats: self.stats,
@@ -445,8 +500,8 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             self.stats.early_terminated = true;
         }
         if self.cfg.data_sharing {
-            let frames = std::mem::take(&mut self.in_progress);
-            for (dir, x, c, s0) in frames {
+            for i in 0..self.s.in_progress.len() {
+                let (dir, x, c, s0) = self.s.in_progress[i];
                 let s_val = self.cfg.budget.min(bdg + (self.steps - s0));
                 if s_val >= self.cfg.tau_unfinished
                     && self.jmp.publish_unfinished((dir, x, c), s_val, self.now())
@@ -455,6 +510,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
                     self.emit(EventKind::JmpInsert, x.raw(), 0);
                 }
             }
+            self.s.in_progress.clear();
         }
         Oob
     }
@@ -497,10 +553,10 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         // `ReachableNodes` frame.
         let track = self.fp_on() && self.cfg.memoize;
         if self.cfg.memoize {
-            if let Some(r) = self.memo_pts.get(&key) {
+            if let Some(r) = self.s.memo_pts.get(&key) {
                 let r = Arc::clone(r);
                 if track {
-                    let dep = self.memo_pts_fp.get(&key).cloned().flatten();
+                    let dep = self.s.memo_pts_fp.get(&key).cloned().flatten();
                     self.fp_absorb(dep.as_deref());
                 }
                 self.emit(EventKind::MemoHit, l.raw(), 0);
@@ -508,22 +564,22 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             }
         }
         self.enter()?;
-        if !self.on_stack_pts.insert(key) {
+        if !self.s.on_stack_pts.insert(key) {
             return Err(self.burn_remaining());
         }
         if track {
             self.fp_push_frame();
         }
         let out = self.points_to_inner(l, c)?;
-        self.on_stack_pts.remove(&key);
+        self.s.on_stack_pts.remove(&key);
         self.depth -= 1;
         let out = Arc::new(out);
         if self.cfg.memoize {
             if track {
                 let fp = self.fp_pop_frame();
-                self.memo_pts_fp.insert(key, fp);
+                self.s.memo_pts_fp.insert(key, fp);
             }
-            self.memo_pts.insert(key, Arc::clone(&out));
+            self.s.memo_pts.insert(key, Arc::clone(&out));
         }
         Ok(out)
     }
@@ -531,10 +587,12 @@ impl<'a, S: StateSet> QueryState<'a, S> {
     fn points_to_inner(&mut self, l: NodeId, c: CtxId) -> Result<Vec<IState>, Oob> {
         let mut pts_seen = self.acquire();
         let mut visited = self.acquire();
+        let mut w = self.acquire_stack();
         let mut pts: Vec<IState> = Vec::new();
-        let r = self.points_to_loop(l, c, &mut pts_seen, &mut visited, &mut pts);
+        let r = self.points_to_loop(l, c, &mut pts_seen, &mut visited, &mut w, &mut pts);
         self.release(pts_seen);
         self.release(visited);
+        self.release_stack(w);
         r?;
         self.sort_canonical(&mut pts);
         Ok(pts)
@@ -550,12 +608,12 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         c: CtxId,
         pts_seen: &mut S,
         visited: &mut S,
+        w: &mut Vec<IState>,
         pts: &mut Vec<IState>,
     ) -> Result<(), Oob> {
         let ctx_sens = self.cfg.context_sensitive;
         let ctxs = self.ctxs;
         let pag = self.pag;
-        let mut w: Vec<IState> = Vec::new();
         visited.insert(l.raw(), c);
         w.push((l, c));
 
@@ -656,10 +714,10 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         let key = (o, c);
         let track = self.fp_on() && self.cfg.memoize;
         if self.cfg.memoize {
-            if let Some(r) = self.memo_flows.get(&key) {
+            if let Some(r) = self.s.memo_flows.get(&key) {
                 let r = Arc::clone(r);
                 if track {
-                    let dep = self.memo_flows_fp.get(&key).cloned().flatten();
+                    let dep = self.s.memo_flows_fp.get(&key).cloned().flatten();
                     self.fp_absorb(dep.as_deref());
                 }
                 self.emit(EventKind::MemoHit, o.raw(), 0);
@@ -667,33 +725,35 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             }
         }
         self.enter()?;
-        if !self.on_stack_flows.insert(key) {
+        if !self.s.on_stack_flows.insert(key) {
             return Err(self.burn_remaining());
         }
         if track {
             self.fp_push_frame();
         }
         let out = self.flows_to_inner(o, c)?;
-        self.on_stack_flows.remove(&key);
+        self.s.on_stack_flows.remove(&key);
         self.depth -= 1;
         let out = Arc::new(out);
         if self.cfg.memoize {
             if track {
                 let fp = self.fp_pop_frame();
-                self.memo_flows_fp.insert(key, fp);
+                self.s.memo_flows_fp.insert(key, fp);
             }
-            self.memo_flows.insert(key, Arc::clone(&out));
+            self.s.memo_flows.insert(key, Arc::clone(&out));
         }
         Ok(out)
     }
 
     fn flows_to_inner(&mut self, o: NodeId, c: CtxId) -> Result<Vec<IState>, Oob> {
         let mut visited = self.acquire();
+        let mut w = self.acquire_stack();
         // Every state is popped exactly once (pushes are gated by the
         // visited set), so reached variables can be collected in a Vec.
         let mut reached: Vec<IState> = Vec::new();
-        let r = self.flows_to_loop(o, c, &mut visited, &mut reached);
+        let r = self.flows_to_loop(o, c, &mut visited, &mut w, &mut reached);
         self.release(visited);
+        self.release_stack(w);
         r?;
         self.sort_canonical(&mut reached);
         reached.dedup();
@@ -708,12 +768,12 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         o: NodeId,
         c: CtxId,
         visited: &mut S,
+        w: &mut Vec<IState>,
         reached: &mut Vec<IState>,
     ) -> Result<(), Oob> {
         let ctx_sens = self.cfg.context_sensitive;
         let ctxs = self.ctxs;
         let pag = self.pag;
-        let mut w: Vec<IState> = Vec::new();
         visited.insert(o.raw(), c);
         w.push((o, c));
 
@@ -790,10 +850,10 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             key
         };
         if self.cfg.memoize {
-            if let Some(r) = self.memo_rch.get(&key) {
+            if let Some(r) = self.s.memo_rch.get(&key) {
                 let r = Arc::clone(r);
                 if self.fp_on() {
-                    let dep = self.memo_rch_fp.get(&key).cloned().flatten();
+                    let dep = self.s.memo_rch_fp.get(&key).cloned().flatten();
                     self.fp_absorb(dep.as_deref());
                 }
                 self.emit(EventKind::MemoHit, x.raw(), 0);
@@ -853,9 +913,9 @@ impl<'a, S: StateSet> QueryState<'a, S> {
                     }
                     if self.cfg.memoize {
                         if self.fp_on() {
-                            self.memo_rch_fp.insert(key, fp);
+                            self.s.memo_rch_fp.insert(key, fp);
                         }
-                        self.memo_rch.insert(key, Arc::clone(&rch));
+                        self.s.memo_rch.insert(key, Arc::clone(&rch));
                     }
                     return Ok(rch);
                 }
@@ -865,8 +925,8 @@ impl<'a, S: StateSet> QueryState<'a, S> {
 
         // Lines 9–22: compute, tracking the frame for OutOfBudget.
         let s0 = self.steps;
-        self.in_progress.push((dir, x, c, s0));
-        if !self.on_stack_rch.insert(key) {
+        self.s.in_progress.push((dir, x, c, s0));
+        if !self.s.on_stack_rch.insert(key) {
             return Err(self.burn_remaining());
         }
         if self.fp_on() {
@@ -876,8 +936,8 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             Dir::Bwd => self.reachable_inner_bwd(x, c)?,
             Dir::Fwd => self.reachable_inner_fwd(x, c)?,
         };
-        self.on_stack_rch.remove(&key);
-        self.in_progress.pop();
+        self.s.on_stack_rch.remove(&key);
+        self.s.in_progress.pop();
 
         let rch: RchSet = Arc::new(out);
         let fp = if self.fp_on() {
@@ -902,9 +962,9 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         }
         if self.cfg.memoize {
             if self.fp_on() {
-                self.memo_rch_fp.insert(key, fp);
+                self.s.memo_rch_fp.insert(key, fp);
             }
-            self.memo_rch.insert(key, Arc::clone(&rch));
+            self.s.memo_rch.insert(key, Arc::clone(&rch));
         }
         Ok(rch)
     }
@@ -913,13 +973,16 @@ impl<'a, S: StateSet> QueryState<'a, S> {
     /// `q ←st(f)− y` with `p alias q`, `(y, c'')` is reachable.
     fn reachable_inner_bwd(&mut self, x: NodeId, c: CtxId) -> Result<Vec<IState>, Oob> {
         let mut alias = self.acquire();
-        let mut out: FxHashSet<IState> = FxHashSet::default();
+        let mut out: Vec<IState> = Vec::new();
         let r = self.reachable_bwd_loop(x, c, &mut alias, &mut out);
         self.release(alias);
         r?;
-        let mut v: Vec<IState> = out.into_iter().collect();
-        self.sort_canonical(&mut v);
-        Ok(v)
+        // Several (load, store) pairs can reach one state: make `out` a
+        // set before the canonical sort materialises a key per element.
+        out.sort_unstable();
+        out.dedup();
+        self.sort_canonical(&mut out);
+        Ok(out)
     }
 
     fn reachable_bwd_loop(
@@ -927,7 +990,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         x: NodeId,
         c: CtxId,
         alias: &mut S,
-        out: &mut FxHashSet<IState>,
+        out: &mut Vec<IState>,
     ) -> Result<(), Oob> {
         let pag = self.pag;
         self.fp_node(x);
@@ -954,7 +1017,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             }
             for &(q, y) in pag.stores_of(f) {
                 alias.for_ctxs(q.raw(), |c2| {
-                    out.insert((y, c2));
+                    out.push((y, c2));
                 });
             }
         }
@@ -965,13 +1028,16 @@ impl<'a, S: StateSet> QueryState<'a, S> {
     /// `x ←ld(f)− p` with `q alias p`, `(x, c'')` is reachable.
     fn reachable_inner_fwd(&mut self, y: NodeId, c: CtxId) -> Result<Vec<IState>, Oob> {
         let mut alias = self.acquire();
-        let mut out: FxHashSet<IState> = FxHashSet::default();
+        let mut out: Vec<IState> = Vec::new();
         let r = self.reachable_fwd_loop(y, c, &mut alias, &mut out);
         self.release(alias);
         r?;
-        let mut v: Vec<IState> = out.into_iter().collect();
-        self.sort_canonical(&mut v);
-        Ok(v)
+        // Several (load, store) pairs can reach one state: make `out` a
+        // set before the canonical sort materialises a key per element.
+        out.sort_unstable();
+        out.dedup();
+        self.sort_canonical(&mut out);
+        Ok(out)
     }
 
     fn reachable_fwd_loop(
@@ -979,7 +1045,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         y: NodeId,
         c: CtxId,
         alias: &mut S,
-        out: &mut FxHashSet<IState>,
+        out: &mut Vec<IState>,
     ) -> Result<(), Oob> {
         let pag = self.pag;
         self.fp_node(y);
@@ -999,7 +1065,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             }
             for &(p, x) in pag.loads_of(f) {
                 alias.for_ctxs(p.raw(), |c2| {
-                    out.insert((x, c2));
+                    out.push((x, c2));
                 });
             }
         }

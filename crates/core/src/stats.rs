@@ -36,9 +36,15 @@ pub struct QueryStats {
     /// state backends are compared honestly. Used by the memory-usage
     /// experiment (Section IV-D5).
     pub mem_items: u64,
-    /// Physical memory held by the query's visited-state tables, in `u64`
-    /// words: exact allocated bitset words under the dense backend, a
-    /// two-words-per-entry estimate under the hash backend (DESIGN.md §11).
+    /// Memory this query's visited-state tables touched, in `u64` words,
+    /// counted on the insert path (DESIGN.md §11): under the dense backend
+    /// the pages its inserts landed in and the spill bitsets it grew —
+    /// what tables made for this query alone would hold — and under the
+    /// hash backend a two-words-per-slot estimate. The tables themselves
+    /// outlive the query in the worker's pool; this figure does not depend
+    /// on what they held before. (Spill bitsets are indexed by interned
+    /// context id, so their share follows the ids the solver's interner
+    /// has handed out.)
     pub state_words: u64,
     /// Parallel virtual time of the query in traversal steps: the
     /// critical-path scan count when frontier sweeps are partitioned

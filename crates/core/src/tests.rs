@@ -1,9 +1,9 @@
 //! Solver unit tests over small programs lowered by the real frontend.
 
-use crate::config::SolverConfig;
+use crate::config::{SolverConfig, StateBackend};
 use crate::jmp::{JmpStore, NoJmpStore, SharedJmpStore};
 use crate::solver::Solver;
-use crate::stats::Answer;
+use crate::stats::{Answer, QueryOutput};
 use parcfl_frontend::build_pag;
 use parcfl_pag::{NodeId, Pag};
 
@@ -19,7 +19,7 @@ fn node(pag: &Pag, name: &str) -> NodeId {
 /// Runs a points-to query and returns the context-insensitive object set as
 /// sorted names.
 fn pts_names(pag: &Pag, cfg: &SolverConfig, store: &dyn JmpStore, var: &str) -> Vec<String> {
-    let solver = Solver::new(pag, cfg, store);
+    let mut solver = Solver::new(pag, cfg, store);
     let out = solver.points_to_query(node(pag, var), 0);
     let nodes = out
         .answer
@@ -179,7 +179,7 @@ fn flows_to_is_dual_of_points_to() {
                } }";
     let p = pag(src);
     let cfg = SolverConfig::default();
-    let solver = Solver::new(&p, &cfg, &NoJmpStore);
+    let mut solver = Solver::new(&p, &cfg, &NoJmpStore);
     let o = node(&p, "o0@A.m");
     let out = solver.flows_to_query(o, 0);
     let mut names: Vec<String> = out
@@ -202,7 +202,7 @@ fn budget_exhaustion_reports_out_of_budget() {
                } }";
     let p = pag(src);
     let cfg = SolverConfig::default().with_budget(2);
-    let solver = Solver::new(&p, &cfg, &NoJmpStore);
+    let mut solver = Solver::new(&p, &cfg, &NoJmpStore);
     let out = solver.points_to_query(node(&p, "d@A.m"), 0);
     assert_eq!(out.answer, Answer::OutOfBudget);
     assert!(out.stats.out_of_budget);
@@ -216,7 +216,7 @@ fn steps_are_counted_per_pop() {
                class A { method m() { var a: Obj; a = new Obj; } }";
     let p = pag(src);
     let cfg = SolverConfig::default();
-    let solver = Solver::new(&p, &cfg, &NoJmpStore);
+    let mut solver = Solver::new(&p, &cfg, &NoJmpStore);
     let out = solver.points_to_query(node(&p, "a@A.m"), 0);
     assert_eq!(out.stats.charged_steps, 1);
     assert_eq!(out.stats.traversed_steps, 1);
@@ -252,7 +252,7 @@ fn finished_shortcut_reused_across_queries() {
 
     let baseline = pts_names(&p, &SolverConfig::default(), &NoJmpStore, "w@A.m");
 
-    let solver = Solver::new(&p, &cfg, &store);
+    let mut solver = Solver::new(&p, &cfg, &store);
     let first = solver.points_to_query(node(&p, "x1@A.m"), 0);
     assert!(
         first.stats.finished_published > 0,
@@ -316,7 +316,7 @@ fn unfinished_jmp_causes_early_termination() {
         ..SolverConfig::default()
     };
     let store = SharedJmpStore::new();
-    let solver = Solver::new(&p, &cfg, &store);
+    let mut solver = Solver::new(&p, &cfg, &store);
 
     let first = solver.points_to_query(node(&p, "x1@A.m"), 0);
     assert_eq!(first.answer, Answer::OutOfBudget);
@@ -365,8 +365,8 @@ fn sharing_preserves_answers_program_wide() {
         ..SolverConfig::default()
     };
     let store = SharedJmpStore::new();
-    let s1 = Solver::new(&p, &plain, &NoJmpStore);
-    let s2 = Solver::new(&p, &sharing, &store);
+    let mut s1 = Solver::new(&p, &plain, &NoJmpStore);
+    let mut s2 = Solver::new(&p, &sharing, &store);
     for v in p.application_locals() {
         let a = s1.points_to_query(v, 0).answer;
         let b = s2.points_to_query(v, 0).answer;
@@ -395,7 +395,7 @@ fn tau_thresholds_suppress_publication() {
     // below the paper's τF = 100: nothing may be recorded.
     let cfg = SolverConfig::default().with_data_sharing();
     let store = SharedJmpStore::new();
-    let solver = Solver::new(&p, &cfg, &store);
+    let mut solver = Solver::new(&p, &cfg, &store);
     let out = solver.points_to_query(node(&p, "x@A.m"), 0);
     assert!(matches!(out.answer, Answer::Complete(_)));
     assert_eq!(store.stats().total_edges(), 0, "τF filters small shortcuts");
@@ -418,9 +418,116 @@ fn recursion_guard_degrades_to_out_of_budget() {
                }";
     let p = pag(src);
     let cfg = SolverConfig::default();
-    let solver = Solver::new(&p, &cfg, &NoJmpStore);
+    let mut solver = Solver::new(&p, &cfg, &NoJmpStore);
     // Must terminate; answer may be complete or OOB depending on structure.
     let _ = solver.points_to_query(node(&p, "p@A.m"), 0);
+}
+
+/// One scripted question for [`reused_matches_fresh`].
+enum Ask {
+    Pts(&'static str),
+    Flows(&'static str),
+}
+
+/// Answers `script` twice — on one solver that keeps its scratch, and on a
+/// solver created for each question — and holds every output of the
+/// first to the second, field for field. Each side publishes into its own
+/// store, so the two evolve in lockstep; both stores carry an interner,
+/// so context ids agree with sharing off too.
+fn reused_matches_fresh(p: &Pag, cfg: &SolverConfig, script: &[Ask]) -> Vec<QueryOutput> {
+    let (reused_store, fresh_store) = (SharedJmpStore::new(), SharedJmpStore::new());
+    let mut reused = Solver::new(p, cfg, &reused_store);
+    let ask = |solver: &mut Solver<'_>, ask: &Ask| match ask {
+        Ask::Pts(v) => solver.points_to_query(node(p, v), 0),
+        Ask::Flows(o) => solver.flows_to_query(node(p, o), 0),
+    };
+    script
+        .iter()
+        .enumerate()
+        .map(|(i, a)| {
+            let kept = ask(&mut reused, a);
+            let fresh = ask(&mut Solver::new(p, cfg, &fresh_store), a);
+            assert_eq!(kept.answer, fresh.answer, "question {i} under {cfg:?}");
+            assert_eq!(kept.stats, fresh.stats, "question {i} under {cfg:?}");
+            kept
+        })
+        .collect()
+}
+
+/// The scratch is reset at query entry: a query that follows an
+/// out-of-budget exit or a depth-guard burn — both unwind through `?`
+/// with their in-flight frames still recorded — starts from exactly the
+/// state a fresh solver would.
+#[test]
+fn scratch_is_clean_after_budget_exhaustion() {
+    // `x1 = p.f` needs PointsTo(p) (7 steps down the chain) and then
+    // FlowsTo(o0) (8 more): under budget 10 it dies inside FlowsTo, nested
+    // in ReachableNodes(x1), leaving all three in-flight sets, the frame
+    // stack and the depth populated. Everything else fits the budget.
+    let src = "class Obj { }
+               class Box { field f: Obj; }
+               class A {
+                 method m() {
+                   var p0: Box; var c1: Box; var c2: Box; var c3: Box;
+                   var c4: Box; var c5: Box; var p: Box;
+                   var x1: Obj; var y: Obj;
+                   p0 = new Box;
+                   c1 = p0; c2 = c1; c3 = c2; c4 = c3; c5 = c4; p = c5;
+                   y = new Obj;
+                   p0.f = y;
+                   x1 = p.f;
+                 }
+               }";
+    let p = pag(src);
+    // After each exhausting `x1`: the calls it left in flight, asked at
+    // top level (a stale in-flight mark would burn them), then `x1` again
+    // (a stale frame would publish twice).
+    let script = [
+        Ask::Pts("x1@A.m"),
+        Ask::Flows("o0@A.m"),
+        Ask::Pts("p@A.m"),
+        Ask::Pts("y@A.m"),
+        Ask::Pts("x1@A.m"),
+        Ask::Pts("c3@A.m"),
+        Ask::Flows("o0@A.m"),
+        Ask::Pts("x1@A.m"),
+    ];
+    for state in [StateBackend::Hash, StateBackend::Dense] {
+        for (data_sharing, record_footprints, memoize) in [
+            (false, false, false),
+            (false, false, true),
+            (true, false, false),
+            (true, true, false),
+        ] {
+            // Depth 1 admits PointsTo(x1) and burns the budget on entering
+            // PointsTo(p); 512 lets the budget run out.
+            for max_recursion_depth in [1, 512] {
+                let cfg = SolverConfig {
+                    budget: 10,
+                    tau_finished: 0,
+                    tau_unfinished: 0,
+                    data_sharing,
+                    record_footprints,
+                    memoize,
+                    max_recursion_depth,
+                    state,
+                    ..SolverConfig::default()
+                };
+                let outs = reused_matches_fresh(&p, &cfg, &script);
+                let oob = |i: usize| outs[i].answer == Answer::OutOfBudget;
+                assert!(oob(0) && oob(4) && oob(7), "x1 exhausts: {cfg:?}");
+                assert!(
+                    (1..4).chain(5..7).all(|i| !oob(i)),
+                    "the rest completes: {cfg:?}"
+                );
+                assert!(outs[0].stats.state_words > 0);
+                if data_sharing {
+                    assert!(outs[0].stats.unfinished_published > 0, "{cfg:?}");
+                    assert!(outs[4].stats.early_terminated, "{cfg:?}");
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -429,7 +536,7 @@ fn query_on_isolated_variable_is_empty() {
                class A { method m() { var lonely: Obj; return; } }";
     let p = pag(src);
     let cfg = SolverConfig::default();
-    let solver = Solver::new(&p, &cfg, &NoJmpStore);
+    let mut solver = Solver::new(&p, &cfg, &NoJmpStore);
     let out = solver.points_to_query(node(&p, "lonely@A.m"), 0);
     assert_eq!(out.answer, Answer::Complete(vec![]));
 }
@@ -459,7 +566,7 @@ fn timestamped_store_gates_visibility() {
         ..SolverConfig::default()
     };
     let store = SharedJmpStore::timestamped();
-    let solver = Solver::new(&p, &cfg, &store);
+    let mut solver = Solver::new(&p, &cfg, &store);
 
     // Query 1 runs at virtual times [1000, ...): publishes entries ~1000+.
     let first = solver.points_to_query(node(&p, "x1@A.m"), 1000);
@@ -519,7 +626,7 @@ fn flows_to_respects_contexts_forward() {
                }";
     let p = pag(src);
     let cfg = SolverConfig::default();
-    let solver = Solver::new(&p, &cfg, &NoJmpStore);
+    let mut solver = Solver::new(&p, &cfg, &NoJmpStore);
     let o_p = node(&p, "o0@A.m");
     let reached = solver.flows_to_query(o_p, 0).answer.nodes().unwrap();
     let names: Vec<String> = reached.iter().map(|&n| p.node(n).name.clone()).collect();
@@ -583,7 +690,7 @@ fn charged_steps_equal_traversed_without_sharing() {
                class A { method m() { var a: Obj; var b: Obj; a = new Obj; b = a; } }";
     let p = pag(src);
     let cfg = SolverConfig::default();
-    let solver = Solver::new(&p, &cfg, &NoJmpStore);
+    let mut solver = Solver::new(&p, &cfg, &NoJmpStore);
     let out = solver.points_to_query(node(&p, "b@A.m"), 0);
     assert_eq!(out.stats.charged_steps, out.stats.traversed_steps);
     assert_eq!(out.stats.steps_saved, 0);
@@ -617,7 +724,7 @@ fn early_termination_implies_out_of_budget_flag() {
         ..SolverConfig::default()
     };
     let store = SharedJmpStore::new();
-    let solver = Solver::new(&p, &cfg, &store);
+    let mut solver = Solver::new(&p, &cfg, &store);
     for v in p.application_locals() {
         let out = solver.points_to_query(v, 0);
         if out.stats.early_terminated {
@@ -650,8 +757,8 @@ fn memoized_run_produces_same_answers_cheaper() {
         memoize: true,
         ..SolverConfig::default()
     };
-    let s1 = Solver::new(&p, &plain, &NoJmpStore);
-    let s2 = Solver::new(&p, &memo, &NoJmpStore);
+    let mut s1 = Solver::new(&p, &plain, &NoJmpStore);
+    let mut s2 = Solver::new(&p, &memo, &NoJmpStore);
     for v in p.application_locals() {
         let a = s1.points_to_query(v, 0);
         let b = s2.points_to_query(v, 0);
@@ -672,7 +779,7 @@ mod witness_tests {
                        a = new Obj; b = a; c = b;
                      } }");
         let cfg = SolverConfig::default();
-        let solver = Solver::new(&p, &cfg, &NoJmpStore);
+        let mut solver = Solver::new(&p, &cfg, &NoJmpStore);
         let c = node(&p, "c@A.m");
         let (out, trace) = solver.traced_points_to_query(c, 0);
         let objs = out.answer.complete().unwrap().to_vec();
@@ -709,7 +816,7 @@ mod witness_tests {
                        r = bx.f;
                      } }");
         let cfg = SolverConfig::default();
-        let solver = Solver::new(&p, &cfg, &NoJmpStore);
+        let mut solver = Solver::new(&p, &cfg, &NoJmpStore);
         let r = node(&p, "r@A.m");
         let (out, trace) = solver.traced_points_to_query(r, 0);
         let objs = out.answer.complete().unwrap().to_vec();
@@ -732,7 +839,7 @@ mod witness_tests {
                        a = new Obj; z = new Obj;
                      } }");
         let cfg = SolverConfig::default();
-        let solver = Solver::new(&p, &cfg, &NoJmpStore);
+        let mut solver = Solver::new(&p, &cfg, &NoJmpStore);
         let a = node(&p, "a@A.m");
         let (_, trace) = solver.traced_points_to_query(a, 0);
         // z's object never reaches a.
@@ -752,7 +859,7 @@ mod witness_tests {
                        }
                      }");
         let cfg = SolverConfig::default();
-        let solver = Solver::new(&p, &cfg, &NoJmpStore);
+        let mut solver = Solver::new(&p, &cfg, &NoJmpStore);
         for v in p.application_locals() {
             let plain = solver.points_to_query(v, 0);
             let (traced, trace) = solver.traced_points_to_query(v, 0);

@@ -59,6 +59,9 @@ pub(crate) struct Port {
 /// One worker's share of a batch.
 pub(crate) struct Lane<'a> {
     port: &'a Port,
+    /// The lane's own solver, and with it the scratch (visited-state
+    /// tables, stacks, in-flight sets) every query of the lane reuses; it
+    /// dies with the lane at the end of the batch.
     solver: Solver<'a>,
     clock: Clock,
     /// The lane's virtual instant: what the solver and an external-clock

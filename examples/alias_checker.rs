@@ -47,7 +47,7 @@ const PROGRAM: &str = r#"
 
 /// May `a` and `b` refer to the same object? `None` = unknown (a query ran
 /// out of budget, so the client must assume they may).
-fn may_alias(solver: &Solver<'_>, a: NodeId, b: NodeId) -> Option<bool> {
+fn may_alias(solver: &mut Solver<'_>, a: NodeId, b: NodeId) -> Option<bool> {
     let na = solver.points_to_query(a, 0).answer.nodes()?;
     let nb = solver.points_to_query(b, 0).answer.nodes()?;
     Some(na.iter().any(|o| nb.contains(o)))
@@ -61,7 +61,7 @@ fn main() {
     let pag = build_pag(PROGRAM).expect("valid program").pag;
     let cfg = SolverConfig::default();
     let store = NoJmpStore;
-    let solver = Solver::new(&pag, &cfg, &store);
+    let mut solver = Solver::new(&pag, &cfg, &store);
 
     let pairs = [
         ("in1@Worker.run", "in2@Worker.run"),
@@ -72,7 +72,7 @@ fn main() {
     ];
     println!("alias queries over Worker.run:");
     for (a, b) in pairs {
-        let verdict = may_alias(&solver, var(&pag, a), var(&pag, b));
+        let verdict = may_alias(&mut solver, var(&pag, a), var(&pag, b));
         println!(
             "  {:<18} ~ {:<18} : {}",
             a.split('@').next().unwrap(),
@@ -88,7 +88,7 @@ fn main() {
     // The interesting precision facts, asserted:
     assert_eq!(
         may_alias(
-            &solver,
+            &mut solver,
             var(&pag, "in1@Worker.run"),
             var(&pag, "in2@Worker.run")
         ),
@@ -97,7 +97,7 @@ fn main() {
     );
     assert_eq!(
         may_alias(
-            &solver,
+            &mut solver,
             var(&pag, "in1@Worker.run"),
             var(&pag, "shared@Worker.run")
         ),
@@ -106,7 +106,7 @@ fn main() {
     );
     assert_eq!(
         may_alias(
-            &solver,
+            &mut solver,
             var(&pag, "out1@Worker.run"),
             var(&pag, "out2@Worker.run")
         ),
@@ -115,7 +115,7 @@ fn main() {
     );
     assert_eq!(
         may_alias(
-            &solver,
+            &mut solver,
             var(&pag, "out1@Worker.run"),
             var(&pag, "both@Worker.run")
         ),

@@ -41,7 +41,7 @@ fn main() {
     let pag = build_pag(PROGRAM).expect("valid program").pag;
     let cfg = SolverConfig::default();
     let store = NoJmpStore;
-    let solver = Solver::new(&pag, &cfg, &store);
+    let mut solver = Solver::new(&pag, &cfg, &store);
 
     for name in ["copy@Main.run", "bx@Main.run"] {
         let v = pag.node_by_name(name).unwrap();

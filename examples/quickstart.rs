@@ -60,7 +60,7 @@ fn main() {
     // 2. Demand-driven, context- and field-sensitive points-to queries.
     let cfg = SolverConfig::default();
     let store = NoJmpStore;
-    let solver = Solver::new(&pag, &cfg, &store);
+    let mut solver = Solver::new(&pag, &cfg, &store);
 
     println!("\npoints-to sets of Main.main locals:");
     for v in pag.application_locals() {

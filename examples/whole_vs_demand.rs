@@ -41,7 +41,7 @@ fn main() {
 
     // Demand-driven: cost scales with the client's question count.
     let store = NoJmpStore;
-    let solver = Solver::new(&b.pag, &b.solver, &store);
+    let mut solver = Solver::new(&b.pag, &b.solver, &store);
     println!("\nCFL-reachability (demand-driven):");
     for k in [1usize, 5, 25, 125] {
         let t = std::time::Instant::now();

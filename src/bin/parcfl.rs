@@ -65,13 +65,12 @@ fn usage() {
 
 USAGE:
   parcfl query <file.mj> [--var NAME]... [--budget N] [--insensitive]
-               [--state hash|dense] [--engine demand|matrix|auto]
+               [--engine demand|matrix|auto]
       Print points-to sets (all application locals, or the named variables;
       names match the `local@Class.method` form, or any suffix of it).
-      --state picks the visited-state backend (default dense); --engine
-      answers on the demand solver (default), the whole-program matrix
-      backend, or picks per batch by density. All are bit-identical on
-      completed answers (DESIGN.md §11).
+      --engine answers on the demand solver (default), the whole-program
+      matrix backend, or picks per batch by density. All are bit-identical
+      on completed answers (DESIGN.md §11).
   parcfl alias <file.mj> --var A --var B [--budget N]
       May-alias verdict for two variables.
   parcfl stats <file.mj>
@@ -79,11 +78,11 @@ USAGE:
   parcfl dot <file.mj>
       Graphviz DOT of the PAG on stdout.
   parcfl bench <name> [--threads N] [--mode naive|d|dq] [--threaded]
-               [--state hash|dense] [--engine demand|matrix|auto]
+               [--engine demand|matrix|auto]
       Run one Table-I benchmark and report the speedup over SeqCFL.
       --threaded uses real OS threads instead of the virtual-time
       simulator and reports the work-list contention they saw.
-      --state/--engine select the solver core as in `query`
+      --engine selects the solver core as in `query`
       (mode/threads are inert under the matrix engine).
   parcfl bench-diff <baseline.json> <current.json> [--gate none|deterministic|all]
                [--report PATH]
@@ -181,12 +180,6 @@ fn solver_config(args: &[String]) -> SolverConfig {
     if args.iter().any(|a| a == "--insensitive") {
         cfg.context_sensitive = false;
     }
-    if let Some(s) = flag_value(args, "--state") {
-        cfg.state = s.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2);
-        });
-    }
     cfg
 }
 
@@ -243,7 +236,7 @@ fn cmd_query(args: &[String]) {
         Engine::Auto => parcfl::runtime::matrix_pays_off(&pag, &targets),
     };
     let store = NoJmpStore;
-    let solver = Solver::new(&pag, &cfg, &store);
+    let mut solver = Solver::new(&pag, &cfg, &store);
     let mut matrix_solver = matrix.then(|| MatrixSolver::new(&pag, &cfg));
     for v in targets {
         let out = match matrix_solver.as_mut() {
@@ -274,7 +267,7 @@ fn cmd_alias(args: &[String]) {
         exit(2);
     }
     let store = NoJmpStore;
-    let c = parcfl::clients::client(&pag, &cfg, &store);
+    let mut c = parcfl::clients::client(&pag, &cfg, &store);
     let a = resolve(&pag, &vars[0]);
     let b = resolve(&pag, &vars[1]);
     outln!(
@@ -335,7 +328,6 @@ fn cmd_trace(args: &[String]) {
             // Whole-program matrix engine: per-sweep-worker lanes with
             // wave spans and fan-out instants, stamped on the
             // real clock (mode/backend are inert under this engine).
-            cfg.solver.state = parcfl::core::StateBackend::Dense;
             parcfl::runtime::run_matrix(&pag, &queries, &cfg)
         }
         _ if threaded => parcfl::runtime::run_threaded(&pag, &queries, &cfg),
@@ -422,7 +414,7 @@ fn cmd_why(args: &[String]) {
     };
     let v = resolve(&pag, name);
     let store = NoJmpStore;
-    let solver = Solver::new(&pag, &cfg, &store);
+    let mut solver = Solver::new(&pag, &cfg, &store);
     let (out, trace) = solver.traced_points_to_query(v, 0);
     match out.answer.complete() {
         None => outln!("{}: out of budget", pag.node(v).name),
@@ -475,21 +467,14 @@ fn cmd_bench(args: &[String]) {
     let threaded = args.iter().any(|a| a == "--threaded");
     let engine = engine_flag(args);
     let b = parcfl::synth::build_bench(&profile);
-    let mut seq_solver = b.solver.clone();
-    if let Some(s) = flag_value(args, "--state") {
-        seq_solver.state = s.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2);
-        });
-    }
-    let seq = run_seq(&b.pag, &b.queries, &seq_solver);
+    let seq = run_seq(&b.pag, &b.queries, &b.solver);
     let backend = if threaded {
         Backend::Threaded
     } else {
         Backend::Simulated
     };
     let mut cfg = RunConfig::new(mode, threads, backend).with_engine(engine);
-    cfg.solver = seq_solver;
+    cfg.solver = b.solver.clone();
     let par = parcfl::runtime::run(&b.pag, &b.queries, &cfg);
     // Report the engine that actually ran (`Auto` resolves per batch),
     // not the one configured.

@@ -37,12 +37,12 @@ impl<'a> Client<'a> {
     }
 
     /// The objects `v` may point to, by node id (None = out of budget).
-    pub fn points_to(&self, v: NodeId) -> Option<Vec<NodeId>> {
+    pub fn points_to(&mut self, v: NodeId) -> Option<Vec<NodeId>> {
         self.solver.points_to_query(v, 0).answer.nodes()
     }
 
     /// May `a` and `b` refer to the same object?
-    pub fn may_alias(&self, a: NodeId, b: NodeId) -> Verdict {
+    pub fn may_alias(&mut self, a: NodeId, b: NodeId) -> Verdict {
         let (Some(pa), Some(pb)) = (self.points_to(a), self.points_to(b)) else {
             return Verdict::Unknown;
         };
@@ -56,7 +56,7 @@ impl<'a> Client<'a> {
     /// May the object allocated at `obj` flow into any global (static
     /// field)? A cheap escape-style question answered with one `FlowsTo`
     /// query.
-    pub fn may_escape_to_global(&self, obj: NodeId) -> Verdict {
+    pub fn may_escape_to_global(&mut self, obj: NodeId) -> Verdict {
         debug_assert!(self.pag.kind(obj).is_object());
         match self.solver.flows_to_query(obj, 0).answer {
             Answer::OutOfBudget => Verdict::Unknown,
@@ -78,7 +78,7 @@ impl<'a> Client<'a> {
 
     /// Can `v` be a dangling/never-assigned reference (empty points-to
     /// set)? Useful for "definitely-null" style diagnostics.
-    pub fn definitely_unassigned(&self, v: NodeId) -> Verdict {
+    pub fn definitely_unassigned(&mut self, v: NodeId) -> Verdict {
         match self.points_to(v) {
             None => Verdict::Unknown,
             Some(objs) if objs.is_empty() => Verdict::Yes,
@@ -121,7 +121,7 @@ mod tests {
         let pag = parcfl_frontend::build_pag(SRC).unwrap().pag;
         let cfg = SolverConfig::default();
         let store = NoJmpStore;
-        let c = client(&pag, &cfg, &store);
+        let mut c = client(&pag, &cfg, &store);
         let n = |name: &str| pag.node_by_name(name).unwrap();
 
         assert_eq!(c.may_alias(n("kept@A.m"), n("copy@A.m")), Verdict::Yes);
@@ -142,7 +142,7 @@ mod tests {
         let pag = parcfl_frontend::build_pag(SRC).unwrap().pag;
         let cfg = SolverConfig::default().with_budget(1);
         let store = NoJmpStore;
-        let c = client(&pag, &cfg, &store);
+        let mut c = client(&pag, &cfg, &store);
         let copy = pag.node_by_name("copy@A.m").unwrap();
         let kept = pag.node_by_name("kept@A.m").unwrap();
         assert_eq!(c.may_alias(copy, kept), Verdict::Unknown);

@@ -12,9 +12,12 @@
 
 use parcfl::check::seed::derive;
 use parcfl::check::{failure_detail, test_seed, Scenario};
-use parcfl::core::{Answer, MatrixSolver, SolverConfig, StateBackend};
+use parcfl::concurrent::{CtxId, DenseVisitSet, HashVisitSet, StateSet};
+use parcfl::core::{Answer, MatrixSolver, SharedJmpStore, Solver, SolverConfig, StateBackend};
 use parcfl::pag::EdgeClass;
-use parcfl::runtime::{run_matrix, run_seq, Backend, Engine, Mode, RunConfig, TraceLevel};
+use parcfl::runtime::{
+    run_matrix, run_seq, run_simulated, run_threaded, Backend, Engine, Mode, RunConfig, TraceLevel,
+};
 use parcfl::synth::mutate::canonicalize;
 use parcfl::synth::{build_bench, sweep_stress_bench, table1_profiles, Profile};
 use proptest::prelude::*;
@@ -184,6 +187,64 @@ proptest! {
             }
         }
     }
+
+    /// A solver keeps its scratch — visited tables, stacks, in-flight
+    /// sets — for as long as its lane lives, and nothing of one query may
+    /// show in the next: a shuffled batch answered on one reused solver
+    /// equals each query answered on a solver made for it, field for
+    /// field of the output (`state_words` included, so the touched-words
+    /// accounting does not see what the tables held before). Each side
+    /// publishes into its own store and the two evolve in lockstep; the
+    /// stores carry the interner, so context ids agree with sharing off
+    /// too. And the three executors are one per-query body over such a
+    /// solver, so they report one `peak_state_words`.
+    #[test]
+    fn prop_reused_solver_is_a_fresh_solver_on_every_executor(
+        seed in 0u64..1 << 32,
+        small in any::<bool>(),
+        dense in any::<bool>(),
+        sharing in any::<bool>(),
+        tight in any::<bool>(),
+    ) {
+        let profile = if small { Profile::small(seed) } else { Profile::tiny(seed) };
+        let bench = build_bench(&profile);
+        let cfg = SolverConfig {
+            budget: if tight { 300 + seed % 3_000 } else { 5_000_000 },
+            data_sharing: sharing,
+            tau_finished: 10,
+            tau_unfinished: 100,
+            state: if dense { StateBackend::Dense } else { StateBackend::Hash },
+            ..SolverConfig::default()
+        };
+        let mut queries = bench.queries.clone();
+        for i in (1..queries.len()).rev() {
+            queries.swap(i, (derive(seed, i as u64) % (i as u64 + 1)) as usize);
+        }
+        let (reused_store, fresh_store) = (SharedJmpStore::new(), SharedJmpStore::new());
+        let mut reused = Solver::new(&bench.pag, &cfg, &reused_store);
+        let mut peak = 0;
+        for &q in &queries {
+            let kept = reused.points_to_query(q, 0);
+            let fresh = Solver::new(&bench.pag, &cfg, &fresh_store).points_to_query(q, 0);
+            prop_assert_eq!(&kept.answer, &fresh.answer, "seed={} query {:?}", seed, q);
+            prop_assert_eq!(&kept.stats, &fresh.stats, "seed={} query {:?}", seed, q);
+            peak = peak.max(kept.stats.state_words);
+        }
+        prop_assert!(peak > 0);
+        if !sharing {
+            let seq = run_seq(&bench.pag, &queries, &cfg);
+            prop_assert_eq!(seq.stats.peak_state_words, peak, "seed={}", seed);
+            // One lane each: the same queries in the same order against
+            // the same private interner.
+            let one = |backend| RunConfig::new(Mode::Naive, 1, backend).with_solver(cfg.clone());
+            let sim = run_simulated(&bench.pag, &queries, &one(Backend::Simulated));
+            let thr = run_threaded(&bench.pag, &queries, &one(Backend::Threaded));
+            prop_assert_eq!(sim.stats.peak_state_words, peak, "seed={}", seed);
+            prop_assert_eq!(thr.stats.peak_state_words, peak, "seed={}", seed);
+            prop_assert_eq!(sim.stats.peak_mem_items, seq.stats.peak_mem_items);
+            prop_assert_eq!(thr.stats.peak_mem_items, seq.stats.peak_mem_items);
+        }
+    }
 }
 
 /// Deterministic sparse-kind fallback: on a graph where `assign_l` is
@@ -238,6 +299,132 @@ fn packed_sparse_kind_falls_back_to_csr_and_matches() {
         );
         assert_eq!(base.stats.traversed_steps, par.stats.traversed_steps);
     }
+}
+
+/// The contexts `table` holds for `node`, sorted (`for_ctxs` promises no
+/// order).
+fn ctxs_of(table: &impl StateSet, node: u32) -> Vec<u32> {
+    let mut v = Vec::new();
+    table.for_ctxs(node, |c| v.push(c.raw()));
+    v.sort_unstable();
+    v
+}
+
+/// The paged dense table against the hash reference under random
+/// operations over a sparse 200 k-node id space — most rows alone in
+/// their page, a few hot rows taking enough contexts to spill — across
+/// six epochs, so recycled pages, rows and spill bitsets are all met
+/// stale.
+#[test]
+fn paged_dense_table_matches_hash_reference() {
+    const NODES: u32 = 200_000;
+    let seed = test_seed();
+    let mut state = derive(seed, 0x9A6ED);
+    let mut next = move |bound: u32| {
+        state = derive(state, 1);
+        (state >> 32) as u32 % bound
+    };
+    let (mut dense, mut hash) = (DenseVisitSet::default(), HashVisitSet::default());
+    let hot: Vec<u32> = (0..8).map(|_| next(NODES)).collect();
+    for epoch in 0..6 {
+        // Narrow context ranges keep a spilled row in one bitset chunk,
+        // wide ones spread it over several.
+        let ctx_range = if epoch % 2 == 0 { 40 } else { 5_000 };
+        let mut touched = vec![0, NODES - 1, next(NODES)];
+        for _ in 0..4_000 {
+            let node = if next(3) == 0 {
+                hot[next(8) as usize]
+            } else {
+                next(NODES)
+            };
+            let ctx = CtxId::from_raw(next(ctx_range));
+            if next(4) == 0 {
+                assert_eq!(
+                    dense.contains(node, ctx),
+                    hash.contains(node, ctx),
+                    "PARCFL_TEST_SEED={seed} epoch {epoch}: contains({node}, {ctx:?})"
+                );
+            } else {
+                assert_eq!(
+                    dense.insert(node, ctx),
+                    hash.insert(node, ctx),
+                    "PARCFL_TEST_SEED={seed} epoch {epoch}: insert({node}, {ctx:?})"
+                );
+                touched.push(node);
+            }
+        }
+        for &node in &touched {
+            assert_eq!(
+                ctxs_of(&dense, node),
+                ctxs_of(&hash, node),
+                "PARCFL_TEST_SEED={seed} epoch {epoch}: node {node}"
+            );
+        }
+        assert!(
+            hot.iter().any(|&n| ctxs_of(&dense, n).len() > 8),
+            "PARCFL_TEST_SEED={seed} epoch {epoch}: some hot row spills"
+        );
+        dense.reset();
+        hash.reset();
+        for &node in &touched {
+            assert!(ctxs_of(&dense, node).is_empty());
+            assert!(!dense.contains(node, CtxId::EMPTY));
+        }
+    }
+}
+
+/// The size law of the paged table: what it holds follows the pages its
+/// rows fall in, never the largest node id — and a table kept for the
+/// next query counts from zero again, warm pages included as the new
+/// query touches them.
+#[test]
+fn dense_table_words_follow_touched_pages_not_the_largest_id() {
+    let touch = |t: &mut DenseVisitSet, node: u32| t.insert(node, CtxId::EMPTY);
+    let mut low = DenseVisitSet::default();
+    touch(&mut low, 0);
+    let page = low.approx_words();
+    assert!(page > 0);
+
+    // One row at the top of a 200 k-node id space costs what one row at
+    // the bottom does (a flat table would hold 200 000 rows for it).
+    let mut high = DenseVisitSet::default();
+    touch(&mut high, 199_999);
+    assert_eq!(high.approx_words(), page);
+
+    // k rows anywhere cost at most k pages; k rows side by side far less.
+    let seed = test_seed();
+    let scattered: Vec<u32> = (0..300u64)
+        .map(|i| (derive(seed, i) % 200_000) as u32)
+        .collect();
+    let mut t = DenseVisitSet::default();
+    for &n in &scattered {
+        touch(&mut t, n);
+    }
+    let words = t.approx_words();
+    assert!(words <= scattered.len() as u64 * page, "{words} words");
+    let mut run = DenseVisitSet::default();
+    for n in 150_000..150_300 {
+        touch(&mut run, n);
+    }
+    assert!(run.approx_words() * 4 <= 300 * page, "rows share pages");
+
+    // Re-touching within the query generation adds nothing, over a reset
+    // too; the next generation starts from zero and is charged for the
+    // warm pages it touches, exactly as a fresh table would be.
+    t.reset();
+    for &n in &scattered {
+        touch(&mut t, n);
+    }
+    assert_eq!(t.approx_words(), words);
+    t.reset();
+    t.begin_query(7);
+    assert_eq!(t.approx_words(), 0);
+    touch(&mut t, scattered[0]);
+    assert_eq!(t.approx_words(), page);
+    for &n in &scattered {
+        touch(&mut t, n);
+    }
+    assert_eq!(t.approx_words(), words);
 }
 
 /// Hash and dense visited-state tables produce bit-identical runs on

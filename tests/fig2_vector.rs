@@ -60,7 +60,7 @@ const VECTOR_MJ: &str = r#"
 
 fn pts_names(pag: &Pag, cfg: &SolverConfig, var: &str) -> Vec<String> {
     let store = NoJmpStore;
-    let solver = Solver::new(pag, cfg, &store);
+    let mut solver = Solver::new(pag, cfg, &store);
     let v = pag.node_by_name(var).expect(var);
     let out = solver.points_to_query(v, 0);
     let mut names: Vec<String> = out
@@ -131,7 +131,7 @@ fn flows_to_duality_on_the_example() {
     let pag = build_pag(VECTOR_MJ).unwrap().pag;
     let cfg = SolverConfig::default();
     let store = NoJmpStore;
-    let solver = Solver::new(&pag, &cfg, &store);
+    let mut solver = Solver::new(&pag, &cfg, &store);
     let queries: Vec<NodeId> = pag.application_locals();
     for &v in &queries {
         let pts = solver.points_to_query(v, 0);

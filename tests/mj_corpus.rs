@@ -15,7 +15,7 @@ fn load(name: &str) -> Pag {
 
 fn pts(pag: &Pag, cfg: &SolverConfig, var: &str) -> Vec<String> {
     let store = NoJmpStore;
-    let solver = Solver::new(pag, cfg, &store);
+    let mut solver = Solver::new(pag, cfg, &store);
     let v = pag.node_by_name(var).expect(var);
     let mut names: Vec<String> = solver
         .points_to_query(v, 0)
@@ -71,7 +71,7 @@ fn linked_list_recursive_heap_exhausts_budget_but_locals_resolve() {
     // until the budget runs out (the budget exists for exactly this —
     // Section II-B3). The query must terminate with OutOfBudget, not hang.
     let store = NoJmpStore;
-    let solver = Solver::new(&pag, &cfg, &store);
+    let mut solver = Solver::new(&pag, &cfg, &store);
     let got = pag.node_by_name("got@Main.main").unwrap();
     let out = solver.points_to_query(got, 0);
     assert_eq!(out.answer, parcfl::core::Answer::OutOfBudget);

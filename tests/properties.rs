@@ -47,7 +47,7 @@ proptest! {
         let pag = parcfl::frontend::extract(&prog).unwrap().pag;
         let cfg = ample();
         let store = NoJmpStore;
-        let solver = Solver::new(&pag, &cfg, &store);
+        let mut solver = Solver::new(&pag, &cfg, &store);
         for v in pag.application_locals().into_iter().take(12) {
             let Some(objs) = solver.points_to_query(v, 0).answer.nodes() else { continue };
             for o in objs {
@@ -75,8 +75,8 @@ proptest! {
         };
         let plain_store = NoJmpStore;
         let share_store = SharedJmpStore::new();
-        let plain = Solver::new(&pag, &cfg, &plain_store);
-        let shared = Solver::new(&pag, &share_cfg, &share_store);
+        let mut plain = Solver::new(&pag, &cfg, &plain_store);
+        let mut shared = Solver::new(&pag, &share_cfg, &share_store);
         for v in pag.application_locals() {
             let a = plain.points_to_query(v, 0).answer;
             let b = shared.points_to_query(v, 0).answer;
@@ -94,8 +94,8 @@ proptest! {
         let cs = ample();
         let ci = SolverConfig { context_sensitive: false, ..ample() };
         let store = NoJmpStore;
-        let s_cs = Solver::new(&pag, &cs, &store);
-        let s_ci = Solver::new(&pag, &ci, &store);
+        let mut s_cs = Solver::new(&pag, &cs, &store);
+        let mut s_ci = Solver::new(&pag, &ci, &store);
         for v in pag.application_locals().into_iter().take(12) {
             let a = s_cs.points_to_query(v, 0).answer.nodes();
             let b = s_ci.points_to_query(v, 0).answer.nodes();
@@ -119,7 +119,7 @@ proptest! {
         let whole = parcfl::andersen::analyze(&pag);
         let cfg = ample();
         let store = NoJmpStore;
-        let solver = Solver::new(&pag, &cfg, &store);
+        let mut solver = Solver::new(&pag, &cfg, &store);
         for v in pag.application_locals().into_iter().take(12) {
             let Some(objs) = solver.points_to_query(v, 0).answer.nodes() else { continue };
             let andersen_objs = whole.pts_of(v);
@@ -140,8 +140,8 @@ proptest! {
         let collapsed = parcfl::frontend::cycles::collapse_assign_cycles(&e.pag);
         let cfg = ample();
         let store = NoJmpStore;
-        let orig = Solver::new(&e.pag, &cfg, &store);
-        let coll = Solver::new(&collapsed.pag, &cfg, &store);
+        let mut orig = Solver::new(&e.pag, &cfg, &store);
+        let mut coll = Solver::new(&collapsed.pag, &cfg, &store);
         for v in e.pag.application_locals().into_iter().take(12) {
             let a = orig.points_to_query(v, 0).answer.nodes();
             let b = coll.points_to_query(collapsed.remap[v.index()], 0).answer.nodes();
