@@ -7,7 +7,9 @@
 //! historical checkout.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use parcfl_core::context::sort_canonical;
 use parcfl_core::{CtxId, CtxInterner, SharedJmpStore, Solver};
+use parcfl_pag::NodeId;
 use parcfl_synth::{build_bench, table1_profiles};
 use std::collections::HashSet;
 
@@ -156,6 +158,66 @@ fn bench_context_ops(c: &mut Criterion) {
                 acc += interner.stack_of(id).len();
             }
             std::hint::black_box(acc)
+        })
+    });
+
+    // The canonical order of a result set (DESIGN.md §8): comparing on the
+    // interner's trie against sorting by one materialised call string per
+    // element, which is what the solver did before `cmp_stacks`. The sets
+    // are shaped as the Table-I suite sorts them: of its 2.0 M sorts per
+    // pass 82 % hold one state and all but three under 64, over contexts
+    // at most three deep for 99.9 % of the elements. (The comparator
+    // walks parent chains where a key is materialised once, so on sets of
+    // hundreds of states a dozen sites deep the keys win.)
+    let (interner, sets) = {
+        let interner = CtxInterner::new();
+        let mut cx = CtxId::EMPTY;
+        let states: Vec<(NodeId, CtxId)> = (sites.iter().enumerate())
+            .map(|(i, &s)| {
+                cx = if s % 3 != 0 && interner.depth(cx) < 3 {
+                    interner.intern(cx, s)
+                } else {
+                    interner.parent(cx)
+                };
+                (NodeId::new(i as u32 % 4), cx)
+            })
+            .collect();
+        let mut sets: Vec<Vec<(NodeId, CtxId)>> = Vec::new();
+        let mut rest = states.as_slice();
+        for len in [1, 1, 1, 1, 1, 1, 1, 1, 2, 3, 6, 12, 24, 48]
+            .into_iter()
+            .cycle()
+        {
+            if rest.len() < len {
+                break;
+            }
+            let (set, tail) = rest.split_at(len);
+            let mut set = set.to_vec();
+            set.sort_unstable();
+            set.dedup();
+            sets.push(set);
+            rest = tail;
+        }
+        (interner, sets)
+    };
+
+    g.bench_function("canonical_sort_trie", |bench| {
+        bench.iter(|| {
+            let mut sets = sets.clone();
+            for v in &mut sets {
+                sort_canonical(&interner, v);
+            }
+            std::hint::black_box(sets)
+        })
+    });
+
+    g.bench_function("canonical_sort_materialised_keys", |bench| {
+        bench.iter(|| {
+            let mut sets = sets.clone();
+            for v in &mut sets {
+                v.sort_by_cached_key(|&(n, c)| (n, interner.stack_of(c)));
+            }
+            std::hint::black_box(sets)
         })
     });
 

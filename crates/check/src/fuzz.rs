@@ -38,6 +38,7 @@ use crate::seed::derive;
 use crate::shrink::{shrink, ShrinkStats};
 use crate::snapshot::Scenario;
 use parcfl_core::{SolverConfig, StateBackend};
+use parcfl_pag::{DeltaOp, EdgeKind};
 use parcfl_runtime::{Backend, Engine, Mode, SimPerturb, TraceLevel};
 use parcfl_synth::mutate::sample_edits;
 use parcfl_synth::{build_bench, Profile};
@@ -446,11 +447,26 @@ fn sample_scenario(cfg: &FuzzConfig, i: u64) -> Scenario {
             && ample
             && (cfg.delta || rng.random_bool(0.25)))
     {
-        sample_edits(
+        let mut ops = sample_edits(
             &bench.pag,
             rng.random_range(0u64..1 << 32),
             rng.random_range(1usize..=3),
-        )
+        );
+        // The sampler draws endpoints over all nodes. Value flow into or
+        // out of an object node other than its `new` edge is no program's
+        // PAG, and the solvers need not agree on it: `FlowsTo` walks on
+        // through the object, the inclusion solution gives it no points-to
+        // set to pass on. Such an op is dropped (the script may empty) —
+        // here, not in the sampler, whose scripts are also the frozen
+        // benchmark's `edit_requery` input.
+        ops.retain(|op| match *op {
+            DeltaOp::RemoveEdge(_) => true,
+            DeltaOp::AddEdge(e) => {
+                let (src, dst) = (bench.pag.kind(e.src), bench.pag.kind(e.dst));
+                (src.is_variable() || e.kind == EdgeKind::New) && dst.is_variable()
+            }
+        });
+        ops
     } else {
         Vec::new()
     };
@@ -536,4 +552,35 @@ fn sample_queries(
     let mut picked: Vec<usize> = idx[..max].to_vec();
     picked.sort_unstable();
     picked.into_iter().map(|k| all[k]).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `parcfl check --fuzz 40 --delta` used to stop at iteration 31 of the
+    /// default seed on a sampled `param` edge *into* an object node, which
+    /// the demand solver and the inclusion solution read differently.
+    #[test]
+    fn delta_scripts_add_only_edges_a_program_could_have() {
+        let cfg = FuzzConfig {
+            delta: true,
+            ..FuzzConfig::default()
+        };
+        let mut adds = 0;
+        for i in 0..64 {
+            let sc = sample_scenario(&cfg, i);
+            for op in &sc.deltas {
+                if let DeltaOp::AddEdge(e) = *op {
+                    adds += 1;
+                    assert!(sc.pag.kind(e.dst).is_variable(), "iteration {i}: {e:?}");
+                    assert!(
+                        e.kind == EdgeKind::New || sc.pag.kind(e.src).is_variable(),
+                        "iteration {i}: {e:?}"
+                    );
+                }
+            }
+        }
+        assert!(adds > 0, "no script kept an added edge");
+    }
 }

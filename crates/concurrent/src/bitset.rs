@@ -315,12 +315,18 @@ impl Iterator for SetBits<'_> {
 /// A visited-state table keyed `(node, ctx)`: the contract the solver's
 /// traversal loops need from their `visited` / `pts_seen` / `alias` sets.
 ///
-/// Implementations must make [`StateSet::insert`] *pure membership*: no
-/// iteration order is ever observed through this trait except
-/// [`StateSet::for_ctxs`], whose callers are required to be
-/// order-insensitive (the solver canonically re-sorts everything that
-/// crosses a traversal boundary). That is what keeps hash- and dense-backed
-/// runs bit-identical.
+/// Implementations must make [`StateSet::insert`] *pure membership*, in
+/// both directions. Out: no iteration order is ever observed through this
+/// trait except [`StateSet::for_ctxs`], whose callers are required to be
+/// order-insensitive (the solver canonically sorts what it collects from
+/// it). In: what a table holds, what [`StateSet::for_ctxs`] visits as a
+/// set, and [`StateSet::approx_words`] depend on *which* states were
+/// inserted since the last reset, never on the order they arrived in —
+/// the solver unions `FlowsTo` results into its `alias` table in
+/// traversal order, not a canonical one. (Inline slots spill at a count,
+/// a spill bitset grows to its highest chunk, a hash set's capacity
+/// follows its length.) Together that is what keeps hash- and
+/// dense-backed runs bit-identical.
 ///
 /// A table outlives the query that first needed it (the solver keeps a
 /// pool per lane), so memory accounting is per *query generation*:

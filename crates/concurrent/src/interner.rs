@@ -18,12 +18,12 @@
 //!   tuples.
 //!
 //! Concurrency: the node table is a chunked append-only array of atomic
-//! slots, so the hot *resolve* path (`parent`/`top`/`stack_of`) is
-//! lock-free. Only first-time interning takes a lock, and only on one of
-//! 64 shards of the dedup map `(parent, site) → id` — the same sharding
-//! discipline as [`crate::ShardedMap`]. Ids are never freed; an interner
-//! lives as long as the store/session that owns it, so every id it ever
-//! produced stays resolvable.
+//! slots, so the hot *resolve* path (`parent`/`top`/`stack_of`/
+//! `cmp_stacks`) is lock-free. Only first-time interning takes a lock,
+//! and only on one of 64 shards of the dedup map `(parent, site) → id` —
+//! the same sharding discipline as [`crate::ShardedMap`]. Ids are never
+//! freed; an interner lives as long as the store/session that owns it, so
+//! every id it ever produced stays resolvable.
 //!
 //! Determinism caveat: which *numeric* id a call string receives depends
 //! on interning order, so ids must never be compared across interners or
@@ -197,6 +197,56 @@ impl CtxInterner {
         out
     }
 
+    /// Orders two contexts as their call strings order: exactly
+    /// `stack_of(a).cmp(&stack_of(b))` (bottom-to-top lexicographic, a
+    /// prefix before its extensions), computed on the trie without
+    /// materialising either string. Hash-consing makes this possible: two
+    /// ids at the same depth are the same string iff they are the same id,
+    /// so the first differing site sits where the lockstep parent walks
+    /// meet. The order depends on the strings alone, never on which ids
+    /// interning happened to assign. No allocation; two slot loads for
+    /// siblings, O(depth) loads otherwise.
+    pub fn cmp_stacks(&self, a: CtxId, b: CtxId) -> std::cmp::Ordering {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        if a == b {
+            return Equal;
+        }
+        if a.is_empty() {
+            return Less;
+        }
+        if b.is_empty() {
+            return Greater;
+        }
+        // Siblings — the common case in a result set, whose contexts grow
+        // from one query context — differ in their last site only.
+        let (sa, sb) = (self.slot(a), self.slot(b));
+        if sa >> 32 == sb >> 32 {
+            return (sa as u32).cmp(&(sb as u32));
+        }
+        let (da, db) = (self.depth(a), self.depth(b));
+        let (mut x, mut y) = (a, b);
+        for _ in db..da {
+            x = self.parent(x);
+        }
+        for _ in da..db {
+            y = self.parent(y);
+        }
+        if x == y {
+            // One string is a prefix of the other: shorter first.
+            return da.cmp(&db);
+        }
+        // Equal depth, distinct ids: the walks meet at the longest common
+        // prefix (the empty context at the latest), one site below it.
+        loop {
+            let (sx, sy) = (self.slot(x), self.slot(y));
+            if sx >> 32 == sy >> 32 {
+                return (sx as u32).cmp(&(sy as u32));
+            }
+            x = CtxId((sx >> 32) as u32);
+            y = CtxId((sy >> 32) as u32);
+        }
+    }
+
     /// Interns a whole bottom-to-top call-site stack.
     pub fn intern_stack(&self, stack: &[u32]) -> CtxId {
         stack
@@ -303,6 +353,30 @@ mod tests {
         assert_eq!(stack.len(), n as usize);
         assert_eq!(stack[0], 0);
         assert!(t.approx_bytes() > 0);
+    }
+
+    #[test]
+    fn cmp_stacks_orders_ids_as_their_call_strings() {
+        let t = CtxInterner::new();
+        // A spine deeper than one chunk, prefixes of it, branches off it
+        // (siblings of spine nodes, and their children), short strings
+        // that share nothing with it, and the empty context.
+        let spine: Vec<u32> = (0..(FIRST_CHUNK + 40) as u32).collect();
+        let mut ids = vec![CtxId::EMPTY, t.intern_stack(&spine)];
+        for at in [0, 1, 2, 7, FIRST_CHUNK - 1, FIRST_CHUNK, FIRST_CHUNK + 39] {
+            let prefix = t.intern_stack(&spine[..at]);
+            let branch = t.intern(prefix, 5);
+            ids.extend([prefix, branch, t.intern(branch, 0), t.intern(branch, 9)]);
+        }
+        for s in [&[9u32][..], &[9, 9], &[0, 0], &[0, 2], &[1], &[1, 0, 0]] {
+            ids.push(t.intern_stack(s));
+        }
+        for &a in &ids {
+            for &b in &ids {
+                let (sa, sb) = (t.stack_of(a), t.stack_of(b));
+                assert_eq!(t.cmp_stacks(a, b), sa.cmp(&sb), "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! into `Ctx` only at the query boundary (see DESIGN.md §8).
 
 use parcfl_concurrent::{CtxId, CtxInterner};
-use parcfl_pag::CallSiteId;
+use parcfl_pag::{CallSiteId, NodeId};
 
 /// An immutable call-site stack. `push`/`pop` return new contexts.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -111,6 +111,19 @@ impl Ctx {
             stack: interner.stack_of(id),
         }
     }
+}
+
+/// Sorts interned states into the canonical order: by node, then by call
+/// string ([`CtxInterner::cmp_stacks`]) — the order the materialised
+/// `(NodeId, Ctx)` pairs sort in, whatever ids interning assigned. Both
+/// engines put every result set a nested traversal iterates into this
+/// order, which is what keeps traversal order, and with it every step
+/// count, independent of interning order (DESIGN.md §8). Unstable is
+/// enough: equal elements are identical.
+pub fn sort_canonical(interner: &CtxInterner, v: &mut [(NodeId, CtxId)]) {
+    v.sort_unstable_by(|&(n1, c1), &(n2, c2)| {
+        n1.cmp(&n2).then_with(|| interner.cmp_stacks(c1, c2))
+    });
 }
 
 impl std::fmt::Display for Ctx {

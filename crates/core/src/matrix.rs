@@ -31,7 +31,7 @@
 //! inert on this backend: the global memo subsumes it within a batch.
 
 use crate::config::SolverConfig;
-use crate::context::Ctx;
+use crate::context::{sort_canonical, Ctx};
 use crate::footprint::{DirtySet, Footprint, FpBuilder};
 use crate::solver::CtxNode;
 use crate::stats::{Answer, QueryOutput, QueryStats};
@@ -875,13 +875,6 @@ impl<'a> MatrixSolver<'a> {
         self.memo.values().map(|e| e.set.len() as u64).sum()
     }
 
-    /// Sorts interned states by materialised `(node, call string)` — the
-    /// same canonical order the demand solver uses, so memoised sets are
-    /// iterated identically by every consumer.
-    fn sort_canonical(&self, v: &mut [IState]) {
-        v.sort_by_cached_key(|&(n, c)| (n, self.ctxs.stack_of(c)));
-    }
-
     // ----- memoised closures -----
 
     /// The memoised entry point of every relation: a hit shares the stored
@@ -983,7 +976,9 @@ impl<'a> MatrixSolver<'a> {
             self.pool.push(b);
         }
         r?;
-        self.sort_canonical(&mut out);
+        // The same canonical order the demand solver uses, so memoised
+        // sets are iterated identically by every consumer.
+        sort_canonical(&self.ctxs, &mut out);
         Ok(out)
     }
 
@@ -1225,7 +1220,7 @@ impl<'a> MatrixSolver<'a> {
             }
         }
         let mut v: Vec<IState> = out.into_iter().collect();
-        self.sort_canonical(&mut v);
+        sort_canonical(&self.ctxs, &mut v);
         Ok(v)
     }
 }

@@ -36,13 +36,23 @@
 //! Everything that crosses the query boundary (answers, traces) is
 //! materialised back into [`Ctx`]. Because which *numeric* id a call
 //! string gets depends on interning order, any internal ordering exposed
-//! to the traversal (result sets iterated by nested calls) sorts by the
-//! materialised call string, never by raw id — this keeps traversal order,
-//! and with it every charged/traversed step count, identical to a
-//! Vec-backed run.
+//! to the traversal sorts by call string, never by raw id
+//! ([`sort_canonical`], a comparison on the interner's trie that
+//! materialises nothing) — this keeps traversal order, and with it every
+//! charged/traversed step count, identical to a Vec-backed run. Two
+//! result sets are iterated in order by a nested call and therefore
+//! sorted: `PointsTo`'s `pts` and `ReachableNodes`' `rch`. A `FlowsTo`
+//! result is only ever unioned into the `alias` table (or sorted again as
+//! an answer), so it stays the set the traversal produced.
+//!
+//! A nested traversal neither allocates nor takes a shared lock unless it
+//! publishes: its result is built in a buffer from the lane's pool and
+//! handed back by the caller that iterated it, an `Arc` is made only for a
+//! jmp publication or a memo insert, and `ret`/`param` pushes go through a
+//! lane-local cache in front of the interner's sharded dedup map.
 
 use crate::config::{SolverConfig, StateBackend};
-use crate::context::Ctx;
+use crate::context::{sort_canonical, Ctx};
 use crate::footprint::{Footprint, FpBuilder};
 use crate::jmp::{Dir, JmpEntry, JmpStore, RchSet};
 use crate::stats::{Answer, QueryOutput, QueryStats};
@@ -60,6 +70,11 @@ pub type CtxNode = (NodeId, Ctx);
 
 /// An interned traversal state: what the solver actually pushes around.
 type IState = (NodeId, CtxId);
+
+/// A lane's push cache has `1 << PUSH_CACHE_BITS` slots. Of the Table-I
+/// suite's 5.0 M pushes, 4096 slots serve 98.1 %, 1024 91.4 % and 256
+/// 69.0 %; under 0.5 % are first pushes, which no size serves.
+const PUSH_CACHE_BITS: u32 = 12;
 
 /// The solver: the analysis inputs every query reads, plus the scratch one
 /// worker's queries reuse.
@@ -172,6 +187,15 @@ impl<'a> Solver<'a> {
     }
 }
 
+/// A shared result set (jmp or memo hit) copied into a buffer from the
+/// `stacks` pool, so every caller iterates and hands back the same thing.
+#[inline]
+fn pooled_copy(stacks: &mut Vec<Vec<IState>>, set: &[IState]) -> Vec<IState> {
+    let mut buf = stacks.pop().unwrap_or_default();
+    buf.extend_from_slice(set);
+    buf
+}
+
 /// Marker error: the query exhausted its budget (Algorithm 1's `exit()`).
 #[derive(Debug)]
 struct Oob;
@@ -207,15 +231,24 @@ struct Scratch<S> {
     /// plays which part in a query does not depend on what the pool held
     /// when the query began.
     pool: Vec<S>,
-    /// Work-list stacks between uses, each already empty.
+    /// Work-list stacks and result-set buffers between uses, each already
+    /// empty. A nested call builds its result in one and the caller hands
+    /// it back once it has iterated it.
     stacks: Vec<Vec<IState>>,
+    /// Direct-mapped `(parent << 32 | site, child)` cache in front of
+    /// [`CtxInterner::intern`], so a push the lane has made before takes no
+    /// shared lock. Allocated by the lane's first push. Never invalidated:
+    /// ids are never freed and the solver's interner is fixed at
+    /// construction. A slot is vacant while its child is the empty context,
+    /// which no push produces.
+    push_cache: Vec<(u64, CtxId)>,
     /// The paper's `S`: in-progress `ReachableNodes` frames
     /// `(dir, x, c, s0)`, used by `OutOfBudget` to record unfinished jmps.
     in_progress: Vec<(Dir, NodeId, CtxId, u64)>,
     /// Per-query memoisation of completed nested calls (ad-hoc caching, as
     /// in the baseline [18]).
-    memo_pts: FxHashMap<IState, Arc<Vec<IState>>>,
-    memo_flows: FxHashMap<IState, Arc<Vec<IState>>>,
+    memo_pts: FxHashMap<IState, Box<[IState]>>,
+    memo_flows: FxHashMap<IState, Box<[IState]>>,
     memo_rch: FxHashMap<(Dir, NodeId, CtxId), RchSet>,
     /// In-flight call detection: identical re-entrant calls would loop
     /// until the budget drained; we reach the same out-of-budget verdict
@@ -244,7 +277,7 @@ struct Scratch<S> {
 
 impl<S> Scratch<S> {
     /// Puts the scratch in the state a fresh solver's would be in, keeping
-    /// every allocation. The pooled tables and stacks need nothing: they
+    /// every allocation. The pooled tables and buffers need nothing: they
     /// are reset as they are returned, and one lost to an unwinding panic
     /// never comes back.
     fn begin_query(&mut self) {
@@ -398,17 +431,51 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         self.s.pool.push(set);
     }
 
-    /// Takes an empty work-list stack from the scratch, or creates one.
+    /// Takes an empty buffer (work-list stack or result set) from the
+    /// scratch, or creates one.
     #[inline]
     fn acquire_stack(&mut self) -> Vec<IState> {
         self.s.stacks.pop().unwrap_or_default()
     }
 
-    /// Returns a work-list stack (non-empty after an out-of-budget exit).
+    /// Returns a buffer: a work-list stack (non-empty after an
+    /// out-of-budget exit) or a result set its caller is done with.
     #[inline]
     fn release_stack(&mut self, mut w: Vec<IState>) {
         w.clear();
         self.s.stacks.push(w);
+    }
+
+    /// Closes a traversal that built `buf`: the result if it finished, the
+    /// buffer back in the pool if it ran out of budget.
+    #[inline]
+    fn finished(&mut self, r: Result<(), Oob>, buf: Vec<IState>) -> Result<Vec<IState>, Oob> {
+        match r {
+            Ok(()) => Ok(buf),
+            Err(oob) => {
+                self.release_stack(buf);
+                Err(oob)
+            }
+        }
+    }
+
+    /// The context push of a `ret` (backward) or `param` (forward) edge:
+    /// [`CtxInterner::intern`] behind the lane's push cache.
+    #[inline]
+    fn push_ctx(&mut self, parent: CtxId, site: u32) -> CtxId {
+        let cache = &mut self.s.push_cache;
+        if cache.is_empty() {
+            cache.resize(1 << PUSH_CACHE_BITS, (0, CtxId::EMPTY));
+        }
+        let key = (parent.raw() as u64) << 32 | site as u64;
+        // Fibonacci hashing. (Fx's multiplier spreads these keys — two
+        // small integers side by side — badly over its top bits: 84 %.)
+        let hash = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let slot = &mut cache[(hash >> (64 - PUSH_CACHE_BITS)) as usize];
+        if slot.0 != key || slot.1.is_empty() {
+            *slot = (key, self.ctxs.intern(parent, site));
+        }
+        slot.1
     }
 
     /// Records a hot-path instant event, timestamped at the query's
@@ -437,21 +504,14 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         Ctx::materialize(self.ctxs, c)
     }
 
-    /// Sorts interned states by their materialised `(node, call string)`
-    /// key — the canonical order a Vec-backed run produces. Result sets
-    /// are iterated by nested traversals, so this ordering is what keeps
-    /// step counts independent of id-assignment order.
-    fn sort_canonical(&self, v: &mut [IState]) {
-        v.sort_by_cached_key(|&(n, c)| (n, self.ctxs.stack_of(c)));
-    }
-
     /// Closes the query: materialises the result set and closes out the
     /// cost accounting. Frees nothing — the scratch keeps what the query
     /// allocated for the next one.
-    fn finish(mut self, result: Result<Arc<Vec<IState>>, Oob>) -> QueryOutput {
+    fn finish(mut self, result: Result<Vec<IState>, Oob>) -> QueryOutput {
         let answer = match result {
             Ok(set) => {
                 let mut v: Vec<CtxNode> = set.iter().map(|&(n, c)| (n, self.mat(c))).collect();
+                self.release_stack(set);
                 v.sort_unstable();
                 v.dedup();
                 Answer::Complete(v)
@@ -462,8 +522,8 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         self.stats.traversed_steps = self.work;
         let memoised: u64 = (self.s.memo_pts.values())
             .chain(self.s.memo_flows.values())
-            .chain(self.s.memo_rch.values())
             .map(|v| v.len() as u64)
+            .chain(self.s.memo_rch.values().map(|v| v.len() as u64))
             .sum();
         self.stats.mem_items = self.work + memoised + self.stats.state_words;
         QueryOutput {
@@ -545,7 +605,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
 
     // ----- POINTSTO -----
 
-    fn points_to(&mut self, l: NodeId, c: CtxId) -> Result<Arc<Vec<IState>>, Oob> {
+    fn points_to(&mut self, l: NodeId, c: CtxId) -> Result<Vec<IState>, Oob> {
         let key = (l, c);
         // Per-call footprint frames are needed only when the result is
         // memoised (a memo hit must replay the computation's reads);
@@ -554,7 +614,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         let track = self.fp_on() && self.cfg.memoize;
         if self.cfg.memoize {
             if let Some(r) = self.s.memo_pts.get(&key) {
-                let r = Arc::clone(r);
+                let r = pooled_copy(&mut self.s.stacks, r);
                 if track {
                     let dep = self.s.memo_pts_fp.get(&key).cloned().flatten();
                     self.fp_absorb(dep.as_deref());
@@ -573,13 +633,12 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         let out = self.points_to_inner(l, c)?;
         self.s.on_stack_pts.remove(&key);
         self.depth -= 1;
-        let out = Arc::new(out);
         if self.cfg.memoize {
             if track {
                 let fp = self.fp_pop_frame();
                 self.s.memo_pts_fp.insert(key, fp);
             }
-            self.s.memo_pts.insert(key, Arc::clone(&out));
+            self.s.memo_pts.insert(key, out.as_slice().into());
         }
         Ok(out)
     }
@@ -588,13 +647,14 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         let mut pts_seen = self.acquire();
         let mut visited = self.acquire();
         let mut w = self.acquire_stack();
-        let mut pts: Vec<IState> = Vec::new();
+        let mut pts = self.acquire_stack();
         let r = self.points_to_loop(l, c, &mut pts_seen, &mut visited, &mut w, &mut pts);
         self.release(pts_seen);
         self.release(visited);
         self.release_stack(w);
-        r?;
-        self.sort_canonical(&mut pts);
+        let mut pts = self.finished(r, pts)?;
+        // Iterated in order by `ReachableNodes`' alias loop.
+        sort_canonical(self.ctxs, &mut pts);
         Ok(pts)
     }
 
@@ -665,7 +725,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             for e in pag.incoming_kind(x, EdgeClass::Ret) {
                 let i = e.kind.call_site().expect("ret edge");
                 let c2 = if ctx_sens {
-                    ctxs.intern(cx, i.raw())
+                    self.push_ctx(cx, i.raw())
                 } else {
                     cx
                 };
@@ -690,6 +750,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
                         w.push((n2, c2));
                     }
                 }
+                self.release_stack(rch);
             }
         }
         Ok(())
@@ -710,12 +771,12 @@ impl<'a, S: StateSet> QueryState<'a, S> {
 
     // ----- FLOWSTO -----
 
-    fn flows_to(&mut self, o: NodeId, c: CtxId) -> Result<Arc<Vec<IState>>, Oob> {
+    fn flows_to(&mut self, o: NodeId, c: CtxId) -> Result<Vec<IState>, Oob> {
         let key = (o, c);
         let track = self.fp_on() && self.cfg.memoize;
         if self.cfg.memoize {
             if let Some(r) = self.s.memo_flows.get(&key) {
-                let r = Arc::clone(r);
+                let r = pooled_copy(&mut self.s.stacks, r);
                 if track {
                     let dep = self.s.memo_flows_fp.get(&key).cloned().flatten();
                     self.fp_absorb(dep.as_deref());
@@ -734,13 +795,12 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         let out = self.flows_to_inner(o, c)?;
         self.s.on_stack_flows.remove(&key);
         self.depth -= 1;
-        let out = Arc::new(out);
         if self.cfg.memoize {
             if track {
                 let fp = self.fp_pop_frame();
                 self.s.memo_flows_fp.insert(key, fp);
             }
-            self.s.memo_flows.insert(key, Arc::clone(&out));
+            self.s.memo_flows.insert(key, out.as_slice().into());
         }
         Ok(out)
     }
@@ -749,15 +809,16 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         let mut visited = self.acquire();
         let mut w = self.acquire_stack();
         // Every state is popped exactly once (pushes are gated by the
-        // visited set), so reached variables can be collected in a Vec.
-        let mut reached: Vec<IState> = Vec::new();
+        // visited set), so the reached variables are a set as collected.
+        // They stay in traversal order: a `FlowsTo` result is unioned into
+        // an `alias` table, whose contents and touched-words count do not
+        // depend on insertion order ([`StateSet`]), or sorted as an answer
+        // by `finish` — nothing iterates it in an order that shows.
+        let mut reached = self.acquire_stack();
         let r = self.flows_to_loop(o, c, &mut visited, &mut w, &mut reached);
         self.release(visited);
         self.release_stack(w);
-        r?;
-        self.sort_canonical(&mut reached);
-        reached.dedup();
-        Ok(reached)
+        self.finished(r, reached)
     }
 
     /// The `FlowsTo` work loop — the forward dual of
@@ -802,7 +863,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             for e in pag.outgoing_kind(n, EdgeClass::Param) {
                 let i = e.kind.call_site().expect("param edge");
                 let c2 = if ctx_sens {
-                    ctxs.intern(cn, i.raw())
+                    self.push_ctx(cn, i.raw())
                 } else {
                     cn
                 };
@@ -832,6 +893,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
                         w.push((n2, c2));
                     }
                 }
+                self.release_stack(rch);
             }
         }
         Ok(())
@@ -839,7 +901,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
 
     // ----- REACHABLENODES (Algorithm 2) -----
 
-    fn reachable_nodes(&mut self, x: NodeId, c: CtxId, dir: Dir) -> Result<RchSet, Oob> {
+    fn reachable_nodes(&mut self, x: NodeId, c: CtxId, dir: Dir) -> Result<Vec<IState>, Oob> {
         let key = (dir, x, c);
         // Fault injection (tests only, see `SolverConfig::chaos_jmp_ignore_ctx`):
         // share jmp entries under a context-blind key, so a finished set
@@ -851,7 +913,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         };
         if self.cfg.memoize {
             if let Some(r) = self.s.memo_rch.get(&key) {
-                let r = Arc::clone(r);
+                let r = pooled_copy(&mut self.s.stacks, r);
                 if self.fp_on() {
                     let dep = self.s.memo_rch_fp.get(&key).cloned().flatten();
                     self.fp_absorb(dep.as_deref());
@@ -911,13 +973,14 @@ impl<'a, S: StateSet> QueryState<'a, S> {
                     if self.fp_on() {
                         self.fp_absorb(fp.as_deref());
                     }
+                    let out = pooled_copy(&mut self.s.stacks, &rch);
                     if self.cfg.memoize {
                         if self.fp_on() {
                             self.s.memo_rch_fp.insert(key, fp);
                         }
-                        self.s.memo_rch.insert(key, Arc::clone(&rch));
+                        self.s.memo_rch.insert(key, rch);
                     }
-                    return Ok(rch);
+                    return Ok(out);
                 }
                 None => {}
             }
@@ -932,22 +995,23 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         if self.fp_on() {
             self.fp_push_frame();
         }
-        let out = match dir {
-            Dir::Bwd => self.reachable_inner_bwd(x, c)?,
-            Dir::Fwd => self.reachable_inner_fwd(x, c)?,
-        };
+        let out = self.reachable_inner(x, c, dir)?;
         self.s.on_stack_rch.remove(&key);
         self.s.in_progress.pop();
 
-        let rch: RchSet = Arc::new(out);
         let fp = if self.fp_on() {
             self.fp_pop_frame()
         } else {
             None
         };
-        if self.cfg.data_sharing {
-            let total = self.steps - s0;
-            if total >= self.cfg.tau_finished
+        // The set leaves its buffer, as one copy behind an `Arc`, only to
+        // be shared: by a publication that clears `τF`, by the memo, or by
+        // both.
+        let total = self.steps - s0;
+        let publish = self.cfg.data_sharing && total >= self.cfg.tau_finished;
+        if publish || self.cfg.memoize {
+            let rch: RchSet = Arc::new(out.clone());
+            if publish
                 && self.jmp.publish_finished_fp(
                     jmp_key,
                     total,
@@ -959,113 +1023,80 @@ impl<'a, S: StateSet> QueryState<'a, S> {
                 self.stats.finished_published += rch.len().max(1) as u64;
                 self.emit(EventKind::JmpInsert, x.raw(), 1);
             }
-        }
-        if self.cfg.memoize {
-            if self.fp_on() {
-                self.s.memo_rch_fp.insert(key, fp);
+            if self.cfg.memoize {
+                if self.fp_on() {
+                    self.s.memo_rch_fp.insert(key, fp);
+                }
+                self.s.memo_rch.insert(key, rch);
             }
-            self.s.memo_rch.insert(key, Arc::clone(&rch));
         }
-        Ok(rch)
-    }
-
-    /// Backward: `x` has incoming loads `x ←ld(f)− p`; for every store
-    /// `q ←st(f)− y` with `p alias q`, `(y, c'')` is reachable.
-    fn reachable_inner_bwd(&mut self, x: NodeId, c: CtxId) -> Result<Vec<IState>, Oob> {
-        let mut alias = self.acquire();
-        let mut out: Vec<IState> = Vec::new();
-        let r = self.reachable_bwd_loop(x, c, &mut alias, &mut out);
-        self.release(alias);
-        r?;
-        // Several (load, store) pairs can reach one state: make `out` a
-        // set before the canonical sort materialises a key per element.
-        out.sort_unstable();
-        out.dedup();
-        self.sort_canonical(&mut out);
         Ok(out)
     }
 
-    fn reachable_bwd_loop(
+    /// The alias step of `ReachableNodes(x, c)`. Backward: `x` has incoming
+    /// loads `x ←ld(f)− p`; for every store `q ←st(f)− y` with `p alias q`,
+    /// `(y, c'')` is reachable. Forward is the dual: `x` has outgoing
+    /// stores `q ←st(f)− x`; for every load `y ←ld(f)− p` with `q alias p`,
+    /// `(y, c'')` is reachable.
+    fn reachable_inner(&mut self, x: NodeId, c: CtxId, dir: Dir) -> Result<Vec<IState>, Oob> {
+        let mut alias = self.acquire();
+        let mut out = self.acquire_stack();
+        let r = self.reachable_loop(x, c, dir, &mut alias, &mut out);
+        self.release(alias);
+        let mut out = self.finished(r, out)?;
+        // Iterated in order by the traversal that asked. Several (load,
+        // store) pairs can reach one state; equal states sort together.
+        sort_canonical(self.ctxs, &mut out);
+        out.dedup();
+        Ok(out)
+    }
+
+    fn reachable_loop(
         &mut self,
         x: NodeId,
         c: CtxId,
+        dir: Dir,
         alias: &mut S,
         out: &mut Vec<IState>,
     ) -> Result<(), Oob> {
         let pag = self.pag;
         self.fp_node(x);
-        for e in pag.incoming_kind(x, EdgeClass::Load) {
-            let (p, f) = (e.src, e.kind.field().expect("load edge"));
+        let accesses = match dir {
+            Dir::Bwd => pag.incoming_kind(x, EdgeClass::Load),
+            Dir::Fwd => pag.outgoing_kind(x, EdgeClass::Store),
+        };
+        for e in accesses {
+            let f = e.kind.field().expect("field access edge");
+            let (base, matches) = match dir {
+                Dir::Bwd => (e.src, pag.stores_of(f)),
+                Dir::Fwd => (e.dst, pag.loads_of(f)),
+            };
             // The field index is consulted before the emptiness gate, so
             // record it before — a store added to a today-empty field must
             // invalidate this traversal.
             self.fp_field(f);
-            if pag.stores_of(f).is_empty() {
+            if matches.is_empty() {
                 continue;
             }
-            // alias = ∪ FlowsTo(o, c') for (o, c') ∈ PointsTo(p, c).
+            // alias = ∪ FlowsTo(o, c') for (o, c') ∈ PointsTo(base, c).
             // Contexts per node are a set: interned ids dedup the repeats
             // that distinct objects with overlapping flows-to sets produce,
-            // so the store/load match loop below never re-inserts.
+            // so the match loop below never re-inserts.
             alias.reset();
-            let pts = self.points_to(p, c)?;
-            for &(o, c0) in pts.iter() {
+            let pts = self.points_to(base, c)?;
+            let r = pts.iter().try_for_each(|&(o, c0)| {
                 let ft = self.flows_to(o, c0)?;
-                for &(q2, c2) in ft.iter() {
-                    alias.insert(q2.raw(), c2);
+                for &(q, c2) in ft.iter() {
+                    alias.insert(q.raw(), c2);
                 }
-            }
-            for &(q, y) in pag.stores_of(f) {
+                self.release_stack(ft);
+                Ok(())
+            });
+            self.release_stack(pts);
+            r?;
+            for &(q, y) in matches {
                 alias.for_ctxs(q.raw(), |c2| {
                     out.push((y, c2));
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Forward dual: `y` has outgoing stores `q ←st(f)− y`; for every load
-    /// `x ←ld(f)− p` with `q alias p`, `(x, c'')` is reachable.
-    fn reachable_inner_fwd(&mut self, y: NodeId, c: CtxId) -> Result<Vec<IState>, Oob> {
-        let mut alias = self.acquire();
-        let mut out: Vec<IState> = Vec::new();
-        let r = self.reachable_fwd_loop(y, c, &mut alias, &mut out);
-        self.release(alias);
-        r?;
-        // Several (load, store) pairs can reach one state: make `out` a
-        // set before the canonical sort materialises a key per element.
-        out.sort_unstable();
-        out.dedup();
-        self.sort_canonical(&mut out);
-        Ok(out)
-    }
-
-    fn reachable_fwd_loop(
-        &mut self,
-        y: NodeId,
-        c: CtxId,
-        alias: &mut S,
-        out: &mut Vec<IState>,
-    ) -> Result<(), Oob> {
-        let pag = self.pag;
-        self.fp_node(y);
-        for e in pag.outgoing_kind(y, EdgeClass::Store) {
-            let (q, f) = (e.dst, e.kind.field().expect("store edge"));
-            self.fp_field(f);
-            if pag.loads_of(f).is_empty() {
-                continue;
-            }
-            alias.reset();
-            let pts = self.points_to(q, c)?;
-            for &(o, c0) in pts.iter() {
-                let ft = self.flows_to(o, c0)?;
-                for &(p2, c2) in ft.iter() {
-                    alias.insert(p2.raw(), c2);
-                }
-            }
-            for &(p, x) in pag.loads_of(f) {
-                alias.for_ctxs(p.raw(), |c2| {
-                    out.push((x, c2));
                 });
             }
         }

@@ -1,0 +1,80 @@
+//! A warm lane's nested traversals do not allocate (DESIGN.md §8): with
+//! sharing and memoisation off nothing is published, so once a solver's
+//! scratch has grown to a batch, answering the batch again may allocate
+//! for the answers it hands out and for little else — not once per
+//! element of every nested result set, which is what sorting by
+//! materialised call strings cost.
+//!
+//! Its own test binary: the counting allocator is process-wide. The count
+//! is per thread, so the harness's own threads stay out of it.
+
+use parcfl::core::{NoJmpStore, Solver};
+use parcfl::synth::{build_bench, Profile};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Heap allocations (`alloc`, `alloc_zeroed`, `realloc`) this thread
+    /// has made. Const-initialised and without a destructor, so reading
+    /// it from inside the allocator allocates nothing.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the only addition is a thread-local counter
+// bump that neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+#[test]
+fn a_warm_solver_allocates_for_its_answers_only() {
+    let bench = build_bench(&Profile::small(7));
+    // Defaults: no data sharing, no memoisation; every query completes.
+    let cfg = bench.solver.clone().with_budget(50_000_000);
+    assert!(!cfg.data_sharing && !cfg.memoize);
+    let store = NoJmpStore;
+    let mut solver = Solver::new(&bench.pag, &cfg, &store);
+    let pass = |solver: &mut Solver| {
+        let before = ALLOCS.with(Cell::get);
+        let (mut elements, mut steps) = (0u64, 0u64);
+        for &q in &bench.queries {
+            let out = solver.points_to_query(q, 0);
+            elements += out.answer.complete().expect("ample budget").len() as u64;
+            steps += out.stats.traversed_steps;
+        }
+        (ALLOCS.with(Cell::get) - before, elements, steps)
+    };
+    let (cold, ..) = pass(&mut solver);
+    let (warm, elements, steps) = pass(&mut solver);
+    let queries = bench.queries.len() as u64;
+    eprintln!("queries={queries} elements={elements} steps={steps} cold={cold} warm={warm}");
+    // The batch is mostly nested work: many more steps than answers.
+    assert!(steps > 20 * (elements + queries));
+    // An answer costs its `Vec` and one call string per element; the
+    // visited tables rebuild a spill bitset per query for the few rows
+    // that outgrow their inline slots.
+    assert!(
+        warm <= 2 * (elements + queries),
+        "{warm} allocations for {elements} answer elements over {queries} queries ({steps} steps)"
+    );
+}

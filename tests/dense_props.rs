@@ -13,8 +13,8 @@
 use parcfl::check::seed::derive;
 use parcfl::check::{failure_detail, test_seed, Scenario};
 use parcfl::concurrent::{CtxId, DenseVisitSet, HashVisitSet, StateSet};
-use parcfl::core::{Answer, MatrixSolver, SharedJmpStore, Solver, SolverConfig, StateBackend};
-use parcfl::pag::EdgeClass;
+use parcfl::core::{Answer, Dir, MatrixSolver, SharedJmpStore, Solver, SolverConfig, StateBackend};
+use parcfl::pag::{EdgeClass, NodeId, Pag};
 use parcfl::runtime::{
     run_matrix, run_seq, run_simulated, run_threaded, Backend, Engine, Mode, RunConfig, TraceLevel,
 };
@@ -188,16 +188,19 @@ proptest! {
         }
     }
 
-    /// A solver keeps its scratch — visited tables, stacks, in-flight
-    /// sets — for as long as its lane lives, and nothing of one query may
-    /// show in the next: a shuffled batch answered on one reused solver
-    /// equals each query answered on a solver made for it, field for
-    /// field of the output (`state_words` included, so the touched-words
-    /// accounting does not see what the tables held before). Each side
-    /// publishes into its own store and the two evolve in lockstep; the
-    /// stores carry the interner, so context ids agree with sharing off
-    /// too. And the three executors are one per-query body over such a
-    /// solver, so they report one `peak_state_words`.
+    /// A solver keeps its scratch — visited tables, buffers, in-flight
+    /// sets, push cache — for as long as its lane lives, and nothing of
+    /// one query may show in the next: a shuffled batch answered on two
+    /// reused solvers equals each query answered on a solver made for it,
+    /// field for field of the output (`state_words` included, so the
+    /// touched-words accounting does not see what the tables held
+    /// before). The two reused solvers are two lanes of one batch — one
+    /// store, so one interner, and a scratch each — and meet each other's
+    /// context ids on every query. Each side publishes into its own store
+    /// and the two evolve in lockstep; the stores carry the interner, so
+    /// context ids agree with sharing off too. And the three executors are
+    /// one per-query body over such a solver, so they report one
+    /// `peak_state_words`.
     #[test]
     fn prop_reused_solver_is_a_fresh_solver_on_every_executor(
         seed in 0u64..1 << 32,
@@ -216,22 +219,13 @@ proptest! {
             state: if dense { StateBackend::Dense } else { StateBackend::Hash },
             ..SolverConfig::default()
         };
-        let mut queries = bench.queries.clone();
-        for i in (1..queries.len()).rev() {
-            queries.swap(i, (derive(seed, i as u64) % (i as u64 + 1)) as usize);
-        }
-        let (reused_store, fresh_store) = (SharedJmpStore::new(), SharedJmpStore::new());
-        let mut reused = Solver::new(&bench.pag, &cfg, &reused_store);
-        let mut peak = 0;
-        for &q in &queries {
-            let kept = reused.points_to_query(q, 0);
-            let fresh = Solver::new(&bench.pag, &cfg, &fresh_store).points_to_query(q, 0);
-            prop_assert_eq!(&kept.answer, &fresh.answer, "seed={} query {:?}", seed, q);
-            prop_assert_eq!(&kept.stats, &fresh.stats, "seed={} query {:?}", seed, q);
-            peak = peak.max(kept.stats.state_words);
-        }
+        let mut queries: Vec<(NodeId, Dir)> =
+            bench.queries.iter().map(|&q| (q, Dir::Bwd)).collect();
+        shuffle(&mut queries, seed);
+        let peak = reused_lanes_equal_fresh_solvers(&bench.pag, &queries, &cfg, seed)?;
         prop_assert!(peak > 0);
         if !sharing {
+            let queries: Vec<NodeId> = queries.iter().map(|&(q, _)| q).collect();
             let seq = run_seq(&bench.pag, &queries, &cfg);
             prop_assert_eq!(seq.stats.peak_state_words, peak, "seed={}", seed);
             // One lane each: the same queries in the same order against
@@ -244,7 +238,113 @@ proptest! {
             prop_assert_eq!(sim.stats.peak_mem_items, seq.stats.peak_mem_items);
             prop_assert_eq!(thr.stats.peak_mem_items, seq.stats.peak_mem_items);
         }
+
+        // The same, on a program whose every query pushes more distinct
+        // contexts (4680 backward, 4680 forward) than a lane's push cache
+        // has slots (4096): each lane's slots collide and are overwritten
+        // within a query, and each lane pushes what the other interned.
+        let (fanout, depth) = (8u32, 4u32);
+        let (pag, up, down, obj) = call_tree(fanout, depth);
+        let strings = (1..=depth).map(|d| fanout.pow(d) as usize).sum::<usize>();
+        let mut queries = vec![(up, Dir::Bwd), (obj, Dir::Fwd), (down, Dir::Bwd)];
+        queries.extend_from_within(..);
+        shuffle(&mut queries, seed);
+        let cfg = SolverConfig { budget: 5_000_000, ..cfg };
+        reused_lanes_equal_fresh_solvers(&pag, &queries, &cfg, seed)?;
+        // And against the program itself: one object under every call
+        // string of the tree, not under whatever a stale slot named.
+        let store = SharedJmpStore::new();
+        let mut solver = Solver::new(&pag, &cfg, &store);
+        let flows = solver.flows_to_query(obj, 0).answer.complete().unwrap().len();
+        prop_assert_eq!(flows, 1 + strings + depth as usize + 1);
+        let pts = solver.points_to_query(up, 0).answer.complete().unwrap().len();
+        prop_assert_eq!(pts, fanout.pow(depth) as usize);
+        prop_assert_eq!(solver.interner().len(), 1 + 2 * strings);
     }
+}
+
+/// Fisher-Yates over `derive(seed, ·)`.
+fn shuffle<T>(v: &mut [T], seed: u64) {
+    for i in (1..v.len()).rev() {
+        v.swap(i, (derive(seed, i as u64) % (i as u64 + 1)) as usize);
+    }
+}
+
+/// Answers `queries` in order on two reused solvers over one store, taking
+/// turns, and each on a solver made for it over a second store; every
+/// output must agree field for field. Returns the largest `state_words`.
+fn reused_lanes_equal_fresh_solvers(
+    pag: &Pag,
+    queries: &[(NodeId, Dir)],
+    cfg: &SolverConfig,
+    seed: u64,
+) -> Result<u64, TestCaseError> {
+    let ask = |solver: &mut Solver, (q, dir): (NodeId, Dir)| match dir {
+        Dir::Bwd => solver.points_to_query(q, 0),
+        Dir::Fwd => solver.flows_to_query(q, 0),
+    };
+    let (reused_store, fresh_store) = (SharedJmpStore::new(), SharedJmpStore::new());
+    let mut lanes = [
+        Solver::new(pag, cfg, &reused_store),
+        Solver::new(pag, cfg, &reused_store),
+    ];
+    let mut peak = 0;
+    for (i, &q) in queries.iter().enumerate() {
+        let kept = ask(&mut lanes[i % 2], q);
+        let fresh = ask(&mut Solver::new(pag, cfg, &fresh_store), q);
+        prop_assert_eq!(&kept.answer, &fresh.answer, "seed={} query {:?}", seed, q);
+        prop_assert_eq!(&kept.stats, &fresh.stats, "seed={} query {:?}", seed, q);
+        peak = peak.max(kept.stats.state_words);
+    }
+    Ok(peak)
+}
+
+/// One object under `fanout^depth` call strings, both ways: it is
+/// allocated into the bottom of a chain of locals joined upwards by
+/// `fanout` parallel `ret` edges per link (a backward query from the top,
+/// `up`, pushes every string), and into the top of a chain joined
+/// downwards by `fanout` parallel `param` edges per link (a forward query
+/// from the object pushes them again, over other sites; `down` is that
+/// chain's bottom). Site ids are spaced by `SITE_STRIDE`, so the pushes
+/// under one parent context collide in the push cache with each other,
+/// not only with other parents'. Returns `(pag, up, down, object)`.
+fn call_tree(fanout: u32, depth: u32) -> (Pag, NodeId, NodeId, NodeId) {
+    use parcfl::pag::{CallSiteId, EdgeKind, NodeInfo, NodeKind, PagBuilder, TypeId};
+    let mut b = PagBuilder::new();
+    let m = b.add_method("m");
+    let mut node = |name: String, object: bool| {
+        b.add_node(NodeInfo {
+            kind: if object {
+                NodeKind::Object { method: m }
+            } else {
+                NodeKind::Local { method: m }
+            },
+            ty: TypeId::from_usize(0),
+            name,
+            is_application: !object,
+        })
+    };
+    let obj = node("o".into(), true);
+    let ups: Vec<NodeId> = (0..=depth).map(|d| node(format!("u{d}"), false)).collect();
+    let downs: Vec<NodeId> = (0..=depth).map(|d| node(format!("d{d}"), false)).collect();
+    b.add_edge(obj, ups[depth as usize], EdgeKind::New);
+    b.add_edge(obj, downs[0], EdgeKind::New);
+    // The cache's multiplicative hash sends keys a Fibonacci number apart
+    // to neighbouring slots: two or three sibling pushes per slot.
+    const SITE_STRIDE: u32 = 4181;
+    for d in 0..depth as usize {
+        for i in 0..fanout {
+            let site = (d as u32 * fanout + i) * SITE_STRIDE;
+            b.add_edge(ups[d + 1], ups[d], EdgeKind::Ret(CallSiteId::new(site)));
+            let site = ((depth + d as u32) * fanout + i) * SITE_STRIDE;
+            b.add_edge(
+                downs[d],
+                downs[d + 1],
+                EdgeKind::Param(CallSiteId::new(site)),
+            );
+        }
+    }
+    (b.freeze(), ups[0], downs[depth as usize], obj)
 }
 
 /// Deterministic sparse-kind fallback: on a graph where `assign_l` is
@@ -314,7 +414,8 @@ fn ctxs_of(table: &impl StateSet, node: u32) -> Vec<u32> {
 /// operations over a sparse 200 k-node id space — most rows alone in
 /// their page, a few hot rows taking enough contexts to spill — across
 /// six epochs, so recycled pages, rows and spill bitsets are all met
-/// stale.
+/// stale. A second pair of tables takes each epoch's inserts in reverse
+/// and must hold the same sets and report the same touched words.
 #[test]
 fn paged_dense_table_matches_hash_reference() {
     const NODES: u32 = 200_000;
@@ -325,8 +426,12 @@ fn paged_dense_table_matches_hash_reference() {
         (state >> 32) as u32 % bound
     };
     let (mut dense, mut hash) = (DenseVisitSet::default(), HashVisitSet::default());
+    // The `StateSet` contract's inward half: the solver unions `FlowsTo`
+    // results into `alias` in traversal order, not a canonical one.
+    let (mut dense_rev, mut hash_rev) = (DenseVisitSet::default(), HashVisitSet::default());
     let hot: Vec<u32> = (0..8).map(|_| next(NODES)).collect();
     for epoch in 0..6 {
+        let mut inserted = Vec::new();
         // Narrow context ranges keep a spilled row in one bitset chunk,
         // wide ones spread it over several.
         let ctx_range = if epoch % 2 == 0 { 40 } else { 5_000 };
@@ -351,7 +456,11 @@ fn paged_dense_table_matches_hash_reference() {
                     "PARCFL_TEST_SEED={seed} epoch {epoch}: insert({node}, {ctx:?})"
                 );
                 touched.push(node);
+                inserted.push((node, ctx));
             }
+        }
+        for &(node, ctx) in inserted.iter().rev() {
+            assert_eq!(dense_rev.insert(node, ctx), hash_rev.insert(node, ctx));
         }
         for &node in &touched {
             assert_eq!(
@@ -359,13 +468,18 @@ fn paged_dense_table_matches_hash_reference() {
                 ctxs_of(&hash, node),
                 "PARCFL_TEST_SEED={seed} epoch {epoch}: node {node}"
             );
+            assert_eq!(ctxs_of(&dense, node), ctxs_of(&dense_rev, node));
         }
+        assert_eq!(dense.approx_words(), dense_rev.approx_words());
+        assert_eq!(hash.approx_words(), hash_rev.approx_words());
         assert!(
             hot.iter().any(|&n| ctxs_of(&dense, n).len() > 8),
             "PARCFL_TEST_SEED={seed} epoch {epoch}: some hot row spills"
         );
         dense.reset();
         hash.reset();
+        dense_rev.reset();
+        hash_rev.reset();
         for &node in &touched {
             assert!(ctxs_of(&dense, node).is_empty());
             assert!(!dense.contains(node, CtxId::EMPTY));
