@@ -166,9 +166,7 @@ fn bench_context_ops(c: &mut Criterion) {
     // element, which is what the solver did before `cmp_stacks`. The sets
     // are shaped as the Table-I suite sorts them: of its 2.0 M sorts per
     // pass 82 % hold one state and all but three under 64, over contexts
-    // at most three deep for 99.9 % of the elements. (The comparator
-    // walks parent chains where a key is materialised once, so on sets of
-    // hundreds of states a dozen sites deep the keys win.)
+    // at most three deep for 99.9 % of the elements.
     let (interner, sets) = {
         let interner = CtxInterner::new();
         let mut cx = CtxId::EMPTY;

@@ -5,38 +5,26 @@
 //! queries a client actually asks.
 //!
 //! Additionally emits a machine-readable `BENCH_solver.json` (schema
-//! `parcfl-bench-solver/5`): per bench, the headline DQ simulated run
-//! plus sequential demand-dense / demand-hash rows, a one-worker
-//! `seq-matrix` row and a `par-matrix` row at 8 sweep workers, with
-//! makespan, traversed/charged steps, peak memoisation footprint, peak
-//! dense-state words, fanned-out wave counts, packed-gather and
-//! CSR-fallback row counters, the engine each row
-//! actually dispatched to, the dense-vs-hash and matrix-vs-demand wall
-//! ratios, the `matrix_par_speedup` makespan ratio of the parallel
-//! sweeps over the sequential matrix, and the `matrix_par_wall_speedup`
-//! *wall-clock* ratio of the same pair, so CI and perf-tracking scripts
-//! can diff solver behaviour without scraping the human tables. Each row
-//! is run `--repeat N` times (default 3) and `wall_ms` (and every
-//! wall-derived ratio) uses the median — single-shot walls on a loaded
-//! host are too noisy to gate on. `--smoke` restricts the run to the
-//! smallest synthetic profile and skips the wall-clock sidebars;
-//! `--json PATH` overrides the artifact location; `--only SUBSTR` keeps
-//! only benches whose name contains SUBSTR (fast A/B on one benchmark).
+//! `parcfl-bench-solver/6`): per bench, the headline DQ simulated run
+//! plus sequential dense-state / hash-state rows, with makespan,
+//! traversed/charged steps, peak memoisation footprint, peak state words
+//! and the dense-vs-hash wall ratio, so CI and perf-tracking scripts can
+//! diff solver behaviour without scraping the human tables. Each row is
+//! run `--repeat N` times (default 3) and `wall_ms` (and the wall-derived
+//! ratio) uses the median — single-shot walls on a loaded host are too
+//! noisy to gate on. `--smoke` restricts the run to the smallest
+//! synthetic profile and skips the wall-clock sidebars; `--json PATH`
+//! overrides the artifact location; `--only SUBSTR` keeps only benches
+//! whose name contains SUBSTR (fast A/B on one benchmark).
 //!
 //! `--trace-out PATH` additionally re-runs the first bench with
 //! `TraceLevel::Full` on the *simulated* backend (deterministic, so the
 //! CI artifact is reproducible) and writes the Chrome-trace JSON there —
-//! load it in `chrome://tracing` or Perfetto. `--trace-engine matrix`
-//! makes that re-run a parallel matrix run instead (8 sweep workers):
-//! the artifact then carries one lane per sweep worker with `wave N`
-//! spans, `sweep_segment` instants and `fan_out` markers — the real
-//! sweep timeline of the engine.
+//! load it in `chrome://tracing` or Perfetto.
 
 use parcfl_bench::{cfg_for, run_mode};
 use parcfl_core::{NoJmpStore, Solver, SolverConfig, StateBackend};
-use parcfl_runtime::{
-    run_matrix, run_seq, run_simulated, Backend, Mode, RunConfig, RunResult, TraceLevel,
-};
+use parcfl_runtime::{run_seq, run_simulated, Mode, RunResult, TraceLevel};
 use parcfl_synth::{build_bench, table1_profiles, Bench};
 use std::io::Write;
 
@@ -147,35 +135,21 @@ const JSON_THREADS: usize = 8;
 
 /// One `BENCH_solver.json` record, rendered by hand: the artifact must not
 /// cost a serde dependency, and every field is a scalar. `row` labels the
-/// configuration the record measured (engine × state × dispatch);
-/// `engine_dispatched` reports the engine that actually ran it
-/// ([`parcfl_runtime::RunStats::engine_dispatched`]); `wall_ms` is the
+/// configuration the record measured (state × dispatch); `wall_ms` is the
 /// median over the `--repeat` runs of the row.
-fn json_record(
-    b: &Bench,
-    row: &str,
-    engine: &str,
-    state: &str,
-    r: &RunResult,
-    wall_ms: f64,
-) -> String {
+fn json_record(b: &Bench, row: &str, state: &str, r: &RunResult, wall_ms: f64) -> String {
     let s = &r.stats;
     format!(
         concat!(
-            "{{\"bench\":\"{}\",\"row\":\"{}\",\"engine\":\"{}\",",
-            "\"engine_dispatched\":\"{}\",\"state\":\"{}\",",
+            "{{\"bench\":\"{}\",\"row\":\"{}\",\"state\":\"{}\",",
             "\"queries\":{},\"completed\":{},",
             "\"out_of_budget\":{},\"makespan\":{},\"traversed_steps\":{},",
             "\"charged_steps\":{},\"steps_saved\":{},\"jmp_edges\":{},",
             "\"store_entries\":{},\"peak_mem_items\":{},\"peak_state_words\":{},",
-            "\"interner_ctxs\":{},\"jmp_bytes\":{},",
-            "\"pool_wakes\":{},",
-            "\"packed_gathers\":{},\"csr_fallback_rows\":{},\"wall_ms\":{:.3}}}"
+            "\"interner_ctxs\":{},\"jmp_bytes\":{},\"wall_ms\":{:.3}}}"
         ),
         b.name,
         row,
-        engine,
-        s.engine_dispatched.map_or("unknown", |e| e.name()),
         state,
         s.queries,
         s.completed,
@@ -190,9 +164,6 @@ fn json_record(
         s.peak_state_words,
         s.interner_ctxs,
         s.jmp_bytes,
-        s.pool_wakes,
-        s.packed_gathers,
-        s.csr_fallback_rows,
         wall_ms,
     )
 }
@@ -228,19 +199,14 @@ fn repeated_interleaved<const N: usize>(
     (last.map(|r| r.expect("repeat >= 1")), walls.map(median_ms))
 }
 
-/// Runs each bench across the backend matrix (DESIGN.md §11) and writes
-/// the machine-readable artifact: the headline DQ simulated run plus
-/// sequential demand-dense, demand-hash, one-worker `seq-matrix` and
-/// eight-worker `par-matrix` rows, with the dense-vs-hash and
-/// matrix-vs-demand sequential wall-time ratios, the
-/// `matrix_par_speedup` makespan ratio (sequential matrix span over
-/// parallel matrix span; both runs are asserted bit-identical first) and
-/// the `matrix_par_wall_speedup` median-wall ratio of the same pair.
-/// All five rows of a bench interleave their repeats
-/// ([`repeated_interleaved`]) so the wall medians feeding the speedup
-/// ratios are drift-fair.
+/// Runs each bench on the headline DQ simulated configuration and on the
+/// sequential solver under both visited-state backends (DESIGN.md §11),
+/// and writes the machine-readable artifact with the dense-vs-hash
+/// sequential wall-time ratio. The three rows of a bench interleave their
+/// repeats ([`repeated_interleaved`]) so the wall medians feeding the
+/// ratio are drift-fair.
 fn emit_bench_json(path: &str, benches: &[Bench], smoke: bool, repeat: usize) {
-    let mut records = Vec::with_capacity(benches.len() * 5);
+    let mut records = Vec::with_capacity(benches.len() * 3);
     for b in benches {
         let dense_cfg = SolverConfig {
             state: StateBackend::Dense,
@@ -250,89 +216,36 @@ fn emit_bench_json(path: &str, benches: &[Bench], smoke: bool, repeat: usize) {
             state: StateBackend::Hash,
             ..b.solver.clone()
         };
-        // The `seq-matrix` row is the sequential-matrix *baseline*: one
-        // worker, scalar CSR scans (packed off). `par-matrix` is the full
-        // parallel engine — packed rows, 8 workers — so `matrix_par_wall_speedup` measures exactly what
-        // the parallel engine buys on real wall clock over that baseline
-        // (both rows are asserted bit-identical in every answer first).
-        let seq_matrix_cfg = RunConfig::new(Mode::Naive, 1, Backend::Simulated)
-            .with_solver(dense_cfg.clone().with_packed(false));
-        let par_matrix_cfg = RunConfig::new(Mode::Naive, JSON_THREADS, Backend::Simulated)
-            .with_solver(dense_cfg.clone());
-        let ([headline, dense, hash, matrix, par_matrix], walls) = repeated_interleaved(
-            repeat,
-            [
-                Box::new(|| run_mode(b, Mode::DataSharingSched, JSON_THREADS)),
-                Box::new(|| run_seq(&b.pag, &b.queries, &dense_cfg)),
-                Box::new(|| run_seq(&b.pag, &b.queries, &hash_cfg)),
-                Box::new(|| run_matrix(&b.pag, &b.queries, &seq_matrix_cfg)),
-                Box::new(|| run_matrix(&b.pag, &b.queries, &par_matrix_cfg)),
-            ],
-        );
-        let [headline_wall, dense_wall, hash_wall, matrix_wall, par_matrix_wall] = walls;
-        records.push(json_record(
-            b,
-            "dq-sim",
-            "demand",
-            "dense",
-            &headline,
-            headline_wall,
-        ));
+        let ([headline, dense, hash], [headline_wall, dense_wall, hash_wall]) =
+            repeated_interleaved(
+                repeat,
+                [
+                    Box::new(|| run_mode(b, Mode::DataSharingSched, JSON_THREADS)),
+                    Box::new(|| run_seq(&b.pag, &b.queries, &dense_cfg)),
+                    Box::new(|| run_seq(&b.pag, &b.queries, &hash_cfg)),
+                ],
+            );
         assert_eq!(
             dense.sorted_answers(),
             hash.sorted_answers(),
             "{}: state backends must be bit-identical",
             b.name
         );
-        assert_eq!(
-            matrix.sorted_answers(),
-            par_matrix.sorted_answers(),
-            "{}: parallel matrix sweeps must be bit-identical to sequential",
-            b.name
-        );
-        let ratio = |num: f64, den: f64| if den == 0.0 { 1.0 } else { num / den };
-        let dense_speedup = ratio(hash_wall, dense_wall);
-        let matrix_speedup = ratio(dense_wall, matrix_wall);
-        // Makespan is virtual span (critical path), so this speedup is
-        // deterministic — independent of host load; the wall variant
-        // below is the real-clock figure for the same pair (median over
-        // repeats).
-        let par_speedup = matrix.stats.makespan as f64 / par_matrix.stats.makespan.max(1) as f64;
-        let par_wall_speedup = ratio(matrix_wall, par_matrix_wall);
-        records.push(json_record(
-            b,
-            "seq-dense",
-            "demand",
-            "dense",
-            &dense,
-            dense_wall,
-        ));
-        records.push(json_record(
-            b, "seq-hash", "demand", "hash", &hash, hash_wall,
-        ));
-        let mut m = json_record(b, "seq-matrix", "matrix", "dense", &matrix, matrix_wall);
-        let extra = format!(
-            ",\"dense_vs_hash_speedup\":{dense_speedup:.3},\"matrix_vs_demand_speedup\":{matrix_speedup:.3}}}"
-        );
-        m.replace_range(m.len() - 1.., &extra);
-        records.push(m);
-        let mut p = json_record(
-            b,
-            "par-matrix",
-            "matrix",
-            "dense",
-            &par_matrix,
-            par_matrix_wall,
-        );
-        let extra = format!(
-            ",\"matrix_par_speedup\":{par_speedup:.3},\"matrix_par_wall_speedup\":{par_wall_speedup:.3}}}"
-        );
-        p.replace_range(p.len() - 1.., &extra);
-        records.push(p);
+        let dense_speedup = if dense_wall == 0.0 {
+            1.0
+        } else {
+            hash_wall / dense_wall
+        };
+        records.push(json_record(b, "dq-sim", "dense", &headline, headline_wall));
+        records.push(json_record(b, "seq-dense", "dense", &dense, dense_wall));
+        let mut h = json_record(b, "seq-hash", "hash", &hash, hash_wall);
+        let extra = format!(",\"dense_vs_hash_speedup\":{dense_speedup:.3}}}");
+        h.replace_range(h.len() - 1.., &extra);
+        records.push(h);
     }
     let body = format!(
         concat!(
-            "{{\"schema\":\"parcfl-bench-solver/5\",\"mode\":\"DataSharingSched\",",
+            "{{\"schema\":\"parcfl-bench-solver/6\",\"mode\":\"DataSharingSched\",",
             "\"threads\":{},\"backend\":\"simulated\",\"smoke\":{},\"repeat\":{},\"benches\":[\n  {}\n]}}\n"
         ),
         JSON_THREADS,
@@ -349,47 +262,17 @@ fn emit_bench_json(path: &str, benches: &[Bench], smoke: bool, repeat: usize) {
     );
 }
 
-/// Re-runs `b` with full tracing and writes the Chrome-trace JSON
-/// artifact. `"demand"` traces the headline DQ run on the deterministic
-/// simulated backend; `"matrix"` traces a parallel matrix run
-/// ([`JSON_THREADS`] sweep workers, packed kernels) of the same bench,
-/// whose per-worker lanes carry the wave spans, sweep-segment instants
-/// and fan-out markers — event *structure* (wave ids, widths,
-/// segment attribution) is deterministic, only the real-clock timestamps
-/// vary. Table-I frontiers stay below the engine's fan-out threshold
-/// (single-lane timelines), so `"matrix-stress"` instead traces
-/// [`parcfl_synth::sweep_stress_bench`], whose 512-bit waves dispatch
-/// across all [`JSON_THREADS`] workers — the multi-lane artifact CI
-/// validates fan-out and packed/CSR gather markers against.
-fn emit_trace(path: &str, b: &Bench, engine: &str) {
-    let stress;
-    let (b, engine) = match engine {
-        "matrix-stress" => {
-            stress = parcfl_synth::sweep_stress_bench();
-            (&stress, "matrix")
-        }
-        e => (b, e),
-    };
-    let r = match engine {
-        "matrix" => {
-            let cfg = RunConfig::new(Mode::Naive, JSON_THREADS, Backend::Simulated)
-                .with_solver(SolverConfig {
-                    state: StateBackend::Dense,
-                    ..b.solver.clone()
-                })
-                .with_tracing(TraceLevel::Full);
-            run_matrix(&b.pag, &b.queries, &cfg)
-        }
-        _ => {
-            let cfg =
-                cfg_for(b, Mode::DataSharingSched, JSON_THREADS).with_tracing(TraceLevel::Full);
-            run_simulated(&b.pag, &b.queries, &cfg)
-        }
-    };
-    let trace = r.trace.expect("Full tracing yields a trace");
+/// Re-runs `b`'s headline DQ configuration with full tracing on the
+/// deterministic simulated backend and writes the Chrome-trace JSON
+/// artifact.
+fn emit_trace(path: &str, b: &Bench) {
+    let cfg = cfg_for(b, Mode::DataSharingSched, JSON_THREADS).with_tracing(TraceLevel::Full);
+    let trace = run_simulated(&b.pag, &b.queries, &cfg)
+        .trace
+        .expect("Full tracing yields a trace");
     std::fs::write(path, trace.to_chrome_json()).expect("write chrome trace");
     println!(
-        "wrote {path} ({engine} engine: {} events across {} workers, {} dropped)",
+        "wrote {path} ({} events across {} workers, {} dropped)",
         trace.event_count(),
         trace.workers.len(),
         trace.dropped()
@@ -410,16 +293,6 @@ fn main() {
         .position(|a| a == "--trace-out")
         .and_then(|i| args.get(i + 1))
         .cloned();
-    let trace_engine = args
-        .iter()
-        .position(|a| a == "--trace-engine")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "demand".to_string());
-    assert!(
-        matches!(trace_engine.as_str(), "demand" | "matrix" | "matrix-stress"),
-        "--trace-engine expects demand|matrix|matrix-stress"
-    );
     let only = args
         .iter()
         .position(|a| a == "--only")
@@ -440,7 +313,7 @@ fn main() {
         let b = build_bench(&profiles[0]);
         emit_bench_json(&json_path, std::slice::from_ref(&b), true, repeat);
         if let Some(p) = &trace_path {
-            emit_trace(p, &b, &trace_engine);
+            emit_trace(p, &b);
         }
         return;
     }
@@ -455,7 +328,7 @@ fn main() {
         assert!(!suite.is_empty(), "--only {pat} matched no benches");
         emit_bench_json(&json_path, &suite, false, repeat);
         if let Some(p) = &trace_path {
-            emit_trace(p, &suite[0], &trace_engine);
+            emit_trace(p, &suite[0]);
         }
         return;
     }
@@ -513,6 +386,6 @@ fn main() {
 
     emit_bench_json(&json_path, &suite, false, repeat);
     if let Some(p) = &trace_path {
-        emit_trace(p, &suite[0], &trace_engine);
+        emit_trace(p, &suite[0]);
     }
 }

@@ -21,15 +21,6 @@
 //! has nothing to stay warm. τ policy itself is the `ablation_tau` bench's
 //! subject, not this one's.
 //!
-//! With `--engine {demand|matrix|auto}` the bench instead submits each
-//! full batch through a session configured with that engine
-//! ([`AnalysisSession::with_engine`], 8 sweep workers for matrix) and
-//! prints which engine actually ran ([`parcfl_runtime::RunStats::engine_dispatched`]),
-//! asserting every query both paths complete yields bit-identical answers
-//! and that the engine under test completes a superset of the
-//! demand-completed queries (the matrix batch-global memo legitimately
-//! completes queries demand runs out of budget on, DESIGN.md §11).
-//!
 //! `--json [PATH]` additionally writes a machine-readable artifact
 //! (default `BENCH_warm.json`): per-bench cold/warm traversed steps, warm
 //! hits, and p50/p90/p99 of the warm batch's query-latency histogram
@@ -38,7 +29,7 @@
 //! With `--delta [PATH]` the bench instead measures *incremental*
 //! analysis (DESIGN.md §12): each suite session answers its full batch,
 //! takes a seeded 3-op PAG edit script through
-//! [`AnalysisSession::apply_delta`] (selective jmp/memo/schedule
+//! [`AnalysisSession::apply_delta`] (selective jmp/schedule
 //! invalidation), and re-queries warm. The warm re-query must answer
 //! bit-identically to a cold session on the edited graph, and across the
 //! suite selective invalidation must retain at least one warm entry (a
@@ -47,9 +38,9 @@
 //! re-query steps and the invalidation counters per bench.
 
 use parcfl_bench::cfg_for;
-use parcfl_core::{Answer, SolverConfig};
+use parcfl_core::SolverConfig;
 use parcfl_pag::PagDelta;
-use parcfl_runtime::{run_simulated, AnalysisSession, Backend, Engine, Mode, RunResult};
+use parcfl_runtime::{run_simulated, AnalysisSession, Backend, Mode, RunResult};
 use parcfl_synth::mutate::sample_edits;
 use std::io::Write;
 
@@ -85,75 +76,14 @@ fn emit_warm_json(path: &str, records: &[String]) {
     println!("\nwrote {path} ({} benches)", records.len());
 }
 
-/// `--engine`: submits every bench's full batch through a session pinned
-/// to `engine` and through a demand session, asserting the engines agree
-/// on every query both complete and printing the engine each batch
-/// actually dispatched to. Budget *verdicts* legitimately differ: the
-/// matrix backend's batch-global memo completes queries the demand
-/// solver burns its whole budget on (DESIGN.md §11), so the engine under
-/// test must complete a superset of the demand-completed queries with
-/// bit-identical result sets — never the reverse.
-fn run_engine_comparison(engine: Engine) {
-    println!(
-        "{:<16} {:>9} {:>12} {:>12} {:>9}",
-        "Benchmark", "Engine", "Makespan", "DemandMksp", "ExtraCmpl"
-    );
-    let suite = parcfl_synth::build_suite();
-    for b in &suite {
-        let solver: SolverConfig = b.solver.clone().without_tau_thresholds();
-        let mut demand_sess = AnalysisSession::new(&b.pag)
-            .with_threads(8)
-            .with_solver(solver.clone());
-        let demand = demand_sess.submit(&b.queries, Mode::DataSharingSched, Backend::Simulated);
-        let mut engine_sess = AnalysisSession::new(&b.pag)
-            .with_threads(8)
-            .with_solver(solver)
-            .with_engine(engine);
-        let run = engine_sess.submit(&b.queries, Mode::DataSharingSched, Backend::Simulated);
-        let (run_answers, demand_answers) = (run.sorted_answers(), demand.sorted_answers());
-        assert_eq!(
-            run_answers.len(),
-            demand_answers.len(),
-            "{}: query sets",
-            b.name
-        );
-        let mut extra_completed = 0u32;
-        for ((qr, ar), (qd, ad)) in run_answers.iter().zip(demand_answers.iter()) {
-            assert_eq!(qr, qd, "{}: query order diverged", b.name);
-            match (ar, ad) {
-                (Answer::Complete(r), Answer::Complete(d)) => assert_eq!(
-                    r, d,
-                    "{}: {engine} session answer for {qr:?} diverged from demand",
-                    b.name
-                ),
-                (Answer::OutOfBudget, Answer::Complete(_)) => panic!(
-                    "{}: {engine} session ran {qr:?} out of budget but demand completed it",
-                    b.name
-                ),
-                (Answer::Complete(_), Answer::OutOfBudget) => extra_completed += 1,
-                (Answer::OutOfBudget, Answer::OutOfBudget) => {}
-            }
-        }
-        let dispatched = run
-            .stats
-            .engine_dispatched
-            .expect("session batches record their engine");
-        println!(
-            "{:<16} {:>9} {:>12} {:>12} {:>9}",
-            b.name, dispatched, run.stats.makespan, demand.stats.makespan, extra_completed
-        );
-    }
-    println!("\nall benchmarks: {engine} session completed answers identical to demand");
-}
-
 /// `--delta`: the incremental-analysis comparison. Each bench primes a
 /// session with its full batch, applies a seeded edit script, and
 /// re-queries warm; a cold session on the edited graph is the oracle and
 /// the step baseline. Writes the `BENCH_incremental.json` artifact.
 fn run_delta_comparison(json_path: &str) {
     println!(
-        "{:<16} {:>10} {:>10} {:>7} {:>8} {:>8} {:>8} {:>6}",
-        "Benchmark", "ColdS", "IncrS", "Saved%", "InvJmp", "RetJmp", "InvMemo", "InvSch"
+        "{:<16} {:>10} {:>10} {:>7} {:>8} {:>8} {:>6}",
+        "Benchmark", "ColdS", "IncrS", "Saved%", "InvJmp", "RetJmp", "InvSch"
     );
     let suite = parcfl_synth::build_suite();
     let mode = Mode::DataSharingSched;
@@ -186,19 +116,18 @@ fn run_delta_comparison(json_path: &str) {
             "{}: incremental re-query diverged from cold on the edited graph",
             b.name
         );
-        suite_retained += report.retained_jmps + report.retained_memos;
+        suite_retained += report.retained_jmps;
 
         let saved =
             100.0 * (1.0 - incr.stats.traversed_steps as f64 / cold.stats.traversed_steps as f64);
         println!(
-            "{:<16} {:>10} {:>10} {:>6.1}% {:>8} {:>8} {:>8} {:>6}",
+            "{:<16} {:>10} {:>10} {:>6.1}% {:>8} {:>8} {:>6}",
             b.name,
             cold.stats.traversed_steps,
             incr.stats.traversed_steps,
             saved,
             report.invalidated_jmps,
             report.retained_jmps,
-            report.invalidated_memos,
             report.invalidated_schedules,
         );
         records.push(format!(
@@ -206,7 +135,6 @@ fn run_delta_comparison(json_path: &str) {
                 "{{\"bench\":\"{}\",\"edits\":{},\"cold_steps\":{},",
                 "\"incremental_steps\":{},\"warm_hits\":{},",
                 "\"invalidated_jmps\":{},\"retained_jmps\":{},",
-                "\"invalidated_memos\":{},\"retained_memos\":{},",
                 "\"invalidated_schedules\":{}}}"
             ),
             b.name,
@@ -216,8 +144,6 @@ fn run_delta_comparison(json_path: &str) {
             incr.stats.warm_hits,
             report.invalidated_jmps,
             report.retained_jmps,
-            report.invalidated_memos,
-            report.retained_memos,
             report.invalidated_schedules,
         ));
     }
@@ -249,16 +175,6 @@ fn main() {
             .cloned()
             .unwrap_or_else(|| "BENCH_incremental.json".to_string());
         run_delta_comparison(&path);
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--engine") {
-        let engine = match args.get(i + 1).map(String::as_str) {
-            Some("demand") => Engine::Demand,
-            Some("matrix") => Engine::Matrix,
-            Some("auto") => Engine::Auto,
-            other => panic!("--engine expects demand|matrix|auto, got {other:?}"),
-        };
-        run_engine_comparison(engine);
         return;
     }
     // `--json` takes an optional path operand; a following flag (or

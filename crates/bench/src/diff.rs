@@ -5,7 +5,7 @@
 //! differently:
 //!
 //! * **Deterministic counters** — `traversed_steps`, `makespan`,
-//!   `peak_state_words`, `packed_gathers`, … — are bit-reproducible for a
+//!   `peak_state_words`, `interner_ctxs`, … — are bit-reproducible for a
 //!   given bench × row configuration (virtual-time simulation, seeded
 //!   synthesis). Any drift is a behaviour change, so they gate with
 //!   **exact equality**: one ulp of difference fails the diff.
@@ -45,9 +45,6 @@ pub const DETERMINISTIC_FIELDS: &[&str] = &[
     "store_entries",
     "peak_state_words",
     "interner_ctxs",
-    "pool_wakes",
-    "packed_gathers",
-    "csr_fallback_rows",
 ];
 
 /// Which findings fail the diff (non-zero exit).
@@ -109,7 +106,7 @@ impl Scalar {
 pub struct RowRecord {
     /// Benchmark name (`"bench"` field).
     pub bench: String,
-    /// Row label, e.g. `"par-matrix"` (`"row"` field).
+    /// Row label, e.g. `"seq-dense"` (`"row"` field).
     pub row: String,
     /// Every scalar field of the record, including `bench`/`row`.
     pub fields: Vec<(String, Scalar)>,
@@ -129,7 +126,7 @@ impl RowRecord {
 /// A parsed `BENCH_solver.json` artifact.
 #[derive(Clone, Debug)]
 pub struct Artifact {
-    /// The artifact's `schema` tag (e.g. `parcfl-bench-solver/5`).
+    /// The artifact's `schema` tag (e.g. `parcfl-bench-solver/6`).
     pub schema: String,
     /// Every bench × row record, in artifact order.
     pub rows: Vec<RowRecord>,
@@ -475,12 +472,11 @@ mod tests {
             .map(|(bench, row, steps, wall)| {
                 format!(
                     concat!(
-                        "{{\"bench\":\"{}\",\"row\":\"{}\",\"engine\":\"demand\",",
+                        "{{\"bench\":\"{}\",\"row\":\"{}\",\"state\":\"dense\",",
                         "\"queries\":10,\"completed\":10,\"out_of_budget\":0,",
                         "\"makespan\":100,\"traversed_steps\":{},\"charged_steps\":90,",
                         "\"steps_saved\":5,\"jmp_edges\":3,\"store_entries\":2,",
                         "\"peak_state_words\":64,\"interner_ctxs\":4,",
-                        "\"pool_wakes\":40,\"packed_gathers\":12,\"csr_fallback_rows\":1,",
                         "\"wall_ms\":{:.3}}}"
                     ),
                     bench, row, steps, wall
@@ -488,7 +484,7 @@ mod tests {
             })
             .collect();
         format!(
-            "{{\"schema\":\"parcfl-bench-solver/5\",\"threads\":8,\"benches\":[\n  {}\n]}}\n",
+            "{{\"schema\":\"parcfl-bench-solver/6\",\"threads\":8,\"benches\":[\n  {}\n]}}\n",
             recs.join(",\n  ")
         )
     }
@@ -496,7 +492,7 @@ mod tests {
     #[test]
     fn parses_rows_and_fields() {
         let a = Artifact::parse(&artifact(&[("jess", "dq-sim", 1234, 5.0)])).unwrap();
-        assert_eq!(a.schema, "parcfl-bench-solver/5");
+        assert_eq!(a.schema, "parcfl-bench-solver/6");
         assert_eq!(a.rows.len(), 1);
         let r = &a.rows[0];
         assert_eq!((r.bench.as_str(), r.row.as_str()), ("jess", "dq-sim"));
@@ -504,7 +500,7 @@ mod tests {
             r.field("traversed_steps"),
             Some(&Scalar::Raw("1234".into()))
         );
-        assert_eq!(r.field("engine"), Some(&Scalar::Str("demand".into())));
+        assert_eq!(r.field("state"), Some(&Scalar::Str("dense".into())));
         assert_eq!(r.field("wall_ms").and_then(Scalar::as_f64), Some(5.0));
         assert!(r.field("nope").is_none());
     }
@@ -526,10 +522,7 @@ mod tests {
 
     #[test]
     fn identical_artifacts_pass_every_gate() {
-        let text = artifact(&[
-            ("jess", "dq-sim", 1234, 5.0),
-            ("jess", "par-matrix", 99, 2.0),
-        ]);
+        let text = artifact(&[("jess", "dq-sim", 1234, 5.0), ("jess", "seq-hash", 99, 2.0)]);
         let a = Artifact::parse(&text).unwrap();
         let report = diff_artifacts(&a, &a);
         assert_eq!(report.compared, 2);
@@ -570,11 +563,11 @@ mod tests {
     #[test]
     fn missing_row_is_a_regression_and_new_row_is_a_note() {
         let base = Artifact::parse(&artifact(&[("jess", "dq-sim", 1, 5.0)])).unwrap();
-        let cur = Artifact::parse(&artifact(&[("jess", "par-matrix", 1, 5.0)])).unwrap();
+        let cur = Artifact::parse(&artifact(&[("jess", "seq-hash", 1, 5.0)])).unwrap();
         let report = diff_artifacts(&base, &cur);
         assert_eq!(report.compared, 0);
         assert!(report.regressions[0].contains("jess/dq-sim"), "{report:?}");
-        assert!(report.notes.iter().any(|n| n.contains("jess/par-matrix")));
+        assert!(report.notes.iter().any(|n| n.contains("jess/seq-hash")));
         assert!(report.failed(GateMode::Deterministic));
     }
 
@@ -582,10 +575,10 @@ mod tests {
     fn missing_deterministic_field_in_current_is_a_regression() {
         let base = Artifact::parse(&artifact(&[("jess", "dq-sim", 1, 5.0)])).unwrap();
         let mut cur = base.clone();
-        cur.rows[0].fields.retain(|(k, _)| k != "packed_gathers");
+        cur.rows[0].fields.retain(|(k, _)| k != "interner_ctxs");
         let report = diff_artifacts(&base, &cur);
         assert!(
-            report.regressions[0].contains("packed_gathers"),
+            report.regressions[0].contains("interner_ctxs"),
             "{report:?}"
         );
         // The other direction (field only in current) is schema growth, not a failure.

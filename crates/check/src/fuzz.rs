@@ -3,20 +3,13 @@
 //! Each iteration derives an independent RNG stream from the base seed,
 //! samples a scenario — synthetic program (tiny/small profile), query
 //! subset, mode, backend, thread count, budget regime, τ thresholds,
-//! memoisation, context sensitivity, state backend (hash/dense), solver
-//! engine (demand/matrix), packed-adjacency scan path (on/off),
+//! memoisation, context sensitivity, state backend (hash/dense),
 //! simulator perturbation, jmp-store cap — runs it, and checks every
 //! completed answer two ways:
 //!
 //! * **exactly** against the naive oracle ([`crate::diff`]);
 //! * **for soundness** against the Andersen whole-program solution
 //!   ([`crate::andersen_check`]).
-//!
-//! Matrix-engine scenarios additionally replay at sweep worker counts
-//! 1/2/4/8 — each count once with the sampled packed flag and once with
-//! it flipped — and must produce bit-identical answers, traversed-step
-//! totals and budget verdicts at every point of that grid (DESIGN.md
-//! §11) — on top of the oracle checks above.
 //!
 //! A quarter of eligible iterations carry a mutate-then-requery edit
 //! script ([`Scenario::deltas`]): the run answers cold, applies each PAG
@@ -39,7 +32,7 @@ use crate::shrink::{shrink, ShrinkStats};
 use crate::snapshot::Scenario;
 use parcfl_core::{SolverConfig, StateBackend};
 use parcfl_pag::{DeltaOp, EdgeKind};
-use parcfl_runtime::{Backend, Engine, Mode, SimPerturb, TraceLevel};
+use parcfl_runtime::{Backend, Mode, SimPerturb, TraceLevel};
 use parcfl_synth::mutate::sample_edits;
 use parcfl_synth::{build_bench, Profile};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -69,7 +62,7 @@ pub struct FuzzConfig {
     pub delta: bool,
     /// Fault injection self-test for the incremental path: enable
     /// `SolverConfig::chaos_skip_invalidation` (deltas swap the graph
-    /// but leave every warm jmp/memo entry stale) and bias scenarios
+    /// but leave every warm jmp entry stale) and bias scenarios
     /// toward sharing modes, zero τ and ample budgets so the stale
     /// state is re-served. The fuzzer is expected to FAIL when this is
     /// on — it proves the battery catches broken invalidation.
@@ -194,7 +187,7 @@ pub fn failure_detail(scenario: &Scenario) -> Option<String> {
             ));
         }
     }
-    matrix_worker_divergence(scenario).or_else(|| incremental_divergence(scenario))
+    incremental_divergence(scenario)
 }
 
 /// The incremental dimension: replays a delta scenario's edited graph
@@ -221,55 +214,6 @@ pub fn incremental_divergence(scenario: &Scenario) -> Option<String> {
                      (warm {} targets, cold {})",
                     w.len(),
                     c.len()
-                ));
-            }
-        }
-    }
-    None
-}
-
-/// The parallel-matrix dimension: replays a matrix scenario over the
-/// grid {1, 2, 4, 8} sweep workers × {packed, unpacked} adjacency and
-/// reports the first observable that differs from the scenario's own
-/// configuration — answers, total traversed steps, or out-of-budget
-/// verdicts must all be independent of both the partition and the scan
-/// representation (DESIGN.md §11). `None` for demand scenarios.
-pub fn matrix_worker_divergence(scenario: &Scenario) -> Option<String> {
-    if scenario.engine != Engine::Matrix {
-        return None;
-    }
-    let base = scenario.run();
-    for workers in [1usize, 2, 4, 8] {
-        for packed in [scenario.solver.packed, !scenario.solver.packed] {
-            let mut v = scenario.clone();
-            v.threads = workers;
-            v.solver.packed = packed;
-            let r = v.run();
-            if r.sorted_answers() != base.sorted_answers() {
-                return Some(format!(
-                    "matrix answers diverge at {workers} workers, packed={packed} \
-                     (base {} workers, packed={})",
-                    scenario.threads, scenario.solver.packed
-                ));
-            }
-            if r.stats.traversed_steps != base.stats.traversed_steps {
-                return Some(format!(
-                    "matrix traversed_steps {} at {workers} workers (packed={packed}) \
-                     != {} at {} workers (packed={})",
-                    r.stats.traversed_steps,
-                    base.stats.traversed_steps,
-                    scenario.threads,
-                    scenario.solver.packed
-                ));
-            }
-            if r.stats.out_of_budget != base.stats.out_of_budget {
-                return Some(format!(
-                    "matrix out_of_budget {} at {workers} workers (packed={packed}) \
-                     != {} at {} workers (packed={})",
-                    r.stats.out_of_budget,
-                    base.stats.out_of_budget,
-                    scenario.threads,
-                    scenario.solver.packed
                 ));
             }
         }
@@ -315,7 +259,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
                 "soundness violation: demand pts({q}) contains {o}, Andersen's does not"
             ))
         } else {
-            matrix_worker_divergence(&scenario).or_else(|| incremental_divergence(&scenario))
+            incremental_divergence(&scenario)
         };
         if let Some(detail) = detail {
             let (scenario, shrink_stats) = if cfg.shrink {
@@ -417,22 +361,7 @@ fn sample_scenario(cfg: &FuzzConfig, i: u64) -> Scenario {
         } else {
             StateBackend::Dense
         },
-        // Packed dimension: matrix scenarios must be indistinguishable
-        // whether they scan bit-packed adjacency rows or the scalar CSR
-        // slices (the demand solver ignores the flag either way).
-        packed: rng.random_bool(0.5),
         ..SolverConfig::default()
-    };
-
-    // Engine dimension: a quarter of non-chaos iterations answer on the
-    // whole-program matrix backend instead of the demand solver — its
-    // completed answers must match the oracle exactly, just like demand's.
-    // Chaos runs stay on demand: the matrix engine never touches the jmp
-    // store, so the injected sharing fault could not surface there.
-    let engine = if !chaoslike && rng.random_bool(0.25) {
-        Engine::Matrix
-    } else {
-        Engine::Demand
     };
 
     // Mutate-then-requery dimension: a quarter of eligible iterations
@@ -501,13 +430,7 @@ fn sample_scenario(cfg: &FuzzConfig, i: u64) -> Scenario {
         perturb = None;
     }
 
-    // Matrix scenarios draw from the power-of-two worker ladder the
-    // cross-worker replay sweeps; demand threads stay 1..=6.
-    let threads = if engine == Engine::Matrix {
-        [1usize, 2, 4, 8][rng.random_range(0usize..4)]
-    } else {
-        rng.random_range(1usize..=6)
-    };
+    let threads = rng.random_range(1usize..=6);
 
     // Trace dimension: tracing is observation-only by contract, so any
     // level must leave every oracle comparison untouched. Half the
@@ -529,7 +452,6 @@ fn sample_scenario(cfg: &FuzzConfig, i: u64) -> Scenario {
         fetch_cost: rng.random_range(0u64..=3),
         perturb,
         store_cap,
-        engine,
         trace_level,
         deltas,
     }

@@ -31,8 +31,8 @@ pub mod snapshot;
 pub use andersen_check::{check_soundness, check_soundness_against, SoundnessReport};
 pub use diff::{diff_answers, with_big_stack, DiffReport, Mismatch, OracleCache};
 pub use fuzz::{
-    failure_detail, incremental_divergence, matrix_worker_divergence, run_fuzz, scenario_fails,
-    FuzzConfig, FuzzFailure, FuzzReport,
+    failure_detail, incremental_divergence, run_fuzz, scenario_fails, FuzzConfig, FuzzFailure,
+    FuzzReport,
 };
 pub use oracle::{IncompleteReason, Oracle, OracleAnswer, OracleConfig};
 pub use seed::{test_seed, DEFAULT_SEED, SEED_ENV};

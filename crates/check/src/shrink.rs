@@ -99,7 +99,7 @@ pub fn shrink(scenario: Scenario, fails: &dyn Fn(&Scenario) -> bool) -> (Scenari
 
         // 2. Configuration simplification.
         type Step = fn(&mut Scenario);
-        let steps: [Step; 13] = [
+        let steps: [Step; 11] = [
             |s| s.backend = Backend::Simulated,
             |s| s.threads = 1,
             |s| s.fetch_cost = 0,
@@ -112,9 +112,7 @@ pub fn shrink(scenario: Scenario, fails: &dyn Fn(&Scenario) -> bool) -> (Scenari
                     _ => Mode::Naive,
                 }
             },
-            |s| s.engine = parcfl_runtime::Engine::Demand,
             |s| s.solver.state = parcfl_core::StateBackend::default(),
-            |s| s.solver.packed = true,
             |s| s.trace_level = parcfl_runtime::TraceLevel::Off,
             |s| s.deltas.clear(),
             |s| s.solver.chaos_skip_invalidation = false,
@@ -129,9 +127,7 @@ pub fn shrink(scenario: Scenario, fails: &dyn Fn(&Scenario) -> bool) -> (Scenari
                 && candidate.store_cap == cur.store_cap
                 && candidate.solver.budget == cur.solver.budget
                 && candidate.mode == cur.mode
-                && candidate.engine == cur.engine
                 && candidate.solver.state == cur.solver.state
-                && candidate.solver.packed == cur.solver.packed
                 && candidate.trace_level == cur.trace_level
                 && candidate.deltas == cur.deltas
                 && candidate.solver.chaos_skip_invalidation == cur.solver.chaos_skip_invalidation

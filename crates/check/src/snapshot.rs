@@ -17,7 +17,7 @@
 //!
 //! ```text
 //! # free-form comment
-//! run mode=dq backend=sim threads=3 fetch=1 budget=75000 tauf=100 tauu=100 ctx=1 memo=0 chaos=0 engine=demand state=dense packed=1 trace=off
+//! run mode=dq backend=sim threads=3 fetch=1 budget=75000 tauf=100 tauu=100 ctx=1 memo=0 chaos=0 state=dense trace=off
 //! perturb pseed=7 jitter=3 window=4 scramble=1 evict=0   (optional)
 //! store cap=64                                           (optional)
 //! counts nodes=5 fields=2 callsites=1
@@ -53,8 +53,8 @@ use parcfl_pag::{
     PagDelta,
 };
 use parcfl_runtime::{
-    run_matrix, run_simulated_batch, run_threaded, schedule_with_cap, AnalysisSession, Backend,
-    DeltaReport, Engine, Mode, RunConfig, RunResult, SimPerturb, TraceLevel,
+    run_simulated_batch, run_threaded, schedule_with_cap, AnalysisSession, Backend, DeltaReport,
+    Mode, RunConfig, RunResult, SimPerturb, TraceLevel,
 };
 use parcfl_synth::mutate::canonical_types;
 use std::fmt::Write as _;
@@ -81,11 +81,6 @@ pub struct Scenario {
     pub perturb: Option<SimPerturb>,
     /// Jmp-store entry cap (simulated backend only; `None` = unbounded).
     pub store_cap: Option<usize>,
-    /// Solver engine: the demand work-list solver (default) or the
-    /// whole-program matrix backend. Under `Engine::Matrix`,
-    /// `mode`/`backend` are inert but `threads` sets the sweep worker
-    /// count (answers are bit-identical at every worker count).
-    pub engine: Engine,
     /// Trace recording level. Tracing is observation-only by contract,
     /// so fuzzing this dimension checks that no recorder perturbs
     /// answers or deterministic counters.
@@ -93,7 +88,7 @@ pub struct Scenario {
     /// Mutate-then-requery edit script. Empty means a plain one-shot
     /// run; non-empty routes [`Self::run`] through an analysis session
     /// that answers cold, applies each op as its own delta (selective
-    /// invalidation of jmp/memo/schedule state) and re-queries warm.
+    /// invalidation of jmp/schedule state) and re-queries warm.
     pub deltas: Vec<DeltaOp>,
 }
 
@@ -104,7 +99,6 @@ impl Scenario {
             RunConfig::new(self.mode, self.threads, self.backend).with_solver(self.solver.clone());
         cfg.fetch_cost = self.fetch_cost;
         cfg.perturb = self.perturb;
-        cfg.engine = self.engine;
         cfg.tracing = self.trace_level;
         cfg
     }
@@ -117,9 +111,6 @@ impl Scenario {
             return self.run_incremental().0;
         }
         let cfg = self.run_config();
-        if self.engine == Engine::Matrix {
-            return run_matrix(&self.pag, &self.queries, &cfg);
-        }
         match self.backend {
             Backend::Threaded => run_threaded(&self.pag, &self.queries, &cfg),
             Backend::Simulated => {
@@ -143,7 +134,6 @@ impl Scenario {
         let mut session = AnalysisSession::new(&self.pag)
             .with_threads(self.threads)
             .with_solver(self.solver.clone())
-            .with_engine(self.engine)
             .with_tracing(self.trace_level)
             .with_fetch_cost(self.fetch_cost);
         if let Some(cap) = self.store_cap {
@@ -186,7 +176,7 @@ impl Scenario {
         s.push_str("# Replay: parcfl check --replay <this file>\n");
         let _ = write!(
             s,
-            "run mode={} backend={} threads={} fetch={} budget={} tauf={} tauu={} ctx={} memo={} chaos={} engine={} state={} packed={} trace={}",
+            "run mode={} backend={} threads={} fetch={} budget={} tauf={} tauu={} ctx={} memo={} chaos={} state={} trace={}",
             match self.mode {
                 Mode::Naive => "naive",
                 Mode::DataSharing => "d",
@@ -204,9 +194,7 @@ impl Scenario {
             self.solver.context_sensitive as u8,
             self.solver.memoize as u8,
             self.solver.chaos_jmp_ignore_ctx as u8,
-            self.engine.name(),
             self.solver.state.name(),
-            self.solver.packed as u8,
             match self.trace_level {
                 TraceLevel::Off => "off",
                 TraceLevel::Spans => "spans",
@@ -283,7 +271,6 @@ impl Scenario {
         let mut threads = 1usize;
         let mut fetch_cost = 1u64;
         let mut solver = SolverConfig::default();
-        let mut engine = Engine::Demand;
         let mut trace_level = TraceLevel::Off;
         let mut perturb: Option<SimPerturb> = None;
         let mut store_cap: Option<usize> = None;
@@ -331,13 +318,20 @@ impl Scenario {
                             "ctx" => solver.context_sensitive = parse::<u8, _>(v, &err)? != 0,
                             "memo" => solver.memoize = parse::<u8, _>(v, &err)? != 0,
                             "chaos" => solver.chaos_jmp_ignore_ctx = parse::<u8, _>(v, &err)? != 0,
-                            // `engine`/`state`/`packed`/`trace` are absent
-                            // in older corpus files; missing keys keep the
-                            // defaults (demand engine, default state
-                            // backend, packed scans on, tracing off).
-                            "engine" => engine = v.parse::<Engine>().map_err(&err)?,
+                            // `engine`/`packed` selected the matrix engine
+                            // and its scan path; snapshots written while it
+                            // existed still load, and replay on the one
+                            // solver there is now.
+                            "engine" => match v {
+                                "demand" | "matrix" | "auto" => {}
+                                _ => return Err(err(format!("unknown engine `{v}`"))),
+                            },
+                            "packed" => {
+                                parse::<u8, _>(v, &err)?;
+                            }
+                            // `state`/`trace` are absent in older corpus
+                            // files; missing keys keep the defaults.
                             "state" => solver.state = v.parse::<StateBackend>().map_err(&err)?,
-                            "packed" => solver.packed = parse::<u8, _>(v, &err)? != 0,
                             "trace" => {
                                 trace_level = TraceLevel::parse(v)
                                     .ok_or_else(|| err(format!("unknown trace level `{v}`")))?
@@ -507,7 +501,6 @@ impl Scenario {
             fetch_cost,
             perturb,
             store_cap,
-            engine,
             trace_level,
             deltas,
         })
@@ -586,7 +579,6 @@ mod tests {
                 evict_period: 5,
             }),
             store_cap: Some(32),
-            engine: Engine::Demand,
             trace_level: TraceLevel::Off,
             deltas: vec![],
         }
@@ -609,7 +601,6 @@ mod tests {
         assert_eq!(back.fetch_cost, sc.fetch_cost);
         assert_eq!(back.perturb, sc.perturb);
         assert_eq!(back.store_cap, sc.store_cap);
-        assert_eq!(back.engine, sc.engine);
         assert_eq!(back.trace_level, sc.trace_level);
         // Serialising the parsed scenario reproduces the text exactly.
         assert_eq!(back.to_snapshot(), text);
@@ -617,47 +608,34 @@ mod tests {
 
     #[test]
     fn engine_and_state_keys_default_when_absent() {
-        // Older snapshots carry no engine/state/packed/trace keys: they
-        // parse to the demand engine, the default state backend, packed
-        // scans on and tracing off.
+        // Older snapshots carry no state/trace keys: they parse to the
+        // default state backend and tracing off.
         let sc = sample_scenario();
-        let legacy: String = sc
-            .to_snapshot()
-            .lines()
-            .map(|l| {
-                if l.starts_with("run ") {
-                    l.split_whitespace()
-                        .filter(|t| {
-                            !t.starts_with("engine=")
-                                && !t.starts_with("state=")
-                                && !t.starts_with("packed=")
-                                && !t.starts_with("trace=")
-                        })
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
+        let text = sc.to_snapshot();
+        assert!(!text.contains("engine=") && !text.contains("packed="));
+        let legacy = text.replace(" state=dense", "").replace(" trace=off", "");
         let back = Scenario::from_snapshot(&legacy).expect("legacy parse");
-        assert_eq!(back.engine, Engine::Demand);
         assert_eq!(back.solver.state, SolverConfig::default().state);
-        assert!(back.solver.packed, "absent packed key defaults on");
         assert_eq!(back.trace_level, TraceLevel::Off, "absent trace key is off");
 
-        // And the matrix engine round-trips through the run line, packed
-        // flag and trace level included.
-        let mut mat = sample_scenario();
-        mat.engine = Engine::Matrix;
-        mat.solver.state = StateBackend::Hash;
-        mat.solver.packed = false;
-        mat.trace_level = TraceLevel::Full;
-        let back = Scenario::from_snapshot(&mat.to_snapshot()).expect("parse");
-        assert_eq!(back.engine, Engine::Matrix);
+        // Snapshots from when there was a matrix engine carry `engine=`
+        // and `packed=`: present, validated, ignored — the scenario is
+        // the one the same file without them describes.
+        for engine in ["demand", "matrix", "auto"] {
+            let old = text.replace(" state=", &format!(" engine={engine} packed=0 state="));
+            let back = Scenario::from_snapshot(&old).expect("engine-era parse");
+            assert_eq!(back.to_snapshot(), text, "engine={engine}");
+        }
+        for bad in ["engine=gpu", "engine=", "packed=yes", "packed=-1"] {
+            let old = text.replace(" state=", &format!(" {bad} state="));
+            assert!(Scenario::from_snapshot(&old).is_err(), "{bad} is rejected");
+        }
+
+        let mut full = sample_scenario();
+        full.solver.state = StateBackend::Hash;
+        full.trace_level = TraceLevel::Full;
+        let back = Scenario::from_snapshot(&full.to_snapshot()).expect("parse");
         assert_eq!(back.solver.state, StateBackend::Hash);
-        assert!(!back.solver.packed, "packed=0 round-trips");
         assert_eq!(back.trace_level, TraceLevel::Full, "trace=full round-trips");
 
         assert!(

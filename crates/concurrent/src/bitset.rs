@@ -33,10 +33,7 @@ pub type Chunk = [u64; CHUNK_WORDS];
 
 /// Chunk kernels: straight-line u64×8 block ops with no data-dependent
 /// branches or early exits, so LLVM autovectorises each loop into a single
-/// full-width vector operation per chunk. These are the inner loops of the
-/// matrix engine's sweep-barrier merges (DESIGN.md §11) — per-worker
-/// scratch bitsets are differenced against the visited rows and unioned
-/// into the master table one whole chunk at a time.
+/// full-width vector operation per chunk.
 pub mod kernel {
     use super::{Chunk, CHUNK_WORDS};
 
@@ -51,28 +48,7 @@ pub mod kernel {
         added
     }
 
-    /// `dst &= !src`; returns how many bits the difference cleared.
-    #[inline]
-    pub fn difference_into(dst: &mut Chunk, src: &Chunk) -> u32 {
-        let mut removed = 0u32;
-        for w in 0..CHUNK_WORDS {
-            removed += (dst[w] & src[w]).count_ones();
-            dst[w] &= !src[w];
-        }
-        removed
-    }
-
-    /// Whether any bit of the chunk is set (one OR-reduce, no early exit —
-    /// the branchless form is what keeps the sweep partitioner's
-    /// empty-chunk skip vectorisable over pooled, cleared-but-allocated
-    /// chunks).
-    #[inline]
-    pub fn any_set(c: &Chunk) -> bool {
-        c.iter().fold(0u64, |acc, w| acc | w) != 0
-    }
-
-    /// Population count of the whole chunk — the scan-cost figure the
-    /// sweep partitioner and the `Engine::Auto` heuristic weigh work by.
+    /// Population count of the whole chunk.
     #[inline]
     pub fn count_ones(c: &Chunk) -> u32 {
         c.iter().map(|w| w.count_ones()).sum()
@@ -82,22 +58,6 @@ pub mod kernel {
     #[inline]
     pub fn zero(dst: &mut Chunk) {
         dst.fill(0);
-    }
-
-    /// `dst[..src.len()] |= src` for a word-group prefix of one chunk
-    /// (`src.len() <= CHUNK_WORDS`); returns how many bits the union newly
-    /// set. The packed-adjacency gather primitive: a successor row's
-    /// chunk-aligned word group ORs into a scratch chunk in one
-    /// autovectorisable pass ([`crate::ChunkedBitset::union_words`]).
-    #[inline]
-    pub fn union_slice_into(dst: &mut Chunk, src: &[u64]) -> u32 {
-        debug_assert!(src.len() <= CHUNK_WORDS);
-        let mut added = 0u32;
-        for (d, &s) in dst.iter_mut().zip(src) {
-            added += (s & !*d).count_ones();
-            *d |= s;
-        }
-        added
     }
 }
 
@@ -182,41 +142,6 @@ impl ChunkedBitset {
         }
     }
 
-    /// Removes every member of `other` from `self` (`self ∖= other`) —
-    /// one [`kernel::difference_into`] per shared chunk. The sweep-barrier
-    /// primitive: a worker's scratch row differenced against the visited
-    /// row leaves exactly the fresh states.
-    pub fn difference_with(&mut self, other: &ChunkedBitset) {
-        for (i, sc) in self.chunks.iter_mut().enumerate() {
-            let Some(sc) = sc else { continue };
-            if let Some(Some(oc)) = other.chunks.get(i) {
-                self.len -= kernel::difference_into(sc, oc) as usize;
-            }
-        }
-    }
-
-    /// Unions a flat word-indexed row into the set: `words[i]` covers ids
-    /// `i*64..` — the layout of `parcfl-pag`'s packed adjacency rows, which
-    /// is bit-compatible with the chunk layout here. One
-    /// [`kernel::union_slice_into`] per chunk-aligned word group, skipping
-    /// all-zero groups so sparse rows never allocate chunks. Returns how
-    /// many ids were newly inserted.
-    pub fn union_words(&mut self, words: &[u64]) -> usize {
-        let mut added = 0usize;
-        for (ci, group) in words.chunks(CHUNK_WORDS).enumerate() {
-            if group.iter().fold(0u64, |acc, &w| acc | w) == 0 {
-                continue;
-            }
-            if ci >= self.chunks.len() {
-                self.chunks.resize_with(ci + 1, || None);
-            }
-            let sc = self.chunks[ci].get_or_insert_with(|| Box::new([0u64; CHUNK_WORDS]));
-            added += kernel::union_slice_into(sc, group) as usize;
-        }
-        self.len += added;
-        added
-    }
-
     /// Recounts the members chunk-by-chunk with [`kernel::count_ones`].
     /// Always equals [`ChunkedBitset::len`]; exists so the kernels (and
     /// the incremental `len` bookkeeping) can be cross-checked.
@@ -236,20 +161,10 @@ impl ChunkedBitset {
     }
 
     /// The `ci`-th chunk, or `None` if that slot was never touched. Chunk
-    /// `ci` covers ids `ci * CHUNK_BITS ..` — callers slicing sweeps by
-    /// chunk pair this with [`kernel::any_set`] / [`kernel::count_ones`].
+    /// `ci` covers ids `ci * CHUNK_BITS ..`.
     #[inline]
     pub fn chunk(&self, ci: usize) -> Option<&Chunk> {
         self.chunks.get(ci).and_then(|c| c.as_deref())
-    }
-
-    /// Iterates the set ids inside chunk `ci` in ascending order.
-    pub fn iter_chunk(&self, ci: usize) -> impl Iterator<Item = u32> + '_ {
-        let base = (ci * CHUNK_BITS) as u32;
-        self.chunk(ci)
-            .map(|words| SetBits::new(words, base))
-            .into_iter()
-            .flatten()
     }
 
     /// Iterates the set ids in ascending order.
@@ -708,115 +623,37 @@ mod tests {
     fn chunk_kernels_match_scalar_semantics() {
         let mut a: Chunk = [0; CHUNK_WORDS];
         let mut b: Chunk = [0; CHUNK_WORDS];
-        assert!(!kernel::any_set(&a));
         assert_eq!(kernel::count_ones(&a), 0);
         a[0] = 0b1011;
         a[7] = 1 << 63;
         b[0] = 0b0110;
         b[3] = 0xFF;
-        assert!(kernel::any_set(&a));
         assert_eq!(kernel::count_ones(&a), 4);
         // union adds exactly the bits of b missing from a
         let mut u = a;
         assert_eq!(kernel::union_into(&mut u, &b), 9);
         assert_eq!(kernel::count_ones(&u), 13);
         assert_eq!(u[0], 0b1111);
-        // difference removes exactly the shared bits
-        let mut d = u;
-        assert_eq!(kernel::difference_into(&mut d, &b), 10);
-        assert_eq!(d[0], 0b1001);
-        assert_eq!(d[3], 0);
-        assert_eq!(kernel::count_ones(&d), 3);
         kernel::zero(&mut u);
-        assert!(!kernel::any_set(&u));
+        assert_eq!(u, [0; CHUNK_WORDS]);
     }
 
     #[test]
-    fn bitset_difference() {
-        let mut a = ChunkedBitset::new();
-        let mut b = ChunkedBitset::new();
-        for i in [1u32, 5, 600, 2000] {
-            a.insert(i);
-        }
-        for i in [5u32, 600, 9999] {
-            b.insert(i);
-        }
-        a.difference_with(&b);
-        let got: Vec<u32> = a.iter().collect();
-        assert_eq!(got, vec![1, 2000]);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.count_ones(), 2);
-    }
-
-    #[test]
-    fn chunk_accessors_cover_iteration() {
+    fn chunk_accessors_follow_allocation() {
         let mut a = ChunkedBitset::new();
         for i in [3u32, 511, 512, 1999] {
             a.insert(i);
         }
         assert_eq!(a.chunk_count(), 4);
-        assert!(a.chunk(0).is_some());
+        assert_eq!(kernel::count_ones(a.chunk(0).unwrap()), 2);
         assert!(a.chunk(2).is_none(), "untouched slot stays unallocated");
-        let per_chunk: usize = (0..a.chunk_count())
-            .map(|ci| a.iter_chunk(ci).count())
-            .sum();
-        assert_eq!(per_chunk, a.len());
-        let c0: Vec<u32> = a.iter_chunk(0).collect();
-        assert_eq!(c0, vec![3, 511]);
-        let c3: Vec<u32> = a.iter_chunk(3).collect();
-        assert_eq!(c3, vec![1999]);
-        // A cleared-but-allocated chunk is skipped by the any_set guard.
+        assert!(a.chunk(4).is_none(), "past the directory");
         a.clear();
-        assert!(a.chunk(0).is_some());
-        assert!(!kernel::any_set(a.chunk(0).unwrap()));
-    }
-
-    /// `union_words` must agree with per-bit inserts for any flat row,
-    /// including rows shorter/longer than a chunk and all-zero groups.
-    #[test]
-    fn union_words_matches_per_bit_inserts() {
-        let rows: [&[u64]; 5] = [
-            &[0b101],                           // short row, one word
-            &[0, 0, 0, 0, 0, 0, 0, 1 << 63],    // exactly one chunk, high bit
-            &[0; 8],                            // all-zero: no chunk allocated
-            &[0xFF, 0, 0, 0, 0, 0, 0, 0, 0b11], // spans two chunks
-            &[1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1], // 11 words
-        ];
-        for row in rows {
-            let mut via_words = ChunkedBitset::new();
-            via_words.insert(3); // pre-existing bits must be preserved
-            let added = via_words.union_words(row);
-            let mut via_bits = ChunkedBitset::new();
-            via_bits.insert(3);
-            let mut want_added = 0usize;
-            for (i, &w) in row.iter().enumerate() {
-                let mut w = w;
-                while w != 0 {
-                    let id = i as u32 * 64 + w.trailing_zeros();
-                    w &= w - 1;
-                    want_added += via_bits.insert(id) as usize;
-                }
-            }
-            assert_eq!(added, want_added);
-            let got: Vec<u32> = via_words.iter().collect();
-            let want: Vec<u32> = via_bits.iter().collect();
-            assert_eq!(got, want);
-            assert_eq!(via_words.len(), via_bits.len());
-            assert_eq!(via_words.count_ones(), via_words.len(), "len bookkeeping");
-        }
-        // All-zero groups allocate nothing.
-        let mut b = ChunkedBitset::new();
-        b.union_words(&[0; 16]);
-        assert_eq!(b.chunk_count(), 0);
-        // Idempotent re-union adds nothing.
-        let mut c = ChunkedBitset::new();
-        assert_eq!(c.union_words(&[0b111, 0, 0, 0, 0, 0, 0, 0, 1]), 4);
-        assert_eq!(c.union_words(&[0b111, 0, 0, 0, 0, 0, 0, 0, 1]), 0);
-        assert_eq!(c.len(), 4);
+        assert_eq!(a.chunk(0), Some(&[0; CHUNK_WORDS]), "cleared, still held");
     }
 
     /// Deterministic model test: a cheap LCG drives interleaved
-    /// insert/contains/clear/union/difference against a `BTreeSet` model.
+    /// insert/contains/clear/union against a `BTreeSet` model.
     #[test]
     fn bitset_matches_btreeset_model() {
         use std::collections::BTreeSet;
@@ -833,7 +670,7 @@ mod tests {
         let mut other_model: BTreeSet<u32> = BTreeSet::new();
         for step in 0..20_000 {
             let id = rng() % 5000;
-            match rng() % 11 {
+            match rng() % 10 {
                 0..=5 => {
                     assert_eq!(b.insert(id), model.insert(id), "insert {id}");
                 }
@@ -843,10 +680,6 @@ mod tests {
                 8 => {
                     other.insert(id);
                     other_model.insert(id);
-                }
-                9 => {
-                    b.difference_with(&other);
-                    model.retain(|v| !other_model.contains(v));
                 }
                 _ => {
                     if step % 1000 == 999 {

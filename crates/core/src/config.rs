@@ -95,16 +95,8 @@ pub struct SolverConfig {
     /// performance/memory choice: answers and costs are bit-identical
     /// across backends.
     pub state: StateBackend,
-    /// Whether the matrix engine scans through the PAG's bit-packed
-    /// adjacency rows (`parcfl_pag::PackedAdj`) where available, instead
-    /// of walking the scalar CSR slices per frontier bit. Default on; a
-    /// pure wall-clock choice — answers, scan counts and budget verdicts
-    /// are bit-identical either way (the `dense_props` proptests and the
-    /// fuzzer's `packed` dimension prove it), which is why it stays
-    /// selectable. The demand solver ignores it.
-    pub packed: bool,
     /// Whether traversals record reverse-dependency [`crate::Footprint`]s
-    /// alongside finished jmp publishes and matrix memo entries, enabling
+    /// alongside finished jmp publishes, enabling
     /// selective invalidation after a `PagDelta` (DESIGN.md §12). Off by
     /// default: one-shot runs pay nothing. Sessions that support
     /// `apply_delta` force it on. Pure metadata — answers, step counts and
@@ -139,7 +131,6 @@ impl Default for SolverConfig {
             max_recursion_depth: 512,
             warm_floor: 0,
             state: StateBackend::default(),
-            packed: true,
             record_footprints: false,
             chaos_jmp_ignore_ctx: false,
             chaos_skip_invalidation: false,
@@ -185,13 +176,6 @@ impl SolverConfig {
         self
     }
 
-    /// Toggles the matrix engine's packed-adjacency scan path (see the
-    /// field docs; answers are identical either way).
-    pub fn with_packed(mut self, packed: bool) -> Self {
-        self.packed = packed;
-        self
-    }
-
     /// Enables reverse-dependency footprint recording (see the field
     /// docs; answers are identical either way).
     pub fn with_footprints(mut self) -> Self {
@@ -213,7 +197,6 @@ mod tests {
         assert!(!c.data_sharing);
         assert!(c.context_sensitive);
         assert!(!c.memoize);
-        assert!(c.packed, "packed adjacency defaults on");
     }
 
     #[test]

@@ -115,8 +115,8 @@ impl Ctx {
 
 /// Sorts interned states into the canonical order: by node, then by call
 /// string ([`CtxInterner::cmp_stacks`]) — the order the materialised
-/// `(NodeId, Ctx)` pairs sort in, whatever ids interning assigned. Both
-/// engines put every result set a nested traversal iterates into this
+/// `(NodeId, Ctx)` pairs sort in, whatever ids interning assigned. The
+/// solver puts every result set a nested traversal iterates into this
 /// order, which is what keeps traversal order, and with it every step
 /// count, independent of interning order (DESIGN.md §8). Unstable is
 /// enough: equal elements are identical.

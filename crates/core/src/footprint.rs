@@ -1,10 +1,9 @@
 //! Reverse-dependency footprints for selective invalidation (DESIGN.md
 //! §12).
 //!
-//! Every *finished* jmp entry and every batch-global matrix memo entry can
-//! carry a [`Footprint`]: the set of PAG nodes whose adjacency its
-//! recording traversal consulted, plus the set of fields whose load/store
-//! populations it consulted. When a [`parcfl_pag::PagDelta`] lands, the
+//! Every *finished* jmp entry can carry a [`Footprint`]: the set of PAG
+//! nodes whose adjacency its recording traversal consulted, plus the set
+//! of fields whose load/store populations it consulted. When a [`parcfl_pag::PagDelta`] lands, the
 //! effective edge changes define a [`DirtySet`]; an entry stays warm iff
 //! its footprint is present and disjoint from the dirty set — a graph edit
 //! that never touched anything the traversal read cannot change its
@@ -93,8 +92,8 @@ impl FpBuilder {
         FpBuilder::default()
     }
 
-    /// Records that `n`'s adjacency (incoming/outgoing slices or packed
-    /// rows) was consulted.
+    /// Records that `n`'s adjacency (incoming/outgoing slices) was
+    /// consulted.
     pub fn record_node(&mut self, n: NodeId) {
         self.nodes.insert(n.raw());
     }
@@ -102,12 +101,6 @@ impl FpBuilder {
     /// Records that field `f`'s `loads_of`/`stores_of` index was consulted.
     pub fn record_field(&mut self, f: FieldId) {
         self.fields.insert(f.raw());
-    }
-
-    /// Records a whole node bitset at once (the matrix engine's visited
-    /// rows — every node a closure's sweeps scanned).
-    pub fn record_node_set(&mut self, nodes: &ChunkedBitset) {
-        self.nodes.union_with(nodes);
     }
 
     /// Marks the frame's read-set unknowable (see type docs).

@@ -8,8 +8,6 @@
 //!
 //! * [`solver::Solver`] — Algorithms 1 & 2 (`PointsTo`, `FlowsTo`,
 //!   `ReachableNodes`);
-//! * [`matrix::MatrixSolver`] — the whole-program boolean-semiring
-//!   backend for dense query batches (DESIGN.md §11);
 //! * [`context::Ctx`] — call-string calling contexts;
 //! * [`jmp`] — the shortcut store (finished/unfinished entries, Fig. 3);
 //! * [`config::SolverConfig`] — budget `B`, thresholds `τF`/`τU`, toggles;
@@ -36,7 +34,6 @@ pub mod config;
 pub mod context;
 pub mod footprint;
 pub mod jmp;
-pub mod matrix;
 pub mod solver;
 pub mod stats;
 pub mod witness;
@@ -45,7 +42,6 @@ pub use config::{SolverConfig, StateBackend};
 pub use context::Ctx;
 pub use footprint::{DirtySet, Footprint, FpBuilder};
 pub use jmp::{Dir, JmpEntry, JmpStore, NoJmpStore, SharedJmpStore};
-pub use matrix::{MatrixMemo, MatrixSolver};
 pub use parcfl_concurrent::{CtxId, CtxInterner};
 pub use solver::{CtxNode, Solver};
 pub use stats::{Answer, JmpHistogram, QueryOutput, QueryStats};

@@ -46,34 +46,6 @@ pub struct QueryStats {
     /// context id, so their share follows the ids the solver's interner
     /// has handed out.)
     pub state_words: u64,
-    /// Parallel virtual time of the query in traversal steps: the
-    /// critical-path scan count when frontier sweeps are partitioned
-    /// across workers (the matrix engine's per-wave `max` over worker
-    /// shares — DESIGN.md §11). Equals `traversed_steps` at one worker;
-    /// 0 for the demand solver, whose makespan the runners model instead.
-    pub span_steps: u64,
-    /// Bit-packed adjacency rows gathered by matrix-engine sweeps across
-    /// the payload-free edge classes (DESIGN.md §9). Deterministic for a
-    /// fixed configuration: identical at every worker count. 0 for the
-    /// demand solver.
-    pub packed_gathers: u64,
-    /// Payload-free rows the matrix engine walked through the scalar CSR
-    /// slices instead — the class was left unpacked or the row fell below
-    /// the packing threshold. Deterministic like `packed_gathers`.
-    pub csr_fallback_rows: u64,
-    /// Matrix-engine waves of this query that crossed the fan-out gate and
-    /// ran on scoped worker threads. Deterministic for a fixed worker
-    /// count above one; 0 at one worker and for the demand solver.
-    pub pool_wakes: u64,
-    /// Nanoseconds the matrix engine spent spawning those workers (from
-    /// each fan-out decision to its last spawn, summed over the query's
-    /// waves). Wall-clock derived, so noisy; 0 when nothing fanned out.
-    pub pool_dispatch_ns: u64,
-    /// Sweep step attribution per [`parcfl_pag::EdgeClass`] (indexed by
-    /// `class as usize`): scalar CSR walks count one per edge applied,
-    /// packed gathers one per row, alias obligations one per pend. 0 for
-    /// the demand solver.
-    pub sweep_class_steps: [u64; parcfl_pag::EDGE_CLASSES],
 }
 
 /// Result of one points-to (or flows-to) query.

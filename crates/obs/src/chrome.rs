@@ -67,12 +67,10 @@ pub fn chrome_trace_json(trace: &RunTrace) -> String {
 fn render_worker(w: &WorkerTrace, scale: f64, out: &mut Vec<(f64, String)>) -> usize {
     let tid = w.worker;
     // Queries never nest within a worker and batches never nest within a
-    // session, but batches may enclose queries (and waves nest inside
-    // queries) — one pending-start stack per span family keeps the
-    // pairing trivial.
+    // session, but batches may enclose queries — one pending-start stack
+    // per span family keeps the pairing trivial.
     let mut open_queries: Vec<(f64, u32)> = Vec::new();
     let mut open_batches: Vec<(f64, u32)> = Vec::new();
-    let mut open_waves: Vec<(f64, u32)> = Vec::new();
     let mut last_ts = 0.0f64;
     for e in &w.events {
         let ts = e.ts as f64 * scale;
@@ -102,21 +100,6 @@ fn render_worker(w: &WorkerTrace, scale: f64, out: &mut Vec<(f64, String)>) -> u
                             "{{\"name\":\"batch {idx}\",\"ph\":\"X\",\"pid\":{PID},\
                              \"tid\":{tid},\"ts\":{t0:.3},\"dur\":{:.3},\
                              \"args\":{{\"queries\":{}}}}}",
-                            (ts - t0).max(0.0),
-                            e.b
-                        ),
-                    ));
-                }
-            }
-            EventKind::WaveStart => open_waves.push((ts, e.a)),
-            EventKind::WaveEnd => {
-                if let Some((t0, id)) = open_waves.pop() {
-                    out.push((
-                        t0,
-                        format!(
-                            "{{\"name\":\"wave {id}\",\"ph\":\"X\",\"pid\":{PID},\
-                             \"tid\":{tid},\"ts\":{t0:.3},\"dur\":{:.3},\
-                             \"args\":{{\"segments\":{}}}}}",
                             (ts - t0).max(0.0),
                             e.b
                         ),
@@ -157,9 +140,6 @@ fn render_worker(w: &WorkerTrace, scale: f64, out: &mut Vec<(f64, String)>) -> u
     }
     for (t0, idx) in open_batches {
         synthesize(t0, format!("batch {idx}"), out);
-    }
-    for (t0, id) in open_waves {
-        synthesize(t0, format!("wave {id}"), out);
     }
     truncated
 }
@@ -247,10 +227,10 @@ mod tests {
         // events, leaving both spans unmatched — the regression this
         // guards is those spans being silently lost from the export.
         let r = TraceRecorder::with_capacity(TraceLevel::Spans, crate::TraceClock::External, 2);
-        r.span(EventKind::QueryStart, 0, 1, 0);
-        r.span(EventKind::WaveStart, 2, 0, 8);
-        r.span(EventKind::WaveEnd, 5, 0, 1);
-        r.span(EventKind::QueryEnd, 9, 1, 1);
+        r.span(EventKind::BatchStart, 0, 0, 0);
+        r.span(EventKind::QueryStart, 2, 1, 0);
+        r.span(EventKind::QueryEnd, 5, 1, 1);
+        r.span(EventKind::BatchEnd, 9, 0, 1);
         let w = r.into_trace(0);
         assert_eq!(w.dropped, 2, "both end events fell off the ring");
         let t = RunTrace {
@@ -264,32 +244,7 @@ mod tests {
             json.contains("\"name\":\"query n1\",\"ph\":\"X\""),
             "the truncated query span survives as a complete event: {json}"
         );
-        assert!(json.contains("\"name\":\"wave 0\",\"ph\":\"X\""));
-    }
-
-    #[test]
-    fn wave_spans_pair_into_complete_events() {
-        let r = TraceRecorder::external(TraceLevel::Spans);
-        r.span(EventKind::QueryStart, 0, 3, 0);
-        r.span(EventKind::WaveStart, 2, 0, 64);
-        r.span(EventKind::WaveEnd, 7, 0, 4);
-        r.span(EventKind::WaveStart, 8, 1, 16);
-        r.span(EventKind::WaveEnd, 11, 1, 1);
-        r.span(EventKind::QueryEnd, 12, 3, 1);
-        let t = RunTrace {
-            real_time: false,
-            workers: vec![r.into_trace(2)],
-        };
-        let json = t.to_chrome_json();
-        assert!(
-            json.contains(
-                "\"name\":\"wave 0\",\"ph\":\"X\",\"pid\":1,\
-                 \"tid\":2,\"ts\":2.000,\"dur\":5.000,\"args\":{\"segments\":4}"
-            ),
-            "{json}"
-        );
-        assert!(json.contains("\"name\":\"wave 1\",\"ph\":\"X\""));
-        assert!(json.contains("\"truncated_spans\":0,"));
+        assert!(json.contains("\"name\":\"batch 0\",\"ph\":\"X\""));
     }
 
     #[test]

@@ -131,16 +131,6 @@ pub struct ObsHists {
     pub lock_wait: LogHistogram,
     /// Dequeue-to-completion makespan of each query group.
     pub group_makespan: LogHistogram,
-    /// Matrix-engine wave width in dirty-row scans (one sample per
-    /// frontier wave; always on, independent of the trace level).
-    pub wave_width: LogHistogram,
-    /// Sweep segments per fanned-out wave — how many worker shares the
-    /// partitioner produced (one sample per wave).
-    pub wave_segments: LogHistogram,
-    /// Sweep fan-out latency in nanoseconds: from the decision to fan a
-    /// wave out until its last scoped worker is spawned (one sample per
-    /// fanned-out wave).
-    pub pool_dispatch: LogHistogram,
 }
 
 impl ObsHists {
@@ -149,19 +139,11 @@ impl ObsHists {
         self.query_latency.merge(&other.query_latency);
         self.lock_wait.merge(&other.lock_wait);
         self.group_makespan.merge(&other.group_makespan);
-        self.wave_width.merge(&other.wave_width);
-        self.wave_segments.merge(&other.wave_segments);
-        self.pool_dispatch.merge(&other.pool_dispatch);
     }
 
     /// Whether no histogram holds any sample.
     pub fn is_empty(&self) -> bool {
-        self.query_latency.is_empty()
-            && self.lock_wait.is_empty()
-            && self.group_makespan.is_empty()
-            && self.wave_width.is_empty()
-            && self.wave_segments.is_empty()
-            && self.pool_dispatch.is_empty()
+        self.query_latency.is_empty() && self.lock_wait.is_empty() && self.group_makespan.is_empty()
     }
 }
 
@@ -267,21 +249,11 @@ mod tests {
         let mut b = ObsHists::default();
         b.query_latency.record(9);
         b.group_makespan.record(100);
-        b.wave_width.record(512);
-        b.wave_segments.record(4);
-        b.pool_dispatch.record(2_000);
         a.merge(&b);
         assert_eq!(a.query_latency.count(), 2);
         assert_eq!(a.lock_wait.count(), 1);
         assert_eq!(a.group_makespan.count(), 1);
-        assert_eq!(a.wave_width.count(), 1);
-        assert_eq!(a.wave_segments.count(), 1);
-        assert_eq!(a.pool_dispatch.count(), 1);
         assert!(!a.is_empty());
         assert!(ObsHists::default().is_empty());
-
-        let mut c = ObsHists::default();
-        c.wave_width.record(1);
-        assert!(!c.is_empty(), "matrix histograms count toward is_empty");
     }
 }

@@ -1,7 +1,7 @@
 //! # parcfl-obs — observability substrate
 //!
-//! The diagnostic layer every executor (inline, simulated, threaded),
-//! the matrix engine and the session service emit into (DESIGN.md §9):
+//! The diagnostic layer every executor (inline, simulated, threaded) and
+//! the session service emit into (DESIGN.md §9):
 //!
 //! * [`TraceRecorder`] — a per-worker, allocation-free event sink: a
 //!   bounded [`ring::EventRing`] of timestamped [`Event`]s behind a cheap
@@ -9,7 +9,7 @@
 //!   Each worker owns its recorder (single-threaded interior mutability,
 //!   no locks, no atomics on the record path);
 //! * [`LogHistogram`] / [`ObsHists`] — fixed-bucket log2 latency
-//!   histograms (query latency, lock wait, group makespan, wave shape)
+//!   histograms (query latency, lock wait, group makespan)
 //!   that merge slot-wise into run statistics;
 //! * [`chrome`] — `chrome://tracing` / Perfetto JSON export of a
 //!   [`RunTrace`] (one track per worker, spans from `QueryStart`/`End`
@@ -109,27 +109,6 @@ pub enum EventKind {
     BatchStart,
     /// A session batch ended. `a` = batch index, `b` = queries answered.
     BatchEnd,
-    /// A matrix-engine frontier wave began. `a` = wave id (monotone within
-    /// a query), `b` = wave width (dirty-row scan popcount).
-    WaveStart,
-    /// A matrix-engine frontier wave ended. `a` = wave id, `b` = segments
-    /// the wave was partitioned into (1 = inline, no fan-out).
-    WaveEnd,
-    /// One worker share of a partitioned sweep. `a` = part index within
-    /// the wave, `b` = scans in the part.
-    SweepSegment,
-    /// A matrix-engine wave crossed the fan-out gate and was spread over
-    /// scoped worker threads. `a` = parts spawned, `b` = nanoseconds from
-    /// the decision to the last spawn (saturated to `u32::MAX`).
-    FanOut,
-    /// A payload-free edge class was scanned through a bit-packed
-    /// adjacency row. `a` = edge class (0 new, 1 assign-local,
-    /// 2 assign-global), `b` = packed rows gathered.
-    PackedGather,
-    /// A payload-free edge class fell back to the scalar CSR walk (no
-    /// packed row for the source). `a` = edge class as in
-    /// [`EventKind::PackedGather`], `b` = rows walked.
-    CsrFallback,
 }
 
 impl EventKind {
@@ -144,8 +123,6 @@ impl EventKind {
                 | EventKind::GroupDequeued
                 | EventKind::BatchStart
                 | EventKind::BatchEnd
-                | EventKind::WaveStart
-                | EventKind::WaveEnd
         )
     }
 
@@ -162,12 +139,6 @@ impl EventKind {
             EventKind::EarlyTermination => "early_termination",
             EventKind::BatchStart => "batch_start",
             EventKind::BatchEnd => "batch_end",
-            EventKind::WaveStart => "wave_start",
-            EventKind::WaveEnd => "wave_end",
-            EventKind::SweepSegment => "sweep_segment",
-            EventKind::FanOut => "fan_out",
-            EventKind::PackedGather => "packed_gather",
-            EventKind::CsrFallback => "csr_fallback",
         }
     }
 }
@@ -210,18 +181,9 @@ mod tests {
     fn span_kinds() {
         assert!(EventKind::QueryStart.is_span());
         assert!(EventKind::BatchEnd.is_span());
-        assert!(EventKind::WaveStart.is_span());
-        assert!(EventKind::WaveEnd.is_span());
         assert!(!EventKind::JmpHit.is_span());
         assert!(!EventKind::Eviction.is_span());
-        assert!(!EventKind::SweepSegment.is_span());
-        assert!(!EventKind::FanOut.is_span());
-        assert!(!EventKind::PackedGather.is_span());
-        assert!(!EventKind::CsrFallback.is_span());
         assert_eq!(EventKind::Eviction.label(), "eviction");
-        assert_eq!(EventKind::WaveStart.label(), "wave_start");
-        assert_eq!(EventKind::FanOut.label(), "fan_out");
-        assert_eq!(EventKind::CsrFallback.label(), "csr_fallback");
     }
 
     #[test]

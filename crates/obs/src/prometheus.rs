@@ -57,17 +57,6 @@ impl PromText {
         self
     }
 
-    /// Renders a labelled gauge family — same shape as
-    /// [`PromText::labeled_counter`] with gauge semantics (e.g. an enum
-    /// state exposed as one series per variant).
-    pub fn labeled_gauge(&mut self, name: &str, help: &str, series: &[(String, u64)]) -> &mut Self {
-        self.header(name, help, "gauge");
-        for (labels, value) in series {
-            let _ = writeln!(self.out, "{name}{{{labels}}} {value}");
-        }
-        self
-    }
-
     /// Renders a [`LogHistogram`] as a Prometheus histogram: cumulative
     /// `_bucket` samples at each non-empty power-of-two boundary (plus
     /// `+Inf`), then `_sum` and `_count`.
@@ -132,19 +121,6 @@ mod tests {
             1,
             "one TYPE line per family"
         );
-    }
-
-    #[test]
-    fn labeled_gauge_series() {
-        let mut p = PromText::new();
-        p.labeled_gauge(
-            "parcfl_engine_dispatched",
-            "Engine that answered the last batch.",
-            &[("engine=\"matrix\"".to_string(), 1)],
-        );
-        let s = p.finish();
-        assert!(s.contains("# TYPE parcfl_engine_dispatched gauge"));
-        assert!(s.contains("parcfl_engine_dispatched{engine=\"matrix\"} 1"));
     }
 
     #[test]

@@ -1,14 +1,11 @@
 //! First-class program edits: [`PagDelta`] batches edge/node/method/call-
 //! site changes and [`Pag::apply_delta`] rebuilds the frozen graph —
-//! bit-identical to re-freezing the edited edge set from scratch, with the
-//! packed-adjacency rows rebuilt selectively (only the rows an effective
-//! edge change touches; untouched rows are copied from the previous
-//! build).
+//! bit-identical to re-freezing the edited edge set from scratch.
 //!
 //! The returned [`DeltaEffect`] records only the *effective* changes
 //! (adding an edge that already exists, or removing one that does not, is
 //! a no-op), which is what the incremental session layers key their
-//! selective jmp/memo/schedule invalidation on: the dirty node set is the
+//! selective jmp/schedule invalidation on: the dirty node set is the
 //! endpoints of the effective edge changes, the dirty field set the fields
 //! of effective load/store changes. A delta whose effect
 //! [`DeltaEffect::is_noop`] leaves the revision counter untouched, so
@@ -18,7 +15,6 @@ use crate::edge::{Edge, EdgeKind};
 use crate::graph::{build_pag_tables, Pag};
 use crate::ids::{CallSiteId, FieldId, MethodId, NodeId};
 use crate::node::NodeInfo;
-use crate::packed::PackedAdj;
 use std::collections::HashSet;
 
 /// One atomic edge edit. Both directions are idempotent: adding a present
@@ -190,10 +186,7 @@ impl Pag {
 
     /// Applies `delta`, returning the edited graph and the effective
     /// changes. The result is **bit-identical** to freezing the edited
-    /// node/edge set from scratch (same CSR layout, same field indexes,
-    /// same packed rows); only the packed-adjacency build is incremental —
-    /// rows untouched by the dirty node set are copied from this graph's
-    /// build instead of being re-derived.
+    /// node/edge set from scratch (same CSR layout, same field indexes).
     ///
     /// Ops referencing out-of-range nodes are ignored (callers that fuzz
     /// edit scripts shrink node sets independently of the scripts).
@@ -257,18 +250,6 @@ impl Pag {
             call_sites,
             effect.revision,
         );
-
-        // Selective packed rebuild: when the node space is unchanged and
-        // this graph already paid for its packed build, re-derive only the
-        // rows a dirty endpoint touches and copy the rest. Falls back to
-        // the (lazy) full build otherwise; either way the rows are
-        // bit-identical to a from-scratch build.
-        if effect.added_nodes.is_empty() {
-            if let Some(old_adj) = self.packed_built() {
-                let dirty: HashSet<u32> = effect.dirty_nodes().map(NodeId::raw).collect();
-                pag.prime_packed(PackedAdj::rebuild_from(old_adj, &pag, &dirty));
-            }
-        }
         (pag, effect)
     }
 }
@@ -279,7 +260,7 @@ mod tests {
     use crate::graph::PagBuilder;
     use crate::node::NodeKind;
     use crate::types::TypeInfo;
-    use crate::{EdgeClass as EC, PackedClass};
+    use crate::EdgeClass as EC;
 
     fn sample() -> Pag {
         let mut b = PagBuilder::new();
@@ -492,42 +473,6 @@ mod tests {
         d.add_edge(NodeId::new(9_999), NodeId::new(0), EdgeKind::New);
         let (_, effect) = pag.apply_delta(&d);
         assert!(effect.is_noop());
-    }
-
-    #[test]
-    fn selective_packed_rebuild_matches_full_build() {
-        let pag = sample();
-        // Force the old build so the delta path copies from it.
-        assert!(pag.packed().packed_class_count() >= 1);
-        let mut d = PagDelta::new();
-        d.add_edge(NodeId::new(2), NodeId::new(64), EdgeKind::AssignLocal)
-            .remove_edge(NodeId::new(30), NodeId::new(0), EdgeKind::AssignLocal)
-            .add_edge(NodeId::new(5), NodeId::new(6), EdgeKind::New);
-        let (edited, effect) = pag.apply_delta(&d);
-        assert!(!effect.is_noop());
-        let incremental = edited.packed();
-        let full = PackedAdj::build(&edited);
-        let row_eq = |a: Option<&PackedClass>, b: Option<&PackedClass>, what: &str| {
-            assert_eq!(a.is_some(), b.is_some(), "{what}: packing decision");
-            let (Some(a), Some(b)) = (a, b) else { return };
-            assert_eq!(a.stride(), b.stride(), "{what}: stride");
-            for n in 0..edited.node_count() as u32 {
-                assert_eq!(a.row(n), b.row(n), "{what}: row {n}");
-            }
-            assert_eq!(a.word_count(), b.word_count(), "{what}: storage layout");
-        };
-        for class in [EC::New, EC::AssignLocal, EC::AssignGlobal] {
-            row_eq(
-                incremental.in_packed(class),
-                full.in_packed(class),
-                "in rows",
-            );
-            row_eq(
-                incremental.out_packed(class),
-                full.out_packed(class),
-                "out rows",
-            );
-        }
     }
 
     #[test]

@@ -60,35 +60,6 @@ pub enum EdgeClass {
 /// Number of [`EdgeClass`] variants (size of the per-node sub-range table).
 pub const EDGE_CLASSES: usize = 7;
 
-impl EdgeClass {
-    /// Stable snake_case name, used as a metric label by the runtime's
-    /// per-class sweep attribution counters.
-    pub fn name(self) -> &'static str {
-        match self {
-            EdgeClass::New => "new",
-            EdgeClass::AssignLocal => "assign_local",
-            EdgeClass::AssignGlobal => "assign_global",
-            EdgeClass::Load => "load",
-            EdgeClass::Store => "store",
-            EdgeClass::Param => "param",
-            EdgeClass::Ret => "ret",
-        }
-    }
-
-    /// All classes in discriminant order (`class as usize` indexes match).
-    pub fn all() -> [EdgeClass; EDGE_CLASSES] {
-        [
-            EdgeClass::New,
-            EdgeClass::AssignLocal,
-            EdgeClass::AssignGlobal,
-            EdgeClass::Load,
-            EdgeClass::Store,
-            EdgeClass::Param,
-            EdgeClass::Ret,
-        ]
-    }
-}
-
 impl EdgeKind {
     /// The payload-free class of this kind (see [`EdgeClass`]).
     #[inline]

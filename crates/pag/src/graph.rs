@@ -193,7 +193,6 @@ pub(crate) fn build_pag_tables(
         method_names,
         call_sites,
         revision,
-        packed: std::sync::Arc::new(std::sync::OnceLock::new()),
     }
 }
 
@@ -263,9 +262,17 @@ pub struct Pag {
     /// Applied-revision counter: 0 when frozen, +1 per effective
     /// [`Pag::apply_delta`] (see [`Pag::revision`]).
     revision: u64,
-    /// Lazily-built bit-packed adjacency rows ([`Pag::packed`]). Behind an
-    /// `Arc` so clones share the one build.
-    packed: std::sync::Arc<std::sync::OnceLock<crate::packed::PackedAdj>>,
+}
+
+/// What [`Pag::packed`] hands the frozen benchmark: no rows, no words.
+#[doc(hidden)]
+pub struct PackedAdj;
+
+impl PackedAdj {
+    /// Always 0: nothing is packed.
+    pub fn packed_words(&self) -> usize {
+        0
+    }
 }
 
 impl Pag {
@@ -399,12 +406,11 @@ impl Pag {
             .collect()
     }
 
-    /// The bit-packed adjacency rows of this graph (see [`crate::packed`]),
-    /// built on first use and cached — clones share the build. Always
-    /// coherent with the CSR slices: the graph is immutable once frozen.
-    pub fn packed(&self) -> &crate::packed::PackedAdj {
-        self.packed
-            .get_or_init(|| crate::packed::PackedAdj::build(self))
+    /// Source-compatibility shim for the frozen `benchmark/` crate: the
+    /// bit-packed adjacency went with the matrix engine (DESIGN.md §11).
+    #[doc(hidden)]
+    pub fn packed(&self) -> &PackedAdj {
+        &PackedAdj
     }
 
     /// The raw revision counter (public face: [`Pag::revision`], defined
@@ -422,18 +428,6 @@ impl Pag {
             self.method_names.clone(),
             self.call_sites,
         )
-    }
-
-    /// The packed adjacency, only if it has already been built — the delta
-    /// path copies untouched rows from it instead of re-deriving them.
-    pub(crate) fn packed_built(&self) -> Option<&crate::packed::PackedAdj> {
-        self.packed.get()
-    }
-
-    /// Pre-populates the packed-adjacency cache (delta rebuilds). A no-op
-    /// if something already built it.
-    pub(crate) fn prime_packed(&self, adj: crate::packed::PackedAdj) {
-        let _ = self.packed.set(adj);
     }
 
     /// Looks up a node by name; linear scan, intended for tests and small

@@ -14,9 +14,6 @@
 //! * [`algo`] — graph utilities (iterative Tarjan SCC, DAG longest paths,
 //!   union-find) shared by the frontend and the scheduler;
 //! * [`stats::PagStats`] — structural statistics (Table I columns);
-//! * [`packed`] — lazily-built bit-packed successor rows for the matrix
-//!   engine's word-level sweep kernels (payload-free classes only, with a
-//!   density fallback to the CSR slices);
 //! * [`dot`] — Graphviz export.
 //!
 //! The `jmp` shortcut edges of the extended PAG (paper Fig. 4) are an
@@ -33,14 +30,12 @@ mod edge;
 mod graph;
 mod ids;
 mod node;
-pub mod packed;
 pub mod stats;
 pub mod types;
 
 pub use delta::{DeltaEffect, DeltaOp, PagDelta};
 pub use edge::{Edge, EdgeClass, EdgeKind, EDGE_CLASSES};
-pub use graph::{Pag, PagBuilder};
+pub use graph::{PackedAdj, Pag, PagBuilder};
 pub use ids::{CallSiteId, FieldId, MethodId, NodeId, TypeId};
 pub use node::{NodeInfo, NodeKind};
-pub use packed::{PackedAdj, PackedClass, MAX_PACKED_NODES, ROW_MIN_BITS};
 pub use types::TypeInfo;

@@ -181,7 +181,6 @@ impl Batch<'_> {
         // Every lane of a shared store resolves against the store's one
         // interner; without a store there is one lane and it owns its own.
         stats.interner_ctxs = first.interner.len();
-        stats.engine_dispatched = Some(crate::Engine::Demand);
         stats.workers = workers;
         let trace = self.tracing.enabled().then_some(RunTrace {
             real_time: matches!(self.clock, Clock::Wall),

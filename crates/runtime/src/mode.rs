@@ -2,7 +2,6 @@
 
 use parcfl_core::SolverConfig;
 use parcfl_obs::TraceLevel;
-use parcfl_pag::{NodeId, Pag};
 
 /// The paper's three parallelisation strategies (Section III / IV-C).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -37,72 +36,14 @@ impl Mode {
     }
 }
 
-/// Which solver core answers the batch (DESIGN.md §11).
-///
-/// Orthogonal to [`Backend`]: `Backend` picks how demand-solver queries
-/// are *dispatched* (threads vs. the virtual-time simulator), while
-/// `Engine` picks the solver itself. The matrix engine evaluates the
-/// batch query-by-query but honours `RunConfig::threads` twice over
-/// (DESIGN.md §11): each frontier sweep is partitioned across that many
-/// workers, and the batch makespan is a deterministic list schedule of
-/// the queries over the same worker count, with memo-sharing edges as
-/// precedence constraints. `Mode`/`Backend` describe demand-solver
-/// scheduling and stay inert when the matrix engine is selected.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
+/// Source-compatibility shim for the frozen `benchmark/` crate: the
+/// matrix engine is gone (DESIGN.md §11) and every variant runs the
+/// demand solver. See [`RunConfig::with_engine`].
+#[doc(hidden)]
 pub enum Engine {
-    /// The paper's demand-driven work-list solver (the default).
-    #[default]
     Demand,
-    /// The whole-program boolean-semiring backend
-    /// ([`parcfl_core::MatrixSolver`]): batch-memoised per-kind
-    /// matrix products. Completed answers are bit-identical to `Demand`.
     Matrix,
-    /// Pick per batch with the density heuristic
-    /// ([`crate::matrix_pays_off`]): matrix for large batches that cover
-    /// much of the program, demand otherwise.
     Auto,
-}
-
-impl Engine {
-    /// Stable lower-case name (CLI flags, snapshots, JSON).
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Demand => "demand",
-            Engine::Matrix => "matrix",
-            Engine::Auto => "auto",
-        }
-    }
-
-    /// Whether a batch of `queries` over `pag` runs on the matrix engine
-    /// under this setting: `Matrix` always, `Demand` never, `Auto` when
-    /// [`crate::matrix_pays_off`]. The one place the decision is spelled;
-    /// [`crate::run`] and [`crate::AnalysisSession::submit`] both ask it.
-    pub fn resolves_to_matrix(self, pag: &Pag, queries: &[NodeId]) -> bool {
-        match self {
-            Engine::Matrix => true,
-            Engine::Demand => false,
-            Engine::Auto => crate::matrix_pays_off(pag, queries),
-        }
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "demand" => Ok(Engine::Demand),
-            "matrix" => Ok(Engine::Matrix),
-            "auto" => Ok(Engine::Auto),
-            other => Err(format!("unknown engine `{other}` (demand|matrix|auto)")),
-        }
-    }
 }
 
 /// How the parallel run executes.
@@ -176,11 +117,6 @@ pub struct RunConfig {
     /// fetch latency and eviction timing (see [`SimPerturb`]). `None`
     /// (the default) is the classic deterministic simulator.
     pub perturb: Option<SimPerturb>,
-    /// Solver core for the batch (see [`Engine`]). `Demand` (the default)
-    /// keeps the paper's per-query work-list solver; `Matrix` answers the
-    /// whole batch on [`parcfl_core::MatrixSolver`]; `Auto` decides per
-    /// batch from query density.
-    pub engine: Engine,
 }
 
 impl RunConfig {
@@ -195,7 +131,6 @@ impl RunConfig {
             group_cap: None,
             tracing: TraceLevel::Off,
             perturb: None,
-            engine: Engine::default(),
         }
     }
 
@@ -225,9 +160,10 @@ impl RunConfig {
         self
     }
 
-    /// Selects the solver engine for the batch.
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
+    /// Source-compatibility shim for the frozen `benchmark/` crate:
+    /// there is one engine, so this returns the configuration unchanged.
+    #[doc(hidden)]
+    pub fn with_engine(self, _engine: Engine) -> Self {
         self
     }
 
@@ -254,17 +190,6 @@ mod tests {
         assert_eq!(Mode::Naive.label(), "naive");
         assert_eq!(Mode::DataSharing.label(), "D");
         assert_eq!(Mode::DataSharingSched.label(), "DQ");
-    }
-
-    #[test]
-    fn engine_names_round_trip() {
-        for e in [Engine::Demand, Engine::Matrix, Engine::Auto] {
-            assert_eq!(e.name().parse::<Engine>().unwrap(), e);
-        }
-        assert!("gpu".parse::<Engine>().is_err());
-        let cfg = RunConfig::new(Mode::Naive, 1, Backend::Simulated);
-        assert_eq!(cfg.engine, Engine::Demand, "demand is the default");
-        assert_eq!(cfg.with_engine(Engine::Matrix).engine, Engine::Matrix);
     }
 
     #[test]

@@ -59,17 +59,6 @@ pub struct RunStats {
     pub interner_ctxs: usize,
     /// Virtual-time makespan (simulated backend) — the parallel "runtime".
     pub makespan: u64,
-    /// The solver engine that actually answered this run — dispatch
-    /// transparency for `Engine::Auto` and for callers that configure an
-    /// engine a layer below them silently overrides. Every batch runner
-    /// records it (`None` only for empty/default accumulators); like the
-    /// other gauges, merging takes the latest batch's observation.
-    pub engine_dispatched: Option<crate::Engine>,
-    /// Matrix-engine waves that crossed the fan-out gate and ran on scoped
-    /// worker threads, summed over queries (0 for demand engines and at
-    /// one worker). A **counter**: deterministic per configuration and
-    /// worker count, so `bench-diff` gates it exactly.
-    pub pool_wakes: u64,
     /// Wall-clock duration of the run.
     pub wall: std::time::Duration,
     /// Average group size of the schedule (`S_g`; 1.0 when unscheduled).
@@ -77,46 +66,35 @@ pub struct RunStats {
     /// Per-worker dispatch observability: one record per worker, filled
     /// by the demand batch driver on every executor (a sequential run has
     /// one worker; only the threaded backend has lock wait to report).
-    /// Empty for matrix runs. Session merges sum the records per worker
-    /// slot across batches.
+    /// Session merges sum the records per worker slot across batches.
     pub workers: Vec<WorkerObs>,
     /// jmp entries published during this run (finished + unfinished
     /// publications that won their race).
     pub jmp_inserts: u64,
-    /// Bit-packed adjacency rows gathered by matrix-engine sweeps
-    /// (summed over queries; 0 for demand engines). Deterministic per
-    /// configuration — a `bench-diff` exact gate.
-    pub packed_gathers: u64,
-    /// Payload-free rows the matrix engine walked through the scalar CSR
-    /// slices instead of a packed gather. Deterministic like
-    /// `packed_gathers`.
-    pub csr_fallback_rows: u64,
-    /// Nanoseconds from each fan-out decision to its last worker spawned,
-    /// summed over queries. Wall-clock derived (noisy); 0 when
-    /// `pool_wakes` is.
-    pub pool_dispatch_ns: u64,
-    /// Sweep step attribution per [`parcfl_pag::EdgeClass`] (index =
-    /// `class as usize`), summed over queries: CSR edges, packed row
-    /// gathers and alias pends, broken out by edge class. All zero for
-    /// demand engines.
-    pub sweep_class_steps: [u64; parcfl_pag::EDGE_CLASSES],
     /// Jmp entries dropped by selective invalidation across every
     /// [`crate::AnalysisSession::apply_delta`] folded in. A **counter**
     /// (sums across batches/deltas), not a gauge: each invalidation is a
     /// distinct event, unlike `store_entries`' residency snapshots.
     pub invalidated_jmps: u64,
-    /// Matrix-memo closures dropped by selective invalidation, summed the
-    /// same way as `invalidated_jmps`.
-    pub invalidated_memos: u64,
-    /// Warm entries (jmp + memo) that *survived* selective invalidation,
-    /// summed over deltas — the reuse the footprints bought. Also a
-    /// counter: an entry surviving two deltas is two retention events.
+    /// Jmp entries that *survived* selective invalidation, summed over
+    /// deltas — the reuse the footprints bought. Also a counter: an entry
+    /// surviving two deltas is two retention events.
     pub retained_warm: u64,
-    /// Latency histograms (query latency, lock wait, group makespan,
-    /// wave shape), merged slot-wise across workers and batches. Units are
-    /// nanoseconds under real execution, traversal steps under the
-    /// simulator.
+    /// Latency histograms (query latency, lock wait, group makespan),
+    /// merged slot-wise across workers and batches. Units are nanoseconds
+    /// under real execution, traversal steps under the simulator.
     pub hists: ObsHists,
+    /// Source-compatibility shims for the frozen `benchmark/` crate: the
+    /// matrix engine's sweep counters (DESIGN.md §11). Nothing writes or
+    /// merges them; they read 0.
+    #[doc(hidden)]
+    pub packed_gathers: u64,
+    #[doc(hidden)]
+    pub csr_fallback_rows: u64,
+    #[doc(hidden)]
+    pub pool_wakes: u64,
+    #[doc(hidden)]
+    pub pool_dispatch_ns: u64,
 }
 
 impl RunStats {
@@ -139,17 +117,6 @@ impl RunStats {
         self.peak_mem_items = self.peak_mem_items.max(qs.mem_items);
         self.peak_state_words = self.peak_state_words.max(qs.state_words);
         self.jmp_inserts += qs.finished_published + qs.unfinished_published;
-        self.packed_gathers += qs.packed_gathers;
-        self.csr_fallback_rows += qs.csr_fallback_rows;
-        self.pool_wakes += qs.pool_wakes;
-        self.pool_dispatch_ns += qs.pool_dispatch_ns;
-        for (acc, &v) in self
-            .sweep_class_steps
-            .iter_mut()
-            .zip(qs.sweep_class_steps.iter())
-        {
-            *acc += v;
-        }
     }
 
     /// Merges another accumulator: per-thread partials within a run, or a
@@ -179,20 +146,8 @@ impl RunStats {
         self.warm_hits += other.warm_hits;
         self.evictions += other.evictions;
         self.jmp_inserts += other.jmp_inserts;
-        self.packed_gathers += other.packed_gathers;
-        self.csr_fallback_rows += other.csr_fallback_rows;
-        self.pool_wakes += other.pool_wakes;
-        self.pool_dispatch_ns += other.pool_dispatch_ns;
         self.invalidated_jmps += other.invalidated_jmps;
-        self.invalidated_memos += other.invalidated_memos;
         self.retained_warm += other.retained_warm;
-        for (acc, &v) in self
-            .sweep_class_steps
-            .iter_mut()
-            .zip(other.sweep_class_steps.iter())
-        {
-            *acc += v;
-        }
         self.hists.merge(&other.hists);
         self.mem_items += other.mem_items;
         self.peak_mem_items = self.peak_mem_items.max(other.peak_mem_items);
@@ -206,7 +161,6 @@ impl RunStats {
             self.store_entries = other.store_entries;
             self.avg_group_size = other.avg_group_size;
             self.interner_ctxs = other.interner_ctxs;
-            self.engine_dispatched = other.engine_dispatched;
         }
         for (i, w) in other.workers.iter().enumerate() {
             if self.workers.len() <= i {
@@ -345,20 +299,14 @@ mod tests {
                 peak_state_words: 6,
                 interner_ctxs: 12,
                 makespan: 50,
-                engine_dispatched: Some(crate::Engine::Demand),
-                pool_wakes: 2,
                 wall: std::time::Duration::from_millis(3),
                 avg_group_size: 2.0,
                 workers: vec![],
                 jmp_inserts: 3,
-                packed_gathers: 10,
-                csr_fallback_rows: 4,
-                pool_dispatch_ns: 100,
-                sweep_class_steps: [1, 2, 3, 4, 5, 6, 7],
                 invalidated_jmps: 2,
-                invalidated_memos: 3,
                 retained_warm: 4,
                 hists: hist_of(&[10, 20]),
+                ..RunStats::default()
             },
             RunStats {
                 queries: 2,
@@ -380,20 +328,14 @@ mod tests {
                 peak_state_words: 4,
                 interner_ctxs: 9,
                 makespan: 9,
-                engine_dispatched: Some(crate::Engine::Matrix),
-                pool_wakes: 41,
                 wall: std::time::Duration::from_millis(2),
                 avg_group_size: 1.5,
                 workers: vec![],
                 jmp_inserts: 2,
-                packed_gathers: 5,
-                csr_fallback_rows: 1,
-                pool_dispatch_ns: 50,
-                sweep_class_steps: [10, 0, 0, 0, 0, 0, 1],
                 invalidated_jmps: 5,
-                invalidated_memos: 1,
                 retained_warm: 6,
                 hists: hist_of(&[30]),
+                ..RunStats::default()
             },
         ];
         let mut cum = RunStats::default();
@@ -411,13 +353,7 @@ mod tests {
         assert_eq!(cum.warm_hits, 4);
         assert_eq!(cum.evictions, 3);
         assert_eq!(cum.jmp_inserts, 5);
-        assert_eq!(cum.packed_gathers, 15, "sweep counters sum");
-        assert_eq!(cum.csr_fallback_rows, 5);
-        assert_eq!(cum.pool_wakes, 43, "fanned-out waves sum");
-        assert_eq!(cum.pool_dispatch_ns, 150);
-        assert_eq!(cum.sweep_class_steps, [11, 2, 3, 4, 5, 6, 8]);
         assert_eq!(cum.invalidated_jmps, 7, "invalidation counters sum");
-        assert_eq!(cum.invalidated_memos, 4);
         assert_eq!(cum.retained_warm, 10);
         assert_eq!(cum.hists, hist_of(&[10, 20, 30]), "histograms merge");
         assert_eq!(cum.mem_items, 16);
@@ -432,11 +368,6 @@ mod tests {
         assert_eq!(cum.jmp_bytes, 600);
         assert_eq!(cum.avg_group_size, 1.5);
         assert_eq!(cum.interner_ctxs, 9, "gauge follows the latest batch");
-        assert_eq!(
-            cum.engine_dispatched,
-            Some(crate::Engine::Matrix),
-            "dispatched engine follows the latest batch"
-        );
     }
 
     /// Pins the merge class of *every* `RunStats` field. The batch
@@ -465,13 +396,7 @@ mod tests {
             warm_hits: k,
             evictions: k,
             jmp_inserts: k,
-            packed_gathers: k,
-            csr_fallback_rows: k,
-            pool_wakes: k,
-            pool_dispatch_ns: k,
-            sweep_class_steps: [k; parcfl_pag::EDGE_CLASSES],
             invalidated_jmps: k,
-            invalidated_memos: k,
             retained_warm: k,
             mem_items: k,
             // Additive time measures: sum.
@@ -487,7 +412,6 @@ mod tests {
             jmp_bytes: k as usize,
             avg_group_size: k as f64,
             interner_ctxs: k as usize,
-            engine_dispatched: Some(crate::Engine::Demand),
             // Structured: workers sum slot-wise, hists merge.
             workers: vec![WorkerObs {
                 worker: 0,
@@ -495,6 +419,11 @@ mod tests {
                 ..WorkerObs::default()
             }],
             hists: hist_of(k),
+            // Frozen-benchmark shims: never written, never merged.
+            packed_gathers: 0,
+            csr_fallback_rows: 0,
+            pool_wakes: 0,
+            pool_dispatch_ns: 0,
         };
         let mut cum = RunStats::default();
         cum.merge(&batch(10));
@@ -511,13 +440,7 @@ mod tests {
         assert_eq!(cum.warm_hits, 13);
         assert_eq!(cum.evictions, 13);
         assert_eq!(cum.jmp_inserts, 13);
-        assert_eq!(cum.packed_gathers, 13);
-        assert_eq!(cum.csr_fallback_rows, 13);
-        assert_eq!(cum.pool_wakes, 13, "fan-outs SUM, not latest");
-        assert_eq!(cum.pool_dispatch_ns, 13);
-        assert_eq!(cum.sweep_class_steps, [13; parcfl_pag::EDGE_CLASSES]);
         assert_eq!(cum.invalidated_jmps, 13, "invalidations SUM, not latest");
-        assert_eq!(cum.invalidated_memos, 13, "invalidations SUM, not latest");
         assert_eq!(cum.retained_warm, 13, "retention events SUM, not latest");
         assert_eq!(cum.mem_items, 13);
         // Additive time.
@@ -533,7 +456,6 @@ mod tests {
         assert_eq!(cum.jmp_bytes, 3);
         assert_eq!(cum.avg_group_size, 3.0);
         assert_eq!(cum.interner_ctxs, 3);
-        assert_eq!(cum.engine_dispatched, Some(crate::Engine::Demand));
         // Structured.
         assert_eq!(cum.workers.len(), 1);
         assert_eq!(cum.workers[0].local_pops, 13);

@@ -1,19 +1,10 @@
-//! A purpose-built sweep-stress workload for the matrix engine's
-//! observability pipeline.
+//! A layered fan-out graph: two roots, each assigned from 32 hubs, each
+//! hub from 16 private leaves, each leaf allocating one object.
 //!
-//! The Table-I profiles mirror the paper's benchmarks: PAGs with one-ish
-//! edge per node per class, whose per-query frontiers stay a few dozen
-//! bits wide. That never crosses the matrix engine's fan-out gate
-//! (`FAN_OUT_MIN_SCANS`) and never builds a packed adjacency row, so a
-//! trace of a Table-I matrix run is a single-lane timeline with every
-//! gather on the CSR fallback — faithful, but it exercises neither the
-//! scoped fan-out nor the packed kernels. This bench is the complement: a
-//! layered fan-out graph engineered so one query produces waves wide
-//! enough to spread across every sweep worker (multi-lane trace) and
-//! routes its gathers through both the packed rows (fat assignment hubs)
-//! and the CSR fallback (thin allocation rows). CI traces it via
-//! `table2 --trace-engine matrix-stress` and the runtime's tier-1 tests
-//! assert the fan-out deterministically.
+//! It was built to push the matrix engine's sweeps past their fan-out
+//! gate. That engine is gone (DESIGN.md §11); the generator stays because
+//! the frozen `benchmark/` crate's traced `dense_small` pass still builds
+//! and queries it.
 
 use crate::suite::Bench;
 use parcfl_pag::{EdgeKind, NodeInfo, NodeKind, Pag, PagBuilder, TypeInfo};
@@ -22,19 +13,17 @@ use parcfl_pag::{EdgeKind, NodeInfo, NodeKind, Pag, PagBuilder, TypeInfo};
 const ROOTS: usize = 2;
 /// Assignment hubs per root — the first (narrow) wave.
 const HUBS: usize = 32;
-/// Leaves per hub — the wide wave (`HUBS * LEAVES_PER_HUB` scans, well
-/// past `FAN_OUT_MIN_SCANS = 256`).
+/// Leaves per hub — the wide wave (`HUBS * LEAVES_PER_HUB` nodes).
 const LEAVES_PER_HUB: usize = 16;
 
 /// Builds the sweep-stress bench: `ROOTS` roots, each assigned from
 /// [`HUBS`] hubs, each hub assigned from [`LEAVES_PER_HUB`] private
 /// leaves, each leaf allocating one private object. A points-to query on
-/// a root therefore sweeps waves of width 1 → [`HUBS`] →
-/// `HUBS * LEAVES_PER_HUB` (= 512, past the fan-out gate) → objects.
-/// Roots and hubs carry ≥ 4 incoming `assign_l` edges (packed rows,
-/// `packed_gathers`); leaves carry a single `new` edge (thin rows,
-/// `csr_fallback_rows`). The graph is acyclic, context-free and built
-/// deterministically — every solver observable is bit-reproducible.
+/// a root therefore walks layers of width 1 → [`HUBS`] →
+/// `HUBS * LEAVES_PER_HUB` (= 512) → objects. The graph is acyclic,
+/// context-free and built deterministically — every solver observable is
+/// bit-reproducible.
+#[doc(hidden)]
 pub fn sweep_stress_bench() -> Bench {
     let mut b = PagBuilder::new();
     let m = b.add_method("stress");
@@ -93,33 +82,13 @@ pub fn sweep_stress_bench() -> Bench {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parcfl_pag::{EdgeClass, ROW_MIN_BITS};
 
     #[test]
-    fn stress_graph_packs_and_exceeds_the_fan_out_threshold() {
+    fn stress_graph_has_the_documented_layers() {
         let b = sweep_stress_bench();
         assert_eq!(b.queries.len(), ROOTS);
-        // Small enough to pack, wide enough to fan out: the widest wave
-        // of a root query is every leaf of that root at once.
-        assert!(b.pag.node_count() < parcfl_pag::MAX_PACKED_NODES);
-        const { assert!(HUBS * LEAVES_PER_HUB >= 512, "wide wave covers 8 workers") };
-        // Roots/hubs are fat assign rows (packed), leaves thin new rows
-        // (CSR fallback), so both gather counters must fire.
-        let packed = b.pag.packed();
-        let assign = packed
-            .in_packed(EdgeClass::AssignLocal)
-            .expect("assign_l dense enough to pack");
-        for &q in &b.queries {
-            assert!(assign.row(q.raw()).is_some(), "roots have packed rows");
-        }
-        assert!(
-            packed.in_packed(EdgeClass::New).is_none()
-                || (0..b.pag.node_count() as u32).all(|n| packed
-                    .in_packed(EdgeClass::New)
-                    .unwrap()
-                    .row(n)
-                    .is_none()),
-            "every new row is thinner than ROW_MIN_BITS ({ROW_MIN_BITS}) -> CSR fallback"
-        );
+        let per_hub = 1 + 2 * LEAVES_PER_HUB;
+        assert_eq!(b.pag.node_count(), ROOTS * (1 + HUBS * per_hub));
+        assert_eq!(b.pag.edge_count(), ROOTS * HUBS * per_hub);
     }
 }

@@ -2,20 +2,24 @@
 //!
 //! ```text
 //! parcfl query <file.mj> [--var NAME]... [--budget N] [--insensitive]
-//! parcfl alias <file.mj> --var A --var B [--budget N]
+//! parcfl alias <file.mj> --var A --var B [--budget N] [--insensitive]
 //! parcfl stats <file.mj>
 //! parcfl dot   <file.mj>
-//! parcfl bench <benchmark-name> [--threads N] [--mode naive|d|dq]
+//! parcfl bench <benchmark-name> [--threads N] [--mode naive|d|dq] [--threaded]
+//! parcfl trace <file.mj> [--out PATH] [--threads N] [--mode naive|d|dq]
+//!              [--level spans|full] [--threaded] [--budget N] [--insensitive]
+//! parcfl gen   <benchmark-name>
+//! parcfl why   <file.mj> --var NAME [--budget N] [--insensitive]
 //! parcfl bench-diff <baseline.json> <current.json> [--gate MODE] [--report PATH]
 //! parcfl check [--fuzz N] [--seed S] [--no-shrink] [--chaos] [--delta]
 //!              [--chaos-invalidation] [--out PATH]
 //! parcfl check --replay <file.snap>
 //! ```
 
-use parcfl::core::{MatrixSolver, NoJmpStore, Solver, SolverConfig};
+use parcfl::core::{NoJmpStore, Solver, SolverConfig};
 use parcfl::frontend::build_pag;
 use parcfl::pag::Pag;
-use parcfl::runtime::{run_seq, run_simulated, Backend, Engine, Mode, RunConfig, TraceLevel};
+use parcfl::runtime::{run_seq, Backend, Mode, RunConfig, TraceLevel};
 use std::io::Write;
 use std::process::exit;
 
@@ -33,29 +37,69 @@ macro_rules! outln {
     ($($arg:tt)*) => { out(format_args!($($arg)*)) };
 }
 
+/// A subcommand and the flags it accepts: those that take a value, then
+/// those that stand alone.
+type Command = (
+    fn(&[String]),
+    &'static [&'static str],
+    &'static [&'static str],
+);
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
         usage();
         exit(2);
     };
-    match cmd.as_str() {
-        "query" => cmd_query(&args[1..]),
-        "alias" => cmd_alias(&args[1..]),
-        "stats" => cmd_stats(&args[1..]),
-        "dot" => cmd_dot(&args[1..]),
-        "bench" => cmd_bench(&args[1..]),
-        "bench-diff" => cmd_bench_diff(&args[1..]),
-        "check" => cmd_check(&args[1..]),
-        "trace" => cmd_trace(&args[1..]),
-        "gen" => cmd_gen(&args[1..]),
-        "why" => cmd_why(&args[1..]),
-        "--help" | "-h" | "help" => usage(),
+    let (run, valued, switches): Command = match cmd.as_str() {
+        "query" => (cmd_query, &["--var", "--budget"], &["--insensitive"]),
+        "alias" => (cmd_alias, &["--var", "--budget"], &["--insensitive"]),
+        "stats" => (cmd_stats, &[], &[]),
+        "dot" => (cmd_dot, &[], &[]),
+        "bench" => (cmd_bench, &["--threads", "--mode"], &["--threaded"]),
+        "bench-diff" => (cmd_bench_diff, &["--gate", "--report"], &[]),
+        "check" => (
+            cmd_check,
+            &["--fuzz", "--seed", "--out", "--replay"],
+            &["--no-shrink", "--chaos", "--delta", "--chaos-invalidation"],
+        ),
+        "trace" => (
+            cmd_trace,
+            &["--out", "--threads", "--mode", "--level", "--budget"],
+            &["--threaded", "--insensitive"],
+        ),
+        "gen" => (cmd_gen, &[], &[]),
+        "why" => (cmd_why, &["--var", "--budget"], &["--insensitive"]),
+        "--help" | "-h" | "help" => return usage(),
         other => {
             eprintln!("unknown command `{other}`");
             usage();
             exit(2);
         }
+    };
+    check_flags(cmd, &args[1..], valued, switches);
+    run(&args[1..]);
+}
+
+/// Exits 2 at the first `--flag` the subcommand does not accept, and at a
+/// value-taking flag that is last or followed by another flag. A flag
+/// that is silently ignored runs a different analysis than the one asked
+/// for and still exits 0.
+fn check_flags(cmd: &str, args: &[String], valued: &[&str], switches: &[&str]) {
+    let mut i = 0;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if valued.contains(&a) {
+            if args.get(i + 1).is_none_or(|v| v.starts_with("--")) {
+                eprintln!("{a} expects a value");
+                exit(2);
+            }
+            i += 1;
+        } else if a.starts_with("--") && !switches.contains(&a) {
+            eprintln!("unknown flag `{a}` for `parcfl {cmd}` (see `parcfl help`)");
+            exit(2);
+        }
+        i += 1;
     }
 }
 
@@ -65,48 +109,37 @@ fn usage() {
 
 USAGE:
   parcfl query <file.mj> [--var NAME]... [--budget N] [--insensitive]
-               [--engine demand|matrix|auto]
       Print points-to sets (all application locals, or the named variables;
       names match the `local@Class.method` form, or any suffix of it).
-      --engine answers on the demand solver (default), the whole-program
-      matrix backend, or picks per batch by density. All are bit-identical
-      on completed answers (DESIGN.md §11).
-  parcfl alias <file.mj> --var A --var B [--budget N]
+  parcfl alias <file.mj> --var A --var B [--budget N] [--insensitive]
       May-alias verdict for two variables.
   parcfl stats <file.mj>
       PAG statistics after extraction and cycle collapsing.
   parcfl dot <file.mj>
       Graphviz DOT of the PAG on stdout.
   parcfl bench <name> [--threads N] [--mode naive|d|dq] [--threaded]
-               [--engine demand|matrix|auto]
       Run one Table-I benchmark and report the speedup over SeqCFL.
       --threaded uses real OS threads instead of the virtual-time
       simulator and reports the work-list contention they saw.
-      --engine selects the solver core as in `query`
-      (mode/threads are inert under the matrix engine).
   parcfl bench-diff <baseline.json> <current.json> [--gate none|deterministic|all]
                [--report PATH]
       Compare two BENCH_solver.json artifacts (table2 output). Exact
       equality is required of every deterministic per-row counter
-      (traversed steps, makespan, peak state words, packed/CSR gather
-      counts, ...); wall_ms regressions beyond 30% are warnings. Exit 1
+      (traversed steps, makespan, peak state words, interned contexts,
+      ...); wall_ms regressions beyond 30% are warnings. Exit 1
       when the selected gate fails: --gate deterministic (default) fails
       on counter drift, --gate all additionally on wall regressions,
       --gate none never. --report also writes the findings to PATH.
   parcfl trace <file.mj> [--out PATH] [--threads N] [--mode naive|d|dq]
-               [--level spans|full] [--threaded] [--engine demand|matrix]
+               [--level spans|full] [--threaded] [--budget N] [--insensitive]
       Answer every application-local query with event tracing on and
       write a Chrome-trace JSON (default trace.json) for chrome://tracing
       or Perfetto. The default virtual-time simulator gives a
       deterministic trace; --threaded records real wall-clock spans.
-      --engine matrix traces the whole-program matrix engine instead:
-      one lane per sweep worker (--threads) with wave spans,
-      sweep-segment instants and fan-out markers (mode and
-      --threaded are inert there; the lanes are real-clock).
   parcfl gen <name>
       Print a Table-I benchmark's generated mini-Java source on stdout
       (feed it back through `parcfl query`/`stats`/`dot`).
-  parcfl why <file.mj> --var NAME [--budget N]
+  parcfl why <file.mj> --var NAME [--budget N] [--insensitive]
       Explain each object in NAME's points-to set with a witness path.
   parcfl check [--fuzz N] [--seed S] [--no-shrink] [--chaos] [--delta]
                [--chaos-invalidation] [--out PATH]
@@ -183,16 +216,6 @@ fn solver_config(args: &[String]) -> SolverConfig {
     cfg
 }
 
-fn engine_flag(args: &[String]) -> Engine {
-    match flag_value(args, "--engine") {
-        Some(e) => e.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2);
-        }),
-        None => Engine::Demand,
-    }
-}
-
 fn resolve(pag: &Pag, name: &str) -> parcfl::pag::NodeId {
     // Exact match first, then unique suffix match.
     if let Some(n) = pag.node_by_name(name) {
@@ -230,19 +253,10 @@ fn cmd_query(args: &[String]) {
     } else {
         wanted.iter().map(|w| resolve(&pag, w)).collect()
     };
-    let matrix = match engine_flag(args) {
-        Engine::Matrix => true,
-        Engine::Demand => false,
-        Engine::Auto => parcfl::runtime::matrix_pays_off(&pag, &targets),
-    };
     let store = NoJmpStore;
     let mut solver = Solver::new(&pag, &cfg, &store);
-    let mut matrix_solver = matrix.then(|| MatrixSolver::new(&pag, &cfg));
     for v in targets {
-        let out = match matrix_solver.as_mut() {
-            Some(m) => m.points_to_query(v),
-            None => solver.points_to_query(v, 0),
-        };
+        let out = solver.points_to_query(v, 0);
         match out.answer.nodes() {
             Some(objs) => {
                 let names: Vec<_> = objs.iter().map(|&o| pag.node(o).name.clone()).collect();
@@ -320,19 +334,9 @@ fn cmd_trace(args: &[String]) {
     } else {
         Backend::Simulated
     };
-    let engine = engine_flag(args);
     let mut cfg = RunConfig::new(mode, threads, backend).with_tracing(level);
     cfg.solver = solver_config(args);
-    let r = match engine {
-        Engine::Matrix => {
-            // Whole-program matrix engine: per-sweep-worker lanes with
-            // wave spans and fan-out instants, stamped on the
-            // real clock (mode/backend are inert under this engine).
-            parcfl::runtime::run_matrix(&pag, &queries, &cfg)
-        }
-        _ if threaded => parcfl::runtime::run_threaded(&pag, &queries, &cfg),
-        _ => run_simulated(&pag, &queries, &cfg),
-    };
+    let r = parcfl::runtime::run(&pag, &queries, &cfg);
     let trace = r.trace.expect("tracing enabled yields a trace");
     std::fs::write(&out_path, trace.to_chrome_json()).unwrap_or_else(|e| {
         eprintln!("cannot write {out_path}: {e}");
@@ -340,11 +344,7 @@ fn cmd_trace(args: &[String]) {
     });
     outln!(
         "{}: {} queries, {} completed; {} events across {} workers ({} dropped) -> {}",
-        match engine {
-            Engine::Matrix => "matrix",
-            _ if threaded => "threaded",
-            _ => "simulated",
-        },
+        if threaded { "threaded" } else { "simulated" },
         r.stats.queries,
         r.stats.completed,
         trace.event_count(),
@@ -465,7 +465,6 @@ fn cmd_bench(args: &[String]) {
         }
     };
     let threaded = args.iter().any(|a| a == "--threaded");
-    let engine = engine_flag(args);
     let b = parcfl::synth::build_bench(&profile);
     let seq = run_seq(&b.pag, &b.queries, &b.solver);
     let backend = if threaded {
@@ -473,14 +472,11 @@ fn cmd_bench(args: &[String]) {
     } else {
         Backend::Simulated
     };
-    let mut cfg = RunConfig::new(mode, threads, backend).with_engine(engine);
+    let mut cfg = RunConfig::new(mode, threads, backend);
     cfg.solver = b.solver.clone();
     let par = parcfl::runtime::run(&b.pag, &b.queries, &cfg);
-    // Report the engine that actually ran (`Auto` resolves per batch),
-    // not the one configured.
-    let dispatched = par.stats.engine_dispatched.unwrap_or(engine);
     outln!(
-        "{name}: {} queries; SeqCFL {} steps; ParCFL({threads}, {}, engine={dispatched}) \
+        "{name}: {} queries; SeqCFL {} steps; ParCFL({threads}, {}) \
          speedup {:.1}x (jmps {}, ETs {}, wall {:?})",
         b.queries.len(),
         seq.stats.makespan,
@@ -490,7 +486,7 @@ fn cmd_bench(args: &[String]) {
         par.stats.early_terminations,
         par.stats.wall
     );
-    if threaded && dispatched == Engine::Demand {
+    if threaded {
         let t = par.stats.obs_totals();
         outln!(
             "dispatch: {} work-list pops, lock wait {:?}",

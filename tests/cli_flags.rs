@@ -1,0 +1,86 @@
+//! The `parcfl` binary rejects what it does not understand: a flag a
+//! subcommand does not accept (or a value-taking flag without a value)
+//! exits 2 naming the flag, instead of running the default analysis and
+//! exiting 0 — which is what `--state hash`, `--stealing` and
+//! `--engine matrix` did after the options behind them were removed.
+
+use std::process::{Command, Output};
+
+const PROGRAM: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/examples/programs/linked_list.mj"
+);
+
+fn parcfl(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_parcfl"))
+        .args(args)
+        .output()
+        .expect("parcfl runs")
+}
+
+#[test]
+fn removed_and_unknown_flags_exit_2_naming_the_flag() {
+    for (flags, named) in [
+        (&["--engine", "matrix"][..], "--engine"),
+        (&["--state", "hash"], "--state"),
+        (&["--stealing"], "--stealing"),
+        (&["--budget"], "--budget"),
+        (&["--budget", "--insensitive"], "--budget"),
+        (&["--var", "head", "--no-such-flag"], "--no-such-flag"),
+    ] {
+        let out = parcfl(&[&["query", PROGRAM], flags].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(stderr.contains(named), "{flags:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flags:?}: nothing was analysed");
+    }
+    // The same program with flags `query` does accept still answers.
+    let out = parcfl(&["query", PROGRAM, "--budget", "500", "--insensitive"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(!out.stdout.is_empty());
+}
+
+/// Each `--flag` of the usage text, under the subcommand whose entry
+/// mentions it, gets past flag validation. Every flag is followed by a
+/// `1` (a value if it takes one, a stray operand if not) and the operands
+/// name nothing that exists, so each command stops at its first lookup
+/// (`check` takes no operand and is pointed at a missing snapshot).
+#[test]
+fn every_flag_in_the_usage_text_is_accepted() {
+    let usage = String::from_utf8(parcfl(&["help"]).stderr).expect("usage is utf-8");
+    let mut cmd = "";
+    let mut checked = 0;
+    for line in usage.lines() {
+        if let Some(entry) = line.strip_prefix("  parcfl ") {
+            cmd = entry.split_whitespace().next().expect("subcommand name");
+        }
+        if cmd.is_empty() {
+            continue;
+        }
+        for token in line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+            if !token.starts_with("--") || token.len() == 2 {
+                continue;
+            }
+            let mut args = vec![cmd, "no-such-operand", "no-such-operand", token, "1"];
+            if cmd == "check" {
+                args.extend(["--replay", "no-such-operand"]);
+            }
+            let out = parcfl(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                !stderr.contains("unknown flag") && !stderr.contains("expects a value"),
+                "parcfl {cmd} {token}: {stderr}"
+            );
+            assert_ne!(
+                out.status.code(),
+                Some(0),
+                "parcfl {cmd} {token} found work"
+            );
+            checked += 1;
+        }
+    }
+    assert!(
+        checked >= 30,
+        "only {checked} flag mentions found in:\n{usage}"
+    );
+}

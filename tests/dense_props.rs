@@ -1,45 +1,21 @@
 //! Backend-identity properties for the dense-state solver core
-//! (DESIGN.md §11): the hash and dense visited-state backends, and the
-//! demand and matrix engines, must be indistinguishable in every
-//! completed answer on seeded synthetic programs — and the matrix
-//! engine's parallel frontier sweeps must be bit-identical at every
-//! sweep worker count.
+//! (DESIGN.md §11): the hash and dense visited-state backends must be
+//! indistinguishable in every completed answer on seeded synthetic
+//! programs, and a solver reused for the life of its lane must answer as
+//! a solver made for the query.
 //!
 //! All randomness derives from `PARCFL_TEST_SEED` (default fixed); every
 //! failure message prints the seed to replay with. The CI stress job
-//! raises the proptest sampling with `PROPTEST_CASES` and pins the sweep
-//! worker counts with `PARCFL_STRESS_THREADS` (default `1,2,4,8`).
+//! raises the proptest sampling with `PROPTEST_CASES`.
 
 use parcfl::check::seed::derive;
-use parcfl::check::{failure_detail, test_seed, Scenario};
+use parcfl::check::test_seed;
 use parcfl::concurrent::{CtxId, DenseVisitSet, HashVisitSet, StateSet};
-use parcfl::core::{Answer, Dir, MatrixSolver, SharedJmpStore, Solver, SolverConfig, StateBackend};
-use parcfl::pag::{EdgeClass, NodeId, Pag};
-use parcfl::runtime::{
-    run_matrix, run_seq, run_simulated, run_threaded, Backend, Engine, Mode, RunConfig, TraceLevel,
-};
-use parcfl::synth::mutate::canonicalize;
-use parcfl::synth::{build_bench, sweep_stress_bench, table1_profiles, Profile};
+use parcfl::core::{Dir, SharedJmpStore, Solver, SolverConfig, StateBackend};
+use parcfl::pag::{NodeId, Pag};
+use parcfl::runtime::{run_seq, run_simulated, run_threaded, Backend, Mode, RunConfig};
+use parcfl::synth::{build_bench, Profile};
 use proptest::prelude::*;
-
-/// The node ids set in one packed adjacency row, ascending.
-fn row_bits(row: &[u64]) -> Vec<u32> {
-    let mut v = Vec::new();
-    for (wi, &word) in row.iter().enumerate() {
-        let mut w = word;
-        while w != 0 {
-            v.push(wi as u32 * 64 + w.trailing_zeros());
-            w &= w - 1;
-        }
-    }
-    v
-}
-
-/// A one-worker simulated-backend `RunConfig` wrapping `solver` — the
-/// sequential-matrix baseline configuration.
-fn matrix_cfg(solver: &SolverConfig) -> RunConfig {
-    RunConfig::new(Mode::Naive, 1, Backend::Simulated).with_solver(solver.clone())
-}
 
 /// Case count: `PROPTEST_CASES` when set (the CI stress job raises it),
 /// else a small default suitable for tier-1 runs.
@@ -50,143 +26,8 @@ fn cases() -> u32 {
         .unwrap_or(4)
 }
 
-/// Sweep worker counts: `PARCFL_STRESS_THREADS` (e.g. `"4"` for one
-/// matrix leg of the CI stress job) or the full default ladder.
-fn worker_counts() -> Vec<usize> {
-    std::env::var("PARCFL_STRESS_THREADS")
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .collect::<Vec<usize>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4, 8])
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
-
-    /// Random programs, budgets and sensitivity: the parallel matrix
-    /// engine is bit-identical to the one-worker matrix baseline at every
-    /// stress worker count (answers, scan totals, Halt verdicts), and
-    /// every demand-Complete answer matches the matrix answer exactly.
-    #[test]
-    fn prop_parallel_matrix_matches_sequential_and_demand(
-        seed in 0u64..1 << 32,
-        tight in any::<bool>(),
-        ctx in any::<bool>(),
-    ) {
-        let bench = build_bench(&Profile::tiny(seed));
-        let cfg = SolverConfig {
-            budget: if tight { 1_000 + seed % 4_000 } else { 5_000_000 },
-            context_sensitive: ctx,
-            ..SolverConfig::default()
-        };
-        let base = run_matrix(&bench.pag, &bench.queries, &matrix_cfg(&cfg));
-        for &workers in &worker_counts() {
-            let par_cfg = RunConfig::new(Mode::Naive, workers, Backend::Simulated)
-                .with_solver(cfg.clone());
-            let par = run_matrix(&bench.pag, &bench.queries, &par_cfg);
-            prop_assert_eq!(base.sorted_answers(), par.sorted_answers());
-            prop_assert_eq!(base.stats.traversed_steps, par.stats.traversed_steps);
-            prop_assert_eq!(base.stats.out_of_budget, par.stats.out_of_budget);
-            prop_assert!(par.stats.makespan <= base.stats.makespan);
-        }
-        // Demand-Complete answers are a lower bound the matrix engine
-        // must reproduce exactly (tight budgets may legitimately differ
-        // in *which* queries complete, never in a completed set's value).
-        let demand = run_seq(&bench.pag, &bench.queries, &cfg);
-        for ((q, d), (qm, m)) in demand.answers.iter().zip(base.answers.iter()) {
-            prop_assert_eq!(q, qm);
-            if let (Answer::Complete(dp), Answer::Complete(mp)) = (d, m) {
-                prop_assert_eq!(dp, mp);
-            }
-        }
-    }
-
-    /// Random programs: every stored bit-packed adjacency row enumerates
-    /// exactly the successor/predecessor set of the corresponding CSR
-    /// slice (a row is absent when the slice holds fewer than
-    /// `ROW_MIN_BITS` distinct successors — the scan then walks the
-    /// slice; a whole class is absent when the density heuristic kept it
-    /// on CSR), and matrix sweeps are bit-identical with packed scans on
-    /// and off at every stress worker count.
-    #[test]
-    fn prop_packed_rows_match_csr_and_sweeps_bit_identical(
-        seed in 0u64..1 << 32,
-        tight in any::<bool>(),
-        ctx in any::<bool>(),
-    ) {
-        let bench = build_bench(&Profile::tiny(seed));
-        let pag = &bench.pag;
-        let packed = pag.packed();
-        for class in [EdgeClass::New, EdgeClass::AssignLocal, EdgeClass::AssignGlobal] {
-            for incoming in [true, false] {
-                let pc = if incoming {
-                    packed.in_packed(class)
-                } else {
-                    packed.out_packed(class)
-                };
-                // A class the heuristic left unpacked is the sparse-kind
-                // CSR fallback: there is nothing to cross-check, the CSR
-                // slices stay the only representation.
-                let Some(pc) = pc else { continue };
-                for n in pag.node_ids() {
-                    let mut csr: Vec<u32> = if incoming {
-                        pag.incoming_kind(n, class).iter().map(|e| e.src.raw()).collect()
-                    } else {
-                        pag.outgoing_kind(n, class).iter().map(|e| e.dst.raw()).collect()
-                    };
-                    csr.sort_unstable();
-                    csr.dedup();
-                    match pc.row(n.raw()) {
-                        Some(row) => {
-                            prop_assert_eq!(
-                                row_bits(row), csr.clone(),
-                                "seed={} {:?} incoming={} node {}: packed row != CSR slice",
-                                seed, class, incoming, n.raw()
-                            );
-                            prop_assert!(
-                                csr.len() >= parcfl::pag::ROW_MIN_BITS as usize,
-                                "seed={} {:?} incoming={} node {}: thin row stored",
-                                seed, class, incoming, n.raw()
-                            );
-                        }
-                        None => prop_assert!(
-                            csr.len() < parcfl::pag::ROW_MIN_BITS as usize,
-                            "seed={} {:?} incoming={} node {}: fat row dropped \
-                             ({} successors)",
-                            seed, class, incoming, n.raw(), csr.len()
-                        ),
-                    }
-                }
-            }
-        }
-        // Sweep identity: packed on/off × worker ladder, one shared
-        // baseline (unpacked, one worker).
-        let cfg_off = SolverConfig {
-            budget: if tight { 1_200 + seed % 3_000 } else { 5_000_000 },
-            context_sensitive: ctx,
-            ..SolverConfig::default()
-        }
-        .with_packed(false);
-        let cfg_on = cfg_off.clone().with_packed(true);
-        let base = run_matrix(pag, &bench.queries, &matrix_cfg(&cfg_off));
-        for &workers in &worker_counts() {
-            for cfg in [&cfg_on, &cfg_off] {
-                let par_cfg = RunConfig::new(Mode::Naive, workers, Backend::Simulated)
-                    .with_solver(cfg.clone());
-                let par = run_matrix(pag, &bench.queries, &par_cfg);
-                prop_assert_eq!(base.sorted_answers(), par.sorted_answers(),
-                    "seed={} workers={} packed={}", seed, workers, cfg.packed);
-                prop_assert_eq!(base.stats.traversed_steps, par.stats.traversed_steps,
-                    "seed={} workers={} packed={}", seed, workers, cfg.packed);
-                prop_assert_eq!(base.stats.out_of_budget, par.stats.out_of_budget,
-                    "seed={} workers={} packed={}", seed, workers, cfg.packed);
-            }
-        }
-    }
 
     /// A solver keeps its scratch — visited tables, buffers, in-flight
     /// sets, push cache — for as long as its lane lives, and nothing of
@@ -345,60 +186,6 @@ fn call_tree(fanout: u32, depth: u32) -> (Pag, NodeId, NodeId, NodeId) {
         }
     }
     (b.freeze(), ups[0], downs[depth as usize], obj)
-}
-
-/// Deterministic sparse-kind fallback: on a graph where `assign_l` is
-/// dense enough to pack but `new` is far too sparse, the packed build
-/// keeps `new` on CSR — and matrix runs stay bit-identical between
-/// packed and unpacked scans (the packed path reads `assign_l` rows, the
-/// CSR path everything).
-#[test]
-fn packed_sparse_kind_falls_back_to_csr_and_matches() {
-    use parcfl::pag::{EdgeKind, NodeInfo, NodeKind, PagBuilder, TypeId};
-    let mut b = PagBuilder::new();
-    let m = b.add_method("m");
-    let mut ids = Vec::new();
-    for i in 0..128u32 {
-        ids.push(b.add_node(NodeInfo {
-            kind: if i == 0 {
-                NodeKind::Object { method: m }
-            } else {
-                NodeKind::Local { method: m }
-            },
-            ty: TypeId::from_usize(0),
-            name: format!("v{i}"),
-            is_application: i != 0,
-        }));
-    }
-    // One `new` edge (1 × 8 < 128 nodes: stays on CSR) feeding a dense
-    // `assign_l` chain (127 × 8 ≥ 128: packs).
-    b.add_edge(ids[0], ids[1], EdgeKind::New);
-    for w in ids[1..].windows(2) {
-        b.add_edge(w[0], w[1], EdgeKind::AssignLocal);
-    }
-    let pag = b.freeze();
-    let packed = pag.packed();
-    assert!(packed.in_packed(EdgeClass::New).is_none(), "new stays CSR");
-    assert!(
-        packed.in_packed(EdgeClass::AssignLocal).is_some(),
-        "assign_l packs"
-    );
-    let queries = pag.application_locals();
-    let off = SolverConfig::default().with_packed(false);
-    let on = SolverConfig::default();
-    let base = run_matrix(&pag, &queries, &matrix_cfg(&off));
-    assert!(base.stats.completed > 0);
-    for workers in [1usize, 2, 4, 8] {
-        let par_cfg =
-            RunConfig::new(Mode::Naive, workers, Backend::Simulated).with_solver(on.clone());
-        let par = run_matrix(&pag, &queries, &par_cfg);
-        assert_eq!(
-            base.sorted_answers(),
-            par.sorted_answers(),
-            "workers={workers}: packed/fallback mix diverges from CSR"
-        );
-        assert_eq!(base.stats.traversed_steps, par.stats.traversed_steps);
-    }
 }
 
 /// The contexts `table` holds for `node`, sorted (`for_ctxs` promises no
@@ -594,237 +381,4 @@ fn hash_and_dense_runs_are_bit_identical() {
             bench.name
         );
     }
-}
-
-/// Under an ample budget, every query the demand solver completes the
-/// matrix engine also completes, with the identical answer — the
-/// engine-identity half of DESIGN.md §11's bit-identical claim.
-#[test]
-fn demand_complete_implies_matrix_complete_and_identical() {
-    let seed = test_seed();
-    for i in 0..8u64 {
-        let bench = build_bench(&Profile::tiny(derive(seed, 0x4DA7 + i)));
-        let cfg = SolverConfig {
-            budget: 5_000_000,
-            context_sensitive: i % 3 != 2,
-            ..SolverConfig::default()
-        };
-        let demand = run_seq(&bench.pag, &bench.queries, &cfg);
-        let matrix = run_matrix(&bench.pag, &bench.queries, &matrix_cfg(&cfg));
-        let mut completed = 0usize;
-        for ((q, d), (qm, m)) in demand.answers.iter().zip(matrix.answers.iter()) {
-            assert_eq!(q, qm);
-            if let Answer::Complete(dp) = d {
-                let Answer::Complete(mp) = m else {
-                    panic!(
-                        "PARCFL_TEST_SEED={seed} {} query {q:?}: demand completed, matrix did not",
-                        bench.name
-                    );
-                };
-                assert_eq!(
-                    dp, mp,
-                    "PARCFL_TEST_SEED={seed} {} query {q:?}: points-to sets diverge",
-                    bench.name
-                );
-                completed += 1;
-            }
-        }
-        assert!(completed > 0, "nothing completed under ample budget");
-    }
-}
-
-/// The batch-global memo makes whole-batch matrix evaluation no more
-/// than, and typically far less than, per-query demand work on dense
-/// query sets that revisit the same flow structure.
-#[test]
-fn matrix_batch_memo_never_inflates_total_work() {
-    let seed = test_seed();
-    let bench = build_bench(&Profile::tiny(derive(seed, 0xBA7C)));
-    let cfg = SolverConfig {
-        budget: 5_000_000,
-        ..SolverConfig::default()
-    };
-    let mut solver = MatrixSolver::new(&bench.pag, &cfg);
-    let mut prev_total = 0u64;
-    let first_pass: u64 = bench
-        .queries
-        .iter()
-        .map(|&q| solver.points_to_query(q).stats.traversed_steps)
-        .sum();
-    prev_total += first_pass;
-    // A second pass over the same batch is answered from the memo alone:
-    // per-query closure evaluation never re-runs.
-    let second_pass: u64 = bench
-        .queries
-        .iter()
-        .map(|&q| solver.points_to_query(q).stats.traversed_steps)
-        .sum();
-    assert!(
-        second_pass <= first_pass,
-        "PARCFL_TEST_SEED={seed}: repeat batch did more work ({second_pass} > {first_pass})"
-    );
-    assert!(prev_total > 0, "first pass did no work");
-}
-
-/// Parallel frontier sweeps are a pure partition of the sequential
-/// sweeps (DESIGN.md §11): at every worker count the matrix engine
-/// produces bit-identical answers, identical total scan work and
-/// identical budget verdicts, while the critical path (`makespan`) only
-/// ever shrinks. Tight budgets are included: Halt decisions must not
-/// depend on the partition either.
-#[test]
-fn parallel_matrix_bit_identical_across_worker_counts() {
-    let seed = test_seed();
-    for i in 0..10u64 {
-        let bench = build_bench(&Profile::tiny(derive(seed, 0x9A_7000 + i)));
-        let cfg = SolverConfig {
-            budget: if i % 3 == 2 {
-                1_500 + i * 331
-            } else {
-                5_000_000
-            },
-            context_sensitive: i % 4 != 3,
-            ..SolverConfig::default()
-        };
-        let base = run_matrix(&bench.pag, &bench.queries, &matrix_cfg(&cfg));
-        for workers in [2usize, 4, 8] {
-            let par_cfg =
-                RunConfig::new(Mode::Naive, workers, Backend::Simulated).with_solver(cfg.clone());
-            let par = run_matrix(&bench.pag, &bench.queries, &par_cfg);
-            assert_eq!(
-                base.sorted_answers(),
-                par.sorted_answers(),
-                "PARCFL_TEST_SEED={seed} {} workers={workers}: answers diverge",
-                bench.name
-            );
-            assert_eq!(
-                base.stats.traversed_steps, par.stats.traversed_steps,
-                "PARCFL_TEST_SEED={seed} {} workers={workers}: scan totals diverge",
-                bench.name
-            );
-            assert_eq!(
-                base.stats.out_of_budget, par.stats.out_of_budget,
-                "PARCFL_TEST_SEED={seed} {} workers={workers}: Halt verdicts diverge",
-                bench.name
-            );
-            assert!(
-                par.stats.makespan <= base.stats.makespan,
-                "PARCFL_TEST_SEED={seed} {} workers={workers}: critical path grew \
-                 ({} > {})",
-                bench.name,
-                par.stats.makespan,
-                base.stats.makespan
-            );
-        }
-    }
-}
-
-/// Pins the single fan-out gate from both sides. Below it: a Table-I-sized
-/// graph at 8 workers spawns nothing — no fanned-out wave, no spawn time,
-/// a single trace lane. Above it: the sweep-stress bench fans out at
-/// every stress worker count above one, fills several lanes, and leaves
-/// answers, scan totals, interner ids and kernel counters identical to
-/// the one-worker run.
-#[test]
-fn fan_out_gate_is_pinned_from_both_sides() {
-    let traced = |workers: usize, solver: &SolverConfig| {
-        RunConfig::new(Mode::Naive, workers, Backend::Simulated)
-            .with_solver(solver.clone())
-            .with_tracing(TraceLevel::Full)
-    };
-    let profiles = table1_profiles();
-    let check = build_bench(profiles.iter().find(|p| p.name == "_200_check").unwrap());
-    let small = run_matrix(&check.pag, &check.queries, &traced(8, &check.solver));
-    assert_eq!(small.stats.pool_wakes, 0, "Table-I waves stay inline");
-    assert_eq!(small.stats.pool_dispatch_ns, 0);
-    assert!(small.stats.hists.wave_segments.is_empty());
-    assert_eq!(small.trace.expect("traced").workers.len(), 1);
-
-    let stress = sweep_stress_bench();
-    let base = run_matrix(&stress.pag, &stress.queries, &matrix_cfg(&stress.solver));
-    assert_eq!(base.stats.pool_wakes, 0, "one worker never fans out");
-    for workers in worker_counts().into_iter().filter(|&w| w > 1) {
-        let par = run_matrix(
-            &stress.pag,
-            &stress.queries,
-            &traced(workers, &stress.solver),
-        );
-        assert!(par.stats.pool_wakes > 0, "workers={workers}: no fan-out");
-        assert!(par.trace.as_ref().expect("traced").workers.len() > 1);
-        assert_eq!(base.sorted_answers(), par.sorted_answers());
-        assert_eq!(base.stats.traversed_steps, par.stats.traversed_steps);
-        assert_eq!(base.stats.interner_ctxs, par.stats.interner_ctxs);
-        assert_eq!(base.stats.packed_gathers, par.stats.packed_gathers);
-        assert_eq!(base.stats.csr_fallback_rows, par.stats.csr_fallback_rows);
-        assert_eq!(base.stats.sweep_class_steps, par.stats.sweep_class_steps);
-    }
-}
-
-/// ≥ 200 seeded matrix-engine scenarios through the parcfl-check
-/// differential harness: every completed matrix answer matches the naive
-/// oracle exactly and is sound against Andersen, and (via the harness's
-/// parallel-matrix dimension) every scenario replays bit-identically at
-/// sweep worker counts 1/2/4/8. Zero mismatches.
-#[test]
-fn matrix_differential_two_hundred_scenarios() {
-    let seed = test_seed();
-    let mut compared_scenarios = 0u32;
-    for i in 0..200u64 {
-        let s = derive(seed, 0x3A7_0000 + i);
-        let bench = build_bench(&Profile::tiny(s));
-        let n = bench.queries.len();
-        if n == 0 {
-            continue;
-        }
-        // Vary the query subset, budget regime, sensitivity, state
-        // backend, packed-adjacency flag and sweep worker count across
-        // iterations; the engine is always Matrix. `failure_detail`
-        // additionally replays each scenario over the workers 1/2/4/8 ×
-        // packed on/off grid and flags any divergence.
-        let take = 1 + (s as usize % 8.min(n));
-        let start = (s >> 8) as usize % n;
-        let queries: Vec<_> = (0..take).map(|k| bench.queries[(start + k) % n]).collect();
-        let budget = if i % 4 == 0 {
-            400 + (s % 4_000)
-        } else {
-            5_000_000
-        };
-        let scenario = Scenario {
-            pag: canonicalize(&bench.pag),
-            queries,
-            mode: Mode::Naive,
-            backend: Backend::Simulated,
-            threads: [1usize, 2, 4, 8][(i % 4) as usize],
-            solver: SolverConfig {
-                budget,
-                context_sensitive: i % 5 != 4,
-                state: if i % 2 == 0 {
-                    StateBackend::Dense
-                } else {
-                    StateBackend::Hash
-                },
-                packed: i % 3 != 2,
-                ..SolverConfig::default()
-            },
-            fetch_cost: 0,
-            perturb: None,
-            store_cap: None,
-            engine: Engine::Matrix,
-            // Cycle the trace ladder too: recording must never perturb
-            // the differential (tracing is observation-only).
-            trace_level: [TraceLevel::Off, TraceLevel::Spans, TraceLevel::Full][(i % 3) as usize],
-            deltas: vec![],
-        };
-        if let Some(detail) = failure_detail(&scenario) {
-            panic!(
-                "PARCFL_TEST_SEED={seed} matrix scenario {i}: {detail}\n{}",
-                scenario.to_snapshot()
-            );
-        }
-        compared_scenarios += 1;
-    }
-    assert!(
-        compared_scenarios >= 200,
-        "only {compared_scenarios} scenarios ran"
-    );
 }

@@ -1,18 +1,17 @@
 //! Incremental analysis properties (DESIGN.md §12): PAG deltas with
-//! selective jmp/memo/schedule invalidation must be indistinguishable
-//! from cold starts.
+//! selective jmp/schedule invalidation must be indistinguishable from
+//! cold starts.
 //!
 //! Three layers of proof:
 //!
-//! 1. **Graph layer** — a [`Pag`] produced by `apply_delta` (selective
-//!    packed-row rebuild, table patching) behaves bit-identically to a
-//!    from-scratch frozen graph with the same edge set: answers *and*
-//!    deterministic step counters, across engine × state backend ×
-//!    sweep workers {1, 2, 4, 8} × packed on/off.
+//! 1. **Graph layer** — a [`Pag`] produced by `apply_delta` behaves
+//!    bit-identically to a from-scratch frozen graph with the same edge
+//!    set: answers *and* deterministic step counters, under both state
+//!    backends.
 //! 2. **Session layer** — warm re-queries after `apply_delta` (jmp
-//!    store, matrix memo and schedule cache selectively invalidated by
-//!    footprint) answer exactly like a cold session on the edited
-//!    graph, on both engines at every worker count.
+//!    store and schedule cache selectively invalidated by footprint)
+//!    answer exactly like a cold session on the edited graph, under
+//!    both state backends at every thread count.
 //! 3. **Battery layer** — a deliberately broken invalidation
 //!    (`chaos_skip_invalidation`) is caught by the differential fuzzer
 //!    and shrunk to a ≤ 10-edge, ≤ 3-edit counterexample that passes
@@ -23,17 +22,16 @@ use parcfl::check::{run_fuzz, scenario_fails, test_seed, FuzzConfig, Scenario};
 use parcfl::core::{SolverConfig, StateBackend};
 use parcfl::frontend::build_pag;
 use parcfl::pag::{DeltaOp, EdgeKind, NodeId, Pag, PagDelta};
-use parcfl::runtime::{run_matrix, run_seq, AnalysisSession, Backend, Engine, Mode, RunConfig};
+use parcfl::runtime::{run_seq, AnalysisSession, Backend, Mode};
 use parcfl::synth::mutate::{rebuild_with_edges, sample_edits};
 use parcfl::synth::{build_bench, Profile};
 
-fn ample(state: StateBackend, packed: bool) -> SolverConfig {
+fn ample(state: StateBackend) -> SolverConfig {
     SolverConfig {
         budget: 5_000_000,
         tau_finished: 0,
         tau_unfinished: 0,
         state,
-        packed,
         ..SolverConfig::default()
     }
 }
@@ -53,12 +51,10 @@ fn assign_edge_between(pag: &Pag, a: &str, b: &str) -> parcfl::pag::Edge {
 
 /// Layer 1: `apply_delta` graphs are bit-identical to cold rebuilds.
 ///
-/// For several seeded benches and edit scripts, apply the delta (which
-/// selectively patches packed adjacency rows and index tables), then
+/// For several seeded benches and edit scripts, apply the delta, then
 /// rebuild a graph from scratch with the identical edge set. Every
-/// observable — answers and traversed-step totals — must match on the
-/// demand solver (both state backends, packed on/off) and on the matrix
-/// engine at 1/2/4/8 sweep workers.
+/// observable — answers and traversed-step totals — must match under
+/// both state backends.
 #[test]
 fn applied_delta_graph_is_bit_identical_to_cold_rebuild() {
     let seed = test_seed();
@@ -78,45 +74,25 @@ fn applied_delta_graph_is_bit_identical_to_cold_rebuild() {
         assert_eq!(edited.edges(), rebuilt.edges(), "same canonical edge set");
         let queries: Vec<NodeId> = bench.queries.iter().copied().take(8).collect();
         for state in [StateBackend::Dense, StateBackend::Hash] {
-            for packed in [true, false] {
-                let solver = ample(state, packed);
-                let a = run_seq(&edited, &queries, &solver);
-                let b = run_seq(&rebuilt, &queries, &solver);
-                assert_eq!(
-                    a.sorted_answers(),
-                    b.sorted_answers(),
-                    "PARCFL_TEST_SEED={seed} i={i} {state:?} packed={packed}: demand answers"
-                );
-                assert_eq!(
-                    a.stats.traversed_steps, b.stats.traversed_steps,
-                    "PARCFL_TEST_SEED={seed} i={i} {state:?} packed={packed}: demand steps"
-                );
-                for workers in [1usize, 2, 4, 8] {
-                    let cfg = RunConfig::new(Mode::Naive, workers, Backend::Simulated)
-                        .with_solver(solver.clone());
-                    let ma = run_matrix(&edited, &queries, &cfg);
-                    let mb = run_matrix(&rebuilt, &queries, &cfg);
-                    assert_eq!(
-                        ma.sorted_answers(),
-                        mb.sorted_answers(),
-                        "PARCFL_TEST_SEED={seed} i={i} {state:?} packed={packed} \
-                         workers={workers}: matrix answers"
-                    );
-                    assert_eq!(
-                        ma.stats.traversed_steps, mb.stats.traversed_steps,
-                        "PARCFL_TEST_SEED={seed} i={i} {state:?} packed={packed} \
-                         workers={workers}: matrix steps"
-                    );
-                }
-            }
+            let solver = ample(state);
+            let a = run_seq(&edited, &queries, &solver);
+            let b = run_seq(&rebuilt, &queries, &solver);
+            assert_eq!(
+                a.sorted_answers(),
+                b.sorted_answers(),
+                "PARCFL_TEST_SEED={seed} i={i} {state:?}: answers"
+            );
+            assert_eq!(
+                a.stats.traversed_steps, b.stats.traversed_steps,
+                "PARCFL_TEST_SEED={seed} i={i} {state:?}: steps"
+            );
         }
     }
     assert!(effective > 0, "every sampled edit script was a no-op");
 }
 
 /// Layer 2: warm incremental sessions equal cold sessions on the edited
-/// graph — both engines, workers {1, 2, 4, 8}, packed on/off, both
-/// state backends.
+/// graph — both state backends, threads {1, 2, 4, 8}.
 #[test]
 fn incremental_session_equals_cold_session_across_grid() {
     let seed = test_seed();
@@ -125,45 +101,32 @@ fn incremental_session_equals_cold_session_across_grid() {
     // A guaranteed-effective script: remove a real edge, then a sampled op.
     let mut edits = vec![DeltaOp::RemoveEdge(bench.pag.edges()[0])];
     edits.extend(sample_edits(&bench.pag, derive(seed, 0xD3_0000), 1));
-    for engine in [Engine::Demand, Engine::Matrix] {
-        for workers in [1usize, 2, 4, 8] {
-            for packed in [true, false] {
-                let state = if workers % 3 == 0 {
-                    StateBackend::Hash
-                } else {
-                    StateBackend::Dense
-                };
-                let solver = ample(state, packed);
-                let mut warm_session = AnalysisSession::new(&bench.pag)
-                    .with_solver(solver.clone())
-                    .with_threads(workers)
-                    .with_engine(engine);
-                warm_session.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
-                let mut warm = None;
-                for op in &edits {
-                    let mut d = PagDelta::new();
-                    d.push(*op);
-                    warm_session.apply_delta(&d);
-                    warm = Some(warm_session.submit(
-                        &queries,
-                        Mode::DataSharingSched,
-                        Backend::Simulated,
-                    ));
-                }
-                let edited = warm_session.pag().clone();
-                let mut cold_session = AnalysisSession::new(&edited)
-                    .with_solver(solver.clone())
-                    .with_threads(workers)
-                    .with_engine(engine);
-                let cold =
-                    cold_session.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
-                assert_eq!(
-                    warm.expect("edit script is non-empty").sorted_answers(),
-                    cold.sorted_answers(),
-                    "PARCFL_TEST_SEED={seed} engine={engine:?} workers={workers} \
-                     packed={packed}: warm re-query diverges from cold session"
-                );
+    for state in [StateBackend::Dense, StateBackend::Hash] {
+        for threads in [1usize, 2, 4, 8] {
+            let solver = ample(state);
+            let mut warm_session = AnalysisSession::new(&bench.pag)
+                .with_solver(solver.clone())
+                .with_threads(threads);
+            warm_session.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
+            let mut warm = None;
+            for op in &edits {
+                let mut d = PagDelta::new();
+                d.push(*op);
+                warm_session.apply_delta(&d);
+                warm =
+                    Some(warm_session.submit(&queries, Mode::DataSharingSched, Backend::Simulated));
             }
+            let edited = warm_session.pag().clone();
+            let mut cold_session = AnalysisSession::new(&edited)
+                .with_solver(solver)
+                .with_threads(threads);
+            let cold = cold_session.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
+            assert_eq!(
+                warm.expect("edit script is non-empty").sorted_answers(),
+                cold.sorted_answers(),
+                "PARCFL_TEST_SEED={seed} {state:?} threads={threads}: \
+                 warm re-query diverges from cold session"
+            );
         }
     }
 }
@@ -197,7 +160,7 @@ fn removing_a_footprint_edge_invalidates_selectively() {
     let pag = two_chains();
     let queries = pag.application_locals();
     let mut session = AnalysisSession::new(&pag)
-        .with_solver(ample(StateBackend::Dense, true))
+        .with_solver(ample(StateBackend::Dense))
         .with_threads(2);
     session.submit(&queries, Mode::DataSharing, Backend::Simulated);
     let resident = session.store_entries() as u64;
@@ -216,7 +179,7 @@ fn removing_a_footprint_edge_invalidates_selectively() {
     assert_eq!(report.invalidated_jmps + report.retained_jmps, resident);
 
     let warm = session.submit(&queries, Mode::DataSharing, Backend::Simulated);
-    let cold = run_seq(session.pag(), &queries, &ample(StateBackend::Dense, true));
+    let cold = run_seq(session.pag(), &queries, &ample(StateBackend::Dense));
     assert_eq!(warm.sorted_answers(), cold.sorted_answers());
     // The edit genuinely changed the answer: y0 no longer reaches the
     // object mk0 boxes.
@@ -248,7 +211,7 @@ fn deleting_a_call_site_invalidates_and_requeries_match() {
         })
         .expect("the mk0 call produced a ret edge into p0");
     let mut session = AnalysisSession::new(&pag)
-        .with_solver(ample(StateBackend::Dense, true))
+        .with_solver(ample(StateBackend::Dense))
         .with_threads(1);
     let before = session.submit(&queries, Mode::DataSharing, Backend::Simulated);
     assert!(session.store_entries() > 0, "sharing run left warm entries");
@@ -272,7 +235,7 @@ fn deleting_a_call_site_invalidates_and_requeries_match() {
     assert_eq!(session.pag().call_site_count(), pag.call_site_count());
 
     let warm = session.submit(&queries, Mode::DataSharing, Backend::Simulated);
-    let cold = run_seq(session.pag(), &queries, &ample(StateBackend::Dense, true));
+    let cold = run_seq(session.pag(), &queries, &ample(StateBackend::Dense));
     assert_eq!(warm.sorted_answers(), cold.sorted_answers());
     assert_eq!(pts_of(&warm, y0), 0, "severed call empties y0's answer");
 }
@@ -293,7 +256,7 @@ fn edit_emptying_a_schedule_cache_group_drops_only_it() {
     let c = pag.node_by_name("c@A.m").unwrap();
     let y = pag.node_by_name("y@A.m").unwrap();
     let mut session = AnalysisSession::new(&pag)
-        .with_solver(ample(StateBackend::Dense, true))
+        .with_solver(ample(StateBackend::Dense))
         .with_threads(2);
     // Two batches memoise two schedules: one entirely over the a/b/c
     // chain, one entirely over x/y.
@@ -315,7 +278,7 @@ fn edit_emptying_a_schedule_cache_group_drops_only_it() {
         "the x/y schedule survives"
     );
     let warm = session.submit(&[y], Mode::DataSharingSched, Backend::Simulated);
-    let cold = run_seq(session.pag(), &[y], &ample(StateBackend::Dense, true));
+    let cold = run_seq(session.pag(), &[y], &ample(StateBackend::Dense));
     assert_eq!(warm.sorted_answers(), cold.sorted_answers());
 }
 
@@ -327,7 +290,7 @@ fn noop_edit_invalidates_nothing() {
     let bench = build_bench(&Profile::tiny(7));
     let queries: Vec<NodeId> = bench.queries.iter().copied().take(6).collect();
     let mut session = AnalysisSession::new(&bench.pag)
-        .with_solver(ample(StateBackend::Dense, true))
+        .with_solver(ample(StateBackend::Dense))
         .with_threads(1);
     let first = session.submit(&queries, Mode::DataSharing, Backend::Simulated);
     let resident = session.store_entries();
@@ -341,7 +304,6 @@ fn noop_edit_invalidates_nothing() {
     assert!(report.noop);
     assert_eq!(report.revision, 0, "revision does not advance on a no-op");
     assert_eq!(report.invalidated_jmps, 0);
-    assert_eq!(report.invalidated_memos, 0);
     assert_eq!(report.invalidated_schedules, 0);
     assert_eq!(session.store_entries(), resident, "store untouched");
 

@@ -12,8 +12,8 @@
 //! exact-count comparison and check answers only at higher counts.
 
 use parcfl::runtime::{
-    run_matrix, run_simulated, run_threaded, AnalysisSession, Backend, LogHistogram, Mode,
-    RunConfig, TraceLevel,
+    run_simulated, run_threaded, AnalysisSession, Backend, LogHistogram, Mode, RunConfig,
+    TraceLevel,
 };
 use parcfl::synth::{build_bench, Profile};
 use proptest::collection::vec;
@@ -123,62 +123,6 @@ proptest! {
         prop_assert!(trace.real_time);
         prop_assert_eq!(trace.workers.len(), 4);
         prop_assert!(trace.event_count() > 0);
-    }
-
-    /// Whole-program matrix engine: tracing must be observation-only at
-    /// every sweep-worker count × packed-kernel setting. The engine is
-    /// deterministic by construction, so the Off baseline (one worker,
-    /// packed off) must be matched bit-for-bit — answers, step/budget
-    /// accounting, interner growth *and* the new kernel-attribution
-    /// counters (packed gathers, CSR fallback rows, per-class sweep
-    /// steps) — while Full fills lanes without perturbing any of it.
-    #[test]
-    fn matrix_tracing_is_observation_only(seed in 0u64..1_000) {
-        let b = bench_for(seed);
-        let base_cfg = RunConfig::new(Mode::Naive, 1, Backend::Simulated)
-            .with_solver(b.solver.clone().with_packed(false));
-        let base = run_matrix(&b.pag, &b.queries, &base_cfg);
-        prop_assert!(base.trace.is_none(), "Off must not allocate a trace");
-        prop_assert!(
-            !base.stats.hists.wave_width.is_empty(),
-            "wave histograms are always on"
-        );
-        for workers in [1usize, 2, 4, 8] {
-            for packed in [false, true] {
-                let cfg = RunConfig::new(Mode::Naive, workers, Backend::Simulated)
-                    .with_solver(b.solver.clone().with_packed(packed))
-                    .with_tracing(TraceLevel::Full);
-                let full = run_matrix(&b.pag, &b.queries, &cfg);
-                prop_assert_eq!(
-                    full.sorted_answers(), base.sorted_answers(),
-                    "workers={} packed={} seed {}", workers, packed, seed);
-                prop_assert_eq!(full.stats.traversed_steps, base.stats.traversed_steps);
-                prop_assert_eq!(full.stats.charged_steps, base.stats.charged_steps);
-                prop_assert_eq!(full.stats.completed, base.stats.completed);
-                prop_assert_eq!(full.stats.out_of_budget, base.stats.out_of_budget);
-                prop_assert_eq!(full.stats.interner_ctxs, base.stats.interner_ctxs);
-                prop_assert_eq!(full.stats.peak_state_words, base.stats.peak_state_words);
-                // Kernel attribution: class steps are representation- and
-                // worker-invariant; the packed/CSR split depends only on
-                // the packed setting, never on workers or tracing.
-                prop_assert_eq!(
-                    full.stats.sweep_class_steps, base.stats.sweep_class_steps,
-                    "workers={} packed={} seed {}", workers, packed, seed);
-                if !packed {
-                    prop_assert_eq!(full.stats.packed_gathers, 0);
-                    prop_assert_eq!(
-                        full.stats.csr_fallback_rows, base.stats.csr_fallback_rows);
-                }
-                let trace = full.trace.expect("Full yields a trace");
-                prop_assert!(trace.real_time);
-                prop_assert!(trace.event_count() > 0);
-                for w in &trace.workers {
-                    prop_assert!(
-                        w.events.windows(2).all(|p| p[0].ts <= p[1].ts),
-                        "lane {} timestamps not monotone", w.worker);
-                }
-            }
-        }
     }
 }
 

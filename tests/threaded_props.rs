@@ -22,7 +22,7 @@ fn cases() -> u32 {
 }
 
 /// Thread counts to sweep: `PARCFL_STRESS_THREADS` (e.g. `"2"` for one
-/// matrix leg) or the full default ladder.
+/// leg of the CI job matrix) or the full default ladder.
 fn thread_counts() -> Vec<usize> {
     std::env::var("PARCFL_STRESS_THREADS")
         .ok()
