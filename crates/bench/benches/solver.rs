@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the core solver: single-query latency on
-//! a small fixture, with and without per-query memoisation.
+//! a small fixture.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use parcfl_core::{NoJmpStore, Solver, SolverConfig};
@@ -9,20 +9,12 @@ fn bench_solver(c: &mut Criterion) {
     let b = build_bench(&Profile::tiny(42));
     let store = NoJmpStore;
     let cfg = SolverConfig::default();
-    let memo_cfg = SolverConfig {
-        memoize: true,
-        ..SolverConfig::default()
-    };
     let q = b.queries[b.queries.len() / 2];
 
     let mut g = c.benchmark_group("solver");
     g.sample_size(30);
     g.bench_function("points_to_plain", |bench| {
         let mut s = Solver::new(&b.pag, &cfg, &store);
-        bench.iter(|| std::hint::black_box(s.points_to_query(q, 0)))
-    });
-    g.bench_function("points_to_memo", |bench| {
-        let mut s = Solver::new(&b.pag, &memo_cfg, &store);
         bench.iter(|| std::hint::black_box(s.points_to_query(q, 0)))
     });
     g.bench_function("flows_to_plain", |bench| {

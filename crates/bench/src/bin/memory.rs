@@ -7,9 +7,9 @@
 //!
 //! GC makes byte-exact peaks unmeasurable even in the paper ("it is
 //! difficult to monitor memory usage precisely"); our metric is an
-//! allocation-volume proxy: work-list/visited-set insertions plus memo
-//! entries summed over queries, plus the jmp store's approximate bytes for
-//! the parallel runs (see `QueryStats::mem_items`).
+//! allocation-volume proxy: work-list/visited-set insertions and touched
+//! state words summed over queries, plus the jmp store's approximate bytes
+//! for the parallel runs (see `QueryStats::mem_items`).
 
 use parcfl_bench::run_mode;
 use parcfl_runtime::{run_seq, Mode};

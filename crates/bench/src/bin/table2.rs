@@ -7,7 +7,7 @@
 //! Additionally emits a machine-readable `BENCH_solver.json` (schema
 //! `parcfl-bench-solver/6`): per bench, the headline DQ simulated run
 //! plus sequential dense-state / hash-state rows, with makespan,
-//! traversed/charged steps, peak memoisation footprint, peak state words
+//! traversed/charged steps, peak allocation proxy, peak state words
 //! and the dense-vs-hash wall ratio, so CI and perf-tracking scripts can
 //! diff solver behaviour without scraping the human tables. Each row is
 //! run `--repeat N` times (default 3) and `wall_ms` (and the wall-derived

@@ -12,7 +12,6 @@
 //! | `memory` | §IV-D5 — memory usage |
 //! | `ablation_tau` | §IV-D2 — selective jmp insertion on/off |
 //! | `ablation_group` | group-dispatch granularity trade-off |
-//! | `ablation_memo` | per-query caching vs. data sharing |
 //!
 //! Criterion micro-benchmarks live under `benches/`.
 

@@ -3,8 +3,8 @@
 //! Each iteration derives an independent RNG stream from the base seed,
 //! samples a scenario — synthetic program (tiny/small profile), query
 //! subset, mode, backend, thread count, budget regime, τ thresholds,
-//! memoisation, context sensitivity, state backend (hash/dense),
-//! simulator perturbation, jmp-store cap — runs it, and checks every
+//! context sensitivity, state backend (hash/dense), simulator
+//! perturbation, jmp-store cap — runs it, and checks every
 //! completed answer two ways:
 //!
 //! * **exactly** against the naive oracle ([`crate::diff`]);
@@ -21,7 +21,7 @@
 //! on purpose and expects the battery to fail.
 //!
 //! On the first failing iteration the scenario is (optionally) shrunk to
-//! a 1-minimal counterexample ([`crate::shrink`]) and returned along with
+//! a 1-minimal counterexample ([`mod@crate::shrink`]) and returned along with
 //! its snapshot. Everything is reproducible from `(seed, iteration)`.
 
 use crate::andersen_check::check_soundness;
@@ -351,7 +351,6 @@ fn sample_scenario(cfg: &FuzzConfig, i: u64) -> Scenario {
         tau_finished,
         tau_unfinished,
         context_sensitive: cfg.chaos || rng.random_bool(0.85),
-        memoize: rng.random_bool(0.25),
         chaos_jmp_ignore_ctx: cfg.chaos,
         chaos_skip_invalidation: cfg.chaos_invalidation,
         // Backend dimension: hash and dense must be indistinguishable in
@@ -504,5 +503,26 @@ mod tests {
             }
         }
         assert!(adds > 0, "no script kept an added edge");
+    }
+
+    /// `parcfl check --fuzz 25 --chaos-invalidation` at the default seed
+    /// used to shrink to a scenario with no edit left that "still failed":
+    /// merging a variable into an object had made an `assign_l` edge out of
+    /// the object, on which the solver and the inclusion check disagree
+    /// with or without the injected fault.
+    #[test]
+    fn invalidation_self_test_shrinks_to_a_program_with_an_edit() {
+        let report = run_fuzz(&FuzzConfig {
+            chaos_invalidation: true,
+            ..FuzzConfig::default()
+        });
+        let sc = report.failure.expect("the fault is caught").scenario;
+        assert!(!sc.deltas.is_empty(), "{}", sc.to_snapshot());
+        let edits = sc.deltas.iter().map(|op| op.edge());
+        for e in sc.pag.edges().iter().copied().chain(edits) {
+            let src_is_object = !sc.pag.kind(e.src).is_variable();
+            assert_eq!(src_is_object, e.kind == EdgeKind::New, "{e:?}");
+            assert!(sc.pag.kind(e.dst).is_variable(), "{e:?}");
+        }
     }
 }

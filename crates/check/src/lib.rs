@@ -12,7 +12,7 @@
 //! 3. [`fuzz`] — a seeded scenario fuzzer driving the simulated backend
 //!    through perturbed interleavings (and the threaded backend through
 //!    real ones), differential-checking every run; failures are shrunk
-//!    ([`shrink`]) to minimal counterexamples and serialised
+//!    ([`mod@shrink`]) to minimal counterexamples and serialised
 //!    ([`snapshot`]) for the regression corpus in `tests/corpus/`.
 //!
 //! Exposed to users as `parcfl check` (see `parcfl check --help`).

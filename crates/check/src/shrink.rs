@@ -22,14 +22,13 @@
 //!    sometimes all of it, when the cold run already fails) goes.
 //! 4. **Drop edges**, repeated sweeps until a fixpoint: for each edge (in
 //!    reverse), rebuild the graph without it and keep the removal if the
-//!    failure persists. Node ids are stable under
-//!    [`rebuild_with_edges`](parcfl_synth::mutate::rebuild_with_edges), so
-//!    queries stay valid throughout.
+//!    failure persists. Node ids are stable under [`rebuild_with_edges`],
+//!    so queries stay valid throughout.
 //! 5. **Weaken edge labels**: rewrite `param`/`ret`/`ld`/`st`/`assign_g`
-//!    labels the failure doesn't depend on to plain `assign_l`. Labelled
-//!    hops can't compose with each other, so without this step a chain
-//!    like `u →param_6→ v →ld(1)→ w` is contraction-proof even when the
-//!    labels are incidental.
+//!    labels the failure doesn't depend on to plain `assign_l` (never
+//!    `new`, whose source is an object). Labelled hops can't compose with
+//!    each other, so without this step a chain like `u →param_6→ v
+//!    →ld(1)→ w` is contraction-proof even when the labels are incidental.
 //! 6. **Contract chains**: bypass a non-query node by composing each
 //!    incoming/outgoing edge pair through a plain `assign_l` hop (`u
 //!    →ld(f)→ v →assign_l→ w` becomes `u →ld(f)→ w`, etc.). Pure edge
@@ -37,9 +36,17 @@
 //!    load-bearing; contraction can, and 1-minimality is restored by
 //!    rerunning the edge sweep afterwards.
 //! 7. **Merge node pairs** on the now-small graph: redirect every edge
-//!    at one node onto another; duplicate edges and self-loops collapse.
-//!    Catches "two parallel copies of the same role" residue that
-//!    neither deletion nor contraction can reduce.
+//!    at one node onto another of its kind (variable onto variable, object
+//!    onto object); duplicate edges and self-loops collapse. Catches "two
+//!    parallel copies of the same role" residue that neither deletion nor
+//!    contraction can reduce.
+//!
+//! Every step keeps the graph one a program could have: `new` edges leave
+//! objects, every other edge joins variables. Value flow through an object
+//! node is read differently by the demand solver (which walks on) and the
+//! inclusion solution (which gives it no points-to set to pass on), so a
+//! candidate outside that class can "still fail" for a reason that is not
+//! the one being shrunk.
 //! 8. **Compact** away orphan nodes (remapping queries), adopted only if
 //!    the failure survives the id remap.
 //!
@@ -198,7 +205,7 @@ pub fn shrink(scenario: Scenario, fails: &dyn Fn(&Scenario) -> bool) -> (Scenari
         while j > 0 {
             j -= 1;
             let mut edges = cur.pag.edges().to_vec();
-            if edges[j].kind == EdgeKind::AssignLocal {
+            if matches!(edges[j].kind, EdgeKind::AssignLocal | EdgeKind::New) {
                 continue;
             }
             edges[j].kind = EdgeKind::AssignLocal;
@@ -325,9 +332,14 @@ fn compose(k1: EdgeKind, k2: EdgeKind) -> Option<EdgeKind> {
 
 /// The edge set with node `a` merged into `b`: every edge endpoint at
 /// `a` is redirected to `b`, then duplicates and self-loops are dropped.
-/// Returns `None` unless the result is strictly smaller (guaranteeing
-/// the merge sweep terminates).
+/// Returns `None` when one is an object and the other a variable (the
+/// object's `new` edge would leave a variable, the variable's edges an
+/// object), and unless the result is strictly smaller (guaranteeing the
+/// merge sweep terminates).
 fn merge_nodes(pag: &Pag, a: NodeId, b: NodeId) -> Option<Vec<Edge>> {
+    if pag.kind(a).is_variable() != pag.kind(b).is_variable() {
+        return None;
+    }
     let redirect = |n: NodeId| if n == a { b } else { n };
     let mut edges: Vec<Edge> = Vec::with_capacity(pag.edge_count());
     for e in pag.edges() {
@@ -378,4 +390,35 @@ fn bypass_node(pag: &Pag, v: NodeId) -> Option<Vec<Edge>> {
         .collect();
     edges.extend(composed);
     Some(edges)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::snapshot::Scenario;
+
+    #[test]
+    fn merging_keeps_objects_and_variables_apart() {
+        // o →new→ v →assign_l→ w, and a second object flowing into v.
+        let pag = Scenario::from_snapshot(
+            "counts nodes=4 fields=1 callsites=0\n\
+             node 0 obj 1\nnode 1 local 1\nnode 2 local 1\nnode 3 obj 1\n\
+             edge 0 1 new\nedge 1 2 assign_l\nedge 3 1 new",
+        )
+        .expect("snapshot parses")
+        .pag;
+        let [o, v, w, o2] = [0, 1, 2, 3].map(NodeId::new);
+        // Either way round, an object and a variable do not merge: `v`
+        // onto `o` would leave `o →assign_l→ w`.
+        assert!(merge_nodes(&pag, v, o).is_none());
+        assert!(merge_nodes(&pag, o, v).is_none());
+        // Like merges with like, and the result is still a program's graph.
+        let vars = merge_nodes(&pag, v, w).expect("variables merge");
+        assert_eq!(vars.len(), 2, "the assign_l hop collapsed: {vars:?}");
+        let objs = merge_nodes(&pag, o2, o).expect("objects merge");
+        assert_eq!(objs.len(), 2, "the two `new` edges collapsed: {objs:?}");
+        assert!(objs
+            .iter()
+            .all(|e| (e.kind == EdgeKind::New) == (e.src == o)));
+    }
 }

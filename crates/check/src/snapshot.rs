@@ -17,7 +17,7 @@
 //!
 //! ```text
 //! # free-form comment
-//! run mode=dq backend=sim threads=3 fetch=1 budget=75000 tauf=100 tauu=100 ctx=1 memo=0 chaos=0 state=dense trace=off
+//! run mode=dq backend=sim threads=3 fetch=1 budget=75000 tauf=100 tauu=100 ctx=1 chaos=0 state=dense trace=off
 //! perturb pseed=7 jitter=3 window=4 scramble=1 evict=0   (optional)
 //! store cap=64                                           (optional)
 //! counts nodes=5 fields=2 callsites=1
@@ -72,8 +72,8 @@ pub struct Scenario {
     pub backend: Backend,
     /// Worker count.
     pub threads: usize,
-    /// Solver knobs (budget, τ, sensitivity, memoisation, fault
-    /// injection); `data_sharing` is overridden by `mode` at run time.
+    /// Solver knobs (budget, τ, sensitivity, fault injection);
+    /// `data_sharing` is overridden by `mode` at run time.
     pub solver: SolverConfig,
     /// Simulated cost of one work-list fetch.
     pub fetch_cost: u64,
@@ -176,7 +176,7 @@ impl Scenario {
         s.push_str("# Replay: parcfl check --replay <this file>\n");
         let _ = write!(
             s,
-            "run mode={} backend={} threads={} fetch={} budget={} tauf={} tauu={} ctx={} memo={} chaos={} state={} trace={}",
+            "run mode={} backend={} threads={} fetch={} budget={} tauf={} tauu={} ctx={} chaos={} state={} trace={}",
             match self.mode {
                 Mode::Naive => "naive",
                 Mode::DataSharing => "d",
@@ -192,7 +192,6 @@ impl Scenario {
             self.solver.tau_finished,
             self.solver.tau_unfinished,
             self.solver.context_sensitive as u8,
-            self.solver.memoize as u8,
             self.solver.chaos_jmp_ignore_ctx as u8,
             self.solver.state.name(),
             match self.trace_level {
@@ -316,17 +315,17 @@ impl Scenario {
                             "tauf" => solver.tau_finished = parse(v, &err)?,
                             "tauu" => solver.tau_unfinished = parse(v, &err)?,
                             "ctx" => solver.context_sensitive = parse::<u8, _>(v, &err)? != 0,
-                            "memo" => solver.memoize = parse::<u8, _>(v, &err)? != 0,
                             "chaos" => solver.chaos_jmp_ignore_ctx = parse::<u8, _>(v, &err)? != 0,
                             // `engine`/`packed` selected the matrix engine
-                            // and its scan path; snapshots written while it
+                            // and its scan path, `memo` per-query
+                            // memoisation; snapshots written while they
                             // existed still load, and replay on the one
                             // solver there is now.
                             "engine" => match v {
                                 "demand" | "matrix" | "auto" => {}
                                 _ => return Err(err(format!("unknown engine `{v}`"))),
                             },
-                            "packed" => {
+                            "packed" | "memo" => {
                                 parse::<u8, _>(v, &err)?;
                             }
                             // `state`/`trace` are absent in older corpus
@@ -626,7 +625,24 @@ mod tests {
             let back = Scenario::from_snapshot(&old).expect("engine-era parse");
             assert_eq!(back.to_snapshot(), text, "engine={engine}");
         }
-        for bad in ["engine=gpu", "engine=", "packed=yes", "packed=-1"] {
+        // Likewise `memo=` from when there was per-query memoisation —
+        // every corpus file that carries it says `memo=0`, and a scenario
+        // recorded with `memo=1` is the same scenario without the cache.
+        assert!(!text.contains("memo="));
+        for memo in [0, 1] {
+            let old = text.replace(" chaos=", &format!(" memo={memo} chaos="));
+            let back = Scenario::from_snapshot(&old).expect("memo-era parse");
+            assert_eq!(back.to_snapshot(), text, "memo={memo}");
+        }
+        for bad in [
+            "engine=gpu",
+            "engine=",
+            "packed=yes",
+            "packed=-1",
+            "memo=on",
+            "memo=",
+            "memo=-1",
+        ] {
             let old = text.replace(" state=", &format!(" {bad} state="));
             assert!(Scenario::from_snapshot(&old).is_err(), "{bad} is rejected");
         }

@@ -407,10 +407,10 @@ impl Default for Page {
     }
 }
 
-/// The dense visited-state table: inline-first [`DenseRow`]s indexed by
+/// The dense visited-state table: inline-first `DenseRow`s indexed by
 /// node id, each holding the interned `CtxId`s the node was visited in.
 ///
-/// Rows live in fixed-size [`Page`]s behind a directory of one pointer per
+/// Rows live in fixed-size `Page`s behind a directory of one pointer per
 /// page, and a page is allocated the first time one of its rows is
 /// touched — a table costs the directory up to the highest node id it has
 /// seen plus the pages traversals actually landed in, never a row per

@@ -72,13 +72,6 @@ pub struct SolverConfig {
     /// balanced parentheses). Off = field-sensitive-only analysis, grammar
     /// (2) with all assignment kinds merged.
     pub context_sensitive: bool,
-    /// Per-query memoisation of nested `PointsTo`/`FlowsTo` calls — the
-    /// "ad-hoc caching" some prior sequential implementations bolt on.
-    /// **Off by default**: Algorithm 1 re-traverses, and that redundancy
-    /// is exactly what the paper's data-sharing scheme eliminates (with
-    /// budget accounting that matches re-traversal costs). The ablation
-    /// benches compare the two mechanisms.
-    pub memoize: bool,
     /// Abort (treating it as out-of-budget) when the mutual recursion
     /// between `PointsTo`/`FlowsTo`/`ReachableNodes` exceeds this depth.
     /// Guards the OS stack; the paper's algorithm would reach the same
@@ -111,7 +104,7 @@ pub struct SolverConfig {
     #[doc(hidden)]
     pub chaos_jmp_ignore_ctx: bool,
     /// **Fault injection, tests only.** Makes `apply_delta` swap the graph
-    /// *without* invalidating any jmp/memo/schedule entries, leaving stale
+    /// *without* invalidating any jmp/schedule entries, leaving stale
     /// answers warm. `parcfl-check` flips this to prove the incremental
     /// differential fuzzer catches (and its shrinker minimises) broken
     /// invalidation; nothing else may set it.
@@ -127,7 +120,6 @@ impl Default for SolverConfig {
             tau_unfinished: 10_000,
             data_sharing: false,
             context_sensitive: true,
-            memoize: false,
             max_recursion_depth: 512,
             warm_floor: 0,
             state: StateBackend::default(),
@@ -196,7 +188,6 @@ mod tests {
         assert_eq!(c.tau_unfinished, 10_000);
         assert!(!c.data_sharing);
         assert!(c.context_sensitive);
-        assert!(!c.memoize);
     }
 
     #[test]

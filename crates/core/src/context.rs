@@ -14,9 +14,9 @@
 //! `Ctx` is the *materialised* representation: what appears in answers,
 //! traces and display output, with lexicographic (bottom-to-top) ordering.
 //! The solver's hot loops do not manipulate `Ctx` values — they traverse
-//! `Copy` [`CtxId`]s hash-consed by a shared
-//! [`CtxInterner`](parcfl_concurrent::CtxInterner), and materialise back
-//! into `Ctx` only at the query boundary (see DESIGN.md §8).
+//! `Copy` [`CtxId`]s hash-consed by a shared [`CtxInterner`], and
+//! materialise back into `Ctx` only at the query boundary (see DESIGN.md
+//! §8).
 
 use parcfl_concurrent::{CtxId, CtxInterner};
 use parcfl_pag::{CallSiteId, NodeId};

@@ -74,7 +74,7 @@ impl Footprint {
 
 /// Accumulates a [`Footprint`] during one traversal. A frame is pushed per
 /// recorded sub-call; child frames [`FpBuilder::merge_child`] into their
-/// parent so a memoised parent inherits everything its children read.
+/// parent so a published parent inherits everything its children read.
 /// Absorbing a dependency that has no footprint (a warm pre-delta jmp hit,
 /// or recording disabled in whoever produced it) **poisons** the frame:
 /// the resulting entry stores no footprint and is invalidated by every

@@ -17,7 +17,12 @@
 //!   recursive calls of Algorithm 1 lines 17–25.
 //!
 //! `FlowsTo` is the exact dual (forward traversal, `param`/`ret` roles
-//! swapped, stores/loads swapped).
+//! swapped, stores/loads swapped), and the code says so once: the first
+//! three rules are the rows of `PRODUCTIONS`, one column per [`Dir`], the
+//! fourth is `HEAP_ACCESS`, and one work loop, one nested-call wrapper and
+//! one `ReachableNodes` read their direction's column. What differs is the
+//! answer: backward the objects behind `new` edges, forward every variable
+//! reached.
 //!
 //! Cost accounting: every work-list pop is one *step*. Steps are
 //! query-local and shared by all nested traversals; exceeding the budget
@@ -25,13 +30,14 @@
 //! a finished shortcut charges its recorded cost against the budget
 //! (Algorithm 2 line 5) without performing the traversal — the gap between
 //! *charged* and *traversed* steps is exactly the redundant work the paper's
-//! scheme eliminates.
+//! scheme eliminates. Nothing else is remembered within a query: a nested
+//! call made twice is traversed twice (DESIGN.md §7).
 //!
 //! ## Interned contexts (DESIGN.md §8)
 //!
 //! Traversal states are `(NodeId, CtxId)`: contexts are hash-consed into
 //! a shared [`CtxInterner`], so push/pop/top are O(1) table operations,
-//! state equality/hash are integer ops, and visited/memo/jmp keys are
+//! state equality/hash are integer ops, and visited/jmp keys are
 //! fixed-size tuples — no call-string allocation anywhere in the hot loop.
 //! Everything that crosses the query boundary (answers, traces) is
 //! materialised back into [`Ctx`]. Because which *numeric* id a call
@@ -48,8 +54,8 @@
 //! A nested traversal neither allocates nor takes a shared lock unless it
 //! publishes: its result is built in a buffer from the lane's pool and
 //! handed back by the caller that iterated it, an `Arc` is made only for a
-//! jmp publication or a memo insert, and `ret`/`param` pushes go through a
-//! lane-local cache in front of the interner's sharded dedup map.
+//! jmp publication, and `ret`/`param` pushes go through a lane-local cache
+//! in front of the interner's sharded dedup map.
 
 use crate::config::{SolverConfig, StateBackend};
 use crate::context::{sort_canonical, Ctx};
@@ -57,11 +63,9 @@ use crate::footprint::{Footprint, FpBuilder};
 use crate::jmp::{Dir, JmpEntry, JmpStore, RchSet};
 use crate::stats::{Answer, QueryOutput, QueryStats};
 use crate::witness::{Trace, Via};
-use parcfl_concurrent::{
-    CtxId, CtxInterner, DenseVisitSet, FxHashMap, FxHashSet, HashVisitSet, StateSet,
-};
+use parcfl_concurrent::{CtxId, CtxInterner, DenseVisitSet, FxHashSet, HashVisitSet, StateSet};
 use parcfl_obs::{EventKind, TraceRecorder};
-use parcfl_pag::{EdgeClass, FieldId, NodeId, Pag};
+use parcfl_pag::{Edge, EdgeClass, NodeId, Pag};
 use std::sync::Arc;
 
 /// A `(node, context)` pair in materialised form — the representation of
@@ -70,6 +74,61 @@ pub type CtxNode = (NodeId, Ctx);
 
 /// An interned traversal state: what the solver actually pushes around.
 type IState = (NodeId, CtxId);
+
+/// What crossing a direct edge does to the traversal state.
+#[derive(Copy, Clone)]
+enum Action {
+    /// The far end is an object of the answer; nothing is pushed.
+    Collect,
+    /// The context crosses unchanged.
+    Keep,
+    /// The context is cleared: globals are context-insensitive.
+    Clear,
+    /// Leaves a callee: taken when the context is empty or its top is the
+    /// edge's call site, which is popped.
+    Pop,
+    /// Enters a callee: the edge's call site is pushed.
+    Push,
+}
+
+/// Grammars (2) + (3) as a table: the five direct edge classes, in the
+/// CSR's kind-major order so a traversal pushes in storage order, each
+/// with what crossing it does per direction — `[Bwd, Fwd]`, the column is
+/// `dir as usize`. `L_pt` and `L_ft` are one another's reverse, so the
+/// columns differ where an edge has a direction-dependent reading: a `new`
+/// edge ends a backward path and starts a forward one, and `param` /
+/// `ret` swap which of them enters the callee.
+const PRODUCTIONS: [(EdgeClass, [Action; 2]); 5] = [
+    (EdgeClass::New, [Action::Collect, Action::Keep]),
+    (EdgeClass::AssignLocal, [Action::Keep, Action::Keep]),
+    (EdgeClass::AssignGlobal, [Action::Clear, Action::Clear]),
+    (EdgeClass::Param, [Action::Pop, Action::Push]),
+    (EdgeClass::Ret, [Action::Push, Action::Pop]),
+];
+
+/// The heap access that triggers the alias step, per direction: a value
+/// arrives at `x` backward through a load into it, and leaves `x` forward
+/// through a store of it. The opposite class is skipped — a store into
+/// `x.f` does not flow into `x`, a load `y = x.f` does not receive `x`.
+const HEAP_ACCESS: [EdgeClass; 2] = [EdgeClass::Load, EdgeClass::Store];
+
+/// The `class` edges a traversal in direction `dir` crosses at `n`.
+#[inline(always)]
+fn edges_at(pag: &Pag, dir: Dir, n: NodeId, class: EdgeClass) -> &[Edge] {
+    match dir {
+        Dir::Bwd => pag.incoming_kind(n, class),
+        Dir::Fwd => pag.outgoing_kind(n, class),
+    }
+}
+
+/// The end of `e` a traversal in direction `dir` arrives at.
+#[inline(always)]
+fn far_end(dir: Dir, e: &Edge) -> NodeId {
+    match dir {
+        Dir::Bwd => e.src,
+        Dir::Fwd => e.dst,
+    }
+}
 
 /// A lane's push cache has `1 << PUSH_CACHE_BITS` slots. Of the Table-I
 /// suite's 5.0 M pushes, 4096 slots serve 98.1 %, 1024 91.4 % and 256
@@ -86,10 +145,8 @@ pub struct Solver<'a> {
     /// Taken from the jmp store when it carries one (all solvers sharing a
     /// store must agree on ids); private to this solver otherwise.
     interner: Arc<CtxInterner>,
-    /// Per-worker event sink for hot-path instants (jmp hits/inserts, memo
-    /// hits, early terminations). `None` keeps the solver entirely free of
-    /// recording branches beyond one pointer test per site — the runtime
-    /// only attaches a recorder at `TraceLevel::Full`.
+    /// Per-worker event sink for hot-path instants; the runtime only
+    /// attaches one at `TraceLevel::Full` (see [`Solver::with_recorder`]).
     rec: Option<&'a TraceRecorder>,
     /// The state backend is a monomorphisation switch, not a branch in the
     /// hot loop: each backend gets its own fully-specialised traversal
@@ -125,7 +182,7 @@ impl<'a> Solver<'a> {
     }
 
     /// Attaches a per-worker event recorder: nested-traversal instants
-    /// (`JmpHit`, `JmpInsert`, `MemoHit`, `EarlyTermination`) land in it,
+    /// (`JmpHit`, `JmpInsert`, `EarlyTermination`) land in it,
     /// timestamped with the query's virtual clock under an external-clock
     /// recorder or wall time under a real one.
     pub fn with_recorder(mut self, rec: &'a TraceRecorder) -> Self {
@@ -187,18 +244,32 @@ impl<'a> Solver<'a> {
     }
 }
 
-/// A shared result set (jmp or memo hit) copied into a buffer from the
-/// `stacks` pool, so every caller iterates and hands back the same thing.
-#[inline]
-fn pooled_copy(stacks: &mut Vec<Vec<IState>>, set: &[IState]) -> Vec<IState> {
-    let mut buf = stacks.pop().unwrap_or_default();
-    buf.extend_from_slice(set);
-    buf
-}
-
 /// Marker error: the query exhausted its budget (Algorithm 1's `exit()`).
 #[derive(Debug)]
 struct Oob;
+
+/// Which of the mutually recursive computations a nested call is: a
+/// traversal (`PointsTo` backward, `FlowsTo` forward) or the
+/// `ReachableNodes` step one makes at a heap access.
+#[derive(Copy, Clone, PartialEq, Eq, Hash)]
+enum Call {
+    Traverse,
+    Reachable,
+}
+
+/// One traversal's working state, out of the lane's pools for as long as
+/// the traversal runs.
+struct Walk<S> {
+    /// The objects the answer holds so far (backward only).
+    collected: Option<S>,
+    visited: S,
+    /// The work list.
+    w: Vec<IState>,
+    /// The answer, in the order it was found.
+    out: Vec<IState>,
+    /// Whether this traversal records the query's discovery forest.
+    tracing: bool,
+}
 
 /// What a query reads and never writes: the solver's inputs.
 #[derive(Copy, Clone)]
@@ -213,14 +284,10 @@ struct Env<'a> {
 
 /// Everything a query allocates that the next query can use again: one
 /// per [`Solver`], so one per worker lane, living as long as the lane. It
-/// is **reset at query entry** ([`Scratch::begin_query`]), never rebuilt
+/// is **reset at query entry** ([`QueryState::begin`]), never rebuilt
 /// and never trusted to have been left clean — an out-of-budget exit
-/// unwinds through `?` with its frames still recorded here.
-///
-/// Generic over the visited-state table `S` (hash or paged dense rows, see
-/// [`StateBackend`]): the solver is monomorphised per backend, so insert
-/// sites compile down to the chosen representation with no dynamic
-/// dispatch.
+/// unwinds through `?` with its frames still recorded here. `S` is the
+/// visited-state table (hash or paged dense rows, see [`StateBackend`]).
 #[derive(Default)]
 struct Scratch<S> {
     /// The query generation, bumped at every entry: what the tables'
@@ -245,55 +312,20 @@ struct Scratch<S> {
     /// The paper's `S`: in-progress `ReachableNodes` frames
     /// `(dir, x, c, s0)`, used by `OutOfBudget` to record unfinished jmps.
     in_progress: Vec<(Dir, NodeId, CtxId, u64)>,
-    /// Per-query memoisation of completed nested calls (ad-hoc caching, as
-    /// in the baseline [18]).
-    memo_pts: FxHashMap<IState, Box<[IState]>>,
-    memo_flows: FxHashMap<IState, Box<[IState]>>,
-    memo_rch: FxHashMap<(Dir, NodeId, CtxId), RchSet>,
     /// In-flight call detection: identical re-entrant calls would loop
     /// until the budget drained; we reach the same out-of-budget verdict
-    /// immediately (see DESIGN.md). One set per call kind — `PointsTo(x,c)`
-    /// legitimately invokes `ReachableNodes(x,c)`.
-    on_stack_pts: FxHashSet<IState>,
-    on_stack_flows: FxHashSet<IState>,
-    on_stack_rch: FxHashSet<(Dir, NodeId, CtxId)>,
+    /// immediately (see DESIGN.md). The call kind is part of the key —
+    /// `PointsTo(x, c)` legitimately invokes `ReachableNodes(x, c)`.
+    on_stack: FxHashSet<(Call, Dir, NodeId, CtxId)>,
     /// Reverse-dependency recording (`record_footprints` only, DESIGN.md
-    /// §12): one frame per in-flight footprinted computation. Reads are
-    /// recorded into the innermost frame; a popped frame folds into its
-    /// parent, so a published jmp/memo entry carries the union of its
-    /// whole subtree's reads. Empty when recording is off — every record
-    /// site is then a single `Vec::last_mut` miss. Recording is pure
-    /// metadata: answers, step counts and publication decisions are
-    /// bit-identical with it on or off.
+    /// §12): one frame per in-flight `ReachableNodes` computation. Reads
+    /// are recorded into the innermost frame; a popped frame folds into
+    /// its parent, so a published jmp entry carries the union of its whole
+    /// subtree's reads. Empty when recording is off — every record site is
+    /// then a single `Vec::last_mut` miss. Recording is pure metadata:
+    /// answers, step counts and publication decisions are bit-identical
+    /// with it on or off.
     fp_stack: Vec<FpBuilder>,
-    /// Footprints of memoised results, keyed in lockstep with the memo
-    /// maps (`None` = the recorded computation was poisoned): a memo hit
-    /// absorbs the stored footprint exactly as recomputing would have
-    /// recorded it.
-    memo_pts_fp: FxHashMap<IState, Option<Arc<Footprint>>>,
-    memo_flows_fp: FxHashMap<IState, Option<Arc<Footprint>>>,
-    memo_rch_fp: FxHashMap<(Dir, NodeId, CtxId), Option<Arc<Footprint>>>,
-}
-
-impl<S> Scratch<S> {
-    /// Puts the scratch in the state a fresh solver's would be in, keeping
-    /// every allocation. The pooled tables and buffers need nothing: they
-    /// are reset as they are returned, and one lost to an unwinding panic
-    /// never comes back.
-    fn begin_query(&mut self) {
-        self.gen += 1;
-        self.in_progress.clear();
-        self.memo_pts.clear();
-        self.memo_flows.clear();
-        self.memo_rch.clear();
-        self.on_stack_pts.clear();
-        self.on_stack_flows.clear();
-        self.on_stack_rch.clear();
-        self.fp_stack.clear();
-        self.memo_pts_fp.clear();
-        self.memo_flows_fp.clear();
-        self.memo_rch_fp.clear();
-    }
 }
 
 /// One query in flight: its cost accounting, over the solver's inputs and
@@ -324,9 +356,15 @@ struct QueryState<'a, S: StateSet> {
 }
 
 impl<'a, S: StateSet> QueryState<'a, S> {
-    /// Opens a query on a reset scratch.
+    /// Opens a query, putting the scratch in the state a fresh solver's
+    /// would be in and keeping every allocation. The pooled tables and
+    /// buffers need nothing: they are reset as they are returned, and one
+    /// lost to an unwinding panic never comes back.
     fn begin(env: Env<'a>, s: &'a mut Scratch<S>, vtime_base: u64) -> Self {
-        s.begin_query();
+        s.gen += 1;
+        s.in_progress.clear();
+        s.on_stack.clear();
+        s.fp_stack.clear();
         QueryState {
             pag: env.pag,
             cfg: env.cfg,
@@ -352,21 +390,12 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             t.parent.insert(root.clone(), (root, Via::Root));
             self.trace = Some(t);
         }
-        let result = match dir {
-            Dir::Bwd => self.points_to(start, CtxId::EMPTY),
-            Dir::Fwd => self.flows_to(start, CtxId::EMPTY),
-        };
+        let result = self.traverse(start, CtxId::EMPTY, dir);
         let trace = self.trace.take().unwrap_or_default();
         (self.finish(result), trace)
     }
 
     // ----- footprint recording (record_footprints only) -----
-
-    /// Whether reverse-dependency recording is on.
-    #[inline]
-    fn fp_on(&self) -> bool {
-        self.cfg.record_footprints
-    }
 
     /// Records a consulted node's adjacency into the innermost frame.
     #[inline]
@@ -376,29 +405,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         }
     }
 
-    /// Records a consulted field index into the innermost frame.
-    #[inline]
-    fn fp_field(&mut self, f: FieldId) {
-        if let Some(b) = self.s.fp_stack.last_mut() {
-            b.record_field(f);
-        }
-    }
-
-    /// Unions a dependency's footprint into the innermost frame (`None`
-    /// poisons it — the dependency's read-set is unknown).
-    #[inline]
-    fn fp_absorb(&mut self, dep: Option<&Footprint>) {
-        if let Some(b) = self.s.fp_stack.last_mut() {
-            b.absorb(dep);
-        }
-    }
-
-    /// Opens a recording frame (callers gate on [`Self::fp_on`]).
-    fn fp_push_frame(&mut self) {
-        self.s.fp_stack.push(FpBuilder::new());
-    }
-
-    /// Closes the innermost frame: returns its footprint (for the jmp/memo
+    /// Closes the innermost frame: returns its footprint (for the jmp
     /// entry it guards) and folds its reads — poison included — into the
     /// parent frame.
     fn fp_pop_frame(&mut self) -> Option<Arc<Footprint>> {
@@ -498,19 +505,14 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         }
     }
 
-    /// Materialises an interned context (query-boundary/trace path only).
-    #[inline]
-    fn mat(&self, c: CtxId) -> Ctx {
-        Ctx::materialize(self.ctxs, c)
-    }
-
     /// Closes the query: materialises the result set and closes out the
     /// cost accounting. Frees nothing — the scratch keeps what the query
     /// allocated for the next one.
     fn finish(mut self, result: Result<Vec<IState>, Oob>) -> QueryOutput {
         let answer = match result {
             Ok(set) => {
-                let mut v: Vec<CtxNode> = set.iter().map(|&(n, c)| (n, self.mat(c))).collect();
+                let mat = |&(n, c): &IState| (n, Ctx::materialize(self.ctxs, c));
+                let mut v: Vec<CtxNode> = set.iter().map(mat).collect();
                 self.release_stack(set);
                 v.sort_unstable();
                 v.dedup();
@@ -520,12 +522,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         };
         self.stats.charged_steps = self.steps;
         self.stats.traversed_steps = self.work;
-        let memoised: u64 = (self.s.memo_pts.values())
-            .chain(self.s.memo_flows.values())
-            .map(|v| v.len() as u64)
-            .chain(self.s.memo_rch.values().map(|v| v.len() as u64))
-            .sum();
-        self.stats.mem_items = self.work + memoised + self.stats.state_words;
+        self.stats.mem_items = self.work + self.stats.state_words;
         QueryOutput {
             answer,
             stats: self.stats,
@@ -575,18 +572,6 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         Oob
     }
 
-    /// Recursion-depth guard for the mutual recursion; the paper's
-    /// algorithm would reach out-of-budget later by re-traversing, so the
-    /// guard burns the remaining budget (see [`Self::burn_remaining`]).
-    fn enter(&mut self) -> Result<(), Oob> {
-        self.depth += 1;
-        if self.depth > self.cfg.max_recursion_depth {
-            Err(self.burn_remaining())
-        } else {
-            Ok(())
-        }
-    }
-
     /// Models the budget exhaustion Algorithm 1 reaches on re-entrant
     /// (cyclically dependent) computations: a nested call identical to an
     /// in-flight one re-traverses forever, so the paper's analysis burns
@@ -603,152 +588,86 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         self.out_of_budget(0, false)
     }
 
-    // ----- POINTSTO -----
+    // ----- POINTSTO / FLOWSTO -----
 
-    fn points_to(&mut self, l: NodeId, c: CtxId) -> Result<Vec<IState>, Oob> {
-        let key = (l, c);
-        // Per-call footprint frames are needed only when the result is
-        // memoised (a memo hit must replay the computation's reads);
-        // without memoisation the reads land directly in the enclosing
-        // `ReachableNodes` frame.
-        let track = self.fp_on() && self.cfg.memoize;
-        if self.cfg.memoize {
-            if let Some(r) = self.s.memo_pts.get(&key) {
-                let r = pooled_copy(&mut self.s.stacks, r);
-                if track {
-                    let dep = self.s.memo_pts_fp.get(&key).cloned().flatten();
-                    self.fp_absorb(dep.as_deref());
-                }
-                self.emit(EventKind::MemoHit, l.raw(), 0);
-                return Ok(r);
-            }
-        }
-        self.enter()?;
-        if !self.s.on_stack_pts.insert(key) {
+    /// `PointsTo(x, c)` (backward) or `FlowsTo(x, c)` (forward) as a
+    /// nested call. Two guards precede the traversal, and either burns the
+    /// remaining budget ([`Self::burn_remaining`]): the recursion depth of
+    /// the mutual recursion, where the paper's algorithm would reach
+    /// out-of-budget later by re-traversing, and the in-flight check.
+    fn traverse(&mut self, x: NodeId, c: CtxId, dir: Dir) -> Result<Vec<IState>, Oob> {
+        let key = (Call::Traverse, dir, x, c);
+        self.depth += 1;
+        if self.depth > self.cfg.max_recursion_depth || !self.s.on_stack.insert(key) {
             return Err(self.burn_remaining());
         }
-        if track {
-            self.fp_push_frame();
-        }
-        let out = self.points_to_inner(l, c)?;
-        self.s.on_stack_pts.remove(&key);
+        let out = self.traverse_inner(x, c, dir)?;
+        self.s.on_stack.remove(&key);
         self.depth -= 1;
-        if self.cfg.memoize {
-            if track {
-                let fp = self.fp_pop_frame();
-                self.s.memo_pts_fp.insert(key, fp);
-            }
-            self.s.memo_pts.insert(key, out.as_slice().into());
+        Ok(out)
+    }
+
+    fn traverse_inner(&mut self, x: NodeId, c: CtxId, dir: Dir) -> Result<Vec<IState>, Oob> {
+        let mut t = Walk {
+            // Backward, the objects collected over `new` edges need a table
+            // of their own to be a set. Forward, every state is popped
+            // exactly once (pushes are gated by `visited`), so the
+            // variables collected at the pops already are one.
+            collected: (dir == Dir::Bwd).then(|| self.acquire()),
+            visited: self.acquire(),
+            w: self.acquire_stack(),
+            out: self.acquire_stack(),
+            // Recorded for the outermost traversal only, and only
+            // `traced_points_to_query` asks for it.
+            tracing: self.depth == 1 && self.trace.is_some(),
+        };
+        let r = match dir {
+            Dir::Bwd => self.work_loop::<false>(x, c, &mut t),
+            Dir::Fwd => self.work_loop::<true>(x, c, &mut t),
+        };
+        if let Some(set) = t.collected {
+            self.release(set);
+        }
+        self.release(t.visited);
+        self.release_stack(t.w);
+        let mut out = self.finished(r, t.out)?;
+        // A `PointsTo` set is iterated in order by `ReachableNodes`' alias
+        // loop. A `FlowsTo` set stays in traversal order: it is unioned
+        // into an `alias` table, whose contents and touched-words count do
+        // not depend on insertion order ([`StateSet`]), or sorted as an
+        // answer by `finish` — nothing iterates it in an order that shows.
+        if dir == Dir::Bwd {
+            sort_canonical(self.ctxs, &mut out);
         }
         Ok(out)
     }
 
-    fn points_to_inner(&mut self, l: NodeId, c: CtxId) -> Result<Vec<IState>, Oob> {
-        let mut pts_seen = self.acquire();
-        let mut visited = self.acquire();
-        let mut w = self.acquire_stack();
-        let mut pts = self.acquire_stack();
-        let r = self.points_to_loop(l, c, &mut pts_seen, &mut visited, &mut w, &mut pts);
-        self.release(pts_seen);
-        self.release(visited);
-        self.release_stack(w);
-        let mut pts = self.finished(r, pts)?;
-        // Iterated in order by `ReachableNodes`' alias loop.
-        sort_canonical(self.ctxs, &mut pts);
-        Ok(pts)
-    }
-
-    /// The `PointsTo` work loop, dispatching per kind-class sub-slice: one
-    /// tight loop per edge class instead of a per-edge `match`. Class order
-    /// (new, assign_l, assign_g, param, ret) follows the CSR's kind-major
-    /// layout, so pushes happen in storage order.
-    fn points_to_loop(
+    /// The work loop of both traversals, compiled once per direction.
+    fn work_loop<const FWD: bool>(
         &mut self,
-        l: NodeId,
+        start: NodeId,
         c: CtxId,
-        pts_seen: &mut S,
-        visited: &mut S,
-        w: &mut Vec<IState>,
-        pts: &mut Vec<IState>,
+        t: &mut Walk<S>,
     ) -> Result<(), Oob> {
-        let ctx_sens = self.cfg.context_sensitive;
-        let ctxs = self.ctxs;
-        let pag = self.pag;
-        visited.insert(l.raw(), c);
-        w.push((l, c));
-
-        // Tracing is recorded for the outermost traversal only.
-        let tracing = self.depth == 1 && self.trace.is_some();
-        while let Some((x, cx)) = w.pop() {
+        let dir = if FWD { Dir::Fwd } else { Dir::Bwd };
+        t.visited.insert(start.raw(), c);
+        t.w.push((start, c));
+        while let Some((x, cx)) = t.w.pop() {
             self.tick()?;
             self.fp_node(x);
-            for e in pag.incoming_kind(x, EdgeClass::New) {
-                if pts_seen.insert(e.src.raw(), cx) {
-                    pts.push((e.src, cx));
-                    if tracing {
-                        let mc = Ctx::materialize(ctxs, cx);
-                        if let Some(t) = self.trace.as_mut() {
-                            t.object_from
-                                .entry((e.src, mc.clone()))
-                                .or_insert_with(|| (x, mc));
-                        }
-                    }
-                }
+            if FWD && self.pag.kind(x).is_variable() {
+                t.out.push((x, cx));
             }
-            for e in pag.incoming_kind(x, EdgeClass::AssignLocal) {
-                if visited.insert(e.src.raw(), cx) {
-                    self.trace_edge(tracing, e, (e.src, cx), (x, cx));
-                    w.push((e.src, cx));
-                }
-            }
-            for e in pag.incoming_kind(x, EdgeClass::AssignGlobal) {
-                let c2 = if ctx_sens { CtxId::EMPTY } else { cx };
-                if visited.insert(e.src.raw(), c2) {
-                    self.trace_edge(tracing, e, (e.src, c2), (x, cx));
-                    w.push((e.src, c2));
-                }
-            }
-            for e in pag.incoming_kind(x, EdgeClass::Param) {
-                let i = e.kind.call_site().expect("param edge");
-                let c2 = if !ctx_sens || cx.is_empty() {
-                    cx
-                } else if ctxs.top(cx) == Some(i.raw()) {
-                    ctxs.parent(cx)
-                } else {
-                    continue;
-                };
-                if visited.insert(e.src.raw(), c2) {
-                    self.trace_edge(tracing, e, (e.src, c2), (x, cx));
-                    w.push((e.src, c2));
-                }
-            }
-            for e in pag.incoming_kind(x, EdgeClass::Ret) {
-                let i = e.kind.call_site().expect("ret edge");
-                let c2 = if ctx_sens {
-                    self.push_ctx(cx, i.raw())
-                } else {
-                    cx
-                };
-                if visited.insert(e.src.raw(), c2) {
-                    self.trace_edge(tracing, e, (e.src, c2), (x, cx));
-                    w.push((e.src, c2));
-                }
-            }
-            // A store into `x.f` does not flow into `x` itself: the Store
-            // sub-slice is skipped entirely. Loads trigger the alias step.
-            if !pag.incoming_kind(x, EdgeClass::Load).is_empty() {
-                let rch = self.reachable_nodes(x, cx, Dir::Bwd)?;
-                for &(n2, c2) in rch.iter() {
-                    if visited.insert(n2.raw(), c2) {
-                        if tracing {
-                            let parent_key = (n2, Ctx::materialize(ctxs, c2));
-                            let from = (x, Ctx::materialize(ctxs, cx));
-                            if let Some(t) = self.trace.as_mut() {
-                                t.parent.insert(parent_key, (from, Via::Alias));
-                            }
-                        }
-                        w.push((n2, c2));
-                    }
+            // One call per row of `PRODUCTIONS`, each compiled for its row.
+            self.cross::<FWD, 0>((x, cx), t);
+            self.cross::<FWD, 1>((x, cx), t);
+            self.cross::<FWD, 2>((x, cx), t);
+            self.cross::<FWD, 3>((x, cx), t);
+            self.cross::<FWD, 4>((x, cx), t);
+            if !edges_at(self.pag, dir, x, HEAP_ACCESS[dir as usize]).is_empty() {
+                let rch = self.reachable_nodes(x, cx, dir)?;
+                for &to in rch.iter() {
+                    self.visit(t, to, (x, cx), None);
                 }
                 self.release_stack(rch);
             }
@@ -756,178 +675,115 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         Ok(())
     }
 
-    /// Records a discovery-forest edge when tracing is on (cold path:
-    /// tracing only covers the top-level traversal of traced queries).
-    fn trace_edge(&mut self, tracing: bool, e: &parcfl_pag::Edge, to: IState, from: IState) {
-        if tracing {
-            let label = e.kind.label();
-            let parent_key = (to.0, Ctx::materialize(self.ctxs, to.1));
-            let from = (from.0, Ctx::materialize(self.ctxs, from.1));
-            if let Some(t) = self.trace.as_mut() {
-                t.parent.insert(parent_key, (from, Via::Edge(label)));
-            }
-        }
-    }
-
-    // ----- FLOWSTO -----
-
-    fn flows_to(&mut self, o: NodeId, c: CtxId) -> Result<Vec<IState>, Oob> {
-        let key = (o, c);
-        let track = self.fp_on() && self.cfg.memoize;
-        if self.cfg.memoize {
-            if let Some(r) = self.s.memo_flows.get(&key) {
-                let r = pooled_copy(&mut self.s.stacks, r);
-                if track {
-                    let dep = self.s.memo_flows_fp.get(&key).cloned().flatten();
-                    self.fp_absorb(dep.as_deref());
-                }
-                self.emit(EventKind::MemoHit, o.raw(), 0);
-                return Ok(r);
-            }
-        }
-        self.enter()?;
-        if !self.s.on_stack_flows.insert(key) {
-            return Err(self.burn_remaining());
-        }
-        if track {
-            self.fp_push_frame();
-        }
-        let out = self.flows_to_inner(o, c)?;
-        self.s.on_stack_flows.remove(&key);
-        self.depth -= 1;
-        if self.cfg.memoize {
-            if track {
-                let fp = self.fp_pop_frame();
-                self.s.memo_flows_fp.insert(key, fp);
-            }
-            self.s.memo_flows.insert(key, out.as_slice().into());
-        }
-        Ok(out)
-    }
-
-    fn flows_to_inner(&mut self, o: NodeId, c: CtxId) -> Result<Vec<IState>, Oob> {
-        let mut visited = self.acquire();
-        let mut w = self.acquire_stack();
-        // Every state is popped exactly once (pushes are gated by the
-        // visited set), so the reached variables are a set as collected.
-        // They stay in traversal order: a `FlowsTo` result is unioned into
-        // an `alias` table, whose contents and touched-words count do not
-        // depend on insertion order ([`StateSet`]), or sorted as an answer
-        // by `finish` — nothing iterates it in an order that shows.
-        let mut reached = self.acquire_stack();
-        let r = self.flows_to_loop(o, c, &mut visited, &mut w, &mut reached);
-        self.release(visited);
-        self.release_stack(w);
-        self.finished(r, reached)
-    }
-
-    /// The `FlowsTo` work loop — the forward dual of
-    /// [`QueryState::points_to_loop`], again one tight loop per kind-class
-    /// sub-slice in storage order.
-    fn flows_to_loop(
-        &mut self,
-        o: NodeId,
-        c: CtxId,
-        visited: &mut S,
-        w: &mut Vec<IState>,
-        reached: &mut Vec<IState>,
-    ) -> Result<(), Oob> {
+    /// Crosses the edges of [`PRODUCTIONS`]' row `ROW` at `(x, cx)`. The
+    /// direction and the row are compile-time constants, so which adjacency
+    /// is read, which end of an edge is the far one and what the action
+    /// does are too: one tight loop per kind-class sub-slice, pushes in
+    /// storage order, no per-edge dispatch. (A loop over the table is not
+    /// unrolled, its body holding loops, and dispatching on the action once
+    /// per class and pop measured a quarter slower per step.)
+    #[inline(always)]
+    fn cross<const FWD: bool, const ROW: usize>(&mut self, (x, cx): IState, t: &mut Walk<S>) {
+        let dir = if FWD { Dir::Fwd } else { Dir::Bwd };
         let ctx_sens = self.cfg.context_sensitive;
         let ctxs = self.ctxs;
-        let pag = self.pag;
-        visited.insert(o.raw(), c);
-        w.push((o, c));
-
-        while let Some((n, cn)) = w.pop() {
-            self.tick()?;
-            self.fp_node(n);
-            if pag.kind(n).is_variable() {
-                reached.push((n, cn));
-            }
-            for e in pag.outgoing_kind(n, EdgeClass::New) {
-                if visited.insert(e.dst.raw(), cn) {
-                    w.push((e.dst, cn));
-                }
-            }
-            for e in pag.outgoing_kind(n, EdgeClass::AssignLocal) {
-                if visited.insert(e.dst.raw(), cn) {
-                    w.push((e.dst, cn));
-                }
-            }
-            for e in pag.outgoing_kind(n, EdgeClass::AssignGlobal) {
-                let c2 = if ctx_sens { CtxId::EMPTY } else { cn };
-                if visited.insert(e.dst.raw(), c2) {
-                    w.push((e.dst, c2));
-                }
-            }
-            for e in pag.outgoing_kind(n, EdgeClass::Param) {
-                let i = e.kind.call_site().expect("param edge");
-                let c2 = if ctx_sens {
-                    self.push_ctx(cn, i.raw())
-                } else {
-                    cn
-                };
-                if visited.insert(e.dst.raw(), c2) {
-                    w.push((e.dst, c2));
-                }
-            }
-            for e in pag.outgoing_kind(n, EdgeClass::Ret) {
-                let i = e.kind.call_site().expect("ret edge");
-                let c2 = if !ctx_sens || cn.is_empty() {
-                    cn
-                } else if ctxs.top(cn) == Some(i.raw()) {
-                    ctxs.parent(cn)
-                } else {
-                    continue;
-                };
-                if visited.insert(e.dst.raw(), c2) {
-                    w.push((e.dst, c2));
-                }
-            }
-            // A load `y = n.f` does not receive `n` itself: the Load
-            // sub-slice is skipped. Stores trigger the alias step.
-            if !pag.outgoing_kind(n, EdgeClass::Store).is_empty() {
-                let rch = self.reachable_nodes(n, cn, Dir::Fwd)?;
-                for &(n2, c2) in rch.iter() {
-                    if visited.insert(n2.raw(), c2) {
-                        w.push((n2, c2));
+        let (class, actions) = PRODUCTIONS[ROW];
+        let edges = edges_at(self.pag, dir, x, class);
+        match actions[dir as usize] {
+            Action::Collect => {
+                let seen = t.collected.as_mut().expect("a table to collect in");
+                for e in edges {
+                    let o = far_end(dir, e);
+                    if seen.insert(o.raw(), cx) {
+                        t.out.push((o, cx));
+                        if t.tracing {
+                            let mc = Ctx::materialize(ctxs, cx);
+                            if let Some(trace) = self.trace.as_mut() {
+                                trace
+                                    .object_from
+                                    .entry((o, mc.clone()))
+                                    .or_insert_with(|| (x, mc));
+                            }
+                        }
                     }
                 }
-                self.release_stack(rch);
+            }
+            Action::Keep => {
+                for e in edges {
+                    self.visit(t, (far_end(dir, e), cx), (x, cx), Some(e));
+                }
+            }
+            Action::Clear => {
+                let c2 = if ctx_sens { CtxId::EMPTY } else { cx };
+                for e in edges {
+                    self.visit(t, (far_end(dir, e), c2), (x, cx), Some(e));
+                }
+            }
+            Action::Pop => {
+                for e in edges {
+                    let i = e.kind.call_site().expect("call edge");
+                    let c2 = if !ctx_sens || cx.is_empty() {
+                        cx
+                    } else if ctxs.top(cx) == Some(i.raw()) {
+                        ctxs.parent(cx)
+                    } else {
+                        continue;
+                    };
+                    self.visit(t, (far_end(dir, e), c2), (x, cx), Some(e));
+                }
+            }
+            Action::Push => {
+                for e in edges {
+                    let i = e.kind.call_site().expect("call edge");
+                    let c2 = if ctx_sens {
+                        self.push_ctx(cx, i.raw())
+                    } else {
+                        cx
+                    };
+                    self.visit(t, (far_end(dir, e), c2), (x, cx), Some(e));
+                }
             }
         }
-        Ok(())
+    }
+
+    /// Pushes state `to`, reached from `from` over `e` (or, without an
+    /// edge, by the alias step), unless the traversal has been there.
+    #[inline(always)]
+    fn visit(&mut self, t: &mut Walk<S>, to: IState, from: IState, e: Option<&Edge>) {
+        if t.visited.insert(to.0.raw(), to.1) {
+            if t.tracing {
+                self.trace_step(to, from, e);
+            }
+            t.w.push(to);
+        }
+    }
+
+    /// Records a discovery-forest edge (tracing only covers the top-level
+    /// traversal of traced queries).
+    #[cold]
+    fn trace_step(&mut self, to: IState, from: IState, e: Option<&Edge>) {
+        let via = e.map_or(Via::Alias, |e| Via::Edge(e.kind.label()));
+        let parent_key = (to.0, Ctx::materialize(self.ctxs, to.1));
+        let from = (from.0, Ctx::materialize(self.ctxs, from.1));
+        if let Some(t) = self.trace.as_mut() {
+            t.parent.insert(parent_key, (from, via));
+        }
     }
 
     // ----- REACHABLENODES (Algorithm 2) -----
 
     fn reachable_nodes(&mut self, x: NodeId, c: CtxId, dir: Dir) -> Result<Vec<IState>, Oob> {
-        let key = (dir, x, c);
         // Fault injection (tests only, see `SolverConfig::chaos_jmp_ignore_ctx`):
         // share jmp entries under a context-blind key, so a finished set
         // recorded at one context is served to every context of `x`.
-        let jmp_key = if self.cfg.chaos_jmp_ignore_ctx {
-            (dir, x, CtxId::EMPTY)
-        } else {
-            key
-        };
-        if self.cfg.memoize {
-            if let Some(r) = self.s.memo_rch.get(&key) {
-                let r = pooled_copy(&mut self.s.stacks, r);
-                if self.fp_on() {
-                    let dep = self.s.memo_rch_fp.get(&key).cloned().flatten();
-                    self.fp_absorb(dep.as_deref());
-                }
-                self.emit(EventKind::MemoHit, x.raw(), 0);
-                return Ok(r);
-            }
-        }
-
+        let blind = self.cfg.chaos_jmp_ignore_ctx;
+        let jmp_key = (dir, x, if blind { CtxId::EMPTY } else { c });
+        let recording = self.cfg.record_footprints;
         if self.cfg.data_sharing {
             // When recording, the footprint rides along with the entry so
             // a shortcut absorbs the recorded traversal's reads (an entry
             // without one — warm pre-recording state — poisons the frame).
-            let hit = if self.fp_on() {
+            let hit = if recording {
                 self.jmp.lookup_fp(&jmp_key, self.now())
             } else {
                 self.jmp.lookup(&jmp_key, self.now()).map(|e| (e, None))
@@ -946,7 +802,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
                     self.emit(EventKind::EarlyTermination, x.raw(), 0);
                     return Err(self.out_of_budget(s, true));
                 }
-                Some((JmpEntry::Unfinished { .. }, _)) => {}
+                Some((JmpEntry::Unfinished { .. }, _)) | None => {}
                 Some((
                     JmpEntry::Finished {
                         total_steps,
@@ -962,72 +818,49 @@ impl<'a, S: StateSet> QueryState<'a, S> {
                     self.work += 1;
                     self.stats.shortcuts_taken += 1;
                     self.stats.steps_saved += total_steps;
-                    self.emit(
-                        EventKind::JmpHit,
-                        x.raw(),
-                        u32::try_from(total_steps).unwrap_or(u32::MAX),
-                    );
+                    let saved = u32::try_from(total_steps).unwrap_or(u32::MAX);
+                    self.emit(EventKind::JmpHit, x.raw(), saved);
                     if created_at < self.cfg.warm_floor {
                         self.stats.warm_hits += 1;
                     }
-                    if self.fp_on() {
-                        self.fp_absorb(fp.as_deref());
+                    if let Some(frame) = self.s.fp_stack.last_mut() {
+                        frame.absorb(fp.as_deref());
                     }
-                    let out = pooled_copy(&mut self.s.stacks, &rch);
-                    if self.cfg.memoize {
-                        if self.fp_on() {
-                            self.s.memo_rch_fp.insert(key, fp);
-                        }
-                        self.s.memo_rch.insert(key, rch);
-                    }
+                    // Copied into a pooled buffer, so every caller iterates
+                    // and hands back the same thing.
+                    let mut out = self.acquire_stack();
+                    out.extend_from_slice(&rch);
                     return Ok(out);
                 }
-                None => {}
             }
         }
 
         // Lines 9–22: compute, tracking the frame for OutOfBudget.
         let s0 = self.steps;
         self.s.in_progress.push((dir, x, c, s0));
-        if !self.s.on_stack_rch.insert(key) {
+        let call = (Call::Reachable, dir, x, c);
+        if !self.s.on_stack.insert(call) {
             return Err(self.burn_remaining());
         }
-        if self.fp_on() {
-            self.fp_push_frame();
+        if recording {
+            self.s.fp_stack.push(FpBuilder::new());
         }
         let out = self.reachable_inner(x, c, dir)?;
-        self.s.on_stack_rch.remove(&key);
+        self.s.on_stack.remove(&call);
         self.s.in_progress.pop();
 
-        let fp = if self.fp_on() {
-            self.fp_pop_frame()
-        } else {
-            None
-        };
+        let fp = recording.then(|| self.fp_pop_frame()).flatten();
         // The set leaves its buffer, as one copy behind an `Arc`, only to
-        // be shared: by a publication that clears `τF`, by the memo, or by
-        // both.
+        // be shared: by a publication that clears `τF`.
         let total = self.steps - s0;
-        let publish = self.cfg.data_sharing && total >= self.cfg.tau_finished;
-        if publish || self.cfg.memoize {
+        if self.cfg.data_sharing && total >= self.cfg.tau_finished {
             let rch: RchSet = Arc::new(out.clone());
-            if publish
-                && self.jmp.publish_finished_fp(
-                    jmp_key,
-                    total,
-                    Arc::clone(&rch),
-                    self.now(),
-                    fp.clone(),
-                )
+            if self
+                .jmp
+                .publish_finished_fp(jmp_key, total, rch, self.now(), fp)
             {
-                self.stats.finished_published += rch.len().max(1) as u64;
+                self.stats.finished_published += out.len().max(1) as u64;
                 self.emit(EventKind::JmpInsert, x.raw(), 1);
-            }
-            if self.cfg.memoize {
-                if self.fp_on() {
-                    self.s.memo_rch_fp.insert(key, fp);
-                }
-                self.s.memo_rch.insert(key, rch);
             }
         }
         Ok(out)
@@ -1039,53 +872,34 @@ impl<'a, S: StateSet> QueryState<'a, S> {
     /// stores `q ←st(f)− x`; for every load `y ←ld(f)− p` with `q alias p`,
     /// `(y, c'')` is reachable.
     fn reachable_inner(&mut self, x: NodeId, c: CtxId, dir: Dir) -> Result<Vec<IState>, Oob> {
+        let pag = self.pag;
         let mut alias = self.acquire();
         let mut out = self.acquire_stack();
-        let r = self.reachable_loop(x, c, dir, &mut alias, &mut out);
-        self.release(alias);
-        let mut out = self.finished(r, out)?;
-        // Iterated in order by the traversal that asked. Several (load,
-        // store) pairs can reach one state; equal states sort together.
-        sort_canonical(self.ctxs, &mut out);
-        out.dedup();
-        Ok(out)
-    }
-
-    fn reachable_loop(
-        &mut self,
-        x: NodeId,
-        c: CtxId,
-        dir: Dir,
-        alias: &mut S,
-        out: &mut Vec<IState>,
-    ) -> Result<(), Oob> {
-        let pag = self.pag;
         self.fp_node(x);
-        let accesses = match dir {
-            Dir::Bwd => pag.incoming_kind(x, EdgeClass::Load),
-            Dir::Fwd => pag.outgoing_kind(x, EdgeClass::Store),
-        };
-        for e in accesses {
+        let accesses = edges_at(pag, dir, x, HEAP_ACCESS[dir as usize]);
+        let r = accesses.iter().try_for_each(|e| {
             let f = e.kind.field().expect("field access edge");
-            let (base, matches) = match dir {
-                Dir::Bwd => (e.src, pag.stores_of(f)),
-                Dir::Fwd => (e.dst, pag.loads_of(f)),
+            let matches = match dir {
+                Dir::Bwd => pag.stores_of(f),
+                Dir::Fwd => pag.loads_of(f),
             };
             // The field index is consulted before the emptiness gate, so
             // record it before — a store added to a today-empty field must
             // invalidate this traversal.
-            self.fp_field(f);
+            if let Some(frame) = self.s.fp_stack.last_mut() {
+                frame.record_field(f);
+            }
             if matches.is_empty() {
-                continue;
+                return Ok(());
             }
             // alias = ∪ FlowsTo(o, c') for (o, c') ∈ PointsTo(base, c).
             // Contexts per node are a set: interned ids dedup the repeats
             // that distinct objects with overlapping flows-to sets produce,
             // so the match loop below never re-inserts.
             alias.reset();
-            let pts = self.points_to(base, c)?;
+            let pts = self.traverse(far_end(dir, e), c, Dir::Bwd)?;
             let r = pts.iter().try_for_each(|&(o, c0)| {
-                let ft = self.flows_to(o, c0)?;
+                let ft = self.traverse(o, c0, Dir::Fwd)?;
                 for &(q, c2) in ft.iter() {
                     alias.insert(q.raw(), c2);
                 }
@@ -1095,11 +909,16 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             self.release_stack(pts);
             r?;
             for &(q, y) in matches {
-                alias.for_ctxs(q.raw(), |c2| {
-                    out.push((y, c2));
-                });
+                alias.for_ctxs(q.raw(), |c2| out.push((y, c2)));
             }
-        }
-        Ok(())
+            Ok(())
+        });
+        self.release(alias);
+        let mut out = self.finished(r, out)?;
+        // Iterated in order by the traversal that asked. Several (load,
+        // store) pairs can reach one state; equal states sort together.
+        sort_canonical(self.ctxs, &mut out);
+        out.dedup();
+        Ok(out)
     }
 }

@@ -30,11 +30,10 @@ pub struct QueryStats {
     /// Whether the query was cut short by an unfinished jmp edge (an early
     /// termination, Section III-B; implies `out_of_budget`).
     pub early_terminated: bool,
-    /// Allocation-volume proxy: work-list/visited-set insertions plus
-    /// memoised result entries held by this query, **plus** the physical
-    /// visited-state words ([`QueryStats::state_words`]) so hash and dense
-    /// state backends are compared honestly. Used by the memory-usage
-    /// experiment (Section IV-D5).
+    /// Allocation-volume proxy: work-list/visited-set insertions **plus**
+    /// the physical visited-state words ([`QueryStats::state_words`]) so
+    /// hash and dense state backends are compared honestly. Used by the
+    /// memory-usage experiment (Section IV-D5).
     pub mem_items: u64,
     /// Memory this query's visited-state tables touched, in `u64` words,
     /// counted on the insert path (DESIGN.md §11): under the dense backend

@@ -462,8 +462,9 @@ fn reused_matches_fresh(p: &Pag, cfg: &SolverConfig, script: &[Ask]) -> Vec<Quer
 fn scratch_is_clean_after_budget_exhaustion() {
     // `x1 = p.f` needs PointsTo(p) (7 steps down the chain) and then
     // FlowsTo(o0) (8 more): under budget 10 it dies inside FlowsTo, nested
-    // in ReachableNodes(x1), leaving all three in-flight sets, the frame
-    // stack and the depth populated. Everything else fits the budget.
+    // in ReachableNodes(x1), leaving all three calls in the in-flight set
+    // and the frame stack and the depth populated. Everything else fits
+    // the budget.
     let src = "class Obj { }
                class Box { field f: Obj; }
                class A {
@@ -493,12 +494,7 @@ fn scratch_is_clean_after_budget_exhaustion() {
         Ask::Pts("x1@A.m"),
     ];
     for state in [StateBackend::Hash, StateBackend::Dense] {
-        for (data_sharing, record_footprints, memoize) in [
-            (false, false, false),
-            (false, false, true),
-            (true, false, false),
-            (true, true, false),
-        ] {
+        for (data_sharing, record_footprints) in [(false, false), (true, false), (true, true)] {
             // Depth 1 admits PointsTo(x1) and burns the budget on entering
             // PointsTo(p); 512 lets the budget run out.
             for max_recursion_depth in [1, 512] {
@@ -508,7 +504,6 @@ fn scratch_is_clean_after_budget_exhaustion() {
                     tau_unfinished: 0,
                     data_sharing,
                     record_footprints,
-                    memoize,
                     max_recursion_depth,
                     state,
                     ..SolverConfig::default()
@@ -731,39 +726,6 @@ fn early_termination_implies_out_of_budget_flag() {
             assert!(out.stats.out_of_budget);
             assert_eq!(out.answer, Answer::OutOfBudget);
         }
-    }
-}
-
-#[test]
-fn memoized_run_produces_same_answers_cheaper() {
-    let src = "class Obj { }
-               class Box { field f: Obj; }
-               class A {
-                 method mk(): Box {
-                   var b: Box; var v: Obj;
-                   b = new Box; v = new Obj; b.f = v;
-                   return b;
-                 }
-                 method m() {
-                   var p: Box; var x: Obj; var y: Obj;
-                   p = call this.mk();
-                   x = p.f;
-                   y = p.f;
-                 }
-               }";
-    let p = pag(src);
-    let plain = SolverConfig::default();
-    let memo = SolverConfig {
-        memoize: true,
-        ..SolverConfig::default()
-    };
-    let mut s1 = Solver::new(&p, &plain, &NoJmpStore);
-    let mut s2 = Solver::new(&p, &memo, &NoJmpStore);
-    for v in p.application_locals() {
-        let a = s1.points_to_query(v, 0);
-        let b = s2.points_to_query(v, 0);
-        assert_eq!(a.answer, b.answer, "{}", p.node(v).name);
-        assert!(b.stats.traversed_steps <= a.stats.traversed_steps);
     }
 }
 

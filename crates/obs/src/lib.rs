@@ -50,7 +50,7 @@ pub enum TraceLevel {
     /// `BatchStart`/`BatchEnd` — enough for a per-worker timeline.
     Spans,
     /// Spans plus instant events from the hot paths: jmp hits/inserts,
-    /// evictions, memo hits, early terminations.
+    /// evictions, early terminations.
     Full,
 }
 
@@ -100,8 +100,6 @@ pub enum EventKind {
     /// The bounded store evicted entries on this worker's publish.
     /// `a` = entries evicted.
     Eviction,
-    /// A per-query memo table hit. `a` = node id.
-    MemoHit,
     /// An unfinished jmp entry proved the remaining budget insufficient.
     /// `a` = node id.
     EarlyTermination,
@@ -135,7 +133,6 @@ impl EventKind {
             EventKind::JmpHit => "jmp_hit",
             EventKind::JmpInsert => "jmp_insert",
             EventKind::Eviction => "eviction",
-            EventKind::MemoHit => "memo_hit",
             EventKind::EarlyTermination => "early_termination",
             EventKind::BatchStart => "batch_start",
             EventKind::BatchEnd => "batch_end",

@@ -62,7 +62,7 @@ pub fn schedule_for(pag: &Pag, queries: &[NodeId], mode: Mode) -> Schedule {
     schedule_with_cap(pag, queries, mode, None)
 }
 
-/// [`schedule_for`] with an explicit group-size cap override.
+/// The DQ schedule options for a group-size cap override.
 ///
 /// The default cap is 1: dispatch follows the DQ *order* query-by-query.
 /// The paper dispatches whole groups to amortise work-list lock contention
@@ -70,6 +70,15 @@ pub fn schedule_for(pag: &Pag, queries: &[NodeId], mode: Mode) -> Schedule {
 /// simulator prices a fetch at [`RunConfig::fetch_cost`] (~1 step), so
 /// grouping's amortisation is invisible while its load-balance granularity
 /// cost is not. The `ablation_group` bench regenerates the trade-off.
+pub(crate) fn dq_options(cap: Option<usize>) -> ScheduleOptions {
+    ScheduleOptions {
+        rebalance: true,
+        max_group_size: Some(cap.unwrap_or(1)),
+    }
+}
+
+/// [`schedule_for`] with an explicit group-size cap override (`None` =
+/// the default cap of 1).
 pub fn schedule_with_cap(
     pag: &Pag,
     queries: &[NodeId],
@@ -77,11 +86,7 @@ pub fn schedule_with_cap(
     cap: Option<usize>,
 ) -> Schedule {
     if mode.schedules_queries() {
-        let opts = ScheduleOptions {
-            rebalance: true,
-            max_group_size: Some(cap.unwrap_or(1)),
-        };
-        build_schedule(pag, queries, &opts)
+        build_schedule(pag, queries, &dq_options(cap))
     } else {
         Schedule::unscheduled(queries)
     }

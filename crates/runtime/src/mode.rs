@@ -110,8 +110,8 @@ pub struct RunConfig {
     /// Event-tracing level (DESIGN.md §9). `Off` (the default) keeps the
     /// whole pipeline free of recording work; `Spans` collects the
     /// per-worker query/group timeline; `Full` adds hot-path instants
-    /// (jmp traffic, evictions, memo hits). Answers and step
-    /// counts are identical at every level.
+    /// (jmp traffic, evictions). Answers and step counts are identical at
+    /// every level.
     pub tracing: TraceLevel,
     /// Simulated backend only: seeded perturbation of dispatch order,
     /// fetch latency and eviction timing (see [`SimPerturb`]). `None`

@@ -29,7 +29,7 @@ use parcfl_concurrent::CounterSet;
 use parcfl_core::{DirtySet, JmpStore, SharedJmpStore, SolverConfig};
 use parcfl_obs::{Event, EventKind, PromText, TraceLevel};
 use parcfl_pag::{NodeId, Pag, PagDelta};
-use parcfl_sched::{Schedule, ScheduleCache, ScheduleOptions};
+use parcfl_sched::{Schedule, ScheduleCache};
 use std::borrow::Cow;
 
 /// Outcome of one [`AnalysisSession::apply_delta`]: the PAG revision now
@@ -440,10 +440,7 @@ impl<'p> AnalysisSession<'p> {
     /// modes fetch single queries in input order (never worth caching).
     fn schedule_for_batch(&self, queries: &[NodeId], mode: Mode) -> std::sync::Arc<Schedule> {
         if mode.schedules_queries() {
-            let opts = ScheduleOptions {
-                rebalance: true,
-                max_group_size: Some(self.group_cap.unwrap_or(1)),
-            };
+            let opts = crate::dq_options(self.group_cap);
             self.cache.schedule(&self.pag, queries, &opts)
         } else {
             std::sync::Arc::new(Schedule::unscheduled(queries))

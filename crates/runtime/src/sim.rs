@@ -54,7 +54,7 @@ pub fn run_simulated(pag: &Pag, queries: &[NodeId], cfg: &RunConfig) -> RunResul
 /// absolute virtual end time — the owning session resumes its clock just
 /// past it.
 ///
-/// The executor half of the batch driver ([`crate::batch`]): `t` lanes on
+/// The executor half of the batch driver (`batch.rs`): `t` lanes on
 /// the virtual clock, and this loop deciding which lane pulls which group
 /// next — the lowest clock takes the head of the FIFO list, unless a
 /// [`crate::SimPerturb`] stream says otherwise.

@@ -49,7 +49,7 @@ pub fn run_threaded(pag: &Pag, queries: &[NodeId], cfg: &RunConfig) -> RunResult
 /// *this batch's* publishes triggered, even when other sessions or an
 /// external `evict_to_budget` hammer the same store concurrently.
 ///
-/// The executor half of the batch driver ([`crate::batch`]): one
+/// The executor half of the batch driver (`batch.rs`): one
 /// wall-clock lane per OS thread, each popping group *indices* off the
 /// shared list until it is empty. A query that panics is re-raised with
 /// its worker, query and group attached; the peers drain the list and

@@ -197,7 +197,7 @@ fn cyclic_call_edges(n: usize, edges: &[Edge]) -> usize {
 /// zero-invalidation path on purpose.
 ///
 /// One structural invariant is enforced: no sampled addition may put a
-/// param/ret edge inside a directed cycle (see [`cyclic_call_edges`]) —
+/// param/ret edge inside a directed cycle (see `cyclic_call_edges`) —
 /// such graphs have unbounded context growth, which neither the budgeted
 /// solver nor the step-capped oracle can answer, so every comparison
 /// would degenerate to an OutOfBudget-vs-StepCap skip after minutes of

@@ -1,9 +1,8 @@
 //! A warm lane's nested traversals do not allocate (DESIGN.md §8): with
-//! sharing and memoisation off nothing is published, so once a solver's
-//! scratch has grown to a batch, answering the batch again may allocate
-//! for the answers it hands out and for little else — not once per
-//! element of every nested result set, which is what sorting by
-//! materialised call strings cost.
+//! sharing off nothing is published, so once a solver's scratch has grown
+//! to a batch, answering the batch again may allocate for the answers it
+//! hands out and for little else — not once per element of every nested
+//! result set, which is what sorting by materialised call strings cost.
 //!
 //! Its own test binary: the counting allocator is process-wide. The count
 //! is per thread, so the harness's own threads stay out of it.
@@ -49,9 +48,9 @@ static GLOBAL: Counting = Counting;
 #[test]
 fn a_warm_solver_allocates_for_its_answers_only() {
     let bench = build_bench(&Profile::small(7));
-    // Defaults: no data sharing, no memoisation; every query completes.
+    // Defaults: no data sharing; every query completes.
     let cfg = bench.solver.clone().with_budget(50_000_000);
-    assert!(!cfg.data_sharing && !cfg.memoize);
+    assert!(!cfg.data_sharing);
     let store = NoJmpStore;
     let mut solver = Solver::new(&bench.pag, &cfg, &store);
     let pass = |solver: &mut Solver| {

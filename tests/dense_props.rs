@@ -30,7 +30,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// A solver keeps its scratch — visited tables, buffers, in-flight
-    /// sets, push cache — for as long as its lane lives, and nothing of
+    /// set, push cache — for as long as its lane lives, and nothing of
     /// one query may show in the next: a shuffled batch answered on two
     /// reused solvers equals each query answered on a solver made for it,
     /// field for field of the output (`state_words` included, so the
@@ -353,7 +353,6 @@ fn hash_and_dense_runs_are_bit_identical() {
         let mk = |state: StateBackend| SolverConfig {
             budget,
             context_sensitive: i % 4 != 3,
-            memoize: i % 5 == 0,
             state,
             ..SolverConfig::default()
         };

@@ -6,12 +6,13 @@
 //! failure message prints the seed to replay with. `PARCFL_FUZZ_ITERS`
 //! scales the fuzz loop (default 100).
 
+use parcfl::check::diff::normalize;
 use parcfl::check::seed::derive;
 use parcfl::check::{
-    check_soundness, diff_answers, run_fuzz, scenario_fails, test_seed, FuzzConfig, OracleCache,
-    OracleConfig, Scenario,
+    check_soundness, diff_answers, run_fuzz, scenario_fails, test_seed, with_big_stack, FuzzConfig,
+    Oracle, OracleCache, OracleConfig, Scenario,
 };
-use parcfl::core::SolverConfig;
+use parcfl::core::{NoJmpStore, Solver, SolverConfig, StateBackend};
 use parcfl::runtime::run_seq;
 use parcfl::synth::{build_bench, table1_profiles, Profile};
 
@@ -44,6 +45,63 @@ fn seq_matches_oracle_exactly() {
         );
         assert!(report.compared > 0, "nothing completed under ample budget");
     }
+}
+
+/// Top-level `FlowsTo` answers equal the oracle's as full `(node, call
+/// string)` sets, for every object of a dozen programs, on both state
+/// backends, context-sensitive and not. Everything else checks the
+/// forward traversal only through `PointsTo` answers it contributed to, or
+/// at node level against its own backward dual (`properties.rs`).
+#[test]
+fn flows_to_matches_oracle_exactly() {
+    let seed = test_seed();
+    let mut compared = 0;
+    for i in 0..12u64 {
+        let profile_seed = derive(seed, 0xF70_0000 + i);
+        let bench = build_bench(&Profile::tiny(profile_seed));
+        let pag = &bench.pag;
+        let objects: Vec<_> = pag
+            .node_ids()
+            .filter(|&n| !pag.kind(n).is_variable())
+            .collect();
+        for context_sensitive in [true, false] {
+            let want = with_big_stack(|| {
+                let cfg = OracleConfig {
+                    context_sensitive,
+                    ..OracleConfig::default()
+                };
+                let mut oracle = Oracle::with_config(pag, cfg);
+                objects
+                    .iter()
+                    .map(|&o| oracle.flows_to(o))
+                    .collect::<Vec<_>>()
+            });
+            for state in [StateBackend::Hash, StateBackend::Dense] {
+                let cfg = SolverConfig {
+                    budget: 5_000_000,
+                    context_sensitive,
+                    state,
+                    ..SolverConfig::sequential()
+                };
+                let mut solver = Solver::new(pag, &cfg, &NoJmpStore);
+                for (&o, want) in objects.iter().zip(&want) {
+                    // Complete answers only: out of budget says nothing.
+                    let out = solver.flows_to_query(o, 0);
+                    let Some(got) = out.answer.complete().map(normalize) else {
+                        continue;
+                    };
+                    assert_eq!(
+                        Some(got.as_slice()),
+                        want.complete(),
+                        "PARCFL_TEST_SEED={seed} tiny({profile_seed}) FlowsTo({o}) \
+                         ctx={context_sensitive} state={state}: oracle said {want:?}"
+                    );
+                    compared += 1;
+                }
+            }
+        }
+    }
+    assert!(compared > 0, "nothing completed under ample budget");
 }
 
 /// 100 seeded fuzz iterations across Naive/D/DQ × Simulated/Threaded,
