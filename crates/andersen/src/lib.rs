@@ -7,15 +7,12 @@
 //! CFL-reachability queries ("why demand-driven analysis exists").
 //!
 //! Field-sensitive (Java-style `(object, field)` slots), context- and
-//! flow-insensitive. [`analyze`] is the sequential difference-propagation
-//! worklist; [`analyze_parallel`] is a round-based bulk-synchronous
-//! parallelisation in the spirit of Méndez-Lojo et al. \[8\].
+//! flow-insensitive. [`analyze`] is a sequential difference-propagation
+//! worklist.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod parallel;
 pub mod solver;
 
-pub use parallel::analyze_parallel;
 pub use solver::{analyze, AndersenResult};

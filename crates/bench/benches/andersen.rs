@@ -1,5 +1,4 @@
-//! Criterion micro-benchmarks for the Andersen baseline: sequential and
-//! round-based parallel solving of a small PAG.
+//! Criterion micro-benchmark for the Andersen baseline on a small PAG.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use parcfl_synth::{build_bench, Profile};
@@ -10,9 +9,6 @@ fn bench_andersen(c: &mut Criterion) {
     g.sample_size(30);
     g.bench_function("sequential", |bench| {
         bench.iter(|| std::hint::black_box(parcfl_andersen::analyze(&b.pag)))
-    });
-    g.bench_function("parallel_2", |bench| {
-        bench.iter(|| std::hint::black_box(parcfl_andersen::analyze_parallel(&b.pag, 2)))
     });
     g.finish();
 }

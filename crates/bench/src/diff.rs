@@ -1,19 +1,15 @@
-//! Bench-regression observatory: noise-aware diffing of two
-//! `BENCH_solver.json` artifacts (DESIGN.md §9).
+//! The CI counter gate: writing and diffing `BENCH_solver.json`
+//! artifacts (DESIGN.md §9).
 //!
-//! The artifact mixes two kinds of observables and the diff treats them
-//! differently:
-//!
-//! * **Deterministic counters** — `traversed_steps`, `makespan`,
-//!   `peak_state_words`, `interner_ctxs`, … — are bit-reproducible for a
-//!   given bench × row configuration (virtual-time simulation, seeded
-//!   synthesis). Any drift is a behaviour change, so they gate with
-//!   **exact equality**: one ulp of difference fails the diff.
-//! * **Wall-clock observables** — `wall_ms` (a median over `--repeat`
-//!   runs) — are noisy on shared CI hosts, so they gate with a
-//!   **relative-delta threshold** ([`WALL_WARN_RATIO`]): regressions
-//!   beyond the threshold are reported as warnings by default and only
-//!   fail under [`GateMode::All`].
+//! A row of the artifact is one bench × configuration and holds every
+//! **deterministic** metric of [`RunStats::SCHEMA`] — every row whose unit
+//! is not host-clock time. Those are bit-reproducible for a given
+//! configuration (virtual-time simulation, seeded synthesis), so any drift
+//! is a behaviour change and the diff gates them with **exact equality**.
+//! Wall time is the frozen `benchmark/` crate's subject, not this one's.
+//! Which keys are written ([`row_json`]) and which are gated
+//! ([`gated_fields`]) are both read off the schema: a new metric is in
+//! the artifact and under the gate the moment it is declared.
 //!
 //! The parser is a ~hundred-line recursive-descent JSON reader: the
 //! artifact is hand-rendered (no serde anywhere in the workspace) so the
@@ -21,55 +17,30 @@
 //! token text, which makes the exact-equality gate a string compare — no
 //! float round-tripping can mask or invent a drift.
 
+use parcfl_runtime::RunStats;
 use std::fmt::Write as _;
 
-/// Relative `wall_ms` increase (current vs. baseline) beyond which a row
-/// earns a wall-regression warning. Medians over interleaved repeats are
-/// stable to well under this on an idle host; CI neighbours are not,
-/// hence warn-don't-fail by default.
-pub const WALL_WARN_RATIO: f64 = 0.30;
+/// The artifact's `schema` tag.
+pub const SCHEMA_TAG: &str = "parcfl-bench-solver/7";
 
-/// Per-row counters that must be **bit-identical** between two runs of
-/// the same configuration. Everything here is derived from virtual time,
-/// seeded synthesis, or deterministic solver behaviour — never from the
-/// host clock.
-pub const DETERMINISTIC_FIELDS: &[&str] = &[
-    "queries",
-    "completed",
-    "out_of_budget",
-    "makespan",
-    "traversed_steps",
-    "charged_steps",
-    "steps_saved",
-    "jmp_edges",
-    "store_entries",
-    "peak_state_words",
-    "interner_ctxs",
-];
-
-/// Which findings fail the diff (non-zero exit).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GateMode {
-    /// Report everything, fail nothing.
-    None,
-    /// Fail on deterministic-counter drift and missing rows (default).
-    Deterministic,
-    /// Additionally fail on wall-clock regressions beyond the threshold.
-    All,
+/// The per-row keys that must be **bit-identical** between two runs of
+/// the same configuration: every deterministic [`RunStats::SCHEMA`] row.
+pub fn gated_fields() -> impl Iterator<Item = &'static str> {
+    RunStats::SCHEMA
+        .iter()
+        .filter(|m| m.is_deterministic())
+        .map(|m| m.name)
 }
 
-impl std::str::FromStr for GateMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "none" => Ok(GateMode::None),
-            "deterministic" => Ok(GateMode::Deterministic),
-            "all" => Ok(GateMode::All),
-            other => Err(format!(
-                "unknown gate mode `{other}` (none|deterministic|all)"
-            )),
-        }
+/// One artifact record: `row` labels the configuration measured (state ×
+/// dispatch), followed by every deterministic metric of `stats`.
+pub fn row_json(bench: &str, row: &str, state: &str, stats: &RunStats) -> String {
+    let mut out = format!("{{\"bench\":\"{bench}\",\"row\":\"{row}\",\"state\":\"{state}\"");
+    for (m, value) in stats.scalars().filter(|(m, _)| m.is_deterministic()) {
+        let _ = write!(out, ",\"{}\":{value}", m.name);
     }
+    out.push('}');
+    out
 }
 
 /// One scalar field of a bench row: strings keep their decoded text,
@@ -84,14 +55,6 @@ pub enum Scalar {
 }
 
 impl Scalar {
-    /// The field as `f64`, when it is a parseable number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Scalar::Raw(raw) => raw.parse().ok(),
-            Scalar::Str(_) => None,
-        }
-    }
-
     fn render(&self) -> &str {
         match self {
             Scalar::Str(s) => s,
@@ -126,7 +89,7 @@ impl RowRecord {
 /// A parsed `BENCH_solver.json` artifact.
 #[derive(Clone, Debug)]
 pub struct Artifact {
-    /// The artifact's `schema` tag (e.g. `parcfl-bench-solver/6`).
+    /// The artifact's `schema` tag (see [`SCHEMA_TAG`]).
     pub schema: String,
     /// Every bench × row record, in artifact order.
     pub rows: Vec<RowRecord>,
@@ -330,24 +293,17 @@ impl<'a> Parser<'a> {
 pub struct DiffReport {
     /// Rows matched between the two artifacts.
     pub compared: usize,
-    /// Deterministic-counter drift and missing rows — failures under
-    /// [`GateMode::Deterministic`] and [`GateMode::All`].
+    /// Counter drift, gated keys missing from the current artifact and
+    /// missing rows — any of them fails the diff.
     pub regressions: Vec<String>,
-    /// `wall_ms` increases beyond [`WALL_WARN_RATIO`] — warnings by
-    /// default, failures under [`GateMode::All`].
-    pub wall_regressions: Vec<String>,
-    /// Informational findings (schema drift, new rows, wall improvements).
+    /// Informational findings (schema drift, new rows).
     pub notes: Vec<String>,
 }
 
 impl DiffReport {
-    /// Whether the report fails under `mode` (→ non-zero exit).
-    pub fn failed(&self, mode: GateMode) -> bool {
-        match mode {
-            GateMode::None => false,
-            GateMode::Deterministic => !self.regressions.is_empty(),
-            GateMode::All => !self.regressions.is_empty() || !self.wall_regressions.is_empty(),
-        }
+    /// Whether the diff fails (→ non-zero exit).
+    pub fn failed(&self) -> bool {
+        !self.regressions.is_empty()
     }
 
     /// Human-readable report, one finding per line.
@@ -357,30 +313,24 @@ impl DiffReport {
         for r in &self.regressions {
             let _ = writeln!(out, "  REGRESSION {r}");
         }
-        for w in &self.wall_regressions {
-            let _ = writeln!(out, "  WALL       {w}");
-        }
         for n in &self.notes {
             let _ = writeln!(out, "  note       {n}");
         }
-        if self.regressions.is_empty() && self.wall_regressions.is_empty() {
-            let _ = writeln!(
-                out,
-                "  deterministic counters identical, walls within threshold"
-            );
+        if self.regressions.is_empty() {
+            let _ = writeln!(out, "  deterministic counters identical");
         }
         out
     }
 }
 
-/// Diffs `current` against `baseline`: exact-equality gates on the
-/// [`DETERMINISTIC_FIELDS`] of every row present in both artifacts,
-/// relative-delta gate on `wall_ms`, missing-row detection.
+/// Diffs `current` against `baseline`: exact equality on the
+/// [`gated_fields`] of every row present in both artifacts, missing-row
+/// detection.
 pub fn diff_artifacts(baseline: &Artifact, current: &Artifact) -> DiffReport {
     let mut report = DiffReport::default();
     if baseline.schema != current.schema {
         report.notes.push(format!(
-            "schema drift: baseline {} vs current {} (fields absent on either side are skipped)",
+            "schema drift: baseline {} vs current {} (keys absent from the baseline are skipped)",
             baseline.schema, current.schema
         ));
     }
@@ -397,7 +347,7 @@ pub fn diff_artifacts(baseline: &Artifact, current: &Artifact) -> DiffReport {
             continue;
         };
         report.compared += 1;
-        for &field in DETERMINISTIC_FIELDS {
+        for field in gated_fields() {
             match (base_row.field(field), cur_row.field(field)) {
                 (Some(b), Some(c)) => {
                     if b != c {
@@ -414,26 +364,6 @@ pub fn diff_artifacts(baseline: &Artifact, current: &Artifact) -> DiffReport {
                 )),
                 // Absent in the baseline: an older schema — nothing to gate.
                 (None, _) => {}
-            }
-        }
-        let walls = (
-            base_row.field("wall_ms").and_then(Scalar::as_f64),
-            cur_row.field("wall_ms").and_then(Scalar::as_f64),
-        );
-        if let (Some(b), Some(c)) = walls {
-            if b > 0.0 {
-                let rel = (c - b) / b;
-                if rel > WALL_WARN_RATIO {
-                    report.wall_regressions.push(format!(
-                        "{key}: wall_ms {b:.3} -> {c:.3} (+{:.0}%, threshold {:.0}%)",
-                        rel * 100.0,
-                        WALL_WARN_RATIO * 100.0
-                    ));
-                } else if rel < -WALL_WARN_RATIO {
-                    report
-                        .notes
-                        .push(format!("{key}: wall_ms improved {b:.3} -> {c:.3}"));
-                }
             }
         }
     }
@@ -466,33 +396,30 @@ pub fn diff_files(baseline: &str, current: &str) -> Result<DiffReport, String> {
 mod tests {
     use super::*;
 
-    fn artifact(rows: &[(&str, &str, u64, f64)]) -> String {
+    /// An artifact whose rows differ only in their traversed steps.
+    fn artifact(rows: &[(&str, &str, u64)]) -> String {
         let recs: Vec<String> = rows
             .iter()
-            .map(|(bench, row, steps, wall)| {
-                format!(
-                    concat!(
-                        "{{\"bench\":\"{}\",\"row\":\"{}\",\"state\":\"dense\",",
-                        "\"queries\":10,\"completed\":10,\"out_of_budget\":0,",
-                        "\"makespan\":100,\"traversed_steps\":{},\"charged_steps\":90,",
-                        "\"steps_saved\":5,\"jmp_edges\":3,\"store_entries\":2,",
-                        "\"peak_state_words\":64,\"interner_ctxs\":4,",
-                        "\"wall_ms\":{:.3}}}"
-                    ),
-                    bench, row, steps, wall
-                )
+            .map(|&(bench, row, traversed_steps)| {
+                let stats = RunStats {
+                    queries: 10,
+                    traversed_steps,
+                    interner_ctxs: 4,
+                    ..RunStats::default()
+                };
+                row_json(bench, row, "dense", &stats)
             })
             .collect();
         format!(
-            "{{\"schema\":\"parcfl-bench-solver/6\",\"threads\":8,\"benches\":[\n  {}\n]}}\n",
+            "{{\"schema\":\"{SCHEMA_TAG}\",\"threads\":8,\"benches\":[\n  {}\n]}}\n",
             recs.join(",\n  ")
         )
     }
 
     #[test]
     fn parses_rows_and_fields() {
-        let a = Artifact::parse(&artifact(&[("jess", "dq-sim", 1234, 5.0)])).unwrap();
-        assert_eq!(a.schema, "parcfl-bench-solver/6");
+        let a = Artifact::parse(&artifact(&[("jess", "dq-sim", 1234)])).unwrap();
+        assert_eq!(a.schema, SCHEMA_TAG);
         assert_eq!(a.rows.len(), 1);
         let r = &a.rows[0];
         assert_eq!((r.bench.as_str(), r.row.as_str()), ("jess", "dq-sim"));
@@ -501,8 +428,23 @@ mod tests {
             Some(&Scalar::Raw("1234".into()))
         );
         assert_eq!(r.field("state"), Some(&Scalar::Str("dense".into())));
-        assert_eq!(r.field("wall_ms").and_then(Scalar::as_f64), Some(5.0));
         assert!(r.field("nope").is_none());
+    }
+
+    /// The artifact and the gate list are both the schema's deterministic
+    /// rows: every metric whose unit is not time is written and gated, and
+    /// host-clock time is neither.
+    #[test]
+    fn every_schema_row_is_written_and_gated_iff_not_time() {
+        let a = Artifact::parse(&artifact(&[("jess", "dq-sim", 1)])).unwrap();
+        let gated: Vec<&str> = gated_fields().collect();
+        for m in RunStats::SCHEMA {
+            let timed = m.unit == parcfl_runtime::Unit::Seconds;
+            assert_eq!(a.rows[0].field(m.name).is_none(), timed, "{}", m.name);
+            assert_eq!(!gated.contains(&m.name), timed, "{}", m.name);
+        }
+        assert!(gated.contains(&"makespan"), "virtual time is deterministic");
+        assert!(!gated.contains(&"wall"));
     }
 
     #[test]
@@ -521,76 +463,53 @@ mod tests {
     }
 
     #[test]
-    fn identical_artifacts_pass_every_gate() {
-        let text = artifact(&[("jess", "dq-sim", 1234, 5.0), ("jess", "seq-hash", 99, 2.0)]);
+    fn identical_artifacts_pass() {
+        let text = artifact(&[("jess", "dq-sim", 1234), ("jess", "seq-hash", 99)]);
         let a = Artifact::parse(&text).unwrap();
         let report = diff_artifacts(&a, &a);
         assert_eq!(report.compared, 2);
         assert!(report.regressions.is_empty(), "{report:?}");
-        assert!(report.wall_regressions.is_empty());
-        assert!(!report.failed(GateMode::All));
+        assert!(!report.failed());
         assert!(report.render().contains("identical"));
     }
 
     #[test]
-    fn deterministic_drift_fails_the_default_gate() {
-        let base = Artifact::parse(&artifact(&[("jess", "dq-sim", 1234, 5.0)])).unwrap();
-        let cur = Artifact::parse(&artifact(&[("jess", "dq-sim", 1235, 5.0)])).unwrap();
+    fn counter_drift_fails_the_diff() {
+        let base = Artifact::parse(&artifact(&[("jess", "dq-sim", 1234)])).unwrap();
+        let cur = Artifact::parse(&artifact(&[("jess", "dq-sim", 1235)])).unwrap();
         let report = diff_artifacts(&base, &cur);
         assert_eq!(report.regressions.len(), 1);
         assert!(report.regressions[0].contains("traversed_steps drifted 1234 -> 1235"));
-        assert!(report.failed(GateMode::Deterministic));
-        assert!(!report.failed(GateMode::None));
-    }
-
-    #[test]
-    fn wall_noise_warns_but_only_gate_all_fails() {
-        let base = Artifact::parse(&artifact(&[("jess", "dq-sim", 1234, 5.0)])).unwrap();
-        let cur = Artifact::parse(&artifact(&[("jess", "dq-sim", 1234, 9.0)])).unwrap();
-        let report = diff_artifacts(&base, &cur);
-        assert!(report.regressions.is_empty());
-        assert_eq!(report.wall_regressions.len(), 1);
-        assert!(
-            !report.failed(GateMode::Deterministic),
-            "wall is warn-only by default"
-        );
-        assert!(report.failed(GateMode::All));
-        // Within-threshold jitter is not even a warning.
-        let cur2 = Artifact::parse(&artifact(&[("jess", "dq-sim", 1234, 6.0)])).unwrap();
-        assert!(diff_artifacts(&base, &cur2).wall_regressions.is_empty());
+        assert!(report.failed());
     }
 
     #[test]
     fn missing_row_is_a_regression_and_new_row_is_a_note() {
-        let base = Artifact::parse(&artifact(&[("jess", "dq-sim", 1, 5.0)])).unwrap();
-        let cur = Artifact::parse(&artifact(&[("jess", "seq-hash", 1, 5.0)])).unwrap();
+        let base = Artifact::parse(&artifact(&[("jess", "dq-sim", 1)])).unwrap();
+        let cur = Artifact::parse(&artifact(&[("jess", "seq-hash", 1)])).unwrap();
         let report = diff_artifacts(&base, &cur);
         assert_eq!(report.compared, 0);
         assert!(report.regressions[0].contains("jess/dq-sim"), "{report:?}");
         assert!(report.notes.iter().any(|n| n.contains("jess/seq-hash")));
-        assert!(report.failed(GateMode::Deterministic));
+        assert!(report.failed());
     }
 
+    /// A key the table gates but the current artifact lacks fails the
+    /// diff, whichever key it is — a writer that drops a metric cannot
+    /// slip it past the gate.
     #[test]
-    fn missing_deterministic_field_in_current_is_a_regression() {
-        let base = Artifact::parse(&artifact(&[("jess", "dq-sim", 1, 5.0)])).unwrap();
-        let mut cur = base.clone();
-        cur.rows[0].fields.retain(|(k, _)| k != "interner_ctxs");
-        let report = diff_artifacts(&base, &cur);
-        assert!(
-            report.regressions[0].contains("interner_ctxs"),
-            "{report:?}"
-        );
-        // The other direction (field only in current) is schema growth, not a failure.
-        let report = diff_artifacts(&cur, &base);
-        assert!(report.regressions.is_empty(), "{report:?}");
-    }
-
-    #[test]
-    fn gate_mode_parses() {
-        assert_eq!("deterministic".parse(), Ok(GateMode::Deterministic));
-        assert_eq!("none".parse(), Ok(GateMode::None));
-        assert_eq!("all".parse(), Ok(GateMode::All));
-        assert!("warn".parse::<GateMode>().is_err());
+    fn a_gated_key_missing_from_current_fails_the_diff() {
+        let base = Artifact::parse(&artifact(&[("jess", "dq-sim", 1)])).unwrap();
+        for field in gated_fields() {
+            let mut cur = base.clone();
+            cur.rows[0].fields.retain(|(k, _)| k != field);
+            let report = diff_artifacts(&base, &cur);
+            assert!(report.failed(), "{field}");
+            assert!(report.regressions[0].contains(field), "{report:?}");
+            // The other direction (key only in current) is schema growth,
+            // not a failure.
+            let report = diff_artifacts(&cur, &base);
+            assert!(!report.failed(), "{field}: {report:?}");
+        }
     }
 }

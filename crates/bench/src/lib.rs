@@ -13,6 +13,10 @@
 //! | `ablation_tau` | §IV-D2 — selective jmp insertion on/off |
 //! | `ablation_group` | group-dispatch granularity trade-off |
 //!
+//! Also here: `warm_cache` (warm-session reuse and incremental re-query
+//! tables, every claim asserted) and the CI counter gate — [`diff`] writes
+//! and compares the `BENCH_solver.json` artifact `table2` emits. Wall time
+//! is not measured here: the stand-alone `benchmark/` crate owns it.
 //! Criterion micro-benchmarks live under `benches/`.
 
 #![forbid(unsafe_code)]

@@ -16,23 +16,18 @@
 //!   ([`worklist::WorkerObs`]);
 //! * [`bitset`] — chunked bitsets over the dense `CtxId` space and the
 //!   [`bitset::StateSet`] visited-state tables (hash and dense) the solver
-//!   hot loop selects between (DESIGN.md §11);
-//! * [`counters`] — cache-padded atomic statistics counters and the
-//!   named-counter registry ([`counters::CounterSet`]) behind the
-//!   Prometheus exporter.
+//!   hot loop selects between (DESIGN.md §11).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bitset;
-pub mod counters;
 pub mod fxhash;
 pub mod interner;
 pub mod sharded_map;
 pub mod worklist;
 
 pub use bitset::{kernel, Chunk, ChunkedBitset, DenseVisitSet, HashVisitSet, StateSet, CHUNK_BITS};
-pub use counters::{Counter, CounterSet, MaxTracker};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use interner::{CtxId, CtxInterner};
 pub use sharded_map::ShardedMap;

@@ -8,7 +8,7 @@
 //! `promtool check metrics` accepts it.
 
 use crate::hist::LogHistogram;
-use std::fmt::Write;
+use std::fmt::{Display, Write};
 
 /// A Prometheus text-format page under construction.
 #[derive(Default)]
@@ -29,14 +29,14 @@ impl PromText {
     }
 
     /// Renders a monotonic counter.
-    pub fn counter(&mut self, name: &str, help: &str, value: u64) -> &mut Self {
+    pub fn counter(&mut self, name: &str, help: &str, value: impl Display) -> &mut Self {
         self.header(name, help, "counter");
         let _ = writeln!(self.out, "{name} {value}");
         self
     }
 
     /// Renders a gauge (a value that can go down, e.g. residency).
-    pub fn gauge(&mut self, name: &str, help: &str, value: u64) -> &mut Self {
+    pub fn gauge(&mut self, name: &str, help: &str, value: impl Display) -> &mut Self {
         self.header(name, help, "gauge");
         let _ = writeln!(self.out, "{name} {value}");
         self

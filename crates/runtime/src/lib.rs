@@ -42,7 +42,7 @@ mod stats;
 pub mod threaded;
 
 pub use mode::{Backend, Engine, Mode, RunConfig, SimPerturb};
-pub use parcfl_concurrent::{CounterSet, WorkerObs};
+pub use parcfl_concurrent::WorkerObs;
 pub use parcfl_obs::{
     chrome_trace_json, Event, EventKind, LogHistogram, ObsHists, PromText, RunTrace, TraceLevel,
     TraceRecorder, WorkerTrace,
@@ -50,7 +50,7 @@ pub use parcfl_obs::{
 pub use seq::run_seq;
 pub use session::{AnalysisSession, DeltaReport};
 pub use sim::{run_simulated, run_simulated_batch};
-pub use stats::{RunResult, RunStats};
+pub use stats::{MergeClass, Metric, RunResult, RunStats, Unit, Value};
 pub use threaded::{run_threaded, run_threaded_batch};
 
 use parcfl_pag::{NodeId, Pag};

@@ -103,9 +103,10 @@ pub struct RunConfig {
     /// locking overhead of Section III-A. Small by design; the paper found
     /// it negligible at query granularity.
     pub fetch_cost: u64,
-    /// Overrides the DQ schedule's group-size cap (None = the default
-    /// thread-aware cap). Used by ablation experiments to separate the
-    /// effect of *ordering* (cap = 1) from *grouping*.
+    /// Overrides the DQ schedule's group-size cap (None = the default cap
+    /// of 1: dispatch follows the DQ *order* query by query). Used by the
+    /// `ablation_group` experiment to separate the effect of *ordering*
+    /// (cap = 1) from *grouping* (cap > 1).
     pub group_cap: Option<usize>,
     /// Event-tracing level (DESIGN.md §9). `Off` (the default) keeps the
     /// whole pipeline free of recording work; `Spans` collects the

@@ -23,9 +23,8 @@
 use crate::mode::{Backend, Mode, RunConfig};
 use crate::seq::run_inline;
 use crate::sim::run_simulated_batch;
-use crate::stats::{RunResult, RunStats};
+use crate::stats::{MergeClass, RunResult, RunStats};
 use crate::threaded::run_threaded_batch;
-use parcfl_concurrent::CounterSet;
 use parcfl_core::{DirtySet, JmpStore, SharedJmpStore, SolverConfig};
 use parcfl_obs::{Event, EventKind, PromText, TraceLevel};
 use parcfl_pag::{NodeId, Pag, PagDelta};
@@ -88,11 +87,7 @@ pub struct AnalysisSession<'p> {
     solver: SolverConfig,
     threads: usize,
     fetch_cost: u64,
-    group_cap: Option<usize>,
     tracing: TraceLevel,
-    /// Named operational counters, fed on every submit and rendered by
-    /// [`Self::metrics_snapshot`].
-    counters: CounterSet,
     /// `BatchStart`/`BatchEnd` spans in session virtual time (recorded
     /// only when tracing is enabled).
     session_events: Vec<Event>,
@@ -114,9 +109,7 @@ impl<'p> AnalysisSession<'p> {
             solver: SolverConfig::default().with_footprints(),
             threads: 1,
             fetch_cost: 1,
-            group_cap: None,
             tracing: TraceLevel::Off,
-            counters: CounterSet::new(),
             session_events: Vec::new(),
         }
     }
@@ -163,13 +156,6 @@ impl<'p> AnalysisSession<'p> {
         self
     }
 
-    /// Overrides the DQ schedule's group-size cap (see
-    /// [`crate::schedule_with_cap`]).
-    pub fn with_group_cap(mut self, cap: usize) -> Self {
-        self.group_cap = Some(cap);
-        self
-    }
-
     /// Answers one batch of queries, warm-starting from every earlier
     /// batch's jmp edges. Returns that batch's own result; the session's
     /// running totals move to [`Self::cumulative`].
@@ -191,7 +177,6 @@ impl<'p> AnalysisSession<'p> {
                 result
             }
         };
-        self.cumulative.merge(&result.stats);
         self.account_batch(base, &result.stats);
         result
     }
@@ -213,30 +198,15 @@ impl<'p> AnalysisSession<'p> {
             self.tracing,
         );
         self.vclock = base + result.stats.traversed_steps + 1;
-        self.cumulative.merge(&result.stats);
         self.account_batch(base, &result.stats);
         result
     }
 
-    /// Post-batch bookkeeping shared by every submit path: feed the named
-    /// counters and (when tracing) record the batch's virtual-time span.
+    /// Post-batch bookkeeping shared by every submit path: fold the batch
+    /// into the running totals and (when tracing) record its virtual-time
+    /// span.
     fn account_batch(&mut self, base: u64, stats: &RunStats) {
-        self.counters.add("parcfl_batches_total", 1);
-        self.counters
-            .add("parcfl_queries_total", stats.queries as u64);
-        self.counters
-            .add("parcfl_completed_total", stats.completed as u64);
-        self.counters
-            .add("parcfl_out_of_budget_total", stats.out_of_budget as u64);
-        self.counters.add(
-            "parcfl_early_terminations_total",
-            stats.early_terminations as u64,
-        );
-        self.counters
-            .add("parcfl_shortcuts_total", stats.shortcuts_taken);
-        self.counters.add("parcfl_warm_hits_total", stats.warm_hits);
-        self.counters
-            .add("parcfl_traversed_steps_total", stats.traversed_steps);
+        self.cumulative.merge(stats);
         if self.tracing.enabled() {
             let idx = self.cumulative.batches.saturating_sub(1) as u32;
             self.session_events.push(Event {
@@ -261,39 +231,32 @@ impl<'p> AnalysisSession<'p> {
     }
 
     /// Renders the session's operational metrics in Prometheus text
-    /// exposition format: the named batch/query counters, jmp-store
-    /// totals (lookup hits, inserts, evictions, residency), the peak
-    /// visited-state gauge, the cumulative query-latency histogram and
-    /// per-worker work-list pops.
+    /// exposition format: every [`RunStats::SCHEMA`] row of
+    /// [`Self::cumulative`] (`parcfl_<field>_total` counters for `Sum`
+    /// rows, `parcfl_<field>` gauges otherwise), the store's lookup hits,
+    /// the cumulative query-latency histogram and per-worker work-list
+    /// pops. Where the store has a live reading it supersedes the
+    /// batch-scoped one: lifetime evictions include other handles', and
+    /// residency is current rather than as of the last batch's end.
     pub fn metrics_snapshot(&self) -> String {
+        // The totals with the store's live readings patched over the
+        // batch-scoped ones.
+        let shown = RunStats {
+            evictions: self.store.evictions(),
+            store_entries: self.store.entry_count(),
+            ..self.cumulative.clone()
+        };
         let mut p = PromText::new();
-        for (name, value) in self.counters.snapshot() {
-            p.counter(&name, "Session counter (summed over batches).", value);
+        for (m, value) in shown.scalars() {
+            match m.class {
+                MergeClass::Sum => p.counter(&m.prom_name(), m.help, value),
+                MergeClass::Max | MergeClass::Latest => p.gauge(&m.prom_name(), m.help, value),
+            };
         }
         p.counter(
             "parcfl_jmp_lookup_hits_total",
             "Jmp-store lookups answered by a resident entry.",
             self.store.lookup_hits(),
-        );
-        p.counter(
-            "parcfl_jmp_inserts_total",
-            "Jmp entries published (finished + unfinished).",
-            self.cumulative.jmp_inserts,
-        );
-        p.counter(
-            "parcfl_evictions_total",
-            "Jmp entries evicted over the session's lifetime.",
-            self.store.evictions(),
-        );
-        p.gauge(
-            "parcfl_store_entries",
-            "Jmp entries currently resident.",
-            self.store.entry_count() as u64,
-        );
-        p.gauge(
-            "parcfl_peak_state_words",
-            "Peak u64 words held by any single query's visited-state tables.",
-            self.cumulative.peak_state_words,
         );
         p.histogram(
             "parcfl_query_latency",
@@ -419,7 +382,6 @@ impl<'p> AnalysisSession<'p> {
         self.cache.clear();
         self.vclock = 0;
         self.cumulative = RunStats::default();
-        self.counters.reset();
         self.session_events.clear();
     }
 
@@ -430,7 +392,7 @@ impl<'p> AnalysisSession<'p> {
             backend,
             solver: self.solver.clone(),
             fetch_cost: self.fetch_cost,
-            group_cap: self.group_cap,
+            group_cap: None,
             tracing: self.tracing,
             perturb: None,
         }
@@ -440,7 +402,7 @@ impl<'p> AnalysisSession<'p> {
     /// modes fetch single queries in input order (never worth caching).
     fn schedule_for_batch(&self, queries: &[NodeId], mode: Mode) -> std::sync::Arc<Schedule> {
         if mode.schedules_queries() {
-            let opts = crate::dq_options(self.group_cap);
+            let opts = crate::dq_options(None);
             self.cache.schedule(&self.pag, queries, &opts)
         } else {
             std::sync::Arc::new(Schedule::unscheduled(queries))

@@ -1,5 +1,5 @@
 //! The deterministic virtual-time backend — the substitution for the
-//! paper's 16-core Xeon (this container has one core; see DESIGN.md).
+//! paper's 16-core Xeon (this container has two vCPUs; see DESIGN.md).
 //!
 //! A discrete-event simulation of `t` worker threads. Cost is measured in
 //! *traversal steps*, the unit the paper itself uses for all of its

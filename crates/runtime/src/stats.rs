@@ -1,100 +1,264 @@
 //! Aggregate run statistics — the raw material of Table I, Fig. 6 and
-//! Fig. 8.
+//! Fig. 8 — declared once: the `run_stats!` table below is the only place
+//! a scalar metric is named. The struct, [`RunStats::merge`], the session's
+//! Prometheus page, `BENCH_solver.json` and `bench-diff`'s gate list all
+//! read it (DESIGN.md §9).
 
 use parcfl_concurrent::WorkerObs;
 use parcfl_core::{Answer, QueryStats};
 use parcfl_obs::{ObsHists, RunTrace};
 use parcfl_pag::NodeId;
+use std::time::Duration;
 
-/// Aggregated statistics of one analysis run (sequential or parallel).
-#[derive(Clone, Debug, Default)]
-pub struct RunStats {
-    /// Queries issued.
-    pub queries: usize,
-    /// Queries answered within budget.
-    pub completed: usize,
-    /// Queries that ran out of budget.
-    pub out_of_budget: usize,
-    /// Early terminations (`#ETs`): out-of-budget verdicts reached through
-    /// an unfinished jmp edge.
-    pub early_terminations: usize,
-    /// Total steps charged against budgets.
-    pub charged_steps: u64,
-    /// Total steps actually traversed — `#S` when sharing is off; the
-    /// real-work measure wall-clock scales with.
-    pub traversed_steps: u64,
-    /// Total steps saved by finished shortcuts.
-    pub steps_saved: u64,
-    /// Finished shortcuts taken.
-    pub shortcuts_taken: u64,
-    /// Jmp-store hits served by entries published *before* this batch's
-    /// warm floor — cross-batch reuse inside an
-    /// [`crate::AnalysisSession`]. 0 for one-shot runs.
-    pub warm_hits: u64,
-    /// Entries evicted from the jmp store during this run (bounded-memory
-    /// sessions only; 0 for unbounded stores).
-    pub evictions: u64,
-    /// Entries resident in the jmp store at the end of the run.
-    pub store_entries: usize,
-    /// Batches folded into this accumulator (1 for a single run; the
-    /// session's cumulative stats count every submitted batch).
-    pub batches: usize,
-    /// jmp edges in the store at the end (`#Jumps`).
-    pub jmp_edges: usize,
-    /// Approximate bytes held by the jmp store.
-    pub jmp_bytes: usize,
-    /// Allocation-volume proxy summed over queries (Section IV-D5).
-    pub mem_items: u64,
-    /// Largest single-query `mem_items` seen — the peak-resident proxy
-    /// recorded in `BENCH_solver.json`. Includes the physical
-    /// visited-state words (see `peak_state_words`), so dense-bitset and
-    /// hash state backends are compared honestly.
-    pub peak_mem_items: u64,
-    /// Largest single-query [`QueryStats::state_words`] seen: peak
-    /// physical `u64` words held by visited-state tables (exact under the
-    /// dense backend, a per-entry estimate under hash — DESIGN.md §11).
-    pub peak_state_words: u64,
-    /// Contexts resident in the run's shared interner at the end
-    /// (including the empty context); 0 when the store carries none.
-    pub interner_ctxs: usize,
-    /// Virtual-time makespan (simulated backend) — the parallel "runtime".
-    pub makespan: u64,
-    /// Wall-clock duration of the run.
-    pub wall: std::time::Duration,
-    /// Average group size of the schedule (`S_g`; 1.0 when unscheduled).
-    pub avg_group_size: f64,
-    /// Per-worker dispatch observability: one record per worker, filled
-    /// by the demand batch driver on every executor (a sequential run has
-    /// one worker; only the threaded backend has lock wait to report).
-    /// Session merges sum the records per worker slot across batches.
-    pub workers: Vec<WorkerObs>,
-    /// jmp entries published during this run (finished + unfinished
-    /// publications that won their race).
-    pub jmp_inserts: u64,
-    /// Jmp entries dropped by selective invalidation across every
-    /// [`crate::AnalysisSession::apply_delta`] folded in. A **counter**
-    /// (sums across batches/deltas), not a gauge: each invalidation is a
-    /// distinct event, unlike `store_entries`' residency snapshots.
-    pub invalidated_jmps: u64,
-    /// Jmp entries that *survived* selective invalidation, summed over
-    /// deltas — the reuse the footprints bought. Also a counter: an entry
-    /// surviving two deltas is two retention events.
-    pub retained_warm: u64,
-    /// Latency histograms (query latency, lock wait, group makespan),
-    /// merged slot-wise across workers and batches. Units are nanoseconds
-    /// under real execution, traversal steps under the simulator.
-    pub hists: ObsHists,
-    /// Source-compatibility shims for the frozen `benchmark/` crate: the
-    /// matrix engine's sweep counters (DESIGN.md §11). Nothing writes or
-    /// merges them; they read 0.
-    #[doc(hidden)]
-    pub packed_gathers: u64,
-    #[doc(hidden)]
-    pub csr_fallback_rows: u64,
-    #[doc(hidden)]
-    pub pool_wakes: u64,
-    #[doc(hidden)]
-    pub pool_dispatch_ns: u64,
+/// How a metric folds when one accumulator is merged into another.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MergeClass {
+    /// A counter: every merge adds.
+    Sum,
+    /// A peak: the larger side wins.
+    Max,
+    /// A gauge over shared state: a *finished batch*'s observation
+    /// replaces the old one, zero included.
+    Latest,
+}
+
+/// What a metric counts. [`Unit::Seconds`] marks host-clock readings,
+/// which no exact-equality consumer may compare.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Unit {
+    /// Events or resident items.
+    Count,
+    /// Traversal steps (the paper's deterministic time unit).
+    Steps,
+    /// `u64` words.
+    Words,
+    /// Bytes.
+    Bytes,
+    /// Wall-clock seconds.
+    Seconds,
+}
+
+/// One row of [`RunStats::SCHEMA`].
+#[derive(Clone, Copy, Debug)]
+pub struct Metric {
+    /// The `RunStats` field, and the key every exporter uses.
+    pub name: &'static str,
+    /// How [`RunStats::merge`] folds it.
+    pub class: MergeClass,
+    /// What it counts.
+    pub unit: Unit,
+    /// One-line description (Prometheus `# HELP`).
+    pub help: &'static str,
+}
+
+impl Metric {
+    /// Whether two runs of one configuration must agree on this metric
+    /// exactly: everything but host-clock time is derived from seeded
+    /// synthesis and virtual time.
+    pub fn is_deterministic(&self) -> bool {
+        self.unit != Unit::Seconds
+    }
+
+    /// The Prometheus series name: `parcfl_<field>_total` for counters,
+    /// `parcfl_<field>` for the `max` / `latest` gauges.
+    pub fn prom_name(&self) -> String {
+        match self.class {
+            MergeClass::Sum => format!("parcfl_{}_total", self.name),
+            MergeClass::Max | MergeClass::Latest => format!("parcfl_{}", self.name),
+        }
+    }
+}
+
+/// A metric's reading. `Display` renders integers exactly (so JSON tokens
+/// compare as text) and durations as seconds.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Value {
+    /// An exact count.
+    Int(u64),
+    /// A ratio or a time in seconds.
+    Float(f64),
+}
+
+impl std::fmt::Display for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Value::Int(v) => v.fmt(f),
+            Value::Float(v) => v.fmt(f),
+        }
+    }
+}
+
+impl From<usize> for Value {
+    fn from(v: usize) -> Self {
+        Value::Int(v as u64)
+    }
+}
+impl From<u64> for Value {
+    fn from(v: u64) -> Self {
+        Value::Int(v)
+    }
+}
+impl From<f64> for Value {
+    fn from(v: f64) -> Self {
+        Value::Float(v)
+    }
+}
+impl From<Duration> for Value {
+    fn from(v: Duration) -> Self {
+        Value::Float(v.as_secs_f64())
+    }
+}
+
+/// Declares the scalar metrics of a run: one row per metric —
+/// `field: type, merge class, unit, "help";` under its doc comment — and
+/// expands to the [`RunStats`] struct (the `structured` fields appended
+/// verbatim), [`RunStats::SCHEMA`], [`RunStats::scalars`] and the scalar
+/// half of [`RunStats::merge`]. A row cannot be declared without a class.
+macro_rules! run_stats {
+    (
+        scalars { $(
+            $(#[$doc:meta])* $field:ident: $ty:ident, $class:ident, $unit:ident, $help:literal;
+        )* }
+        structured { $($rest:tt)* }
+    ) => {
+        /// Aggregated statistics of one analysis run (sequential or parallel).
+        #[derive(Clone, Debug, Default)]
+        pub struct RunStats {
+            $( $(#[$doc])* pub $field: $ty, )*
+            $($rest)*
+        }
+
+        impl RunStats {
+            /// Every scalar metric of a run, in declaration order.
+            pub const SCHEMA: &'static [Metric] = &[ $( Metric {
+                name: stringify!($field),
+                class: MergeClass::$class,
+                unit: Unit::$unit,
+                help: $help,
+            }, )* ];
+
+            /// This run's reading of every [`Self::SCHEMA`] row.
+            pub fn scalars(&self) -> impl Iterator<Item = (&'static Metric, Value)> {
+                Self::SCHEMA.iter().zip([ $( Value::from(self.$field), )* ])
+            }
+
+            /// Folds every scalar of `other` in by its declared class.
+            fn merge_scalars(&mut self, other: &RunStats) {
+                let finished = other.batches > 0;
+                $( run_stats!(@$class self.$field, other.$field, finished); )*
+            }
+
+            /// A finished batch with every scalar reading `k`.
+            #[cfg(test)]
+            fn sample(k: u32) -> RunStats {
+                RunStats {
+                    $( $field: run_stats!(@sample $ty, k), )*
+                    ..RunStats::default()
+                }
+            }
+        }
+    };
+    (@Sum $a:expr, $b:expr, $finished:expr) => { $a += $b; };
+    (@Max $a:expr, $b:expr, $finished:expr) => { if $b > $a { $a = $b; } };
+    (@Latest $a:expr, $b:expr, $finished:expr) => { if $finished { $a = $b; } };
+    (@sample Duration, $k:expr) => { Duration::from_secs($k.into()) };
+    (@sample $ty:ident, $k:expr) => { $k as $ty };
+}
+
+run_stats! {
+    scalars {
+        /// Queries issued.
+        queries: usize, Sum, Count, "Queries issued.";
+        /// Queries answered within budget.
+        completed: usize, Sum, Count, "Queries answered within budget.";
+        /// Queries that ran out of budget.
+        out_of_budget: usize, Sum, Count, "Queries that ran out of budget.";
+        /// Early terminations (`#ETs`): out-of-budget verdicts reached through
+        /// an unfinished jmp edge.
+        early_terminations: usize, Sum, Count,
+            "Out-of-budget verdicts reached through an unfinished jmp edge (#ETs).";
+        /// Total steps charged against budgets.
+        charged_steps: u64, Sum, Steps, "Steps charged against budgets.";
+        /// Total steps actually traversed — `#S` when sharing is off; the
+        /// real-work measure wall-clock scales with.
+        traversed_steps: u64, Sum, Steps, "Steps actually traversed (#S).";
+        /// Total steps saved by finished shortcuts.
+        steps_saved: u64, Sum, Steps, "Steps saved by finished shortcuts.";
+        /// Finished shortcuts taken.
+        shortcuts_taken: u64, Sum, Count, "Finished shortcuts taken.";
+        /// Jmp-store hits served by entries published *before* this batch's
+        /// warm floor — cross-batch reuse inside an
+        /// [`crate::AnalysisSession`]. 0 for one-shot runs.
+        warm_hits: u64, Sum, Count, "Jmp hits on entries published by an earlier batch.";
+        /// Entries evicted from the jmp store during this run (bounded-memory
+        /// sessions only; 0 for unbounded stores). A true per-batch counter:
+        /// evictions are scoped per batch handle, so summing is exact.
+        evictions: u64, Sum, Count, "Jmp entries evicted.";
+        /// Entries resident in the jmp store at the end of the run.
+        store_entries: usize, Latest, Count, "Jmp entries resident.";
+        /// Batches folded into this accumulator (1 for a single run; the
+        /// session's cumulative stats count every submitted batch).
+        batches: usize, Sum, Count, "Batches submitted.";
+        /// jmp edges in the store at the end (`#Jumps`).
+        jmp_edges: usize, Latest, Count, "Jmp edges in the store (#Jumps).";
+        /// Approximate bytes held by the jmp store.
+        jmp_bytes: usize, Latest, Bytes, "Approximate bytes held by the jmp store.";
+        /// Allocation-volume proxy summed over queries (Section IV-D5).
+        mem_items: u64, Sum, Count, "Allocation-volume proxy summed over queries.";
+        /// Largest single-query `mem_items` seen — the peak-resident proxy
+        /// recorded in `BENCH_solver.json`. Includes the physical
+        /// visited-state words (see `peak_state_words`), so dense-bitset and
+        /// hash state backends are compared honestly.
+        peak_mem_items: u64, Max, Count, "Largest single-query allocation-volume proxy.";
+        /// Largest single-query [`QueryStats::state_words`] seen: peak
+        /// physical `u64` words held by visited-state tables (exact under the
+        /// dense backend, a per-entry estimate under hash — DESIGN.md §11).
+        peak_state_words: u64, Max, Words,
+            "Peak u64 words held by any single query's visited-state tables.";
+        /// Contexts resident in the run's shared interner at the end
+        /// (including the empty context); 0 when the store carries none.
+        interner_ctxs: usize, Latest, Count, "Contexts resident in the shared interner.";
+        /// Virtual-time makespan (simulated backend) — the parallel "runtime".
+        makespan: u64, Sum, Steps, "Virtual-time makespan, summed over batches.";
+        /// Wall-clock duration of the run.
+        wall: Duration, Sum, Seconds, "Wall-clock duration, summed over batches.";
+        /// Average group size of the schedule (`S_g`; 1.0 when unscheduled).
+        avg_group_size: f64, Latest, Count, "Average group size of the last schedule (S_g).";
+        /// jmp entries published during this run (finished + unfinished
+        /// publications that won their race).
+        jmp_inserts: u64, Sum, Count, "Jmp entries published (finished + unfinished).";
+        /// Jmp entries dropped by selective invalidation across every
+        /// [`crate::AnalysisSession::apply_delta`] folded in. A **counter**
+        /// (sums across batches/deltas), not a gauge: each invalidation is a
+        /// distinct event, unlike `store_entries`' residency snapshots.
+        invalidated_jmps: u64, Sum, Count, "Jmp entries dropped by selective invalidation.";
+        /// Jmp entries that *survived* selective invalidation, summed over
+        /// deltas — the reuse the footprints bought. Also a counter: an entry
+        /// surviving two deltas is two retention events.
+        retained_warm: u64, Sum, Count, "Jmp entries that survived a selective invalidation.";
+    }
+    structured {
+        /// Per-worker dispatch observability: one record per worker, filled
+        /// by the demand batch driver on every executor (a sequential run has
+        /// one worker; only the threaded backend has lock wait to report).
+        /// Session merges sum the records per worker slot across batches.
+        pub workers: Vec<WorkerObs>,
+        /// Latency histograms (query latency, lock wait, group makespan),
+        /// merged slot-wise across workers and batches. Units are nanoseconds
+        /// under real execution, traversal steps under the simulator.
+        pub hists: ObsHists,
+        /// Source-compatibility shims for the frozen `benchmark/` crate: the
+        /// matrix engine's sweep counters (DESIGN.md §11). Nothing writes or
+        /// merges them; they read 0.
+        #[doc(hidden)]
+        pub packed_gathers: u64,
+        #[doc(hidden)]
+        pub csr_fallback_rows: u64,
+        #[doc(hidden)]
+        pub pool_wakes: u64,
+        #[doc(hidden)]
+        pub pool_dispatch_ns: u64,
+    }
 }
 
 impl RunStats {
@@ -120,48 +284,19 @@ impl RunStats {
     }
 
     /// Merges another accumulator: per-thread partials within a run, or a
-    /// finished batch into a session's cumulative stats. Counters (and the
-    /// additive time measures `makespan`/`wall`/`batches`) sum — `warm_hits`
-    /// and `evictions` are true per-batch counters (warm hits are counted
-    /// per query; evictions are scoped per batch handle), so summing them
-    /// across batches is exact; `peak_mem_items` takes the max. Gauge
-    /// fields (`jmp_edges`, `jmp_bytes`, `store_entries`,
-    /// `avg_group_size`, `interner_ctxs`) describe *current* shared state,
-    /// not accumulation: when `other` is a finished batch
+    /// finished batch into a session's cumulative stats. Each scalar folds
+    /// by its declared [`MergeClass`]. `Latest` rows describe *current*
+    /// shared state, not accumulation: when `other` is a finished batch
     /// (`other.batches > 0`) they take `other`'s observation verbatim —
     /// including zero, which is a real residency report (an earlier
     /// non-zero-only rule let a drained store keep reporting a stale
     /// count). Per-thread partials within a run carry `batches == 0` and
     /// no gauge observations, so intra-run merging leaves gauges alone.
-    /// Per-worker records sum slot-wise, growing the vector as needed.
+    /// Histograms merge; per-worker records sum slot-wise, growing the
+    /// vector as needed.
     pub fn merge(&mut self, other: &RunStats) {
-        self.queries += other.queries;
-        self.completed += other.completed;
-        self.out_of_budget += other.out_of_budget;
-        self.early_terminations += other.early_terminations;
-        self.charged_steps += other.charged_steps;
-        self.traversed_steps += other.traversed_steps;
-        self.steps_saved += other.steps_saved;
-        self.shortcuts_taken += other.shortcuts_taken;
-        self.warm_hits += other.warm_hits;
-        self.evictions += other.evictions;
-        self.jmp_inserts += other.jmp_inserts;
-        self.invalidated_jmps += other.invalidated_jmps;
-        self.retained_warm += other.retained_warm;
+        self.merge_scalars(other);
         self.hists.merge(&other.hists);
-        self.mem_items += other.mem_items;
-        self.peak_mem_items = self.peak_mem_items.max(other.peak_mem_items);
-        self.peak_state_words = self.peak_state_words.max(other.peak_state_words);
-        self.makespan += other.makespan;
-        self.wall += other.wall;
-        self.batches += other.batches;
-        if other.batches > 0 {
-            self.jmp_edges = other.jmp_edges;
-            self.jmp_bytes = other.jmp_bytes;
-            self.store_entries = other.store_entries;
-            self.avg_group_size = other.avg_group_size;
-            self.interner_ctxs = other.interner_ctxs;
-        }
         for (i, w) in other.workers.iter().enumerate() {
             if self.workers.len() <= i {
                 self.workers.push(WorkerObs::new(i));
@@ -370,134 +505,71 @@ mod tests {
         assert_eq!(cum.interner_ctxs, 9, "gauge follows the latest batch");
     }
 
-    /// Pins the merge class of *every* `RunStats` field. The batch
-    /// literals name each field explicitly (no `..Default::default()`),
-    /// so adding a field without classifying it here fails to compile —
-    /// the guard that caught the invalidation counters being introduced
-    /// as latest-wins gauges when each delta's drops must sum.
+    /// For every [`RunStats::SCHEMA`] row: merging finished batches folds
+    /// it by its declared class, and the session's Prometheus page carries
+    /// it under the matching `# TYPE`. (That the declared classes are the
+    /// right ones is `merge_counters_equal_sums_across_batches`' job; a
+    /// row cannot be declared without one.)
     #[test]
-    fn merge_class_of_every_field_is_pinned() {
-        use parcfl_concurrent::WorkerObs;
-        let hist_of = |v: u64| {
-            let mut h = ObsHists::default();
-            h.query_latency.record(v);
-            h
+    fn every_schema_row_merges_by_its_class_and_is_exported() {
+        let read = |s: &RunStats| -> Vec<f64> {
+            s.scalars()
+                .map(|(_, v)| match v {
+                    Value::Int(v) => v as f64,
+                    Value::Float(v) => v,
+                })
+                .collect()
         };
-        let batch = |k: u64| RunStats {
-            // Counters: sum across batches.
-            queries: k as usize,
-            completed: k as usize,
-            out_of_budget: k as usize,
-            early_terminations: k as usize,
-            charged_steps: k,
-            traversed_steps: k,
-            steps_saved: k,
-            shortcuts_taken: k,
-            warm_hits: k,
-            evictions: k,
-            jmp_inserts: k,
-            invalidated_jmps: k,
-            retained_warm: k,
-            mem_items: k,
-            // Additive time measures: sum.
-            makespan: k,
-            wall: std::time::Duration::from_nanos(k),
+        let (a, b) = (RunStats::sample(10), RunStats::sample(3));
+        // A batch that ends with a drained store and did nothing else.
+        let zero = RunStats {
             batches: 1,
-            // Peaks: max.
-            peak_mem_items: k,
-            peak_state_words: k,
-            // Gauges: latest batch's observation wins.
-            store_entries: k as usize,
-            jmp_edges: k as usize,
-            jmp_bytes: k as usize,
-            avg_group_size: k as f64,
-            interner_ctxs: k as usize,
-            // Structured: workers sum slot-wise, hists merge.
-            workers: vec![WorkerObs {
-                worker: 0,
-                local_pops: k,
-                ..WorkerObs::default()
-            }],
-            hists: hist_of(k),
-            // Frozen-benchmark shims: never written, never merged.
-            packed_gathers: 0,
-            csr_fallback_rows: 0,
-            pool_wakes: 0,
-            pool_dispatch_ns: 0,
+            ..RunStats::default()
         };
         let mut cum = RunStats::default();
-        cum.merge(&batch(10));
-        cum.merge(&batch(3));
-        // Counters sum.
-        assert_eq!(cum.queries, 13);
-        assert_eq!(cum.completed, 13);
-        assert_eq!(cum.out_of_budget, 13);
-        assert_eq!(cum.early_terminations, 13);
-        assert_eq!(cum.charged_steps, 13);
-        assert_eq!(cum.traversed_steps, 13);
-        assert_eq!(cum.steps_saved, 13);
-        assert_eq!(cum.shortcuts_taken, 13);
-        assert_eq!(cum.warm_hits, 13);
-        assert_eq!(cum.evictions, 13);
-        assert_eq!(cum.jmp_inserts, 13);
-        assert_eq!(cum.invalidated_jmps, 13, "invalidations SUM, not latest");
-        assert_eq!(cum.retained_warm, 13, "retention events SUM, not latest");
-        assert_eq!(cum.mem_items, 13);
-        // Additive time.
-        assert_eq!(cum.makespan, 13);
-        assert_eq!(cum.wall, std::time::Duration::from_nanos(13));
-        assert_eq!(cum.batches, 2);
-        // Peaks max.
-        assert_eq!(cum.peak_mem_items, 10);
-        assert_eq!(cum.peak_state_words, 10);
-        // Gauges take the latest batch.
-        assert_eq!(cum.store_entries, 3);
-        assert_eq!(cum.jmp_edges, 3);
-        assert_eq!(cum.jmp_bytes, 3);
-        assert_eq!(cum.avg_group_size, 3.0);
-        assert_eq!(cum.interner_ctxs, 3);
-        // Structured.
-        assert_eq!(cum.workers.len(), 1);
-        assert_eq!(cum.workers[0].local_pops, 13);
-        assert_eq!(cum.hists.query_latency.count(), 2);
-    }
+        cum.merge(&a);
+        cum.merge(&b);
+        let mut drained = cum.clone();
+        drained.merge(&zero);
+        // A per-thread partial carries `batches == 0` and no observations.
+        let mut partial = cum.clone();
+        partial.merge(&RunStats::default());
 
-    #[test]
-    fn merge_gauges_take_latest_even_when_zero() {
-        // Regression: `store_entries` (and the other gauges) report
-        // *current* residency. A batch that ends with a drained store must
-        // overwrite the previous batch's non-zero observation — summing
-        // (or keeping the stale non-zero value) inflates session stats.
-        let mut cum = RunStats::default();
-        cum.merge(&RunStats {
-            store_entries: 9,
-            jmp_edges: 12,
-            jmp_bytes: 300,
-            avg_group_size: 2.0,
-            batches: 1,
-            ..RunStats::default()
-        });
-        cum.merge(&RunStats {
-            store_entries: 0,
-            jmp_edges: 0,
-            jmp_bytes: 0,
-            avg_group_size: 0.0,
-            batches: 1,
-            ..RunStats::default()
-        });
-        assert_eq!(cum.store_entries, 0, "gauge follows the latest batch");
-        assert_eq!(cum.jmp_edges, 0);
-        assert_eq!(cum.jmp_bytes, 0);
-        assert_eq!(cum.avg_group_size, 0.0);
-        assert_eq!(cum.batches, 2);
-        // A per-thread partial (batches == 0) never clobbers gauges.
-        let mut batch = RunStats {
-            store_entries: 7,
-            batches: 1,
-            ..RunStats::default()
-        };
-        batch.merge(&RunStats::default());
-        assert_eq!(batch.store_entries, 7, "partials carry no observations");
+        let pag = parcfl_frontend::build_pag(
+            "class Obj { } class A { method m() { var x: Obj; x = new Obj; } }",
+        )
+        .unwrap()
+        .pag;
+        let mut session = crate::AnalysisSession::new(&pag);
+        session.submit_seq(&pag.application_locals());
+        let page = session.metrics_snapshot();
+
+        let (a, b, zero) = (read(&a), read(&b), read(&zero));
+        let (cum, drained, partial) = (read(&cum), read(&drained), read(&partial));
+        assert_eq!(cum.len(), RunStats::SCHEMA.len());
+        for (i, m) in RunStats::SCHEMA.iter().enumerate() {
+            assert!(
+                a[i] > b[i] && b[i] > zero[i],
+                "{}: distinct samples",
+                m.name
+            );
+            let (want, want_drained, kind) = match m.class {
+                MergeClass::Sum => (a[i] + b[i], a[i] + b[i] + zero[i], "counter"),
+                MergeClass::Max => (a[i], a[i], "gauge"),
+                // Latest-wins includes a zero observation.
+                MergeClass::Latest => (b[i], zero[i], "gauge"),
+            };
+            assert_eq!(cum[i], want, "{} merges as {:?}", m.name, m.class);
+            assert_eq!(drained[i], want_drained, "{} after a drained batch", m.name);
+            assert_eq!(partial[i], cum[i], "{}: a partial never clobbers", m.name);
+            let series = m.prom_name();
+            assert_eq!(series.ends_with("_total"), kind == "counter", "{series}");
+            assert!(
+                page.contains(&format!("# TYPE {series} {kind}\n")),
+                "{page}"
+            );
+            assert!(page.contains(&format!("\n{series} ")), "{series}: {page}");
+        }
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! which is why there is no second dispatcher (DESIGN.md §7).
 //!
 //! This is the production implementation — correct on any core count.
-//! (Wall-clock speedups require real cores; the evaluation harness uses the
-//! simulated backend for speedup *shapes* on this single-core machine, see
-//! DESIGN.md.)
+//! (Wall-clock speedups require real cores; the evaluation host has two
+//! vCPUs, so the harness uses the simulated backend for speedup *shapes*
+//! beyond two threads, see DESIGN.md.)
 
 use crate::batch::{Batch, Clock};
 use crate::mode::RunConfig;

@@ -14,14 +14,12 @@ use crate::groups::Groups;
 use parcfl_concurrent::FxHashMap;
 use parcfl_pag::algo::{longest_path_through, tarjan_scc};
 use parcfl_pag::{NodeId, Pag};
-use rayon::prelude::*;
 
 /// Connection distances for every query variable, computed per group.
 pub fn connection_distances(pag: &Pag, groups: &Groups) -> FxHashMap<NodeId, u64> {
-    // Groups are independent: compute them in parallel (rayon).
     let per_group: Vec<Vec<(NodeId, u64)>> = groups
         .component_nodes
-        .par_iter()
+        .iter()
         .map(|nodes| group_cds(pag, nodes))
         .collect();
     let mut out = FxHashMap::default();

@@ -10,7 +10,7 @@
 //!              [--level spans|full] [--threaded] [--budget N] [--insensitive]
 //! parcfl gen   <benchmark-name>
 //! parcfl why   <file.mj> --var NAME [--budget N] [--insensitive]
-//! parcfl bench-diff <baseline.json> <current.json> [--gate MODE] [--report PATH]
+//! parcfl bench-diff <baseline.json> <current.json> [--report PATH]
 //! parcfl check [--fuzz N] [--seed S] [--no-shrink] [--chaos] [--delta]
 //!              [--chaos-invalidation] [--out PATH]
 //! parcfl check --replay <file.snap>
@@ -57,7 +57,7 @@ fn main() {
         "stats" => (cmd_stats, &[], &[]),
         "dot" => (cmd_dot, &[], &[]),
         "bench" => (cmd_bench, &["--threads", "--mode"], &["--threaded"]),
-        "bench-diff" => (cmd_bench_diff, &["--gate", "--report"], &[]),
+        "bench-diff" => (cmd_bench_diff, &["--report"], &[]),
         "check" => (
             cmd_check,
             &["--fuzz", "--seed", "--out", "--replay"],
@@ -121,15 +121,13 @@ USAGE:
       Run one Table-I benchmark and report the speedup over SeqCFL.
       --threaded uses real OS threads instead of the virtual-time
       simulator and reports the work-list contention they saw.
-  parcfl bench-diff <baseline.json> <current.json> [--gate none|deterministic|all]
-               [--report PATH]
+  parcfl bench-diff <baseline.json> <current.json> [--report PATH]
       Compare two BENCH_solver.json artifacts (table2 output). Exact
-      equality is required of every deterministic per-row counter
-      (traversed steps, makespan, peak state words, interned contexts,
-      ...); wall_ms regressions beyond 30% are warnings. Exit 1
-      when the selected gate fails: --gate deterministic (default) fails
-      on counter drift, --gate all additionally on wall regressions,
-      --gate none never. --report also writes the findings to PATH.
+      equality is required of every deterministic per-row metric — every
+      RunStats counter but host-clock time (traversed steps, makespan,
+      jmp edges, peak state words, ...). Exit 1 on counter drift, on a
+      gated key missing from the current artifact and on a missing row.
+      --report also writes the findings to PATH.
   parcfl trace <file.mj> [--out PATH] [--threads N] [--mode naive|d|dq]
                [--level spans|full] [--threaded] [--budget N] [--insensitive]
       Answer every application-local query with event tracing on and
@@ -355,19 +353,12 @@ fn cmd_trace(args: &[String]) {
 }
 
 fn cmd_bench_diff(args: &[String]) {
-    use parcfl::bench::diff::{diff_files, GateMode};
+    use parcfl::bench::diff::diff_files;
 
     let paths: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
     let [baseline, current] = paths.as_slice() else {
         eprintln!("bench-diff requires a baseline and a current artifact path");
         exit(2);
-    };
-    let gate: GateMode = match flag_value(args, "--gate") {
-        Some(g) => g.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2);
-        }),
-        None => GateMode::Deterministic,
     };
     let report = diff_files(baseline, current).unwrap_or_else(|e| {
         eprintln!("{e}");
@@ -381,7 +372,7 @@ fn cmd_bench_diff(args: &[String]) {
         });
     }
     outln!("{}", rendered.trim_end());
-    if report.failed(gate) {
+    if report.failed() {
         exit(1);
     }
 }
