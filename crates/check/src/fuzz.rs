@@ -17,7 +17,7 @@
 //! oracle/soundness checks then run against the *edited* graph
 //! ([`Scenario::final_pag`]), and [`incremental_divergence`] additionally
 //! replays the edited graph cold — warm incremental answers must be
-//! bit-identical. The `chaos_invalidation` self-test skips invalidation
+//! bit-identical. The `skip_invalidation` self-test skips invalidation
 //! on purpose and expects the battery to fail.
 //!
 //! On the first failing iteration the scenario is (optionally) shrunk to
@@ -26,13 +26,14 @@
 
 use crate::andersen_check::check_soundness;
 use crate::diff::{diff_answers, OracleCache};
+use crate::inject::{Fault, SimPerturb};
 use crate::oracle::OracleConfig;
 use crate::seed::derive;
 use crate::shrink::{shrink, ShrinkStats};
 use crate::snapshot::Scenario;
 use parcfl_core::{SolverConfig, StateBackend};
 use parcfl_pag::{DeltaOp, EdgeKind};
-use parcfl_runtime::{Backend, Mode, SimPerturb, TraceLevel};
+use parcfl_runtime::{Backend, Mode, TraceLevel};
 use parcfl_synth::mutate::sample_edits;
 use parcfl_synth::{build_bench, Profile};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -49,10 +50,10 @@ pub struct FuzzConfig {
     /// Every `n`-th iteration runs on real threads instead of the
     /// simulator (0 = simulator only).
     pub threaded_every: u64,
-    /// Fault injection self-test: enable
-    /// `SolverConfig::chaos_jmp_ignore_ctx` and bias scenarios toward the
-    /// sharing modes that expose it. The fuzzer is expected to FAIL when
-    /// this is on — it proves the harness catches real sharing bugs.
+    /// Fault injection self-test: set [`Fault::blind_jmp_keys`] and bias
+    /// scenarios toward the sharing modes that expose it. The fuzzer is
+    /// expected to FAIL when this is on — it proves the harness catches
+    /// real sharing bugs.
     pub chaos: bool,
     /// Include `Profile::small` in the program pool (otherwise tiny only).
     pub use_small: bool,
@@ -60,13 +61,13 @@ pub struct FuzzConfig {
     /// (simulated, ample-budget) iteration carries an edit script
     /// instead of one in four.
     pub delta: bool,
-    /// Fault injection self-test for the incremental path: enable
-    /// `SolverConfig::chaos_skip_invalidation` (deltas swap the graph
+    /// Fault injection self-test for the incremental path: set
+    /// [`Fault::skip_invalidation`] (deltas swap the graph
     /// but leave every warm jmp entry stale) and bias scenarios
     /// toward sharing modes, zero τ and ample budgets so the stale
     /// state is re-served. The fuzzer is expected to FAIL when this is
     /// on — it proves the battery catches broken invalidation.
-    pub chaos_invalidation: bool,
+    pub skip_invalidation: bool,
 }
 
 impl Default for FuzzConfig {
@@ -79,7 +80,7 @@ impl Default for FuzzConfig {
             chaos: false,
             use_small: true,
             delta: false,
-            chaos_invalidation: false,
+            skip_invalidation: false,
         }
     }
 }
@@ -287,7 +288,7 @@ fn sample_scenario(cfg: &FuzzConfig, i: u64) -> Scenario {
     // Both fault-injection self-tests want the same scenario shape:
     // micro graphs (shrinkable), sharing modes (stale entries get
     // re-served), ample budgets and zero τ (everything publishes).
-    let chaoslike = cfg.chaos || cfg.chaos_invalidation;
+    let chaoslike = cfg.chaos || cfg.skip_invalidation;
     let profile_seed = rng.random_range(0u64..1 << 32);
     let profile = if chaoslike {
         // Chaos runs exist to be shrunk: start from the smallest graphs
@@ -351,8 +352,6 @@ fn sample_scenario(cfg: &FuzzConfig, i: u64) -> Scenario {
         tau_finished,
         tau_unfinished,
         context_sensitive: cfg.chaos || rng.random_bool(0.85),
-        chaos_jmp_ignore_ctx: cfg.chaos,
-        chaos_skip_invalidation: cfg.chaos_invalidation,
         // Backend dimension: hash and dense must be indistinguishable in
         // every differential and soundness check.
         state: if rng.random_bool(0.5) {
@@ -369,7 +368,7 @@ fn sample_scenario(cfg: &FuzzConfig, i: u64) -> Scenario {
     // forces it, the invalidation self-test requires it. Ops may cancel
     // to no-ops on purpose (the zero-invalidation path is a dimension
     // too).
-    let deltas = if cfg.chaos_invalidation
+    let deltas = if cfg.skip_invalidation
         || (!cfg.chaos
             && backend == Backend::Simulated
             && ample
@@ -453,6 +452,10 @@ fn sample_scenario(cfg: &FuzzConfig, i: u64) -> Scenario {
         store_cap,
         trace_level,
         deltas,
+        fault: Fault {
+            blind_jmp_keys: cfg.chaos,
+            skip_invalidation: cfg.skip_invalidation,
+        },
     }
 }
 
@@ -513,7 +516,7 @@ mod tests {
     #[test]
     fn invalidation_self_test_shrinks_to_a_program_with_an_edit() {
         let report = run_fuzz(&FuzzConfig {
-            chaos_invalidation: true,
+            skip_invalidation: true,
             ..FuzzConfig::default()
         });
         let sc = report.failure.expect("the fault is caught").scenario;

@@ -23,6 +23,7 @@
 pub mod andersen_check;
 pub mod diff;
 pub mod fuzz;
+pub mod inject;
 pub mod oracle;
 pub mod seed;
 pub mod shrink;
@@ -34,6 +35,7 @@ pub use fuzz::{
     failure_detail, incremental_divergence, run_fuzz, scenario_fails, FuzzConfig, FuzzFailure,
     FuzzReport,
 };
+pub use inject::{Fault, SimPerturb};
 pub use oracle::{IncompleteReason, Oracle, OracleAnswer, OracleConfig};
 pub use seed::{test_seed, DEFAULT_SEED, SEED_ENV};
 pub use shrink::{shrink, ShrinkStats};

@@ -122,7 +122,7 @@ pub fn shrink(scenario: Scenario, fails: &dyn Fn(&Scenario) -> bool) -> (Scenari
             |s| s.solver.state = parcfl_core::StateBackend::default(),
             |s| s.trace_level = parcfl_runtime::TraceLevel::Off,
             |s| s.deltas.clear(),
-            |s| s.solver.chaos_skip_invalidation = false,
+            |s| s.fault.skip_invalidation = false,
         ];
         for step in steps {
             let mut candidate = cur.clone();
@@ -137,7 +137,7 @@ pub fn shrink(scenario: Scenario, fails: &dyn Fn(&Scenario) -> bool) -> (Scenari
                 && candidate.solver.state == cur.solver.state
                 && candidate.trace_level == cur.trace_level
                 && candidate.deltas == cur.deltas
-                && candidate.solver.chaos_skip_invalidation == cur.solver.chaos_skip_invalidation
+                && candidate.fault.skip_invalidation == cur.fault.skip_invalidation
             {
                 continue; // no-op for this scenario
             }

@@ -40,21 +40,24 @@
 //! [`parcfl_runtime::AnalysisSession`], applies each op as its own
 //! [`PagDelta`] (selective invalidation), re-submits after each, and
 //! reports the final warm answers. The optional `chaosinval=1` run key
-//! enables [`SolverConfig::chaos_skip_invalidation`] — the fault
-//! injection that swaps the graph without invalidating warm state, which
+//! sets [`Fault::skip_invalidation`] — the fault injection that answers
+//! every revision of the graph from one never-invalidated store, which
 //! the differential battery must catch. Both keys are omitted when
-//! inactive so legacy snapshots stay byte-identical. The session path
-//! has no simulator perturbation hook, so `perturb` is ignored for
-//! delta scenarios (the fuzzer never samples both).
+//! inactive so legacy snapshots stay byte-identical. A session takes no
+//! simulator hook and prices a fetch at one step, so `perturb`, `chaos=`
+//! and `fetch=` do not reach a replay through one (the fuzzer samples
+//! neither of the first two with an edit script).
 
-use parcfl_core::{SolverConfig, StateBackend};
+use crate::inject::{replay_reusing_store, Fault, Inject, SimPerturb};
+use parcfl_core::{SharedJmpStore, SolverConfig, StateBackend};
 use parcfl_pag::{
     CallSiteId, DeltaOp, Edge, EdgeKind, FieldId, NodeId, NodeInfo, NodeKind, Pag, PagBuilder,
     PagDelta,
 };
+use parcfl_runtime::sim::run_simulated_hooked;
 use parcfl_runtime::{
-    run_simulated_batch, run_threaded, schedule_with_cap, AnalysisSession, Backend, DeltaReport,
-    Mode, RunConfig, RunResult, SimPerturb, TraceLevel,
+    run_threaded, schedule_with_cap, AnalysisSession, Backend, DeltaReport, Mode, RunConfig,
+    RunResult, TraceLevel,
 };
 use parcfl_synth::mutate::canonical_types;
 use std::fmt::Write as _;
@@ -72,8 +75,7 @@ pub struct Scenario {
     pub backend: Backend,
     /// Worker count.
     pub threads: usize,
-    /// Solver knobs (budget, τ, sensitivity, fault injection);
-    /// `data_sharing` is overridden by `mode` at run time.
+    /// Solver knobs (budget, τ, sensitivity, state backend).
     pub solver: SolverConfig,
     /// Simulated cost of one work-list fetch.
     pub fetch_cost: u64,
@@ -90,6 +92,8 @@ pub struct Scenario {
     /// that answers cold, applies each op as its own delta (selective
     /// invalidation of jmp/schedule state) and re-queries warm.
     pub deltas: Vec<DeltaOp>,
+    /// Injected faults (none in anything but the harness's self-tests).
+    pub fault: Fault,
 }
 
 impl Scenario {
@@ -98,9 +102,16 @@ impl Scenario {
         let mut cfg =
             RunConfig::new(self.mode, self.threads, self.backend).with_solver(self.solver.clone());
         cfg.fetch_cost = self.fetch_cost;
-        cfg.perturb = self.perturb;
         cfg.tracing = self.trace_level;
         cfg
+    }
+
+    /// An empty simulator store under the scenario's cap.
+    pub(crate) fn fresh_store(&self) -> SharedJmpStore {
+        match self.store_cap {
+            Some(cap) => SharedJmpStore::timestamped().with_max_entries(cap),
+            None => SharedJmpStore::timestamped(),
+        }
     }
 
     /// Replays the scenario once and returns the answers. Scenarios
@@ -114,12 +125,10 @@ impl Scenario {
         match self.backend {
             Backend::Threaded => run_threaded(&self.pag, &self.queries, &cfg),
             Backend::Simulated => {
-                let store = match self.store_cap {
-                    Some(cap) => parcfl_core::SharedJmpStore::timestamped().with_max_entries(cap),
-                    None => parcfl_core::SharedJmpStore::timestamped(),
-                };
+                let store = self.fresh_store();
                 let schedule = schedule_with_cap(&self.pag, &self.queries, self.mode, None);
-                run_simulated_batch(&self.pag, &schedule, &cfg, &store, 0).0
+                let mut inject = Inject::new(self, &store);
+                run_simulated_hooked(&self.pag, &schedule, &cfg, &store, 0, &mut inject).0
             }
         }
     }
@@ -129,13 +138,16 @@ impl Scenario {
     /// through [`AnalysisSession::apply_delta`] (selective warm-state
     /// invalidation) and re-submits the same queries. Returns the final
     /// warm result, the edited graph, and one [`DeltaReport`] per op.
-    /// `perturb` has no session hook and is ignored here.
+    /// With [`Fault::skip_invalidation`] there is no session and nothing
+    /// is invalidated: the same batches run against one store.
     pub fn run_incremental(&self) -> (RunResult, Pag, Vec<DeltaReport>) {
+        if self.fault.skip_invalidation {
+            return replay_reusing_store(self);
+        }
         let mut session = AnalysisSession::new(&self.pag)
             .with_threads(self.threads)
             .with_solver(self.solver.clone())
-            .with_tracing(self.trace_level)
-            .with_fetch_cost(self.fetch_cost);
+            .with_tracing(self.trace_level);
         if let Some(cap) = self.store_cap {
             session = session.with_store_budget(cap);
         }
@@ -192,7 +204,7 @@ impl Scenario {
             self.solver.tau_finished,
             self.solver.tau_unfinished,
             self.solver.context_sensitive as u8,
-            self.solver.chaos_jmp_ignore_ctx as u8,
+            self.fault.blind_jmp_keys as u8,
             self.solver.state.name(),
             match self.trace_level {
                 TraceLevel::Off => "off",
@@ -205,7 +217,7 @@ impl Scenario {
         if !self.deltas.is_empty() {
             let _ = write!(s, " delta={}", self.deltas.len());
         }
-        if self.solver.chaos_skip_invalidation {
+        if self.fault.skip_invalidation {
             s.push_str(" chaosinval=1");
         }
         s.push('\n');
@@ -279,6 +291,7 @@ impl Scenario {
         let mut queries: Vec<NodeId> = Vec::new();
         let mut edges: Vec<(NodeId, NodeId, EdgeKind)> = Vec::new();
         let mut deltas: Vec<DeltaOp> = Vec::new();
+        let mut fault = Fault::default();
 
         for (ln, raw_line) in text.lines().enumerate() {
             let line = raw_line.split('#').next().unwrap_or("").trim();
@@ -315,7 +328,7 @@ impl Scenario {
                             "tauf" => solver.tau_finished = parse(v, &err)?,
                             "tauu" => solver.tau_unfinished = parse(v, &err)?,
                             "ctx" => solver.context_sensitive = parse::<u8, _>(v, &err)? != 0,
-                            "chaos" => solver.chaos_jmp_ignore_ctx = parse::<u8, _>(v, &err)? != 0,
+                            "chaos" => fault.blind_jmp_keys = parse::<u8, _>(v, &err)? != 0,
                             // `engine`/`packed` selected the matrix engine
                             // and its scan path, `memo` per-query
                             // memoisation; snapshots written while they
@@ -339,9 +352,7 @@ impl Scenario {
                             // pre-incremental corpus files: no edit
                             // script, no fault injection.
                             "delta" => declared_deltas = Some(parse(v, &err)?),
-                            "chaosinval" => {
-                                solver.chaos_skip_invalidation = parse::<u8, _>(v, &err)? != 0
-                            }
+                            "chaosinval" => fault.skip_invalidation = parse::<u8, _>(v, &err)? != 0,
                             _ => return Err(err(format!("unknown run key `{k}`"))),
                         }
                     }
@@ -502,6 +513,7 @@ impl Scenario {
             store_cap,
             trace_level,
             deltas,
+            fault,
         })
     }
 }
@@ -580,6 +592,7 @@ mod tests {
             store_cap: Some(32),
             trace_level: TraceLevel::Off,
             deltas: vec![],
+            fault: Fault::default(),
         }
     }
 
@@ -601,6 +614,7 @@ mod tests {
         assert_eq!(back.perturb, sc.perturb);
         assert_eq!(back.store_cap, sc.store_cap);
         assert_eq!(back.trace_level, sc.trace_level);
+        assert_eq!(back.fault, sc.fault);
         // Serialising the parsed scenario reproduces the text exactly.
         assert_eq!(back.to_snapshot(), text);
     }
@@ -665,7 +679,7 @@ mod tests {
         let mut sc = sample_scenario();
         // Sessions have no perturbation hook; delta scenarios carry none.
         sc.perturb = None;
-        sc.solver.chaos_skip_invalidation = true;
+        sc.fault.skip_invalidation = true;
         let e0 = sc.pag.edges()[0];
         sc.deltas = vec![
             DeltaOp::RemoveEdge(e0),
@@ -680,7 +694,7 @@ mod tests {
         assert!(text.contains(" chaosinval=1"), "fault key serialised");
         let back = Scenario::from_snapshot(&text).expect("parse");
         assert_eq!(back.deltas, sc.deltas);
-        assert!(back.solver.chaos_skip_invalidation);
+        assert!(back.fault.skip_invalidation);
         assert_eq!(back.to_snapshot(), text, "byte-identical round trip");
 
         // A scenario without edits emits neither key nor any delta line.

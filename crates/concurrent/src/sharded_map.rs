@@ -138,18 +138,6 @@ impl<K: Eq + Hash, V> ShardedMap<K, V> {
         self.shards.len()
     }
 
-    /// Visits every entry of shard `shard` under its read lock. Together
-    /// with [`Self::shard_count`] this lets callers sweep the map
-    /// incrementally without holding more than one shard lock at a time.
-    ///
-    /// # Panics
-    /// If `shard >= self.shard_count()`.
-    pub fn for_each_in_shard(&self, shard: usize, mut f: impl FnMut(&K, &V)) {
-        for (k, v) in self.shards[shard].read().iter() {
-            f(k, v);
-        }
-    }
-
     /// Visits every entry under per-shard read locks.
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
         for s in &self.shards {
@@ -293,12 +281,10 @@ mod tests {
         }
         assert_eq!(m.shard_count(), 8);
         let mut seen = Vec::new();
-        for s in 0..m.shard_count() {
-            m.for_each_in_shard(s, |k, v| {
-                assert_eq!(*v, *k * 3);
-                seen.push(*k);
-            });
-        }
+        m.for_each(|k, v| {
+            assert_eq!(*v, *k * 3);
+            seen.push(*k);
+        });
         seen.sort_unstable();
         assert_eq!(seen, (0..64).collect::<Vec<_>>());
     }

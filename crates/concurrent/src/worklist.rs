@@ -95,13 +95,6 @@ impl<T> SharedWorkList<T> {
         (q.pop_front(), wait)
     }
 
-    /// Fetches up to `n` items in one lock acquisition.
-    pub fn pop_batch(&self, n: usize) -> Vec<T> {
-        let mut q = self.queue.lock();
-        let take = n.min(q.len());
-        q.drain(..take).collect()
-    }
-
     /// Number of queued items.
     pub fn len(&self) -> usize {
         self.queue.lock().len()
@@ -173,14 +166,6 @@ mod tests {
         let mut obs = WorkerObs::new(0);
         let drained: Vec<u32> = std::iter::from_fn(|| q.next(0, &mut obs)).collect();
         assert_eq!(drained, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pop_batch_bounds() {
-        let w = SharedWorkList::with_items(0..10);
-        assert_eq!(w.pop_batch(3), vec![0, 1, 2]);
-        assert_eq!(w.pop_batch(100), (3..10).collect::<Vec<_>>());
-        assert!(w.pop_batch(5).is_empty());
     }
 
     #[test]

@@ -65,9 +65,6 @@ pub struct SolverConfig {
     /// `τU`: an unfinished `jmp(s) ⇒ O` edge is published only when
     /// `s ≥ τU` (paper: 10,000).
     pub tau_unfinished: u64,
-    /// Whether the data-sharing scheme (Algorithm 2) is active. Off for
-    /// `SeqCFL` and the naive parallel mode.
-    pub data_sharing: bool,
     /// Whether calling contexts are tracked (`param`/`ret` matched as
     /// balanced parentheses). Off = field-sensitive-only analysis, grammar
     /// (2) with all assignment kinds merged.
@@ -77,13 +74,6 @@ pub struct SolverConfig {
     /// Guards the OS stack; the paper's algorithm would reach the same
     /// outcome by exhausting `B` a little later.
     pub max_recursion_depth: u32,
-    /// Session accounting boundary: a jmp-store hit on an entry created
-    /// *before* this virtual instant counts as a warm (cross-batch) hit in
-    /// [`crate::QueryStats::warm_hits`]. Batch runners set it to the
-    /// batch's base virtual time; 0 (the default) means every entry is
-    /// same-batch and nothing counts as warm. Pure accounting — it never
-    /// affects answers or visibility.
-    pub warm_floor: u64,
     /// Visited-state table representation (see [`StateBackend`]). Purely a
     /// performance/memory choice: answers and costs are bit-identical
     /// across backends.
@@ -95,21 +85,6 @@ pub struct SolverConfig {
     /// `apply_delta` force it on. Pure metadata — answers, step counts and
     /// publication decisions are bit-identical either way.
     pub record_footprints: bool,
-    /// **Fault injection, tests only.** Drops the context component from
-    /// jmp-store keys: shortcuts recorded for `ReachableNodes(x, c)` are
-    /// served to calls at *any* context of `x`, which is unsound whenever
-    /// the reachable sets differ per context. `parcfl-check` flips this to
-    /// prove its differential fuzzer catches (and its shrinker minimises)
-    /// real data-sharing bugs; nothing else may set it.
-    #[doc(hidden)]
-    pub chaos_jmp_ignore_ctx: bool,
-    /// **Fault injection, tests only.** Makes `apply_delta` swap the graph
-    /// *without* invalidating any jmp/schedule entries, leaving stale
-    /// answers warm. `parcfl-check` flips this to prove the incremental
-    /// differential fuzzer catches (and its shrinker minimises) broken
-    /// invalidation; nothing else may set it.
-    #[doc(hidden)]
-    pub chaos_skip_invalidation: bool,
 }
 
 impl Default for SolverConfig {
@@ -118,14 +93,10 @@ impl Default for SolverConfig {
             budget: 75_000,
             tau_finished: 100,
             tau_unfinished: 10_000,
-            data_sharing: false,
             context_sensitive: true,
             max_recursion_depth: 512,
-            warm_floor: 0,
             state: StateBackend::default(),
             record_footprints: false,
-            chaos_jmp_ignore_ctx: false,
-            chaos_skip_invalidation: false,
         }
     }
 }
@@ -134,12 +105,6 @@ impl SolverConfig {
     /// The paper's sequential baseline `SeqCFL`.
     pub fn sequential() -> Self {
         SolverConfig::default()
-    }
-
-    /// Data sharing enabled (the `D` of `ParCFL_D`).
-    pub fn with_data_sharing(mut self) -> Self {
-        self.data_sharing = true;
-        self
     }
 
     /// Overrides the budget.
@@ -153,12 +118,6 @@ impl SolverConfig {
     pub fn without_tau_thresholds(mut self) -> Self {
         self.tau_finished = 0;
         self.tau_unfinished = 0;
-        self
-    }
-
-    /// Sets the warm-hit accounting boundary (see the field docs).
-    pub fn with_warm_floor(mut self, floor: u64) -> Self {
-        self.warm_floor = floor;
         self
     }
 
@@ -186,7 +145,6 @@ mod tests {
         assert_eq!(c.budget, 75_000);
         assert_eq!(c.tau_finished, 100);
         assert_eq!(c.tau_unfinished, 10_000);
-        assert!(!c.data_sharing);
         assert!(c.context_sensitive);
     }
 
@@ -202,10 +160,8 @@ mod tests {
     #[test]
     fn builders() {
         let c = SolverConfig::sequential()
-            .with_data_sharing()
             .with_budget(5)
             .without_tau_thresholds();
-        assert!(c.data_sharing);
         assert_eq!(c.budget, 5);
         assert_eq!(c.tau_finished, 0);
         assert_eq!(c.tau_unfinished, 0);

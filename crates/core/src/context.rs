@@ -70,26 +70,6 @@ impl Ctx {
         Ctx { stack }
     }
 
-    /// Backward-traversal step over a `param_i` edge: allowed when the
-    /// stack is empty (partially balanced) or the top matches `site`.
-    /// Returns the context to continue with, or `None` when the path is
-    /// unrealisable.
-    pub fn match_backward_param(&self, site: CallSiteId) -> Option<Ctx> {
-        if self.is_empty() {
-            Some(self.clone())
-        } else if self.top() == Some(site) {
-            Some(self.pop())
-        } else {
-            None
-        }
-    }
-
-    /// Forward-traversal step over a `ret_i` edge (the dual of
-    /// [`Ctx::match_backward_param`]).
-    pub fn match_forward_ret(&self, site: CallSiteId) -> Option<Ctx> {
-        self.match_backward_param(site)
-    }
-
     /// Builds a context from a bottom-to-top call-site stack.
     pub fn from_stack(stack: Vec<u32>) -> Ctx {
         Ctx { stack }
@@ -164,16 +144,17 @@ mod tests {
         let i = CallSiteId::new(5);
         let j = CallSiteId::new(6);
         let empty = Ctx::empty();
-        // Empty context: partially balanced paths allowed; context stays
-        // empty.
-        assert_eq!(empty.match_backward_param(i), Some(Ctx::empty()));
+        // What a backward `param_i` step reads (the solver's `Pop`): an
+        // empty context has no top to match and stays empty (partially
+        // balanced paths are allowed) …
+        assert_eq!(empty.top(), None);
+        assert_eq!(empty.pop(), empty);
+        // … a top equal to the edge's site is popped, any other top makes
+        // the path unrealisable.
         let c = empty.push(i);
-        assert_eq!(c.match_backward_param(i), Some(Ctx::empty()));
-        assert_eq!(
-            c.match_backward_param(j),
-            None,
-            "mismatched site is unrealisable"
-        );
+        assert_eq!(c.top(), Some(i));
+        assert_eq!(c.pop(), empty);
+        assert_ne!(c.top(), Some(j), "mismatched site is unrealisable");
     }
 
     #[test]
@@ -230,16 +211,5 @@ mod depth_tests {
             c = c.pop();
         }
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn match_forward_ret_is_dual_of_backward_param() {
-        let i = CallSiteId::new(3);
-        let c = Ctx::empty().push(i);
-        assert_eq!(c.match_forward_ret(i), c.match_backward_param(i));
-        assert_eq!(
-            Ctx::empty().match_forward_ret(i),
-            Ctx::empty().match_backward_param(i)
-        );
     }
 }

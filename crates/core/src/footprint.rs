@@ -272,6 +272,7 @@ mod tests {
             added_nodes: vec![],
             added_methods: vec![],
             revision: 1,
+            rejected_ops: 0,
         };
         let d = DirtySet::from_effect(&effect);
         assert_eq!(d.node_count(), 4);

@@ -139,93 +139,66 @@ impl JmpStoreStats {
     }
 }
 
-/// Abstract jmp store: the solver is generic over whether/how sharing
-/// happens.
+/// A visible entry and the reverse-dependency footprint it was published
+/// with (`None` when the publisher recorded none).
+pub type JmpHit = (JmpEntry, Option<Arc<Footprint>>);
+
+/// What crosses the solver↔store boundary: the three calls Algorithm 2
+/// makes, and the interner that gives the ids in keys and payloads their
+/// meaning. Everything else a store can do — statistics, iteration,
+/// eviction, invalidation — belongs to whoever owns the store, and lives
+/// on [`SharedJmpStore`] itself.
 pub trait JmpStore: Sync {
-    /// Looks up the entry under `key` visible at virtual time `now`.
-    fn lookup(&self, key: &JmpKey, now: u64) -> Option<JmpEntry>;
+    /// Looks up the entry under `key` visible at virtual time `now`. A
+    /// reader that is itself recording absorbs the hit's footprint — or
+    /// poisons its own when the hit has none.
+    fn lookup(&self, key: &JmpKey, now: u64) -> Option<JmpHit>;
 
     /// Publishes a finished entry (already filtered by `τF` at the call
-    /// site). Returns `true` if the entry was stored.
-    fn publish_finished(&self, key: JmpKey, total_steps: u64, rch: RchSet, now: u64) -> bool;
-
-    /// Publishes an unfinished entry (already filtered by `τU`). First
-    /// writer wins. Returns `true` if stored.
-    fn publish_unfinished(&self, key: JmpKey, s: u64, now: u64) -> bool;
-
-    /// [`JmpStore::publish_finished`] with an optional reverse-dependency
-    /// footprint for selective invalidation (DESIGN.md §12). The default
-    /// drops the footprint — stores that never invalidate don't pay to
-    /// keep it. Unfinished entries never carry footprints: their `s` bound
-    /// summarises an *aborted* traversal whose full read-set was never
-    /// seen, so they are unconditionally invalidated by every delta.
-    fn publish_finished_fp(
+    /// site), with the recording traversal's footprint when it kept one
+    /// (selective invalidation, DESIGN.md §12). Returns `true` if the
+    /// entry was stored. Unfinished entries never carry footprints: their
+    /// `s` bound summarises an *aborted* traversal whose full read-set was
+    /// never seen, so they are unconditionally invalidated by every delta.
+    fn publish_finished(
         &self,
         key: JmpKey,
         total_steps: u64,
         rch: RchSet,
         now: u64,
-        _fp: Option<Arc<Footprint>>,
-    ) -> bool {
-        self.publish_finished(key, total_steps, rch, now)
-    }
+        fp: Option<Arc<Footprint>>,
+    ) -> bool;
 
-    /// [`JmpStore::lookup`] returning the entry's footprint too (`None`
-    /// when the store keeps none). Readers that are themselves recording a
-    /// footprint absorb the hit's footprint — or poison their own when the
-    /// hit has none.
-    fn lookup_fp(&self, key: &JmpKey, now: u64) -> Option<(JmpEntry, Option<Arc<Footprint>>)> {
-        self.lookup(key, now).map(|e| (e, None))
-    }
+    /// Publishes an unfinished entry (already filtered by `τU`). First
+    /// writer wins. Returns `true` if stored.
+    fn publish_unfinished(&self, key: JmpKey, s: u64, now: u64) -> bool;
 
-    /// Store-wide statistics.
-    fn stats(&self) -> JmpStoreStats;
-
-    /// Visits every entry (for Fig. 7 histograms).
-    fn for_each(&self, f: &mut dyn FnMut(&JmpKey, &JmpEntry));
-
-    /// Approximate extra memory held by the store, in bytes (Section
-    /// IV-D5).
-    fn approx_bytes(&self) -> usize;
-
-    /// Entries currently resident (0 for stores that never hold any).
-    fn entry_count(&self) -> usize {
-        0
-    }
-
-    /// Keeps only the entries for which `f` returns `true`; returns the
-    /// number removed. Sessions use this to drop stale entries wholesale.
-    fn retain(&self, _f: &mut dyn FnMut(&JmpKey, &JmpEntry) -> bool) -> usize {
-        0
-    }
-
-    /// Enforces the store's entry budget, evicting down to it if
-    /// exceeded; returns the number of entries evicted. A no-op for
-    /// unbounded stores.
-    fn evict_to_budget(&self) -> usize {
-        0
-    }
-
-    /// The context interner whose ids this store's keys and payloads use,
-    /// if it carries one. Solvers sharing a store must share its interner
-    /// (ids are only meaningful within one interner); a store without one
-    /// ([`NoJmpStore`]) lets each solver use a private interner.
-    fn ctx_interner(&self) -> Option<Arc<CtxInterner>> {
-        None
-    }
+    /// The context interner whose ids this store's keys and payloads use.
+    /// Solvers sharing a store must share its interner (ids are only
+    /// meaningful within one interner). `None` says the store holds
+    /// nothing ([`NoJmpStore`]): a solver built over it decides, once, not
+    /// to share at all, and uses a private interner.
+    fn ctx_interner(&self) -> Option<Arc<CtxInterner>>;
 }
 
 /// A store that never shares anything: `SeqCFL` and the naive parallel
-/// strategy.
+/// strategy. A [`crate::Solver`] built over it never calls it.
 #[derive(Debug, Default)]
 pub struct NoJmpStore;
 
 impl JmpStore for NoJmpStore {
-    fn lookup(&self, _key: &JmpKey, _now: u64) -> Option<JmpEntry> {
+    fn lookup(&self, _key: &JmpKey, _now: u64) -> Option<JmpHit> {
         None
     }
 
-    fn publish_finished(&self, _k: JmpKey, _t: u64, _r: RchSet, _n: u64) -> bool {
+    fn publish_finished(
+        &self,
+        _k: JmpKey,
+        _t: u64,
+        _r: RchSet,
+        _n: u64,
+        _fp: Option<Arc<Footprint>>,
+    ) -> bool {
         false
     }
 
@@ -233,14 +206,8 @@ impl JmpStore for NoJmpStore {
         false
     }
 
-    fn stats(&self) -> JmpStoreStats {
-        JmpStoreStats::default()
-    }
-
-    fn for_each(&self, _f: &mut dyn FnMut(&JmpKey, &JmpEntry)) {}
-
-    fn approx_bytes(&self) -> usize {
-        0
+    fn ctx_interner(&self) -> Option<Arc<CtxInterner>> {
+        None
     }
 }
 
@@ -251,7 +218,7 @@ struct Stored {
     entry: JmpEntry,
     /// Reverse-dependency footprint of the recording traversal, when the
     /// publisher recorded one ([`crate::SolverConfig::record_footprints`]).
-    /// Deliberately excluded from [`JmpStore::approx_bytes`]: it is
+    /// Deliberately excluded from [`SharedJmpStore::approx_bytes`]: it is
     /// invalidation metadata, not answer payload, and keeping it out holds
     /// the gated bench memory fields stable whether recording is on or
     /// off.
@@ -280,9 +247,10 @@ struct StoreInner {
 
 /// The concurrent shared store (the paper's `ConcurrentHashMap`).
 ///
-/// `Arc`-backed: [`Clone`] and the `*_view` constructors produce handles to
-/// the *same* underlying entries, so a session can hand a long-lived store
-/// to successive batch runs (and to real-thread workers) without copying.
+/// `Arc`-backed: [`Clone`], [`Self::untimestamped_view`] and
+/// [`Self::scoped`] produce handles to the *same* underlying entries, so a
+/// session can hand a long-lived store to successive batch runs (and to
+/// real-thread workers) without copying.
 pub struct SharedJmpStore {
     inner: Arc<StoreInner>,
     /// When set, `lookup` enforces virtual-time visibility (the simulator
@@ -356,16 +324,6 @@ impl SharedJmpStore {
         }
     }
 
-    /// A handle onto the same entries with virtual-time visibility ON.
-    /// The eviction scope is shared with `self`.
-    pub fn timestamped_view(&self) -> SharedJmpStore {
-        SharedJmpStore {
-            inner: Arc::clone(&self.inner),
-            timestamped: true,
-            scope_evictions: Arc::clone(&self.scope_evictions),
-        }
-    }
-
     /// A handle onto the same entries with a *fresh* eviction scope:
     /// [`Self::scope_evictions`] on the returned handle counts only the
     /// evictions this handle's own publishes/retains trigger. Batch runs
@@ -383,11 +341,6 @@ impl SharedJmpStore {
     /// Evictions attributed to this handle's scope (see [`Self::scoped`]).
     pub fn scope_evictions(&self) -> u64 {
         self.scope_evictions.load(Ordering::Relaxed)
-    }
-
-    /// Whether lookups on this handle enforce virtual-time visibility.
-    pub fn is_timestamped(&self) -> bool {
-        self.timestamped
     }
 
     /// The store's context interner (shared by every handle and view).
@@ -460,12 +413,14 @@ impl SharedJmpStore {
         (removed as u64, retained)
     }
 
-    /// Evicts down to the budget if over it. Victim order: finished
+    /// Evicts down to the budget if over it, returning the number of
+    /// entries evicted; a no-op for unbounded stores. Every publish that
+    /// stores an entry ends with one. Victim order: finished
     /// entries before unfinished, then least-recently-used, then fewest
     /// steps saved (see the module docs for the policy rationale). The
     /// count is a snapshot — concurrent publishes may transiently leave
     /// the store slightly over budget until the next publish sweeps again.
-    fn enforce_budget(&self) -> usize {
+    pub fn evict_to_budget(&self) -> usize {
         let Some(budget) = self.inner.max_entries else {
             return 0;
         };
@@ -497,6 +452,60 @@ impl SharedJmpStore {
             .fetch_add(removed as u64, Ordering::Relaxed);
         removed
     }
+
+    /// Store-wide statistics.
+    pub fn stats(&self) -> JmpStoreStats {
+        let mut st = JmpStoreStats {
+            evictions: self.evictions(),
+            lookup_hits: self.lookup_hits(),
+            ..JmpStoreStats::default()
+        };
+        self.inner.map.for_each(|_, stored| match &stored.entry {
+            JmpEntry::Finished { rch, .. } => {
+                st.finished_entries += 1;
+                st.finished_edges += rch.len();
+            }
+            JmpEntry::Unfinished { .. } => st.unfinished += 1,
+        });
+        st
+    }
+
+    /// Visits every entry (for Fig. 7 histograms).
+    pub fn for_each(&self, mut f: impl FnMut(&JmpKey, &JmpEntry)) {
+        self.inner.map.for_each(|k, st| f(k, &st.entry));
+    }
+
+    /// Approximate extra memory held by the store, in bytes (Section
+    /// IV-D5).
+    pub fn approx_bytes(&self) -> usize {
+        // Keys are fixed-size; only the finished payload vectors and the
+        // (shared, amortised) interner add to the per-entry cost.
+        let mut bytes = self.inner.map.approx_bytes() + self.inner.interner.approx_bytes();
+        self.inner.map.for_each(|_, st| {
+            if let JmpEntry::Finished { rch, .. } = &st.entry {
+                bytes += rch.len() * std::mem::size_of::<(NodeId, CtxId)>();
+            }
+        });
+        bytes
+    }
+
+    /// Entries currently resident.
+    pub fn entry_count(&self) -> usize {
+        self.inner.map.len()
+    }
+
+    /// Keeps only the entries for which `f` returns `true`; returns the
+    /// number removed, which counts as evicted (store-wide and in this
+    /// handle's scope).
+    pub fn retain(&self, mut f: impl FnMut(&JmpKey, &JmpEntry) -> bool) -> usize {
+        let removed = self.inner.map.retain(|k, st| f(k, &st.entry));
+        self.inner
+            .evictions
+            .fetch_add(removed as u64, Ordering::Relaxed);
+        self.scope_evictions
+            .fetch_add(removed as u64, Ordering::Relaxed);
+        removed
+    }
 }
 
 impl Default for SharedJmpStore {
@@ -506,7 +515,7 @@ impl Default for SharedJmpStore {
 }
 
 impl JmpStore for SharedJmpStore {
-    fn lookup(&self, key: &JmpKey, now: u64) -> Option<JmpEntry> {
+    fn lookup(&self, key: &JmpKey, now: u64) -> Option<JmpHit> {
         let timestamped = self.timestamped;
         let hit = self
             .inner
@@ -516,22 +525,15 @@ impl JmpStore for SharedJmpStore {
                     return None;
                 }
                 st.hits.fetch_add(1, Ordering::Relaxed);
-                st.last_use.store(
-                    self.inner.access_clock.fetch_add(1, Ordering::Relaxed) + 1,
-                    Ordering::Relaxed,
-                );
-                Some(st.entry.clone())
+                st.last_use.store(self.tick(), Ordering::Relaxed);
+                Some((st.entry.clone(), st.fp.clone()))
             })
             .flatten()?;
         self.inner.lookup_hits.fetch_add(1, Ordering::Relaxed);
         Some(hit)
     }
 
-    fn publish_finished(&self, key: JmpKey, total_steps: u64, rch: RchSet, now: u64) -> bool {
-        self.publish_finished_fp(key, total_steps, rch, now, None)
-    }
-
-    fn publish_finished_fp(
+    fn publish_finished(
         &self,
         key: JmpKey,
         total_steps: u64,
@@ -558,30 +560,9 @@ impl JmpStore for SharedJmpStore {
             Some(_) => None,
         });
         if inserted {
-            self.enforce_budget();
+            self.evict_to_budget();
         }
         inserted
-    }
-
-    fn lookup_fp(&self, key: &JmpKey, now: u64) -> Option<(JmpEntry, Option<Arc<Footprint>>)> {
-        let timestamped = self.timestamped;
-        let hit = self
-            .inner
-            .map
-            .with(key, |st| {
-                if timestamped && st.entry.created_at() > now {
-                    return None;
-                }
-                st.hits.fetch_add(1, Ordering::Relaxed);
-                st.last_use.store(
-                    self.inner.access_clock.fetch_add(1, Ordering::Relaxed) + 1,
-                    Ordering::Relaxed,
-                );
-                Some((st.entry.clone(), st.fp.clone()))
-            })
-            .flatten()?;
-        self.inner.lookup_hits.fetch_add(1, Ordering::Relaxed);
-        Some(hit)
     }
 
     fn publish_unfinished(&self, key: JmpKey, s: u64, now: u64) -> bool {
@@ -590,59 +571,9 @@ impl JmpStore for SharedJmpStore {
             self.stored(JmpEntry::Unfinished { s, created_at: now }, None),
         );
         if inserted {
-            self.enforce_budget();
+            self.evict_to_budget();
         }
         inserted
-    }
-
-    fn stats(&self) -> JmpStoreStats {
-        let mut st = JmpStoreStats {
-            evictions: self.evictions(),
-            lookup_hits: self.lookup_hits(),
-            ..JmpStoreStats::default()
-        };
-        self.inner.map.for_each(|_, stored| match &stored.entry {
-            JmpEntry::Finished { rch, .. } => {
-                st.finished_entries += 1;
-                st.finished_edges += rch.len();
-            }
-            JmpEntry::Unfinished { .. } => st.unfinished += 1,
-        });
-        st
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(&JmpKey, &JmpEntry)) {
-        self.inner.map.for_each(|k, st| f(k, &st.entry));
-    }
-
-    fn approx_bytes(&self) -> usize {
-        // Keys are fixed-size now; only the finished payload vectors and
-        // the (shared, amortised) interner add to the per-entry cost.
-        let mut bytes = self.inner.map.approx_bytes() + self.inner.interner.approx_bytes();
-        self.inner.map.for_each(|_, st| {
-            if let JmpEntry::Finished { rch, .. } = &st.entry {
-                bytes += rch.len() * std::mem::size_of::<(NodeId, CtxId)>();
-            }
-        });
-        bytes
-    }
-
-    fn entry_count(&self) -> usize {
-        self.inner.map.len()
-    }
-
-    fn retain(&self, f: &mut dyn FnMut(&JmpKey, &JmpEntry) -> bool) -> usize {
-        let removed = self.inner.map.retain(|k, st| f(k, &st.entry));
-        self.inner
-            .evictions
-            .fetch_add(removed as u64, Ordering::Relaxed);
-        self.scope_evictions
-            .fetch_add(removed as u64, Ordering::Relaxed);
-        removed
-    }
-
-    fn evict_to_budget(&self) -> usize {
-        self.enforce_budget()
     }
 
     fn ctx_interner(&self) -> Option<Arc<CtxInterner>> {
@@ -658,24 +589,30 @@ mod tests {
         (Dir::Bwd, NodeId::new(n), CtxId::EMPTY)
     }
 
+    /// A footprint-less finished publish of an empty set.
+    fn publish(s: &SharedJmpStore, n: u32, total_steps: u64) -> bool {
+        s.publish_finished(key(n), total_steps, Arc::new(vec![]), 0, None)
+    }
+
+    fn entry(s: &SharedJmpStore, n: u32, now: u64) -> Option<JmpEntry> {
+        s.lookup(&key(n), now).map(|(e, _)| e)
+    }
+
     #[test]
     fn no_store_is_inert() {
         let s = NoJmpStore;
-        assert!(!s.publish_finished(key(1), 10, Arc::new(vec![]), 0));
+        assert!(!s.publish_finished(key(1), 10, Arc::new(vec![]), 0, None));
         assert!(!s.publish_unfinished(key(1), 10, 0));
         assert!(s.lookup(&key(1), u64::MAX).is_none());
-        assert_eq!(s.stats().total_edges(), 0);
-        assert_eq!(s.approx_bytes(), 0);
-        assert_eq!(s.entry_count(), 0);
-        assert_eq!(s.evict_to_budget(), 0);
+        assert!(s.ctx_interner().is_none());
     }
 
     #[test]
     fn finished_roundtrip_and_stats() {
         let s = SharedJmpStore::new();
         let rch = Arc::new(vec![(NodeId::new(9), CtxId::EMPTY)]);
-        assert!(s.publish_finished(key(1), 250, rch, 0));
-        match s.lookup(&key(1), 0) {
+        assert!(s.publish_finished(key(1), 250, rch, 0, None));
+        match entry(&s, 1, 0) {
             Some(JmpEntry::Finished {
                 total_steps, rch, ..
             }) => {
@@ -701,7 +638,7 @@ mod tests {
         let s = SharedJmpStore::new();
         assert!(s.publish_unfinished(key(2), 100, 0));
         assert!(!s.publish_unfinished(key(2), 999, 0), "first writer wins");
-        match s.lookup(&key(2), 0) {
+        match entry(&s, 2, 0) {
             Some(JmpEntry::Unfinished { s, .. }) => assert_eq!(s, 100),
             other => panic!("{other:?}"),
         }
@@ -715,15 +652,15 @@ mod tests {
         // early-termination evidence.
         let s = SharedJmpStore::new();
         assert!(s.publish_unfinished(key(3), 50, 0));
-        assert!(!s.publish_finished(key(3), 70, Arc::new(vec![]), 0));
+        assert!(!publish(&s, 3, 70));
         assert!(matches!(
-            s.lookup(&key(3), 0),
+            entry(&s, 3, 0),
             Some(JmpEntry::Unfinished { s: 50, .. })
         ));
         // A second finished publish after a first finished one is a no-op.
-        assert!(s.publish_finished(key(4), 70, Arc::new(vec![]), 0));
-        assert!(!s.publish_finished(key(4), 71, Arc::new(vec![]), 0));
-        match s.lookup(&key(4), 0) {
+        assert!(publish(&s, 4, 70));
+        assert!(!publish(&s, 4, 71));
+        match entry(&s, 4, 0) {
             Some(JmpEntry::Finished { total_steps, .. }) => assert_eq!(total_steps, 70),
             other => panic!("{other:?}"),
         }
@@ -770,11 +707,12 @@ mod tests {
         view.publish_unfinished(key(8), 20, 950);
         assert_eq!(master.entry_count(), 2);
         assert!(master.lookup(&key(8), 950).is_some());
-        assert!(master.timestamped_view().is_timestamped());
-        assert!(!view.is_timestamped());
         let cloned = master.clone();
         assert_eq!(cloned.entry_count(), 2);
-        assert!(cloned.is_timestamped());
+        assert!(
+            cloned.lookup(&key(7), 0).is_none(),
+            "a clone keeps visibility"
+        );
     }
 
     #[test]
@@ -805,7 +743,7 @@ mod tests {
         assert_eq!(s.max_entries(), Some(3));
         // Three finished entries with distinct costs.
         for (n, cost) in [(1u32, 500u64), (2, 100), (3, 900)] {
-            assert!(s.publish_finished(key(n), cost, Arc::new(vec![]), 0));
+            assert!(publish(&s, n, cost));
         }
         assert_eq!(s.entry_count(), 3);
         assert_eq!(s.evictions(), 0, "at budget, nothing evicted");
@@ -814,7 +752,7 @@ mod tests {
         // tie-break within a recency class, not across).
         s.lookup(&key(1), 0);
         s.lookup(&key(2), 0);
-        assert!(s.publish_finished(key(4), 50, Arc::new(vec![]), 0));
+        assert!(publish(&s, 4, 50));
         assert_eq!(s.entry_count(), 3, "budget enforced");
         assert_eq!(s.evictions(), 1);
         assert!(s.lookup(&key(3), 0).is_none(), "LRU entry evicted");
@@ -831,7 +769,7 @@ mod tests {
         // the finished entry is evicted even though the unfinished one is
         // staler — unfinished evidence is irreplaceable (DESIGN.md §7).
         assert!(s.publish_unfinished(key(1), 10_000, 0));
-        assert!(s.publish_finished(key(2), 5_000, Arc::new(vec![]), 0));
+        assert!(publish(&s, 2, 5_000));
         assert!(s.publish_unfinished(key(3), 20_000, 0));
         assert_eq!(s.entry_count(), 2);
         assert!(s.lookup(&key(2), 0).is_none(), "finished entry sacrificed");
@@ -847,8 +785,8 @@ mod tests {
     fn retain_drops_matching_entries_and_counts_as_eviction() {
         let s = SharedJmpStore::new();
         s.publish_unfinished(key(1), 10, 0);
-        s.publish_finished(key(2), 200, Arc::new(vec![]), 0);
-        let removed = JmpStore::retain(&s, &mut |_, e| e.is_finished());
+        publish(&s, 2, 200);
+        let removed = s.retain(|_, e| e.is_finished());
         assert_eq!(removed, 1);
         assert_eq!(s.entry_count(), 1);
         assert!(s.lookup(&key(2), 0).is_some());
@@ -872,13 +810,13 @@ mod tests {
         let s = SharedJmpStore::new();
         let mut b = FpBuilder::new();
         b.record_node(NodeId::new(42));
-        assert!(s.publish_finished_fp(key(1), 100, Arc::new(vec![]), 0, b.finish()));
+        assert!(s.publish_finished(key(1), 100, Arc::new(vec![]), 0, b.finish()));
         // A footprint-less finished entry and an unfinished one.
-        assert!(s.publish_finished(key(2), 100, Arc::new(vec![]), 0));
+        assert!(publish(&s, 2, 100));
         assert!(s.publish_unfinished(key(3), 10_000, 0));
-        let (_, got) = s.lookup_fp(&key(1), 0).unwrap();
+        let (_, got) = s.lookup(&key(1), 0).unwrap();
         assert!(got.unwrap().touches_node(NodeId::new(42)));
-        assert!(s.lookup_fp(&key(2), 0).unwrap().1.is_none());
+        assert!(s.lookup(&key(2), 0).unwrap().1.is_none());
         // Disjoint dirty set: the footprinted entry survives; the
         // footprint-less and unfinished ones are unconditionally dropped.
         let mut d = DirtySet::default();
@@ -895,11 +833,13 @@ mod tests {
 
     #[test]
     fn default_fp_methods_drop_footprints() {
-        // NoJmpStore exercises the trait's default publish_finished_fp /
-        // lookup_fp implementations.
+        // A store that shares nothing has nowhere to keep a footprint.
+        use crate::footprint::FpBuilder;
+        let mut b = FpBuilder::new();
+        b.record_node(NodeId::new(1));
         let s = NoJmpStore;
-        assert!(!s.publish_finished_fp(key(1), 10, Arc::new(vec![]), 0, None));
-        assert!(s.lookup_fp(&key(1), 0).is_none());
+        assert!(!s.publish_finished(key(1), 10, Arc::new(vec![]), 0, b.finish()));
+        assert!(s.lookup(&key(1), 0).is_none());
     }
 
     #[test]

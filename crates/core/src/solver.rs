@@ -140,11 +140,16 @@ const PUSH_CACHE_BITS: u32 = 12;
 pub struct Solver<'a> {
     pag: &'a Pag,
     cfg: &'a SolverConfig,
-    jmp: &'a dyn JmpStore,
+    /// The jmp store, when there is one to share through: whether the
+    /// data-sharing scheme (Algorithm 2) is active is decided by the store
+    /// handed to [`Solver::new`], once, there.
+    jmp: Option<&'a dyn JmpStore>,
     /// The interner giving meaning to every `CtxId` this solver produces.
     /// Taken from the jmp store when it carries one (all solvers sharing a
     /// store must agree on ids); private to this solver otherwise.
     interner: Arc<CtxInterner>,
+    /// Batch accounting boundary (see [`Solver::warm_before`]).
+    warm_before: u64,
     /// Per-worker event sink for hot-path instants; the runtime only
     /// attaches one at `TraceLevel::Full` (see [`Solver::with_recorder`]).
     rec: Option<&'a TraceRecorder>,
@@ -163,16 +168,18 @@ enum Backend {
 
 impl<'a> Solver<'a> {
     /// Creates a solver over `pag` with the given configuration and jmp
-    /// store (use [`crate::jmp::NoJmpStore`] when sharing is disabled).
+    /// store. The store *is* the sharing decision: one that carries an
+    /// interner ([`crate::SharedJmpStore`]) is read and published to as
+    /// Algorithm 2 says; one that carries none ([`crate::NoJmpStore`]) is
+    /// never called, which is `SeqCFL` and the naive parallel mode.
     pub fn new(pag: &'a Pag, cfg: &'a SolverConfig, jmp: &'a dyn JmpStore) -> Self {
-        let interner = jmp
-            .ctx_interner()
-            .unwrap_or_else(|| Arc::new(CtxInterner::new()));
+        let shared = jmp.ctx_interner();
         Solver {
             pag,
             cfg,
-            jmp,
-            interner,
+            jmp: shared.is_some().then_some(jmp),
+            interner: shared.unwrap_or_else(|| Arc::new(CtxInterner::new())),
+            warm_before: 0,
             rec: None,
             scratch: match cfg.state {
                 StateBackend::Hash => Backend::Hash(Scratch::default()),
@@ -187,6 +194,17 @@ impl<'a> Solver<'a> {
     /// recorder or wall time under a real one.
     pub fn with_recorder(mut self, rec: &'a TraceRecorder) -> Self {
         self.rec = Some(rec);
+        self
+    }
+
+    /// Sets the batch accounting boundary: a jmp-store hit on an entry
+    /// created *before* this virtual instant counts as a warm (cross-batch)
+    /// hit in [`crate::QueryStats::warm_hits`]. A batch's lanes pass the
+    /// batch's base virtual time; at 0 (the default) every entry is
+    /// same-batch and nothing counts as warm. Pure accounting — it never
+    /// affects answers or visibility.
+    pub fn warm_before(mut self, instant: u64) -> Self {
+        self.warm_before = instant;
         self
     }
 
@@ -235,6 +253,7 @@ impl<'a> Solver<'a> {
             cfg: self.cfg,
             jmp: self.jmp,
             ctxs: &self.interner,
+            warm_before: self.warm_before,
             rec: self.rec,
         };
         match &mut self.scratch {
@@ -276,8 +295,9 @@ struct Walk<S> {
 struct Env<'a> {
     pag: &'a Pag,
     cfg: &'a SolverConfig,
-    jmp: &'a dyn JmpStore,
+    jmp: Option<&'a dyn JmpStore>,
     ctxs: &'a CtxInterner,
+    warm_before: u64,
     /// Event sink for hot-path instants (see [`Solver::with_recorder`]).
     rec: Option<&'a TraceRecorder>,
 }
@@ -333,8 +353,9 @@ struct Scratch<S> {
 struct QueryState<'a, S: StateSet> {
     pag: &'a Pag,
     cfg: &'a SolverConfig,
-    jmp: &'a dyn JmpStore,
+    jmp: Option<&'a dyn JmpStore>,
     ctxs: &'a CtxInterner,
+    warm_before: u64,
     rec: Option<&'a TraceRecorder>,
     s: &'a mut Scratch<S>,
     /// Steps charged against the budget (`steps` in the paper).
@@ -370,6 +391,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             cfg: env.cfg,
             jmp: env.jmp,
             ctxs: env.ctxs,
+            warm_before: env.warm_before,
             rec: env.rec,
             s,
             steps: 0,
@@ -556,12 +578,12 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         if early {
             self.stats.early_terminated = true;
         }
-        if self.cfg.data_sharing {
+        if let Some(jmp) = self.jmp {
             for i in 0..self.s.in_progress.len() {
                 let (dir, x, c, s0) = self.s.in_progress[i];
                 let s_val = self.cfg.budget.min(bdg + (self.steps - s0));
                 if s_val >= self.cfg.tau_unfinished
-                    && self.jmp.publish_unfinished((dir, x, c), s_val, self.now())
+                    && jmp.publish_unfinished((dir, x, c), s_val, self.now())
                 {
                     self.stats.unfinished_published += 1;
                     self.emit(EventKind::JmpInsert, x.raw(), 0);
@@ -773,22 +795,14 @@ impl<'a, S: StateSet> QueryState<'a, S> {
     // ----- REACHABLENODES (Algorithm 2) -----
 
     fn reachable_nodes(&mut self, x: NodeId, c: CtxId, dir: Dir) -> Result<Vec<IState>, Oob> {
-        // Fault injection (tests only, see `SolverConfig::chaos_jmp_ignore_ctx`):
-        // share jmp entries under a context-blind key, so a finished set
-        // recorded at one context is served to every context of `x`.
-        let blind = self.cfg.chaos_jmp_ignore_ctx;
-        let jmp_key = (dir, x, if blind { CtxId::EMPTY } else { c });
+        let jmp_key = (dir, x, c);
         let recording = self.cfg.record_footprints;
-        if self.cfg.data_sharing {
-            // When recording, the footprint rides along with the entry so
-            // a shortcut absorbs the recorded traversal's reads (an entry
-            // without one — warm pre-recording state — poisons the frame).
-            let hit = if recording {
-                self.jmp.lookup_fp(&jmp_key, self.now())
-            } else {
-                self.jmp.lookup(&jmp_key, self.now()).map(|e| (e, None))
-            };
-            match hit {
+        if let Some(jmp) = self.jmp {
+            // The footprint rides along with the entry so a recording
+            // reader's shortcut absorbs the recorded traversal's reads (an
+            // entry without one — warm pre-recording state — poisons the
+            // frame).
+            match jmp.lookup(&jmp_key, self.now()) {
                 // Algorithm 2 lines 2–3: early termination when the
                 // remaining budget cannot cover the recorded lower bound.
                 // An unfinished entry with enough budget left falls through
@@ -796,7 +810,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
                 Some((JmpEntry::Unfinished { s, created_at }, _))
                     if self.cfg.budget.saturating_sub(self.steps) < s =>
                 {
-                    if created_at < self.cfg.warm_floor {
+                    if created_at < self.warm_before {
                         self.stats.warm_hits += 1;
                     }
                     self.emit(EventKind::EarlyTermination, x.raw(), 0);
@@ -820,7 +834,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
                     self.stats.steps_saved += total_steps;
                     let saved = u32::try_from(total_steps).unwrap_or(u32::MAX);
                     self.emit(EventKind::JmpHit, x.raw(), saved);
-                    if created_at < self.cfg.warm_floor {
+                    if created_at < self.warm_before {
                         self.stats.warm_hits += 1;
                     }
                     if let Some(frame) = self.s.fp_stack.last_mut() {
@@ -853,12 +867,9 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         // The set leaves its buffer, as one copy behind an `Arc`, only to
         // be shared: by a publication that clears `τF`.
         let total = self.steps - s0;
-        if self.cfg.data_sharing && total >= self.cfg.tau_finished {
+        if let Some(jmp) = self.jmp.filter(|_| total >= self.cfg.tau_finished) {
             let rch: RchSet = Arc::new(out.clone());
-            if self
-                .jmp
-                .publish_finished_fp(jmp_key, total, rch, self.now(), fp)
-            {
+            if jmp.publish_finished(jmp_key, total, rch, self.now(), fp) {
                 self.stats.finished_published += out.len().max(1) as u64;
                 self.emit(EventKind::JmpInsert, x.raw(), 1);
             }

@@ -1,6 +1,6 @@
 //! Per-query and aggregate statistics, plus the Fig. 7 jmp-edge histogram.
 
-use crate::jmp::{JmpEntry, JmpStore};
+use crate::jmp::{JmpEntry, SharedJmpStore};
 
 /// Statistics of a single query.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -109,9 +109,9 @@ impl JmpHistogram {
     /// Builds the histogram from a store's current contents. Each finished
     /// entry contributes one edge per recorded `(y, c'')` pair, all at the
     /// entry's total cost; each unfinished entry contributes one edge.
-    pub fn of(store: &dyn JmpStore) -> Self {
+    pub fn of(store: &SharedJmpStore) -> Self {
         let mut h = JmpHistogram::default();
-        store.for_each(&mut |_, e| match e {
+        store.for_each(|_, e| match e {
             JmpEntry::Finished {
                 total_steps, rch, ..
             } => {
@@ -139,7 +139,7 @@ impl JmpHistogram {
 mod tests {
     use super::*;
     use crate::context::Ctx;
-    use crate::jmp::{Dir, SharedJmpStore};
+    use crate::jmp::{Dir, JmpStore};
     use parcfl_concurrent::CtxId;
     use parcfl_pag::NodeId;
     use std::sync::Arc;
@@ -162,7 +162,7 @@ mod tests {
             (NodeId::new(1), CtxId::EMPTY),
             (NodeId::new(2), CtxId::EMPTY),
         ]);
-        s.publish_finished((Dir::Bwd, NodeId::new(0), CtxId::EMPTY), 130, rch, 0);
+        s.publish_finished((Dir::Bwd, NodeId::new(0), CtxId::EMPTY), 130, rch, 0, None);
         s.publish_unfinished((Dir::Bwd, NodeId::new(3), CtxId::EMPTY), 20_000, 0);
         let h = JmpHistogram::of(&s);
         assert_eq!(h.finished_total(), 2, "two edges in one finished set");

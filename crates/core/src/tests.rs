@@ -243,7 +243,6 @@ fn finished_shortcut_reused_across_queries() {
                }";
     let p = pag(src);
     let cfg = SolverConfig {
-        data_sharing: true,
         tau_finished: 0, // record every shortcut for this test
         tau_unfinished: 0,
         ..SolverConfig::default()
@@ -309,7 +308,6 @@ fn unfinished_jmp_causes_early_termination() {
                }";
     let p = pag(src);
     let cfg = SolverConfig {
-        data_sharing: true,
         tau_finished: 0,
         tau_unfinished: 0,
         budget: 5,
@@ -359,7 +357,6 @@ fn sharing_preserves_answers_program_wide() {
     let p = pag(src);
     let plain = SolverConfig::default();
     let sharing = SolverConfig {
-        data_sharing: true,
         tau_finished: 0,
         tau_unfinished: 0,
         ..SolverConfig::default()
@@ -393,7 +390,7 @@ fn tau_thresholds_suppress_publication() {
     let p = pag(src);
     // This tiny program's ReachableNodes costs only a handful of steps, far
     // below the paper's τF = 100: nothing may be recorded.
-    let cfg = SolverConfig::default().with_data_sharing();
+    let cfg = SolverConfig::default();
     let store = SharedJmpStore::new();
     let mut solver = Solver::new(&p, &cfg, &store);
     let out = solver.points_to_query(node(&p, "x@A.m"), 0);
@@ -433,7 +430,7 @@ enum Ask {
 /// solver created for each question — and holds every output of the
 /// first to the second, field for field. Each side publishes into its own
 /// store, so the two evolve in lockstep; both stores carry an interner,
-/// so context ids agree with sharing off too.
+/// so context ids agree when the thresholds let nothing be published too.
 fn reused_matches_fresh(p: &Pag, cfg: &SolverConfig, script: &[Ask]) -> Vec<QueryOutput> {
     let (reused_store, fresh_store) = (SharedJmpStore::new(), SharedJmpStore::new());
     let mut reused = Solver::new(p, cfg, &reused_store);
@@ -494,15 +491,14 @@ fn scratch_is_clean_after_budget_exhaustion() {
         Ask::Pts("x1@A.m"),
     ];
     for state in [StateBackend::Hash, StateBackend::Dense] {
-        for (data_sharing, record_footprints) in [(false, false), (true, false), (true, true)] {
+        for (publishing, record_footprints) in [(false, false), (true, false), (true, true)] {
             // Depth 1 admits PointsTo(x1) and burns the budget on entering
             // PointsTo(p); 512 lets the budget run out.
             for max_recursion_depth in [1, 512] {
                 let cfg = SolverConfig {
                     budget: 10,
-                    tau_finished: 0,
-                    tau_unfinished: 0,
-                    data_sharing,
+                    tau_finished: if publishing { 0 } else { u64::MAX },
+                    tau_unfinished: if publishing { 0 } else { u64::MAX },
                     record_footprints,
                     max_recursion_depth,
                     state,
@@ -516,7 +512,7 @@ fn scratch_is_clean_after_budget_exhaustion() {
                     "the rest completes: {cfg:?}"
                 );
                 assert!(outs[0].stats.state_words > 0);
-                if data_sharing {
+                if publishing {
                     assert!(outs[0].stats.unfinished_published > 0, "{cfg:?}");
                     assert!(outs[4].stats.early_terminated, "{cfg:?}");
                 }
@@ -555,7 +551,6 @@ fn timestamped_store_gates_visibility() {
                }";
     let p = pag(src);
     let cfg = SolverConfig {
-        data_sharing: true,
         tau_finished: 0,
         tau_unfinished: 0,
         ..SolverConfig::default()
@@ -712,7 +707,6 @@ fn early_termination_implies_out_of_budget_flag() {
                }";
     let p = pag(src);
     let cfg = SolverConfig {
-        data_sharing: true,
         tau_finished: 0,
         tau_unfinished: 0,
         budget: 5,

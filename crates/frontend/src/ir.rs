@@ -193,15 +193,6 @@ impl Program {
     pub fn method_count(&self) -> usize {
         self.classes.iter().map(|c| c.methods.len()).sum()
     }
-
-    /// Total number of statements.
-    pub fn stmt_count(&self) -> usize {
-        self.classes
-            .iter()
-            .flat_map(|c| &c.methods)
-            .map(|m| m.body.len())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -241,6 +232,5 @@ mod tests {
         assert!(p.class("A").is_some());
         assert!(p.class("B").is_none());
         assert_eq!(p.method_count(), 1);
-        assert_eq!(p.stmt_count(), 1);
     }
 }

@@ -110,20 +110,6 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Whether this kind is part of the span skeleton (recorded at
-    /// [`TraceLevel::Spans`]); everything else needs [`TraceLevel::Full`].
-    #[inline]
-    pub fn is_span(self) -> bool {
-        matches!(
-            self,
-            EventKind::QueryStart
-                | EventKind::QueryEnd
-                | EventKind::GroupDequeued
-                | EventKind::BatchStart
-                | EventKind::BatchEnd
-        )
-    }
-
     /// Short display name used by the exporters.
     pub fn label(self) -> &'static str {
         match self {
@@ -176,10 +162,6 @@ mod tests {
 
     #[test]
     fn span_kinds() {
-        assert!(EventKind::QueryStart.is_span());
-        assert!(EventKind::BatchEnd.is_span());
-        assert!(!EventKind::JmpHit.is_span());
-        assert!(!EventKind::Eviction.is_span());
         assert_eq!(EventKind::Eviction.label(), "eviction");
     }
 

@@ -40,14 +40,6 @@ impl SccResult {
     pub fn members_usize(&self, c: usize) -> impl Iterator<Item = usize> + '_ {
         self.members(c).iter().map(|&v| v as usize)
     }
-
-    /// Whether vertex `v` is in a non-trivial cycle: its component has more
-    /// than one member, or it has a self-loop (the caller must check
-    /// self-loops separately; this only reports component size).
-    pub fn in_multi_member_component(&self, v: usize) -> bool {
-        let c = self.comp[v] as usize;
-        (self.member_start[c + 1] - self.member_start[c]) > 1
-    }
 }
 
 /// Iterative Tarjan SCC over a graph with `n` vertices whose successors are
@@ -314,8 +306,6 @@ mod tests {
         assert_ne!(scc.component_of(0), scc.component_of(3));
         // Reverse topological order: 3's component is emitted first.
         assert!(scc.component_of(3) < scc.component_of(0));
-        assert!(scc.in_multi_member_component(0));
-        assert!(!scc.in_multi_member_component(3));
     }
 
     #[test]

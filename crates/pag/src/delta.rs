@@ -134,6 +134,11 @@ pub struct DeltaEffect {
     /// The revision of the resulting graph (unchanged when the delta was
     /// a no-op).
     pub revision: u64,
+    /// Edge ops that were not applied because an endpoint names no node
+    /// (of the graph or of this delta's appended ones). They change
+    /// nothing — not the edge set, the dirty sets or the revision — but a
+    /// caller that sent them should hear about it.
+    pub rejected_ops: u64,
 }
 
 impl DeltaEffect {
@@ -188,8 +193,9 @@ impl Pag {
     /// changes. The result is **bit-identical** to freezing the edited
     /// node/edge set from scratch (same CSR layout, same field indexes).
     ///
-    /// Ops referencing out-of-range nodes are ignored (callers that fuzz
-    /// edit scripts shrink node sets independently of the scripts).
+    /// Ops referencing out-of-range nodes are not applied (callers that
+    /// fuzz edit scripts shrink node sets independently of the scripts);
+    /// [`DeltaEffect::rejected_ops`] counts them.
     pub fn apply_delta(&self, delta: &PagDelta) -> (Pag, DeltaEffect) {
         let (mut nodes, edges, types, mut method_names, mut call_sites) = self.clone_parts();
         let old_rev = self.revision();
@@ -216,6 +222,7 @@ impl Pag {
         for op in &delta.ops {
             let e = op.edge();
             if e.src.index() >= n || e.dst.index() >= n {
+                effect.rejected_ops += 1;
                 continue;
             }
             match op {
@@ -473,6 +480,35 @@ mod tests {
         d.add_edge(NodeId::new(9_999), NodeId::new(0), EdgeKind::New);
         let (_, effect) = pag.apply_delta(&d);
         assert!(effect.is_noop());
+        assert_eq!((effect.rejected_ops, effect.revision), (1, 0));
+    }
+
+    /// A rejected op is counted and otherwise invisible: the in-range ops
+    /// of the same delta apply, and the revision and the dirty sets are
+    /// those of the delta without it.
+    #[test]
+    fn rejected_ops_are_counted_and_the_rest_applies() {
+        let pag = sample();
+        let n = pag.node_count() as u32;
+        let mut good = PagDelta::new();
+        good.add_edge(NodeId::new(3), NodeId::new(60), EdgeKind::AssignLocal);
+        let mut mixed = good.clone();
+        mixed
+            .remove_edge(NodeId::new(0), NodeId::new(n), EdgeKind::New)
+            .add_edge(NodeId::new(n + 7), NodeId::new(n), EdgeKind::AssignLocal);
+        let (want_pag, want) = pag.apply_delta(&good);
+        let (got_pag, got) = pag.apply_delta(&mixed);
+        assert_eq!((want.rejected_ops, got.rejected_ops), (0, 2));
+        assert_eq!(got_pag.edges(), want_pag.edges());
+        assert_eq!(got.revision, 1);
+        assert_eq!(
+            DeltaEffect {
+                rejected_ops: 0,
+                ..got
+            },
+            want,
+            "added edges, dirty sets and revision ignore the rejected ops"
+        );
     }
 
     #[test]

@@ -87,13 +87,6 @@ impl EdgeKind {
         )
     }
 
-    /// Whether the edge is any kind of assignment once calling contexts are
-    /// ignored (field-sensitive-only formulation, grammar (2)).
-    #[inline]
-    pub fn is_assign_like(self) -> bool {
-        self.is_direct()
-    }
-
     /// The field accessed, for `Load`/`Store` edges.
     #[inline]
     pub fn field(self) -> Option<FieldId> {

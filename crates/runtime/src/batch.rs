@@ -9,13 +9,13 @@
 //! [`crate::threaded`] has OS threads pop the shared work list. The choice
 //! is made once per batch; nothing here is dynamic per step.
 
+use crate::mode::RunConfig;
 use crate::stats::{RunResult, RunStats};
-use parcfl_concurrent::{CtxInterner, WorkerObs};
+use parcfl_concurrent::WorkerObs;
 use parcfl_core::{Answer, JmpStore, NoJmpStore, SharedJmpStore, Solver, SolverConfig};
 use parcfl_obs::{EventKind, RunTrace, TraceLevel, TraceRecorder, WorkerTrace};
 use parcfl_pag::{NodeId, Pag};
 use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The clock a batch's lanes read.
@@ -34,11 +34,13 @@ pub(crate) enum Clock {
 /// What every lane of one batch shares.
 pub(crate) struct Batch<'a> {
     pub pag: &'a Pag,
-    /// The batch's solver configuration, warm floor already applied.
     pub cfg: &'a SolverConfig,
-    /// The batch's jmp store; `None` runs without sharing ([`NoJmpStore`]).
+    /// The jmp store the batch shares through. `None` is the whole of "no
+    /// data sharing": the lanes' solvers get a [`NoJmpStore`] and the
+    /// epilogue has no store to report on.
     pub store: Option<&'a SharedJmpStore>,
-    /// The batch's base virtual time (0 for one-shot runs).
+    /// The batch's base virtual time (0 for one-shot runs): where its
+    /// lanes' clocks start and their solvers' warm floor.
     pub base: u64,
     pub tracing: TraceLevel,
     pub clock: Clock,
@@ -79,14 +81,8 @@ pub(crate) struct LaneDone {
     obs: WorkerObs,
     /// The lane's final virtual instant.
     end: u64,
-    interner: Arc<CtxInterner>,
-}
-
-fn jmp(store: Option<&SharedJmpStore>) -> &dyn JmpStore {
-    match store {
-        Some(store) => store,
-        None => &NoJmpStore,
-    }
+    /// Contexts in the lane's interner: the store's, or the lane's own.
+    ctxs: usize,
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -105,13 +101,43 @@ impl Port {
         self.store.as_ref().map_or(0, |s| s.scope_evictions())
     }
 
+    /// What the lane's solver is built over.
+    pub(crate) fn jmp(&self) -> &dyn JmpStore {
+        match &self.store {
+            Some(store) => store,
+            None => &NoJmpStore,
+        }
+    }
+
     /// Consumes the port into the lane's share of the run trace.
     pub(crate) fn into_trace(self, worker: usize) -> WorkerTrace {
         self.rec.into_trace(worker)
     }
 }
 
-impl Batch<'_> {
+impl<'a> Batch<'a> {
+    /// A batch of the run `cfg` describes against a caller-owned store,
+    /// starting now. The mode decides, here and nowhere else, whether the
+    /// batch shares through `store`: a naive batch neither reads nor
+    /// writes it.
+    pub(crate) fn of_run(
+        pag: &'a Pag,
+        cfg: &'a RunConfig,
+        store: &'a SharedJmpStore,
+        base: u64,
+        clock: Clock,
+    ) -> Self {
+        Batch {
+            pag,
+            cfg: &cfg.solver,
+            store: cfg.mode.shares_data().then_some(store),
+            base,
+            tracing: cfg.tracing,
+            clock,
+            start: Instant::now(),
+        }
+    }
+
     /// A fresh port; create one per lane, before the lane. At
     /// [`TraceLevel::Off`] the recorder allocates nothing.
     pub(crate) fn port(&self) -> Port {
@@ -124,10 +150,17 @@ impl Batch<'_> {
         }
     }
 
-    /// Worker `worker`'s lane over `port`. The solver records hot-path
-    /// instants into the lane's recorder at [`TraceLevel::Full`] only.
-    pub(crate) fn lane<'l>(&'l self, worker: usize, port: &'l Port) -> Lane<'l> {
-        let mut solver = Solver::new(self.pag, self.cfg, jmp(port.store.as_ref()));
+    /// Worker `worker`'s lane over `port`, its solver built over `jmp` —
+    /// [`Port::jmp`], or something that forwards to it. The solver records
+    /// hot-path instants into the lane's recorder at [`TraceLevel::Full`]
+    /// only.
+    pub(crate) fn lane<'l>(
+        &'l self,
+        worker: usize,
+        port: &'l Port,
+        jmp: &'l dyn JmpStore,
+    ) -> Lane<'l> {
+        let mut solver = Solver::new(self.pag, self.cfg, jmp).warm_before(self.base);
         if self.tracing.full() {
             solver = solver.with_recorder(&port.rec);
         }
@@ -156,12 +189,13 @@ impl Batch<'_> {
         // (every `run_seq`) merges nothing.
         let mut lanes = lanes.into_iter();
         let (first, first_trace) = lanes.next().expect("a batch has at least one lane");
-        let (mut stats, mut end) = (first.stats, first.end);
+        let (mut stats, mut end, mut ctxs) = (first.stats, first.end, first.ctxs);
         let mut workers = vec![first.obs];
         let mut traces = vec![first_trace];
         for (lane, trace) in lanes {
             stats.merge(&lane.stats);
             end = end.max(lane.end);
+            ctxs += lane.ctxs;
             workers.push(lane.obs);
             traces.push(trace);
         }
@@ -173,14 +207,15 @@ impl Batch<'_> {
             Clock::Virtual => end - self.base,
         };
         stats.batches = 1;
-        let store = jmp(self.store);
-        stats.store_entries = store.entry_count();
-        stats.jmp_edges = store.stats().total_edges();
-        stats.jmp_bytes = store.approx_bytes();
+        if let Some(store) = self.store {
+            stats.store_entries = store.entry_count();
+            stats.jmp_edges = store.stats().total_edges();
+            stats.jmp_bytes = store.approx_bytes();
+        }
         stats.avg_group_size = avg_group_size;
-        // Every lane of a shared store resolves against the store's one
-        // interner; without a store there is one lane and it owns its own.
-        stats.interner_ctxs = first.interner.len();
+        // Lanes sharing a store resolve against its one interner; without
+        // one each lane owns its own.
+        stats.interner_ctxs = self.store.map_or(ctxs, |s| s.interner().len());
         stats.workers = workers;
         let trace = self.tracing.enabled().then_some(RunTrace {
             real_time: matches!(self.clock, Clock::Wall),
@@ -214,12 +249,6 @@ impl Lane<'_> {
             self.obs.lock_wait_ns += ns;
             self.stats.hists.lock_wait.record(ns);
         }
-    }
-
-    /// Forces an eviction sweep through this lane's scope (the simulator's
-    /// perturbation hook).
-    pub(crate) fn evict_to_budget(&self) {
-        jmp(self.port.store.as_ref()).evict_to_budget();
     }
 
     /// Answers one fetched group: dequeue span, fetch cost, the per-query
@@ -289,7 +318,7 @@ impl Lane<'_> {
             stats: self.stats,
             obs: self.obs,
             end: self.now,
-            interner: Arc::clone(self.solver.interner()),
+            ctxs: self.solver.interner().len(),
         }
     }
 }

@@ -41,7 +41,7 @@ pub mod sim;
 mod stats;
 pub mod threaded;
 
-pub use mode::{Backend, Engine, Mode, RunConfig, SimPerturb};
+pub use mode::{Backend, Engine, Mode, RunConfig};
 pub use parcfl_concurrent::WorkerObs;
 pub use parcfl_obs::{
     chrome_trace_json, Event, EventKind, LogHistogram, ObsHists, PromText, RunTrace, TraceLevel,

@@ -57,36 +57,6 @@ pub enum Backend {
     Simulated,
 }
 
-/// Deterministic schedule-perturbation knobs for the simulated backend.
-///
-/// The default simulator is intentionally boring: lowest-clock worker
-/// wins ties, groups dispatch FIFO, fetches cost exactly `fetch_cost`.
-/// Real machines are not boring, and jmp-store visibility depends on the
-/// dispatch order, so `parcfl-check`'s fuzzer drives the simulator through
-/// seeded variations of all three choices. Every draw comes from one
-/// splitmix64 stream seeded with `seed`, so a perturbed run is exactly
-/// reproducible from its `SimPerturb` value. `RunConfig.perturb = None`
-/// (the default) keeps the classic deterministic behaviour bit-for-bit.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct SimPerturb {
-    /// Seed of the perturbation stream.
-    pub seed: u64,
-    /// Extra steps (uniform in `0..=fetch_jitter`) added to each group
-    /// fetch, modelling variable lock-acquisition latency.
-    pub fetch_jitter: u64,
-    /// Dispatch window: the next group is drawn uniformly from the first
-    /// `pick_window` pending groups instead of strictly FIFO (0 or 1 keeps
-    /// FIFO order).
-    pub pick_window: usize,
-    /// Break equal-clock worker ties pseudo-randomly instead of by lowest
-    /// worker index.
-    pub scramble_ties: bool,
-    /// Every `evict_period`-th group dispatch forces a jmp-store eviction
-    /// sweep (`evict_to_budget`), exercising eviction orderings mid-run on
-    /// bounded stores. 0 disables the forcing.
-    pub evict_period: u64,
-}
-
 /// A complete parallel-run configuration.
 #[derive(Clone, Debug)]
 pub struct RunConfig {
@@ -96,8 +66,8 @@ pub struct RunConfig {
     pub threads: usize,
     /// Execution backend.
     pub backend: Backend,
-    /// Base solver configuration; its `data_sharing` flag is overridden by
-    /// the mode.
+    /// Solver configuration. Whether the run shares data is the mode's
+    /// decision, not a solver parameter.
     pub solver: SolverConfig,
     /// Simulated cost (in steps) of one shared-work-list fetch — the
     /// locking overhead of Section III-A. Small by design; the paper found
@@ -114,10 +84,6 @@ pub struct RunConfig {
     /// (jmp traffic, evictions). Answers and step counts are identical at
     /// every level.
     pub tracing: TraceLevel,
-    /// Simulated backend only: seeded perturbation of dispatch order,
-    /// fetch latency and eviction timing (see [`SimPerturb`]). `None`
-    /// (the default) is the classic deterministic simulator.
-    pub perturb: Option<SimPerturb>,
 }
 
 impl RunConfig {
@@ -131,7 +97,6 @@ impl RunConfig {
             fetch_cost: 1,
             group_cap: None,
             tracing: TraceLevel::Off,
-            perturb: None,
         }
     }
 
@@ -155,24 +120,11 @@ impl RunConfig {
         self
     }
 
-    /// Enables seeded schedule perturbation on the simulated backend.
-    pub fn with_perturb(mut self, perturb: SimPerturb) -> Self {
-        self.perturb = Some(perturb);
-        self
-    }
-
     /// Source-compatibility shim for the frozen `benchmark/` crate:
     /// there is one engine, so this returns the configuration unchanged.
     #[doc(hidden)]
     pub fn with_engine(self, _engine: Engine) -> Self {
         self
-    }
-
-    /// The solver configuration this run will actually use (mode applied).
-    pub fn effective_solver(&self) -> SolverConfig {
-        let mut s = self.solver.clone();
-        s.data_sharing = self.mode.shares_data();
-        s
     }
 }
 
@@ -191,14 +143,5 @@ mod tests {
         assert_eq!(Mode::Naive.label(), "naive");
         assert_eq!(Mode::DataSharing.label(), "D");
         assert_eq!(Mode::DataSharingSched.label(), "DQ");
-    }
-
-    #[test]
-    fn effective_solver_applies_mode() {
-        let cfg = RunConfig::new(Mode::Naive, 4, Backend::Simulated)
-            .with_solver(SolverConfig::default().with_data_sharing());
-        assert!(!cfg.effective_solver().data_sharing, "mode wins");
-        let cfg = RunConfig::new(Mode::DataSharing, 4, Backend::Simulated);
-        assert!(cfg.effective_solver().data_sharing);
     }
 }

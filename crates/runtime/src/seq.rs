@@ -15,20 +15,19 @@ use parcfl_pag::{NodeId, Pag};
 
 /// Runs every query sequentially with data sharing disabled.
 pub fn run_seq(pag: &Pag, queries: &[NodeId], solver_cfg: &SolverConfig) -> RunResult {
-    let mut cfg = solver_cfg.clone();
-    cfg.data_sharing = false;
-    run_inline(pag, queries, &cfg, None, 0, TraceLevel::Off)
+    run_inline(pag, queries, solver_cfg, None, 0, TraceLevel::Off)
 }
 
 /// The inline executor: the calling thread is the batch's one worker and
 /// pulls the queries in input order, one per group (the unscheduled
 /// schedule, without materialising its per-query `Vec`s).
 ///
-/// Unlike [`run_seq`] it honours `solver_cfg.data_sharing`, so a session
-/// can pass its warm store ([`crate::AnalysisSession::submit_seq`]): new
-/// publications are stamped `base`, hits on entries stamped `< base`
-/// count as warm hits. `store` should be an untimestamped handle — a
-/// wall-clock worker must see every entry whatever its timestamp.
+/// With a `store` the batch shares through it, so a session can pass its
+/// warm one ([`crate::AnalysisSession::submit_seq`]): new publications
+/// are stamped `base` plus the publishing query's traversed steps, hits on
+/// entries stamped `< base` count as warm hits. `store` should be an
+/// untimestamped handle — a wall-clock worker must see every entry
+/// whatever its timestamp.
 pub(crate) fn run_inline(
     pag: &Pag,
     queries: &[NodeId],
@@ -39,7 +38,7 @@ pub(crate) fn run_inline(
 ) -> RunResult {
     let batch = Batch {
         pag,
-        cfg: &solver_cfg.clone().with_warm_floor(base),
+        cfg: solver_cfg,
         store,
         base,
         tracing,
@@ -47,7 +46,7 @@ pub(crate) fn run_inline(
         start: std::time::Instant::now(),
     };
     let port = batch.port();
-    let mut lane = batch.lane(0, &port);
+    let mut lane = batch.lane(0, &port, port.jmp());
     let mut answers = Vec::with_capacity(queries.len());
     for group in queries.chunks(1) {
         lane.run_group(group, 0, &mut answers);
@@ -83,8 +82,12 @@ mod tests {
         let src = "class Obj { }
                    class A { method m() { var a: Obj; a = new Obj; } }";
         let pag = build_pag(src).unwrap().pag;
-        let cfg = SolverConfig::default().with_data_sharing();
+        // Thresholds that would publish everything: there is still no
+        // store to publish to.
+        let cfg = SolverConfig::default().without_tau_thresholds();
         let r = run_seq(&pag, &pag.application_locals(), &cfg);
         assert_eq!(r.stats.shortcuts_taken, 0);
+        assert_eq!(r.stats.jmp_inserts, 0);
+        assert_eq!((r.stats.jmp_edges, r.stats.jmp_bytes), (0, 0));
     }
 }

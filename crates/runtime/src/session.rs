@@ -25,7 +25,7 @@ use crate::seq::run_inline;
 use crate::sim::run_simulated_batch;
 use crate::stats::{MergeClass, RunResult, RunStats};
 use crate::threaded::run_threaded_batch;
-use parcfl_core::{DirtySet, JmpStore, SharedJmpStore, SolverConfig};
+use parcfl_core::{DirtySet, SharedJmpStore, SolverConfig};
 use parcfl_obs::{Event, EventKind, PromText, TraceLevel};
 use parcfl_pag::{NodeId, Pag, PagDelta};
 use parcfl_sched::{Schedule, ScheduleCache};
@@ -50,6 +50,10 @@ pub struct DeltaReport {
     /// Memoised DQ schedules dropped (their query set contains a dirty
     /// node). Schedules never affect answers — this is reuse accounting.
     pub invalidated_schedules: u64,
+    /// Edge ops of the delta that were not applied because an endpoint
+    /// names no node ([`parcfl_pag::DeltaEffect::rejected_ops`]). The
+    /// other ops took effect; these changed nothing.
+    pub rejected_ops: u64,
 }
 
 /// A long-lived analysis service over one PAG.
@@ -86,7 +90,6 @@ pub struct AnalysisSession<'p> {
     cumulative: RunStats,
     solver: SolverConfig,
     threads: usize,
-    fetch_cost: u64,
     tracing: TraceLevel,
     /// `BatchStart`/`BatchEnd` spans in session virtual time (recorded
     /// only when tracing is enabled).
@@ -108,15 +111,13 @@ impl<'p> AnalysisSession<'p> {
             // metadata (answers/steps/contexts are bit-identical).
             solver: SolverConfig::default().with_footprints(),
             threads: 1,
-            fetch_cost: 1,
             tracing: TraceLevel::Off,
             session_events: Vec::new(),
         }
     }
 
-    /// Overrides the base solver configuration (each batch's mode still
-    /// decides `data_sharing`; the session still owns `warm_floor` and
-    /// keeps footprint recording on — see [`Self::apply_delta`]).
+    /// Overrides the solver configuration (the session keeps footprint
+    /// recording on — see [`Self::apply_delta`]).
     pub fn with_solver(mut self, solver: SolverConfig) -> Self {
         self.solver = solver.with_footprints();
         self
@@ -150,15 +151,11 @@ impl<'p> AnalysisSession<'p> {
         self
     }
 
-    /// Sets the simulated cost of one shared-work-list fetch.
-    pub fn with_fetch_cost(mut self, cost: u64) -> Self {
-        self.fetch_cost = cost;
-        self
-    }
-
     /// Answers one batch of queries, warm-starting from every earlier
     /// batch's jmp edges. Returns that batch's own result; the session's
-    /// running totals move to [`Self::cumulative`].
+    /// running totals move to [`Self::cumulative`]. A [`Mode::Naive`] batch
+    /// runs beside the store, not through it: it reads nothing warm,
+    /// leaves nothing behind, and reports no store residency.
     pub fn submit(&mut self, queries: &[NodeId], mode: Mode, backend: Backend) -> RunResult {
         let cfg = self.run_config(mode, backend);
         let schedule = self.schedule_for_batch(queries, mode);
@@ -173,6 +170,8 @@ impl<'p> AnalysisSession<'p> {
             Backend::Threaded => {
                 let view = self.store.untimestamped_view();
                 let result = run_threaded_batch(&self.pag, &schedule, &cfg, &view, base);
+                // Each query starts at `base` and stamps what it publishes
+                // `base` plus its own steps so far: every stamp is below this.
                 self.vclock = base + result.stats.traversed_steps + 1;
                 result
             }
@@ -186,13 +185,12 @@ impl<'p> AnalysisSession<'p> {
     /// which never shares): the cheapest way to answer a small follow-up
     /// batch that should still profit from — and feed — the warm store.
     pub fn submit_seq(&mut self, queries: &[NodeId]) -> RunResult {
-        let solver_cfg = self.solver.clone().with_data_sharing();
         let base = self.vclock;
         let view = self.store.untimestamped_view();
         let result = run_inline(
             &self.pag,
             queries,
-            &solver_cfg,
+            &self.solver,
             Some(&view),
             base,
             self.tracing,
@@ -340,16 +338,7 @@ impl<'p> AnalysisSession<'p> {
             return DeltaReport {
                 revision: self.pag.revision(),
                 noop: true,
-                ..DeltaReport::default()
-            };
-        }
-        if self.solver.chaos_skip_invalidation {
-            // Fault injection (parcfl-check only): swap the graph but keep
-            // every stale warm entry — the differential battery must catch
-            // the divergence this causes.
-            self.pag = Cow::Owned(new_pag);
-            return DeltaReport {
-                revision: self.pag.revision(),
+                rejected_ops: effect.rejected_ops,
                 ..DeltaReport::default()
             };
         }
@@ -369,6 +358,7 @@ impl<'p> AnalysisSession<'p> {
             invalidated_jmps,
             retained_jmps,
             invalidated_schedules,
+            rejected_ops: effect.rejected_ops,
         }
     }
 
@@ -386,16 +376,9 @@ impl<'p> AnalysisSession<'p> {
     }
 
     fn run_config(&self, mode: Mode, backend: Backend) -> RunConfig {
-        RunConfig {
-            mode,
-            threads: self.threads,
-            backend,
-            solver: self.solver.clone(),
-            fetch_cost: self.fetch_cost,
-            group_cap: None,
-            tracing: self.tracing,
-            perturb: None,
-        }
+        RunConfig::new(mode, self.threads, backend)
+            .with_solver(self.solver.clone())
+            .with_tracing(self.tracing)
     }
 
     /// DQ batches pull their schedule from the session cache; the other
@@ -536,7 +519,7 @@ mod tests {
         // Every resident entry was created before the next batch's base.
         let mut max_created = 0;
         s.store()
-            .for_each(&mut |_, e| max_created = max_created.max(e.created_at()));
+            .for_each(|_, e| max_created = max_created.max(e.created_at()));
         assert!(max_created < s.virtual_clock());
     }
 
@@ -622,7 +605,7 @@ mod tests {
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 while !stop.load(Ordering::Relaxed) {
-                    outsider.retain(&mut |_, _| false);
+                    outsider.retain(|_, _| false);
                 }
             });
             // Keep submitting until the outsider has certainly evicted
@@ -669,6 +652,34 @@ mod tests {
         assert_eq!(s.store_entries(), 0);
         assert_eq!(b.stats.warm_hits, 0);
         assert_eq!(a.stats.traversed_steps, b.stats.traversed_steps);
+    }
+
+    /// A naive batch runs beside the session's store: the store and the
+    /// next sharing batch are exactly what they would be had it not run.
+    #[test]
+    fn naive_batch_between_sharing_batches_leaves_no_trace_in_the_store() {
+        let pag = build_pag(SRC).unwrap().pag;
+        let queries = pag.application_locals();
+        let session = || {
+            let mut s = AnalysisSession::new(&pag)
+                .with_threads(2)
+                .with_solver(solver());
+            s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
+            s
+        };
+        let (mut with, mut without) = (session(), session());
+        let naive = with.submit(&queries, Mode::Naive, Backend::Simulated);
+        assert_eq!(naive.stats.warm_hits + naive.stats.shortcuts_taken, 0);
+        assert_eq!((naive.stats.store_entries, naive.stats.jmp_inserts), (0, 0));
+        assert_eq!(with.store_entries(), without.store_entries());
+        assert_eq!(with.store().lookup_hits(), without.store().lookup_hits());
+        let a = with.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
+        let b = without.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
+        assert!(a.stats.warm_hits > 0);
+        assert_eq!(a.stats.warm_hits, b.stats.warm_hits);
+        assert_eq!(a.stats.traversed_steps, b.stats.traversed_steps);
+        assert_eq!(a.stats.store_entries, b.stats.store_entries);
+        assert_eq!(with.store().lookup_hits(), without.store().lookup_hits());
     }
 
     #[test]
@@ -815,28 +826,30 @@ mod tests {
         assert!(warm.stats.traversed_steps < cold.stats.traversed_steps);
     }
 
+    /// An edit naming a node the graph does not have is reported, not
+    /// dropped in silence — whether or not the rest of the delta does
+    /// anything.
     #[test]
-    fn chaos_skip_invalidation_leaves_stale_warm_state() {
-        let pag = build_pag(SRC).unwrap().pag;
+    fn apply_delta_reports_rejected_ops() {
+        let src = many_chains_src(2);
+        let pag = build_pag(&src).unwrap().pag;
         let queries = pag.application_locals();
-        let mut cfg = solver();
-        cfg.chaos_skip_invalidation = true;
-        let mut s = AnalysisSession::new(&pag).with_solver(cfg);
+        let mut s = AnalysisSession::new(&pag).with_solver(solver());
         s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
-        let resident = s.store_entries();
-        assert!(resident > 0);
+        let nowhere = NodeId::new(pag.node_count() as u32);
         let mut d = PagDelta::new();
-        d.push(DeltaOp::RemoveEdge(pag.edges()[0]));
+        d.add_edge(queries[0], nowhere, EdgeKind::AssignLocal);
         let report = s.apply_delta(&d);
-        assert!(!report.noop);
-        assert_eq!(report.revision, 1);
-        assert_eq!(s.pag().revision(), 1, "the graph still swaps");
-        assert_eq!(report.invalidated_jmps, 0);
-        assert_eq!(
-            s.store_entries(),
-            resident,
-            "stale entries survive — the fault the differential battery must catch"
-        );
+        assert!(report.noop);
+        assert_eq!((report.rejected_ops, report.revision), (1, 0));
+        d.push(DeltaOp::RemoveEdge(chain_assign_edge(&pag, 0)));
+        let report = s.apply_delta(&d);
+        assert!(!report.noop, "the in-range op of the same delta applies");
+        assert_eq!((report.rejected_ops, report.revision), (1, 1));
+        assert!(report.invalidated_jmps > 0);
+        let warm = s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
+        let cold = run_seq(s.pag(), &queries, &SolverConfig::default());
+        assert_eq!(warm.sorted_answers(), cold.sorted_answers());
     }
 
     #[test]

@@ -29,10 +29,9 @@ use crate::batch::{Batch, Clock, Lane, Port};
 use crate::mode::RunConfig;
 use crate::schedule_with_cap;
 use crate::stats::RunResult;
-use parcfl_core::SharedJmpStore;
+use parcfl_core::{JmpStore, SharedJmpStore};
 use parcfl_pag::{NodeId, Pag};
 use parcfl_sched::Schedule;
-use rand::{rngs::StdRng, RngExt, SeedableRng};
 use std::collections::VecDeque;
 
 /// Runs the configured analysis under the virtual-time simulator, on a
@@ -52,12 +51,7 @@ pub fn run_simulated(pag: &Pag, queries: &[NodeId], cfg: &RunConfig) -> RunResul
 /// step and every hit on one counts as a warm hit. Returns the batch
 /// result (`makespan` is batch-relative: final clock minus `base`) and the
 /// absolute virtual end time — the owning session resumes its clock just
-/// past it.
-///
-/// The executor half of the batch driver (`batch.rs`): `t` lanes on
-/// the virtual clock, and this loop deciding which lane pulls which group
-/// next — the lowest clock takes the head of the FIFO list, unless a
-/// [`crate::SimPerturb`] stream says otherwise.
+/// past it. A [`crate::Mode::Naive`] batch leaves `store` alone.
 pub fn run_simulated_batch(
     pag: &Pag,
     schedule: &Schedule,
@@ -65,61 +59,109 @@ pub fn run_simulated_batch(
     store: &SharedJmpStore,
     base: u64,
 ) -> (RunResult, u64) {
-    let batch = Batch {
-        pag,
-        cfg: &cfg.effective_solver().with_warm_floor(base),
-        store: Some(store),
-        base,
-        tracing: cfg.tracing,
-        clock: Clock::Virtual,
-        start: std::time::Instant::now(),
-    };
+    run_simulated_hooked(pag, schedule, cfg, store, base, &mut Fifo)
+}
+
+/// One dispatch of the simulator loop: who fetches, what, at what price.
+#[doc(hidden)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Dispatch {
+    /// The worker that fetches next.
+    pub worker: usize,
+    /// The group it takes, as a position in the pending list (0 = head).
+    pub group: usize,
+    /// Steps the fetch costs on top of [`RunConfig::fetch_cost`].
+    pub extra_fetch: u64,
+}
+
+impl Dispatch {
+    /// The production decision: the lowest clock (lowest index among
+    /// equals) takes the head of the FIFO list and pays the fixed fetch
+    /// cost.
+    pub fn fifo(clocks: &[u64]) -> Self {
+        let worker = (0..clocks.len())
+            .min_by_key(|&i| (clocks[i], i))
+            .expect("a batch has at least one lane");
+        Dispatch {
+            worker,
+            group: 0,
+            extra_fetch: 0,
+        }
+    }
+}
+
+/// Where `parcfl-check` takes hold of a simulated batch: it owns the
+/// seeded schedule perturbation and the jmp-store fault injection its
+/// fuzzer drives, and reaches the simulator through this and nothing
+/// else. Production runs use [`run_simulated_batch`], whose dispatch is
+/// the deterministic one the module docs describe.
+#[doc(hidden)]
+pub trait SimHook {
+    /// Decides the next dispatch from every worker's clock and the number
+    /// of groups still pending (at least one).
+    fn dispatch(&mut self, clocks: &[u64], pending: usize) -> Dispatch;
+
+    /// What a worker's solver is built over: `None` for the worker's own
+    /// handle `lane` on the batch's store, or a store that forwards to it.
+    fn seam<'s>(&self, _lane: &'s dyn JmpStore) -> Option<Box<dyn JmpStore + 's>> {
+        None
+    }
+}
+
+/// The hook of every production batch: [`Dispatch::fifo`], always.
+struct Fifo;
+
+impl SimHook for Fifo {
+    fn dispatch(&mut self, clocks: &[u64], _pending: usize) -> Dispatch {
+        Dispatch::fifo(clocks)
+    }
+}
+
+/// [`run_simulated_batch`] with the dispatch decided by `hook`.
+///
+/// The executor half of the batch driver (`batch.rs`): `t` lanes on
+/// the virtual clock, and this loop asking `hook` which lane pulls which
+/// group next.
+#[doc(hidden)]
+pub fn run_simulated_hooked(
+    pag: &Pag,
+    schedule: &Schedule,
+    cfg: &RunConfig,
+    store: &SharedJmpStore,
+    base: u64,
+    hook: &mut dyn SimHook,
+) -> (RunResult, u64) {
+    let batch = Batch::of_run(pag, cfg, store, base, Clock::Virtual);
     let t = cfg.threads.max(1);
     // One external-clock recorder per simulated worker: events carry
     // virtual timestamps, so the exported trace shows the simulated
     // parallelism, not the sequential wall time of simulating it.
     let ports: Vec<Port> = (0..t).map(|_| batch.port()).collect();
+    let seams: Vec<_> = ports.iter().map(|port| hook.seam(port.jmp())).collect();
     let mut lanes: Vec<Lane> = ports
         .iter()
+        .zip(&seams)
         .enumerate()
-        .map(|(w, port)| batch.lane(w, port))
+        .map(|(w, (port, seam))| batch.lane(w, port, seam.as_deref().unwrap_or(port.jmp())))
         .collect();
-    // Seeded perturbation stream (None keeps the classic deterministic
-    // dispatch bit-for-bit: FIFO groups, lowest-index tie-break, fixed
-    // fetch cost).
-    let mut perturb = cfg.perturb.map(|p| (p, StdRng::seed_from_u64(p.seed)));
+    let mut clocks = vec![base; t];
     let mut pending: VecDeque<usize> = (0..schedule.groups.len()).collect();
-    let mut dispatched: u64 = 0;
     let mut answers = Vec::with_capacity(schedule.query_count());
     while !pending.is_empty() {
-        let tid = match &mut perturb {
-            Some((p, rng)) if p.scramble_ties => {
-                let min = lanes.iter().map(Lane::now).min().unwrap();
-                let ties: Vec<usize> = (0..t).filter(|&i| lanes[i].now() == min).collect();
-                ties[rng.random_range(0..ties.len())]
-            }
-            _ => (0..t).min_by_key(|&i| (lanes[i].now(), i)).unwrap(),
-        };
-        let gi = match &mut perturb {
-            Some((p, rng)) if p.pick_window > 1 => {
-                let w = p.pick_window.min(pending.len());
-                pending.remove(rng.random_range(0..w)).unwrap()
-            }
-            _ => pending.pop_front().unwrap(),
-        };
-        dispatched += 1;
-        if let Some((p, _)) = &perturb {
-            if p.evict_period > 0 && dispatched.is_multiple_of(p.evict_period) {
-                lanes[tid].evict_to_budget();
-            }
-        }
-        let jitter = match &mut perturb {
-            Some((p, rng)) if p.fetch_jitter > 0 => rng.random_range(0..=p.fetch_jitter),
-            _ => 0,
-        };
-        lanes[tid].run_group(&schedule.groups[gi], cfg.fetch_cost + jitter, &mut answers);
+        let next = hook.dispatch(&clocks, pending.len());
+        let gi = pending
+            .remove(next.group)
+            .expect("a position in the pending list");
+        let lane = &mut lanes[next.worker];
+        lane.run_group(
+            &schedule.groups[gi],
+            cfg.fetch_cost + next.extra_fetch,
+            &mut answers,
+        );
+        clocks[next.worker] = lane.now();
     }
     let done: Vec<_> = lanes.into_iter().map(Lane::finish).collect();
+    drop(seams);
     let traces = ports.into_iter().enumerate().map(|(w, p)| p.into_trace(w));
     let result = batch.finish(
         schedule.avg_group_size,

@@ -215,9 +215,10 @@ run_stats! {
         /// dense backend, a per-entry estimate under hash — DESIGN.md §11).
         peak_state_words: u64, Max, Words,
             "Peak u64 words held by any single query's visited-state tables.";
-        /// Contexts resident in the run's shared interner at the end
-        /// (including the empty context); 0 when the store carries none.
-        interner_ctxs: usize, Latest, Count, "Contexts resident in the shared interner.";
+        /// Contexts interned at the end of the run (the empty context
+        /// included): in the jmp store's interner when the run shares one,
+        /// otherwise summed over the lanes' own.
+        interner_ctxs: usize, Latest, Count, "Contexts resident in the run's interner.";
         /// Virtual-time makespan (simulated backend) — the parallel "runtime".
         makespan: u64, Sum, Steps, "Virtual-time makespan, summed over batches.";
         /// Wall-clock duration of the run.

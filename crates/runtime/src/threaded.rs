@@ -39,10 +39,13 @@ pub fn run_threaded(pag: &Pag, queries: &[NodeId], cfg: &RunConfig) -> RunResult
 /// The session building block. `store` should be an untimestamped handle
 /// ([`SharedJmpStore::untimestamped_view`] of the session's master): real
 /// threads must see every entry immediately, whatever its timestamp.
-/// Workers stamp new publications with `base`, so entries survive into the
-/// next batch with a creation time below its warm floor, and hits on
-/// entries stamped `< base` count as warm hits. `makespan` is the batch's
-/// own traversed-step total (real time is measured by `wall`).
+/// Every query starts at virtual time `base`, so a worker stamps a new
+/// publication `base` plus the steps its query has traversed so far —
+/// below the next batch's warm floor, which the session puts past `base`
+/// plus the whole batch's traversed steps — and hits on entries stamped
+/// `< base` count as warm hits. `makespan` is the batch's own
+/// traversed-step total (real time is measured by `wall`). A
+/// [`crate::Mode::Naive`] batch leaves `store` alone.
 ///
 /// Eviction accounting is scoped per worker and summed per batch
 /// ([`SharedJmpStore::scoped`]): `stats.evictions` counts only evictions
@@ -61,15 +64,7 @@ pub fn run_threaded_batch(
     store: &SharedJmpStore,
     base: u64,
 ) -> RunResult {
-    let batch = Batch {
-        pag,
-        cfg: &cfg.effective_solver().with_warm_floor(base),
-        store: Some(store),
-        base,
-        tracing: cfg.tracing,
-        clock: Clock::Wall,
-        start: std::time::Instant::now(),
-    };
+    let batch = Batch::of_run(pag, cfg, store, base, Clock::Wall);
     let work = SharedWorkList::with_items(0..schedule.groups.len());
     let (batch, work) = (&batch, &work);
     let mut answers = Vec::with_capacity(schedule.query_count());
@@ -80,7 +75,7 @@ pub fn run_threaded_batch(
                     .stack_size(WORKER_STACK)
                     .spawn_scoped(scope, move || {
                         let port = batch.port();
-                        let mut lane = batch.lane(w, &port);
+                        let mut lane = batch.lane(w, &port, port.jmp());
                         let mut answers = Vec::new();
                         loop {
                             let (next, wait) = work.pop_timed();

@@ -505,12 +505,12 @@ fn cmd_check(args: &[String]) {
             scenario.pag.edge_count(),
             scenario.queries.len(),
             scenario.deltas.len(),
-            if scenario.solver.chaos_jmp_ignore_ctx {
+            if scenario.fault.blind_jmp_keys {
                 " [chaos fault injected]"
             } else {
                 ""
             },
-            if scenario.solver.chaos_skip_invalidation {
+            if scenario.fault.skip_invalidation {
                 " [invalidation disabled]"
             } else {
                 ""
@@ -547,7 +547,7 @@ fn cmd_check(args: &[String]) {
         shrink: !args.iter().any(|a| a == "--no-shrink"),
         chaos: args.iter().any(|a| a == "--chaos"),
         delta: args.iter().any(|a| a == "--delta"),
-        chaos_invalidation: args.iter().any(|a| a == "--chaos-invalidation"),
+        skip_invalidation: args.iter().any(|a| a == "--chaos-invalidation"),
         ..FuzzConfig::default()
     };
     let report = run_fuzz(&cfg);

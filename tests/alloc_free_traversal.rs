@@ -48,9 +48,8 @@ static GLOBAL: Counting = Counting;
 #[test]
 fn a_warm_solver_allocates_for_its_answers_only() {
     let bench = build_bench(&Profile::small(7));
-    // Defaults: no data sharing; every query completes.
+    // No data sharing; every query completes.
     let cfg = bench.solver.clone().with_budget(50_000_000);
-    assert!(!cfg.data_sharing);
     let store = NoJmpStore;
     let mut solver = Solver::new(&bench.pag, &cfg, &store);
     let pass = |solver: &mut Solver| {

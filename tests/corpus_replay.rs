@@ -3,7 +3,7 @@
 //! oracle and the Andersen inclusion solution. See tests/corpus/README.md
 //! for the format and the workflow for adding entries.
 
-use parcfl::check::{failure_detail, Scenario};
+use parcfl::check::{failure_detail, Fault, Scenario};
 
 #[test]
 fn corpus_snapshots_replay_clean() {
@@ -24,8 +24,7 @@ fn corpus_snapshots_replay_clean() {
         // faults. Replay checks the production solver, so fault
         // injection (context-blind jmp keys, skipped delta
         // invalidation) is cleared.
-        scenario.solver.chaos_jmp_ignore_ctx = false;
-        scenario.solver.chaos_skip_invalidation = false;
+        scenario.fault = Fault::default();
         if let Some(detail) = failure_detail(&scenario) {
             panic!("{name}: replay disagrees with the oracle: {detail}");
         }

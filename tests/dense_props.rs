@@ -38,8 +38,9 @@ proptest! {
     /// before). The two reused solvers are two lanes of one batch — one
     /// store, so one interner, and a scratch each — and meet each other's
     /// context ids on every query. Each side publishes into its own store
-    /// and the two evolve in lockstep; the stores carry the interner, so
-    /// context ids agree with sharing off too. And the three executors are
+    /// and the two evolve in lockstep; with `sharing` off the thresholds
+    /// let nothing through, and the stores still carry the interner, so
+    /// context ids agree there too. And the three executors are
     /// one per-query body over such a solver, so they report one
     /// `peak_state_words`.
     #[test]
@@ -54,9 +55,8 @@ proptest! {
         let bench = build_bench(&profile);
         let cfg = SolverConfig {
             budget: if tight { 300 + seed % 3_000 } else { 5_000_000 },
-            data_sharing: sharing,
-            tau_finished: 10,
-            tau_unfinished: 100,
+            tau_finished: if sharing { 10 } else { u64::MAX },
+            tau_unfinished: if sharing { 100 } else { u64::MAX },
             state: if dense { StateBackend::Dense } else { StateBackend::Hash },
             ..SolverConfig::default()
         };

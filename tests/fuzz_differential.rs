@@ -171,7 +171,7 @@ fn andersen_soundness_on_table1_suite() {
     }
 }
 
-/// Fault-injection self-test: with `chaos_jmp_ignore_ctx` (context-blind
+/// Fault-injection self-test: with `Fault::blind_jmp_keys` (context-blind
 /// jmp sharing) the fuzzer must catch the corruption and shrink it to a
 /// counterexample of ≤ 10 edges and ≤ 2 queries that round-trips through
 /// the snapshot format and disappears when the fault is disabled.
@@ -231,7 +231,7 @@ fn chaos_bug_is_caught_and_shrinks_small() {
     // …and the failure is the injected fault, not the input: the same
     // scenario passes with the fault disabled.
     let mut clean = back.clone();
-    clean.solver.chaos_jmp_ignore_ctx = false;
+    clean.fault.blind_jmp_keys = false;
     assert!(
         !scenario_fails(&clean),
         "PARCFL_TEST_SEED={seed}: scenario fails even without the injected fault"

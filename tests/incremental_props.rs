@@ -13,7 +13,7 @@
 //!    answer exactly like a cold session on the edited graph, under
 //!    both state backends at every thread count.
 //! 3. **Battery layer** — a deliberately broken invalidation
-//!    (`chaos_skip_invalidation`) is caught by the differential fuzzer
+//!    (`Fault::skip_invalidation`) is caught by the differential fuzzer
 //!    and shrunk to a ≤ 10-edge, ≤ 3-edit counterexample that passes
 //!    once the fault is removed.
 
@@ -332,7 +332,7 @@ fn skipped_invalidation_is_caught_and_shrinks_small() {
             chaos: false,
             use_small: false,
             delta: true,
-            chaos_invalidation: true,
+            skip_invalidation: true,
         };
         let report = run_fuzz(&cfg);
         if let Some(f) = report.failure {
@@ -375,7 +375,7 @@ fn skipped_invalidation_is_caught_and_shrinks_small() {
     );
     // …and the failure is the injected fault, not the input.
     let mut clean = back.clone();
-    clean.solver.chaos_skip_invalidation = false;
+    clean.fault.skip_invalidation = false;
     assert!(
         !scenario_fails(&clean),
         "PARCFL_TEST_SEED={seed}: scenario fails even with invalidation restored"

@@ -68,7 +68,6 @@ proptest! {
         let pag = parcfl::frontend::extract(&prog).unwrap().pag;
         let cfg = ample();
         let share_cfg = SolverConfig {
-            data_sharing: true,
             tau_finished: 0,
             tau_unfinished: 0,
             ..ample()
