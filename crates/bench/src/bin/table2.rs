@@ -5,7 +5,7 @@
 //! queries a client actually asks.
 //!
 //! Additionally emits a machine-readable `BENCH_solver.json` (schema
-//! `parcfl-bench-solver/7`): per bench, the headline DQ simulated run
+//! `parcfl-bench-solver/8`): per bench, the headline DQ simulated run
 //! plus sequential dense-state / hash-state rows, each carrying every
 //! deterministic `RunStats` metric, so CI can gate solver behaviour with
 //! `parcfl bench-diff` without scraping the human tables. `--smoke`

@@ -24,11 +24,12 @@
 //! With `--delta` the bench instead measures *incremental*
 //! analysis (DESIGN.md §12): each suite session answers its full batch,
 //! takes a seeded 3-op PAG edit script through
-//! [`AnalysisSession::apply_delta`] (selective jmp/schedule
-//! invalidation), and re-queries warm. The warm re-query must answer
-//! bit-identically to a cold session on the edited graph, and across the
-//! suite selective invalidation must retain at least one warm entry (a
-//! full flush would also pass equality — retention is the point).
+//! [`AnalysisSession::apply_delta`] (selective answer/jmp/schedule
+//! invalidation), and re-queries warm: `Kept` of the batch's answers
+//! survive the edit and are not traversed again. The warm re-query must
+//! answer bit-identically to a cold session on the edited graph, and
+//! across the suite selective invalidation must retain at least one warm
+//! entry (a full flush would also pass equality — retention is the point).
 
 use parcfl_bench::cfg_for;
 use parcfl_core::SolverConfig;
@@ -42,8 +43,8 @@ use parcfl_synth::mutate::sample_edits;
 /// the step baseline.
 fn run_delta_comparison() {
     println!(
-        "{:<16} {:>10} {:>10} {:>7} {:>8} {:>8} {:>6}",
-        "Benchmark", "ColdS", "IncrS", "Saved%", "InvJmp", "RetJmp", "InvSch"
+        "{:<16} {:>10} {:>10} {:>7} {:>6} {:>8} {:>8} {:>6}",
+        "Benchmark", "ColdS", "IncrS", "Saved%", "Kept", "InvJmp", "RetJmp", "InvSch"
     );
     let suite = parcfl_synth::build_suite();
     let mode = Mode::DataSharingSched;
@@ -80,11 +81,12 @@ fn run_delta_comparison() {
         let saved =
             100.0 * (1.0 - incr.stats.traversed_steps as f64 / cold.stats.traversed_steps as f64);
         println!(
-            "{:<16} {:>10} {:>10} {:>6.1}% {:>8} {:>8} {:>6}",
+            "{:<16} {:>10} {:>10} {:>6.1}% {:>6} {:>8} {:>8} {:>6}",
             b.name,
             cold.stats.traversed_steps,
             incr.stats.traversed_steps,
             saved,
+            incr.stats.retained_answers,
             report.invalidated_jmps,
             report.retained_jmps,
             report.invalidated_schedules,

@@ -21,7 +21,7 @@ use parcfl_runtime::RunStats;
 use std::fmt::Write as _;
 
 /// The artifact's `schema` tag.
-pub const SCHEMA_TAG: &str = "parcfl-bench-solver/7";
+pub const SCHEMA_TAG: &str = "parcfl-bench-solver/8";
 
 /// The per-row keys that must be **bit-identical** between two runs of
 /// the same configuration: every deterministic [`RunStats::SCHEMA`] row.

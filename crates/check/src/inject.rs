@@ -9,13 +9,14 @@
 
 use crate::snapshot::Scenario;
 use parcfl_core::jmp::{JmpHit, JmpKey, RchSet};
-use parcfl_core::{CtxId, CtxInterner, Footprint, JmpStore, SharedJmpStore};
-use parcfl_pag::{Pag, PagDelta};
+use parcfl_core::{Answer, CtxId, CtxInterner, Footprint, JmpStore, SharedJmpStore};
+use parcfl_pag::{NodeId, Pag, PagDelta};
 use parcfl_runtime::sim::{Dispatch, SimHook};
 use parcfl_runtime::{
     run_simulated_batch, run_threaded_batch, schedule_with_cap, Backend, DeltaReport, RunResult,
 };
 use rand::{rngs::StdRng, RngExt, SeedableRng};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Deterministic schedule-perturbation knobs for the simulated backend.
@@ -58,9 +59,11 @@ pub struct Fault {
     /// reachable sets differ per context. Reaches the simulated backend's
     /// one-shot runs, where the fuzzer samples it.
     pub blind_jmp_keys: bool,
-    /// Replays an edit script against one jmp store that is never
+    /// Replays an edit script against warm state that is never
     /// invalidated (snapshot key `chaosinval=1`): every revision of the
-    /// graph is answered with whatever the revisions before it left warm.
+    /// graph is answered with whatever the revisions before it left — the
+    /// jmp store as it stands, and each complete answer carried forward
+    /// unchecked.
     pub skip_invalidation: bool,
 }
 
@@ -161,26 +164,40 @@ impl SimHook for Inject {
 }
 
 /// [`Fault::skip_invalidation`]'s replay of an edit script: what a session
-/// does — answer, edit, answer again on one store and one virtual clock —
-/// minus the invalidation between. No session is involved; the batches go
-/// through the same public calls a session makes.
+/// does — answer, edit, answer again on one store and one virtual clock,
+/// a query answered completely once never run again — minus the
+/// invalidation between. No session is involved; the batches go through
+/// the same public calls a session makes.
 pub(crate) fn replay_reusing_store(sc: &Scenario) -> (RunResult, Pag, Vec<DeltaReport>) {
     let cfg = sc.run_config();
     let store = sc.fresh_store();
-    let schedule = schedule_with_cap(&sc.pag, &sc.queries, sc.mode, None);
     let mut clock = 0;
-    let mut submit = |pag: &Pag| match sc.backend {
-        Backend::Simulated => {
-            let (result, end) = run_simulated_batch(pag, &schedule, &cfg, &store, clock);
-            clock = end + 1;
-            result
-        }
-        Backend::Threaded => {
-            let view = store.untimestamped_view();
-            let result = run_threaded_batch(pag, &schedule, &cfg, &view, clock);
-            clock += result.stats.traversed_steps + 1;
-            result
-        }
+    // A session keeps the answers of sharing batches only.
+    let keeps = sc.mode.shares_data();
+    let mut kept: BTreeMap<NodeId, Answer> = BTreeMap::new();
+    let mut submit = |pag: &Pag| {
+        let unanswered = |q: &NodeId| !kept.contains_key(q);
+        let rest: Vec<NodeId> = sc.queries.iter().copied().filter(unanswered).collect();
+        let schedule = schedule_with_cap(pag, &rest, sc.mode, None);
+        let mut result = match sc.backend {
+            Backend::Simulated => {
+                let (result, end) = run_simulated_batch(pag, &schedule, &cfg, &store, clock);
+                clock = end + 1;
+                result
+            }
+            Backend::Threaded => {
+                let view = store.untimestamped_view();
+                let result = run_threaded_batch(pag, &schedule, &cfg, &view, clock);
+                clock += result.stats.traversed_steps + 1;
+                result
+            }
+        };
+        let complete = |(_, a): &&(NodeId, Answer)| keeps && matches!(a, Answer::Complete(_));
+        let fresh: Vec<_> = result.answers.iter().filter(complete).cloned().collect();
+        let carried = kept.iter().map(|(&q, a)| (q, a.clone()));
+        result.answers.extend(carried);
+        kept.extend(fresh);
+        result
     };
     let mut pag = sc.pag.clone();
     let mut result = submit(&pag);
@@ -245,25 +262,50 @@ delta add 0 2 st 0\n";
             };
             assert_eq!(failure_detail(&clean), None);
         }
+        // What the oracle refutes on the stale program is a stale *answer*:
+        // the re-query ran nothing, its one answer is the cold batch's,
+        // carried past the edit that made it wrong.
+        let sc = Scenario::from_snapshot(STALE_STORE).expect("snapshot parses");
+        let (warm, ..) = sc.run_incremental();
+        let before_edit = Scenario {
+            deltas: vec![],
+            ..sc
+        };
+        assert_eq!(warm.stats.queries, 0);
+        assert_eq!(warm.answers, before_edit.run().answers);
     }
 
     /// The stale replay swaps the graph like a session and invalidates
-    /// nothing: every entry the cold batch left is there for the re-query.
+    /// nothing: the cold batch's answer and every entry it left are there
+    /// for the re-query, which a session would have dropped.
     #[test]
     fn store_reusing_replay_leaves_stale_warm_state() {
         let sc = Scenario::from_snapshot(STALE_STORE).expect("snapshot parses");
-        let (warm, edited, reports) = sc.run_incremental();
+        let (_, edited, reports) = sc.run_incremental();
         assert_eq!(edited.edges(), sc.final_pag().edges(), "the graph swaps");
         assert_eq!(reports.len(), 1);
         assert!(!reports[0].noop);
-        assert_eq!((reports[0].revision, reports[0].invalidated_jmps), (1, 0));
-        assert!(warm.stats.warm_hits > 0, "stale entries are served");
+        let dropped = |r: &DeltaReport| (r.invalidated_jmps, r.invalidated_answers);
+        assert_eq!((reports[0].revision, dropped(&reports[0])), (1, (0, 0)));
+        // Only complete answers are carried: a query the cold batch left
+        // out of budget runs again.
+        let starved = Scenario {
+            solver: sc.solver.clone().with_budget(1),
+            ..sc.clone()
+        };
+        let cold = Scenario {
+            deltas: vec![],
+            ..starved.clone()
+        };
+        assert_eq!(cold.run().stats.out_of_budget, 1);
+        assert_eq!(starved.run_incremental().0.stats.queries, 1);
         let honest = Scenario {
             fault: Fault::default(),
             ..sc
         };
         let (_, _, reports) = honest.run_incremental();
         assert!(reports[0].invalidated_jmps > 0, "a session drops them");
+        assert_eq!(dropped(&reports[0]).1, 1, "and the answer with them");
     }
 
     fn perturbed(perturb: Option<SimPerturb>) -> Scenario {

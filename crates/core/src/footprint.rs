@@ -1,15 +1,18 @@
 //! Reverse-dependency footprints for selective invalidation (DESIGN.md
 //! §12).
 //!
-//! Every *finished* jmp entry can carry a [`Footprint`]: the set of PAG
-//! nodes whose adjacency its recording traversal consulted, plus the set
-//! of fields whose load/store populations it consulted. When a [`parcfl_pag::PagDelta`] lands, the
-//! effective edge changes define a [`DirtySet`]; an entry stays warm iff
-//! its footprint is present and disjoint from the dirty set — a graph edit
+//! A [`Footprint`] is the read set of a recorded traversal: the PAG nodes
+//! whose adjacency it consulted, plus the fields whose load/store
+//! populations it consulted. Two things carry one: a *finished* jmp entry
+//! (what the `ReachableNodes` frame that computed it read) and a complete
+//! answer ([`crate::QueryOutput::footprint`]: everything its query read).
+//! When a [`parcfl_pag::PagDelta`] lands, the effective edge changes
+//! define a [`DirtySet`]; whatever a footprint guards stays warm iff the
+//! footprint is present and disjoint from the dirty set — a graph edit
 //! that never touched anything the traversal read cannot change its
-//! answer. Missing footprints (legacy entries, recording disabled, or a
-//! traversal that absorbed an un-footprinted dependency) are always
-//! invalidated: over-invalidation is sound, under-invalidation is not.
+//! result. Missing footprints (recording disabled, or a traversal that
+//! absorbed an un-footprinted dependency) are always invalidated:
+//! over-invalidation is sound, under-invalidation is not.
 //!
 //! The invalidation law, stated once: **an entry survives a delta iff it
 //! has a footprint and that footprint intersects neither the dirty node
@@ -27,8 +30,9 @@ use parcfl_pag::{DeltaEffect, FieldId, NodeId};
 use std::sync::Arc;
 
 /// The node/field read-set of one recorded traversal. Immutable once
-/// built; shared via `Arc` between the store entry and nothing else (it is
-/// *not* part of the published answer).
+/// built and shared via `Arc`: by the jmp entry or kept answer it guards,
+/// and by every footprint-in-progress that absorbed it. It is metadata
+/// about a result, never part of one.
 #[derive(Clone, Debug, Default)]
 pub struct Footprint {
     nodes: ChunkedBitset,
@@ -51,7 +55,7 @@ fn chunks_intersect(a: &ChunkedBitset, b: &ChunkedBitset) -> bool {
 
 impl Footprint {
     /// Whether this footprint overlaps `dirty` (in nodes or fields) —
-    /// i.e. whether the entry it guards must be invalidated.
+    /// i.e. whether what it guards must be invalidated.
     pub fn intersects(&self, dirty: &DirtySet) -> bool {
         chunks_intersect(&self.nodes, &dirty.nodes) || chunks_intersect(&self.fields, &dirty.fields)
     }
@@ -72,76 +76,149 @@ impl Footprint {
     }
 }
 
-/// Accumulates a [`Footprint`] during one traversal. A frame is pushed per
-/// recorded sub-call; child frames [`FpBuilder::merge_child`] into their
-/// parent so a published parent inherits everything its children read.
-/// Absorbing a dependency that has no footprint (a warm pre-delta jmp hit,
-/// or recording disabled in whoever produced it) **poisons** the frame:
-/// the resulting entry stores no footprint and is invalidated by every
-/// delta — the only sound option when the read-set is unknown.
-#[derive(Clone, Debug, Default)]
-pub struct FpBuilder {
-    nodes: ChunkedBitset,
-    fields: ChunkedBitset,
-    poisoned: bool,
+/// One lane's append-only read log: what the traversals of the query in
+/// flight have consulted, in the order they consulted it.
+///
+/// A node or field read is a `Vec::push`. A `ReachableNodes` frame is a
+/// *mark* — the three log lengths and the poison count at its opening —
+/// and owns the suffix of the log from there: frames nest in stack order,
+/// so everything a frame's children read lies inside the frame's own
+/// suffix, and a child needs folding into its parent by nobody. A frame
+/// becomes a bitset [`Footprint`] only when somebody will keep it
+/// ([`ReadLog::close`] with `keep`, [`ReadLog::finish`]); its suffix then
+/// collapses into that one absorbed `Arc`, so each read is folded into a
+/// bitset once however many enclosing frames are kept later.
+///
+/// Absorbing a dependency that has no footprint (a jmp hit on an entry
+/// published without one) **poisons** every open frame and the query: the
+/// read-set is unknown, nothing kept from it may claim one, and whatever
+/// it guards is invalidated by every delta — the only sound option.
+/// Frames opened afterwards are clean.
+///
+/// A log that is not recording ([`ReadLog::begin`] with `false`, what
+/// every one-shot run does) turns each call into one predictable branch.
+#[derive(Debug, Default)]
+pub(crate) struct ReadLog {
+    recording: bool,
+    nodes: Vec<NodeId>,
+    fields: Vec<FieldId>,
+    /// Footprints folded in whole: jmp hits' and collapsed frames'.
+    absorbed: Vec<Arc<Footprint>>,
+    /// Footprint-less dependencies absorbed so far in this query.
+    poison: u32,
+    /// The open frames, outermost first.
+    frames: Vec<Mark>,
 }
 
-impl FpBuilder {
-    /// A fresh, empty frame.
-    pub fn new() -> Self {
-        FpBuilder::default()
+/// Where a frame's suffix of the log begins.
+#[derive(Copy, Clone, Debug, Default)]
+struct Mark {
+    nodes: usize,
+    fields: usize,
+    absorbed: usize,
+    poison: u32,
+}
+
+impl ReadLog {
+    /// Opens a query: empties the log (keeping its allocations) and says
+    /// whether this query records. Frames left open by a query that ran
+    /// out of budget go with it.
+    pub(crate) fn begin(&mut self, recording: bool) {
+        self.recording = recording;
+        self.nodes.clear();
+        self.fields.clear();
+        self.absorbed.clear();
+        self.poison = 0;
+        self.frames.clear();
     }
 
     /// Records that `n`'s adjacency (incoming/outgoing slices) was
     /// consulted.
-    pub fn record_node(&mut self, n: NodeId) {
-        self.nodes.insert(n.raw());
+    #[inline]
+    pub(crate) fn node(&mut self, n: NodeId) {
+        if self.recording {
+            self.nodes.push(n);
+        }
     }
 
     /// Records that field `f`'s `loads_of`/`stores_of` index was consulted.
-    pub fn record_field(&mut self, f: FieldId) {
-        self.fields.insert(f.raw());
-    }
-
-    /// Marks the frame's read-set unknowable (see type docs).
-    pub fn poison(&mut self) {
-        self.poisoned = true;
-    }
-
-    /// Whether the frame is poisoned.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    /// Unions a dependency's footprint into this frame; `None` (the
-    /// dependency's read-set is unknown) poisons it.
-    pub fn absorb(&mut self, dep: Option<&Footprint>) {
-        match dep {
-            Some(fp) => {
-                self.nodes.union_with(&fp.nodes);
-                self.fields.union_with(&fp.fields);
-            }
-            None => self.poisoned = true,
+    #[inline]
+    pub(crate) fn field(&mut self, f: FieldId) {
+        if self.recording {
+            self.fields.push(f);
         }
     }
 
-    /// Folds a completed child frame into this (parent) frame.
-    pub fn merge_child(&mut self, child: FpBuilder) {
-        self.nodes.union_with(&child.nodes);
-        self.fields.union_with(&child.fields);
-        self.poisoned |= child.poisoned;
+    /// Folds a dependency's reads in whole; `None` (its read-set is
+    /// unknown) poisons every open frame and the query.
+    pub(crate) fn absorb(&mut self, dep: Option<Arc<Footprint>>) {
+        if self.recording {
+            match dep {
+                Some(fp) => self.absorbed.push(fp),
+                None => self.poison += 1,
+            }
+        }
     }
 
-    /// Finishes the frame: the footprint to store alongside the entry, or
-    /// `None` when poisoned (entry must then always be invalidated).
-    pub fn finish(self) -> Option<Arc<Footprint>> {
-        if self.poisoned {
+    /// Opens a frame at the current end of the log.
+    pub(crate) fn open(&mut self) {
+        if self.recording {
+            self.frames.push(self.mark());
+        }
+    }
+
+    /// Closes the innermost frame. With `keep` (its result is being
+    /// published) returns the frame's footprint — `None` when poisoned —
+    /// and collapses its suffix; otherwise the suffix simply stays part of
+    /// the enclosing frame's.
+    pub(crate) fn close(&mut self, keep: bool) -> Option<Arc<Footprint>> {
+        if !self.recording {
             return None;
         }
-        Some(Arc::new(Footprint {
-            nodes: self.nodes,
-            fields: self.fields,
-        }))
+        let mark = self.frames.pop().expect("unbalanced footprint frame");
+        keep.then(|| self.fold(mark)).flatten()
+    }
+
+    /// Closes a completed query: the footprint of everything it read,
+    /// `None` when poisoned or not recording.
+    pub(crate) fn finish(&mut self) -> Option<Arc<Footprint>> {
+        debug_assert!(
+            self.frames.is_empty(),
+            "a completed query closed its frames"
+        );
+        self.recording.then(|| self.fold(Mark::default())).flatten()
+    }
+
+    fn mark(&self) -> Mark {
+        Mark {
+            nodes: self.nodes.len(),
+            fields: self.fields.len(),
+            absorbed: self.absorbed.len(),
+            poison: self.poison,
+        }
+    }
+
+    /// Turns the suffix from `mark` into one footprint and leaves that in
+    /// the suffix's place.
+    fn fold(&mut self, mark: Mark) -> Option<Arc<Footprint>> {
+        if self.poison > mark.poison {
+            return None;
+        }
+
+        let mut fp = Footprint::default();
+        for n in self.nodes.drain(mark.nodes..) {
+            fp.nodes.insert(n.raw());
+        }
+        for f in self.fields.drain(mark.fields..) {
+            fp.fields.insert(f.raw());
+        }
+        for dep in self.absorbed.drain(mark.absorbed..) {
+            fp.nodes.union_with(&dep.nodes);
+            fp.fields.union_with(&dep.fields);
+        }
+        let fp = Arc::new(fp);
+        self.absorbed.push(Arc::clone(&fp));
+        Some(fp)
     }
 }
 
@@ -189,19 +266,23 @@ impl DirtySet {
     }
 }
 
+/// The footprint of a traversal that read exactly `nodes` and `fields`.
+#[cfg(test)]
+pub(crate) fn reading(nodes: &[u32], fields: &[u32]) -> Arc<Footprint> {
+    let mut log = ReadLog::default();
+    log.begin(true);
+    nodes.iter().for_each(|&n| log.node(NodeId::new(n)));
+    fields.iter().for_each(|&f| log.field(FieldId::new(f)));
+    log.finish().expect("nothing poisons a plain read")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
-    fn fp(nodes: &[u32], fields: &[u32]) -> Footprint {
-        let mut b = FpBuilder::new();
-        for &n in nodes {
-            b.record_node(NodeId::new(n));
-        }
-        for &f in fields {
-            b.record_field(FieldId::new(f));
-        }
-        Arc::try_unwrap(b.finish().unwrap()).unwrap()
+    fn fp(nodes: &[u32], fields: &[u32]) -> Arc<Footprint> {
+        reading(nodes, fields)
     }
 
     #[test]
@@ -227,32 +308,198 @@ mod tests {
         assert!(!f.intersects(&d));
     }
 
-    #[test]
-    fn poisoned_frames_finish_to_none_and_propagate() {
-        let mut b = FpBuilder::new();
-        b.record_node(NodeId::new(1));
-        b.absorb(None);
-        assert!(b.is_poisoned());
-        assert!(b.finish().is_none());
-        // Poison crosses merge_child.
-        let mut parent = FpBuilder::new();
-        let mut child = FpBuilder::new();
-        child.poison();
-        parent.merge_child(child);
-        assert!(parent.finish().is_none());
+    /// The reference the log is held to: a frame's footprint is the set
+    /// union of what was read and absorbed while it was open.
+    #[derive(Clone, Default, PartialEq, Eq, Debug)]
+    struct Model {
+        nodes: BTreeSet<u32>,
+        fields: BTreeSet<u32>,
+    }
+
+    impl Model {
+        fn of(fp: &Footprint) -> Model {
+            Model {
+                nodes: fp.nodes.iter().collect(),
+                fields: fp.fields.iter().collect(),
+            }
+        }
+    }
+
+    /// A scripted query: reads, jmp hits and nested frames, some kept.
+    enum Op {
+        Node(u32),
+        Field(u32),
+        Hit(Option<Arc<Footprint>>),
+        Open,
+        /// Closes the innermost frame; `true` keeps (publishes) it.
+        Close(bool),
+    }
+
+    /// Runs `script` through a log and through per-frame sets folded into
+    /// their parents at every close (what the frame stack did). Returns,
+    /// per `Close(true)` and then for the whole query, the log's footprint
+    /// beside the model's (`None` = poisoned).
+    fn run(script: &[Op]) -> Vec<(Option<Model>, Option<Model>)> {
+        let mut log = ReadLog::default();
+        log.begin(true);
+        // The model's frames: reads so far and whether poisoned.
+        let mut frames = vec![(Model::default(), false)];
+        let mut out = Vec::new();
+        for op in script {
+            let top = frames.last_mut().unwrap();
+            match op {
+                Op::Node(n) => {
+                    log.node(NodeId::new(*n));
+                    top.0.nodes.insert(*n);
+                }
+                Op::Field(f) => {
+                    log.field(FieldId::new(*f));
+                    top.0.fields.insert(*f);
+                }
+                Op::Hit(dep) => {
+                    log.absorb(dep.clone());
+                    match dep {
+                        Some(fp) => {
+                            let m = Model::of(fp);
+                            top.0.nodes.extend(m.nodes);
+                            top.0.fields.extend(m.fields);
+                        }
+                        None => top.1 = true,
+                    }
+                }
+                Op::Open => {
+                    log.open();
+                    frames.push((Model::default(), false));
+                }
+                Op::Close(keep) => {
+                    let got = log.close(*keep);
+                    let (child, poisoned) = frames.pop().unwrap();
+                    let parent = frames.last_mut().unwrap();
+                    parent.0.nodes.extend(child.nodes.iter().copied());
+                    parent.0.fields.extend(child.fields.iter().copied());
+                    parent.1 |= poisoned;
+                    if *keep {
+                        out.push((got.as_deref().map(Model::of), (!poisoned).then_some(child)));
+                    } else {
+                        assert!(got.is_none(), "an unkept frame materialises nothing");
+                    }
+                }
+            }
+        }
+        let (root, poisoned) = frames.pop().unwrap();
+        assert!(frames.is_empty(), "the script closes what it opens");
+        let whole = log.finish();
+        out.push((whole.as_deref().map(Model::of), (!poisoned).then_some(root)));
+        out
     }
 
     #[test]
     fn absorb_unions_dependency_reads() {
-        let dep = fp(&[40], &[2]);
-        let mut b = FpBuilder::new();
-        b.record_node(NodeId::new(1));
-        b.absorb(Some(&dep));
-        let out = b.finish().unwrap();
-        assert!(out.touches_node(NodeId::new(40)));
-        assert!(out.touches_node(NodeId::new(1)));
-        assert!(out.touches_field(FieldId::new(2)));
-        assert_eq!(out.node_count(), 2);
+        use Op::*;
+        let dep = fp(&[40, 900], &[2]);
+        let results = run(&[
+            Node(1),
+            Open,
+            Node(2),
+            Field(7),
+            Open,
+            Node(3),
+            Hit(Some(dep.clone())),
+            Close(false), // below τF: stays part of the enclosing suffix
+            Node(4),
+            Close(true),
+            Open,
+            Node(5),
+            Close(true),
+            Node(6),
+        ]);
+        assert_eq!(results.len(), 3);
+        for (got, want) in &results {
+            assert_eq!(got, want);
+        }
+        let outer = results[0].0.as_ref().unwrap();
+        assert_eq!(outer.nodes, BTreeSet::from([2, 3, 4, 40, 900]));
+        assert_eq!(outer.fields, BTreeSet::from([2, 7]));
+        let sibling = results[1].0.as_ref().unwrap();
+        assert_eq!(
+            sibling.nodes,
+            BTreeSet::from([5]),
+            "not its elder sibling's"
+        );
+        let whole = results[2].0.as_ref().unwrap();
+        assert_eq!(whole.nodes, BTreeSet::from([1, 2, 3, 4, 5, 6, 40, 900]));
+    }
+
+    #[test]
+    fn poisoned_frames_finish_to_none_and_propagate() {
+        use Op::*;
+        let results = run(&[
+            Open,
+            Node(1),
+            Open,
+            Node(2),
+            Close(true), // closed before the poison: keeps its footprint
+            Open,
+            Node(3),
+            Hit(None),
+            Close(true), // the poisoned frame
+            Open,
+            Node(4),
+            Close(true), // opened after it: clean
+            Close(true), // encloses it: poisoned
+        ]);
+        let got: Vec<bool> = results.iter().map(|(g, _)| g.is_some()).collect();
+        assert_eq!(got, [true, false, true, false, false]);
+        for (got, want) in &results {
+            assert_eq!(got, want);
+        }
+    }
+
+    /// A kept child collapses into one absorbed footprint: the parent sees
+    /// its reads through that, and the log no longer holds them.
+    #[test]
+    fn a_closed_child_is_folded_into_its_parent_exactly_once() {
+        let mut log = ReadLog::default();
+        log.begin(true);
+        log.open();
+        log.node(NodeId::new(1));
+        log.open();
+        for n in 10..20 {
+            log.node(NodeId::new(n));
+        }
+        log.field(FieldId::new(3));
+        let child = log.close(true).unwrap();
+        assert_eq!(child.node_count(), 10);
+        assert_eq!((log.nodes.len(), log.fields.len()), (1, 0));
+        assert_eq!(log.absorbed.len(), 1);
+        assert!(Arc::ptr_eq(&log.absorbed[0], &child));
+        let parent = log.close(true).unwrap();
+        assert_eq!(parent.node_count(), 11);
+        assert!(parent.touches_field(FieldId::new(3)));
+        assert_eq!(
+            log.absorbed.len(),
+            1,
+            "the parent's collapse replaces the child's"
+        );
+        let whole = log.finish().unwrap();
+        assert_eq!(Model::of(&whole), Model::of(&parent));
+    }
+
+    #[test]
+    fn a_log_that_is_not_recording_keeps_nothing() {
+        let mut log = ReadLog::default();
+        log.begin(false);
+        log.open();
+        log.node(NodeId::new(1));
+        log.field(FieldId::new(1));
+        log.absorb(None);
+        assert!(log.close(true).is_none());
+        assert!(log.finish().is_none());
+        assert!(log.nodes.is_empty() && log.frames.is_empty());
+        // Recording again, the earlier query's poison is gone.
+        log.begin(true);
+        log.node(NodeId::new(2));
+        assert_eq!(log.finish().unwrap().node_count(), 1);
     }
 
     #[test]

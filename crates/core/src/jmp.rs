@@ -806,11 +806,10 @@ mod tests {
 
     #[test]
     fn footprints_round_trip_and_gate_invalidation() {
-        use crate::footprint::{DirtySet, FpBuilder};
+        use crate::footprint::{reading, DirtySet};
         let s = SharedJmpStore::new();
-        let mut b = FpBuilder::new();
-        b.record_node(NodeId::new(42));
-        assert!(s.publish_finished(key(1), 100, Arc::new(vec![]), 0, b.finish()));
+        let fp = Some(reading(&[42], &[]));
+        assert!(s.publish_finished(key(1), 100, Arc::new(vec![]), 0, fp));
         // A footprint-less finished entry and an unfinished one.
         assert!(publish(&s, 2, 100));
         assert!(s.publish_unfinished(key(3), 10_000, 0));
@@ -834,11 +833,9 @@ mod tests {
     #[test]
     fn default_fp_methods_drop_footprints() {
         // A store that shares nothing has nowhere to keep a footprint.
-        use crate::footprint::FpBuilder;
-        let mut b = FpBuilder::new();
-        b.record_node(NodeId::new(1));
+        let fp = Some(crate::footprint::reading(&[1], &[]));
         let s = NoJmpStore;
-        assert!(!s.publish_finished(key(1), 10, Arc::new(vec![]), 0, b.finish()));
+        assert!(!s.publish_finished(key(1), 10, Arc::new(vec![]), 0, fp));
         assert!(s.lookup(&key(1), 0).is_none());
     }
 

@@ -40,7 +40,7 @@ pub mod witness;
 
 pub use config::{SolverConfig, StateBackend};
 pub use context::Ctx;
-pub use footprint::{DirtySet, Footprint, FpBuilder};
+pub use footprint::{DirtySet, Footprint};
 pub use jmp::{Dir, JmpEntry, JmpStore, NoJmpStore, SharedJmpStore};
 pub use parcfl_concurrent::{CtxId, CtxInterner};
 pub use solver::{CtxNode, Solver};

@@ -59,7 +59,7 @@
 
 use crate::config::{SolverConfig, StateBackend};
 use crate::context::{sort_canonical, Ctx};
-use crate::footprint::{Footprint, FpBuilder};
+use crate::footprint::ReadLog;
 use crate::jmp::{Dir, JmpEntry, JmpStore, RchSet};
 use crate::stats::{Answer, QueryOutput, QueryStats};
 use crate::witness::{Trace, Via};
@@ -338,14 +338,13 @@ struct Scratch<S> {
     /// `PointsTo(x, c)` legitimately invokes `ReachableNodes(x, c)`.
     on_stack: FxHashSet<(Call, Dir, NodeId, CtxId)>,
     /// Reverse-dependency recording (`record_footprints` only, DESIGN.md
-    /// §12): one frame per in-flight `ReachableNodes` computation. Reads
-    /// are recorded into the innermost frame; a popped frame folds into
-    /// its parent, so a published jmp entry carries the union of its whole
-    /// subtree's reads. Empty when recording is off — every record site is
-    /// then a single `Vec::last_mut` miss. Recording is pure metadata:
-    /// answers, step counts and publication decisions are bit-identical
-    /// with it on or off.
-    fp_stack: Vec<FpBuilder>,
+    /// §12): the query's reads in order, one frame (a mark in the log) per
+    /// in-flight `ReachableNodes` computation, so a published jmp entry
+    /// carries its whole subtree's reads and a completed query everything
+    /// it read. With recording off every record site is one predictable
+    /// branch. Recording is pure metadata: answers, step counts and
+    /// publication decisions are bit-identical with it on or off.
+    reads: ReadLog,
 }
 
 /// One query in flight: its cost accounting, over the solver's inputs and
@@ -385,7 +384,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         s.gen += 1;
         s.in_progress.clear();
         s.on_stack.clear();
-        s.fp_stack.clear();
+        s.reads.begin(env.cfg.record_footprints);
         QueryState {
             pag: env.pag,
             cfg: env.cfg,
@@ -415,28 +414,6 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         let result = self.traverse(start, CtxId::EMPTY, dir);
         let trace = self.trace.take().unwrap_or_default();
         (self.finish(result), trace)
-    }
-
-    // ----- footprint recording (record_footprints only) -----
-
-    /// Records a consulted node's adjacency into the innermost frame.
-    #[inline]
-    fn fp_node(&mut self, n: NodeId) {
-        if let Some(f) = self.s.fp_stack.last_mut() {
-            f.record_node(n);
-        }
-    }
-
-    /// Closes the innermost frame: returns its footprint (for the jmp
-    /// entry it guards) and folds its reads — poison included — into the
-    /// parent frame.
-    fn fp_pop_frame(&mut self) -> Option<Arc<Footprint>> {
-        let child = self.s.fp_stack.pop().expect("unbalanced footprint frame");
-        let fp = child.clone().finish();
-        if let Some(parent) = self.s.fp_stack.last_mut() {
-            parent.merge_child(child);
-        }
-        fp
     }
 
     /// Takes a (reset) visited-state table from the pool, or creates one.
@@ -531,16 +508,18 @@ impl<'a, S: StateSet> QueryState<'a, S> {
     /// cost accounting. Frees nothing — the scratch keeps what the query
     /// allocated for the next one.
     fn finish(mut self, result: Result<Vec<IState>, Oob>) -> QueryOutput {
-        let answer = match result {
+        let (answer, footprint) = match result {
             Ok(set) => {
                 let mat = |&(n, c): &IState| (n, Ctx::materialize(self.ctxs, c));
                 let mut v: Vec<CtxNode> = set.iter().map(mat).collect();
                 self.release_stack(set);
                 v.sort_unstable();
                 v.dedup();
-                Answer::Complete(v)
+                (Answer::Complete(v), self.s.reads.finish())
             }
-            Err(_oob) => Answer::OutOfBudget,
+            // Whether a query runs out of budget depends on what the store
+            // held when it ran: nothing vouches for the verdict.
+            Err(_oob) => (Answer::OutOfBudget, None),
         };
         self.stats.charged_steps = self.steps;
         self.stats.traversed_steps = self.work;
@@ -548,6 +527,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         QueryOutput {
             answer,
             stats: self.stats,
+            footprint,
         }
     }
 
@@ -676,7 +656,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         t.w.push((start, c));
         while let Some((x, cx)) = t.w.pop() {
             self.tick()?;
-            self.fp_node(x);
+            self.s.reads.node(x);
             if FWD && self.pag.kind(x).is_variable() {
                 t.out.push((x, cx));
             }
@@ -796,12 +776,11 @@ impl<'a, S: StateSet> QueryState<'a, S> {
 
     fn reachable_nodes(&mut self, x: NodeId, c: CtxId, dir: Dir) -> Result<Vec<IState>, Oob> {
         let jmp_key = (dir, x, c);
-        let recording = self.cfg.record_footprints;
         if let Some(jmp) = self.jmp {
             // The footprint rides along with the entry so a recording
             // reader's shortcut absorbs the recorded traversal's reads (an
             // entry without one — warm pre-recording state — poisons the
-            // frame).
+            // open frames and the query).
             match jmp.lookup(&jmp_key, self.now()) {
                 // Algorithm 2 lines 2–3: early termination when the
                 // remaining budget cannot cover the recorded lower bound.
@@ -837,9 +816,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
                     if created_at < self.warm_before {
                         self.stats.warm_hits += 1;
                     }
-                    if let Some(frame) = self.s.fp_stack.last_mut() {
-                        frame.absorb(fp.as_deref());
-                    }
+                    self.s.reads.absorb(fp);
                     // Copied into a pooled buffer, so every caller iterates
                     // and hands back the same thing.
                     let mut out = self.acquire_stack();
@@ -856,18 +833,18 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         if !self.s.on_stack.insert(call) {
             return Err(self.burn_remaining());
         }
-        if recording {
-            self.s.fp_stack.push(FpBuilder::new());
-        }
+        self.s.reads.open();
         let out = self.reachable_inner(x, c, dir)?;
         self.s.on_stack.remove(&call);
         self.s.in_progress.pop();
 
-        let fp = recording.then(|| self.fp_pop_frame()).flatten();
         // The set leaves its buffer, as one copy behind an `Arc`, only to
-        // be shared: by a publication that clears `τF`.
+        // be shared: by a publication that clears `τF`. Its frame of the
+        // read log becomes a footprint on the same condition.
         let total = self.steps - s0;
-        if let Some(jmp) = self.jmp.filter(|_| total >= self.cfg.tau_finished) {
+        let publishing = self.jmp.filter(|_| total >= self.cfg.tau_finished);
+        let fp = self.s.reads.close(publishing.is_some());
+        if let Some(jmp) = publishing {
             let rch: RchSet = Arc::new(out.clone());
             if jmp.publish_finished(jmp_key, total, rch, self.now(), fp) {
                 self.stats.finished_published += out.len().max(1) as u64;
@@ -886,7 +863,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         let pag = self.pag;
         let mut alias = self.acquire();
         let mut out = self.acquire_stack();
-        self.fp_node(x);
+        self.s.reads.node(x);
         let accesses = edges_at(pag, dir, x, HEAP_ACCESS[dir as usize]);
         let r = accesses.iter().try_for_each(|e| {
             let f = e.kind.field().expect("field access edge");
@@ -897,9 +874,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             // The field index is consulted before the emptiness gate, so
             // record it before — a store added to a today-empty field must
             // invalidate this traversal.
-            if let Some(frame) = self.s.fp_stack.last_mut() {
-                frame.record_field(f);
-            }
+            self.s.reads.field(f);
             if matches.is_empty() {
                 return Ok(());
             }

@@ -84,6 +84,14 @@ pub struct QueryOutput {
     pub answer: Answer,
     /// Cost/effect statistics.
     pub stats: QueryStats,
+    /// Everything the query read — the nodes whose adjacency and the
+    /// fields whose index any of its traversals consulted, taken or
+    /// inherited through a shortcut (DESIGN.md §12): the answer stands
+    /// for as long as no edit touches it. Present on a
+    /// [`Answer::Complete`] from a solver that records
+    /// ([`crate::SolverConfig::record_footprints`]) unless a shortcut it
+    /// took had no footprint of its own.
+    pub footprint: Option<std::sync::Arc<crate::Footprint>>,
 }
 
 /// Fig. 7: histogram of jmp edges bucketed by the number of steps each

@@ -834,3 +834,78 @@ mod witness_tests {
         }
     }
 }
+
+/// A recording solver hands each complete answer the footprint of
+/// everything the query read — top-level reads, nested traversals' and
+/// what a shortcut stands for — and nothing else gets one.
+#[test]
+fn complete_answers_leave_with_their_whole_query_footprint() {
+    use crate::jmp::JmpEntry;
+    let src = "class Obj { }
+               class Box { field f: Obj; }
+               class A {
+                 method m() {
+                   var p: Box; var v: Obj; var x: Obj; var y: Obj; var far: Obj;
+                   p = new Box; v = new Obj; p.f = v; x = p.f; y = x;
+                   far = new Obj;
+                 }
+               }";
+    let p = pag(src);
+    let n = |name: &str| node(&p, &format!("{name}@A.m"));
+    let f = parcfl_pag::FieldId::new(1);
+    let publishing = SolverConfig::default().without_tau_thresholds();
+    let recording = publishing.clone().with_footprints();
+
+    // Off, out of budget: none.
+    let off = Solver::new(&p, &publishing, &NoJmpStore).points_to_query(n("y"), 0);
+    assert!(off.answer.complete().is_some() && off.footprint.is_none());
+    let starved = recording.clone().with_budget(1);
+    let oob = Solver::new(&p, &starved, &NoJmpStore).points_to_query(n("y"), 0);
+    assert_eq!(
+        (oob.answer, oob.footprint.is_none()),
+        (Answer::OutOfBudget, true)
+    );
+
+    // On: the top-level reads (y, x), the alias step's (p, v, the field)
+    // and not the rest of the program — with or without a store.
+    let touches = |out: &QueryOutput, want: bool| {
+        let fp = out.footprint.as_ref().expect("a complete recorded answer");
+        for name in ["x", "p", "v"] {
+            assert_eq!(fp.touches_node(n(name)), want, "{name}");
+        }
+        assert_eq!(fp.touches_field(f), want);
+        assert!(fp.touches_node(n("y")) && !fp.touches_node(n("far")));
+    };
+    touches(
+        &Solver::new(&p, &recording, &NoJmpStore).points_to_query(n("y"), 0),
+        true,
+    );
+    let store = SharedJmpStore::new();
+    let mut solver = Solver::new(&p, &recording, &store);
+    let first = solver.points_to_query(n("x"), 0);
+    assert!(first.stats.finished_published > 0);
+    // A query that only takes the shortcut reads what the shortcut read.
+    let second = solver.points_to_query(n("y"), 0);
+    assert!(second.stats.shortcuts_taken > 0);
+    assert!(second.stats.traversed_steps < off.stats.traversed_steps);
+    touches(&second, true);
+    assert_eq!(second.answer, off.answer);
+
+    // A shortcut without a footprint leaves the answer without one; a
+    // query that never meets it keeps its own.
+    let bare = SharedJmpStore::new();
+    store.for_each(|key, entry| {
+        if let JmpEntry::Finished {
+            total_steps, rch, ..
+        } = entry
+        {
+            bare.publish_finished(*key, *total_steps, rch.clone(), 0, None);
+        }
+    });
+    let mut solver = Solver::new(&p, &recording, &bare);
+    let poisoned = solver.points_to_query(n("y"), 0);
+    assert_eq!(poisoned.answer, off.answer);
+    assert!(poisoned.stats.shortcuts_taken > 0 && poisoned.footprint.is_none());
+    let clean = solver.points_to_query(n("far"), 0);
+    assert_eq!(clean.footprint.expect("no shortcut taken").node_count(), 1);
+}

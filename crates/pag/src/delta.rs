@@ -12,10 +12,10 @@
 //! callers can skip invalidation entirely.
 
 use crate::edge::{Edge, EdgeKind};
-use crate::graph::{build_pag_tables, Pag};
+use crate::graph::{in_order, Pag};
 use crate::ids::{CallSiteId, FieldId, MethodId, NodeId};
 use crate::node::NodeInfo;
-use std::collections::HashSet;
+use std::collections::BTreeMap;
 
 /// One atomic edge edit. Both directions are idempotent: adding a present
 /// edge and removing an absent one are no-ops (the frozen graph is a
@@ -172,15 +172,6 @@ impl DeltaEffect {
     }
 }
 
-/// Canonical presentation order for effect edge lists: the same
-/// `(dst, class, src, payload)` order the frozen incoming array uses.
-fn canonical_edge_order(edges: &mut [Edge]) {
-    edges.sort_unstable_by_key(|e| {
-        let (class, detail) = crate::graph::edge_sort_key(e.kind);
-        (e.dst, class, e.src, detail)
-    });
-}
-
 impl Pag {
     /// The applied-revision counter: 0 for a freshly frozen graph,
     /// incremented by every effective [`Pag::apply_delta`]. Cheap staleness
@@ -197,69 +188,85 @@ impl Pag {
     /// fuzz edit scripts shrink node sets independently of the scripts);
     /// [`DeltaEffect::rejected_ops`] counts them.
     pub fn apply_delta(&self, delta: &PagDelta) -> (Pag, DeltaEffect) {
-        let (mut nodes, edges, types, mut method_names, mut call_sites) = self.clone_parts();
         let old_rev = self.revision();
-
+        let (old_nodes, old_methods) = (self.node_count(), self.method_count());
+        let n = old_nodes + delta.add_nodes.len();
         let mut effect = DeltaEffect {
+            added_nodes: (old_nodes..n).map(NodeId::from_usize).collect(),
+            added_methods: (old_methods..old_methods + delta.add_methods.len())
+                .map(MethodId::from_usize)
+                .collect(),
             revision: old_rev,
             ..DeltaEffect::default()
         };
-        for info in &delta.add_nodes {
-            effect.added_nodes.push(NodeId::from_usize(nodes.len()));
-            nodes.push(info.clone());
-        }
-        for name in &delta.add_methods {
-            effect
-                .added_methods
-                .push(MethodId::from_usize(method_names.len()));
-            method_names.push(name.clone());
-        }
-        call_sites += delta.add_call_sites;
-        let n = nodes.len();
 
-        let before: HashSet<Edge> = edges.iter().copied().collect();
-        let mut after = before.clone();
+        // Every edge the delta names, in canonical order, with whether the
+        // graph has it and whether the edited graph will.
+        let mut named = NamedEdges::new();
         for op in &delta.ops {
             let e = op.edge();
             if e.src.index() >= n || e.dst.index() >= n {
                 effect.rejected_ops += 1;
                 continue;
             }
-            match op {
-                DeltaOp::AddEdge(_) => {
-                    after.insert(e);
-                }
-                DeltaOp::RemoveEdge(_) => {
-                    after.remove(&e);
-                }
-            }
+            self.named(&mut named, e).after = matches!(op, DeltaOp::AddEdge(_));
         }
         for &cs in &delta.remove_call_sites {
-            after.retain(|e| e.kind.call_site() != Some(cs));
+            let at_site = |e: &Edge| e.kind.call_site() == Some(cs);
+            for &e in self.edges().iter().filter(|e| at_site(e)) {
+                self.named(&mut named, e);
+            }
+            let at_site = named.values_mut().filter(|slot| at_site(&slot.edge));
+            at_site.for_each(|slot| slot.after = false);
         }
-
-        effect.added_edges = after.difference(&before).copied().collect();
-        effect.removed_edges = before.difference(&after).copied().collect();
-        canonical_edge_order(&mut effect.added_edges);
-        canonical_edge_order(&mut effect.removed_edges);
+        let changed = |before: bool, after: bool| -> Vec<Edge> {
+            let differs = named
+                .values()
+                .filter(|slot| (slot.before, slot.after) == (before, after));
+            differs.map(|slot| slot.edge).collect()
+        };
+        effect.added_edges = changed(false, true);
+        effect.removed_edges = changed(true, false);
 
         if effect.is_noop() {
             return (self.clone(), effect);
         }
         effect.revision = old_rev + 1;
-
-        let new_edges: Vec<Edge> = after.into_iter().collect();
-        let pag = build_pag_tables(
-            nodes,
-            new_edges,
-            types,
-            method_names,
-            call_sites,
+        let pag = self.edited(
+            &delta.add_nodes,
+            &delta.add_methods,
+            delta.add_call_sites,
+            &effect.added_edges,
+            &effect.removed_edges,
             effect.revision,
         );
         (pag, effect)
     }
+
+    /// `e`'s slot in the edges a delta names, opened as the graph has it.
+    fn named<'m>(&self, named: &'m mut NamedEdges, e: Edge) -> &'m mut Named {
+        named.entry(in_order(&e)).or_insert_with(|| {
+            let before = self.has_edge(&e);
+            Named {
+                edge: e,
+                before,
+                after: before,
+            }
+        })
+    }
 }
+
+/// One edge a delta names: whether the graph has it, and whether the
+/// edited graph will.
+struct Named {
+    edge: Edge,
+    before: bool,
+    after: bool,
+}
+
+/// The edges a delta names, by [`in_order`] key: iterating gives the
+/// canonical order [`DeltaEffect`]'s lists are in.
+type NamedEdges = BTreeMap<(NodeId, u8, NodeId, u32), Named>;
 
 #[cfg(test)]
 mod tests {
@@ -473,6 +480,102 @@ mod tests {
         assert_equals_fresh(&edited, &rebuild_fresh(&edited));
     }
 
+    /// Seeded edit scripts — adds, removes, repeats that cancel, appended
+    /// nodes, a removed call site — against the set model the hash-set
+    /// implementation was: the spliced graph is the fresh freeze of the
+    /// model's edge set, and the effect lists are the set differences in
+    /// canonical order.
+    #[test]
+    fn random_edit_scripts_match_a_fresh_freeze_of_the_edited_set() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = move |below: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % below
+        };
+        let kinds = |i: usize| match i % 7 {
+            0 => EdgeKind::New,
+            1 => EdgeKind::AssignLocal,
+            2 => EdgeKind::AssignGlobal,
+            3 => EdgeKind::Load(FieldId::new(1)),
+            4 => EdgeKind::Store(FieldId::new(1)),
+            5 => EdgeKind::Param(CallSiteId::new(0)),
+            _ => EdgeKind::Ret(CallSiteId::new(0)),
+        };
+        let mut pag = sample();
+        for round in 0..60 {
+            let mut d = PagDelta::new();
+            let grown = pag.node_count() + round % 3;
+            for i in pag.node_count()..grown {
+                d.add_node(NodeInfo {
+                    kind: NodeKind::Local {
+                        method: MethodId::new(0),
+                    },
+                    ty: crate::ids::TypeId::new(0),
+                    name: format!("fresh{i}"),
+                    is_application: true,
+                });
+            }
+            let keyed = |pag: &Pag| -> BTreeMap<_, Edge> {
+                pag.edges().iter().map(|e| (in_order(e), *e)).collect()
+            };
+            let (before, mut model) = (keyed(&pag), keyed(&pag));
+            // The node that ends both edge arrays gets an edge of the last
+            // class: nodes appended by the next round start past it.
+            let last = NodeId::from_usize(pag.node_count() - 1);
+            let tail = Edge {
+                src: last,
+                dst: last,
+                kind: kinds(6),
+            };
+            d.push(DeltaOp::AddEdge(tail));
+            model.insert(in_order(&tail), tail);
+            for _ in 0..1 + draw(6) {
+                // Half the ops aim at an edge the graph has, and the tail
+                // of the node range (the appended nodes) is drawn often.
+                let e = if draw(2) == 0 {
+                    pag.edges()[draw(pag.edge_count())]
+                } else {
+                    let end = |r: usize| NodeId::from_usize(grown - 1 - r % grown.min(8));
+                    let (src, dst) = (end(draw(64)), NodeId::from_usize(draw(grown)));
+                    Edge {
+                        src,
+                        dst,
+                        kind: kinds(draw(7)),
+                    }
+                };
+                if draw(2) == 0 {
+                    d.push(DeltaOp::AddEdge(e));
+                    model.insert(in_order(&e), e);
+                } else {
+                    d.push(DeltaOp::RemoveEdge(e));
+                    model.remove(&in_order(&e));
+                }
+            }
+            if round % 20 == 19 {
+                let cs = CallSiteId::new(0);
+                d.remove_call_site(cs);
+                model.retain(|_, e| e.kind.call_site() != Some(cs));
+            }
+            let (edited, effect) = pag.apply_delta(&d);
+            let only = |a: &BTreeMap<_, Edge>, b: &BTreeMap<_, Edge>| -> Vec<Edge> {
+                let kept = a.iter().filter(|&(k, _)| !b.contains_key(k));
+                kept.map(|(_, &e)| e).collect()
+            };
+            assert_eq!(effect.added_edges, only(&model, &before), "round {round}");
+            assert_eq!(effect.removed_edges, only(&before, &model), "round {round}");
+            let want: Vec<Edge> = model.values().copied().collect();
+            assert_eq!(edited.edges(), want, "round {round}");
+            assert_eq!(edited.node_count(), grown);
+            if !effect.is_noop() {
+                assert_equals_fresh(&edited, &rebuild_fresh(&edited));
+            }
+            pag = edited;
+        }
+        assert!(pag.revision() > 40, "most scripts were effective");
+    }
+
     #[test]
     fn out_of_range_ops_are_ignored() {
         let pag = sample();
@@ -519,7 +622,7 @@ mod tests {
         d.add_edge(NodeId::new(10), NodeId::new(20), EdgeKind::Store(f))
             .remove_edge(NodeId::new(3), NodeId::new(4), EdgeKind::Load(f));
         let (_, effect) = pag.apply_delta(&d);
-        let nodes: HashSet<u32> = effect.dirty_nodes().map(NodeId::raw).collect();
+        let nodes: std::collections::HashSet<u32> = effect.dirty_nodes().map(NodeId::raw).collect();
         assert!(nodes.contains(&10) && nodes.contains(&20));
         assert!(nodes.contains(&3) && nodes.contains(&4));
         let fields: Vec<FieldId> = effect.dirty_fields().collect();

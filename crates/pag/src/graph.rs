@@ -11,6 +11,7 @@ use crate::edge::{Edge, EdgeClass, EdgeKind, EDGE_CLASSES};
 use crate::ids::{FieldId, MethodId, NodeId};
 use crate::node::{NodeInfo, NodeKind};
 use crate::types::TypeTable;
+use std::sync::Arc;
 
 /// Mutable accumulator for PAG construction.
 #[derive(Default)]
@@ -130,10 +131,7 @@ pub(crate) fn build_pag_tables(
     // reachability and only slow traversals down. The sort is the
     // canonical incoming order: dst-major, kind-class within a node,
     // then (src, payload) within a class.
-    edges.sort_unstable_by_key(|e| {
-        let (class, detail) = edge_sort_key(e.kind);
-        (e.dst, class, e.src, detail)
-    });
+    edges.sort_unstable_by_key(in_order);
     edges.dedup();
 
     // Incoming CSR (edges sorted by dst already).
@@ -152,10 +150,7 @@ pub(crate) fn build_pag_tables(
     // is a direct slice too — no index indirection on the forward hot
     // path.
     let mut out_edges = edges.clone();
-    out_edges.sort_unstable_by_key(|e| {
-        let (class, detail) = edge_sort_key(e.kind);
-        (e.src, class, e.dst, detail)
-    });
+    out_edges.sort_unstable_by_key(out_order);
     let mut out_start = vec![0u32; n + 1];
     for e in &out_edges {
         out_start[e.src.index() + 1] += 1;
@@ -180,7 +175,7 @@ pub(crate) fn build_pag_tables(
     }
 
     Pag {
-        nodes,
+        nodes: Arc::new(nodes),
         edges,
         in_start,
         in_kind,
@@ -189,11 +184,81 @@ pub(crate) fn build_pag_tables(
         out_kind,
         loads_by_field,
         stores_by_field,
-        types,
-        method_names,
+        types: Arc::new(types),
+        method_names: Arc::new(method_names),
         call_sites,
         revision,
     }
+}
+
+/// The canonical order of the incoming edge array ([`Pag::edges`]):
+/// dst-major, kind-class within a node, then `(src, payload)`.
+pub(crate) fn in_order(e: &Edge) -> (NodeId, u8, NodeId, u32) {
+    let (class, detail) = edge_sort_key(e.kind);
+    (e.dst, class, e.src, detail)
+}
+
+/// The order of the outgoing edge array: [`in_order`] with the ends
+/// swapped.
+fn out_order(e: &Edge) -> (NodeId, u8, NodeId, u32) {
+    let (class, detail) = edge_sort_key(e.kind);
+    (e.src, class, e.dst, detail)
+}
+
+/// `old` (sorted by `order`, duplicate-free) with `removed` taken out and
+/// `added` put in, both sorted by `order` too: what sorting the edited set
+/// would give, by copying the runs between the changes.
+fn splice<K: Ord>(
+    old: &[Edge],
+    added: &[Edge],
+    removed: &[Edge],
+    order: impl Fn(&Edge) -> K,
+) -> Vec<Edge> {
+    let mut out = Vec::with_capacity(old.len() + added.len() - removed.len());
+    let (mut added, mut removed) = (added.iter().peekable(), removed.iter().peekable());
+    let mut from = 0;
+    loop {
+        let insert = match (added.peek(), removed.peek()) {
+            (None, None) => break,
+            (Some(a), Some(r)) => order(a) < order(r),
+            (a, _) => a.is_some(),
+        };
+        let e = if insert { added.next() } else { removed.next() };
+        let e = e.expect("peeked");
+        let at = from + old[from..].partition_point(|x| order(x) < order(e));
+        out.extend_from_slice(&old[from..at]);
+        if insert {
+            out.push(*e);
+            from = at;
+        } else {
+            debug_assert_eq!(old[at], *e, "a removed edge is in the graph");
+            from = at + 1;
+        }
+    }
+    out.extend_from_slice(&old[from..]);
+    out
+}
+
+/// An offset table (`*_start` or `*_kind`) after an edit: `old` grown to
+/// `len` entries (appended nodes start at `end`, where the old edge array
+/// ended) and, for each `(index, by)` of `bumps`, every entry from `index`
+/// on moved by `by` — an edge put in or taken out ahead of it.
+fn shifted(old: &[u32], len: usize, end: u32, mut bumps: Vec<(usize, i32)>) -> Vec<u32> {
+    let mut table = Vec::with_capacity(len);
+    table.extend_from_slice(old);
+    table.resize(len, end);
+    bumps.sort_unstable();
+    let mut shift = 0i32;
+    for (i, &(from, by)) in bumps.iter().enumerate() {
+        shift += by;
+        let to = bumps.get(i + 1).map_or(len, |next| next.0);
+        if shift != 0 {
+            for slot in &mut table[from..to] {
+                *slot = slot.wrapping_add_signed(shift);
+            }
+        }
+    }
+    table
 }
 
 /// Total order over edge kinds used for deterministic dedup. The leading
@@ -240,7 +305,10 @@ fn kind_offsets(edges: &[Edge], start: &[u32], key: impl Fn(&Edge) -> NodeId) ->
 /// The frozen, immutable Pointer Assignment Graph.
 #[derive(Clone, Debug)]
 pub struct Pag {
-    nodes: Vec<NodeInfo>,
+    /// Node, type and method-name tables sit behind `Arc`s: an edited
+    /// revision ([`Pag::apply_delta`]) shares them with the graph it came
+    /// from unless the edit appends to them.
+    nodes: Arc<Vec<NodeInfo>>,
     /// All edges, sorted `(dst, class, src)` — this *is* the incoming-edge
     /// array, kind-major within each node's range.
     edges: Vec<Edge>,
@@ -256,8 +324,8 @@ pub struct Pag {
     out_kind: Vec<u32>,
     loads_by_field: Vec<Vec<(NodeId, NodeId)>>,
     stores_by_field: Vec<Vec<(NodeId, NodeId)>>,
-    types: TypeTable,
-    method_names: Vec<String>,
+    types: Arc<TypeTable>,
+    method_names: Arc<Vec<String>>,
     call_sites: u32,
     /// Applied-revision counter: 0 when frozen, +1 per effective
     /// [`Pag::apply_delta`] (see [`Pag::revision`]).
@@ -419,15 +487,94 @@ impl Pag {
         self.revision
     }
 
-    /// Clones the mutable parts a delta rebuild starts from.
-    pub(crate) fn clone_parts(&self) -> (Vec<NodeInfo>, Vec<Edge>, TypeTable, Vec<String>, u32) {
-        (
-            self.nodes.clone(),
-            self.edges.clone(),
-            self.types.clone(),
-            self.method_names.clone(),
-            self.call_sites,
-        )
+    /// Whether `e` is an edge of the graph: a binary search in the
+    /// canonical [`Pag::edges`] array.
+    pub(crate) fn has_edge(&self, e: &Edge) -> bool {
+        self.edges
+            .binary_search_by_key(&in_order(e), in_order)
+            .is_ok()
+    }
+
+    /// The graph with `nodes` and `methods` appended, `call_sites` more
+    /// call sites, and the edge set edited: `added` (none of them present)
+    /// put in, `removed` (all of them present) taken out, both in
+    /// [`in_order`]. Field for field what freezing the edited sets from
+    /// scratch builds, without sorting or hashing the edges that stay: the
+    /// two edge arrays are spliced, the offset tables shifted past each
+    /// change, and only the field indexes of changed loads and stores are
+    /// re-read.
+    pub(crate) fn edited(
+        &self,
+        nodes: &[NodeInfo],
+        methods: &[String],
+        call_sites: u32,
+        added: &[Edge],
+        removed: &[Edge],
+        revision: u64,
+    ) -> Pag {
+        let (mut nodes_table, mut method_names) =
+            (Arc::clone(&self.nodes), Arc::clone(&self.method_names));
+        if !nodes.is_empty() {
+            Arc::make_mut(&mut nodes_table).extend_from_slice(nodes);
+        }
+        if !methods.is_empty() {
+            Arc::make_mut(&mut method_names).extend_from_slice(methods);
+        }
+        let edges = splice(&self.edges, added, removed, in_order);
+        let (mut out_added, mut out_removed) = (added.to_vec(), removed.to_vec());
+        out_added.sort_unstable_by_key(out_order);
+        out_removed.sort_unstable_by_key(out_order);
+        let out_edges = splice(&self.out_edges, &out_added, &out_removed, out_order);
+
+        // An edge at node `x` of class `k` sits ahead of `x`'s later
+        // classes and of every later node.
+        let n = nodes_table.len();
+        let put_in = added.iter().map(|e| (e, 1));
+        let changes: Vec<(&Edge, i32)> = put_in.chain(removed.iter().map(|e| (e, -1))).collect();
+        let starts = |end: fn(&Edge) -> NodeId| {
+            let past = |&(e, by)| (end(e).index() + 1, by);
+            changes.iter().map(past).collect()
+        };
+        let kinds = |end: fn(&Edge) -> NodeId| {
+            let past = |&(e, by): &(&Edge, i32)| {
+                let class = e.kind.class() as usize;
+                (end(e).index() * EDGE_CLASSES + class + 1, by)
+            };
+            changes.iter().map(past).collect()
+        };
+        let end = self.edges.len() as u32;
+
+        let mut loads_by_field = self.loads_by_field.clone();
+        let mut stores_by_field = self.stores_by_field.clone();
+        for (e, _) in &changes {
+            // One field's index: the `(base, other end)` pair of every edge
+            // of exactly this kind, in `edges` order.
+            let of_kind = edges.iter().filter(|x| x.kind == e.kind);
+            match e.kind {
+                EdgeKind::Load(f) => {
+                    loads_by_field[f.index()] = of_kind.map(|x| (x.src, x.dst)).collect();
+                }
+                EdgeKind::Store(f) => {
+                    stores_by_field[f.index()] = of_kind.map(|x| (x.dst, x.src)).collect();
+                }
+                _ => {}
+            }
+        }
+        Pag {
+            nodes: nodes_table,
+            in_start: shifted(&self.in_start, n + 1, end, starts(|e| e.dst)),
+            in_kind: shifted(&self.in_kind, n * EDGE_CLASSES, end, kinds(|e| e.dst)),
+            out_start: shifted(&self.out_start, n + 1, end, starts(|e| e.src)),
+            out_kind: shifted(&self.out_kind, n * EDGE_CLASSES, end, kinds(|e| e.src)),
+            edges,
+            out_edges,
+            loads_by_field,
+            stores_by_field,
+            types: Arc::clone(&self.types),
+            method_names,
+            call_sites: self.call_sites + call_sites,
+            revision,
+        }
     }
 
     /// Looks up a node by name; linear scan, intended for tests and small

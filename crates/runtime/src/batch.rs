@@ -12,10 +12,11 @@
 use crate::mode::RunConfig;
 use crate::stats::{RunResult, RunStats};
 use parcfl_concurrent::WorkerObs;
-use parcfl_core::{Answer, JmpStore, NoJmpStore, SharedJmpStore, Solver, SolverConfig};
+use parcfl_core::{Answer, Footprint, JmpStore, NoJmpStore, SharedJmpStore, Solver, SolverConfig};
 use parcfl_obs::{EventKind, RunTrace, TraceLevel, TraceRecorder, WorkerTrace};
 use parcfl_pag::{NodeId, Pag};
 use std::panic::AssertUnwindSafe;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The clock a batch's lanes read.
@@ -66,6 +67,9 @@ pub(crate) struct Lane<'a> {
     /// dies with the lane at the end of the batch.
     solver: Solver<'a>,
     clock: Clock,
+    /// Whether the solver records footprints, and so whether the lane
+    /// passes each answer's on.
+    recording: bool,
     /// The lane's virtual instant: what the solver and an external-clock
     /// recorder are told the time is. Never moves under [`Clock::Wall`].
     now: u64,
@@ -73,6 +77,32 @@ pub(crate) struct Lane<'a> {
     stats: RunStats,
     /// Scope evictions already reported as `Eviction` instants.
     evictions_seen: u64,
+}
+
+/// What a lane, and then a batch, has answered.
+#[derive(Default)]
+pub(crate) struct Answers {
+    /// `(query, answer)` in completion order.
+    pub list: Vec<(NodeId, Answer)>,
+    /// Each answer's whole-query footprint, index for index with `list`,
+    /// from a batch whose solvers record; empty otherwise.
+    pub footprints: Vec<Option<Arc<Footprint>>>,
+}
+
+impl Answers {
+    /// Room for `n` answers.
+    pub(crate) fn with_capacity(n: usize, recording: bool) -> Self {
+        Answers {
+            list: Vec::with_capacity(n),
+            footprints: Vec::with_capacity(if recording { n } else { 0 }),
+        }
+    }
+
+    /// Moves another lane's answers in behind these.
+    pub(crate) fn append(&mut self, mut other: Answers) {
+        self.list.append(&mut other.list);
+        self.footprints.append(&mut other.footprints);
+    }
 }
 
 /// What a finished lane hands to [`Batch::finish`].
@@ -168,6 +198,7 @@ impl<'a> Batch<'a> {
             port,
             solver,
             clock: self.clock,
+            recording: self.cfg.record_footprints,
             now: self.base,
             obs: WorkerObs::new(worker),
             stats: RunStats::default(),
@@ -182,16 +213,23 @@ impl<'a> Batch<'a> {
     pub(crate) fn finish(
         &self,
         avg_group_size: f64,
-        answers: Vec<(NodeId, Answer)>,
+        answers: Answers,
         lanes: impl IntoIterator<Item = (LaneDone, WorkerTrace)>,
     ) -> RunResult {
         // The first lane's partial is the accumulator, so a one-lane batch
-        // (every `run_seq`) merges nothing.
+        // (every `run_seq`) merges nothing. A batch that had nothing to run
+        // has no lane: its partial is empty and it ends where it began.
         let mut lanes = lanes.into_iter();
-        let (first, first_trace) = lanes.next().expect("a batch has at least one lane");
-        let (mut stats, mut end, mut ctxs) = (first.stats, first.end, first.ctxs);
-        let mut workers = vec![first.obs];
-        let mut traces = vec![first_trace];
+        let (mut stats, mut end, mut ctxs, mut workers, mut traces) = match lanes.next() {
+            Some((first, trace)) => (
+                first.stats,
+                first.end,
+                first.ctxs,
+                vec![first.obs],
+                vec![trace],
+            ),
+            None => (RunStats::default(), self.base, 0, Vec::new(), Vec::new()),
+        };
         for (lane, trace) in lanes {
             stats.merge(&lane.stats);
             end = end.max(lane.end);
@@ -222,9 +260,10 @@ impl<'a> Batch<'a> {
             workers: traces,
         });
         RunResult {
-            answers,
+            answers: answers.list,
             stats,
             trace,
+            footprints: answers.footprints,
         }
     }
 }
@@ -254,12 +293,7 @@ impl Lane<'_> {
     /// Answers one fetched group: dequeue span, fetch cost, the per-query
     /// body for each member, group makespan sample. `fetch_steps` is the
     /// virtual price of the fetch; wall-clock executors pass 0.
-    pub(crate) fn run_group(
-        &mut self,
-        group: &[NodeId],
-        fetch_steps: u64,
-        answers: &mut Vec<(NodeId, Answer)>,
-    ) {
+    pub(crate) fn run_group(&mut self, group: &[NodeId], fetch_steps: u64, answers: &mut Answers) {
         self.obs.local_pops += 1;
         let (t0, v0) = (Instant::now(), self.now);
         let rec = &self.port.rec;
@@ -276,7 +310,7 @@ impl Lane<'_> {
     /// worker, the query and its group attached, so a crash on a worker
     /// thread is diagnosable from the message alone instead of surfacing
     /// as an opaque `std::thread::scope` abort.
-    fn answer(&mut self, q: NodeId, group: &[NodeId], answers: &mut Vec<(NodeId, Answer)>) {
+    fn answer(&mut self, q: NodeId, group: &[NodeId], answers: &mut Answers) {
         let rec = &self.port.rec;
         rec.span(EventKind::QueryStart, self.now, q.raw(), 0);
         let (t0, v0) = (Instant::now(), self.now);
@@ -308,7 +342,10 @@ impl Lane<'_> {
         self.obs.queries += 1;
         self.obs.steps += out.stats.traversed_steps;
         self.stats.absorb(&out.stats, &out.answer);
-        answers.push((q, out.answer));
+        answers.list.push((q, out.answer));
+        if self.recording {
+            answers.footprints.push(out.footprint);
+        }
     }
 
     /// Closes the lane.

@@ -7,7 +7,7 @@
 //! paper's `ParCFL(1, naive) ≈ SeqCFL` (Section IV-D1). It spawns nothing
 //! and allocates no store.
 
-use crate::batch::{Batch, Clock};
+use crate::batch::{Answers, Batch, Clock};
 use crate::stats::RunResult;
 use parcfl_core::{SharedJmpStore, SolverConfig};
 use parcfl_obs::TraceLevel;
@@ -47,7 +47,7 @@ pub(crate) fn run_inline(
     };
     let port = batch.port();
     let mut lane = batch.lane(0, &port, port.jmp());
-    let mut answers = Vec::with_capacity(queries.len());
+    let mut answers = Answers::with_capacity(queries.len(), solver_cfg.record_footprints);
     for group in queries.chunks(1) {
         lane.run_group(group, 0, &mut answers);
     }

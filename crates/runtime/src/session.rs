@@ -3,8 +3,13 @@
 //!
 //! The one-shot entry points ([`crate::run`], [`crate::run_seq`]) build a
 //! fresh store per call, so every invocation re-traverses everything. A
-//! session instead keeps three pieces of state warm across batches:
+//! session instead keeps four pieces of state warm across batches:
 //!
+//! * the **answers** — every complete answer of a sharing batch, with the
+//!   footprint of the traversal that produced it: a query asked again is
+//!   answered with no traversal at all (counted in
+//!   [`RunStats::retained_answers`]) until an edit touches something it
+//!   read;
 //! * the **jmp store** — entries published by batch `i` serve batches
 //!   `> i` as shortcuts/early terminations from their very first step
 //!   (counted in [`RunStats::warm_hits`]);
@@ -18,24 +23,29 @@
 //! caps resident jmp entries, evicting per the policy in DESIGN.md §7
 //! (finished before unfinished, then least-recently-used, then
 //! least-saving). Eviction only discards *recomputable* shortcuts, so
-//! answers are unaffected — only the amount of reuse is.
+//! answers are unaffected — only the amount of reuse is. Kept answers are
+//! outside that budget by design: there is at most one per distinct query
+//! node, and the client that asked already holds a copy of each.
 
+use crate::batch::{Answers, Batch, Clock};
 use crate::mode::{Backend, Mode, RunConfig};
 use crate::seq::run_inline;
 use crate::sim::run_simulated_batch;
 use crate::stats::{MergeClass, RunResult, RunStats};
 use crate::threaded::run_threaded_batch;
-use parcfl_core::{DirtySet, SharedJmpStore, SolverConfig};
+use parcfl_concurrent::FxHashMap;
+use parcfl_core::{Answer, DirtySet, Footprint, SharedJmpStore, SolverConfig};
 use parcfl_obs::{Event, EventKind, PromText, TraceLevel};
 use parcfl_pag::{NodeId, Pag, PagDelta};
 use parcfl_sched::{Schedule, ScheduleCache};
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Outcome of one [`AnalysisSession::apply_delta`]: the PAG revision now
 /// live plus exact selective-invalidation accounting. The invalidation
-/// law (DESIGN.md §12): a warm entry is dropped iff its recorded
-/// footprint is missing or intersects the delta's dirty node/field sets —
-/// everything else stays warm and keeps serving.
+/// law (DESIGN.md §12): a warm jmp entry or kept answer is dropped iff its
+/// recorded footprint is missing or intersects the delta's dirty
+/// node/field sets — everything else stays warm and keeps serving.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeltaReport {
     /// The live graph's revision after the edit (unchanged for a no-op).
@@ -47,6 +57,10 @@ pub struct DeltaReport {
     pub invalidated_jmps: u64,
     /// Jmp-store entries kept warm.
     pub retained_jmps: u64,
+    /// Kept answers dropped (the edit touched something their query read).
+    pub invalidated_answers: u64,
+    /// Kept answers that stay valid on the edited graph.
+    pub retained_answers: u64,
     /// Memoised DQ schedules dropped (their query set contains a dirty
     /// node). Schedules never affect answers — this is reuse accounting.
     pub invalidated_schedules: u64,
@@ -70,8 +84,11 @@ pub struct DeltaReport {
 /// let first = session.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
 /// let second = session.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
 /// assert_eq!(first.sorted_answers(), second.sorted_answers());
-/// // The second batch reuses the first batch's jmp edges.
+/// // Nothing was edited in between, so the session still holds every
+/// // answer of the first batch: the second traverses nothing.
 /// assert!(second.stats.traversed_steps <= first.stats.traversed_steps);
+/// assert_eq!(second.stats.traversed_steps, 0);
+/// assert_eq!(second.stats.retained_answers, queries.len() as u64);
 /// assert_eq!(session.cumulative().batches, 2);
 /// ```
 pub struct AnalysisSession<'p> {
@@ -84,6 +101,11 @@ pub struct AnalysisSession<'p> {
     /// it directly; the threaded/sequential backends take an
     /// untimestamped view of the same entries.
     store: SharedJmpStore,
+    /// The complete answers of sharing batches, per query node, each with
+    /// the footprint that vouches for it: [`Self::apply_delta`] drops the
+    /// ones an edit can have changed, under the law it applies to `store`.
+    /// Unbounded by design (one entry per distinct query node asked).
+    kept: FxHashMap<NodeId, (Answer, Arc<Footprint>)>,
     cache: ScheduleCache,
     /// Next batch's base virtual time (one past the previous batch's end).
     vclock: u64,
@@ -103,12 +125,14 @@ impl<'p> AnalysisSession<'p> {
         AnalysisSession {
             pag: Cow::Borrowed(pag),
             store: SharedJmpStore::timestamped(),
+            kept: FxHashMap::default(),
             cache: ScheduleCache::new(),
             vclock: 0,
             cumulative: RunStats::default(),
             // Sessions always record footprints: [`Self::apply_delta`]'s
-            // selective invalidation needs them, and recording is pure
-            // metadata (answers/steps/contexts are bit-identical).
+            // selective invalidation needs them, for jmp entries and kept
+            // answers alike, and recording is pure metadata
+            // (answers/steps/contexts are bit-identical).
             solver: SolverConfig::default().with_footprints(),
             threads: 1,
             tracing: TraceLevel::Off,
@@ -152,50 +176,127 @@ impl<'p> AnalysisSession<'p> {
     }
 
     /// Answers one batch of queries, warm-starting from every earlier
-    /// batch's jmp edges. Returns that batch's own result; the session's
+    /// batch: a query whose complete answer the session still holds is
+    /// answered from it, and only the rest are scheduled and traversed,
+    /// over every earlier batch's jmp edges (a batch with nothing left to
+    /// run builds no schedule and starts no worker). Returns that batch's
+    /// own result — `queries` / `completed` cover the whole batch, the
+    /// work counters and histograms the queries that ran; the session's
     /// running totals move to [`Self::cumulative`]. A [`Mode::Naive`] batch
-    /// runs beside the store, not through it: it reads nothing warm,
-    /// leaves nothing behind, and reports no store residency.
+    /// runs beside the warm state, not through it: it reads nothing kept
+    /// or warm, leaves nothing behind, and reports no store residency.
     pub fn submit(&mut self, queries: &[NodeId], mode: Mode, backend: Backend) -> RunResult {
         let cfg = self.run_config(mode, backend);
-        let schedule = self.schedule_for_batch(queries, mode);
         let base = self.vclock;
-        let result = match backend {
-            Backend::Simulated => {
-                let (result, end) =
-                    run_simulated_batch(&self.pag, &schedule, &cfg, &self.store, base);
-                self.vclock = end + 1;
-                result
-            }
-            Backend::Threaded => {
-                let view = self.store.untimestamped_view();
-                let result = run_threaded_batch(&self.pag, &schedule, &cfg, &view, base);
-                // Each query starts at `base` and stamps what it publishes
-                // `base` plus its own steps so far: every stamp is below this.
-                self.vclock = base + result.stats.traversed_steps + 1;
-                result
+        let (kept, rest) = self.split_kept(queries, mode.shares_data());
+        let (result, end) = if rest.is_empty() {
+            let clock = match backend {
+                Backend::Simulated => Clock::Virtual,
+                Backend::Threaded => Clock::Wall,
+            };
+            (self.idle_batch(mode.shares_data(), clock), base)
+        } else {
+            let schedule = self.schedule_for_batch(&rest, mode);
+            match backend {
+                Backend::Simulated => {
+                    run_simulated_batch(&self.pag, &schedule, &cfg, &self.store, base)
+                }
+                Backend::Threaded => {
+                    let view = self.store.untimestamped_view();
+                    let result = run_threaded_batch(&self.pag, &schedule, &cfg, &view, base);
+                    // Each query starts at `base` and stamps what it
+                    // publishes `base` plus its own steps so far: every
+                    // stamp is at or below this.
+                    let end = base + result.stats.traversed_steps;
+                    (result, end)
+                }
             }
         };
-        self.account_batch(base, &result.stats);
-        result
+        self.vclock = end + 1;
+        self.close_batch(base, kept, result)
     }
 
     /// [`Self::submit`] for single-threaded in-order execution *with* the
-    /// session store active (unlike the cold baseline [`crate::run_seq`],
-    /// which never shares): the cheapest way to answer a small follow-up
-    /// batch that should still profit from — and feed — the warm store.
+    /// session's warm state active (unlike the cold baseline
+    /// [`crate::run_seq`], which never shares): the cheapest way to answer
+    /// a small follow-up batch that should still profit from — and feed —
+    /// the kept answers and the warm store.
     pub fn submit_seq(&mut self, queries: &[NodeId]) -> RunResult {
         let base = self.vclock;
-        let view = self.store.untimestamped_view();
-        let result = run_inline(
-            &self.pag,
-            queries,
-            &self.solver,
-            Some(&view),
-            base,
-            self.tracing,
-        );
+        let (kept, rest) = self.split_kept(queries, true);
+        let result = if rest.is_empty() {
+            self.idle_batch(true, Clock::Wall)
+        } else {
+            let view = self.store.untimestamped_view();
+            run_inline(
+                &self.pag,
+                &rest,
+                &self.solver,
+                Some(&view),
+                base,
+                self.tracing,
+            )
+        };
         self.vclock = base + result.stats.traversed_steps + 1;
+        self.close_batch(base, kept, result)
+    }
+
+    /// Splits a batch into the answers the session still holds and the
+    /// queries left to run. A batch that does not share takes nothing.
+    fn split_kept<'q>(
+        &self,
+        queries: &'q [NodeId],
+        shares: bool,
+    ) -> (Vec<(NodeId, Answer)>, Cow<'q, [NodeId]>) {
+        if !shares || self.kept.is_empty() {
+            return (Vec::new(), Cow::Borrowed(queries));
+        }
+        let (mut kept, mut rest) = (Vec::with_capacity(queries.len()), Vec::new());
+        for &q in queries {
+            match self.kept.get(&q) {
+                Some((answer, _)) => kept.push((q, answer.clone())),
+                None => rest.push(q),
+            }
+        }
+        (kept, Cow::Owned(rest))
+    }
+
+    /// The result of a batch with nothing to run: no lane, no step, the
+    /// store's residency as it stands.
+    fn idle_batch(&self, shares: bool, clock: Clock) -> RunResult {
+        let batch = Batch {
+            pag: &self.pag,
+            cfg: &self.solver,
+            store: shares.then_some(&self.store),
+            base: self.vclock,
+            tracing: self.tracing,
+            clock,
+            start: std::time::Instant::now(),
+        };
+        batch.finish(1.0, Answers::default(), [])
+    }
+
+    /// Post-run half of every submit path: keeps what the batch answered
+    /// completely (a batch that recorded no footprints — a naive one —
+    /// hands none over), puts the answers served from earlier batches in
+    /// front, and folds the batch into the running totals.
+    fn close_batch(
+        &mut self,
+        base: u64,
+        mut kept: Vec<(NodeId, Answer)>,
+        mut result: RunResult,
+    ) -> RunResult {
+        let footprints = std::mem::take(&mut result.footprints);
+        for ((q, answer), fp) in result.answers.iter().zip(footprints) {
+            if let (Answer::Complete(_), Some(fp)) = (answer, fp) {
+                self.kept.insert(*q, (answer.clone(), fp));
+            }
+        }
+        result.stats.queries += kept.len();
+        result.stats.completed += kept.len();
+        result.stats.retained_answers = kept.len() as u64;
+        kept.append(&mut result.answers);
+        result.answers = kept;
         self.account_batch(base, &result.stats);
         result
     }
@@ -325,7 +426,8 @@ impl<'p> AnalysisSession<'p> {
     ///
     /// Exactness (DESIGN.md §12): a jmp entry is dropped iff its recorded
     /// traversal footprint is missing or intersects the
-    /// delta's *effective* dirty node/field sets; a memoised schedule is
+    /// delta's *effective* dirty node/field sets, and a kept answer by the
+    /// same test on its query's footprint; a memoised schedule is
     /// dropped iff its query set contains a dirty node. A no-op delta
     /// (every op cancelled out) invalidates nothing and does not touch the
     /// graph. The per-call counts are returned in the [`DeltaReport`] and
@@ -344,6 +446,9 @@ impl<'p> AnalysisSession<'p> {
         }
         let dirty = DirtySet::from_effect(&effect);
         let (invalidated_jmps, retained_jmps) = self.store.invalidate_delta(&dirty);
+        let answers_before = self.kept.len();
+        self.kept.retain(|_, (_, fp)| !fp.intersects(&dirty));
+        let retained_answers = self.kept.len() as u64;
         let dirty_nodes: Vec<NodeId> = effect.dirty_nodes().collect();
         let invalidated_schedules = self.cache.invalidate_nodes(&dirty_nodes);
         self.pag = Cow::Owned(new_pag);
@@ -357,18 +462,21 @@ impl<'p> AnalysisSession<'p> {
             noop: false,
             invalidated_jmps,
             retained_jmps,
+            invalidated_answers: answers_before as u64 - retained_answers,
+            retained_answers,
             invalidated_schedules,
             rejected_ops: effect.rejected_ops,
         }
     }
 
-    /// Forgets everything warm — store contents, memoised
+    /// Forgets everything warm — kept answers, store contents, memoised
     /// schedules, virtual clock, cumulative stats — returning the session
     /// to its just-constructed state (budget and configuration are kept,
     /// and so is the *graph*: applied deltas are program state, not warm
     /// state).
     pub fn reset(&mut self) {
         self.store.clear();
+        self.kept.clear();
         self.cache.clear();
         self.vclock = 0;
         self.cumulative = RunStats::default();
@@ -376,8 +484,12 @@ impl<'p> AnalysisSession<'p> {
     }
 
     fn run_config(&self, mode: Mode, backend: Backend) -> RunConfig {
+        let mut solver = self.solver.clone();
+        // A naive batch leaves nothing behind — no jmp entry, no kept
+        // answer — so there is nothing for it to record a footprint for.
+        solver.record_footprints = mode.shares_data();
         RunConfig::new(mode, self.threads, backend)
-            .with_solver(self.solver.clone())
+            .with_solver(solver)
             .with_tracing(self.tracing)
     }
 
@@ -447,14 +559,24 @@ mod tests {
         src
     }
 
+    /// The one query of `SRC` whose `ReachableNodes` result the others
+    /// reach through: a batch of it alone primes the store for the rest.
+    fn primer(pag: &Pag) -> [NodeId; 1] {
+        [pag.node_by_name("x1@A.m").unwrap()]
+    }
+
     #[test]
     fn warm_batch_traverses_strictly_less() {
         let pag = build_pag(SRC).unwrap().pag;
         let queries = pag.application_locals();
-        let mut s = AnalysisSession::new(&pag)
-            .with_threads(4)
-            .with_solver(solver());
-        let cold = s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
+        let session = || {
+            AnalysisSession::new(&pag)
+                .with_threads(4)
+                .with_solver(solver())
+        };
+        let cold = session().submit(&queries, Mode::DataSharingSched, Backend::Simulated);
+        let mut s = session();
+        let first = s.submit(&primer(&pag), Mode::DataSharingSched, Backend::Simulated);
         let warm = s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
         assert_eq!(cold.sorted_answers(), warm.sorted_answers());
         assert!(
@@ -467,7 +589,133 @@ mod tests {
             warm.stats.warm_hits > 0,
             "second batch must hit warm entries"
         );
-        assert_eq!(cold.stats.warm_hits, 0, "first batch has nothing warm");
+        assert_eq!(first.stats.warm_hits, 0, "first batch has nothing warm");
+        assert_eq!(cold.stats.warm_hits, 0);
+        // The primer's own answer was kept, not traversed again.
+        assert_eq!(warm.stats.retained_answers, 1);
+        assert_eq!(warm.stats.queries, queries.len());
+        assert_eq!(warm.stats.completed, cold.stats.completed);
+    }
+
+    /// A batch the session holds every answer of runs nothing: no step, no
+    /// worker, no schedule — and is still a batch on the session's clock.
+    #[test]
+    fn fully_kept_resubmit_traverses_nothing() {
+        let pag = build_pag(SRC).unwrap().pag;
+        let queries = pag.application_locals();
+        for backend in [Backend::Simulated, Backend::Threaded] {
+            let mut s = AnalysisSession::new(&pag)
+                .with_threads(2)
+                .with_solver(solver());
+            let first = s.submit(&queries, Mode::DataSharingSched, backend);
+            assert_eq!(first.stats.retained_answers, 0);
+            let (clock, misses) = (s.virtual_clock(), s.schedule_cache().misses());
+            let again = s.submit(&queries, Mode::DataSharingSched, backend);
+            assert_eq!(again.sorted_answers(), first.sorted_answers());
+            assert_eq!(again.stats.traversed_steps, 0);
+            assert_eq!(again.stats.charged_steps, 0);
+            assert_eq!(again.stats.retained_answers, queries.len() as u64);
+            assert_eq!(again.stats.queries, queries.len());
+            assert_eq!(again.stats.completed, queries.len());
+            assert_eq!(again.stats.batches, 1);
+            assert!(again.stats.workers.is_empty(), "no worker for no work");
+            assert_eq!(again.stats.store_entries, first.stats.store_entries);
+            assert!(s.virtual_clock() > clock, "a batch all the same");
+            let cache = s.schedule_cache();
+            assert_eq!((cache.misses(), cache.hits()), (misses, 0), "no schedule");
+            let (clock, seq) = (s.virtual_clock(), s.submit_seq(&queries));
+            assert_eq!(seq.sorted_answers(), first.sorted_answers());
+            assert_eq!(seq.stats.traversed_steps, 0);
+            assert!(s.virtual_clock() > clock);
+            assert_eq!(s.cumulative().batches, 3);
+            assert_eq!(s.cumulative().queries, 3 * queries.len());
+            assert_eq!(s.cumulative().retained_answers, 2 * queries.len() as u64);
+            assert_eq!(s.cumulative().store_entries, s.store_entries());
+        }
+    }
+
+    /// Nothing vouches for an out-of-budget verdict — it depends on what
+    /// the store held when the query ran — so it is never kept: the query
+    /// runs again in every batch.
+    #[test]
+    fn out_of_budget_answers_are_rerun_every_time() {
+        let pag = build_pag(SRC).unwrap().pag;
+        let queries = pag.application_locals();
+        let mut s = AnalysisSession::new(&pag).with_solver(solver().with_budget(4));
+        let first = s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
+        let (complete, oob) = (first.stats.completed, first.stats.out_of_budget);
+        assert!(complete > 0 && oob > 0, "{complete} complete, {oob} not");
+        for _ in 0..3 {
+            let again = s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
+            assert_eq!(again.sorted_answers(), first.sorted_answers());
+            assert_eq!(again.stats.retained_answers, complete as u64);
+            assert_eq!(again.stats.out_of_budget, oob, "each ran again");
+            assert!(again.stats.charged_steps > 0);
+        }
+    }
+
+    /// A complete answer that leaned on a jmp entry without a footprint
+    /// has none of its own: the session cannot tell which edits leave it
+    /// standing, so it does not keep it.
+    #[test]
+    fn answers_with_a_poisoned_footprint_are_rerun_every_time() {
+        use parcfl_core::{JmpEntry, JmpStore};
+        // No calls: every context is the empty one, so jmp keys and
+        // payloads mean the same in any session's interner.
+        let src = "class Obj { } class Box { field f: Obj; }
+            class A { method m() {
+              var p: Box; var v: Obj; var x: Obj; var y: Obj;
+              p = new Box; v = new Obj; p.f = v; x = p.f; y = x;
+            } }";
+        let pag = build_pag(src).unwrap().pag;
+        let queries = pag.application_locals();
+        let mut donor = AnalysisSession::new(&pag).with_solver(solver());
+        let want = donor.submit(&queries, Mode::DataSharing, Backend::Simulated);
+        let mut s = AnalysisSession::new(&pag).with_solver(solver());
+        let mut copied = 0;
+        donor.store().for_each(|key, entry| {
+            if let JmpEntry::Finished {
+                total_steps, rch, ..
+            } = entry
+            {
+                copied += s
+                    .store()
+                    .publish_finished(*key, *total_steps, rch.clone(), 0, None)
+                    as usize;
+            }
+        });
+        assert!(copied > 0, "the donor published something");
+        let through_x: Vec<NodeId> = ["x@A.m", "y@A.m"]
+            .iter()
+            .map(|n| pag.node_by_name(n).unwrap())
+            .collect();
+        let clean = (queries.len() - through_x.len()) as u64;
+        let mut last = 0;
+        for round in 0..3 {
+            let r = s.submit(&queries, Mode::DataSharing, Backend::Simulated);
+            assert_eq!(r.sorted_answers(), want.sorted_answers());
+            assert_eq!(r.stats.completed, queries.len());
+            // From the second batch on the queries that never met the
+            // entry are served kept; the two that did run every time.
+            let kept = if round == 0 { 0 } else { clean };
+            assert_eq!(r.stats.retained_answers, kept, "round {round}");
+            assert!(r.stats.shortcuts_taken >= through_x.len() as u64);
+            assert!(r.stats.traversed_steps > 0);
+            last = r.stats.traversed_steps;
+        }
+        // Once the entry has a footprint again (any edit drops the
+        // footprint-less one; the re-run republishes), they are kept too.
+        let mut d = PagDelta::new();
+        let lonely = pag.node_by_name("v@A.m").unwrap();
+        d.add_edge(lonely, lonely, EdgeKind::AssignLocal);
+        assert!(s.apply_delta(&d).invalidated_jmps > 0);
+        let rerun = s.submit(&queries, Mode::DataSharing, Backend::Simulated);
+        assert!(
+            rerun.stats.traversed_steps > last,
+            "nothing warm to lean on"
+        );
+        let kept = s.submit(&queries, Mode::DataSharing, Backend::Simulated);
+        assert_eq!(kept.stats.retained_answers, queries.len() as u64);
     }
 
     #[test]
@@ -551,14 +799,32 @@ mod tests {
         assert_eq!(unbounded.evictions(), 0);
     }
 
+    /// A batch is scheduled again only when it has to run again, and then
+    /// from the memo if no queried node is dirty: an edit that reaches a
+    /// query's *footprint* but not the query itself drops the answer and
+    /// keeps the schedule.
     #[test]
     fn schedule_cache_hits_on_repeat_batches() {
         let pag = build_pag(SRC).unwrap().pag;
-        let queries = pag.application_locals();
+        let node = |name: &str| pag.node_by_name(name).unwrap();
+        let batch = [node("x3@A.m")];
+        let (from, to) = (node("x1@A.m"), node("x2@A.m"));
         let mut s = AnalysisSession::new(&pag).with_solver(solver());
-        s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
-        s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
-        s.submit(&queries, Mode::DataSharingSched, Backend::Threaded);
+        let first = s.submit(&batch, Mode::DataSharingSched, Backend::Simulated);
+        let mut cut = PagDelta::new();
+        cut.remove_edge(from, to, EdgeKind::AssignLocal);
+        let report = s.apply_delta(&cut);
+        assert_eq!(
+            (report.invalidated_answers, report.invalidated_schedules),
+            (1, 0)
+        );
+        let severed = s.submit(&batch, Mode::DataSharingSched, Backend::Simulated);
+        assert_ne!(severed.sorted_answers(), first.sorted_answers());
+        let mut mend = PagDelta::new();
+        mend.add_edge(from, to, EdgeKind::AssignLocal);
+        s.apply_delta(&mend);
+        let mended = s.submit(&batch, Mode::DataSharingSched, Backend::Threaded);
+        assert_eq!(mended.sorted_answers(), first.sorted_answers());
         assert_eq!(
             s.schedule_cache().misses(),
             1,
@@ -572,12 +838,16 @@ mod tests {
         let pag = build_pag(SRC).unwrap().pag;
         let queries = pag.application_locals();
         let seq = run_seq(&pag, &queries, &SolverConfig::default());
+        let cold = AnalysisSession::new(&pag)
+            .with_solver(solver())
+            .submit_seq(&queries);
         let mut s = AnalysisSession::new(&pag).with_solver(solver());
-        let cold = s.submit_seq(&queries);
+        s.submit_seq(&primer(&pag));
         let warm = s.submit_seq(&queries);
         assert_eq!(cold.sorted_answers(), seq.sorted_answers());
         assert_eq!(warm.sorted_answers(), seq.sorted_answers());
         assert!(warm.stats.warm_hits > 0);
+        assert_eq!(warm.stats.retained_answers, 1);
         assert!(warm.stats.traversed_steps < cold.stats.traversed_steps);
     }
 
@@ -654,8 +924,10 @@ mod tests {
         assert_eq!(a.stats.traversed_steps, b.stats.traversed_steps);
     }
 
-    /// A naive batch runs beside the session's store: the store and the
-    /// next sharing batch are exactly what they would be had it not run.
+    /// A naive batch runs beside the session's warm state: the store, the
+    /// kept answers and the next sharing batch are exactly what they would
+    /// be had it not run — it is served no kept answer, and its own
+    /// complete answers are not kept.
     #[test]
     fn naive_batch_between_sharing_batches_leaves_no_trace_in_the_store() {
         let pag = build_pag(SRC).unwrap().pag;
@@ -664,19 +936,28 @@ mod tests {
             let mut s = AnalysisSession::new(&pag)
                 .with_threads(2)
                 .with_solver(solver());
-            s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
+            s.submit(&primer(&pag), Mode::DataSharingSched, Backend::Simulated);
             s
         };
         let (mut with, mut without) = (session(), session());
+        let cold = run_seq(&pag, &queries, &SolverConfig::default());
         let naive = with.submit(&queries, Mode::Naive, Backend::Simulated);
         assert_eq!(naive.stats.warm_hits + naive.stats.shortcuts_taken, 0);
         assert_eq!((naive.stats.store_entries, naive.stats.jmp_inserts), (0, 0));
+        assert_eq!(
+            naive.stats.retained_answers, 0,
+            "the primer's is not served"
+        );
+        assert_eq!(naive.stats.traversed_steps, cold.stats.traversed_steps);
+        assert_eq!(naive.stats.completed, queries.len());
         assert_eq!(with.store_entries(), without.store_entries());
         assert_eq!(with.store().lookup_hits(), without.store().lookup_hits());
         let a = with.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
         let b = without.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
         assert!(a.stats.warm_hits > 0);
         assert_eq!(a.stats.warm_hits, b.stats.warm_hits);
+        assert_eq!(a.stats.retained_answers, 1, "none of the naive batch's");
+        assert_eq!(a.stats.retained_answers, b.stats.retained_answers);
         assert_eq!(a.stats.traversed_steps, b.stats.traversed_steps);
         assert_eq!(a.stats.store_entries, b.stats.store_entries);
         assert_eq!(with.store().lookup_hits(), without.store().lookup_hits());
@@ -701,6 +982,13 @@ mod tests {
         );
         assert!(
             text.contains("parcfl_query_latency_bucket{le=\"+Inf\"}"),
+            "{text}"
+        );
+        assert!(
+            text.contains(&format!(
+                "parcfl_retained_answers_total {}\n",
+                queries.len()
+            )),
             "{text}"
         );
         assert!(text.contains("parcfl_jmp_inserts_total"), "{text}");
@@ -779,6 +1067,12 @@ mod tests {
         assert!(report.retained_jmps > 0, "independent chains stay warm");
         assert_eq!(report.invalidated_jmps + report.retained_jmps, resident);
         assert_eq!(s.store_entries() as u64, report.retained_jmps);
+        assert!(report.invalidated_answers > 0, "chain 0's answers drop");
+        assert!(report.retained_answers > 0, "the other chains' stand");
+        assert_eq!(
+            report.invalidated_answers + report.retained_answers,
+            queries.len() as u64
+        );
         assert_eq!(
             report.invalidated_schedules, 1,
             "the memoised batch schedule contains a dirty query"
@@ -786,22 +1080,31 @@ mod tests {
         // The counters fold into the cumulative totals as sums.
         assert_eq!(s.cumulative().invalidated_jmps, report.invalidated_jmps);
         assert_eq!(s.cumulative().retained_warm, report.retained_jmps);
-        // A warm re-query over the edited graph matches a cold run exactly.
+        // A warm re-query over the edited graph matches a cold run exactly,
+        // traversing for the dropped answers only.
         let warm = s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
         let cold = run_seq(s.pag(), &queries, &SolverConfig::default());
         assert_eq!(warm.sorted_answers(), cold.sorted_answers());
+        assert_eq!(warm.stats.retained_answers, report.retained_answers);
+        assert_eq!(
+            warm.stats.workers.iter().map(|w| w.queries).sum::<u64>(),
+            report.invalidated_answers
+        );
         // reset() forgets warm state, not the program: the edit stays.
         s.reset();
         assert_eq!(s.store_entries(), 0);
         assert_eq!(s.pag().revision(), 1);
+        let again = s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
+        assert_eq!(again.stats.retained_answers, 0, "reset forgets the answers");
     }
 
     #[test]
     fn noop_delta_invalidates_nothing_and_keeps_everything_warm() {
         let pag = build_pag(SRC).unwrap().pag;
         let queries = pag.application_locals();
+        let cold = run_seq(&pag, &queries, &SolverConfig::default());
         let mut s = AnalysisSession::new(&pag).with_solver(solver());
-        let cold = s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
+        s.submit(&primer(&pag), Mode::DataSharingSched, Backend::Simulated);
         let resident = s.store_entries();
         // Removing an absent edge cancels to a no-op.
         let mut d = PagDelta::new();
@@ -819,10 +1122,12 @@ mod tests {
         assert_eq!(s.store_entries(), resident, "nothing invalidated");
         assert_eq!(s.cumulative().invalidated_jmps, 0);
         assert_eq!(s.cumulative().retained_warm, 0);
-        // Everything stayed warm: the next batch re-solves nothing.
+        // Everything stayed warm: the next batch re-solves nothing it has
+        // an answer or a shortcut for.
         let warm = s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
         assert_eq!(warm.sorted_answers(), cold.sorted_answers());
         assert!(warm.stats.warm_hits > 0);
+        assert_eq!(warm.stats.retained_answers, 1);
         assert!(warm.stats.traversed_steps < cold.stats.traversed_steps);
     }
 

@@ -25,7 +25,7 @@
 //! speedups emerge exactly as in the paper: data sharing removes redundant
 //! traversals, so total work shrinks below the sequential total.
 
-use crate::batch::{Batch, Clock, Lane, Port};
+use crate::batch::{Answers, Batch, Clock, Lane, Port};
 use crate::mode::RunConfig;
 use crate::schedule_with_cap;
 use crate::stats::RunResult;
@@ -146,7 +146,7 @@ pub fn run_simulated_hooked(
         .collect();
     let mut clocks = vec![base; t];
     let mut pending: VecDeque<usize> = (0..schedule.groups.len()).collect();
-    let mut answers = Vec::with_capacity(schedule.query_count());
+    let mut answers = Answers::with_capacity(schedule.query_count(), cfg.solver.record_footprints);
     while !pending.is_empty() {
         let next = hook.dispatch(&clocks, pending.len());
         let gi = pending

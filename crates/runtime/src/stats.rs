@@ -237,6 +237,11 @@ run_stats! {
         /// deltas — the reuse the footprints bought. Also a counter: an entry
         /// surviving two deltas is two retention events.
         retained_warm: u64, Sum, Count, "Jmp entries that survived a selective invalidation.";
+        /// Queries answered from the complete answer an
+        /// [`crate::AnalysisSession`] kept from an earlier batch, with no
+        /// traversal (they count in `queries` and `completed` like any
+        /// other). 0 for one-shot runs.
+        retained_answers: u64, Sum, Count, "Queries answered from a kept answer, untraversed.";
     }
     structured {
         /// Per-worker dispatch observability: one record per worker, filled
@@ -349,6 +354,10 @@ pub struct RunResult {
     /// `RunConfig::tracing` above `Off`, one [`parcfl_obs::WorkerTrace`]
     /// per worker. Export with [`RunTrace::to_chrome_json`].
     pub trace: Option<RunTrace>,
+    /// Each answer's whole-query footprint, index for index with
+    /// `answers`, on its way from a recording batch's lanes to the
+    /// [`crate::AnalysisSession`] that keeps it; empty everywhere else.
+    pub(crate) footprints: Vec<Option<std::sync::Arc<parcfl_core::Footprint>>>,
 }
 
 impl RunResult {
@@ -618,6 +627,7 @@ mod tests {
             ],
             stats: RunStats::default(),
             trace: None,
+            footprints: Vec::new(),
         };
         let s = r.sorted_answers();
         assert_eq!(s[0].0, NodeId::new(1));

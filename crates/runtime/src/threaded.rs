@@ -13,7 +13,7 @@
 //! vCPUs, so the harness uses the simulated backend for speedup *shapes*
 //! beyond two threads, see DESIGN.md.)
 
-use crate::batch::{Batch, Clock};
+use crate::batch::{Answers, Batch, Clock};
 use crate::mode::RunConfig;
 use crate::schedule_with_cap;
 use crate::stats::RunResult;
@@ -54,9 +54,11 @@ pub fn run_threaded(pag: &Pag, queries: &[NodeId], cfg: &RunConfig) -> RunResult
 ///
 /// The executor half of the batch driver (`batch.rs`): one
 /// wall-clock lane per OS thread, each popping group *indices* off the
-/// shared list until it is empty. A query that panics is re-raised with
-/// its worker, query and group attached; the peers drain the list and
-/// the join re-raises that payload.
+/// shared list until it is empty. No thread is started that would find
+/// the list empty: a batch of fewer groups than `cfg.threads` runs that
+/// many workers, one of no groups none. A query that panics is re-raised
+/// with its worker, query and group attached; the peers drain the list
+/// and the join re-raises that payload.
 pub fn run_threaded_batch(
     pag: &Pag,
     schedule: &Schedule,
@@ -67,16 +69,18 @@ pub fn run_threaded_batch(
     let batch = Batch::of_run(pag, cfg, store, base, Clock::Wall);
     let work = SharedWorkList::with_items(0..schedule.groups.len());
     let (batch, work) = (&batch, &work);
-    let mut answers = Vec::with_capacity(schedule.query_count());
+    let recording = cfg.solver.record_footprints;
+    let mut answers = Answers::with_capacity(schedule.query_count(), recording);
+    let workers = cfg.threads.max(1).min(schedule.groups.len());
     let lanes = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.threads.max(1))
+        let handles: Vec<_> = (0..workers)
             .map(|w| {
                 std::thread::Builder::new()
                     .stack_size(WORKER_STACK)
                     .spawn_scoped(scope, move || {
                         let port = batch.port();
                         let mut lane = batch.lane(w, &port, port.jmp());
-                        let mut answers = Vec::new();
+                        let mut answers = Answers::default();
                         loop {
                             let (next, wait) = work.pop_timed();
                             lane.note_lock_wait(wait);
@@ -94,7 +98,7 @@ pub fn run_threaded_batch(
             // `batch::Lane`); re-raise it instead of the opaque "a scoped
             // thread panicked".
             let (a, done, trace) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-            answers.extend(a);
+            answers.append(a);
             lanes.push((done, trace));
         }
         lanes
@@ -180,6 +184,23 @@ mod tests {
         assert_eq!(totals.steps, r.stats.traversed_steps);
         // Every group is fetched exactly once.
         assert_eq!(totals.local_pops, schedule.groups.len() as u64);
+    }
+
+    /// No worker is started that would find the work list empty.
+    #[test]
+    fn no_more_workers_than_groups() {
+        let pag = build_pag(SRC).unwrap().pag;
+        let queries = pag.application_locals();
+        let cfg = RunConfig::new(Mode::DataSharing, 8, Backend::Threaded);
+        let two = Schedule::unscheduled(&queries[..2]);
+        let r = run_threaded_batch(&pag, &two, &cfg, &SharedJmpStore::new(), 0);
+        assert_eq!(r.stats.workers.len(), 2);
+        assert_eq!(r.stats.obs_totals().queries, 2);
+        let none = Schedule::unscheduled(&[]);
+        let r = run_threaded_batch(&pag, &none, &cfg, &SharedJmpStore::new(), 7);
+        assert!(r.answers.is_empty() && r.stats.workers.is_empty());
+        assert_eq!((r.stats.batches, r.stats.queries), (1, 0));
+        assert_eq!((r.stats.traversed_steps, r.stats.makespan), (0, 0));
     }
 
     /// The two runtime shims the frozen benchmark compiles against are

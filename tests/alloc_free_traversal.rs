@@ -4,9 +4,13 @@
 //! hands out and for little else — not once per element of every nested
 //! result set, which is what sorting by materialised call strings cost.
 //!
+//! A solver that records footprints adds each answer's footprint to that
+//! and nothing per `ReachableNodes` frame: reads go to the lane's log.
+//!
 //! Its own test binary: the counting allocator is process-wide. The count
 //! is per thread, so the harness's own threads stay out of it.
 
+use parcfl::concurrent::CHUNK_BITS;
 use parcfl::core::{NoJmpStore, Solver};
 use parcfl::synth::{build_bench, Profile};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -51,7 +55,6 @@ fn a_warm_solver_allocates_for_its_answers_only() {
     // No data sharing; every query completes.
     let cfg = bench.solver.clone().with_budget(50_000_000);
     let store = NoJmpStore;
-    let mut solver = Solver::new(&bench.pag, &cfg, &store);
     let pass = |solver: &mut Solver| {
         let before = ALLOCS.with(Cell::get);
         let (mut elements, mut steps) = (0u64, 0u64);
@@ -62,6 +65,7 @@ fn a_warm_solver_allocates_for_its_answers_only() {
         }
         (ALLOCS.with(Cell::get) - before, elements, steps)
     };
+    let mut solver = Solver::new(&bench.pag, &cfg, &store);
     let (cold, ..) = pass(&mut solver);
     let (warm, elements, steps) = pass(&mut solver);
     let queries = bench.queries.len() as u64;
@@ -75,4 +79,22 @@ fn a_warm_solver_allocates_for_its_answers_only() {
         warm <= 2 * (elements + queries),
         "{warm} allocations for {elements} answer elements over {queries} queries ({steps} steps)"
     );
+
+    // Recording on: the same, plus one footprint per answer — its `Arc`,
+    // and per bitset a chunk directory (grown by doubling) and the chunks
+    // it touches.
+    let recording_cfg = cfg.clone().with_footprints();
+    let mut recording = Solver::new(&bench.pag, &recording_cfg, &store);
+    pass(&mut recording);
+    let (warm_recording, ..) = pass(&mut recording);
+    let slots = |ids: usize| (ids / CHUNK_BITS + 1) as u64;
+    let per_footprint =
+        1 + 2 * (slots(bench.pag.node_count()) + slots(bench.pag.types().field_count()));
+    eprintln!("recording warm={warm_recording} per_footprint<={per_footprint}");
+    assert!(
+        warm_recording <= warm + queries * per_footprint,
+        "{warm_recording} allocations recording against {warm} not, {queries} queries"
+    );
+    // One frame per heap access crossed: a per-frame allocation would show.
+    assert!(queries * per_footprint < steps / 4);
 }

@@ -12,6 +12,9 @@
 //!    store and schedule cache selectively invalidated by footprint)
 //!    answer exactly like a cold session on the edited graph, under
 //!    both state backends at every thread count.
+//!    A session that keeps answers is held to the same: over seeded
+//!    edit scripts every batch equals a fresh session's on that
+//!    revision, and the queries whose answers it kept are not run.
 //! 3. **Battery layer** — a deliberately broken invalidation
 //!    (`Fault::skip_invalidation`) is caught by the differential fuzzer
 //!    and shrunk to a ≤ 10-edge, ≤ 3-edit counterexample that passes
@@ -22,9 +25,11 @@ use parcfl::check::{run_fuzz, scenario_fails, test_seed, FuzzConfig, Scenario};
 use parcfl::core::{SolverConfig, StateBackend};
 use parcfl::frontend::build_pag;
 use parcfl::pag::{DeltaOp, EdgeKind, NodeId, Pag, PagDelta};
-use parcfl::runtime::{run_seq, AnalysisSession, Backend, Mode};
+use parcfl::runtime::{run_seq, AnalysisSession, Backend, EventKind, Mode, TraceLevel};
 use parcfl::synth::mutate::{rebuild_with_edges, sample_edits};
 use parcfl::synth::{build_bench, Profile};
+use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn ample(state: StateBackend) -> SolverConfig {
     SolverConfig {
@@ -288,11 +293,13 @@ fn edit_emptying_a_schedule_cache_group_drops_only_it() {
 #[test]
 fn noop_edit_invalidates_nothing() {
     let bench = build_bench(&Profile::tiny(7));
-    let queries: Vec<NodeId> = bench.queries.iter().copied().take(6).collect();
+    let queries = &bench.queries;
+    let cold = run_seq(&bench.pag, queries, &ample(StateBackend::Dense));
     let mut session = AnalysisSession::new(&bench.pag)
         .with_solver(ample(StateBackend::Dense))
         .with_threads(1);
-    let first = session.submit(&queries, Mode::DataSharing, Backend::Simulated);
+    let half = &queries[..queries.len() / 2];
+    let first = session.submit(half, Mode::DataSharing, Backend::Simulated);
     let resident = session.store_entries();
 
     let e0 = bench.pag.edges()[0];
@@ -304,15 +311,87 @@ fn noop_edit_invalidates_nothing() {
     assert!(report.noop);
     assert_eq!(report.revision, 0, "revision does not advance on a no-op");
     assert_eq!(report.invalidated_jmps, 0);
+    assert_eq!(report.invalidated_answers, 0);
     assert_eq!(report.invalidated_schedules, 0);
     assert_eq!(session.store_entries(), resident, "store untouched");
 
-    let warm = session.submit(&queries, Mode::DataSharing, Backend::Simulated);
-    assert_eq!(warm.sorted_answers(), first.sorted_answers());
+    let warm = session.submit(queries, Mode::DataSharing, Backend::Simulated);
+    assert_eq!(warm.sorted_answers(), cold.sorted_answers());
+    assert_eq!(
+        warm.stats.retained_answers, first.stats.completed as u64,
+        "every answer of the first batch is still held"
+    );
     assert!(
         warm.stats.warm_hits > 0,
-        "re-query after a no-op edit is served from the warm store"
+        "the rest of the re-query is served from the warm store"
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Layer 2, for the answers a session keeps: over seeded edit scripts,
+    /// on both backends, every batch of a long-lived session equals a
+    /// fresh session's on the same revision — kept answers included — and
+    /// no query whose answer was kept is run.
+    #[test]
+    fn retaining_session_equals_a_fresh_one_at_every_revision(seed in 0u64..1_000) {
+        let bench = build_bench(&Profile::tiny(seed));
+        let queries = &bench.queries;
+        let mode = Mode::DataSharingSched;
+        for (backend, state) in [
+            (Backend::Simulated, StateBackend::Dense),
+            (Backend::Threaded, StateBackend::Hash),
+        ] {
+            fn open(pag: &Pag, state: StateBackend) -> AnalysisSession<'_> {
+                AnalysisSession::new(pag)
+                    .with_solver(ample(state))
+                    .with_threads(2)
+                    .with_tracing(TraceLevel::Spans)
+            }
+            let mut session = open(&bench.pag, state);
+            let mut held = 0;
+            for round in 0..5u64 {
+                if round > 0 {
+                    let mut delta = PagDelta::new();
+                    let ops = 1 + (round as usize) % 3;
+                    for op in sample_edits(session.pag(), derive(seed, 0xD4_0000 + round), ops) {
+                        delta.push(op);
+                    }
+                    let report = session.apply_delta(&delta);
+                    if !report.noop {
+                        prop_assert_eq!(report.invalidated_answers + report.retained_answers, held);
+                        held = report.retained_answers;
+                    }
+                }
+                let got = session.submit(queries, mode, backend);
+                let revision = session.pag().clone();
+                let fresh = open(&revision, state).submit(queries, mode, backend);
+                prop_assert_eq!(
+                    got.sorted_answers(),
+                    fresh.sorted_answers(),
+                    "seed {} {:?} round {}", seed, backend, round
+                );
+                prop_assert_eq!(got.stats.retained_answers, held);
+                prop_assert_eq!(got.stats.queries, queries.len());
+                let ran: BTreeSet<u32> = got.trace.iter()
+                    .flat_map(|t| &t.workers)
+                    .flat_map(|w| &w.events)
+                    .filter(|e| e.kind == EventKind::QueryStart)
+                    .map(|e| e.a)
+                    .collect();
+                prop_assert_eq!(
+                    ran.len() as u64 + held,
+                    queries.len() as u64,
+                    "seed {} {:?} round {}: a kept query ran", seed, backend, round
+                );
+                // The ample budget completes every query, so after the
+                // batch the session holds them all.
+                prop_assert_eq!(got.stats.completed, queries.len());
+                held = queries.len() as u64;
+            }
+        }
+    }
 }
 
 /// Layer 3 (the battery proves itself): with invalidation deliberately
