@@ -15,7 +15,7 @@ use parcfl_synth::Bench;
 /// The jmp edges one simulated run of `b` leaves behind.
 fn histogram(b: &Bench, cfg: &RunConfig) -> JmpHistogram {
     let schedule = schedule_with_cap(&b.pag, &b.queries, cfg.mode, cfg.group_cap);
-    let store = SharedJmpStore::timestamped();
+    let store = SharedJmpStore::new();
     run_simulated_batch(&b.pag, &schedule, cfg, &store, 0);
     JmpHistogram::of(&store)
 }

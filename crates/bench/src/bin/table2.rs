@@ -7,8 +7,9 @@
 //! Additionally emits a machine-readable `BENCH_solver.json` (schema
 //! `parcfl-bench-solver/8`): per bench, the headline DQ simulated run
 //! plus sequential dense-state / hash-state rows, each carrying every
-//! deterministic `RunStats` metric, so CI can gate solver behaviour with
-//! `parcfl bench-diff` without scraping the human tables. `--smoke`
+//! deterministic `RunStats` metric, one record per line, so CI can gate
+//! solver behaviour by `cmp` with the committed `results/BENCH_solver.json`
+//! (`results/regen.sh --check`) without scraping the human tables. `--smoke`
 //! restricts the run to the smallest synthetic profile plus `luindex`
 //! (the cheapest one whose jmp store fills) and skips the wall-clock
 //! sidebar; `--json PATH` overrides the artifact location.

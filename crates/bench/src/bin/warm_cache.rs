@@ -24,7 +24,7 @@
 //! With `--delta` the bench instead measures *incremental*
 //! analysis (DESIGN.md §12): each suite session answers its full batch,
 //! takes a seeded 3-op PAG edit script through
-//! [`AnalysisSession::apply_delta`] (selective answer/jmp/schedule
+//! [`AnalysisSession::apply_delta`] (selective answer/jmp
 //! invalidation), and re-queries warm: `Kept` of the batch's answers
 //! survive the edit and are not traversed again. The warm re-query must
 //! answer bit-identically to a cold session on the edited graph, and
@@ -43,8 +43,8 @@ use parcfl_synth::mutate::sample_edits;
 /// the step baseline.
 fn run_delta_comparison() {
     println!(
-        "{:<16} {:>10} {:>10} {:>7} {:>6} {:>8} {:>8} {:>6}",
-        "Benchmark", "ColdS", "IncrS", "Saved%", "Kept", "InvJmp", "RetJmp", "InvSch"
+        "{:<16} {:>10} {:>10} {:>7} {:>6} {:>8} {:>8}",
+        "Benchmark", "ColdS", "IncrS", "Saved%", "Kept", "InvJmp", "RetJmp"
     );
     let suite = parcfl_synth::build_suite();
     let mode = Mode::DataSharingSched;
@@ -81,7 +81,7 @@ fn run_delta_comparison() {
         let saved =
             100.0 * (1.0 - incr.stats.traversed_steps as f64 / cold.stats.traversed_steps as f64);
         println!(
-            "{:<16} {:>10} {:>10} {:>6.1}% {:>6} {:>8} {:>8} {:>6}",
+            "{:<16} {:>10} {:>10} {:>6.1}% {:>6} {:>8} {:>8}",
             b.name,
             cold.stats.traversed_steps,
             incr.stats.traversed_steps,
@@ -89,7 +89,6 @@ fn run_delta_comparison() {
             incr.stats.retained_answers,
             report.invalidated_jmps,
             report.retained_jmps,
-            report.invalidated_schedules,
         );
     }
     assert!(

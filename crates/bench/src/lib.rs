@@ -14,10 +14,10 @@
 //! | `ablation_group` | group-dispatch granularity trade-off |
 //!
 //! Also here: `warm_cache` (warm-session reuse and incremental re-query
-//! tables, every claim asserted) and the CI counter gate — [`diff`] writes
-//! and compares the `BENCH_solver.json` artifact `table2` emits. Wall time
-//! is not measured here: the stand-alone `benchmark/` crate owns it.
-//! Criterion micro-benchmarks live under `benches/`.
+//! tables, every claim asserted) and the rows of the counter gate's
+//! artifact — [`diff`] renders the `BENCH_solver.json` `table2` emits and
+//! `results/regen.sh --check` `cmp`s. Wall time is not measured here: the
+//! stand-alone `benchmark/` crate owns it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -89,12 +89,12 @@ impl JmpStore for ContextBlind<'_> {
         rch: RchSet,
         now: u64,
         fp: Option<Arc<Footprint>>,
-    ) -> bool {
+    ) -> Option<u32> {
         self.0
             .publish_finished(blind(key), total_steps, rch, now, fp)
     }
 
-    fn publish_unfinished(&self, key: JmpKey, s: u64, now: u64) -> bool {
+    fn publish_unfinished(&self, key: JmpKey, s: u64, now: u64) -> Option<u32> {
         self.0.publish_unfinished(key, s, now)
     }
 
@@ -186,8 +186,7 @@ pub(crate) fn replay_reusing_store(sc: &Scenario) -> (RunResult, Pag, Vec<DeltaR
                 result
             }
             Backend::Threaded => {
-                let view = store.untimestamped_view();
-                let result = run_threaded_batch(pag, &schedule, &cfg, &view, clock);
+                let result = run_threaded_batch(pag, &schedule, &cfg, &store, clock);
                 clock += result.stats.traversed_steps + 1;
                 result
             }

@@ -90,7 +90,7 @@ pub struct Scenario {
     /// Mutate-then-requery edit script. Empty means a plain one-shot
     /// run; non-empty routes [`Self::run`] through an analysis session
     /// that answers cold, applies each op as its own delta (selective
-    /// invalidation of jmp/schedule state) and re-queries warm.
+    /// invalidation of jmp/answer state) and re-queries warm.
     pub deltas: Vec<DeltaOp>,
     /// Injected faults (none in anything but the harness's self-tests).
     pub fault: Fault,
@@ -109,8 +109,8 @@ impl Scenario {
     /// An empty simulator store under the scenario's cap.
     pub(crate) fn fresh_store(&self) -> SharedJmpStore {
         match self.store_cap {
-            Some(cap) => SharedJmpStore::timestamped().with_max_entries(cap),
-            None => SharedJmpStore::timestamped(),
+            Some(cap) => SharedJmpStore::new().with_max_entries(cap),
+            None => SharedJmpStore::new(),
         }
     }
 

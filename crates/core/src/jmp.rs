@@ -15,14 +15,16 @@
 //! (selecting the larger `s` was judged cost-ineffective). A finished entry
 //! may upgrade an unfinished one — it is strictly more informative.
 //!
-//! Every entry carries the *virtual time* of its creation. The threaded
-//! backend ignores it; the deterministic simulator only lets a query observe
-//! entries created at or before its own current virtual time, modelling the
-//! interleaving-dependent visibility of shared data (see DESIGN.md).
+//! Every entry carries the *virtual time* of its creation, and a lookup
+//! names the instant it is made at: it sees the entries created at or
+//! before that instant. Which instant is the reader's business, not the
+//! store's — a simulated worker looks up at its own virtual clock, which
+//! models the interleaving-dependent visibility of shared data, and a real
+//! thread at `u64::MAX`, which sees everything (see DESIGN.md §7).
 //!
 //! ## Persistence and eviction (DESIGN.md §7)
 //!
-//! [`SharedJmpStore`] is cheaply cloneable (`Arc`-backed): an
+//! [`SharedJmpStore`] is cheaply cloneable (one `Arc`): an
 //! `AnalysisSession` keeps one store alive across query batches so later
 //! batches warm-start from earlier batches' entries. Long-lived stores need
 //! bounded memory, so a store may carry an entry budget
@@ -149,17 +151,20 @@ pub type JmpHit = (JmpEntry, Option<Arc<Footprint>>);
 /// eviction, invalidation — belongs to whoever owns the store, and lives
 /// on [`SharedJmpStore`] itself.
 pub trait JmpStore: Sync {
-    /// Looks up the entry under `key` visible at virtual time `now`. A
-    /// reader that is itself recording absorbs the hit's footprint — or
-    /// poisons its own when the hit has none.
+    /// Looks up the entry under `key` visible at virtual time `now`: one
+    /// created at or before it. A reader that is itself recording absorbs
+    /// the hit's footprint — or poisons its own when the hit has none.
     fn lookup(&self, key: &JmpKey, now: u64) -> Option<JmpHit>;
 
     /// Publishes a finished entry (already filtered by `τF` at the call
     /// site), with the recording traversal's footprint when it kept one
-    /// (selective invalidation, DESIGN.md §12). Returns `true` if the
-    /// entry was stored. Unfinished entries never carry footprints: their
-    /// `s` bound summarises an *aborted* traversal whose full read-set was
-    /// never seen, so they are unconditionally invalidated by every delta.
+    /// (selective invalidation, DESIGN.md §12). Returns `None` if the
+    /// entry was not stored, and otherwise how many resident entries the
+    /// store evicted to make room for it — the publisher's own eviction
+    /// count, whoever else evicts from the same store meanwhile.
+    /// Unfinished entries never carry footprints: their `s` bound
+    /// summarises an *aborted* traversal whose full read-set was never
+    /// seen, so they are unconditionally invalidated by every delta.
     fn publish_finished(
         &self,
         key: JmpKey,
@@ -167,11 +172,11 @@ pub trait JmpStore: Sync {
         rch: RchSet,
         now: u64,
         fp: Option<Arc<Footprint>>,
-    ) -> bool;
+    ) -> Option<u32>;
 
     /// Publishes an unfinished entry (already filtered by `τU`). First
-    /// writer wins. Returns `true` if stored.
-    fn publish_unfinished(&self, key: JmpKey, s: u64, now: u64) -> bool;
+    /// writer wins. Returns as [`Self::publish_finished`] does.
+    fn publish_unfinished(&self, key: JmpKey, s: u64, now: u64) -> Option<u32>;
 
     /// The context interner whose ids this store's keys and payloads use.
     /// Solvers sharing a store must share its interner (ids are only
@@ -198,12 +203,12 @@ impl JmpStore for NoJmpStore {
         _r: RchSet,
         _n: u64,
         _fp: Option<Arc<Footprint>>,
-    ) -> bool {
-        false
+    ) -> Option<u32> {
+        None
     }
 
-    fn publish_unfinished(&self, _k: JmpKey, _s: u64, _n: u64) -> bool {
-        false
+    fn publish_unfinished(&self, _k: JmpKey, _s: u64, _n: u64) -> Option<u32> {
+        None
     }
 
     fn ctx_interner(&self) -> Option<Arc<CtxInterner>> {
@@ -227,11 +232,11 @@ struct Stored {
     last_use: AtomicU64,
 }
 
-/// The state shared by every handle (clone/view) of a [`SharedJmpStore`].
+/// The state every clone of a [`SharedJmpStore`] shares.
 struct StoreInner {
     map: ShardedMap<JmpKey, Stored>,
     /// The interner giving meaning to every [`CtxId`] in keys and
-    /// payloads. Shared by every handle and every solver using the store;
+    /// payloads. Shared by every solver using the store;
     /// survives [`SharedJmpStore::clear`] so resident ids stay valid.
     interner: Arc<CtxInterner>,
     /// Logical access clock: ticks on every insert and visible lookup,
@@ -245,38 +250,22 @@ struct StoreInner {
     lookup_hits: AtomicU64,
 }
 
-/// The concurrent shared store (the paper's `ConcurrentHashMap`).
+/// The concurrent shared store (the paper's `ConcurrentHashMap`): one map
+/// every query thread reads and writes.
 ///
-/// `Arc`-backed: [`Clone`], [`Self::untimestamped_view`] and
-/// [`Self::scoped`] produce handles to the *same* underlying entries, so a
-/// session can hand a long-lived store to successive batch runs (and to
-/// real-thread workers) without copying.
+/// [`Clone`] is a handle to the *same* entries, accounting and budget, so
+/// a session can hand a long-lived store to successive batch runs (and to
+/// real-thread workers) without copying. What differs per reader — the
+/// instant its lookups are made at, the evictions its publishes cause —
+/// is an argument or a return value of the call ([`JmpStore`]), never
+/// state of the handle.
+#[derive(Clone)]
 pub struct SharedJmpStore {
     inner: Arc<StoreInner>,
-    /// When set, `lookup` enforces virtual-time visibility (the simulator
-    /// backend); when clear, every entry is visible (the threaded backend).
-    timestamped: bool,
-    /// Evictions performed *through this handle* (and its clones/views).
-    /// The store-wide counter misattributes when several batches or
-    /// sessions share one store — a batch reads its own scope instead
-    /// (see [`Self::scoped`]).
-    scope_evictions: Arc<AtomicU64>,
-}
-
-impl Clone for SharedJmpStore {
-    /// A handle to the same store (entries, accounting, budget and
-    /// eviction scope shared).
-    fn clone(&self) -> Self {
-        SharedJmpStore {
-            inner: Arc::clone(&self.inner),
-            timestamped: self.timestamped,
-            scope_evictions: Arc::clone(&self.scope_evictions),
-        }
-    }
 }
 
 impl SharedJmpStore {
-    fn with_flags(timestamped: bool, max_entries: Option<usize>) -> Self {
+    fn with_budget(max_entries: Option<usize>) -> Self {
         SharedJmpStore {
             inner: Arc::new(StoreInner {
                 map: ShardedMap::new(),
@@ -286,64 +275,24 @@ impl SharedJmpStore {
                 evictions: AtomicU64::new(0),
                 lookup_hits: AtomicU64::new(0),
             }),
-            timestamped,
-            scope_evictions: Arc::new(AtomicU64::new(0)),
         }
     }
 
-    /// A store for real threads: publication is immediately visible.
+    /// An empty, unbounded store.
     pub fn new() -> Self {
-        Self::with_flags(false, None)
-    }
-
-    /// A store for the deterministic simulator: entries become visible only
-    /// at virtual times ≥ their creation time.
-    pub fn timestamped() -> Self {
-        Self::with_flags(true, None)
+        Self::with_budget(None)
     }
 
     /// Bounds the store to at most `max` entries: any publish that leaves
     /// the store over budget triggers an eviction sweep back down to `max`.
     /// Construction-time builder — it rebuilds the (still empty) inner
-    /// state, so apply it immediately after [`Self::new`]/
-    /// [`Self::timestamped`], before entries or other handles exist.
-    /// Budget 0 is clamped to 1.
+    /// state, so apply it immediately after [`Self::new`], before entries
+    /// or other handles exist. Budget 0 is clamped to 1.
     pub fn with_max_entries(self, max: usize) -> Self {
-        Self::with_flags(self.timestamped, Some(max.max(1)))
+        Self::with_budget(Some(max.max(1)))
     }
 
-    /// A handle onto the same entries with virtual-time visibility OFF —
-    /// what a session hands to the real-thread backend, whose workers must
-    /// see every entry regardless of timestamps. The eviction scope is
-    /// shared with `self`.
-    pub fn untimestamped_view(&self) -> SharedJmpStore {
-        SharedJmpStore {
-            inner: Arc::clone(&self.inner),
-            timestamped: false,
-            scope_evictions: Arc::clone(&self.scope_evictions),
-        }
-    }
-
-    /// A handle onto the same entries with a *fresh* eviction scope:
-    /// [`Self::scope_evictions`] on the returned handle counts only the
-    /// evictions this handle's own publishes/retains trigger. Batch runs
-    /// take one scoped handle each, so concurrent batches (or an external
-    /// `evict_to_budget`) sharing the store never inflate each other's
-    /// per-batch eviction stats — the store-wide before/after delta did.
-    pub fn scoped(&self) -> SharedJmpStore {
-        SharedJmpStore {
-            inner: Arc::clone(&self.inner),
-            timestamped: self.timestamped,
-            scope_evictions: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Evictions attributed to this handle's scope (see [`Self::scoped`]).
-    pub fn scope_evictions(&self) -> u64 {
-        self.scope_evictions.load(Ordering::Relaxed)
-    }
-
-    /// The store's context interner (shared by every handle and view).
+    /// The store's context interner (shared by every handle).
     pub fn interner(&self) -> &Arc<CtxInterner> {
         &self.inner.interner
     }
@@ -448,8 +397,6 @@ impl SharedJmpStore {
         self.inner
             .evictions
             .fetch_add(removed as u64, Ordering::Relaxed);
-        self.scope_evictions
-            .fetch_add(removed as u64, Ordering::Relaxed);
         removed
     }
 
@@ -495,14 +442,11 @@ impl SharedJmpStore {
     }
 
     /// Keeps only the entries for which `f` returns `true`; returns the
-    /// number removed, which counts as evicted (store-wide and in this
-    /// handle's scope).
+    /// number removed, which counts as evicted.
     pub fn retain(&self, mut f: impl FnMut(&JmpKey, &JmpEntry) -> bool) -> usize {
         let removed = self.inner.map.retain(|k, st| f(k, &st.entry));
         self.inner
             .evictions
-            .fetch_add(removed as u64, Ordering::Relaxed);
-        self.scope_evictions
             .fetch_add(removed as u64, Ordering::Relaxed);
         removed
     }
@@ -516,12 +460,11 @@ impl Default for SharedJmpStore {
 
 impl JmpStore for SharedJmpStore {
     fn lookup(&self, key: &JmpKey, now: u64) -> Option<JmpHit> {
-        let timestamped = self.timestamped;
         let hit = self
             .inner
             .map
             .with(key, |st| {
-                if timestamped && st.entry.created_at() > now {
+                if st.entry.created_at() > now {
                     return None;
                 }
                 st.hits.fetch_add(1, Ordering::Relaxed);
@@ -540,7 +483,7 @@ impl JmpStore for SharedJmpStore {
         rch: RchSet,
         now: u64,
         fp: Option<Arc<Footprint>>,
-    ) -> bool {
+    ) -> Option<u32> {
         // First writer wins, regardless of kind: Algorithm 2 tests the
         // unfinished case *before* the finished one, so once an unfinished
         // edge exists at a key its finished branch is unreachable — the
@@ -559,21 +502,15 @@ impl JmpStore for SharedJmpStore {
             None => Some(stored),
             Some(_) => None,
         });
-        if inserted {
-            self.evict_to_budget();
-        }
-        inserted
+        inserted.then(|| self.evict_to_budget() as u32)
     }
 
-    fn publish_unfinished(&self, key: JmpKey, s: u64, now: u64) -> bool {
+    fn publish_unfinished(&self, key: JmpKey, s: u64, now: u64) -> Option<u32> {
         let inserted = self.inner.map.try_insert(
             key,
             self.stored(JmpEntry::Unfinished { s, created_at: now }, None),
         );
-        if inserted {
-            self.evict_to_budget();
-        }
-        inserted
+        inserted.then(|| self.evict_to_budget() as u32)
     }
 
     fn ctx_interner(&self) -> Option<Arc<CtxInterner>> {
@@ -592,6 +529,7 @@ mod tests {
     /// A footprint-less finished publish of an empty set.
     fn publish(s: &SharedJmpStore, n: u32, total_steps: u64) -> bool {
         s.publish_finished(key(n), total_steps, Arc::new(vec![]), 0, None)
+            .is_some()
     }
 
     fn entry(s: &SharedJmpStore, n: u32, now: u64) -> Option<JmpEntry> {
@@ -601,8 +539,10 @@ mod tests {
     #[test]
     fn no_store_is_inert() {
         let s = NoJmpStore;
-        assert!(!s.publish_finished(key(1), 10, Arc::new(vec![]), 0, None));
-        assert!(!s.publish_unfinished(key(1), 10, 0));
+        assert!(s
+            .publish_finished(key(1), 10, Arc::new(vec![]), 0, None)
+            .is_none());
+        assert!(s.publish_unfinished(key(1), 10, 0).is_none());
         assert!(s.lookup(&key(1), u64::MAX).is_none());
         assert!(s.ctx_interner().is_none());
     }
@@ -611,7 +551,7 @@ mod tests {
     fn finished_roundtrip_and_stats() {
         let s = SharedJmpStore::new();
         let rch = Arc::new(vec![(NodeId::new(9), CtxId::EMPTY)]);
-        assert!(s.publish_finished(key(1), 250, rch, 0, None));
+        assert_eq!(s.publish_finished(key(1), 250, rch, 0, None), Some(0));
         match entry(&s, 1, 0) {
             Some(JmpEntry::Finished {
                 total_steps, rch, ..
@@ -636,8 +576,12 @@ mod tests {
     #[test]
     fn unfinished_first_writer_wins() {
         let s = SharedJmpStore::new();
-        assert!(s.publish_unfinished(key(2), 100, 0));
-        assert!(!s.publish_unfinished(key(2), 999, 0), "first writer wins");
+        assert_eq!(s.publish_unfinished(key(2), 100, 0), Some(0));
+        assert_eq!(
+            s.publish_unfinished(key(2), 999, 0),
+            None,
+            "first writer wins"
+        );
         match entry(&s, 2, 0) {
             Some(JmpEntry::Unfinished { s, .. }) => assert_eq!(s, 100),
             other => panic!("{other:?}"),
@@ -651,7 +595,7 @@ mod tests {
         // at that key and recording a finished set would erase the
         // early-termination evidence.
         let s = SharedJmpStore::new();
-        assert!(s.publish_unfinished(key(3), 50, 0));
+        assert!(s.publish_unfinished(key(3), 50, 0).is_some());
         assert!(!publish(&s, 3, 70));
         assert!(matches!(
             entry(&s, 3, 0),
@@ -668,15 +612,12 @@ mod tests {
 
     #[test]
     fn timestamp_visibility() {
-        let s = SharedJmpStore::timestamped();
+        let s = SharedJmpStore::new();
         s.publish_unfinished(key(4), 10, 500);
         assert!(s.lookup(&key(4), 499).is_none(), "not yet visible");
         assert!(s.lookup(&key(4), 500).is_some());
         assert!(s.lookup(&key(4), 501).is_some());
-        // Untimestamped store ignores `now`.
-        let s2 = SharedJmpStore::new();
-        s2.publish_unfinished(key(4), 10, 500);
-        assert!(s2.lookup(&key(4), 0).is_some());
+        assert!(s.lookup(&key(4), u64::MAX).is_some());
     }
 
     #[test]
@@ -697,25 +638,6 @@ mod tests {
     }
 
     #[test]
-    fn views_share_entries_and_toggle_visibility() {
-        let master = SharedJmpStore::timestamped();
-        master.publish_unfinished(key(7), 10, 900);
-        assert!(master.lookup(&key(7), 0).is_none(), "timestamped hides it");
-        let view = master.untimestamped_view();
-        assert!(view.lookup(&key(7), 0).is_some(), "view sees everything");
-        // Writes through the view land in the shared entries.
-        view.publish_unfinished(key(8), 20, 950);
-        assert_eq!(master.entry_count(), 2);
-        assert!(master.lookup(&key(8), 950).is_some());
-        let cloned = master.clone();
-        assert_eq!(cloned.entry_count(), 2);
-        assert!(
-            cloned.lookup(&key(7), 0).is_none(),
-            "a clone keeps visibility"
-        );
-    }
-
-    #[test]
     fn lookup_accounting_tracks_hits_and_recency() {
         let s = SharedJmpStore::new();
         s.publish_unfinished(key(1), 10, 0);
@@ -730,8 +652,9 @@ mod tests {
         assert_eq!(meta[1].1, 3, "key 2 hit three times");
         assert!(meta[1].2 > meta[0].2, "key 2 more recently used");
         assert_eq!(s.lookup_hits(), 3);
-        // A timestamped miss is not a hit and does not touch recency.
-        let t = SharedJmpStore::timestamped();
+        // A lookup made before the entry's instant is not a hit and does
+        // not touch recency.
+        let t = SharedJmpStore::new();
         t.publish_unfinished(key(3), 10, 100);
         assert!(t.lookup(&key(3), 50).is_none());
         assert_eq!(t.lookup_hits(), 0);
@@ -768,15 +691,15 @@ mod tests {
         // An old unfinished edge, then a newer finished one, then overflow:
         // the finished entry is evicted even though the unfinished one is
         // staler — unfinished evidence is irreplaceable (DESIGN.md §7).
-        assert!(s.publish_unfinished(key(1), 10_000, 0));
+        assert_eq!(s.publish_unfinished(key(1), 10_000, 0), Some(0));
         assert!(publish(&s, 2, 5_000));
-        assert!(s.publish_unfinished(key(3), 20_000, 0));
+        assert_eq!(s.publish_unfinished(key(3), 20_000, 0), Some(1));
         assert_eq!(s.entry_count(), 2);
         assert!(s.lookup(&key(2), 0).is_none(), "finished entry sacrificed");
         assert!(s.lookup(&key(1), 0).is_some());
         assert!(s.lookup(&key(3), 0).is_some());
         // When only unfinished entries remain, the budget still binds.
-        assert!(s.publish_unfinished(key(4), 30_000, 0));
+        assert_eq!(s.publish_unfinished(key(4), 30_000, 0), Some(1));
         assert_eq!(s.entry_count(), 2);
         assert_eq!(s.evictions(), 2);
     }
@@ -809,10 +732,12 @@ mod tests {
         use crate::footprint::{reading, DirtySet};
         let s = SharedJmpStore::new();
         let fp = Some(reading(&[42], &[]));
-        assert!(s.publish_finished(key(1), 100, Arc::new(vec![]), 0, fp));
+        assert!(s
+            .publish_finished(key(1), 100, Arc::new(vec![]), 0, fp)
+            .is_some());
         // A footprint-less finished entry and an unfinished one.
         assert!(publish(&s, 2, 100));
-        assert!(s.publish_unfinished(key(3), 10_000, 0));
+        assert!(s.publish_unfinished(key(3), 10_000, 0).is_some());
         let (_, got) = s.lookup(&key(1), 0).unwrap();
         assert!(got.unwrap().touches_node(NodeId::new(42)));
         assert!(s.lookup(&key(2), 0).unwrap().1.is_none());
@@ -835,33 +760,27 @@ mod tests {
         // A store that shares nothing has nowhere to keep a footprint.
         let fp = Some(crate::footprint::reading(&[1], &[]));
         let s = NoJmpStore;
-        assert!(!s.publish_finished(key(1), 10, Arc::new(vec![]), 0, fp));
+        assert!(s
+            .publish_finished(key(1), 10, Arc::new(vec![]), 0, fp)
+            .is_none());
         assert!(s.lookup(&key(1), 0).is_none());
     }
 
+    /// A publish reports what its own sweep evicted, so two publishers
+    /// sharing one bounded store each count their own and the counts
+    /// partition the store-wide total.
     #[test]
-    fn scoped_handles_attribute_their_own_evictions() {
-        let master = SharedJmpStore::new().with_max_entries(2);
-        let a = master.scoped();
-        let b = master.scoped();
-        // Batch A publishes three entries: one eviction, attributed to A.
-        for n in 0..3u32 {
-            a.publish_unfinished(key(n), 10, 0);
-        }
-        assert_eq!(a.scope_evictions(), 1);
-        assert_eq!(b.scope_evictions(), 0, "B did nothing yet");
-        // Batch B overflows twice more: attributed to B, not A.
-        b.publish_unfinished(key(10), 10, 0);
-        b.publish_unfinished(key(11), 10, 0);
-        assert_eq!(b.scope_evictions(), 2);
-        assert_eq!(a.scope_evictions(), 1, "A's scope unchanged");
-        // The store-wide total still sums everything.
-        assert_eq!(master.evictions(), 3);
-        // Clones and views share their parent's scope; `scoped` resets it.
-        let a2 = a.clone();
-        a2.publish_unfinished(key(12), 10, 0);
-        assert_eq!(a.scope_evictions(), 2, "clone shares A's scope");
-        assert_eq!(a.untimestamped_view().scope_evictions(), 2);
-        assert_eq!(a.scoped().scope_evictions(), 0);
+    fn publishes_report_their_own_evictions() {
+        let store = SharedJmpStore::new().with_max_entries(2);
+        let (a, b) = (store.clone(), store.clone());
+        let publish = |s: &SharedJmpStore, n| s.publish_unfinished(key(n), 10, 0).unwrap();
+        // A fills the store and overflows it once; B overflows it twice.
+        let by_a: u32 = (0..3).map(|n| publish(&a, n)).sum();
+        let by_b: u32 = (10..12).map(|n| publish(&b, n)).sum();
+        assert_eq!((by_a, by_b), (1, 2));
+        assert_eq!(store.evictions(), 3);
+        // A refused publish stores nothing and evicts nothing.
+        assert_eq!(a.publish_unfinished(key(11), 10, 0), None);
+        assert_eq!(store.evictions(), 3);
     }
 }

@@ -148,8 +148,11 @@ pub struct Solver<'a> {
     /// Taken from the jmp store when it carries one (all solvers sharing a
     /// store must agree on ids); private to this solver otherwise.
     interner: Arc<CtxInterner>,
-    /// Batch accounting boundary (see [`Solver::warm_before`]).
+    /// Batch accounting boundary (see [`Solver::in_batch`]).
     warm_before: u64,
+    /// The least instant a jmp lookup is made at (see [`Solver::in_batch`]):
+    /// `u64::MAX` sees every entry, 0 leaves it to the query's own clock.
+    horizon: u64,
     /// Per-worker event sink for hot-path instants; the runtime only
     /// attaches one at `TraceLevel::Full` (see [`Solver::with_recorder`]).
     rec: Option<&'a TraceRecorder>,
@@ -180,6 +183,7 @@ impl<'a> Solver<'a> {
             jmp: shared.is_some().then_some(jmp),
             interner: shared.unwrap_or_else(|| Arc::new(CtxInterner::new())),
             warm_before: 0,
+            horizon: u64::MAX,
             rec: None,
             scratch: match cfg.state {
                 StateBackend::Hash => Backend::Hash(Scratch::default()),
@@ -197,14 +201,25 @@ impl<'a> Solver<'a> {
         self
     }
 
-    /// Sets the batch accounting boundary: a jmp-store hit on an entry
-    /// created *before* this virtual instant counts as a warm (cross-batch)
-    /// hit in [`crate::QueryStats::warm_hits`]. A batch's lanes pass the
-    /// batch's base virtual time; at 0 (the default) every entry is
-    /// same-batch and nothing counts as warm. Pure accounting — it never
-    /// affects answers or visibility.
-    pub fn warm_before(mut self, instant: u64) -> Self {
-        self.warm_before = instant;
+    /// Seats the solver in a batch that began at virtual instant `base`,
+    /// on a lane that reads the `virtual_clock` or does not.
+    ///
+    /// `base` is the accounting boundary: a jmp-store hit on an entry
+    /// created *before* it counts as a warm (cross-batch) hit in
+    /// [`crate::QueryStats::warm_hits`]. At 0 (the default) every entry is
+    /// same-batch and nothing counts as warm. Pure accounting.
+    ///
+    /// `virtual_clock` is what a lookup sees. On it — the simulator's
+    /// lanes — a query sees the entries stamped at or before its own
+    /// virtual now, `vtime_base` plus the steps it has traversed: what a
+    /// truly concurrent thread could have seen. Off it (the default, and
+    /// every real thread) a query sees every entry whatever its stamp;
+    /// looking up at its own now instead would hide the entries its peers
+    /// publish further into their queries than it is into its own. Either
+    /// way a publication is stamped with the publisher's virtual now.
+    pub fn in_batch(mut self, base: u64, virtual_clock: bool) -> Self {
+        self.warm_before = base;
+        self.horizon = if virtual_clock { 0 } else { u64::MAX };
         self
     }
 
@@ -254,6 +269,7 @@ impl<'a> Solver<'a> {
             jmp: self.jmp,
             ctxs: &self.interner,
             warm_before: self.warm_before,
+            horizon: self.horizon,
             rec: self.rec,
         };
         match &mut self.scratch {
@@ -298,6 +314,7 @@ struct Env<'a> {
     jmp: Option<&'a dyn JmpStore>,
     ctxs: &'a CtxInterner,
     warm_before: u64,
+    horizon: u64,
     /// Event sink for hot-path instants (see [`Solver::with_recorder`]).
     rec: Option<&'a TraceRecorder>,
 }
@@ -355,6 +372,7 @@ struct QueryState<'a, S: StateSet> {
     jmp: Option<&'a dyn JmpStore>,
     ctxs: &'a CtxInterner,
     warm_before: u64,
+    horizon: u64,
     rec: Option<&'a TraceRecorder>,
     s: &'a mut Scratch<S>,
     /// Steps charged against the budget (`steps` in the paper).
@@ -391,6 +409,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             jmp: env.jmp,
             ctxs: env.ctxs,
             warm_before: env.warm_before,
+            horizon: env.horizon,
             rec: env.rec,
             s,
             steps: 0,
@@ -531,9 +550,9 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         }
     }
 
-    /// Virtual now: queries observe shared entries created at or before
-    /// this instant (real traversal work advances it; charged-but-skipped
-    /// steps do not).
+    /// Virtual now: what the query stamps its publications with, and on
+    /// the virtual clock the instant its lookups are made at (real
+    /// traversal work advances it; charged-but-skipped steps do not).
     #[inline]
     fn now(&self) -> u64 {
         self.vtime_base + self.work
@@ -562,10 +581,12 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             for i in 0..self.s.in_progress.len() {
                 let (dir, x, c, s0) = self.s.in_progress[i];
                 let s_val = self.cfg.budget.min(bdg + (self.steps - s0));
-                if s_val >= self.cfg.tau_unfinished
-                    && jmp.publish_unfinished((dir, x, c), s_val, self.now())
-                {
+                if s_val < self.cfg.tau_unfinished {
+                    continue;
+                }
+                if let Some(evicted) = jmp.publish_unfinished((dir, x, c), s_val, self.now()) {
                     self.stats.unfinished_published += 1;
+                    self.stats.evictions += u64::from(evicted);
                     self.emit(EventKind::JmpInsert, x.raw(), 0);
                 }
             }
@@ -781,7 +802,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             // reader's shortcut absorbs the recorded traversal's reads (an
             // entry without one — warm pre-recording state — poisons the
             // open frames and the query).
-            match jmp.lookup(&jmp_key, self.now()) {
+            match jmp.lookup(&jmp_key, self.now().max(self.horizon)) {
                 // Algorithm 2 lines 2–3: early termination when the
                 // remaining budget cannot cover the recorded lower bound.
                 // An unfinished entry with enough budget left falls through
@@ -846,8 +867,9 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         let fp = self.s.reads.close(publishing.is_some());
         if let Some(jmp) = publishing {
             let rch: RchSet = Arc::new(out.clone());
-            if jmp.publish_finished(jmp_key, total, rch, self.now(), fp) {
+            if let Some(evicted) = jmp.publish_finished(jmp_key, total, rch, self.now(), fp) {
                 self.stats.finished_published += out.len().max(1) as u64;
+                self.stats.evictions += u64::from(evicted);
                 self.emit(EventKind::JmpInsert, x.raw(), 1);
             }
         }

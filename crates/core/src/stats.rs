@@ -25,6 +25,10 @@ pub struct QueryStats {
     pub finished_published: u64,
     /// Unfinished jmp edges this query published.
     pub unfinished_published: u64,
+    /// Resident jmp entries a bounded store evicted to make room for this
+    /// query's publications — its own sweeps only, whoever else evicts
+    /// from the same store meanwhile.
+    pub evictions: u64,
     /// Whether the query ran out of budget.
     pub out_of_budget: bool,
     /// Whether the query was cut short by an unfinished jmp edge (an early

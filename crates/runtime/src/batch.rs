@@ -23,12 +23,13 @@ use std::time::Instant;
 #[derive(Copy, Clone)]
 pub(crate) enum Clock {
     /// Wall time: recorders stamp nanoseconds since the batch start,
-    /// latencies are nanoseconds, and every query runs at the batch's base
-    /// virtual time (real workers see each other's publications at once).
+    /// latencies are nanoseconds, every query starts at the batch's base
+    /// virtual time, and its jmp lookups see every entry (real workers see
+    /// each other's publications at once).
     Wall,
     /// The simulator's traversal-step clock: a lane's `now` advances by
     /// fetch costs and traversed steps, and is what recorders, latency
-    /// samples and jmp-store visibility see.
+    /// samples and jmp lookups see.
     Virtual,
 }
 
@@ -49,19 +50,10 @@ pub(crate) struct Batch<'a> {
     pub start: Instant,
 }
 
-/// What one lane's solver borrows for the batch: the lane's event sink and
-/// its own eviction-scoped handle on the batch's store
-/// ([`SharedJmpStore::scoped`]), so the evictions a lane's publishes
-/// trigger are attributed to that lane — and, summed, to this batch —
-/// exactly, whoever else evicts from the same store meanwhile.
-pub(crate) struct Port {
-    rec: TraceRecorder,
-    store: Option<SharedJmpStore>,
-}
-
 /// One worker's share of a batch.
 pub(crate) struct Lane<'a> {
-    port: &'a Port,
+    /// The lane's event sink.
+    rec: &'a TraceRecorder,
     /// The lane's own solver, and with it the scratch (visited-state
     /// tables, stacks, in-flight sets) every query of the lane reuses; it
     /// dies with the lane at the end of the batch.
@@ -75,8 +67,6 @@ pub(crate) struct Lane<'a> {
     now: u64,
     obs: WorkerObs,
     stats: RunStats,
-    /// Scope evictions already reported as `Eviction` instants.
-    evictions_seen: u64,
 }
 
 /// What a lane, and then a batch, has answered.
@@ -126,25 +116,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-impl Port {
-    fn evictions(&self) -> u64 {
-        self.store.as_ref().map_or(0, |s| s.scope_evictions())
-    }
-
-    /// What the lane's solver is built over.
-    pub(crate) fn jmp(&self) -> &dyn JmpStore {
-        match &self.store {
-            Some(store) => store,
-            None => &NoJmpStore,
-        }
-    }
-
-    /// Consumes the port into the lane's share of the run trace.
-    pub(crate) fn into_trace(self, worker: usize) -> WorkerTrace {
-        self.rec.into_trace(worker)
-    }
-}
-
 impl<'a> Batch<'a> {
     /// A batch of the run `cfg` describes against a caller-owned store,
     /// starting now. The mode decides, here and nowhere else, whether the
@@ -168,48 +139,56 @@ impl<'a> Batch<'a> {
         }
     }
 
-    /// A fresh port; create one per lane, before the lane. At
+    /// A fresh event sink; create one per lane, before the lane. At
     /// [`TraceLevel::Off`] the recorder allocates nothing.
-    pub(crate) fn port(&self) -> Port {
-        Port {
-            rec: match self.clock {
-                Clock::Wall => TraceRecorder::real(self.tracing, self.start),
-                Clock::Virtual => TraceRecorder::external(self.tracing),
-            },
-            store: self.store.map(SharedJmpStore::scoped),
+    pub(crate) fn recorder(&self) -> TraceRecorder {
+        match self.clock {
+            Clock::Wall => TraceRecorder::real(self.tracing, self.start),
+            Clock::Virtual => TraceRecorder::external(self.tracing),
         }
     }
 
-    /// Worker `worker`'s lane over `port`, its solver built over `jmp` —
-    /// [`Port::jmp`], or something that forwards to it. The solver records
-    /// hot-path instants into the lane's recorder at [`TraceLevel::Full`]
-    /// only.
+    /// What a lane's solver is built over.
+    pub(crate) fn jmp(&self) -> &'a dyn JmpStore {
+        match self.store {
+            Some(store) => store,
+            None => &NoJmpStore,
+        }
+    }
+
+    /// Worker `worker`'s lane recording into `rec`, its solver built over
+    /// `jmp` — [`Self::jmp`], or something that forwards to it — and told
+    /// what the batch knows and the store does not: where the warm floor
+    /// is, and whether lookups read the lane's virtual clock. The solver
+    /// records hot-path instants into the lane's recorder at
+    /// [`TraceLevel::Full`] only.
     pub(crate) fn lane<'l>(
         &'l self,
         worker: usize,
-        port: &'l Port,
+        rec: &'l TraceRecorder,
         jmp: &'l dyn JmpStore,
     ) -> Lane<'l> {
-        let mut solver = Solver::new(self.pag, self.cfg, jmp).warm_before(self.base);
+        let virtual_clock = matches!(self.clock, Clock::Virtual);
+        let mut solver = Solver::new(self.pag, self.cfg, jmp).in_batch(self.base, virtual_clock);
         if self.tracing.full() {
-            solver = solver.with_recorder(&port.rec);
+            solver = solver.with_recorder(rec);
         }
         Lane {
-            port,
+            rec,
             solver,
             clock: self.clock,
             recording: self.cfg.record_footprints,
             now: self.base,
             obs: WorkerObs::new(worker),
             stats: RunStats::default(),
-            evictions_seen: 0,
         }
     }
 
     /// The batch epilogue: folds the finished lanes (in worker order) into
-    /// one [`RunResult`]. `stats.evictions` is the sum of the lanes' own
-    /// eviction scopes — an exact partition of this batch's eviction
-    /// traffic on every executor.
+    /// one [`RunResult`]. `stats.evictions` is the sum of what the batch's
+    /// own publishes evicted ([`parcfl_core::QueryStats::evictions`]) —
+    /// exact on every executor, whoever else evicts from the store
+    /// meanwhile.
     pub(crate) fn finish(
         &self,
         avg_group_size: f64,
@@ -296,7 +275,7 @@ impl Lane<'_> {
     pub(crate) fn run_group(&mut self, group: &[NodeId], fetch_steps: u64, answers: &mut Answers) {
         self.obs.local_pops += 1;
         let (t0, v0) = (Instant::now(), self.now);
-        let rec = &self.port.rec;
+        let rec = self.rec;
         rec.span(EventKind::GroupDequeued, v0, group.len() as u32, 0);
         self.now += fetch_steps;
         for &q in group {
@@ -311,7 +290,7 @@ impl Lane<'_> {
     /// thread is diagnosable from the message alone instead of surfacing
     /// as an opaque `std::thread::scope` abort.
     fn answer(&mut self, q: NodeId, group: &[NodeId], answers: &mut Answers) {
-        let rec = &self.port.rec;
+        let rec = self.rec;
         rec.span(EventKind::QueryStart, self.now, q.raw(), 0);
         let (t0, v0) = (Instant::now(), self.now);
         let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -331,13 +310,8 @@ impl Lane<'_> {
         self.stats.hists.query_latency.record(latency);
         let complete = matches!(out.answer, Answer::Complete(_));
         rec.span(EventKind::QueryEnd, self.now, q.raw(), complete as u32);
-        if rec.full() {
-            let evictions = self.port.evictions();
-            if evictions > self.evictions_seen {
-                let fresh = (evictions - self.evictions_seen) as u32;
-                rec.instant(EventKind::Eviction, self.now, fresh, 0);
-                self.evictions_seen = evictions;
-            }
+        if rec.full() && out.stats.evictions > 0 {
+            rec.instant(EventKind::Eviction, self.now, out.stats.evictions as u32, 0);
         }
         self.obs.queries += 1;
         self.obs.steps += out.stats.traversed_steps;
@@ -349,8 +323,7 @@ impl Lane<'_> {
     }
 
     /// Closes the lane.
-    pub(crate) fn finish(mut self) -> LaneDone {
-        self.stats.evictions = self.port.evictions();
+    pub(crate) fn finish(self) -> LaneDone {
         LaneDone {
             stats: self.stats,
             obs: self.obs,

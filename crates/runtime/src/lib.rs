@@ -14,8 +14,8 @@
 //! One-shot entry points ([`run`], [`run_seq`]) build a fresh jmp store
 //! per call. Clients answering *several* batches over one PAG should hold
 //! an [`AnalysisSession`] instead: later batches warm-start from earlier
-//! batches' jmp edges, schedules are memoised, and store memory can be
-//! bounded (see [`session`]).
+//! batches' jmp edges, answers it already holds are not traversed again,
+//! and store memory can be bounded (see [`session`]).
 //!
 //! ```
 //! use parcfl_runtime::{run, run_seq, Backend, Mode, RunConfig};
@@ -150,5 +150,46 @@ mod tests {
         );
         assert_eq!(seq.sorted_answers(), sim.sorted_answers());
         assert_eq!(seq.sorted_answers(), thr.sorted_answers());
+    }
+
+    /// What a lookup sees is the lane's decision, not the store's: over
+    /// one store whose entries are all stamped later than any clock the
+    /// batch reaches, real threads take the shortcuts and simulated
+    /// workers (`created_at <= now`) do not. A wall-clock lane that looked
+    /// up at its own `base + steps` would pass every answer check and
+    /// silently share less.
+    #[test]
+    fn wall_lanes_see_later_stamps_and_virtual_lanes_do_not() {
+        use parcfl_core::SharedJmpStore;
+        let src = "class Obj { } class Box { field f: Obj; }
+            class A {
+              method mk(): Box { var b: Box; var v: Obj;
+                b = new Box; v = new Obj; b.f = v; return b; }
+              method m() { var p: Box; var x1: Obj; var x2: Obj;
+                p = call this.mk(); x1 = p.f; x2 = x1; }
+            }";
+        let pag = build_pag(src).unwrap().pag;
+        let batch_of = |name| Schedule::unscheduled(&[pag.node_by_name(name).unwrap()]);
+        let (primer, asked) = (batch_of("x1@A.m"), batch_of("x2@A.m"));
+        let later = 1_000_000;
+        let mut cfg = RunConfig::new(Mode::DataSharing, 2, Backend::Simulated);
+        cfg.solver = SolverConfig::default().without_tau_thresholds();
+        let store = SharedJmpStore::new();
+        run_simulated_batch(&pag, &primer, &cfg, &store, later);
+        let mut stamps = Vec::new();
+        store.for_each(|_, e| stamps.push(e.created_at()));
+        assert!(!stamps.is_empty() && stamps.iter().all(|&at| at >= later));
+
+        let cold = run_simulated_batch(&pag, &asked, &cfg, &SharedJmpStore::new(), 0).0;
+        let sim = run_simulated_batch(&pag, &asked, &cfg, &store, 0).0;
+        assert!(cold.stats.traversed_steps < later, "never reaches them");
+        assert_eq!(sim.stats.shortcuts_taken, 0);
+        assert_eq!(sim.stats.traversed_steps, cold.stats.traversed_steps);
+
+        let real = run_threaded_batch(&pag, &asked, &cfg, &store, 0);
+        assert!(real.stats.shortcuts_taken > 0);
+        assert!(real.stats.traversed_steps < cold.stats.traversed_steps);
+        assert_eq!(real.stats.warm_hits, 0, "stamped after the batch's base");
+        assert_eq!(real.sorted_answers(), cold.sorted_answers());
     }
 }

@@ -9,50 +9,32 @@
 
 use crate::batch::{Answers, Batch, Clock};
 use crate::stats::RunResult;
-use parcfl_core::{SharedJmpStore, SolverConfig};
+use parcfl_core::SolverConfig;
 use parcfl_obs::TraceLevel;
 use parcfl_pag::{NodeId, Pag};
 
-/// Runs every query sequentially with data sharing disabled.
+/// Runs every query sequentially with data sharing disabled: the calling
+/// thread is the batch's one worker and pulls the queries in input order,
+/// one per group (the unscheduled schedule, without materialising its
+/// per-query `Vec`s).
 pub fn run_seq(pag: &Pag, queries: &[NodeId], solver_cfg: &SolverConfig) -> RunResult {
-    run_inline(pag, queries, solver_cfg, None, 0, TraceLevel::Off)
-}
-
-/// The inline executor: the calling thread is the batch's one worker and
-/// pulls the queries in input order, one per group (the unscheduled
-/// schedule, without materialising its per-query `Vec`s).
-///
-/// With a `store` the batch shares through it, so a session can pass its
-/// warm one ([`crate::AnalysisSession::submit_seq`]): new publications
-/// are stamped `base` plus the publishing query's traversed steps, hits on
-/// entries stamped `< base` count as warm hits. `store` should be an
-/// untimestamped handle — a wall-clock worker must see every entry
-/// whatever its timestamp.
-pub(crate) fn run_inline(
-    pag: &Pag,
-    queries: &[NodeId],
-    solver_cfg: &SolverConfig,
-    store: Option<&SharedJmpStore>,
-    base: u64,
-    tracing: TraceLevel,
-) -> RunResult {
     let batch = Batch {
         pag,
         cfg: solver_cfg,
-        store,
-        base,
-        tracing,
+        store: None,
+        base: 0,
+        tracing: TraceLevel::Off,
         clock: Clock::Wall,
         start: std::time::Instant::now(),
     };
-    let port = batch.port();
-    let mut lane = batch.lane(0, &port, port.jmp());
+    let rec = batch.recorder();
+    let mut lane = batch.lane(0, &rec, batch.jmp());
     let mut answers = Answers::with_capacity(queries.len(), solver_cfg.record_footprints);
     for group in queries.chunks(1) {
         lane.run_group(group, 0, &mut answers);
     }
     let done = lane.finish();
-    batch.finish(1.0, answers, [(done, port.into_trace(0))])
+    batch.finish(1.0, answers, [(done, rec.into_trace(0))])
 }
 
 #[cfg(test)]

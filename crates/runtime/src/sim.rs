@@ -25,7 +25,7 @@
 //! speedups emerge exactly as in the paper: data sharing removes redundant
 //! traversals, so total work shrinks below the sequential total.
 
-use crate::batch::{Answers, Batch, Clock, Lane, Port};
+use crate::batch::{Answers, Batch, Clock, Lane};
 use crate::mode::RunConfig;
 use crate::schedule_with_cap;
 use crate::stats::RunResult;
@@ -36,11 +36,10 @@ use std::collections::VecDeque;
 
 /// Runs the configured analysis under the virtual-time simulator, on a
 /// fresh store. (To inspect the store afterwards — Fig. 7's histogram —
-/// hand [`run_simulated_batch`] a [`SharedJmpStore::timestamped`] of your
-/// own.)
+/// hand [`run_simulated_batch`] a [`SharedJmpStore`] of your own.)
 pub fn run_simulated(pag: &Pag, queries: &[NodeId], cfg: &RunConfig) -> RunResult {
     let schedule = schedule_with_cap(pag, queries, cfg.mode, cfg.group_cap);
-    run_simulated_batch(pag, &schedule, cfg, &SharedJmpStore::timestamped(), 0).0
+    run_simulated_batch(pag, &schedule, cfg, &SharedJmpStore::new(), 0).0
 }
 
 /// One simulated batch against a caller-owned (possibly warm) store.
@@ -101,8 +100,8 @@ pub trait SimHook {
     /// of groups still pending (at least one).
     fn dispatch(&mut self, clocks: &[u64], pending: usize) -> Dispatch;
 
-    /// What a worker's solver is built over: `None` for the worker's own
-    /// handle `lane` on the batch's store, or a store that forwards to it.
+    /// What a worker's solver is built over: `None` for `lane`, the
+    /// batch's store, or a store that forwards to it.
     fn seam<'s>(&self, _lane: &'s dyn JmpStore) -> Option<Box<dyn JmpStore + 's>> {
         None
     }
@@ -136,13 +135,13 @@ pub fn run_simulated_hooked(
     // One external-clock recorder per simulated worker: events carry
     // virtual timestamps, so the exported trace shows the simulated
     // parallelism, not the sequential wall time of simulating it.
-    let ports: Vec<Port> = (0..t).map(|_| batch.port()).collect();
-    let seams: Vec<_> = ports.iter().map(|port| hook.seam(port.jmp())).collect();
-    let mut lanes: Vec<Lane> = ports
+    let recs: Vec<_> = (0..t).map(|_| batch.recorder()).collect();
+    let seams: Vec<_> = (0..t).map(|_| hook.seam(batch.jmp())).collect();
+    let mut lanes: Vec<Lane> = recs
         .iter()
         .zip(&seams)
         .enumerate()
-        .map(|(w, (port, seam))| batch.lane(w, port, seam.as_deref().unwrap_or(port.jmp())))
+        .map(|(w, (rec, seam))| batch.lane(w, rec, seam.as_deref().unwrap_or(batch.jmp())))
         .collect();
     let mut clocks = vec![base; t];
     let mut pending: VecDeque<usize> = (0..schedule.groups.len()).collect();
@@ -162,7 +161,7 @@ pub fn run_simulated_hooked(
     }
     let done: Vec<_> = lanes.into_iter().map(Lane::finish).collect();
     drop(seams);
-    let traces = ports.into_iter().enumerate().map(|(w, p)| p.into_trace(w));
+    let traces = recs.into_iter().enumerate().map(|(w, r)| r.into_trace(w));
     let result = batch.finish(
         schedule.avg_group_size,
         answers,
@@ -272,7 +271,7 @@ mod tests {
         let queries = pag.application_locals();
         let cfg = cfg(Mode::DataSharing, 2);
         let schedule = schedule_with_cap(&pag, &queries, cfg.mode, cfg.group_cap);
-        let store = SharedJmpStore::timestamped();
+        let store = SharedJmpStore::new();
         let (r, end) = run_simulated_batch(&pag, &schedule, &cfg, &store, 0);
         assert_eq!(
             end, r.stats.makespan,

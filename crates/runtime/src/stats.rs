@@ -1,8 +1,7 @@
 //! Aggregate run statistics — the raw material of Table I, Fig. 6 and
 //! Fig. 8 — declared once: the `run_stats!` table below is the only place
 //! a scalar metric is named. The struct, [`RunStats::merge`], the session's
-//! Prometheus page, `BENCH_solver.json` and `bench-diff`'s gate list all
-//! read it (DESIGN.md §9).
+//! Prometheus page and `BENCH_solver.json` all read it (DESIGN.md §9).
 
 use parcfl_concurrent::WorkerObs;
 use parcfl_core::{Answer, QueryStats};
@@ -192,7 +191,8 @@ run_stats! {
         warm_hits: u64, Sum, Count, "Jmp hits on entries published by an earlier batch.";
         /// Entries evicted from the jmp store during this run (bounded-memory
         /// sessions only; 0 for unbounded stores). A true per-batch counter:
-        /// evictions are scoped per batch handle, so summing is exact.
+        /// each publish reports what its own sweep evicted
+        /// ([`QueryStats::evictions`]), so summing is exact.
         evictions: u64, Sum, Count, "Jmp entries evicted.";
         /// Entries resident in the jmp store at the end of the run.
         store_entries: usize, Latest, Count, "Jmp entries resident.";
@@ -283,6 +283,7 @@ impl RunStats {
         self.steps_saved += qs.steps_saved;
         self.shortcuts_taken += qs.shortcuts_taken;
         self.warm_hits += qs.warm_hits;
+        self.evictions += qs.evictions;
         self.mem_items += qs.mem_items;
         self.peak_mem_items = self.peak_mem_items.max(qs.mem_items);
         self.peak_state_words = self.peak_state_words.max(qs.state_words);
@@ -551,7 +552,11 @@ mod tests {
         .unwrap()
         .pag;
         let mut session = crate::AnalysisSession::new(&pag);
-        session.submit_seq(&pag.application_locals());
+        session.submit(
+            &pag.application_locals(),
+            crate::Mode::DataSharing,
+            crate::Backend::Threaded,
+        );
         let page = session.metrics_snapshot();
 
         let (a, b, zero) = (read(&a), read(&b), read(&zero));

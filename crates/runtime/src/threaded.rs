@@ -36,21 +36,19 @@ pub fn run_threaded(pag: &Pag, queries: &[NodeId], cfg: &RunConfig) -> RunResult
 
 /// One real-thread batch against a caller-owned (possibly warm) store.
 ///
-/// The session building block. `store` should be an untimestamped handle
-/// ([`SharedJmpStore::untimestamped_view`] of the session's master): real
-/// threads must see every entry immediately, whatever its timestamp.
-/// Every query starts at virtual time `base`, so a worker stamps a new
-/// publication `base` plus the steps its query has traversed so far —
-/// below the next batch's warm floor, which the session puts past `base`
-/// plus the whole batch's traversed steps — and hits on entries stamped
-/// `< base` count as warm hits. `makespan` is the batch's own
-/// traversed-step total (real time is measured by `wall`). A
+/// The session building block. Real threads see every entry of `store`
+/// immediately, whatever its timestamp (the lanes are on the wall clock,
+/// `batch.rs`). Every query starts at virtual time `base`, so a worker
+/// stamps a new publication `base` plus the steps its query has traversed
+/// so far — below the next batch's warm floor, which the session puts
+/// past `base` plus the whole batch's traversed steps — and hits on
+/// entries stamped `< base` count as warm hits. `makespan` is the batch's
+/// own traversed-step total (real time is measured by `wall`). A
 /// [`crate::Mode::Naive`] batch leaves `store` alone.
 ///
-/// Eviction accounting is scoped per worker and summed per batch
-/// ([`SharedJmpStore::scoped`]): `stats.evictions` counts only evictions
-/// *this batch's* publishes triggered, even when other sessions or an
-/// external `evict_to_budget` hammer the same store concurrently.
+/// `stats.evictions` counts only the evictions *this batch's* publishes
+/// triggered, even when other sessions or an external `evict_to_budget`
+/// hammer the same store concurrently.
 ///
 /// The executor half of the batch driver (`batch.rs`): one
 /// wall-clock lane per OS thread, each popping group *indices* off the
@@ -78,8 +76,8 @@ pub fn run_threaded_batch(
                 std::thread::Builder::new()
                     .stack_size(WORKER_STACK)
                     .spawn_scoped(scope, move || {
-                        let port = batch.port();
-                        let mut lane = batch.lane(w, &port, port.jmp());
+                        let rec = batch.recorder();
+                        let mut lane = batch.lane(w, &rec, batch.jmp());
                         let mut answers = Answers::default();
                         loop {
                             let (next, wait) = work.pop_timed();
@@ -87,7 +85,7 @@ pub fn run_threaded_batch(
                             let Some(gi) = next else { break };
                             lane.run_group(&schedule.groups[gi], 0, &mut answers);
                         }
-                        (answers, lane.finish(), port.into_trace(w))
+                        (answers, lane.finish(), rec.into_trace(w))
                     })
                     .expect("spawn worker")
             })

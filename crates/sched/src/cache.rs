@@ -4,108 +4,52 @@
 //! (`pag.types().levels()`, query-independent — one pass over the type
 //! hierarchy) and the per-query-set work (grouping, connection distances,
 //! ordering). A [`ScheduleCache`] computes the level table once, lazily,
-//! and memoises whole schedules keyed by the query set and options.
+//! and builds every schedule over it.
 //!
-//! Keying (DESIGN.md §7): the cache deliberately does **not** key on the
-//! PAG. A cache is owned by an analysis session, and a session pins
-//! exactly one `&Pag` for its lifetime — adding the PAG to the key would
-//! buy nothing and cost a hash of the graph per lookup. Callers that
-//! juggle multiple PAGs must use one cache per PAG.
+//! Whole schedules are not kept. A session answers a query it has asked
+//! before from the answer it kept, before any schedule is asked for, so
+//! the query set that reaches this cache is a different one after every
+//! edit: a memo keyed on it served no workload (ROADMAP item 3(c)).
 
 use crate::schedule::{build_schedule_with_levels, Schedule, ScheduleOptions};
-use parcfl_concurrent::FxHashMap;
 use parcfl_pag::{NodeId, Pag};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
-/// Memoisation key: the query set plus every option that affects the
-/// resulting schedule.
-type Key = (Vec<NodeId>, bool, Option<usize>);
-
-/// Caches scheduling metadata for one PAG: the type-level table (computed
-/// once) and fully-built schedules (keyed per query set + options).
+/// Scheduling metadata for one PAG: the type-level table, computed once.
+/// Bind it to one graph and its edited revisions — the table depends only
+/// on the type hierarchy, which edge edits never touch.
 #[derive(Debug, Default)]
 pub struct ScheduleCache {
-    levels: OnceLock<Arc<Vec<u32>>>,
-    schedules: Mutex<FxHashMap<Key, Arc<Schedule>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    levels: OnceLock<Vec<u32>>,
+    built: AtomicU64,
 }
 
 impl ScheduleCache {
-    /// An empty cache. Bind it to one PAG: every [`Self::schedule`] call
-    /// must pass the same graph.
+    /// An empty cache.
     pub fn new() -> Self {
         ScheduleCache::default()
     }
 
-    /// The per-type level table, computed on first use.
-    pub fn levels(&self, pag: &Pag) -> Arc<Vec<u32>> {
-        self.levels
-            .get_or_init(|| Arc::new(pag.types().levels()))
-            .clone()
+    /// Builds the schedule for `queries` under `opts` over the level
+    /// table, which the first call computes.
+    pub fn schedule(&self, pag: &Pag, queries: &[NodeId], opts: &ScheduleOptions) -> Schedule {
+        let levels = self.levels.get_or_init(|| pag.types().levels());
+        self.built.fetch_add(1, Ordering::Relaxed);
+        build_schedule_with_levels(pag, queries, opts, levels)
     }
 
-    /// Returns the schedule for `queries` under `opts`, building it on
-    /// first request and serving the memoised copy afterwards.
-    pub fn schedule(&self, pag: &Pag, queries: &[NodeId], opts: &ScheduleOptions) -> Arc<Schedule> {
-        let key: Key = (queries.to_vec(), opts.rebalance, opts.max_group_size);
-        if let Some(hit) = self.schedules.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
-        }
-        let levels = self.levels(pag);
-        let built = Arc::new(build_schedule_with_levels(pag, queries, opts, &levels));
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.schedules
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert(built)
-            .clone()
-    }
-
-    /// Memoised-schedule hits served so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Schedules built (cache misses) so far.
+    /// Schedules built so far.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.built.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct schedules currently memoised.
-    pub fn len(&self) -> usize {
-        self.schedules.lock().unwrap().len()
-    }
-
-    /// Whether no schedule has been memoised yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every memoised schedule (the level table is kept — it only
-    /// depends on the PAG).
-    pub fn clear(&self) {
-        self.schedules.lock().unwrap().clear();
-    }
-
-    /// Selective invalidation after a PAG delta: drops exactly the
-    /// memoised schedules whose query set contains a dirty node (their
-    /// grouping/ordering may reflect edges that no longer exist), keeping
-    /// every other schedule warm. The level table survives — it depends
-    /// only on the type hierarchy, which edge edits never touch. Returns
-    /// the number of schedules dropped.
-    pub fn invalidate_nodes(&self, dirty: &[NodeId]) -> u64 {
-        if dirty.is_empty() {
-            return 0;
-        }
-        let dirty: parcfl_concurrent::FxHashSet<NodeId> = dirty.iter().copied().collect();
-        let mut map = self.schedules.lock().unwrap();
-        let before = map.len();
-        map.retain(|(queries, _, _), _| !queries.iter().any(|q| dirty.contains(q)));
-        (before - map.len()) as u64
+    /// Source-compatibility shim for the frozen `benchmark/` crate, which
+    /// reads `sched.cache.hit_share` off it: no schedule is memoised, so
+    /// none is ever served from a memo.
+    #[doc(hidden)]
+    pub fn hits(&self) -> u64 {
+        0
     }
 }
 
@@ -115,91 +59,25 @@ mod tests {
     use crate::schedule::build_schedule;
     use parcfl_frontend::build_pag;
 
-    fn sample() -> Pag {
+    #[test]
+    fn cached_schedule_matches_direct_build() {
         let src = "class Obj { }
                    class A { method m() {
                      var a: Obj; var b: Obj; var c: Obj; var d: Obj;
                      a = new Obj; b = a; c = b;
                      d = new Obj;
                    } }";
-        build_pag(src).unwrap().pag
-    }
-
-    #[test]
-    fn cached_schedule_matches_direct_build() {
-        let pag = sample();
+        let pag = build_pag(src).unwrap().pag;
         let queries = pag.application_locals();
         let opts = ScheduleOptions::default();
         let cache = ScheduleCache::new();
-        let cached = cache.schedule(&pag, &queries, &opts);
-        let direct = build_schedule(&pag, &queries, &opts);
-        assert_eq!(cached.groups, direct.groups);
-        assert_eq!(cached.avg_group_size, direct.avg_group_size);
-    }
-
-    #[test]
-    fn repeat_requests_hit() {
-        let pag = sample();
-        let queries = pag.application_locals();
-        let opts = ScheduleOptions::default();
-        let cache = ScheduleCache::new();
-        let a = cache.schedule(&pag, &queries, &opts);
-        let b = cache.schedule(&pag, &queries, &opts);
-        assert!(Arc::ptr_eq(&a, &b), "second request serves the same Arc");
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn distinct_keys_build_distinct_schedules() {
-        let pag = sample();
-        let queries = pag.application_locals();
-        let cache = ScheduleCache::new();
-        let balanced = cache.schedule(&pag, &queries, &ScheduleOptions::default());
-        let raw = cache.schedule(
-            &pag,
-            &queries,
-            &ScheduleOptions {
-                rebalance: false,
-                max_group_size: None,
-            },
-        );
-        assert!(!Arc::ptr_eq(&balanced, &raw));
-        assert_eq!(cache.misses(), 2);
-        // Subset of the queries is its own key too.
-        let sub = cache.schedule(&pag, &queries[..2], &ScheduleOptions::default());
-        assert_eq!(sub.query_count(), 2);
-        assert_eq!(cache.len(), 3);
-        cache.clear();
-        assert!(cache.is_empty());
-        // The level table survives clear(): next build is still a miss but
-        // reuses the table.
-        cache.schedule(&pag, &queries, &ScheduleOptions::default());
-        assert_eq!(cache.misses(), 4);
-    }
-
-    #[test]
-    fn invalidate_nodes_drops_only_containing_schedules() {
-        let pag = sample();
-        let queries = pag.application_locals();
-        let cache = ScheduleCache::new();
-        let opts = ScheduleOptions::default();
-        cache.schedule(&pag, &queries, &opts); // contains queries[0]
-        cache.schedule(&pag, &queries[1..], &opts); // does not
-        assert_eq!(cache.len(), 2);
-        // No dirty nodes: nothing moves.
-        assert_eq!(cache.invalidate_nodes(&[]), 0);
-        // A node outside every query set: nothing moves either.
-        let foreign = NodeId::new(u32::MAX - 1);
-        assert_eq!(cache.invalidate_nodes(&[foreign]), 0);
-        assert_eq!(cache.len(), 2);
-        // Dirtying queries[0] drops exactly the schedule containing it.
-        assert_eq!(cache.invalidate_nodes(&[queries[0]]), 1);
-        assert_eq!(cache.len(), 1);
-        // The survivor still serves hits.
-        let before = cache.hits();
-        cache.schedule(&pag, &queries[1..], &opts);
-        assert_eq!(cache.hits(), before + 1);
+        // The second build reuses the first one's level table.
+        for built in 1..=2 {
+            let cached = cache.schedule(&pag, &queries, &opts);
+            let direct = build_schedule(&pag, &queries, &opts);
+            assert_eq!(cached.groups, direct.groups);
+            assert_eq!(cached.avg_group_size, direct.avg_group_size);
+            assert_eq!((cache.misses(), cache.hits()), (built, 0));
+        }
     }
 }

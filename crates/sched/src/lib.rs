@@ -16,7 +16,7 @@
 //!
 //! Long-lived clients (analysis sessions answering many batches over one
 //! PAG) use [`cache::ScheduleCache`] to compute the query-independent
-//! metadata once and memoise whole schedules per query set.
+//! metadata once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # Re-records the committed output of every paper-figure reproducer, or with
 # --check verifies it: each binary's standard output is deterministic and
-# must equal results/<name>.txt byte for byte. Wall time per binary, from
-# bash's SECONDS, goes to results/timings.txt when recording; a check
-# writes nothing. (BENCH_baseline.json is the counter gate's baseline and
-# has its own job and re-recording rule: CI's bench-regress.)
+# must equal results/<name>.txt byte for byte. So is the BENCH_solver.json
+# table2 writes beside it (every deterministic RunStats counter of three
+# configurations per Table-I bench, one record per line): it is recorded
+# as, and checked against, results/BENCH_solver.json, and that check is the
+# counter drift gate — a PR that changes or adds a counter on purpose
+# re-records it here. Wall time per binary, from bash's SECONDS, goes to
+# results/timings.txt when recording; a check writes nothing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$PWD
@@ -18,18 +21,24 @@ trap 'rm -rf "$work"' EXIT
 cd "$work"
 
 stale=()
+# Records the working directory's file $1 as results/$1, or checks it.
+gate() {
+    if ! $check; then
+        cp "$1" "$root/results/$1"
+    elif ! cmp "$1" "$root/results/$1"; then
+        diff -u "$root/results/$1" "$1" >&2 || true
+        stale+=("$1")
+    fi
+}
 timings=""
 for name in table1 table2 fig6 fig7 fig8 memory ablation_tau ablation_group; do
     SECONDS=0
     cargo run --release --offline -q --manifest-path "$root/Cargo.toml" -p parcfl-bench --bin "$name" \
         >"$name.txt"
     timings+="$name ${SECONDS}s"$'\n'
-    if $check; then
-        cmp "$name.txt" "$root/results/$name.txt" || stale+=("$name.txt")
-    else
-        cp "$name.txt" "$root/results/$name.txt"
-    fi
+    gate "$name.txt"
 done
+gate BENCH_solver.json
 $check || printf %s "$timings" >"$root/results/timings.txt"
 
 if [ ${#stale[@]} -gt 0 ]; then

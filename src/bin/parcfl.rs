@@ -10,7 +10,6 @@
 //!              [--level spans|full] [--threaded] [--budget N] [--insensitive]
 //! parcfl gen   <benchmark-name>
 //! parcfl why   <file.mj> --var NAME [--budget N] [--insensitive]
-//! parcfl bench-diff <baseline.json> <current.json> [--report PATH]
 //! parcfl check [--fuzz N] [--seed S] [--no-shrink] [--chaos] [--delta]
 //!              [--chaos-invalidation] [--out PATH]
 //! parcfl check --replay <file.snap>
@@ -57,7 +56,6 @@ fn main() {
         "stats" => (cmd_stats, &[], &[]),
         "dot" => (cmd_dot, &[], &[]),
         "bench" => (cmd_bench, &["--threads", "--mode"], &["--threaded"]),
-        "bench-diff" => (cmd_bench_diff, &["--report"], &[]),
         "check" => (
             cmd_check,
             &["--fuzz", "--seed", "--out", "--replay"],
@@ -121,13 +119,6 @@ USAGE:
       Run one Table-I benchmark and report the speedup over SeqCFL.
       --threaded uses real OS threads instead of the virtual-time
       simulator and reports the work-list contention they saw.
-  parcfl bench-diff <baseline.json> <current.json> [--report PATH]
-      Compare two BENCH_solver.json artifacts (table2 output). Exact
-      equality is required of every deterministic per-row metric — every
-      RunStats counter but host-clock time (traversed steps, makespan,
-      jmp edges, peak state words, ...). Exit 1 on counter drift, on a
-      gated key missing from the current artifact and on a missing row.
-      --report also writes the findings to PATH.
   parcfl trace <file.mj> [--out PATH] [--threads N] [--mode naive|d|dq]
                [--level spans|full] [--threaded] [--budget N] [--insensitive]
       Answer every application-local query with event tracing on and
@@ -212,6 +203,29 @@ fn solver_config(args: &[String]) -> SolverConfig {
         cfg.context_sensitive = false;
     }
     cfg
+}
+
+/// `--threads N`, or `default` without the flag.
+fn threads_flag(args: &[String], default: usize) -> usize {
+    flag_value(args, "--threads").map_or(default, |t| {
+        t.parse().unwrap_or_else(|_| {
+            eprintln!("--threads expects an integer");
+            exit(2);
+        })
+    })
+}
+
+/// `--mode naive|d|dq`, DQ without the flag.
+fn mode_flag(args: &[String]) -> Mode {
+    match flag_value(args, "--mode").as_deref() {
+        None | Some("dq") => Mode::DataSharingSched,
+        Some("d") => Mode::DataSharing,
+        Some("naive") => Mode::Naive,
+        Some(other) => {
+            eprintln!("unknown mode `{other}` (naive|d|dq)");
+            exit(2);
+        }
+    }
 }
 
 fn resolve(pag: &Pag, name: &str) -> parcfl::pag::NodeId {
@@ -306,18 +320,8 @@ fn cmd_dot(args: &[String]) {
 fn cmd_trace(args: &[String]) {
     let (pag, queries) = load(args);
     let out_path = flag_value(args, "--out").unwrap_or_else(|| "trace.json".to_string());
-    let threads: usize = flag_value(args, "--threads")
-        .map(|t| t.parse().expect("--threads expects an integer"))
-        .unwrap_or(4);
-    let mode = match flag_value(args, "--mode").as_deref() {
-        None | Some("dq") => Mode::DataSharingSched,
-        Some("d") => Mode::DataSharing,
-        Some("naive") => Mode::Naive,
-        Some(other) => {
-            eprintln!("unknown mode `{other}` (naive|d|dq)");
-            exit(2);
-        }
-    };
+    let threads = threads_flag(args, 4);
+    let mode = mode_flag(args);
     let level = match flag_value(args, "--level").as_deref() {
         None | Some("full") => TraceLevel::Full,
         Some("spans") => TraceLevel::Spans,
@@ -350,31 +354,6 @@ fn cmd_trace(args: &[String]) {
         trace.dropped(),
         out_path
     );
-}
-
-fn cmd_bench_diff(args: &[String]) {
-    use parcfl::bench::diff::diff_files;
-
-    let paths: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
-    let [baseline, current] = paths.as_slice() else {
-        eprintln!("bench-diff requires a baseline and a current artifact path");
-        exit(2);
-    };
-    let report = diff_files(baseline, current).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(1);
-    });
-    let rendered = report.render();
-    if let Some(path) = flag_value(args, "--report") {
-        std::fs::write(&path, &rendered).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            exit(1);
-        });
-    }
-    outln!("{}", rendered.trim_end());
-    if report.failed() {
-        exit(1);
-    }
 }
 
 fn cmd_gen(args: &[String]) {
@@ -443,18 +422,8 @@ fn cmd_bench(args: &[String]) {
         eprintln!("unknown benchmark `{name}`");
         exit(1);
     };
-    let threads: usize = flag_value(args, "--threads")
-        .map(|t| t.parse().expect("--threads expects an integer"))
-        .unwrap_or(16);
-    let mode = match flag_value(args, "--mode").as_deref() {
-        None | Some("dq") => Mode::DataSharingSched,
-        Some("d") => Mode::DataSharing,
-        Some("naive") => Mode::Naive,
-        Some(other) => {
-            eprintln!("unknown mode `{other}` (naive|d|dq)");
-            exit(2);
-        }
-    };
+    let threads = threads_flag(args, 16);
+    let mode = mode_flag(args);
     let threaded = args.iter().any(|a| a == "--threaded");
     let b = parcfl::synth::build_bench(&profile);
     let seq = run_seq(&b.pag, &b.queries, &b.solver);

@@ -40,6 +40,27 @@ fn removed_and_unknown_flags_exit_2_naming_the_flag() {
     assert!(!out.stdout.is_empty());
 }
 
+/// A flag value that does not parse is a usage error like any other: a
+/// message naming the flag and exit 2 — `--threads abc` used to abort with
+/// a `ParseIntError` backtrace and exit 101.
+#[test]
+fn unparsable_flag_values_exit_2_naming_the_flag() {
+    for (cmd, operand) in [("bench", "luindex"), ("trace", PROGRAM)] {
+        for (flags, named) in [
+            (["--threads", "abc"], "--threads expects an integer"),
+            (["--threads", "-1"], "--threads expects an integer"),
+            (["--mode", "fast"], "unknown mode `fast`"),
+        ] {
+            let out = parcfl(&[&[cmd, operand], &flags[..]].concat());
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{cmd} {flags:?}: {stderr}");
+            assert!(stderr.contains(named), "{cmd} {flags:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{cmd} {flags:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{cmd} {flags:?}: nothing ran");
+        }
+    }
+}
+
 /// Each `--flag` of the usage text, under the subcommand whose entry
 /// mentions it, gets past flag validation. Every flag is followed by a
 /// `1` (a value if it takes one, a stray operand if not) and the operands

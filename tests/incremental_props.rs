@@ -9,7 +9,7 @@
 //!    set: answers *and* deterministic step counters, under both state
 //!    backends.
 //! 2. **Session layer** — warm re-queries after `apply_delta` (jmp
-//!    store and schedule cache selectively invalidated by footprint)
+//!    store and kept answers selectively invalidated by footprint)
 //!    answer exactly like a cold session on the edited graph, under
 //!    both state backends at every thread count.
 //!    A session that keeps answers is held to the same: over seeded
@@ -245,48 +245,6 @@ fn deleting_a_call_site_invalidates_and_requeries_match() {
     assert_eq!(pts_of(&warm, y0), 0, "severed call empties y0's answer");
 }
 
-/// An edit whose dirty nodes cover a memoised schedule's whole query
-/// group drops exactly that schedule; schedules over untouched queries
-/// survive.
-#[test]
-fn edit_emptying_a_schedule_cache_group_drops_only_it() {
-    let src = "class Obj { }
-               class A { method m() {
-                 var a: Obj; var b: Obj; var c: Obj;
-                 var x: Obj; var y: Obj;
-                 a = new Obj; b = a; c = b;
-                 x = new Obj; y = x;
-               } }";
-    let pag = build_pag(src).unwrap().pag;
-    let c = pag.node_by_name("c@A.m").unwrap();
-    let y = pag.node_by_name("y@A.m").unwrap();
-    let mut session = AnalysisSession::new(&pag)
-        .with_solver(ample(StateBackend::Dense))
-        .with_threads(2);
-    // Two batches memoise two schedules: one entirely over the a/b/c
-    // chain, one entirely over x/y.
-    session.submit(&[c], Mode::DataSharingSched, Backend::Simulated);
-    session.submit(&[y], Mode::DataSharingSched, Backend::Simulated);
-    assert_eq!(session.schedule_cache().len(), 2);
-
-    let e = assign_edge_between(&pag, "b@A.m", "c@A.m");
-    let mut delta = PagDelta::new();
-    delta.remove_edge(e.src, e.dst, e.kind);
-    let report = session.apply_delta(&delta);
-    assert_eq!(
-        report.invalidated_schedules, 1,
-        "exactly the schedule whose group contains a dirty query drops"
-    );
-    assert_eq!(
-        session.schedule_cache().len(),
-        1,
-        "the x/y schedule survives"
-    );
-    let warm = session.submit(&[y], Mode::DataSharingSched, Backend::Simulated);
-    let cold = run_seq(session.pag(), &[y], &ample(StateBackend::Dense));
-    assert_eq!(warm.sorted_answers(), cold.sorted_answers());
-}
-
 /// A no-op edit (removing an absent edge, re-adding a present one)
 /// bumps nothing: no revision change, zero invalidation, the store
 /// untouched, and the next submit is served warm with identical answers.
@@ -312,7 +270,6 @@ fn noop_edit_invalidates_nothing() {
     assert_eq!(report.revision, 0, "revision does not advance on a no-op");
     assert_eq!(report.invalidated_jmps, 0);
     assert_eq!(report.invalidated_answers, 0);
-    assert_eq!(report.invalidated_schedules, 0);
     assert_eq!(session.store_entries(), resident, "store untouched");
 
     let warm = session.submit(queries, Mode::DataSharing, Backend::Simulated);

@@ -43,11 +43,10 @@ fn bench_for(seed: u64) -> parcfl::synth::Bench {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// Inline (sequential) executor: every trace level answers exactly
-    /// what Off answers, with identical step accounting; Off yields no
-    /// trace, Spans and Full yield a single-worker wall-clock trace with
-    /// events. `AnalysisSession::submit_seq` is the public traced route
-    /// onto the executor `run_seq` runs on.
+    /// A session's one-thread batch on real threads: every trace level
+    /// answers exactly what Off answers, with identical step accounting;
+    /// Off yields no trace, Spans and Full yield a single-worker
+    /// wall-clock trace with events.
     #[test]
     fn seq_tracing_is_observation_only(seed in 0u64..1_000) {
         let b = bench_for(seed);
@@ -55,7 +54,7 @@ proptest! {
             AnalysisSession::new(&b.pag)
                 .with_solver(b.solver.clone())
                 .with_tracing(level)
-                .submit_seq(&b.queries)
+                .submit(&b.queries, Mode::DataSharing, Backend::Threaded)
         };
         let off = submit(TraceLevel::Off);
         prop_assert!(off.trace.is_none(), "Off must not allocate a trace");

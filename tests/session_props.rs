@@ -72,16 +72,16 @@ proptest! {
         }
     }
 
-    /// `submit_seq` (sequential batches through the warm store) is also
-    /// answer-preserving, and the session's cumulative counters equal the
-    /// per-batch sums.
+    /// One-thread batches on real threads through the warm store are
+    /// also answer-preserving, and the session's cumulative counters equal
+    /// the per-batch sums.
     #[test]
-    fn submit_seq_matches_and_accumulates(seed in 0u64..1_000) {
+    fn one_thread_submit_matches_and_accumulates(seed in 0u64..1_000) {
         let b = bench_for(seed);
         let cold = run_seq(&b.pag, &b.queries, &b.solver);
         let mut s = AnalysisSession::new(&b.pag).with_solver(b.solver.clone());
-        let first = s.submit_seq(&b.queries);
-        let second = s.submit_seq(&b.queries);
+        let first = s.submit(&b.queries, Mode::DataSharing, Backend::Threaded);
+        let second = s.submit(&b.queries, Mode::DataSharing, Backend::Threaded);
         prop_assert_eq!(first.sorted_answers(), cold.sorted_answers());
         prop_assert_eq!(second.sorted_answers(), cold.sorted_answers());
         prop_assert_eq!(s.cumulative().batches, 2);
