@@ -7,9 +7,10 @@
 //! which keeps call-string contexts finite.
 
 use crate::hierarchy::Hierarchy;
-use crate::ir::{Stmt, TypeRef};
+use crate::ir::{Stmt, TypeRef, VarRef};
 use parcfl_pag::algo::{tarjan_scc, SccResult};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// A dense method index across the whole program.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -19,90 +20,114 @@ pub struct MethodIdx(pub u32);
 pub struct CallGraph {
     /// `(class index, method index within class)` for each dense method.
     pub methods: Vec<(usize, usize)>,
-    /// Reverse map from `(class, method)` to dense index.
-    pub index: HashMap<(usize, usize), MethodIdx>,
+    /// Dense index of each class's first method, and the method count.
+    class_start: Vec<u32>,
     /// Successor methods (call targets) per method, deduplicated.
     pub callees: Vec<Vec<MethodIdx>>,
+    /// Per call statement — program order: methods in dense order, each
+    /// body in statement order — its targets as a range of `targets`.
+    calls: Vec<Range<u32>>,
+    /// Target lists, one per distinct (class, method name, dispatch kind).
+    targets: Vec<MethodIdx>,
     scc: SccResult,
 }
 
 impl CallGraph {
     /// Builds the call graph for a resolved program. Call statements whose
     /// target cannot be resolved are skipped (they contribute no edges);
-    /// `warnings` records them.
+    /// `warnings` records them. CHA dispatch runs once per (declared
+    /// class, method name).
     pub fn build(h: &Hierarchy<'_>, warnings: &mut Vec<String>) -> CallGraph {
+        let classes = &h.program.classes;
         let mut methods = Vec::new();
-        let mut index = HashMap::new();
-        for (ci, c) in h.program.classes.iter().enumerate() {
-            for (mi, _) in c.methods.iter().enumerate() {
-                index.insert((ci, mi), MethodIdx(methods.len() as u32));
-                methods.push((ci, mi));
-            }
+        let mut class_start = Vec::with_capacity(classes.len() + 1);
+        for (ci, c) in classes.iter().enumerate() {
+            class_start.push(methods.len() as u32);
+            methods.extend((0..c.methods.len()).map(|mi| (ci, mi)));
         }
+        class_start.push(methods.len() as u32);
+        let dense = |(c, m): (usize, usize)| MethodIdx(class_start[c] + m as u32);
 
+        let (mut calls, mut targets) = (Vec::new(), Vec::new());
+        let mut resolved = HashMap::new();
+        // The caller's variables: name → type of its first declaration.
+        let mut declared: HashMap<&str, &TypeRef> = HashMap::new();
         let mut callees: Vec<Vec<MethodIdx>> = vec![Vec::new(); methods.len()];
-        for (&(ci, mi), &midx) in &index {
-            let method = &h.program.classes[ci].methods[mi];
-            let mut add_targets = |targets: Vec<(usize, usize)>| {
-                for t in targets {
-                    let tidx = index[&t];
-                    if !callees[midx.0 as usize].contains(&tidx) {
-                        callees[midx.0 as usize].push(tidx);
-                    }
-                }
-            };
+        for (&(ci, mi), out) in methods.iter().zip(&mut callees) {
+            let method = &classes[ci].methods[mi];
+            let (cname, mname) = (&classes[ci].name, &method.name);
+            declared.clear();
+            for l in method.params.iter().chain(&method.locals) {
+                declared.entry(&l.name).or_insert(&l.ty);
+            }
             for stmt in &method.body {
-                match stmt {
+                let (decl, name, virtual_call) = match stmt {
                     Stmt::VirtualCall {
-                        recv: _,
-                        method: name,
-                        ..
+                        recv, method: name, ..
                     } => {
                         // Dispatch from the declared type of the receiver.
-                        match receiver_decl_class(h, ci, mi, stmt) {
-                            Some(decl) => {
-                                let targets = h.dispatch(decl, name);
-                                if targets.is_empty() {
-                                    warnings.push(format!(
-                                        "unresolved virtual call to `{name}` in {}.{}",
-                                        h.program.classes[ci].name, method.name
-                                    ));
-                                }
-                                add_targets(targets);
-                            }
-                            None => warnings.push(format!(
-                                "virtual call on receiver of non-class type in {}.{}",
-                                h.program.classes[ci].name, method.name
-                            )),
-                        }
+                        let decl = match recv {
+                            VarRef::Local(r) if !method.is_static && *r == "this" => Some(ci),
+                            VarRef::Local(r) => match declared.get(&**r) {
+                                Some(TypeRef::Class(c)) => h.class_index(c),
+                                _ => None,
+                            },
+                            // Receivers are locals (the parser guarantees it).
+                            VarRef::Static(..) => None,
+                        };
+                        (decl, name, true)
                     }
                     Stmt::StaticCall {
                         class,
                         method: name,
                         ..
-                    } => match h.class_index(class).and_then(|c| h.resolve_method(c, name)) {
-                        Some(t) => add_targets(vec![t]),
-                        None => warnings.push(format!(
-                            "unresolved static call `{class}.{name}` in {}.{}",
-                            h.program.classes[ci].name, method.name
-                        )),
-                    },
-                    _ => {}
+                    } => (h.class_index(class), name, false),
+                    _ => continue,
+                };
+                let range = decl.map_or(0..0, |d| {
+                    let range = resolved
+                        .entry((d, &**name, virtual_call))
+                        .or_insert_with(|| {
+                            let start = targets.len() as u32;
+                            if virtual_call {
+                                targets.extend(h.dispatch(d, name).into_iter().map(dense));
+                            } else {
+                                targets.extend(h.resolve_method(d, name).map(dense));
+                            }
+                            start..targets.len() as u32
+                        });
+                    range.clone()
+                });
+                if range.is_empty() {
+                    warnings.push(match stmt {
+                        Stmt::StaticCall { class, .. } => {
+                            format!("unresolved static call `{class}.{name}` in {cname}.{mname}")
+                        }
+                        _ if decl.is_some() => {
+                            format!("unresolved virtual call to `{name}` in {cname}.{mname}")
+                        }
+                        _ => {
+                            format!("virtual call on receiver of non-class type in {cname}.{mname}")
+                        }
+                    });
                 }
+                out.extend_from_slice(&targets[range.start as usize..range.end as usize]);
+                calls.push(range);
             }
-        }
-        // Sort callee lists so construction order cannot leak into anything
-        // downstream.
-        for c in &mut callees {
-            c.sort_unstable();
+            // Sorted so that statement order cannot leak into anything
+            // downstream.
+            out.sort_unstable();
+            out.dedup();
         }
 
         let n = methods.len();
         let scc = tarjan_scc(n, |v| callees[v].iter().map(|m| m.0 as usize));
         CallGraph {
             methods,
-            index,
+            class_start,
             callees,
+            calls,
+            targets,
             scc,
         }
     }
@@ -125,36 +150,14 @@ impl CallGraph {
 
     /// Dense index for a `(class, method)` pair.
     pub fn method_idx(&self, class: usize, method: usize) -> MethodIdx {
-        self.index[&(class, method)]
+        MethodIdx(self.class_start[class] + method as u32)
     }
-}
 
-/// Declared class of the receiver of a virtual-call statement, resolved
-/// against the caller's parameters, locals, and implicit `this`.
-fn receiver_decl_class(
-    h: &Hierarchy<'_>,
-    class_idx: usize,
-    method_idx: usize,
-    stmt: &Stmt,
-) -> Option<usize> {
-    let Stmt::VirtualCall { recv, .. } = stmt else {
-        return None;
-    };
-    let crate::ir::VarRef::Local(name) = recv else {
-        return None; // receivers must be locals (the parser guarantees it)
-    };
-    let method = &h.program.classes[class_idx].methods[method_idx];
-    if !method.is_static && name == "this" {
-        return Some(class_idx);
-    }
-    let decl = method
-        .params
-        .iter()
-        .chain(method.locals.iter())
-        .find(|l| &l.name == name)?;
-    match &decl.ty {
-        TypeRef::Class(c) => h.class_index(c),
-        _ => None,
+    /// The resolved targets of the `call`-th call statement (counted in
+    /// program order); empty if it did not resolve.
+    pub fn call_targets(&self, call: usize) -> &[MethodIdx] {
+        let range = &self.calls[call];
+        &self.targets[range.start as usize..range.end as usize]
     }
 }
 

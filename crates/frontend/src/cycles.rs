@@ -13,7 +13,7 @@
 //! generally equivalence classes.
 
 use parcfl_pag::algo::tarjan_scc;
-use parcfl_pag::{EdgeKind, NodeId, NodeInfo, Pag, PagBuilder};
+use parcfl_pag::{EdgeClass, NodeId, NodeInfo, Pag};
 
 /// The output of [`collapse_assign_cycles`].
 pub struct Collapsed {
@@ -26,79 +26,48 @@ pub struct Collapsed {
     pub merged_nodes: usize,
 }
 
-/// Merges every `assign_l`-cycle of `pag` into a single node.
+/// Merges every `assign_l`-cycle of `pag` into a single node and drops
+/// `assign_l` self-loops. The SCC runs over the frozen graph's own
+/// `assign_l` slices; with neither a cycle nor a self-loop the graph comes
+/// back as a clone with an identity remap, otherwise the quotient is frozen
+/// once.
 pub fn collapse_assign_cycles(pag: &Pag) -> Collapsed {
     let n = pag.node_count();
-    // Successors restricted to assign_l edges.
-    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for e in pag.edges() {
-        if e.kind == EdgeKind::AssignLocal {
-            succ[e.src.index()].push(e.dst.index());
-        }
-    }
-    let scc = tarjan_scc(n, |v| succ[v].iter().copied());
-
-    // Representative per component: the smallest member id, so output is
-    // deterministic.
-    let mut rep = vec![usize::MAX; scc.component_count()];
-    for v in 0..n {
-        let c = scc.component_of(v);
-        if rep[c] == usize::MAX || v < rep[c] {
-            rep[c] = v;
-        }
-    }
-
-    let mut builder = PagBuilder::with_types(pag.types().clone());
-    for m in 0..pag.method_count() {
-        builder.add_method(pag.method_name(parcfl_pag::MethodId::from_usize(m)));
-    }
-    for _ in 0..pag.call_site_count() {
-        builder.fresh_call_site();
-    }
-
-    // Create new nodes for representatives in old-id order; map members.
-    let mut remap = vec![NodeId::new(0); n];
-    let mut merged_nodes = 0usize;
-    for v in 0..n {
-        let c = scc.component_of(v);
-        if rep[c] != v {
-            continue; // handled when we reach the representative
-        }
-        let members: Vec<usize> = scc.members_usize(c).collect();
-        let old = pag.node(NodeId::from_usize(v));
-        let info = NodeInfo {
-            kind: old.kind,
-            ty: old.ty,
-            name: if members.len() > 1 {
-                format!("{}+{}", old.name, members.len() - 1)
-            } else {
-                old.name.clone()
-            },
-            is_application: members
-                .iter()
-                .any(|&m| pag.node(NodeId::from_usize(m)).is_application),
+    let assigns = |v: usize| pag.outgoing_kind(NodeId::from_usize(v), EdgeClass::AssignLocal);
+    let scc = tarjan_scc(n, |v| assigns(v).iter().map(|e| e.dst.index()));
+    let self_loop = |v: usize| assigns(v).iter().any(|e| e.dst.index() == v);
+    if scc.component_count() == n && !(0..n).any(self_loop) {
+        return Collapsed {
+            pag: pag.clone(),
+            remap: (0..n).map(NodeId::from_usize).collect(),
+            merged_nodes: 0,
         };
-        let new_id = builder.add_node(info);
-        for &m in &members {
-            remap[m] = new_id;
-        }
-        merged_nodes += members.len() - 1;
     }
 
-    for e in pag.edges() {
-        let s = remap[e.src.index()];
-        let d = remap[e.dst.index()];
-        // assign_l self-loops created by merging carry no information.
-        if s == d && e.kind == EdgeKind::AssignLocal {
-            continue;
-        }
-        builder.add_edge(s, d, e.kind);
-    }
-
+    // One node per component, numbered in the order of the component's
+    // smallest member — the representative — so the output is
+    // deterministic.
+    let mut nodes: Vec<NodeInfo> = Vec::with_capacity(scc.component_count());
+    let mut rep_of: Vec<Option<NodeId>> = vec![None; scc.component_count()];
+    let node_of = |v: usize| {
+        let c = scc.component_of(v);
+        *rep_of[c].get_or_insert_with(|| {
+            let members = scc.members(c);
+            let mut info = pag.node(NodeId::from_usize(v)).clone();
+            if members.len() > 1 {
+                info.name = format!("{}+{}", info.name, members.len() - 1);
+                let app = |&m: &u32| pag.node(NodeId::new(m)).is_application;
+                info.is_application = members.iter().any(app);
+            }
+            nodes.push(info);
+            NodeId::from_usize(nodes.len() - 1)
+        })
+    };
+    let remap: Vec<NodeId> = (0..n).map(node_of).collect();
     Collapsed {
-        pag: builder.freeze(),
+        merged_nodes: n - nodes.len(),
+        pag: pag.quotient(nodes, &remap),
         remap,
-        merged_nodes,
     }
 }
 
@@ -107,6 +76,7 @@ mod tests {
     use super::*;
     use crate::extract::extract;
     use crate::parser::parse;
+    use parcfl_pag::EdgeKind;
 
     fn pag_of(src: &str) -> Pag {
         extract(&parse(src).unwrap()).unwrap().pag

@@ -16,9 +16,9 @@
 
 use crate::callgraph::{CallGraph, MethodIdx};
 use crate::hierarchy::{Hierarchy, HierarchyError};
-use crate::ir::{Program, Stmt, TypeRef, VarRef};
+use crate::ir::{MethodDecl, Program, Stmt, TypeRef, VarRef};
 use parcfl_pag::{
-    EdgeKind, FieldId, MethodId, NodeId, NodeInfo, NodeKind, Pag, PagBuilder, TypeId,
+    EdgeKind, FieldId, MethodId, NodeId, NodeInfo, NodeKind, Pag, PagBuilder, TypeId, TypeInfo,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -86,20 +86,20 @@ pub fn extract(program: &Program) -> Result<Extraction, ExtractError> {
         h: &hierarchy,
         cg: &callgraph,
         builder: PagBuilder::new(),
-        type_map: HashMap::new(),
-        field_map: HashMap::new(),
+        types: HashMap::new(),
+        fields: HashMap::new(),
         class_ty: Vec::new(),
         globals: HashMap::new(),
-        global_types: HashMap::new(),
-        method_ids: Vec::new(),
-        envs: Vec::new(),
-        formals: Vec::new(),
-        ret_nodes: Vec::new(),
+        methods: Vec::new(),
+        cur: 0,
+        env: HashMap::new(),
+        suffix: String::new(),
+        calls: 0,
         warnings,
         tmp_counter: 0,
     };
     ex.intern_types();
-    ex.declare_globals()?;
+    ex.declare_globals();
     ex.declare_methods();
     ex.lower_bodies()?;
     Ok(Extraction {
@@ -108,132 +108,129 @@ pub fn extract(program: &Program) -> Result<Extraction, ExtractError> {
     })
 }
 
+/// The lowering state. Names are looked up as `&str` borrowed from the
+/// program: the only strings this allocates are the PAG's own names.
 struct Extractor<'p> {
     h: &'p Hierarchy<'p>,
     cg: &'p CallGraph,
     builder: PagBuilder,
-    /// Canonical type name → id.
-    type_map: HashMap<String, TypeId>,
-    field_map: HashMap<String, FieldId>,
+    /// (element spelling, array rank) → type id; `int` spells
+    /// [`TypeRef::Int`].
+    types: HashMap<(&'p str, usize), TypeId>,
+    fields: HashMap<&'p str, FieldId>,
     /// Class index → type id.
     class_ty: Vec<TypeId>,
-    /// (class index, static field name) → global node.
-    globals: HashMap<(usize, String), NodeId>,
-    /// Global node → its declared type (for typing temps).
-    global_types: HashMap<NodeId, TypeId>,
-    /// Dense method index → PAG method id.
-    method_ids: Vec<MethodId>,
-    /// Dense method index → name → local node.
-    envs: Vec<HashMap<String, NodeId>>,
-    /// Dense method index → formal-parameter nodes (`this` first for
-    /// instance methods).
-    formals: Vec<Vec<NodeId>>,
-    /// Dense method index → return-value node.
-    ret_nodes: Vec<Option<NodeId>>,
+    /// (class index, static field name) → its global node and type.
+    globals: HashMap<(usize, &'p str), (NodeId, TypeId)>,
+    /// Dense method index → PAG method id, first node (`this`, the
+    /// parameters and the locals are numbered from it) and return node.
+    methods: Vec<(MethodId, NodeId, Option<NodeId>)>,
+    /// The method being lowered (dense index), its variables, the
+    /// `@Class.method` suffix of its node names, and the call statements
+    /// lowered so far (which index [`CallGraph::call_targets`]).
+    cur: usize,
+    env: HashMap<&'p str, NodeId>,
+    suffix: String,
+    calls: usize,
     warnings: Vec<String>,
     tmp_counter: u32,
 }
 
 impl<'p> Extractor<'p> {
+    /// The class name and declaration of dense method `m`.
+    fn method(&self, m: usize) -> (&'p str, &'p MethodDecl) {
+        let program: &'p Program = self.h.program;
+        let class = &program.classes[self.cg.methods[m].0];
+        (&class.name, &class.methods[self.cg.methods[m].1])
+    }
+
+    fn is_application(&self, m: usize) -> bool {
+        self.h.program.classes[self.cg.methods[m].0].is_application
+    }
+
     // ----- types -----
 
     fn intern_types(&mut self) {
         // Intern `int` and all classes first so fields can refer to any
         // class (including forward references).
-        self.type_map.insert(
-            "int".into(),
-            self.builder
-                .types_mut()
-                .add_type(parcfl_pag::types::TypeInfo {
-                    name: "int".into(),
-                    is_ref: false,
-                    fields: Vec::new(),
-                    supertype: None,
-                }),
-        );
-        for c in &self.h.program.classes {
-            let id = self
-                .builder
-                .types_mut()
-                .add_type(parcfl_pag::types::TypeInfo {
-                    name: c.name.clone(),
-                    is_ref: true,
-                    fields: Vec::new(),
-                    supertype: None,
-                });
-            self.type_map.insert(c.name.clone(), id);
+        let program = self.h.program;
+        self.add_type(("int", 0), "int".into(), false, Vec::new());
+        for c in &program.classes {
+            let id = self.add_type((&c.name, 0), c.name.to_string(), true, Vec::new());
             self.class_ty.push(id);
         }
         // Patch superclass links and instance fields (may intern array
         // types and field names as a side effect).
-        for (ci, c) in self.h.program.classes.iter().enumerate() {
-            let sup = c
-                .superclass
-                .as_ref()
-                .and_then(|s| self.h.class_index(s))
-                .map(|si| self.class_ty[si]);
-            let mut resolved = Vec::new();
-            for fd in &c.fields {
-                let fid = self.field_id(&fd.name);
-                let fty = self.type_id(&fd.ty);
-                resolved.push((fid, fty));
-            }
+        for (ci, c) in program.classes.iter().enumerate() {
+            let sup = c.superclass.as_ref().and_then(|s| self.h.class_index(s));
+            let fields = c.fields.iter();
+            let resolved = fields.map(|fd| (self.field_id(&fd.name), self.type_id(&fd.ty)));
+            let resolved = resolved.collect();
             let info = self.builder.types_mut().get_mut(self.class_ty[ci]);
-            info.supertype = sup;
+            info.supertype = sup.map(|si| self.class_ty[si]);
             info.fields = resolved;
         }
     }
 
-    fn type_id(&mut self, ty: &TypeRef) -> TypeId {
-        let key = ty.display();
-        if let Some(&id) = self.type_map.get(&key) {
-            return id;
-        }
-        let id = match ty {
-            TypeRef::Int => unreachable!("int interned eagerly"),
-            TypeRef::Class(c) => {
-                // Undefined class used as a type: intern an opaque ref type
-                // and warn once.
-                self.warnings
-                    .push(format!("reference to undefined class `{c}`"));
-                self.builder
-                    .types_mut()
-                    .add_type(parcfl_pag::types::TypeInfo {
-                        name: c.clone(),
-                        is_ref: true,
-                        fields: Vec::new(),
-                        supertype: None,
-                    })
-            }
-            TypeRef::Array(elem) => {
-                let elem_id = self.type_id(elem);
-                self.builder
-                    .types_mut()
-                    .add_type(parcfl_pag::types::TypeInfo {
-                        name: key.clone(),
-                        is_ref: true,
-                        fields: vec![(FieldId::ARR, elem_id)],
-                        supertype: None,
-                    })
-            }
+    fn add_type(
+        &mut self,
+        key: (&'p str, usize),
+        name: String,
+        is_ref: bool,
+        fields: Vec<(FieldId, TypeId)>,
+    ) -> TypeId {
+        let info = TypeInfo {
+            name,
+            is_ref,
+            fields,
+            supertype: None,
         };
-        self.type_map.insert(key, id);
+        let id = self.builder.types_mut().add_type(info);
+        self.types.insert(key, id);
         id
     }
 
-    fn field_id(&mut self, name: &str) -> FieldId {
-        if let Some(&id) = self.field_map.get(name) {
+    /// The id of `ty`, interning it — element type first, then each rank
+    /// — if it is new.
+    fn type_id(&mut self, ty: &'p TypeRef) -> TypeId {
+        let (base, rank) = ty.base_and_rank();
+        if let Some(&id) = self.types.get(&(base, rank)) {
             return id;
         }
-        let id = self.builder.types_mut().add_field(name);
-        self.field_map.insert(name.to_string(), id);
+        let mut id = match self.types.get(&(base, 0)) {
+            Some(&id) => id,
+            None => {
+                // Undefined class used as a type: an opaque ref type.
+                let warning = format!("reference to undefined class `{base}`");
+                self.warnings.push(warning);
+                self.add_type((base, 0), base.to_string(), true, Vec::new())
+            }
+        };
+        for r in 1..=rank {
+            id = match self.types.get(&(base, r)) {
+                Some(&id) => id,
+                None => {
+                    let name = format!("{base}{}", "[]".repeat(r));
+                    self.add_type((base, r), name, true, vec![(FieldId::ARR, id)])
+                }
+            };
+        }
         id
+    }
+
+    fn field_id(&mut self, name: &'p str) -> FieldId {
+        let types = self.builder.types_mut();
+        *self
+            .fields
+            .entry(name)
+            .or_insert_with(|| types.add_field(name))
     }
 
     // ----- declarations -----
 
-    fn declare_globals(&mut self) -> Result<(), ExtractError> {
-        for (ci, c) in self.h.program.classes.iter().enumerate() {
+    fn declare_globals(&mut self) {
+        let program: &'p Program = self.h.program;
+        for (ci, c) in program.classes.iter().enumerate() {
             for sf in &c.statics {
                 let ty = self.type_id(&sf.ty);
                 let node = self.builder.add_node(NodeInfo {
@@ -242,120 +239,85 @@ impl<'p> Extractor<'p> {
                     name: format!("{}.{}", c.name, sf.name),
                     is_application: c.is_application,
                 });
-                self.globals.insert((ci, sf.name.clone()), node);
-                self.global_types.insert(node, ty);
+                self.globals.insert((ci, &sf.name), (node, ty));
             }
         }
-        Ok(())
     }
 
     fn declare_methods(&mut self) {
-        for &(ci, mi) in &self.cg.methods {
-            let class = &self.h.program.classes[ci];
-            let method = &class.methods[mi];
-            let mid = self
-                .builder
-                .add_method(format!("{}.{}", class.name, method.name));
-            self.method_ids.push(mid);
-
-            let mut env = HashMap::new();
-            let mut formals = Vec::new();
-            let app = class.is_application;
-            let add_local = |b: &mut PagBuilder, name: String, ty: TypeId| {
+        for m in 0..self.cg.len() {
+            let (class, method) = self.method(m);
+            let qualified = format!("{class}.{}", method.name);
+            let suffix = format!("@{qualified}");
+            let mid = self.builder.add_method(qualified);
+            let first = NodeId::from_usize(self.builder.node_count());
+            let is_application = self.is_application(m);
+            let local = |b: &mut PagBuilder, name: &str, ty| {
                 b.add_node(NodeInfo {
                     kind: NodeKind::Local { method: mid },
                     ty,
-                    name,
-                    is_application: app,
+                    name: [name, &suffix].concat(),
+                    is_application,
                 })
             };
-
             if !method.is_static {
-                let this_ty = self.class_ty[ci];
-                let n = add_local(
-                    &mut self.builder,
-                    format!("this@{}.{}", class.name, method.name),
-                    this_ty,
-                );
-                env.insert("this".to_string(), n);
-                formals.push(n);
+                let this_ty = self.class_ty[self.cg.methods[m].0];
+                local(&mut self.builder, "this", this_ty);
             }
-            for p in &method.params {
-                let ty = self.type_id(&p.ty);
-                let n = add_local(
-                    &mut self.builder,
-                    format!("{}@{}.{}", p.name, class.name, method.name),
-                    ty,
-                );
-                env.insert(p.name.clone(), n);
-                formals.push(n);
-            }
-            for l in &method.locals {
-                let ty = self.type_id(&l.ty);
-                let n = add_local(
-                    &mut self.builder,
-                    format!("{}@{}.{}", l.name, class.name, method.name),
-                    ty,
-                );
-                env.insert(l.name.clone(), n);
+            for v in method.params.iter().chain(&method.locals) {
+                let ty = self.type_id(&v.ty);
+                local(&mut self.builder, &v.name, ty);
             }
             let ret = method.ret.as_ref().map(|rt| {
                 let ty = self.type_id(rt);
-                add_local(
-                    &mut self.builder,
-                    format!("$ret@{}.{}", class.name, method.name),
-                    ty,
-                )
+                local(&mut self.builder, "$ret", ty)
             });
-            self.envs.push(env);
-            self.formals.push(formals);
-            self.ret_nodes.push(ret);
+            self.methods.push((mid, first, ret));
         }
     }
 
     // ----- body lowering -----
 
     fn lower_bodies(&mut self) -> Result<(), ExtractError> {
-        for midx in 0..self.cg.methods.len() {
-            let (ci, mi) = self.cg.methods[midx];
-            let body = &self.h.program.classes[ci].methods[mi].body;
-            for (si, stmt) in body.iter().enumerate() {
-                self.lower_stmt(MethodIdx(midx as u32), ci, mi, si, stmt)?;
+        for m in 0..self.cg.len() {
+            let (class, method) = self.method(m);
+            self.cur = m;
+            self.suffix = format!("@{class}.{}", method.name);
+            // `this`, parameters and locals in node order; a later
+            // declaration of a name shadows an earlier one.
+            self.env.clear();
+            let declared = method.params.iter().chain(&method.locals);
+            let this = (!method.is_static).then_some("this");
+            let names = this.into_iter().chain(declared.map(|v| &*v.name));
+            let first = self.methods[m].1.index();
+            for (slot, name) in names.enumerate() {
+                self.env.insert(name, NodeId::from_usize(first + slot));
+            }
+            for (si, stmt) in method.body.iter().enumerate() {
+                self.lower_stmt(si, stmt)?;
             }
         }
         Ok(())
     }
 
-    fn local(
-        &self,
-        midx: MethodIdx,
-        ci: usize,
-        mi: usize,
-        name: &str,
-    ) -> Result<NodeId, ExtractError> {
-        self.envs[midx.0 as usize]
-            .get(name)
-            .copied()
-            .ok_or_else(|| ExtractError::UndeclaredVariable {
-                class: self.h.program.classes[ci].name.clone(),
-                method: self.h.program.classes[ci].methods[mi].name.clone(),
+    fn local(&self, name: &str) -> Result<NodeId, ExtractError> {
+        self.env.get(name).copied().ok_or_else(|| {
+            let (class, method) = self.method(self.cur);
+            ExtractError::UndeclaredVariable {
+                class: class.to_string(),
+                method: method.name.to_string(),
                 var: name.to_string(),
-            })
+            }
+        })
     }
 
-    fn global(&self, class: &str, field: &str) -> Result<NodeId, ExtractError> {
-        let ci = self
-            .h
-            .class_index(class)
-            .ok_or_else(|| ExtractError::UnknownStatic {
-                class: class.to_string(),
-                field: field.to_string(),
-            })?;
+    /// The global node of `class.field` and its declared type.
+    fn global(&self, class: &str, field: &str) -> Result<(NodeId, TypeId), ExtractError> {
         // Statics are inherited: walk up the superclass chain.
-        let mut cur = Some(ci);
+        let mut cur = self.h.class_index(class);
         while let Some(c) = cur {
-            if let Some(&n) = self.globals.get(&(c, field.to_string())) {
-                return Ok(n);
+            if let Some(&global) = self.globals.get(&(c, field)) {
+                return Ok(global);
             }
             cur = self.h.parent(c);
         }
@@ -365,338 +327,204 @@ impl<'p> Extractor<'p> {
         })
     }
 
-    fn fresh_tmp(&mut self, midx: MethodIdx, ty: TypeId) -> NodeId {
-        let mid = self.method_ids[midx.0 as usize];
-        let (ci, _) = self.cg.methods[midx.0 as usize];
+    fn fresh_tmp(&mut self, ty: TypeId) -> NodeId {
         self.tmp_counter += 1;
         self.builder.add_node(NodeInfo {
-            kind: NodeKind::Local { method: mid },
+            kind: NodeKind::Local {
+                method: self.methods[self.cur].0,
+            },
             ty,
             name: format!("$tmp{}", self.tmp_counter),
-            is_application: self.h.program.classes[ci].is_application,
+            is_application: self.is_application(self.cur),
         })
     }
 
     /// Materialises a readable local for `v`: statics go through a fresh
     /// temp via an `assign_g` edge.
-    fn read(
-        &mut self,
-        midx: MethodIdx,
-        ci: usize,
-        mi: usize,
-        v: &VarRef,
-    ) -> Result<NodeId, ExtractError> {
+    fn read(&mut self, v: &VarRef) -> Result<NodeId, ExtractError> {
         match v {
-            VarRef::Local(name) => self.local(midx, ci, mi, name),
+            VarRef::Local(name) => self.local(name),
             VarRef::Static(class, field) => {
-                let g = self.global(class, field)?;
-                let gty = self.global_type(g);
-                let tmp = self.fresh_tmp(midx, gty);
+                let (g, gty) = self.global(class, field)?;
+                let tmp = self.fresh_tmp(gty);
                 self.builder.add_edge(g, tmp, EdgeKind::AssignGlobal);
                 Ok(tmp)
             }
         }
     }
 
-    /// The declared type of a global node (recorded when it was created).
-    fn global_type(&self, n: NodeId) -> TypeId {
-        *self
-            .global_types
-            .get(&n)
-            .expect("global type recorded at declaration")
-    }
-
-    /// Writes `src_local` into `dst`: locals get `assign_l`, statics get
-    /// `assign_g`.
-    fn write(
-        &mut self,
-        midx: MethodIdx,
-        ci: usize,
-        mi: usize,
-        dst: &VarRef,
-        src_local: NodeId,
-        kind_for_local: EdgeKind,
-    ) -> Result<(), ExtractError> {
+    /// Writes `src` into `dst` along an edge of `kind`. A static `dst` is
+    /// reached through a fresh temp of its type and an `assign_g` edge, so
+    /// that `kind` connects locals only.
+    fn write(&mut self, dst: &VarRef, src: NodeId, kind: EdgeKind) -> Result<(), ExtractError> {
         match dst {
             VarRef::Local(name) => {
-                let d = self.local(midx, ci, mi, name)?;
-                self.builder.add_edge(src_local, d, kind_for_local);
+                let d = self.local(name)?;
+                self.builder.add_edge(src, d, kind);
             }
             VarRef::Static(class, field) => {
-                let g = self.global(class, field)?;
-                self.builder.add_edge(src_local, g, EdgeKind::AssignGlobal);
-            }
-        }
-        Ok(())
-    }
-
-    fn lower_stmt(
-        &mut self,
-        midx: MethodIdx,
-        ci: usize,
-        mi: usize,
-        si: usize,
-        stmt: &Stmt,
-    ) -> Result<(), ExtractError> {
-        match stmt {
-            Stmt::New { dst, ty } => {
-                let tid = self.type_id(ty);
-                let mid = self.method_ids[midx.0 as usize];
-                let class = &self.h.program.classes[ci];
-                let obj = self.builder.add_node(NodeInfo {
-                    kind: NodeKind::Object { method: mid },
-                    ty: tid,
-                    name: format!("o{}@{}.{}", si, class.name, class.methods[mi].name),
-                    is_application: class.is_application,
-                });
-                match dst {
-                    VarRef::Local(name) => {
-                        let d = self.local(midx, ci, mi, name)?;
-                        self.builder.add_edge(obj, d, EdgeKind::New);
-                    }
-                    VarRef::Static(cl, f) => {
-                        // new edges must target locals: go through a temp.
-                        let tmp = self.fresh_tmp(midx, tid);
-                        self.builder.add_edge(obj, tmp, EdgeKind::New);
-                        let g = self.global(cl, f)?;
-                        self.builder.add_edge(tmp, g, EdgeKind::AssignGlobal);
-                    }
-                }
-            }
-            Stmt::Assign { dst, src } => match (dst, src) {
-                // Exactly-one-global assignments become a single assign_g
-                // edge, as in Fig. 1.
-                (VarRef::Local(dn), VarRef::Static(sc, sf)) => {
-                    let g = self.global(sc, sf)?;
-                    let d = self.local(midx, ci, mi, dn)?;
-                    self.builder.add_edge(g, d, EdgeKind::AssignGlobal);
-                }
-                (VarRef::Static(dc, df), VarRef::Local(sn)) => {
-                    let s = self.local(midx, ci, mi, sn)?;
-                    let g = self.global(dc, df)?;
-                    self.builder.add_edge(s, g, EdgeKind::AssignGlobal);
-                }
-                _ => {
-                    let s = self.read(midx, ci, mi, src)?;
-                    self.write(midx, ci, mi, dst, s, EdgeKind::AssignLocal)?;
-                }
-            },
-            Stmt::Load { dst, base, field } => {
-                let f = self.field_id(field);
-                self.lower_load(midx, ci, mi, dst, base, f)?;
-            }
-            Stmt::ArrayLoad { dst, base } => {
-                self.lower_load(midx, ci, mi, dst, base, FieldId::ARR)?;
-            }
-            Stmt::Store { base, field, src } => {
-                let f = self.field_id(field);
-                self.lower_store(midx, ci, mi, base, src, f)?;
-            }
-            Stmt::ArrayStore { base, src } => {
-                self.lower_store(midx, ci, mi, base, src, FieldId::ARR)?;
-            }
-            Stmt::VirtualCall {
-                dst,
-                recv,
-                method,
-                args,
-            } => {
-                let recv_node = self.read(midx, ci, mi, recv)?;
-                let decl = self.receiver_decl(midx, ci, mi, recv);
-                let targets = match decl {
-                    Some(d) => self.h.dispatch(d, method),
-                    None => Vec::new(),
-                };
-                self.lower_call(midx, ci, mi, Some(recv_node), &targets, args, dst)?;
-            }
-            Stmt::StaticCall {
-                dst,
-                class,
-                method,
-                args,
-            } => {
-                let targets: Vec<_> = self
-                    .h
-                    .class_index(class)
-                    .and_then(|c| self.h.resolve_method(c, method))
-                    .into_iter()
-                    .collect();
-                self.lower_call(midx, ci, mi, None, &targets, args, dst)?;
-            }
-            Stmt::Return { val } => {
-                if let Some(v) = val {
-                    if let Some(ret) = self.ret_nodes[midx.0 as usize] {
-                        let s = self.read(midx, ci, mi, v)?;
-                        self.builder.add_edge(s, ret, EdgeKind::AssignLocal);
-                    } else {
-                        self.warnings.push(format!(
-                            "return with value in void method {}.{}",
-                            self.h.program.classes[ci].name,
-                            self.h.program.classes[ci].methods[mi].name
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn lower_load(
-        &mut self,
-        midx: MethodIdx,
-        ci: usize,
-        mi: usize,
-        dst: &VarRef,
-        base: &VarRef,
-        f: FieldId,
-    ) -> Result<(), ExtractError> {
-        let b = self.read(midx, ci, mi, base)?;
-        match dst {
-            VarRef::Local(name) => {
-                let d = self.local(midx, ci, mi, name)?;
-                self.builder.add_edge(b, d, EdgeKind::Load(f));
-            }
-            VarRef::Static(cl, fld) => {
-                let g = self.global(cl, fld)?;
-                let gty = self.global_type(g);
-                let tmp = self.fresh_tmp(midx, gty);
-                self.builder.add_edge(b, tmp, EdgeKind::Load(f));
+                let (g, gty) = self.global(class, field)?;
+                let tmp = self.fresh_tmp(gty);
+                self.builder.add_edge(src, tmp, kind);
                 self.builder.add_edge(tmp, g, EdgeKind::AssignGlobal);
             }
         }
         Ok(())
     }
 
-    fn lower_store(
-        &mut self,
-        midx: MethodIdx,
-        ci: usize,
-        mi: usize,
-        base: &VarRef,
-        src: &VarRef,
-        f: FieldId,
-    ) -> Result<(), ExtractError> {
-        let b = self.read(midx, ci, mi, base)?;
-        let s = self.read(midx, ci, mi, src)?;
-        // Store dst.f = src: edge src -> base labelled st(f).
-        self.builder.add_edge(s, b, EdgeKind::Store(f));
+    fn lower_stmt(&mut self, si: usize, stmt: &'p Stmt) -> Result<(), ExtractError> {
+        match stmt {
+            Stmt::New { dst, ty } => {
+                let tid = self.type_id(ty);
+                let obj = self.builder.add_node(NodeInfo {
+                    kind: NodeKind::Object {
+                        method: self.methods[self.cur].0,
+                    },
+                    ty: tid,
+                    name: format!("o{si}{}", self.suffix),
+                    is_application: self.is_application(self.cur),
+                });
+                match dst {
+                    VarRef::Local(_) => self.write(dst, obj, EdgeKind::New)?,
+                    VarRef::Static(class, field) => {
+                        // new edges must target locals: go through a temp
+                        // of the allocated type.
+                        let tmp = self.fresh_tmp(tid);
+                        self.builder.add_edge(obj, tmp, EdgeKind::New);
+                        let (g, _) = self.global(class, field)?;
+                        self.builder.add_edge(tmp, g, EdgeKind::AssignGlobal);
+                    }
+                }
+            }
+            // An assignment with a global side is one assign_g edge, as in
+            // Fig. 1 (a global-to-global copy goes through a temp).
+            Stmt::Assign { dst, src } => match (dst, src) {
+                (VarRef::Static(class, field), _) => {
+                    let s = self.read(src)?;
+                    let (g, _) = self.global(class, field)?;
+                    self.builder.add_edge(s, g, EdgeKind::AssignGlobal);
+                }
+                (_, VarRef::Static(class, field)) => {
+                    let (g, _) = self.global(class, field)?;
+                    self.write(dst, g, EdgeKind::AssignGlobal)?;
+                }
+                (_, VarRef::Local(name)) => {
+                    let s = self.local(name)?;
+                    self.write(dst, s, EdgeKind::AssignLocal)?;
+                }
+            },
+            Stmt::Load { dst, base, .. } | Stmt::ArrayLoad { dst, base } => {
+                let f = self.field_of(stmt);
+                let b = self.read(base)?;
+                self.write(dst, b, EdgeKind::Load(f))?;
+            }
+            Stmt::Store { base, src, .. } | Stmt::ArrayStore { base, src } => {
+                let f = self.field_of(stmt);
+                let b = self.read(base)?;
+                let s = self.read(src)?;
+                // Store dst.f = src: edge src -> base labelled st(f).
+                self.builder.add_edge(s, b, EdgeKind::Store(f));
+            }
+            Stmt::VirtualCall {
+                dst, recv, args, ..
+            } => {
+                let recv_node = self.read(recv)?;
+                self.lower_call(Some(recv_node), args, dst)?;
+            }
+            Stmt::StaticCall { dst, args, .. } => self.lower_call(None, args, dst)?,
+            Stmt::Return { val: Some(v) } => match self.methods[self.cur].2 {
+                Some(ret) => {
+                    let s = self.read(v)?;
+                    self.builder.add_edge(s, ret, EdgeKind::AssignLocal);
+                }
+                None => {
+                    let (class, method) = self.method(self.cur);
+                    let warning =
+                        format!("return with value in void method {class}.{}", method.name);
+                    self.warnings.push(warning);
+                }
+            },
+            Stmt::Return { val: None } => {}
+        }
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The field a load or store accesses; array elements are `arr`.
+    fn field_of(&mut self, stmt: &'p Stmt) -> FieldId {
+        match stmt {
+            Stmt::Load { field, .. } | Stmt::Store { field, .. } => self.field_id(field),
+            _ => FieldId::ARR,
+        }
+    }
+
+    /// Lowers the next call statement against the targets the call graph
+    /// resolved for it. Every instance target's first formal is `this`:
+    /// `recv` flows into it, and a static call (no `recv`) leaves it
+    /// unbound with a warning.
     fn lower_call(
         &mut self,
-        midx: MethodIdx,
-        ci: usize,
-        mi: usize,
         recv: Option<NodeId>,
-        targets: &[(usize, usize)],
         args: &[VarRef],
         dst: &Option<VarRef>,
     ) -> Result<(), ExtractError> {
+        let cg = self.cg;
+        let targets = cg.call_targets(self.calls);
+        self.calls += 1;
         if targets.is_empty() {
             // Already warned during call-graph construction.
             return Ok(());
         }
         let site = self.builder.fresh_call_site();
         // Read actuals once (temps for statics are shared across targets).
-        let mut actual_nodes = Vec::with_capacity(args.len());
-        for a in args {
-            actual_nodes.push(self.read(midx, ci, mi, a)?);
-        }
-        for &(tci, tmi) in targets {
-            let tidx = self.cg.method_idx(tci, tmi);
-            let recursive = self.cg.is_recursive_call(midx, tidx);
-            let param_kind = if recursive {
-                EdgeKind::AssignLocal
+        let actuals = args.iter().map(|a| self.read(a));
+        let actuals = actuals.collect::<Result<Vec<_>, _>>()?;
+        let (caller_class, caller) = self.method(self.cur);
+        for &t in targets {
+            let (param, ret) = if cg.is_recursive_call(MethodIdx(self.cur as u32), t) {
+                (EdgeKind::AssignLocal, EdgeKind::AssignLocal)
             } else {
-                EdgeKind::Param(site)
+                (EdgeKind::Param(site), EdgeKind::Ret(site))
             };
-            let ret_kind = if recursive {
-                EdgeKind::AssignLocal
-            } else {
-                EdgeKind::Ret(site)
-            };
-            let formals = &self.formals[tidx.0 as usize];
-            let target_is_static = self.h.program.classes[tci].methods[tmi].is_static;
-            let mut fslot = 0usize;
-            if let Some(r) = recv {
-                if !target_is_static {
-                    if let Some(&fthis) = formals.first() {
-                        self.builder.add_edge(r, fthis, param_kind);
-                    }
-                    fslot = 1;
+            let (class, target) = self.method(t.0 as usize);
+            let (_, first, ret_node) = self.methods[t.0 as usize];
+            let mut formal = first.index();
+            if !target.is_static {
+                match recv {
+                    Some(r) => self.builder.add_edge(r, NodeId::from_usize(formal), param),
+                    None => self.warnings.push(format!(
+                        "static call to instance method {class}.{} from {caller_class}.{}: \
+                         `this` left unbound",
+                        target.name, caller.name
+                    )),
                 }
+                formal += 1;
             }
-            let formal_params = &formals[fslot.min(formals.len())..];
-            if formal_params.len() != actual_nodes.len() {
+            if target.params.len() != actuals.len() {
                 self.warnings.push(format!(
-                    "arity mismatch calling {}.{} from {}.{}: {} actuals vs {} formals",
-                    self.h.program.classes[tci].name,
-                    self.h.program.classes[tci].methods[tmi].name,
-                    self.h.program.classes[ci].name,
-                    self.h.program.classes[ci].methods[mi].name,
-                    actual_nodes.len(),
-                    formal_params.len()
+                    "arity mismatch calling {class}.{} from {caller_class}.{}: {} actuals vs {} formals",
+                    target.name,
+                    caller.name,
+                    actuals.len(),
+                    target.params.len()
                 ));
             }
-            for (&a, &fp) in actual_nodes.iter().zip(formal_params.iter()) {
-                self.builder.add_edge(a, fp, param_kind);
+            for (i, &a) in actuals.iter().take(target.params.len()).enumerate() {
+                self.builder
+                    .add_edge(a, NodeId::from_usize(formal + i), param);
             }
             if let Some(d) = dst {
-                match self.ret_nodes[tidx.0 as usize] {
-                    Some(ret) => {
-                        // Normalise a static destination through a temp so
-                        // ret edges connect locals only.
-                        match d {
-                            VarRef::Local(name) => {
-                                let dn = self.local(midx, ci, mi, name)?;
-                                self.builder.add_edge(ret, dn, ret_kind);
-                            }
-                            VarRef::Static(cl, f) => {
-                                let g = self.global(cl, f)?;
-                                let gty = self.global_type(g);
-                                let tmp = self.fresh_tmp(midx, gty);
-                                self.builder.add_edge(ret, tmp, ret_kind);
-                                self.builder.add_edge(tmp, g, EdgeKind::AssignGlobal);
-                            }
-                        }
-                    }
+                match ret_node {
+                    // A static destination goes through a temp so ret
+                    // edges connect locals only.
+                    Some(ret_node) => self.write(d, ret_node, ret)?,
                     None => self.warnings.push(format!(
-                        "call result assigned from void method {}.{}",
-                        self.h.program.classes[tci].name,
-                        self.h.program.classes[tci].methods[tmi].name
+                        "call result assigned from void method {class}.{}",
+                        target.name
                     )),
                 }
             }
         }
         Ok(())
-    }
-
-    fn receiver_decl(
-        &self,
-        midx: MethodIdx,
-        ci: usize,
-        _mi: usize,
-        recv: &VarRef,
-    ) -> Option<usize> {
-        let VarRef::Local(name) = recv else {
-            return None;
-        };
-        let (rci, rmi) = self.cg.methods[midx.0 as usize];
-        let method = &self.h.program.classes[rci].methods[rmi];
-        if !method.is_static && name == "this" {
-            return Some(ci);
-        }
-        let decl = method
-            .params
-            .iter()
-            .chain(method.locals.iter())
-            .find(|l| &l.name == name)?;
-        match &decl.ty {
-            TypeRef::Class(c) => self.h.class_index(c),
-            _ => None,
-        }
     }
 }
 
@@ -854,6 +682,20 @@ mod tests {
         let p = parse("class A { method m() { var t: A; t = new A; return t; } }").unwrap();
         let e = extract(&p).unwrap();
         assert!(e.warnings.iter().any(|w| w.contains("void")));
+    }
+
+    #[test]
+    fn static_call_to_instance_method_skips_this() {
+        let e = ex("class A { method m(a: A) { } }
+                    class B { method k() { var b: B; call A.m(b); } }");
+        let edges = e.pag.edges().iter();
+        let params: Vec<_> = edges
+            .filter(|ed| matches!(ed.kind, EdgeKind::Param(_)))
+            .collect();
+        assert_eq!(params.len(), 1);
+        assert_eq!(e.pag.node(params[0].dst).name, "a@A.m");
+        assert_eq!(e.warnings.len(), 1, "{:?}", e.warnings);
+        assert!(e.warnings[0].contains("static call to instance method A.m from B.k"));
     }
 
     #[test]

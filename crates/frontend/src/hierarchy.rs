@@ -1,7 +1,7 @@
 //! Class-hierarchy resolution: subtype queries, method lookup, and CHA
 //! (Class Hierarchy Analysis) virtual-dispatch resolution.
 
-use crate::ir::{MethodDecl, Program};
+use crate::ir::Program;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -54,20 +54,20 @@ impl<'p> Hierarchy<'p> {
     pub fn new(program: &'p Program) -> Result<Self, HierarchyError> {
         let mut by_name = HashMap::new();
         for (i, c) in program.classes.iter().enumerate() {
-            if by_name.insert(c.name.as_str(), i).is_some() {
-                return Err(HierarchyError::DuplicateClass(c.name.clone()));
+            if by_name.insert(&*c.name, i).is_some() {
+                return Err(HierarchyError::DuplicateClass(c.name.to_string()));
             }
         }
         let mut parent = vec![None; program.classes.len()];
         let mut children = vec![Vec::new(); program.classes.len()];
         for (i, c) in program.classes.iter().enumerate() {
             if let Some(sup) = &c.superclass {
-                let pi = *by_name.get(sup.as_str()).ok_or_else(|| {
-                    HierarchyError::UnknownSuperclass {
-                        class: c.name.clone(),
-                        superclass: sup.clone(),
-                    }
-                })?;
+                let pi = *by_name
+                    .get(&**sup)
+                    .ok_or_else(|| HierarchyError::UnknownSuperclass {
+                        class: c.name.to_string(),
+                        superclass: sup.to_string(),
+                    })?;
                 parent[i] = Some(pi);
                 children[pi].push(i);
             }
@@ -79,7 +79,7 @@ impl<'p> Hierarchy<'p> {
             while let Some(p) = cur {
                 steps += 1;
                 if steps > program.classes.len() {
-                    return Err(HierarchyError::InheritanceCycle(c.name.clone()));
+                    return Err(HierarchyError::InheritanceCycle(c.name.to_string()));
                 }
                 cur = parent[p];
             }
@@ -158,11 +158,6 @@ impl<'p> Hierarchy<'p> {
         }
         targets.sort_unstable();
         targets
-    }
-
-    /// Looks up a method declaration by resolved `(class, method)` indices.
-    pub fn method(&self, target: (usize, usize)) -> &'p MethodDecl {
-        &self.program.classes[target.0].methods[target.1]
     }
 }
 

@@ -8,13 +8,60 @@
 //! assignments, field loads/stores, and array accesses (collapsed into the
 //! distinguished `arr` field, as in the paper).
 
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
+
+/// An identifier: a shared, immutable string. The parser interns each
+/// distinct spelling once, so equal names share one allocation and a clone
+/// is a reference-count bump. Derefs to `str` and prints as itself.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Name(Arc<str>);
+
+impl Deref for Name {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(&self.0)
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl From<&str> for Name {
+    fn from(s: &str) -> Name {
+        Name(s.into())
+    }
+}
+
+impl From<String> for Name {
+    fn from(s: String) -> Name {
+        Name(s.into())
+    }
+}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        *self.0 == **other
+    }
+}
+
 /// A type reference, by name.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum TypeRef {
     /// The `int` primitive (stands in for all primitives).
     Int,
     /// A class type, by name.
-    Class(String),
+    Class(Name),
     /// An array of some element type.
     Array(Box<TypeRef>),
 }
@@ -25,13 +72,25 @@ impl TypeRef {
         !matches!(self, TypeRef::Int)
     }
 
-    /// Canonical display name (`Obj`, `Obj[]`, `int`).
-    pub fn display(&self) -> String {
-        match self {
-            TypeRef::Int => "int".to_string(),
-            TypeRef::Class(c) => c.clone(),
-            TypeRef::Array(e) => format!("{}[]", e.display()),
+    /// The element spelling (`int` or the class name) and the array rank.
+    pub(crate) fn base_and_rank(&self) -> (&str, usize) {
+        let (mut ty, mut rank) = (self, 0);
+        while let TypeRef::Array(elem) = ty {
+            (ty, rank) = (elem, rank + 1);
         }
+        match ty {
+            TypeRef::Class(c) => (c, rank),
+            _ => ("int", rank),
+        }
+    }
+}
+
+/// Canonical spelling: `Obj`, `Obj[]`, `int`.
+impl fmt::Display for TypeRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (base, rank) = self.base_and_rank();
+        f.write_str(base)?;
+        (0..rank).try_for_each(|_| f.write_str("[]"))
     }
 }
 
@@ -39,9 +98,19 @@ impl TypeRef {
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum VarRef {
     /// A method-local variable (including parameters and `this`).
-    Local(String),
+    Local(Name),
     /// A static field `Class.field` — a global.
-    Static(String, String),
+    Static(Name, Name),
+}
+
+/// Prints as the source spells it: `x`, `Class.field`.
+impl fmt::Display for VarRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            VarRef::Local(n) => write!(f, "{n}"),
+            VarRef::Static(c, n) => write!(f, "{c}.{n}"),
+        }
+    }
 }
 
 /// One statement of a method body.
@@ -68,14 +137,14 @@ pub enum Stmt {
         /// Base object reference.
         base: VarRef,
         /// Field name.
-        field: String,
+        field: Name,
     },
     /// `base.field = src`.
     Store {
         /// Base object reference.
         base: VarRef,
         /// Field name.
-        field: String,
+        field: Name,
         /// Source.
         src: VarRef,
     },
@@ -101,7 +170,7 @@ pub enum Stmt {
         /// Receiver.
         recv: VarRef,
         /// Method name.
-        method: String,
+        method: Name,
         /// Actual arguments.
         args: Vec<VarRef>,
     },
@@ -110,9 +179,9 @@ pub enum Stmt {
         /// Optional destination for the return value.
         dst: Option<VarRef>,
         /// Class owning the static method.
-        class: String,
+        class: Name,
         /// Method name.
-        method: String,
+        method: Name,
         /// Actual arguments.
         args: Vec<VarRef>,
     },
@@ -127,7 +196,7 @@ pub enum Stmt {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FieldDecl {
     /// Field name.
-    pub name: String,
+    pub name: Name,
     /// Declared type.
     pub ty: TypeRef,
 }
@@ -136,7 +205,7 @@ pub struct FieldDecl {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LocalDecl {
     /// Variable name.
-    pub name: String,
+    pub name: Name,
     /// Declared type.
     pub ty: TypeRef,
 }
@@ -145,7 +214,7 @@ pub struct LocalDecl {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MethodDecl {
     /// Method name (no overloading: names are unique per class).
-    pub name: String,
+    pub name: Name,
     /// Whether the method is static (no implicit `this`).
     pub is_static: bool,
     /// Declared parameters (excluding the implicit `this`).
@@ -162,9 +231,9 @@ pub struct MethodDecl {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClassDecl {
     /// Class name.
-    pub name: String,
+    pub name: Name,
     /// Direct superclass name, if any.
-    pub superclass: Option<String>,
+    pub superclass: Option<Name>,
     /// Whether the class belongs to application code (queries are issued for
     /// application-code locals only).
     pub is_application: bool,
@@ -201,13 +270,13 @@ mod tests {
 
     #[test]
     fn type_ref_display_and_refness() {
-        assert_eq!(TypeRef::Int.display(), "int");
+        assert_eq!(TypeRef::Int.to_string(), "int");
         assert!(!TypeRef::Int.is_ref());
         let arr = TypeRef::Array(Box::new(TypeRef::Class("Obj".into())));
-        assert_eq!(arr.display(), "Obj[]");
+        assert_eq!(arr.to_string(), "Obj[]");
         assert!(arr.is_ref());
         let arr2 = TypeRef::Array(Box::new(arr));
-        assert_eq!(arr2.display(), "Obj[][]");
+        assert_eq!(arr2.to_string(), "Obj[][]");
     }
 
     #[test]

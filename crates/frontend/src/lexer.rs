@@ -1,12 +1,14 @@
-//! Lexer for the `.mj` mini-Java textual format.
+//! Pull lexer for the `.mj` mini-Java textual format: a cursor over the
+//! source bytes that hands out one token per call, identifiers as slices
+//! of the source — nothing is allocated.
 
 use std::fmt;
 
 /// A lexical token.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Tok {
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Tok<'src> {
     /// Identifier or keyword candidate.
-    Ident(String),
+    Ident(&'src str),
     /// `{`
     LBrace,
     /// `}`
@@ -33,7 +35,7 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "`{s}`"),
@@ -53,13 +55,15 @@ impl fmt::Display for Tok {
     }
 }
 
-/// A token paired with the 1-based line it starts on.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Spanned {
+/// A token paired with where it starts.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Spanned<'src> {
     /// The token.
-    pub tok: Tok,
+    pub tok: Tok<'src>,
     /// 1-based source line.
     pub line: u32,
+    /// 1-based byte column within the line.
+    pub col: u32,
 }
 
 /// A lexing error.
@@ -67,126 +71,143 @@ pub struct Spanned {
 pub struct LexError {
     /// 1-based source line of the offending character.
     pub line: u32,
+    /// 1-based byte column of the offending character.
+    pub col: u32,
     /// The offending character.
     pub ch: char,
 }
 
 impl fmt::Display for LexError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: unexpected character {:?}", self.line, self.ch)
+        let (line, col, ch) = (self.line, self.col, self.ch);
+        write!(f, "line {line}, col {col}: unexpected character {ch:?}")
     }
 }
 
 impl std::error::Error for LexError {}
 
-/// Tokenises `src`. Supports `//` line comments and `<` `>` inside
-/// identifiers (for constructor names like `<init>`).
-pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
-    let mut toks = Vec::new();
-    let mut line: u32 = 1;
-    let mut chars = src.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        match c {
-            '\n' => {
-                line += 1;
-                chars.next();
-            }
-            c if c.is_whitespace() => {
-                chars.next();
-            }
-            '/' => {
-                chars.next();
-                if chars.peek() == Some(&'/') {
-                    for c in chars.by_ref() {
-                        if c == '\n' {
-                            line += 1;
-                            break;
-                        }
-                    }
-                } else {
-                    return Err(LexError { line, ch: '/' });
-                }
-            }
-            c if c.is_ascii_alphabetic() || c == '_' || c == '<' => {
-                let mut s = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_alphanumeric() || c == '_' || c == '<' || c == '>' || c == '$' {
-                        s.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                toks.push(Spanned {
-                    tok: Tok::Ident(s),
-                    line,
-                });
-            }
-            c if c.is_ascii_digit() => {
-                // Numbers appear only in identifiers like benchmark names;
-                // treat a digit-run as an identifier too (e.g. `_200_check`).
-                let mut s = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_alphanumeric() || c == '_' {
-                        s.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                toks.push(Spanned {
-                    tok: Tok::Ident(s),
-                    line,
-                });
-            }
-            _ => {
-                let tok = match c {
-                    '{' => Tok::LBrace,
-                    '}' => Tok::RBrace,
-                    '(' => Tok::LParen,
-                    ')' => Tok::RParen,
-                    '[' => Tok::LBracket,
-                    ']' => Tok::RBracket,
-                    ':' => Tok::Colon,
-                    ';' => Tok::Semi,
-                    ',' => Tok::Comma,
-                    '.' => Tok::Dot,
-                    '=' => Tok::Eq,
-                    other => return Err(LexError { line, ch: other }),
-                };
-                chars.next();
-                toks.push(Spanned { tok, line });
-            }
+/// The lexer: supports `//` line comments, and `<` `>` `$` inside
+/// identifiers (for constructor names like `<init>`). A digit starts an
+/// identifier too (`_200_check`, `200x`), which then takes only letters,
+/// digits and `_`.
+pub(crate) struct Lexer<'src> {
+    src: &'src str,
+    pos: usize,
+    line: u32,
+    line_start: usize,
+}
+
+impl<'src> Lexer<'src> {
+    /// A lexer at the start of `src`.
+    pub(crate) fn new(src: &'src str) -> Self {
+        Lexer {
+            src,
+            pos: 0,
+            line: 1,
+            line_start: 0,
         }
     }
-    toks.push(Spanned {
-        tok: Tok::Eof,
-        line,
-    });
-    Ok(toks)
+
+    /// The next token; [`Tok::Eof`] at the end, and again on every call
+    /// after it.
+    pub(crate) fn next_token(&mut self) -> Result<Spanned<'src>, LexError> {
+        let bytes = self.src.as_bytes();
+        loop {
+            let start = self.pos;
+            let Some(&b) = bytes.get(start) else {
+                return Ok(self.spanned(Tok::Eof, start));
+            };
+            self.pos += 1;
+            let tok = match b {
+                b'\n' => {
+                    self.line += 1;
+                    self.line_start = self.pos;
+                    continue;
+                }
+                b'\t' | b'\x0b' | b'\x0c' | b'\r' | b' ' => continue,
+                b'/' if bytes.get(self.pos) == Some(&b'/') => {
+                    let rest = &bytes[self.pos..];
+                    self.pos += rest.iter().position(|&c| c == b'\n').unwrap_or(rest.len());
+                    continue;
+                }
+                b'{' => Tok::LBrace,
+                b'}' => Tok::RBrace,
+                b'(' => Tok::LParen,
+                b')' => Tok::RParen,
+                b'[' => Tok::LBracket,
+                b']' => Tok::RBracket,
+                b':' => Tok::Colon,
+                b';' => Tok::Semi,
+                b',' => Tok::Comma,
+                b'.' => Tok::Dot,
+                b'=' => Tok::Eq,
+                b'0'..=b'9' => self.ident(start, |c| c.is_ascii_alphanumeric() || c == b'_'),
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' | b'<' => self.ident(start, |c| {
+                    c.is_ascii_alphanumeric() || matches!(c, b'_' | b'<' | b'>' | b'$')
+                }),
+                _ => {
+                    // Anything else is an error, bar non-ASCII whitespace.
+                    let ch = self.src[start..].chars().next().unwrap_or('\0');
+                    if ch.is_whitespace() {
+                        self.pos = start + ch.len_utf8();
+                        continue;
+                    }
+                    let col = self.col(start);
+                    return Err(LexError {
+                        line: self.line,
+                        col,
+                        ch,
+                    });
+                }
+            };
+            return Ok(self.spanned(tok, start));
+        }
+    }
+
+    /// The identifier starting at `start` and running while `more` holds.
+    fn ident(&mut self, start: usize, more: fn(u8) -> bool) -> Tok<'src> {
+        let rest = &self.src.as_bytes()[self.pos..];
+        self.pos += rest.iter().position(|&c| !more(c)).unwrap_or(rest.len());
+        Tok::Ident(&self.src[start..self.pos])
+    }
+
+    fn col(&self, at: usize) -> u32 {
+        (at - self.line_start + 1) as u32
+    }
+
+    fn spanned(&self, tok: Tok<'src>, at: usize) -> Spanned<'src> {
+        let (line, col) = (self.line, self.col(at));
+        Spanned { tok, line, col }
+    }
+}
+
+/// Tokenises all of `src`, ending with [`Tok::Eof`].
+pub fn lex(src: &str) -> Result<Vec<Spanned<'_>>, LexError> {
+    let mut lexer = Lexer::new(src);
+    let mut toks = Vec::new();
+    loop {
+        let t = lexer.next_token()?;
+        toks.push(t);
+        if t.tok == Tok::Eof {
+            return Ok(toks);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<Tok> {
+    fn kinds(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|s| s.tok).collect()
     }
 
     #[test]
     fn basic_tokens() {
+        use Tok::*;
         assert_eq!(
             kinds("x = y.f;"),
-            vec![
-                Tok::Ident("x".into()),
-                Tok::Eq,
-                Tok::Ident("y".into()),
-                Tok::Dot,
-                Tok::Ident("f".into()),
-                Tok::Semi,
-                Tok::Eof
-            ]
+            [Ident("x"), Eq, Ident("y"), Dot, Ident("f"), Semi, Eof]
         );
     }
 
@@ -196,37 +217,42 @@ mod tests {
         assert_eq!(toks[0].line, 1);
         assert_eq!(toks[1].line, 2);
         assert_eq!(toks.len(), 3);
+        // Columns are per line; non-ASCII whitespace separates tokens.
+        let toks = lex("a\n  b\u{a0}c").unwrap();
+        assert_eq!([toks[1].col, toks[2].col], [3, 6]);
     }
 
     #[test]
     fn angle_bracket_identifiers() {
-        assert_eq!(kinds("<init>")[0], Tok::Ident("<init>".into()));
+        assert_eq!(kinds("<init>")[0], Tok::Ident("<init>"));
     }
 
     #[test]
     fn array_brackets() {
-        assert_eq!(
-            kinds("Obj[]"),
-            vec![
-                Tok::Ident("Obj".into()),
-                Tok::LBracket,
-                Tok::RBracket,
-                Tok::Eof
-            ]
-        );
+        let want = [Tok::Ident("Obj"), Tok::LBracket, Tok::RBracket, Tok::Eof];
+        assert_eq!(kinds("Obj[]"), want);
     }
 
     #[test]
     fn rejects_garbage() {
         let err = lex("a # b").unwrap_err();
-        assert_eq!(err.ch, '#');
-        assert_eq!(err.line, 1);
+        assert_eq!((err.ch, err.line, err.col), ('#', 1, 3));
         assert!(err.to_string().contains("unexpected"));
+        assert_eq!(
+            lex("x\n é").unwrap_err(),
+            LexError {
+                line: 2,
+                col: 2,
+                ch: 'é'
+            }
+        );
+        assert_eq!(lex("/").unwrap_err().ch, '/');
     }
 
     #[test]
     fn leading_digit_identifier() {
-        assert_eq!(kinds("_200_check")[0], Tok::Ident("_200_check".into()));
-        assert_eq!(kinds("200x")[0], Tok::Ident("200x".into()));
+        assert_eq!(kinds("_200_check")[0], Tok::Ident("_200_check"));
+        assert_eq!(kinds("200x")[0], Tok::Ident("200x"));
+        assert_eq!(kinds("2<x")[..2], [Tok::Ident("2"), Tok::Ident("<x")]);
     }
 }

@@ -22,168 +22,234 @@
 //!
 //! Instance methods implicitly receive a `this` parameter of the enclosing
 //! class type. Whether `a.b` is a static-field reference or a field access
-//! is decided by whether `a` names a class — the parser pre-scans all class
-//! names before parsing bodies, as a Java compiler's symbol table would.
+//! is decided by whether `a` names a class anywhere in the source, as a
+//! Java compiler's symbol table would (see [`parse`]). Array ranks stop at
+//! [`MAX_ARRAY_RANK`].
 
-use crate::ir::{ClassDecl, FieldDecl, LocalDecl, MethodDecl, Program, Stmt, TypeRef, VarRef};
-use crate::lexer::{lex, Spanned, Tok};
-use std::collections::HashSet;
+use crate::ir::{
+    ClassDecl, FieldDecl, LocalDecl, MethodDecl, Name, Program, Stmt, TypeRef, VarRef,
+};
+use crate::lexer::{LexError, Lexer, Spanned, Tok};
+use std::collections::HashMap;
 use std::fmt;
 
-/// A parse error with the offending line.
+/// The highest array rank a type may have: the JVM's own limit (JVMS
+/// §4.3.2).
+pub const MAX_ARRAY_RANK: usize = 255;
+
+/// A parse error with where it happened.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
     /// 1-based source line.
     pub line: u32,
+    /// 1-based byte column within the line.
+    pub col: u32,
     /// Description of what went wrong.
     pub msg: String,
 }
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.msg)
+        write!(f, "line {}, col {}: {}", self.line, self.col, self.msg)
     }
 }
 
 impl std::error::Error for ParseError {}
 
+impl From<LexError> for ParseError {
+    fn from(e: LexError) -> Self {
+        let msg = format!("unexpected character {:?}", e.ch);
+        ParseError {
+            line: e.line,
+            col: e.col,
+            msg,
+        }
+    }
+}
+
 /// Parses a complete `.mj` program.
+///
+/// One pass, optimistically: a name counts as a class once its `class NAME`
+/// pair has been read. Only an error, or a name read as a variable in
+/// `name.x` before a class of that name is declared, costs a second pass
+/// with every class name collected up front — which is also how a lexical
+/// error anywhere wins over a parse error, as if the source were lexed
+/// first.
 pub fn parse(src: &str) -> Result<Program, ParseError> {
-    let toks = lex(src).map_err(|e| ParseError {
-        line: e.line,
-        msg: e.to_string(),
-    })?;
-    // Pre-scan class names so `Name.x` can be classified.
-    let mut class_names = HashSet::new();
-    for w in toks.windows(2) {
-        if let (Tok::Ident(kw), Tok::Ident(name)) = (&w[0].tok, &w[1].tok) {
-            if kw == "class" {
-                class_names.insert(name.clone());
+    let mut optimistic = Parser::new(src);
+    if let Ok(program) = optimistic.program() {
+        if !optimistic.names.values().any(|n| n.class && n.variable) {
+            return Ok(program);
+        }
+    }
+    let mut exact = Parser::new(src);
+    for class in class_names(src)? {
+        exact.entry(class).class = true;
+    }
+    exact.program()
+}
+
+/// Every `NAME` of a `class NAME` token pair, read by lexing all of `src`.
+fn class_names(src: &str) -> Result<Vec<&str>, LexError> {
+    let (mut lexer, mut names, mut after_class) = (Lexer::new(src), Vec::new(), false);
+    loop {
+        match lexer.next_token()?.tok {
+            Tok::Eof => return Ok(names),
+            Tok::Ident(s) => {
+                if after_class {
+                    names.push(s);
+                }
+                after_class = s == "class";
             }
+            _ => after_class = false,
         }
     }
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        class_names,
-    };
-    p.program()
 }
 
-struct Parser {
-    toks: Vec<Spanned>,
-    pos: usize,
-    class_names: HashSet<String>,
+/// An interned spelling and what the parse has read of it.
+struct Interned {
+    name: Name,
+    /// Read as the `NAME` of a `class NAME` pair.
+    class: bool,
+    /// Read as the variable of `NAME.x` while not known as a class.
+    variable: bool,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].tok
-    }
+struct Parser<'src> {
+    lexer: Lexer<'src>,
+    /// The lookahead token.
+    tok: Spanned<'src>,
+    /// Each distinct identifier spelling, interned once.
+    names: HashMap<&'src str, Interned>,
+}
 
-    fn line(&self) -> u32 {
-        self.toks[self.pos].line
-    }
-
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
-        if self.pos + 1 < self.toks.len() {
-            self.pos += 1;
+impl<'src> Parser<'src> {
+    fn new(src: &'src str) -> Self {
+        Parser {
+            lexer: Lexer::new(src),
+            tok: Spanned {
+                tok: Tok::Eof,
+                line: 1,
+                col: 1,
+            },
+            names: HashMap::new(),
         }
-        t
+    }
+
+    fn peek(&self) -> Tok<'src> {
+        self.tok.tok
+    }
+
+    fn bump(&mut self) -> Result<(), ParseError> {
+        let next = self.lexer.next_token()?;
+        if let (Tok::Ident("class"), Tok::Ident(name)) = (self.tok.tok, next.tok) {
+            self.entry(name).class = true;
+        }
+        self.tok = next;
+        Ok(())
     }
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError {
-            line: self.line(),
-            msg: msg.into(),
-        })
+        let (line, col, msg) = (self.tok.line, self.tok.col, msg.into());
+        Err(ParseError { line, col, msg })
     }
 
-    fn expect(&mut self, want: &Tok) -> Result<(), ParseError> {
+    fn expect(&mut self, want: Tok<'_>) -> Result<(), ParseError> {
         if self.peek() == want {
-            self.bump();
-            Ok(())
+            self.bump()
         } else {
             self.err(format!("expected {}, found {}", want, self.peek()))
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
+    /// Consumes `want` if it is next.
+    fn eat(&mut self, want: Tok<'_>) -> Result<bool, ParseError> {
+        let found = self.peek() == want;
+        if found {
+            self.bump()?;
+        }
+        Ok(found)
+    }
+
+    fn ident(&mut self) -> Result<&'src str, ParseError> {
+        match self.peek() {
             Tok::Ident(s) => {
-                self.bump();
+                self.bump()?;
                 Ok(s)
             }
             other => self.err(format!("expected identifier, found {other}")),
         }
     }
 
-    /// Consumes an identifier equal to `kw` if present.
-    fn eat_kw(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Tok::Ident(s) if s == kw) {
-            self.bump();
-            true
-        } else {
-            false
-        }
+    fn entry(&mut self, s: &'src str) -> &mut Interned {
+        self.names.entry(s).or_insert_with(|| Interned {
+            name: s.into(),
+            class: false,
+            variable: false,
+        })
     }
 
-    fn at_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Tok::Ident(s) if s == kw)
+    fn intern(&mut self, s: &'src str) -> Name {
+        self.entry(s).name.clone()
+    }
+
+    /// The `base` of `base.x`, and whether it is a class as far as the
+    /// parse has read.
+    fn base(&mut self, base: &'src str) -> (Name, bool) {
+        let e = self.entry(base);
+        e.variable |= !e.class;
+        (e.name.clone(), e.class)
+    }
+
+    fn name(&mut self) -> Result<Name, ParseError> {
+        let s = self.ident()?;
+        Ok(self.intern(s))
     }
 
     fn program(&mut self) -> Result<Program, ParseError> {
+        self.bump()?;
         let mut classes = Vec::new();
-        while self.peek() != &Tok::Eof {
+        while self.peek() != Tok::Eof {
             classes.push(self.class()?);
         }
         Ok(Program { classes })
     }
 
     fn class(&mut self) -> Result<ClassDecl, ParseError> {
-        let is_application = if self.eat_kw("lib") {
-            false
-        } else {
-            self.eat_kw("app"); // optional; application is the default
-            true
-        };
-        if !self.eat_kw("class") {
+        let is_application = !self.eat(Tok::Ident("lib"))?;
+        if is_application {
+            self.eat(Tok::Ident("app"))?; // optional; application is the default
+        }
+        if !self.eat(Tok::Ident("class"))? {
             return self.err(format!("expected `class`, found {}", self.peek()));
         }
-        let name = self.ident()?;
-        let superclass = if self.eat_kw("extends") {
-            Some(self.ident()?)
+        let name = self.name()?;
+        let superclass = if self.eat(Tok::Ident("extends"))? {
+            Some(self.name()?)
         } else {
             None
         };
-        self.expect(&Tok::LBrace)?;
-        let mut fields = Vec::new();
-        let mut statics = Vec::new();
-        let mut methods = Vec::new();
-        while self.peek() != &Tok::RBrace {
-            let is_static = self.eat_kw("static");
-            if self.eat_kw("field") {
-                let fname = self.ident()?;
-                self.expect(&Tok::Colon)?;
-                let ty = self.type_ref()?;
-                self.expect(&Tok::Semi)?;
-                let decl = FieldDecl { name: fname, ty };
+        self.expect(Tok::LBrace)?;
+        let (mut fields, mut statics, mut methods) = (Vec::new(), Vec::new(), Vec::new());
+        while self.peek() != Tok::RBrace {
+            let is_static = self.eat(Tok::Ident("static"))?;
+            if self.eat(Tok::Ident("field"))? {
+                let (name, ty) = self.decl()?;
+                self.expect(Tok::Semi)?;
+                let decl = FieldDecl { name, ty };
                 if is_static {
                     statics.push(decl);
                 } else {
                     fields.push(decl);
                 }
-            } else if self.eat_kw("method") {
+            } else if self.eat(Tok::Ident("method"))? {
                 methods.push(self.method(is_static)?);
             } else {
-                return self.err(format!(
-                    "expected `field` or `method`, found {}",
-                    self.peek()
-                ));
+                let found = self.peek();
+                return self.err(format!("expected `field` or `method`, found {found}"));
             }
         }
-        self.expect(&Tok::RBrace)?;
+        self.expect(Tok::RBrace)?;
         Ok(ClassDecl {
             name,
             superclass,
@@ -194,45 +260,44 @@ impl Parser {
         })
     }
 
+    /// `IDENT ":" type`.
+    fn decl(&mut self) -> Result<(Name, TypeRef), ParseError> {
+        let name = self.name()?;
+        self.expect(Tok::Colon)?;
+        Ok((name, self.type_ref()?))
+    }
+
     fn method(&mut self, is_static: bool) -> Result<MethodDecl, ParseError> {
-        let name = self.ident()?;
-        self.expect(&Tok::LParen)?;
+        let name = self.name()?;
+        self.expect(Tok::LParen)?;
         let mut params = Vec::new();
-        if self.peek() != &Tok::RParen {
+        if self.peek() != Tok::RParen {
             loop {
-                let pname = self.ident()?;
-                self.expect(&Tok::Colon)?;
-                let ty = self.type_ref()?;
-                params.push(LocalDecl { name: pname, ty });
-                if self.peek() == &Tok::Comma {
-                    self.bump();
-                } else {
+                let (name, ty) = self.decl()?;
+                params.push(LocalDecl { name, ty });
+                if !self.eat(Tok::Comma)? {
                     break;
                 }
             }
         }
-        self.expect(&Tok::RParen)?;
-        let ret = if self.peek() == &Tok::Colon {
-            self.bump();
+        self.expect(Tok::RParen)?;
+        let ret = if self.eat(Tok::Colon)? {
             Some(self.type_ref()?)
         } else {
             None
         };
-        self.expect(&Tok::LBrace)?;
+        self.expect(Tok::LBrace)?;
         let mut locals = Vec::new();
-        while self.at_kw("var") {
-            self.bump();
-            let lname = self.ident()?;
-            self.expect(&Tok::Colon)?;
-            let ty = self.type_ref()?;
-            self.expect(&Tok::Semi)?;
-            locals.push(LocalDecl { name: lname, ty });
+        while self.eat(Tok::Ident("var"))? {
+            let (name, ty) = self.decl()?;
+            self.expect(Tok::Semi)?;
+            locals.push(LocalDecl { name, ty });
         }
         let mut body = Vec::new();
-        while self.peek() != &Tok::RBrace {
+        while self.peek() != Tok::RBrace {
             body.push(self.stmt()?);
         }
-        self.expect(&Tok::RBrace)?;
+        self.expect(Tok::RBrace)?;
         Ok(MethodDecl {
             name,
             is_static,
@@ -244,15 +309,18 @@ impl Parser {
     }
 
     fn type_ref(&mut self) -> Result<TypeRef, ParseError> {
-        let base = self.ident()?;
-        let mut ty = if base == "int" {
-            TypeRef::Int
-        } else {
-            TypeRef::Class(base)
+        let mut ty = match self.ident()? {
+            "int" => TypeRef::Int,
+            base => TypeRef::Class(self.intern(base)),
         };
-        while self.peek() == &Tok::LBracket {
-            self.bump();
-            self.expect(&Tok::RBracket)?;
+        let mut rank = 0;
+        while self.peek() == Tok::LBracket {
+            if rank == MAX_ARRAY_RANK {
+                return self.err(format!("array rank exceeds {MAX_ARRAY_RANK}"));
+            }
+            rank += 1;
+            self.bump()?;
+            self.expect(Tok::RBracket)?;
             ty = TypeRef::Array(Box::new(ty));
         }
         Ok(ty)
@@ -261,71 +329,74 @@ impl Parser {
     /// Parses `IDENT` or `IDENT . IDENT`; classifies `Class.x` as a static
     /// reference. Returns `(varref, trailing_field)`: for a non-class base,
     /// `a.b` yields `(Local(a), Some(b))` so callers can build loads/stores.
-    fn place(&mut self) -> Result<(VarRef, Option<String>), ParseError> {
+    fn place(&mut self) -> Result<(VarRef, Option<Name>), ParseError> {
         let base = self.ident()?;
-        if self.peek() == &Tok::Dot {
-            // Peek past the dot: could be `.field` or the callee of a call,
-            // which the caller handles before invoking `place`.
-            self.bump();
-            let member = self.ident()?;
-            if self.class_names.contains(&base) {
-                Ok((VarRef::Static(base, member), None))
-            } else {
-                Ok((VarRef::Local(base), Some(member)))
-            }
-        } else {
-            Ok((VarRef::Local(base), None))
+        if !self.eat(Tok::Dot)? {
+            return Ok((VarRef::Local(self.intern(base)), None));
+        }
+        let member = self.name()?;
+        match self.base(base) {
+            (class, true) => Ok((VarRef::Static(class, member), None)),
+            (local, false) => Ok((VarRef::Local(local), Some(member))),
+        }
+    }
+
+    /// A place with no trailing field access; `what` names the position.
+    fn simple(&mut self, what: &str) -> Result<VarRef, ParseError> {
+        match self.place()? {
+            (v, None) => Ok(v),
+            (_, Some(_)) => self.err(format!("{what} must be a simple variable")),
         }
     }
 
     fn call_args(&mut self) -> Result<Vec<VarRef>, ParseError> {
-        self.expect(&Tok::LParen)?;
+        self.expect(Tok::LParen)?;
         let mut args = Vec::new();
-        if self.peek() != &Tok::RParen {
+        if self.peek() != Tok::RParen {
             loop {
                 let (v, field) = self.place()?;
                 if field.is_some() {
                     return self.err("field accesses are not allowed as call arguments");
                 }
                 args.push(v);
-                if self.peek() == &Tok::Comma {
-                    self.bump();
-                } else {
+                if !self.eat(Tok::Comma)? {
                     break;
                 }
             }
         }
-        self.expect(&Tok::RParen)?;
+        self.expect(Tok::RParen)?;
         Ok(args)
     }
 
-    /// Parses `callee(args)` where callee is `recv.method` or
+    /// Parses `callee(args);` where callee is `recv.method` or
     /// `Class.method`.
     fn call(&mut self, dst: Option<VarRef>) -> Result<Stmt, ParseError> {
         let base = self.ident()?;
-        self.expect(&Tok::Dot)?;
-        let method = self.ident()?;
+        self.expect(Tok::Dot)?;
+        let method = self.name()?;
         let args = self.call_args()?;
-        if self.class_names.contains(&base) {
-            Ok(Stmt::StaticCall {
+        self.expect(Tok::Semi)?;
+        let (class, is_class) = self.base(base);
+        Ok(if is_class {
+            Stmt::StaticCall {
                 dst,
-                class: base,
+                class,
                 method,
                 args,
-            })
+            }
         } else {
-            Ok(Stmt::VirtualCall {
+            Stmt::VirtualCall {
                 dst,
-                recv: VarRef::Local(base),
+                recv: VarRef::Local(class),
                 method,
                 args,
-            })
-        }
+            }
+        })
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
-        if self.eat_kw("return") {
-            let val = if self.peek() == &Tok::Semi {
+        if self.eat(Tok::Ident("return"))? {
+            let val = if self.peek() == Tok::Semi {
                 None
             } else {
                 let (v, field) = self.place()?;
@@ -334,40 +405,32 @@ impl Parser {
                 }
                 Some(v)
             };
-            self.expect(&Tok::Semi)?;
+            self.expect(Tok::Semi)?;
             return Ok(Stmt::Return { val });
         }
-        if self.eat_kw("call") {
-            let s = self.call(None)?;
-            self.expect(&Tok::Semi)?;
-            return Ok(s);
+        if self.eat(Tok::Ident("call"))? {
+            return self.call(None);
         }
 
         // An assignment-like statement. Parse the left-hand side.
         let (lhs, lhs_field) = self.place()?;
-        if self.peek() == &Tok::LBracket {
+        if self.peek() == Tok::LBracket {
             // `x[] = y;`
             if lhs_field.is_some() {
                 return self.err("array store base must be a simple variable");
             }
-            self.bump();
-            self.expect(&Tok::RBracket)?;
-            self.expect(&Tok::Eq)?;
-            let (src, f) = self.place()?;
-            if f.is_some() {
-                return self.err("array store source must be a simple variable");
-            }
-            self.expect(&Tok::Semi)?;
+            self.bump()?;
+            self.expect(Tok::RBracket)?;
+            self.expect(Tok::Eq)?;
+            let src = self.simple("array store source")?;
+            self.expect(Tok::Semi)?;
             return Ok(Stmt::ArrayStore { base: lhs, src });
         }
         if let Some(field) = lhs_field {
             // `x.f = y;`
-            self.expect(&Tok::Eq)?;
-            let (src, f) = self.place()?;
-            if f.is_some() {
-                return self.err("store source must be a simple variable");
-            }
-            self.expect(&Tok::Semi)?;
+            self.expect(Tok::Eq)?;
+            let src = self.simple("store source")?;
+            self.expect(Tok::Semi)?;
             return Ok(Stmt::Store {
                 base: lhs,
                 field,
@@ -376,40 +439,37 @@ impl Parser {
         }
 
         // `lhs = ...`
-        self.expect(&Tok::Eq)?;
-        if self.eat_kw("new") {
+        self.expect(Tok::Eq)?;
+        if self.eat(Tok::Ident("new"))? {
             let ty = self.type_ref()?;
-            self.expect(&Tok::Semi)?;
+            self.expect(Tok::Semi)?;
             return Ok(Stmt::New { dst: lhs, ty });
         }
-        if self.eat_kw("call") {
-            let s = self.call(Some(lhs))?;
-            self.expect(&Tok::Semi)?;
-            return Ok(s);
+        if self.eat(Tok::Ident("call"))? {
+            return self.call(Some(lhs));
         }
         let (rhs, rhs_field) = self.place()?;
-        if self.peek() == &Tok::LBracket {
+        if self.peek() == Tok::LBracket {
             if rhs_field.is_some() {
                 return self.err("array load base must be a simple variable");
             }
-            self.bump();
-            self.expect(&Tok::RBracket)?;
-            self.expect(&Tok::Semi)?;
+            self.bump()?;
+            self.expect(Tok::RBracket)?;
+            self.expect(Tok::Semi)?;
             return Ok(Stmt::ArrayLoad {
                 dst: lhs,
                 base: rhs,
             });
         }
-        self.expect(&Tok::Semi)?;
-        if let Some(field) = rhs_field {
-            Ok(Stmt::Load {
+        self.expect(Tok::Semi)?;
+        Ok(match rhs_field {
+            Some(field) => Stmt::Load {
                 dst: lhs,
                 base: rhs,
                 field,
-            })
-        } else {
-            Ok(Stmt::Assign { dst: lhs, src: rhs })
-        }
+            },
+            None => Stmt::Assign { dst: lhs, src: rhs },
+        })
     }
 }
 
@@ -499,6 +559,19 @@ mod tests {
     }
 
     #[test]
+    fn classes_declared_later_are_classes_too() {
+        let p = parse("class A { method m() { var t: B; t = B.g; } } class B { }").unwrap();
+        let src = VarRef::Static("B".into(), "g".into());
+        assert_eq!(
+            p.classes[0].methods[0].body,
+            [Stmt::Assign {
+                dst: VarRef::Local("t".into()),
+                src
+            }]
+        );
+    }
+
+    #[test]
     fn error_reports_line() {
         let err = parse("class A {\n junk\n}").unwrap_err();
         assert_eq!(err.line, 2);
@@ -557,6 +630,27 @@ mod error_tests {
         assert!(p.classes.is_empty());
         let p = parse("  // just a comment\n").unwrap();
         assert!(p.classes.is_empty());
+    }
+
+    #[test]
+    fn array_rank_is_bounded_by_the_jvm_limit() {
+        let program = |rank: usize| format!("class A {{ field x: A{}; }}", "[]".repeat(rank));
+        assert!(parse(&program(255)).is_ok());
+        let e = parse(&program(256)).unwrap_err();
+        // Reported at the 256th `[`.
+        assert_eq!((e.line, e.col), (1, 21 + 2 * 255));
+        assert!(e.msg.contains("rank exceeds 255"));
+        assert!(parse(&program(200_000)).is_err());
+    }
+
+    #[test]
+    fn errors_carry_columns() {
+        let e = parse("class A {\n  junk\n}").unwrap_err();
+        assert_eq!((e.line, e.col), (2, 3));
+        assert!(e.to_string().starts_with("line 2, col 3: expected"));
+        // A lexical error anywhere wins over an earlier parse error.
+        let e = parse("class { }\n #").unwrap_err();
+        assert_eq!((e.line, e.col), (2, 2));
     }
 
     #[test]

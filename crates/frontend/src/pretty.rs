@@ -3,8 +3,8 @@
 //! `parse(pretty(p))` must round-trip to an equal program; the synthetic
 //! generator relies on this to dump its workloads as source files.
 
-use crate::ir::{ClassDecl, MethodDecl, Program, Stmt, VarRef};
-use std::fmt::Write as _;
+use crate::ir::{ClassDecl, MethodDecl, Name, Program, Stmt, VarRef};
+use std::fmt::{self, Write as _};
 
 /// Renders a whole program as `.mj` source.
 pub fn pretty(program: &Program) -> String {
@@ -26,10 +26,10 @@ fn pretty_class(c: &ClassDecl, out: &mut String) {
     }
     out.push_str(" {\n");
     for f in &c.fields {
-        let _ = writeln!(out, "  field {}: {};", f.name, f.ty.display());
+        let _ = writeln!(out, "  field {}: {};", f.name, f.ty);
     }
     for f in &c.statics {
-        let _ = writeln!(out, "  static field {}: {};", f.name, f.ty.display());
+        let _ = writeln!(out, "  static field {}: {};", f.name, f.ty);
     }
     for m in &c.methods {
         pretty_method(m, out);
@@ -47,68 +47,66 @@ fn pretty_method(m: &MethodDecl, out: &mut String) {
         if i > 0 {
             out.push_str(", ");
         }
-        let _ = write!(out, "{}: {}", p.name, p.ty.display());
+        let _ = write!(out, "{}: {}", p.name, p.ty);
     }
     out.push(')');
     if let Some(r) = &m.ret {
-        let _ = write!(out, ": {}", r.display());
+        let _ = write!(out, ": {r}");
     }
     out.push_str(" {\n");
     for l in &m.locals {
-        let _ = writeln!(out, "    var {}: {};", l.name, l.ty.display());
+        let _ = writeln!(out, "    var {}: {};", l.name, l.ty);
     }
     for s in &m.body {
-        let _ = writeln!(out, "    {}", pretty_stmt(s));
+        out.push_str("    ");
+        pretty_stmt(s, out);
+        out.push('\n');
     }
     out.push_str("  }\n");
 }
 
-fn vr(v: &VarRef) -> String {
-    match v {
-        VarRef::Local(n) => n.clone(),
-        VarRef::Static(c, f) => format!("{c}.{f}"),
-    }
-}
-
-fn pretty_stmt(s: &Stmt) -> String {
-    match s {
-        Stmt::New { dst, ty } => format!("{} = new {};", vr(dst), ty.display()),
-        Stmt::Assign { dst, src } => format!("{} = {};", vr(dst), vr(src)),
-        Stmt::Load { dst, base, field } => format!("{} = {}.{};", vr(dst), vr(base), field),
-        Stmt::Store { base, field, src } => format!("{}.{} = {};", vr(base), field, vr(src)),
-        Stmt::ArrayLoad { dst, base } => format!("{} = {}[];", vr(dst), vr(base)),
-        Stmt::ArrayStore { base, src } => format!("{}[] = {};", vr(base), vr(src)),
+fn pretty_stmt(s: &Stmt, out: &mut String) {
+    let _ = match s {
+        Stmt::New { dst, ty } => write!(out, "{dst} = new {ty};"),
+        Stmt::Assign { dst, src } => write!(out, "{dst} = {src};"),
+        Stmt::Load { dst, base, field } => write!(out, "{dst} = {base}.{field};"),
+        Stmt::Store { base, field, src } => write!(out, "{base}.{field} = {src};"),
+        Stmt::ArrayLoad { dst, base } => write!(out, "{dst} = {base}[];"),
+        Stmt::ArrayStore { base, src } => write!(out, "{base}[] = {src};"),
         Stmt::VirtualCall {
             dst,
             recv,
             method,
             args,
-        } => {
-            let args: Vec<_> = args.iter().map(vr).collect();
-            let call = format!("call {}.{}({})", vr(recv), method, args.join(", "));
-            match dst {
-                Some(d) => format!("{} = {call};", vr(d)),
-                None => format!("{call};"),
-            }
-        }
+        } => pretty_call(dst, recv, method, args, out),
         Stmt::StaticCall {
             dst,
             class,
             method,
             args,
-        } => {
-            let args: Vec<_> = args.iter().map(vr).collect();
-            let call = format!("call {}.{}({})", class, method, args.join(", "));
-            match dst {
-                Some(d) => format!("{} = {call};", vr(d)),
-                None => format!("{call};"),
-            }
-        }
-        Stmt::Return { val } => match val {
-            Some(v) => format!("return {};", vr(v)),
-            None => "return;".to_string(),
-        },
+        } => pretty_call(dst, class, method, args, out),
+        Stmt::Return { val: Some(v) } => write!(out, "return {v};"),
+        Stmt::Return { val: None } => write!(out, "return;"),
+    };
+}
+
+fn pretty_call(
+    dst: &Option<VarRef>,
+    callee: &dyn fmt::Display,
+    method: &Name,
+    args: &[VarRef],
+    out: &mut String,
+) -> fmt::Result {
+    if let Some(d) = dst {
+        write!(out, "{d} = ")?;
     }
+    write!(out, "call {callee}.{method}(")?;
+    for (i, a) in args.iter().enumerate() {
+        let sep = if i > 0 { ", " } else { "" };
+        write!(out, "{sep}{a}")?;
+    }
+    out.push_str(");");
+    Ok(())
 }
 
 #[cfg(test)]

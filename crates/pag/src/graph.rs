@@ -103,62 +103,44 @@ impl PagBuilder {
     /// dispatch loops never branch on `EdgeKind` per edge.
     pub fn freeze(self) -> Pag {
         build_pag_tables(
-            self.nodes,
+            Arc::new(self.nodes),
             self.edges,
-            self.types,
-            self.method_names,
+            Arc::new(self.types),
+            Arc::new(self.method_names),
             self.call_sites,
-            0,
         )
     }
 }
 
-/// Freezes a node/edge set into the immutable CSR representation — the
-/// body of [`PagBuilder::freeze`], shared with [`Pag::apply_delta`] so an
-/// edited graph is bit-identical to re-freezing the edited edge set from
-/// scratch.
-pub(crate) fn build_pag_tables(
-    nodes: Vec<NodeInfo>,
-    mut edges: Vec<Edge>,
-    types: TypeTable,
-    method_names: Vec<String>,
+/// Freezes a node/edge set into the immutable CSR representation: the
+/// body of [`PagBuilder::freeze`] and [`Pag::quotient`].
+///
+/// No comparison sort sees the whole edge set: a counting pass buckets the
+/// edges by one end, and only each node's handful of edges is sorted.
+fn build_pag_tables(
+    nodes: Arc<Vec<NodeInfo>>,
+    raw: Vec<Edge>,
+    types: Arc<TypeTable>,
+    method_names: Arc<Vec<String>>,
     call_sites: u32,
-    revision: u64,
 ) -> Pag {
     let n = nodes.len();
 
     // Deduplicate edges: duplicate statements add nothing to
-    // reachability and only slow traversals down. The sort is the
+    // reachability and only slow traversals down. The order is the
     // canonical incoming order: dst-major, kind-class within a node,
     // then (src, payload) within a class.
-    edges.sort_unstable_by_key(in_order);
+    let mut edges = bucketed(&raw, n, |e| e.dst, in_order);
+    drop(raw);
     edges.dedup();
-
-    // Incoming CSR (edges sorted by dst already).
-    let mut in_start = vec![0u32; n + 1];
-    for e in &edges {
-        in_start[e.dst.index() + 1] += 1;
-    }
-    for i in 1..=n {
-        in_start[i] += in_start[i - 1];
-    }
-    // `edges` is the in-order edge array itself.
-    let in_kind = kind_offsets(&edges, &in_start, |e| e.dst);
+    let (in_start, in_kind) = class_offsets(&edges, n, |e| e.dst);
 
     // Outgoing CSR: a second, materialised edge array sorted src-major
     // (kind-class, then (dst, payload) within a class), so `outgoing`
     // is a direct slice too — no index indirection on the forward hot
     // path.
-    let mut out_edges = edges.clone();
-    out_edges.sort_unstable_by_key(out_order);
-    let mut out_start = vec![0u32; n + 1];
-    for e in &out_edges {
-        out_start[e.src.index() + 1] += 1;
-    }
-    for i in 1..=n {
-        out_start[i] += out_start[i - 1];
-    }
-    let out_kind = kind_offsets(&out_edges, &out_start, |e| e.src);
+    let out_edges = bucketed(&edges, n, |e| e.src, out_order);
+    let (out_start, out_kind) = class_offsets(&out_edges, n, |e| e.src);
 
     // Field indexes for the alias-matching step of ReachableNodes.
     let nf = types.field_count();
@@ -175,7 +157,7 @@ pub(crate) fn build_pag_tables(
     }
 
     Pag {
-        nodes: Arc::new(nodes),
+        nodes,
         edges,
         in_start,
         in_kind,
@@ -184,11 +166,58 @@ pub(crate) fn build_pag_tables(
         out_kind,
         loads_by_field,
         stores_by_field,
-        types: Arc::new(types),
-        method_names: Arc::new(method_names),
+        types,
+        method_names,
         call_sites,
-        revision,
+        revision: 0,
     }
+}
+
+/// `edges` sorted by `order`, whose leading key is `end(e)`: a counting
+/// pass buckets them by `end`, then each bucket is sorted on its own.
+fn bucketed<K: Ord>(
+    edges: &[Edge],
+    n: usize,
+    end: fn(&Edge) -> NodeId,
+    order: fn(&Edge) -> K,
+) -> Vec<Edge> {
+    let mut starts = vec![0u32; n + 1];
+    for e in edges {
+        starts[end(e).index() + 1] += 1;
+    }
+    for v in 1..=n {
+        starts[v] += starts[v - 1];
+    }
+    // `starts[v]` is the next free slot of `v`'s bucket; once every edge
+    // is placed, it is where the bucket ends.
+    let mut sorted = edges.to_vec();
+    for e in edges {
+        let slot = &mut starts[end(e).index()];
+        sorted[*slot as usize] = *e;
+        *slot += 1;
+    }
+    let mut lo = 0;
+    for &hi in &starts[..n] {
+        sorted[lo..hi as usize].sort_unstable_by_key(order);
+        lo = hi as usize;
+    }
+    sorted
+}
+
+/// The CSR tables of `edges`, sorted by `(end(e), class)`: each node's
+/// start (`n + 1` entries) and each class's start within it
+/// (`n × EDGE_CLASSES`), read off in one sweep.
+fn class_offsets(edges: &[Edge], n: usize, end: fn(&Edge) -> NodeId) -> (Vec<u32>, Vec<u32>) {
+    let mut kind = Vec::with_capacity(n * EDGE_CLASSES);
+    for (i, e) in edges.iter().enumerate() {
+        // Every class from the last one seen up to this edge's starts here.
+        let class = end(e).index() * EDGE_CLASSES + e.kind.class() as usize;
+        kind.resize(class + 1, i as u32);
+    }
+    let len = edges.len() as u32;
+    kind.resize(n * EDGE_CLASSES, len);
+    let node = kind.iter().step_by(EDGE_CLASSES).copied().chain([len]);
+    (node.collect(), kind)
 }
 
 /// The canonical order of the incoming edge array ([`Pag::edges`]):
@@ -274,32 +303,6 @@ pub(crate) fn edge_sort_key(kind: EdgeKind) -> (u8, u32) {
         EdgeKind::Param(i) => (5, i.raw()),
         EdgeKind::Ret(i) => (6, i.raw()),
     }
-}
-
-/// Builds the flat `n × EDGE_CLASSES` table of per-class start offsets for
-/// a CSR whose edges are already grouped by `key(e)` and kind-class.
-/// Entry `[n * EDGE_CLASSES + k]` is the absolute edge index where class
-/// `k`'s run begins inside node `n`'s range; the run ends where the next
-/// class (or the node's range) begins.
-fn kind_offsets(edges: &[Edge], start: &[u32], key: impl Fn(&Edge) -> NodeId) -> Vec<u32> {
-    let n = start.len() - 1;
-    let mut table = vec![0u32; n * EDGE_CLASSES];
-    for node in 0..n {
-        let lo = start[node] as usize;
-        let hi = start[node + 1] as usize;
-        let mut cursor = lo;
-        for k in 0..EDGE_CLASSES {
-            table[node * EDGE_CLASSES + k] = cursor as u32;
-            while cursor < hi && key(&edges[cursor]).index() == node {
-                if edges[cursor].kind.class() as usize != k {
-                    break;
-                }
-                cursor += 1;
-            }
-        }
-        debug_assert_eq!(cursor, hi, "edges of node {node} not grouped by class");
-    }
-    table
 }
 
 /// The frozen, immutable Pointer Assignment Graph.
@@ -577,6 +580,29 @@ impl Pag {
         }
     }
 
+    /// The quotient graph under `remap`: node `v` becomes `remap[v]`, whose
+    /// metadata is `nodes[remap[v]]`; every edge is carried over with its
+    /// ends renamed, except `assign_l` self-loops (`x = x` says nothing),
+    /// and edges that coincide are kept once. The type table, method names
+    /// and call sites are shared with `self`.
+    pub fn quotient(&self, nodes: Vec<NodeInfo>, remap: &[NodeId]) -> Pag {
+        let edges = self.edges.iter().filter_map(|e| {
+            let (src, dst) = (remap[e.src.index()], remap[e.dst.index()]);
+            (src != dst || e.kind != EdgeKind::AssignLocal).then_some(Edge {
+                src,
+                dst,
+                kind: e.kind,
+            })
+        });
+        build_pag_tables(
+            Arc::new(nodes),
+            edges.collect(),
+            Arc::clone(&self.types),
+            Arc::clone(&self.method_names),
+            self.call_sites,
+        )
+    }
+
     /// Looks up a node by name; linear scan, intended for tests and small
     /// examples only.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
@@ -592,6 +618,7 @@ mod tests {
     use super::*;
     use crate::ids::{CallSiteId, TypeId};
     use crate::types::TypeInfo;
+    use proptest::prelude::*;
 
     fn mini() -> (Pag, Vec<NodeId>) {
         let mut b = PagBuilder::new();
@@ -730,6 +757,83 @@ mod tests {
         assert_eq!(b.fresh_call_site(), CallSiteId(1));
         let g = b.freeze();
         assert_eq!(g.call_site_count(), 2);
+    }
+
+    /// The freeze before bucketing, kept as the reference: one comparison
+    /// sort per edge array, offsets read off by binary search.
+    fn reference_freeze(mut edges: Vec<Edge>, n: usize) -> [(Vec<Edge>, Vec<u32>, Vec<u32>); 2] {
+        edges.sort_unstable_by_key(in_order);
+        edges.dedup();
+        let mut out_edges = edges.clone();
+        out_edges.sort_unstable_by_key(out_order);
+        let csr = |es: Vec<Edge>, end: fn(&Edge) -> NodeId| {
+            let key = |e: &Edge| (end(e).index(), e.kind.class() as usize);
+            let at = |v: usize, k: usize| es.partition_point(|e| key(e) < (v, k)) as u32;
+            let start = (0..=n).map(|v| at(v, 0)).collect();
+            let kind = (0..n * EDGE_CLASSES).map(|i| at(i / EDGE_CLASSES, i % EDGE_CLASSES));
+            let kind = kind.collect();
+            (es, start, kind)
+        };
+        [csr(edges, |e| e.dst), csr(out_edges, |e| e.src)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random edge multisets over all seven kinds — duplicates and
+        /// untouched nodes included — freeze to exactly the reference's
+        /// edge arrays, offset tables and field indexes.
+        #[test]
+        fn bucketed_freeze_matches_sorting_freeze(
+            (n, raw) in (1usize..40).prop_flat_map(|n| {
+                let edge = (0..n as u32, 0..n as u32, 0u8..7, 0u32..4);
+                (Just(n), proptest::collection::vec(edge, 0..160))
+            }),
+            dups in proptest::collection::vec(0usize..1000, 0..24),
+        ) {
+            let mut b = PagBuilder::new();
+            for f in 1..4 {
+                b.types_mut().add_field(format!("f{f}"));
+            }
+            for v in 0..n {
+                let kind = NodeKind::Global;
+                let name = format!("n{v}");
+                b.add_node(NodeInfo { kind, ty: TypeId(0), name, is_application: true });
+            }
+            let mut edges: Vec<Edge> = raw.iter().map(|&(s, d, k, p)| {
+                let kind = match k {
+                    0 => EdgeKind::New,
+                    1 => EdgeKind::AssignLocal,
+                    2 => EdgeKind::AssignGlobal,
+                    3 => EdgeKind::Load(FieldId(p)),
+                    4 => EdgeKind::Store(FieldId(p)),
+                    5 => EdgeKind::Param(CallSiteId(p)),
+                    _ => EdgeKind::Ret(CallSiteId(p)),
+                };
+                Edge { src: NodeId(s), dst: NodeId(d), kind }
+            }).collect();
+            for d in dups.iter().filter(|_| !raw.is_empty()) {
+                edges.push(edges[d % raw.len()]);
+            }
+            for e in &edges {
+                b.add_edge(e.src, e.dst, e.kind);
+            }
+            let g = b.freeze();
+            let [(ins, in_start, in_kind), (outs, out_start, out_kind)] = reference_freeze(edges, n);
+            prop_assert_eq!(&g.edges, &ins);
+            prop_assert_eq!(&g.in_start, &in_start);
+            prop_assert_eq!(&g.in_kind, &in_kind);
+            prop_assert_eq!(&g.out_edges, &outs);
+            prop_assert_eq!(&g.out_start, &out_start);
+            prop_assert_eq!(&g.out_kind, &out_kind);
+            for f in 0..4 {
+                let of = |kind: EdgeKind| ins.iter().filter(move |e| e.kind == kind);
+                let loads: Vec<_> = of(EdgeKind::Load(FieldId(f))).map(|e| (e.src, e.dst)).collect();
+                let stores: Vec<_> = of(EdgeKind::Store(FieldId(f))).map(|e| (e.dst, e.src)).collect();
+                prop_assert_eq!(g.loads_of(FieldId(f)), &loads[..]);
+                prop_assert_eq!(g.stores_of(FieldId(f)), &stores[..]);
+            }
+        }
     }
 
     #[test]

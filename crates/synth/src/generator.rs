@@ -21,7 +21,7 @@
 use crate::names;
 use crate::profile::Profile;
 use parcfl_frontend::ir::{
-    ClassDecl, FieldDecl, LocalDecl, MethodDecl, Program, Stmt, TypeRef, VarRef,
+    ClassDecl, FieldDecl, LocalDecl, MethodDecl, Name, Program, Stmt, TypeRef, VarRef,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -55,7 +55,7 @@ impl Body {
         }
     }
 
-    fn fresh(&mut self, ty: TypeRef) -> String {
+    fn fresh(&mut self, ty: TypeRef) -> Name {
         let name = names::local(self.next_local);
         self.next_local += 1;
         self.locals.push(LocalDecl {
@@ -71,7 +71,7 @@ impl Body {
 }
 
 fn lv(name: &str) -> VarRef {
-    VarRef::Local(name.to_string())
+    VarRef::Local(name.into())
 }
 
 impl<'p> Generator<'p> {
@@ -384,7 +384,7 @@ impl<'p> Generator<'p> {
     }
 
     /// `a = new V; b = a; c = b; ...` — connection-distance fodder.
-    fn idiom_alloc_chain(&mut self, body: &mut Body, last: &mut String) {
+    fn idiom_alloc_chain(&mut self, body: &mut Body, last: &mut Name) {
         let base = TypeRef::Class(names::value_class(0));
         let ty = self.value_ty();
         let a = body.fresh(base.clone());
@@ -403,7 +403,7 @@ impl<'p> Generator<'p> {
     }
 
     /// `c = new Coll; call c.<init>(); call c.add(v); r = call c.get();`
-    fn idiom_container(&mut self, body: &mut Body, last: &mut String) {
+    fn idiom_container(&mut self, body: &mut Body, last: &mut Name) {
         let base = TypeRef::Class(names::value_class(0));
         let k = self.rng.random_range(0..self.p.collections.max(1));
         let cty = TypeRef::Class(names::coll_class(k));
@@ -441,7 +441,7 @@ impl<'p> Generator<'p> {
     /// `ReachableNodes` frame. This is what makes frames expensive enough
     /// for budget exhaustion to strike mid-frame — the precondition for
     /// unfinished jmp edges and early terminations (paper Fig. 3b).
-    fn idiom_field(&mut self, body: &mut Body, last: &mut String) {
+    fn idiom_field(&mut self, body: &mut Body, last: &mut Name) {
         let base = TypeRef::Class(names::value_class(0));
         let bty = TypeRef::Class(names::box_class(0));
         let b = body.fresh(bty.clone());
@@ -498,7 +498,7 @@ impl<'p> Generator<'p> {
     /// `r = call this.mK(v);` — intra-class calls chain method-local flows
     /// into cross-method param/ret paths (and recursion when mK ends up
     /// calling back, which the frontend collapses).
-    fn idiom_call(&mut self, body: &mut Body, _class_idx: usize, last: &mut String) {
+    fn idiom_call(&mut self, body: &mut Body, _class_idx: usize, last: &mut Name) {
         let base = TypeRef::Class(names::value_class(0));
         // Target one of the even (value-returning) generated methods.
         let even_count = self.p.methods_per_class.div_ceil(2);
@@ -515,7 +515,7 @@ impl<'p> Generator<'p> {
 
     /// `AppK.shared = v; r = AppK.shared;` — context-insensitive global
     /// flow.
-    fn idiom_global(&mut self, body: &mut Body, class_idx: usize, last: &mut String) {
+    fn idiom_global(&mut self, body: &mut Body, class_idx: usize, last: &mut Name) {
         let base = TypeRef::Class(names::value_class(0));
         let owner = names::app_class(self.rng.random_range(0..=class_idx));
         body.push(Stmt::Assign {
@@ -534,7 +534,7 @@ impl<'p> Generator<'p> {
     /// globally shared collection. Globals reset the calling context, so
     /// the (expensive) alias computations these trigger are keyed at
     /// contexts many queries share — prime data-sharing territory.
-    fn idiom_shared_container(&mut self, body: &mut Body, class_idx: usize, last: &mut String) {
+    fn idiom_shared_container(&mut self, body: &mut Body, class_idx: usize, last: &mut Name) {
         let base = TypeRef::Class(names::value_class(0));
         let owner = self.rng.random_range(0..=class_idx);
         let cty = TypeRef::Class(names::coll_class(self.cache_coll[owner]));
@@ -562,7 +562,7 @@ impl<'p> Generator<'p> {
     /// `h = new AppJ; r = call h.mK(v);` — cross-class call web: value
     /// flows thread through many classes, giving the call graph breadth
     /// (and occasional recursion cycles, which the frontend collapses).
-    fn idiom_cross_call(&mut self, body: &mut Body, last: &mut String) {
+    fn idiom_cross_call(&mut self, body: &mut Body, last: &mut Name) {
         let base = TypeRef::Class(names::value_class(0));
         let j = self.rng.random_range(0..self.p.app_classes);
         let hty = TypeRef::Class(names::app_class(j));
@@ -598,11 +598,11 @@ impl<'p> Generator<'p> {
     /// tail: the queries that exhaust the paper's budget `B`, leave
     /// unfinished jmp edges behind, and give later queries their early
     /// terminations.
-    fn idiom_ladder(&mut self, body: &mut Body, last: &mut String) {
+    fn idiom_ladder(&mut self, body: &mut Body, last: &mut Name) {
         let base = TypeRef::Class(names::value_class(0));
         let depth = self.p.box_classes;
         // Build upward.
-        let mut boxes: Vec<String> = Vec::with_capacity(depth);
+        let mut boxes: Vec<Name> = Vec::with_capacity(depth);
         for j in 0..depth {
             let bty = TypeRef::Class(names::box_class(j));
             let b = body.fresh(bty.clone());
@@ -644,7 +644,7 @@ impl<'p> Generator<'p> {
 
     /// `r = call this.id(v);` — the wrapper pattern whose `param_i`/`ret_i`
     /// pairs context-sensitivity must match.
-    fn idiom_wrapper(&mut self, body: &mut Body, _class_idx: usize, last: &mut String) {
+    fn idiom_wrapper(&mut self, body: &mut Body, _class_idx: usize, last: &mut Name) {
         let base = TypeRef::Class(names::value_class(0));
         let r = body.fresh(base);
         body.push(Stmt::VirtualCall {

@@ -1,33 +1,35 @@
 //! Identifier construction for generated programs.
 
+use parcfl_frontend::ir::Name;
+
 /// Class name for a value class (leaf types, level 1).
-pub fn value_class(i: usize) -> String {
-    format!("Val{i}")
+pub fn value_class(i: usize) -> Name {
+    format!("Val{i}").into()
 }
 
 /// Class name for a box class (single-field containers of varying depth).
-pub fn box_class(i: usize) -> String {
-    format!("Box{i}")
+pub fn box_class(i: usize) -> Name {
+    format!("Box{i}").into()
 }
 
 /// Class name for a collection class (array-backed, Vector-like).
-pub fn coll_class(i: usize) -> String {
-    format!("Coll{i}")
+pub fn coll_class(i: usize) -> Name {
+    format!("Coll{i}").into()
 }
 
 /// Class name for an application class.
-pub fn app_class(i: usize) -> String {
-    format!("App{i}")
+pub fn app_class(i: usize) -> Name {
+    format!("App{i}").into()
 }
 
 /// Method name for the k-th generated method of a class.
-pub fn method(k: usize) -> String {
-    format!("m{k}")
+pub fn method(k: usize) -> Name {
+    format!("m{k}").into()
 }
 
 /// Local-variable name.
-pub fn local(k: usize) -> String {
-    format!("v{k}")
+pub fn local(k: usize) -> Name {
+    format!("v{k}").into()
 }
 
 #[cfg(test)]
