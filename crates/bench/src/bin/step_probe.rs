@@ -1,0 +1,167 @@
+//! The demand solver's cost per traversed step, in on-CPU nanoseconds of
+//! the thread that traverses (`/proc/thread-self/schedstat`): time another
+//! tenant's process takes from the core is not counted, which is what lets
+//! two builds be told apart to a few per cent on a shared host.
+//!
+//! Two passes, each run `--reps` times (default 5) with the fastest kept:
+//!
+//! * `run_seq` over the 15 light Table-I programs (those whose queries all
+//!   finish within budget under DQ), as `table1_cold`'s solver probe;
+//! * DQ with one worker over all 20 programs: the paper's schedule, a fresh
+//!   jmp store per program, every query answered by one lane on the
+//!   calling thread — exactly what the one worker of a one-thread
+//!   `run(…, DataSharingSched)` does, which the first pass checks by
+//!   running that too and comparing the counters.
+//!
+//! Every pass also counts its work, and the counts must equal the pinned
+//! ones below: a change that claims a faster step must traverse the same
+//! steps. `--reps 1` is the CI gate.
+//!
+//! ```text
+//! cargo run --release -p parcfl-bench --bin step_probe [-- --reps N]
+//! ```
+
+use parcfl_core::{Answer, SharedJmpStore, Solver};
+use parcfl_runtime::{run, run_seq, schedule_with_cap, Backend, Mode, RunConfig};
+use parcfl_synth::Bench;
+
+/// `run_seq`'s traversed steps over the light programs.
+const SEQ_STEPS: u64 = 9_943_260;
+/// The one-worker DQ pass's traversed steps and out-of-budget queries.
+const DQ_STEPS: u64 = 21_130_191;
+const DQ_OUT_OF_BUDGET: u64 = 3_713;
+
+/// On-CPU nanoseconds of the calling thread so far.
+fn thread_cpu_ns() -> u64 {
+    let stat = std::fs::read_to_string("/proc/thread-self/schedstat")
+        .expect("/proc/thread-self/schedstat (Linux) to read on-CPU time from");
+    let ns = stat.split_whitespace().next().and_then(|f| f.parse().ok());
+    ns.expect("schedstat's first field: nanoseconds on the CPU")
+}
+
+/// What one pass did: on-CPU nanoseconds, traversed steps, queries out of
+/// budget.
+#[derive(Clone, Copy)]
+struct Pass {
+    ns: u64,
+    steps: u64,
+    out_of_budget: u64,
+}
+
+impl Pass {
+    fn ns_per_step(&self) -> f64 {
+        self.ns as f64 / self.steps.max(1) as f64
+    }
+}
+
+/// Times `body` on this thread; it returns `(steps, out of budget)`.
+fn timed(body: impl FnOnce() -> (u64, u64)) -> Pass {
+    let start = thread_cpu_ns();
+    let (steps, out_of_budget) = body();
+    Pass {
+        ns: thread_cpu_ns() - start,
+        steps,
+        out_of_budget,
+    }
+}
+
+/// One worker's DQ lane over `b`, inline: `(steps, out of budget)`.
+fn dq_lane(b: &Bench) -> (u64, u64) {
+    let schedule = schedule_with_cap(&b.pag, &b.queries, Mode::DataSharingSched, None);
+    let store = SharedJmpStore::new();
+    let mut solver = Solver::new(&b.pag, &b.solver, &store).in_batch(0, false);
+    let (mut steps, mut out_of_budget) = (0, 0);
+    for q in schedule.flat_order() {
+        let out = solver.points_to_query(q, 0);
+        steps += out.stats.traversed_steps;
+        out_of_budget += u64::from(matches!(out.answer, Answer::OutOfBudget));
+    }
+    (steps, out_of_budget)
+}
+
+fn main() {
+    let mut reps = 5usize;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--reps" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(n) if n > 0 => reps = n,
+                _ => {
+                    eprintln!("--reps takes a positive count");
+                    std::process::exit(2);
+                }
+            },
+            other => {
+                eprintln!("unknown argument `{other}` (usage: step_probe [--reps N])");
+                std::process::exit(2);
+            }
+        }
+    }
+    let suite = parcfl_synth::build_suite();
+
+    // The lane is the one-thread run's worker: same counters.
+    let one = |b: &Bench| {
+        let cfg = RunConfig::new(Mode::DataSharingSched, 1, Backend::Threaded);
+        let r = run(&b.pag, &b.queries, &cfg.with_solver(b.solver.clone()));
+        (r.stats.traversed_steps, r.stats.out_of_budget as u64)
+    };
+    let per_program: Vec<(u64, u64)> = suite.iter().map(one).collect();
+    let lanes: Vec<(u64, u64)> = suite.iter().map(dq_lane).collect();
+    assert_eq!(lanes, per_program, "the inline lane is the one-worker run");
+    let light: Vec<&Bench> = suite
+        .iter()
+        .zip(&per_program)
+        .filter(|(_, &(_, oob))| oob == 0)
+        .map(|(b, _)| b)
+        .collect();
+
+    let (mut seq, mut dq) = (Vec::new(), Vec::new());
+    for _ in 0..reps {
+        seq.push(timed(|| {
+            let runs = light.iter().map(|b| run_seq(&b.pag, &b.queries, &b.solver));
+            let work = runs.map(|r| (r.stats.traversed_steps, r.stats.out_of_budget as u64));
+            work.fold((0, 0), |(s, o), (rs, ro)| (s + rs, o + ro))
+        }));
+        dq.push(timed(|| {
+            let lanes = suite.iter().map(dq_lane);
+            lanes.fold((0, 0), |(s, o), (ls, lo)| (s + ls, o + lo))
+        }));
+    }
+
+    println!("on-CPU time of this thread (/proc/thread-self/schedstat), fastest of {reps}");
+    for (label, passes) in [
+        (format!("run_seq, {} light programs", light.len()), &seq),
+        (format!("DQ, one worker, {} programs", suite.len()), &dq),
+    ] {
+        let best = passes
+            .iter()
+            .map(Pass::ns_per_step)
+            .fold(f64::INFINITY, f64::min);
+        let all: Vec<String> = passes
+            .iter()
+            .map(|p| format!("{:.1}", p.ns_per_step()))
+            .collect();
+        let p = passes[0];
+        println!(
+            "{label:<30} {:>10} steps {:>6} out of budget {best:>7.2} ns/step  (passes: {})",
+            p.steps,
+            p.out_of_budget,
+            all.join(" ")
+        );
+    }
+    // Every pass does the same work, and it is the pinned work.
+    for p in &seq {
+        assert_eq!(
+            (p.steps, p.out_of_budget),
+            (SEQ_STEPS, 0),
+            "run_seq's work moved"
+        );
+    }
+    for p in &dq {
+        assert_eq!(
+            (p.steps, p.out_of_budget),
+            (DQ_STEPS, DQ_OUT_OF_BUDGET),
+            "DQ's work moved"
+        );
+    }
+}

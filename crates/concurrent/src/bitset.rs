@@ -12,12 +12,13 @@
 //!
 //! [`DenseVisitSet`] layers inline-first rows on top (a few ctx ids stored
 //! directly in the row, spilling to a chunked bitset only on overflow),
-//! indexed by node id and held in lazily allocated fixed-size pages, so a
-//! table costs what traversals touched and not a row per graph node — the
-//! dense replacement for the solver's historical
-//! `FxHashMap<NodeId, FxHashSet<CtxId>>` visit sets — and [`StateSet`]
-//! is the small trait that keeps the hash implementation
-//! ([`HashVisitSet`]) selectable for differential testing.
+//! kept as a sparse set — rows in first-touch order behind a lazily paged
+//! node → row index — so a table costs what traversals touched and not a
+//! row per graph node, and resets by truncation. It is the dense
+//! replacement for the solver's historical
+//! `FxHashMap<NodeId, FxHashSet<CtxId>>` visit sets, and [`StateSet`] is
+//! the small trait that keeps the hash implementation ([`HashVisitSet`])
+//! selectable for differential testing.
 
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::interner::CtxId;
@@ -94,18 +95,29 @@ impl ChunkedBitset {
     /// Inserts `id`; returns `true` iff it was not already present.
     #[inline]
     pub fn insert(&mut self, id: u32) -> bool {
+        self.insert_first(id).is_some()
+    }
+
+    /// [`ChunkedBitset::insert`] that also tells, for an `id` that was not
+    /// present, whether it is the first of its chunk the set holds: `None`
+    /// if present, `Some(first)` otherwise. What a spill counts its words
+    /// by; the whole chunk is only read when `id`'s word was empty.
+    #[inline]
+    fn insert_first(&mut self, id: u32) -> Option<bool> {
         let chunk_idx = id as usize / CHUNK_BITS;
         if chunk_idx >= self.chunks.len() {
             self.chunks.resize_with(chunk_idx + 1, || None);
         }
         let chunk = self.chunks[chunk_idx].get_or_insert_with(|| Box::new([0u64; CHUNK_WORDS]));
         let bit = id as usize % CHUNK_BITS;
-        let word = &mut chunk[bit / 64];
-        let mask = 1u64 << (bit % 64);
-        let fresh = *word & mask == 0;
-        *word |= mask;
-        self.len += fresh as usize;
-        fresh
+        let (word, mask) = (chunk[bit / 64], 1u64 << (bit % 64));
+        if word & mask != 0 {
+            return None;
+        }
+        let first = word == 0 && chunk.iter().all(|&w| w == 0);
+        chunk[bit / 64] = word | mask;
+        self.len += 1;
+        Some(first)
     }
 
     /// Whether `id` is in the set.
@@ -123,7 +135,13 @@ impl ChunkedBitset {
 
     /// Empties the set, **retaining** chunk allocations for reuse.
     pub fn clear(&mut self) {
-        for chunk in self.chunks.iter_mut().flatten() {
+        self.clear_below(self.chunks.len());
+    }
+
+    /// Empties a set that holds no id of chunk `chunks` or above, zeroing
+    /// only the chunks below it.
+    fn clear_below(&mut self, chunks: usize) {
+        for chunk in self.chunks.iter_mut().take(chunks).flatten() {
             kernel::zero(chunk);
         }
         self.len = 0;
@@ -330,182 +348,214 @@ impl StateSet for HashVisitSet {
     }
 }
 
-/// Inline ctx slots per [`DenseRow`] before spilling to a bitset. Solver
-/// visit sets are heavily skewed: on the Table I suite the typical node is
+/// Inline ctx slots per [`Row`] before spilling to a bitset. Solver visit
+/// sets are heavily skewed: on the Table I suite the typical node is
 /// visited in 1–3 contexts, so four slots cover almost every row.
 const INLINE_CTXS: usize = 4;
 
-/// One row of a [`DenseVisitSet`]. The epoch stamp makes `reset` O(1) —
-/// a row whose stamp is stale is logically empty and is re-initialised
-/// (inline slots emptied) on its first touch of the new epoch.
-///
-/// The row is **inline-first**: the first [`INLINE_CTXS`] contexts live in
-/// the row itself, so the hot membership test is one linear scan in the
-/// same cache line as the epoch — no second pointer chase and no hashing.
-/// Only rows that overflow pay for a [`Spill`].
-#[derive(Default)]
-struct DenseRow {
-    epoch: u64,
-    /// Inline slots in use; meaningless once `spilled`.
-    len: u8,
-    spilled: bool,
+/// A [`Row`]'s `len` once its contexts have moved to a spill bitset.
+const SPILLED: u32 = u32::MAX;
+
+/// One visited node of a [`DenseVisitSet`]: the node itself — what
+/// validates a slot that names this row — and, **inline-first**, the first
+/// [`INLINE_CTXS`] contexts it was visited in, so the hot membership test
+/// is one linear scan in the row's own cache line. A row that outgrows
+/// them is `SPILLED`: `inline[0]` is then the table's spill bitset holding
+/// its contexts.
+#[derive(Clone, Copy)]
+struct Row {
+    node: u32,
+    /// Inline slots in use, or [`SPILLED`].
+    len: u32,
     inline: [u32; INLINE_CTXS],
-    spill: Option<Box<Spill>>,
 }
 
-/// The overflow bitset of a [`DenseRow`]. It is recycled across the epochs
-/// of one query generation (a hot row allocates once per query) and
-/// rebuilt empty by the first overflow of a later one, so every word it
-/// holds was allocated for — and counted against — the current query.
-#[derive(Default)]
-struct Spill {
-    gen: u64,
-    bits: ChunkedBitset,
-}
+/// `u64` words one [`Row`] occupies.
+const ROW_WORDS: u64 = (std::mem::size_of::<Row>() / 8) as u64;
 
-impl Spill {
-    /// Inserts `id`, first adding to `words` what the insert is about to
-    /// grow [`ChunkedBitset::allocated_words`] by: the directory slots up
-    /// to `id`'s chunk, and the chunk if it is new.
-    fn insert(&mut self, id: u32, words: &mut u64) -> bool {
-        let ci = id as usize / CHUNK_BITS;
-        let slots = (ci + 1).saturating_sub(self.bits.chunk_count());
-        let chunk = if self.bits.chunk(ci).is_none() {
-            CHUNK_WORDS
-        } else {
-            0
-        };
-        *words += (slots + chunk) as u64;
-        self.bits.insert(id)
-    }
-}
+/// Slots per [`SlotPage`]: the allocation and accounting unit of a
+/// table's node → row index. (Pages of 64 slots measured ≈ 5 % more per
+/// traversal step than 256, and a flat index ≈ 4 % less.)
+const SLOT_PAGE: usize = 256;
 
-/// Rows per [`Page`]: the allocation, zero-fill and accounting unit of a
-/// [`DenseVisitSet`]. Times are flat from 16 to 256 rows; touched words
-/// double with each doubling while the directory a table zero-fills to
-/// reach a high node id halves — at 32 it is 27 KB over a 108 k-node
-/// graph (`results/pr17_pairs.txt` has the sweep).
-const PAGE_ROWS: usize = 32;
+/// [`SLOT_PAGE`] consecutive nodes' row indexes, allocated together the
+/// first time any of them is touched. A slot is only a hint: it names a
+/// row, and the row says whether it is this node's.
+type SlotPage = [u32; SLOT_PAGE];
 
-/// `u64` words one [`Page`] occupies.
-const PAGE_WORDS: u64 = (std::mem::size_of::<Page>() / 8) as u64;
+/// A directory entry of the index: the query generation that last counted
+/// the page (0 = none yet) beside it, so that counting a page takes no
+/// second line of it.
+type PageEntry = (u64, Option<Box<SlotPage>>);
 
-/// [`PAGE_ROWS`] consecutive rows, allocated together the first time any
-/// of them is touched.
-struct Page {
-    /// The query generation that last counted this page (0 = none yet).
-    gen: u64,
-    rows: [DenseRow; PAGE_ROWS],
-}
+/// `u64` words a page and its directory entry occupy.
+const PAGE_WORDS: u64 =
+    ((std::mem::size_of::<SlotPage>() + std::mem::size_of::<PageEntry>()) / 8) as u64;
 
-impl Default for Page {
-    fn default() -> Self {
-        Page {
-            gen: 0,
-            rows: std::array::from_fn(|_| DenseRow::default()),
-        }
-    }
-}
-
-/// The dense visited-state table: inline-first `DenseRow`s indexed by
-/// node id, each holding the interned `CtxId`s the node was visited in.
+/// The dense visited-state table: a sparse set (Briggs and Torczon) of
+/// rows, one per visited node, each holding the interned `CtxId`s the node
+/// was visited in.
 ///
-/// Rows live in fixed-size `Page`s behind a directory of one pointer per
-/// page, and a page is allocated the first time one of its rows is
-/// touched — a table costs the directory up to the highest node id it has
-/// seen plus the pages traversals actually landed in, never a row per
-/// graph node. The whole table resets in O(1) via an epoch bump and is
-/// meant to be kept: the solver pools tables for the life of a lane, so a
-/// warm table serves a traversal without allocating at all.
+/// Rows sit in a `Vec` in first-touch order. A node's slot in a paged
+/// index names its row, and the slot counts only if that row is the
+/// node's: so a reset is `rows.clear()`, with no stale row to recognise
+/// later, and a first touch is a push. The index's pages are allocated the
+/// first time one of their nodes is touched, so a table costs a directory
+/// entry per `SLOT_PAGE` (256) nodes up to the highest id it has seen plus the
+/// pages traversals landed in, never a slot per graph node. Rows that
+/// outgrow their inline slots take a bitset from the table's own pool, and
+/// a reset clears and keeps them. The table is meant to be kept: the
+/// solver pools tables for the life of a lane, so a warm table serves a
+/// traversal without allocating at all.
 ///
-/// [`StateSet::approx_words`] is the words of the pages (and spill
-/// bitsets) touched since [`StateSet::begin_query`] last named a new query
-/// generation. A page is counted the first time the generation touches
-/// it, whether that allocates it or finds it warm, so the figure is what
-/// a table created for this query alone would hold.
+/// [`StateSet::approx_words`] is what a table made for the current query
+/// generation alone would hold, counted on the insert path: the index
+/// pages the generation touched, whether that allocates them or finds
+/// them warm, plus the most rows and the most spill words any one epoch
+/// (reset to reset) of the generation held, a row's spill counted as a
+/// bitset built for it alone.
 pub struct DenseVisitSet {
-    pages: Vec<Option<Box<Page>>>,
-    /// Starts at 1: a zeroed row (epoch 0) is stale.
-    epoch: u64,
-    /// Starts at 1: a zeroed page or spill (gen 0) is uncounted.
+    pages: Vec<PageEntry>,
+    rows: Vec<Row>,
+    /// Spill bitsets; the first `spilled` belong to rows of this epoch.
+    spills: Vec<Spill>,
+    spilled: usize,
+    /// Starts at 1: a zeroed page (gen 0) is uncounted.
     gen: u64,
     words: u64,
+    /// The most rows an epoch of this generation has held.
+    peak_rows: usize,
+    /// Spill words this epoch holds, and the most any epoch of this
+    /// generation has.
+    spill_words: u64,
+    peak_spill_words: u64,
 }
 
 impl Default for DenseVisitSet {
     fn default() -> Self {
         DenseVisitSet {
             pages: Vec::new(),
-            epoch: 1,
+            rows: Vec::new(),
+            spills: Vec::new(),
+            spilled: 0,
             gen: 1,
             words: 0,
+            peak_rows: 0,
+            spill_words: 0,
+            peak_spill_words: 0,
         }
     }
+}
+
+/// Inserts `id` into a row's spill bitset, adding to `words` what a bitset
+/// made for the row alone would grow by: the directory slots from the
+/// `slots` counted so far up to `id`'s chunk, and the chunk if `id` is the
+/// first of it the row holds (the bitset was cleared below `slots` before
+/// the row took it).
+fn spill_insert(spill: &mut Spill, id: u32, words: &mut u64) -> bool {
+    let Some(first) = spill.bits.insert_first(id) else {
+        return false;
+    };
+    let grown = (id / CHUNK_BITS as u32 + 1).saturating_sub(spill.slots);
+    spill.slots += grown;
+    *words += u64::from(grown) + if first { CHUNK_WORDS as u64 } else { 0 };
+    true
+}
+
+/// A spill bitset of a [`DenseVisitSet`]'s pool, and how many directory
+/// slots its current row has counted: the chunks below that are all its
+/// row can have set, and all a reset clears.
+#[derive(Default)]
+struct Spill {
+    bits: ChunkedBitset,
+    slots: u32,
 }
 
 impl DenseVisitSet {
     /// `node`'s row, if it has been touched this epoch.
     #[inline]
-    fn row(&self, node: u32) -> Option<&DenseRow> {
-        let page = self.pages.get(node as usize / PAGE_ROWS)?.as_deref()?;
-        let row = &page.rows[node as usize % PAGE_ROWS];
-        (row.epoch == self.epoch).then_some(row)
+    fn row(&self, node: u32) -> Option<&Row> {
+        let page = self.pages.get(node as usize / SLOT_PAGE)?.1.as_deref()?;
+        let row = self.rows.get(page[node as usize % SLOT_PAGE] as usize)?;
+        (row.node == node).then_some(row)
+    }
+
+    /// Adds `grown` spill words to this epoch's, and what that takes the
+    /// epoch past the generation's most to the count.
+    fn count_spill(&mut self, grown: u64) {
+        self.spill_words += grown;
+        if self.spill_words > self.peak_spill_words {
+            self.words += self.spill_words - self.peak_spill_words;
+            self.peak_spill_words = self.spill_words;
+        }
     }
 }
 
 impl StateSet for DenseVisitSet {
     #[inline]
     fn insert(&mut self, node: u32, ctx: CtxId) -> bool {
-        let pi = node as usize / PAGE_ROWS;
+        let pi = node as usize / SLOT_PAGE;
         if pi >= self.pages.len() {
-            self.pages.resize_with(pi + 1, || None);
+            self.pages.resize_with(pi + 1, || (0, None));
         }
-        let page = &mut **self.pages[pi].get_or_insert_with(Box::default);
-        let row = &mut page.rows[node as usize % PAGE_ROWS];
-        if row.epoch != self.epoch {
-            row.epoch = self.epoch;
-            row.len = 0;
-            row.spilled = false;
-            // Every epoch of a query is younger than any row an earlier
-            // query left behind, so a page new to the query is always met
-            // here first.
-            if page.gen != self.gen {
-                page.gen = self.gen;
-                self.words += PAGE_WORDS;
-            }
-        }
+        let (page_gen, page) = &mut self.pages[pi];
+        let page = page.get_or_insert_with(|| Box::new([0; SLOT_PAGE]));
+        let slot = &mut page[node as usize % SLOT_PAGE];
         let raw = ctx.raw();
-        if row.spilled {
-            return row
-                .spill
-                .as_mut()
-                .expect("spilled row has bits")
-                .insert(raw, &mut self.words);
-        }
+        let row = match self.rows.get_mut(*slot as usize) {
+            Some(row) if row.node == node => row,
+            _ => {
+                *slot = self.rows.len() as u32;
+                self.rows.push(Row {
+                    node,
+                    len: 1,
+                    inline: [raw, 0, 0, 0],
+                });
+                if self.rows.len() > self.peak_rows {
+                    self.peak_rows += 1;
+                    self.words += ROW_WORDS;
+                }
+                // A generation starts on an empty table, so a page new to
+                // it is always met by a first touch.
+                if *page_gen != self.gen {
+                    *page_gen = self.gen;
+                    self.words += PAGE_WORDS;
+                }
+                return true;
+            }
+        };
         let n = row.len as usize;
+        if row.len == SPILLED {
+            let mut grown = 0;
+            if !spill_insert(&mut self.spills[row.inline[0] as usize], raw, &mut grown) {
+                return false;
+            }
+            self.count_spill(grown);
+            return true;
+        }
         if row.inline[..n].contains(&raw) {
             return false;
         }
         if n < INLINE_CTXS {
             row.inline[n] = raw;
-            row.len = n as u8 + 1;
+            row.len += 1;
             return true;
         }
-        // Overflow: move the inline slots into the spill bitset.
-        let spill = row.spill.get_or_insert_with(Box::default);
-        if spill.gen == self.gen {
-            spill.bits.clear();
-        } else {
-            **spill = Spill {
-                gen: self.gen,
-                bits: ChunkedBitset::new(),
-            };
+        // Overflow: move the inline slots into a spill bitset.
+        if self.spilled == self.spills.len() {
+            self.spills.push(Spill::default());
         }
-        for &v in &row.inline {
-            spill.insert(v, &mut self.words);
+        let spill = &mut self.spills[self.spilled];
+        let mut grown = 0;
+        for v in row.inline {
+            spill_insert(spill, v, &mut grown);
         }
-        row.spilled = true;
-        spill.insert(raw, &mut self.words)
+        spill_insert(spill, raw, &mut grown);
+        row.len = SPILLED;
+        row.inline[0] = self.spilled as u32;
+        self.spilled += 1;
+        self.count_spill(grown);
+        true
     }
 
     #[inline]
@@ -514,8 +564,8 @@ impl StateSet for DenseVisitSet {
             return false;
         };
         let raw = ctx.raw();
-        if row.spilled {
-            row.spill.as_ref().is_some_and(|s| s.bits.contains(raw))
+        if row.len == SPILLED {
+            self.spills[row.inline[0] as usize].bits.contains(raw)
         } else {
             row.inline[..row.len as usize].contains(&raw)
         }
@@ -525,11 +575,9 @@ impl StateSet for DenseVisitSet {
         let Some(row) = self.row(node) else {
             return;
         };
-        if row.spilled {
-            if let Some(spill) = row.spill.as_deref() {
-                for raw in spill.bits.iter() {
-                    f(CtxId::from_raw(raw));
-                }
+        if row.len == SPILLED {
+            for raw in self.spills[row.inline[0] as usize].bits.iter() {
+                f(CtxId::from_raw(raw));
             }
         } else {
             for &raw in &row.inline[..row.len as usize] {
@@ -540,7 +588,13 @@ impl StateSet for DenseVisitSet {
 
     #[inline]
     fn reset(&mut self) {
-        self.epoch += 1;
+        self.rows.clear();
+        for spill in &mut self.spills[..self.spilled] {
+            spill.bits.clear_below(spill.slots as usize);
+            spill.slots = 0;
+        }
+        self.spilled = 0;
+        self.spill_words = 0;
     }
 
     #[inline]
@@ -548,6 +602,8 @@ impl StateSet for DenseVisitSet {
         if self.gen != gen {
             self.gen = gen;
             self.words = 0;
+            self.peak_rows = 0;
+            self.peak_spill_words = 0;
         }
     }
 
@@ -730,28 +786,40 @@ mod tests {
         assert_eq!(seen, vec![3, 100, 101, 102, 103, 104]);
     }
 
-    /// Every page and spill bitset `d` holds, by walking them: what the
-    /// insert-path counter must equal on a table that has served a single
-    /// query generation.
-    fn held_words(d: &DenseVisitSet) -> u64 {
-        let spills = |p: &Page| -> u64 {
-            p.rows
-                .iter()
-                .filter_map(|r| r.spill.as_deref())
-                .map(|s| s.bits.allocated_words())
-                .sum()
-        };
-        d.pages
+    /// What the insert-path counter must read after a query generation has
+    /// inserted `epochs` (reset between them), computed from the states
+    /// alone: the index pages of every node inserted, plus the most rows
+    /// and the most spill words of any epoch, a spilled row's bitset built
+    /// fresh from its contexts.
+    fn modelled_words(epochs: &[Vec<(u32, CtxId)>]) -> u64 {
+        use std::collections::{BTreeMap, BTreeSet};
+        let pages: BTreeSet<u32> = epochs
             .iter()
             .flatten()
-            .map(|p| PAGE_WORDS + spills(p))
-            .sum()
+            .map(|&(n, _)| n / SLOT_PAGE as u32)
+            .collect();
+        let (mut rows, mut spill) = (0, 0);
+        for epoch in epochs {
+            let mut ctxs: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
+            for &(n, c) in epoch {
+                ctxs.entry(n).or_default().insert(c.raw());
+            }
+            let spilled = ctxs.values().filter(|cs| cs.len() > INLINE_CTXS);
+            let bitset = |cs: &BTreeSet<u32>| {
+                let mut b = ChunkedBitset::new();
+                cs.iter().for_each(|&c| _ = b.insert(c));
+                b.allocated_words()
+            };
+            rows = rows.max(ctxs.len() as u64);
+            spill = spill.max(spilled.map(bitset).sum());
+        }
+        pages.len() as u64 * PAGE_WORDS + rows * ROW_WORDS + spill
     }
 
     /// Hash and dense state sets must answer identically under any
     /// operation sequence — the bit-for-bit equivalence the solver's
     /// backend switch rests on — and each keeps its words counter equal to
-    /// what a walk of the table finds.
+    /// what the states it was given say it should hold.
     #[test]
     fn dense_and_hash_state_sets_agree() {
         let mut seed = 42u64;
@@ -789,7 +857,8 @@ mod tests {
                 h.sort_unstable();
                 assert_eq!(d, h, "ctxs of node {n} in round {round}");
             }
-            assert_eq!(dense.approx_words(), held_words(&dense), "round {round}");
+            let words = modelled_words(&inserts[..=round]);
+            assert_eq!(dense.approx_words(), words, "round {round}");
             let slots: u64 = hash.map.values().map(|s| 2 * s.capacity() as u64 + 2).sum();
             assert_eq!(hash.approx_words(), slots, "round {round}");
             dense.reset();
@@ -801,12 +870,12 @@ mod tests {
         let mut fresh = DenseVisitSet::default();
         dense.begin_query(2);
         assert_eq!(dense.approx_words(), 0);
-        for round in &inserts {
-            for &(n, c) in round {
+        for (round, epoch) in inserts.iter().enumerate() {
+            for &(n, c) in epoch {
                 assert_eq!(dense.insert(n, c), fresh.insert(n, c));
             }
             assert_eq!(dense.approx_words(), fresh.approx_words());
-            assert_eq!(fresh.approx_words(), held_words(&fresh));
+            assert_eq!(fresh.approx_words(), modelled_words(&inserts[..=round]));
             dense.reset();
             fresh.reset();
         }

@@ -23,7 +23,8 @@
 //! and only on one of 64 shards of the dedup map `(parent, site) → id` —
 //! the same sharding discipline as [`crate::ShardedMap`]. Ids are never
 //! freed; an interner lives as long as the store/session that owns it, so
-//! every id it ever produced stays resolvable.
+//! every id it ever produced stays resolvable. A solver lane resolves
+//! through its own [`CtxMirror`], a flat copy of the slots it has met.
 //!
 //! Determinism caveat: which *numeric* id a call string receives depends
 //! on interning order, so ids must never be compared across interners or
@@ -207,44 +208,7 @@ impl CtxInterner {
     /// interning happened to assign. No allocation; two slot loads for
     /// siblings, O(depth) loads otherwise.
     pub fn cmp_stacks(&self, a: CtxId, b: CtxId) -> std::cmp::Ordering {
-        use std::cmp::Ordering::{Equal, Greater, Less};
-        if a == b {
-            return Equal;
-        }
-        if a.is_empty() {
-            return Less;
-        }
-        if b.is_empty() {
-            return Greater;
-        }
-        // Siblings — the common case in a result set, whose contexts grow
-        // from one query context — differ in their last site only.
-        let (sa, sb) = (self.slot(a), self.slot(b));
-        if sa >> 32 == sb >> 32 {
-            return (sa as u32).cmp(&(sb as u32));
-        }
-        let (da, db) = (self.depth(a), self.depth(b));
-        let (mut x, mut y) = (a, b);
-        for _ in db..da {
-            x = self.parent(x);
-        }
-        for _ in da..db {
-            y = self.parent(y);
-        }
-        if x == y {
-            // One string is a prefix of the other: shorter first.
-            return da.cmp(&db);
-        }
-        // Equal depth, distinct ids: the walks meet at the longest common
-        // prefix (the empty context at the latest), one site below it.
-        loop {
-            let (sx, sy) = (self.slot(x), self.slot(y));
-            if sx >> 32 == sy >> 32 {
-                return (sx as u32).cmp(&(sy as u32));
-            }
-            x = CtxId((sx >> 32) as u32);
-            y = CtxId((sy >> 32) as u32);
-        }
+        cmp_by_slots(a, b, |id| self.slot(id))
     }
 
     /// Interns a whole bottom-to-top call-site stack.
@@ -278,6 +242,117 @@ impl CtxInterner {
 impl Default for CtxInterner {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// [`CtxInterner::cmp_stacks`] over a source of packed slots.
+fn cmp_by_slots(a: CtxId, b: CtxId, mut slot: impl FnMut(CtxId) -> u64) -> std::cmp::Ordering {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    if a == b {
+        return Equal;
+    }
+    if a.is_empty() {
+        return Less;
+    }
+    if b.is_empty() {
+        return Greater;
+    }
+    // Siblings — the common case in a result set, whose contexts grow
+    // from one query context — differ in their last site only.
+    let (sa, sb) = (slot(a), slot(b));
+    if sa >> 32 == sb >> 32 {
+        return (sa as u32).cmp(&(sb as u32));
+    }
+    let mut parent = |id: CtxId| CtxId((slot(id) >> 32) as u32);
+    let mut depth = |mut id: CtxId| {
+        let mut d = 0usize;
+        while !id.is_empty() {
+            id = parent(id);
+            d += 1;
+        }
+        d
+    };
+    let (da, db) = (depth(a), depth(b));
+    let (mut x, mut y) = (a, b);
+    for _ in db..da {
+        x = parent(x);
+    }
+    for _ in da..db {
+        y = parent(y);
+    }
+    if x == y {
+        // One string is a prefix of the other: shorter first.
+        return da.cmp(&db);
+    }
+    // Equal depth, distinct ids: the walks meet at the longest common
+    // prefix (the empty context at the latest), one site below it.
+    loop {
+        let (sx, sy) = (slot(x), slot(y));
+        if sx >> 32 == sy >> 32 {
+            return (sx as u32).cmp(&(sy as u32));
+        }
+        x = CtxId((sx >> 32) as u32);
+        y = CtxId((sy >> 32) as u32);
+    }
+}
+
+/// A mirror slot not filled yet. No slot holds it: its parent field
+/// would be id `u32::MAX`, which the interner never hands out.
+const UNKNOWN: u64 = u64::MAX;
+
+/// One lane's private copy of the interner slots it has resolved, so that
+/// resolving an id on the solver's hot path — `parent` and `top` where a
+/// traversal leaves a callee, [`CtxMirror::cmp_stacks`] where a result set
+/// is sorted — is one indexed load instead of a walk to the id's chunk.
+///
+/// A slot is copied the first time its id is resolved, from the one
+/// interner every call of the lane names (a solver's interner is fixed at
+/// its construction). Only an id the lane holds is known to be published
+/// — the interner stores a slot before any thread can learn its id — so
+/// the mirror copies exactly the slots it is asked for, never a range: a
+/// slot past them may be reserved by another thread and not yet written.
+/// Slots never change once written, so a copy never goes stale.
+#[derive(Default)]
+pub struct CtxMirror {
+    /// Slot `id`'s packed `(parent, site)`, or [`UNKNOWN`].
+    slots: Vec<u64>,
+}
+
+impl CtxMirror {
+    /// The packed `(parent, site)` of a non-empty `id` of `ctxs`.
+    #[inline]
+    fn slot(&mut self, ctxs: &CtxInterner, id: CtxId) -> u64 {
+        match self.slots.get(id.0 as usize) {
+            Some(&packed) if packed != UNKNOWN => packed,
+            _ => self.fill(ctxs, id),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn fill(&mut self, ctxs: &CtxInterner, id: CtxId) -> u64 {
+        let i = id.0 as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, UNKNOWN);
+        }
+        self.slots[i] = ctxs.slot(id);
+        self.slots[i]
+    }
+
+    /// The parent and the top site of a non-empty `id` (the pop and what
+    /// it pops), from one slot: [`CtxInterner::parent`] and
+    /// [`CtxInterner::top`] at once.
+    #[inline]
+    pub fn resolve(&mut self, ctxs: &CtxInterner, id: CtxId) -> (CtxId, u32) {
+        debug_assert!(!id.is_empty(), "the empty context has no slot");
+        let packed = self.slot(ctxs, id);
+        (CtxId((packed >> 32) as u32), packed as u32)
+    }
+
+    /// [`CtxInterner::cmp_stacks`], reading the lane's copies.
+    #[inline]
+    pub fn cmp_stacks(&mut self, ctxs: &CtxInterner, a: CtxId, b: CtxId) -> std::cmp::Ordering {
+        cmp_by_slots(a, b, |id| self.slot(ctxs, id))
     }
 }
 
@@ -371,12 +446,33 @@ mod tests {
         for s in [&[9u32][..], &[9, 9], &[0, 0], &[0, 2], &[1], &[1, 0, 0]] {
             ids.push(t.intern_stack(s));
         }
+        // A lane's mirror answers the same, from its own copies.
+        let mut mirror = CtxMirror::default();
         for &a in &ids {
             for &b in &ids {
                 let (sa, sb) = (t.stack_of(a), t.stack_of(b));
                 assert_eq!(t.cmp_stacks(a, b), sa.cmp(&sb), "{a} vs {b}");
+                assert_eq!(mirror.cmp_stacks(&t, a, b), sa.cmp(&sb), "{a} vs {b}");
+            }
+            if !a.is_empty() {
+                assert_eq!(mirror.resolve(&t, a), (t.parent(a), t.top(a).unwrap()));
             }
         }
+    }
+
+    /// The mirror copies the slot of each id it is asked about and no
+    /// other, so an id interned after its last copy still resolves.
+    #[test]
+    fn mirror_fills_per_id_and_sees_later_ids() {
+        let t = CtxInterner::new();
+        let mut mirror = CtxMirror::default();
+        let a = t.intern(CtxId::EMPTY, 3);
+        assert_eq!(mirror.resolve(&t, a), (CtxId::EMPTY, 3));
+        let b = t.intern(a, 9);
+        let c = t.intern(b, 0);
+        assert_eq!(mirror.resolve(&t, c), (b, 0));
+        assert_eq!(mirror.slots[b.0 as usize], UNKNOWN, "only what was asked");
+        assert_eq!(mirror.resolve(&t, b), (a, 9));
     }
 
     #[test]

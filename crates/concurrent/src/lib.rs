@@ -29,6 +29,6 @@ pub mod worklist;
 
 pub use bitset::{kernel, Chunk, ChunkedBitset, DenseVisitSet, HashVisitSet, StateSet, CHUNK_BITS};
 pub use fxhash::{FxHashMap, FxHashSet};
-pub use interner::{CtxId, CtxInterner};
+pub use interner::{CtxId, CtxInterner, CtxMirror};
 pub use sharded_map::ShardedMap;
 pub use worklist::{SharedWorkList, StealQueues, WorkerObs};

@@ -94,16 +94,18 @@ impl Ctx {
 }
 
 /// Sorts interned states into the canonical order: by node, then by call
-/// string ([`CtxInterner::cmp_stacks`]) — the order the materialised
-/// `(NodeId, Ctx)` pairs sort in, whatever ids interning assigned. The
-/// solver puts every result set a nested traversal iterates into this
-/// order, which is what keeps traversal order, and with it every step
-/// count, independent of interning order (DESIGN.md §8). Unstable is
-/// enough: equal elements are identical.
-pub fn sort_canonical(interner: &CtxInterner, v: &mut [(NodeId, CtxId)]) {
-    v.sort_unstable_by(|&(n1, c1), &(n2, c2)| {
-        n1.cmp(&n2).then_with(|| interner.cmp_stacks(c1, c2))
-    });
+/// string, as `cmp_stacks` — [`CtxInterner::cmp_stacks`] or a lane's
+/// [`parcfl_concurrent::CtxMirror::cmp_stacks`] — orders contexts: the
+/// order the materialised `(NodeId, Ctx)` pairs sort in, whatever ids
+/// interning assigned. The solver puts every result set a nested
+/// traversal iterates into this order, which is what keeps traversal
+/// order, and with it every step count, independent of interning order
+/// (DESIGN.md §8). Unstable is enough: equal elements are identical.
+pub fn sort_canonical(
+    v: &mut [(NodeId, CtxId)],
+    mut cmp_stacks: impl FnMut(CtxId, CtxId) -> std::cmp::Ordering,
+) {
+    v.sort_unstable_by(|&(n1, c1), &(n2, c2)| n1.cmp(&n2).then_with(|| cmp_stacks(c1, c2)));
 }
 
 impl std::fmt::Display for Ctx {

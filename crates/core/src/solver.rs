@@ -63,9 +63,11 @@ use crate::footprint::ReadLog;
 use crate::jmp::{Dir, JmpEntry, JmpStore, RchSet};
 use crate::stats::{Answer, QueryOutput, QueryStats};
 use crate::witness::{Trace, Via};
-use parcfl_concurrent::{CtxId, CtxInterner, DenseVisitSet, FxHashSet, HashVisitSet, StateSet};
+use parcfl_concurrent::{
+    CtxId, CtxInterner, CtxMirror, DenseVisitSet, FxHashSet, HashVisitSet, StateSet,
+};
 use parcfl_obs::{EventKind, TraceRecorder};
-use parcfl_pag::{Edge, EdgeClass, NodeId, Pag};
+use parcfl_pag::{CallSiteId, ClassSlices, Edge, EdgeClass, NodeId, Pag};
 use std::sync::Arc;
 
 /// A `(node, context)` pair in materialised form — the representation of
@@ -85,7 +87,8 @@ enum Action {
     /// The context is cleared: globals are context-insensitive.
     Clear,
     /// Leaves a callee: taken when the context is empty or its top is the
-    /// edge's call site, which is popped.
+    /// edge's call site, which is popped. The edges of the top's site are
+    /// found by the PAG's by-site index, not by scanning the class.
     Pop,
     /// Enters a callee: the edge's call site is pushed.
     Push,
@@ -97,7 +100,9 @@ enum Action {
 /// `dir as usize`. `L_pt` and `L_ft` are one another's reverse, so the
 /// columns differ where an edge has a direction-dependent reading: a `new`
 /// edge ends a backward path and starts a forward one, and `param` /
-/// `ret` swap which of them enters the callee.
+/// `ret` swap which of them enters the callee. (`Pop` is read off the
+/// PAG's by-site indexes, which are of exactly these two cells: `param`
+/// into a node, `ret` out of it.)
 const PRODUCTIONS: [(EdgeClass, [Action; 2]); 5] = [
     (EdgeClass::New, [Action::Collect, Action::Keep]),
     (EdgeClass::AssignLocal, [Action::Keep, Action::Keep]),
@@ -112,12 +117,12 @@ const PRODUCTIONS: [(EdgeClass, [Action; 2]); 5] = [
 /// `x.f` does not flow into `x`, a load `y = x.f` does not receive `x`.
 const HEAP_ACCESS: [EdgeClass; 2] = [EdgeClass::Load, EdgeClass::Store];
 
-/// The `class` edges a traversal in direction `dir` crosses at `n`.
+/// The edges a traversal in direction `dir` crosses at `n`, by class.
 #[inline(always)]
-fn edges_at(pag: &Pag, dir: Dir, n: NodeId, class: EdgeClass) -> &[Edge] {
+fn edges_at(pag: &Pag, dir: Dir, n: NodeId) -> ClassSlices<'_> {
     match dir {
-        Dir::Bwd => pag.incoming_kind(n, class),
-        Dir::Fwd => pag.outgoing_kind(n, class),
+        Dir::Bwd => pag.incoming_classes(n),
+        Dir::Fwd => pag.outgoing_classes(n),
     }
 }
 
@@ -286,18 +291,25 @@ struct Oob;
 /// Which of the mutually recursive computations a nested call is: a
 /// traversal (`PointsTo` backward, `FlowsTo` forward) or the
 /// `ReachableNodes` step one makes at a heap access.
-#[derive(Copy, Clone, PartialEq, Eq, Hash)]
+#[derive(Copy, Clone)]
 enum Call {
     Traverse,
     Reachable,
+}
+
+/// A nested call's key in its `(Call, Dir)` in-flight set: node and
+/// context side by side in one word.
+#[inline]
+fn flight_key(x: NodeId, c: CtxId) -> u64 {
+    (x.raw() as u64) << 32 | c.raw() as u64
 }
 
 /// One traversal's working state, out of the lane's pools for as long as
 /// the traversal runs.
 struct Walk<S> {
     /// The objects the answer holds so far (backward only).
-    collected: Option<S>,
-    visited: S,
+    collected: Option<Box<S>>,
+    visited: Box<S>,
     /// The work list.
     w: Vec<IState>,
     /// The answer, in the order it was found.
@@ -334,7 +346,7 @@ struct Scratch<S> {
     /// traversals take and return them in stack order, so which table
     /// plays which part in a query does not depend on what the pool held
     /// when the query began.
-    pool: Vec<S>,
+    pool: Vec<Box<S>>,
     /// Work-list stacks and result-set buffers between uses, each already
     /// empty. A nested call builds its result in one and the caller hands
     /// it back once it has iterated it.
@@ -346,14 +358,20 @@ struct Scratch<S> {
     /// construction. A slot is vacant while its child is the empty context,
     /// which no push produces.
     push_cache: Vec<(u64, CtxId)>,
+    /// The lane's copy of the interner slots it has resolved (DESIGN.md
+    /// §8): what the pops and the canonical sorts read. Never invalidated,
+    /// for the push cache's reasons.
+    mirror: CtxMirror,
     /// The paper's `S`: in-progress `ReachableNodes` frames
     /// `(dir, x, c, s0)`, used by `OutOfBudget` to record unfinished jmps.
     in_progress: Vec<(Dir, NodeId, CtxId, u64)>,
     /// In-flight call detection: identical re-entrant calls would loop
     /// until the budget drained; we reach the same out-of-budget verdict
     /// immediately (see DESIGN.md). The call kind is part of the key —
-    /// `PointsTo(x, c)` legitimately invokes `ReachableNodes(x, c)`.
-    on_stack: FxHashSet<(Call, Dir, NodeId, CtxId)>,
+    /// `PointsTo(x, c)` legitimately invokes `ReachableNodes(x, c)` — and
+    /// picks the set, as the direction does: `[call][dir]`, each keyed by
+    /// [`flight_key`].
+    on_stack: [[FxHashSet<u64>; 2]; 2],
     /// Reverse-dependency recording (`record_footprints` only, DESIGN.md
     /// §12): the query's reads in order, one frame (a mark in the log) per
     /// in-flight `ReachableNodes` computation, so a published jmp entry
@@ -401,7 +419,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
     fn begin(env: Env<'a>, s: &'a mut Scratch<S>, vtime_base: u64) -> Self {
         s.gen += 1;
         s.in_progress.clear();
-        s.on_stack.clear();
+        s.on_stack.iter_mut().flatten().for_each(FxHashSet::clear);
         s.reads.begin(env.cfg.record_footprints);
         QueryState {
             pag: env.pag,
@@ -437,7 +455,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
 
     /// Takes a (reset) visited-state table from the pool, or creates one.
     #[inline]
-    fn acquire(&mut self) -> S {
+    fn acquire(&mut self) -> Box<S> {
         let mut set = self.s.pool.pop().unwrap_or_default();
         set.begin_query(self.s.gen);
         // Out of the sum while out of the pool; `release` adds it back
@@ -446,11 +464,11 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         set
     }
 
-    /// Returns a table to the pool. Reset happens here (dense tables reset
-    /// in O(1) via an epoch bump) so `acquire` hands out ready-to-use
-    /// tables.
+    /// Returns a table to the pool. Reset happens here (a dense table
+    /// truncates its rows) so `acquire` hands out ready-to-use tables.
+    /// Tables travel boxed: a move is a pointer, not the table.
     #[inline]
-    fn release(&mut self, mut set: S) {
+    fn release(&mut self, mut set: Box<S>) {
         self.stats.state_words += set.approx_words();
         set.reset();
         self.s.pool.push(set);
@@ -619,15 +637,23 @@ impl<'a, S: StateSet> QueryState<'a, S> {
     /// the mutual recursion, where the paper's algorithm would reach
     /// out-of-budget later by re-traversing, and the in-flight check.
     fn traverse(&mut self, x: NodeId, c: CtxId, dir: Dir) -> Result<Vec<IState>, Oob> {
-        let key = (Call::Traverse, dir, x, c);
+        let key = flight_key(x, c);
         self.depth += 1;
-        if self.depth > self.cfg.max_recursion_depth || !self.s.on_stack.insert(key) {
+        if self.depth > self.cfg.max_recursion_depth
+            || !self.in_flight(Call::Traverse, dir).insert(key)
+        {
             return Err(self.burn_remaining());
         }
         let out = self.traverse_inner(x, c, dir)?;
-        self.s.on_stack.remove(&key);
+        self.in_flight(Call::Traverse, dir).remove(&key);
         self.depth -= 1;
         Ok(out)
+    }
+
+    /// The in-flight set of `call`s in direction `dir`.
+    #[inline]
+    fn in_flight(&mut self, call: Call, dir: Dir) -> &mut FxHashSet<u64> {
+        &mut self.s.on_stack[call as usize][dir as usize]
     }
 
     fn traverse_inner(&mut self, x: NodeId, c: CtxId, dir: Dir) -> Result<Vec<IState>, Oob> {
@@ -660,9 +686,17 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         // not depend on insertion order ([`StateSet`]), or sorted as an
         // answer by `finish` — nothing iterates it in an order that shows.
         if dir == Dir::Bwd {
-            sort_canonical(self.ctxs, &mut out);
+            self.sort(&mut out);
         }
         Ok(out)
+    }
+
+    /// Puts a result set into the canonical order, resolving contexts
+    /// through the lane's mirror.
+    #[inline]
+    fn sort(&mut self, v: &mut [IState]) {
+        let (ctxs, mirror) = (self.ctxs, &mut self.s.mirror);
+        sort_canonical(v, |a, b| mirror.cmp_stacks(ctxs, a, b));
     }
 
     /// The work loop of both traversals, compiled once per direction.
@@ -678,16 +712,17 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         while let Some((x, cx)) = t.w.pop() {
             self.tick()?;
             self.s.reads.node(x);
-            if FWD && self.pag.kind(x).is_variable() {
+            if FWD && self.pag.is_variable(x) {
                 t.out.push((x, cx));
             }
+            let edges = edges_at(self.pag, dir, x);
             // One call per row of `PRODUCTIONS`, each compiled for its row.
-            self.cross::<FWD, 0>((x, cx), t);
-            self.cross::<FWD, 1>((x, cx), t);
-            self.cross::<FWD, 2>((x, cx), t);
-            self.cross::<FWD, 3>((x, cx), t);
-            self.cross::<FWD, 4>((x, cx), t);
-            if !edges_at(self.pag, dir, x, HEAP_ACCESS[dir as usize]).is_empty() {
+            self.cross::<FWD, 0>((x, cx), edges, t);
+            self.cross::<FWD, 1>((x, cx), edges, t);
+            self.cross::<FWD, 2>((x, cx), edges, t);
+            self.cross::<FWD, 3>((x, cx), edges, t);
+            self.cross::<FWD, 4>((x, cx), edges, t);
+            if !edges.of(HEAP_ACCESS[dir as usize]).is_empty() {
                 let rch = self.reachable_nodes(x, cx, dir)?;
                 for &to in rch.iter() {
                     self.visit(t, to, (x, cx), None);
@@ -706,12 +741,17 @@ impl<'a, S: StateSet> QueryState<'a, S> {
     /// unrolled, its body holding loops, and dispatching on the action once
     /// per class and pop measured a quarter slower per step.)
     #[inline(always)]
-    fn cross<const FWD: bool, const ROW: usize>(&mut self, (x, cx): IState, t: &mut Walk<S>) {
+    fn cross<const FWD: bool, const ROW: usize>(
+        &mut self,
+        (x, cx): IState,
+        by_class: ClassSlices<'a>,
+        t: &mut Walk<S>,
+    ) {
         let dir = if FWD { Dir::Fwd } else { Dir::Bwd };
         let ctx_sens = self.cfg.context_sensitive;
         let ctxs = self.ctxs;
         let (class, actions) = PRODUCTIONS[ROW];
-        let edges = edges_at(self.pag, dir, x, class);
+        let edges = by_class.of(class);
         match actions[dir as usize] {
             Action::Collect => {
                 let seen = t.collected.as_mut().expect("a table to collect in");
@@ -742,17 +782,25 @@ impl<'a, S: StateSet> QueryState<'a, S> {
                     self.visit(t, (far_end(dir, e), c2), (x, cx), Some(e));
                 }
             }
+            Action::Pop if ctx_sens && !cx.is_empty() => {
+                // Only the edges of the context's top site match, and they
+                // pop it.
+                let (parent, top) = self.s.mirror.resolve(ctxs, cx);
+                let (pag, site) = (self.pag, CallSiteId::new(top));
+                if FWD {
+                    for e in pag.outgoing_ret_at(x, site) {
+                        self.visit(t, (e.dst, parent), (x, cx), Some(&e));
+                    }
+                } else {
+                    for e in pag.incoming_param_at(x, site) {
+                        self.visit(t, (e.src, parent), (x, cx), Some(&e));
+                    }
+                }
+            }
+            // A realisable path may leave a method it did not enter.
             Action::Pop => {
                 for e in edges {
-                    let i = e.kind.call_site().expect("call edge");
-                    let c2 = if !ctx_sens || cx.is_empty() {
-                        cx
-                    } else if ctxs.top(cx) == Some(i.raw()) {
-                        ctxs.parent(cx)
-                    } else {
-                        continue;
-                    };
-                    self.visit(t, (far_end(dir, e), c2), (x, cx), Some(e));
+                    self.visit(t, (far_end(dir, e), cx), (x, cx), Some(e));
                 }
             }
             Action::Push => {
@@ -850,13 +898,13 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         // Lines 9–22: compute, tracking the frame for OutOfBudget.
         let s0 = self.steps;
         self.s.in_progress.push((dir, x, c, s0));
-        let call = (Call::Reachable, dir, x, c);
-        if !self.s.on_stack.insert(call) {
+        let key = flight_key(x, c);
+        if !self.in_flight(Call::Reachable, dir).insert(key) {
             return Err(self.burn_remaining());
         }
         self.s.reads.open();
         let out = self.reachable_inner(x, c, dir)?;
-        self.s.on_stack.remove(&call);
+        self.in_flight(Call::Reachable, dir).remove(&key);
         self.s.in_progress.pop();
 
         // The set leaves its buffer, as one copy behind an `Arc`, only to
@@ -886,7 +934,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         let mut alias = self.acquire();
         let mut out = self.acquire_stack();
         self.s.reads.node(x);
-        let accesses = edges_at(pag, dir, x, HEAP_ACCESS[dir as usize]);
+        let accesses = edges_at(pag, dir, x).of(HEAP_ACCESS[dir as usize]);
         let r = accesses.iter().try_for_each(|e| {
             let f = e.kind.field().expect("field access edge");
             let matches = match dir {
@@ -925,7 +973,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         let mut out = self.finished(r, out)?;
         // Iterated in order by the traversal that asked. Several (load,
         // store) pairs can reach one state; equal states sort together.
-        sort_canonical(self.ctxs, &mut out);
+        self.sort(&mut out);
         out.dedup();
         Ok(out)
     }

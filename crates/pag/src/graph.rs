@@ -8,10 +8,10 @@
 //! concurrent jmp store, which overlays this read-only graph.
 
 use crate::edge::{Edge, EdgeClass, EdgeKind, EDGE_CLASSES};
-use crate::ids::{FieldId, MethodId, NodeId};
+use crate::ids::{CallSiteId, FieldId, MethodId, NodeId};
 use crate::node::{NodeInfo, NodeKind};
 use crate::types::TypeTable;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Mutable accumulator for PAG construction.
 #[derive(Default)]
@@ -98,9 +98,12 @@ impl PagBuilder {
     /// Both edge arrays are laid out *kind-major* within each node's CSR
     /// range: all `new` edges first, then `assign_l`, and so on in
     /// [`EdgeClass`] order. The per-class boundaries are recorded in a flat
-    /// `n × EDGE_CLASSES` offset table so [`Pag::incoming_kind`] /
+    /// `n × EDGE_CLASSES + 1` offset table so [`Pag::incoming_kind`] /
     /// [`Pag::outgoing_kind`] are plain sub-slice reads and the solver's
-    /// dispatch loops never branch on `EdgeKind` per edge.
+    /// dispatch loops never branch on `EdgeKind` per edge. Each node's
+    /// `param` in-edges and `ret` out-edges are also indexed by call site
+    /// ([`Pag::incoming_param_at`], [`Pag::outgoing_ret_at`]), on the
+    /// first lookup.
     pub fn freeze(self) -> Pag {
         build_pag_tables(
             Arc::new(self.nodes),
@@ -133,14 +136,15 @@ fn build_pag_tables(
     let mut edges = bucketed(&raw, n, |e| e.dst, in_order);
     drop(raw);
     edges.dedup();
-    let (in_start, in_kind) = class_offsets(&edges, n, |e| e.dst);
+    let in_kind = class_offsets(&edges, n, |e| e.dst);
 
     // Outgoing CSR: a second, materialised edge array sorted src-major
     // (kind-class, then (dst, payload) within a class), so `outgoing`
     // is a direct slice too — no index indirection on the forward hot
     // path.
     let out_edges = bucketed(&edges, n, |e| e.src, out_order);
-    let (out_start, out_kind) = class_offsets(&out_edges, n, |e| e.src);
+    let out_kind = class_offsets(&out_edges, n, |e| e.src);
+    let variables = nodes.iter().map(|v| v.kind.is_variable()).collect();
 
     // Field indexes for the alias-matching step of ReachableNodes.
     let nf = types.field_count();
@@ -158,12 +162,13 @@ fn build_pag_tables(
 
     Pag {
         nodes,
+        variables,
         edges,
-        in_start,
         in_kind,
-        out_start,
         out_edges,
         out_kind,
+        param_in: OnceLock::new(),
+        ret_out: OnceLock::new(),
         loads_by_field,
         stores_by_field,
         types,
@@ -204,20 +209,105 @@ fn bucketed<K: Ord>(
     sorted
 }
 
-/// The CSR tables of `edges`, sorted by `(end(e), class)`: each node's
-/// start (`n + 1` entries) and each class's start within it
-/// (`n × EDGE_CLASSES`), read off in one sweep.
-fn class_offsets(edges: &[Edge], n: usize, end: fn(&Edge) -> NodeId) -> (Vec<u32>, Vec<u32>) {
-    let mut kind = Vec::with_capacity(n * EDGE_CLASSES);
+/// The CSR table of `edges`, sorted by `(end(e), class)`, read off in one
+/// sweep: where each class of each node starts (`n × EDGE_CLASSES`
+/// entries), then the array's length. Class `k` of node `v` is
+/// `table[v·K + k] .. table[v·K + k + 1]` for every class, the last one
+/// included, and node `v`'s whole range `table[v·K] .. table[(v + 1)·K]`.
+fn class_offsets(edges: &[Edge], n: usize, end: fn(&Edge) -> NodeId) -> Vec<u32> {
+    let mut kind = Vec::with_capacity(n * EDGE_CLASSES + 1);
     for (i, e) in edges.iter().enumerate() {
         // Every class from the last one seen up to this edge's starts here.
         let class = end(e).index() * EDGE_CLASSES + e.kind.class() as usize;
         kind.resize(class + 1, i as u32);
     }
-    let len = edges.len() as u32;
-    kind.resize(n * EDGE_CLASSES, len);
-    let node = kind.iter().step_by(EDGE_CLASSES).copied().chain([len]);
-    (node.collect(), kind)
+    kind.resize(n * EDGE_CLASSES + 1, edges.len() as u32);
+    kind
+}
+
+/// One node's edges in one direction, split by class: the node's row of a
+/// `class_offsets` table, read once, over the edge array it indexes.
+#[derive(Copy, Clone)]
+pub struct ClassSlices<'e> {
+    edges: &'e [Edge],
+    bounds: &'e [u32; EDGE_CLASSES + 1],
+}
+
+impl<'e> ClassSlices<'e> {
+    /// The node's edges of `class`.
+    #[inline]
+    pub fn of(self, class: EdgeClass) -> &'e [Edge] {
+        let k = class as usize;
+        &self.edges[self.bounds[k] as usize..self.bounds[k + 1] as usize]
+    }
+
+    /// All the node's edges.
+    #[inline]
+    pub fn all(self) -> &'e [Edge] {
+        &self.edges[self.bounds[0] as usize..self.bounds[EDGE_CLASSES] as usize]
+    }
+}
+
+/// Node `n`'s row of the `class_offsets` table `table` over `edges`.
+#[inline]
+fn classes<'e>(edges: &'e [Edge], table: &'e [u32], n: NodeId) -> ClassSlices<'e> {
+    let at = n.index() * EDGE_CLASSES;
+    let bounds = table[at..at + EDGE_CLASSES + 1].try_into();
+    ClassSlices {
+        edges,
+        bounds: bounds.expect("a node's row is EDGE_CLASSES + 1 offsets"),
+    }
+}
+
+/// One class of call edges (`param` into a node, or `ret` out of it),
+/// each node's in call-site order: what finds the edges a context's top
+/// site matches without scanning the rest.
+#[derive(Clone, Debug)]
+struct BySite {
+    /// Node `v`'s entries are `entries[start[v] .. start[v + 1]]`.
+    start: Vec<u32>,
+    /// `(site, far end)` of each of a node's edges of the class, sorted.
+    /// Within one site that is storage order: a class slice is sorted by
+    /// far end, then site.
+    entries: Vec<(u32, NodeId)>,
+}
+
+impl BySite {
+    /// The index of `class` over the edge array `edges`, its offset table
+    /// `kind` and the end of an edge away from the node (`far`).
+    fn build(edges: &[Edge], kind: &[u32], class: EdgeClass, far: fn(&Edge) -> NodeId) -> Self {
+        let n = kind.len() / EDGE_CLASSES;
+        let site = |e: &Edge| e.kind.call_site().expect("a call edge").raw();
+        let mut index = BySite {
+            start: Vec::with_capacity(n + 1),
+            entries: Vec::new(),
+        };
+        index.start.push(0);
+        for v in 0..n {
+            let at = index.entries.len();
+            let slice = classes(edges, kind, NodeId::from_usize(v)).of(class);
+            index
+                .entries
+                .extend(slice.iter().map(|e| (site(e), far(e))));
+            index.entries[at..].sort_unstable();
+            index.start.push(index.entries.len() as u32);
+        }
+        index
+    }
+
+    #[inline]
+    fn block(&self, v: usize) -> &[(u32, NodeId)] {
+        &self.entries[self.start[v] as usize..self.start[v + 1] as usize]
+    }
+
+    /// The far ends of node `v`'s edges at `site`, in storage order.
+    #[inline]
+    fn at(&self, v: usize, site: u32) -> impl Iterator<Item = NodeId> + '_ {
+        let block = self.block(v);
+        let from = block.partition_point(|&(s, _)| s < site);
+        let matching = block[from..].iter().take_while(move |&&(s, _)| s == site);
+        matching.map(|&(_, far)| far)
+    }
 }
 
 /// The canonical order of the incoming edge array ([`Pag::edges`]):
@@ -268,7 +358,7 @@ fn splice<K: Ord>(
     out
 }
 
-/// An offset table (`*_start` or `*_kind`) after an edit: `old` grown to
+/// An offset table (`in_kind` or `out_kind`) after an edit: `old` grown to
 /// `len` entries (appended nodes start at `end`, where the old edge array
 /// ended) and, for each `(index, by)` of `bumps`, every entry from `index`
 /// on moved by `by` — an edge put in or taken out ahead of it.
@@ -312,19 +402,27 @@ pub struct Pag {
     /// revision ([`Pag::apply_delta`]) shares them with the graph it came
     /// from unless the edit appends to them.
     nodes: Arc<Vec<NodeInfo>>,
+    /// Whether each node is a variable: the one byte of `nodes` the
+    /// forward traversal reads per step. Shared like `nodes`, but a slice:
+    /// one load from the graph to the bytes.
+    variables: Arc<[bool]>,
     /// All edges, sorted `(dst, class, src)` — this *is* the incoming-edge
     /// array, kind-major within each node's range.
     edges: Vec<Edge>,
-    in_start: Vec<u32>,
-    /// Per-node per-class start offsets into `edges`
-    /// (`n × EDGE_CLASSES`, see [`PagBuilder::freeze`]).
+    /// Per-node per-class start offsets into `edges`, then its length
+    /// (`n × EDGE_CLASSES + 1`, see `class_offsets`).
     in_kind: Vec<u32>,
-    out_start: Vec<u32>,
     /// The same edge set materialised in `(src, class, dst)` order, so
     /// outgoing ranges are direct slices as well.
     out_edges: Vec<Edge>,
-    /// Per-node per-class start offsets into `out_edges`.
+    /// Per-node per-class start offsets into `out_edges`, then its length.
     out_kind: Vec<u32>,
+    /// The `param` slices of `edges` by call site, built by the first
+    /// lookup: a graph no traversal leaves a callee in — the frontend's,
+    /// before its cycles are collapsed — never holds one.
+    param_in: OnceLock<BySite>,
+    /// The `ret` slices of `out_edges` by call site, as lazily.
+    ret_out: OnceLock<BySite>,
     loads_by_field: Vec<Vec<(NodeId, NodeId)>>,
     stores_by_field: Vec<Vec<(NodeId, NodeId)>>,
     types: Arc<TypeTable>,
@@ -383,6 +481,13 @@ impl Pag {
         self.nodes[n.index()].kind
     }
 
+    /// Whether node `n` is a variable: `kind(n).is_variable()`, read from
+    /// a byte per node.
+    #[inline]
+    pub fn is_variable(&self, n: NodeId) -> bool {
+        self.variables[n.index()]
+    }
+
     /// Name of method `m`.
     pub fn method_name(&self, m: MethodId) -> &str {
         &self.method_names[m.index()]
@@ -397,48 +502,80 @@ impl Pag {
     /// All edges flowing **into** `n` (traversed by `PointsTo`).
     #[inline]
     pub fn incoming(&self, n: NodeId) -> &[Edge] {
-        let lo = self.in_start[n.index()] as usize;
-        let hi = self.in_start[n.index() + 1] as usize;
-        &self.edges[lo..hi]
+        self.incoming_classes(n).all()
     }
 
     /// All edges flowing **out of** `n` (traversed by `FlowsTo`). A direct
     /// CSR slice over the src-sorted edge array — no per-call indirection.
     #[inline]
     pub fn outgoing(&self, n: NodeId) -> &[Edge] {
-        let lo = self.out_start[n.index()] as usize;
-        let hi = self.out_start[n.index() + 1] as usize;
-        &self.out_edges[lo..hi]
+        self.outgoing_classes(n).all()
     }
 
     /// The incoming edges of `n` whose kind belongs to `class`, as a direct
     /// sub-slice of [`Pag::incoming`] (edges are kind-major per node).
     #[inline]
     pub fn incoming_kind(&self, n: NodeId, class: EdgeClass) -> &[Edge] {
-        let k = class as usize;
-        let base = n.index() * EDGE_CLASSES;
-        let lo = self.in_kind[base + k] as usize;
-        let hi = if k + 1 < EDGE_CLASSES {
-            self.in_kind[base + k + 1] as usize
-        } else {
-            self.in_start[n.index() + 1] as usize
-        };
-        &self.edges[lo..hi]
+        self.incoming_classes(n).of(class)
     }
 
     /// The outgoing edges of `n` whose kind belongs to `class`, as a direct
     /// sub-slice of [`Pag::outgoing`].
     #[inline]
     pub fn outgoing_kind(&self, n: NodeId, class: EdgeClass) -> &[Edge] {
-        let k = class as usize;
-        let base = n.index() * EDGE_CLASSES;
-        let lo = self.out_kind[base + k] as usize;
-        let hi = if k + 1 < EDGE_CLASSES {
-            self.out_kind[base + k + 1] as usize
-        } else {
-            self.out_start[n.index() + 1] as usize
-        };
-        &self.out_edges[lo..hi]
+        self.outgoing_classes(n).of(class)
+    }
+
+    /// [`Pag::incoming_kind`] of every class of `n`, from one read of its
+    /// offsets.
+    #[inline]
+    pub fn incoming_classes(&self, n: NodeId) -> ClassSlices<'_> {
+        classes(&self.edges, &self.in_kind, n)
+    }
+
+    /// [`Pag::outgoing_kind`] of every class of `n`, from one read of its
+    /// offsets.
+    #[inline]
+    pub fn outgoing_classes(&self, n: NodeId) -> ClassSlices<'_> {
+        classes(&self.out_edges, &self.out_kind, n)
+    }
+
+    /// The `param` edges into `n` at call site `site`: the members of
+    /// `incoming_kind(n, Param)` of that site, in its order, found by a
+    /// binary search in `n`'s by-site index instead of a scan.
+    #[inline]
+    pub fn incoming_param_at(
+        &self,
+        n: NodeId,
+        site: CallSiteId,
+    ) -> impl Iterator<Item = Edge> + '_ {
+        let kind = EdgeKind::Param(site);
+        let edge = move |src| Edge { src, dst: n, kind };
+        let index = self
+            .param_in
+            .get_or_init(|| self.site_index(EdgeClass::Param));
+        index.at(n.index(), site.raw()).map(edge)
+    }
+
+    /// The `ret` edges out of `n` at call site `site`: the members of
+    /// `outgoing_kind(n, Ret)` of that site, in its order.
+    #[inline]
+    pub fn outgoing_ret_at(&self, n: NodeId, site: CallSiteId) -> impl Iterator<Item = Edge> + '_ {
+        let kind = EdgeKind::Ret(site);
+        let edge = move |dst| Edge { src: n, dst, kind };
+        let index = self.ret_out.get_or_init(|| self.site_index(EdgeClass::Ret));
+        index.at(n.index(), site.raw()).map(edge)
+    }
+
+    /// The by-site index of `class` — `param` edges into nodes, or `ret`
+    /// edges out of them: what a graph's first lookup stores.
+    #[cold]
+    fn site_index(&self, class: EdgeClass) -> BySite {
+        match class {
+            EdgeClass::Param => BySite::build(&self.edges, &self.in_kind, class, |e| e.src),
+            EdgeClass::Ret => BySite::build(&self.out_edges, &self.out_kind, class, |e| e.dst),
+            _ => unreachable!("only call edges are indexed by site"),
+        }
     }
 
     /// All store edges on field `f`, as `(base, rhs)` pairs
@@ -505,7 +642,8 @@ impl Pag {
     /// scratch builds, without sorting or hashing the edges that stay: the
     /// two edge arrays are spliced, the offset tables shifted past each
     /// change, and only the field indexes of changed loads and stores are
-    /// re-read.
+    /// re-read. The by-site indexes start empty, as at freeze, and are
+    /// built by the edited graph's first lookup.
     pub(crate) fn edited(
         &self,
         nodes: &[NodeInfo],
@@ -517,8 +655,11 @@ impl Pag {
     ) -> Pag {
         let (mut nodes_table, mut method_names) =
             (Arc::clone(&self.nodes), Arc::clone(&self.method_names));
+        let mut variables = Arc::clone(&self.variables);
         if !nodes.is_empty() {
             Arc::make_mut(&mut nodes_table).extend_from_slice(nodes);
+            let appended = nodes.iter().map(|v| v.kind.is_variable());
+            variables = self.variables.iter().copied().chain(appended).collect();
         }
         if !methods.is_empty() {
             Arc::make_mut(&mut method_names).extend_from_slice(methods);
@@ -534,19 +675,16 @@ impl Pag {
         let n = nodes_table.len();
         let put_in = added.iter().map(|e| (e, 1));
         let changes: Vec<(&Edge, i32)> = put_in.chain(removed.iter().map(|e| (e, -1))).collect();
-        let starts = |end: fn(&Edge) -> NodeId| {
-            let past = |&(e, by)| (end(e).index() + 1, by);
-            changes.iter().map(past).collect()
-        };
-        let kinds = |end: fn(&Edge) -> NodeId| {
+        let kinds = |old: &[u32], end: fn(&Edge) -> NodeId| {
             let past = |&(e, by): &(&Edge, i32)| {
                 let class = e.kind.class() as usize;
                 (end(e).index() * EDGE_CLASSES + class + 1, by)
             };
-            changes.iter().map(past).collect()
+            let bumps = changes.iter().map(past).collect();
+            shifted(old, n * EDGE_CLASSES + 1, self.edges.len() as u32, bumps)
         };
-        let end = self.edges.len() as u32;
-
+        let in_kind = kinds(&self.in_kind, |e| e.dst);
+        let out_kind = kinds(&self.out_kind, |e| e.src);
         let mut loads_by_field = self.loads_by_field.clone();
         let mut stores_by_field = self.stores_by_field.clone();
         for (e, _) in &changes {
@@ -565,12 +703,13 @@ impl Pag {
         }
         Pag {
             nodes: nodes_table,
-            in_start: shifted(&self.in_start, n + 1, end, starts(|e| e.dst)),
-            in_kind: shifted(&self.in_kind, n * EDGE_CLASSES, end, kinds(|e| e.dst)),
-            out_start: shifted(&self.out_start, n + 1, end, starts(|e| e.src)),
-            out_kind: shifted(&self.out_kind, n * EDGE_CLASSES, end, kinds(|e| e.src)),
+            variables,
+            in_kind,
+            out_kind,
             edges,
             out_edges,
+            param_in: OnceLock::new(),
+            ret_out: OnceLock::new(),
             loads_by_field,
             stores_by_field,
             types: Arc::clone(&self.types),
@@ -761,7 +900,7 @@ mod tests {
 
     /// The freeze before bucketing, kept as the reference: one comparison
     /// sort per edge array, offsets read off by binary search.
-    fn reference_freeze(mut edges: Vec<Edge>, n: usize) -> [(Vec<Edge>, Vec<u32>, Vec<u32>); 2] {
+    fn reference_freeze(mut edges: Vec<Edge>, n: usize) -> [(Vec<Edge>, Vec<u32>); 2] {
         edges.sort_unstable_by_key(in_order);
         edges.dedup();
         let mut out_edges = edges.clone();
@@ -769,12 +908,79 @@ mod tests {
         let csr = |es: Vec<Edge>, end: fn(&Edge) -> NodeId| {
             let key = |e: &Edge| (end(e).index(), e.kind.class() as usize);
             let at = |v: usize, k: usize| es.partition_point(|e| key(e) < (v, k)) as u32;
-            let start = (0..=n).map(|v| at(v, 0)).collect();
-            let kind = (0..n * EDGE_CLASSES).map(|i| at(i / EDGE_CLASSES, i % EDGE_CLASSES));
+            let kind = (0..=n * EDGE_CLASSES).map(|i| at(i / EDGE_CLASSES, i % EDGE_CLASSES));
             let kind = kind.collect();
-            (es, start, kind)
+            (es, kind)
         };
         [csr(edges, |e| e.dst), csr(out_edges, |e| e.src)]
+    }
+
+    /// The edge kind a random `(k, payload)` draw stands for.
+    fn kind_of(k: u8, p: u32) -> EdgeKind {
+        match k % 7 {
+            0 => EdgeKind::New,
+            1 => EdgeKind::AssignLocal,
+            2 => EdgeKind::AssignGlobal,
+            3 => EdgeKind::Load(FieldId(p)),
+            4 => EdgeKind::Store(FieldId(p)),
+            5 => EdgeKind::Param(CallSiteId(p)),
+            _ => EdgeKind::Ret(CallSiteId(p)),
+        }
+    }
+
+    /// A graph of `n` nodes (every third an object) over fields and call
+    /// sites `0..4`, with `raw`'s edges.
+    fn random_pag(n: usize, raw: &[(u32, u32, u8, u32)]) -> Pag {
+        let mut b = PagBuilder::new();
+        let m = b.add_method("m");
+        for f in 1..4 {
+            b.types_mut().add_field(format!("f{f}"));
+        }
+        for _ in 0..4 {
+            b.fresh_call_site();
+        }
+        for v in 0..n {
+            let kind = if v % 3 == 0 {
+                NodeKind::Object { method: m }
+            } else {
+                NodeKind::Global
+            };
+            let name = format!("n{v}");
+            b.add_node(NodeInfo {
+                kind,
+                ty: TypeId(0),
+                name,
+                is_application: true,
+            });
+        }
+        for &(s, d, k, p) in raw {
+            b.add_edge(NodeId(s), NodeId(d), kind_of(k, p));
+        }
+        b.freeze()
+    }
+
+    /// What the solver's `param` / `ret` pops used to do: scan the node's
+    /// whole class slice and keep the edges of one site.
+    fn scanned(slice: &[Edge], site: u32) -> Vec<Edge> {
+        let at = |e: &&Edge| e.kind.call_site() == Some(CallSiteId(site));
+        slice.iter().filter(at).copied().collect()
+    }
+
+    /// Every node's by-site lookups, at every site and one past them,
+    /// against the scan; and the variable table against the node table.
+    fn by_site_is_the_scan(g: &Pag) -> Result<(), TestCaseError> {
+        for v in g.node_ids() {
+            prop_assert_eq!(g.is_variable(v), g.kind(v).is_variable());
+            for site in 0..=g.call_site_count() as u32 {
+                let param: Vec<Edge> = g.incoming_param_at(v, CallSiteId(site)).collect();
+                let want = scanned(g.incoming_kind(v, EdgeClass::Param), site);
+                prop_assert_eq!(param, want, "param into {:?} at {}", v, site);
+                let ret: Vec<Edge> = g.outgoing_ret_at(v, CallSiteId(site)).collect();
+                let want = scanned(g.outgoing_kind(v, EdgeClass::Ret), site);
+                prop_assert_eq!(ret, want, "ret out of {:?} at {}", v, site);
+            }
+        }
+        Ok(())
     }
 
     proptest! {
@@ -801,16 +1007,7 @@ mod tests {
                 b.add_node(NodeInfo { kind, ty: TypeId(0), name, is_application: true });
             }
             let mut edges: Vec<Edge> = raw.iter().map(|&(s, d, k, p)| {
-                let kind = match k {
-                    0 => EdgeKind::New,
-                    1 => EdgeKind::AssignLocal,
-                    2 => EdgeKind::AssignGlobal,
-                    3 => EdgeKind::Load(FieldId(p)),
-                    4 => EdgeKind::Store(FieldId(p)),
-                    5 => EdgeKind::Param(CallSiteId(p)),
-                    _ => EdgeKind::Ret(CallSiteId(p)),
-                };
-                Edge { src: NodeId(s), dst: NodeId(d), kind }
+                Edge { src: NodeId(s), dst: NodeId(d), kind: kind_of(k, p) }
             }).collect();
             for d in dups.iter().filter(|_| !raw.is_empty()) {
                 edges.push(edges[d % raw.len()]);
@@ -819,12 +1016,10 @@ mod tests {
                 b.add_edge(e.src, e.dst, e.kind);
             }
             let g = b.freeze();
-            let [(ins, in_start, in_kind), (outs, out_start, out_kind)] = reference_freeze(edges, n);
+            let [(ins, in_kind), (outs, out_kind)] = reference_freeze(edges, n);
             prop_assert_eq!(&g.edges, &ins);
-            prop_assert_eq!(&g.in_start, &in_start);
             prop_assert_eq!(&g.in_kind, &in_kind);
             prop_assert_eq!(&g.out_edges, &outs);
-            prop_assert_eq!(&g.out_start, &out_start);
             prop_assert_eq!(&g.out_kind, &out_kind);
             for f in 0..4 {
                 let of = |kind: EdgeKind| ins.iter().filter(move |e| e.kind == kind);
@@ -833,6 +1028,58 @@ mod tests {
                 prop_assert_eq!(g.loads_of(FieldId(f)), &loads[..]);
                 prop_assert_eq!(g.stores_of(FieldId(f)), &stores[..]);
             }
+        }
+
+        /// On every graph a traversal can meet — a fresh freeze, its
+        /// quotient under a random merge of nodes, and that quotient
+        /// edited by a random delta (call edges put in and taken out,
+        /// nodes appended, a call site removed) — the by-site lookup of
+        /// every node at every site yields exactly the edges the old scan
+        /// accepted, in the same order.
+        #[test]
+        fn by_site_lookup_is_the_scan_after_freeze_quotient_and_delta(
+            (n, raw, merge, edits) in (2usize..30).prop_flat_map(|n| {
+                let edge = (0..n as u32, 0..n as u32, 0u8..7, 0u32..4);
+                let edit = (any::<bool>(), (0..n as u32 + 2, 0..n as u32 + 2, 4u8..7, 0u32..4));
+                use proptest::collection::vec;
+                (Just(n), vec(edge, 0..120), vec(0..n as u32, n..n + 1), vec(edit, 0..24))
+            }),
+            removed_site in 0u32..6,
+        ) {
+            let g = random_pag(n, &raw);
+            by_site_is_the_scan(&g)?;
+
+            // Node `v` becomes the smallest node drawn with it.
+            let mut remap: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+            for (v, &to) in merge.iter().enumerate() {
+                remap[v] = remap[v].min(remap[to as usize]);
+            }
+            let nodes: Vec<NodeInfo> = (0..n).map(|v| g.node(remap[v]).clone()).collect();
+            let q = g.quotient(nodes, &remap);
+            by_site_is_the_scan(&q)?;
+
+            let mut d = crate::PagDelta::new();
+            for v in n..n + 2 {
+                let kind = NodeKind::Global;
+                d.add_node(NodeInfo { kind, ty: TypeId(0), name: format!("n{v}"), is_application: true });
+            }
+            for &(add, (s, t, k, p)) in &edits {
+                let kind = kind_of(k, p);
+                if add {
+                    d.add_edge(NodeId(s), NodeId(t), kind);
+                } else {
+                    d.remove_edge(NodeId(s), NodeId(t), kind);
+                }
+            }
+            // Some existing call edges go too.
+            for e in q.edges().iter().filter(|e| e.kind.call_site().is_some()).step_by(3) {
+                d.remove_edge(e.src, e.dst, e.kind);
+            }
+            if removed_site < 4 {
+                d.remove_call_site(CallSiteId(removed_site));
+            }
+            let (edited, _) = q.apply_delta(&d);
+            by_site_is_the_scan(&edited)?;
         }
     }
 

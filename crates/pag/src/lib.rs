@@ -35,7 +35,7 @@ pub mod types;
 
 pub use delta::{DeltaEffect, DeltaOp, PagDelta};
 pub use edge::{Edge, EdgeClass, EdgeKind, EDGE_CLASSES};
-pub use graph::{PackedAdj, Pag, PagBuilder};
+pub use graph::{ClassSlices, PackedAdj, Pag, PagBuilder};
 pub use ids::{CallSiteId, FieldId, MethodId, NodeId, TypeId};
 pub use node::{NodeInfo, NodeKind};
 pub use types::TypeInfo;

@@ -15,45 +15,45 @@ use parcfl_concurrent::FxHashMap;
 use parcfl_pag::algo::{longest_path_through, tarjan_scc};
 use parcfl_pag::{NodeId, Pag};
 
-/// Connection distances for every query variable, computed per group.
-pub fn connection_distances(pag: &Pag, groups: &Groups) -> FxHashMap<NodeId, u64> {
-    let per_group: Vec<Vec<(NodeId, u64)>> = groups
-        .component_nodes
-        .iter()
-        .map(|nodes| group_cds(pag, nodes))
-        .collect();
-    let mut out = FxHashMap::default();
-    for g in per_group {
-        out.extend(g);
-    }
-    out
-}
-
-/// CDs for one component: SCC-condense its direct subgraph and take the
-/// longest DAG path through each node's component.
-fn group_cds(pag: &Pag, nodes: &[NodeId]) -> Vec<(NodeId, u64)> {
-    let n = nodes.len();
-    let mut local: FxHashMap<NodeId, u32> = FxHashMap::default();
-    for (i, &v) in nodes.iter().enumerate() {
-        local.insert(v, i as u32);
-    }
-    // Direct edges within the component, in local indices.
-    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &v in nodes {
-        for e in pag.outgoing(v) {
-            if e.kind.is_direct() {
-                if let Some(&d) = local.get(&e.dst) {
-                    succ[local[&v] as usize].push(d as usize);
-                }
-            }
+/// Connection distances of every node of every group, indexed by node
+/// (0 for nodes of no group), computed per group.
+pub fn connection_distances(pag: &Pag, groups: &Groups) -> Vec<u64> {
+    let mut cds = vec![0; pag.node_count()];
+    // Each node's index within its group. Direct edges never leave a
+    // group (groups are their components), so a group's walk only reads
+    // the entries of its own nodes, which it has just written.
+    let mut local = vec![0u32; pag.node_count()];
+    for nodes in &groups.component_nodes {
+        for (i, &v) in nodes.iter().enumerate() {
+            local[v.index()] = i as u32;
+        }
+        for (&v, cd) in nodes.iter().zip(group_cds(pag, nodes, &local)) {
+            cds[v.index()] = cd;
         }
     }
-    let scc = tarjan_scc(n, |v| succ[v].iter().copied());
+    cds
+}
+
+/// CDs for one component, member by member: SCC-condense its direct
+/// subgraph and take the longest DAG path through each node's component.
+fn group_cds(pag: &Pag, nodes: &[NodeId], local: &[u32]) -> Vec<u64> {
+    let n = nodes.len();
+    // Direct edges within the component, in local indices, as a CSR.
+    let mut starts = Vec::with_capacity(n + 1);
+    let mut succ: Vec<usize> = Vec::new();
+    for &v in nodes {
+        starts.push(succ.len());
+        let direct = pag.outgoing(v).iter().filter(|e| e.kind.is_direct());
+        succ.extend(direct.map(|e| local[e.dst.index()] as usize));
+    }
+    starts.push(succ.len());
+    let succ_of = |v: usize| &succ[starts[v]..starts[v + 1]];
+    let scc = tarjan_scc(n, |v| succ_of(v).iter().copied());
     // Condensation edges, deduplicated.
     let mut cedges: Vec<(u32, u32)> = Vec::new();
-    for (v, ss) in succ.iter().enumerate() {
+    for v in 0..n {
         let cv = scc.component_of(v) as u32;
-        for &w in ss {
+        for &w in succ_of(v) {
             let cw = scc.component_of(w) as u32;
             if cv != cw {
                 cedges.push((cv, cw));
@@ -63,11 +63,7 @@ fn group_cds(pag: &Pag, nodes: &[NodeId]) -> Vec<(NodeId, u64)> {
     cedges.sort_unstable();
     cedges.dedup();
     let lp = longest_path_through(scc.component_count(), &cedges);
-    nodes
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, lp[scc.component_of(i)]))
-        .collect()
+    (0..n).map(|i| lp[scc.component_of(i)]).collect()
 }
 
 /// Type level `L(t)` for every query variable (0 for non-reference types).
@@ -122,10 +118,10 @@ mod tests {
             .collect();
         let groups = Groups::build(&pag, &ids);
         let cd = connection_distances(&pag, &groups);
-        assert_eq!(cd[&ids[0]], 2);
-        assert_eq!(cd[&ids[1]], 2);
-        assert_eq!(cd[&ids[2]], 2);
-        assert_eq!(cd[&ids[3]], 0, "isolated variable has CD 0");
+        assert_eq!(cd[ids[0].index()], 2);
+        assert_eq!(cd[ids[1].index()], 2);
+        assert_eq!(cd[ids[2].index()], 2);
+        assert_eq!(cd[ids[3].index()], 0, "isolated variable has CD 0");
     }
 
     #[test]
@@ -144,9 +140,9 @@ mod tests {
         let z = pag.node_by_name("z@A.m").unwrap();
         let groups = Groups::build(&pag, &[x, y, z]);
         let cd = connection_distances(&pag, &groups);
-        assert_eq!(cd[&x], 1, "cycle collapses, one edge to z remains");
-        assert_eq!(cd[&y], 1);
-        assert_eq!(cd[&z], 1);
+        assert_eq!(cd[x.index()], 1, "cycle collapses, one edge to z remains");
+        assert_eq!(cd[y.index()], 1);
+        assert_eq!(cd[z.index()], 1);
     }
 
     #[test]

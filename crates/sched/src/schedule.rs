@@ -88,66 +88,52 @@ pub fn build_schedule_with_levels(
     let levels = type_levels_from(all_levels, pag, queries);
 
     // Order members within each group by increasing CD (ties by node id for
-    // determinism).
-    let mut ordered: Vec<(u32, Vec<NodeId>)> = groups
+    // determinism), and groups by decreasing max type level == increasing
+    // DD = 1/L. Level-0 groups (primitives/opaque) sort last. Ties broken
+    // by smallest member id for determinism.
+    let mut ordered: Vec<_> = groups
         .members
-        .iter()
-        .map(|members| {
-            let mut m = members.clone();
-            m.sort_by_key(|v| (cds.get(v).copied().unwrap_or(0), *v));
-            (group_level(&levels, members), m)
+        .into_iter()
+        .map(|mut m| {
+            let level = group_level(&levels, &m);
+            let level_key = if level == 0 {
+                u32::MAX
+            } else {
+                u32::MAX - 1 - level
+            };
+            let smallest = m.iter().min().copied();
+            m.sort_by_key(|v| (cds[v.index()], *v));
+            ((level_key, smallest), m)
         })
         .collect();
-
-    // Order groups by decreasing max type level == increasing DD = 1/L.
-    // Level-0 groups (primitives/opaque) sort last. Ties broken by smallest
-    // member id for determinism.
-    ordered.sort_by(|(la, ga), (lb, gb)| {
-        let key_a = if *la == 0 {
-            u32::MAX
-        } else {
-            u32::MAX - 1 - la
-        };
-        let key_b = if *lb == 0 {
-            u32::MAX
-        } else {
-            u32::MAX - 1 - lb
-        };
-        key_a
-            .cmp(&key_b)
-            .then_with(|| ga.iter().min().cmp(&gb.iter().min()))
-    });
+    ordered.sort_by_key(|&(key, _)| key);
 
     let group_count = ordered.len();
     let avg = queries.len() as f64 / group_count as f64;
+    let ordered = ordered.into_iter().map(|(_, g)| g);
 
-    let mut final_groups: Vec<Vec<NodeId>> = Vec::new();
-    if opts.rebalance {
+    let groups = if opts.rebalance {
         let mut m = avg.ceil().max(1.0) as usize;
         if let Some(cap) = opts.max_group_size {
             m = m.min(cap.max(1));
         }
-        // Split groups larger than M (preserving CD order), then merge
-        // adjacent groups smaller than M, emitting exactly M-sized units.
-        let mut pending: Vec<NodeId> = Vec::new();
-        for (_, g) in ordered {
-            pending.extend_from_slice(&g);
-            while pending.len() >= m {
-                let rest = pending.split_off(m);
-                final_groups.push(std::mem::replace(&mut pending, rest));
-            }
-        }
-        if !pending.is_empty() {
-            final_groups.push(pending);
-        }
+        rebalance(ordered, m)
     } else {
-        final_groups = ordered.into_iter().map(|(_, g)| g).collect();
-    }
+        ordered.collect()
+    };
 
     Schedule {
-        groups: final_groups,
+        groups,
         avg_group_size: avg,
     }
+}
+
+/// Splits groups larger than `m` (preserving their order) and merges
+/// adjacent smaller ones: the groups laid end to end, cut into units of
+/// exactly `m`, the last one possibly short.
+fn rebalance(groups: impl Iterator<Item = Vec<NodeId>>, m: usize) -> Vec<Vec<NodeId>> {
+    let flat: Vec<NodeId> = groups.flatten().collect();
+    flat.chunks(m).map(<[NodeId]>::to_vec).collect()
 }
 
 #[cfg(test)]
@@ -278,6 +264,45 @@ mod tests {
         let u = Schedule::unscheduled(&[NodeId::new(0), NodeId::new(1)]);
         assert_eq!(u.groups.len(), 2);
         assert_eq!(u.flat_order(), vec![NodeId::new(0), NodeId::new(1)]);
+    }
+
+    /// The rebalance before `chunks`, kept as the reference: a buffer that
+    /// emits its first `m` members whenever it holds that many (and
+    /// re-copied the rest each time).
+    fn pending_rebalance(groups: Vec<Vec<NodeId>>, m: usize) -> Vec<Vec<NodeId>> {
+        let mut out = Vec::new();
+        let mut pending: Vec<NodeId> = Vec::new();
+        for g in groups {
+            pending.extend_from_slice(&g);
+            while pending.len() >= m {
+                let rest = pending.split_off(m);
+                out.push(std::mem::replace(&mut pending, rest));
+            }
+        }
+        if !pending.is_empty() {
+            out.push(pending);
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Over random group shapes — empty, singleton and giant groups —
+        /// and caps, the rebalanced schedule is the old one, unit for unit.
+        #[test]
+        fn rebalance_cuts_what_the_pending_buffer_cut(
+            sizes in proptest::collection::vec(0usize..300, 0..24),
+            m in 1usize..40,
+        ) {
+            let mut ids = (0..).map(NodeId::new);
+            let groups: Vec<Vec<NodeId>> = sizes
+                .iter()
+                .map(|&s| ids.by_ref().take(s).collect())
+                .collect();
+            let new = rebalance(groups.clone().into_iter(), m);
+            proptest::prop_assert_eq!(new, pending_rebalance(groups, m));
+        }
     }
 
     #[test]

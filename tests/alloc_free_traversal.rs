@@ -1,8 +1,10 @@
 //! A warm lane's nested traversals do not allocate (DESIGN.md §8): with
 //! sharing off nothing is published, so once a solver's scratch has grown
 //! to a batch, answering the batch again may allocate for the answers it
-//! hands out and for little else — not once per element of every nested
-//! result set, which is what sorting by materialised call strings cost.
+//! hands out and for nothing else — not once per element of every nested
+//! result set, which is what sorting by materialised call strings cost,
+//! nor a spill bitset per query, which the visited tables did until they
+//! kept a pool of them (DESIGN.md §11).
 //!
 //! A solver that records footprints adds each answer's footprint to that
 //! and nothing per `ReachableNodes` frame: reads go to the lane's log.
@@ -72,11 +74,11 @@ fn a_warm_solver_allocates_for_its_answers_only() {
     eprintln!("queries={queries} elements={elements} steps={steps} cold={cold} warm={warm}");
     // The batch is mostly nested work: many more steps than answers.
     assert!(steps > 20 * (elements + queries));
-    // An answer costs its `Vec` and one call string per element; the
-    // visited tables rebuild a spill bitset per query for the few rows
-    // that outgrow their inline slots.
+    // An answer costs its `Vec` and at most one call string per element.
+    // The visited tables rebuild nothing: a row that outgrows its inline
+    // slots takes a bitset its table keeps from query to query.
     assert!(
-        warm <= 2 * (elements + queries),
+        warm <= elements + queries,
         "{warm} allocations for {elements} answer elements over {queries} queries ({steps} steps)"
     );
 

@@ -3,7 +3,7 @@
 //! without materialising either, and `sort_canonical` therefore puts a
 //! result set into one sequence whatever ids interning assigned.
 
-use parcfl::concurrent::{CtxId, CtxInterner};
+use parcfl::concurrent::{CtxId, CtxInterner, CtxMirror};
 use parcfl::core::context::sort_canonical;
 use parcfl::core::Ctx;
 use parcfl::pag::NodeId;
@@ -27,7 +27,7 @@ fn sorted_through<'a>(states: impl Iterator<Item = &'a (u32, Vec<u32>)>) -> Vec<
     let mut v: Vec<(NodeId, CtxId)> = states
         .map(|(n, s)| (NodeId::new(*n), t.intern_stack(s)))
         .collect();
-    sort_canonical(&t, &mut v);
+    sort_canonical(&mut v, |a, b| t.cmp_stacks(a, b));
     v.into_iter()
         .map(|(n, c)| (n, Ctx::materialize(&t, c)))
         .collect()
@@ -58,6 +58,8 @@ proptest! {
             ids.push(t.intern(t.intern(prefix, DEEP + site), site));
         }
         let stacks: Vec<Vec<u32>> = ids.iter().map(|&c| t.stack_of(c)).collect();
+        // A solver lane compares through its mirror of the interner.
+        let mut mirror = CtxMirror::default();
         for (i, &a) in ids.iter().enumerate() {
             for (j, &b) in ids.iter().enumerate() {
                 prop_assert_eq!(
@@ -65,6 +67,7 @@ proptest! {
                     stacks[i].cmp(&stacks[j]),
                     "{:?} vs {:?}", stacks[i], stacks[j]
                 );
+                prop_assert_eq!(mirror.cmp_stacks(&t, a, b), stacks[i].cmp(&stacks[j]));
             }
         }
     }

@@ -11,7 +11,7 @@ use parcfl::check::seed::derive;
 use parcfl::check::test_seed;
 use parcfl::core::{Answer, SolverConfig};
 use parcfl::runtime::{run_threaded, Backend, Mode, RunConfig};
-use parcfl::synth::{build_bench, Profile};
+use parcfl::synth::{build_bench, table1_profiles, Profile};
 
 #[test]
 fn threaded_sharing_under_contention_is_safe_and_consistent() {
@@ -57,6 +57,40 @@ fn threaded_tight_budget_never_loses_queries() {
             assert_eq!(qa, qb, "PARCFL_TEST_SEED={seed}");
             if let (Answer::Complete(_), Answer::Complete(_)) = (a, s) {
                 assert_eq!(a, s, "PARCFL_TEST_SEED={seed} query {qa}");
+            }
+        }
+    }
+}
+
+/// Table-I programs under the paper's DQ mode on real workers, as
+/// `table1_cold` runs them: their lanes intern and resolve contexts side
+/// by side at a rate the `tiny` programs above never reach (pmd interns
+/// a thousand), so a lane that resolved a context id before its interning
+/// thread had written it (DESIGN.md §8, the lane's mirror of the
+/// interner) would answer wrong here. Every completed answer of every run
+/// must be `run_seq`'s.
+#[test]
+fn dq_workers_on_a_table_one_program_answer_as_run_seq() {
+    for name in ["_209_db", "pmd"] {
+        let profile = table1_profiles().into_iter().find(|p| p.name == name);
+        let b = build_bench(&profile.expect("a Table-I row"));
+        let seq = parcfl::runtime::run_seq(&b.pag, &b.queries, &b.solver).sorted_answers();
+        for threads in [2, 3, 4] {
+            for round in 0..12 {
+                let cfg = RunConfig::new(Mode::DataSharingSched, threads, Backend::Threaded);
+                let r = run_threaded(&b.pag, &b.queries, &cfg.with_solver(b.solver.clone()));
+                let got = r.sorted_answers();
+                assert_eq!(got.len(), seq.len(), "{name} t={threads} round {round}");
+                for ((q, a), (_, want)) in got.iter().zip(&seq) {
+                    if let (Answer::Complete(_), Answer::Complete(_)) = (a, want) {
+                        assert_eq!(a, want, "{name} t={threads} round {round} query {q}");
+                    }
+                }
+                let compared = r.stats.completed * 10 > 9 * b.queries.len();
+                assert!(
+                    compared,
+                    "{name} t={threads} round {round}: most answers complete"
+                );
             }
         }
     }
