@@ -17,6 +17,11 @@
 //! ones below: a change that claims a faster step must traverse the same
 //! steps. `--reps 1` is the CI gate.
 //!
+//! The DQ pass's count moves with the default τF. Since τF went from 100
+//! to 20 it traverses a quarter of the steps and spends much of its time
+//! taking jmp shortcuts, so its ns/step is not comparable to a figure
+//! taken at τF = 100.
+//!
 //! ```text
 //! cargo run --release -p parcfl-bench --bin step_probe [-- --reps N]
 //! ```
@@ -28,7 +33,7 @@ use parcfl_synth::Bench;
 /// `run_seq`'s traversed steps over the light programs.
 const SEQ_STEPS: u64 = 9_943_260;
 /// The one-worker DQ pass's traversed steps and out-of-budget queries.
-const DQ_STEPS: u64 = 21_130_191;
+const DQ_STEPS: u64 = 5_237_302;
 const DQ_OUT_OF_BUDGET: u64 = 3_713;
 
 /// On-CPU nanoseconds of the calling thread so far.

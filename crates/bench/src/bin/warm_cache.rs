@@ -16,10 +16,9 @@
 //! budget (still answering identically).
 //!
 //! All three configurations run with the τ insertion thresholds disabled
-//! (every jmp edge recorded, cold included): the smallest benchmarks never
-//! clear the paper's τF under their scaled profiles, and an empty store
-//! has nothing to stay warm. τ policy itself is the `ablation_tau` bench's
-//! subject, not this one's.
+//! (every jmp edge recorded, cold included), so what the warm batch saves
+//! does not depend on the τ policy. τ policy itself is the `ablation_tau`
+//! bench's subject, not this one's.
 //!
 //! With `--delta` the bench instead measures *incremental*
 //! analysis (DESIGN.md §12): each suite session answers its full batch,

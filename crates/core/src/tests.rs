@@ -388,8 +388,8 @@ fn tau_thresholds_suppress_publication() {
                  }
                }";
     let p = pag(src);
-    // This tiny program's ReachableNodes costs only a handful of steps, far
-    // below the paper's τF = 100: nothing may be recorded.
+    // This tiny program's ReachableNodes costs only a handful of steps,
+    // below the default τF: nothing may be recorded.
     let cfg = SolverConfig::default();
     let store = SharedJmpStore::new();
     let mut solver = Solver::new(&p, &cfg, &store);

@@ -40,20 +40,9 @@ pub struct Profile {
 
 impl Profile {
     /// The solver configuration this profile's experiments use: the
-    /// profile's budget with τF = 100 and τU = 100.
-    ///
-    /// The paper sets τU = 10,000 against B = 75,000 because *its*
-    /// `ReachableNodes` frames cost thousands-to-tens-of-thousands of
-    /// steps; τU exists to skip recording evidence too cheap to matter.
-    /// Our scaled workloads have proportionally smaller frames (the
-    /// budget-exhausting cost accumulates over more, smaller frames), so
-    /// τU scales with the frame-cost distribution rather than with B.
+    /// default configuration with the profile's budget.
     pub fn solver_config(&self) -> parcfl_core::SolverConfig {
-        parcfl_core::SolverConfig {
-            budget: self.budget,
-            tau_unfinished: 100,
-            ..parcfl_core::SolverConfig::default()
-        }
+        parcfl_core::SolverConfig::default().with_budget(self.budget)
     }
 
     /// A moderately larger profile than [`Profile::tiny`]: more classes,

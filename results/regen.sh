@@ -7,7 +7,9 @@
 # as, and checked against, results/BENCH_solver.json, and that check is the
 # counter drift gate — a PR that changes or adds a counter on purpose
 # re-records it here. Wall time per binary, from bash's SECONDS, goes to
-# results/timings.txt when recording; a check writes nothing.
+# results/timings.txt when recording, and ablation_tau's wall-clock table
+# (its standard error) to results/ablation_tau.time; a check writes
+# nothing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$PWD
@@ -32,9 +34,11 @@ gate() {
 }
 timings=""
 for name in table1 table2 fig6 fig7 fig8 memory ablation_tau ablation_group; do
+    err=/dev/stderr
+    if [ "$name" = ablation_tau ] && ! $check; then err="$root/results/$name.time"; fi
     SECONDS=0
     cargo run --release --offline -q --manifest-path "$root/Cargo.toml" -p parcfl-bench --bin "$name" \
-        >"$name.txt"
+        >"$name.txt" 2>"$err"
     timings+="$name ${SECONDS}s"$'\n'
     gate "$name.txt"
 done

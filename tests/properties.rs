@@ -5,7 +5,8 @@
 //! → extraction → analysis.
 
 use parcfl::core::{Answer, NoJmpStore, SharedJmpStore, Solver, SolverConfig};
-use parcfl::synth::{generate, Profile};
+use parcfl::runtime::{run, run_seq, Backend, Mode, RunConfig};
+use parcfl::synth::{build_bench, generate, table1_profiles, Profile};
 use proptest::prelude::*;
 
 fn small_profile(seed: u64, apps: usize, idioms: usize) -> Profile {
@@ -27,6 +28,15 @@ fn small_profile(seed: u64, apps: usize, idioms: usize) -> Profile {
 fn ample() -> SolverConfig {
     SolverConfig::default().with_budget(2_000_000)
 }
+
+/// The τF values the sharing property quantifies over: none, the
+/// calibrated default and the paper's.
+fn taus() -> [u64; 3] {
+    [0, SolverConfig::default().tau_finished, 100]
+}
+
+/// Queries drawn from a Table-I program per case.
+const TABLE1_SAMPLE: usize = 24;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -61,28 +71,66 @@ proptest! {
         }
     }
 
-    /// Data sharing never changes completed answers.
+    /// Data sharing never changes completed answers, and τ is a pure
+    /// performance knob: at τF ∈ {0, default, 100} a generated program's
+    /// completed answers equal those without a store, and a sample of a
+    /// Table-I program under DQ on two workers (simulated and threaded)
+    /// completes what `run_seq` completes with the same answers. On the
+    /// deterministic simulator the number of completed queries does not
+    /// move with τF either.
     #[test]
-    fn sharing_preserves_answers(seed in 0u64..10_000) {
+    fn sharing_preserves_answers(seed in 0u64..10_000, program in 0usize..20) {
         let prog = generate(&small_profile(seed, 2, 3));
         let pag = parcfl::frontend::extract(&prog).unwrap().pag;
         let cfg = ample();
-        let share_cfg = SolverConfig {
-            tau_finished: 0,
-            tau_unfinished: 0,
-            ..ample()
-        };
         let plain_store = NoJmpStore;
-        let share_store = SharedJmpStore::new();
         let mut plain = Solver::new(&pag, &cfg, &plain_store);
-        let mut shared = Solver::new(&pag, &share_cfg, &share_store);
-        for v in pag.application_locals() {
-            let a = plain.points_to_query(v, 0).answer;
-            let b = shared.points_to_query(v, 0).answer;
-            if let (Answer::Complete(_), Answer::Complete(_)) = (&a, &b) {
-                prop_assert_eq!(a, b);
+        let locals = pag.application_locals();
+        let expected: Vec<_> = locals.iter().map(|&v| plain.points_to_query(v, 0).answer).collect();
+        for tau in taus() {
+            let share_cfg = SolverConfig {
+                tau_finished: tau,
+                tau_unfinished: 0,
+                ..ample()
+            };
+            let share_store = SharedJmpStore::new();
+            let mut shared = Solver::new(&pag, &share_cfg, &share_store);
+            for (&v, a) in locals.iter().zip(&expected) {
+                let b = shared.points_to_query(v, 0).answer;
+                if let (Answer::Complete(_), Answer::Complete(_)) = (a, &b) {
+                    prop_assert_eq!(a, &b, "τF {}", tau);
+                }
             }
         }
+
+        let b = build_bench(&table1_profiles()[program]);
+        let stride = (b.queries.len() / TABLE1_SAMPLE).max(1);
+        let sample: Vec<_> = b.queries.iter().copied()
+            .skip(seed as usize % stride).step_by(stride).take(TABLE1_SAMPLE).collect();
+        let seq = run_seq(&b.pag, &sample, &b.solver).sorted_answers();
+        let mut simulated_completed = Vec::new();
+        for tau in taus() {
+            let solver = SolverConfig { tau_finished: tau, ..b.solver.clone() };
+            for backend in [Backend::Simulated, Backend::Threaded] {
+                let cfg = RunConfig::new(Mode::DataSharingSched, 2, backend).with_solver(solver.clone());
+                let r = run(&b.pag, &sample, &cfg);
+                let dq = r.sorted_answers();
+                prop_assert_eq!(dq.len(), seq.len());
+                for ((q, a), (sq, s)) in dq.iter().zip(&seq) {
+                    prop_assert_eq!(q, sq);
+                    if let (Answer::Complete(_), Answer::Complete(_)) = (a, s) {
+                        prop_assert_eq!(a, s, "{} τF {} {:?}", b.name, tau, backend);
+                    }
+                }
+                if backend == Backend::Simulated {
+                    simulated_completed.push(r.stats.completed);
+                }
+            }
+        }
+        prop_assert!(
+            simulated_completed.windows(2).all(|w| w[0] == w[1]),
+            "{}: completed queries moved with τF: {:?}", b.name, simulated_completed
+        );
     }
 
     /// Context-sensitive results refine context-insensitive ones.
