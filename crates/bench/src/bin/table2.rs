@@ -13,16 +13,11 @@
 //! restricts the run to the smallest synthetic profile plus `luindex`
 //! (the cheapest one whose jmp store fills) and skips the wall-clock
 //! sidebar; `--json PATH` overrides the artifact location.
-//!
-//! `--trace-out PATH` additionally re-runs the first bench with
-//! `TraceLevel::Full` on the *simulated* backend (deterministic, so the
-//! CI artifact is reproducible) and writes the Chrome-trace JSON there —
-//! load it in `chrome://tracing` or Perfetto.
 
 use parcfl_bench::diff::{row_json, SCHEMA_TAG};
-use parcfl_bench::{cfg_for, run_mode};
+use parcfl_bench::run_mode;
 use parcfl_core::{NoJmpStore, Solver, SolverConfig, StateBackend};
-use parcfl_runtime::{run_seq, run_simulated, Mode, TraceLevel};
+use parcfl_runtime::{run_seq, Mode};
 use parcfl_synth::{build_bench, table1_profiles, Bench};
 use std::io::Write;
 
@@ -175,23 +170,6 @@ fn emit_bench_json(path: &str, benches: &[Bench], smoke: bool) {
     );
 }
 
-/// Re-runs `b`'s headline DQ configuration with full tracing on the
-/// deterministic simulated backend and writes the Chrome-trace JSON
-/// artifact.
-fn emit_trace(path: &str, b: &Bench) {
-    let cfg = cfg_for(b, Mode::DataSharingSched, JSON_THREADS).with_tracing(TraceLevel::Full);
-    let trace = run_simulated(&b.pag, &b.queries, &cfg)
-        .trace
-        .expect("Full tracing yields a trace");
-    std::fs::write(path, trace.to_chrome_json()).expect("write chrome trace");
-    println!(
-        "wrote {path} ({} events across {} workers, {} dropped)",
-        trace.event_count(),
-        trace.workers.len(),
-        trace.dropped()
-    );
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -201,11 +179,6 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned()
         .unwrap_or_else(|| "BENCH_solver.json".to_string());
-    let trace_path = args
-        .iter()
-        .position(|a| a == "--trace-out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
 
     if smoke {
         // CI smoke: the smallest synthetic profile (proves the solver runs
@@ -218,9 +191,6 @@ fn main() {
             .expect("luindex is a Table-I profile");
         let benches = [build_bench(&profiles[0]), build_bench(luindex)];
         emit_bench_json(&json_path, &benches, true);
-        if let Some(p) = &trace_path {
-            emit_trace(p, &benches[0]);
-        }
         return;
     }
 
@@ -272,7 +242,4 @@ fn main() {
     );
 
     emit_bench_json(&json_path, &suite, false);
-    if let Some(p) = &trace_path {
-        emit_trace(p, &suite[0]);
-    }
 }

@@ -430,14 +430,15 @@ fn sample_scenario(cfg: &FuzzConfig, i: u64) -> Scenario {
 
     let threads = rng.random_range(1usize..=6);
 
-    // Trace dimension: tracing is observation-only by contract, so any
-    // level must leave every oracle comparison untouched. Half the
-    // iterations run with a recorder attached to hold that line.
+    // Trace dimension: tracing is observation-only by contract, so it
+    // must leave every oracle comparison untouched. Half the iterations
+    // run with a recorder attached to hold that line; the draw keeps its
+    // four slots so every later draw is what it was.
     let trace_level = [
         TraceLevel::Off,
         TraceLevel::Off,
         TraceLevel::Spans,
-        TraceLevel::Full,
+        TraceLevel::Spans,
     ][rng.random_range(0usize..4)];
 
     Scenario {

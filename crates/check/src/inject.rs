@@ -8,7 +8,7 @@
 //! dispatch hook ([`SimHook`]), and the public batch calls.
 
 use crate::snapshot::Scenario;
-use parcfl_core::jmp::{JmpHit, JmpKey, RchSet};
+use parcfl_core::jmp::{JmpKey, JmpLookup, RchSet};
 use parcfl_core::{Answer, CtxId, CtxInterner, Footprint, JmpStore, SharedJmpStore};
 use parcfl_pag::{NodeId, Pag, PagDelta};
 use parcfl_runtime::sim::{Dispatch, SimHook};
@@ -78,7 +78,7 @@ fn blind((dir, x, _): JmpKey) -> JmpKey {
 }
 
 impl JmpStore for ContextBlind<'_> {
-    fn lookup(&self, key: &JmpKey, now: u64) -> Option<JmpHit> {
+    fn lookup(&self, key: &JmpKey, now: u64) -> Option<JmpLookup> {
         self.0.lookup(&blind(*key), now)
     }
 

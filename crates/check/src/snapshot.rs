@@ -206,10 +206,10 @@ impl Scenario {
             self.solver.context_sensitive as u8,
             self.fault.blind_jmp_keys as u8,
             self.solver.state.name(),
+            // The hidden `Full` records what `Spans` does.
             match self.trace_level {
                 TraceLevel::Off => "off",
-                TraceLevel::Spans => "spans",
-                TraceLevel::Full => "full",
+                TraceLevel::Spans | TraceLevel::Full => "spans",
             },
         );
         // Both keys are omitted when inactive so pre-delta corpus files
@@ -661,12 +661,21 @@ mod tests {
             assert!(Scenario::from_snapshot(&old).is_err(), "{bad} is rejected");
         }
 
-        let mut full = sample_scenario();
-        full.solver.state = StateBackend::Hash;
-        full.trace_level = TraceLevel::Full;
-        let back = Scenario::from_snapshot(&full.to_snapshot()).expect("parse");
+        let mut spans = sample_scenario();
+        spans.solver.state = StateBackend::Hash;
+        spans.trace_level = TraceLevel::Spans;
+        let text = spans.to_snapshot();
+        let back = Scenario::from_snapshot(&text).expect("parse");
         assert_eq!(back.solver.state, StateBackend::Hash);
-        assert_eq!(back.trace_level, TraceLevel::Full, "trace=full round-trips");
+        assert_eq!(
+            back.trace_level,
+            TraceLevel::Spans,
+            "trace=spans round-trips"
+        );
+        // `full` named the deleted hot-path level: it reads as `spans`.
+        let old = text.replace(" trace=spans", " trace=full");
+        let back = Scenario::from_snapshot(&old).expect("full-era parse");
+        assert_eq!(back.to_snapshot(), text);
 
         assert!(
             Scenario::from_snapshot("run trace=loud\ncounts nodes=0 fields=1 callsites=0").is_err(),

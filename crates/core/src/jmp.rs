@@ -143,7 +143,7 @@ impl JmpStoreStats {
 
 /// A visible entry and the reverse-dependency footprint it was published
 /// with (`None` when the publisher recorded none).
-pub type JmpHit = (JmpEntry, Option<Arc<Footprint>>);
+pub type JmpLookup = (JmpEntry, Option<Arc<Footprint>>);
 
 /// What crosses the solver↔store boundary: the three calls Algorithm 2
 /// makes, and the interner that gives the ids in keys and payloads their
@@ -154,7 +154,7 @@ pub trait JmpStore: Sync {
     /// Looks up the entry under `key` visible at virtual time `now`: one
     /// created at or before it. A reader that is itself recording absorbs
     /// the hit's footprint — or poisons its own when the hit has none.
-    fn lookup(&self, key: &JmpKey, now: u64) -> Option<JmpHit>;
+    fn lookup(&self, key: &JmpKey, now: u64) -> Option<JmpLookup>;
 
     /// Publishes a finished entry (already filtered by `τF` at the call
     /// site), with the recording traversal's footprint when it kept one
@@ -192,7 +192,7 @@ pub trait JmpStore: Sync {
 pub struct NoJmpStore;
 
 impl JmpStore for NoJmpStore {
-    fn lookup(&self, _key: &JmpKey, _now: u64) -> Option<JmpHit> {
+    fn lookup(&self, _key: &JmpKey, _now: u64) -> Option<JmpLookup> {
         None
     }
 
@@ -459,7 +459,7 @@ impl Default for SharedJmpStore {
 }
 
 impl JmpStore for SharedJmpStore {
-    fn lookup(&self, key: &JmpKey, now: u64) -> Option<JmpHit> {
+    fn lookup(&self, key: &JmpKey, now: u64) -> Option<JmpLookup> {
         let hit = self
             .inner
             .map

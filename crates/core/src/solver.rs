@@ -66,7 +66,6 @@ use crate::witness::{Trace, Via};
 use parcfl_concurrent::{
     CtxId, CtxInterner, CtxMirror, DenseVisitSet, FxHashSet, HashVisitSet, StateSet,
 };
-use parcfl_obs::{EventKind, TraceRecorder};
 use parcfl_pag::{CallSiteId, ClassSlices, Edge, EdgeClass, NodeId, Pag};
 use std::sync::Arc;
 
@@ -158,9 +157,6 @@ pub struct Solver<'a> {
     /// The least instant a jmp lookup is made at (see [`Solver::in_batch`]):
     /// `u64::MAX` sees every entry, 0 leaves it to the query's own clock.
     horizon: u64,
-    /// Per-worker event sink for hot-path instants; the runtime only
-    /// attaches one at `TraceLevel::Full` (see [`Solver::with_recorder`]).
-    rec: Option<&'a TraceRecorder>,
     /// The state backend is a monomorphisation switch, not a branch in the
     /// hot loop: each backend gets its own fully-specialised traversal
     /// code over its own scratch. Both produce bit-identical outputs.
@@ -189,21 +185,11 @@ impl<'a> Solver<'a> {
             interner: shared.unwrap_or_else(|| Arc::new(CtxInterner::new())),
             warm_before: 0,
             horizon: u64::MAX,
-            rec: None,
             scratch: match cfg.state {
                 StateBackend::Hash => Backend::Hash(Scratch::default()),
                 StateBackend::Dense => Backend::Dense(Scratch::default()),
             },
         }
-    }
-
-    /// Attaches a per-worker event recorder: nested-traversal instants
-    /// (`JmpHit`, `JmpInsert`, `EarlyTermination`) land in it,
-    /// timestamped with the query's virtual clock under an external-clock
-    /// recorder or wall time under a real one.
-    pub fn with_recorder(mut self, rec: &'a TraceRecorder) -> Self {
-        self.rec = Some(rec);
-        self
     }
 
     /// Seats the solver in a batch that began at virtual instant `base`,
@@ -275,7 +261,6 @@ impl<'a> Solver<'a> {
             ctxs: &self.interner,
             warm_before: self.warm_before,
             horizon: self.horizon,
-            rec: self.rec,
         };
         match &mut self.scratch {
             Backend::Hash(s) => QueryState::begin(env, s, vtime_base).answer(start, dir, traced),
@@ -327,8 +312,6 @@ struct Env<'a> {
     ctxs: &'a CtxInterner,
     warm_before: u64,
     horizon: u64,
-    /// Event sink for hot-path instants (see [`Solver::with_recorder`]).
-    rec: Option<&'a TraceRecorder>,
 }
 
 /// Everything a query allocates that the next query can use again: one
@@ -391,7 +374,6 @@ struct QueryState<'a, S: StateSet> {
     ctxs: &'a CtxInterner,
     warm_before: u64,
     horizon: u64,
-    rec: Option<&'a TraceRecorder>,
     s: &'a mut Scratch<S>,
     /// Steps charged against the budget (`steps` in the paper).
     steps: u64,
@@ -428,7 +410,6 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             ctxs: env.ctxs,
             warm_before: env.warm_before,
             horizon: env.horizon,
-            rec: env.rec,
             s,
             steps: 0,
             work: 0,
@@ -521,26 +502,6 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         slot.1
     }
 
-    /// Records a hot-path instant event, timestamped at the query's
-    /// virtual now (external-clock recorders keep it; real-clock recorders
-    /// stamp wall time instead). One pointer test when tracing is off; the
-    /// recording arm is outlined (`#[cold]`) so emit sites stay small
-    /// enough not to perturb inlining of the traversal fast paths.
-    #[inline(always)]
-    fn emit(&self, kind: EventKind, a: u32, b: u32) {
-        if self.rec.is_some() {
-            self.emit_cold(kind, a, b);
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn emit_cold(&self, kind: EventKind, a: u32, b: u32) {
-        if let Some(rec) = self.rec {
-            rec.instant(kind, self.now(), a, b);
-        }
-    }
-
     /// Closes the query: materialises the result set and closes out the
     /// cost accounting. Frees nothing — the scratch keeps what the query
     /// allocated for the next one.
@@ -605,7 +566,6 @@ impl<'a, S: StateSet> QueryState<'a, S> {
                 if let Some(evicted) = jmp.publish_unfinished((dir, x, c), s_val, self.now()) {
                     self.stats.unfinished_published += 1;
                     self.stats.evictions += u64::from(evicted);
-                    self.emit(EventKind::JmpInsert, x.raw(), 0);
                 }
             }
             self.s.in_progress.clear();
@@ -861,7 +821,6 @@ impl<'a, S: StateSet> QueryState<'a, S> {
                     if created_at < self.warm_before {
                         self.stats.warm_hits += 1;
                     }
-                    self.emit(EventKind::EarlyTermination, x.raw(), 0);
                     return Err(self.out_of_budget(s, true));
                 }
                 Some((JmpEntry::Unfinished { .. }, _)) | None => {}
@@ -880,8 +839,6 @@ impl<'a, S: StateSet> QueryState<'a, S> {
                     self.work += 1;
                     self.stats.shortcuts_taken += 1;
                     self.stats.steps_saved += total_steps;
-                    let saved = u32::try_from(total_steps).unwrap_or(u32::MAX);
-                    self.emit(EventKind::JmpHit, x.raw(), saved);
                     if created_at < self.warm_before {
                         self.stats.warm_hits += 1;
                     }
@@ -918,7 +875,6 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             if let Some(evicted) = jmp.publish_finished(jmp_key, total, rch, self.now(), fp) {
                 self.stats.finished_published += out.len().max(1) as u64;
                 self.stats.evictions += u64::from(evicted);
-                self.emit(EventKind::JmpInsert, x.raw(), 1);
             }
         }
         Ok(out)

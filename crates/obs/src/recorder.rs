@@ -17,11 +17,10 @@ pub enum TraceClock {
 
 /// One worker's event sink for one batch.
 ///
-/// Owned by exactly one worker thread (the type is deliberately not
-/// `Sync`): recording is a level check, a clock read, and a bounded buffer
-/// push — no locks anywhere. At [`TraceLevel::Off`] both entry points
-/// return after one branch on a constant field and the ring holds no
-/// allocation at all.
+/// Owned by exactly one worker: recording is a level check, a clock read,
+/// and a bounded buffer push — no locks anywhere. At [`TraceLevel::Off`]
+/// [`Self::span`] returns after one branch on a constant field and the
+/// ring holds no allocation at all.
 pub struct TraceRecorder {
     level: TraceLevel,
     clock: TraceClock,
@@ -50,24 +49,6 @@ impl TraceRecorder {
         }
     }
 
-    /// The recorder's level.
-    #[inline]
-    pub fn level(&self) -> TraceLevel {
-        self.level
-    }
-
-    /// Whether span events are recorded.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.level.enabled()
-    }
-
-    /// Whether hot-path instant events are recorded.
-    #[inline]
-    pub fn full(&self) -> bool {
-        self.level.full()
-    }
-
     /// The timestamp to record: the wall clock's elapsed nanoseconds, or
     /// the caller's virtual instant. Only called after the level check —
     /// `Off` never reads any clock.
@@ -79,10 +60,10 @@ impl TraceRecorder {
         }
     }
 
-    /// Records a span-skeleton event (`Spans` and `Full`). `vts` is the
-    /// virtual timestamp under an external clock, ignored otherwise.
+    /// Records a span event. `vts` is the virtual timestamp under an
+    /// external clock, ignored otherwise.
     #[inline]
-    pub fn span(&self, kind: EventKind, vts: u64, a: u32, b: u32) {
+    pub fn span(&mut self, kind: EventKind, vts: u64, a: u32, b: u32) {
         if !self.level.enabled() {
             return;
         }
@@ -92,36 +73,6 @@ impl TraceRecorder {
             a,
             b,
         });
-    }
-
-    /// Records a hot-path instant event (`Full` only). `vts` as in
-    /// [`Self::span`].
-    #[inline]
-    pub fn instant(&self, kind: EventKind, vts: u64, a: u32, b: u32) {
-        if !self.level.full() {
-            return;
-        }
-        self.ring.push(Event {
-            ts: self.stamp(vts),
-            kind,
-            a,
-            b,
-        });
-    }
-
-    /// Events recorded so far.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Events dropped on ring overflow.
-    pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
     }
 
     /// Consumes the recorder into the worker's share of the run trace.
@@ -138,7 +89,7 @@ impl TraceRecorder {
 /// One worker's recorded events for one batch.
 #[derive(Clone, Debug, Default)]
 pub struct WorkerTrace {
-    /// Worker index (one exporter track per worker).
+    /// Worker index.
     pub worker: usize,
     /// Events in record order (per-worker timestamps are monotone).
     pub events: Vec<Event>,
@@ -149,9 +100,6 @@ pub struct WorkerTrace {
 /// Everything a traced run recorded: one track per worker.
 #[derive(Clone, Debug, Default)]
 pub struct RunTrace {
-    /// Whether timestamps are wall-clock nanoseconds (`true`) or virtual
-    /// traversal steps (`false`); decides the exporters' time scale.
-    pub real_time: bool,
     /// Per-worker tracks.
     pub workers: Vec<WorkerTrace>,
 }
@@ -161,16 +109,6 @@ impl RunTrace {
     pub fn event_count(&self) -> usize {
         self.workers.iter().map(|w| w.events.len()).sum()
     }
-
-    /// Total events dropped across all workers.
-    pub fn dropped(&self) -> u64 {
-        self.workers.iter().map(|w| w.dropped).sum()
-    }
-
-    /// Renders the Chrome-trace JSON (see [`crate::chrome`]).
-    pub fn to_chrome_json(&self) -> String {
-        crate::chrome::chrome_trace_json(self)
-    }
 }
 
 #[cfg(test)]
@@ -179,20 +117,17 @@ mod tests {
 
     #[test]
     fn off_records_nothing() {
-        let r = TraceRecorder::external(TraceLevel::Off);
+        let mut r = TraceRecorder::external(TraceLevel::Off);
         r.span(EventKind::QueryStart, 1, 2, 3);
-        r.instant(EventKind::JmpHit, 4, 5, 6);
-        assert!(r.is_empty());
-        assert_eq!(r.dropped(), 0, "Off drops nothing: it never pushes");
         let t = r.into_trace(0);
         assert!(t.events.is_empty());
+        assert_eq!(t.dropped, 0, "Off drops nothing: it never pushes");
     }
 
     #[test]
-    fn spans_records_spans_but_not_instants() {
-        let r = TraceRecorder::external(TraceLevel::Spans);
+    fn spans_stamp_the_callers_virtual_time() {
+        let mut r = TraceRecorder::external(TraceLevel::Spans);
         r.span(EventKind::QueryStart, 10, 7, 0);
-        r.instant(EventKind::JmpHit, 11, 7, 0);
         r.span(EventKind::QueryEnd, 12, 7, 1);
         let t = r.into_trace(2);
         assert_eq!(t.worker, 2);
@@ -205,15 +140,21 @@ mod tests {
 
     #[test]
     fn full_records_everything() {
-        let r = TraceRecorder::external(TraceLevel::Full);
-        r.span(EventKind::QueryStart, 1, 0, 0);
-        r.instant(EventKind::Eviction, 2, 3, 0);
-        assert_eq!(r.len(), 2);
+        // Everything there is to record is the spans `Spans` records.
+        let mut full = TraceRecorder::external(TraceLevel::Full);
+        let mut spans = TraceRecorder::external(TraceLevel::Spans);
+        for r in [&mut full, &mut spans] {
+            r.span(EventKind::QueryStart, 1, 0, 0);
+            r.span(EventKind::QueryEnd, 2, 0, 1);
+        }
+        let events = full.into_trace(0).events;
+        assert_eq!(events.len(), 2);
+        assert_eq!(events, spans.into_trace(0).events);
     }
 
     #[test]
     fn real_clock_is_monotone() {
-        let r = TraceRecorder::real(TraceLevel::Spans, Instant::now());
+        let mut r = TraceRecorder::real(TraceLevel::Spans, Instant::now());
         r.span(EventKind::QueryStart, 999, 0, 0);
         r.span(EventKind::QueryEnd, 0, 0, 1);
         let t = r.into_trace(0);
@@ -222,16 +163,15 @@ mod tests {
 
     #[test]
     fn run_trace_totals() {
-        let r1 = TraceRecorder::external(TraceLevel::Spans);
+        let mut r1 = TraceRecorder::external(TraceLevel::Spans);
         r1.span(EventKind::QueryStart, 1, 0, 0);
-        let r2 = TraceRecorder::with_capacity(TraceLevel::Spans, TraceClock::External, 1);
+        let mut r2 = TraceRecorder::with_capacity(TraceLevel::Spans, TraceClock::External, 1);
         r2.span(EventKind::QueryStart, 1, 0, 0);
         r2.span(EventKind::QueryEnd, 2, 0, 1);
         let t = RunTrace {
-            real_time: false,
             workers: vec![r1.into_trace(0), r2.into_trace(1)],
         };
         assert_eq!(t.event_count(), 2);
-        assert_eq!(t.dropped(), 1);
+        assert_eq!(t.workers[1].dropped, 1, "the second span fell off");
     }
 }

@@ -1,26 +1,23 @@
 //! The bounded per-worker event buffer.
 //!
 //! One ring per worker, owned by that worker for the whole batch: access
-//! is single-threaded by construction, so interior mutability is plain
-//! [`Cell`]/[`RefCell`] — no locks, no atomics, no synchronisation of any
-//! kind on the record path ("lock-free" the easy way). The buffer is
-//! allocated once up front and never grows; when it fills, new events are
-//! *dropped and counted* — recording must never block the solver and never
+//! is single-threaded by construction — no locks, no atomics, no
+//! synchronisation of any kind on the record path. The buffer is allocated
+//! once up front and never grows; when it fills, new events are *dropped
+//! and counted* — recording must never block the solver and never
 //! reallocate mid-query.
 
 use crate::Event;
-use std::cell::{Cell, RefCell};
 
 /// Default ring capacity (events per worker per batch). At 24 bytes per
-/// event this is 1.5 MiB per worker — enough for every span of a
-/// smoke-scale batch and the instant traffic of much larger ones.
+/// event this is 1.5 MiB per worker: 32 768 queries' spans.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 /// A bounded, drop-counting, never-blocking event buffer.
 pub struct EventRing {
-    buf: RefCell<Vec<Event>>,
+    buf: Vec<Event>,
     cap: usize,
-    dropped: Cell<u64>,
+    dropped: u64,
 }
 
 impl EventRing {
@@ -28,27 +25,26 @@ impl EventRing {
     /// allocates nothing and drops everything).
     pub fn new(cap: usize) -> Self {
         EventRing {
-            buf: RefCell::new(Vec::with_capacity(cap)),
+            buf: Vec::with_capacity(cap),
             cap,
-            dropped: Cell::new(0),
+            dropped: 0,
         }
     }
 
     /// Records `e`, or counts it dropped when the ring is full. Never
     /// blocks, never reallocates.
     #[inline]
-    pub fn push(&self, e: Event) {
-        let mut buf = self.buf.borrow_mut();
-        if buf.len() < self.cap {
-            buf.push(e);
+    pub fn push(&mut self, e: Event) {
+        if self.buf.len() < self.cap {
+            self.buf.push(e);
         } else {
-            self.dropped.set(self.dropped.get() + 1);
+            self.dropped += 1;
         }
     }
 
     /// Events recorded so far.
     pub fn len(&self) -> usize {
-        self.buf.borrow().len()
+        self.buf.len()
     }
 
     /// Whether nothing has been recorded.
@@ -63,13 +59,13 @@ impl EventRing {
 
     /// Events dropped because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped.get()
+        self.dropped
     }
 
     /// Consumes the ring, yielding its events (record order) and the drop
     /// count.
     pub fn into_parts(self) -> (Vec<Event>, u64) {
-        (self.buf.into_inner(), self.dropped.get())
+        (self.buf, self.dropped)
     }
 }
 
@@ -89,7 +85,7 @@ mod tests {
 
     #[test]
     fn records_in_order_until_full_then_counts_drops() {
-        let r = EventRing::new(3);
+        let mut r = EventRing::new(3);
         assert!(r.is_empty());
         for i in 0..5 {
             r.push(ev(i));
@@ -107,13 +103,13 @@ mod tests {
 
     #[test]
     fn never_reallocates() {
-        let r = EventRing::new(128);
-        let ptr_before = r.buf.borrow().as_ptr();
+        let mut r = EventRing::new(128);
+        let ptr_before = r.buf.as_ptr();
         for i in 0..1_000 {
             r.push(ev(i));
         }
         assert_eq!(
-            r.buf.borrow().as_ptr(),
+            r.buf.as_ptr(),
             ptr_before,
             "the buffer must stay where it was allocated"
         );
@@ -123,7 +119,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_drops_everything_without_allocating() {
-        let r = EventRing::new(0);
+        let mut r = EventRing::new(0);
         r.push(ev(1));
         r.push(ev(2));
         assert_eq!(r.len(), 0);

@@ -52,8 +52,8 @@ pub(crate) struct Batch<'a> {
 
 /// One worker's share of a batch.
 pub(crate) struct Lane<'a> {
-    /// The lane's event sink.
-    rec: &'a TraceRecorder,
+    /// The lane's query spans.
+    rec: TraceRecorder,
     /// The lane's own solver, and with it the scratch (visited-state
     /// tables, stacks, in-flight sets) every query of the lane reuses; it
     /// dies with the lane at the end of the batch.
@@ -62,7 +62,7 @@ pub(crate) struct Lane<'a> {
     /// Whether the solver records footprints, and so whether the lane
     /// passes each answer's on.
     recording: bool,
-    /// The lane's virtual instant: what the solver and an external-clock
+    /// The lane's virtual instant: what the solver and a simulated lane's
     /// recorder are told the time is. Never moves under [`Clock::Wall`].
     now: u64,
     obs: WorkerObs,
@@ -103,6 +103,7 @@ pub(crate) struct LaneDone {
     end: u64,
     /// Contexts in the lane's interner: the store's, or the lane's own.
     ctxs: usize,
+    trace: WorkerTrace,
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -139,15 +140,6 @@ impl<'a> Batch<'a> {
         }
     }
 
-    /// A fresh event sink; create one per lane, before the lane. At
-    /// [`TraceLevel::Off`] the recorder allocates nothing.
-    pub(crate) fn recorder(&self) -> TraceRecorder {
-        match self.clock {
-            Clock::Wall => TraceRecorder::real(self.tracing, self.start),
-            Clock::Virtual => TraceRecorder::external(self.tracing),
-        }
-    }
-
     /// What a lane's solver is built over.
     pub(crate) fn jmp(&self) -> &'a dyn JmpStore {
         match self.store {
@@ -156,26 +148,19 @@ impl<'a> Batch<'a> {
         }
     }
 
-    /// Worker `worker`'s lane recording into `rec`, its solver built over
-    /// `jmp` — [`Self::jmp`], or something that forwards to it — and told
-    /// what the batch knows and the store does not: where the warm floor
-    /// is, and whether lookups read the lane's virtual clock. The solver
-    /// records hot-path instants into the lane's recorder at
-    /// [`TraceLevel::Full`] only.
-    pub(crate) fn lane<'l>(
-        &'l self,
-        worker: usize,
-        rec: &'l TraceRecorder,
-        jmp: &'l dyn JmpStore,
-    ) -> Lane<'l> {
+    /// Worker `worker`'s lane, its solver built over `jmp` —
+    /// [`Self::jmp`], or something that forwards to it — and told what the
+    /// batch knows and the store does not: where the warm floor is, and
+    /// whether lookups read the lane's virtual clock. Its recorder stamps
+    /// the lane's clock; at [`TraceLevel::Off`] it allocates nothing.
+    pub(crate) fn lane<'l>(&'l self, worker: usize, jmp: &'l dyn JmpStore) -> Lane<'l> {
         let virtual_clock = matches!(self.clock, Clock::Virtual);
-        let mut solver = Solver::new(self.pag, self.cfg, jmp).in_batch(self.base, virtual_clock);
-        if self.tracing.full() {
-            solver = solver.with_recorder(rec);
-        }
         Lane {
-            rec,
-            solver,
+            rec: match self.clock {
+                Clock::Wall => TraceRecorder::real(self.tracing, self.start),
+                Clock::Virtual => TraceRecorder::external(self.tracing),
+            },
+            solver: Solver::new(self.pag, self.cfg, jmp).in_batch(self.base, virtual_clock),
             clock: self.clock,
             recording: self.cfg.record_footprints,
             now: self.base,
@@ -193,28 +178,28 @@ impl<'a> Batch<'a> {
         &self,
         avg_group_size: f64,
         answers: Answers,
-        lanes: impl IntoIterator<Item = (LaneDone, WorkerTrace)>,
+        lanes: impl IntoIterator<Item = LaneDone>,
     ) -> RunResult {
         // The first lane's partial is the accumulator, so a one-lane batch
         // (every `run_seq`) merges nothing. A batch that had nothing to run
         // has no lane: its partial is empty and it ends where it began.
         let mut lanes = lanes.into_iter();
         let (mut stats, mut end, mut ctxs, mut workers, mut traces) = match lanes.next() {
-            Some((first, trace)) => (
+            Some(first) => (
                 first.stats,
                 first.end,
                 first.ctxs,
                 vec![first.obs],
-                vec![trace],
+                vec![first.trace],
             ),
             None => (RunStats::default(), self.base, 0, Vec::new(), Vec::new()),
         };
-        for (lane, trace) in lanes {
+        for lane in lanes {
             stats.merge(&lane.stats);
             end = end.max(lane.end);
             ctxs += lane.ctxs;
             workers.push(lane.obs);
-            traces.push(trace);
+            traces.push(lane.trace);
         }
         stats.wall = self.start.elapsed();
         stats.makespan = match self.clock {
@@ -234,10 +219,10 @@ impl<'a> Batch<'a> {
         // one each lane owns its own.
         stats.interner_ctxs = self.store.map_or(ctxs, |s| s.interner().len());
         stats.workers = workers;
-        let trace = self.tracing.enabled().then_some(RunTrace {
-            real_time: matches!(self.clock, Clock::Wall),
-            workers: traces,
-        });
+        let trace = self
+            .tracing
+            .enabled()
+            .then_some(RunTrace { workers: traces });
         RunResult {
             answers: answers.list,
             stats,
@@ -269,14 +254,12 @@ impl Lane<'_> {
         }
     }
 
-    /// Answers one fetched group: dequeue span, fetch cost, the per-query
-    /// body for each member, group makespan sample. `fetch_steps` is the
-    /// virtual price of the fetch; wall-clock executors pass 0.
+    /// Answers one fetched group: fetch cost, the per-query body for each
+    /// member, group makespan sample. `fetch_steps` is the virtual price
+    /// of the fetch; wall-clock executors pass 0.
     pub(crate) fn run_group(&mut self, group: &[NodeId], fetch_steps: u64, answers: &mut Answers) {
         self.obs.local_pops += 1;
         let (t0, v0) = (Instant::now(), self.now);
-        let rec = self.rec;
-        rec.span(EventKind::GroupDequeued, v0, group.len() as u32, 0);
         self.now += fetch_steps;
         for &q in group {
             self.answer(q, group, answers);
@@ -290,8 +273,7 @@ impl Lane<'_> {
     /// thread is diagnosable from the message alone instead of surfacing
     /// as an opaque `std::thread::scope` abort.
     fn answer(&mut self, q: NodeId, group: &[NodeId], answers: &mut Answers) {
-        let rec = self.rec;
-        rec.span(EventKind::QueryStart, self.now, q.raw(), 0);
+        self.rec.span(EventKind::QueryStart, self.now, q.raw(), 0);
         let (t0, v0) = (Instant::now(), self.now);
         let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
             self.solver.points_to_query(q, self.now)
@@ -309,10 +291,8 @@ impl Lane<'_> {
         let latency = self.since(t0, v0);
         self.stats.hists.query_latency.record(latency);
         let complete = matches!(out.answer, Answer::Complete(_));
-        rec.span(EventKind::QueryEnd, self.now, q.raw(), complete as u32);
-        if rec.full() && out.stats.evictions > 0 {
-            rec.instant(EventKind::Eviction, self.now, out.stats.evictions as u32, 0);
-        }
+        self.rec
+            .span(EventKind::QueryEnd, self.now, q.raw(), complete as u32);
         self.obs.queries += 1;
         self.obs.steps += out.stats.traversed_steps;
         self.stats.absorb(&out.stats, &out.answer);
@@ -324,11 +304,13 @@ impl Lane<'_> {
 
     /// Closes the lane.
     pub(crate) fn finish(self) -> LaneDone {
+        let worker = self.obs.worker;
         LaneDone {
             stats: self.stats,
             obs: self.obs,
             end: self.now,
             ctxs: self.solver.interner().len(),
+            trace: self.rec.into_trace(worker),
         }
     }
 }

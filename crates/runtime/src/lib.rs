@@ -44,8 +44,8 @@ pub mod threaded;
 pub use mode::{Backend, Engine, Mode, RunConfig};
 pub use parcfl_concurrent::WorkerObs;
 pub use parcfl_obs::{
-    chrome_trace_json, Event, EventKind, LogHistogram, ObsHists, PromText, RunTrace, TraceLevel,
-    TraceRecorder, WorkerTrace,
+    Event, EventKind, LogHistogram, ObsHists, PromText, RunTrace, TraceLevel, TraceRecorder,
+    WorkerTrace,
 };
 pub use seq::run_seq;
 pub use session::{AnalysisSession, DeltaReport};

@@ -79,10 +79,10 @@ pub struct RunConfig {
     /// (cap = 1) from *grouping* (cap > 1).
     pub group_cap: Option<usize>,
     /// Event-tracing level (DESIGN.md §9). `Off` (the default) keeps the
-    /// whole pipeline free of recording work; `Spans` collects the
-    /// per-worker query/group timeline; `Full` adds hot-path instants
-    /// (jmp traffic, evictions). Answers and step counts are identical at
-    /// every level.
+    /// whole pipeline free of recording work; `Spans` records a
+    /// `QueryStart` / `QueryEnd` pair per query into the worker's ring,
+    /// returned as [`crate::RunResult::trace`]. Answers and step counts
+    /// are identical at both levels.
     pub tracing: TraceLevel,
 }
 

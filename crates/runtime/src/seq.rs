@@ -27,14 +27,12 @@ pub fn run_seq(pag: &Pag, queries: &[NodeId], solver_cfg: &SolverConfig) -> RunR
         clock: Clock::Wall,
         start: std::time::Instant::now(),
     };
-    let rec = batch.recorder();
-    let mut lane = batch.lane(0, &rec, batch.jmp());
+    let mut lane = batch.lane(0, batch.jmp());
     let mut answers = Answers::with_capacity(queries.len(), solver_cfg.record_footprints);
     for group in queries.chunks(1) {
         lane.run_group(group, 0, &mut answers);
     }
-    let done = lane.finish();
-    batch.finish(1.0, answers, [(done, rec.into_trace(0))])
+    batch.finish(1.0, answers, [lane.finish()])
 }
 
 #[cfg(test)]

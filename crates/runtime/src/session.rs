@@ -35,7 +35,7 @@ use crate::stats::{MergeClass, RunResult, RunStats};
 use crate::threaded::run_threaded_batch;
 use parcfl_concurrent::FxHashMap;
 use parcfl_core::{Answer, DirtySet, Footprint, SharedJmpStore, SolverConfig};
-use parcfl_obs::{Event, EventKind, PromText, TraceLevel};
+use parcfl_obs::{PromText, TraceLevel};
 use parcfl_pag::{NodeId, Pag, PagDelta};
 use parcfl_sched::{Schedule, ScheduleCache};
 use std::borrow::Cow;
@@ -109,9 +109,6 @@ pub struct AnalysisSession<'p> {
     solver: SolverConfig,
     threads: usize,
     tracing: TraceLevel,
-    /// `BatchStart`/`BatchEnd` spans in session virtual time (recorded
-    /// only when tracing is enabled).
-    session_events: Vec<Event>,
 }
 
 impl<'p> AnalysisSession<'p> {
@@ -132,7 +129,6 @@ impl<'p> AnalysisSession<'p> {
             solver: SolverConfig::default().with_footprints(),
             threads: 1,
             tracing: TraceLevel::Off,
-            session_events: Vec::new(),
         }
     }
 
@@ -164,8 +160,7 @@ impl<'p> AnalysisSession<'p> {
 
     /// Sets the event-tracing level for every subsequent batch (see
     /// [`RunConfig::tracing`]): batch results carry a
-    /// [`parcfl_obs::RunTrace`], and the session records
-    /// `BatchStart`/`BatchEnd` spans in virtual time.
+    /// [`parcfl_obs::RunTrace`] of their query spans.
     pub fn with_tracing(mut self, tracing: TraceLevel) -> Self {
         self.tracing = tracing;
         self
@@ -208,7 +203,7 @@ impl<'p> AnalysisSession<'p> {
             }
         };
         self.vclock = end + 1;
-        self.close_batch(base, kept, result)
+        self.close_batch(kept, result)
     }
 
     /// Splits a batch into the answers the session still holds and the
@@ -249,14 +244,8 @@ impl<'p> AnalysisSession<'p> {
     /// Post-run half of a submit: keeps what the batch answered
     /// completely (a batch that recorded no footprints — a naive one —
     /// hands none over), puts the answers served from earlier batches in
-    /// front, folds the batch into the running totals and (when tracing)
-    /// records its virtual-time span.
-    fn close_batch(
-        &mut self,
-        base: u64,
-        mut kept: Vec<(NodeId, Answer)>,
-        mut result: RunResult,
-    ) -> RunResult {
+    /// front and folds the batch into the running totals.
+    fn close_batch(&mut self, mut kept: Vec<(NodeId, Answer)>, mut result: RunResult) -> RunResult {
         let footprints = std::mem::take(&mut result.footprints);
         for ((q, answer), fp) in result.answers.iter().zip(footprints) {
             if let (Answer::Complete(_), Some(fp)) = (answer, fp) {
@@ -268,30 +257,8 @@ impl<'p> AnalysisSession<'p> {
         result.stats.retained_answers = kept.len() as u64;
         kept.append(&mut result.answers);
         result.answers = kept;
-        let stats = &result.stats;
-        self.cumulative.merge(stats);
-        if self.tracing.enabled() {
-            let idx = self.cumulative.batches.saturating_sub(1) as u32;
-            self.session_events.push(Event {
-                ts: base,
-                kind: EventKind::BatchStart,
-                a: idx,
-                b: 0,
-            });
-            self.session_events.push(Event {
-                ts: self.vclock,
-                kind: EventKind::BatchEnd,
-                a: idx,
-                b: stats.queries as u32,
-            });
-        }
+        self.cumulative.merge(&result.stats);
         result
-    }
-
-    /// The session's `BatchStart`/`BatchEnd` spans in virtual time (empty
-    /// unless tracing was enabled via [`Self::with_tracing`]).
-    pub fn session_events(&self) -> &[Event] {
-        &self.session_events
     }
 
     /// Renders the session's operational metrics in Prometheus text
@@ -441,7 +408,6 @@ impl<'p> AnalysisSession<'p> {
         self.kept.clear();
         self.vclock = 0;
         self.cumulative = RunStats::default();
-        self.session_events.clear();
     }
 
     fn run_config(&self, mode: Mode, backend: Backend) -> RunConfig {
@@ -941,32 +907,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn session_events_bracket_batches_when_tracing() {
-        let pag = build_pag(SRC).unwrap().pag;
-        let queries = pag.application_locals();
-        let mut s = AnalysisSession::new(&pag)
-            .with_solver(solver())
-            .with_tracing(TraceLevel::Spans);
-        let r1 = s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
-        let r2 = s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
-        assert!(r1.trace.is_some() && r2.trace.is_some());
-        let evs = s.session_events();
-        let kinds: Vec<EventKind> = evs.iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                EventKind::BatchStart,
-                EventKind::BatchEnd,
-                EventKind::BatchStart,
-                EventKind::BatchEnd
-            ]
-        );
-        assert!(evs[0].ts <= evs[1].ts && evs[1].ts <= evs[2].ts && evs[2].ts <= evs[3].ts);
-        s.reset();
-        assert!(s.session_events().is_empty(), "reset clears session events");
-    }
-
     /// The `y{i} = x{i}` local assignment of chain `i` (looked up as an
     /// actual frozen edge, so removing it is guaranteed effective).
     fn chain_assign_edge(pag: &Pag, i: usize) -> Edge {
@@ -1094,7 +1034,6 @@ mod tests {
         let mut s = AnalysisSession::new(&pag).with_solver(solver());
         let r = s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
         assert!(r.trace.is_none());
-        assert!(s.session_events().is_empty());
         // Latency histograms are unconditional: metrics work without tracing.
         assert_eq!(
             s.cumulative().hists.query_latency.count(),

@@ -132,16 +132,14 @@ pub fn run_simulated_hooked(
 ) -> (RunResult, u64) {
     let batch = Batch::of_run(pag, cfg, store, base, Clock::Virtual);
     let t = cfg.threads.max(1);
-    // One external-clock recorder per simulated worker: events carry
-    // virtual timestamps, so the exported trace shows the simulated
-    // parallelism, not the sequential wall time of simulating it.
-    let recs: Vec<_> = (0..t).map(|_| batch.recorder()).collect();
+    // Each lane's recorder stamps its virtual clock, so a simulated trace
+    // shows the simulated parallelism, not the sequential wall time of
+    // simulating it.
     let seams: Vec<_> = (0..t).map(|_| hook.seam(batch.jmp())).collect();
-    let mut lanes: Vec<Lane> = recs
+    let mut lanes: Vec<Lane> = seams
         .iter()
-        .zip(&seams)
         .enumerate()
-        .map(|(w, (rec, seam))| batch.lane(w, rec, seam.as_deref().unwrap_or(batch.jmp())))
+        .map(|(w, seam)| batch.lane(w, seam.as_deref().unwrap_or(batch.jmp())))
         .collect();
     let mut clocks = vec![base; t];
     let mut pending: VecDeque<usize> = (0..schedule.groups.len()).collect();
@@ -161,12 +159,7 @@ pub fn run_simulated_hooked(
     }
     let done: Vec<_> = lanes.into_iter().map(Lane::finish).collect();
     drop(seams);
-    let traces = recs.into_iter().enumerate().map(|(w, r)| r.into_trace(w));
-    let result = batch.finish(
-        schedule.avg_group_size,
-        answers,
-        done.into_iter().zip(traces),
-    );
+    let result = batch.finish(schedule.avg_group_size, answers, done);
     let end = base + result.stats.makespan;
     (result, end)
 }

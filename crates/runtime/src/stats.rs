@@ -351,9 +351,9 @@ pub struct RunResult {
     pub answers: Vec<(NodeId, Answer)>,
     /// Aggregate statistics.
     pub stats: RunStats,
-    /// The event trace — `Some` when the run was configured with
+    /// The query spans — `Some` when the run was configured with
     /// `RunConfig::tracing` above `Off`, one [`parcfl_obs::WorkerTrace`]
-    /// per worker. Export with [`RunTrace::to_chrome_json`].
+    /// per worker.
     pub trace: Option<RunTrace>,
     /// Each answer's whole-query footprint, index for index with
     /// `answers`, on its way from a recording batch's lanes to the

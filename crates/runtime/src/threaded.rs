@@ -76,8 +76,7 @@ pub fn run_threaded_batch(
                 std::thread::Builder::new()
                     .stack_size(WORKER_STACK)
                     .spawn_scoped(scope, move || {
-                        let rec = batch.recorder();
-                        let mut lane = batch.lane(w, &rec, batch.jmp());
+                        let mut lane = batch.lane(w, batch.jmp());
                         let mut answers = Answers::default();
                         loop {
                             let (next, wait) = work.pop_timed();
@@ -85,7 +84,7 @@ pub fn run_threaded_batch(
                             let Some(gi) = next else { break };
                             lane.run_group(&schedule.groups[gi], 0, &mut answers);
                         }
-                        (answers, lane.finish(), rec.into_trace(w))
+                        (answers, lane.finish())
                     })
                     .expect("spawn worker")
             })
@@ -95,9 +94,9 @@ pub fn run_threaded_batch(
             // The payload already carries worker/query/group context (see
             // `batch::Lane`); re-raise it instead of the opaque "a scoped
             // thread panicked".
-            let (a, done, trace) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            let (a, done) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
             answers.append(a);
-            lanes.push((done, trace));
+            lanes.push(done);
         }
         lanes
     });

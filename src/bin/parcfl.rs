@@ -6,8 +6,6 @@
 //! parcfl stats <file.mj>
 //! parcfl dot   <file.mj>
 //! parcfl bench <benchmark-name> [--threads N] [--mode naive|d|dq] [--threaded]
-//! parcfl trace <file.mj> [--out PATH] [--threads N] [--mode naive|d|dq]
-//!              [--level spans|full] [--threaded] [--budget N] [--insensitive]
 //! parcfl gen   <benchmark-name>
 //! parcfl why   <file.mj> --var NAME [--budget N] [--insensitive]
 //! parcfl check [--fuzz N] [--seed S] [--no-shrink] [--chaos] [--delta]
@@ -18,7 +16,7 @@
 use parcfl::core::{NoJmpStore, Solver, SolverConfig};
 use parcfl::frontend::build_pag;
 use parcfl::pag::Pag;
-use parcfl::runtime::{run_seq, Backend, Mode, RunConfig, TraceLevel};
+use parcfl::runtime::{run_seq, Backend, Mode, RunConfig};
 use std::io::Write;
 use std::process::exit;
 
@@ -60,11 +58,6 @@ fn main() {
             cmd_check,
             &["--fuzz", "--seed", "--out", "--replay"],
             &["--no-shrink", "--chaos", "--delta", "--chaos-invalidation"],
-        ),
-        "trace" => (
-            cmd_trace,
-            &["--out", "--threads", "--mode", "--level", "--budget"],
-            &["--threaded", "--insensitive"],
         ),
         "gen" => (cmd_gen, &[], &[]),
         "why" => (cmd_why, &["--var", "--budget"], &["--insensitive"]),
@@ -118,13 +111,8 @@ USAGE:
   parcfl bench <name> [--threads N] [--mode naive|d|dq] [--threaded]
       Run one Table-I benchmark and report the speedup over SeqCFL.
       --threaded uses real OS threads instead of the virtual-time
-      simulator and reports the work-list contention they saw.
-  parcfl trace <file.mj> [--out PATH] [--threads N] [--mode naive|d|dq]
-               [--level spans|full] [--threaded] [--budget N] [--insensitive]
-      Answer every application-local query with event tracing on and
-      write a Chrome-trace JSON (default trace.json) for chrome://tracing
-      or Perfetto. The default virtual-time simulator gives a
-      deterministic trace; --threaded records real wall-clock spans.
+      simulator, reports the wall-clock speedup beside the ratio of
+      SeqCFL's steps to theirs, and the work-list contention they saw.
   parcfl gen <name>
       Print a Table-I benchmark's generated mini-Java source on stdout
       (feed it back through `parcfl query`/`stats`/`dot`).
@@ -317,45 +305,6 @@ fn cmd_dot(args: &[String]) {
         .write_all(parcfl::pag::dot::to_dot(&pag).as_bytes());
 }
 
-fn cmd_trace(args: &[String]) {
-    let (pag, queries) = load(args);
-    let out_path = flag_value(args, "--out").unwrap_or_else(|| "trace.json".to_string());
-    let threads = threads_flag(args, 4);
-    let mode = mode_flag(args);
-    let level = match flag_value(args, "--level").as_deref() {
-        None | Some("full") => TraceLevel::Full,
-        Some("spans") => TraceLevel::Spans,
-        Some(other) => {
-            eprintln!("unknown trace level `{other}` (spans|full)");
-            exit(2);
-        }
-    };
-    let threaded = args.iter().any(|a| a == "--threaded");
-    let backend = if threaded {
-        Backend::Threaded
-    } else {
-        Backend::Simulated
-    };
-    let mut cfg = RunConfig::new(mode, threads, backend).with_tracing(level);
-    cfg.solver = solver_config(args);
-    let r = parcfl::runtime::run(&pag, &queries, &cfg);
-    let trace = r.trace.expect("tracing enabled yields a trace");
-    std::fs::write(&out_path, trace.to_chrome_json()).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        exit(1);
-    });
-    outln!(
-        "{}: {} queries, {} completed; {} events across {} workers ({} dropped) -> {}",
-        if threaded { "threaded" } else { "simulated" },
-        r.stats.queries,
-        r.stats.completed,
-        trace.event_count(),
-        trace.workers.len(),
-        trace.dropped(),
-        out_path
-    );
-}
-
 fn cmd_gen(args: &[String]) {
     let Some(name) = args.first() else {
         eprintln!("expected a benchmark name");
@@ -435,13 +384,21 @@ fn cmd_bench(args: &[String]) {
     let mut cfg = RunConfig::new(mode, threads, backend);
     cfg.solver = b.solver.clone();
     let par = parcfl::runtime::run(&b.pag, &b.queries, &cfg);
+    // On real threads `makespan` is the batch's traversed steps: the
+    // ratio measures work saved, and the speedup is the wall clock's.
+    let steps = seq.stats.makespan as f64 / par.stats.makespan as f64;
+    let speedup = if threaded {
+        let wall = seq.stats.wall.as_secs_f64() / par.stats.wall.as_secs_f64();
+        format!("wall speedup {wall:.1}x, work ratio {steps:.1}x")
+    } else {
+        format!("speedup {steps:.1}x")
+    };
     outln!(
         "{name}: {} queries; SeqCFL {} steps; ParCFL({threads}, {}) \
-         speedup {:.1}x (jmps {}, ETs {}, wall {:?})",
+         {speedup} (jmps {}, ETs {}, wall {:?})",
         b.queries.len(),
         seq.stats.makespan,
         mode.label(),
-        seq.stats.makespan as f64 / par.stats.makespan as f64,
         par.stats.jmp_edges,
         par.stats.early_terminations,
         par.stats.wall

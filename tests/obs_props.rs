@@ -1,9 +1,9 @@
 //! Property-based tests for the observability layer: tracing must be
 //! *observation only*. Across random benchmarks, enabling
-//! [`TraceLevel::Spans`] or [`TraceLevel::Full`] must leave answers and
-//! the charged/traversed step accounting bit-identical to
-//! [`TraceLevel::Off`] on every backend — the recorder may watch the
-//! solver, never steer it.
+//! [`TraceLevel::Spans`] must leave answers and the charged/traversed step
+//! accounting bit-identical to [`TraceLevel::Off`] on every backend — the
+//! recorder may watch the solver, never steer it. What it records is one
+//! `QueryStart` / `QueryEnd` pair per query, on the worker that ran it.
 //!
 //! Determinism caveat: the sequential and simulated backends are fully
 //! deterministic, so *all* counters must match exactly. Real threads with
@@ -12,8 +12,8 @@
 //! exact-count comparison and check answers only at higher counts.
 
 use parcfl::runtime::{
-    run_simulated, run_threaded, AnalysisSession, Backend, LogHistogram, Mode, RunConfig,
-    TraceLevel,
+    run_simulated, run_threaded, AnalysisSession, Backend, EventKind, LogHistogram, Mode,
+    RunConfig, TraceLevel,
 };
 use parcfl::synth::{build_bench, Profile};
 use proptest::collection::vec;
@@ -43,10 +43,9 @@ fn bench_for(seed: u64) -> parcfl::synth::Bench {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// A session's one-thread batch on real threads: every trace level
-    /// answers exactly what Off answers, with identical step accounting;
-    /// Off yields no trace, Spans and Full yield a single-worker
-    /// wall-clock trace with events.
+    /// A session's one-thread batch on real threads: Spans answers exactly
+    /// what Off answers, with identical step accounting; Off yields no
+    /// trace, Spans a single-worker trace with events.
     #[test]
     fn seq_tracing_is_observation_only(seed in 0u64..1_000) {
         let b = bench_for(seed);
@@ -58,22 +57,19 @@ proptest! {
         };
         let off = submit(TraceLevel::Off);
         prop_assert!(off.trace.is_none(), "Off must not allocate a trace");
-        for level in [TraceLevel::Spans, TraceLevel::Full] {
-            let on = submit(level);
-            prop_assert_eq!(on.sorted_answers(), off.sorted_answers(), "{:?} seed {}", level, seed);
-            prop_assert_eq!(on.stats.traversed_steps, off.stats.traversed_steps);
-            prop_assert_eq!(on.stats.charged_steps, off.stats.charged_steps);
-            prop_assert_eq!(on.stats.completed, off.stats.completed);
-            let trace = on.trace.expect("enabled level yields a trace");
-            prop_assert!(trace.real_time);
-            prop_assert_eq!(trace.workers.len(), 1);
-            prop_assert!(trace.event_count() > 0, "{:?} recorded nothing", level);
-        }
+        let on = submit(TraceLevel::Spans);
+        prop_assert_eq!(on.sorted_answers(), off.sorted_answers(), "seed {}", seed);
+        prop_assert_eq!(on.stats.traversed_steps, off.stats.traversed_steps);
+        prop_assert_eq!(on.stats.charged_steps, off.stats.charged_steps);
+        prop_assert_eq!(on.stats.completed, off.stats.completed);
+        let trace = on.trace.expect("Spans yields a trace");
+        prop_assert_eq!(trace.workers.len(), 1);
+        prop_assert!(trace.event_count() > 0, "Spans recorded nothing");
     }
 
-    /// Simulated backend (fully deterministic): Full tracing reproduces
+    /// Simulated backend (fully deterministic): Spans tracing reproduces
     /// Off's makespan and step counts exactly, per mode, and the trace
-    /// carries one virtual-time track per simulated worker.
+    /// carries one track per simulated worker.
     #[test]
     fn simulated_tracing_is_observation_only(seed in 0u64..1_000) {
         let b = bench_for(seed);
@@ -81,24 +77,54 @@ proptest! {
             let cfg = RunConfig::new(mode, 4, Backend::Simulated).with_solver(b.solver.clone());
             let off = run_simulated(&b.pag, &b.queries, &cfg);
             prop_assert!(off.trace.is_none());
-            let full = run_simulated(
-                &b.pag, &b.queries, &cfg.clone().with_tracing(TraceLevel::Full));
+            let spans = run_simulated(
+                &b.pag, &b.queries, &cfg.clone().with_tracing(TraceLevel::Spans));
             prop_assert_eq!(
-                full.sorted_answers(), off.sorted_answers(), "{:?} seed {}", mode, seed);
-            prop_assert_eq!(full.stats.makespan, off.stats.makespan);
-            prop_assert_eq!(full.stats.traversed_steps, off.stats.traversed_steps);
-            prop_assert_eq!(full.stats.charged_steps, off.stats.charged_steps);
-            let trace = full.trace.expect("Full yields a trace");
-            prop_assert!(!trace.real_time, "simulated traces use virtual time");
+                spans.sorted_answers(), off.sorted_answers(), "{:?} seed {}", mode, seed);
+            prop_assert_eq!(spans.stats.makespan, off.stats.makespan);
+            prop_assert_eq!(spans.stats.traversed_steps, off.stats.traversed_steps);
+            prop_assert_eq!(spans.stats.charged_steps, off.stats.charged_steps);
+            let trace = spans.trace.expect("Spans yields a trace");
             prop_assert_eq!(trace.workers.len(), 4);
             prop_assert!(trace.event_count() > 0);
         }
     }
 
+    /// The shape a trace reader relies on, on the deterministic backend:
+    /// each worker's events are `QueryStart` / `QueryEnd` pairs of one
+    /// query, one pair per query that worker ran, and the hidden `Full`
+    /// level records exactly the events `Spans` does.
+    #[test]
+    fn simulated_spans_pair_every_query_and_full_matches(seed in 0u64..1_000) {
+        let b = bench_for(seed);
+        let cfg = RunConfig::new(Mode::DataSharingSched, 3, Backend::Simulated)
+            .with_solver(b.solver.clone());
+        let run_at = |level| run_simulated(&b.pag, &b.queries, &cfg.clone().with_tracing(level));
+        let spans = run_at(TraceLevel::Spans);
+        let full = run_at(TraceLevel::Full);
+        let (st, ft) = (spans.trace.expect("Spans"), full.trace.expect("Full"));
+        prop_assert_eq!(st.workers.len(), ft.workers.len());
+        for (s, f) in st.workers.iter().zip(&ft.workers) {
+            prop_assert_eq!(&s.events, &f.events, "Full differs from Spans on worker {}", s.worker);
+        }
+        for (w, obs) in st.workers.iter().zip(&spans.stats.workers) {
+            prop_assert_eq!(w.worker, obs.worker);
+            prop_assert_eq!(w.dropped, 0);
+            prop_assert_eq!(w.events.len() as u64, 2 * obs.queries, "worker {}", w.worker);
+            for pair in w.events.chunks(2) {
+                let [start, end] = pair else { unreachable!() };
+                prop_assert_eq!(start.kind, EventKind::QueryStart);
+                prop_assert_eq!(end.kind, EventKind::QueryEnd);
+                prop_assert_eq!(start.a, end.a, "a pair is one query");
+                prop_assert!(start.ts <= end.ts);
+            }
+        }
+    }
+
     /// Threaded backend: with one worker the run is deterministic, so
-    /// Full must match Off's step counts exactly; with four workers
-    /// answers must still match and the trace must carry one wall-clock
-    /// track per worker.
+    /// Spans must match Off's step counts exactly; with four workers
+    /// answers must still match and the trace must carry one track per
+    /// worker.
     #[test]
     fn threaded_tracing_is_observation_only(seed in 0u64..1_000) {
         let b = bench_for(seed);
@@ -106,20 +132,19 @@ proptest! {
             .with_solver(b.solver.clone());
         let off = run_threaded(&b.pag, &b.queries, &cfg1);
         prop_assert!(off.trace.is_none());
-        let full = run_threaded(
-            &b.pag, &b.queries, &cfg1.clone().with_tracing(TraceLevel::Full));
-        prop_assert_eq!(full.sorted_answers(), off.sorted_answers(), "seed {}", seed);
-        prop_assert_eq!(full.stats.traversed_steps, off.stats.traversed_steps);
-        prop_assert_eq!(full.stats.charged_steps, off.stats.charged_steps);
-        prop_assert!(full.trace.expect("Full yields a trace").event_count() > 0);
+        let spans = run_threaded(
+            &b.pag, &b.queries, &cfg1.clone().with_tracing(TraceLevel::Spans));
+        prop_assert_eq!(spans.sorted_answers(), off.sorted_answers(), "seed {}", seed);
+        prop_assert_eq!(spans.stats.traversed_steps, off.stats.traversed_steps);
+        prop_assert_eq!(spans.stats.charged_steps, off.stats.charged_steps);
+        prop_assert!(spans.trace.expect("Spans yields a trace").event_count() > 0);
 
         let cfg4 = RunConfig::new(Mode::DataSharingSched, 4, Backend::Threaded)
             .with_solver(b.solver.clone())
-            .with_tracing(TraceLevel::Full);
+            .with_tracing(TraceLevel::Spans);
         let r4 = run_threaded(&b.pag, &b.queries, &cfg4);
         prop_assert_eq!(r4.sorted_answers(), off.sorted_answers(), "x4 seed {}", seed);
-        let trace = r4.trace.expect("Full yields a trace");
-        prop_assert!(trace.real_time);
+        let trace = r4.trace.expect("Spans yields a trace");
         prop_assert_eq!(trace.workers.len(), 4);
         prop_assert!(trace.event_count() > 0);
     }
