@@ -6,24 +6,16 @@
 //! size), `#ETs` (early terminations without scheduling) and `R_ET` (the
 //! ratio of ETs with scheduling over without).
 //!
-//! Three session columns extend the paper's table: a bounded
-//! [`AnalysisSession`] (store capped at half the one-shot residency,
-//! minimum 4) answers the first half of the batch and then all of it —
-//! the second batch runs the half the session holds no answer for — and
-//! we report `#Ent` (entries resident at the end), `Warm` (second-batch
-//! hits on first-batch entries) and `Evict` (entries evicted to hold the
-//! budget).
-//!
 //! Standard output is deterministic (`results/regen.sh --check` compares it
 //! with the committed `results/table1.txt`), so the paper's one host-clock
 //! column, the sequential analysis time `T_Seq`, goes to standard error.
 
 use parcfl_bench::run_mode;
-use parcfl_runtime::{run_seq, AnalysisSession, Backend, Mode};
+use parcfl_runtime::{run_seq, Mode};
 
 fn main() {
     println!(
-        "{:<16} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>10} {:>7} {:>6} {:>6} {:>6} {:>6} {:>7} {:>6}",
+        "{:<16} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>10} {:>7} {:>6} {:>6} {:>6}",
         "Benchmark",
         "#Classes",
         "#Methods",
@@ -35,10 +27,7 @@ fn main() {
         "RS",
         "Sg",
         "#ETs",
-        "RET",
-        "#Ent",
-        "Warm",
-        "Evict"
+        "RET"
     );
     let suite = parcfl_synth::build_suite();
     let mut tot = [0.0f64; 6];
@@ -59,19 +48,10 @@ fn main() {
         } else {
             None
         };
-        // Session residency columns: bounded two-batch warm run.
-        let budget = (d.stats.store_entries / 2).max(4);
-        let mut sess = AnalysisSession::new(&b.pag)
-            .with_threads(16)
-            .with_solver(b.solver.clone())
-            .with_store_budget(budget);
-        let half = &b.queries[..b.queries.len() / 2];
-        sess.submit(half, Mode::DataSharingSched, Backend::Simulated);
-        let warm = sess.submit(&b.queries, Mode::DataSharingSched, Backend::Simulated);
         let tseq_ms = seq.stats.wall.as_secs_f64() * 1e3;
         eprintln!("{:<16} TSeq(ms) {tseq_ms:>10.2}", b.name);
         println!(
-            "{:<16} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>10} {:>7.2} {:>6.1} {:>6} {:>6} {:>6} {:>7} {:>6}",
+            "{:<16} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>10} {:>7.2} {:>6.1} {:>6} {:>6}",
             b.name,
             b.classes,
             b.methods,
@@ -84,9 +64,6 @@ fn main() {
             sg,
             d.stats.early_terminations,
             ret.map_or("-".to_string(), |r| format!("{r:.2}")),
-            sess.store_entries(),
-            warm.stats.warm_hits,
-            sess.evictions(),
         );
         tot[0] += b.queries.len() as f64;
         tot[1] += tseq_ms;
@@ -98,8 +75,18 @@ fn main() {
     let n = suite.len() as f64;
     eprintln!("{:<16} TSeq(ms) {:>10.2}", "Average", tot[1] / n);
     println!(
-        "{:<16} {:>8} {:>8} {:>8} {:>8} {:>8.0} {:>8.0} {:>10.0} {:>7.2} {:>6.1} {:>6} {:>6} {:>6} {:>7} {:>6}",
-        "Average", "-", "-", "-", "-", tot[0] / n, tot[2] / n, tot[3] / n,
-        tot[4] / n, tot[5] / n, "-", "-", "-", "-", "-"
+        "{:<16} {:>8} {:>8} {:>8} {:>8} {:>8.0} {:>8.0} {:>10.0} {:>7.2} {:>6.1} {:>6} {:>6}",
+        "Average",
+        "-",
+        "-",
+        "-",
+        "-",
+        tot[0] / n,
+        tot[2] / n,
+        tot[3] / n,
+        tot[4] / n,
+        tot[5] / n,
+        "-",
+        "-"
     );
 }

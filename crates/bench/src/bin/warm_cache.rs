@@ -1,21 +1,18 @@
 //! Warm-session benchmark: what a persistent [`AnalysisSession`] buys
 //! over one-shot runs when query batches overlap.
 //!
-//! For every suite benchmark, three configurations answer the full query
+//! For every suite benchmark, two configurations answer the full query
 //! batch under DQ × 16 simulated threads:
 //!
 //! * **cold** — the one-shot [`run_simulated`] baseline (fresh store);
 //! * **warm** — a session primed with the first half of the queries, then
-//!   given the full (overlapping) batch;
-//! * **bounded** — the same two-batch session with the store capped at
-//!   half the unbounded residency, so eviction is exercised.
+//!   given the full (overlapping) batch.
 //!
-//! The acceptance properties are asserted, not just printed: the warm
-//! batch must traverse strictly fewer steps than cold with identical
-//! sorted answers, and the bounded session must never exceed its entry
-//! budget (still answering identically).
+//! The acceptance property is asserted, not just printed: the warm batch
+//! must traverse strictly fewer steps than cold with identical sorted
+//! answers.
 //!
-//! All three configurations run with the τ insertion thresholds disabled
+//! Both configurations run with the τ insertion thresholds disabled
 //! (every jmp edge recorded, cold included), so what the warm batch saves
 //! does not depend on the τ policy. τ policy itself is the `ablation_tau`
 //! bench's subject, not this one's.
@@ -107,8 +104,8 @@ fn main() {
         return;
     }
     println!(
-        "{:<16} {:>10} {:>10} {:>7} {:>7} {:>6} {:>8} {:>8} {:>7}",
-        "Benchmark", "ColdS", "WarmS", "Saved%", "WarmHit", "#Ent", "Budget", "BndEnt", "Evict"
+        "{:<16} {:>10} {:>10} {:>7} {:>7} {:>6}",
+        "Benchmark", "ColdS", "WarmS", "Saved%", "WarmHit", "#Ent"
     );
     let suite = parcfl_synth::build_suite();
     for b in &suite {
@@ -122,7 +119,7 @@ fn main() {
 
         let mut warm_sess = AnalysisSession::new(&b.pag)
             .with_threads(16)
-            .with_solver(solver.clone());
+            .with_solver(solver);
         warm_sess.submit(half, mode, Backend::Simulated);
         let warm = warm_sess.submit(&b.queries, mode, Backend::Simulated);
 
@@ -140,44 +137,17 @@ fn main() {
             cold.stats.traversed_steps
         );
 
-        let budget = (warm_sess.store_entries() / 2).max(4);
-        let mut bounded_sess = AnalysisSession::new(&b.pag)
-            .with_threads(16)
-            .with_solver(solver.clone())
-            .with_store_budget(budget);
-        bounded_sess.submit(half, mode, Backend::Simulated);
-        let bounded = bounded_sess.submit(&b.queries, mode, Backend::Simulated);
-
-        assert_eq!(
-            bounded.sorted_answers(),
-            cold.sorted_answers(),
-            "{}: bounded answers diverged from cold",
-            b.name
-        );
-        assert!(
-            bounded_sess.store_entries() <= budget,
-            "{}: resident {} exceeds budget {}",
-            b.name,
-            bounded_sess.store_entries(),
-            budget
-        );
-
         let saved =
             100.0 * (1.0 - warm.stats.traversed_steps as f64 / cold.stats.traversed_steps as f64);
         println!(
-            "{:<16} {:>10} {:>10} {:>6.1}% {:>7} {:>6} {:>8} {:>8} {:>7}",
+            "{:<16} {:>10} {:>10} {:>6.1}% {:>7} {:>6}",
             b.name,
             cold.stats.traversed_steps,
             warm.stats.traversed_steps,
             saved,
             warm.stats.warm_hits,
             warm_sess.store_entries(),
-            budget,
-            bounded_sess.store_entries(),
-            bounded_sess.evictions(),
         );
     }
-    println!(
-        "\nall benchmarks: warm < cold traversals, identical answers, bounded residency ≤ budget"
-    );
+    println!("\nall benchmarks: warm < cold traversals, identical answers");
 }

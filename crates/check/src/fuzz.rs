@@ -4,8 +4,8 @@
 //! samples a scenario — synthetic program (tiny/small profile), query
 //! subset, mode, backend, thread count, budget regime, τ thresholds,
 //! context sensitivity, state backend (hash/dense), simulator
-//! perturbation, jmp-store cap — runs it, and checks every
-//! completed answer two ways:
+//! perturbation, tracing — runs it, and checks every completed answer two
+//! ways:
 //!
 //! * **exactly** against the naive oracle ([`crate::diff`]);
 //! * **for soundness** against the Andersen whole-program solution
@@ -398,30 +398,26 @@ fn sample_scenario(cfg: &FuzzConfig, i: u64) -> Scenario {
         Vec::new()
     };
 
-    let (mut perturb, store_cap) = if backend == Backend::Simulated {
-        let perturb = if rng.random_bool(0.8) {
-            Some(SimPerturb {
-                seed: rng.random_range(0u64..1 << 32),
-                fetch_jitter: rng.random_range(0u64..=4),
-                pick_window: rng.random_range(1usize..=4),
-                scramble_ties: rng.random_bool(0.5),
-                evict_period: if rng.random_bool(0.3) {
-                    rng.random_range(2u64..=12)
-                } else {
-                    0
-                },
-            })
-        } else {
-            None
-        };
-        let store_cap = if rng.random_bool(0.25) {
-            Some(rng.random_range(4usize..=64))
-        } else {
-            None
-        };
-        (perturb, store_cap)
+    let mut perturb = if backend == Backend::Simulated {
+        let perturb = rng.random_bool(0.8).then(|| SimPerturb {
+            seed: rng.random_range(0u64..1 << 32),
+            fetch_jitter: rng.random_range(0u64..=4),
+            pick_window: rng.random_range(1usize..=4),
+            scramble_ties: rng.random_bool(0.5),
+        });
+        // While the jmp store was bounded, a perturbation drew a period of
+        // forced sweeps and a simulated run a store cap. Both draws stay,
+        // discarded, so that every later draw is what it was and each
+        // seed samples the scenario it did, minus the cap.
+        if perturb.is_some() && rng.random_bool(0.3) {
+            rng.random_range(2u64..=12);
+        }
+        if rng.random_bool(0.25) {
+            rng.random_range(4usize..=64);
+        }
+        perturb
     } else {
-        (None, None)
+        None
     };
     if !deltas.is_empty() {
         // The session replay path has no simulator perturbation hook.
@@ -450,7 +446,6 @@ fn sample_scenario(cfg: &FuzzConfig, i: u64) -> Scenario {
         solver,
         fetch_cost: rng.random_range(0u64..=3),
         perturb,
-        store_cap,
         trace_level,
         deltas,
         fault: Fault {

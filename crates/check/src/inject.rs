@@ -43,10 +43,6 @@ pub struct SimPerturb {
     /// Break equal-clock worker ties pseudo-randomly instead of by lowest
     /// worker index.
     pub scramble_ties: bool,
-    /// Every `evict_period`-th group dispatch forces a jmp-store eviction
-    /// sweep (`evict_to_budget`), exercising eviction orderings mid-run on
-    /// bounded stores. 0 disables the forcing.
-    pub evict_period: u64,
 }
 
 /// Fault injection: the self-tests that prove the harness has teeth. The
@@ -89,12 +85,12 @@ impl JmpStore for ContextBlind<'_> {
         rch: RchSet,
         now: u64,
         fp: Option<Arc<Footprint>>,
-    ) -> Option<u32> {
+    ) -> bool {
         self.0
             .publish_finished(blind(key), total_steps, rch, now, fp)
     }
 
-    fn publish_unfinished(&self, key: JmpKey, s: u64, now: u64) -> Option<u32> {
+    fn publish_unfinished(&self, key: JmpKey, s: u64, now: u64) -> bool {
         self.0.publish_unfinished(key, s, now)
     }
 
@@ -107,18 +103,13 @@ impl JmpStore for ContextBlind<'_> {
 pub(crate) struct Inject {
     perturb: Option<(SimPerturb, StdRng)>,
     blind_jmp_keys: bool,
-    /// The batch's store, for the forced eviction sweeps.
-    store: SharedJmpStore,
-    dispatched: u64,
 }
 
 impl Inject {
-    pub(crate) fn new(scenario: &Scenario, store: &SharedJmpStore) -> Self {
+    pub(crate) fn new(scenario: &Scenario) -> Self {
         Inject {
             perturb: scenario.perturb.map(|p| (p, StdRng::seed_from_u64(p.seed))),
             blind_jmp_keys: scenario.fault.blind_jmp_keys,
-            store: store.clone(),
-            dispatched: 0,
         }
     }
 }
@@ -141,10 +132,6 @@ impl SimHook for Inject {
         } else {
             0
         };
-        self.dispatched += 1;
-        if p.evict_period > 0 && self.dispatched.is_multiple_of(p.evict_period) {
-            self.store.evict_to_budget();
-        }
         let extra_fetch = if p.fetch_jitter > 0 {
             rng.random_range(0..=p.fetch_jitter)
         } else {
@@ -170,7 +157,7 @@ impl SimHook for Inject {
 /// the same public calls a session makes.
 pub(crate) fn replay_reusing_store(sc: &Scenario) -> (RunResult, Pag, Vec<DeltaReport>) {
     let cfg = sc.run_config();
-    let store = sc.fresh_store();
+    let store = SharedJmpStore::new();
     let mut clock = 0;
     // A session keeps the answers of sharing batches only.
     let keeps = sc.mode.shares_data();
@@ -318,7 +305,6 @@ delta add 0 2 st 0\n";
             solver: SolverConfig::default().without_tau_thresholds(),
             fetch_cost: 2,
             perturb,
-            store_cap: Some(16),
             trace_level: TraceLevel::Off,
             deltas: vec![],
             fault: Fault::default(),
@@ -328,10 +314,7 @@ delta add 0 2 st 0\n";
     /// Without a perturbation the hook is the simulator's own dispatch.
     #[test]
     fn unperturbed_hook_is_the_default_dispatch() {
-        let sc = Scenario {
-            store_cap: None,
-            ..perturbed(None)
-        };
+        let sc = perturbed(None);
         let (hooked, plain) = (
             sc.run(),
             run_simulated(&sc.pag, &sc.queries, &sc.run_config()),
@@ -342,22 +325,22 @@ delta add 0 2 st 0\n";
         assert_eq!(hooked.stats.jmp_edges, plain.stats.jmp_edges);
     }
 
-    /// Recorded seeds replay the dispatch they recorded: the readings are
-    /// those of the last binary whose simulator drew the stream itself
-    /// (`RunConfig::perturb`, commit dca85ab).
+    /// Recorded seeds replay the dispatch they recorded. The readings were
+    /// re-recorded when the jmp store became unbounded: the earlier ones
+    /// (16 010 / 60 603 steps at seed 7) ran on a store capped at 16
+    /// entries and forced back under its cap every fifth dispatch.
     #[test]
     fn perturbed_seeds_replay_the_recorded_dispatch() {
         for (seed, makespan, traversed_steps) in [
-            (7, 16_010, 60_603),
-            (0xBEEF, 16_092, 60_798),
-            (123_456_789, 16_044, 60_763),
+            (7, 3_702, 13_577),
+            (0xBEEF, 3_738, 13_647),
+            (123_456_789, 3_742, 13_718),
         ] {
             let r = perturbed(Some(SimPerturb {
                 seed,
                 fetch_jitter: 3,
                 pick_window: 4,
                 scramble_ties: true,
-                evict_period: 5,
             }))
             .run();
             assert_eq!(

@@ -9,7 +9,7 @@
 //!    failure survives canonicalisation (it always should: the solver
 //!    never looks at names).
 //! 2. **Simplify the configuration**: try threads → 1, simulated backend,
-//!    zero fetch cost, no perturbation, no store cap, simpler mode. This
+//!    zero fetch cost, no perturbation, simpler mode. This
 //!    is what makes structural shrinking effective: a failure that
 //!    depends on a 6-thread perturbed interleaving is fragile (removing
 //!    an unrelated edge shifts every virtual clock and masks it), while
@@ -106,12 +106,11 @@ pub fn shrink(scenario: Scenario, fails: &dyn Fn(&Scenario) -> bool) -> (Scenari
 
         // 2. Configuration simplification.
         type Step = fn(&mut Scenario);
-        let steps: [Step; 11] = [
+        let steps: [Step; 10] = [
             |s| s.backend = Backend::Simulated,
             |s| s.threads = 1,
             |s| s.fetch_cost = 0,
             |s| s.perturb = None,
-            |s| s.store_cap = None,
             |s| s.solver.budget = s.solver.budget.min(200_000),
             |s| {
                 s.mode = match s.mode {
@@ -131,7 +130,6 @@ pub fn shrink(scenario: Scenario, fails: &dyn Fn(&Scenario) -> bool) -> (Scenari
                 && candidate.threads == cur.threads
                 && candidate.fetch_cost == cur.fetch_cost
                 && candidate.perturb == cur.perturb
-                && candidate.store_cap == cur.store_cap
                 && candidate.solver.budget == cur.solver.budget
                 && candidate.mode == cur.mode
                 && candidate.solver.state == cur.solver.state

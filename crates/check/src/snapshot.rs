@@ -18,8 +18,7 @@
 //! ```text
 //! # free-form comment
 //! run mode=dq backend=sim threads=3 fetch=1 budget=75000 tauf=100 tauu=100 ctx=1 chaos=0 state=dense trace=off
-//! perturb pseed=7 jitter=3 window=4 scramble=1 evict=0   (optional)
-//! store cap=64                                           (optional)
+//! perturb pseed=7 jitter=3 window=4 scramble=1   (optional)
 //! counts nodes=5 fields=2 callsites=1
 //! node 0 local 1       # node <id> <local|global|obj> <is_application>
 //! node 1 obj 0
@@ -81,8 +80,6 @@ pub struct Scenario {
     pub fetch_cost: u64,
     /// Seeded simulator perturbation (simulated backend only).
     pub perturb: Option<SimPerturb>,
-    /// Jmp-store entry cap (simulated backend only; `None` = unbounded).
-    pub store_cap: Option<usize>,
     /// Trace recording level. Tracing is observation-only by contract,
     /// so fuzzing this dimension checks that no recorder perturbs
     /// answers or deterministic counters.
@@ -106,14 +103,6 @@ impl Scenario {
         cfg
     }
 
-    /// An empty simulator store under the scenario's cap.
-    pub(crate) fn fresh_store(&self) -> SharedJmpStore {
-        match self.store_cap {
-            Some(cap) => SharedJmpStore::new().with_max_entries(cap),
-            None => SharedJmpStore::new(),
-        }
-    }
-
     /// Replays the scenario once and returns the answers. Scenarios
     /// with an edit script return the final warm re-query result (see
     /// [`Self::run_incremental`]).
@@ -125,9 +114,9 @@ impl Scenario {
         match self.backend {
             Backend::Threaded => run_threaded(&self.pag, &self.queries, &cfg),
             Backend::Simulated => {
-                let store = self.fresh_store();
+                let store = SharedJmpStore::new();
                 let schedule = schedule_with_cap(&self.pag, &self.queries, self.mode, None);
-                let mut inject = Inject::new(self, &store);
+                let mut inject = Inject::new(self);
                 run_simulated_hooked(&self.pag, &schedule, &cfg, &store, 0, &mut inject).0
             }
         }
@@ -148,9 +137,6 @@ impl Scenario {
             .with_threads(self.threads)
             .with_solver(self.solver.clone())
             .with_tracing(self.trace_level);
-        if let Some(cap) = self.store_cap {
-            session = session.with_store_budget(cap);
-        }
         let mut result = session.submit(&self.queries, self.mode, self.backend);
         let mut reports = Vec::with_capacity(self.deltas.len());
         for op in &self.deltas {
@@ -224,12 +210,9 @@ impl Scenario {
         if let Some(p) = self.perturb {
             let _ = writeln!(
                 s,
-                "perturb pseed={} jitter={} window={} scramble={} evict={}",
-                p.seed, p.fetch_jitter, p.pick_window, p.scramble_ties as u8, p.evict_period
+                "perturb pseed={} jitter={} window={} scramble={}",
+                p.seed, p.fetch_jitter, p.pick_window, p.scramble_ties as u8
             );
-        }
-        if let Some(cap) = self.store_cap {
-            let _ = writeln!(s, "store cap={cap}");
         }
         let _ = writeln!(
             s,
@@ -284,7 +267,6 @@ impl Scenario {
         let mut solver = SolverConfig::default();
         let mut trace_level = TraceLevel::Off;
         let mut perturb: Option<SimPerturb> = None;
-        let mut store_cap: Option<usize> = None;
         let mut builder: Option<PagBuilder> = None;
         let mut declared_nodes = 0usize;
         let mut declared_deltas: Option<usize> = None;
@@ -368,19 +350,27 @@ impl Scenario {
                             "jitter" => p.fetch_jitter = parse(v, &err)?,
                             "window" => p.pick_window = parse(v, &err)?,
                             "scramble" => p.scramble_ties = parse::<u8, _>(v, &err)? != 0,
-                            "evict" => p.evict_period = parse(v, &err)?,
+                            // `evict` forced jmp-store eviction sweeps
+                            // while the store could evict (see `store`).
+                            "evict" => {
+                                parse::<u64, _>(v, &err)?;
+                            }
                             _ => return Err(err(format!("unknown perturb key `{k}`"))),
                         }
                     }
                     perturb = Some(p);
                 }
+                // `store cap=N` bounded the jmp store while it could evict:
+                // snapshots written then still load, and replay unbounded.
                 "store" => {
                     for kv in toks {
                         let (k, v) = kv
                             .split_once('=')
                             .ok_or_else(|| err(format!("bad store token `{kv}`")))?;
                         match k {
-                            "cap" => store_cap = Some(parse(v, &err)?),
+                            "cap" => {
+                                parse::<usize, _>(v, &err)?;
+                            }
                             _ => return Err(err(format!("unknown store key `{k}`"))),
                         }
                     }
@@ -510,7 +500,6 @@ impl Scenario {
             solver,
             fetch_cost,
             perturb,
-            store_cap,
             trace_level,
             deltas,
             fault,
@@ -587,9 +576,7 @@ mod tests {
                 fetch_jitter: 3,
                 pick_window: 4,
                 scramble_ties: true,
-                evict_period: 5,
             }),
-            store_cap: Some(32),
             trace_level: TraceLevel::Off,
             deltas: vec![],
             fault: Fault::default(),
@@ -612,7 +599,6 @@ mod tests {
         assert_eq!(back.solver, sc.solver);
         assert_eq!(back.fetch_cost, sc.fetch_cost);
         assert_eq!(back.perturb, sc.perturb);
-        assert_eq!(back.store_cap, sc.store_cap);
         assert_eq!(back.trace_level, sc.trace_level);
         assert_eq!(back.fault, sc.fault);
         // Serialising the parsed scenario reproduces the text exactly.
@@ -659,6 +645,21 @@ mod tests {
         ] {
             let old = text.replace(" state=", &format!(" {bad} state="));
             assert!(Scenario::from_snapshot(&old).is_err(), "{bad} is rejected");
+        }
+        // Likewise `store cap=N` and `perturb … evict=N` from when the jmp
+        // store could evict: the scenario is the same one, unbounded.
+        assert!(!text.contains("store ") && !text.contains("evict="));
+        let old = text
+            .replace(" scramble=1", " scramble=1 evict=5")
+            .replace("\ncounts ", "\nstore cap=32\ncounts ");
+        assert!(old.contains("store cap=32\n") && old.contains(" evict=5"));
+        let back = Scenario::from_snapshot(&old).expect("eviction-era parse");
+        assert_eq!(back.to_snapshot(), text);
+        for bad in [
+            text.replace("\ncounts ", "\nstore cap=x\ncounts "),
+            text.replace(" scramble=1", " scramble=1 evict="),
+        ] {
+            assert!(Scenario::from_snapshot(&bad).is_err(), "{bad} is rejected");
         }
 
         let mut spans = sample_scenario();

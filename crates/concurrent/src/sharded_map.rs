@@ -63,22 +63,6 @@ impl<K: Eq + Hash, V> ShardedMap<K, V> {
         self.shard_of(&key).write().insert(key, value)
     }
 
-    /// Atomically inspects the current value under `key` (or `None`) and
-    /// replaces it when `f` returns `Some`. Returns `true` when a write
-    /// happened. This is the compare-and-update primitive used to upgrade
-    /// an unfinished `jmp` entry to a finished one without racing.
-    pub fn update_with(&self, key: K, f: impl FnOnce(Option<&V>) -> Option<V>) -> bool {
-        let shard = self.shard_of(&key);
-        let mut guard = shard.write();
-        match f(guard.get(&key)) {
-            Some(v) => {
-                guard.insert(key, v);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Applies `f` to the value under `key`, if present, under the shard's
     /// read lock, and returns its result. Values never escape the lock by
     /// reference, so `V` does not need to be `Clone`.
@@ -120,8 +104,8 @@ impl<K: Eq + Hash, V> ShardedMap<K, V> {
     /// Keeps only the entries for which `f` returns `true`, taking one
     /// shard's write lock at a time (entries inserted into an
     /// already-visited shard during the sweep survive untouched). Returns
-    /// the number of entries removed — the jmp-store eviction path uses it
-    /// to count victims.
+    /// the number of entries removed — the jmp store's delta invalidation
+    /// uses it to count what it dropped.
     pub fn retain(&self, mut f: impl FnMut(&K, &mut V) -> bool) -> usize {
         let mut removed = 0;
         for s in &self.shards {
@@ -245,19 +229,6 @@ mod tests {
             .collect();
         assert_eq!(wins.iter().sum::<usize>(), 1000);
         assert_eq!(m.len(), 1000);
-    }
-
-    #[test]
-    fn update_with_conditional_replace() {
-        let m: ShardedMap<u32, u32> = ShardedMap::new();
-        // Insert when absent.
-        assert!(m.update_with(1, |cur| cur.is_none().then_some(10)));
-        // Refuse to replace.
-        assert!(!m.update_with(1, |cur| cur.is_none().then_some(20)));
-        assert_eq!(m.get_cloned(&1), Some(10));
-        // Replace only when the old value is smaller.
-        assert!(m.update_with(1, |cur| (cur < Some(&99)).then_some(99)));
-        assert_eq!(m.get_cloned(&1), Some(99));
     }
 
     #[test]

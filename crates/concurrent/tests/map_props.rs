@@ -9,7 +9,6 @@ use std::collections::HashMap;
 enum Op {
     TryInsert(u16, u32),
     Insert(u16, u32),
-    UpdateIfLess(u16, u32),
     Contains(u16),
     Get(u16),
 }
@@ -18,7 +17,6 @@ fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Op::TryInsert(k % 64, v)),
         (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Op::Insert(k % 64, v)),
-        (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Op::UpdateIfLess(k % 64, v)),
         any::<u16>().prop_map(|k| Op::Contains(k % 64)),
         any::<u16>().prop_map(|k| Op::Get(k % 64)),
     ]
@@ -43,15 +41,6 @@ proptest! {
                     let old = map.insert(k, v);
                     let model_old = model.insert(k, v);
                     prop_assert_eq!(old, model_old);
-                }
-                Op::UpdateIfLess(k, v) => {
-                    let did = map.update_with(k, |cur| match cur {
-                        Some(&c) if c >= v => None,
-                        _ => Some(v),
-                    });
-                    let model_did = model.get(&k).map(|&c| c < v).unwrap_or(true);
-                    if model_did { model.insert(k, v); }
-                    prop_assert_eq!(did, model_did);
                 }
                 Op::Contains(k) => {
                     prop_assert_eq!(map.contains_key(&k), model.contains_key(&k));

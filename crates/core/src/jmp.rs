@@ -12,8 +12,9 @@
 //!
 //! Race rules follow the paper (Section IV-A): finished sets are inserted
 //! atomically under their key; for unfinished entries the first writer wins
-//! (selecting the larger `s` was judged cost-ineffective). A finished entry
-//! may upgrade an unfinished one — it is strictly more informative.
+//! (selecting the larger `s` was judged cost-ineffective). A finished set
+//! never replaces an unfinished edge either: Algorithm 2 tests the
+//! unfinished case first, so the edge is permanent.
 //!
 //! Every entry carries the *virtual time* of its creation, and a lookup
 //! names the instant it is made at: it sees the entries created at or
@@ -22,22 +23,16 @@
 //! models the interleaving-dependent visibility of shared data, and a real
 //! thread at `u64::MAX`, which sees everything (see DESIGN.md §7).
 //!
-//! ## Persistence and eviction (DESIGN.md §7)
+//! ## Persistence (DESIGN.md §7)
 //!
 //! [`SharedJmpStore`] is cheaply cloneable (one `Arc`): an
 //! `AnalysisSession` keeps one store alive across query batches so later
-//! batches warm-start from earlier batches' entries. Long-lived stores need
-//! bounded memory, so a store may carry an entry budget
-//! ([`SharedJmpStore::with_max_entries`]). When a publish pushes the store
-//! over budget, victims are evicted least-recently-used first, preferring
-//! **finished** entries over unfinished ones and, within a recency class,
-//! the entries that save the fewest steps: a finished set is large and can
-//! always be recomputed, while an unfinished edge is a single number whose
-//! early-termination evidence cannot be cheaply rediscovered. Eviction only
-//! ever *removes* shared information, so it can change cost, never answers.
+//! batches warm-start from earlier batches' entries. Like the paper's map,
+//! the store is unbounded: an entry leaves only when a delta invalidates
+//! it ([`SharedJmpStore::invalidate_delta`]) or the owner clears the store.
 
 use crate::footprint::{DirtySet, Footprint};
-use parcfl_concurrent::{CtxId, CtxInterner, FxHashSet, ShardedMap};
+use parcfl_concurrent::{CtxId, CtxInterner, ShardedMap};
 use parcfl_pag::NodeId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -111,6 +106,22 @@ impl JmpEntry {
             JmpEntry::Unfinished { s, .. } => *s,
         }
     }
+
+    /// The jmp edges the entry records, as Table I's `#Jumps`, Fig. 7 and
+    /// `jmp_inserts` count them: one per pair of a finished set (at least
+    /// one), and one for an unfinished entry.
+    pub fn edges(&self) -> u64 {
+        match self {
+            JmpEntry::Finished { rch, .. } => Self::set_edges(rch.len()),
+            JmpEntry::Unfinished { .. } => 1,
+        }
+    }
+
+    /// Edges a finished set of `len` pairs counts as. An empty set is still
+    /// one recorded `jmp(s)` fact that a later query takes, so it counts 1.
+    pub(crate) fn set_edges(len: usize) -> u64 {
+        len.max(1) as u64
+    }
 }
 
 /// Aggregate statistics over a jmp store (Table I columns and Fig. 7).
@@ -118,13 +129,11 @@ impl JmpEntry {
 pub struct JmpStoreStats {
     /// Number of finished entries (recorded `ReachableNodes` results).
     pub finished_entries: usize,
-    /// Number of individual finished jmp edges (sum of `rch` sizes) —
-    /// Table I's `#Jumps` counts edges.
+    /// Number of individual finished jmp edges (the sum of
+    /// [`JmpEntry::edges`]) — Table I's `#Jumps` counts edges.
     pub finished_edges: usize,
     /// Number of unfinished entries/edges.
     pub unfinished: usize,
-    /// Entries evicted over the store's lifetime (0 when unbounded).
-    pub evictions: u64,
     /// Successful (visible) lookups served over the store's lifetime.
     pub lookup_hits: u64,
 }
@@ -148,8 +157,8 @@ pub type JmpLookup = (JmpEntry, Option<Arc<Footprint>>);
 /// What crosses the solver↔store boundary: the three calls Algorithm 2
 /// makes, and the interner that gives the ids in keys and payloads their
 /// meaning. Everything else a store can do — statistics, iteration,
-/// eviction, invalidation — belongs to whoever owns the store, and lives
-/// on [`SharedJmpStore`] itself.
+/// invalidation — belongs to whoever owns the store, and lives on
+/// [`SharedJmpStore`] itself.
 pub trait JmpStore: Sync {
     /// Looks up the entry under `key` visible at virtual time `now`: one
     /// created at or before it. A reader that is itself recording absorbs
@@ -158,10 +167,8 @@ pub trait JmpStore: Sync {
 
     /// Publishes a finished entry (already filtered by `τF` at the call
     /// site), with the recording traversal's footprint when it kept one
-    /// (selective invalidation, DESIGN.md §12). Returns `None` if the
-    /// entry was not stored, and otherwise how many resident entries the
-    /// store evicted to make room for it — the publisher's own eviction
-    /// count, whoever else evicts from the same store meanwhile.
+    /// (selective invalidation, DESIGN.md §12). Returns whether the entry
+    /// was stored: first writer wins, of either kind.
     /// Unfinished entries never carry footprints: their `s` bound
     /// summarises an *aborted* traversal whose full read-set was never
     /// seen, so they are unconditionally invalidated by every delta.
@@ -172,11 +179,11 @@ pub trait JmpStore: Sync {
         rch: RchSet,
         now: u64,
         fp: Option<Arc<Footprint>>,
-    ) -> Option<u32>;
+    ) -> bool;
 
     /// Publishes an unfinished entry (already filtered by `τU`). First
     /// writer wins. Returns as [`Self::publish_finished`] does.
-    fn publish_unfinished(&self, key: JmpKey, s: u64, now: u64) -> Option<u32>;
+    fn publish_unfinished(&self, key: JmpKey, s: u64, now: u64) -> bool;
 
     /// The context interner whose ids this store's keys and payloads use.
     /// Solvers sharing a store must share its interner (ids are only
@@ -203,12 +210,12 @@ impl JmpStore for NoJmpStore {
         _r: RchSet,
         _n: u64,
         _fp: Option<Arc<Footprint>>,
-    ) -> Option<u32> {
-        None
+    ) -> bool {
+        false
     }
 
-    fn publish_unfinished(&self, _k: JmpKey, _s: u64, _n: u64) -> Option<u32> {
-        None
+    fn publish_unfinished(&self, _k: JmpKey, _s: u64, _n: u64) -> bool {
+        false
     }
 
     fn ctx_interner(&self) -> Option<Arc<CtxInterner>> {
@@ -216,9 +223,7 @@ impl JmpStore for NoJmpStore {
     }
 }
 
-/// A stored entry plus its access accounting: how often it was served and
-/// the (store-local) logical instant it was last useful. Both are atomics
-/// so lookups can bump them under the shard's *read* lock.
+/// A stored entry plus the footprint it was published with.
 struct Stored {
     entry: JmpEntry,
     /// Reverse-dependency footprint of the recording traversal, when the
@@ -228,8 +233,6 @@ struct Stored {
     /// the gated bench memory fields stable whether recording is on or
     /// off.
     fp: Option<Arc<Footprint>>,
-    hits: AtomicU64,
-    last_use: AtomicU64,
 }
 
 /// The state every clone of a [`SharedJmpStore`] shares.
@@ -239,13 +242,6 @@ struct StoreInner {
     /// payloads. Shared by every solver using the store;
     /// survives [`SharedJmpStore::clear`] so resident ids stay valid.
     interner: Arc<CtxInterner>,
-    /// Logical access clock: ticks on every insert and visible lookup,
-    /// giving `last_use` its LRU order.
-    access_clock: AtomicU64,
-    /// Entry budget; `None` = unbounded.
-    max_entries: Option<usize>,
-    /// Entries evicted over the store's lifetime.
-    evictions: AtomicU64,
     /// Visible lookups served over the store's lifetime.
     lookup_hits: AtomicU64,
 }
@@ -253,58 +249,31 @@ struct StoreInner {
 /// The concurrent shared store (the paper's `ConcurrentHashMap`): one map
 /// every query thread reads and writes.
 ///
-/// [`Clone`] is a handle to the *same* entries, accounting and budget, so
-/// a session can hand a long-lived store to successive batch runs (and to
+/// [`Clone`] is a handle to the *same* entries and accounting, so a
+/// session can hand a long-lived store to successive batch runs (and to
 /// real-thread workers) without copying. What differs per reader — the
-/// instant its lookups are made at, the evictions its publishes cause —
-/// is an argument or a return value of the call ([`JmpStore`]), never
-/// state of the handle.
+/// instant its lookups are made at — is an argument of the call
+/// ([`JmpStore`]), never state of the handle.
 #[derive(Clone)]
 pub struct SharedJmpStore {
     inner: Arc<StoreInner>,
 }
 
 impl SharedJmpStore {
-    fn with_budget(max_entries: Option<usize>) -> Self {
+    /// An empty store.
+    pub fn new() -> Self {
         SharedJmpStore {
             inner: Arc::new(StoreInner {
                 map: ShardedMap::new(),
                 interner: Arc::new(CtxInterner::new()),
-                access_clock: AtomicU64::new(0),
-                max_entries,
-                evictions: AtomicU64::new(0),
                 lookup_hits: AtomicU64::new(0),
             }),
         }
     }
 
-    /// An empty, unbounded store.
-    pub fn new() -> Self {
-        Self::with_budget(None)
-    }
-
-    /// Bounds the store to at most `max` entries: any publish that leaves
-    /// the store over budget triggers an eviction sweep back down to `max`.
-    /// Construction-time builder — it rebuilds the (still empty) inner
-    /// state, so apply it immediately after [`Self::new`], before entries
-    /// or other handles exist. Budget 0 is clamped to 1.
-    pub fn with_max_entries(self, max: usize) -> Self {
-        Self::with_budget(Some(max.max(1)))
-    }
-
     /// The store's context interner (shared by every handle).
     pub fn interner(&self) -> &Arc<CtxInterner> {
         &self.inner.interner
-    }
-
-    /// The configured entry budget, if any.
-    pub fn max_entries(&self) -> Option<usize> {
-        self.inner.max_entries
-    }
-
-    /// Entries evicted over the store's lifetime.
-    pub fn evictions(&self) -> u64 {
-        self.inner.evictions.load(Ordering::Relaxed)
     }
 
     /// Visible lookups served over the store's lifetime.
@@ -317,40 +286,10 @@ impl SharedJmpStore {
         self.inner.map.clear();
     }
 
-    /// Visits every entry together with its access accounting
-    /// `(hits, last_use)`.
-    pub fn for_each_with_meta(&self, mut f: impl FnMut(&JmpKey, &JmpEntry, u64, u64)) {
-        self.inner.map.for_each(|k, st| {
-            f(
-                k,
-                &st.entry,
-                st.hits.load(Ordering::Relaxed),
-                st.last_use.load(Ordering::Relaxed),
-            )
-        });
-    }
-
-    #[inline]
-    fn tick(&self) -> u64 {
-        self.inner.access_clock.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    fn stored(&self, entry: JmpEntry, fp: Option<Arc<Footprint>>) -> Stored {
-        Stored {
-            entry,
-            fp,
-            hits: AtomicU64::new(0),
-            last_use: AtomicU64::new(self.tick()),
-        }
-    }
-
     /// Selective invalidation after an applied delta (DESIGN.md §12):
     /// drops every entry whose footprint is missing or intersects `dirty`,
     /// returning `(invalidated, retained)`. Unfinished entries never carry
-    /// footprints, so they always go. Deliberately does **not** count as
-    /// eviction — evictions are a memory-pressure signal, invalidation a
-    /// correctness one, and conflating them would skew the eviction-policy
-    /// stats sessions tune on.
+    /// footprints, so they always go.
     pub fn invalidate_delta(&self, dirty: &DirtySet) -> (u64, u64) {
         let mut retained = 0u64;
         let removed = self.inner.map.retain(|_, st| {
@@ -362,57 +301,19 @@ impl SharedJmpStore {
         (removed as u64, retained)
     }
 
-    /// Evicts down to the budget if over it, returning the number of
-    /// entries evicted; a no-op for unbounded stores. Every publish that
-    /// stores an entry ends with one. Victim order: finished
-    /// entries before unfinished, then least-recently-used, then fewest
-    /// steps saved (see the module docs for the policy rationale). The
-    /// count is a snapshot — concurrent publishes may transiently leave
-    /// the store slightly over budget until the next publish sweeps again.
-    pub fn evict_to_budget(&self) -> usize {
-        let Some(budget) = self.inner.max_entries else {
-            return 0;
-        };
-        let len = self.inner.map.len();
-        if len <= budget {
-            return 0;
-        }
-        let excess = len - budget;
-        // (unfinished?, last_use, steps, key): the natural tuple order is
-        // exactly the victim priority — finished (false) first, stale
-        // first, cheap first.
-        let mut candidates: Vec<(bool, u64, u64, JmpKey)> = Vec::with_capacity(len);
-        self.inner.map.for_each(|k, st| {
-            candidates.push((
-                !st.entry.is_finished(),
-                st.last_use.load(Ordering::Relaxed),
-                st.entry.steps(),
-                *k,
-            ));
-        });
-        candidates.sort_unstable_by(|a, b| (a.0, a.1, a.2, &a.3).cmp(&(b.0, b.1, b.2, &b.3)));
-        candidates.truncate(excess);
-        let victims: FxHashSet<JmpKey> = candidates.into_iter().map(|(_, _, _, k)| k).collect();
-        let removed = self.inner.map.retain(|k, _| !victims.contains(k));
-        self.inner
-            .evictions
-            .fetch_add(removed as u64, Ordering::Relaxed);
-        removed
-    }
-
     /// Store-wide statistics.
     pub fn stats(&self) -> JmpStoreStats {
         let mut st = JmpStoreStats {
-            evictions: self.evictions(),
             lookup_hits: self.lookup_hits(),
             ..JmpStoreStats::default()
         };
-        self.inner.map.for_each(|_, stored| match &stored.entry {
-            JmpEntry::Finished { rch, .. } => {
+        self.inner.map.for_each(|_, stored| {
+            if stored.entry.is_finished() {
                 st.finished_entries += 1;
-                st.finished_edges += rch.len();
+                st.finished_edges += stored.entry.edges() as usize;
+            } else {
+                st.unfinished += 1;
             }
-            JmpEntry::Unfinished { .. } => st.unfinished += 1,
         });
         st
     }
@@ -440,16 +341,6 @@ impl SharedJmpStore {
     pub fn entry_count(&self) -> usize {
         self.inner.map.len()
     }
-
-    /// Keeps only the entries for which `f` returns `true`; returns the
-    /// number removed, which counts as evicted.
-    pub fn retain(&self, mut f: impl FnMut(&JmpKey, &JmpEntry) -> bool) -> usize {
-        let removed = self.inner.map.retain(|k, st| f(k, &st.entry));
-        self.inner
-            .evictions
-            .fetch_add(removed as u64, Ordering::Relaxed);
-        removed
-    }
 }
 
 impl Default for SharedJmpStore {
@@ -464,12 +355,7 @@ impl JmpStore for SharedJmpStore {
             .inner
             .map
             .with(key, |st| {
-                if st.entry.created_at() > now {
-                    return None;
-                }
-                st.hits.fetch_add(1, Ordering::Relaxed);
-                st.last_use.store(self.tick(), Ordering::Relaxed);
-                Some((st.entry.clone(), st.fp.clone()))
+                (st.entry.created_at() <= now).then(|| (st.entry.clone(), st.fp.clone()))
             })
             .flatten()?;
         self.inner.lookup_hits.fetch_add(1, Ordering::Relaxed);
@@ -483,34 +369,24 @@ impl JmpStore for SharedJmpStore {
         rch: RchSet,
         now: u64,
         fp: Option<Arc<Footprint>>,
-    ) -> Option<u32> {
+    ) -> bool {
         // First writer wins, regardless of kind: Algorithm 2 tests the
         // unfinished case *before* the finished one, so once an unfinished
         // edge exists at a key its finished branch is unreachable — the
         // paper's store keeps unfinished edges permanently (its Fig. 7
         // counts them in the final state). Replacing them here would
         // silently erase the early-termination evidence.
-        let stored = self.stored(
-            JmpEntry::Finished {
-                total_steps,
-                rch,
-                created_at: now,
-            },
-            fp,
-        );
-        let inserted = self.inner.map.update_with(key, |cur| match cur {
-            None => Some(stored),
-            Some(_) => None,
-        });
-        inserted.then(|| self.evict_to_budget() as u32)
+        let entry = JmpEntry::Finished {
+            total_steps,
+            rch,
+            created_at: now,
+        };
+        self.inner.map.try_insert(key, Stored { entry, fp })
     }
 
-    fn publish_unfinished(&self, key: JmpKey, s: u64, now: u64) -> Option<u32> {
-        let inserted = self.inner.map.try_insert(
-            key,
-            self.stored(JmpEntry::Unfinished { s, created_at: now }, None),
-        );
-        inserted.then(|| self.evict_to_budget() as u32)
+    fn publish_unfinished(&self, key: JmpKey, s: u64, now: u64) -> bool {
+        let entry = JmpEntry::Unfinished { s, created_at: now };
+        self.inner.map.try_insert(key, Stored { entry, fp: None })
     }
 
     fn ctx_interner(&self) -> Option<Arc<CtxInterner>> {
@@ -529,7 +405,6 @@ mod tests {
     /// A footprint-less finished publish of an empty set.
     fn publish(s: &SharedJmpStore, n: u32, total_steps: u64) -> bool {
         s.publish_finished(key(n), total_steps, Arc::new(vec![]), 0, None)
-            .is_some()
     }
 
     fn entry(s: &SharedJmpStore, n: u32, now: u64) -> Option<JmpEntry> {
@@ -539,10 +414,8 @@ mod tests {
     #[test]
     fn no_store_is_inert() {
         let s = NoJmpStore;
-        assert!(s
-            .publish_finished(key(1), 10, Arc::new(vec![]), 0, None)
-            .is_none());
-        assert!(s.publish_unfinished(key(1), 10, 0).is_none());
+        assert!(!s.publish_finished(key(1), 10, Arc::new(vec![]), 0, None));
+        assert!(!s.publish_unfinished(key(1), 10, 0));
         assert!(s.lookup(&key(1), u64::MAX).is_none());
         assert!(s.ctx_interner().is_none());
     }
@@ -551,7 +424,7 @@ mod tests {
     fn finished_roundtrip_and_stats() {
         let s = SharedJmpStore::new();
         let rch = Arc::new(vec![(NodeId::new(9), CtxId::EMPTY)]);
-        assert_eq!(s.publish_finished(key(1), 250, rch, 0, None), Some(0));
+        assert!(s.publish_finished(key(1), 250, rch, 0, None));
         match entry(&s, 1, 0) {
             Some(JmpEntry::Finished {
                 total_steps, rch, ..
@@ -568,7 +441,6 @@ mod tests {
         assert_eq!(st.total_edges(), 1);
         assert_eq!(st.entries(), 1);
         assert_eq!(st.lookup_hits, 1);
-        assert_eq!(st.evictions, 0);
         assert!(s.approx_bytes() > 0);
         assert_eq!(s.entry_count(), 1);
     }
@@ -576,12 +448,8 @@ mod tests {
     #[test]
     fn unfinished_first_writer_wins() {
         let s = SharedJmpStore::new();
-        assert_eq!(s.publish_unfinished(key(2), 100, 0), Some(0));
-        assert_eq!(
-            s.publish_unfinished(key(2), 999, 0),
-            None,
-            "first writer wins"
-        );
+        assert!(s.publish_unfinished(key(2), 100, 0));
+        assert!(!s.publish_unfinished(key(2), 999, 0), "first writer wins");
         match entry(&s, 2, 0) {
             Some(JmpEntry::Unfinished { s, .. }) => assert_eq!(s, 100),
             other => panic!("{other:?}"),
@@ -595,7 +463,7 @@ mod tests {
         // at that key and recording a finished set would erase the
         // early-termination evidence.
         let s = SharedJmpStore::new();
-        assert!(s.publish_unfinished(key(3), 50, 0).is_some());
+        assert!(s.publish_unfinished(key(3), 50, 0));
         assert!(!publish(&s, 3, 70));
         assert!(matches!(
             entry(&s, 3, 0),
@@ -638,93 +506,33 @@ mod tests {
     }
 
     #[test]
-    fn lookup_accounting_tracks_hits_and_recency() {
+    fn lookup_accounting_counts_visible_hits() {
         let s = SharedJmpStore::new();
         s.publish_unfinished(key(1), 10, 0);
-        s.publish_unfinished(key(2), 10, 0);
+        s.publish_unfinished(key(2), 10, 100);
         for _ in 0..3 {
-            s.lookup(&key(2), 0);
+            s.lookup(&key(1), 0);
         }
-        let mut meta = Vec::new();
-        s.for_each_with_meta(|k, _, hits, last_use| meta.push((*k, hits, last_use)));
-        meta.sort_by_key(|(k, _, _)| *k);
-        assert_eq!(meta[0].1, 0, "key 1 never looked up");
-        assert_eq!(meta[1].1, 3, "key 2 hit three times");
-        assert!(meta[1].2 > meta[0].2, "key 2 more recently used");
         assert_eq!(s.lookup_hits(), 3);
-        // A lookup made before the entry's instant is not a hit and does
-        // not touch recency.
-        let t = SharedJmpStore::new();
-        t.publish_unfinished(key(3), 10, 100);
-        assert!(t.lookup(&key(3), 50).is_none());
-        assert_eq!(t.lookup_hits(), 0);
+        // A miss, and a lookup made before the entry's instant, are not
+        // hits.
+        assert!(s.lookup(&key(3), 0).is_none());
+        assert!(s.lookup(&key(2), 50).is_none());
+        assert_eq!(s.lookup_hits(), 3);
     }
 
+    /// Table I's `#Jumps`, Fig. 7's histogram and the solver's
+    /// `jmp_inserts` agree on what an entry counts as, including an empty
+    /// finished set.
     #[test]
-    fn eviction_enforces_budget_lru_least_saving_first() {
-        let s = SharedJmpStore::new().with_max_entries(3);
-        assert_eq!(s.max_entries(), Some(3));
-        // Three finished entries with distinct costs.
-        for (n, cost) in [(1u32, 500u64), (2, 100), (3, 900)] {
-            assert!(publish(&s, n, cost));
-        }
-        assert_eq!(s.entry_count(), 3);
-        assert_eq!(s.evictions(), 0, "at budget, nothing evicted");
-        // Touch 1 and 2 so entry 3 is the least recently used... then
-        // publish a fourth: 3 must be the victim (stalest; cost is the
-        // tie-break within a recency class, not across).
-        s.lookup(&key(1), 0);
-        s.lookup(&key(2), 0);
-        assert!(publish(&s, 4, 50));
-        assert_eq!(s.entry_count(), 3, "budget enforced");
-        assert_eq!(s.evictions(), 1);
-        assert!(s.lookup(&key(3), 0).is_none(), "LRU entry evicted");
-        assert!(s.lookup(&key(1), 0).is_some());
-        assert!(s.lookup(&key(2), 0).is_some());
-        assert!(s.lookup(&key(4), 0).is_some());
-        assert_eq!(s.stats().evictions, 1);
-    }
-
-    #[test]
-    fn eviction_prefers_finished_over_unfinished() {
-        let s = SharedJmpStore::new().with_max_entries(2);
-        // An old unfinished edge, then a newer finished one, then overflow:
-        // the finished entry is evicted even though the unfinished one is
-        // staler — unfinished evidence is irreplaceable (DESIGN.md §7).
-        assert_eq!(s.publish_unfinished(key(1), 10_000, 0), Some(0));
-        assert!(publish(&s, 2, 5_000));
-        assert_eq!(s.publish_unfinished(key(3), 20_000, 0), Some(1));
-        assert_eq!(s.entry_count(), 2);
-        assert!(s.lookup(&key(2), 0).is_none(), "finished entry sacrificed");
-        assert!(s.lookup(&key(1), 0).is_some());
-        assert!(s.lookup(&key(3), 0).is_some());
-        // When only unfinished entries remain, the budget still binds.
-        assert_eq!(s.publish_unfinished(key(4), 30_000, 0), Some(1));
-        assert_eq!(s.entry_count(), 2);
-        assert_eq!(s.evictions(), 2);
-    }
-
-    #[test]
-    fn retain_drops_matching_entries_and_counts_as_eviction() {
+    fn empty_finished_set_counts_as_one_edge_everywhere() {
         let s = SharedJmpStore::new();
-        s.publish_unfinished(key(1), 10, 0);
-        publish(&s, 2, 200);
-        let removed = s.retain(|_, e| e.is_finished());
-        assert_eq!(removed, 1);
-        assert_eq!(s.entry_count(), 1);
-        assert!(s.lookup(&key(2), 0).is_some());
-        assert_eq!(s.evictions(), 1);
-    }
-
-    #[test]
-    fn unbounded_store_never_evicts() {
-        let s = SharedJmpStore::new();
-        for n in 0..100u32 {
-            s.publish_unfinished(key(n), 10, 0);
-        }
-        assert_eq!(s.entry_count(), 100);
-        assert_eq!(s.evict_to_budget(), 0);
-        assert_eq!(s.evictions(), 0);
+        assert!(publish(&s, 1, 100));
+        assert!(s.publish_unfinished(key(2), 10_000, 0));
+        let h = crate::JmpHistogram::of(&s);
+        let total = s.stats().total_edges() as u64;
+        assert_eq!(total, h.finished_total() + h.unfinished_total());
+        assert_eq!(total, 2);
     }
 
     #[test]
@@ -732,12 +540,10 @@ mod tests {
         use crate::footprint::{reading, DirtySet};
         let s = SharedJmpStore::new();
         let fp = Some(reading(&[42], &[]));
-        assert!(s
-            .publish_finished(key(1), 100, Arc::new(vec![]), 0, fp)
-            .is_some());
+        assert!(s.publish_finished(key(1), 100, Arc::new(vec![]), 0, fp));
         // A footprint-less finished entry and an unfinished one.
         assert!(publish(&s, 2, 100));
-        assert!(s.publish_unfinished(key(3), 10_000, 0).is_some());
+        assert!(s.publish_unfinished(key(3), 10_000, 0));
         let (_, got) = s.lookup(&key(1), 0).unwrap();
         assert!(got.unwrap().touches_node(NodeId::new(42)));
         assert!(s.lookup(&key(2), 0).unwrap().1.is_none());
@@ -747,7 +553,6 @@ mod tests {
         d.insert_node(NodeId::new(9));
         assert_eq!(s.invalidate_delta(&d), (2, 1));
         assert!(s.lookup(&key(1), 0).is_some());
-        assert_eq!(s.evictions(), 0, "invalidation is not eviction");
         // Dirtying a footprinted node takes the survivor too.
         let mut d2 = DirtySet::default();
         d2.insert_node(NodeId::new(42));
@@ -760,27 +565,7 @@ mod tests {
         // A store that shares nothing has nowhere to keep a footprint.
         let fp = Some(crate::footprint::reading(&[1], &[]));
         let s = NoJmpStore;
-        assert!(s
-            .publish_finished(key(1), 10, Arc::new(vec![]), 0, fp)
-            .is_none());
+        assert!(!s.publish_finished(key(1), 10, Arc::new(vec![]), 0, fp));
         assert!(s.lookup(&key(1), 0).is_none());
-    }
-
-    /// A publish reports what its own sweep evicted, so two publishers
-    /// sharing one bounded store each count their own and the counts
-    /// partition the store-wide total.
-    #[test]
-    fn publishes_report_their_own_evictions() {
-        let store = SharedJmpStore::new().with_max_entries(2);
-        let (a, b) = (store.clone(), store.clone());
-        let publish = |s: &SharedJmpStore, n| s.publish_unfinished(key(n), 10, 0).unwrap();
-        // A fills the store and overflows it once; B overflows it twice.
-        let by_a: u32 = (0..3).map(|n| publish(&a, n)).sum();
-        let by_b: u32 = (10..12).map(|n| publish(&b, n)).sum();
-        assert_eq!((by_a, by_b), (1, 2));
-        assert_eq!(store.evictions(), 3);
-        // A refused publish stores nothing and evicts nothing.
-        assert_eq!(a.publish_unfinished(key(11), 10, 0), None);
-        assert_eq!(store.evictions(), 3);
     }
 }

@@ -563,9 +563,8 @@ impl<'a, S: StateSet> QueryState<'a, S> {
                 if s_val < self.cfg.tau_unfinished {
                     continue;
                 }
-                if let Some(evicted) = jmp.publish_unfinished((dir, x, c), s_val, self.now()) {
+                if jmp.publish_unfinished((dir, x, c), s_val, self.now()) {
                     self.stats.unfinished_published += 1;
-                    self.stats.evictions += u64::from(evicted);
                 }
             }
             self.s.in_progress.clear();
@@ -872,9 +871,8 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         let fp = self.s.reads.close(publishing.is_some());
         if let Some(jmp) = publishing {
             let rch: RchSet = Arc::new(out.clone());
-            if let Some(evicted) = jmp.publish_finished(jmp_key, total, rch, self.now(), fp) {
-                self.stats.finished_published += out.len().max(1) as u64;
-                self.stats.evictions += u64::from(evicted);
+            if jmp.publish_finished(jmp_key, total, rch, self.now(), fp) {
+                self.stats.finished_published += JmpEntry::set_edges(out.len());
             }
         }
         Ok(out)

@@ -1,6 +1,6 @@
 //! Per-query and aggregate statistics, plus the Fig. 7 jmp-edge histogram.
 
-use crate::jmp::{JmpEntry, SharedJmpStore};
+use crate::jmp::SharedJmpStore;
 
 /// Statistics of a single query.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -21,14 +21,11 @@ pub struct QueryStats {
     /// Steps saved by taking finished shortcuts (the recorded cost of each
     /// shortcut, which would otherwise have been re-traversed).
     pub steps_saved: u64,
-    /// Finished jmp *edges* this query published (sum of set sizes).
+    /// Finished jmp *edges* this query published (sum of
+    /// [`JmpEntry::edges`](crate::JmpEntry::edges)).
     pub finished_published: u64,
     /// Unfinished jmp edges this query published.
     pub unfinished_published: u64,
-    /// Resident jmp entries a bounded store evicted to make room for this
-    /// query's publications — its own sweeps only, whoever else evicts
-    /// from the same store meanwhile.
-    pub evictions: u64,
     /// Whether the query ran out of budget.
     pub out_of_budget: bool,
     /// Whether the query was cut short by an unfinished jmp edge (an early
@@ -118,20 +115,17 @@ impl JmpHistogram {
         }
     }
 
-    /// Builds the histogram from a store's current contents. Each finished
-    /// entry contributes one edge per recorded `(y, c'')` pair, all at the
-    /// entry's total cost; each unfinished entry contributes one edge.
+    /// Builds the histogram from a store's current contents: each entry
+    /// contributes its [`JmpEntry::edges`](crate::JmpEntry::edges) at its steps figure.
     pub fn of(store: &SharedJmpStore) -> Self {
         let mut h = JmpHistogram::default();
-        store.for_each(|_, e| match e {
-            JmpEntry::Finished {
-                total_steps, rch, ..
-            } => {
-                h.finished[Self::bucket(*total_steps)] += rch.len().max(1) as u64;
-            }
-            JmpEntry::Unfinished { s, .. } => {
-                h.unfinished[Self::bucket(*s)] += 1;
-            }
+        store.for_each(|_, e| {
+            let side = if e.is_finished() {
+                &mut h.finished
+            } else {
+                &mut h.unfinished
+            };
+            side[Self::bucket(e.steps())] += e.edges();
         });
         h
     }

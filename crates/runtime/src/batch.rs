@@ -170,10 +170,7 @@ impl<'a> Batch<'a> {
     }
 
     /// The batch epilogue: folds the finished lanes (in worker order) into
-    /// one [`RunResult`]. `stats.evictions` is the sum of what the batch's
-    /// own publishes evicted ([`parcfl_core::QueryStats::evictions`]) —
-    /// exact on every executor, whoever else evicts from the store
-    /// meanwhile.
+    /// one [`RunResult`].
     pub(crate) fn finish(
         &self,
         avg_group_size: f64,

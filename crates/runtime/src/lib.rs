@@ -14,8 +14,8 @@
 //! One-shot entry points ([`run`], [`run_seq`]) build a fresh jmp store
 //! per call. Clients answering *several* batches over one PAG should hold
 //! an [`AnalysisSession`] instead: later batches warm-start from earlier
-//! batches' jmp edges, answers it already holds are not traversed again,
-//! and store memory can be bounded (see [`session`]).
+//! batches' jmp edges, and answers it already holds are not traversed
+//! again (see [`session`]).
 //!
 //! ```
 //! use parcfl_runtime::{run, run_seq, Backend, Mode, RunConfig};

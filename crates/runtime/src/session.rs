@@ -20,12 +20,9 @@
 //! simulated visibility stays faithful and the warm/cold accounting
 //! boundary is exact.
 //!
-//! Memory stays bounded on demand: [`AnalysisSession::with_store_budget`]
-//! caps resident jmp entries, evicting per the policy in DESIGN.md §7
-//! (finished before unfinished, then least-recently-used, then
-//! least-saving). Eviction only discards *recomputable* shortcuts, so
-//! answers are unaffected — only the amount of reuse is. Kept answers are
-//! outside that budget by design: there is at most one per distinct query
+//! Like the paper's map, neither is bounded: a jmp entry or kept answer
+//! leaves only when an edit invalidates it or [`AnalysisSession::reset`]
+//! forgets everything. There is at most one kept answer per distinct query
 //! node, and the client that asked already holds a copy of each.
 
 use crate::batch::{Answers, Batch, Clock};
@@ -113,7 +110,7 @@ pub struct AnalysisSession<'p> {
 
 impl<'p> AnalysisSession<'p> {
     /// A fresh session over `pag` with paper-default solver parameters,
-    /// one thread, and an unbounded store.
+    /// one thread, and an empty store.
     pub fn new(pag: &'p Pag) -> Self {
         AnalysisSession {
             pag: Cow::Borrowed(pag),
@@ -142,19 +139,6 @@ impl<'p> AnalysisSession<'p> {
     /// Sets the worker-thread count (real or simulated).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Bounds the jmp store to at most `max` resident entries (LRU-style
-    /// eviction, DESIGN.md §7). Construction-time only: call it before the
-    /// first [`Self::submit`] — it replaces the (still empty) store.
-    pub fn with_store_budget(mut self, max: usize) -> Self {
-        debug_assert_eq!(
-            self.store.entry_count(),
-            0,
-            "set the budget before submitting"
-        );
-        self.store = SharedJmpStore::new().with_max_entries(max);
         self
     }
 
@@ -266,15 +250,10 @@ impl<'p> AnalysisSession<'p> {
     /// [`Self::cumulative`] (`parcfl_<field>_total` counters for `Sum`
     /// rows, `parcfl_<field>` gauges otherwise), the store's lookup hits,
     /// the cumulative query-latency histogram and per-worker work-list
-    /// pops. Where the store has a live reading it supersedes the
-    /// batch-scoped one: lifetime evictions include other users' of the
-    /// store, and residency is current rather than as of the last batch's
-    /// end.
+    /// pops. The store's residency is its live reading, not the one as of
+    /// the last batch's end.
     pub fn metrics_snapshot(&self) -> String {
-        // The totals with the store's live readings patched over the
-        // batch-scoped ones.
         let shown = RunStats {
-            evictions: self.store.evictions(),
             store_entries: self.store.entry_count(),
             ..self.cumulative.clone()
         };
@@ -329,12 +308,6 @@ impl<'p> AnalysisSession<'p> {
     /// Jmp entries currently resident.
     pub fn store_entries(&self) -> usize {
         self.store.entry_count()
-    }
-
-    /// Entries evicted over the session's lifetime (0 unless a budget was
-    /// set via [`Self::with_store_budget`]).
-    pub fn evictions(&self) -> u64 {
-        self.store.evictions()
     }
 
     /// The next batch's base virtual time.
@@ -401,8 +374,8 @@ impl<'p> AnalysisSession<'p> {
 
     /// Forgets everything warm — kept answers, store contents, virtual
     /// clock, cumulative stats — returning the session to its
-    /// just-constructed state (budget and configuration are kept, and so
-    /// is the *graph*: applied deltas are program state, not warm state).
+    /// just-constructed state (the configuration is kept, and so is the
+    /// *graph*: applied deltas are program state, not warm state).
     pub fn reset(&mut self) {
         self.store.clear();
         self.kept.clear();
@@ -463,8 +436,8 @@ mod tests {
         SolverConfig::default().without_tau_thresholds()
     }
 
-    /// Several independent box chains: enough distinct traversal roots to
-    /// overflow a tiny store budget.
+    /// Several independent box chains: distinct traversal roots, so an
+    /// edit to one chain leaves the others' entries and answers standing.
     fn many_chains_src(n: usize) -> String {
         let mut src = String::from("class Obj { } class Box { field f: Obj; }\nclass A {\n");
         for i in 0..n {
@@ -603,7 +576,7 @@ mod tests {
                 let stored = s
                     .store()
                     .publish_finished(*key, *total_steps, rch.clone(), 0, None);
-                copied += stored.is_some() as usize;
+                copied += stored as usize;
             }
         });
         assert!(copied > 0, "the donor published something");
@@ -693,34 +666,6 @@ mod tests {
         assert!(max_created < s.virtual_clock());
     }
 
-    #[test]
-    fn bounded_session_respects_budget_and_keeps_answers() {
-        let src = many_chains_src(6);
-        let pag = build_pag(&src).unwrap().pag;
-        let queries = pag.application_locals();
-        let seq = run_seq(&pag, &queries, &SolverConfig::default());
-        let mut s = AnalysisSession::new(&pag)
-            .with_solver(solver())
-            .with_store_budget(2);
-        for _ in 0..3 {
-            let r = s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
-            assert_eq!(r.sorted_answers(), seq.sorted_answers());
-            assert!(
-                s.store_entries() <= 2,
-                "resident {} > budget",
-                s.store_entries()
-            );
-        }
-        assert!(s.evictions() > 0, "tiny budget must evict");
-        assert_eq!(s.cumulative().evictions, s.evictions());
-        // The same workload unbounded holds more than the budget: the cap
-        // is what kept residency down.
-        let mut unbounded = AnalysisSession::new(&pag).with_solver(solver());
-        unbounded.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
-        assert!(unbounded.store_entries() > 2);
-        assert_eq!(unbounded.evictions(), 0);
-    }
-
     /// A wall-clock lane looks up past every stamp and still counts warm
     /// hits by the batch's base: one real thread shares through the
     /// session store exactly as the simulator does.
@@ -745,54 +690,6 @@ mod tests {
         assert_eq!(cold.stats.warm_hits, 0);
         assert_eq!(warm.stats.retained_answers, 1);
         assert!(warm.stats.traversed_steps < cold.stats.traversed_steps);
-    }
-
-    /// A batch counts the evictions its own publishes caused, on real
-    /// threads too: an outsider emptying the same store mid-batch is never
-    /// charged to the batch, and the two together are the store's total.
-    #[test]
-    fn batch_evictions_exclude_concurrent_outsiders() {
-        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-        let src = many_chains_src(6);
-        let pag = build_pag(&src).unwrap().pag;
-        let queries = pag.application_locals();
-        let mut s = AnalysisSession::new(&pag)
-            .with_threads(2)
-            .with_solver(solver().with_budget(8))
-            .with_store_budget(2);
-        // The session's own evictions are recorded before the outsider
-        // exists: once it runs it may well empty the store ahead of every
-        // publish, and the batches below then never go over budget.
-        let first = s.submit(&queries, Mode::DataSharing, Backend::Threaded);
-        assert!(s.cumulative().evictions > 0, "the tiny budget evicts too");
-        // Out-of-budget answers are never kept: these queries run, and
-        // publish, in every batch below.
-        assert!(first.stats.out_of_budget > 0);
-        let outsider = s.store().clone();
-        let (stop, removed) = (AtomicBool::new(false), AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                while !stop.load(Ordering::Relaxed) {
-                    let n = outsider.retain(|_, _| false);
-                    removed.fetch_add(n as u64, Ordering::Relaxed);
-                }
-            });
-            // Keep submitting until the outsider has certainly evicted
-            // something (and for a good few batches regardless).
-            let mut batches = 0;
-            while batches < 40 || removed.load(Ordering::Relaxed) == 0 {
-                s.submit(&queries, Mode::DataSharing, Backend::Threaded);
-                batches += 1;
-            }
-            stop.store(true, Ordering::Relaxed);
-        });
-        let removed = removed.into_inner();
-        assert!(removed > 0);
-        assert_eq!(
-            s.cumulative().evictions + removed,
-            s.evictions(),
-            "the batches' publishes + the outsider partition the store-wide total"
-        );
     }
 
     #[test]
@@ -892,7 +789,6 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("parcfl_jmp_inserts_total"), "{text}");
-        assert!(text.contains("parcfl_evictions_total"), "{text}");
         assert!(
             text.contains("parcfl_worker_local_pops_total{worker=\"0\"}"),
             "{text}"

@@ -189,11 +189,6 @@ run_stats! {
         /// warm floor — cross-batch reuse inside an
         /// [`crate::AnalysisSession`]. 0 for one-shot runs.
         warm_hits: u64, Sum, Count, "Jmp hits on entries published by an earlier batch.";
-        /// Entries evicted from the jmp store during this run (bounded-memory
-        /// sessions only; 0 for unbounded stores). A true per-batch counter:
-        /// each publish reports what its own sweep evicted
-        /// ([`QueryStats::evictions`]), so summing is exact.
-        evictions: u64, Sum, Count, "Jmp entries evicted.";
         /// Entries resident in the jmp store at the end of the run.
         store_entries: usize, Latest, Count, "Jmp entries resident.";
         /// Batches folded into this accumulator (1 for a single run; the
@@ -225,9 +220,10 @@ run_stats! {
         wall: Duration, Sum, Seconds, "Wall-clock duration, summed over batches.";
         /// Average group size of the schedule (`S_g`; 1.0 when unscheduled).
         avg_group_size: f64, Latest, Count, "Average group size of the last schedule (S_g).";
-        /// jmp entries published during this run (finished + unfinished
-        /// publications that won their race).
-        jmp_inserts: u64, Sum, Count, "Jmp entries published (finished + unfinished).";
+        /// jmp edges published during this run by the publications that won
+        /// their race, each entry counted as its
+        /// [`JmpEntry::edges`](parcfl_core::JmpEntry::edges).
+        jmp_inserts: u64, Sum, Count, "Jmp edges published (finished + unfinished).";
         /// Jmp entries dropped by selective invalidation across every
         /// [`crate::AnalysisSession::apply_delta`] folded in. A **counter**
         /// (sums across batches/deltas), not a gauge: each invalidation is a
@@ -283,7 +279,6 @@ impl RunStats {
         self.steps_saved += qs.steps_saved;
         self.shortcuts_taken += qs.shortcuts_taken;
         self.warm_hits += qs.warm_hits;
-        self.evictions += qs.evictions;
         self.mem_items += qs.mem_items;
         self.peak_mem_items = self.peak_mem_items.max(qs.mem_items);
         self.peak_state_words = self.peak_state_words.max(qs.state_words);
@@ -435,7 +430,6 @@ mod tests {
                 steps_saved: 20,
                 shortcuts_taken: 2,
                 warm_hits: 0,
-                evictions: 1,
                 store_entries: 5,
                 batches: 1,
                 jmp_edges: 7,
@@ -464,7 +458,6 @@ mod tests {
                 steps_saved: 30,
                 shortcuts_taken: 3,
                 warm_hits: 4,
-                evictions: 2,
                 store_entries: 4,
                 batches: 1,
                 jmp_edges: 6,
@@ -497,7 +490,6 @@ mod tests {
         assert_eq!(cum.steps_saved, 50);
         assert_eq!(cum.shortcuts_taken, 5);
         assert_eq!(cum.warm_hits, 4);
-        assert_eq!(cum.evictions, 3);
         assert_eq!(cum.jmp_inserts, 5);
         assert_eq!(cum.invalidated_jmps, 7, "invalidation counters sum");
         assert_eq!(cum.retained_warm, 10);

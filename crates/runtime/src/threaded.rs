@@ -46,10 +46,6 @@ pub fn run_threaded(pag: &Pag, queries: &[NodeId], cfg: &RunConfig) -> RunResult
 /// own traversed-step total (real time is measured by `wall`). A
 /// [`crate::Mode::Naive`] batch leaves `store` alone.
 ///
-/// `stats.evictions` counts only the evictions *this batch's* publishes
-/// triggered, even when other sessions or an external `evict_to_budget`
-/// hammer the same store concurrently.
-///
 /// The executor half of the batch driver (`batch.rs`): one
 /// wall-clock lane per OS thread, each popping group *indices* off the
 /// shared list until it is empty. No thread is started that would find

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Re-records the committed output of every paper-figure reproducer, or with
-# --check verifies it: each binary's standard output is deterministic and
+# Re-records the committed output of every paper-figure reproducer and of
+# warm_cache (whose warm < cold, identical-answers asserts run only here),
+# or with --check verifies it: each binary's standard output is deterministic and
 # must equal results/<name>.txt byte for byte. So is the BENCH_solver.json
 # table2 writes beside it (every deterministic RunStats counter of three
 # configurations per Table-I bench, one record per line): it is recorded
@@ -33,7 +34,7 @@ gate() {
     fi
 }
 timings=""
-for name in table1 table2 fig6 fig7 fig8 memory ablation_tau ablation_group; do
+for name in table1 table2 fig6 fig7 fig8 memory ablation_tau ablation_group warm_cache; do
     err=/dev/stderr
     if [ "$name" = ablation_tau ] && ! $check; then err="$root/results/$name.time"; fi
     SECONDS=0

@@ -105,7 +105,7 @@ fn flows_to_matches_oracle_exactly() {
 }
 
 /// 100 seeded fuzz iterations across Naive/D/DQ × Simulated/Threaded,
-/// ample and tight budgets, perturbed schedules, bounded stores: zero
+/// ample and tight budgets, perturbed schedules, traced runs: zero
 /// oracle mismatches, zero soundness violations.
 #[test]
 fn fuzz_differential_zero_mismatches() {

@@ -1,7 +1,7 @@
 //! Property-based tests for the persistent `AnalysisSession`: whatever
-//! the mode, backend, batch split, or store budget, a warm session must
-//! answer exactly what a cold single-batch run answers. Sharing and
-//! eviction may only change *cost*, never *answers*.
+//! the mode, backend or batch split, a warm session must answer exactly
+//! what a cold single-batch run answers. Sharing may only change *cost*,
+//! never *answers*.
 
 use parcfl::runtime::{run_seq, AnalysisSession, Backend, Mode};
 use parcfl::synth::{build_bench, Profile};
@@ -43,32 +43,6 @@ proptest! {
                     "{:?} {:?} seed {}", mode, backend, seed
                 );
             }
-        }
-    }
-
-    /// A tiny eviction budget must not change any answer either — evicted
-    /// entries are recomputable shortcuts, not results.
-    #[test]
-    fn bounded_session_matches_cold_answers(seed in 0u64..1_000, budget in 1usize..6) {
-        let b = bench_for(seed);
-        let cold = run_seq(&b.pag, &b.queries, &b.solver);
-        let half = &b.queries[..b.queries.len() / 2];
-        for backend in [Backend::Simulated, Backend::Threaded] {
-            let mut s = AnalysisSession::new(&b.pag)
-                .with_threads(4)
-                .with_solver(b.solver.clone())
-                .with_store_budget(budget);
-            s.submit(half, Mode::DataSharingSched, backend);
-            let warm = s.submit(&b.queries, Mode::DataSharingSched, backend);
-            prop_assert_eq!(
-                warm.sorted_answers(),
-                cold.sorted_answers(),
-                "{:?} seed {} budget {}", backend, seed, budget
-            );
-            prop_assert!(
-                s.store_entries() <= budget,
-                "resident {} > budget {}", s.store_entries(), budget
-            );
         }
     }
 
