@@ -24,11 +24,13 @@
 //!
 //! Standard error answers with a clock: DQ on `Backend::Threaded` at one
 //! and two threads over the whole suite, the fastest of three passes per
-//! setting (passes interleave the settings), with the threaded traversal's
-//! steps and the communication it paid for them: jmp edges inserted and
-//! work-list lock wait. Standard output stays deterministic for
-//! `results/regen.sh --check`; the script records standard error as
-//! `results/ablation_tau.time`.
+//! setting and thread count, with the threaded traversal's steps and the
+//! communication it paid for them: jmp edges inserted and work-list lock
+//! wait. Each round of passes runs every setting at both thread counts, so
+//! host drift between rounds cancels in the `t1/t2` ratio printed per
+//! setting (above 1, two threads beat one). Standard output stays
+//! deterministic for `results/regen.sh --check`; the script records
+//! standard error as `results/ablation_tau.time`.
 
 use parcfl_bench::{average, cfg_for};
 use parcfl_core::SolverConfig;
@@ -138,23 +140,32 @@ fn main() {
         "{:<8} {:>8} {:>8} {:>12} {:>10} {:>12}",
         "setting", "threads", "wall_s", "steps", "jmps", "lock_wait_s"
     );
-    for threads in WALL_THREADS {
-        let mut best: [Option<(Duration, u64, u64, Duration)>; 3] = [None; 3];
-        for _ in 0..WALL_PASSES {
-            for (i, slot) in best.iter_mut().enumerate() {
-                let pass = threaded_pass(&suite, i, threads);
+    let mut best = [[None::<(Duration, u64, u64, Duration)>; 3]; WALL_THREADS.len()];
+    for _ in 0..WALL_PASSES {
+        for (threads, row) in WALL_THREADS.iter().zip(best.iter_mut()) {
+            for (i, slot) in row.iter_mut().enumerate() {
+                let pass = threaded_pass(&suite, i, *threads);
                 if slot.is_none_or(|b| pass.0 < b.0) {
                     *slot = Some(pass);
                 }
             }
         }
-        for (name, (wall, steps, jmps, lock_wait)) in SETTINGS.iter().zip(best.map(Option::unwrap))
-        {
+    }
+    let best = best.map(|row| row.map(Option::unwrap));
+    for (threads, row) in WALL_THREADS.iter().zip(&best) {
+        for (name, (wall, steps, jmps, lock_wait)) in SETTINGS.iter().zip(row) {
             eprintln!(
                 "{name:<8} {threads:>8} {:>8.3} {steps:>12} {jmps:>10} {:>12.4}",
                 wall.as_secs_f64(),
                 lock_wait.as_secs_f64()
             );
         }
+    }
+    for (i, name) in SETTINGS.iter().enumerate() {
+        let (t1, t2) = (best[0][i].0, best[1][i].0);
+        eprintln!(
+            "{name:<8} t1/t2 {:>6.2}",
+            t1.as_secs_f64() / t2.as_secs_f64()
+        );
     }
 }

@@ -15,7 +15,10 @@
 //!
 //! Every pass also counts its work, and the counts must equal the pinned
 //! ones below: a change that claims a faster step must traverse the same
-//! steps. `--reps 1` is the CI gate.
+//! steps. The DQ lane's store also counts the lookups that reach it: the
+//! lane answers a key it has been served before from its own copy, so the
+//! shared map sees each hit key once plus every miss. `--reps 1` is the CI
+//! gate.
 //!
 //! The DQ pass's count moves with the default τF. Since τF went from 100
 //! to 20 it traverses a quarter of the steps and spends much of its time
@@ -26,15 +29,20 @@
 //! cargo run --release -p parcfl-bench --bin step_probe [-- --reps N]
 //! ```
 
-use parcfl_core::{Answer, SharedJmpStore, Solver};
+use parcfl_core::jmp::{JmpKey, JmpLookup, RchSet};
+use parcfl_core::{Answer, CtxInterner, Footprint, JmpStore, SharedJmpStore, Solver};
 use parcfl_runtime::{run, run_seq, schedule_with_cap, Backend, Mode, RunConfig};
 use parcfl_synth::Bench;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// `run_seq`'s traversed steps over the light programs.
 const SEQ_STEPS: u64 = 9_943_260;
 /// The one-worker DQ pass's traversed steps and out-of-budget queries.
 const DQ_STEPS: u64 = 5_237_302;
 const DQ_OUT_OF_BUDGET: u64 = 3_713;
+/// The lookups the one-worker DQ pass makes in the shared store.
+const DQ_LOOKUPS: u64 = 26_094;
 
 /// On-CPU nanoseconds of the calling thread so far.
 fn thread_cpu_ns() -> u64 {
@@ -44,13 +52,14 @@ fn thread_cpu_ns() -> u64 {
     ns.expect("schedstat's first field: nanoseconds on the CPU")
 }
 
-/// What one pass did: on-CPU nanoseconds, traversed steps, queries out of
-/// budget.
+/// What one pass did: on-CPU nanoseconds, and its work.
 #[derive(Clone, Copy)]
 struct Pass {
     ns: u64,
     steps: u64,
     out_of_budget: u64,
+    /// Lookups that reached the shared store (DQ only).
+    lookups: u64,
 }
 
 impl Pass {
@@ -59,29 +68,80 @@ impl Pass {
     }
 }
 
-/// Times `body` on this thread; it returns `(steps, out of budget)`.
-fn timed(body: impl FnOnce() -> (u64, u64)) -> Pass {
+/// Times `body` on this thread; it returns `(steps, out of budget,
+/// lookups)`.
+fn timed(body: impl FnOnce() -> (u64, u64, u64)) -> Pass {
     let start = thread_cpu_ns();
-    let (steps, out_of_budget) = body();
+    let (steps, out_of_budget, lookups) = body();
     Pass {
         ns: thread_cpu_ns() - start,
         steps,
         out_of_budget,
+        lookups,
     }
 }
 
-/// One worker's DQ lane over `b`, inline: `(steps, out of budget)`.
-fn dq_lane(b: &Bench) -> (u64, u64) {
+/// Sums per-program `(steps, out of budget, lookups)`.
+fn total(work: impl Iterator<Item = (u64, u64, u64)>) -> (u64, u64, u64) {
+    work.fold((0, 0, 0), |(s, o, l), (ws, wo, wl)| {
+        (s + ws, o + wo, l + wl)
+    })
+}
+
+/// A store that forwards to a [`SharedJmpStore`] and counts the lookups
+/// that reach it.
+struct Counting<'s> {
+    store: &'s SharedJmpStore,
+    lookups: AtomicU64,
+}
+
+impl JmpStore for Counting<'_> {
+    fn lookup(&self, key: &JmpKey, now: u64) -> Option<JmpLookup> {
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        self.store.lookup(key, now)
+    }
+
+    fn publish_finished(
+        &self,
+        key: JmpKey,
+        total_steps: u64,
+        rch: RchSet,
+        now: u64,
+        fp: Option<Arc<Footprint>>,
+    ) -> bool {
+        self.store.publish_finished(key, total_steps, rch, now, fp)
+    }
+
+    fn publish_unfinished(&self, key: JmpKey, s: u64, now: u64) -> bool {
+        self.store.publish_unfinished(key, s, now)
+    }
+
+    fn ctx_interner(&self) -> Option<Arc<CtxInterner>> {
+        self.store.ctx_interner()
+    }
+
+    fn epoch(&self) -> u64 {
+        self.store.epoch()
+    }
+}
+
+/// One worker's DQ lane over `b`, inline: `(steps, out of budget,
+/// lookups)`.
+fn dq_lane(b: &Bench) -> (u64, u64, u64) {
     let schedule = schedule_with_cap(&b.pag, &b.queries, Mode::DataSharingSched, None);
     let store = SharedJmpStore::new();
-    let mut solver = Solver::new(&b.pag, &b.solver, &store).in_batch(0, false);
+    let counting = Counting {
+        store: &store,
+        lookups: AtomicU64::new(0),
+    };
+    let mut solver = Solver::new(&b.pag, &b.solver, &counting).in_batch(0, false);
     let (mut steps, mut out_of_budget) = (0, 0);
     for q in schedule.flat_order() {
         let out = solver.points_to_query(q, 0);
         steps += out.stats.traversed_steps;
         out_of_budget += u64::from(matches!(out.answer, Answer::OutOfBudget));
     }
-    (steps, out_of_budget)
+    (steps, out_of_budget, counting.lookups.into_inner())
 }
 
 fn main() {
@@ -111,7 +171,7 @@ fn main() {
         (r.stats.traversed_steps, r.stats.out_of_budget as u64)
     };
     let per_program: Vec<(u64, u64)> = suite.iter().map(one).collect();
-    let lanes: Vec<(u64, u64)> = suite.iter().map(dq_lane).collect();
+    let lanes: Vec<(u64, u64)> = suite.iter().map(dq_lane).map(|(s, o, _)| (s, o)).collect();
     assert_eq!(lanes, per_program, "the inline lane is the one-worker run");
     let light: Vec<&Bench> = suite
         .iter()
@@ -124,13 +184,9 @@ fn main() {
     for _ in 0..reps {
         seq.push(timed(|| {
             let runs = light.iter().map(|b| run_seq(&b.pag, &b.queries, &b.solver));
-            let work = runs.map(|r| (r.stats.traversed_steps, r.stats.out_of_budget as u64));
-            work.fold((0, 0), |(s, o), (rs, ro)| (s + rs, o + ro))
+            total(runs.map(|r| (r.stats.traversed_steps, r.stats.out_of_budget as u64, 0)))
         }));
-        dq.push(timed(|| {
-            let lanes = suite.iter().map(dq_lane);
-            lanes.fold((0, 0), |(s, o), (ls, lo)| (s + ls, o + lo))
-        }));
+        dq.push(timed(|| total(suite.iter().map(dq_lane))));
     }
 
     println!("on-CPU time of this thread (/proc/thread-self/schedstat), fastest of {reps}");
@@ -148,9 +204,11 @@ fn main() {
             .collect();
         let p = passes[0];
         println!(
-            "{label:<30} {:>10} steps {:>6} out of budget {best:>7.2} ns/step  (passes: {})",
+            "{label:<30} {:>10} steps {:>6} out of budget {:>7} store lookups \
+             {best:>7.2} ns/step  (passes: {})",
             p.steps,
             p.out_of_budget,
+            p.lookups,
             all.join(" ")
         );
     }
@@ -164,8 +222,8 @@ fn main() {
     }
     for p in &dq {
         assert_eq!(
-            (p.steps, p.out_of_budget),
-            (DQ_STEPS, DQ_OUT_OF_BUDGET),
+            (p.steps, p.out_of_budget, p.lookups),
+            (DQ_STEPS, DQ_OUT_OF_BUDGET, DQ_LOOKUPS),
             "DQ's work moved"
         );
     }

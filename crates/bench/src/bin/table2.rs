@@ -4,8 +4,8 @@
 //! parallelise) versus the demand-driven CFL analysis answering only the
 //! queries a client actually asks.
 //!
-//! Additionally emits a machine-readable `BENCH_solver.json` (schema
-//! `parcfl-bench-solver/8`): per bench, the headline DQ simulated run
+//! Additionally emits a machine-readable `BENCH_solver.json` (schema tag
+//! `parcfl_bench::diff::SCHEMA_TAG`): per bench, the headline DQ simulated run
 //! plus sequential dense-state / hash-state rows, each carrying every
 //! deterministic `RunStats` metric, one record per line, so CI can gate
 //! solver behaviour by `cmp` with the committed `results/BENCH_solver.json`

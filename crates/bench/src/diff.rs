@@ -18,7 +18,7 @@ use parcfl_runtime::RunStats;
 use std::fmt::Write as _;
 
 /// The artifact's `schema` tag.
-pub const SCHEMA_TAG: &str = "parcfl-bench-solver/9";
+pub const SCHEMA_TAG: &str = "parcfl-bench-solver/10";
 
 /// One artifact record: `row` labels the configuration measured (state ×
 /// dispatch), followed by every deterministic metric of `stats`.

@@ -3,7 +3,7 @@
 //! differential battery must catch. None of it is configuration of the
 //! analysis — [`parcfl_core::SolverConfig`] and
 //! [`parcfl_runtime::RunConfig`] carry no switch for it. It reaches a run
-//! through the seams the production code has anyway: the four-method
+//! through the seams the production code has anyway: the five-method
 //! [`JmpStore`] boundary between a solver and its store, the simulator's
 //! dispatch hook ([`SimHook`]), and the public batch calls.
 
@@ -96,6 +96,10 @@ impl JmpStore for ContextBlind<'_> {
 
     fn ctx_interner(&self) -> Option<Arc<CtxInterner>> {
         self.0.ctx_interner()
+    }
+
+    fn epoch(&self) -> u64 {
+        self.0.epoch()
     }
 }
 

@@ -151,10 +151,10 @@ impl ReadLog {
 
     /// Folds a dependency's reads in whole; `None` (its read-set is
     /// unknown) poisons every open frame and the query.
-    pub(crate) fn absorb(&mut self, dep: Option<Arc<Footprint>>) {
+    pub(crate) fn absorb(&mut self, dep: Option<&Arc<Footprint>>) {
         if self.recording {
             match dep {
-                Some(fp) => self.absorbed.push(fp),
+                Some(fp) => self.absorbed.push(Arc::clone(fp)),
                 None => self.poison += 1,
             }
         }
@@ -357,7 +357,7 @@ mod tests {
                     top.0.fields.insert(*f);
                 }
                 Op::Hit(dep) => {
-                    log.absorb(dep.clone());
+                    log.absorb(dep.as_ref());
                     match dep {
                         Some(fp) => {
                             let m = Model::of(fp);

@@ -134,8 +134,6 @@ pub struct JmpStoreStats {
     pub finished_edges: usize,
     /// Number of unfinished entries/edges.
     pub unfinished: usize,
-    /// Successful (visible) lookups served over the store's lifetime.
-    pub lookup_hits: u64,
 }
 
 impl JmpStoreStats {
@@ -155,10 +153,11 @@ impl JmpStoreStats {
 pub type JmpLookup = (JmpEntry, Option<Arc<Footprint>>);
 
 /// What crosses the solver↔store boundary: the three calls Algorithm 2
-/// makes, and the interner that gives the ids in keys and payloads their
-/// meaning. Everything else a store can do — statistics, iteration,
-/// invalidation — belongs to whoever owns the store, and lives on
-/// [`SharedJmpStore`] itself.
+/// makes, the interner that gives the ids in keys and payloads their
+/// meaning, and the epoch that says when a reader's copies went stale.
+/// Everything else a store can do — statistics, iteration, invalidation —
+/// belongs to whoever owns the store, and lives on [`SharedJmpStore`]
+/// itself.
 pub trait JmpStore: Sync {
     /// Looks up the entry under `key` visible at virtual time `now`: one
     /// created at or before it. A reader that is itself recording absorbs
@@ -191,6 +190,11 @@ pub trait JmpStore: Sync {
     /// nothing ([`NoJmpStore`]): a solver built over it decides, once, not
     /// to share at all, and uses a private interner.
     fn ctx_interner(&self) -> Option<Arc<CtxInterner>>;
+
+    /// A count that moves whenever an entry leaves the store. Between two
+    /// equal readings every entry a lookup returned is still stored,
+    /// unchanged, so a copy of it answers that key as the store would.
+    fn epoch(&self) -> u64;
 }
 
 /// A store that never shares anything: `SeqCFL` and the naive parallel
@@ -221,6 +225,10 @@ impl JmpStore for NoJmpStore {
     fn ctx_interner(&self) -> Option<Arc<CtxInterner>> {
         None
     }
+
+    fn epoch(&self) -> u64 {
+        0
+    }
 }
 
 /// A stored entry plus the footprint it was published with.
@@ -242,8 +250,9 @@ struct StoreInner {
     /// payloads. Shared by every solver using the store;
     /// survives [`SharedJmpStore::clear`] so resident ids stay valid.
     interner: Arc<CtxInterner>,
-    /// Visible lookups served over the store's lifetime.
-    lookup_hits: AtomicU64,
+    /// Bumped by every removal ([`JmpStore::epoch`]); written only between
+    /// batches, so readers' loads of it share the line.
+    epoch: AtomicU64,
 }
 
 /// The concurrent shared store (the paper's `ConcurrentHashMap`): one map
@@ -266,7 +275,7 @@ impl SharedJmpStore {
             inner: Arc::new(StoreInner {
                 map: ShardedMap::new(),
                 interner: Arc::new(CtxInterner::new()),
-                lookup_hits: AtomicU64::new(0),
+                epoch: AtomicU64::new(0),
             }),
         }
     }
@@ -276,14 +285,10 @@ impl SharedJmpStore {
         &self.inner.interner
     }
 
-    /// Visible lookups served over the store's lifetime.
-    pub fn lookup_hits(&self) -> u64 {
-        self.inner.lookup_hits.load(Ordering::Relaxed)
-    }
-
-    /// Removes every entry (accounting totals are kept).
+    /// Removes every entry.
     pub fn clear(&self) {
         self.inner.map.clear();
+        self.inner.epoch.fetch_add(1, Ordering::Release);
     }
 
     /// Selective invalidation after an applied delta (DESIGN.md §12):
@@ -298,15 +303,15 @@ impl SharedJmpStore {
             retained += keep as u64;
             keep
         });
+        if removed > 0 {
+            self.inner.epoch.fetch_add(1, Ordering::Release);
+        }
         (removed as u64, retained)
     }
 
     /// Store-wide statistics.
     pub fn stats(&self) -> JmpStoreStats {
-        let mut st = JmpStoreStats {
-            lookup_hits: self.lookup_hits(),
-            ..JmpStoreStats::default()
-        };
+        let mut st = JmpStoreStats::default();
         self.inner.map.for_each(|_, stored| {
             if stored.entry.is_finished() {
                 st.finished_entries += 1;
@@ -351,15 +356,12 @@ impl Default for SharedJmpStore {
 
 impl JmpStore for SharedJmpStore {
     fn lookup(&self, key: &JmpKey, now: u64) -> Option<JmpLookup> {
-        let hit = self
-            .inner
+        self.inner
             .map
             .with(key, |st| {
                 (st.entry.created_at() <= now).then(|| (st.entry.clone(), st.fp.clone()))
             })
-            .flatten()?;
-        self.inner.lookup_hits.fetch_add(1, Ordering::Relaxed);
-        Some(hit)
+            .flatten()
     }
 
     fn publish_finished(
@@ -392,6 +394,10 @@ impl JmpStore for SharedJmpStore {
     fn ctx_interner(&self) -> Option<Arc<CtxInterner>> {
         Some(Arc::clone(&self.inner.interner))
     }
+
+    fn epoch(&self) -> u64 {
+        self.inner.epoch.load(Ordering::Acquire)
+    }
 }
 
 #[cfg(test)]
@@ -418,6 +424,7 @@ mod tests {
         assert!(!s.publish_unfinished(key(1), 10, 0));
         assert!(s.lookup(&key(1), u64::MAX).is_none());
         assert!(s.ctx_interner().is_none());
+        assert_eq!(s.epoch(), 0);
     }
 
     #[test]
@@ -440,7 +447,6 @@ mod tests {
         assert_eq!(st.unfinished, 0);
         assert_eq!(st.total_edges(), 1);
         assert_eq!(st.entries(), 1);
-        assert_eq!(st.lookup_hits, 1);
         assert!(s.approx_bytes() > 0);
         assert_eq!(s.entry_count(), 1);
     }
@@ -505,20 +511,37 @@ mod tests {
         assert!(NoJmpStore.ctx_interner().is_none());
     }
 
+    /// A query counts the visible entries its lookups found, whether the
+    /// shared map or the lane's copy served them. A miss, and an entry
+    /// stamped after the lookup's instant, are not hits — also once the
+    /// lane holds a copy of it.
     #[test]
     fn lookup_accounting_counts_visible_hits() {
+        let src = "class Obj { } class Box { field f: Obj; }
+            class A { method m() {
+              var p: Box; var v: Obj; var x: Obj; var y: Obj;
+              p = new Box; v = new Obj; p.f = v; x = p.f; y = x;
+            } }";
+        let pag = parcfl_frontend::build_pag(src).unwrap().pag;
+        let var = |name: &str| pag.node_by_name(name).unwrap();
+        let cfg = crate::SolverConfig::default().without_tau_thresholds();
         let s = SharedJmpStore::new();
-        s.publish_unfinished(key(1), 10, 0);
-        s.publish_unfinished(key(2), 10, 100);
+        let hits = |solver: &mut crate::Solver, q: &str, at: u64| {
+            solver.points_to_query(var(q), at).stats.lookup_hits
+        };
+        // `x`'s one `ReachableNodes` misses and publishes at the query's
+        // virtual now, past 100.
+        let mut lane = crate::Solver::new(&pag, &cfg, &s).in_batch(0, true);
+        assert_eq!(hits(&mut lane, "x@A.m", 100), 0);
+        assert_eq!(s.entry_count(), 1);
+        // `y` reaches `x`: the first hit reads the map, the repeats the copy.
         for _ in 0..3 {
-            s.lookup(&key(1), 0);
+            assert_eq!(hits(&mut lane, "y@A.m", 1_000), 1);
         }
-        assert_eq!(s.lookup_hits(), 3);
-        // A miss, and a lookup made before the entry's instant, are not
-        // hits.
-        assert!(s.lookup(&key(3), 0).is_none());
-        assert!(s.lookup(&key(2), 50).is_none());
-        assert_eq!(s.lookup_hits(), 3);
+        // Before the stamp neither the copy nor a fresh lane sees it.
+        assert_eq!(hits(&mut lane, "y@A.m", 0), 0);
+        let mut fresh = crate::Solver::new(&pag, &cfg, &s).in_batch(0, true);
+        assert_eq!(hits(&mut fresh, "y@A.m", 0), 0);
     }
 
     /// Table I's `#Jumps`, Fig. 7's histogram and the solver's
@@ -551,13 +574,22 @@ mod tests {
         // footprint-less and unfinished ones are unconditionally dropped.
         let mut d = DirtySet::default();
         d.insert_node(NodeId::new(9));
+        assert_eq!(s.epoch(), 0);
         assert_eq!(s.invalidate_delta(&d), (2, 1));
         assert!(s.lookup(&key(1), 0).is_some());
+        // Every removal moves the epoch; an invalidation that keeps
+        // everything does not.
+        assert_eq!(s.epoch(), 1);
+        assert_eq!(s.invalidate_delta(&d), (0, 1));
+        assert_eq!(s.epoch(), 1);
         // Dirtying a footprinted node takes the survivor too.
         let mut d2 = DirtySet::default();
         d2.insert_node(NodeId::new(42));
         assert_eq!(s.invalidate_delta(&d2), (1, 0));
         assert_eq!(s.entry_count(), 0);
+        assert_eq!(s.epoch(), 2);
+        s.clear();
+        assert_eq!(s.epoch(), 3);
     }
 
     #[test]

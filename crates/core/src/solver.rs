@@ -55,18 +55,21 @@
 //! publishes: its result is built in a buffer from the lane's pool and
 //! handed back by the caller that iterated it, an `Arc` is made only for a
 //! jmp publication, and `ret`/`param` pushes go through a lane-local cache
-//! in front of the interner's sharded dedup map.
+//! in front of the interner's sharded dedup map. A jmp hit reads the
+//! shared map once per key and lane: repeats are served from the lane's
+//! copy of the entries it has been served (DESIGN.md §7).
 
 use crate::config::{SolverConfig, StateBackend};
 use crate::context::{sort_canonical, Ctx};
 use crate::footprint::ReadLog;
-use crate::jmp::{Dir, JmpEntry, JmpStore, RchSet};
+use crate::jmp::{Dir, JmpEntry, JmpKey, JmpLookup, JmpStore, RchSet};
 use crate::stats::{Answer, QueryOutput, QueryStats};
 use crate::witness::{Trace, Via};
 use parcfl_concurrent::{
-    CtxId, CtxInterner, CtxMirror, DenseVisitSet, FxHashSet, HashVisitSet, StateSet,
+    CtxId, CtxInterner, CtxMirror, DenseVisitSet, FxHashMap, FxHashSet, HashVisitSet, StateSet,
 };
 use parcfl_pag::{CallSiteId, ClassSlices, Edge, EdgeClass, NodeId, Pag};
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// A `(node, context)` pair in materialised form — the representation of
@@ -345,6 +348,15 @@ struct Scratch<S> {
     /// §8): what the pops and the canonical sorts read. Never invalidated,
     /// for the push cache's reasons.
     mirror: CtxMirror,
+    /// The lane's copy of every jmp entry the store has served it, under
+    /// the key it asked for (DESIGN.md §7): a repeat hit reads this, not
+    /// the shared map, and takes no lock and writes no shared line. Exact
+    /// for as long as the store's epoch reads `jmp_epoch`: a stored entry
+    /// never changes, and it leaves only through a removal, which moves
+    /// the epoch.
+    jmp_seen: FxHashMap<JmpKey, JmpLookup>,
+    /// The store epoch `jmp_seen` was filled under.
+    jmp_epoch: u64,
     /// The paper's `S`: in-progress `ReachableNodes` frames
     /// `(dir, x, c, s0)`, used by `OutOfBudget` to record unfinished jmps.
     in_progress: Vec<(Dir, NodeId, CtxId, u64)>,
@@ -403,6 +415,13 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         s.in_progress.clear();
         s.on_stack.iter_mut().flatten().for_each(FxHashSet::clear);
         s.reads.begin(env.cfg.record_footprints);
+        if let Some(jmp) = env.jmp {
+            let epoch = jmp.epoch();
+            if epoch != s.jmp_epoch {
+                s.jmp_seen.clear();
+                s.jmp_epoch = epoch;
+            }
+        }
         QueryState {
             pag: env.pag,
             cfg: env.cfg,
@@ -805,16 +824,27 @@ impl<'a, S: StateSet> QueryState<'a, S> {
     fn reachable_nodes(&mut self, x: NodeId, c: CtxId, dir: Dir) -> Result<Vec<IState>, Oob> {
         let jmp_key = (dir, x, c);
         if let Some(jmp) = self.jmp {
+            let now = self.now().max(self.horizon);
+            let scratch = &mut *self.s;
+            // A key the lane's copy holds is answered by it, visible yet or
+            // not: the store holds that same entry. Only a key the lane has
+            // never been served reaches the shared map.
+            let seen = match scratch.jmp_seen.entry(jmp_key) {
+                Entry::Occupied(e) => Some(&*e.into_mut()),
+                Entry::Vacant(e) => jmp.lookup(&jmp_key, now).map(|hit| &*e.insert(hit)),
+            };
+            let hit = seen.filter(|(entry, _)| entry.created_at() <= now);
+            self.stats.lookup_hits += hit.is_some() as u64;
             // The footprint rides along with the entry so a recording
             // reader's shortcut absorbs the recorded traversal's reads (an
             // entry without one — warm pre-recording state — poisons the
             // open frames and the query).
-            match jmp.lookup(&jmp_key, self.now().max(self.horizon)) {
+            match hit {
                 // Algorithm 2 lines 2–3: early termination when the
                 // remaining budget cannot cover the recorded lower bound.
                 // An unfinished entry with enough budget left falls through
                 // to the recomputation below.
-                Some((JmpEntry::Unfinished { s, created_at }, _))
+                Some(&(JmpEntry::Unfinished { s, created_at }, _))
                     if self.cfg.budget.saturating_sub(self.steps) < s =>
                 {
                     if created_at < self.warm_before {
@@ -838,14 +868,16 @@ impl<'a, S: StateSet> QueryState<'a, S> {
                     self.work += 1;
                     self.stats.shortcuts_taken += 1;
                     self.stats.steps_saved += total_steps;
-                    if created_at < self.warm_before {
+                    if *created_at < self.warm_before {
                         self.stats.warm_hits += 1;
                     }
-                    self.s.reads.absorb(fp);
-                    // Copied into a pooled buffer, so every caller iterates
-                    // and hands back the same thing.
-                    let mut out = self.acquire_stack();
-                    out.extend_from_slice(&rch);
+                    scratch.reads.absorb(fp.as_ref());
+                    // Copied into a pooled buffer, straight from the lane's
+                    // entry (a clone of the shared `Arc` would write the
+                    // refcount every lane's copy shares), so every caller
+                    // iterates and hands back the same thing.
+                    let mut out = scratch.stacks.pop().unwrap_or_default();
+                    out.extend_from_slice(rch);
                     return Ok(out);
                 }
             }

@@ -18,6 +18,9 @@ pub struct QueryStats {
     /// created before the query's warm floor — i.e. published by an earlier
     /// batch of the owning session. 0 unless a session set a warm floor.
     pub warm_hits: u64,
+    /// Jmp lookups that found a visible entry of either kind, whether the
+    /// lane's copy or the shared store served it.
+    pub lookup_hits: u64,
     /// Steps saved by taking finished shortcuts (the recorded cost of each
     /// shortcut, which would otherwise have been re-traversed).
     pub steps_saved: u64,

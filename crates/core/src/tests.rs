@@ -915,3 +915,48 @@ fn complete_answers_leave_with_their_whole_query_footprint() {
     let clean = solver.points_to_query(n("far"), 0);
     assert_eq!(clean.footprint.expect("no shortcut taken").node_count(), 1);
 }
+
+/// A solver kept across a `clear` or an invalidation serves nothing the
+/// store dropped: its lane copy of the entries it was served goes with the
+/// store's epoch, and the next query costs what a fresh solver's does.
+#[test]
+fn kept_solver_serves_nothing_the_store_dropped() {
+    use crate::footprint::DirtySet;
+    let src = "class Obj { }
+               class Box { field f: Obj; }
+               class A {
+                 method m() {
+                   var p: Box; var v: Obj; var x: Obj; var y: Obj;
+                   p = new Box; v = new Obj; p.f = v; x = p.f; y = x;
+                 }
+               }";
+    let p = pag(src);
+    let cfg = SolverConfig::default()
+        .without_tau_thresholds()
+        .with_footprints();
+    let (x, y) = (node(&p, "x@A.m"), node(&p, "y@A.m"));
+    let cold = Solver::new(&p, &cfg, &SharedJmpStore::new()).points_to_query(y, 0);
+    let store = SharedJmpStore::new();
+    let mut kept = Solver::new(&p, &cfg, &store);
+    // Publishes `x`'s entry, then copies it into the lane on the first hit
+    // and serves the second from the copy.
+    kept.points_to_query(x, 0);
+    for _ in 0..2 {
+        let warm = kept.points_to_query(y, 0);
+        assert_eq!(warm.stats.shortcuts_taken, 1);
+        assert!(warm.stats.traversed_steps < cold.stats.traversed_steps);
+    }
+    let same_as_cold = |out: QueryOutput| {
+        assert_eq!(out.answer, cold.answer);
+        assert_eq!(out.stats, cold.stats);
+    };
+    store.clear();
+    same_as_cold(kept.points_to_query(y, 0));
+    // The re-run published the entry again; copy it, then dirty a node it
+    // read.
+    assert_eq!(kept.points_to_query(y, 0).stats.shortcuts_taken, 1);
+    let mut dirty = DirtySet::default();
+    dirty.insert_node(node(&p, "p@A.m"));
+    assert_eq!(store.invalidate_delta(&dirty), (1, 0));
+    same_as_cold(kept.points_to_query(y, 0));
+}

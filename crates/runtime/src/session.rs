@@ -248,9 +248,8 @@ impl<'p> AnalysisSession<'p> {
     /// Renders the session's operational metrics in Prometheus text
     /// exposition format: every [`RunStats::SCHEMA`] row of
     /// [`Self::cumulative`] (`parcfl_<field>_total` counters for `Sum`
-    /// rows, `parcfl_<field>` gauges otherwise), the store's lookup hits,
-    /// the cumulative query-latency histogram and per-worker work-list
-    /// pops. The store's residency is its live reading, not the one as of
+    /// rows, `parcfl_<field>` gauges otherwise), the cumulative
+    /// query-latency histogram and per-worker work-list pops. The store's residency is its live reading, not the one as of
     /// the last batch's end.
     pub fn metrics_snapshot(&self) -> String {
         let shown = RunStats {
@@ -264,11 +263,6 @@ impl<'p> AnalysisSession<'p> {
                 MergeClass::Max | MergeClass::Latest => p.gauge(&m.prom_name(), m.help, value),
             };
         }
-        p.counter(
-            "parcfl_jmp_lookup_hits_total",
-            "Jmp-store lookups answered by a resident entry.",
-            self.store.lookup_hits(),
-        );
         p.histogram(
             "parcfl_query_latency",
             "Per-query latency (ns real / steps simulated).",
@@ -747,8 +741,12 @@ mod tests {
         );
         assert_eq!(naive.stats.traversed_steps, cold.stats.traversed_steps);
         assert_eq!(naive.stats.completed, queries.len());
+        assert_eq!(naive.stats.lookup_hits, 0);
         assert_eq!(with.store_entries(), without.store_entries());
-        assert_eq!(with.store().lookup_hits(), without.store().lookup_hits());
+        assert_eq!(
+            with.cumulative().lookup_hits,
+            without.cumulative().lookup_hits
+        );
         let a = with.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
         let b = without.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
         assert!(a.stats.warm_hits > 0);
@@ -757,7 +755,12 @@ mod tests {
         assert_eq!(a.stats.retained_answers, b.stats.retained_answers);
         assert_eq!(a.stats.traversed_steps, b.stats.traversed_steps);
         assert_eq!(a.stats.store_entries, b.stats.store_entries);
-        assert_eq!(with.store().lookup_hits(), without.store().lookup_hits());
+        assert!(a.stats.lookup_hits > 0);
+        assert_eq!(a.stats.lookup_hits, b.stats.lookup_hits);
+        assert_eq!(
+            with.cumulative().lookup_hits,
+            without.cumulative().lookup_hits
+        );
     }
 
     #[test]

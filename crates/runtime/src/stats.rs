@@ -189,6 +189,10 @@ run_stats! {
         /// warm floor — cross-batch reuse inside an
         /// [`crate::AnalysisSession`]. 0 for one-shot runs.
         warm_hits: u64, Sum, Count, "Jmp hits on entries published by an earlier batch.";
+        /// Jmp lookups that found a visible entry (finished or unfinished),
+        /// whether the lane's copy of the entry or the shared store served
+        /// it.
+        lookup_hits: u64, Sum, Count, "Jmp lookups answered by a visible entry.";
         /// Entries resident in the jmp store at the end of the run.
         store_entries: usize, Latest, Count, "Jmp entries resident.";
         /// Batches folded into this accumulator (1 for a single run; the
@@ -279,6 +283,7 @@ impl RunStats {
         self.steps_saved += qs.steps_saved;
         self.shortcuts_taken += qs.shortcuts_taken;
         self.warm_hits += qs.warm_hits;
+        self.lookup_hits += qs.lookup_hits;
         self.mem_items += qs.mem_items;
         self.peak_mem_items = self.peak_mem_items.max(qs.mem_items);
         self.peak_state_words = self.peak_state_words.max(qs.state_words);
