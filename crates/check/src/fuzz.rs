@@ -428,7 +428,7 @@ fn sample_scenario(cfg: &FuzzConfig, i: u64) -> Scenario {
 
     // Trace dimension: tracing is observation-only by contract, so it
     // must leave every oracle comparison untouched. Half the iterations
-    // run with a recorder attached to hold that line; the draw keeps its
+    // run with span recording on to hold that line; the draw keeps its
     // four slots so every later draw is what it was.
     let trace_level = [
         TraceLevel::Off,

@@ -81,8 +81,8 @@ pub struct Scenario {
     /// Seeded simulator perturbation (simulated backend only).
     pub perturb: Option<SimPerturb>,
     /// Trace recording level. Tracing is observation-only by contract,
-    /// so fuzzing this dimension checks that no recorder perturbs
-    /// answers or deterministic counters.
+    /// so fuzzing this dimension checks that recording spans perturbs
+    /// no answer or deterministic counter.
     pub trace_level: TraceLevel,
     /// Mutate-then-requery edit script. Empty means a plain one-shot
     /// run; non-empty routes [`Self::run`] through an analysis session

@@ -516,8 +516,6 @@ mod tests {
                 dst: NodeId::new(601),
                 kind: EdgeKind::AssignLocal,
             }],
-            added_nodes: vec![],
-            added_methods: vec![],
             revision: 1,
             rejected_ops: 0,
         };

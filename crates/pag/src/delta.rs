@@ -1,6 +1,6 @@
-//! First-class program edits: [`PagDelta`] batches edge/node/method/call-
-//! site changes and [`Pag::apply_delta`] rebuilds the frozen graph —
-//! bit-identical to re-freezing the edited edge set from scratch.
+//! First-class program edits: [`PagDelta`] batches edge changes and
+//! [`Pag::apply_delta`] rebuilds the frozen graph — bit-identical to
+//! re-freezing the edited edge set from scratch.
 //!
 //! The returned [`DeltaEffect`] records only the *effective* changes
 //! (adding an edge that already exists, or removing one that does not, is
@@ -13,8 +13,7 @@
 
 use crate::edge::{Edge, EdgeKind};
 use crate::graph::{in_order, Pag};
-use crate::ids::{CallSiteId, FieldId, MethodId, NodeId};
-use crate::node::NodeInfo;
+use crate::ids::{FieldId, NodeId};
 use std::collections::BTreeMap;
 
 /// One atomic edge edit. Both directions are idempotent: adding a present
@@ -37,21 +36,16 @@ impl DeltaOp {
     }
 }
 
-/// A batch of program edits, applied atomically by [`Pag::apply_delta`].
+/// A batch of edge edits, applied atomically by [`Pag::apply_delta`].
 ///
-/// Node/method/call-site spaces are append-only — existing ids never move,
-/// so every interned context, jmp-store key and cached answer keeps
-/// referring to the same entity across revisions. "Deleting" a call site
-/// ([`PagDelta::remove_call_site`]) removes its `param`/`ret` edges; the
-/// id itself (and any contexts interned over it) stays valid but
-/// unreachable.
+/// A delta edits the edge set only. Node, method and call-site ids never
+/// move, so every interned context, jmp-store key and cached answer keeps
+/// referring to the same entity across revisions. Severing a call site is
+/// removing its `param`/`ret` edges; the id itself (and any contexts
+/// interned over it) stays valid but unreachable.
 #[derive(Clone, Debug, Default)]
 pub struct PagDelta {
     ops: Vec<DeltaOp>,
-    add_nodes: Vec<NodeInfo>,
-    add_methods: Vec<String>,
-    add_call_sites: u32,
-    remove_call_sites: Vec<CallSiteId>,
 }
 
 impl PagDelta {
@@ -63,10 +57,6 @@ impl PagDelta {
     /// Whether the delta carries no edits at all.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
-            && self.add_nodes.is_empty()
-            && self.add_methods.is_empty()
-            && self.add_call_sites == 0
-            && self.remove_call_sites.is_empty()
     }
 
     /// Appends a raw edit op.
@@ -75,7 +65,7 @@ impl PagDelta {
         self
     }
 
-    /// Adds an edge. May reference nodes appended by this same delta.
+    /// Adds an edge (no-op if present).
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId, kind: EdgeKind) -> &mut Self {
         self.push(DeltaOp::AddEdge(Edge { src, dst, kind }))
     }
@@ -83,33 +73,6 @@ impl PagDelta {
     /// Removes an edge (no-op if absent).
     pub fn remove_edge(&mut self, src: NodeId, dst: NodeId, kind: EdgeKind) -> &mut Self {
         self.push(DeltaOp::RemoveEdge(Edge { src, dst, kind }))
-    }
-
-    /// Appends a node; its id will be the pre-delta node count plus the
-    /// number of nodes already appended by this delta.
-    pub fn add_node(&mut self, info: NodeInfo) -> &mut Self {
-        self.add_nodes.push(info);
-        self
-    }
-
-    /// Registers a new method name (id = pre-delta method count + offset).
-    pub fn add_method(&mut self, name: impl Into<String>) -> &mut Self {
-        self.add_methods.push(name.into());
-        self
-    }
-
-    /// Allocates `n` fresh call-site ids past the current count.
-    pub fn add_call_sites(&mut self, n: u32) -> &mut Self {
-        self.add_call_sites += n;
-        self
-    }
-
-    /// Removes every `param`/`ret` edge of call site `cs`. The id stays
-    /// allocated (contexts interned over it remain valid, just
-    /// unreachable).
-    pub fn remove_call_site(&mut self, cs: CallSiteId) -> &mut Self {
-        self.remove_call_sites.push(cs);
-        self
     }
 
     /// The raw edge ops, in application order.
@@ -127,29 +90,21 @@ pub struct DeltaEffect {
     pub added_edges: Vec<Edge>,
     /// Edges present before but not after, in canonical order.
     pub removed_edges: Vec<Edge>,
-    /// Ids of nodes this delta appended.
-    pub added_nodes: Vec<NodeId>,
-    /// Ids of methods this delta appended.
-    pub added_methods: Vec<MethodId>,
     /// The revision of the resulting graph (unchanged when the delta was
     /// a no-op).
     pub revision: u64,
     /// Edge ops that were not applied because an endpoint names no node
-    /// (of the graph or of this delta's appended ones). They change
-    /// nothing — not the edge set, the dirty sets or the revision — but a
-    /// caller that sent them should hear about it.
+    /// of the graph. They change nothing — not the edge set, the dirty
+    /// sets or the revision — but a caller that sent them should hear
+    /// about it.
     pub rejected_ops: u64,
 }
 
 impl DeltaEffect {
-    /// Whether the graph is unchanged (every op cancelled out and nothing
-    /// was appended). A no-op effect keeps the revision and requires zero
-    /// invalidation work.
+    /// Whether the graph is unchanged (every op cancelled out). A no-op
+    /// effect keeps the revision and requires zero invalidation work.
     pub fn is_noop(&self) -> bool {
-        self.added_edges.is_empty()
-            && self.removed_edges.is_empty()
-            && self.added_nodes.is_empty()
-            && self.added_methods.is_empty()
+        self.added_edges.is_empty() && self.removed_edges.is_empty()
     }
 
     /// Every node an effective edge change touches (both endpoints, with
@@ -182,20 +137,15 @@ impl Pag {
 
     /// Applies `delta`, returning the edited graph and the effective
     /// changes. The result is **bit-identical** to freezing the edited
-    /// node/edge set from scratch (same CSR layout, same field indexes).
+    /// edge set from scratch (same CSR layout, same field indexes).
     ///
     /// Ops referencing out-of-range nodes are not applied (callers that
     /// fuzz edit scripts shrink node sets independently of the scripts);
     /// [`DeltaEffect::rejected_ops`] counts them.
     pub fn apply_delta(&self, delta: &PagDelta) -> (Pag, DeltaEffect) {
         let old_rev = self.revision();
-        let (old_nodes, old_methods) = (self.node_count(), self.method_count());
-        let n = old_nodes + delta.add_nodes.len();
+        let n = self.node_count();
         let mut effect = DeltaEffect {
-            added_nodes: (old_nodes..n).map(NodeId::from_usize).collect(),
-            added_methods: (old_methods..old_methods + delta.add_methods.len())
-                .map(MethodId::from_usize)
-                .collect(),
             revision: old_rev,
             ..DeltaEffect::default()
         };
@@ -211,14 +161,6 @@ impl Pag {
             }
             self.named(&mut named, e).after = matches!(op, DeltaOp::AddEdge(_));
         }
-        for &cs in &delta.remove_call_sites {
-            let at_site = |e: &Edge| e.kind.call_site() == Some(cs);
-            for &e in self.edges().iter().filter(|e| at_site(e)) {
-                self.named(&mut named, e);
-            }
-            let at_site = named.values_mut().filter(|slot| at_site(&slot.edge));
-            at_site.for_each(|slot| slot.after = false);
-        }
         let changed = |before: bool, after: bool| -> Vec<Edge> {
             let differs = named
                 .values()
@@ -232,14 +174,7 @@ impl Pag {
             return (self.clone(), effect);
         }
         effect.revision = old_rev + 1;
-        let pag = self.edited(
-            &delta.add_nodes,
-            &delta.add_methods,
-            delta.add_call_sites,
-            &effect.added_edges,
-            &effect.removed_edges,
-            effect.revision,
-        );
+        let pag = self.edited(&effect.added_edges, &effect.removed_edges, effect.revision);
         (pag, effect)
     }
 
@@ -272,7 +207,8 @@ type NamedEdges = BTreeMap<(NodeId, u8, NodeId, u32), Named>;
 mod tests {
     use super::*;
     use crate::graph::PagBuilder;
-    use crate::node::NodeKind;
+    use crate::ids::CallSiteId;
+    use crate::node::{NodeInfo, NodeKind};
     use crate::types::TypeInfo;
     use crate::EdgeClass as EC;
 
@@ -419,72 +355,29 @@ mod tests {
         assert!(e2.is_noop());
     }
 
+    /// Severing a call site is removing its `param`/`ret` edges: they go,
+    /// and the site's id stays allocated.
     #[test]
     fn remove_call_site_drops_its_param_ret_edges() {
         let pag = sample();
-        let cs = CallSiteId::new(0);
-        let had: usize = pag
-            .edges()
-            .iter()
-            .filter(|e| e.kind.call_site() == Some(cs))
-            .count();
-        assert!(had > 0);
+        let at_site = |e: &&Edge| e.kind.call_site() == Some(CallSiteId::new(0));
         let mut d = PagDelta::new();
-        d.remove_call_site(cs);
+        for &e in pag.edges().iter().filter(at_site) {
+            d.push(DeltaOp::RemoveEdge(e));
+        }
+        let had = d.ops().len();
+        assert!(had > 0);
         let (edited, effect) = pag.apply_delta(&d);
         assert_eq!(effect.removed_edges.len(), had);
-        assert_eq!(
-            edited
-                .edges()
-                .iter()
-                .filter(|e| e.kind.call_site() == Some(cs))
-                .count(),
-            0
-        );
-        // The id space is untouched: the site stays allocated.
+        assert_eq!(edited.edges().iter().filter(at_site).count(), 0);
         assert_eq!(edited.call_site_count(), pag.call_site_count());
         assert_equals_fresh(&edited, &rebuild_fresh(&edited));
     }
 
-    #[test]
-    fn added_nodes_and_methods_get_fresh_ids() {
-        let pag = sample();
-        let n0 = pag.node_count();
-        let mut d = PagDelta::new();
-        d.add_node(NodeInfo {
-            kind: NodeKind::Local {
-                method: MethodId::new(0),
-            },
-            ty: crate::ids::TypeId::new(0),
-            name: "fresh".into(),
-            is_application: true,
-        })
-        .add_method("extra")
-        .add_call_sites(2);
-        d.add_edge(
-            NodeId::from_usize(n0),
-            NodeId::new(0),
-            EdgeKind::AssignLocal,
-        );
-        let (edited, effect) = pag.apply_delta(&d);
-        assert_eq!(effect.added_nodes, vec![NodeId::from_usize(n0)]);
-        assert_eq!(edited.node_count(), n0 + 1);
-        assert_eq!(edited.method_count(), pag.method_count() + 1);
-        assert_eq!(edited.call_site_count(), pag.call_site_count() + 2);
-        assert_eq!(edited.node_by_name("fresh"), Some(NodeId::from_usize(n0)));
-        assert_eq!(
-            edited.outgoing(NodeId::from_usize(n0)).len(),
-            1,
-            "edge to the appended node applies"
-        );
-        assert_equals_fresh(&edited, &rebuild_fresh(&edited));
-    }
-
-    /// Seeded edit scripts — adds, removes, repeats that cancel, appended
-    /// nodes, a removed call site — against the set model the hash-set
-    /// implementation was: the spliced graph is the fresh freeze of the
-    /// model's edge set, and the effect lists are the set differences in
-    /// canonical order.
+    /// Seeded edit scripts — adds, removes, repeats that cancel — against
+    /// the set model the hash-set implementation was: the spliced graph is
+    /// the fresh freeze of the model's edge set, and the effect lists are
+    /// the set differences in canonical order.
     #[test]
     fn random_edit_scripts_match_a_fresh_freeze_of_the_edited_set() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -504,26 +397,16 @@ mod tests {
             _ => EdgeKind::Ret(CallSiteId::new(0)),
         };
         let mut pag = sample();
+        let n = pag.node_count();
         for round in 0..60 {
             let mut d = PagDelta::new();
-            let grown = pag.node_count() + round % 3;
-            for i in pag.node_count()..grown {
-                d.add_node(NodeInfo {
-                    kind: NodeKind::Local {
-                        method: MethodId::new(0),
-                    },
-                    ty: crate::ids::TypeId::new(0),
-                    name: format!("fresh{i}"),
-                    is_application: true,
-                });
-            }
             let keyed = |pag: &Pag| -> BTreeMap<_, Edge> {
                 pag.edges().iter().map(|e| (in_order(e), *e)).collect()
             };
             let (before, mut model) = (keyed(&pag), keyed(&pag));
             // The node that ends both edge arrays gets an edge of the last
-            // class: nodes appended by the next round start past it.
-            let last = NodeId::from_usize(pag.node_count() - 1);
+            // class, so splices reach the arrays' ends.
+            let last = NodeId::from_usize(n - 1);
             let tail = Edge {
                 src: last,
                 dst: last,
@@ -533,12 +416,12 @@ mod tests {
             model.insert(in_order(&tail), tail);
             for _ in 0..1 + draw(6) {
                 // Half the ops aim at an edge the graph has, and the tail
-                // of the node range (the appended nodes) is drawn often.
+                // of the node range is drawn often.
                 let e = if draw(2) == 0 {
                     pag.edges()[draw(pag.edge_count())]
                 } else {
-                    let end = |r: usize| NodeId::from_usize(grown - 1 - r % grown.min(8));
-                    let (src, dst) = (end(draw(64)), NodeId::from_usize(draw(grown)));
+                    let end = |r: usize| NodeId::from_usize(n - 1 - r % 8);
+                    let (src, dst) = (end(draw(64)), NodeId::from_usize(draw(n)));
                     Edge {
                         src,
                         dst,
@@ -553,11 +436,6 @@ mod tests {
                     model.remove(&in_order(&e));
                 }
             }
-            if round % 20 == 19 {
-                let cs = CallSiteId::new(0);
-                d.remove_call_site(cs);
-                model.retain(|_, e| e.kind.call_site() != Some(cs));
-            }
             let (edited, effect) = pag.apply_delta(&d);
             let only = |a: &BTreeMap<_, Edge>, b: &BTreeMap<_, Edge>| -> Vec<Edge> {
                 let kept = a.iter().filter(|&(k, _)| !b.contains_key(k));
@@ -567,7 +445,6 @@ mod tests {
             assert_eq!(effect.removed_edges, only(&before, &model), "round {round}");
             let want: Vec<Edge> = model.values().copied().collect();
             assert_eq!(edited.edges(), want, "round {round}");
-            assert_eq!(edited.node_count(), grown);
             if !effect.is_noop() {
                 assert_equals_fresh(&edited, &rebuild_fresh(&edited));
             }

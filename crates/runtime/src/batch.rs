@@ -11,9 +11,9 @@
 
 use crate::mode::RunConfig;
 use crate::stats::{RunResult, RunStats};
+use crate::trace::{QuerySpan, RunTrace, TraceLevel, WorkerTrace};
 use parcfl_concurrent::WorkerObs;
 use parcfl_core::{Answer, Footprint, JmpStore, NoJmpStore, SharedJmpStore, Solver, SolverConfig};
-use parcfl_obs::{EventKind, RunTrace, TraceLevel, TraceRecorder, WorkerTrace};
 use parcfl_pag::{NodeId, Pag};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
@@ -22,13 +22,13 @@ use std::time::Instant;
 /// The clock a batch's lanes read.
 #[derive(Copy, Clone)]
 pub(crate) enum Clock {
-    /// Wall time: recorders stamp nanoseconds since the batch start,
+    /// Wall time: spans are stamped in nanoseconds since the batch start,
     /// latencies are nanoseconds, every query starts at the batch's base
     /// virtual time, and its jmp lookups see every entry (real workers see
     /// each other's publications at once).
     Wall,
     /// The simulator's traversal-step clock: a lane's `now` advances by
-    /// fetch costs and traversed steps, and is what recorders, latency
+    /// fetch costs and traversed steps, and is what spans, latency
     /// samples and jmp lookups see.
     Virtual,
 }
@@ -52,18 +52,21 @@ pub(crate) struct Batch<'a> {
 
 /// One worker's share of a batch.
 pub(crate) struct Lane<'a> {
-    /// The lane's query spans.
-    rec: TraceRecorder,
+    /// The lane's query spans; `None` when the batch is not traced.
+    spans: Option<Vec<QuerySpan>>,
     /// The lane's own solver, and with it the scratch (visited-state
     /// tables, stacks, in-flight sets) every query of the lane reuses; it
     /// dies with the lane at the end of the batch.
     solver: Solver<'a>,
     clock: Clock,
+    /// The batch start: where a wall lane's span stamps count from.
+    start: Instant,
     /// Whether the solver records footprints, and so whether the lane
     /// passes each answer's on.
     recording: bool,
-    /// The lane's virtual instant: what the solver and a simulated lane's
-    /// recorder are told the time is. Never moves under [`Clock::Wall`].
+    /// The lane's virtual instant: what the solver is told the time is,
+    /// and a simulated lane's span stamps. Never moves under
+    /// [`Clock::Wall`].
     now: u64,
     obs: WorkerObs,
     stats: RunStats,
@@ -151,17 +154,15 @@ impl<'a> Batch<'a> {
     /// Worker `worker`'s lane, its solver built over `jmp` —
     /// [`Self::jmp`], or something that forwards to it — and told what the
     /// batch knows and the store does not: where the warm floor is, and
-    /// whether lookups read the lane's virtual clock. Its recorder stamps
-    /// the lane's clock; at [`TraceLevel::Off`] it allocates nothing.
+    /// whether lookups read the lane's virtual clock. At
+    /// [`TraceLevel::Off`] it keeps no span list.
     pub(crate) fn lane<'l>(&'l self, worker: usize, jmp: &'l dyn JmpStore) -> Lane<'l> {
         let virtual_clock = matches!(self.clock, Clock::Virtual);
         Lane {
-            rec: match self.clock {
-                Clock::Wall => TraceRecorder::real(self.tracing, self.start),
-                Clock::Virtual => TraceRecorder::external(self.tracing),
-            },
+            spans: self.tracing.enabled().then(Vec::new),
             solver: Solver::new(self.pag, self.cfg, jmp).in_batch(self.base, virtual_clock),
             clock: self.clock,
+            start: self.start,
             recording: self.cfg.record_footprints,
             now: self.base,
             obs: WorkerObs::new(worker),
@@ -270,7 +271,6 @@ impl Lane<'_> {
     /// thread is diagnosable from the message alone instead of surfacing
     /// as an opaque `std::thread::scope` abort.
     fn answer(&mut self, q: NodeId, group: &[NodeId], answers: &mut Answers) {
-        self.rec.span(EventKind::QueryStart, self.now, q.raw(), 0);
         let (t0, v0) = (Instant::now(), self.now);
         let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
             self.solver.points_to_query(q, self.now)
@@ -287,9 +287,18 @@ impl Lane<'_> {
         }
         let latency = self.since(t0, v0);
         self.stats.hists.query_latency.record(latency);
-        let complete = matches!(out.answer, Answer::Complete(_));
-        self.rec
-            .span(EventKind::QueryEnd, self.now, q.raw(), complete as u32);
+        if let Some(spans) = &mut self.spans {
+            let start = match self.clock {
+                Clock::Wall => t0.duration_since(self.start).as_nanos() as u64,
+                Clock::Virtual => v0,
+            };
+            spans.push(QuerySpan {
+                query: q,
+                start,
+                end: start + latency,
+                complete: matches!(out.answer, Answer::Complete(_)),
+            });
+        }
         self.obs.queries += 1;
         self.obs.steps += out.stats.traversed_steps;
         self.stats.absorb(&out.stats, &out.answer);
@@ -301,13 +310,16 @@ impl Lane<'_> {
 
     /// Closes the lane.
     pub(crate) fn finish(self) -> LaneDone {
-        let worker = self.obs.worker;
         LaneDone {
+            trace: WorkerTrace {
+                worker: self.obs.worker,
+                events: self.spans.unwrap_or_default(),
+                dropped: 0,
+            },
             stats: self.stats,
             obs: self.obs,
             end: self.now,
             ctxs: self.solver.interner().len(),
-            trace: self.rec.into_trace(worker),
         }
     }
 }

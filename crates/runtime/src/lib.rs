@@ -11,6 +11,12 @@
 //! calling thread, [`sim`] on a virtual clock, [`threaded`] on OS threads
 //! popping the paper's shared work list.
 //!
+//! Every batch fills latency histograms ([`RunStats::hists`]). With
+//! [`RunConfig::tracing`] above [`TraceLevel::Off`] it also hands back a
+//! [`RunTrace`]: one [`QuerySpan`] per query, on the worker that ran it.
+//! A session renders its counters and histograms as Prometheus text
+//! ([`PromText`], [`AnalysisSession::metrics_snapshot`]). DESIGN.md §9.
+//!
 //! One-shot entry points ([`run`], [`run_seq`]) build a fresh jmp store
 //! per call. Clients answering *several* batches over one PAG should hold
 //! an [`AnalysisSession`] instead: later batches warm-start from earlier
@@ -34,24 +40,26 @@
 #![warn(missing_docs)]
 
 mod batch;
+mod hist;
 mod mode;
+mod prometheus;
 mod seq;
 pub mod session;
 pub mod sim;
 mod stats;
 pub mod threaded;
+mod trace;
 
+pub use hist::{LogHistogram, ObsHists};
 pub use mode::{Backend, Engine, Mode, RunConfig};
 pub use parcfl_concurrent::WorkerObs;
-pub use parcfl_obs::{
-    Event, EventKind, LogHistogram, ObsHists, PromText, RunTrace, TraceLevel, TraceRecorder,
-    WorkerTrace,
-};
+pub use prometheus::PromText;
 pub use seq::run_seq;
 pub use session::{AnalysisSession, DeltaReport};
 pub use sim::{run_simulated, run_simulated_batch};
 pub use stats::{MergeClass, Metric, RunResult, RunStats, Unit, Value};
 pub use threaded::{run_threaded, run_threaded_batch};
+pub use trace::{QuerySpan, RunTrace, TraceLevel, WorkerTrace};
 
 use parcfl_pag::{NodeId, Pag};
 use parcfl_sched::{build_schedule, Schedule, ScheduleOptions};
@@ -72,7 +80,6 @@ pub fn schedule_for(pag: &Pag, queries: &[NodeId], mode: Mode) -> Schedule {
 /// cost is not. The `ablation_group` bench regenerates the trade-off.
 pub(crate) fn dq_options(cap: Option<usize>) -> ScheduleOptions {
     ScheduleOptions {
-        rebalance: true,
         max_group_size: Some(cap.unwrap_or(1)),
     }
 }
@@ -118,6 +125,24 @@ mod tests {
     use super::*;
     use parcfl_core::SolverConfig;
     use parcfl_frontend::build_pag;
+
+    #[test]
+    fn level_ladder() {
+        assert!(!TraceLevel::Off.enabled());
+        assert!(TraceLevel::Spans.enabled());
+        assert!(TraceLevel::Full.enabled());
+        assert_eq!(TraceLevel::parse("spans"), Some(TraceLevel::Spans));
+        assert_eq!(TraceLevel::parse("full"), Some(TraceLevel::Spans));
+        assert_eq!(TraceLevel::parse("bogus"), None);
+        assert_eq!(TraceLevel::default(), TraceLevel::Off);
+    }
+
+    /// A span is what a traced lane keeps per query (its
+    /// `WorkerTrace::events`): 24 bytes.
+    #[test]
+    fn event_is_compact() {
+        assert_eq!(std::mem::size_of::<QuerySpan>(), 24);
+    }
 
     #[test]
     fn schedule_for_modes() {

@@ -1,7 +1,7 @@
 //! Run configuration: parallelisation strategy × execution backend.
 
+use crate::trace::TraceLevel;
 use parcfl_core::SolverConfig;
-use parcfl_obs::TraceLevel;
 
 /// The paper's three parallelisation strategies (Section III / IV-C).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -78,11 +78,11 @@ pub struct RunConfig {
     /// `ablation_group` experiment to separate the effect of *ordering*
     /// (cap = 1) from *grouping* (cap > 1).
     pub group_cap: Option<usize>,
-    /// Event-tracing level (DESIGN.md §9). `Off` (the default) keeps the
-    /// whole pipeline free of recording work; `Spans` records a
-    /// `QueryStart` / `QueryEnd` pair per query into the worker's ring,
-    /// returned as [`crate::RunResult::trace`]. Answers and step counts
-    /// are identical at both levels.
+    /// Tracing level (DESIGN.md §9). `Off` (the default) keeps the whole
+    /// pipeline free of recording work; `Spans` records one
+    /// [`crate::QuerySpan`] per query on the worker that ran it, returned
+    /// as [`crate::RunResult::trace`]. Answers and step counts are
+    /// identical at both levels.
     pub tracing: TraceLevel,
 }
 

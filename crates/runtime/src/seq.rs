@@ -9,8 +9,8 @@
 
 use crate::batch::{Answers, Batch, Clock};
 use crate::stats::RunResult;
+use crate::trace::TraceLevel;
 use parcfl_core::SolverConfig;
-use parcfl_obs::TraceLevel;
 use parcfl_pag::{NodeId, Pag};
 
 /// Runs every query sequentially with data sharing disabled: the calling

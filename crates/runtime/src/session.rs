@@ -27,12 +27,13 @@
 
 use crate::batch::{Answers, Batch, Clock};
 use crate::mode::{Backend, Mode, RunConfig};
+use crate::prometheus::PromText;
 use crate::sim::run_simulated_batch;
 use crate::stats::{MergeClass, RunResult, RunStats};
 use crate::threaded::run_threaded_batch;
+use crate::trace::TraceLevel;
 use parcfl_concurrent::FxHashMap;
 use parcfl_core::{Answer, DirtySet, Footprint, SharedJmpStore, SolverConfig};
-use parcfl_obs::{PromText, TraceLevel};
 use parcfl_pag::{NodeId, Pag, PagDelta};
 use parcfl_sched::{Schedule, ScheduleCache};
 use std::borrow::Cow;
@@ -142,9 +143,9 @@ impl<'p> AnalysisSession<'p> {
         self
     }
 
-    /// Sets the event-tracing level for every subsequent batch (see
+    /// Sets the tracing level for every subsequent batch (see
     /// [`RunConfig::tracing`]): batch results carry a
-    /// [`parcfl_obs::RunTrace`] of their query spans.
+    /// [`crate::RunTrace`] of their query spans.
     pub fn with_tracing(mut self, tracing: TraceLevel) -> Self {
         self.tracing = tracing;
         self

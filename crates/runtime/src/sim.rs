@@ -132,9 +132,9 @@ pub fn run_simulated_hooked(
 ) -> (RunResult, u64) {
     let batch = Batch::of_run(pag, cfg, store, base, Clock::Virtual);
     let t = cfg.threads.max(1);
-    // Each lane's recorder stamps its virtual clock, so a simulated trace
-    // shows the simulated parallelism, not the sequential wall time of
-    // simulating it.
+    // Each lane stamps its spans on its virtual clock, so a simulated
+    // trace shows the simulated parallelism, not the sequential wall time
+    // of simulating it.
     let seams: Vec<_> = (0..t).map(|_| hook.seam(batch.jmp())).collect();
     let mut lanes: Vec<Lane> = seams
         .iter()

@@ -3,9 +3,10 @@
 //! a scalar metric is named. The struct, [`RunStats::merge`], the session's
 //! Prometheus page and `BENCH_solver.json` all read it (DESIGN.md §9).
 
+use crate::hist::ObsHists;
+use crate::trace::RunTrace;
 use parcfl_concurrent::WorkerObs;
 use parcfl_core::{Answer, QueryStats};
-use parcfl_obs::{ObsHists, RunTrace};
 use parcfl_pag::NodeId;
 use std::time::Duration;
 
@@ -352,7 +353,7 @@ pub struct RunResult {
     /// Aggregate statistics.
     pub stats: RunStats,
     /// The query spans — `Some` when the run was configured with
-    /// `RunConfig::tracing` above `Off`, one [`parcfl_obs::WorkerTrace`]
+    /// `RunConfig::tracing` above `Off`, one [`crate::WorkerTrace`]
     /// per worker.
     pub trace: Option<RunTrace>,
     /// Each answer's whole-query footprint, index for index with

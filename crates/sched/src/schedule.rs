@@ -9,12 +9,11 @@ use crate::groups::Groups;
 use crate::metrics::{connection_distances, group_level, type_levels_from};
 use parcfl_pag::{NodeId, Pag};
 
-/// Options for schedule construction.
-#[derive(Clone, Debug)]
+/// Options for schedule construction. Group sizes are always rebalanced
+/// to the mean (paper: split larger than `M`, merge smaller with adjacent
+/// groups).
+#[derive(Clone, Debug, Default)]
 pub struct ScheduleOptions {
-    /// Rebalance group sizes to the mean (paper: split larger than `M`,
-    /// merge smaller with adjacent groups).
-    pub rebalance: bool,
     /// Upper bound on the rebalanced group size. The paper's `M` (the mean
     /// component size) presumes tens of thousands of queries, where mean-
     /// sized groups still yield thousands of dispatch units; at smaller
@@ -22,15 +21,6 @@ pub struct ScheduleOptions {
     /// know the thread count pass `queries / (4 × threads)`-ish here so a
     /// 16-thread run always has a few dispatch units per thread.
     pub max_group_size: Option<usize>,
-}
-
-impl Default for ScheduleOptions {
-    fn default() -> Self {
-        ScheduleOptions {
-            rebalance: true,
-            max_group_size: None,
-        }
-    }
 }
 
 /// The final query schedule.
@@ -111,19 +101,12 @@ pub fn build_schedule_with_levels(
     let group_count = ordered.len();
     let avg = queries.len() as f64 / group_count as f64;
     let ordered = ordered.into_iter().map(|(_, g)| g);
-
-    let groups = if opts.rebalance {
-        let mut m = avg.ceil().max(1.0) as usize;
-        if let Some(cap) = opts.max_group_size {
-            m = m.min(cap.max(1));
-        }
-        rebalance(ordered, m)
-    } else {
-        ordered.collect()
-    };
-
+    let mut m = avg.ceil().max(1.0) as usize;
+    if let Some(cap) = opts.max_group_size {
+        m = m.min(cap.max(1));
+    }
     Schedule {
-        groups,
+        groups: rebalance(ordered, m),
         avg_group_size: avg,
     }
 }
@@ -160,14 +143,7 @@ mod tests {
         let pag = build_pag(src).unwrap().pag;
         let shallow = pag.node_by_name("shallow@A.m").unwrap();
         let deep = pag.node_by_name("deep@A.m").unwrap();
-        let s = build_schedule(
-            &pag,
-            &[shallow, deep],
-            &ScheduleOptions {
-                rebalance: false,
-                ..ScheduleOptions::default()
-            },
-        );
+        let s = build_schedule(&pag, &[shallow, deep], &ScheduleOptions::default());
         let order = s.flat_order();
         let pos = |v| order.iter().position(|&x| x == v).unwrap();
         assert!(
@@ -196,16 +172,9 @@ mod tests {
             .iter()
             .map(|n| pag.node_by_name(n).unwrap())
             .collect();
-        let s = build_schedule(
-            &pag,
-            &ids,
-            &ScheduleOptions {
-                rebalance: false,
-                ..ScheduleOptions::default()
-            },
-        );
-        assert_eq!(s.groups.len(), 1);
-        let order = &s.groups[0];
+        let s = build_schedule(&pag, &ids, &ScheduleOptions::default());
+        assert_eq!(s.avg_group_size, 5.0, "one group");
+        let order = s.flat_order();
         let pos = |v| order.iter().position(|&x| x == v).unwrap();
         // e lies on a path of length 2 (a->b->e); the others on length 3.
         assert!(pos(ids[4]) < pos(ids[3]), "shorter CD first");
@@ -248,7 +217,6 @@ mod tests {
         let pag = build_pag(src).unwrap().pag;
         let ids = pag.application_locals();
         let opts = ScheduleOptions {
-            rebalance: true,
             max_group_size: Some(2),
         };
         let s = build_schedule(&pag, &ids, &opts);

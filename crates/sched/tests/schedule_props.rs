@@ -29,7 +29,7 @@ proptest! {
         let prog = generate(&profile(seed, apps));
         let pag = parcfl_frontend::extract(&prog).unwrap().pag;
         let queries = pag.application_locals();
-        let opts = ScheduleOptions { rebalance: true, max_group_size: Some(cap) };
+        let opts = ScheduleOptions { max_group_size: Some(cap) };
         let s = build_schedule(&pag, &queries, &opts);
         let mut flat = s.flat_order();
         flat.sort_unstable();

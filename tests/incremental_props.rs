@@ -25,7 +25,7 @@ use parcfl::check::{run_fuzz, scenario_fails, test_seed, FuzzConfig, Scenario};
 use parcfl::core::{SolverConfig, StateBackend};
 use parcfl::frontend::build_pag;
 use parcfl::pag::{DeltaOp, EdgeKind, NodeId, Pag, PagDelta};
-use parcfl::runtime::{run_seq, AnalysisSession, Backend, EventKind, Mode, TraceLevel};
+use parcfl::runtime::{run_seq, AnalysisSession, Backend, Mode, TraceLevel};
 use parcfl::synth::mutate::{rebuild_with_edges, sample_edits};
 use parcfl::synth::{build_bench, Profile};
 use proptest::prelude::*;
@@ -198,9 +198,10 @@ fn removing_a_footprint_edge_invalidates_selectively() {
     assert_eq!(y0_pts, 0, "cut chain empties y0's points-to set");
 }
 
-/// Deleting a call site (whose interned contexts stay allocated) drops
-/// the param/ret flow; the warm re-query agrees with a cold run and the
-/// callee-routed answer disappears.
+/// Severing a call site — removing its `param` and `ret` edges, while its
+/// interned contexts stay allocated — drops the flow through it; the warm
+/// re-query agrees with a cold run and the callee-routed answer
+/// disappears.
 #[test]
 fn deleting_a_call_site_invalidates_and_requeries_match() {
     let pag = two_chains();
@@ -231,12 +232,18 @@ fn deleting_a_call_site_invalidates_and_requeries_match() {
     assert_eq!(pts_of(&before, y0), 1, "call routes the boxed object to y0");
 
     let mut delta = PagDelta::new();
-    delta.remove_call_site(cs);
+    for &e in pag
+        .edges()
+        .iter()
+        .filter(|e| e.kind.call_site() == Some(cs))
+    {
+        delta.push(DeltaOp::RemoveEdge(e));
+    }
     let report = session.apply_delta(&delta);
-    assert!(!report.noop, "removing a live call site is effective");
+    assert!(!report.noop, "severing a live call site is effective");
     assert!(report.invalidated_jmps > 0);
-    // The call-site id space is append-only: contexts interned over the
-    // removed site stay valid, the graph just no longer reaches them.
+    // No delta touches the call-site id space: contexts interned over the
+    // severed site stay valid, the graph just no longer reaches them.
     assert_eq!(session.pag().call_site_count(), pag.call_site_count());
 
     let warm = session.submit(&queries, Mode::DataSharing, Backend::Simulated);
@@ -331,11 +338,10 @@ proptest! {
                 );
                 prop_assert_eq!(got.stats.retained_answers, held);
                 prop_assert_eq!(got.stats.queries, queries.len());
-                let ran: BTreeSet<u32> = got.trace.iter()
+                let ran: BTreeSet<NodeId> = got.trace.iter()
                     .flat_map(|t| &t.workers)
                     .flat_map(|w| &w.events)
-                    .filter(|e| e.kind == EventKind::QueryStart)
-                    .map(|e| e.a)
+                    .map(|span| span.query)
                     .collect();
                 prop_assert_eq!(
                     ran.len() as u64 + held,

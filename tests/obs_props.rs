@@ -2,8 +2,9 @@
 //! *observation only*. Across random benchmarks, enabling
 //! [`TraceLevel::Spans`] must leave answers and the charged/traversed step
 //! accounting bit-identical to [`TraceLevel::Off`] on every backend — the
-//! recorder may watch the solver, never steer it. What it records is one
-//! `QueryStart` / `QueryEnd` pair per query, on the worker that ran it.
+//! spans may watch the solver, never steer it. What a trace records is one
+//! span per query, on the worker that ran it, and each span's length is
+//! that query's latency sample.
 //!
 //! Determinism caveat: the sequential and simulated backends are fully
 //! deterministic, so *all* counters must match exactly. Real threads with
@@ -12,8 +13,8 @@
 //! exact-count comparison and check answers only at higher counts.
 
 use parcfl::runtime::{
-    run_simulated, run_threaded, AnalysisSession, Backend, EventKind, LogHistogram, Mode,
-    RunConfig, TraceLevel,
+    run_simulated, run_threaded, AnalysisSession, Backend, LogHistogram, Mode, RunConfig, RunTrace,
+    TraceLevel,
 };
 use parcfl::synth::{build_bench, Profile};
 use proptest::collection::vec;
@@ -45,7 +46,7 @@ proptest! {
 
     /// A session's one-thread batch on real threads: Spans answers exactly
     /// what Off answers, with identical step accounting; Off yields no
-    /// trace, Spans a single-worker trace with events.
+    /// trace, Spans a single-worker trace with one span per query.
     #[test]
     fn seq_tracing_is_observation_only(seed in 0u64..1_000) {
         let b = bench_for(seed);
@@ -64,7 +65,7 @@ proptest! {
         prop_assert_eq!(on.stats.completed, off.stats.completed);
         let trace = on.trace.expect("Spans yields a trace");
         prop_assert_eq!(trace.workers.len(), 1);
-        prop_assert!(trace.event_count() > 0, "Spans recorded nothing");
+        prop_assert_eq!(span_count(&trace), on.stats.queries);
     }
 
     /// Simulated backend (fully deterministic): Spans tracing reproduces
@@ -86,16 +87,17 @@ proptest! {
             prop_assert_eq!(spans.stats.charged_steps, off.stats.charged_steps);
             let trace = spans.trace.expect("Spans yields a trace");
             prop_assert_eq!(trace.workers.len(), 4);
-            prop_assert!(trace.event_count() > 0);
+            prop_assert_eq!(span_count(&trace), spans.stats.queries);
         }
     }
 
-    /// The shape a trace reader relies on, on the deterministic backend:
-    /// each worker's events are `QueryStart` / `QueryEnd` pairs of one
-    /// query, one pair per query that worker ran, and the hidden `Full`
-    /// level records exactly the events `Spans` does.
+    /// What a trace reader relies on, on the deterministic backend: each
+    /// worker's spans are the queries it ran, one each, in run order and
+    /// not overlapping, and their lengths add up to the steps it traversed;
+    /// the span lengths are the run's latency samples; and the hidden
+    /// `Full` level records exactly the spans `Spans` does.
     #[test]
-    fn simulated_spans_pair_every_query_and_full_matches(seed in 0u64..1_000) {
+    fn simulated_spans_agree_with_worker_counters(seed in 0u64..1_000) {
         let b = bench_for(seed);
         let cfg = RunConfig::new(Mode::DataSharingSched, 3, Backend::Simulated)
             .with_solver(b.solver.clone());
@@ -107,24 +109,30 @@ proptest! {
         for (s, f) in st.workers.iter().zip(&ft.workers) {
             prop_assert_eq!(&s.events, &f.events, "Full differs from Spans on worker {}", s.worker);
         }
+        prop_assert_eq!(st.workers.len(), spans.stats.workers.len());
         for (w, obs) in st.workers.iter().zip(&spans.stats.workers) {
             prop_assert_eq!(w.worker, obs.worker);
             prop_assert_eq!(w.dropped, 0);
-            prop_assert_eq!(w.events.len() as u64, 2 * obs.queries, "worker {}", w.worker);
-            for pair in w.events.chunks(2) {
-                let [start, end] = pair else { unreachable!() };
-                prop_assert_eq!(start.kind, EventKind::QueryStart);
-                prop_assert_eq!(end.kind, EventKind::QueryEnd);
-                prop_assert_eq!(start.a, end.a, "a pair is one query");
-                prop_assert!(start.ts <= end.ts);
+            prop_assert_eq!(w.events.len() as u64, obs.queries, "worker {}", w.worker);
+            for pair in w.events.windows(2) {
+                prop_assert!(pair[0].end <= pair[1].start, "worker {}: {:?}", w.worker, pair);
             }
+            let busy: u64 = w.events.iter().map(|s| s.end - s.start).sum();
+            prop_assert_eq!(busy, obs.steps, "worker {}", w.worker);
         }
+        let mut ran: Vec<_> = st.workers.iter().flat_map(|w| &w.events).map(|s| s.query).collect();
+        let mut asked = b.queries.clone();
+        ran.sort_unstable();
+        asked.sort_unstable();
+        prop_assert_eq!(ran, asked, "every query ran once");
+        prop_assert_eq!(latency_hist(&st), spans.stats.hists.query_latency);
     }
 
     /// Threaded backend: with one worker the run is deterministic, so
     /// Spans must match Off's step counts exactly; with four workers
     /// answers must still match and the trace must carry one track per
-    /// worker.
+    /// worker. At both counts the span lengths are the run's latency
+    /// samples.
     #[test]
     fn threaded_tracing_is_observation_only(seed in 0u64..1_000) {
         let b = bench_for(seed);
@@ -137,7 +145,9 @@ proptest! {
         prop_assert_eq!(spans.sorted_answers(), off.sorted_answers(), "seed {}", seed);
         prop_assert_eq!(spans.stats.traversed_steps, off.stats.traversed_steps);
         prop_assert_eq!(spans.stats.charged_steps, off.stats.charged_steps);
-        prop_assert!(spans.trace.expect("Spans yields a trace").event_count() > 0);
+        let trace = spans.trace.expect("Spans yields a trace");
+        prop_assert_eq!(span_count(&trace), spans.stats.queries);
+        prop_assert_eq!(latency_hist(&trace), spans.stats.hists.query_latency);
 
         let cfg4 = RunConfig::new(Mode::DataSharingSched, 4, Backend::Threaded)
             .with_solver(b.solver.clone())
@@ -146,8 +156,20 @@ proptest! {
         prop_assert_eq!(r4.sorted_answers(), off.sorted_answers(), "x4 seed {}", seed);
         let trace = r4.trace.expect("Spans yields a trace");
         prop_assert_eq!(trace.workers.len(), 4);
-        prop_assert!(trace.event_count() > 0);
+        prop_assert_eq!(span_count(&trace), r4.stats.queries);
+        prop_assert_eq!(latency_hist(&trace), r4.stats.hists.query_latency);
     }
+}
+
+/// The spans a trace holds, over all workers.
+fn span_count(trace: &RunTrace) -> usize {
+    trace.workers.iter().map(|w| w.events.len()).sum()
+}
+
+/// Every span's length, recorded into one histogram.
+fn latency_hist(trace: &RunTrace) -> LogHistogram {
+    let spans = trace.workers.iter().flat_map(|w| &w.events);
+    hist_of(&spans.map(|s| s.end - s.start).collect::<Vec<_>>())
 }
 
 /// Records every value of `values` into a fresh histogram.
