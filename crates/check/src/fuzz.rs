@@ -24,8 +24,8 @@
 //! a 1-minimal counterexample ([`mod@crate::shrink`]) and returned along with
 //! its snapshot. Everything is reproducible from `(seed, iteration)`.
 
-use crate::andersen_check::check_soundness;
-use crate::diff::{diff_answers, OracleCache};
+use crate::andersen_check::{check_soundness, SoundnessReport};
+use crate::diff::{diff_answers, DiffReport, OracleCache};
 use crate::inject::{Fault, SimPerturb};
 use crate::oracle::OracleConfig;
 use crate::seed::derive;
@@ -151,37 +151,41 @@ pub fn scenario_fails(scenario: &Scenario) -> bool {
 }
 
 /// Like [`scenario_fails`], with a description of the first disagreement.
-///
-/// Delta scenarios answer on the *edited* graph, so the oracle and the
-/// Andersen soundness check run against [`Scenario::final_pag`] — that
-/// is exactly what catches invalidation bugs: a stale warm entry served
-/// after an edit is a differential mismatch against the edited graph's
-/// truth.
 pub fn failure_detail(scenario: &Scenario) -> Option<String> {
     let attempts = match scenario.backend {
         Backend::Threaded => 3,
         Backend::Simulated => 1,
     };
+    check(scenario, attempts, |_, _| {})
+}
+
+/// The one check body behind [`failure_detail`] and [`run_fuzz`]: runs
+/// `scenario` `attempts` times, hands each run's oracle diff and
+/// soundness report to `tally`, and describes the first disagreement — an
+/// oracle mismatch, a soundness violation, then (after the last run) an
+/// [`incremental_divergence`]. Delta scenarios answer on the *edited*
+/// graph, so both referees read [`Scenario::final_pag`]: a stale warm
+/// entry served after an edit is a mismatch against that graph's truth.
+fn check(
+    scenario: &Scenario,
+    attempts: usize,
+    mut tally: impl FnMut(&DiffReport, &SoundnessReport),
+) -> Option<String> {
     let oracle_cfg = OracleConfig {
         context_sensitive: scenario.solver.context_sensitive,
         step_cap: FUZZ_STEP_CAP,
         ..OracleConfig::default()
     };
-    let final_pag;
-    let truth = if scenario.deltas.is_empty() {
-        &scenario.pag
-    } else {
-        final_pag = scenario.final_pag();
-        &final_pag
-    };
-    let mut oracle = OracleCache::new(truth, oracle_cfg);
+    let truth = scenario.final_pag();
+    let mut oracle = OracleCache::new(&truth, oracle_cfg);
     for _ in 0..attempts {
         let result = scenario.run();
         let diff = diff_answers(&result.answers, &mut oracle);
+        let sound = check_soundness(&truth, &result.answers);
+        tally(&diff, &sound);
         if let Some(m) = diff.mismatches.first() {
             return Some(format!("query {}: {}", m.query, m.detail));
         }
-        let sound = check_soundness(truth, &result.answers);
         if let Some(&(q, o)) = sound.violations.first() {
             return Some(format!(
                 "soundness violation: demand pts({q}) contains {o}, Andersen's does not"
@@ -229,39 +233,13 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
     for i in 0..cfg.iters {
         report.iters_run = i + 1;
         let scenario = sample_scenario(cfg, i);
-        let oracle_cfg = OracleConfig {
-            context_sensitive: scenario.solver.context_sensitive,
-            step_cap: FUZZ_STEP_CAP,
-            ..OracleConfig::default()
-        };
-        // Delta scenarios answer on the edited graph: the oracle and the
-        // soundness check must be consulted against it.
-        let final_pag;
-        let truth = if scenario.deltas.is_empty() {
-            &scenario.pag
-        } else {
-            final_pag = scenario.final_pag();
-            &final_pag
-        };
-        let mut oracle = OracleCache::new(truth, oracle_cfg);
-        let result = scenario.run();
-        let diff = diff_answers(&result.answers, &mut oracle);
-        report.compared += diff.compared as u64;
-        report.skipped_oob += diff.skipped_oob as u64;
-        report.skipped_cap += diff.skipped_cap as u64;
-        let sound = check_soundness(truth, &result.answers);
-        report.demand_pts += sound.demand_pts as u64;
-        report.inclusion_pts += sound.inclusion_pts as u64;
-
-        let detail = if let Some(m) = diff.mismatches.first() {
-            Some(format!("query {}: {}", m.query, m.detail))
-        } else if let Some(&(q, o)) = sound.violations.first() {
-            Some(format!(
-                "soundness violation: demand pts({q}) contains {o}, Andersen's does not"
-            ))
-        } else {
-            incremental_divergence(&scenario)
-        };
+        let detail = check(&scenario, 1, |diff, sound| {
+            report.compared += diff.compared as u64;
+            report.skipped_oob += diff.skipped_oob as u64;
+            report.skipped_cap += diff.skipped_cap as u64;
+            report.demand_pts += sound.demand_pts as u64;
+            report.inclusion_pts += sound.inclusion_pts as u64;
+        });
         if let Some(detail) = detail {
             let (scenario, shrink_stats) = if cfg.shrink {
                 let (s, st) = shrink(scenario, &scenario_fails);

@@ -28,7 +28,9 @@
 //! ```
 //!
 //! Edge kind tokens: `new`, `assign_l`, `assign_g`, `ld <field>`,
-//! `st <field>`, `param <site>`, `ret <site>`.
+//! `st <field>`, `param <site>`, `ret <site>`. The one `counts` line comes
+//! before every `node`, `edge` and `delta` line, and a field or call-site
+//! id must be below the count it declares.
 //!
 //! ## Incremental (mutate-then-requery) scenarios
 //!
@@ -269,6 +271,8 @@ impl Scenario {
         let mut perturb: Option<SimPerturb> = None;
         let mut builder: Option<PagBuilder> = None;
         let mut declared_nodes = 0usize;
+        // The `(fields, callsites)` the `counts` line declared.
+        let mut declared_ids: Option<(usize, usize)> = None;
         let mut declared_deltas: Option<usize> = None;
         let mut queries: Vec<NodeId> = Vec::new();
         let mut edges: Vec<(NodeId, NodeId, EdgeKind)> = Vec::new();
@@ -311,18 +315,6 @@ impl Scenario {
                             "tauu" => solver.tau_unfinished = parse(v, &err)?,
                             "ctx" => solver.context_sensitive = parse::<u8, _>(v, &err)? != 0,
                             "chaos" => fault.blind_jmp_keys = parse::<u8, _>(v, &err)? != 0,
-                            // `engine`/`packed` selected the matrix engine
-                            // and its scan path, `memo` per-query
-                            // memoisation; snapshots written while they
-                            // existed still load, and replay on the one
-                            // solver there is now.
-                            "engine" => match v {
-                                "demand" | "matrix" | "auto" => {}
-                                _ => return Err(err(format!("unknown engine `{v}`"))),
-                            },
-                            "packed" | "memo" => {
-                                parse::<u8, _>(v, &err)?;
-                            }
                             // `state`/`trace` are absent in older corpus
                             // files; missing keys keep the defaults.
                             "state" => solver.state = v.parse::<StateBackend>().map_err(&err)?,
@@ -350,32 +342,15 @@ impl Scenario {
                             "jitter" => p.fetch_jitter = parse(v, &err)?,
                             "window" => p.pick_window = parse(v, &err)?,
                             "scramble" => p.scramble_ties = parse::<u8, _>(v, &err)? != 0,
-                            // `evict` forced jmp-store eviction sweeps
-                            // while the store could evict (see `store`).
-                            "evict" => {
-                                parse::<u64, _>(v, &err)?;
-                            }
                             _ => return Err(err(format!("unknown perturb key `{k}`"))),
                         }
                     }
                     perturb = Some(p);
                 }
-                // `store cap=N` bounded the jmp store while it could evict:
-                // snapshots written then still load, and replay unbounded.
-                "store" => {
-                    for kv in toks {
-                        let (k, v) = kv
-                            .split_once('=')
-                            .ok_or_else(|| err(format!("bad store token `{kv}`")))?;
-                        match k {
-                            "cap" => {
-                                parse::<usize, _>(v, &err)?;
-                            }
-                            _ => return Err(err(format!("unknown store key `{k}`"))),
-                        }
-                    }
-                }
                 "counts" => {
+                    if builder.is_some() {
+                        return Err(err("a second `counts` line".into()));
+                    }
                     let mut nodes = 0usize;
                     let mut fields = 1usize;
                     let mut callsites = 0usize;
@@ -397,6 +372,7 @@ impl Scenario {
                         b.fresh_call_site();
                     }
                     declared_nodes = nodes;
+                    declared_ids = Some((fields, callsites));
                     builder = Some(b);
                 }
                 "node" => {
@@ -429,7 +405,7 @@ impl Scenario {
                 "edge" => {
                     let src = NodeId::new(parse(next(&mut toks, &err)?, &err)?);
                     let dst = NodeId::new(parse(next(&mut toks, &err)?, &err)?);
-                    let kind = parse_kind(&mut toks, &err)?;
+                    let kind = parse_kind(&mut toks, declared_ids, &err)?;
                     edges.push((src, dst, kind));
                 }
                 "query" => {
@@ -439,7 +415,7 @@ impl Scenario {
                     let verb = next(&mut toks, &err)?;
                     let src = NodeId::new(parse(next(&mut toks, &err)?, &err)?);
                     let dst = NodeId::new(parse(next(&mut toks, &err)?, &err)?);
-                    let kind = parse_kind(&mut toks, &err)?;
+                    let kind = parse_kind(&mut toks, declared_ids, &err)?;
                     let edge = Edge { src, dst, kind };
                     deltas.push(match verb {
                         "add" => DeltaOp::AddEdge(edge),
@@ -452,6 +428,12 @@ impl Scenario {
         }
 
         let mut b = builder.ok_or("snapshot has no `counts` line")?;
+        if b.node_count() != declared_nodes {
+            return Err(format!(
+                "declared {declared_nodes} nodes but parsed {}",
+                b.node_count()
+            ));
+        }
         for (src, dst, kind) in edges {
             if src.index() >= declared_nodes || dst.index() >= declared_nodes {
                 return Err(format!("edge endpoint out of range ({src:?} -> {dst:?})"));
@@ -459,12 +441,6 @@ impl Scenario {
             b.add_edge(src, dst, kind);
         }
         let pag = b.freeze();
-        if pag.node_count() != declared_nodes {
-            return Err(format!(
-                "declared {declared_nodes} nodes but parsed {}",
-                pag.node_count()
-            ));
-        }
         for q in &queries {
             if q.index() >= declared_nodes {
                 return Err(format!("query {q:?} out of range"));
@@ -521,19 +497,30 @@ fn kind_token(kind: EdgeKind) -> String {
     }
 }
 
-/// Parses an edge-kind token (plus payload where the kind takes one).
+/// Parses an edge-kind token, plus the field or call site the kind takes:
+/// one below the `(fields, callsites)` the `counts` line declared.
 fn parse_kind<'t>(
     toks: &mut impl Iterator<Item = &'t str>,
+    declared: Option<(usize, usize)>,
     err: &impl Fn(String) -> String,
 ) -> Result<EdgeKind, String> {
-    Ok(match next(toks, err)? {
+    let (fields, sites) = declared.ok_or_else(|| err("edge before counts".into()))?;
+    let kind = next(toks, err)?;
+    let mut id = |what: &str, count: usize| -> Result<u32, String> {
+        let v: u32 = parse(next(toks, err)?, err)?;
+        if v as usize >= count {
+            return Err(err(format!("{what} {v} out of range ({count} declared)")));
+        }
+        Ok(v)
+    };
+    Ok(match kind {
         "new" => EdgeKind::New,
         "assign_l" => EdgeKind::AssignLocal,
         "assign_g" => EdgeKind::AssignGlobal,
-        "ld" => EdgeKind::Load(FieldId::new(parse(next(toks, err)?, err)?)),
-        "st" => EdgeKind::Store(FieldId::new(parse(next(toks, err)?, err)?)),
-        "param" => EdgeKind::Param(CallSiteId::new(parse(next(toks, err)?, err)?)),
-        "ret" => EdgeKind::Ret(CallSiteId::new(parse(next(toks, err)?, err)?)),
+        "ld" => EdgeKind::Load(FieldId::new(id("field", fields)?)),
+        "st" => EdgeKind::Store(FieldId::new(id("field", fields)?)),
+        "param" => EdgeKind::Param(CallSiteId::new(id("call site", sites)?)),
+        "ret" => EdgeKind::Ret(CallSiteId::new(id("call site", sites)?)),
         k => return Err(err(format!("unknown edge kind `{k}`"))),
     })
 }
@@ -609,79 +596,45 @@ mod tests {
     fn engine_and_state_keys_default_when_absent() {
         // Older snapshots carry no state/trace keys: they parse to the
         // default state backend and tracing off.
-        let sc = sample_scenario();
-        let text = sc.to_snapshot();
-        assert!(!text.contains("engine=") && !text.contains("packed="));
+        let text = sample_scenario().to_snapshot();
         let legacy = text.replace(" state=dense", "").replace(" trace=off", "");
         let back = Scenario::from_snapshot(&legacy).expect("legacy parse");
         assert_eq!(back.solver.state, SolverConfig::default().state);
-        assert_eq!(back.trace_level, TraceLevel::Off, "absent trace key is off");
-
-        // Snapshots from when there was a matrix engine carry `engine=`
-        // and `packed=`: present, validated, ignored — the scenario is
-        // the one the same file without them describes.
-        for engine in ["demand", "matrix", "auto"] {
-            let old = text.replace(" state=", &format!(" engine={engine} packed=0 state="));
-            let back = Scenario::from_snapshot(&old).expect("engine-era parse");
-            assert_eq!(back.to_snapshot(), text, "engine={engine}");
-        }
-        // Likewise `memo=` from when there was per-query memoisation —
-        // every corpus file that carries it says `memo=0`, and a scenario
-        // recorded with `memo=1` is the same scenario without the cache.
-        assert!(!text.contains("memo="));
-        for memo in [0, 1] {
-            let old = text.replace(" chaos=", &format!(" memo={memo} chaos="));
-            let back = Scenario::from_snapshot(&old).expect("memo-era parse");
-            assert_eq!(back.to_snapshot(), text, "memo={memo}");
-        }
-        for bad in [
-            "engine=gpu",
-            "engine=",
-            "packed=yes",
-            "packed=-1",
-            "memo=on",
-            "memo=",
-            "memo=-1",
-        ] {
-            let old = text.replace(" state=", &format!(" {bad} state="));
+        assert_eq!(back.trace_level, TraceLevel::Off);
+        // Keys of deleted features are not part of the format.
+        for bad in [" engine=demand", " packed=0", " memo=0", " trace=full"] {
+            let old = legacy.replace(" chaos=", &format!("{bad} chaos="));
             assert!(Scenario::from_snapshot(&old).is_err(), "{bad} is rejected");
         }
-        // Likewise `store cap=N` and `perturb … evict=N` from when the jmp
-        // store could evict: the scenario is the same one, unbounded.
-        assert!(!text.contains("store ") && !text.contains("evict="));
-        let old = text
-            .replace(" scramble=1", " scramble=1 evict=5")
-            .replace("\ncounts ", "\nstore cap=32\ncounts ");
-        assert!(old.contains("store cap=32\n") && old.contains(" evict=5"));
-        let back = Scenario::from_snapshot(&old).expect("eviction-era parse");
-        assert_eq!(back.to_snapshot(), text);
+        let capped = text.replace("\ncounts ", "\nstore cap=32\ncounts ");
+        assert!(Scenario::from_snapshot(&capped).is_err(), "store cap=");
+    }
+
+    /// A field or call site past what `counts` declares is an error naming
+    /// its line, on `edge` and `delta` lines alike: it used to reach the
+    /// graph's field index and panic.
+    #[test]
+    fn ids_past_the_declared_counts_are_rejected() {
+        let head =
+            "run delta=1\ncounts nodes=2 fields=1 callsites=1\nnode 0 local 1\nnode 1 local 1";
         for bad in [
-            text.replace("\ncounts ", "\nstore cap=x\ncounts "),
-            text.replace(" scramble=1", " scramble=1 evict="),
+            "edge 0 1 ld 7",
+            "edge 0 1 st 1",
+            "edge 0 1 param 1",
+            "delta add 0 1 ld 1",
+            "delta del 0 1 ret 1",
         ] {
-            assert!(Scenario::from_snapshot(&bad).is_err(), "{bad} is rejected");
+            let err = Scenario::from_snapshot(&format!("{head}\n{bad}")).expect_err(bad);
+            assert!(
+                err.starts_with("line 5: ") && err.contains("out of range"),
+                "{err}"
+            );
         }
-
-        let mut spans = sample_scenario();
-        spans.solver.state = StateBackend::Hash;
-        spans.trace_level = TraceLevel::Spans;
-        let text = spans.to_snapshot();
-        let back = Scenario::from_snapshot(&text).expect("parse");
-        assert_eq!(back.solver.state, StateBackend::Hash);
-        assert_eq!(
-            back.trace_level,
-            TraceLevel::Spans,
-            "trace=spans round-trips"
-        );
-        // `full` named the deleted hot-path level: it reads as `spans`.
-        let old = text.replace(" trace=spans", " trace=full");
-        let back = Scenario::from_snapshot(&old).expect("full-era parse");
-        assert_eq!(back.to_snapshot(), text);
-
-        assert!(
-            Scenario::from_snapshot("run trace=loud\ncounts nodes=0 fields=1 callsites=0").is_err(),
-            "unknown trace level is rejected"
-        );
+        let fine = format!("{head}\nedge 0 1 ld 0\nedge 1 0 param 0\ndelta add 0 1 ret 0");
+        assert!(Scenario::from_snapshot(&fine).is_ok());
+        let twice = format!("{head}\ncounts nodes=2 fields=1 callsites=1");
+        assert!(Scenario::from_snapshot(&twice).is_err(), "a second counts");
+        assert!(Scenario::from_snapshot("edge 0 1 new\ncounts nodes=2").is_err());
     }
 
     #[test]

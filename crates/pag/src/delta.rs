@@ -93,10 +93,10 @@ pub struct DeltaEffect {
     /// The revision of the resulting graph (unchanged when the delta was
     /// a no-op).
     pub revision: u64,
-    /// Edge ops that were not applied because an endpoint names no node
-    /// of the graph. They change nothing — not the edge set, the dirty
-    /// sets or the revision — but a caller that sent them should hear
-    /// about it.
+    /// Edge ops that were not applied because they name a node, a field
+    /// or a call site the graph does not have. They change nothing — not
+    /// the edge set, the dirty sets or the revision — but a caller that
+    /// sent them should hear about it.
     pub rejected_ops: u64,
 }
 
@@ -139,12 +139,12 @@ impl Pag {
     /// changes. The result is **bit-identical** to freezing the edited
     /// edge set from scratch (same CSR layout, same field indexes).
     ///
-    /// Ops referencing out-of-range nodes are not applied (callers that
-    /// fuzz edit scripts shrink node sets independently of the scripts);
-    /// [`DeltaEffect::rejected_ops`] counts them.
+    /// Ops naming an out-of-range node, field or call site are not
+    /// applied (callers that fuzz edit scripts shrink node sets
+    /// independently of the scripts); [`DeltaEffect::rejected_ops`]
+    /// counts them.
     pub fn apply_delta(&self, delta: &PagDelta) -> (Pag, DeltaEffect) {
         let old_rev = self.revision();
-        let n = self.node_count();
         let mut effect = DeltaEffect {
             revision: old_rev,
             ..DeltaEffect::default()
@@ -155,7 +155,7 @@ impl Pag {
         let mut named = NamedEdges::new();
         for op in &delta.ops {
             let e = op.edge();
-            if e.src.index() >= n || e.dst.index() >= n {
+            if !self.has_ids_of(&e) {
                 effect.rejected_ops += 1;
                 continue;
             }
@@ -176,6 +176,17 @@ impl Pag {
         effect.revision = old_rev + 1;
         let pag = self.edited(&effect.added_edges, &effect.removed_edges, effect.revision);
         (pag, effect)
+    }
+
+    /// Whether the graph has every id `e` names: both endpoints, and its
+    /// field or call site.
+    fn has_ids_of(&self, e: &Edge) -> bool {
+        let n = self.node_count();
+        let (fields, sites) = (self.types().field_count(), self.call_site_count());
+        e.src.index() < n
+            && e.dst.index() < n
+            && e.kind.field().is_none_or(|f| f.index() < fields)
+            && e.kind.call_site().is_none_or(|s| s.index() < sites)
     }
 
     /// `e`'s slot in the edges a delta names, opened as the graph has it.
@@ -489,6 +500,26 @@ mod tests {
             want,
             "added edges, dirty sets and revision ignore the rejected ops"
         );
+    }
+
+    /// A field or call site past the graph's tables is rejected like a
+    /// node past its node table; an added `ld` used to index past the
+    /// field table and panic.
+    #[test]
+    fn ops_naming_unknown_fields_or_call_sites_are_rejected() {
+        let pag = sample();
+        let (a, b) = (NodeId::new(3), NodeId::new(60));
+        let field = FieldId::from_usize(pag.types().field_count());
+        let site = CallSiteId::from_usize(pag.call_site_count());
+        let mut d = PagDelta::new();
+        d.add_edge(a, b, EdgeKind::Load(field))
+            .remove_edge(b, a, EdgeKind::Store(field))
+            .add_edge(a, b, EdgeKind::Param(site))
+            .add_edge(b, a, EdgeKind::Ret(site));
+        let (same, effect) = pag.apply_delta(&d);
+        assert!(effect.is_noop());
+        assert_eq!((effect.rejected_ops, effect.revision), (4, 0));
+        assert_eq!(same.edges(), pag.edges());
     }
 
     #[test]

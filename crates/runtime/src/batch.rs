@@ -23,13 +23,13 @@ use std::time::Instant;
 #[derive(Copy, Clone)]
 pub(crate) enum Clock {
     /// Wall time: spans are stamped in nanoseconds since the batch start,
-    /// latencies are nanoseconds, every query starts at the batch's base
-    /// virtual time, and its jmp lookups see every entry (real workers see
-    /// each other's publications at once).
+    /// every query starts at the batch's base virtual time, and its jmp
+    /// lookups see every entry (real workers see each other's
+    /// publications at once).
     Wall,
     /// The simulator's traversal-step clock: a lane's `now` advances by
-    /// fetch costs and traversed steps, and is what spans, latency
-    /// samples and jmp lookups see.
+    /// fetch costs and traversed steps, and is what spans and jmp lookups
+    /// see.
     Virtual,
 }
 
@@ -236,34 +236,29 @@ impl Lane<'_> {
         self.now
     }
 
-    /// Time since `(t0, v0)` on the lane's clock: nanoseconds or steps.
-    fn since(&self, t0: Instant, v0: u64) -> u64 {
+    /// A span stamp on the lane's clock: nanoseconds since the batch
+    /// start, or the virtual instant. Only a traced lane reads it.
+    fn stamp(&self) -> u64 {
         match self.clock {
-            Clock::Wall => t0.elapsed().as_nanos() as u64,
-            Clock::Virtual => self.now - v0,
+            Clock::Wall => self.start.elapsed().as_nanos() as u64,
+            Clock::Virtual => self.now,
         }
     }
 
     /// Accounts the time a fetch spent acquiring the work-list lock.
     pub(crate) fn note_lock_wait(&mut self, ns: u64) {
-        if ns > 0 {
-            self.obs.lock_wait_ns += ns;
-            self.stats.hists.lock_wait.record(ns);
-        }
+        self.obs.lock_wait_ns += ns;
     }
 
-    /// Answers one fetched group: fetch cost, the per-query body for each
-    /// member, group makespan sample. `fetch_steps` is the virtual price
-    /// of the fetch; wall-clock executors pass 0.
+    /// Answers one fetched group: fetch cost, then the per-query body for
+    /// each member. `fetch_steps` is the virtual price of the fetch;
+    /// wall-clock executors pass 0.
     pub(crate) fn run_group(&mut self, group: &[NodeId], fetch_steps: u64, answers: &mut Answers) {
         self.obs.local_pops += 1;
-        let (t0, v0) = (Instant::now(), self.now);
         self.now += fetch_steps;
         for &q in group {
             self.answer(q, group, answers);
         }
-        let makespan = self.since(t0, v0);
-        self.stats.hists.group_makespan.record(makespan);
     }
 
     /// The per-query body. A panic inside the query is re-raised with the
@@ -271,7 +266,7 @@ impl Lane<'_> {
     /// thread is diagnosable from the message alone instead of surfacing
     /// as an opaque `std::thread::scope` abort.
     fn answer(&mut self, q: NodeId, group: &[NodeId], answers: &mut Answers) {
-        let (t0, v0) = (Instant::now(), self.now);
+        let start = self.spans.is_some().then(|| self.stamp());
         let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
             self.solver.points_to_query(q, self.now)
         }))
@@ -285,19 +280,14 @@ impl Lane<'_> {
         if let Clock::Virtual = self.clock {
             self.now += out.stats.traversed_steps;
         }
-        let latency = self.since(t0, v0);
-        self.stats.hists.query_latency.record(latency);
-        if let Some(spans) = &mut self.spans {
-            let start = match self.clock {
-                Clock::Wall => t0.duration_since(self.start).as_nanos() as u64,
-                Clock::Virtual => v0,
-            };
-            spans.push(QuerySpan {
+        if let Some(start) = start {
+            let span = QuerySpan {
                 query: q,
                 start,
-                end: start + latency,
+                end: self.stamp(),
                 complete: matches!(out.answer, Answer::Complete(_)),
-            });
+            };
+            self.spans.as_mut().expect("a traced lane").push(span);
         }
         self.obs.queries += 1;
         self.obs.steps += out.stats.traversed_steps;

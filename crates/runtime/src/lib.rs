@@ -11,11 +11,10 @@
 //! calling thread, [`sim`] on a virtual clock, [`threaded`] on OS threads
 //! popping the paper's shared work list.
 //!
-//! Every batch fills latency histograms ([`RunStats::hists`]). With
-//! [`RunConfig::tracing`] above [`TraceLevel::Off`] it also hands back a
-//! [`RunTrace`]: one [`QuerySpan`] per query, on the worker that ran it.
-//! A session renders its counters and histograms as Prometheus text
-//! ([`PromText`], [`AnalysisSession::metrics_snapshot`]). DESIGN.md §9.
+//! A run reports its [`RunStats`] counters and one [`WorkerObs`] record
+//! per worker. With [`RunConfig::tracing`] above [`TraceLevel::Off`] it
+//! also hands back a [`RunTrace`]: one [`QuerySpan`] per query, on the
+//! worker that ran it. DESIGN.md §9.
 //!
 //! One-shot entry points ([`run`], [`run_seq`]) build a fresh jmp store
 //! per call. Clients answering *several* batches over one PAG should hold
@@ -40,9 +39,7 @@
 #![warn(missing_docs)]
 
 mod batch;
-mod hist;
 mod mode;
-mod prometheus;
 mod seq;
 pub mod session;
 pub mod sim;
@@ -50,10 +47,8 @@ mod stats;
 pub mod threaded;
 mod trace;
 
-pub use hist::{LogHistogram, ObsHists};
 pub use mode::{Backend, Engine, Mode, RunConfig};
 pub use parcfl_concurrent::WorkerObs;
-pub use prometheus::PromText;
 pub use seq::run_seq;
 pub use session::{AnalysisSession, DeltaReport};
 pub use sim::{run_simulated, run_simulated_batch};
@@ -132,7 +127,7 @@ mod tests {
         assert!(TraceLevel::Spans.enabled());
         assert!(TraceLevel::Full.enabled());
         assert_eq!(TraceLevel::parse("spans"), Some(TraceLevel::Spans));
-        assert_eq!(TraceLevel::parse("full"), Some(TraceLevel::Spans));
+        assert_eq!(TraceLevel::parse("full"), None);
         assert_eq!(TraceLevel::parse("bogus"), None);
         assert_eq!(TraceLevel::default(), TraceLevel::Off);
     }

@@ -27,9 +27,8 @@
 
 use crate::batch::{Answers, Batch, Clock};
 use crate::mode::{Backend, Mode, RunConfig};
-use crate::prometheus::PromText;
 use crate::sim::run_simulated_batch;
-use crate::stats::{MergeClass, RunResult, RunStats};
+use crate::stats::{RunResult, RunStats};
 use crate::threaded::run_threaded_batch;
 use crate::trace::TraceLevel;
 use parcfl_concurrent::FxHashMap;
@@ -59,9 +58,10 @@ pub struct DeltaReport {
     pub invalidated_answers: u64,
     /// Kept answers that stay valid on the edited graph.
     pub retained_answers: u64,
-    /// Edge ops of the delta that were not applied because an endpoint
-    /// names no node ([`parcfl_pag::DeltaEffect::rejected_ops`]). The
-    /// other ops took effect; these changed nothing.
+    /// Edge ops of the delta that were not applied because they name a
+    /// node, field or call site the graph does not have
+    /// ([`parcfl_pag::DeltaEffect::rejected_ops`]). The other ops took
+    /// effect; these changed nothing.
     pub rejected_ops: u64,
 }
 
@@ -157,7 +157,7 @@ impl<'p> AnalysisSession<'p> {
     /// over every earlier batch's jmp edges (a batch with nothing left to
     /// run builds no schedule and starts no worker). Returns that batch's
     /// own result — `queries` / `completed` cover the whole batch, the
-    /// work counters and histograms the queries that ran; the session's
+    /// work counters the queries that ran; the session's
     /// running totals move to [`Self::cumulative`]. A [`Mode::Naive`] batch
     /// runs beside the warm state, not through it: it reads nothing kept
     /// or warm, leaves nothing behind, and reports no store residency.
@@ -244,43 +244,6 @@ impl<'p> AnalysisSession<'p> {
         result.answers = kept;
         self.cumulative.merge(&result.stats);
         result
-    }
-
-    /// Renders the session's operational metrics in Prometheus text
-    /// exposition format: every [`RunStats::SCHEMA`] row of
-    /// [`Self::cumulative`] (`parcfl_<field>_total` counters for `Sum`
-    /// rows, `parcfl_<field>` gauges otherwise), the cumulative
-    /// query-latency histogram and per-worker work-list pops. The store's residency is its live reading, not the one as of
-    /// the last batch's end.
-    pub fn metrics_snapshot(&self) -> String {
-        let shown = RunStats {
-            store_entries: self.store.entry_count(),
-            ..self.cumulative.clone()
-        };
-        let mut p = PromText::new();
-        for (m, value) in shown.scalars() {
-            match m.class {
-                MergeClass::Sum => p.counter(&m.prom_name(), m.help, value),
-                MergeClass::Max | MergeClass::Latest => p.gauge(&m.prom_name(), m.help, value),
-            };
-        }
-        p.histogram(
-            "parcfl_query_latency",
-            "Per-query latency (ns real / steps simulated).",
-            &self.cumulative.hists.query_latency,
-        );
-        let pops: Vec<(String, u64)> = self
-            .cumulative
-            .workers
-            .iter()
-            .map(|w| (format!("worker=\"{}\"", w.worker), w.local_pops))
-            .collect();
-        p.labeled_counter(
-            "parcfl_worker_local_pops_total",
-            "Work-list pops per worker.",
-            &pops,
-        );
-        p.finish()
     }
 
     /// Running totals over every batch submitted so far. Counters are
@@ -764,49 +727,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn metrics_snapshot_renders_prometheus_text() {
-        let pag = build_pag(SRC).unwrap().pag;
-        let queries = pag.application_locals();
-        let mut s = AnalysisSession::new(&pag).with_solver(solver());
-        s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
-        s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
-        let text = s.metrics_snapshot();
-        assert!(text.contains("parcfl_batches_total 2\n"), "{text}");
-        assert!(
-            text.contains(&format!("parcfl_queries_total {}\n", queries.len() * 2)),
-            "{text}"
-        );
-        assert!(
-            text.contains("# TYPE parcfl_query_latency histogram"),
-            "{text}"
-        );
-        assert!(
-            text.contains("parcfl_query_latency_bucket{le=\"+Inf\"}"),
-            "{text}"
-        );
-        assert!(
-            text.contains(&format!(
-                "parcfl_retained_answers_total {}\n",
-                queries.len()
-            )),
-            "{text}"
-        );
-        assert!(text.contains("parcfl_jmp_inserts_total"), "{text}");
-        assert!(
-            text.contains("parcfl_worker_local_pops_total{worker=\"0\"}"),
-            "{text}"
-        );
-        assert!(text.contains("# HELP parcfl_peak_state_words"), "{text}");
-        // Every exposition line is a comment or `name[{labels}] value`.
-        for line in text.lines() {
-            assert!(
-                line.starts_with('#') || line.rsplit_once(' ').is_some(),
-                "malformed line: {line}"
-            );
-        }
-    }
-
     /// The `y{i} = x{i}` local assignment of chain `i` (looked up as an
     /// actual frozen edge, so removing it is guaranteed effective).
     fn chain_assign_edge(pag: &Pag, i: usize) -> Edge {
@@ -925,19 +845,5 @@ mod tests {
         let warm = s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
         let cold = run_seq(s.pag(), &queries, &SolverConfig::default());
         assert_eq!(warm.sorted_answers(), cold.sorted_answers());
-    }
-
-    #[test]
-    fn untraced_sessions_record_no_events_but_full_histograms() {
-        let pag = build_pag(SRC).unwrap().pag;
-        let queries = pag.application_locals();
-        let mut s = AnalysisSession::new(&pag).with_solver(solver());
-        let r = s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
-        assert!(r.trace.is_none());
-        // Latency histograms are unconditional: metrics work without tracing.
-        assert_eq!(
-            s.cumulative().hists.query_latency.count(),
-            queries.len() as u64
-        );
     }
 }

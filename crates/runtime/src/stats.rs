@@ -1,9 +1,8 @@
 //! Aggregate run statistics — the raw material of Table I, Fig. 6 and
 //! Fig. 8 — declared once: the `run_stats!` table below is the only place
-//! a scalar metric is named. The struct, [`RunStats::merge`], the session's
-//! Prometheus page and `BENCH_solver.json` all read it (DESIGN.md §9).
+//! a scalar metric is named. The struct, [`RunStats::merge`] and
+//! `BENCH_solver.json` all read it (DESIGN.md §9).
 
-use crate::hist::ObsHists;
 use crate::trace::RunTrace;
 use parcfl_concurrent::WorkerObs;
 use parcfl_core::{Answer, QueryStats};
@@ -47,8 +46,6 @@ pub struct Metric {
     pub class: MergeClass,
     /// What it counts.
     pub unit: Unit,
-    /// One-line description (Prometheus `# HELP`).
-    pub help: &'static str,
 }
 
 impl Metric {
@@ -57,15 +54,6 @@ impl Metric {
     /// synthesis and virtual time.
     pub fn is_deterministic(&self) -> bool {
         self.unit != Unit::Seconds
-    }
-
-    /// The Prometheus series name: `parcfl_<field>_total` for counters,
-    /// `parcfl_<field>` for the `max` / `latest` gauges.
-    pub fn prom_name(&self) -> String {
-        match self.class {
-            MergeClass::Sum => format!("parcfl_{}_total", self.name),
-            MergeClass::Max | MergeClass::Latest => format!("parcfl_{}", self.name),
-        }
     }
 }
 
@@ -110,14 +98,14 @@ impl From<Duration> for Value {
 }
 
 /// Declares the scalar metrics of a run: one row per metric —
-/// `field: type, merge class, unit, "help";` under its doc comment — and
-/// expands to the [`RunStats`] struct (the `structured` fields appended
-/// verbatim), [`RunStats::SCHEMA`], [`RunStats::scalars`] and the scalar
+/// `field: type, merge class, unit;` under the doc comment that describes
+/// it — and expands to the [`RunStats`] struct (the `structured` fields
+/// appended verbatim), [`RunStats::SCHEMA`], [`RunStats::scalars`] and the scalar
 /// half of [`RunStats::merge`]. A row cannot be declared without a class.
 macro_rules! run_stats {
     (
         scalars { $(
-            $(#[$doc:meta])* $field:ident: $ty:ident, $class:ident, $unit:ident, $help:literal;
+            $(#[$doc:meta])* $field:ident: $ty:ident, $class:ident, $unit:ident;
         )* }
         structured { $($rest:tt)* }
     ) => {
@@ -134,7 +122,6 @@ macro_rules! run_stats {
                 name: stringify!($field),
                 class: MergeClass::$class,
                 unit: Unit::$unit,
-                help: $help,
             }, )* ];
 
             /// This run's reading of every [`Self::SCHEMA`] row.
@@ -168,81 +155,79 @@ macro_rules! run_stats {
 run_stats! {
     scalars {
         /// Queries issued.
-        queries: usize, Sum, Count, "Queries issued.";
+        queries: usize, Sum, Count;
         /// Queries answered within budget.
-        completed: usize, Sum, Count, "Queries answered within budget.";
+        completed: usize, Sum, Count;
         /// Queries that ran out of budget.
-        out_of_budget: usize, Sum, Count, "Queries that ran out of budget.";
+        out_of_budget: usize, Sum, Count;
         /// Early terminations (`#ETs`): out-of-budget verdicts reached through
         /// an unfinished jmp edge.
-        early_terminations: usize, Sum, Count,
-            "Out-of-budget verdicts reached through an unfinished jmp edge (#ETs).";
+        early_terminations: usize, Sum, Count;
         /// Total steps charged against budgets.
-        charged_steps: u64, Sum, Steps, "Steps charged against budgets.";
+        charged_steps: u64, Sum, Steps;
         /// Total steps actually traversed — `#S` when sharing is off; the
         /// real-work measure wall-clock scales with.
-        traversed_steps: u64, Sum, Steps, "Steps actually traversed (#S).";
+        traversed_steps: u64, Sum, Steps;
         /// Total steps saved by finished shortcuts.
-        steps_saved: u64, Sum, Steps, "Steps saved by finished shortcuts.";
+        steps_saved: u64, Sum, Steps;
         /// Finished shortcuts taken.
-        shortcuts_taken: u64, Sum, Count, "Finished shortcuts taken.";
+        shortcuts_taken: u64, Sum, Count;
         /// Jmp-store hits served by entries published *before* this batch's
         /// warm floor — cross-batch reuse inside an
         /// [`crate::AnalysisSession`]. 0 for one-shot runs.
-        warm_hits: u64, Sum, Count, "Jmp hits on entries published by an earlier batch.";
+        warm_hits: u64, Sum, Count;
         /// Jmp lookups that found a visible entry (finished or unfinished),
         /// whether the lane's copy of the entry or the shared store served
         /// it.
-        lookup_hits: u64, Sum, Count, "Jmp lookups answered by a visible entry.";
+        lookup_hits: u64, Sum, Count;
         /// Entries resident in the jmp store at the end of the run.
-        store_entries: usize, Latest, Count, "Jmp entries resident.";
+        store_entries: usize, Latest, Count;
         /// Batches folded into this accumulator (1 for a single run; the
         /// session's cumulative stats count every submitted batch).
-        batches: usize, Sum, Count, "Batches submitted.";
+        batches: usize, Sum, Count;
         /// jmp edges in the store at the end (`#Jumps`).
-        jmp_edges: usize, Latest, Count, "Jmp edges in the store (#Jumps).";
+        jmp_edges: usize, Latest, Count;
         /// Approximate bytes held by the jmp store.
-        jmp_bytes: usize, Latest, Bytes, "Approximate bytes held by the jmp store.";
+        jmp_bytes: usize, Latest, Bytes;
         /// Allocation-volume proxy summed over queries (Section IV-D5).
-        mem_items: u64, Sum, Count, "Allocation-volume proxy summed over queries.";
+        mem_items: u64, Sum, Count;
         /// Largest single-query `mem_items` seen — the peak-resident proxy
         /// recorded in `BENCH_solver.json`. Includes the physical
         /// visited-state words (see `peak_state_words`), so dense-bitset and
         /// hash state backends are compared honestly.
-        peak_mem_items: u64, Max, Count, "Largest single-query allocation-volume proxy.";
+        peak_mem_items: u64, Max, Count;
         /// Largest single-query [`QueryStats::state_words`] seen: peak
         /// physical `u64` words held by visited-state tables (exact under the
         /// dense backend, a per-entry estimate under hash — DESIGN.md §11).
-        peak_state_words: u64, Max, Words,
-            "Peak u64 words held by any single query's visited-state tables.";
+        peak_state_words: u64, Max, Words;
         /// Contexts interned at the end of the run (the empty context
         /// included): in the jmp store's interner when the run shares one,
         /// otherwise summed over the lanes' own.
-        interner_ctxs: usize, Latest, Count, "Contexts resident in the run's interner.";
+        interner_ctxs: usize, Latest, Count;
         /// Virtual-time makespan (simulated backend) — the parallel "runtime".
-        makespan: u64, Sum, Steps, "Virtual-time makespan, summed over batches.";
+        makespan: u64, Sum, Steps;
         /// Wall-clock duration of the run.
-        wall: Duration, Sum, Seconds, "Wall-clock duration, summed over batches.";
+        wall: Duration, Sum, Seconds;
         /// Average group size of the schedule (`S_g`; 1.0 when unscheduled).
-        avg_group_size: f64, Latest, Count, "Average group size of the last schedule (S_g).";
+        avg_group_size: f64, Latest, Count;
         /// jmp edges published during this run by the publications that won
         /// their race, each entry counted as its
         /// [`JmpEntry::edges`](parcfl_core::JmpEntry::edges).
-        jmp_inserts: u64, Sum, Count, "Jmp edges published (finished + unfinished).";
+        jmp_inserts: u64, Sum, Count;
         /// Jmp entries dropped by selective invalidation across every
         /// [`crate::AnalysisSession::apply_delta`] folded in. A **counter**
         /// (sums across batches/deltas), not a gauge: each invalidation is a
         /// distinct event, unlike `store_entries`' residency snapshots.
-        invalidated_jmps: u64, Sum, Count, "Jmp entries dropped by selective invalidation.";
+        invalidated_jmps: u64, Sum, Count;
         /// Jmp entries that *survived* selective invalidation, summed over
         /// deltas — the reuse the footprints bought. Also a counter: an entry
         /// surviving two deltas is two retention events.
-        retained_warm: u64, Sum, Count, "Jmp entries that survived a selective invalidation.";
+        retained_warm: u64, Sum, Count;
         /// Queries answered from the complete answer an
         /// [`crate::AnalysisSession`] kept from an earlier batch, with no
         /// traversal (they count in `queries` and `completed` like any
         /// other). 0 for one-shot runs.
-        retained_answers: u64, Sum, Count, "Queries answered from a kept answer, untraversed.";
+        retained_answers: u64, Sum, Count;
     }
     structured {
         /// Per-worker dispatch observability: one record per worker, filled
@@ -250,10 +235,6 @@ run_stats! {
         /// one worker; only the threaded backend has lock wait to report).
         /// Session merges sum the records per worker slot across batches.
         pub workers: Vec<WorkerObs>,
-        /// Latency histograms (query latency, lock wait, group makespan),
-        /// merged slot-wise across workers and batches. Units are nanoseconds
-        /// under real execution, traversal steps under the simulator.
-        pub hists: ObsHists,
         /// Source-compatibility shims for the frozen `benchmark/` crate: the
         /// matrix engine's sweep counters (DESIGN.md §11). Nothing writes or
         /// merges them; they read 0.
@@ -300,11 +281,9 @@ impl RunStats {
     /// non-zero-only rule let a drained store keep reporting a stale
     /// count). Per-thread partials within a run carry `batches == 0` and
     /// no gauge observations, so intra-run merging leaves gauges alone.
-    /// Histograms merge; per-worker records sum slot-wise, growing the
-    /// vector as needed.
+    /// Per-worker records sum slot-wise, growing the vector as needed.
     pub fn merge(&mut self, other: &RunStats) {
         self.merge_scalars(other);
-        self.hists.merge(&other.hists);
         for (i, w) in other.workers.iter().enumerate() {
             if self.workers.len() <= i {
                 self.workers.push(WorkerObs::new(i));
@@ -418,13 +397,6 @@ mod tests {
         // The session's cumulative accounting: merging batch stats must
         // leave every counter equal to the sum over batches, and every
         // snapshot field equal to the last batch's observation.
-        let hist_of = |vals: &[u64]| {
-            let mut h = ObsHists::default();
-            for &v in vals {
-                h.query_latency.record(v);
-            }
-            h
-        };
         let batches = [
             RunStats {
                 queries: 3,
@@ -451,7 +423,6 @@ mod tests {
                 jmp_inserts: 3,
                 invalidated_jmps: 2,
                 retained_warm: 4,
-                hists: hist_of(&[10, 20]),
                 ..RunStats::default()
             },
             RunStats {
@@ -479,7 +450,6 @@ mod tests {
                 jmp_inserts: 2,
                 invalidated_jmps: 5,
                 retained_warm: 6,
-                hists: hist_of(&[30]),
                 ..RunStats::default()
             },
         ];
@@ -499,7 +469,6 @@ mod tests {
         assert_eq!(cum.jmp_inserts, 5);
         assert_eq!(cum.invalidated_jmps, 7, "invalidation counters sum");
         assert_eq!(cum.retained_warm, 10);
-        assert_eq!(cum.hists, hist_of(&[10, 20, 30]), "histograms merge");
         assert_eq!(cum.mem_items, 16);
         assert_eq!(cum.peak_mem_items, 8, "peak takes the max across batches");
         assert_eq!(cum.peak_state_words, 6, "state-word peak takes the max");
@@ -515,12 +484,11 @@ mod tests {
     }
 
     /// For every [`RunStats::SCHEMA`] row: merging finished batches folds
-    /// it by its declared class, and the session's Prometheus page carries
-    /// it under the matching `# TYPE`. (That the declared classes are the
-    /// right ones is `merge_counters_equal_sums_across_batches`' job; a
-    /// row cannot be declared without one.)
+    /// it by its declared class. (That the declared classes are the right
+    /// ones is `merge_counters_equal_sums_across_batches`' job; a row
+    /// cannot be declared without one.)
     #[test]
-    fn every_schema_row_merges_by_its_class_and_is_exported() {
+    fn every_schema_row_merges_by_its_class() {
         let read = |s: &RunStats| -> Vec<f64> {
             s.scalars()
                 .map(|(_, v)| match v {
@@ -544,19 +512,6 @@ mod tests {
         let mut partial = cum.clone();
         partial.merge(&RunStats::default());
 
-        let pag = parcfl_frontend::build_pag(
-            "class Obj { } class A { method m() { var x: Obj; x = new Obj; } }",
-        )
-        .unwrap()
-        .pag;
-        let mut session = crate::AnalysisSession::new(&pag);
-        session.submit(
-            &pag.application_locals(),
-            crate::Mode::DataSharing,
-            crate::Backend::Threaded,
-        );
-        let page = session.metrics_snapshot();
-
         let (a, b, zero) = (read(&a), read(&b), read(&zero));
         let (cum, drained, partial) = (read(&cum), read(&drained), read(&partial));
         assert_eq!(cum.len(), RunStats::SCHEMA.len());
@@ -566,22 +521,15 @@ mod tests {
                 "{}: distinct samples",
                 m.name
             );
-            let (want, want_drained, kind) = match m.class {
-                MergeClass::Sum => (a[i] + b[i], a[i] + b[i] + zero[i], "counter"),
-                MergeClass::Max => (a[i], a[i], "gauge"),
+            let (want, want_drained) = match m.class {
+                MergeClass::Sum => (a[i] + b[i], a[i] + b[i] + zero[i]),
+                MergeClass::Max => (a[i], a[i]),
                 // Latest-wins includes a zero observation.
-                MergeClass::Latest => (b[i], zero[i], "gauge"),
+                MergeClass::Latest => (b[i], zero[i]),
             };
             assert_eq!(cum[i], want, "{} merges as {:?}", m.name, m.class);
             assert_eq!(drained[i], want_drained, "{} after a drained batch", m.name);
             assert_eq!(partial[i], cum[i], "{}: a partial never clobbers", m.name);
-            let series = m.prom_name();
-            assert_eq!(series.ends_with("_total"), kind == "counter", "{series}");
-            assert!(
-                page.contains(&format!("# TYPE {series} {kind}\n")),
-                "{page}"
-            );
-            assert!(page.contains(&format!("\n{series} ")), "{series}: {page}");
         }
     }
 

@@ -27,12 +27,11 @@ impl TraceLevel {
         !matches!(self, TraceLevel::Off)
     }
 
-    /// Parses a flag spelling: `off` or `spans`. `full`, the spelling of
-    /// the deleted hot-path level, reads as `spans`.
+    /// Parses a flag spelling: `off` or `spans`.
     pub fn parse(s: &str) -> Option<TraceLevel> {
         match s {
             "off" => Some(TraceLevel::Off),
-            "spans" | "full" => Some(TraceLevel::Spans),
+            "spans" => Some(TraceLevel::Spans),
             _ => None,
         }
     }
@@ -42,7 +41,7 @@ impl TraceLevel {
 ///
 /// `start` and `end` are on the lane's clock: nanoseconds since the batch
 /// start on real threads, virtual steps on the simulator. `end - start` is
-/// the query's sample in `RunStats::hists.query_latency`.
+/// the query's latency.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct QuerySpan {
     /// The query variable.

@@ -76,6 +76,22 @@ fn threaded_bench_reports_wall_speedup() {
     assert!(stdout.contains("work ratio"), "{stdout}");
 }
 
+/// A snapshot naming a field its `counts` line does not declare is a
+/// malformed input: `check --replay` names the line and exits 1. It used
+/// to panic building the graph and exit 101.
+#[test]
+fn replaying_a_snapshot_with_an_undeclared_field_exits_1() {
+    let path = format!("{}/undeclared_field.snap", env!("CARGO_TARGET_TMPDIR"));
+    let snap = "run mode=d backend=sim\ncounts nodes=2 fields=1 callsites=0\n\
+                node 0 local 1\nnode 1 local 1\nedge 0 1 ld 7\nquery 1\n";
+    std::fs::write(&path, snap).expect("write the snapshot");
+    let out = parcfl(&["check", "--replay", &path]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("line 5: field 7 out of range"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 /// Each `--flag` of the usage text, under the subcommand whose entry
 /// mentions it, gets past flag validation. Every flag is followed by a
 /// `1` (a value if it takes one, a stray operand if not) and the operands

@@ -3,8 +3,8 @@
 //! [`TraceLevel::Spans`] must leave answers and the charged/traversed step
 //! accounting bit-identical to [`TraceLevel::Off`] on every backend — the
 //! spans may watch the solver, never steer it. What a trace records is one
-//! span per query, on the worker that ran it, and each span's length is
-//! that query's latency sample.
+//! span per query, on the worker that ran it; a worker's spans run forward
+//! and do not overlap.
 //!
 //! Determinism caveat: the sequential and simulated backends are fully
 //! deterministic, so *all* counters must match exactly. Real threads with
@@ -12,12 +12,11 @@
 //! step counts between runs), so the threaded legs pin one worker for the
 //! exact-count comparison and check answers only at higher counts.
 
+use parcfl::pag::NodeId;
 use parcfl::runtime::{
-    run_simulated, run_threaded, AnalysisSession, Backend, LogHistogram, Mode, RunConfig, RunTrace,
-    TraceLevel,
+    run_simulated, run_threaded, AnalysisSession, Backend, Mode, RunConfig, RunTrace, TraceLevel,
 };
 use parcfl::synth::{build_bench, Profile};
-use proptest::collection::vec;
 use proptest::prelude::*;
 
 /// Case count: `PROPTEST_CASES` when set (the CI stress job raises it),
@@ -94,8 +93,7 @@ proptest! {
     /// What a trace reader relies on, on the deterministic backend: each
     /// worker's spans are the queries it ran, one each, in run order and
     /// not overlapping, and their lengths add up to the steps it traversed;
-    /// the span lengths are the run's latency samples; and the hidden
-    /// `Full` level records exactly the spans `Spans` does.
+    /// and the hidden `Full` level records exactly the spans `Spans` does.
     #[test]
     fn simulated_spans_agree_with_worker_counters(seed in 0u64..1_000) {
         let b = bench_for(seed);
@@ -114,25 +112,16 @@ proptest! {
             prop_assert_eq!(w.worker, obs.worker);
             prop_assert_eq!(w.dropped, 0);
             prop_assert_eq!(w.events.len() as u64, obs.queries, "worker {}", w.worker);
-            for pair in w.events.windows(2) {
-                prop_assert!(pair[0].end <= pair[1].start, "worker {}: {:?}", w.worker, pair);
-            }
             let busy: u64 = w.events.iter().map(|s| s.end - s.start).sum();
             prop_assert_eq!(busy, obs.steps, "worker {}", w.worker);
         }
-        let mut ran: Vec<_> = st.workers.iter().flat_map(|w| &w.events).map(|s| s.query).collect();
-        let mut asked = b.queries.clone();
-        ran.sort_unstable();
-        asked.sort_unstable();
-        prop_assert_eq!(ran, asked, "every query ran once");
-        prop_assert_eq!(latency_hist(&st), spans.stats.hists.query_latency);
+        spans_are_well_formed(&st, &b.queries)?;
     }
 
     /// Threaded backend: with one worker the run is deterministic, so
     /// Spans must match Off's step counts exactly; with four workers
     /// answers must still match and the trace must carry one track per
-    /// worker. At both counts the span lengths are the run's latency
-    /// samples.
+    /// worker. At both counts the wall-clock spans are well formed.
     #[test]
     fn threaded_tracing_is_observation_only(seed in 0u64..1_000) {
         let b = bench_for(seed);
@@ -147,7 +136,7 @@ proptest! {
         prop_assert_eq!(spans.stats.charged_steps, off.stats.charged_steps);
         let trace = spans.trace.expect("Spans yields a trace");
         prop_assert_eq!(span_count(&trace), spans.stats.queries);
-        prop_assert_eq!(latency_hist(&trace), spans.stats.hists.query_latency);
+        spans_are_well_formed(&trace, &b.queries)?;
 
         let cfg4 = RunConfig::new(Mode::DataSharingSched, 4, Backend::Threaded)
             .with_solver(b.solver.clone())
@@ -157,7 +146,7 @@ proptest! {
         let trace = r4.trace.expect("Spans yields a trace");
         prop_assert_eq!(trace.workers.len(), 4);
         prop_assert_eq!(span_count(&trace), r4.stats.queries);
-        prop_assert_eq!(latency_hist(&trace), r4.stats.hists.query_latency);
+        spans_are_well_formed(&trace, &b.queries)?;
     }
 }
 
@@ -166,81 +155,32 @@ fn span_count(trace: &RunTrace) -> usize {
     trace.workers.iter().map(|w| w.events.len()).sum()
 }
 
-/// Every span's length, recorded into one histogram.
-fn latency_hist(trace: &RunTrace) -> LogHistogram {
-    let spans = trace.workers.iter().flat_map(|w| &w.events);
-    hist_of(&spans.map(|s| s.end - s.start).collect::<Vec<_>>())
-}
-
-/// Records every value of `values` into a fresh histogram.
-fn hist_of(values: &[u64]) -> LogHistogram {
-    let mut h = LogHistogram::new();
-    for &v in values {
-        h.record(v);
+/// What a trace reader relies on from every backend: each worker's spans
+/// run forward (`start <= end`) and in order without overlapping
+/// (`end_i <= start_{i+1}`), and every query asked is in exactly one span.
+fn spans_are_well_formed(trace: &RunTrace, queries: &[NodeId]) -> Result<(), TestCaseError> {
+    for w in &trace.workers {
+        for s in &w.events {
+            prop_assert!(s.start <= s.end, "worker {}: {:?}", w.worker, s);
+        }
+        for pair in w.events.windows(2) {
+            prop_assert!(
+                pair[0].end <= pair[1].start,
+                "worker {}: {:?}",
+                w.worker,
+                pair
+            );
+        }
     }
-    h
-}
-
-// The per-worker latency partials are folded into `RunStats` in whatever
-// order workers finish, so [`LogHistogram::merge`] must be a commutative
-// monoid and must agree with having recorded everything into one
-// histogram. Values stay below 2^40 so `sum` cannot saturate in a test.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases().max(32)))]
-
-    /// Merge is commutative and associative, preserves `count` and
-    /// `sum` exactly, and has the empty histogram as identity.
-    #[test]
-    fn log_histogram_merge_is_a_commutative_monoid(
-        a in vec(0u64..1 << 40, 0..64),
-        b in vec(0u64..1 << 40, 0..64),
-        c in vec(0u64..1 << 40, 0..64),
-    ) {
-        let (ha, hb, hc) = (hist_of(&a), hist_of(&b), hist_of(&c));
-        let mut ab = ha.clone();
-        ab.merge(&hb);
-        let mut ba = hb.clone();
-        ba.merge(&ha);
-        prop_assert_eq!(&ab, &ba, "merge must commute");
-
-        let mut ab_c = ab.clone();
-        ab_c.merge(&hc);
-        let mut bc = hb.clone();
-        bc.merge(&hc);
-        let mut a_bc = ha;
-        a_bc.merge(&bc);
-        prop_assert_eq!(&ab_c, &a_bc, "merge must associate");
-
-        prop_assert_eq!(ab_c.count(), (a.len() + b.len() + c.len()) as u64);
-        prop_assert_eq!(ab_c.sum(), a.iter().chain(&b).chain(&c).sum::<u64>());
-
-        let mut with_empty = ab_c.clone();
-        with_empty.merge(&LogHistogram::new());
-        prop_assert_eq!(with_empty, ab_c, "empty histogram must be the identity");
-    }
-
-    /// Merging partials equals recording the concatenation, and the
-    /// reported quantiles of the merged histogram stay ordered.
-    #[test]
-    fn log_histogram_merge_matches_concatenation(
-        a in vec(0u64..1 << 40, 0..64),
-        b in vec(0u64..1 << 40, 1..64),
-    ) {
-        let mut merged = hist_of(&a);
-        merged.merge(&hist_of(&b));
-        let concat: Vec<u64> = a.iter().chain(&b).copied().collect();
-        prop_assert_eq!(&merged, &hist_of(&concat));
-
-        let p50 = merged.percentile(0.50);
-        let p90 = merged.percentile(0.90);
-        let p99 = merged.percentile(0.99);
-        prop_assert!(
-            p50 <= p90 && p90 <= p99,
-            "percentiles out of order: p50 {p50} p90 {p90} p99 {p99}"
-        );
-        // Each reported quantile is a bucket upper bound, so it must sit
-        // strictly above the smallest recorded value.
-        let min = *concat.iter().min().unwrap();
-        prop_assert!(p50 > min, "p50 {p50} not above min {min}");
-    }
+    let mut ran: Vec<_> = trace
+        .workers
+        .iter()
+        .flat_map(|w| &w.events)
+        .map(|s| s.query)
+        .collect();
+    let mut asked = queries.to_vec();
+    ran.sort_unstable();
+    asked.sort_unstable();
+    prop_assert_eq!(ran, asked, "every query ran once");
+    Ok(())
 }
