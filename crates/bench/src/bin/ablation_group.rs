@@ -6,7 +6,9 @@
 //! and per-group dispatch only pays when fetches are expensive.
 
 use parcfl_bench::{average, cfg_for, speedup};
-use parcfl_runtime::{run_seq, run_simulated, Mode};
+use parcfl_core::SharedJmpStore;
+use parcfl_runtime::sim::{run_simulated_hooked, Fifo};
+use parcfl_runtime::{run_seq, schedule_with_cap, Mode};
 
 const CAPS: [usize; 4] = [1, 4, 16, 64];
 const FETCH_COSTS: [u64; 2] = [1, 50];
@@ -24,10 +26,10 @@ fn main() {
         for b in &suite {
             let seq = run_seq(&b.pag, &b.queries, &b.solver);
             for (i, &cap) in CAPS.iter().enumerate() {
-                let mut cfg = cfg_for(b, Mode::DataSharingSched, 16);
-                cfg.group_cap = Some(cap);
-                cfg.fetch_cost = fetch;
-                let r = run_simulated(&b.pag, &b.queries, &cfg);
+                let cfg = cfg_for(b, Mode::DataSharingSched, 16);
+                let schedule = schedule_with_cap(&b.pag, &b.queries, cfg.mode, Some(cap));
+                let (store, hook) = (SharedJmpStore::new(), &mut Fifo(fetch));
+                let (r, _) = run_simulated_hooked(&b.pag, &schedule, &cfg, &store, 0, hook);
                 per_cap[i].push(speedup(seq.stats.makespan, &r));
             }
         }

@@ -13,8 +13,9 @@ use std::collections::HashMap;
 
 /// Runs `f` on a thread with a deep stack (64 MiB) and returns its result.
 ///
-/// The oracle's mutual recursion nests up to `max_recursion_depth` native
-/// frames; default thread stacks are not sized for that.
+/// The oracle's mutual recursion nests up to
+/// [`crate::OracleConfig::max_recursion_depth`] native frames; default
+/// thread stacks are not sized for that.
 pub fn with_big_stack<T, F>(f: F) -> T
 where
     T: Send,

@@ -11,10 +11,8 @@ use crate::snapshot::Scenario;
 use parcfl_core::jmp::{JmpKey, JmpLookup, RchSet};
 use parcfl_core::{Answer, CtxId, CtxInterner, Footprint, JmpStore, SharedJmpStore};
 use parcfl_pag::{NodeId, Pag, PagDelta};
-use parcfl_runtime::sim::{Dispatch, SimHook};
-use parcfl_runtime::{
-    run_simulated_batch, run_threaded_batch, schedule_with_cap, Backend, DeltaReport, RunResult,
-};
+use parcfl_runtime::sim::{run_simulated_hooked, Dispatch, Fifo, SimHook};
+use parcfl_runtime::{run_threaded_batch, schedule_with_cap, Backend, DeltaReport, RunResult};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -22,7 +20,8 @@ use std::sync::Arc;
 /// Deterministic schedule-perturbation knobs for the simulated backend.
 ///
 /// The simulator is intentionally boring: lowest-clock worker wins ties,
-/// groups dispatch FIFO, fetches cost exactly `fetch_cost`. Real machines
+/// groups dispatch FIFO, fetches cost exactly the scenario's
+/// [`Scenario::fetch_cost`]. Real machines
 /// are not boring, and jmp-store visibility depends on the dispatch
 /// order, so the fuzzer drives the simulator through seeded variations of
 /// all three choices. Every draw comes from one splitmix64 stream seeded
@@ -105,6 +104,8 @@ impl JmpStore for ContextBlind<'_> {
 
 /// A scenario's hold on one simulated batch.
 pub(crate) struct Inject {
+    /// What a fetch costs before any jitter.
+    fetch: u64,
     perturb: Option<(SimPerturb, StdRng)>,
     blind_jmp_keys: bool,
 }
@@ -112,6 +113,7 @@ pub(crate) struct Inject {
 impl Inject {
     pub(crate) fn new(scenario: &Scenario) -> Self {
         Inject {
+            fetch: scenario.fetch_cost,
             perturb: scenario.perturb.map(|p| (p, StdRng::seed_from_u64(p.seed))),
             blind_jmp_keys: scenario.fault.blind_jmp_keys,
         }
@@ -120,7 +122,7 @@ impl Inject {
 
 impl SimHook for Inject {
     fn dispatch(&mut self, clocks: &[u64], pending: usize) -> Dispatch {
-        let fifo = Dispatch::fifo(clocks);
+        let fifo = Fifo(self.fetch).dispatch(clocks, pending);
         let Some((p, rng)) = &mut self.perturb else {
             return fifo;
         };
@@ -136,7 +138,7 @@ impl SimHook for Inject {
         } else {
             0
         };
-        let extra_fetch = if p.fetch_jitter > 0 {
+        let jitter = if p.fetch_jitter > 0 {
             rng.random_range(0..=p.fetch_jitter)
         } else {
             0
@@ -144,7 +146,7 @@ impl SimHook for Inject {
         Dispatch {
             worker,
             group,
-            extra_fetch,
+            fetch: fifo.fetch + jitter,
         }
     }
 
@@ -172,7 +174,9 @@ pub(crate) fn replay_reusing_store(sc: &Scenario) -> (RunResult, Pag, Vec<DeltaR
         let schedule = schedule_with_cap(pag, &rest, sc.mode, None);
         let mut result = match sc.backend {
             Backend::Simulated => {
-                let (result, end) = run_simulated_batch(pag, &schedule, &cfg, &store, clock);
+                // The scenario's fetch price, unperturbed, on honest keys.
+                let fifo = &mut Fifo(sc.fetch_cost);
+                let (result, end) = run_simulated_hooked(pag, &schedule, &cfg, &store, clock, fifo);
                 clock = end + 1;
                 result
             }
@@ -315,10 +319,14 @@ delta add 0 2 st 0\n";
         }
     }
 
-    /// Without a perturbation the hook is the simulator's own dispatch.
+    /// Without a perturbation, and at the default price, the hook is the
+    /// simulator's own dispatch.
     #[test]
     fn unperturbed_hook_is_the_default_dispatch() {
-        let sc = perturbed(None);
+        let sc = Scenario {
+            fetch_cost: parcfl_runtime::sim::FETCH_STEPS,
+            ..perturbed(None)
+        };
         let (hooked, plain) = (
             sc.run(),
             run_simulated(&sc.pag, &sc.queries, &sc.run_config()),

@@ -87,8 +87,8 @@ pub struct OracleConfig {
     /// Match calling contexts (must equal the production config under
     /// test).
     pub context_sensitive: bool,
-    /// Mutual-recursion depth guard, mirroring
-    /// `SolverConfig::max_recursion_depth` (default 512).
+    /// Mutual-recursion depth guard (default 512, the production solver's
+    /// fixed bound). The oracle's own: it shares no code with the solver.
     pub max_recursion_depth: u32,
     /// Practical work cap per query (work-list pops across all nested
     /// traversals); exceeding it yields
@@ -121,10 +121,10 @@ pub struct Oracle<'a> {
     memo_flows: HashMap<OState, SetRef>,
     memo_rch_bwd: HashMap<OState, SetRef>,
     memo_rch_fwd: HashMap<OState, SetRef>,
-    on_stack_pts: HashSet<OState>,
-    on_stack_flows: HashSet<OState>,
-    on_stack_rch_bwd: HashSet<OState>,
-    on_stack_rch_fwd: HashSet<OState>,
+    open_pts: HashSet<OState>,
+    open_flows: HashSet<OState>,
+    open_rch_bwd: HashSet<OState>,
+    open_rch_fwd: HashSet<OState>,
     depth: u32,
     steps: u64,
     fail: Option<IncompleteReason>,
@@ -146,10 +146,10 @@ impl<'a> Oracle<'a> {
             memo_flows: HashMap::new(),
             memo_rch_bwd: HashMap::new(),
             memo_rch_fwd: HashMap::new(),
-            on_stack_pts: HashSet::new(),
-            on_stack_flows: HashSet::new(),
-            on_stack_rch_bwd: HashSet::new(),
-            on_stack_rch_fwd: HashSet::new(),
+            open_pts: HashSet::new(),
+            open_flows: HashSet::new(),
+            open_rch_bwd: HashSet::new(),
+            open_rch_fwd: HashSet::new(),
             depth: 0,
             steps: 0,
             fail: None,
@@ -175,10 +175,10 @@ impl<'a> Oracle<'a> {
     }
 
     fn reset_query(&mut self) {
-        self.on_stack_pts.clear();
-        self.on_stack_flows.clear();
-        self.on_stack_rch_bwd.clear();
-        self.on_stack_rch_fwd.clear();
+        self.open_pts.clear();
+        self.open_flows.clear();
+        self.open_rch_bwd.clear();
+        self.open_rch_fwd.clear();
         self.depth = 0;
         self.steps = 0;
         self.fail = None;
@@ -227,12 +227,12 @@ impl<'a> Oracle<'a> {
         if !self.enter() {
             return Self::empty();
         }
-        if !self.on_stack_pts.insert(key.clone()) {
+        if !self.open_pts.insert(key.clone()) {
             self.fail = Some(IncompleteReason::Reentrant);
             return Self::empty();
         }
         let out = self.pts_inner(key.0, &key.1);
-        self.on_stack_pts.remove(&key);
+        self.open_pts.remove(&key);
         self.depth -= 1;
         if self.fail.is_none() {
             self.memo_pts.insert(key, Arc::clone(&out));
@@ -325,12 +325,12 @@ impl<'a> Oracle<'a> {
         if !self.enter() {
             return Self::empty();
         }
-        if !self.on_stack_flows.insert(key.clone()) {
+        if !self.open_flows.insert(key.clone()) {
             self.fail = Some(IncompleteReason::Reentrant);
             return Self::empty();
         }
         let out = self.flows_inner(key.0, &key.1);
-        self.on_stack_flows.remove(&key);
+        self.open_flows.remove(&key);
         self.depth -= 1;
         if self.fail.is_none() {
             self.memo_flows.insert(key, Arc::clone(&out));
@@ -423,7 +423,7 @@ impl<'a> Oracle<'a> {
         if let Some(r) = self.memo_rch_bwd.get(&key) {
             return Arc::clone(r);
         }
-        if !self.on_stack_rch_bwd.insert(key.clone()) {
+        if !self.open_rch_bwd.insert(key.clone()) {
             self.fail = Some(IncompleteReason::Reentrant);
             return Self::empty();
         }
@@ -464,7 +464,7 @@ impl<'a> Oracle<'a> {
                 }
             }
         }
-        self.on_stack_rch_bwd.remove(&key);
+        self.open_rch_bwd.remove(&key);
         let out = Arc::new(out);
         self.memo_rch_bwd.insert(key, Arc::clone(&out));
         out
@@ -480,7 +480,7 @@ impl<'a> Oracle<'a> {
         if let Some(r) = self.memo_rch_fwd.get(&key) {
             return Arc::clone(r);
         }
-        if !self.on_stack_rch_fwd.insert(key.clone()) {
+        if !self.open_rch_fwd.insert(key.clone()) {
             self.fail = Some(IncompleteReason::Reentrant);
             return Self::empty();
         }
@@ -520,7 +520,7 @@ impl<'a> Oracle<'a> {
                 }
             }
         }
-        self.on_stack_rch_fwd.remove(&key);
+        self.open_rch_fwd.remove(&key);
         let out = Arc::new(out);
         self.memo_rch_fwd.insert(key, Arc::clone(&out));
         out

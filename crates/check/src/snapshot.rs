@@ -78,7 +78,8 @@ pub struct Scenario {
     pub threads: usize,
     /// Solver knobs (budget, τ, sensitivity, state backend).
     pub solver: SolverConfig,
-    /// Simulated cost of one work-list fetch.
+    /// Simulated cost of one work-list fetch, which the scenario's
+    /// dispatch hook charges (a [`RunConfig`] has no such field).
     pub fetch_cost: u64,
     /// Seeded simulator perturbation (simulated backend only).
     pub perturb: Option<SimPerturb>,
@@ -98,11 +99,9 @@ pub struct Scenario {
 impl Scenario {
     /// The run configuration this scenario describes.
     pub fn run_config(&self) -> RunConfig {
-        let mut cfg =
-            RunConfig::new(self.mode, self.threads, self.backend).with_solver(self.solver.clone());
-        cfg.fetch_cost = self.fetch_cost;
-        cfg.tracing = self.trace_level;
-        cfg
+        RunConfig::new(self.mode, self.threads, self.backend)
+            .with_solver(self.solver.clone())
+            .with_tracing(self.trace_level)
     }
 
     /// Replays the scenario once and returns the answers. Scenarios

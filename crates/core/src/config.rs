@@ -79,11 +79,6 @@ pub struct SolverConfig {
     /// balanced parentheses). Off = field-sensitive-only analysis, grammar
     /// (2) with all assignment kinds merged.
     pub context_sensitive: bool,
-    /// Abort (treating it as out-of-budget) when the mutual recursion
-    /// between `PointsTo`/`FlowsTo`/`ReachableNodes` exceeds this depth.
-    /// Guards the OS stack; the paper's algorithm would reach the same
-    /// outcome by exhausting `B` a little later.
-    pub max_recursion_depth: u32,
     /// Visited-state table representation (see [`StateBackend`]). Purely a
     /// performance/memory choice: answers and costs are bit-identical
     /// across backends.
@@ -104,7 +99,6 @@ impl Default for SolverConfig {
             tau_finished: 20,
             tau_unfinished: 10_000,
             context_sensitive: true,
-            max_recursion_depth: 512,
             state: StateBackend::default(),
             record_footprints: false,
         }
@@ -112,11 +106,6 @@ impl Default for SolverConfig {
 }
 
 impl SolverConfig {
-    /// The paper's sequential baseline `SeqCFL`.
-    pub fn sequential() -> Self {
-        SolverConfig::default()
-    }
-
     /// Overrides the budget.
     pub fn with_budget(mut self, budget: u64) -> Self {
         self.budget = budget;
@@ -169,7 +158,7 @@ mod tests {
 
     #[test]
     fn builders() {
-        let c = SolverConfig::sequential()
+        let c = SolverConfig::default()
             .with_budget(5)
             .without_tau_thresholds();
         assert_eq!(c.budget, 5);

@@ -80,14 +80,14 @@ impl Footprint {
 /// flight have consulted, in the order they consulted it.
 ///
 /// A node or field read is a `Vec::push`. A `ReachableNodes` frame is a
-/// *mark* — the three log lengths and the poison count at its opening —
-/// and owns the suffix of the log from there: frames nest in stack order,
-/// so everything a frame's children read lies inside the frame's own
-/// suffix, and a child needs folding into its parent by nobody. A frame
-/// becomes a bitset [`Footprint`] only when somebody will keep it
-/// ([`ReadLog::close`] with `keep`, [`ReadLog::finish`]); its suffix then
-/// collapses into that one absorbed `Arc`, so each read is folded into a
-/// bitset once however many enclosing frames are kept later.
+/// [`Mark`] its caller holds — the three log lengths and the poison count
+/// at its opening — and owns the suffix of the log from there: frames
+/// nest in stack order, so everything a frame's children read lies inside
+/// the frame's own suffix, and a child needs folding into its parent by
+/// nobody. A frame becomes a bitset [`Footprint`] only when somebody will
+/// keep it ([`ReadLog::close`] with `keep`, [`ReadLog::finish`]); its
+/// suffix then collapses into that one absorbed `Arc`, so each read is
+/// folded into a bitset once however many enclosing frames are kept later.
 ///
 /// Absorbing a dependency that has no footprint (a jmp hit on an entry
 /// published without one) **poisons** every open frame and the query: the
@@ -106,13 +106,11 @@ pub(crate) struct ReadLog {
     absorbed: Vec<Arc<Footprint>>,
     /// Footprint-less dependencies absorbed so far in this query.
     poison: u32,
-    /// The open frames, outermost first.
-    frames: Vec<Mark>,
 }
 
 /// Where a frame's suffix of the log begins.
 #[derive(Copy, Clone, Debug, Default)]
-struct Mark {
+pub(crate) struct Mark {
     nodes: usize,
     fields: usize,
     absorbed: usize,
@@ -121,15 +119,13 @@ struct Mark {
 
 impl ReadLog {
     /// Opens a query: empties the log (keeping its allocations) and says
-    /// whether this query records. Frames left open by a query that ran
-    /// out of budget go with it.
+    /// whether this query records.
     pub(crate) fn begin(&mut self, recording: bool) {
         self.recording = recording;
         self.nodes.clear();
         self.fields.clear();
         self.absorbed.clear();
         self.poison = 0;
-        self.frames.clear();
     }
 
     /// Records that `n`'s adjacency (incoming/outgoing slices) was
@@ -160,42 +156,28 @@ impl ReadLog {
         }
     }
 
-    /// Opens a frame at the current end of the log.
-    pub(crate) fn open(&mut self) {
-        if self.recording {
-            self.frames.push(self.mark());
-        }
-    }
-
-    /// Closes the innermost frame. With `keep` (its result is being
-    /// published) returns the frame's footprint — `None` when poisoned —
-    /// and collapses its suffix; otherwise the suffix simply stays part of
-    /// the enclosing frame's.
-    pub(crate) fn close(&mut self, keep: bool) -> Option<Arc<Footprint>> {
-        if !self.recording {
-            return None;
-        }
-        let mark = self.frames.pop().expect("unbalanced footprint frame");
-        keep.then(|| self.fold(mark)).flatten()
-    }
-
-    /// Closes a completed query: the footprint of everything it read,
-    /// `None` when poisoned or not recording.
-    pub(crate) fn finish(&mut self) -> Option<Arc<Footprint>> {
-        debug_assert!(
-            self.frames.is_empty(),
-            "a completed query closed its frames"
-        );
-        self.recording.then(|| self.fold(Mark::default())).flatten()
-    }
-
-    fn mark(&self) -> Mark {
+    /// Opens a frame at the current end of the log: the mark to close it by.
+    pub(crate) fn open(&self) -> Mark {
         Mark {
             nodes: self.nodes.len(),
             fields: self.fields.len(),
             absorbed: self.absorbed.len(),
             poison: self.poison,
         }
+    }
+
+    /// Closes the innermost open frame, the one `mark` opened. With `keep`
+    /// (its result is being published) returns the frame's footprint —
+    /// `None` when poisoned — and collapses its suffix; otherwise the
+    /// suffix simply stays part of the enclosing frame's.
+    pub(crate) fn close(&mut self, mark: Mark, keep: bool) -> Option<Arc<Footprint>> {
+        (self.recording && keep).then(|| self.fold(mark)).flatten()
+    }
+
+    /// Closes a completed query: the footprint of everything it read,
+    /// `None` when poisoned or not recording.
+    pub(crate) fn finish(&mut self) -> Option<Arc<Footprint>> {
+        self.recording.then(|| self.fold(Mark::default())).flatten()
     }
 
     /// Turns the suffix from `mark` into one footprint and leaves that in
@@ -342,8 +324,10 @@ mod tests {
     fn run(script: &[Op]) -> Vec<(Option<Model>, Option<Model>)> {
         let mut log = ReadLog::default();
         log.begin(true);
-        // The model's frames: reads so far and whether poisoned.
+        // The model's frames: reads so far and whether poisoned; and the
+        // log's marks of the open ones.
         let mut frames = vec![(Model::default(), false)];
+        let mut marks = Vec::new();
         let mut out = Vec::new();
         for op in script {
             let top = frames.last_mut().unwrap();
@@ -368,11 +352,11 @@ mod tests {
                     }
                 }
                 Op::Open => {
-                    log.open();
+                    marks.push(log.open());
                     frames.push((Model::default(), false));
                 }
                 Op::Close(keep) => {
-                    let got = log.close(*keep);
+                    let got = log.close(marks.pop().unwrap(), *keep);
                     let (child, poisoned) = frames.pop().unwrap();
                     let parent = frames.last_mut().unwrap();
                     parent.0.nodes.extend(child.nodes.iter().copied());
@@ -461,19 +445,19 @@ mod tests {
     fn a_closed_child_is_folded_into_its_parent_exactly_once() {
         let mut log = ReadLog::default();
         log.begin(true);
-        log.open();
+        let outer = log.open();
         log.node(NodeId::new(1));
-        log.open();
+        let inner = log.open();
         for n in 10..20 {
             log.node(NodeId::new(n));
         }
         log.field(FieldId::new(3));
-        let child = log.close(true).unwrap();
+        let child = log.close(inner, true).unwrap();
         assert_eq!(child.node_count(), 10);
         assert_eq!((log.nodes.len(), log.fields.len()), (1, 0));
         assert_eq!(log.absorbed.len(), 1);
         assert!(Arc::ptr_eq(&log.absorbed[0], &child));
-        let parent = log.close(true).unwrap();
+        let parent = log.close(outer, true).unwrap();
         assert_eq!(parent.node_count(), 11);
         assert!(parent.touches_field(FieldId::new(3)));
         assert_eq!(
@@ -489,13 +473,13 @@ mod tests {
     fn a_log_that_is_not_recording_keeps_nothing() {
         let mut log = ReadLog::default();
         log.begin(false);
-        log.open();
+        let mark = log.open();
         log.node(NodeId::new(1));
         log.field(FieldId::new(1));
         log.absorb(None);
-        assert!(log.close(true).is_none());
+        assert!(log.close(mark, true).is_none());
         assert!(log.finish().is_none());
-        assert!(log.nodes.is_empty() && log.frames.is_empty());
+        assert!(log.nodes.is_empty() && log.absorbed.is_empty());
         // Recording again, the earlier query's poison is gone.
         log.begin(true);
         log.node(NodeId::new(2));

@@ -66,7 +66,7 @@ use crate::jmp::{Dir, JmpEntry, JmpKey, JmpLookup, JmpStore, RchSet};
 use crate::stats::{Answer, QueryOutput, QueryStats};
 use crate::witness::{Trace, Via};
 use parcfl_concurrent::{
-    CtxId, CtxInterner, CtxMirror, DenseVisitSet, FxHashMap, FxHashSet, HashVisitSet, StateSet,
+    CtxId, CtxInterner, CtxMirror, DenseVisitSet, FxHashMap, HashVisitSet, StateSet,
 };
 use parcfl_pag::{CallSiteId, ClassSlices, Edge, EdgeClass, NodeId, Pag};
 use std::collections::hash_map::Entry;
@@ -141,6 +141,11 @@ fn far_end(dir: Dir, e: &Edge) -> NodeId {
 /// suite's 5.0 M pushes, 4096 slots serve 98.1 %, 1024 91.4 % and 256
 /// 69.0 %; under 0.5 % are first pushes, which no size serves.
 const PUSH_CACHE_BITS: u32 = 12;
+
+/// The most `PointsTo` / `FlowsTo` frames a query may have open at once:
+/// the recursion nests on the native stack, one level per field load it
+/// resolves, and worker threads are sized for this (DESIGN.md §7).
+pub(crate) const MAX_RECURSION_DEPTH: u32 = 512;
 
 /// The solver: the analysis inputs every query reads, plus the scratch one
 /// worker's queries reuse.
@@ -279,17 +284,22 @@ struct Oob;
 /// Which of the mutually recursive computations a nested call is: a
 /// traversal (`PointsTo` backward, `FlowsTo` forward) or the
 /// `ReachableNodes` step one makes at a heap access.
-#[derive(Copy, Clone)]
+#[derive(Copy, Clone, PartialEq, Eq)]
 enum Call {
     Traverse,
     Reachable,
 }
 
-/// A nested call's key in its `(Call, Dir)` in-flight set: node and
-/// context side by side in one word.
-#[inline]
-fn flight_key(x: NodeId, c: CtxId) -> u64 {
-    (x.raw() as u64) << 32 | c.raw() as u64
+/// One open nested call: `call` in direction `dir` on `(x, c)`, opened
+/// when the query had charged `s0` steps. The `Reachable` frames are the
+/// paper's `S`, Algorithm 2's in-progress `(x, c, s₀)`.
+#[derive(Copy, Clone)]
+struct Frame {
+    call: Call,
+    dir: Dir,
+    x: NodeId,
+    c: CtxId,
+    s0: u64,
 }
 
 /// One traversal's working state, out of the lane's pools for as long as
@@ -357,19 +367,13 @@ struct Scratch<S> {
     jmp_seen: FxHashMap<JmpKey, JmpLookup>,
     /// The store epoch `jmp_seen` was filled under.
     jmp_epoch: u64,
-    /// The paper's `S`: in-progress `ReachableNodes` frames
-    /// `(dir, x, c, s0)`, used by `OutOfBudget` to record unfinished jmps.
-    in_progress: Vec<(Dir, NodeId, CtxId, u64)>,
-    /// In-flight call detection: identical re-entrant calls would loop
-    /// until the budget drained; we reach the same out-of-budget verdict
-    /// immediately (see DESIGN.md). The call kind is part of the key —
-    /// `PointsTo(x, c)` legitimately invokes `ReachableNodes(x, c)` — and
-    /// picks the set, as the direction does: `[call][dir]`, each keyed by
-    /// [`flight_key`].
-    on_stack: [[FxHashSet<u64>; 2]; 2],
+    /// The query's open calls, outermost first (see [`QueryState::open`]):
+    /// what re-entry and the depth bound are checked against, and what
+    /// `OutOfBudget` publishes unfinished jmps for.
+    frames: Vec<Frame>,
     /// Reverse-dependency recording (`record_footprints` only, DESIGN.md
-    /// §12): the query's reads in order, one frame (a mark in the log) per
-    /// in-flight `ReachableNodes` computation, so a published jmp entry
+    /// §12): the query's reads in order. Each open `ReachableNodes` call
+    /// holds the mark where its reads begin, so a published jmp entry
     /// carries its whole subtree's reads and a completed query everything
     /// it read. With recording off every record site is one predictable
     /// branch. Recording is pure metadata: answers, step counts and
@@ -392,7 +396,6 @@ struct QueryState<'a, S: StateSet> {
     /// Steps actually traversed (work-list pops performed).
     work: u64,
     vtime_base: u64,
-    depth: u32,
     /// `state_words` is kept current as tables come and go: the words the
     /// query's tables have touched ([`StateSet::approx_words`]), summed
     /// over the tables in the pool; a table in use is out of the sum until
@@ -401,7 +404,8 @@ struct QueryState<'a, S: StateSet> {
     /// footprint.
     stats: QueryStats,
     /// Discovery forest for witness reconstruction; recorded only for the
-    /// top-level traversal (depth 1) and only when tracing is requested.
+    /// top-level traversal (the only open frame) and only when tracing is
+    /// requested.
     trace: Option<Trace>,
 }
 
@@ -412,8 +416,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
     /// lost to an unwinding panic never comes back.
     fn begin(env: Env<'a>, s: &'a mut Scratch<S>, vtime_base: u64) -> Self {
         s.gen += 1;
-        s.in_progress.clear();
-        s.on_stack.iter_mut().flatten().for_each(FxHashSet::clear);
+        s.frames.clear();
         s.reads.begin(env.cfg.record_footprints);
         if let Some(jmp) = env.jmp {
             let epoch = jmp.epoch();
@@ -433,7 +436,6 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             steps: 0,
             work: 0,
             vtime_base,
-            depth: 0,
             stats: QueryStats::default(),
             trace: None,
         }
@@ -569,69 +571,67 @@ impl<'a, S: StateSet> QueryState<'a, S> {
     }
 
     /// Algorithm 2's `OutOfBudget(BDG)`: records an unfinished jmp edge for
-    /// every in-progress `ReachableNodes` frame, then aborts the query.
+    /// every open `ReachableNodes` frame, outermost first, then aborts the
+    /// query.
     fn out_of_budget(&mut self, bdg: u64, early: bool) -> Oob {
-        self.stats.out_of_budget = true;
-        if early {
-            self.stats.early_terminated = true;
-        }
+        self.stats.early_terminated = early;
         if let Some(jmp) = self.jmp {
-            for i in 0..self.s.in_progress.len() {
-                let (dir, x, c, s0) = self.s.in_progress[i];
-                let s_val = self.cfg.budget.min(bdg + (self.steps - s0));
-                if s_val < self.cfg.tau_unfinished {
-                    continue;
-                }
-                if jmp.publish_unfinished((dir, x, c), s_val, self.now()) {
+            let now = self.now();
+            for f in self.s.frames.iter().filter(|f| f.call == Call::Reachable) {
+                let s_val = self.cfg.budget.min(bdg + (self.steps - f.s0));
+                if s_val >= self.cfg.tau_unfinished
+                    && jmp.publish_unfinished((f.dir, f.x, f.c), s_val, now)
+                {
                     self.stats.unfinished_published += 1;
                 }
             }
-            self.s.in_progress.clear();
         }
         Oob
     }
 
-    /// Models the budget exhaustion Algorithm 1 reaches on re-entrant
-    /// (cyclically dependent) computations: a nested call identical to an
-    /// in-flight one re-traverses forever, so the paper's analysis burns
-    /// whatever budget remains and then exits. We charge that burn to both
-    /// the budget and the work clock (it is real traversal time in the
-    /// paper's implementation) without actually spinning, then take the
-    /// normal OutOfBudget path — which records unfinished jmp edges with
-    /// the large `s` values that make early terminations possible for
-    /// later queries.
-    fn burn_remaining(&mut self) -> Oob {
-        let remaining = self.cfg.budget.saturating_sub(self.steps) + 1;
-        self.steps += remaining;
-        self.work += remaining;
-        self.out_of_budget(0, false)
+    /// Opens a nested call, pushing its frame, after one scan of the open
+    /// ones. A frame already open on the same `(call, dir, x, c)` — the
+    /// call kind tells `PointsTo(x, c)` from the `ReachableNodes(x, c)` it
+    /// invokes — is a re-entry, which Algorithm 1 re-traverses until the
+    /// budget is gone; so is, in effect, a traversal past
+    /// [`MAX_RECURSION_DEPTH`]. Either burns the remaining budget at once,
+    /// charged to both clocks (it is real traversal time in the paper's
+    /// implementation), and takes the normal `OutOfBudget` path, whose
+    /// large `s` values let later queries terminate early.
+    #[inline]
+    fn open(&mut self, call: Call, dir: Dir, x: NodeId, c: CtxId) -> Result<(), Oob> {
+        let mut traversals = (call == Call::Traverse) as u32;
+        let mut reentry = false;
+        for f in &self.s.frames {
+            reentry |= f.call == call && f.dir == dir && f.x == x && f.c == c;
+            traversals += (f.call == Call::Traverse) as u32;
+        }
+        if reentry || traversals > MAX_RECURSION_DEPTH {
+            let remaining = self.cfg.budget.saturating_sub(self.steps) + 1;
+            self.steps += remaining;
+            self.work += remaining;
+            return Err(self.out_of_budget(0, false));
+        }
+        let s0 = self.steps;
+        self.s.frames.push(Frame {
+            call,
+            dir,
+            x,
+            c,
+            s0,
+        });
+        Ok(())
     }
 
     // ----- POINTSTO / FLOWSTO -----
 
     /// `PointsTo(x, c)` (backward) or `FlowsTo(x, c)` (forward) as a
-    /// nested call. Two guards precede the traversal, and either burns the
-    /// remaining budget ([`Self::burn_remaining`]): the recursion depth of
-    /// the mutual recursion, where the paper's algorithm would reach
-    /// out-of-budget later by re-traversing, and the in-flight check.
+    /// nested call.
     fn traverse(&mut self, x: NodeId, c: CtxId, dir: Dir) -> Result<Vec<IState>, Oob> {
-        let key = flight_key(x, c);
-        self.depth += 1;
-        if self.depth > self.cfg.max_recursion_depth
-            || !self.in_flight(Call::Traverse, dir).insert(key)
-        {
-            return Err(self.burn_remaining());
-        }
+        self.open(Call::Traverse, dir, x, c)?;
         let out = self.traverse_inner(x, c, dir)?;
-        self.in_flight(Call::Traverse, dir).remove(&key);
-        self.depth -= 1;
+        self.s.frames.pop();
         Ok(out)
-    }
-
-    /// The in-flight set of `call`s in direction `dir`.
-    #[inline]
-    fn in_flight(&mut self, call: Call, dir: Dir) -> &mut FxHashSet<u64> {
-        &mut self.s.on_stack[call as usize][dir as usize]
     }
 
     fn traverse_inner(&mut self, x: NodeId, c: CtxId, dir: Dir) -> Result<Vec<IState>, Oob> {
@@ -646,7 +646,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             out: self.acquire_stack(),
             // Recorded for the outermost traversal only, and only
             // `traced_points_to_query` asks for it.
-            tracing: self.depth == 1 && self.trace.is_some(),
+            tracing: self.s.frames.len() == 1 && self.trace.is_some(),
         };
         let r = match dir {
             Dir::Bwd => self.work_loop::<false>(x, c, &mut t),
@@ -883,24 +883,19 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             }
         }
 
-        // Lines 9–22: compute, tracking the frame for OutOfBudget.
+        // Lines 9–22: compute, in a frame OutOfBudget can see.
         let s0 = self.steps;
-        self.s.in_progress.push((dir, x, c, s0));
-        let key = flight_key(x, c);
-        if !self.in_flight(Call::Reachable, dir).insert(key) {
-            return Err(self.burn_remaining());
-        }
-        self.s.reads.open();
+        self.open(Call::Reachable, dir, x, c)?;
+        let mark = self.s.reads.open();
         let out = self.reachable_inner(x, c, dir)?;
-        self.in_flight(Call::Reachable, dir).remove(&key);
-        self.s.in_progress.pop();
+        self.s.frames.pop();
 
         // The set leaves its buffer, as one copy behind an `Arc`, only to
-        // be shared: by a publication that clears `τF`. Its frame of the
-        // read log becomes a footprint on the same condition.
+        // be shared: by a publication that clears `τF`. Its reads become a
+        // footprint on the same condition.
         let total = self.steps - s0;
         let publishing = self.jmp.filter(|_| total >= self.cfg.tau_finished);
-        let fp = self.s.reads.close(publishing.is_some());
+        let fp = self.s.reads.close(mark, publishing.is_some());
         if let Some(jmp) = publishing {
             let rch: RchSet = Arc::new(out.clone());
             if jmp.publish_finished(jmp_key, total, rch, self.now(), fp) {

@@ -1,7 +1,7 @@
 //! Solver unit tests over small programs lowered by the real frontend.
 
 use crate::config::{SolverConfig, StateBackend};
-use crate::jmp::{JmpStore, NoJmpStore, SharedJmpStore};
+use crate::jmp::{Dir, JmpStore, NoJmpStore, SharedJmpStore};
 use crate::solver::Solver;
 use crate::stats::{Answer, QueryOutput};
 use parcfl_frontend::build_pag;
@@ -205,7 +205,6 @@ fn budget_exhaustion_reports_out_of_budget() {
     let mut solver = Solver::new(&p, &cfg, &NoJmpStore);
     let out = solver.points_to_query(node(&p, "d@A.m"), 0);
     assert_eq!(out.answer, Answer::OutOfBudget);
-    assert!(out.stats.out_of_budget);
     assert!(!out.stats.early_terminated);
     assert_eq!(out.stats.charged_steps, 3, "aborts on the tick after B");
 }
@@ -400,24 +399,37 @@ fn tau_thresholds_suppress_publication() {
 
 #[test]
 fn recursion_guard_degrades_to_out_of_budget() {
-    // Mutually-dependent heap loads force re-entrant alias computations;
-    // the solver must give up (OutOfBudget), never hang or overflow.
-    let src = "class Obj { }
-               class Box { field f: Box; }
-               class A {
-                 method m() {
+    // Mutually-dependent heap loads force a re-entrant call: PointsTo(p)
+    // asks ReachableNodes(p), whose alias step asks PointsTo(q), whose
+    // ReachableNodes(q) asks PointsTo(p) again. The solver burns the rest
+    // of the budget at once, never hanging or overflowing, and publishes
+    // an unfinished jmp for each ReachableNodes frame open at that moment.
+    let p = pag("class Box { field f: Box; }
+                 class A { method m() {
                    var p: Box; var q: Box;
-                   p = new Box;
-                   q = p.f;
-                   q.f = p;
-                   p = q.f;
-                 }
-               }";
-    let p = pag(src);
-    let cfg = SolverConfig::default();
-    let mut solver = Solver::new(&p, &cfg, &NoJmpStore);
-    // Must terminate; answer may be complete or OOB depending on structure.
-    let _ = solver.points_to_query(node(&p, "p@A.m"), 0);
+                   p = new Box; q = p.f; q.f = p; p = q.f;
+                 } }");
+    let cfg = SolverConfig {
+        tau_unfinished: 0,
+        ..SolverConfig::default()
+    };
+    let store = SharedJmpStore::new();
+    let mut solver = Solver::new(&p, &cfg, &store);
+    let out = solver.points_to_query(node(&p, "p@A.m"), 0);
+    assert_eq!(out.answer, Answer::OutOfBudget);
+    let b = cfg.budget;
+    let steps = (out.stats.traversed_steps, out.stats.charged_steps);
+    assert_eq!(steps, (b + 1, b + 1));
+    // R(p) opened after one step, R(q) after two: each `s` is what the
+    // query had charged since (capped at B).
+    let mut published = Vec::new();
+    store.for_each(|&(dir, x, c), e| {
+        assert!(!e.is_finished() && dir == Dir::Bwd && c.is_empty());
+        published.push((p.node(x).name.as_str(), e.steps()));
+    });
+    published.sort();
+    assert_eq!(published, [("p@A.m", b), ("q@A.m", b - 1)]);
+    assert_eq!(out.stats.unfinished_published, 2);
 }
 
 /// One scripted question for [`reused_matches_fresh`].
@@ -453,15 +465,14 @@ fn reused_matches_fresh(p: &Pag, cfg: &SolverConfig, script: &[Ask]) -> Vec<Quer
 
 /// The scratch is reset at query entry: a query that follows an
 /// out-of-budget exit or a depth-guard burn — both unwind through `?`
-/// with their in-flight frames still recorded — starts from exactly the
-/// state a fresh solver would.
+/// with their frames still open — starts from exactly the state a fresh
+/// solver would.
 #[test]
 fn scratch_is_clean_after_budget_exhaustion() {
     // `x1 = p.f` needs PointsTo(p) (7 steps down the chain) and then
     // FlowsTo(o0) (8 more): under budget 10 it dies inside FlowsTo, nested
-    // in ReachableNodes(x1), leaving all three calls in the in-flight set
-    // and the frame stack and the depth populated. Everything else fits
-    // the budget.
+    // in ReachableNodes(x1), leaving all three calls open. Everything else
+    // fits the budget.
     let src = "class Obj { }
                class Box { field f: Obj; }
                class A {
@@ -477,9 +488,9 @@ fn scratch_is_clean_after_budget_exhaustion() {
                  }
                }";
     let p = pag(src);
-    // After each exhausting `x1`: the calls it left in flight, asked at
-    // top level (a stale in-flight mark would burn them), then `x1` again
-    // (a stale frame would publish twice).
+    // After each exhausting `x1`: the calls it left open, asked at top
+    // level (a stale open frame would burn them), then `x1` again (a stale
+    // frame would publish twice).
     let script = [
         Ask::Pts("x1@A.m"),
         Ask::Flows("o0@A.m"),
@@ -490,33 +501,53 @@ fn scratch_is_clean_after_budget_exhaustion() {
         Ask::Flows("o0@A.m"),
         Ask::Pts("x1@A.m"),
     ];
+    // The depth guard at its real bound. In an `x_i = x_{i+1}.f` chain of
+    // 600 loads ending in a store `x600.f = y`, answering `x_i` nests one
+    // PointsTo per load: `x89`'s 511 loads stay under the guard, `x88`'s
+    // 512 and `x0`'s 600 burn the budget on opening one traversal past
+    // `MAX_RECURSION_DEPTH`. An unoptimised build needs ≈ 10 KB of stack
+    // per level (DESIGN.md §7), so this runs on a worker-sized stack.
+    let vars: String = (0..=600).map(|i| format!(" var x{i}: Box;")).collect();
+    let loads: String = (0..600).map(|i| format!(" x{i} = x{}.f;", i + 1)).collect();
+    let chain = pag(&format!(
+        "class Box {{ field f: Box; }} class A {{ method m() {{ var y: Box;{vars}{loads} \
+         x600 = new Box; y = new Box; x600.f = y; }} }}"
+    ));
+    let deep = ["x0@A.m", "x89@A.m", "x88@A.m", "x0@A.m"].map(Ask::Pts);
+    let oob = |o: &QueryOutput| o.answer == Answer::OutOfBudget;
     for state in [StateBackend::Hash, StateBackend::Dense] {
         for (publishing, record_footprints) in [(false, false), (true, false), (true, true)] {
-            // Depth 1 admits PointsTo(x1) and burns the budget on entering
-            // PointsTo(p); 512 lets the budget run out.
-            for max_recursion_depth in [1, 512] {
-                let cfg = SolverConfig {
-                    budget: 10,
-                    tau_finished: if publishing { 0 } else { u64::MAX },
-                    tau_unfinished: if publishing { 0 } else { u64::MAX },
-                    record_footprints,
-                    max_recursion_depth,
-                    state,
-                    ..SolverConfig::default()
-                };
-                let outs = reused_matches_fresh(&p, &cfg, &script);
-                let oob = |i: usize| outs[i].answer == Answer::OutOfBudget;
-                assert!(oob(0) && oob(4) && oob(7), "x1 exhausts: {cfg:?}");
-                assert!(
-                    (1..4).chain(5..7).all(|i| !oob(i)),
-                    "the rest completes: {cfg:?}"
-                );
-                assert!(outs[0].stats.state_words > 0);
-                if publishing {
-                    assert!(outs[0].stats.unfinished_published > 0, "{cfg:?}");
-                    assert!(outs[4].stats.early_terminated, "{cfg:?}");
-                }
+            let tau = if publishing { 0 } else { u64::MAX };
+            let cfg = SolverConfig {
+                tau_finished: tau,
+                tau_unfinished: tau,
+                record_footprints,
+                state,
+                ..SolverConfig::default()
+            };
+            let short = cfg.clone().with_budget(10);
+            let outs = reused_matches_fresh(&p, &short, &script);
+            assert!([0, 4, 7].iter().all(|&i| oob(&outs[i])), "x1 exhausts");
+            let rest = outs[1..4].iter().chain(&outs[5..7]);
+            assert!(rest.into_iter().all(|o| !oob(o)), "the rest completes");
+            assert!(outs[0].stats.state_words > 0);
+            if publishing {
+                assert!(outs[0].stats.unfinished_published > 0, "{short:?}");
+                assert!(outs[4].stats.early_terminated, "{short:?}");
             }
+
+            let outs = std::thread::scope(|s| {
+                let worker = std::thread::Builder::new().stack_size(64 << 20);
+                let run = worker.spawn_scoped(s, || reused_matches_fresh(&chain, &cfg, &deep));
+                run.unwrap().join().expect("the chain fits the stack")
+            });
+            let (b, first) = (cfg.budget, &outs[0].stats);
+            assert_eq!((first.charged_steps, first.traversed_steps), (b + 1, b + 1));
+            assert!(!oob(&outs[1]) && oob(&outs[3]), "{cfg:?}");
+            // Shared, `x89`'s finished entry lets `x88` through; alone, its
+            // 512 loads reach the guard.
+            assert_eq!(oob(&outs[2]), !publishing, "{cfg:?}");
+            assert_eq!(outs[3].stats.early_terminated, publishing, "{cfg:?}");
         }
     }
 }
@@ -695,7 +726,7 @@ fn charged_steps_equal_traversed_without_sharing() {
 }
 
 #[test]
-fn early_termination_implies_out_of_budget_flag() {
+fn early_termination_implies_out_of_budget_answer() {
     // Structural invariant over a whole shared batch: ET ⇒ OOB.
     let src = "class Obj { }
                class Box { field f: Obj; }
@@ -723,7 +754,6 @@ fn early_termination_implies_out_of_budget_flag() {
     for v in p.application_locals() {
         let out = solver.points_to_query(v, 0);
         if out.stats.early_terminated {
-            assert!(out.stats.out_of_budget);
             assert_eq!(out.answer, Answer::OutOfBudget);
         }
     }

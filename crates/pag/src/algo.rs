@@ -53,7 +53,7 @@ where
     const UNVISITED: u32 = u32::MAX;
     let mut index = vec![UNVISITED; n];
     let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
+    let mut stacked = vec![false; n];
     let mut comp = vec![UNVISITED; n];
     let mut stack: Vec<u32> = Vec::new();
     let mut next_index = 0u32;
@@ -78,7 +78,7 @@ where
                     lowlink[v] = next_index;
                     next_index += 1;
                     stack.push(v as u32);
-                    on_stack[v] = true;
+                    stacked[v] = true;
                     call.push(Frame::Resume(v, succ(v)));
                 }
                 Frame::Resume(v, mut it) => {
@@ -89,7 +89,7 @@ where
                             call.push(Frame::Enter(w));
                             descended = true;
                             break;
-                        } else if on_stack[w] {
+                        } else if stacked[w] {
                             lowlink[v] = lowlink[v].min(index[w]);
                         }
                     }
@@ -100,7 +100,7 @@ where
                     if lowlink[v] == index[v] {
                         loop {
                             let w = stack.pop().expect("tarjan stack underflow") as usize;
-                            on_stack[w] = false;
+                            stacked[w] = false;
                             comp[w] = comp_count;
                             if w == v {
                                 break;

@@ -70,7 +70,7 @@ pub fn schedule_for(pag: &Pag, queries: &[NodeId], mode: Mode) -> Schedule {
 /// The default cap is 1: dispatch follows the DQ *order* query-by-query.
 /// The paper dispatches whole groups to amortise work-list lock contention
 /// across tens of thousands of queries; at this harness's scale the
-/// simulator prices a fetch at [`RunConfig::fetch_cost`] (~1 step), so
+/// simulator prices a fetch at [`sim::FETCH_STEPS`] (1 step), so
 /// grouping's amortisation is invisible while its load-balance granularity
 /// cost is not. The `ablation_group` bench regenerates the trade-off.
 pub(crate) fn dq_options(cap: Option<usize>) -> ScheduleOptions {

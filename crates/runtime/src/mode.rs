@@ -69,14 +69,10 @@ pub struct RunConfig {
     /// Solver configuration. Whether the run shares data is the mode's
     /// decision, not a solver parameter.
     pub solver: SolverConfig,
-    /// Simulated cost (in steps) of one shared-work-list fetch — the
-    /// locking overhead of Section III-A. Small by design; the paper found
-    /// it negligible at query granularity.
-    pub fetch_cost: u64,
     /// Overrides the DQ schedule's group-size cap (None = the default cap
-    /// of 1: dispatch follows the DQ *order* query by query). Used by the
-    /// `ablation_group` experiment to separate the effect of *ordering*
-    /// (cap = 1) from *grouping* (cap > 1).
+    /// of 1: dispatch follows the DQ *order* query by query). The frozen
+    /// benchmark reads it; the `ablation_group` experiment passes its caps
+    /// to [`crate::schedule_with_cap`] directly.
     pub group_cap: Option<usize>,
     /// Tracing level (DESIGN.md §9). `Off` (the default) keeps the whole
     /// pipeline free of recording work; `Spans` records one
@@ -94,7 +90,6 @@ impl RunConfig {
             threads,
             backend,
             solver: SolverConfig::default(),
-            fetch_cost: 1,
             group_cap: None,
             tracing: TraceLevel::Off,
         }

@@ -6,8 +6,10 @@
 //! analysis-side statistics (`#S`, the budget `B`, every `jmp(s)` label).
 //! Each simulated thread carries a virtual clock; the scheduler always
 //! advances the thread with the smallest clock, which fetches the next
-//! query group from the shared (FIFO) work list, pays a small `fetch_cost`
-//! for the lock, and runs the group's queries. A query starting at virtual
+//! query group from the shared (FIFO) work list, pays [`FETCH_STEPS`] for
+//! the lock, and runs the group's queries. (The dispatch, price included,
+//! is a `SimHook`'s decision: `parcfl-check` perturbs it, and the
+//! `ablation_group` bench prices it higher.) A query starting at virtual
 //! time `v` advances the clock by its *traversed* steps (shortcut-charged
 //! steps are budget accounting, not work).
 //!
@@ -58,8 +60,13 @@ pub fn run_simulated_batch(
     store: &SharedJmpStore,
     base: u64,
 ) -> (RunResult, u64) {
-    run_simulated_hooked(pag, schedule, cfg, store, base, &mut Fifo)
+    run_simulated_hooked(pag, schedule, cfg, store, base, &mut Fifo(FETCH_STEPS))
 }
+
+/// What one shared-work-list fetch costs in production, in steps: the
+/// locking overhead of Section III-A, small by design — the paper found it
+/// negligible at query granularity.
+pub const FETCH_STEPS: u64 = 1;
 
 /// One dispatch of the simulator loop: who fetches, what, at what price.
 #[doc(hidden)]
@@ -69,24 +76,8 @@ pub struct Dispatch {
     pub worker: usize,
     /// The group it takes, as a position in the pending list (0 = head).
     pub group: usize,
-    /// Steps the fetch costs on top of [`RunConfig::fetch_cost`].
-    pub extra_fetch: u64,
-}
-
-impl Dispatch {
-    /// The production decision: the lowest clock (lowest index among
-    /// equals) takes the head of the FIFO list and pays the fixed fetch
-    /// cost.
-    pub fn fifo(clocks: &[u64]) -> Self {
-        let worker = (0..clocks.len())
-            .min_by_key(|&i| (clocks[i], i))
-            .expect("a batch has at least one lane");
-        Dispatch {
-            worker,
-            group: 0,
-            extra_fetch: 0,
-        }
-    }
+    /// Steps the fetch costs.
+    pub fetch: u64,
 }
 
 /// Where `parcfl-check` takes hold of a simulated batch: it owns the
@@ -107,12 +98,23 @@ pub trait SimHook {
     }
 }
 
-/// The hook of every production batch: [`Dispatch::fifo`], always.
-struct Fifo;
+/// The production decision at a fetch price of `.0` steps: the lowest
+/// clock (lowest index among equals) takes the head of the FIFO list.
+/// Every production batch pays [`FETCH_STEPS`]; `parcfl-check` and the
+/// `ablation_group` bench pay prices of their own.
+#[doc(hidden)]
+pub struct Fifo(pub u64);
 
 impl SimHook for Fifo {
     fn dispatch(&mut self, clocks: &[u64], _pending: usize) -> Dispatch {
-        Dispatch::fifo(clocks)
+        let worker = (0..clocks.len())
+            .min_by_key(|&i| (clocks[i], i))
+            .expect("a batch has at least one lane");
+        Dispatch {
+            worker,
+            group: 0,
+            fetch: self.0,
+        }
     }
 }
 
@@ -150,11 +152,7 @@ pub fn run_simulated_hooked(
             .remove(next.group)
             .expect("a position in the pending list");
         let lane = &mut lanes[next.worker];
-        lane.run_group(
-            &schedule.groups[gi],
-            cfg.fetch_cost + next.extra_fetch,
-            &mut answers,
-        );
+        lane.run_group(&schedule.groups[gi], next.fetch, &mut answers);
         clocks[next.worker] = lane.now();
     }
     let done: Vec<_> = lanes.into_iter().map(Lane::finish).collect();
@@ -281,7 +279,9 @@ mod tests {
 #[cfg(test)]
 mod edge_case_tests {
     use crate::mode::{Backend, Mode, RunConfig};
-    use crate::sim::run_simulated;
+    use crate::schedule_for;
+    use crate::sim::{run_simulated, run_simulated_hooked, Fifo};
+    use parcfl_core::SharedJmpStore;
     use parcfl_frontend::build_pag;
 
     #[test]
@@ -321,17 +321,16 @@ mod edge_case_tests {
         .unwrap()
         .pag;
         let qs = pag.application_locals();
-        let mut cheap = RunConfig::new(Mode::Naive, 1, Backend::Simulated);
-        cheap.fetch_cost = 1;
-        let mut pricey = cheap.clone();
-        pricey.fetch_cost = 100;
-        let a = run_simulated(&pag, &qs, &cheap);
-        let b = run_simulated(&pag, &qs, &pricey);
-        assert_eq!(
-            b.stats.makespan - a.stats.makespan,
-            99 * qs.len() as u64,
-            "fetch overhead is per dispatch unit"
-        );
+        let cfg = RunConfig::new(Mode::Naive, 1, Backend::Simulated);
+        let schedule = schedule_for(&pag, &qs, cfg.mode);
+        let makespan = |fetch| {
+            let store = SharedJmpStore::new();
+            let run = run_simulated_hooked(&pag, &schedule, &cfg, &store, 0, &mut Fifo(fetch));
+            run.0.stats.makespan
+        };
+        let production = run_simulated(&pag, &qs, &cfg).stats.makespan;
+        assert_eq!(makespan(1), production, "production pays one step");
+        assert_eq!(makespan(100) - production, 99 * qs.len() as u64);
     }
 
     #[test]

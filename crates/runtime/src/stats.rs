@@ -360,7 +360,6 @@ mod tests {
             traversed_steps: traversed,
             steps_saved: saved,
             early_terminated: et,
-            out_of_budget: et,
             ..QueryStats::default()
         }
     }

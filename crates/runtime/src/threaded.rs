@@ -25,7 +25,7 @@ use parcfl_sched::Schedule;
 
 /// Worker stack size. The solver's `PointsTo` / `FlowsTo` /
 /// `ReachableNodes` recursion nests one level per field load it resolves,
-/// up to `max_recursion_depth` (512). Measured on an `x_i = x_{i+1}.f`
+/// up to its `MAX_RECURSION_DEPTH` (512). Measured on an `x_i = x_{i+1}.f`
 /// chain (DESIGN.md §7): ≈ 0.7 KB per level in release builds (a 510-deep
 /// chain overflows 352 KB and fits in 384 KB) and ≈ 10 KB in debug builds
 /// (it overflows 4.5 MB and fits in 5 MB). 64 MB covers both with room.
@@ -222,8 +222,8 @@ mod tests {
     /// The depth guard at its real bound, on a worker's own stack. In an
     /// `x_i = x_{i+1}.f` chain ending in a store `x_n.f = y`, answering
     /// `x0` nests one `PointsTo` per load: 511 loads complete, and at 600
-    /// the guard fires at `max_recursion_depth` (512) and burns the rest of
-    /// the budget instead of overflowing the stack.
+    /// the guard fires at the solver's `MAX_RECURSION_DEPTH` (512) and
+    /// burns the rest of the budget instead of overflowing the stack.
     #[test]
     fn a_chain_deeper_than_the_depth_guard_runs_out_of_budget() {
         let answer = |depth: usize| {

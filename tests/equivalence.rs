@@ -85,7 +85,7 @@ fn one_worker_naive_is_seq_on_every_executor() {
         assert_eq!(thr.stats.makespan, seq.stats.makespan);
         assert_eq!(
             sim.stats.makespan,
-            seq.stats.makespan + sim_cfg.fetch_cost * b.queries.len() as u64
+            seq.stats.makespan + parcfl::runtime::sim::FETCH_STEPS * b.queries.len() as u64
         );
     }
 }

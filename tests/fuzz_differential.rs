@@ -32,7 +32,7 @@ fn seq_matches_oracle_exactly() {
         let bench = build_bench(&Profile::tiny(derive(seed, i)));
         let cfg = SolverConfig {
             budget: 5_000_000,
-            ..SolverConfig::sequential()
+            ..SolverConfig::default()
         };
         let result = run_seq(&bench.pag, &bench.queries, &cfg);
         let mut oracle = OracleCache::new(&bench.pag, OracleConfig::default());
@@ -81,7 +81,7 @@ fn flows_to_matches_oracle_exactly() {
                     budget: 5_000_000,
                     context_sensitive,
                     state,
-                    ..SolverConfig::sequential()
+                    ..SolverConfig::default()
                 };
                 let mut solver = Solver::new(pag, &cfg, &NoJmpStore);
                 for (&o, want) in objects.iter().zip(&want) {
