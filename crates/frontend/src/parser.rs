@@ -121,6 +121,20 @@ struct Parser<'src> {
     tok: Spanned<'src>,
     /// Each distinct identifier spelling, interned once.
     names: HashMap<&'src str, Interned>,
+    /// Reused buffers for the lists of one method: each list is read into
+    /// its buffer and moved out at exactly its length (see [`exact`]).
+    decls: Vec<LocalDecl>,
+    stmts: Vec<Stmt>,
+    args: Vec<VarRef>,
+}
+
+/// Moves `buf`'s items into a vector whose capacity is exactly their count,
+/// leaving `buf` empty with its capacity kept for the next list. The parsed
+/// program is live until its graph is built, so it keeps no growth slack.
+fn exact<T>(buf: &mut Vec<T>) -> Vec<T> {
+    let mut list = Vec::with_capacity(buf.len());
+    list.append(buf);
+    list
 }
 
 impl<'src> Parser<'src> {
@@ -133,6 +147,9 @@ impl<'src> Parser<'src> {
                 col: 1,
             },
             names: HashMap::new(),
+            decls: Vec::new(),
+            stmts: Vec::new(),
+            args: Vec::new(),
         }
     }
 
@@ -270,34 +287,35 @@ impl<'src> Parser<'src> {
     fn method(&mut self, is_static: bool) -> Result<MethodDecl, ParseError> {
         let name = self.name()?;
         self.expect(Tok::LParen)?;
-        let mut params = Vec::new();
         if self.peek() != Tok::RParen {
             loop {
                 let (name, ty) = self.decl()?;
-                params.push(LocalDecl { name, ty });
+                self.decls.push(LocalDecl { name, ty });
                 if !self.eat(Tok::Comma)? {
                     break;
                 }
             }
         }
         self.expect(Tok::RParen)?;
+        let params = exact(&mut self.decls);
         let ret = if self.eat(Tok::Colon)? {
             Some(self.type_ref()?)
         } else {
             None
         };
         self.expect(Tok::LBrace)?;
-        let mut locals = Vec::new();
         while self.eat(Tok::Ident("var"))? {
             let (name, ty) = self.decl()?;
             self.expect(Tok::Semi)?;
-            locals.push(LocalDecl { name, ty });
+            self.decls.push(LocalDecl { name, ty });
         }
-        let mut body = Vec::new();
+        let locals = exact(&mut self.decls);
         while self.peek() != Tok::RBrace {
-            body.push(self.stmt()?);
+            let stmt = self.stmt()?;
+            self.stmts.push(stmt);
         }
         self.expect(Tok::RBrace)?;
+        let body = exact(&mut self.stmts);
         Ok(MethodDecl {
             name,
             is_static,
@@ -351,21 +369,20 @@ impl<'src> Parser<'src> {
 
     fn call_args(&mut self) -> Result<Vec<VarRef>, ParseError> {
         self.expect(Tok::LParen)?;
-        let mut args = Vec::new();
         if self.peek() != Tok::RParen {
             loop {
                 let (v, field) = self.place()?;
                 if field.is_some() {
                     return self.err("field accesses are not allowed as call arguments");
                 }
-                args.push(v);
+                self.args.push(v);
                 if !self.eat(Tok::Comma)? {
                     break;
                 }
             }
         }
         self.expect(Tok::RParen)?;
-        Ok(args)
+        Ok(exact(&mut self.args))
     }
 
     /// Parses `callee(args);` where callee is `recv.method` or

@@ -6,13 +6,15 @@
 use crate::ir::{ClassDecl, MethodDecl, Name, Program, Stmt, VarRef};
 use std::fmt::{self, Write as _};
 
-/// Renders a whole program as `.mj` source.
+/// Renders a whole program as `.mj` source, in a string with no spare
+/// capacity: a caller may keep the text for as long as its parse.
 pub fn pretty(program: &Program) -> String {
     let mut out = String::new();
     for c in &program.classes {
         pretty_class(c, &mut out);
         out.push('\n');
     }
+    out.shrink_to_fit();
     out
 }
 

@@ -18,7 +18,7 @@
 //!   wrapper (identity) methods that stress context matching;
 //! * **globals** — static fields flowing context-insensitively.
 
-use crate::names;
+use crate::names::{self, Names};
 use crate::profile::Profile;
 use parcfl_frontend::ir::{
     ClassDecl, FieldDecl, LocalDecl, MethodDecl, Name, Program, Stmt, TypeRef, VarRef,
@@ -37,6 +37,8 @@ struct Generator<'p> {
     /// Per-application-class choice of which collection class its static
     /// `cache` holds.
     cache_coll: Vec<usize>,
+    /// This program's spellings, each built once.
+    names: Names,
 }
 
 /// A method body under construction.
@@ -55,8 +57,8 @@ impl Body {
         }
     }
 
-    fn fresh(&mut self, ty: TypeRef) -> Name {
-        let name = names::local(self.next_local);
+    fn fresh(&mut self, names: &mut Names, ty: TypeRef) -> Name {
+        let name = names::local(names, self.next_local);
         self.next_local += 1;
         self.locals.push(LocalDecl {
             name: name.clone(),
@@ -70,8 +72,9 @@ impl Body {
     }
 }
 
-fn lv(name: &str) -> VarRef {
-    VarRef::Local(name.into())
+/// A reference to the local `name`.
+fn lv(name: &Name) -> VarRef {
+    VarRef::Local(name.clone())
 }
 
 impl<'p> Generator<'p> {
@@ -80,12 +83,26 @@ impl<'p> Generator<'p> {
         let cache_coll = (0..p.app_classes)
             .map(|_| rng.random_range(0..p.collections.max(1)))
             .collect();
-        Generator { p, rng, cache_coll }
+        Generator {
+            p,
+            rng,
+            cache_coll,
+            names: Names::default(),
+        }
+    }
+
+    fn name(&mut self, s: &'static str) -> Name {
+        names::fixed(&mut self.names, s)
+    }
+
+    /// A reference to the local of a fixed spelling (`this`, a parameter).
+    fn lv(&mut self, s: &'static str) -> VarRef {
+        VarRef::Local(self.name(s))
     }
 
     fn value_ty(&mut self) -> TypeRef {
         let i = self.rng.random_range(0..self.p.value_classes);
-        TypeRef::Class(names::value_class(i))
+        TypeRef::Class(names::value_class(&mut self.names, i))
     }
 
     fn build(mut self) -> Program {
@@ -95,8 +112,8 @@ impl<'p> Generator<'p> {
         // the rest extend it so collections of Val0 can hold any value.
         for i in 0..self.p.value_classes {
             classes.push(ClassDecl {
-                name: names::value_class(i),
-                superclass: (i > 0).then(|| names::value_class(0)),
+                name: names::value_class(&mut self.names, i),
+                superclass: (i > 0).then(|| names::value_class(&mut self.names, 0)),
                 is_application: false,
                 fields: Vec::new(),
                 statics: Vec::new(),
@@ -109,53 +126,55 @@ impl<'p> Generator<'p> {
         // dependence-depth heuristic.
         for i in 0..self.p.box_classes {
             let inner = if i == 0 {
-                TypeRef::Class(names::value_class(0))
+                TypeRef::Class(names::value_class(&mut self.names, 0))
             } else {
-                TypeRef::Class(names::box_class(i - 1))
+                TypeRef::Class(names::box_class(&mut self.names, i - 1))
             };
             classes.push(ClassDecl {
-                name: names::box_class(i),
+                name: names::box_class(&mut self.names, i),
                 superclass: None,
                 is_application: false,
                 fields: vec![FieldDecl {
-                    name: "val".into(),
+                    name: self.name("val"),
                     ty: inner.clone(),
                 }],
                 statics: Vec::new(),
                 methods: vec![
                     // method set(e: Inner) { this.val = e; }
                     MethodDecl {
-                        name: "set".into(),
+                        name: self.name("set"),
                         is_static: false,
                         params: vec![LocalDecl {
-                            name: "e".into(),
+                            name: self.name("e"),
                             ty: inner.clone(),
                         }],
                         ret: None,
                         locals: vec![],
                         body: vec![Stmt::Store {
-                            base: lv("this"),
-                            field: "val".into(),
-                            src: lv("e"),
+                            base: self.lv("this"),
+                            field: self.name("val"),
+                            src: self.lv("e"),
                         }],
                     },
                     // method get(): Inner { var r: Inner; r = this.val; return r; }
                     MethodDecl {
-                        name: "get".into(),
+                        name: self.name("get"),
                         is_static: false,
                         params: vec![],
                         ret: Some(inner.clone()),
                         locals: vec![LocalDecl {
-                            name: "r".into(),
+                            name: self.name("r"),
                             ty: inner.clone(),
                         }],
                         body: vec![
                             Stmt::Load {
-                                dst: lv("r"),
-                                base: lv("this"),
-                                field: "val".into(),
+                                dst: self.lv("r"),
+                                base: self.lv("this"),
+                                field: self.name("val"),
                             },
-                            Stmt::Return { val: Some(lv("r")) },
+                            Stmt::Return {
+                                val: Some(self.lv("r")),
+                            },
                         ],
                     },
                 ],
@@ -164,90 +183,92 @@ impl<'p> Generator<'p> {
 
         // Library: array-backed collections of Val0 — the paper's Fig. 2
         // Vector, idiom for idiom (add writes t.arr, get reads it).
-        let elem = TypeRef::Class(names::value_class(0));
+        let elem = TypeRef::Class(names::value_class(&mut self.names, 0));
         let arr = TypeRef::Array(Box::new(elem.clone()));
         for i in 0..self.p.collections {
             classes.push(ClassDecl {
-                name: names::coll_class(i),
+                name: names::coll_class(&mut self.names, i),
                 superclass: None,
                 is_application: false,
                 fields: vec![FieldDecl {
-                    name: "elems".into(),
+                    name: self.name("elems"),
                     ty: arr.clone(),
                 }],
                 statics: Vec::new(),
                 methods: vec![
                     MethodDecl {
-                        name: "<init>".into(),
+                        name: self.name("<init>"),
                         is_static: false,
                         params: vec![],
                         ret: None,
                         locals: vec![LocalDecl {
-                            name: "t".into(),
+                            name: self.name("t"),
                             ty: arr.clone(),
                         }],
                         body: vec![
                             Stmt::New {
-                                dst: lv("t"),
+                                dst: self.lv("t"),
                                 ty: arr.clone(),
                             },
                             Stmt::Store {
-                                base: lv("this"),
-                                field: "elems".into(),
-                                src: lv("t"),
+                                base: self.lv("this"),
+                                field: self.name("elems"),
+                                src: self.lv("t"),
                             },
                         ],
                     },
                     MethodDecl {
-                        name: "add".into(),
+                        name: self.name("add"),
                         is_static: false,
                         params: vec![LocalDecl {
-                            name: "e".into(),
+                            name: self.name("e"),
                             ty: elem.clone(),
                         }],
                         ret: None,
                         locals: vec![LocalDecl {
-                            name: "t".into(),
+                            name: self.name("t"),
                             ty: arr.clone(),
                         }],
                         body: vec![
                             Stmt::Load {
-                                dst: lv("t"),
-                                base: lv("this"),
-                                field: "elems".into(),
+                                dst: self.lv("t"),
+                                base: self.lv("this"),
+                                field: self.name("elems"),
                             },
                             Stmt::ArrayStore {
-                                base: lv("t"),
-                                src: lv("e"),
+                                base: self.lv("t"),
+                                src: self.lv("e"),
                             },
                         ],
                     },
                     MethodDecl {
-                        name: "get".into(),
+                        name: self.name("get"),
                         is_static: false,
                         params: vec![],
                         ret: Some(elem.clone()),
                         locals: vec![
                             LocalDecl {
-                                name: "t".into(),
+                                name: self.name("t"),
                                 ty: arr.clone(),
                             },
                             LocalDecl {
-                                name: "r".into(),
+                                name: self.name("r"),
                                 ty: elem.clone(),
                             },
                         ],
                         body: vec![
                             Stmt::Load {
-                                dst: lv("t"),
-                                base: lv("this"),
-                                field: "elems".into(),
+                                dst: self.lv("t"),
+                                base: self.lv("this"),
+                                field: self.name("elems"),
                             },
                             Stmt::ArrayLoad {
-                                dst: lv("r"),
-                                base: lv("t"),
+                                dst: self.lv("r"),
+                                base: self.lv("t"),
                             },
-                            Stmt::Return { val: Some(lv("r")) },
+                            Stmt::Return {
+                                val: Some(self.lv("r")),
+                            },
                         ],
                     },
                 ],
@@ -257,46 +278,51 @@ impl<'p> Generator<'p> {
         // Application classes.
         for a in 0..self.p.app_classes {
             let superclass = if a > 0 && self.rng.random_range(0..100) < self.p.subclass_percent {
-                Some(names::app_class(self.rng.random_range(0..a)))
+                Some(names::app_class(
+                    &mut self.names,
+                    self.rng.random_range(0..a),
+                ))
             } else {
                 None
             };
             let mut methods = Vec::new();
             // A wrapper (identity) helper: context-sensitivity stress.
             methods.push(MethodDecl {
-                name: "id".into(),
+                name: self.name("id"),
                 is_static: false,
                 params: vec![LocalDecl {
-                    name: "x".into(),
-                    ty: TypeRef::Class(names::value_class(0)),
+                    name: self.name("x"),
+                    ty: TypeRef::Class(names::value_class(&mut self.names, 0)),
                 }],
-                ret: Some(TypeRef::Class(names::value_class(0))),
+                ret: Some(TypeRef::Class(names::value_class(&mut self.names, 0))),
                 locals: vec![],
-                body: vec![Stmt::Return { val: Some(lv("x")) }],
+                body: vec![Stmt::Return {
+                    val: Some(self.lv("x")),
+                }],
             });
             // Static globals per class: a shared value and a shared
             // collection (the structure all methods read and write at the
             // empty calling context — the traffic data sharing amortises).
             let statics = vec![
                 FieldDecl {
-                    name: "shared".into(),
-                    ty: TypeRef::Class(names::value_class(0)),
+                    name: self.name("shared"),
+                    ty: TypeRef::Class(names::value_class(&mut self.names, 0)),
                 },
                 FieldDecl {
-                    name: "cache".into(),
-                    ty: TypeRef::Class(names::coll_class(self.cache_coll[a])),
+                    name: self.name("cache"),
+                    ty: TypeRef::Class(names::coll_class(&mut self.names, self.cache_coll[a])),
                 },
             ];
             for m in 0..self.p.methods_per_class {
                 methods.push(self.gen_method(a, m));
             }
             classes.push(ClassDecl {
-                name: names::app_class(a),
+                name: names::app_class(&mut self.names, a),
                 superclass,
                 is_application: true,
                 fields: vec![FieldDecl {
-                    name: "state".into(),
-                    ty: TypeRef::Class(names::value_class(0)),
+                    name: self.name("state"),
+                    ty: TypeRef::Class(names::value_class(&mut self.names, 0)),
                 }],
                 statics,
                 methods,
@@ -307,13 +333,16 @@ impl<'p> Generator<'p> {
     }
 
     fn gen_method(&mut self, class_idx: usize, m: usize) -> MethodDecl {
-        let base = TypeRef::Class(names::value_class(0));
+        let base = TypeRef::Class(names::value_class(&mut self.names, 0));
         let mut body = Body::new();
         // The first method of each class installs the class's shared
         // collection.
         if m == 0 {
-            let cty = TypeRef::Class(names::coll_class(self.cache_coll[class_idx]));
-            let c = body.fresh(cty.clone());
+            let cty = TypeRef::Class(names::coll_class(
+                &mut self.names,
+                self.cache_coll[class_idx],
+            ));
+            let c = body.fresh(&mut self.names, cty.clone());
             body.push(Stmt::New {
                 dst: lv(&c),
                 ty: cty,
@@ -321,16 +350,19 @@ impl<'p> Generator<'p> {
             body.push(Stmt::VirtualCall {
                 dst: None,
                 recv: lv(&c),
-                method: "<init>".into(),
+                method: self.name("<init>"),
                 args: vec![],
             });
             body.push(Stmt::Assign {
-                dst: VarRef::Static(names::app_class(class_idx), "cache".into()),
+                dst: VarRef::Static(
+                    names::app_class(&mut self.names, class_idx),
+                    self.name("cache"),
+                ),
                 src: lv(&c),
             });
         }
         // Every method starts with a seed value the idioms can draw on.
-        let seed_var = body.fresh(base.clone());
+        let seed_var = body.fresh(&mut self.names, base.clone());
         let alloc_ty = self.value_ty();
         body.push(Stmt::New {
             dst: lv(&seed_var),
@@ -371,28 +403,29 @@ impl<'p> Generator<'p> {
             });
         }
         MethodDecl {
-            name: names::method(m),
+            name: names::method(&mut self.names, m),
             is_static: false,
             params: vec![LocalDecl {
-                name: "p0".into(),
+                name: self.name("p0"),
                 ty: base,
             }],
             ret,
-            locals: body.locals,
-            body: body.stmts,
+            // At their exact size, as the parser leaves them.
+            locals: body.locals.into_boxed_slice().into(),
+            body: body.stmts.into_boxed_slice().into(),
         }
     }
 
     /// `a = new V; b = a; c = b; ...` — connection-distance fodder.
     fn idiom_alloc_chain(&mut self, body: &mut Body, last: &mut Name) {
-        let base = TypeRef::Class(names::value_class(0));
+        let base = TypeRef::Class(names::value_class(&mut self.names, 0));
         let ty = self.value_ty();
-        let a = body.fresh(base.clone());
+        let a = body.fresh(&mut self.names, base.clone());
         body.push(Stmt::New { dst: lv(&a), ty });
         let mut prev = a;
         let len = self.rng.random_range(1..4);
         for _ in 0..len {
-            let nxt = body.fresh(base.clone());
+            let nxt = body.fresh(&mut self.names, base.clone());
             body.push(Stmt::Assign {
                 dst: lv(&nxt),
                 src: lv(&prev),
@@ -404,31 +437,31 @@ impl<'p> Generator<'p> {
 
     /// `c = new Coll; call c.<init>(); call c.add(v); r = call c.get();`
     fn idiom_container(&mut self, body: &mut Body, last: &mut Name) {
-        let base = TypeRef::Class(names::value_class(0));
+        let base = TypeRef::Class(names::value_class(&mut self.names, 0));
         let k = self.rng.random_range(0..self.p.collections.max(1));
-        let cty = TypeRef::Class(names::coll_class(k));
-        let c = body.fresh(cty);
+        let cty = TypeRef::Class(names::coll_class(&mut self.names, k));
+        let c = body.fresh(&mut self.names, cty);
         body.push(Stmt::New {
             dst: lv(&c),
-            ty: TypeRef::Class(names::coll_class(k)),
+            ty: TypeRef::Class(names::coll_class(&mut self.names, k)),
         });
         body.push(Stmt::VirtualCall {
             dst: None,
             recv: lv(&c),
-            method: "<init>".into(),
+            method: self.name("<init>"),
             args: vec![],
         });
         body.push(Stmt::VirtualCall {
             dst: None,
             recv: lv(&c),
-            method: "add".into(),
+            method: self.name("add"),
             args: vec![lv(last)],
         });
-        let r = body.fresh(base);
+        let r = body.fresh(&mut self.names, base);
         body.push(Stmt::VirtualCall {
             dst: Some(lv(&r)),
             recv: lv(&c),
-            method: "get".into(),
+            method: self.name("get"),
             args: vec![],
         });
         *last = r;
@@ -442,9 +475,9 @@ impl<'p> Generator<'p> {
     /// for budget exhaustion to strike mid-frame — the precondition for
     /// unfinished jmp edges and early terminations (paper Fig. 3b).
     fn idiom_field(&mut self, body: &mut Body, last: &mut Name) {
-        let base = TypeRef::Class(names::value_class(0));
-        let bty = TypeRef::Class(names::box_class(0));
-        let b = body.fresh(bty.clone());
+        let base = TypeRef::Class(names::value_class(&mut self.names, 0));
+        let bty = TypeRef::Class(names::box_class(&mut self.names, 0));
+        let b = body.fresh(&mut self.names, bty.clone());
         body.push(Stmt::New {
             dst: lv(&b),
             ty: bty.clone(),
@@ -452,43 +485,43 @@ impl<'p> Generator<'p> {
         body.push(Stmt::VirtualCall {
             dst: None,
             recv: lv(&b),
-            method: "set".into(),
+            method: self.name("set"),
             args: vec![lv(last)],
         });
         let mut cur = b;
         let chain = self.rng.random_range(8..24);
         for _ in 0..chain {
-            let nxt = body.fresh(bty.clone());
+            let nxt = body.fresh(&mut self.names, bty.clone());
             body.push(Stmt::Assign {
                 dst: lv(&nxt),
                 src: lv(&cur),
             });
             cur = nxt;
         }
-        let r = body.fresh(base);
+        let r = body.fresh(&mut self.names, base);
         body.push(Stmt::VirtualCall {
             dst: Some(lv(&r)),
             recv: lv(&cur),
-            method: "get".into(),
+            method: self.name("get"),
             args: vec![],
         });
         // Occasionally wrap in a deeper box to exercise the ladder (and
         // give scheduling distinct type levels to order).
         if self.p.box_classes > 1 && self.rng.random_bool(0.4) {
             let deep_i = self.rng.random_range(1..self.p.box_classes);
-            let dty = TypeRef::Class(names::box_class(deep_i));
-            let d = body.fresh(dty.clone());
+            let dty = TypeRef::Class(names::box_class(&mut self.names, deep_i));
+            let d = body.fresh(&mut self.names, dty.clone());
             body.push(Stmt::New {
                 dst: lv(&d),
                 ty: dty,
             });
             // Boxes hold the next box down; we only exercise get.
-            let inner_ty = TypeRef::Class(names::box_class(deep_i - 1));
-            let got = body.fresh(inner_ty);
+            let inner_ty = TypeRef::Class(names::box_class(&mut self.names, deep_i - 1));
+            let got = body.fresh(&mut self.names, inner_ty);
             body.push(Stmt::VirtualCall {
                 dst: Some(lv(&got)),
                 recv: lv(&d),
-                method: "get".into(),
+                method: self.name("get"),
                 args: vec![],
             });
         }
@@ -499,15 +532,15 @@ impl<'p> Generator<'p> {
     /// into cross-method param/ret paths (and recursion when mK ends up
     /// calling back, which the frontend collapses).
     fn idiom_call(&mut self, body: &mut Body, _class_idx: usize, last: &mut Name) {
-        let base = TypeRef::Class(names::value_class(0));
+        let base = TypeRef::Class(names::value_class(&mut self.names, 0));
         // Target one of the even (value-returning) generated methods.
         let even_count = self.p.methods_per_class.div_ceil(2);
         let k = 2 * self.rng.random_range(0..even_count.max(1));
-        let r = body.fresh(base);
+        let r = body.fresh(&mut self.names, base);
         body.push(Stmt::VirtualCall {
             dst: Some(lv(&r)),
-            recv: lv("this"),
-            method: names::method(k),
+            recv: self.lv("this"),
+            method: names::method(&mut self.names, k),
             args: vec![lv(last)],
         });
         *last = r;
@@ -516,16 +549,16 @@ impl<'p> Generator<'p> {
     /// `AppK.shared = v; r = AppK.shared;` — context-insensitive global
     /// flow.
     fn idiom_global(&mut self, body: &mut Body, class_idx: usize, last: &mut Name) {
-        let base = TypeRef::Class(names::value_class(0));
-        let owner = names::app_class(self.rng.random_range(0..=class_idx));
+        let base = TypeRef::Class(names::value_class(&mut self.names, 0));
+        let owner = names::app_class(&mut self.names, self.rng.random_range(0..=class_idx));
         body.push(Stmt::Assign {
-            dst: VarRef::Static(owner.clone(), "shared".into()),
+            dst: VarRef::Static(owner.clone(), self.name("shared")),
             src: lv(last),
         });
-        let r = body.fresh(base);
+        let r = body.fresh(&mut self.names, base);
         body.push(Stmt::Assign {
             dst: lv(&r),
-            src: VarRef::Static(owner, "shared".into()),
+            src: VarRef::Static(owner, self.name("shared")),
         });
         *last = r;
     }
@@ -535,25 +568,25 @@ impl<'p> Generator<'p> {
     /// the (expensive) alias computations these trigger are keyed at
     /// contexts many queries share — prime data-sharing territory.
     fn idiom_shared_container(&mut self, body: &mut Body, class_idx: usize, last: &mut Name) {
-        let base = TypeRef::Class(names::value_class(0));
+        let base = TypeRef::Class(names::value_class(&mut self.names, 0));
         let owner = self.rng.random_range(0..=class_idx);
-        let cty = TypeRef::Class(names::coll_class(self.cache_coll[owner]));
-        let c = body.fresh(cty);
+        let cty = TypeRef::Class(names::coll_class(&mut self.names, self.cache_coll[owner]));
+        let c = body.fresh(&mut self.names, cty);
         body.push(Stmt::Assign {
             dst: lv(&c),
-            src: VarRef::Static(names::app_class(owner), "cache".into()),
+            src: VarRef::Static(names::app_class(&mut self.names, owner), self.name("cache")),
         });
         body.push(Stmt::VirtualCall {
             dst: None,
             recv: lv(&c),
-            method: "add".into(),
+            method: self.name("add"),
             args: vec![lv(last)],
         });
-        let r = body.fresh(base);
+        let r = body.fresh(&mut self.names, base);
         body.push(Stmt::VirtualCall {
             dst: Some(lv(&r)),
             recv: lv(&c),
-            method: "get".into(),
+            method: self.name("get"),
             args: vec![],
         });
         *last = r;
@@ -563,21 +596,21 @@ impl<'p> Generator<'p> {
     /// flows thread through many classes, giving the call graph breadth
     /// (and occasional recursion cycles, which the frontend collapses).
     fn idiom_cross_call(&mut self, body: &mut Body, last: &mut Name) {
-        let base = TypeRef::Class(names::value_class(0));
+        let base = TypeRef::Class(names::value_class(&mut self.names, 0));
         let j = self.rng.random_range(0..self.p.app_classes);
-        let hty = TypeRef::Class(names::app_class(j));
-        let h = body.fresh(hty.clone());
+        let hty = TypeRef::Class(names::app_class(&mut self.names, j));
+        let h = body.fresh(&mut self.names, hty.clone());
         body.push(Stmt::New {
             dst: lv(&h),
             ty: hty,
         });
         let even_count = self.p.methods_per_class.div_ceil(2);
         let k = 2 * self.rng.random_range(0..even_count.max(1));
-        let r = body.fresh(base);
+        let r = body.fresh(&mut self.names, base);
         body.push(Stmt::VirtualCall {
             dst: Some(lv(&r)),
             recv: lv(&h),
-            method: names::method(k),
+            method: names::method(&mut self.names, k),
             args: vec![lv(last)],
         });
         *last = r;
@@ -599,13 +632,13 @@ impl<'p> Generator<'p> {
     /// unfinished jmp edges behind, and give later queries their early
     /// terminations.
     fn idiom_ladder(&mut self, body: &mut Body, last: &mut Name) {
-        let base = TypeRef::Class(names::value_class(0));
+        let base = TypeRef::Class(names::value_class(&mut self.names, 0));
         let depth = self.p.box_classes;
         // Build upward.
         let mut boxes: Vec<Name> = Vec::with_capacity(depth);
         for j in 0..depth {
-            let bty = TypeRef::Class(names::box_class(j));
-            let b = body.fresh(bty.clone());
+            let bty = TypeRef::Class(names::box_class(&mut self.names, j));
+            let b = body.fresh(&mut self.names, bty.clone());
             body.push(Stmt::New {
                 dst: lv(&b),
                 ty: bty,
@@ -614,7 +647,7 @@ impl<'p> Generator<'p> {
             body.push(Stmt::VirtualCall {
                 dst: None,
                 recv: lv(&b),
-                method: "set".into(),
+                method: self.name("set"),
                 args: vec![arg],
             });
             boxes.push(b);
@@ -622,21 +655,21 @@ impl<'p> Generator<'p> {
         // Read back down.
         let mut cur = boxes[depth - 1].clone();
         for j in (0..depth.saturating_sub(1)).rev() {
-            let ty = TypeRef::Class(names::box_class(j));
-            let t = body.fresh(ty);
+            let ty = TypeRef::Class(names::box_class(&mut self.names, j));
+            let t = body.fresh(&mut self.names, ty);
             body.push(Stmt::VirtualCall {
                 dst: Some(lv(&t)),
                 recv: lv(&cur),
-                method: "get".into(),
+                method: self.name("get"),
                 args: vec![],
             });
             cur = t;
         }
-        let r = body.fresh(base);
+        let r = body.fresh(&mut self.names, base);
         body.push(Stmt::VirtualCall {
             dst: Some(lv(&r)),
             recv: lv(&cur),
-            method: "get".into(),
+            method: self.name("get"),
             args: vec![],
         });
         *last = r;
@@ -645,12 +678,12 @@ impl<'p> Generator<'p> {
     /// `r = call this.id(v);` — the wrapper pattern whose `param_i`/`ret_i`
     /// pairs context-sensitivity must match.
     fn idiom_wrapper(&mut self, body: &mut Body, _class_idx: usize, last: &mut Name) {
-        let base = TypeRef::Class(names::value_class(0));
-        let r = body.fresh(base);
+        let base = TypeRef::Class(names::value_class(&mut self.names, 0));
+        let r = body.fresh(&mut self.names, base);
         body.push(Stmt::VirtualCall {
             dst: Some(lv(&r)),
-            recv: lv("this"),
-            method: "id".into(),
+            recv: self.lv("this"),
+            method: self.name("id"),
             args: vec![lv(last)],
         });
         *last = r;
@@ -699,6 +732,118 @@ mod tests {
         let text = parcfl_frontend::pretty::pretty(&prog);
         let reparsed = parcfl_frontend::parse(&text).expect("round trip");
         assert_eq!(prog, reparsed);
+    }
+
+    fn type_names<'a>(ty: &'a TypeRef, out: &mut Vec<&'a Name>) {
+        match ty {
+            TypeRef::Int => {}
+            TypeRef::Class(c) => out.push(c),
+            TypeRef::Array(elem) => type_names(elem, out),
+        }
+    }
+
+    fn var_names<'a>(v: &'a VarRef, out: &mut Vec<&'a Name>) {
+        match v {
+            VarRef::Local(n) => out.push(n),
+            VarRef::Static(c, f) => out.extend([c, f]),
+        }
+    }
+
+    fn exact<T>(list: &Vec<T>) {
+        assert_eq!(list.len(), list.capacity(), "a list with spare capacity");
+    }
+
+    /// Every `body`, `locals`, `params` and call `args` of `program` is at
+    /// its exact size, and any two equal names share one allocation.
+    fn assert_compact(program: &Program) {
+        let mut names = Vec::new();
+        for class in &program.classes {
+            names.push(&class.name);
+            names.extend(&class.superclass);
+            for f in class.fields.iter().chain(&class.statics) {
+                names.push(&f.name);
+                type_names(&f.ty, &mut names);
+            }
+            for m in &class.methods {
+                names.push(&m.name);
+                m.ret.iter().for_each(|ty| type_names(ty, &mut names));
+                exact(&m.params);
+                exact(&m.locals);
+                exact(&m.body);
+                for d in m.params.iter().chain(&m.locals) {
+                    names.push(&d.name);
+                    type_names(&d.ty, &mut names);
+                }
+                for s in &m.body {
+                    match s {
+                        Stmt::New { dst, ty } => {
+                            var_names(dst, &mut names);
+                            type_names(ty, &mut names);
+                        }
+                        Stmt::Assign { dst: a, src: b }
+                        | Stmt::ArrayLoad { dst: a, base: b }
+                        | Stmt::ArrayStore { base: a, src: b } => {
+                            var_names(a, &mut names);
+                            var_names(b, &mut names);
+                        }
+                        Stmt::Load {
+                            dst: a,
+                            base: b,
+                            field,
+                        }
+                        | Stmt::Store {
+                            base: b,
+                            field,
+                            src: a,
+                        } => {
+                            var_names(a, &mut names);
+                            var_names(b, &mut names);
+                            names.push(field);
+                        }
+                        Stmt::VirtualCall {
+                            dst,
+                            recv,
+                            method,
+                            args,
+                        } => {
+                            dst.iter().for_each(|d| var_names(d, &mut names));
+                            var_names(recv, &mut names);
+                            names.push(method);
+                            exact(args);
+                            args.iter().for_each(|a| var_names(a, &mut names));
+                        }
+                        Stmt::StaticCall {
+                            dst,
+                            class,
+                            method,
+                            args,
+                        } => {
+                            dst.iter().for_each(|d| var_names(d, &mut names));
+                            names.extend([class, method]);
+                            exact(args);
+                            args.iter().for_each(|a| var_names(a, &mut names));
+                        }
+                        Stmt::Return { val } => val.iter().for_each(|v| var_names(v, &mut names)),
+                    }
+                }
+            }
+        }
+        let mut first: std::collections::HashMap<&str, &Name> = Default::default();
+        for n in names {
+            let spelling = first.entry(n).or_insert(n);
+            assert!(Name::ptr_eq(spelling, n), "`{n}` is allocated twice");
+        }
+    }
+
+    #[test]
+    fn generated_and_parsed_programs_are_compact() {
+        for seed in 0..6 {
+            let prog = generate(&Profile::tiny(seed));
+            assert_compact(&prog);
+            let text = parcfl_frontend::pretty::pretty(&prog);
+            assert_eq!(text.len(), text.capacity(), "text with spare capacity");
+            assert_compact(&parcfl_frontend::parse(&text).expect("round trip"));
+        }
     }
 
     #[test]

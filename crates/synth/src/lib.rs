@@ -14,7 +14,7 @@
 
 pub mod generator;
 pub mod mutate;
-pub mod names;
+mod names;
 pub mod profile;
 pub mod stress;
 pub mod suite;
