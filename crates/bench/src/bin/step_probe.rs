@@ -18,18 +18,22 @@
 //! steps. The DQ lane's store also counts the lookups that reach it: the
 //! lane answers a key it has been served before from its own copy, so the
 //! shared map sees each hit key once plus every miss. `--reps 1` is the CI
-//! gate.
+//! gate. The DQ pass also prints its early terminations and the share of
+//! its traversed steps that went into queries that ran out of budget.
 //!
 //! The DQ pass's count moves with the default τF. Since τF went from 100
 //! to 20 it traverses a quarter of the steps and spends much of its time
 //! taking jmp shortcuts, so its ns/step is not comparable to a figure
-//! taken at τF = 100.
+//! taken at τF = 100. It moved again when a walk that pops an exhausted
+//! query's start began to stop there (5 237 302 steps before, 75 % of
+//! them in out-of-budget queries): `SEQ_STEPS` and `DQ_OUT_OF_BUDGET` did
+//! not, and they are what shows that rule changed no verdict.
 //!
 //! ```text
 //! cargo run --release -p parcfl-bench --bin step_probe [-- --reps N]
 //! ```
 
-use parcfl_core::jmp::{JmpKey, JmpLookup, RchSet};
+use parcfl_core::jmp::{ExhaustedStarts, JmpKey, JmpLookup, RchSet};
 use parcfl_core::{Answer, CtxInterner, Footprint, JmpStore, SharedJmpStore, Solver};
 use parcfl_runtime::{run, run_seq, schedule_with_cap, Backend, Mode, RunConfig};
 use parcfl_synth::Bench;
@@ -39,10 +43,10 @@ use std::sync::Arc;
 /// `run_seq`'s traversed steps over the light programs.
 const SEQ_STEPS: u64 = 9_943_260;
 /// The one-worker DQ pass's traversed steps and out-of-budget queries.
-const DQ_STEPS: u64 = 5_237_302;
+const DQ_STEPS: u64 = 2_114_950;
 const DQ_OUT_OF_BUDGET: u64 = 3_713;
 /// The lookups the one-worker DQ pass makes in the shared store.
-const DQ_LOOKUPS: u64 = 26_094;
+const DQ_LOOKUPS: u64 = 25_511;
 
 /// On-CPU nanoseconds of the calling thread so far.
 fn thread_cpu_ns() -> u64 {
@@ -52,40 +56,52 @@ fn thread_cpu_ns() -> u64 {
     ns.expect("schedstat's first field: nanoseconds on the CPU")
 }
 
-/// What one pass did: on-CPU nanoseconds, and its work.
-#[derive(Clone, Copy)]
-struct Pass {
-    ns: u64,
+/// The work of a pass, or of one program in it.
+#[derive(Clone, Copy, Default)]
+struct Work {
     steps: u64,
     out_of_budget: u64,
     /// Lookups that reached the shared store (DQ only).
     lookups: u64,
+    /// Early terminations (DQ only).
+    early: u64,
+    /// Traversed steps of the queries that ran out of budget (DQ only).
+    oob_steps: u64,
+}
+
+impl std::iter::Sum for Work {
+    fn sum<I: Iterator<Item = Work>>(iter: I) -> Work {
+        iter.fold(Work::default(), |a, w| Work {
+            steps: a.steps + w.steps,
+            out_of_budget: a.out_of_budget + w.out_of_budget,
+            lookups: a.lookups + w.lookups,
+            early: a.early + w.early,
+            oob_steps: a.oob_steps + w.oob_steps,
+        })
+    }
+}
+
+/// What one pass did: on-CPU nanoseconds, and its work.
+#[derive(Clone, Copy)]
+struct Pass {
+    ns: u64,
+    work: Work,
 }
 
 impl Pass {
     fn ns_per_step(&self) -> f64 {
-        self.ns as f64 / self.steps.max(1) as f64
+        self.ns as f64 / self.work.steps.max(1) as f64
     }
 }
 
-/// Times `body` on this thread; it returns `(steps, out of budget,
-/// lookups)`.
-fn timed(body: impl FnOnce() -> (u64, u64, u64)) -> Pass {
+/// Times `body` on this thread.
+fn timed(body: impl FnOnce() -> Work) -> Pass {
     let start = thread_cpu_ns();
-    let (steps, out_of_budget, lookups) = body();
+    let work = body();
     Pass {
         ns: thread_cpu_ns() - start,
-        steps,
-        out_of_budget,
-        lookups,
+        work,
     }
-}
-
-/// Sums per-program `(steps, out of budget, lookups)`.
-fn total(work: impl Iterator<Item = (u64, u64, u64)>) -> (u64, u64, u64) {
-    work.fold((0, 0, 0), |(s, o, l), (ws, wo, wl)| {
-        (s + ws, o + wo, l + wl)
-    })
 }
 
 /// A store that forwards to a [`SharedJmpStore`] and counts the lookups
@@ -123,11 +139,14 @@ impl JmpStore for Counting<'_> {
     fn epoch(&self) -> u64 {
         self.store.epoch()
     }
+
+    fn exhausted_starts(&self) -> Option<&ExhaustedStarts> {
+        self.store.exhausted_starts()
+    }
 }
 
-/// One worker's DQ lane over `b`, inline: `(steps, out of budget,
-/// lookups)`.
-fn dq_lane(b: &Bench) -> (u64, u64, u64) {
+/// One worker's DQ lane over `b`, inline.
+fn dq_lane(b: &Bench) -> Work {
     let schedule = schedule_with_cap(&b.pag, &b.queries, Mode::DataSharingSched, None);
     let store = SharedJmpStore::new();
     let counting = Counting {
@@ -135,13 +154,17 @@ fn dq_lane(b: &Bench) -> (u64, u64, u64) {
         lookups: AtomicU64::new(0),
     };
     let mut solver = Solver::new(&b.pag, &b.solver, &counting).in_batch(0, false);
-    let (mut steps, mut out_of_budget) = (0, 0);
+    let mut work = Work::default();
     for q in schedule.flat_order() {
         let out = solver.points_to_query(q, 0);
-        steps += out.stats.traversed_steps;
-        out_of_budget += u64::from(matches!(out.answer, Answer::OutOfBudget));
+        let oob = matches!(out.answer, Answer::OutOfBudget);
+        work.steps += out.stats.traversed_steps;
+        work.out_of_budget += u64::from(oob);
+        work.early += u64::from(out.stats.early_terminated);
+        work.oob_steps += if oob { out.stats.traversed_steps } else { 0 };
     }
-    (steps, out_of_budget, counting.lookups.into_inner())
+    work.lookups = counting.lookups.into_inner();
+    work
 }
 
 fn main() {
@@ -171,7 +194,11 @@ fn main() {
         (r.stats.traversed_steps, r.stats.out_of_budget as u64)
     };
     let per_program: Vec<(u64, u64)> = suite.iter().map(one).collect();
-    let lanes: Vec<(u64, u64)> = suite.iter().map(dq_lane).map(|(s, o, _)| (s, o)).collect();
+    let lanes: Vec<(u64, u64)> = suite
+        .iter()
+        .map(dq_lane)
+        .map(|w| (w.steps, w.out_of_budget))
+        .collect();
     assert_eq!(lanes, per_program, "the inline lane is the one-worker run");
     let light: Vec<&Bench> = suite
         .iter()
@@ -184,9 +211,14 @@ fn main() {
     for _ in 0..reps {
         seq.push(timed(|| {
             let runs = light.iter().map(|b| run_seq(&b.pag, &b.queries, &b.solver));
-            total(runs.map(|r| (r.stats.traversed_steps, r.stats.out_of_budget as u64, 0)))
+            runs.map(|r| Work {
+                steps: r.stats.traversed_steps,
+                out_of_budget: r.stats.out_of_budget as u64,
+                ..Work::default()
+            })
+            .sum()
         }));
-        dq.push(timed(|| total(suite.iter().map(dq_lane))));
+        dq.push(timed(|| suite.iter().map(dq_lane).sum()));
     }
 
     println!("on-CPU time of this thread (/proc/thread-self/schedstat), fastest of {reps}");
@@ -202,27 +234,34 @@ fn main() {
             .iter()
             .map(|p| format!("{:.1}", p.ns_per_step()))
             .collect();
-        let p = passes[0];
+        let w = passes[0].work;
         println!(
             "{label:<30} {:>10} steps {:>6} out of budget {:>7} store lookups \
              {best:>7.2} ns/step  (passes: {})",
-            p.steps,
-            p.out_of_budget,
-            p.lookups,
+            w.steps,
+            w.out_of_budget,
+            w.lookups,
             all.join(" ")
         );
     }
+    let w = dq[0].work;
+    println!(
+        "DQ early terminations {}, steps in out-of-budget queries {} ({:.1} % of the pass's)",
+        w.early,
+        w.oob_steps,
+        100.0 * w.oob_steps as f64 / w.steps.max(1) as f64
+    );
     // Every pass does the same work, and it is the pinned work.
     for p in &seq {
         assert_eq!(
-            (p.steps, p.out_of_budget),
+            (p.work.steps, p.work.out_of_budget),
             (SEQ_STEPS, 0),
             "run_seq's work moved"
         );
     }
     for p in &dq {
         assert_eq!(
-            (p.steps, p.out_of_budget, p.lookups),
+            (p.work.steps, p.work.out_of_budget, p.work.lookups),
             (DQ_STEPS, DQ_OUT_OF_BUDGET, DQ_LOOKUPS),
             "DQ's work moved"
         );

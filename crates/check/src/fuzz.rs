@@ -9,7 +9,12 @@
 //!
 //! * **exactly** against the naive oracle ([`crate::diff`]);
 //! * **for soundness** against the Andersen whole-program solution
-//!   ([`crate::andersen_check`]).
+//!   ([`crate::andersen_check`]);
+//!
+//! and every out-of-budget answer whose query start the run's jmp store
+//! recorded as exhausted against a solver without a store under the same
+//! budget ([`exhausted_start_divergence`]): the early terminations such a
+//! start causes are exact only if that solver runs out too.
 //!
 //! A quarter of eligible iterations carry a mutate-then-requery edit
 //! script ([`Scenario::deltas`]): the run answers cold, applies each PAG
@@ -31,9 +36,11 @@ use crate::oracle::OracleConfig;
 use crate::seed::derive;
 use crate::shrink::{shrink, ShrinkStats};
 use crate::snapshot::Scenario;
-use parcfl_core::{SolverConfig, StateBackend};
-use parcfl_pag::{DeltaOp, EdgeKind};
-use parcfl_runtime::{Backend, Mode, TraceLevel};
+use parcfl_core::{
+    Answer, Dir, JmpStore, NoJmpStore, SharedJmpStore, Solver, SolverConfig, StateBackend,
+};
+use parcfl_pag::{DeltaOp, EdgeKind, NodeId, Pag};
+use parcfl_runtime::{Backend, Mode, RunResult, TraceLevel};
 use parcfl_synth::mutate::sample_edits;
 use parcfl_synth::{build_bench, Profile};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -162,7 +169,8 @@ pub fn failure_detail(scenario: &Scenario) -> Option<String> {
 /// The one check body behind [`failure_detail`] and [`run_fuzz`]: runs
 /// `scenario` `attempts` times, hands each run's oracle diff and
 /// soundness report to `tally`, and describes the first disagreement — an
-/// oracle mismatch, a soundness violation, then (after the last run) an
+/// oracle mismatch, a soundness violation, an
+/// [`exhausted_start_divergence`], then (after the last run) an
 /// [`incremental_divergence`]. Delta scenarios answer on the *edited*
 /// graph, so both referees read [`Scenario::final_pag`]: a stale warm
 /// entry served after an edit is a mismatch against that graph's truth.
@@ -179,7 +187,8 @@ fn check(
     let truth = scenario.final_pag();
     let mut oracle = OracleCache::new(&truth, oracle_cfg);
     for _ in 0..attempts {
-        let result = scenario.run();
+        let store = SharedJmpStore::new();
+        let result = scenario.run_on(&store);
         let diff = diff_answers(&result.answers, &mut oracle);
         let sound = check_soundness(&truth, &result.answers);
         tally(&diff, &sound);
@@ -191,8 +200,41 @@ fn check(
                 "soundness violation: demand pts({q}) contains {o}, Andersen's does not"
             ));
         }
+        if let Some(detail) = exhausted_start_divergence(&truth, &scenario.solver, &store, &result)
+        {
+            return Some(detail);
+        }
     }
     incremental_divergence(scenario)
+}
+
+/// The exactness of exhausted query starts (DESIGN.md §7): a query the
+/// run answered `OutOfBudget` whose start `store` holds — it ran out, or
+/// a walk of it popped an earlier exhausted start and stopped — must run
+/// out on a solver with no store under the same budget too. Every query
+/// that rule ended is among them, its start recorded by the rule itself
+/// or already there. The first that completes is described.
+pub fn exhausted_start_divergence(
+    pag: &Pag,
+    cfg: &SolverConfig,
+    store: &SharedJmpStore,
+    result: &RunResult,
+) -> Option<String> {
+    let starts = store.exhausted_starts()?;
+    let recorded = |q: NodeId| starts.get(Dir::Bwd, q).is_some();
+    let mut plain = Solver::new(pag, cfg, &NoJmpStore);
+    result
+        .answers
+        .iter()
+        .filter(|(q, a)| *a == Answer::OutOfBudget && recorded(*q))
+        .find(|(q, _)| plain.points_to_query(*q, 0).answer != Answer::OutOfBudget)
+        .map(|(q, _)| {
+            format!(
+                "query {q}: out of budget at a recorded exhausted start, \
+                 but a solver without a store completes it under budget {}",
+                cfg.budget
+            )
+        })
 }
 
 /// The incremental dimension: replays a delta scenario's edited graph
@@ -314,12 +356,15 @@ fn sample_scenario(cfg: &FuzzConfig, i: u64) -> Scenario {
 
     // Budget regime: ample (every query completes — maximal differential
     // coverage) or tight (exercises OutOfBudget, unfinished jmps, early
-    // termination; completed answers must still be exact).
+    // termination; completed answers must still be exact). Half the
+    // queries of a tiny program finish within 5 steps and a tenth need
+    // more than 77 (a small program's, 7 and 408), so a tight budget is
+    // drawn where some of a batch's queries run out and some do not.
     let ample = chaoslike || rng.random_bool(0.6);
     let budget = if ample {
         5_000_000
     } else {
-        50 + rng.random_range(0u64..5_000)
+        5 + rng.random_range(0u64..200)
     };
     // τ = 0 publishes every jmp entry (maximal sharing traffic); the
     // chaos self-test needs that to poison reliably.

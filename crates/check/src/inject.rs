@@ -3,12 +3,12 @@
 //! differential battery must catch. None of it is configuration of the
 //! analysis — [`parcfl_core::SolverConfig`] and
 //! [`parcfl_runtime::RunConfig`] carry no switch for it. It reaches a run
-//! through the seams the production code has anyway: the five-method
+//! through the seams the production code has anyway: the six-method
 //! [`JmpStore`] boundary between a solver and its store, the simulator's
 //! dispatch hook ([`SimHook`]), and the public batch calls.
 
 use crate::snapshot::Scenario;
-use parcfl_core::jmp::{JmpKey, JmpLookup, RchSet};
+use parcfl_core::jmp::{ExhaustedStarts, JmpKey, JmpLookup, RchSet};
 use parcfl_core::{Answer, CtxId, CtxInterner, Footprint, JmpStore, SharedJmpStore};
 use parcfl_pag::{NodeId, Pag, PagDelta};
 use parcfl_runtime::sim::{run_simulated_hooked, Dispatch, Fifo, SimHook};
@@ -99,6 +99,10 @@ impl JmpStore for ContextBlind<'_> {
 
     fn epoch(&self) -> u64 {
         self.0.epoch()
+    }
+
+    fn exhausted_starts(&self) -> Option<&ExhaustedStarts> {
+        self.0.exhausted_starts()
     }
 }
 

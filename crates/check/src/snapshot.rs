@@ -57,7 +57,7 @@ use parcfl_pag::{
 };
 use parcfl_runtime::sim::run_simulated_hooked;
 use parcfl_runtime::{
-    run_threaded, schedule_with_cap, AnalysisSession, Backend, DeltaReport, Mode, RunConfig,
+    run_threaded_batch, schedule_with_cap, AnalysisSession, Backend, DeltaReport, Mode, RunConfig,
     RunResult, TraceLevel,
 };
 use parcfl_synth::mutate::canonical_types;
@@ -108,17 +108,27 @@ impl Scenario {
     /// with an edit script return the final warm re-query result (see
     /// [`Self::run_incremental`]).
     pub fn run(&self) -> RunResult {
+        self.run_on(&SharedJmpStore::new())
+    }
+
+    /// [`Self::run`] on the caller's `store`, so a check can read what the
+    /// run left there. A sharing mode fills it; a scenario with an edit
+    /// script runs through a session of its own and leaves it empty.
+    pub fn run_on(&self, store: &SharedJmpStore) -> RunResult {
         if !self.deltas.is_empty() {
             return self.run_incremental().0;
         }
         let cfg = self.run_config();
         match self.backend {
-            Backend::Threaded => run_threaded(&self.pag, &self.queries, &cfg),
+            Backend::Threaded => {
+                let schedule =
+                    schedule_with_cap(&self.pag, &self.queries, self.mode, cfg.group_cap);
+                run_threaded_batch(&self.pag, &schedule, &cfg, store, 0)
+            }
             Backend::Simulated => {
-                let store = SharedJmpStore::new();
                 let schedule = schedule_with_cap(&self.pag, &self.queries, self.mode, None);
                 let mut inject = Inject::new(self);
-                run_simulated_hooked(&self.pag, &schedule, &cfg, &store, 0, &mut inject).0
+                run_simulated_hooked(&self.pag, &schedule, &cfg, store, 0, &mut inject).0
             }
         }
     }

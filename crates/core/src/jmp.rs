@@ -10,6 +10,11 @@
 //!   reaching `(x, c)` with remaining budget below `s` will inevitably run
 //!   out; such queries terminate early.
 //!
+//! Beside them the store keeps [`ExhaustedStarts`]: the same Fig. 3(b)
+//! evidence for the one frame the paper's `S` leaves out, a query's own
+//! top-level walk — `(dir, x)` with `s = B + 1` once a query on `x` has run
+//! out of its budget `B` (DESIGN.md §7).
+//!
 //! Race rules follow the paper (Section IV-A): finished sets are inserted
 //! atomically under their key; for unfinished entries the first writer wins
 //! (selecting the larger `s` was judged cost-ineffective). A finished set
@@ -35,7 +40,7 @@ use crate::footprint::{DirtySet, Footprint};
 use parcfl_concurrent::{CtxId, CtxInterner, ShardedMap};
 use parcfl_pag::NodeId;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Traversal direction of the `ReachableNodes` call a jmp entry summarises.
 ///
@@ -195,6 +200,12 @@ pub trait JmpStore: Sync {
     /// equal readings every entry a lookup returned is still stored,
     /// unchanged, so a copy of it answers that key as the store would.
     fn epoch(&self) -> u64;
+
+    /// The starts of queries that ran out of budget, which a solver reads
+    /// and records into directly: its reads are one load per pop, too
+    /// many to make through this boundary. `None` when the store keeps
+    /// none ([`NoJmpStore`]).
+    fn exhausted_starts(&self) -> Option<&ExhaustedStarts>;
 }
 
 /// A store that never shares anything: `SeqCFL` and the naive parallel
@@ -229,6 +240,108 @@ impl JmpStore for NoJmpStore {
     fn epoch(&self) -> u64 {
         0
     }
+
+    fn exhausted_starts(&self) -> Option<&ExhaustedStarts> {
+        None
+    }
+}
+
+/// `ExhaustedStarts`' bit table: one bit per `(dir, node)`, so exact for
+/// every node id below `1 << 17`; larger ids share bits, which the map
+/// behind them tells apart.
+const START_BITS: usize = 1 << 18;
+
+/// Evidence that a whole walk is out of budget (DESIGN.md §7): `(dir, x)`
+/// with bound `s` says a query on `x` in direction `dir` ran out of a
+/// budget of `s - 1`. A walk in `dir` that pops `(x, ∅)` pops every state
+/// that query's walk popped, at the same charge, so a query under a
+/// budget below `s` that gets there runs out too.
+///
+/// Recorded at most once per out-of-budget query, read at every pop at
+/// the empty context: the read is one load from a bit table, and only a
+/// set bit goes on to the map that holds each start's bound and virtual
+/// creation time. First writer wins. Like unfinished entries, the
+/// evidence summarises a traversal whose read set was never completed,
+/// so every delta drops all of it.
+pub struct ExhaustedStarts {
+    /// [`START_BITS`] bits, allocated by the first record: a set bit says
+    /// the map may hold its `(dir, node)`.
+    bits: OnceLock<Box<[AtomicU64]>>,
+    /// `(s, created_at)` per start.
+    map: ShardedMap<(Dir, NodeId), (u64, u64)>,
+}
+
+impl ExhaustedStarts {
+    fn new() -> Self {
+        ExhaustedStarts {
+            bits: OnceLock::new(),
+            map: ShardedMap::with_shards(8),
+        }
+    }
+
+    /// The bit of `(dir, x)`: its word and its mask.
+    #[inline]
+    fn bit(dir: Dir, x: NodeId) -> (usize, u64) {
+        let i = ((x.raw() as usize) << 1 | dir as usize) & (START_BITS - 1);
+        (i / 64, 1 << (i % 64))
+    }
+
+    /// Whether a start may be recorded for `(dir, x)`: its bit is set. The
+    /// one load a solver makes per pop at the empty context.
+    #[inline]
+    pub(crate) fn may_hold(&self, dir: Dir, x: NodeId) -> bool {
+        let (word, mask) = Self::bit(dir, x);
+        self.bits
+            .get()
+            .is_some_and(|bits| bits[word].load(Ordering::Acquire) & mask != 0)
+    }
+
+    /// The bound `s` and creation time recorded for a walk in `dir` from
+    /// `x`, whatever its time.
+    pub fn get(&self, dir: Dir, x: NodeId) -> Option<(u64, u64)> {
+        if self.may_hold(dir, x) {
+            self.map.get_cloned(&(dir, x))
+        } else {
+            None
+        }
+    }
+
+    /// Records that a query on `x` in direction `dir` ran out of a budget
+    /// of `s - 1`, at virtual time `now`. Returns whether it was stored:
+    /// first writer wins.
+    pub(crate) fn record(&self, dir: Dir, x: NodeId, s: u64, now: u64) -> bool {
+        if !self.map.try_insert((dir, x), (s, now)) {
+            return false;
+        }
+        let bits = self
+            .bits
+            .get_or_init(|| (0..START_BITS / 64).map(|_| AtomicU64::new(0)).collect());
+        let (word, mask) = Self::bit(dir, x);
+        bits[word].fetch_or(mask, Ordering::Release);
+        true
+    }
+
+    /// Starts recorded.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Whether nothing is recorded.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// Drops every start.
+    fn clear(&self) {
+        self.map.clear();
+        for word in self.bits.get().into_iter().flatten() {
+            word.store(0, Ordering::Relaxed);
+        }
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.map.approx_bytes() + self.bits.get().map_or(0, |b| b.len() * 8)
+    }
 }
 
 /// A stored entry plus the footprint it was published with.
@@ -253,6 +366,9 @@ struct StoreInner {
     /// Bumped by every removal ([`JmpStore::epoch`]); written only between
     /// batches, so readers' loads of it share the line.
     epoch: AtomicU64,
+    /// Out-of-budget query starts; solvers read them without a copy, so
+    /// their removal does not move `epoch`.
+    starts: ExhaustedStarts,
 }
 
 /// The concurrent shared store (the paper's `ConcurrentHashMap`): one map
@@ -276,6 +392,7 @@ impl SharedJmpStore {
                 map: ShardedMap::new(),
                 interner: Arc::new(CtxInterner::new()),
                 epoch: AtomicU64::new(0),
+                starts: ExhaustedStarts::new(),
             }),
         }
     }
@@ -285,17 +402,20 @@ impl SharedJmpStore {
         &self.inner.interner
     }
 
-    /// Removes every entry.
+    /// Removes every entry and every exhausted start.
     pub fn clear(&self) {
         self.inner.map.clear();
+        self.inner.starts.clear();
         self.inner.epoch.fetch_add(1, Ordering::Release);
     }
 
     /// Selective invalidation after an applied delta (DESIGN.md §12):
     /// drops every entry whose footprint is missing or intersects `dirty`,
     /// returning `(invalidated, retained)`. Unfinished entries never carry
-    /// footprints, so they always go.
+    /// footprints, so they always go, and so does every exhausted start
+    /// (not counted in the pair).
     pub fn invalidate_delta(&self, dirty: &DirtySet) -> (u64, u64) {
+        self.inner.starts.clear();
         let mut retained = 0u64;
         let removed = self.inner.map.retain(|_, st| {
             let keep =
@@ -333,7 +453,9 @@ impl SharedJmpStore {
     pub fn approx_bytes(&self) -> usize {
         // Keys are fixed-size; only the finished payload vectors and the
         // (shared, amortised) interner add to the per-entry cost.
-        let mut bytes = self.inner.map.approx_bytes() + self.inner.interner.approx_bytes();
+        let mut bytes = self.inner.map.approx_bytes()
+            + self.inner.interner.approx_bytes()
+            + self.inner.starts.approx_bytes();
         self.inner.map.for_each(|_, st| {
             if let JmpEntry::Finished { rch, .. } = &st.entry {
                 bytes += rch.len() * std::mem::size_of::<(NodeId, CtxId)>();
@@ -398,6 +520,10 @@ impl JmpStore for SharedJmpStore {
     fn epoch(&self) -> u64 {
         self.inner.epoch.load(Ordering::Acquire)
     }
+
+    fn exhausted_starts(&self) -> Option<&ExhaustedStarts> {
+        Some(&self.inner.starts)
+    }
 }
 
 #[cfg(test)]
@@ -425,6 +551,36 @@ mod tests {
         assert!(s.lookup(&key(1), u64::MAX).is_none());
         assert!(s.ctx_interner().is_none());
         assert_eq!(s.epoch(), 0);
+        assert!(s.exhausted_starts().is_none());
+    }
+
+    #[test]
+    fn exhausted_starts_first_writer_wins_and_every_delta_drops_them() {
+        use crate::footprint::DirtySet;
+        let s = SharedJmpStore::new();
+        let starts = s.exhausted_starts().unwrap();
+        let (x, far) = (NodeId::new(5), NodeId::new(5 + (1 << 17)));
+        assert_eq!(starts.get(Dir::Bwd, x), None);
+        assert_eq!(s.approx_bytes(), 0, "nothing allocated before a record");
+        assert!(starts.record(Dir::Bwd, x, 41, 7));
+        assert!(!starts.record(Dir::Bwd, x, 99, 8), "first writer wins");
+        assert_eq!(starts.get(Dir::Bwd, x), Some((41, 7)));
+        // The other direction, and an id sharing `x`'s bit, are not `x`.
+        assert_eq!(starts.get(Dir::Fwd, x), None);
+        assert_eq!(starts.get(Dir::Bwd, far), None);
+        assert!(starts.record(Dir::Bwd, far, 11, 0));
+        assert_eq!(starts.get(Dir::Bwd, far), Some((11, 0)));
+        assert_eq!(starts.get(Dir::Bwd, x), Some((41, 7)));
+        assert_eq!(starts.len(), 2);
+        assert!(s.approx_bytes() > 0);
+        // Not jmp entries: no key, no count, no epoch.
+        assert_eq!((s.entry_count(), s.stats().total_edges()), (0, 0));
+        assert_eq!(s.invalidate_delta(&DirtySet::default()), (0, 0));
+        assert!(starts.is_empty());
+        assert_eq!(starts.get(Dir::Bwd, x), None);
+        assert!(starts.record(Dir::Bwd, x, 41, 7));
+        s.clear();
+        assert!(starts.is_empty());
     }
 
     #[test]

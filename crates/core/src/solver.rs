@@ -31,7 +31,10 @@
 //! (Algorithm 2 line 5) without performing the traversal — the gap between
 //! *charged* and *traversed* steps is exactly the redundant work the paper's
 //! scheme eliminates. Nothing else is remembered within a query: a nested
-//! call made twice is traversed twice (DESIGN.md §7).
+//! call made twice is traversed twice (DESIGN.md §7). A query that runs out
+//! leaves its start in the store's [`ExhaustedStarts`], and a later walk
+//! that pops that start at the empty context stops there: it would pop
+//! everything the exhausted walk did.
 //!
 //! ## Interned contexts (DESIGN.md §8)
 //!
@@ -62,7 +65,7 @@
 use crate::config::{SolverConfig, StateBackend};
 use crate::context::{sort_canonical, Ctx};
 use crate::footprint::ReadLog;
-use crate::jmp::{Dir, JmpEntry, JmpKey, JmpLookup, JmpStore, RchSet};
+use crate::jmp::{Dir, ExhaustedStarts, JmpEntry, JmpKey, JmpLookup, JmpStore, RchSet};
 use crate::stats::{Answer, QueryOutput, QueryStats};
 use crate::witness::{Trace, Via};
 use parcfl_concurrent::{
@@ -156,6 +159,8 @@ pub struct Solver<'a> {
     /// data-sharing scheme (Algorithm 2) is active is decided by the store
     /// handed to [`Solver::new`], once, there.
     jmp: Option<&'a dyn JmpStore>,
+    /// The store's exhausted query starts, when there is a store.
+    starts: Option<&'a ExhaustedStarts>,
     /// The interner giving meaning to every `CtxId` this solver produces.
     /// Taken from the jmp store when it carries one (all solvers sharing a
     /// store must agree on ids); private to this solver otherwise.
@@ -186,10 +191,12 @@ impl<'a> Solver<'a> {
     /// never called, which is `SeqCFL` and the naive parallel mode.
     pub fn new(pag: &'a Pag, cfg: &'a SolverConfig, jmp: &'a dyn JmpStore) -> Self {
         let shared = jmp.ctx_interner();
+        let jmp = shared.is_some().then_some(jmp);
         Solver {
             pag,
             cfg,
-            jmp: shared.is_some().then_some(jmp),
+            jmp,
+            starts: jmp.and_then(|j| j.exhausted_starts()),
             interner: shared.unwrap_or_else(|| Arc::new(CtxInterner::new())),
             warm_before: 0,
             horizon: u64::MAX,
@@ -266,6 +273,7 @@ impl<'a> Solver<'a> {
             pag: self.pag,
             cfg: self.cfg,
             jmp: self.jmp,
+            starts: self.starts,
             ctxs: &self.interner,
             warm_before: self.warm_before,
             horizon: self.horizon,
@@ -280,6 +288,19 @@ impl<'a> Solver<'a> {
 /// Marker error: the query exhausted its budget (Algorithm 1's `exit()`).
 #[derive(Debug)]
 struct Oob;
+
+/// Why a query runs out of budget, which decides the evidence it leaves.
+#[derive(Copy, Clone)]
+enum Exit {
+    /// A pop past the budget.
+    Exhausted,
+    /// A re-entry or the depth guard burned what was left.
+    Burned,
+    /// An unfinished jmp entry with bound `s` (Algorithm 2 lines 2–3).
+    Unfinished(u64),
+    /// A walk popped an exhausted query's start, recorded with bound `s`.
+    ExhaustedStart(u64),
+}
 
 /// Which of the mutually recursive computations a nested call is: a
 /// traversal (`PointsTo` backward, `FlowsTo` forward) or the
@@ -322,6 +343,7 @@ struct Env<'a> {
     pag: &'a Pag,
     cfg: &'a SolverConfig,
     jmp: Option<&'a dyn JmpStore>,
+    starts: Option<&'a ExhaustedStarts>,
     ctxs: &'a CtxInterner,
     warm_before: u64,
     horizon: u64,
@@ -369,7 +391,7 @@ struct Scratch<S> {
     jmp_epoch: u64,
     /// The query's open calls, outermost first (see [`QueryState::open`]):
     /// what re-entry and the depth bound are checked against, and what
-    /// `OutOfBudget` publishes unfinished jmps for.
+    /// `OutOfBudget` publishes unfinished jmps and the exhausted start for.
     frames: Vec<Frame>,
     /// Reverse-dependency recording (`record_footprints` only, DESIGN.md
     /// §12): the query's reads in order. Each open `ReachableNodes` call
@@ -387,6 +409,7 @@ struct QueryState<'a, S: StateSet> {
     pag: &'a Pag,
     cfg: &'a SolverConfig,
     jmp: Option<&'a dyn JmpStore>,
+    starts: Option<&'a ExhaustedStarts>,
     ctxs: &'a CtxInterner,
     warm_before: u64,
     horizon: u64,
@@ -429,6 +452,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             pag: env.pag,
             cfg: env.cfg,
             jmp: env.jmp,
+            starts: env.starts,
             ctxs: env.ctxs,
             warm_before: env.warm_before,
             horizon: env.horizon,
@@ -564,27 +588,57 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         self.steps += 1;
         self.work += 1;
         if self.steps > self.cfg.budget {
-            Err(self.out_of_budget(0, false))
+            Err(self.out_of_budget(Exit::Exhausted))
         } else {
             Ok(())
         }
     }
 
+    /// Ends the walk popping `(x, ∅)` in `dir` when a query on `x` has
+    /// run out of a budget at least this query's (DESIGN.md §7): this walk
+    /// pops every state that one did, at the same charge. Called when the
+    /// start's bit is set, which is rare: out of line.
+    #[cold]
+    fn stop_at_start(&mut self, dir: Dir, x: NodeId) -> Result<(), Oob> {
+        let Some((s, created_at)) = self.starts.and_then(|st| st.get(dir, x)) else {
+            return Ok(());
+        };
+        if self.cfg.budget >= s || created_at > self.now().max(self.horizon) {
+            return Ok(());
+        }
+        if created_at < self.warm_before {
+            self.stats.warm_hits += 1;
+        }
+        Err(self.out_of_budget(Exit::ExhaustedStart(s)))
+    }
+
     /// Algorithm 2's `OutOfBudget(BDG)`: records an unfinished jmp edge for
     /// every open `ReachableNodes` frame, outermost first, then aborts the
-    /// query.
-    fn out_of_budget(&mut self, bdg: u64, early: bool) -> Oob {
+    /// query. A pop past the budget, and an exhausted start, also record
+    /// the query's own start: its walk is shown to cost more than `B`.
+    /// A burn shows nothing of the kind (a re-entry depends on the frames
+    /// around the walk), and neither does an unfinished entry, whose bound
+    /// was measured from another frame.
+    fn out_of_budget(&mut self, exit: Exit) -> Oob {
+        let (bdg, early) = match exit {
+            Exit::Exhausted | Exit::Burned => (0, false),
+            Exit::Unfinished(s) | Exit::ExhaustedStart(s) => (s, true),
+        };
         self.stats.early_terminated = early;
         if let Some(jmp) = self.jmp {
             let now = self.now();
             for f in self.s.frames.iter().filter(|f| f.call == Call::Reachable) {
-                let s_val = self.cfg.budget.min(bdg + (self.steps - f.s0));
+                let s_val = self.cfg.budget.min(bdg.saturating_add(self.steps - f.s0));
                 if s_val >= self.cfg.tau_unfinished
                     && jmp.publish_unfinished((f.dir, f.x, f.c), s_val, now)
                 {
                     self.stats.unfinished_published += 1;
                 }
             }
+        }
+        if let (Exit::Exhausted | Exit::ExhaustedStart(_), Some(starts)) = (exit, self.starts) {
+            let (top, s) = (self.s.frames[0], self.cfg.budget.saturating_add(1));
+            starts.record(top.dir, top.x, s, self.now());
         }
         Oob
     }
@@ -610,7 +664,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             let remaining = self.cfg.budget.saturating_sub(self.steps) + 1;
             self.steps += remaining;
             self.work += remaining;
-            return Err(self.out_of_budget(0, false));
+            return Err(self.out_of_budget(Exit::Burned));
         }
         let s0 = self.steps;
         self.s.frames.push(Frame {
@@ -689,6 +743,9 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         t.w.push((start, c));
         while let Some((x, cx)) = t.w.pop() {
             self.tick()?;
+            if cx.is_empty() && self.starts.is_some_and(|st| st.may_hold(dir, x)) {
+                self.stop_at_start(dir, x)?;
+            }
             self.s.reads.node(x);
             if FWD && self.pag.is_variable(x) {
                 t.out.push((x, cx));
@@ -850,7 +907,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
                     if created_at < self.warm_before {
                         self.stats.warm_hits += 1;
                     }
-                    return Err(self.out_of_budget(s, true));
+                    return Err(self.out_of_budget(Exit::Unfinished(s)));
                 }
                 Some((JmpEntry::Unfinished { .. }, _)) | None => {}
                 Some((

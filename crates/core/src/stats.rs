@@ -29,8 +29,9 @@ pub struct QueryStats {
     pub finished_published: u64,
     /// Unfinished jmp edges this query published.
     pub unfinished_published: u64,
-    /// Whether the query was cut short by an unfinished jmp edge (an early
-    /// termination, Section III-B; its answer is [`Answer::OutOfBudget`]).
+    /// Whether the query was cut short by an unfinished jmp edge or an
+    /// exhausted query start (an early termination, Section III-B; its
+    /// answer is [`Answer::OutOfBudget`]).
     pub early_terminated: bool,
     /// Allocation-volume proxy: work-list/visited-set insertions **plus**
     /// the physical visited-state words ([`QueryStats::state_words`]) so

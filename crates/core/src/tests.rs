@@ -1,11 +1,11 @@
 //! Solver unit tests over small programs lowered by the real frontend.
 
 use crate::config::{SolverConfig, StateBackend};
-use crate::jmp::{Dir, JmpStore, NoJmpStore, SharedJmpStore};
+use crate::jmp::{Dir, ExhaustedStarts, JmpStore, NoJmpStore, SharedJmpStore};
 use crate::solver::Solver;
 use crate::stats::{Answer, QueryOutput};
 use parcfl_frontend::build_pag;
-use parcfl_pag::{NodeId, Pag};
+use parcfl_pag::{EdgeKind, NodeId, Pag};
 
 fn pag(src: &str) -> Pag {
     build_pag(src).unwrap().pag
@@ -328,6 +328,185 @@ fn unfinished_jmp_causes_early_termination() {
     assert_eq!(second.answer, Answer::OutOfBudget);
     assert!(second.stats.early_terminated, "{:?}", second.stats);
     assert!(second.stats.traversed_steps < first.stats.traversed_steps);
+}
+
+/// `a0 = new Obj; a1 = a0; …; a{n} = a{n-1}; q1 = a{n}; q2 = q1;` plus
+/// `q1 = v` with `v = new Obj`: backward from `q1` the walk is `n + 3`
+/// pops long, forward from `v`'s object it is three.
+fn chain_into_q1(n: usize) -> Pag {
+    let vars: String = (0..=n).map(|i| format!(" var a{i}: Obj;")).collect();
+    let copies: String = (1..=n).map(|i| format!(" a{i} = a{};", i - 1)).collect();
+    pag(&format!(
+        "class Obj {{ }} class A {{ method m() {{ var q1: Obj; var q2: Obj; var v: Obj;{vars} \
+         a0 = new Obj;{copies} q1 = a{n}; v = new Obj; q1 = v; q2 = q1; }} }}"
+    ))
+}
+
+fn starts(store: &SharedJmpStore) -> &ExhaustedStarts {
+    store
+        .exhausted_starts()
+        .expect("a sharing store keeps starts")
+}
+
+/// A query that runs out of its budget `B` leaves its start with bound
+/// `B + 1`, and a later query whose walk pops that start at the empty
+/// context stops there, long before its own budget runs out.
+#[test]
+fn a_walk_that_pops_an_exhausted_start_terminates_early() {
+    let p = chain_into_q1(100);
+    let cfg = SolverConfig::default()
+        .with_budget(40)
+        .without_tau_thresholds();
+    let store = SharedJmpStore::new();
+    let mut solver = Solver::new(&p, &cfg, &store);
+    let (q1, q2) = (node(&p, "q1@A.m"), node(&p, "q2@A.m"));
+
+    let first = solver.points_to_query(q1, 0);
+    assert_eq!(first.answer, Answer::OutOfBudget);
+    assert!(!first.stats.early_terminated);
+    assert_eq!(first.stats.traversed_steps, 41);
+    assert_eq!(starts(&store).get(Dir::Bwd, q1).map(|(s, _)| s), Some(41));
+
+    let second = solver.points_to_query(q2, 0);
+    assert_eq!(second.answer, Answer::OutOfBudget);
+    assert!(second.stats.early_terminated, "{:?}", second.stats);
+    // `q2`, then `q1`.
+    assert_eq!(second.stats.traversed_steps, 2);
+    // The rule's own verdict is evidence too: `q2` is recorded.
+    assert_eq!(starts(&store).get(Dir::Bwd, q2).map(|(s, _)| s), Some(41));
+    assert_eq!(starts(&store).len(), 2);
+
+    // Neither sharing-free nor fresh, a solver under the same budget
+    // agrees that `q2` runs out.
+    let plain = Solver::new(&p, &cfg, &NoJmpStore).points_to_query(q2, 0);
+    assert_eq!(plain.answer, Answer::OutOfBudget);
+    assert!(plain.stats.traversed_steps > 40);
+}
+
+/// The rule reads only what it proves: the walk's direction, the empty
+/// context, a budget below the bound, an entry visible at the reader's
+/// instant — and a store that holds none of the other exits.
+#[test]
+fn exhausted_starts_fire_only_where_they_hold() {
+    let p = chain_into_q1(100);
+    let tight = SolverConfig::default()
+        .with_budget(40)
+        .without_tau_thresholds();
+    let (q1, q2) = (node(&p, "q1@A.m"), node(&p, "q2@A.m"));
+    let store = SharedJmpStore::new();
+    let first = Solver::new(&p, &tight, &store).points_to_query(q1, 500);
+    assert_eq!(first.answer, Answer::OutOfBudget);
+    let (s, created_at) = starts(&store).get(Dir::Bwd, q1).unwrap();
+    assert_eq!((s, created_at), (41, 500 + 41));
+
+    // Across directions: `v`'s object flows through `q1` forward in three
+    // pops, and the backward bound says nothing about that.
+    let v = node(&p, "v@A.m");
+    let new_v = p
+        .edges()
+        .iter()
+        .find(|e| e.dst == v && e.kind == EdgeKind::New);
+    let o = new_v.expect("v's allocation").src;
+    let fwd = Solver::new(&p, &tight, &store).flows_to_query(o, 0);
+    let reached = fwd.answer.nodes().expect("forward walk completes");
+    assert!(
+        reached.contains(&q1) && reached.contains(&q2),
+        "{reached:?}"
+    );
+    assert!(!fwd.stats.early_terminated);
+
+    // Under a budget the bound does not exceed: recorded under 40, read
+    // under 1000, `q2` completes through the whole chain.
+    let ample = tight.clone().with_budget(1000);
+    let wide = Solver::new(&p, &ample, &store).points_to_query(q2, 0);
+    assert_eq!(wide.answer.nodes().map(|n| n.len()), Some(2));
+    assert!(!wide.stats.early_terminated);
+    // Under the same budget and below it, it fires.
+    for b in [40, 12] {
+        let cfg = tight.clone().with_budget(b);
+        let out = Solver::new(&p, &cfg, &store).points_to_query(q2, 0);
+        assert!(out.stats.early_terminated, "budget {b}");
+    }
+
+    // On the virtual clock a reader before the stamp does not see it.
+    let before = SharedJmpStore::new();
+    Solver::new(&p, &tight, &before).points_to_query(q1, 500);
+    let mut lane = Solver::new(&p, &tight, &before).in_batch(0, true);
+    assert!(lane.points_to_query(q2, 541).stats.early_terminated);
+    assert!(!lane.points_to_query(q2, 0).stats.early_terminated);
+
+    // At a non-empty context: `id`'s `r` is exhausted from the empty
+    // context, where its `param` edges lead to both callers' arguments
+    // and one of them down a long chain. From `y`, the walk enters `r`
+    // under `y`'s call site and sees only `s`.
+    let vars: String = (0..=100).map(|i| format!(" var a{i}: Obj;")).collect();
+    let copies: String = (1..=100).map(|i| format!(" a{i} = a{};", i - 1)).collect();
+    let p = pag(&format!(
+        "class Obj {{ }} class A {{ \
+         method id(x: Obj): Obj {{ var r: Obj; r = x; return r; }} \
+         method m() {{ var s: Obj; var y: Obj; var z: Obj;{vars} a0 = new Obj;{copies} \
+         z = call this.id(a100); s = new Obj; y = call this.id(s); }} }}"
+    ));
+    let store = SharedJmpStore::new();
+    let mut solver = Solver::new(&p, &tight, &store);
+    let r = solver.points_to_query(node(&p, "r@A.id"), 0);
+    assert_eq!(r.answer, Answer::OutOfBudget);
+    assert_eq!(starts(&store).len(), 1);
+    let y = solver.points_to_query(node(&p, "y@A.m"), 0);
+    assert_eq!(y.answer.nodes().map(|n| n.len()), Some(1), "{:?}", y.stats);
+}
+
+/// A burn and an unfinished-entry early termination leave no start: a
+/// re-entry depends on the frames around the walk, and an unfinished
+/// bound was measured from another frame, so neither shows that the
+/// query's own walk costs more than `B`.
+#[test]
+fn burns_and_unfinished_exits_leave_no_start() {
+    // `x = p.f` with `p = x`: answering `x` needs `ReachableNodes(x)`,
+    // whose `PointsTo(p)` pops `x` and needs it again — a re-entry.
+    let p = pag("class Box { field f: Box; }
+                 class A { method m() {
+                   var p: Box; var x: Box; var y: Box;
+                   p = new Box; p.f = p; x = p.f; p = x; y = x;
+                 } }");
+    let cfg = SolverConfig::default()
+        .with_budget(1_000)
+        .without_tau_thresholds();
+    let store = SharedJmpStore::new();
+    let mut solver = Solver::new(&p, &cfg, &store);
+    let (x, y) = (node(&p, "x@A.m"), node(&p, "y@A.m"));
+    let burned = solver.points_to_query(x, 0);
+    assert_eq!(burned.answer, Answer::OutOfBudget);
+    assert!(!burned.stats.early_terminated);
+    assert!(burned.stats.unfinished_published > 0);
+    // Both later queries end on the unfinished entry the burn left.
+    for q in [x, y] {
+        let out = solver.points_to_query(q, 0);
+        assert!(out.stats.early_terminated, "{:?}", out.stats);
+    }
+    assert!(starts(&store).is_empty());
+
+    // The depth guard: in a chain of 600 loads `x0` opens one traversal
+    // past `MAX_RECURSION_DEPTH` and burns (see
+    // `scratch_is_clean_after_budget_exhaustion`).
+    let vars: String = (0..=600).map(|i| format!(" var x{i}: Box;")).collect();
+    let loads: String = (0..600).map(|i| format!(" x{i} = x{}.f;", i + 1)).collect();
+    let chain = pag(&format!(
+        "class Box {{ field f: Box; }} class A {{ method m() {{ var y: Box;{vars}{loads} \
+         x600 = new Box; y = new Box; x600.f = y; }} }}"
+    ));
+    let cfg = SolverConfig::default().without_tau_thresholds();
+    let store = SharedJmpStore::new();
+    let deep = std::thread::scope(|s| {
+        let worker = std::thread::Builder::new().stack_size(64 << 20);
+        let run = worker.spawn_scoped(s, || {
+            Solver::new(&chain, &cfg, &store).points_to_query(node(&chain, "x0@A.m"), 0)
+        });
+        run.unwrap().join().expect("the chain fits the stack")
+    });
+    assert_eq!(deep.answer, Answer::OutOfBudget);
+    assert!(!deep.stats.early_terminated);
+    assert!(starts(&store).is_empty());
 }
 
 /// Sharing must never change answers, only costs: sweep every

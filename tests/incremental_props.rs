@@ -22,7 +22,7 @@
 
 use parcfl::check::seed::derive;
 use parcfl::check::{run_fuzz, scenario_fails, test_seed, FuzzConfig, Scenario};
-use parcfl::core::{SolverConfig, StateBackend};
+use parcfl::core::{JmpStore, SolverConfig, StateBackend};
 use parcfl::frontend::build_pag;
 use parcfl::pag::{DeltaOp, EdgeKind, NodeId, Pag, PagDelta};
 use parcfl::runtime::{run_seq, AnalysisSession, Backend, Mode, TraceLevel};
@@ -250,6 +250,57 @@ fn deleting_a_call_site_invalidates_and_requeries_match() {
     let cold = run_seq(session.pag(), &queries, &ample(StateBackend::Dense));
     assert_eq!(warm.sorted_answers(), cold.sorted_answers());
     assert_eq!(pts_of(&warm, y0), 0, "severed call empties y0's answer");
+}
+
+/// An exhausted query start is dropped by every delta, like the
+/// unfinished entries beside it: once an edit cuts the chain that made
+/// `q1` run out, `q2 = q1` completes, and answers what a cold session on
+/// the edited graph answers.
+#[test]
+fn an_edit_drops_the_exhausted_starts_it_may_have_falsified() {
+    let vars: String = (0..=100).map(|i| format!(" var a{i}: Obj;")).collect();
+    let copies: String = (1..=100).map(|i| format!(" a{i} = a{};", i - 1)).collect();
+    let pag = build_pag(&format!(
+        "class Obj {{ }} class A {{ method m() {{ var q1: Obj; var q2: Obj; var v: Obj;{vars} \
+         a0 = new Obj;{copies} q1 = a100; v = new Obj; q1 = v; q2 = q1; }} }}"
+    ))
+    .unwrap()
+    .pag;
+    let cfg = SolverConfig::default()
+        .with_budget(40)
+        .without_tau_thresholds();
+    let (q1, q2) = (
+        pag.node_by_name("q1@A.m").unwrap(),
+        pag.node_by_name("q2@A.m").unwrap(),
+    );
+    let mut session = AnalysisSession::new(&pag).with_solver(cfg.clone());
+    let dq = |s: &mut AnalysisSession<'_>, q: NodeId| {
+        s.submit(&[q], Mode::DataSharingSched, Backend::Threaded)
+    };
+    assert_eq!(dq(&mut session, q1).stats.out_of_budget, 1);
+    let stopped = dq(&mut session, q2);
+    assert_eq!(
+        (
+            stopped.stats.out_of_budget,
+            stopped.stats.early_terminations
+        ),
+        (1, 1)
+    );
+    let starts = session.store().exhausted_starts().unwrap();
+    assert_eq!(starts.len(), 2, "q1 exhausted, q2 stopped at q1");
+
+    let e = assign_edge_between(&pag, "a100@A.m", "q1@A.m");
+    let mut delta = PagDelta::new();
+    delta.remove_edge(e.src, e.dst, e.kind);
+    assert!(!session.apply_delta(&delta).noop);
+    assert!(session.store().exhausted_starts().unwrap().is_empty());
+
+    let warm = dq(&mut session, q2);
+    let mut cold_session = AnalysisSession::new(session.pag()).with_solver(cfg);
+    let cold = dq(&mut cold_session, q2);
+    assert_eq!(warm.stats.out_of_budget, 0);
+    assert_eq!(warm.sorted_answers(), cold.sorted_answers());
+    assert_eq!(warm.answers[0].1.nodes().map(|n| n.len()), Some(1));
 }
 
 /// A no-op edit (removing an absent edge, re-adding a present one)
