@@ -11,6 +11,12 @@
 //! Only `assign_l` cycles are merged: `assign_g` edges reset the context and
 //! `param`/`ret` edges manipulate it, so cycles through them are *not*
 //! generally equivalence classes.
+//!
+//! The collapse reads the extracted graph backward only: the SCC walks its
+//! incoming `assign_l` slices, so that graph never builds its outgoing
+//! side. Each component is named by its smallest member, which keeps most
+//! edges in canonical order under the renaming, and [`Pag::quotient`]
+//! merges the few it displaces back in rather than sorting them all again.
 
 use parcfl_pag::algo::tarjan_scc;
 use parcfl_pag::{EdgeClass, NodeId, NodeInfo, Pag};
@@ -28,14 +34,16 @@ pub struct Collapsed {
 
 /// Merges every `assign_l`-cycle of `pag` into a single node and drops
 /// `assign_l` self-loops. The SCC runs over the frozen graph's own
-/// `assign_l` slices; with neither a cycle nor a self-loop the graph comes
-/// back as a clone with an identity remap, otherwise the quotient is frozen
-/// once.
+/// incoming `assign_l` slices — the reversed graph has the same
+/// components — so the uncollapsed graph never builds its outgoing side.
+/// With neither a cycle nor a self-loop the graph comes back as a clone
+/// with an identity remap; otherwise the SCC tables are dropped and the
+/// quotient is frozen once.
 pub fn collapse_assign_cycles(pag: &Pag) -> Collapsed {
     let n = pag.node_count();
-    let assigns = |v: usize| pag.outgoing_kind(NodeId::from_usize(v), EdgeClass::AssignLocal);
-    let scc = tarjan_scc(n, |v| assigns(v).iter().map(|e| e.dst.index()));
-    let self_loop = |v: usize| assigns(v).iter().any(|e| e.dst.index() == v);
+    let assigns = |v: usize| pag.incoming_kind(NodeId::from_usize(v), EdgeClass::AssignLocal);
+    let scc = tarjan_scc(n, |v| assigns(v).iter().map(|e| e.src.index()));
+    let self_loop = |v: usize| assigns(v).iter().any(|e| e.src.index() == v);
     if scc.component_count() == n && !(0..n).any(self_loop) {
         return Collapsed {
             pag: pag.clone(),
@@ -64,6 +72,7 @@ pub fn collapse_assign_cycles(pag: &Pag) -> Collapsed {
         })
     };
     let remap: Vec<NodeId> = (0..n).map(node_of).collect();
+    drop((scc, rep_of));
     Collapsed {
         merged_nodes: n - nodes.len(),
         pag: pag.quotient(nodes, &remap),

@@ -100,14 +100,23 @@ impl PagBuilder {
     /// [`EdgeClass`] order. The per-class boundaries are recorded in a flat
     /// `n × EDGE_CLASSES + 1` offset table so [`Pag::incoming_kind`] /
     /// [`Pag::outgoing_kind`] are plain sub-slice reads and the solver's
-    /// dispatch loops never branch on `EdgeKind` per edge. Each node's
-    /// `param` in-edges and `ret` out-edges are also indexed by call site
+    /// dispatch loops never branch on `EdgeKind` per edge. Only the
+    /// incoming side is built here: the outgoing one is built by the
+    /// graph's first outgoing read. Each node's `param` in-edges and `ret`
+    /// out-edges are also indexed by call site
     /// ([`Pag::incoming_param_at`], [`Pag::outgoing_ret_at`]), on the
     /// first lookup.
     pub fn freeze(self) -> Pag {
+        // Deduplicate edges: duplicate statements add nothing to
+        // reachability and only slow traversals down. No comparison sort
+        // sees the whole edge set: a counting pass buckets the edges by
+        // their dst, and only each node's handful of edges is sorted.
+        let mut edges = bucketed(&self.edges, self.nodes.len(), |e| e.dst, in_order);
+        drop(self.edges);
+        edges.dedup();
         build_pag_tables(
             Arc::new(self.nodes),
-            self.edges,
+            edges,
             Arc::new(self.types),
             Arc::new(self.method_names),
             self.call_sites,
@@ -115,35 +124,19 @@ impl PagBuilder {
     }
 }
 
-/// Freezes a node/edge set into the immutable CSR representation: the
-/// body of [`PagBuilder::freeze`] and [`Pag::quotient`].
-///
-/// No comparison sort sees the whole edge set: a counting pass buckets the
-/// edges by one end, and only each node's handful of edges is sorted.
+/// Freezes a node set and its edges, duplicate-free and in the canonical
+/// incoming order (dst-major, kind-class within a node, then
+/// `(src, payload)` within a class), into the immutable CSR
+/// representation: the tail of [`PagBuilder::freeze`] and
+/// [`Pag::quotient`]. The outgoing side is left unbuilt.
 fn build_pag_tables(
     nodes: Arc<Vec<NodeInfo>>,
-    raw: Vec<Edge>,
+    edges: Vec<Edge>,
     types: Arc<TypeTable>,
     method_names: Arc<Vec<String>>,
     call_sites: u32,
 ) -> Pag {
-    let n = nodes.len();
-
-    // Deduplicate edges: duplicate statements add nothing to
-    // reachability and only slow traversals down. The order is the
-    // canonical incoming order: dst-major, kind-class within a node,
-    // then (src, payload) within a class.
-    let mut edges = bucketed(&raw, n, |e| e.dst, in_order);
-    drop(raw);
-    edges.dedup();
-    let in_kind = class_offsets(&edges, n, |e| e.dst);
-
-    // Outgoing CSR: a second, materialised edge array sorted src-major
-    // (kind-class, then (dst, payload) within a class), so `outgoing`
-    // is a direct slice too — no index indirection on the forward hot
-    // path.
-    let out_edges = bucketed(&edges, n, |e| e.src, out_order);
-    let out_kind = class_offsets(&out_edges, n, |e| e.src);
+    let in_kind = class_offsets(&edges, nodes.len(), |e| e.dst);
     let variables = nodes.iter().map(|v| v.kind.is_variable()).collect();
 
     // Field indexes for the alias-matching step of ReachableNodes.
@@ -165,8 +158,7 @@ fn build_pag_tables(
         variables,
         edges,
         in_kind,
-        out_edges,
-        out_kind,
+        out: OnceLock::new(),
         param_in: OnceLock::new(),
         ret_out: OnceLock::new(),
         loads_by_field,
@@ -310,6 +302,44 @@ impl BySite {
     }
 }
 
+/// The same edge set as [`Pag::edges`] materialised in `(src, class, dst)`
+/// order, with its `class_offsets` table, so outgoing ranges are direct
+/// slices too — no index indirection on the forward hot path.
+#[derive(Clone, Debug)]
+struct OutSide {
+    edges: Vec<Edge>,
+    kind: Vec<u32>,
+}
+
+impl OutSide {
+    /// The outgoing side of the canonical edge array `edges` over `n`
+    /// nodes: bucketed by src, then each bucket sorted by [`out_order`].
+    #[cold]
+    fn of(edges: &[Edge], n: usize) -> Self {
+        let edges = bucketed(edges, n, |e| e.src, out_order);
+        let kind = class_offsets(&edges, n, |e| e.src);
+        OutSide { edges, kind }
+    }
+}
+
+/// `run` and `sorted`, both in [`in_order`], merged into `run` in place:
+/// `run` grows by `sorted.len()` and is filled from the back, taking the
+/// larger of the two remaining last edges each time.
+fn merge_in(run: &mut Vec<Edge>, sorted: &[Edge]) {
+    let (mut i, mut j) = (run.len(), sorted.len());
+    run.extend_from_slice(sorted);
+    while j > 0 {
+        let slot = i + j - 1;
+        if i > 0 && in_order(&run[i - 1]) > in_order(&sorted[j - 1]) {
+            i -= 1;
+            run[slot] = run[i];
+        } else {
+            j -= 1;
+            run[slot] = sorted[j];
+        }
+    }
+}
+
 /// The canonical order of the incoming edge array ([`Pag::edges`]):
 /// dst-major, kind-class within a node, then `(src, payload)`.
 pub(crate) fn in_order(e: &Edge) -> (NodeId, u8, NodeId, u32) {
@@ -410,16 +440,14 @@ pub struct Pag {
     /// Per-node per-class start offsets into `edges`, then its length
     /// (`n × EDGE_CLASSES + 1`, see `class_offsets`).
     in_kind: Vec<u32>,
-    /// The same edge set materialised in `(src, class, dst)` order, so
-    /// outgoing ranges are direct slices as well.
-    out_edges: Vec<Edge>,
-    /// Per-node per-class start offsets into `out_edges`, then its length.
-    out_kind: Vec<u32>,
+    /// The outgoing side, built by the first outgoing read: a graph no
+    /// traversal walks forward — the frontend's, before its cycles are
+    /// collapsed — never holds one.
+    out: OnceLock<OutSide>,
     /// The `param` slices of `edges` by call site, built by the first
-    /// lookup: a graph no traversal leaves a callee in — the frontend's,
-    /// before its cycles are collapsed — never holds one.
+    /// lookup: a graph no traversal leaves a callee in never holds one.
     param_in: OnceLock<BySite>,
-    /// The `ret` slices of `out_edges` by call site, as lazily.
+    /// The `ret` slices of the outgoing side by call site, as lazily.
     ret_out: OnceLock<BySite>,
     loads_by_field: Vec<Vec<(NodeId, NodeId)>>,
     stores_by_field: Vec<Vec<(NodeId, NodeId)>>,
@@ -504,7 +532,8 @@ impl Pag {
     }
 
     /// All edges flowing **out of** `n` (traversed by `FlowsTo`). A direct
-    /// CSR slice over the src-sorted edge array — no per-call indirection.
+    /// CSR slice over the src-sorted edge array — no per-call indirection
+    /// once the graph's first outgoing read has built that array.
     #[inline]
     pub fn outgoing(&self, n: NodeId) -> &[Edge] {
         self.outgoing_classes(n).all()
@@ -535,7 +564,15 @@ impl Pag {
     /// offsets.
     #[inline]
     pub fn outgoing_classes(&self, n: NodeId) -> ClassSlices<'_> {
-        classes(&self.out_edges, &self.out_kind, n)
+        let out = self.out_side();
+        classes(&out.edges, &out.kind, n)
+    }
+
+    /// The outgoing side, built from [`Pag::edges`] on the first call.
+    #[inline]
+    fn out_side(&self) -> &OutSide {
+        self.out
+            .get_or_init(|| OutSide::of(&self.edges, self.nodes.len()))
     }
 
     /// The `param` edges into `n` at call site `site`: the members of
@@ -556,7 +593,8 @@ impl Pag {
     }
 
     /// The `ret` edges out of `n` at call site `site`: the members of
-    /// `outgoing_kind(n, Ret)` of that site, in its order.
+    /// `outgoing_kind(n, Ret)` of that site, in its order. The first lookup
+    /// builds the outgoing side if no read has yet.
     #[inline]
     pub fn outgoing_ret_at(&self, n: NodeId, site: CallSiteId) -> impl Iterator<Item = Edge> + '_ {
         let kind = EdgeKind::Ret(site);
@@ -571,7 +609,10 @@ impl Pag {
     fn site_index(&self, class: EdgeClass) -> BySite {
         match class {
             EdgeClass::Param => BySite::build(&self.edges, &self.in_kind, class, |e| e.src),
-            EdgeClass::Ret => BySite::build(&self.out_edges, &self.out_kind, class, |e| e.dst),
+            EdgeClass::Ret => {
+                let out = self.out_side();
+                BySite::build(&out.edges, &out.kind, class, |e| e.dst)
+            }
             _ => unreachable!("only call edges are indexed by site"),
         }
     }
@@ -637,17 +678,15 @@ impl Pag {
     /// put in, `removed` (all of them present) taken out, both in
     /// [`in_order`]. Field for field what freezing the edited set from
     /// scratch builds, without sorting or hashing the edges that stay: the
-    /// two edge arrays are spliced, the offset tables shifted past each
+    /// edge arrays are spliced, the offset tables shifted past each
     /// change, and only the field indexes of changed loads and stores are
     /// re-read. The node, variable, type and method-name tables are
-    /// shared. The by-site indexes start empty, as at freeze, and are
-    /// built by the edited graph's first lookup.
+    /// shared. The outgoing side is spliced only if `self` has built one;
+    /// otherwise it is left to the edited graph's first outgoing read. The
+    /// by-site indexes start empty, as at freeze, and are built by the
+    /// edited graph's first lookup.
     pub(crate) fn edited(&self, added: &[Edge], removed: &[Edge], revision: u64) -> Pag {
         let edges = splice(&self.edges, added, removed, in_order);
-        let (mut out_added, mut out_removed) = (added.to_vec(), removed.to_vec());
-        out_added.sort_unstable_by_key(out_order);
-        out_removed.sort_unstable_by_key(out_order);
-        let out_edges = splice(&self.out_edges, &out_added, &out_removed, out_order);
 
         // An edge at node `x` of class `k` sits ahead of `x`'s later
         // classes and of every later node.
@@ -662,7 +701,18 @@ impl Pag {
             shifted(old, bumps)
         };
         let in_kind = kinds(&self.in_kind, |e| e.dst);
-        let out_kind = kinds(&self.out_kind, |e| e.src);
+        let out = match self.out.get() {
+            Some(old) => {
+                let (mut out_added, mut out_removed) = (added.to_vec(), removed.to_vec());
+                out_added.sort_unstable_by_key(out_order);
+                out_removed.sort_unstable_by_key(out_order);
+                OnceLock::from(OutSide {
+                    edges: splice(&old.edges, &out_added, &out_removed, out_order),
+                    kind: kinds(&old.kind, |e| e.src),
+                })
+            }
+            None => OnceLock::new(),
+        };
         let mut loads_by_field = self.loads_by_field.clone();
         let mut stores_by_field = self.stores_by_field.clone();
         for (e, _) in &changes {
@@ -683,9 +733,8 @@ impl Pag {
             nodes: Arc::clone(&self.nodes),
             variables: Arc::clone(&self.variables),
             in_kind,
-            out_kind,
             edges,
-            out_edges,
+            out,
             param_in: OnceLock::new(),
             ret_out: OnceLock::new(),
             loads_by_field,
@@ -702,18 +751,37 @@ impl Pag {
     /// ends renamed, except `assign_l` self-loops (`x = x` says nothing),
     /// and edges that coincide are kept once. The type table, method names
     /// and call sites are shared with `self`.
+    ///
+    /// Renaming keeps the canonical order of every edge whose ends keep
+    /// their relative order — with each cycle named by its smallest member,
+    /// every edge but those of merged nodes. So the renamed edges that
+    /// still follow the last one kept stay where they are, and only the
+    /// displaced ones are sorted and merged back in.
     pub fn quotient(&self, nodes: Vec<NodeInfo>, remap: &[NodeId]) -> Pag {
-        let edges = self.edges.iter().filter_map(|e| {
+        let mut edges: Vec<Edge> = Vec::with_capacity(self.edges.len());
+        let mut displaced = Vec::new();
+        for e in &self.edges {
             let (src, dst) = (remap[e.src.index()], remap[e.dst.index()]);
-            (src != dst || e.kind != EdgeKind::AssignLocal).then_some(Edge {
+            if src == dst && e.kind == EdgeKind::AssignLocal {
+                continue;
+            }
+            let e = Edge {
                 src,
                 dst,
                 kind: e.kind,
-            })
-        });
+            };
+            match edges.last() {
+                Some(last) if in_order(&e) < in_order(last) => displaced.push(e),
+                _ => edges.push(e),
+            }
+        }
+        displaced.sort_unstable_by_key(in_order);
+        merge_in(&mut edges, &displaced);
+        drop(displaced);
+        edges.dedup();
         build_pag_tables(
             Arc::new(nodes),
-            edges.collect(),
+            edges,
             Arc::clone(&self.types),
             Arc::clone(&self.method_names),
             self.call_sites,
@@ -994,44 +1062,48 @@ mod tests {
                 b.add_edge(e.src, e.dst, e.kind);
             }
             let g = b.freeze();
-            let [(ins, in_kind), (outs, out_kind)] = reference_freeze(edges, n);
-            prop_assert_eq!(&g.edges, &ins);
-            prop_assert_eq!(&g.in_kind, &in_kind);
-            prop_assert_eq!(&g.out_edges, &outs);
-            prop_assert_eq!(&g.out_kind, &out_kind);
-            for f in 0..4 {
-                let of = |kind: EdgeKind| ins.iter().filter(move |e| e.kind == kind);
-                let loads: Vec<_> = of(EdgeKind::Load(FieldId(f))).map(|e| (e.src, e.dst)).collect();
-                let stores: Vec<_> = of(EdgeKind::Store(FieldId(f))).map(|e| (e.dst, e.src)).collect();
-                prop_assert_eq!(g.loads_of(FieldId(f)), &loads[..]);
-                prop_assert_eq!(g.stores_of(FieldId(f)), &stores[..]);
-            }
+            prop_assert!(g.out.get().is_none(), "freeze builds no outgoing side");
+            is_the_reference_freeze(&g, edges)?;
         }
 
         /// On every graph a traversal can meet — a fresh freeze, its
-        /// quotient under a random merge of nodes, and that quotient
+        /// quotient under a random remap of nodes, and that quotient
         /// edited by a random delta (call edges put in and taken out) —
         /// the by-site lookup of every node at every site yields exactly
-        /// the edges the old scan accepted, in the same order.
+        /// the edges the old scan accepted, in the same order. The
+        /// quotient is the reference freeze of the renamed edge set, and
+        /// the edited graph that of the edited set, table for table,
+        /// whether or not its parent had built its outgoing side.
         #[test]
         fn by_site_lookup_is_the_scan_after_freeze_quotient_and_delta(
-            (n, raw, merge, edits) in (2usize..30).prop_flat_map(|n| {
+            (n, raw, merge, scramble, edits) in (2usize..30).prop_flat_map(|n| {
                 let edge = (0..n as u32, 0..n as u32, 0u8..7, 0u32..4);
                 let edit = (any::<bool>(), (0..n as u32, 0..n as u32, 4u8..7, 0u32..4));
                 use proptest::collection::vec;
-                (Just(n), vec(edge, 0..120), vec(0..n as u32, n..n + 1), vec(edit, 0..24))
+                let merge = vec(0..n as u32, n..n + 1);
+                (Just(n), vec(edge, 0..120), merge, any::<bool>(), vec(edit, 0..24))
             }),
         ) {
             let g = random_pag(n, &raw);
             by_site_is_the_scan(&g)?;
 
-            // Node `v` becomes the smallest node drawn with it.
+            // Either node `v` becomes the smallest node drawn with it, as
+            // a collapse names a cycle, or it becomes its draw: a remap
+            // that keeps few edges in order, so most are merged back in.
             let mut remap: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
             for (v, &to) in merge.iter().enumerate() {
-                remap[v] = remap[v].min(remap[to as usize]);
+                remap[v] = if scramble { NodeId(to) } else { remap[v].min(remap[to as usize]) };
             }
             let nodes: Vec<NodeInfo> = (0..n).map(|v| g.node(remap[v]).clone()).collect();
-            let q = g.quotient(nodes, &remap);
+            let q = g.quotient(nodes.clone(), &remap);
+            prop_assert!(q.out.get().is_none(), "quotient builds no outgoing side");
+            let renamed = g.edges().iter().map(|e| Edge {
+                src: remap[e.src.index()],
+                dst: remap[e.dst.index()],
+                kind: e.kind,
+            });
+            let renamed = renamed.filter(|e| e.src != e.dst || e.kind != EdgeKind::AssignLocal);
+            is_the_reference_freeze(&q, renamed.collect())?;
             by_site_is_the_scan(&q)?;
 
             let mut d = crate::PagDelta::new();
@@ -1047,8 +1119,137 @@ mod tests {
             for e in q.edges().iter().filter(|e| e.kind.call_site().is_some()).step_by(3) {
                 d.remove_edge(e.src, e.dst, e.kind);
             }
+            // Once from a quotient whose outgoing side is unbuilt, once
+            // from one whose side is built.
+            let cold = g.quotient(nodes, &remap);
+            let (from_cold, effect) = cold.apply_delta(&d);
+            prop_assert!(effect.is_noop() || from_cold.out.get().is_none());
             let (edited, _) = q.apply_delta(&d);
+            let kept = q.edges().iter().filter(|e| !effect.removed_edges.contains(e));
+            let want: Vec<Edge> = kept.chain(&effect.added_edges).copied().collect();
+            is_the_reference_freeze(&from_cold, want.clone())?;
+            is_the_reference_freeze(&edited, want)?;
+            by_site_is_the_scan(&from_cold)?;
             by_site_is_the_scan(&edited)?;
+        }
+    }
+
+    /// `g`'s tables — edge arrays, offset tables and field indexes, the
+    /// outgoing side read through its accessor — against the reference
+    /// freeze of `edges` over `g`'s nodes.
+    fn is_the_reference_freeze(g: &Pag, edges: Vec<Edge>) -> Result<(), TestCaseError> {
+        let [(ins, in_kind), (outs, out_kind)] = reference_freeze(edges, g.node_count());
+        prop_assert_eq!(&g.edges, &ins);
+        prop_assert_eq!(&g.in_kind, &in_kind);
+        let out = g.out_side();
+        prop_assert_eq!(&out.edges, &outs);
+        prop_assert_eq!(&out.kind, &out_kind);
+        for f in 0..g.types().field_count() as u32 {
+            let of = |kind: EdgeKind| ins.iter().filter(move |e| e.kind == kind);
+            let loads: Vec<_> = of(EdgeKind::Load(FieldId(f)))
+                .map(|e| (e.src, e.dst))
+                .collect();
+            let stores: Vec<_> = of(EdgeKind::Store(FieldId(f)))
+                .map(|e| (e.dst, e.src))
+                .collect();
+            prop_assert_eq!(g.loads_of(FieldId(f)), &loads[..]);
+            prop_assert_eq!(g.stores_of(FieldId(f)), &stores[..]);
+        }
+        Ok(())
+    }
+
+    /// A fixed graph over 20 nodes with edges of every kind.
+    fn fixed_edges() -> Vec<(u32, u32, u8, u32)> {
+        (0..90u32)
+            .map(|i| (i * 7 % 20, i * 11 % 20, (i % 7) as u8, i % 4))
+            .collect()
+    }
+
+    #[test]
+    fn freeze_and_quotient_leave_the_outgoing_side_to_the_first_read() {
+        let (g, ids) = mini();
+        assert!(g.out.get().is_none());
+        g.incoming(ids[1]);
+        g.incoming_param_at(ids[1], CallSiteId(0)).count();
+        assert!(g.out.get().is_none(), "incoming reads leave it unbuilt");
+        let out_o = g.outgoing(ids[0]);
+        assert_eq!(
+            out_o,
+            &[Edge {
+                src: ids[0],
+                dst: ids[1],
+                kind: EdgeKind::New
+            }]
+        );
+        assert!(g.out.get().is_some(), "the first outgoing read builds it");
+
+        let g = random_pag(20, &fixed_edges());
+        let remap: Vec<NodeId> = (0..20).map(|v| NodeId(v / 2)).collect();
+        let nodes = (0..10).map(|v| g.node(NodeId(v)).clone()).collect();
+        let q = g.quotient(nodes, &remap);
+        assert!(q.out.get().is_none());
+        // A `ret` lookup reads the outgoing side too.
+        q.outgoing_ret_at(NodeId(0), CallSiteId(0)).count();
+        assert!(q.out.get().is_some());
+    }
+
+    #[test]
+    fn edited_has_the_outgoing_side_of_a_fresh_freeze_whether_or_not_its_parent_built_one() {
+        let raw = fixed_edges();
+        let (added, removed) = ((3, 17, 6, 2), raw[5]);
+        let mut d = crate::PagDelta::new();
+        let edge = |(s, t, k, p): (u32, u32, u8, u32)| (NodeId(s), NodeId(t), kind_of(k, p));
+        let (s, t, k) = edge(added);
+        d.add_edge(s, t, k);
+        let (s, t, k) = edge(removed);
+        d.remove_edge(s, t, k);
+        let kept = raw.iter().copied().filter(|&r| r != removed);
+        let fresh = random_pag(20, &kept.chain([added]).collect::<Vec<_>>());
+
+        let cold = random_pag(20, &raw);
+        let (from_cold, _) = cold.apply_delta(&d);
+        assert!(cold.out.get().is_none() && from_cold.out.get().is_none());
+        let warm = random_pag(20, &raw);
+        warm.outgoing(NodeId(0));
+        let (from_warm, _) = warm.apply_delta(&d);
+        assert!(from_warm.out.get().is_some(), "a built side is spliced");
+        for g in [&from_cold, &from_warm] {
+            assert_eq!(g.edges(), fresh.edges());
+            for v in fresh.node_ids() {
+                for k in 0..7 {
+                    let class = kind_of(k, 0).class();
+                    let want = fresh.outgoing_classes(v).of(class);
+                    assert_eq!(g.outgoing_classes(v).of(class), want, "{v:?} {class:?}");
+                }
+                for site in 0..5 {
+                    let ret = |g: &Pag| g.outgoing_ret_at(v, CallSiteId(site)).collect::<Vec<_>>();
+                    assert_eq!(ret(g), ret(&fresh), "ret out of {v:?} at {site}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn threads_racing_on_the_first_outgoing_read_see_one_side() {
+        let g = random_pag(20, &fixed_edges());
+        let start = std::sync::Barrier::new(4);
+        let seen: Vec<Vec<&[Edge]>> = std::thread::scope(|s| {
+            let read = || {
+                start.wait();
+                g.node_ids().map(|v| g.outgoing(v)).collect()
+            };
+            let threads: Vec<_> = (0..4).map(|_| s.spawn(read)).collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        for slices in &seen[1..] {
+            for (a, b) in slices.iter().zip(&seen[0]) {
+                assert_eq!(a.as_ptr(), b.as_ptr(), "one built array");
+                assert_eq!(a, b);
+            }
+        }
+        let fresh = random_pag(20, &fixed_edges());
+        for v in fresh.node_ids() {
+            assert_eq!(seen[0][v.index()], fresh.outgoing(v));
         }
     }
 
