@@ -3,7 +3,7 @@
 //! tenant's process takes from the core is not counted, which is what lets
 //! two builds be told apart to a few per cent on a shared host.
 //!
-//! Two passes, each run `--reps` times (default 5) with the fastest kept:
+//! Three passes, each run `--reps` times (default 5) with the fastest kept:
 //!
 //! * `run_seq` over the 15 light Table-I programs (those whose queries all
 //!   finish within budget under DQ), as `table1_cold`'s solver probe;
@@ -11,7 +11,11 @@
 //!   jmp store per program, every query answered by one lane on the
 //!   calling thread — exactly what the one worker of a one-thread
 //!   `run(…, DataSharingSched)` does, which the first pass checks by
-//!   running that too and comparing the counters.
+//!   running that too and comparing the counters;
+//! * the same DQ lane recording footprints
+//!   (`SolverConfig::record_footprints`, what a session's lanes do): its
+//!   ns/step over the plain lane's is the cost of recording per step.
+//!   Recording is metadata, so it must do the plain lane's pinned work.
 //!
 //! Every pass also counts its work, and the counts must equal the pinned
 //! ones below: a change that claims a faster step must traverse the same
@@ -145,15 +149,17 @@ impl JmpStore for Counting<'_> {
     }
 }
 
-/// One worker's DQ lane over `b`, inline.
-fn dq_lane(b: &Bench) -> Work {
+/// One worker's DQ lane over `b`, inline, recording footprints if `record`.
+fn dq_lane(b: &Bench, record: bool) -> Work {
     let schedule = schedule_with_cap(&b.pag, &b.queries, Mode::DataSharingSched, None);
     let store = SharedJmpStore::new();
     let counting = Counting {
         store: &store,
         lookups: AtomicU64::new(0),
     };
-    let mut solver = Solver::new(&b.pag, &b.solver, &counting).in_batch(0, false);
+    let cfg = b.solver.clone();
+    let cfg = if record { cfg.with_footprints() } else { cfg };
+    let mut solver = Solver::new(&b.pag, &cfg, &counting).in_batch(0, false);
     let mut work = Work::default();
     for q in schedule.flat_order() {
         let out = solver.points_to_query(q, 0);
@@ -196,7 +202,7 @@ fn main() {
     let per_program: Vec<(u64, u64)> = suite.iter().map(one).collect();
     let lanes: Vec<(u64, u64)> = suite
         .iter()
-        .map(dq_lane)
+        .map(|b| dq_lane(b, false))
         .map(|w| (w.steps, w.out_of_budget))
         .collect();
     assert_eq!(lanes, per_program, "the inline lane is the one-worker run");
@@ -207,7 +213,7 @@ fn main() {
         .map(|(b, _)| b)
         .collect();
 
-    let (mut seq, mut dq) = (Vec::new(), Vec::new());
+    let (mut seq, mut dq, mut rec) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..reps {
         seq.push(timed(|| {
             let runs = light.iter().map(|b| run_seq(&b.pag, &b.queries, &b.solver));
@@ -218,18 +224,23 @@ fn main() {
             })
             .sum()
         }));
-        dq.push(timed(|| suite.iter().map(dq_lane).sum()));
+        dq.push(timed(|| suite.iter().map(|b| dq_lane(b, false)).sum()));
+        rec.push(timed(|| suite.iter().map(|b| dq_lane(b, true)).sum()));
     }
 
     println!("on-CPU time of this thread (/proc/thread-self/schedstat), fastest of {reps}");
+    let fastest = |passes: &[Pass]| {
+        passes
+            .iter()
+            .map(Pass::ns_per_step)
+            .fold(f64::INFINITY, f64::min)
+    };
     for (label, passes) in [
         (format!("run_seq, {} light programs", light.len()), &seq),
         (format!("DQ, one worker, {} programs", suite.len()), &dq),
+        ("DQ, recording footprints".to_string(), &rec),
     ] {
-        let best = passes
-            .iter()
-            .map(Pass::ns_per_step)
-            .fold(f64::INFINITY, f64::min);
+        let best = fastest(passes);
         let all: Vec<String> = passes
             .iter()
             .map(|p| format!("{:.1}", p.ns_per_step()))
@@ -251,6 +262,10 @@ fn main() {
         w.oob_steps,
         100.0 * w.oob_steps as f64 / w.steps.max(1) as f64
     );
+    println!(
+        "DQ recording over plain: {:.2}x ns/step (fastest passes)",
+        fastest(&rec) / fastest(&dq)
+    );
     // Every pass does the same work, and it is the pinned work.
     for p in &seq {
         assert_eq!(
@@ -259,7 +274,7 @@ fn main() {
             "run_seq's work moved"
         );
     }
-    for p in &dq {
+    for p in dq.iter().chain(&rec) {
         assert_eq!(
             (p.work.steps, p.work.out_of_budget, p.work.lookups),
             (DQ_STEPS, DQ_OUT_OF_BUDGET, DQ_LOOKUPS),

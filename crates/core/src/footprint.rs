@@ -25,54 +25,149 @@
 //! a traversed node. Contexts are deliberately ignored: a footprint
 //! over-approximates across contexts, which only ever invalidates more.
 
-use parcfl_concurrent::bitset::{ChunkedBitset, CHUNK_WORDS};
+use parcfl_concurrent::bitset::{Chunk, ChunkedBitset, CHUNK_BITS, CHUNK_WORDS};
 use parcfl_pag::{DeltaEffect, FieldId, NodeId};
 use std::sync::Arc;
+
+/// One 512-id chunk of a footprint's set: which chunk, and its words.
+#[derive(Clone, Debug)]
+struct Block {
+    chunk: u32,
+    words: Chunk,
+}
 
 /// The node/field read-set of one recorded traversal. Immutable once
 /// built and shared via `Arc`: by the jmp entry or kept answer it guards,
 /// and by every footprint-in-progress that absorbed it. It is metadata
 /// about a result, never part of one.
+///
+/// Stored sparse, in one allocation: the chunks it touches, the nodes'
+/// and then the fields', each in ascending order. Its size grows with
+/// the chunks a traversal read, not with the highest id it read.
 #[derive(Clone, Debug, Default)]
 pub struct Footprint {
-    nodes: ChunkedBitset,
-    fields: ChunkedBitset,
+    blocks: Box<[Block]>,
+    /// Where the field blocks begin.
+    fields_at: usize,
 }
 
-fn chunks_intersect(a: &ChunkedBitset, b: &ChunkedBitset) -> bool {
-    let n = a.chunk_count().min(b.chunk_count());
-    for ci in 0..n {
-        if let (Some(ca), Some(cb)) = (a.chunk(ci), b.chunk(ci)) {
-            for w in 0..CHUNK_WORDS {
-                if ca[w] & cb[w] != 0 {
-                    return true;
-                }
-            }
-        }
-    }
-    false
+fn blocks_intersect(blocks: &[Block], set: &ChunkedBitset) -> bool {
+    blocks.iter().any(|b| {
+        set.chunk(b.chunk as usize).is_some_and(|c| {
+            let common = (0..CHUNK_WORDS).fold(0, |acc, w| acc | (c[w] & b.words[w]));
+            common != 0
+        })
+    })
+}
+
+fn blocks_contain(blocks: &[Block], id: u32) -> bool {
+    let bit = id as usize % CHUNK_BITS;
+    let chunk = id / CHUNK_BITS as u32;
+    blocks
+        .binary_search_by_key(&chunk, |b| b.chunk)
+        .is_ok_and(|i| blocks[i].words[bit / 64] & (1u64 << (bit % 64)) != 0)
 }
 
 impl Footprint {
+    fn nodes(&self) -> &[Block] {
+        &self.blocks[..self.fields_at]
+    }
+
+    fn fields(&self) -> &[Block] {
+        &self.blocks[self.fields_at..]
+    }
+
     /// Whether this footprint overlaps `dirty` (in nodes or fields) —
     /// i.e. whether what it guards must be invalidated.
     pub fn intersects(&self, dirty: &DirtySet) -> bool {
-        chunks_intersect(&self.nodes, &dirty.nodes) || chunks_intersect(&self.fields, &dirty.fields)
+        blocks_intersect(self.nodes(), &dirty.nodes)
+            || blocks_intersect(self.fields(), &dirty.fields)
     }
 
     /// Nodes recorded (distinct count).
     pub fn node_count(&self) -> usize {
-        self.nodes.count_ones()
+        let words = self.nodes().iter().flat_map(|b| b.words);
+        words.map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether `n` is in the recorded node set.
     pub fn touches_node(&self, n: NodeId) -> bool {
-        self.nodes.contains(n.raw())
+        blocks_contain(self.nodes(), n.raw())
     }
 
     /// Whether `f` is in the recorded field set.
     pub fn touches_field(&self, f: FieldId) -> bool {
-        self.fields.contains(f.raw())
+        blocks_contain(self.fields(), f.raw())
+    }
+
+    /// The `u64` words the stored sets hold.
+    #[cfg(test)]
+    fn words(&self) -> usize {
+        self.blocks.len() * CHUNK_WORDS
+    }
+}
+
+/// A dense bitset a lane folds footprints into, all zero between folds:
+/// a bit per id up to the highest id it has held, and a bit per chunk
+/// that holds one now, so a fold's emptying and emitting cost the chunks
+/// it touched.
+#[derive(Debug, Default)]
+struct Dense {
+    words: Vec<u64>,
+    /// One bit per chunk of `words` that is not all zero.
+    touched: Vec<u64>,
+}
+
+impl Dense {
+    /// Grows the table to hold chunk `ci` and marks that chunk touched.
+    #[inline]
+    fn touch(&mut self, ci: usize) {
+        if ci / 64 >= self.touched.len() {
+            self.touched.resize(ci / 64 + 1, 0);
+            self.words.resize(self.touched.len() * 64 * CHUNK_WORDS, 0);
+        }
+        self.touched[ci / 64] |= 1u64 << (ci % 64);
+    }
+
+    #[inline]
+    fn insert(&mut self, id: u32) {
+        let id = id as usize;
+        self.touch(id / CHUNK_BITS);
+        self.words[id / 64] |= 1u64 << (id % 64);
+    }
+
+    fn union_block(&mut self, b: &Block) {
+        let ci = b.chunk as usize;
+        self.touch(ci);
+        let dst = &mut self.words[ci * CHUNK_WORDS..][..CHUNK_WORDS];
+        for (d, s) in dst.iter_mut().zip(&b.words) {
+            *d |= s;
+        }
+    }
+
+    /// Chunks that hold an id.
+    fn chunks(&self) -> usize {
+        self.touched.iter().map(|t| t.count_ones() as usize).sum()
+    }
+
+    /// Moves the chunks that hold an id onto `out`, in ascending order,
+    /// and leaves the table zero.
+    fn drain_into(&mut self, out: &mut Vec<Block>) {
+        for (i, t) in self.touched.iter_mut().enumerate() {
+            let mut bits = std::mem::take(t);
+            while bits != 0 {
+                let ci = i * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let src = &mut self.words[ci * CHUNK_WORDS..][..CHUNK_WORDS];
+                let mut words = [0; CHUNK_WORDS];
+                words.copy_from_slice(src);
+                src.fill(0);
+                out.push(Block {
+                    chunk: ci as u32,
+                    words,
+                });
+            }
+        }
     }
 }
 
@@ -84,10 +179,15 @@ impl Footprint {
 /// at its opening — and owns the suffix of the log from there: frames
 /// nest in stack order, so everything a frame's children read lies inside
 /// the frame's own suffix, and a child needs folding into its parent by
-/// nobody. A frame becomes a bitset [`Footprint`] only when somebody will
-/// keep it ([`ReadLog::close`] with `keep`, [`ReadLog::finish`]); its
-/// suffix then collapses into that one absorbed `Arc`, so each read is
-/// folded into a bitset once however many enclosing frames are kept later.
+/// nobody. A frame becomes a [`Footprint`] only when somebody will keep it
+/// ([`ReadLog::close`] with `keep`, [`ReadLog::finish`]): its suffix is
+/// folded into a dense table the log reuses, emitted from there in one
+/// allocation, and then collapses into that one absorbed `Arc`, so each
+/// read is folded once however many enclosing frames are kept later.
+///
+/// An absorbed footprint is held by an `Arc` the caller owns alone (the
+/// solver absorbs a jmp hit's through the lane's own copy of the entry),
+/// so absorbing writes no cache line another lane reads.
 ///
 /// Absorbing a dependency that has no footprint (a jmp hit on an entry
 /// published without one) **poisons** every open frame and the query: the
@@ -106,6 +206,9 @@ pub(crate) struct ReadLog {
     absorbed: Vec<Arc<Footprint>>,
     /// Footprint-less dependencies absorbed so far in this query.
     poison: u32,
+    /// Where a fold unions a suffix's nodes and fields: zero between folds.
+    fold_nodes: Dense,
+    fold_fields: Dense,
 }
 
 /// Where a frame's suffix of the log begins.
@@ -145,7 +248,8 @@ impl ReadLog {
         }
     }
 
-    /// Folds a dependency's reads in whole; `None` (its read-set is
+    /// Folds a dependency's reads in whole, keeping a clone of `dep` (whose
+    /// count a lane should be the only writer of); `None` (its read-set is
     /// unknown) poisons every open frame and the query.
     pub(crate) fn absorb(&mut self, dep: Option<&Arc<Footprint>>) {
         if self.recording {
@@ -187,18 +291,28 @@ impl ReadLog {
             return None;
         }
 
-        let mut fp = Footprint::default();
         for n in self.nodes.drain(mark.nodes..) {
-            fp.nodes.insert(n.raw());
+            self.fold_nodes.insert(n.raw());
         }
         for f in self.fields.drain(mark.fields..) {
-            fp.fields.insert(f.raw());
+            self.fold_fields.insert(f.raw());
         }
         for dep in self.absorbed.drain(mark.absorbed..) {
-            fp.nodes.union_with(&dep.nodes);
-            fp.fields.union_with(&dep.fields);
+            for b in dep.nodes() {
+                self.fold_nodes.union_block(b);
+            }
+            for b in dep.fields() {
+                self.fold_fields.union_block(b);
+            }
         }
-        let fp = Arc::new(fp);
+        let mut blocks = Vec::with_capacity(self.fold_nodes.chunks() + self.fold_fields.chunks());
+        self.fold_nodes.drain_into(&mut blocks);
+        let fields_at = blocks.len();
+        self.fold_fields.drain_into(&mut blocks);
+        let fp = Arc::new(Footprint {
+            blocks: blocks.into_boxed_slice(),
+            fields_at,
+        });
         self.absorbed.push(Arc::clone(&fp));
         Some(fp)
     }
@@ -298,11 +412,21 @@ mod tests {
         fields: BTreeSet<u32>,
     }
 
+    fn ids(blocks: &[Block]) -> BTreeSet<u32> {
+        let ids = |b: &Block| {
+            let (base, words) = (b.chunk * CHUNK_BITS as u32, b.words);
+            (0..CHUNK_BITS as u32)
+                .filter(move |&i| words[i as usize / 64] >> (i % 64) & 1 != 0)
+                .map(move |i| base + i)
+        };
+        blocks.iter().flat_map(ids).collect()
+    }
+
     impl Model {
         fn of(fp: &Footprint) -> Model {
             Model {
-                nodes: fp.nodes.iter().collect(),
-                fields: fp.fields.iter().collect(),
+                nodes: ids(fp.nodes()),
+                fields: ids(fp.fields()),
             }
         }
     }
@@ -317,12 +441,11 @@ mod tests {
         Close(bool),
     }
 
-    /// Runs `script` through a log and through per-frame sets folded into
-    /// their parents at every close (what the frame stack did). Returns,
-    /// per `Close(true)` and then for the whole query, the log's footprint
-    /// beside the model's (`None` = poisoned).
-    fn run(script: &[Op]) -> Vec<(Option<Model>, Option<Model>)> {
-        let mut log = ReadLog::default();
+    /// Runs `script` as one query through `log` and through per-frame sets
+    /// folded into their parents at every close (what the frame stack
+    /// did). Returns, per `Close(true)` and then for the whole query, the
+    /// log's footprint beside the model's (`None` = poisoned).
+    fn run_on(log: &mut ReadLog, script: &[Op]) -> Vec<(Option<Arc<Footprint>>, Option<Model>)> {
         log.begin(true);
         // The model's frames: reads so far and whether poisoned; and the
         // log's marks of the open ones.
@@ -363,7 +486,7 @@ mod tests {
                     parent.0.fields.extend(child.fields.iter().copied());
                     parent.1 |= poisoned;
                     if *keep {
-                        out.push((got.as_deref().map(Model::of), (!poisoned).then_some(child)));
+                        out.push((got, (!poisoned).then_some(child)));
                     } else {
                         assert!(got.is_none(), "an unkept frame materialises nothing");
                     }
@@ -372,9 +495,146 @@ mod tests {
         }
         let (root, poisoned) = frames.pop().unwrap();
         assert!(frames.is_empty(), "the script closes what it opens");
-        let whole = log.finish();
-        out.push((whole.as_deref().map(Model::of), (!poisoned).then_some(root)));
+        out.push((log.finish(), (!poisoned).then_some(root)));
         out
+    }
+
+    /// [`run_on`] on a fresh log, with the log's footprints as models.
+    fn run(script: &[Op]) -> Vec<(Option<Model>, Option<Model>)> {
+        let results = run_on(&mut ReadLog::default(), script).into_iter();
+        results
+            .map(|(got, want)| (got.as_deref().map(Model::of), want))
+            .collect()
+    }
+
+    /// splitmix64: the generator of the property test below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        /// An id: mostly in the first four chunks, now and then far past.
+        fn id(&mut self) -> u32 {
+            let id = match self.below(8) {
+                0 => 100_000 + self.below(3) * CHUNK_BITS + self.below(4),
+                1 => 1_000_000,
+                _ => self.below(4 * CHUNK_BITS),
+            };
+            id as u32
+        }
+
+        /// Often a member of `set`, otherwise any id.
+        fn id_near(&mut self, set: &BTreeSet<u32>) -> u32 {
+            match self.below(3) {
+                0 if !set.is_empty() => *set.iter().nth(self.below(set.len())).unwrap(),
+                _ => self.id(),
+            }
+        }
+    }
+
+    /// A random query: reads, hits on `deps` or on footprint-less entries,
+    /// and frames nested up to six deep, kept or not, all closed by its end.
+    fn script(rng: &mut Rng, deps: &[Arc<Footprint>]) -> Vec<Op> {
+        let mut ops = Vec::new();
+        let mut depth = 0;
+        for _ in 0..rng.below(80) {
+            let op = match rng.below(10) {
+                0..=3 => Op::Node(rng.id()),
+                4 => Op::Field(rng.id()),
+                5 if rng.below(12) == 0 => Op::Hit(None),
+                5 => Op::Hit(Some(deps[rng.below(deps.len())].clone())),
+                6 | 7 if depth < 6 => {
+                    depth += 1;
+                    Op::Open
+                }
+                _ if depth > 0 => {
+                    depth -= 1;
+                    Op::Close(rng.below(2) == 0)
+                }
+                _ => Op::Node(rng.id()),
+            };
+            ops.push(op);
+        }
+        ops.extend((0..depth).map(|_| Op::Close(rng.below(2) == 0)));
+        ops
+    }
+
+    /// Every footprint a log folds — of kept frames and of whole queries,
+    /// over reads, absorbed footprints (plain ones, then what earlier
+    /// queries folded) and poison, with one log reused throughout — is the
+    /// set union the model computes, and it intersects a dirty set exactly
+    /// when the model's sets meet it.
+    #[test]
+    fn folded_footprints_are_the_sets_read_and_intersect_as_sets_do() {
+        let mut rng = Rng(38);
+        let mut deps: Vec<Arc<Footprint>> = (0..4)
+            .map(|_| {
+                let nodes: Vec<u32> = (0..rng.below(20)).map(|_| rng.id()).collect();
+                let fields: Vec<u32> = (0..rng.below(4)).map(|_| rng.id()).collect();
+                fp(&nodes, &fields)
+            })
+            .collect();
+        let mut log = ReadLog::default();
+        let (mut kept, mut met) = (0, 0);
+        for _ in 0..400 {
+            let ops = script(&mut rng, &deps);
+            for (got, want) in run_on(&mut log, &ops) {
+                assert_eq!(got.as_deref().map(Model::of), want);
+                let (Some(got), Some(want)) = (got, want) else {
+                    continue;
+                };
+                for _ in 0..4 {
+                    let (mut dirty, mut read) = (DirtySet::default(), false);
+                    for _ in 0..rng.below(6) {
+                        let n = rng.id_near(&want.nodes);
+                        dirty.insert_node(NodeId::new(n));
+                        read |= want.nodes.contains(&n);
+                    }
+                    for _ in 0..rng.below(3) {
+                        let f = rng.id_near(&want.fields);
+                        dirty.insert_field(FieldId::new(f));
+                        read |= want.fields.contains(&f);
+                    }
+                    assert_eq!(got.intersects(&dirty), read);
+                    met += usize::from(read);
+                }
+                kept += 1;
+                let slot = rng.below(64);
+                match deps.get_mut(slot) {
+                    Some(dep) => *dep = got,
+                    None => deps.push(got),
+                }
+            }
+        }
+        assert!(
+            kept > 500 && met > 200,
+            "the script exercises folds ({kept}) and hits ({met})"
+        );
+    }
+
+    /// The stored form grows with the chunks read, not with the highest
+    /// id: read directly or absorbed, ids 0 and 1 000 000 cost two chunks.
+    #[test]
+    fn a_footprint_holds_only_the_chunks_it_touches() {
+        let far = fp(&[0, 1_000_000], &[]);
+        assert!(far.words() <= 2 * CHUNK_WORDS, "{} words", far.words());
+        let mut log = ReadLog::default();
+        log.begin(true);
+        log.node(NodeId::new(1));
+        log.absorb(Some(&far));
+        log.field(FieldId::new(1_000_000));
+        let whole = log.finish().unwrap();
+        assert_eq!(whole.node_count(), 3);
+        assert!(whole.touches_node(NodeId::new(1_000_000)));
+        assert!(whole.touches_field(FieldId::new(1_000_000)));
+        assert!(!whole.touches_field(FieldId::new(1)));
+        assert!(whole.words() <= 3 * CHUNK_WORDS, "{} words", whole.words());
     }
 
     #[test]

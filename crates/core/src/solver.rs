@@ -64,7 +64,7 @@
 
 use crate::config::{SolverConfig, StateBackend};
 use crate::context::{sort_canonical, Ctx};
-use crate::footprint::ReadLog;
+use crate::footprint::{Footprint, ReadLog};
 use crate::jmp::{Dir, ExhaustedStarts, JmpEntry, JmpKey, JmpLookup, JmpStore, RchSet};
 use crate::stats::{Answer, QueryOutput, QueryStats};
 use crate::witness::{Trace, Via};
@@ -385,7 +385,8 @@ struct Scratch<S> {
     /// the shared map, and takes no lock and writes no shared line. Exact
     /// for as long as the store's epoch reads `jmp_epoch`: a stored entry
     /// never changes, and it leaves only through a removal, which moves
-    /// the epoch.
+    /// the epoch. An entry's footprint is copied in behind an `Arc` of the
+    /// lane's own, so absorbing it on a hit writes only the lane's count.
     jmp_seen: FxHashMap<JmpKey, JmpLookup>,
     /// The store epoch `jmp_seen` was filled under.
     jmp_epoch: u64,
@@ -888,7 +889,10 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             // never been served reaches the shared map.
             let seen = match scratch.jmp_seen.entry(jmp_key) {
                 Entry::Occupied(e) => Some(&*e.into_mut()),
-                Entry::Vacant(e) => jmp.lookup(&jmp_key, now).map(|hit| &*e.insert(hit)),
+                Entry::Vacant(e) => jmp.lookup(&jmp_key, now).map(|(entry, fp)| {
+                    let fp = fp.map(|fp| Arc::new(Footprint::clone(&fp)));
+                    &*e.insert((entry, fp))
+                }),
             };
             let hit = seen.filter(|(entry, _)| entry.created_at() <= now);
             self.stats.lookup_hits += hit.is_some() as u64;

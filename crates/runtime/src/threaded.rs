@@ -28,8 +28,11 @@ use parcfl_sched::Schedule;
 /// up to its `MAX_RECURSION_DEPTH` (512). Measured on an `x_i = x_{i+1}.f`
 /// chain (DESIGN.md §7): ≈ 0.7 KB per level in release builds (a 510-deep
 /// chain overflows 352 KB and fits in 384 KB) and ≈ 10 KB in debug builds
-/// (it overflows 4.5 MB and fits in 5 MB). 64 MB covers both with room.
-const WORKER_STACK: usize = 64 * 1024 * 1024;
+/// (it overflows 4.5 MB and fits in 5 MB). 16 MB covers both with room,
+/// and two workers' stacks fit glibc's 40 MiB cache of freed thread
+/// stacks, so a session's next batch reuses them instead of mapping,
+/// faulting and unmapping fresh ones.
+const WORKER_STACK: usize = 16 * 1024 * 1024;
 
 /// Runs the configured analysis on real threads.
 pub fn run_threaded(pag: &Pag, queries: &[NodeId], cfg: &RunConfig) -> RunResult {
