@@ -21,9 +21,10 @@
 //!    failure usually hinges on one edit — the rest of the script (and
 //!    sometimes all of it, when the cold run already fails) goes.
 //! 4. **Drop edges**, repeated sweeps until a fixpoint: for each edge (in
-//!    reverse), rebuild the graph without it and keep the removal if the
-//!    failure persists. Node ids are stable under [`rebuild_with_edges`],
-//!    so queries stay valid throughout.
+//!    reverse), freeze the graph without it ([`Pag::with_edges`]) and keep
+//!    the removal if the failure persists. `with_edges` keeps node ids, so
+//!    queries stay valid throughout; steps 5–7 freeze their rewritten edge
+//!    lists the same way.
 //! 5. **Weaken edge labels**: rewrite `param`/`ret`/`ld`/`st`/`assign_g`
 //!    labels the failure doesn't depend on to plain `assign_l` (never
 //!    `new`, whose source is an object). Labelled hops can't compose with
@@ -63,7 +64,7 @@
 use crate::snapshot::Scenario;
 use parcfl_pag::{DeltaOp, Edge, EdgeKind, NodeId, Pag};
 use parcfl_runtime::{Backend, Mode};
-use parcfl_synth::mutate::{canonicalize, compact, rebuild_with_edges};
+use parcfl_synth::mutate::{canonicalize, compact};
 
 /// Statistics from one shrink run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -185,7 +186,7 @@ pub fn shrink(scenario: Scenario, fails: &dyn Fn(&Scenario) -> bool) -> (Scenari
                 let mut edges = cur.pag.edges().to_vec();
                 edges.remove(j);
                 let mut candidate = cur.clone();
-                candidate.pag = rebuild_with_edges(&cur.pag, &edges);
+                candidate.pag = cur.pag.with_edges(&edges);
                 stats.checks += 1;
                 if fails(&candidate) {
                     cur = candidate;
@@ -208,7 +209,7 @@ pub fn shrink(scenario: Scenario, fails: &dyn Fn(&Scenario) -> bool) -> (Scenari
             }
             edges[j].kind = EdgeKind::AssignLocal;
             let mut candidate = cur.clone();
-            candidate.pag = rebuild_with_edges(&cur.pag, &edges);
+            candidate.pag = cur.pag.with_edges(&edges);
             stats.checks += 1;
             if fails(&candidate) {
                 cur = candidate;
@@ -228,7 +229,7 @@ pub fn shrink(scenario: Scenario, fails: &dyn Fn(&Scenario) -> bool) -> (Scenari
                     continue;
                 };
                 let mut candidate = cur.clone();
-                candidate.pag = rebuild_with_edges(&cur.pag, &edges);
+                candidate.pag = cur.pag.with_edges(&edges);
                 stats.checks += 1;
                 if fails(&candidate) {
                     cur = candidate;
@@ -265,7 +266,7 @@ pub fn shrink(scenario: Scenario, fails: &dyn Fn(&Scenario) -> bool) -> (Scenari
                         continue;
                     };
                     let mut candidate = cur.clone();
-                    candidate.pag = rebuild_with_edges(&cur.pag, &edges);
+                    candidate.pag = cur.pag.with_edges(&edges);
                     stats.checks += 1;
                     if fails(&candidate) {
                         cur = candidate;

@@ -25,7 +25,7 @@
 //! a traversed node. Contexts are deliberately ignored: a footprint
 //! over-approximates across contexts, which only ever invalidates more.
 
-use parcfl_concurrent::bitset::{Chunk, ChunkedBitset, CHUNK_BITS, CHUNK_WORDS};
+use parcfl_concurrent::bitset::{Chunk, CHUNK_BITS, CHUNK_WORDS};
 use parcfl_pag::{DeltaEffect, FieldId, NodeId};
 use std::sync::Arc;
 
@@ -51,21 +51,17 @@ pub struct Footprint {
     fields_at: usize,
 }
 
-fn blocks_intersect(blocks: &[Block], set: &ChunkedBitset) -> bool {
-    blocks.iter().any(|b| {
-        set.chunk(b.chunk as usize).is_some_and(|c| {
-            let common = (0..CHUNK_WORDS).fold(0, |acc, w| acc | (c[w] & b.words[w]));
-            common != 0
-        })
+/// Whether `blocks` hold any of `ids` (sorted ascending): one walk over
+/// both, so a handful of ids costs the blocks it passes.
+fn blocks_meet(blocks: &[Block], ids: &[u32]) -> bool {
+    let mut blocks = blocks.iter().peekable();
+    ids.iter().any(|&id| {
+        let chunk = id / CHUNK_BITS as u32;
+        while blocks.next_if(|b| b.chunk < chunk).is_some() {}
+        let bit = id as usize % CHUNK_BITS;
+        let has = |b: &&Block| b.chunk == chunk && b.words[bit / 64] >> (bit % 64) & 1 != 0;
+        blocks.peek().is_some_and(has)
     })
-}
-
-fn blocks_contain(blocks: &[Block], id: u32) -> bool {
-    let bit = id as usize % CHUNK_BITS;
-    let chunk = id / CHUNK_BITS as u32;
-    blocks
-        .binary_search_by_key(&chunk, |b| b.chunk)
-        .is_ok_and(|i| blocks[i].words[bit / 64] & (1u64 << (bit % 64)) != 0)
 }
 
 impl Footprint {
@@ -80,8 +76,7 @@ impl Footprint {
     /// Whether this footprint overlaps `dirty` (in nodes or fields) —
     /// i.e. whether what it guards must be invalidated.
     pub fn intersects(&self, dirty: &DirtySet) -> bool {
-        blocks_intersect(self.nodes(), &dirty.nodes)
-            || blocks_intersect(self.fields(), &dirty.fields)
+        blocks_meet(self.nodes(), &dirty.nodes) || blocks_meet(self.fields(), &dirty.fields)
     }
 
     /// Nodes recorded (distinct count).
@@ -92,12 +87,12 @@ impl Footprint {
 
     /// Whether `n` is in the recorded node set.
     pub fn touches_node(&self, n: NodeId) -> bool {
-        blocks_contain(self.nodes(), n.raw())
+        blocks_meet(self.nodes(), &[n.raw()])
     }
 
     /// Whether `f` is in the recorded field set.
     pub fn touches_field(&self, f: FieldId) -> bool {
-        blocks_contain(self.fields(), f.raw())
+        blocks_meet(self.fields(), &[f.raw()])
     }
 
     /// The `u64` words the stored sets hold.
@@ -318,12 +313,27 @@ impl ReadLog {
     }
 }
 
-/// The dirty node/field sets of one applied delta, in the same chunked
-/// representation as the footprints they are intersected against.
+/// The dirty node/field sets of one applied delta: the handful of ids an
+/// edit's edges name, each set sorted and duplicate-free.
 #[derive(Clone, Debug, Default)]
 pub struct DirtySet {
-    nodes: ChunkedBitset,
-    fields: ChunkedBitset,
+    nodes: Vec<u32>,
+    fields: Vec<u32>,
+}
+
+/// `ids`, sorted and duplicate-free.
+fn sorted(ids: impl Iterator<Item = u32>) -> Vec<u32> {
+    let mut ids: Vec<u32> = ids.collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+/// Puts `id` into the sorted, duplicate-free `ids`.
+fn insert_sorted(ids: &mut Vec<u32>, id: u32) {
+    if let Err(at) = ids.binary_search(&id) {
+        ids.insert(at, id);
+    }
 }
 
 impl DirtySet {
@@ -331,14 +341,10 @@ impl DirtySet {
     /// both endpoints of every added/removed edge, plus the fields of
     /// changed load/store edges.
     pub fn from_effect(effect: &DeltaEffect) -> Self {
-        let mut d = DirtySet::default();
-        for n in effect.dirty_nodes() {
-            d.nodes.insert(n.raw());
+        DirtySet {
+            nodes: sorted(effect.dirty_nodes().map(NodeId::raw)),
+            fields: sorted(effect.dirty_fields().map(FieldId::raw)),
         }
-        for f in effect.dirty_fields() {
-            d.fields.insert(f.raw());
-        }
-        d
     }
 
     /// Whether nothing is dirty (a no-op delta).
@@ -348,17 +354,17 @@ impl DirtySet {
 
     /// Marks a node dirty directly (tests and synthetic invalidation).
     pub fn insert_node(&mut self, n: NodeId) {
-        self.nodes.insert(n.raw());
+        insert_sorted(&mut self.nodes, n.raw());
     }
 
     /// Marks a field dirty directly.
     pub fn insert_field(&mut self, f: FieldId) {
-        self.fields.insert(f.raw());
+        insert_sorted(&mut self.fields, f.raw());
     }
 
     /// Distinct dirty nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.count_ones()
+        self.nodes.len()
     }
 }
 

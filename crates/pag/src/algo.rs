@@ -1,7 +1,7 @@
 //! Graph utility algorithms shared by the frontend (call-graph and
-//! points-to-cycle collapsing) and the scheduler (grouping, connection
-//! distances): Tarjan's SCC, DAG condensation helpers, longest paths in a
-//! DAG, and a union-find.
+//! points-to-cycle collapsing), the scheduler (grouping, connection
+//! distances) and the edit sampler's cycle check: Tarjan's SCC, DAG
+//! condensation helpers, longest paths in a DAG, and a union-find.
 
 /// The result of running Tarjan's algorithm: a mapping from vertices to
 /// strongly connected components, with components numbered in **reverse

@@ -1,6 +1,8 @@
 //! First-class program edits: [`PagDelta`] batches edge changes and
-//! [`Pag::apply_delta`] rebuilds the frozen graph — bit-identical to
-//! re-freezing the edited edge set from scratch.
+//! [`Pag::apply_delta`] freezes the edited edge set over the graph's
+//! shared node, type and method tables — the path [`Pag::with_edges`] and
+//! [`crate::PagBuilder::freeze`] take, so the edited graph is a fresh
+//! freeze by construction.
 //!
 //! The returned [`DeltaEffect`] records only the *effective* changes
 //! (adding an edge that already exists, or removing one that does not, is
@@ -128,16 +130,11 @@ impl DeltaEffect {
 }
 
 impl Pag {
-    /// The applied-revision counter: 0 for a freshly frozen graph,
-    /// incremented by every effective [`Pag::apply_delta`]. Cheap staleness
-    /// check for caches keyed on a graph snapshot.
-    pub fn revision(&self) -> u64 {
-        self.revision_counter()
-    }
-
     /// Applies `delta`, returning the edited graph and the effective
-    /// changes. The result is **bit-identical** to freezing the edited
-    /// edge set from scratch (same CSR layout, same field indexes).
+    /// changes. The result *is* the freeze of the edited edge set
+    /// ([`Pag::with_edges`]) at the next revision: same CSR layout, same
+    /// field indexes, outgoing side and by-site indexes left to their
+    /// first reads.
     ///
     /// Ops naming an out-of-range node, field or call site are not
     /// applied (callers that fuzz edit scripts shrink node sets
@@ -150,31 +147,38 @@ impl Pag {
             ..DeltaEffect::default()
         };
 
-        // Every edge the delta names, in canonical order, with whether the
-        // graph has it and whether the edited graph will.
-        let mut named = NamedEdges::new();
+        // Every edge the delta names, by canonical key (so iterating
+        // gives the order the effect lists are in), with whether the
+        // edited graph has it: what its last op says.
+        let mut named = BTreeMap::new();
         for op in &delta.ops {
             let e = op.edge();
-            if !self.has_ids_of(&e) {
+            if self.has_ids_of(&e) {
+                named.insert(in_order(&e), (e, matches!(op, DeltaOp::AddEdge(_))));
+            } else {
                 effect.rejected_ops += 1;
-                continue;
             }
-            self.named(&mut named, e).after = matches!(op, DeltaOp::AddEdge(_));
         }
-        let changed = |before: bool, after: bool| -> Vec<Edge> {
-            let differs = named
-                .values()
-                .filter(|slot| (slot.before, slot.after) == (before, after));
-            differs.map(|slot| slot.edge).collect()
-        };
-        effect.added_edges = changed(false, true);
-        effect.removed_edges = changed(true, false);
+        for &(e, after) in named.values() {
+            match (self.has_edge(&e), after) {
+                (false, true) => effect.added_edges.push(e),
+                (true, false) => effect.removed_edges.push(e),
+                _ => {}
+            }
+        }
 
         if effect.is_noop() {
             return (self.clone(), effect);
         }
         effect.revision = old_rev + 1;
-        let pag = self.edited(&effect.added_edges, &effect.removed_edges, effect.revision);
+        // Both lists are in canonical order: each removed edge is met
+        // where it stands.
+        let mut removed = effect.removed_edges.iter().peekable();
+        let stays = |e: &&Edge| removed.next_if_eq(e).is_none();
+        let kept = self.edges().iter().filter(stays);
+        let edges: Vec<Edge> = kept.chain(&effect.added_edges).copied().collect();
+        let mut pag = self.with_edges(&edges);
+        pag.revision = effect.revision;
         (pag, effect)
     }
 
@@ -188,31 +192,7 @@ impl Pag {
             && e.kind.field().is_none_or(|f| f.index() < fields)
             && e.kind.call_site().is_none_or(|s| s.index() < sites)
     }
-
-    /// `e`'s slot in the edges a delta names, opened as the graph has it.
-    fn named<'m>(&self, named: &'m mut NamedEdges, e: Edge) -> &'m mut Named {
-        named.entry(in_order(&e)).or_insert_with(|| {
-            let before = self.has_edge(&e);
-            Named {
-                edge: e,
-                before,
-                after: before,
-            }
-        })
-    }
 }
-
-/// One edge a delta names: whether the graph has it, and whether the
-/// edited graph will.
-struct Named {
-    edge: Edge,
-    before: bool,
-    after: bool,
-}
-
-/// The edges a delta names, by [`in_order`] key: iterating gives the
-/// canonical order [`DeltaEffect`]'s lists are in.
-type NamedEdges = BTreeMap<(NodeId, u8, NodeId, u32), Named>;
 
 #[cfg(test)]
 mod tests {

@@ -107,16 +107,9 @@ impl PagBuilder {
     /// ([`Pag::incoming_param_at`], [`Pag::outgoing_ret_at`]), on the
     /// first lookup.
     pub fn freeze(self) -> Pag {
-        // Deduplicate edges: duplicate statements add nothing to
-        // reachability and only slow traversals down. No comparison sort
-        // sees the whole edge set: a counting pass buckets the edges by
-        // their dst, and only each node's handful of edges is sorted.
-        let mut edges = bucketed(&self.edges, self.nodes.len(), |e| e.dst, in_order);
-        drop(self.edges);
-        edges.dedup();
-        build_pag_tables(
+        freeze_edges(
             Arc::new(self.nodes),
-            edges,
+            self.edges,
             Arc::new(self.types),
             Arc::new(self.method_names),
             self.call_sites,
@@ -124,11 +117,31 @@ impl PagBuilder {
     }
 }
 
+/// Freezes `raw` (any order, duplicates allowed) over a node set: the one
+/// path of [`PagBuilder::freeze`], [`Pag::with_edges`] and
+/// [`Pag::apply_delta`]. Duplicate statements add nothing to reachability
+/// and only slow traversals down, so they go. No comparison sort sees the
+/// whole edge set: a counting pass buckets the edges by their dst, and
+/// only each node's handful of edges is sorted. `raw` is dropped before
+/// the tables are built.
+fn freeze_edges(
+    nodes: Arc<Vec<NodeInfo>>,
+    raw: Vec<Edge>,
+    types: Arc<TypeTable>,
+    method_names: Arc<Vec<String>>,
+    call_sites: u32,
+) -> Pag {
+    let mut edges = bucketed(&raw, nodes.len(), |e| e.dst, in_order);
+    drop(raw);
+    edges.dedup();
+    build_pag_tables(nodes, edges, types, method_names, call_sites)
+}
+
 /// Freezes a node set and its edges, duplicate-free and in the canonical
 /// incoming order (dst-major, kind-class within a node, then
 /// `(src, payload)` within a class), into the immutable CSR
-/// representation: the tail of [`PagBuilder::freeze`] and
-/// [`Pag::quotient`]. The outgoing side is left unbuilt.
+/// representation: the tail of [`freeze_edges`] and [`Pag::quotient`].
+/// The outgoing side is left unbuilt.
 fn build_pag_tables(
     nodes: Arc<Vec<NodeInfo>>,
     edges: Vec<Edge>,
@@ -354,60 +367,6 @@ fn out_order(e: &Edge) -> (NodeId, u8, NodeId, u32) {
     (e.src, class, e.dst, detail)
 }
 
-/// `old` (sorted by `order`, duplicate-free) with `removed` taken out and
-/// `added` put in, both sorted by `order` too: what sorting the edited set
-/// would give, by copying the runs between the changes.
-fn splice<K: Ord>(
-    old: &[Edge],
-    added: &[Edge],
-    removed: &[Edge],
-    order: impl Fn(&Edge) -> K,
-) -> Vec<Edge> {
-    let mut out = Vec::with_capacity(old.len() + added.len() - removed.len());
-    let (mut added, mut removed) = (added.iter().peekable(), removed.iter().peekable());
-    let mut from = 0;
-    loop {
-        let insert = match (added.peek(), removed.peek()) {
-            (None, None) => break,
-            (Some(a), Some(r)) => order(a) < order(r),
-            (a, _) => a.is_some(),
-        };
-        let e = if insert { added.next() } else { removed.next() };
-        let e = e.expect("peeked");
-        let at = from + old[from..].partition_point(|x| order(x) < order(e));
-        out.extend_from_slice(&old[from..at]);
-        if insert {
-            out.push(*e);
-            from = at;
-        } else {
-            debug_assert_eq!(old[at], *e, "a removed edge is in the graph");
-            from = at + 1;
-        }
-    }
-    out.extend_from_slice(&old[from..]);
-    out
-}
-
-/// An offset table (`in_kind` or `out_kind`) after an edit: `old` with,
-/// for each `(index, by)` of `bumps`, every entry from `index` on moved by
-/// `by` — an edge put in or taken out ahead of it.
-fn shifted(old: &[u32], mut bumps: Vec<(usize, i32)>) -> Vec<u32> {
-    let mut table = old.to_vec();
-    let len = table.len();
-    bumps.sort_unstable();
-    let mut shift = 0i32;
-    for (i, &(from, by)) in bumps.iter().enumerate() {
-        shift += by;
-        let to = bumps.get(i + 1).map_or(len, |next| next.0);
-        if shift != 0 {
-            for slot in &mut table[from..to] {
-                *slot = slot.wrapping_add_signed(shift);
-            }
-        }
-    }
-    table
-}
-
 /// Total order over edge kinds used for deterministic dedup. The leading
 /// byte is the [`EdgeClass`] discriminant, so class grouping and dedup
 /// order agree by construction.
@@ -426,13 +385,13 @@ pub(crate) fn edge_sort_key(kind: EdgeKind) -> (u8, u32) {
 /// The frozen, immutable Pointer Assignment Graph.
 #[derive(Clone, Debug)]
 pub struct Pag {
-    /// Node, type and method-name tables sit behind `Arc`s: an edited
-    /// revision ([`Pag::apply_delta`]) shares them with the graph it came
-    /// from.
+    /// Node, type and method-name tables sit behind `Arc`s: a graph frozen
+    /// from another's ids ([`Pag::with_edges`], [`Pag::apply_delta`])
+    /// shares them with it.
     nodes: Arc<Vec<NodeInfo>>,
     /// Whether each node is a variable: the one byte of `nodes` the
-    /// forward traversal reads per step. Shared like `nodes`, but a slice:
-    /// one load from the graph to the bytes.
+    /// forward traversal reads per step. A slice: one load from the graph
+    /// to the bytes.
     variables: Arc<[bool]>,
     /// All edges, sorted `(dst, class, src)` — this *is* the incoming-edge
     /// array, kind-major within each node's range.
@@ -454,9 +413,8 @@ pub struct Pag {
     types: Arc<TypeTable>,
     method_names: Arc<Vec<String>>,
     call_sites: u32,
-    /// Applied-revision counter: 0 when frozen, +1 per effective
-    /// [`Pag::apply_delta`] (see [`Pag::revision`]).
-    revision: u64,
+    /// See [`Pag::revision`].
+    pub(crate) revision: u64,
 }
 
 /// What [`Pag::packed`] hands the frozen benchmark: no rows, no words.
@@ -487,6 +445,13 @@ impl Pag {
     #[inline]
     pub fn call_site_count(&self) -> usize {
         self.call_sites as usize
+    }
+
+    /// The applied-revision counter: 0 for a freshly frozen graph,
+    /// incremented by every effective [`Pag::apply_delta`]. Cheap staleness
+    /// check for caches keyed on a graph snapshot.
+    pub fn revision(&self) -> u64 {
+        self.revision
     }
 
     /// Number of methods.
@@ -660,12 +625,6 @@ impl Pag {
         &PackedAdj
     }
 
-    /// The raw revision counter (public face: [`Pag::revision`], defined
-    /// beside the delta API).
-    pub(crate) fn revision_counter(&self) -> u64 {
-        self.revision
-    }
-
     /// Whether `e` is an edge of the graph: a binary search in the
     /// canonical [`Pag::edges`] array.
     pub(crate) fn has_edge(&self, e: &Edge) -> bool {
@@ -674,76 +633,19 @@ impl Pag {
             .is_ok()
     }
 
-    /// The graph with its edge set edited: `added` (none of them present)
-    /// put in, `removed` (all of them present) taken out, both in
-    /// [`in_order`]. Field for field what freezing the edited set from
-    /// scratch builds, without sorting or hashing the edges that stay: the
-    /// edge arrays are spliced, the offset tables shifted past each
-    /// change, and only the field indexes of changed loads and stores are
-    /// re-read. The node, variable, type and method-name tables are
-    /// shared. The outgoing side is spliced only if `self` has built one;
-    /// otherwise it is left to the edited graph's first outgoing read. The
-    /// by-site indexes start empty, as at freeze, and are built by the
-    /// edited graph's first lookup.
-    pub(crate) fn edited(&self, added: &[Edge], removed: &[Edge], revision: u64) -> Pag {
-        let edges = splice(&self.edges, added, removed, in_order);
-
-        // An edge at node `x` of class `k` sits ahead of `x`'s later
-        // classes and of every later node.
-        let put_in = added.iter().map(|e| (e, 1));
-        let changes: Vec<(&Edge, i32)> = put_in.chain(removed.iter().map(|e| (e, -1))).collect();
-        let kinds = |old: &[u32], end: fn(&Edge) -> NodeId| {
-            let past = |&(e, by): &(&Edge, i32)| {
-                let class = e.kind.class() as usize;
-                (end(e).index() * EDGE_CLASSES + class + 1, by)
-            };
-            let bumps = changes.iter().map(past).collect();
-            shifted(old, bumps)
-        };
-        let in_kind = kinds(&self.in_kind, |e| e.dst);
-        let out = match self.out.get() {
-            Some(old) => {
-                let (mut out_added, mut out_removed) = (added.to_vec(), removed.to_vec());
-                out_added.sort_unstable_by_key(out_order);
-                out_removed.sort_unstable_by_key(out_order);
-                OnceLock::from(OutSide {
-                    edges: splice(&old.edges, &out_added, &out_removed, out_order),
-                    kind: kinds(&old.kind, |e| e.src),
-                })
-            }
-            None => OnceLock::new(),
-        };
-        let mut loads_by_field = self.loads_by_field.clone();
-        let mut stores_by_field = self.stores_by_field.clone();
-        for (e, _) in &changes {
-            // One field's index: the `(base, other end)` pair of every edge
-            // of exactly this kind, in `edges` order.
-            let of_kind = edges.iter().filter(|x| x.kind == e.kind);
-            match e.kind {
-                EdgeKind::Load(f) => {
-                    loads_by_field[f.index()] = of_kind.map(|x| (x.src, x.dst)).collect();
-                }
-                EdgeKind::Store(f) => {
-                    stores_by_field[f.index()] = of_kind.map(|x| (x.dst, x.src)).collect();
-                }
-                _ => {}
-            }
-        }
-        Pag {
-            nodes: Arc::clone(&self.nodes),
-            variables: Arc::clone(&self.variables),
-            in_kind,
-            edges,
-            out,
-            param_in: OnceLock::new(),
-            ret_out: OnceLock::new(),
-            loads_by_field,
-            stores_by_field,
-            types: Arc::clone(&self.types),
-            method_names: Arc::clone(&self.method_names),
-            call_sites: self.call_sites,
-            revision,
-        }
+    /// The graph over the same nodes, types, methods and call sites with
+    /// exactly `edges` (any order, duplicates allowed), frozen as
+    /// [`PagBuilder::freeze`] freezes: node ids are kept, so queries against
+    /// `self` stay valid against the result. Its revision is 0, and its
+    /// outgoing side and by-site indexes are left to their first reads.
+    pub fn with_edges(&self, edges: &[Edge]) -> Pag {
+        freeze_edges(
+            Arc::clone(&self.nodes),
+            edges.to_vec(),
+            Arc::clone(&self.types),
+            Arc::clone(&self.method_names),
+            self.call_sites,
+        )
     }
 
     /// The quotient graph under `remap`: node `v` becomes `remap[v]`, whose
@@ -1067,13 +969,12 @@ mod tests {
         }
 
         /// On every graph a traversal can meet — a fresh freeze, its
-        /// quotient under a random remap of nodes, and that quotient
-        /// edited by a random delta (call edges put in and taken out) —
+        /// quotient under a random remap of nodes, that quotient edited by
+        /// a random delta (call edges put in and taken out), and the
+        /// edited set frozen again from a shuffled list with duplicates —
         /// the by-site lookup of every node at every site yields exactly
-        /// the edges the old scan accepted, in the same order. The
-        /// quotient is the reference freeze of the renamed edge set, and
-        /// the edited graph that of the edited set, table for table,
-        /// whether or not its parent had built its outgoing side.
+        /// the edges the old scan accepted, in the same order. Each graph
+        /// is the reference freeze of its edge set, table for table.
         #[test]
         fn by_site_lookup_is_the_scan_after_freeze_quotient_and_delta(
             (n, raw, merge, scramble, edits) in (2usize..30).prop_flat_map(|n| {
@@ -1083,6 +984,8 @@ mod tests {
                 let merge = vec(0..n as u32, n..n + 1);
                 (Just(n), vec(edge, 0..120), merge, any::<bool>(), vec(edit, 0..24))
             }),
+            swaps in proptest::collection::vec((0usize..1000, 0usize..1000), 0..64),
+            dups in proptest::collection::vec(0usize..1000, 0..24),
         ) {
             let g = random_pag(n, &raw);
             by_site_is_the_scan(&g)?;
@@ -1095,7 +998,7 @@ mod tests {
                 remap[v] = if scramble { NodeId(to) } else { remap[v].min(remap[to as usize]) };
             }
             let nodes: Vec<NodeInfo> = (0..n).map(|v| g.node(remap[v]).clone()).collect();
-            let q = g.quotient(nodes.clone(), &remap);
+            let q = g.quotient(nodes, &remap);
             prop_assert!(q.out.get().is_none(), "quotient builds no outgoing side");
             let renamed = g.edges().iter().map(|e| Edge {
                 src: remap[e.src.index()],
@@ -1119,18 +1022,28 @@ mod tests {
             for e in q.edges().iter().filter(|e| e.kind.call_site().is_some()).step_by(3) {
                 d.remove_edge(e.src, e.dst, e.kind);
             }
-            // Once from a quotient whose outgoing side is unbuilt, once
-            // from one whose side is built.
-            let cold = g.quotient(nodes, &remap);
-            let (from_cold, effect) = cold.apply_delta(&d);
-            prop_assert!(effect.is_noop() || from_cold.out.get().is_none());
-            let (edited, _) = q.apply_delta(&d);
+            let (edited, effect) = q.apply_delta(&d);
+            prop_assert!(effect.is_noop() || edited.out.get().is_none());
             let kept = q.edges().iter().filter(|e| !effect.removed_edges.contains(e));
             let want: Vec<Edge> = kept.chain(&effect.added_edges).copied().collect();
-            is_the_reference_freeze(&from_cold, want.clone())?;
-            is_the_reference_freeze(&edited, want)?;
-            by_site_is_the_scan(&from_cold)?;
+            is_the_reference_freeze(&edited, want.clone())?;
             by_site_is_the_scan(&edited)?;
+
+            let mut messy = want;
+            let len = messy.len();
+            if len > 0 {
+                for &(i, j) in &swaps {
+                    messy.swap(i % len, j % len);
+                }
+                for d in &dups {
+                    messy.push(messy[d % len]);
+                }
+            }
+            let again = q.with_edges(&messy);
+            prop_assert!(again.out.get().is_none(), "with_edges builds no outgoing side");
+            prop_assert_eq!(again.revision(), 0);
+            is_the_reference_freeze(&again, messy)?;
+            by_site_is_the_scan(&again)?;
         }
     }
 
@@ -1165,6 +1078,9 @@ mod tests {
             .collect()
     }
 
+    /// Freeze, quotient, an edit of a parent that built its outgoing side
+    /// and `with_edges` all leave the side unbuilt; the first outgoing
+    /// read builds it, and it is a fresh freeze's.
     #[test]
     fn freeze_and_quotient_leave_the_outgoing_side_to_the_first_read() {
         let (g, ids) = mini();
@@ -1183,7 +1099,8 @@ mod tests {
         );
         assert!(g.out.get().is_some(), "the first outgoing read builds it");
 
-        let g = random_pag(20, &fixed_edges());
+        let raw = fixed_edges();
+        let g = random_pag(20, &raw);
         let remap: Vec<NodeId> = (0..20).map(|v| NodeId(v / 2)).collect();
         let nodes = (0..10).map(|v| g.node(NodeId(v)).clone()).collect();
         let q = g.quotient(nodes, &remap);
@@ -1191,11 +1108,7 @@ mod tests {
         // A `ret` lookup reads the outgoing side too.
         q.outgoing_ret_at(NodeId(0), CallSiteId(0)).count();
         assert!(q.out.get().is_some());
-    }
 
-    #[test]
-    fn edited_has_the_outgoing_side_of_a_fresh_freeze_whether_or_not_its_parent_built_one() {
-        let raw = fixed_edges();
         let (added, removed) = ((3, 17, 6, 2), raw[5]);
         let mut d = crate::PagDelta::new();
         let edge = |(s, t, k, p): (u32, u32, u8, u32)| (NodeId(s), NodeId(t), kind_of(k, p));
@@ -1205,27 +1118,24 @@ mod tests {
         d.remove_edge(s, t, k);
         let kept = raw.iter().copied().filter(|&r| r != removed);
         let fresh = random_pag(20, &kept.chain([added]).collect::<Vec<_>>());
-
-        let cold = random_pag(20, &raw);
-        let (from_cold, _) = cold.apply_delta(&d);
-        assert!(cold.out.get().is_none() && from_cold.out.get().is_none());
-        let warm = random_pag(20, &raw);
-        warm.outgoing(NodeId(0));
-        let (from_warm, _) = warm.apply_delta(&d);
-        assert!(from_warm.out.get().is_some(), "a built side is spliced");
-        for g in [&from_cold, &from_warm] {
-            assert_eq!(g.edges(), fresh.edges());
+        g.outgoing(NodeId(0));
+        let (edited, _) = g.apply_delta(&d);
+        let rebuilt = g.with_edges(fresh.edges());
+        for h in [&edited, &rebuilt] {
+            assert!(h.out.get().is_none(), "left to the first read");
+            assert_eq!(h.edges(), fresh.edges());
             for v in fresh.node_ids() {
                 for k in 0..7 {
                     let class = kind_of(k, 0).class();
                     let want = fresh.outgoing_classes(v).of(class);
-                    assert_eq!(g.outgoing_classes(v).of(class), want, "{v:?} {class:?}");
+                    assert_eq!(h.outgoing_classes(v).of(class), want, "{v:?} {class:?}");
                 }
                 for site in 0..5 {
                     let ret = |g: &Pag| g.outgoing_ret_at(v, CallSiteId(site)).collect::<Vec<_>>();
-                    assert_eq!(ret(g), ret(&fresh), "ret out of {v:?} at {site}");
+                    assert_eq!(ret(h), ret(&fresh), "ret out of {v:?} at {site}");
                 }
             }
+            assert!(h.out.get().is_some());
         }
     }
 

@@ -1,12 +1,10 @@
-//! Shrink-friendly PAG mutation helpers.
-//!
-//! `parcfl-check`'s counterexample shrinker repeatedly asks "does the
-//! failure survive with this edge removed?", which requires rebuilding a
-//! frozen [`Pag`] from a mutated edge list. Node ids are assigned
-//! sequentially by [`PagBuilder::add_node`] and [`PagBuilder::freeze`]
-//! never reorders nodes, so a rebuild that re-adds every node in id order
-//! keeps all existing [`NodeId`]s (and therefore the query set) valid.
+//! PAG mutation helpers for `parcfl-check`'s fuzzer and counterexample
+//! shrinker: the canonical scrubbed copy a snapshot round-trips to, the
+//! orphan-dropping compaction, and seeded edit scripts. A graph with a
+//! different edge set over the same node ids is [`Pag::with_edges`], the
+//! freeze every graph takes.
 
+use parcfl_pag::algo::tarjan_scc;
 use parcfl_pag::{types::TypeInfo, types::TypeTable, MethodId};
 use parcfl_pag::{
     CallSiteId, DeltaOp, Edge, EdgeKind, FieldId, NodeId, NodeInfo, NodeKind, Pag, PagBuilder,
@@ -14,26 +12,6 @@ use parcfl_pag::{
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-
-/// Rebuilds `pag` with the same nodes, types, methods and call sites but
-/// only the given `edges`. Node ids are preserved, so queries against the
-/// original graph remain valid against the result.
-pub fn rebuild_with_edges(pag: &Pag, edges: &[Edge]) -> Pag {
-    let mut b = PagBuilder::with_types(pag.types().clone());
-    for m in 0..pag.method_count() {
-        b.add_method(pag.method_name(MethodId::from_usize(m)));
-    }
-    for _ in 0..pag.call_site_count() {
-        b.fresh_call_site();
-    }
-    for n in pag.node_ids() {
-        b.add_node(pag.node(n).clone());
-    }
-    for e in edges {
-        b.add_edge(e.src, e.dst, e.kind);
-    }
-    b.freeze()
-}
 
 /// Canonical scrubbed copy of `pag`: node names become `n<i>`, every node
 /// gets the single type `T`, every method-scoped node the single method
@@ -43,18 +21,7 @@ pub fn rebuild_with_edges(pag: &Pag, edges: &[Edge]) -> Pag {
 /// the graph it verifies is byte-identical to what a snapshot round-trip
 /// reconstructs (the snapshot format stores exactly this canonical form).
 pub fn canonicalize(pag: &Pag) -> Pag {
-    let mut types = TypeTable::new();
-    let t0 = types.add_type(TypeInfo {
-        name: "T".into(),
-        is_ref: true,
-        fields: Vec::new(),
-        supertype: None,
-    });
-    // Field id 0 is the builtin `arr`; re-intern the rest by count so
-    // every FieldId referenced by an edge stays in range.
-    for i in 1..pag.types().field_count() {
-        types.add_field(format!("f{i}"));
-    }
+    let (types, t0) = canonical_types(pag.types().field_count());
     let mut b = PagBuilder::with_types(types);
     let m0 = b.add_method("m");
     for _ in 0..pag.call_site_count() {
@@ -120,59 +87,6 @@ pub fn compact(pag: &Pag, pinned: &[NodeId]) -> (Pag, Vec<NodeId>) {
     (b.freeze(), remapped)
 }
 
-/// Strongly-connected-component ids (Kosaraju, iterative) for the
-/// directed graph `edges` over `n` nodes.
-fn scc_ids(n: usize, edges: &[Edge]) -> Vec<u32> {
-    let mut fwd = vec![Vec::new(); n];
-    let mut rev = vec![Vec::new(); n];
-    for e in edges {
-        fwd[e.src.index()].push(e.dst.index());
-        rev[e.dst.index()].push(e.src.index());
-    }
-    let mut seen = vec![false; n];
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut stack: Vec<(usize, usize)> = Vec::new();
-    for s in 0..n {
-        if seen[s] {
-            continue;
-        }
-        seen[s] = true;
-        stack.push((s, 0));
-        while let Some(top) = stack.last_mut() {
-            let (v, i) = *top;
-            if let Some(&w) = fwd[v].get(i) {
-                top.1 += 1;
-                if !seen[w] {
-                    seen[w] = true;
-                    stack.push((w, 0));
-                }
-            } else {
-                order.push(v);
-                stack.pop();
-            }
-        }
-    }
-    let mut comp = vec![u32::MAX; n];
-    let mut next = 0u32;
-    for &s in order.iter().rev() {
-        if comp[s] != u32::MAX {
-            continue;
-        }
-        comp[s] = next;
-        let mut dfs = vec![s];
-        while let Some(v) = dfs.pop() {
-            for &w in &rev[v] {
-                if comp[w] == u32::MAX {
-                    comp[w] = next;
-                    dfs.push(w);
-                }
-            }
-        }
-        next += 1;
-    }
-    comp
-}
-
 /// How many call-payload (param/ret) edges sit inside a directed cycle
 /// (both endpoints in one SCC). Each such edge is a context-push cycle:
 /// traversals re-enter it under ever-longer call strings, so the demand
@@ -180,11 +94,14 @@ fn scc_ids(n: usize, edges: &[Edge]) -> Vec<u32> {
 /// per-step cost grows with context depth) and the naive oracle can only
 /// hit its step cap. Edit sampling refuses to create new ones.
 fn cyclic_call_edges(n: usize, edges: &[Edge]) -> usize {
-    let comp = scc_ids(n, edges);
-    edges
-        .iter()
-        .filter(|e| e.kind.call_site().is_some() && comp[e.src.index()] == comp[e.dst.index()])
-        .count()
+    let mut succ = vec![Vec::new(); n];
+    for e in edges {
+        succ[e.src.index()].push(e.dst.index());
+    }
+    let scc = tarjan_scc(n, |v| succ[v].iter().copied());
+    let inside = |e: &&Edge| scc.component_of(e.src.index()) == scc.component_of(e.dst.index());
+    let call_edges = edges.iter().filter(|e| e.kind.call_site().is_some());
+    call_edges.filter(inside).count()
 }
 
 /// Samples a deterministic `count`-op edit script over `pag` for the
@@ -332,7 +249,7 @@ mod tests {
     #[test]
     fn rebuild_with_all_edges_is_identity() {
         let b = build_bench(&Profile::tiny(11));
-        let g2 = rebuild_with_edges(&b.pag, b.pag.edges());
+        let g2 = b.pag.with_edges(b.pag.edges());
         assert_eq!(g2.node_count(), b.pag.node_count());
         assert_eq!(g2.edge_count(), b.pag.edge_count());
         assert_eq!(g2.edges(), b.pag.edges());
@@ -344,7 +261,7 @@ mod tests {
         let b = build_bench(&Profile::tiny(11));
         let mut edges = b.pag.edges().to_vec();
         edges.remove(0);
-        let g2 = rebuild_with_edges(&b.pag, &edges);
+        let g2 = b.pag.with_edges(&edges);
         assert_eq!(g2.edge_count(), b.pag.edge_count() - 1);
         assert_eq!(g2.node_count(), b.pag.node_count());
     }
@@ -375,7 +292,7 @@ mod tests {
         let b = build_bench(&Profile::tiny(7));
         // Keep only the first edge: almost every node becomes an orphan.
         let e0 = b.pag.edges()[0];
-        let g = rebuild_with_edges(&b.pag, &[e0]);
+        let g = b.pag.with_edges(&[e0]);
         let pinned = vec![e0.dst];
         let (small, remapped) = compact(&g, &pinned);
         assert!(small.node_count() <= 2);
@@ -442,7 +359,7 @@ mod tests {
     #[test]
     fn rebuild_preserves_field_indexes() {
         let b = build_bench(&Profile::tiny(5));
-        let g2 = rebuild_with_edges(&b.pag, b.pag.edges());
+        let g2 = b.pag.with_edges(b.pag.edges());
         for e in b.pag.edges() {
             if let EdgeKind::Load(f) = e.kind {
                 assert_eq!(g2.loads_of(f), b.pag.loads_of(f));

@@ -26,7 +26,7 @@ use parcfl::core::{JmpStore, SolverConfig, StateBackend};
 use parcfl::frontend::build_pag;
 use parcfl::pag::{DeltaOp, EdgeKind, NodeId, Pag, PagDelta};
 use parcfl::runtime::{run_seq, AnalysisSession, Backend, Mode, TraceLevel};
-use parcfl::synth::mutate::{rebuild_with_edges, sample_edits};
+use parcfl::synth::mutate::sample_edits;
 use parcfl::synth::{build_bench, Profile};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -75,7 +75,7 @@ fn applied_delta_graph_is_bit_identical_to_cold_rebuild() {
             continue;
         }
         effective += 1;
-        let rebuilt = rebuild_with_edges(&edited, edited.edges());
+        let rebuilt = edited.with_edges(edited.edges());
         assert_eq!(edited.edges(), rebuilt.edges(), "same canonical edge set");
         let queries: Vec<NodeId> = bench.queries.iter().copied().take(8).collect();
         for state in [StateBackend::Dense, StateBackend::Hash] {
