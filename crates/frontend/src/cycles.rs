@@ -12,14 +12,17 @@
 //! `param`/`ret` edges manipulate it, so cycles through them are *not*
 //! generally equivalence classes.
 //!
-//! The collapse reads the extracted graph backward only: the SCC walks its
-//! incoming `assign_l` slices, so that graph never builds its outgoing
-//! side. Each component is named by its smallest member, which keeps most
-//! edges in canonical order under the renaming, and [`Pag::quotient`]
-//! merges the few it displaces back in rather than sorting them all again.
+//! The collapse reads the extracted graph's edge array only, so that graph
+//! builds neither offset table nor its outgoing side: the SCC walks a
+//! transient CSR of its `assign_l` edges by destination, read off
+//! [`Pag::edges`] (dst-major, so each node's sources arrive in order) and
+//! dropped before the quotient. Each component is named by its smallest
+//! member, which keeps most edges in canonical order under the renaming,
+//! and [`Pag::quotient`] merges the few it displaces back in rather than
+//! sorting them all again.
 
 use parcfl_pag::algo::tarjan_scc;
-use parcfl_pag::{EdgeClass, NodeId, NodeInfo, Pag};
+use parcfl_pag::{EdgeKind, NodeId, NodeInfo, Pag};
 
 /// The output of [`collapse_assign_cycles`].
 pub struct Collapsed {
@@ -33,18 +36,23 @@ pub struct Collapsed {
 }
 
 /// Merges every `assign_l`-cycle of `pag` into a single node and drops
-/// `assign_l` self-loops. The SCC runs over the frozen graph's own
-/// incoming `assign_l` slices — the reversed graph has the same
-/// components — so the uncollapsed graph never builds its outgoing side.
+/// `assign_l` self-loops. The SCC runs over each node's incoming
+/// `assign_l` sources — the reversed graph has the same components — in
+/// a CSR read off [`Pag::edges`] (`n + 1` starts and one `u32` per
+/// `assign_l` edge), so the uncollapsed graph builds no offset table and
+/// no outgoing side. The CSR is dropped once the components are known.
 /// With neither a cycle nor a self-loop the graph comes back as a clone
-/// with an identity remap; otherwise the SCC tables are dropped and the
-/// quotient is frozen once.
+/// with an identity remap; otherwise the SCC tables are dropped too and
+/// the quotient is frozen once.
 pub fn collapse_assign_cycles(pag: &Pag) -> Collapsed {
     let n = pag.node_count();
-    let assigns = |v: usize| pag.incoming_kind(NodeId::from_usize(v), EdgeClass::AssignLocal);
-    let scc = tarjan_scc(n, |v| assigns(v).iter().map(|e| e.src.index()));
-    let self_loop = |v: usize| assigns(v).iter().any(|e| e.src.index() == v);
-    if scc.component_count() == n && !(0..n).any(self_loop) {
+    let (starts, srcs) = assign_sources(pag);
+    let assigns = |v: usize| &srcs[starts[v] as usize..starts[v + 1] as usize];
+    let scc = tarjan_scc(n, |v| assigns(v).iter().map(|&u| u as usize));
+    let self_loop = |v: usize| assigns(v).contains(&(v as u32));
+    let acyclic = scc.component_count() == n && !(0..n).any(self_loop);
+    drop((starts, srcs));
+    if acyclic {
         return Collapsed {
             pag: pag.clone(),
             remap: (0..n).map(NodeId::from_usize).collect(),
@@ -80,12 +88,35 @@ pub fn collapse_assign_cycles(pag: &Pag) -> Collapsed {
     }
 }
 
+/// The sources of every node's incoming `assign_l` edges, as a CSR: node
+/// `v`'s are `srcs[starts[v] .. starts[v + 1]]`, in the order
+/// [`Pag::edges`] holds them.
+fn assign_sources(pag: &Pag) -> (Vec<u32>, Vec<u32>) {
+    let n = pag.node_count();
+    let assigns = || {
+        pag.edges()
+            .iter()
+            .filter(|e| e.kind == EdgeKind::AssignLocal)
+    };
+    let mut starts = vec![0u32; n + 1];
+    for e in assigns() {
+        starts[e.dst.index() + 1] += 1;
+    }
+    for v in 1..=n {
+        starts[v] += starts[v - 1];
+    }
+    let mut srcs = Vec::with_capacity(starts[n] as usize);
+    srcs.extend(assigns().map(|e| e.src.0));
+    (starts, srcs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::extract::extract;
     use crate::parser::parse;
-    use parcfl_pag::EdgeKind;
+    use parcfl_pag::{EdgeClass, NodeKind, PagBuilder, TypeId};
+    use proptest::prelude::*;
 
     fn pag_of(src: &str) -> Pag {
         extract(&parse(src).unwrap()).unwrap().pag
@@ -161,5 +192,93 @@ mod tests {
         let c = collapse_assign_cycles(&pag);
         let a = pag.node_by_name("a@A.m").unwrap();
         assert!(c.pag.node(c.remap[a.index()]).is_application);
+    }
+
+    /// Whether `pag` has built its incoming offset table, read off its
+    /// `Debug` form (an unbuilt `OnceLock` prints `<uninit>`).
+    fn incoming_built(pag: &Pag) -> bool {
+        !format!("{pag:?}").contains("in_kind: OnceLock(<uninit>)")
+    }
+
+    #[test]
+    fn collapse_leaves_the_incoming_table_unbuilt() {
+        let pag = pag_of(
+            "class Obj { }
+             class A {
+               method m() {
+                 var x: Obj; var y: Obj; var z: Obj;
+                 x = new Obj; y = x; x = y; z = y; z = z;
+               }
+             }",
+        );
+        assert!(!incoming_built(&pag));
+        let c = collapse_assign_cycles(&pag);
+        assert_eq!(c.merged_nodes, 1);
+        assert!(!incoming_built(&pag), "the SCC reads the edge array only");
+        assert!(
+            !incoming_built(&c.pag),
+            "the quotient leaves it to its first read"
+        );
+        pag.incoming(NodeId(0));
+        assert!(incoming_built(&pag), "the probe sees a built table");
+    }
+
+    /// The remap the collapse computed before it read the edge array: an
+    /// SCC over the incoming `assign_l` slices, each component named by its
+    /// smallest member, in that member's order.
+    fn remap_over_incoming_slices(pag: &Pag) -> Vec<NodeId> {
+        let n = pag.node_count();
+        let assigns = |v: usize| pag.incoming_kind(NodeId::from_usize(v), EdgeClass::AssignLocal);
+        let scc = tarjan_scc(n, |v| assigns(v).iter().map(|e| e.src.index()));
+        let mut rep_of: Vec<Option<NodeId>> = vec![None; scc.component_count()];
+        let mut next = 0;
+        let mut node_of = |v: usize| {
+            *rep_of[scc.component_of(v)].get_or_insert_with(|| {
+                next += 1;
+                NodeId::from_usize(next - 1)
+            })
+        };
+        (0..n).map(&mut node_of).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Over random graphs dense in `assign_l` edges — cycles,
+        /// self-loops and nodes without any included — the collapse's
+        /// components are those of an SCC over the incoming slices, and
+        /// its input's offset table stays unbuilt.
+        #[test]
+        fn remap_is_the_one_over_incoming_slices(
+            (n, raw) in (1usize..40).prop_flat_map(|n| {
+                let edge = (0..n as u32, 0..n as u32, 0u8..4);
+                (Just(n), proptest::collection::vec(edge, 0..120))
+            }),
+        ) {
+            let mut b = PagBuilder::new();
+            let m = b.add_method("m");
+            let f = b.types_mut().add_field("f");
+            for v in 0..n {
+                let kind = NodeKind::Local { method: m };
+                let name = format!("n{v}");
+                b.add_node(NodeInfo { kind, ty: TypeId(0), name, is_application: v % 2 == 0 });
+            }
+            for &(s, d, k) in &raw {
+                let kind = match k {
+                    0 => EdgeKind::AssignGlobal,
+                    1 => EdgeKind::Load(f),
+                    _ => EdgeKind::AssignLocal,
+                };
+                b.add_edge(NodeId(s), NodeId(d), kind);
+            }
+            let pag = b.freeze();
+            let c = collapse_assign_cycles(&pag);
+            prop_assert!(!incoming_built(&pag));
+            let want = remap_over_incoming_slices(&pag);
+            prop_assert_eq!(&c.remap, &want);
+            let components = want.iter().map(|v| v.index() + 1).max().unwrap_or(0);
+            prop_assert_eq!(c.merged_nodes, n - components);
+            prop_assert_eq!(c.pag.node_count(), components);
+        }
     }
 }

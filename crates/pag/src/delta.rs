@@ -133,8 +133,8 @@ impl Pag {
     /// Applies `delta`, returning the edited graph and the effective
     /// changes. The result *is* the freeze of the edited edge set
     /// ([`Pag::with_edges`]) at the next revision: same CSR layout, same
-    /// field indexes, outgoing side and by-site indexes left to their
-    /// first reads.
+    /// field indexes, offset tables, outgoing side and by-site indexes
+    /// left to their first reads.
     ///
     /// Ops naming an out-of-range node, field or call site are not
     /// applied (callers that fuzz edit scripts shrink node sets
