@@ -243,7 +243,7 @@ mod tests {
         let v = pag.node_by_name(var).unwrap();
         r.pts_of(v)
             .iter()
-            .map(|&o| pag.node(o).name.clone())
+            .map(|&o| pag.node(o).name.to_string())
             .collect()
     }
 

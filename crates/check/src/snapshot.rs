@@ -52,8 +52,7 @@
 use crate::inject::{replay_reusing_store, Fault, Inject, SimPerturb};
 use parcfl_core::{SharedJmpStore, SolverConfig, StateBackend};
 use parcfl_pag::{
-    CallSiteId, DeltaOp, Edge, EdgeKind, FieldId, NodeId, NodeInfo, NodeKind, Pag, PagBuilder,
-    PagDelta,
+    CallSiteId, DeltaOp, Edge, EdgeKind, FieldId, NodeId, NodeKind, Pag, PagBuilder, PagDelta,
 };
 use parcfl_runtime::sim::run_simulated_hooked;
 use parcfl_runtime::{
@@ -398,12 +397,8 @@ impl Scenario {
                         "obj" => NodeKind::Object { method: m0 },
                         _ => return Err(err(format!("unknown node kind `{kind_tok}`"))),
                     };
-                    let got = b.add_node(NodeInfo {
-                        kind,
-                        ty: parcfl_pag::TypeId::new(0),
-                        name: format!("n{idx}"),
-                        is_application: app,
-                    });
+                    let ty = parcfl_pag::TypeId::new(0);
+                    let got = b.add_named(kind, ty, format_args!("n{idx}"), app);
                     if got.raw() != idx {
                         return Err(err(format!(
                             "node ids must be dense and in order (expected {}, saw {idx})",

@@ -25,7 +25,10 @@ fn pts_names(pag: &Pag, cfg: &SolverConfig, store: &dyn JmpStore, var: &str) -> 
         .answer
         .nodes()
         .unwrap_or_else(|| panic!("query on {var} ran out of budget"));
-    let mut names: Vec<String> = nodes.iter().map(|&n| pag.node(n).name.clone()).collect();
+    let mut names: Vec<String> = nodes
+        .iter()
+        .map(|&n| pag.node(n).name.to_string())
+        .collect();
     names.sort();
     names
 }
@@ -187,7 +190,7 @@ fn flows_to_is_dual_of_points_to() {
         .nodes()
         .unwrap()
         .iter()
-        .map(|&n| p.node(n).name.clone())
+        .map(|&n| p.node(n).name.to_string())
         .collect();
     names.sort();
     assert_eq!(names, vec!["a@A.m", "b@A.m"]);
@@ -278,7 +281,7 @@ fn finished_shortcut_reused_across_queries() {
         .nodes()
         .unwrap()
         .iter()
-        .map(|&n| p.node(n).name.clone())
+        .map(|&n| p.node(n).name.to_string())
         .collect();
     names.sort();
     assert_eq!(names, baseline);
@@ -835,7 +838,10 @@ fn flows_to_respects_contexts_forward() {
     let mut solver = Solver::new(&p, &cfg, &NoJmpStore);
     let o_p = node(&p, "o0@A.m");
     let reached = solver.flows_to_query(o_p, 0).answer.nodes().unwrap();
-    let names: Vec<String> = reached.iter().map(|&n| p.node(n).name.clone()).collect();
+    let names: Vec<String> = reached
+        .iter()
+        .map(|&n| p.node(n).name.to_string())
+        .collect();
     assert!(names.contains(&"a@A.m".to_string()), "{names:?}");
     assert!(names.contains(&"x@A.m".to_string()), "{names:?}");
     assert!(
@@ -960,7 +966,7 @@ mod witness_tests {
         let names: Vec<String> = w
             .steps
             .iter()
-            .map(|s| p.node(s.node).name.clone())
+            .map(|s| p.node(s.node).name.to_string())
             .collect();
         assert_eq!(names, vec!["c@A.m", "b@A.m", "a@A.m", "o0@A.m"]);
         assert!(matches!(w.steps[0].via, Via::Edge(_)));

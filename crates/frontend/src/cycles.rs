@@ -20,6 +20,12 @@
 //! member, which keeps most edges in canonical order under the renaming,
 //! and [`Pag::quotient`] merges the few it displaces back in rather than
 //! sorting them all again.
+//!
+//! The collapsed node table is the extracted one's entries cloned, and a
+//! [`parcfl_pag::NodeName`] clone shares the extracted graph's one text
+//! of names: the collapse copies no string. Only a merged cycle's
+//! representative gets a name of its own, its smallest member's with
+//! `+k` for the `k` members merged into it.
 
 use parcfl_pag::algo::tarjan_scc;
 use parcfl_pag::{EdgeKind, NodeId, NodeInfo, Pag};
@@ -71,7 +77,7 @@ pub fn collapse_assign_cycles(pag: &Pag) -> Collapsed {
             let members = scc.members(c);
             let mut info = pag.node(NodeId::from_usize(v)).clone();
             if members.len() > 1 {
-                info.name = format!("{}+{}", info.name, members.len() - 1);
+                info.name = format!("{}+{}", info.name, members.len() - 1).into();
                 let app = |&m: &u32| pag.node(NodeId::new(m)).is_application;
                 info.is_application = members.iter().any(app);
             }
@@ -194,6 +200,52 @@ mod tests {
         assert!(c.pag.node(c.remap[a.index()]).is_application);
     }
 
+    /// The extracted graph writes every name into one text, one after the
+    /// other, and the collapse shares that text: an unmerged node's name is
+    /// the extracted node's, to the byte address; only a merged
+    /// representative gets a name of its own, `x+k`.
+    #[test]
+    fn collapse_shares_the_extracted_name_text() {
+        let pag = pag_of(
+            "class Obj { field f: Obj; }
+             class A {
+               static field g: Obj;
+               method m(p: Obj): Obj {
+                 var x: Obj; var y: Obj; var z: Obj;
+                 x = new Obj; y = x; x = y; z = y; z.f = p; A.g = z;
+                 return z;
+               }
+               method n() { var a: Obj; var b: Obj; a = call this.m(b); }
+             }",
+        );
+        let name = |g: &Pag, v: NodeId| g.node(v).name.as_str().as_ptr();
+        for w in pag.node_ids().collect::<Vec<_>>().windows(2) {
+            let end = name(&pag, w[0]).wrapping_add(pag.node(w[0]).name.len());
+            assert_eq!(
+                end,
+                name(&pag, w[1]),
+                "{:?} follows {:?} in one text",
+                w[1],
+                w[0]
+            );
+        }
+        let c = collapse_assign_cycles(&pag);
+        assert_eq!(c.merged_nodes, 1);
+        let members = |r: NodeId| c.remap.iter().filter(|&&to| to == r).count();
+        for v in pag.node_ids() {
+            let r = c.remap[v.index()];
+            if members(r) == 1 {
+                assert_eq!(name(&pag, v), name(&c.pag, r), "{v:?}'s name is copied");
+            } else if !c.remap[..v.index()].contains(&r) {
+                // The cycle's smallest member names it.
+                assert_eq!(
+                    c.pag.node(r).name,
+                    format!("{}+1", pag.node(v).name).as_str()
+                );
+            }
+        }
+    }
+
     /// Whether `pag` has built its incoming offset table, read off its
     /// `Debug` form (an unbuilt `OnceLock` prints `<uninit>`).
     fn incoming_built(pag: &Pag) -> bool {
@@ -260,7 +312,7 @@ mod tests {
             let f = b.types_mut().add_field("f");
             for v in 0..n {
                 let kind = NodeKind::Local { method: m };
-                let name = format!("n{v}");
+                let name = format!("n{v}").into();
                 b.add_node(NodeInfo { kind, ty: TypeId(0), name, is_application: v % 2 == 0 });
             }
             for &(s, d, k) in &raw {

@@ -18,7 +18,7 @@ use crate::callgraph::{CallGraph, MethodIdx};
 use crate::hierarchy::{Hierarchy, HierarchyError};
 use crate::ir::{MethodDecl, Program, Stmt, TypeRef, VarRef};
 use parcfl_pag::{
-    EdgeKind, FieldId, MethodId, NodeId, NodeInfo, NodeKind, Pag, PagBuilder, TypeId, TypeInfo,
+    EdgeKind, FieldId, MethodId, NodeId, NodeKind, Pag, PagBuilder, TypeId, TypeInfo,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -233,12 +233,10 @@ impl<'p> Extractor<'p> {
         for (ci, c) in program.classes.iter().enumerate() {
             for sf in &c.statics {
                 let ty = self.type_id(&sf.ty);
-                let node = self.builder.add_node(NodeInfo {
-                    kind: NodeKind::Global,
-                    ty,
-                    name: format!("{}.{}", c.name, sf.name),
-                    is_application: c.is_application,
-                });
+                let name = format_args!("{}.{}", c.name, sf.name);
+                let node = self
+                    .builder
+                    .add_named(NodeKind::Global, ty, name, c.is_application);
                 self.globals.insert((ci, &sf.name), (node, ty));
             }
         }
@@ -253,12 +251,8 @@ impl<'p> Extractor<'p> {
             let first = NodeId::from_usize(self.builder.node_count());
             let is_application = self.is_application(m);
             let local = |b: &mut PagBuilder, name: &str, ty| {
-                b.add_node(NodeInfo {
-                    kind: NodeKind::Local { method: mid },
-                    ty,
-                    name: [name, &suffix].concat(),
-                    is_application,
-                })
+                let kind = NodeKind::Local { method: mid };
+                b.add_named(kind, ty, format_args!("{name}{suffix}"), is_application)
             };
             if !method.is_static {
                 let this_ty = self.class_ty[self.cg.methods[m].0];
@@ -329,14 +323,12 @@ impl<'p> Extractor<'p> {
 
     fn fresh_tmp(&mut self, ty: TypeId) -> NodeId {
         self.tmp_counter += 1;
-        self.builder.add_node(NodeInfo {
-            kind: NodeKind::Local {
-                method: self.methods[self.cur].0,
-            },
-            ty,
-            name: format!("$tmp{}", self.tmp_counter),
-            is_application: self.is_application(self.cur),
-        })
+        let kind = NodeKind::Local {
+            method: self.methods[self.cur].0,
+        };
+        let name = format_args!("$tmp{}", self.tmp_counter);
+        let is_application = self.is_application(self.cur);
+        self.builder.add_named(kind, ty, name, is_application)
     }
 
     /// Materialises a readable local for `v`: statics go through a fresh
@@ -376,14 +368,12 @@ impl<'p> Extractor<'p> {
         match stmt {
             Stmt::New { dst, ty } => {
                 let tid = self.type_id(ty);
-                let obj = self.builder.add_node(NodeInfo {
-                    kind: NodeKind::Object {
-                        method: self.methods[self.cur].0,
-                    },
-                    ty: tid,
-                    name: format!("o{si}{}", self.suffix),
-                    is_application: self.is_application(self.cur),
-                });
+                let kind = NodeKind::Object {
+                    method: self.methods[self.cur].0,
+                };
+                let name = format_args!("o{si}{}", self.suffix);
+                let is_application = self.is_application(self.cur);
+                let obj = self.builder.add_named(kind, tid, name, is_application);
                 match dst {
                     VarRef::Local(_) => self.write(dst, obj, EdgeKind::New)?,
                     VarRef::Static(class, field) => {

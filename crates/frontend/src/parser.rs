@@ -367,7 +367,7 @@ impl<'src> Parser<'src> {
         }
     }
 
-    fn call_args(&mut self) -> Result<Vec<VarRef>, ParseError> {
+    fn call_args(&mut self) -> Result<Box<[VarRef]>, ParseError> {
         self.expect(Tok::LParen)?;
         if self.peek() != Tok::RParen {
             loop {
@@ -382,7 +382,7 @@ impl<'src> Parser<'src> {
             }
         }
         self.expect(Tok::RParen)?;
-        Ok(exact(&mut self.args))
+        Ok(exact(&mut self.args).into_boxed_slice())
     }
 
     /// Parses `callee(args);` where callee is `recv.method` or

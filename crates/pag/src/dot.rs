@@ -20,7 +20,7 @@ pub fn to_dot(pag: &Pag) -> String {
         let name = if info.name.is_empty() {
             format!("{n}")
         } else {
-            info.name.clone()
+            info.name.to_string()
         };
         let _ = writeln!(
             out,

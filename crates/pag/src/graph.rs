@@ -8,9 +8,10 @@
 //! concurrent jmp store, which overlays this read-only graph.
 
 use crate::edge::{Edge, EdgeClass, EdgeKind, EDGE_CLASSES};
-use crate::ids::{CallSiteId, FieldId, MethodId, NodeId};
-use crate::node::{NodeInfo, NodeKind};
+use crate::ids::{CallSiteId, FieldId, MethodId, NodeId, TypeId};
+use crate::node::{NodeInfo, NodeKind, NodeName};
 use crate::types::TypeTable;
+use std::fmt::{self, Write as _};
 use std::sync::{Arc, OnceLock};
 
 /// Mutable accumulator for PAG construction.
@@ -21,6 +22,11 @@ pub struct PagBuilder {
     types: TypeTable,
     method_names: Vec<String>,
     call_sites: u32,
+    /// The names [`PagBuilder::add_named`] wrote, one after another.
+    names: String,
+    /// The text a written name points at until the freeze points it at
+    /// `names`: a per-builder token, never read.
+    pending: Arc<Box<str>>,
 }
 
 impl PagBuilder {
@@ -32,6 +38,8 @@ impl PagBuilder {
             types: TypeTable::new(),
             method_names: Vec::new(),
             call_sites: 0,
+            names: String::new(),
+            pending: Arc::default(),
         }
     }
 
@@ -44,11 +52,33 @@ impl PagBuilder {
         }
     }
 
-    /// Adds a node and returns its id.
+    /// Adds a node and returns its id. Its name is kept as it is: a name
+    /// read off another graph goes on sharing that graph's text.
     pub fn add_node(&mut self, info: NodeInfo) -> NodeId {
         let id = NodeId::from_usize(self.nodes.len());
         self.nodes.push(info);
         id
+    }
+
+    /// Adds a node named `name` and returns its id. The name is written
+    /// into the builder's one text of names, which the frozen graph keeps
+    /// in a single allocation: the node allocates nothing of its own.
+    pub fn add_named(
+        &mut self,
+        kind: NodeKind,
+        ty: TypeId,
+        name: impl fmt::Display,
+        is_application: bool,
+    ) -> NodeId {
+        let start = self.names.len();
+        write!(self.names, "{name}").expect("writing to a String cannot fail");
+        let name = NodeName::range(&self.pending, start, self.names.len() - start);
+        self.add_node(NodeInfo {
+            kind,
+            ty,
+            name,
+            is_application,
+        })
     }
 
     /// Adds an edge between existing nodes.
@@ -106,8 +136,16 @@ impl PagBuilder {
     /// indexed by call site ([`Pag::incoming_param_at`],
     /// [`Pag::outgoing_ret_at`]), on the first lookup. The node and
     /// method-name tables move into the graph at their length, without
-    /// the builder's growth slack.
+    /// the builder's growth slack, and so does the text of the names
+    /// [`PagBuilder::add_named`] wrote: one exact-size allocation that
+    /// every such name points at.
     pub fn freeze(mut self) -> Pag {
+        let text = Arc::new(std::mem::take(&mut self.names).into_boxed_str());
+        for node in &mut self.nodes {
+            if node.name.is_in(&self.pending) {
+                node.name = node.name.rebased(&text);
+            }
+        }
         self.nodes.shrink_to_fit();
         self.method_names.shrink_to_fit();
         freeze_edges(
@@ -912,7 +950,7 @@ mod tests {
             b.add_node(NodeInfo {
                 kind,
                 ty: TypeId(0),
-                name,
+                name: name.into(),
                 is_application: true,
             });
         }
@@ -966,7 +1004,7 @@ mod tests {
             }
             for v in 0..n {
                 let kind = NodeKind::Global;
-                let name = format!("n{v}");
+                let name = format!("n{v}").into();
                 b.add_node(NodeInfo { kind, ty: TypeId(0), name, is_application: true });
             }
             let mut edges: Vec<Edge> = raw.iter().map(|&(s, d, k, p)| {
@@ -1063,6 +1101,91 @@ mod tests {
             prop_assert_eq!(again.revision(), 0);
             is_the_reference_freeze(&again, messy)?;
             by_site_is_the_scan(&again)?;
+        }
+    }
+
+    /// `g`'s node names against `want`, name for name.
+    fn names_are(g: &Pag, want: &[String]) -> Result<(), TestCaseError> {
+        prop_assert_eq!(g.node_count(), want.len());
+        for (v, name) in g.node_ids().zip(want) {
+            prop_assert_eq!(&g.node(v).name, name.as_str(), "{:?}", v);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A builder mixing written names (`add_named`) with names given
+        /// to `add_node` — standalone, or read off another graph — freezes
+        /// every name to the one it was built with, leaves none pointing at
+        /// its pending token, writes its own into one text, one after the
+        /// other, and keeps a foreign one on its graph's text. The quotient,
+        /// `with_edges` and an effective delta read the same names.
+        #[test]
+        fn names_read_as_built_through_freeze_quotient_with_edges_and_delta(
+            (n, draws, merge) in (1usize..30).prop_flat_map(|n| {
+                use proptest::collection::vec;
+                (Just(n), vec((0u8..3, 0u32..1000), n..n + 1), vec(0..n as u32, n..n + 1))
+            }),
+        ) {
+            let mut foreign = PagBuilder::new();
+            for v in 0..7 {
+                foreign.add_named(NodeKind::Global, TypeId(0), format_args!("far{v}"), false);
+            }
+            let foreign = foreign.freeze();
+
+            let mut b = PagBuilder::new();
+            let pending = Arc::clone(&b.pending);
+            let mut want = Vec::new();
+            for &(how, k) in &draws {
+                // Every fifth written or standalone name is empty.
+                let text = if k % 5 == 0 { String::new() } else { format!("v{k}@m") };
+                let (kind, ty) = (NodeKind::Global, TypeId(0));
+                match how {
+                    0 => {
+                        b.add_named(kind, ty, &text, true);
+                        want.push(text);
+                    }
+                    1 => {
+                        let name = text.clone().into();
+                        b.add_node(NodeInfo { kind, ty, name, is_application: true });
+                        want.push(text);
+                    }
+                    _ => {
+                        let far = foreign.node(NodeId(k % 7)).clone();
+                        want.push(far.name.to_string());
+                        b.add_node(far);
+                    }
+                }
+            }
+            let g = b.freeze();
+            names_are(&g, &want)?;
+            prop_assert!(g.nodes.iter().all(|v| !v.name.is_in(&pending)), "a pending name");
+            let written = g.node_ids().filter(|v| draws[v.index()].0 == 0);
+            let ends = written.map(|v| (g.node(v).name.as_ptr() as usize, g.node(v).name.len()));
+            let ends: Vec<_> = ends.collect();
+            for w in ends.windows(2) {
+                prop_assert_eq!(w[0].0 + w[0].1, w[1].0, "written names follow each other");
+            }
+            for v in g.node_ids().filter(|v| draws[v.index()].0 == 2) {
+                let far = foreign.node(NodeId(draws[v.index()].1 % 7));
+                prop_assert_eq!(g.node(v).name.as_ptr(), far.name.as_ptr(), "a foreign text");
+            }
+
+            let remap: Vec<NodeId> = (0..n).map(|v| NodeId(merge[v].min(v as u32))).collect();
+            let nodes = (0..n).map(|v| g.node(remap[v]).clone()).collect();
+            let q = g.quotient(nodes, &remap);
+            let want: Vec<String> = remap.iter().map(|r| want[r.index()].clone()).collect();
+            names_are(&q, &want)?;
+            let new = Edge { src: NodeId(0), dst: NodeId(0), kind: EdgeKind::New };
+            let again = q.with_edges(&[new]);
+            names_are(&again, &want)?;
+            let mut d = crate::PagDelta::new();
+            d.add_edge(NodeId(0), NodeId(0), EdgeKind::AssignGlobal);
+            let (edited, effect) = again.apply_delta(&d);
+            prop_assert!(!effect.is_noop());
+            names_are(&edited, &want)?;
         }
     }
 

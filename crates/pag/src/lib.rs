@@ -37,5 +37,5 @@ pub use delta::{DeltaEffect, DeltaOp, PagDelta};
 pub use edge::{Edge, EdgeClass, EdgeKind, EDGE_CLASSES};
 pub use graph::{ClassSlices, PackedAdj, Pag, PagBuilder};
 pub use ids::{CallSiteId, FieldId, MethodId, NodeId, TypeId};
-pub use node::{NodeInfo, NodeKind};
+pub use node::{NodeInfo, NodeKind, NodeName};
 pub use types::TypeInfo;

@@ -4,6 +4,10 @@
 //! `n := v | o`, `v := l | g`.
 
 use crate::ids::{MethodId, TypeId};
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// The kind of a PAG node.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -59,7 +63,112 @@ impl NodeKind {
     }
 }
 
-/// Per-node metadata stored by the [`crate::Pag`].
+/// A node's human-readable name: a range of a text shared by every name a
+/// [`crate::PagBuilder`] wrote, so a frozen graph holds one allocation for
+/// all its names, and a clone is a reference-count bump. 16 bytes: a thin
+/// pointer to the text and the range as two `u32`s.
+///
+/// Compared, hashed, displayed and debug-printed as the string it reads;
+/// `From<String>` and `From<&str>` give a name with a text of its own.
+#[derive(Clone)]
+pub struct NodeName {
+    text: Arc<Box<str>>,
+    start: u32,
+    len: u32,
+}
+
+impl NodeName {
+    /// The name `text[start .. start + len]`.
+    pub(crate) fn range(text: &Arc<Box<str>>, start: usize, len: usize) -> Self {
+        let at = |i: usize| u32::try_from(i).expect("a graph's names fit in 4 GiB of text");
+        NodeName {
+            text: Arc::clone(text),
+            start: at(start),
+            len: at(len),
+        }
+    }
+
+    /// The same range of another text.
+    pub(crate) fn rebased(&self, text: &Arc<Box<str>>) -> Self {
+        NodeName {
+            text: Arc::clone(text),
+            ..*self
+        }
+    }
+
+    /// Whether the name is a range of `text`.
+    pub(crate) fn is_in(&self, text: &Arc<Box<str>>) -> bool {
+        Arc::ptr_eq(&self.text, text)
+    }
+
+    /// The name.
+    #[inline]
+    pub fn as_str(&self) -> &str {
+        let start = self.start as usize;
+        &self.text[start..start + self.len as usize]
+    }
+}
+
+impl Deref for NodeName {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl fmt::Display for NodeName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Debug for NodeName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl PartialEq for NodeName {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for NodeName {}
+
+impl PartialEq<str> for NodeName {
+    fn eq(&self, other: &str) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl PartialEq<&str> for NodeName {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl Hash for NodeName {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state)
+    }
+}
+
+impl From<String> for NodeName {
+    fn from(name: String) -> Self {
+        let len = name.len();
+        NodeName::range(&Arc::new(name.into_boxed_str()), 0, len)
+    }
+}
+
+impl From<&str> for NodeName {
+    fn from(name: &str) -> Self {
+        NodeName::from(name.to_owned())
+    }
+}
+
+/// Per-node metadata stored by the [`crate::Pag`]: 32 bytes.
 #[derive(Clone, Debug)]
 pub struct NodeInfo {
     /// What kind of node this is.
@@ -68,8 +177,9 @@ pub struct NodeInfo {
     /// the object. Used by query scheduling to estimate dependence depths.
     pub ty: TypeId,
     /// Human-readable name (e.g. `v1@main` or `o@Vector.<init>:6`), used in
-    /// reports and DOT dumps only.
-    pub name: String,
+    /// reports and DOT dumps only. A graph frozen by a [`crate::PagBuilder`]
+    /// keeps the names it wrote in one text ([`NodeName`]).
+    pub name: NodeName,
     /// Whether the node belongs to application code (as opposed to library
     /// code). The paper issues queries for all application-code locals.
     pub is_application: bool,

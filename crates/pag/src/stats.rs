@@ -113,7 +113,7 @@ mod tests {
             b.add_node(NodeInfo {
                 kind,
                 ty: TypeId(0),
-                name: String::new(),
+                name: String::new().into(),
                 is_application: false,
             })
         };

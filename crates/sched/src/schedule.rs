@@ -125,7 +125,7 @@ mod tests {
     use parcfl_frontend::build_pag;
 
     fn name(pag: &Pag, n: NodeId) -> String {
-        pag.node(n).name.clone()
+        pag.node(n).name.to_string()
     }
 
     #[test]

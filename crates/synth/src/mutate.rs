@@ -7,8 +7,7 @@
 use parcfl_pag::algo::tarjan_scc;
 use parcfl_pag::{types::TypeInfo, types::TypeTable, MethodId};
 use parcfl_pag::{
-    CallSiteId, DeltaOp, Edge, EdgeKind, FieldId, NodeId, NodeInfo, NodeKind, Pag, PagBuilder,
-    TypeId,
+    CallSiteId, DeltaOp, Edge, EdgeKind, FieldId, NodeId, NodeKind, Pag, PagBuilder, TypeId,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -34,12 +33,12 @@ pub fn canonicalize(pag: &Pag) -> Pag {
             NodeKind::Global => NodeKind::Global,
             NodeKind::Object { .. } => NodeKind::Object { method: m0 },
         };
-        b.add_node(NodeInfo {
+        b.add_named(
             kind,
-            ty: t0,
-            name: format!("n{}", n.index()),
-            is_application: info.is_application,
-        });
+            t0,
+            format_args!("n{}", n.index()),
+            info.is_application,
+        );
     }
     for e in pag.edges() {
         b.add_edge(e.src, e.dst, e.kind);

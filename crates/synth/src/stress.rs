@@ -7,7 +7,8 @@
 //! and queries it.
 
 use crate::suite::Bench;
-use parcfl_pag::{EdgeKind, NodeInfo, NodeKind, Pag, PagBuilder, TypeInfo};
+use parcfl_pag::{EdgeKind, NodeKind, Pag, PagBuilder, TypeInfo};
+use std::fmt;
 
 /// Roots of the fan-out: each is a query whose sweep walks the full web.
 const ROOTS: usize = 2;
@@ -33,30 +34,21 @@ pub fn sweep_stress_bench() -> Bench {
         fields: Vec::new(),
         supertype: None,
     });
-    let local = |b: &mut PagBuilder, name: String| {
-        b.add_node(NodeInfo {
-            kind: NodeKind::Local { method: m },
-            ty: t,
-            name,
-            is_application: true,
-        })
+    let local = |b: &mut PagBuilder, name: fmt::Arguments| {
+        b.add_named(NodeKind::Local { method: m }, t, name, true)
     };
     let mut queries = Vec::with_capacity(ROOTS);
     for r in 0..ROOTS {
-        let root = local(&mut b, format!("root{r}"));
+        let root = local(&mut b, format_args!("root{r}"));
         queries.push(root);
         for h in 0..HUBS {
-            let hub = local(&mut b, format!("hub{r}_{h}"));
+            let hub = local(&mut b, format_args!("hub{r}_{h}"));
             b.add_edge(hub, root, EdgeKind::AssignLocal);
             for l in 0..LEAVES_PER_HUB {
-                let leaf = local(&mut b, format!("leaf{r}_{h}_{l}"));
+                let leaf = local(&mut b, format_args!("leaf{r}_{h}_{l}"));
                 b.add_edge(leaf, hub, EdgeKind::AssignLocal);
-                let obj = b.add_node(NodeInfo {
-                    kind: NodeKind::Object { method: m },
-                    ty: t,
-                    name: format!("obj{r}_{h}_{l}"),
-                    is_application: true,
-                });
+                let kind = NodeKind::Object { method: m };
+                let obj = b.add_named(kind, t, format_args!("obj{r}_{h}_{l}"), true);
                 b.add_edge(obj, leaf, EdgeKind::New);
             }
         }

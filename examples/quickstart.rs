@@ -71,7 +71,7 @@ fn main() {
         let out = solver.points_to_query(v, 0);
         match out.answer.nodes() {
             Some(objs) => {
-                let names: Vec<_> = objs.iter().map(|&o| pag.node(o).name.clone()).collect();
+                let names: Vec<_> = objs.iter().map(|&o| pag.node(o).name.as_str()).collect();
                 println!(
                     "  {:<16} -> {:<40} ({} steps)",
                     info.name,

@@ -259,7 +259,7 @@ fn cmd_query(args: &[String]) {
         let out = solver.points_to_query(v, 0);
         match out.answer.nodes() {
             Some(objs) => {
-                let names: Vec<_> = objs.iter().map(|&o| pag.node(o).name.clone()).collect();
+                let names: Vec<_> = objs.iter().map(|&o| pag.node(o).name.as_str()).collect();
                 outln!(
                     "{:<32} -> {{{}}} ({} steps)",
                     pag.node(v).name,

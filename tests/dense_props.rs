@@ -161,7 +161,7 @@ fn call_tree(fanout: u32, depth: u32) -> (Pag, NodeId, NodeId, NodeId) {
                 NodeKind::Local { method: m }
             },
             ty: TypeId::from_usize(0),
-            name,
+            name: name.into(),
             is_application: !object,
         })
     };

@@ -68,7 +68,7 @@ fn pts_names(pag: &Pag, cfg: &SolverConfig, var: &str) -> Vec<String> {
         .nodes()
         .unwrap_or_else(|| panic!("{var} ran out of budget"))
         .iter()
-        .map(|&n| pag.node(n).name.clone())
+        .map(|&n| pag.node(n).name.to_string())
         .collect();
     names.sort();
     names

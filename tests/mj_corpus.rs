@@ -23,7 +23,7 @@ fn pts(pag: &Pag, cfg: &SolverConfig, var: &str) -> Vec<String> {
         .nodes()
         .unwrap_or_else(|| panic!("{var}: out of budget"))
         .iter()
-        .map(|&o| pag.node(o).name.clone())
+        .map(|&o| pag.node(o).name.to_string())
         .collect();
     names.sort();
     names
