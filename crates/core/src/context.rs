@@ -20,76 +20,95 @@
 
 use parcfl_concurrent::{CtxId, CtxInterner};
 use parcfl_pag::{CallSiteId, NodeId};
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// An immutable call-site stack. `push`/`pop` return new contexts.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Ctx {
-    // Bottom-to-top order; top is the last element.
-    stack: Vec<u32>,
-}
+///
+/// A thin shared handle, 8 bytes: `None` is the empty context, and a
+/// non-empty stack is one counted allocation, so a clone is a
+/// reference-count bump and every answer a lane materialises holds the
+/// lane's one copy of each call string (DESIGN.md §8). No handle holds an
+/// empty stack, so the derived `Eq` and `Ord` compare contents, `∅`
+/// first, exactly as the `Vec<u32>` this replaces did.
+#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Ctx(Option<Arc<Box<[u32]>>>);
 
 impl Ctx {
     /// The empty context (a query's starting context, written `∅`).
     pub fn empty() -> Self {
-        Ctx::default()
+        Ctx(None)
     }
 
     /// Whether the stack is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.stack.is_empty()
+        self.0.is_none()
     }
 
     /// The topmost call site, if any.
     #[inline]
     pub fn top(&self) -> Option<CallSiteId> {
-        self.stack.last().map(|&i| CallSiteId::new(i))
+        self.as_slice().last().map(|&i| CallSiteId::new(i))
     }
 
     /// Stack depth.
     #[inline]
     pub fn depth(&self) -> usize {
-        self.stack.len()
+        self.as_slice().len()
     }
 
     /// Returns a context with `site` pushed on top.
     #[must_use]
     pub fn push(&self, site: CallSiteId) -> Ctx {
-        let mut stack = Vec::with_capacity(self.stack.len() + 1);
-        stack.extend_from_slice(&self.stack);
-        stack.push(site.raw());
-        Ctx { stack }
+        Ctx::from_stack([self.as_slice(), &[site.raw()]].concat())
     }
 
     /// Returns a context with the top removed. Popping the empty context
     /// yields the empty context (callers guard with [`Ctx::top`] first).
     #[must_use]
     pub fn pop(&self) -> Ctx {
-        let mut stack = self.stack.clone();
-        stack.pop();
-        Ctx { stack }
+        let s = self.as_slice();
+        Ctx::from_stack(s[..s.len().saturating_sub(1)].to_vec())
     }
 
     /// Builds a context from a bottom-to-top call-site stack.
     pub fn from_stack(stack: Vec<u32>) -> Ctx {
-        Ctx { stack }
+        Ctx((!stack.is_empty()).then(|| Arc::new(stack.into_boxed_slice())))
     }
 
     /// The bottom-to-top call-site stack.
+    #[inline]
     pub fn as_slice(&self) -> &[u32] {
-        &self.stack
+        self.0.as_ref().map_or(&[], |s| &s[..])
     }
 
     /// Interns this call string into `interner`, returning its `Copy` id.
     pub fn intern(&self, interner: &CtxInterner) -> CtxId {
-        interner.intern_stack(&self.stack)
+        interner.intern_stack(self.as_slice())
     }
 
     /// Materialises an interned id back into an owned call string.
     pub fn materialize(interner: &CtxInterner, id: CtxId) -> Ctx {
-        Ctx {
-            stack: interner.stack_of(id),
-        }
+        Ctx::from_stack(interner.stack_of(id))
+    }
+}
+
+/// Hashes the stack as the `Vec<u32>` this type replaces did, so
+/// hash-ordered iteration over contexts does not depend on the
+/// representation.
+impl Hash for Ctx {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl fmt::Debug for Ctx {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Ctx")
+            .field("stack", &self.as_slice())
+            .finish()
     }
 }
 
@@ -108,10 +127,10 @@ pub fn sort_canonical(
     v.sort_unstable_by(|&(n1, c1), &(n2, c2)| n1.cmp(&n2).then_with(|| cmp_stacks(c1, c2)));
 }
 
-impl std::fmt::Display for Ctx {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for Ctx {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, s) in self.stack.iter().enumerate() {
+        for (i, s) in self.as_slice().iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
@@ -194,6 +213,54 @@ mod tests {
         let mut s = HashSet::new();
         s.insert(a);
         assert!(!s.insert(b), "structurally equal contexts collide");
+    }
+}
+
+#[cfg(test)]
+mod handle_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::hash::BuildHasher;
+
+    #[test]
+    fn layout_is_pinned() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Ctx>(), 8);
+        assert_eq!(size_of::<(NodeId, Ctx)>(), 16);
+        assert_eq!(size_of::<crate::Answer>(), 16);
+    }
+
+    /// The context a stack reaches by pushes from `∅`.
+    fn pushed(stack: &[u32]) -> Ctx {
+        (stack.iter()).fold(Ctx::empty(), |c, &s| c.push(CallSiteId::new(s)))
+    }
+
+    proptest! {
+        /// Every trait `Ctx` implements reads as the `Vec<u32>` it
+        /// replaces, however the context was built.
+        #[test]
+        fn reads_as_a_vec(
+            a in proptest::collection::vec(0u32..3, 0..4),
+            b in proptest::collection::vec(0u32..3, 0..4),
+        ) {
+            let hasher = std::collections::hash_map::RandomState::new();
+            let (ca, cb) = (Ctx::from_stack(a.clone()), pushed(&b));
+            prop_assert_eq!(&pushed(&a), &ca);
+            prop_assert_eq!(ca == cb, a == b);
+            prop_assert_eq!(ca.cmp(&cb), a.cmp(&b));
+            prop_assert_eq!(ca.partial_cmp(&cb), a.partial_cmp(&b));
+            prop_assert_eq!(hasher.hash_one(&ca), hasher.hash_one(&a));
+            prop_assert_eq!(hasher.hash_one(&cb), hasher.hash_one(&b));
+            let display = |v: &[u32]| {
+                let sites: Vec<String> = v.iter().map(u32::to_string).collect();
+                format!("[{}]", sites.join(","))
+            };
+            prop_assert_eq!(ca.to_string(), display(&a));
+            prop_assert_eq!(format!("{ca:?}"), format!("Ctx {{ stack: {a:?} }}"));
+            prop_assert_eq!(format!("{cb:?}"), format!("Ctx {{ stack: {b:?} }}"));
+            prop_assert_eq!(ca.is_empty(), a.is_empty());
+            prop_assert_eq!(ca.pop().as_slice(), &a[..a.len().saturating_sub(1)]);
+        }
     }
 }
 

@@ -44,7 +44,7 @@ pub use footprint::{DirtySet, Footprint};
 pub use jmp::{Dir, JmpEntry, JmpStore, NoJmpStore, SharedJmpStore};
 pub use parcfl_concurrent::{CtxId, CtxInterner};
 pub use solver::{CtxNode, Solver};
-pub use stats::{Answer, JmpHistogram, QueryOutput, QueryStats};
+pub use stats::{Answer, AnswerSet, JmpHistogram, QueryOutput, QueryStats};
 pub use witness::{Trace, Via, Witness, WitnessStep};
 
 #[cfg(test)]

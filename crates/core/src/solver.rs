@@ -285,6 +285,14 @@ impl<'a> Solver<'a> {
     }
 }
 
+/// The lane's one materialised copy of `c`, made on first use (DESIGN.md
+/// §8): every answer and trace of the lane that holds `c` shares it.
+fn materialised(table: &mut FxHashMap<CtxId, Ctx>, ctxs: &CtxInterner, c: CtxId) -> Ctx {
+    (table.entry(c))
+        .or_insert_with(|| Ctx::materialize(ctxs, c))
+        .clone()
+}
+
 /// Marker error: the query exhausted its budget (Algorithm 1's `exit()`).
 #[derive(Debug)]
 struct Oob;
@@ -390,6 +398,15 @@ struct Scratch<S> {
     jmp_seen: FxHashMap<JmpKey, JmpLookup>,
     /// The store epoch `jmp_seen` was filled under.
     jmp_epoch: u64,
+    /// Every call string the lane has put in an answer or a trace, by id
+    /// (DESIGN.md §8): each is materialised once and shared by every
+    /// answer that holds it. Never invalidated, for the push cache's
+    /// reasons.
+    materialised: FxHashMap<CtxId, Ctx>,
+    /// The answer being closed, sorted and deduplicated here before it is
+    /// moved into its own allocation at its exact length. Empty between
+    /// queries.
+    answer: Vec<CtxNode>,
     /// The query's open calls, outermost first (see [`QueryState::open`]):
     /// what re-entry and the depth bound are checked against, and what
     /// `OutOfBudget` publishes unfinished jmps and the exhausted start for.
@@ -554,12 +571,14 @@ impl<'a, S: StateSet> QueryState<'a, S> {
     fn finish(mut self, result: Result<Vec<IState>, Oob>) -> QueryOutput {
         let (answer, footprint) = match result {
             Ok(set) => {
-                let mat = |&(n, c): &IState| (n, Ctx::materialize(self.ctxs, c));
-                let mut v: Vec<CtxNode> = set.iter().map(mat).collect();
+                let (ctxs, s) = (self.ctxs, &mut *self.s);
+                let mat = |&(n, c): &IState| (n, materialised(&mut s.materialised, ctxs, c));
+                s.answer.extend(set.iter().map(mat));
+                s.answer.sort_unstable();
+                s.answer.dedup();
+                let answer = Answer::Complete(s.answer.drain(..).collect());
                 self.release_stack(set);
-                v.sort_unstable();
-                v.dedup();
-                (Answer::Complete(v), self.s.reads.finish())
+                (answer, self.s.reads.finish())
             }
             // Whether a query runs out of budget depends on what the store
             // held when it ran: nothing vouches for the verdict.
@@ -796,7 +815,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
                     if seen.insert(o.raw(), cx) {
                         t.out.push((o, cx));
                         if t.tracing {
-                            let mc = Ctx::materialize(ctxs, cx);
+                            let mc = materialised(&mut self.s.materialised, ctxs, cx);
                             if let Some(trace) = self.trace.as_mut() {
                                 trace
                                     .object_from
@@ -870,8 +889,9 @@ impl<'a, S: StateSet> QueryState<'a, S> {
     #[cold]
     fn trace_step(&mut self, to: IState, from: IState, e: Option<&Edge>) {
         let via = e.map_or(Via::Alias, |e| Via::Edge(e.kind.label()));
-        let parent_key = (to.0, Ctx::materialize(self.ctxs, to.1));
-        let from = (from.0, Ctx::materialize(self.ctxs, from.1));
+        let table = &mut self.s.materialised;
+        let parent_key = (to.0, materialised(table, self.ctxs, to.1));
+        let from = (from.0, materialised(table, self.ctxs, from.1));
         if let Some(t) = self.trace.as_mut() {
             t.parent.insert(parent_key, (from, via));
         }

@@ -1,6 +1,10 @@
 //! Per-query and aggregate statistics, plus the Fig. 7 jmp-edge histogram.
 
 use crate::jmp::SharedJmpStore;
+use crate::solver::CtxNode;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Statistics of a single query.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -55,14 +59,14 @@ pub struct QueryStats {
 pub enum Answer {
     /// The analysis completed within budget; the context-sensitive result
     /// set, sorted and deduplicated.
-    Complete(Vec<(parcfl_pag::NodeId, crate::context::Ctx)>),
+    Complete(AnswerSet),
     /// Budget exhausted: the client must assume the worst.
     OutOfBudget,
 }
 
 impl Answer {
     /// The result set, if complete.
-    pub fn complete(&self) -> Option<&[(parcfl_pag::NodeId, crate::context::Ctx)]> {
+    pub fn complete(&self) -> Option<&[CtxNode]> {
         match self {
             Answer::Complete(v) => Some(v),
             Answer::OutOfBudget => None,
@@ -77,6 +81,53 @@ impl Answer {
             ns.dedup();
             ns
         })
+    }
+}
+
+/// A complete answer's `(object, context)` set: one immutable allocation
+/// at its exact length, shared by every holder — a clone is a
+/// reference-count bump, so a session hands out the very set it keeps
+/// (DESIGN.md §12). Reads as a slice; equal by contents; prints as a list.
+#[derive(Clone, PartialEq, Eq)]
+pub struct AnswerSet(Arc<[CtxNode]>);
+
+impl AnswerSet {
+    /// Removes and returns the element at `index`, shifting the rest
+    /// down. Copy on write: the set is rebuilt without it, and every other
+    /// holder keeps the set it had.
+    ///
+    /// # Panics
+    /// If `index` is out of bounds.
+    pub fn remove(&mut self, index: usize) -> CtxNode {
+        let mut v = self.0.to_vec();
+        let out = v.remove(index);
+        self.0 = v.into();
+        out
+    }
+}
+
+impl Deref for AnswerSet {
+    type Target = [CtxNode];
+    fn deref(&self) -> &[CtxNode] {
+        &self.0
+    }
+}
+
+impl FromIterator<CtxNode> for AnswerSet {
+    fn from_iter<I: IntoIterator<Item = CtxNode>>(iter: I) -> Self {
+        AnswerSet(iter.into_iter().collect())
+    }
+}
+
+impl From<Vec<CtxNode>> for AnswerSet {
+    fn from(v: Vec<CtxNode>) -> Self {
+        AnswerSet(v.into())
+    }
+}
+
+impl fmt::Debug for AnswerSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -150,7 +201,6 @@ mod tests {
     use crate::jmp::{Dir, JmpStore};
     use parcfl_concurrent::CtxId;
     use parcfl_pag::NodeId;
-    use std::sync::Arc;
 
     #[test]
     fn bucket_boundaries() {
@@ -181,16 +231,51 @@ mod tests {
 
     #[test]
     fn answer_projection() {
-        let a = Answer::Complete(vec![
-            (NodeId::new(3), Ctx::empty()),
-            (
-                NodeId::new(1),
-                Ctx::empty().push(parcfl_pag::CallSiteId::new(0)),
-            ),
-            (NodeId::new(1), Ctx::empty()),
-        ]);
+        let a = Answer::Complete(
+            vec![
+                (NodeId::new(3), Ctx::empty()),
+                (
+                    NodeId::new(1),
+                    Ctx::empty().push(parcfl_pag::CallSiteId::new(0)),
+                ),
+                (NodeId::new(1), Ctx::empty()),
+            ]
+            .into(),
+        );
         assert_eq!(a.nodes().unwrap(), vec![NodeId::new(1), NodeId::new(3)]);
         assert!(Answer::OutOfBudget.nodes().is_none());
         assert!(Answer::OutOfBudget.complete().is_none());
+    }
+
+    #[test]
+    fn answer_set_remove_copies_on_write() {
+        let c = Ctx::empty().push(parcfl_pag::CallSiteId::new(2));
+        let v = vec![(NodeId::new(1), Ctx::empty()), (NodeId::new(4), c.clone())];
+        let mut set = AnswerSet::from(v.clone());
+        let other = set.clone();
+        assert_eq!(other.as_ptr(), set.as_ptr(), "a clone shares the set");
+        assert_eq!(set.remove(0), v[0]);
+        assert_eq!(&set[..], &v[1..]);
+        assert_eq!(&other[..], &v[..], "another holder keeps its set");
+        assert_eq!(set[0].1.as_slice().as_ptr(), c.as_slice().as_ptr());
+    }
+
+    #[test]
+    fn answers_print_as_the_vec_they_replace() {
+        let v = vec![
+            (NodeId::new(3), Ctx::empty()),
+            (NodeId::new(5), Ctx::from_stack(vec![7, 1])),
+        ];
+        /// The answer as it was, a `Vec` per set.
+        #[derive(Debug)]
+        enum Reference {
+            Complete(Vec<(NodeId, Ctx)>),
+        }
+        let a = Answer::Complete(v.iter().cloned().collect());
+        let want = Reference::Complete(v.clone());
+        assert_eq!(format!("{a:?}"), format!("{want:?}"));
+        assert_eq!(format!("{a:#?}"), format!("{want:#?}"));
+        let Reference::Complete(want) = want;
+        assert_eq!(a, Answer::Complete(want.into()));
     }
 }

@@ -742,7 +742,7 @@ fn query_on_isolated_variable_is_empty() {
     let cfg = SolverConfig::default();
     let mut solver = Solver::new(&p, &cfg, &NoJmpStore);
     let out = solver.points_to_query(node(&p, "lonely@A.m"), 0);
-    assert_eq!(out.answer, Answer::Complete(vec![]));
+    assert_eq!(out.answer, Answer::Complete(vec![].into()));
 }
 
 /// Virtual-time visibility: on the virtual clock a query starting before
@@ -789,6 +789,29 @@ fn virtual_clock_gates_visibility() {
     let real = Solver::new(&p, &cfg, &store).points_to_query(node(&p, "x2@A.m"), 0);
     assert!(real.stats.shortcuts_taken > 0);
     assert_eq!(real.answer, late.answer);
+}
+
+/// A lane materialises each call string once: two answers holding the
+/// same context hold one allocation of it.
+#[test]
+fn answers_of_one_lane_share_their_contexts() {
+    let p = pag("class Obj { }
+                 class A {
+                   method mk(): Obj { var t: Obj; t = new Obj; return t; }
+                   method m() {
+                     var x: Obj; var z: Obj;
+                     x = call this.mk();
+                     z = x;
+                   }
+                 }");
+    let (cfg, store) = (SolverConfig::default(), SharedJmpStore::new());
+    let mut solver = Solver::new(&p, &cfg, &store);
+    let mut ask = |var: &str| solver.points_to_query(node(&p, var), 0).answer;
+    let (x, z) = (ask("x@A.m"), ask("z@A.m"));
+    let (x, z) = (&x.complete().unwrap()[0], &z.complete().unwrap()[0]);
+    assert_eq!(x, z);
+    assert_eq!(x.1.depth(), 1, "the object is reached through the call");
+    assert_eq!(x.1.as_slice().as_ptr(), z.1.as_slice().as_ptr());
 }
 
 #[test]

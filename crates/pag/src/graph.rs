@@ -15,7 +15,6 @@ use std::fmt::{self, Write as _};
 use std::sync::{Arc, OnceLock};
 
 /// Mutable accumulator for PAG construction.
-#[derive(Default)]
 pub struct PagBuilder {
     nodes: Vec<NodeInfo>,
     edges: Vec<Edge>,
@@ -27,6 +26,13 @@ pub struct PagBuilder {
     /// The text a written name points at until the freeze points it at
     /// `names`: a per-builder token, never read.
     pending: Arc<Box<str>>,
+}
+
+/// [`PagBuilder::new`]: the type table predeclares `arr`.
+impl Default for PagBuilder {
+    fn default() -> Self {
+        PagBuilder::new()
+    }
 }
 
 impl PagBuilder {
@@ -864,6 +870,19 @@ mod tests {
             assert_eq!(concat_in, g.incoming(n).len());
             assert_eq!(concat_out, g.outgoing(n).len());
         }
+    }
+
+    /// A builder made by `default()` is the one `new()` makes: its type
+    /// table predeclares `arr`, so the first field it interns is not
+    /// `FieldId::ARR`.
+    #[test]
+    fn default_builder_predeclares_arr() {
+        for mut b in [PagBuilder::default(), PagBuilder::new()] {
+            let f = b.types_mut().add_field("f");
+            assert_ne!(f, FieldId::ARR);
+            assert_eq!(b.types_mut().field_name(FieldId::ARR), "arr");
+        }
+        assert_eq!(TypeTable::default().field_count(), 1);
     }
 
     #[test]

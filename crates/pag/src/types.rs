@@ -26,10 +26,17 @@ pub struct TypeInfo {
 }
 
 /// The table of all types, indexed by [`TypeId`].
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct TypeTable {
     types: Vec<TypeInfo>,
     field_names: Vec<String>,
+}
+
+/// [`TypeTable::new`]: `arr` is predeclared here too.
+impl Default for TypeTable {
+    fn default() -> Self {
+        TypeTable::new()
+    }
 }
 
 impl TypeTable {

@@ -23,7 +23,8 @@
 //! Like the paper's map, neither is bounded: a jmp entry or kept answer
 //! leaves only when an edit invalidates it or [`AnalysisSession::reset`]
 //! forgets everything. There is at most one kept answer per distinct query
-//! node, and the client that asked already holds a copy of each.
+//! node, and it is the allocation the client was handed: an answer's set
+//! is shared, so keeping it and serving it again copy nothing.
 
 use crate::batch::{Answers, Batch, Clock};
 use crate::mode::{Backend, Mode, RunConfig};
@@ -453,6 +454,38 @@ mod tests {
         assert_eq!(warm.stats.retained_answers, 1);
         assert_eq!(warm.stats.queries, queries.len());
         assert_eq!(warm.stats.completed, cold.stats.completed);
+    }
+
+    /// A kept answer is handed out, not copied: the batch that answered it
+    /// and every resubmit that is served from it hold one allocation.
+    #[test]
+    fn kept_answers_are_handed_out_from_one_allocation() {
+        let pag = build_pag(SRC).unwrap().pag;
+        let queries = pag.application_locals();
+        let mut s = AnalysisSession::new(&pag)
+            .with_threads(2)
+            .with_solver(solver());
+        let sets = |r: &RunResult| -> Vec<(NodeId, *const parcfl_core::CtxNode)> {
+            let mut v: Vec<_> = (r.answers.iter())
+                .filter_map(|(q, a)| Some((*q, a.complete()?.as_ptr())))
+                .collect();
+            v.sort_unstable();
+            v
+        };
+        let first = s.submit(&queries, Mode::DataSharingSched, Backend::Threaded);
+        assert!(first
+            .answers
+            .iter()
+            .any(|(_, a)| a.nodes().is_some_and(|n| !n.is_empty())));
+        let again = s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
+        let third = s.submit(&queries, Mode::DataSharingSched, Backend::Threaded);
+        assert_eq!(again.stats.retained_answers, queries.len() as u64);
+        assert_eq!(
+            sets(&again),
+            sets(&first),
+            "served from the kept allocation"
+        );
+        assert_eq!(sets(&third), sets(&first));
     }
 
     /// A batch the session holds every answer of runs nothing: no step, no

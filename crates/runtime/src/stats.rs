@@ -367,8 +367,8 @@ mod tests {
     #[test]
     fn absorb_and_ratios() {
         let mut r = RunStats::default();
-        r.absorb(&qs(10, 10, 0, false), &Answer::Complete(vec![]));
-        r.absorb(&qs(30, 10, 20, false), &Answer::Complete(vec![]));
+        r.absorb(&qs(10, 10, 0, false), &Answer::Complete(vec![].into()));
+        r.absorb(&qs(30, 10, 20, false), &Answer::Complete(vec![].into()));
         r.absorb(&qs(5, 5, 0, true), &Answer::OutOfBudget);
         assert_eq!(r.queries, 3);
         assert_eq!(r.completed, 2);
@@ -382,7 +382,7 @@ mod tests {
     #[test]
     fn merge_sums_everything() {
         let mut a = RunStats::default();
-        a.absorb(&qs(10, 10, 0, false), &Answer::Complete(vec![]));
+        a.absorb(&qs(10, 10, 0, false), &Answer::Complete(vec![].into()));
         let mut b = RunStats::default();
         b.absorb(&qs(7, 7, 0, true), &Answer::OutOfBudget);
         a.merge(&b);
@@ -573,7 +573,7 @@ mod tests {
         let r = RunResult {
             answers: vec![
                 (NodeId::new(5), Answer::OutOfBudget),
-                (NodeId::new(1), Answer::Complete(vec![])),
+                (NodeId::new(1), Answer::Complete(vec![].into())),
             ],
             stats: RunStats::default(),
             trace: None,

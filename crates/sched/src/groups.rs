@@ -21,9 +21,6 @@ pub struct Groups {
     /// Query variables per component, in input order; only components that
     /// contain at least one query are kept.
     pub members: Vec<Vec<NodeId>>,
-    /// All PAG nodes (queries or not) per kept component — the subgraph the
-    /// connection distances are computed on.
-    pub component_nodes: Vec<Vec<NodeId>>,
 }
 
 impl Groups {
@@ -36,10 +33,7 @@ impl Groups {
                 uf.union(e.src.index(), e.dst.index());
             }
         }
-        let mut root_of = vec![0u32; n];
-        for (v, slot) in root_of.iter_mut().enumerate() {
-            *slot = uf.find(v) as u32;
-        }
+        let root_of: Vec<u32> = (0..n).map(|v| uf.find(v) as u32).collect();
 
         // Bucket queries by root, keeping first-seen order of roots so the
         // result is deterministic in the input order.
@@ -53,20 +47,7 @@ impl Groups {
             });
             members[slot].push(q);
         }
-
-        // Collect every node of each kept component (for CD computation).
-        let mut component_nodes: Vec<Vec<NodeId>> = vec![Vec::new(); members.len()];
-        for (v, root) in root_of.iter().enumerate() {
-            if let Some(&slot) = index_of_root.get(root) {
-                component_nodes[slot].push(NodeId::from_usize(v));
-            }
-        }
-
-        Groups {
-            root_of,
-            members,
-            component_nodes,
-        }
+        Groups { root_of, members }
     }
 
     /// Number of groups (components containing at least one query).
@@ -147,8 +128,7 @@ mod tests {
         let r = pag.node_by_name("r@A.m").unwrap();
         let g = Groups::build(&pag, &[r]);
         assert_eq!(g.len(), 1);
-        assert!(g.component_nodes[0].len() > 1);
-        assert!(g.component_nodes[0].contains(&pag.node_by_name("$ret@A.id").unwrap()));
+        assert!(g.same_group(r, pag.node_by_name("$ret@A.id").unwrap()));
     }
 
     #[test]

@@ -10,89 +10,63 @@
 //!   (equivalently, decreasing maximum type level): deeply-nested container
 //!   variables are resolved first because shallower queries depend on them.
 
-use crate::groups::Groups;
-use parcfl_concurrent::FxHashMap;
-use parcfl_pag::algo::{longest_path_through, tarjan_scc};
+use parcfl_pag::algo::tarjan_scc;
 use parcfl_pag::{NodeId, Pag};
 
-/// Connection distances of every node of every group, indexed by node
-/// (0 for nodes of no group), computed per group.
-pub fn connection_distances(pag: &Pag, groups: &Groups) -> Vec<u64> {
-    let mut cds = vec![0; pag.node_count()];
-    // Each node's index within its group. Direct edges never leave a
-    // group (groups are their components), so a group's walk only reads
-    // the entries of its own nodes, which it has just written.
-    let mut local = vec![0u32; pag.node_count()];
-    for nodes in &groups.component_nodes {
-        for (i, &v) in nodes.iter().enumerate() {
-            local[v.index()] = i as u32;
-        }
-        for (&v, cd) in nodes.iter().zip(group_cds(pag, nodes, &local)) {
-            cds[v.index()] = cd;
-        }
+/// Connection distances of every node, indexed by node: the longest
+/// direct path through its SCC in the condensation of the whole direct
+/// subgraph. Direct edges never leave a group, so that path lies in the
+/// node's group. One direct-edge CSR read off `pag.edges()`, one Tarjan
+/// run, and two sweeps over Tarjan's component numbering, which is
+/// reverse topological: an edge between components runs from the higher
+/// number to the lower.
+pub fn connection_distances(pag: &Pag) -> Vec<u64> {
+    let n = pag.node_count();
+    let direct = || pag.edges().iter().filter(|e| e.kind.is_direct());
+    let mut starts = vec![0usize; n + 1];
+    for e in direct() {
+        starts[e.src.index() + 1] += 1;
     }
-    cds
-}
-
-/// CDs for one component, member by member: SCC-condense its direct
-/// subgraph and take the longest DAG path through each node's component.
-fn group_cds(pag: &Pag, nodes: &[NodeId], local: &[u32]) -> Vec<u64> {
-    let n = nodes.len();
-    // Direct edges within the component, in local indices, as a CSR.
-    let mut starts = Vec::with_capacity(n + 1);
-    let mut succ: Vec<usize> = Vec::new();
-    for &v in nodes {
-        starts.push(succ.len());
-        let direct = pag.outgoing(v).iter().filter(|e| e.kind.is_direct());
-        succ.extend(direct.map(|e| local[e.dst.index()] as usize));
+    for v in 0..n {
+        starts[v + 1] += starts[v];
     }
-    starts.push(succ.len());
+    let mut succ = vec![0usize; starts[n]];
+    let mut next = starts.clone();
+    for e in direct() {
+        succ[next[e.src.index()]] = e.dst.index();
+        next[e.src.index()] += 1;
+    }
     let succ_of = |v: usize| &succ[starts[v]..starts[v + 1]];
     let scc = tarjan_scc(n, |v| succ_of(v).iter().copied());
-    // Condensation edges, deduplicated.
-    let mut cedges: Vec<(u32, u32)> = Vec::new();
-    for v in 0..n {
-        let cv = scc.component_of(v) as u32;
-        for &w in succ_of(v) {
-            let cw = scc.component_of(w) as u32;
-            if cv != cw {
-                cedges.push((cv, cw));
-            }
+    // The condensation edges out of component `c`, self-loops dropped.
+    let out_of = |c: usize| {
+        (scc.members_usize(c))
+            .flat_map(|v| succ_of(v).iter().map(|&w| scc.component_of(w)))
+            .filter(move |&d| d != c)
+    };
+    let comps = scc.component_count();
+    let (mut lin, mut lout) = (vec![0u64; comps], vec![0u64; comps]);
+    // Longest path out of each component: its successors are numbered lower.
+    for c in 0..comps {
+        lout[c] = out_of(c).map(|d| lout[d] + 1).max().unwrap_or(0);
+    }
+    // Longest path into each: its predecessors are numbered higher.
+    for c in (0..comps).rev() {
+        for d in out_of(c) {
+            lin[d] = lin[d].max(lin[c] + 1);
         }
     }
-    cedges.sort_unstable();
-    cedges.dedup();
-    let lp = longest_path_through(scc.component_count(), &cedges);
-    (0..n).map(|i| lp[scc.component_of(i)]).collect()
-}
-
-/// Type level `L(t)` for every query variable (0 for non-reference types).
-pub fn type_levels(pag: &Pag, queries: &[NodeId]) -> FxHashMap<NodeId, u32> {
-    type_levels_from(&pag.types().levels(), pag, queries)
-}
-
-/// [`type_levels`] with the per-type level table precomputed. The table is
-/// query-independent (one `pag.types().levels()` pass per PAG), so callers
-/// issuing many schedules over one PAG — the schedule cache — compute it
-/// once and project per query set.
-pub fn type_levels_from(
-    all_levels: &[u32],
-    pag: &Pag,
-    queries: &[NodeId],
-) -> FxHashMap<NodeId, u32> {
-    queries
-        .iter()
-        .map(|&q| (q, all_levels[pag.node(q).ty.index()]))
+    (0..n)
+        .map(|v| lin[scc.component_of(v)] + lout[scc.component_of(v)])
         .collect()
 }
 
-/// A group's scheduling key: its maximum member type level. Groups are
-/// issued in *decreasing* max level, which is increasing dependence depth
-/// `DD = 1/L` (the paper's order).
-pub fn group_level(levels: &FxHashMap<NodeId, u32>, members: &[NodeId]) -> u32 {
-    members
-        .iter()
-        .filter_map(|m| levels.get(m).copied())
+/// A group's scheduling key: its maximum member type level, read off the
+/// per-type level table. Groups are issued in *decreasing* max level,
+/// which is increasing dependence depth `DD = 1/L` (the paper's order).
+pub fn group_level(all_levels: &[u32], pag: &Pag, members: &[NodeId]) -> u32 {
+    (members.iter())
+        .map(|&m| all_levels[pag.node(m).ty.index()])
         .max()
         .unwrap_or(0)
 }
@@ -116,8 +90,7 @@ mod tests {
             .iter()
             .map(|n| pag.node_by_name(n).unwrap())
             .collect();
-        let groups = Groups::build(&pag, &ids);
-        let cd = connection_distances(&pag, &groups);
+        let cd = connection_distances(&pag);
         assert_eq!(cd[ids[0].index()], 2);
         assert_eq!(cd[ids[1].index()], 2);
         assert_eq!(cd[ids[2].index()], 2);
@@ -138,8 +111,7 @@ mod tests {
         let x = pag.node_by_name("x@A.m").unwrap();
         let y = pag.node_by_name("y@A.m").unwrap();
         let z = pag.node_by_name("z@A.m").unwrap();
-        let groups = Groups::build(&pag, &[x, y, z]);
-        let cd = connection_distances(&pag, &groups);
+        let cd = connection_distances(&pag);
         assert_eq!(cd[x.index()], 1, "cycle collapses, one edge to z remains");
         assert_eq!(cd[y.index()], 1);
         assert_eq!(cd[z.index()], 1);
@@ -159,13 +131,14 @@ mod tests {
         let i = pag.node_by_name("i@A.m").unwrap();
         let u = pag.node_by_name("u@A.m").unwrap();
         let k = pag.node_by_name("k@A.m").unwrap();
-        let lv = type_levels(&pag, &[o, i, u, k]);
-        assert_eq!(lv[&o], 1);
-        assert_eq!(lv[&i], 2);
-        assert_eq!(lv[&u], 3);
-        assert_eq!(lv[&k], 0, "primitive type has level 0");
-        assert_eq!(group_level(&lv, &[o, i, u]), 3);
-        assert_eq!(group_level(&lv, &[k]), 0);
-        assert_eq!(group_level(&lv, &[]), 0);
+        let lv = pag.types().levels();
+        let level = |v: NodeId| group_level(&lv, &pag, &[v]);
+        assert_eq!(level(o), 1);
+        assert_eq!(level(i), 2);
+        assert_eq!(level(u), 3);
+        assert_eq!(level(k), 0, "primitive type has level 0");
+        assert_eq!(group_level(&lv, &pag, &[o, i, u]), 3);
+        assert_eq!(group_level(&lv, &pag, &[k]), 0);
+        assert_eq!(group_level(&lv, &pag, &[]), 0);
     }
 }

@@ -6,8 +6,9 @@
 //! work list.
 
 use crate::groups::Groups;
-use crate::metrics::{connection_distances, group_level, type_levels_from};
+use crate::metrics::{connection_distances, group_level};
 use parcfl_pag::{NodeId, Pag};
+use std::cmp::Reverse;
 
 /// Options for schedule construction. Group sizes are always rebalanced
 /// to the mean (paper: split larger than `M`, merge smaller with adjacent
@@ -73,9 +74,19 @@ pub fn build_schedule_with_levels(
             avg_group_size: 0.0,
         };
     }
+    schedule_by(pag, queries, opts, all_levels, &connection_distances(pag))
+}
+
+/// Groups `queries`, orders the groups and their members, and rebalances,
+/// over the connection distances `cds`.
+fn schedule_by(
+    pag: &Pag,
+    queries: &[NodeId],
+    opts: &ScheduleOptions,
+    all_levels: &[u32],
+    cds: &[u64],
+) -> Schedule {
     let groups = Groups::build(pag, queries);
-    let cds = connection_distances(pag, &groups);
-    let levels = type_levels_from(all_levels, pag, queries);
 
     // Order members within each group by increasing CD (ties by node id for
     // determinism), and groups by decreasing max type level == increasing
@@ -85,28 +96,19 @@ pub fn build_schedule_with_levels(
         .members
         .into_iter()
         .map(|mut m| {
-            let level = group_level(&levels, &m);
-            let level_key = if level == 0 {
-                u32::MAX
-            } else {
-                u32::MAX - 1 - level
-            };
-            let smallest = m.iter().min().copied();
+            let level = group_level(all_levels, pag, &m);
+            let key = (level == 0, Reverse(level), m.iter().min().copied());
             m.sort_by_key(|v| (cds[v.index()], *v));
-            ((level_key, smallest), m)
+            (key, m)
         })
         .collect();
     ordered.sort_by_key(|&(key, _)| key);
 
-    let group_count = ordered.len();
-    let avg = queries.len() as f64 / group_count as f64;
-    let ordered = ordered.into_iter().map(|(_, g)| g);
-    let mut m = avg.ceil().max(1.0) as usize;
-    if let Some(cap) = opts.max_group_size {
-        m = m.min(cap.max(1));
-    }
+    let avg = queries.len() as f64 / ordered.len() as f64;
+    let cap = opts.max_group_size.map_or(usize::MAX, |c| c.max(1));
+    let m = (avg.ceil().max(1.0) as usize).min(cap);
     Schedule {
-        groups: rebalance(ordered, m),
+        groups: rebalance(ordered.into_iter().map(|(_, g)| g), m),
         avg_group_size: avg,
     }
 }
@@ -123,6 +125,7 @@ fn rebalance(groups: impl Iterator<Item = Vec<NodeId>>, m: usize) -> Vec<Vec<Nod
 mod tests {
     use super::*;
     use parcfl_frontend::build_pag;
+    use parcfl_synth::Profile;
 
     fn name(pag: &Pag, n: NodeId) -> String {
         pag.node(n).name.to_string()
@@ -155,11 +158,7 @@ mod tests {
 
     #[test]
     fn within_group_shorter_cd_first() {
-        // Chain a -> b -> c -> tail: all queries share a group. CDs equal on
-        // the main path; the stub `e = d` pair has a shorter path. Use two
-        // chains joined so CDs differ: a=new; b=a; c=b; d=c (CD 3 path) and
-        // e attached to b only via e=b (e's CD path length still 3? e
-        // extends: a->b->e is length 2... the longest path through e).
+        // One group: a -> b -> c -> d, and e = b off the chain.
         let src = "class Obj { }
                    class A { method m() {
                      var a: Obj; var b: Obj; var c: Obj; var d: Obj; var e: Obj;
@@ -253,6 +252,37 @@ mod tests {
         out
     }
 
+    /// The connection distances before the one-pass sweep, kept as the
+    /// reference: per component a CSR off `outgoing`, a Tarjan run, a
+    /// sorted condensation and a Kahn pass (`longest_path_through`).
+    fn reference_cds(pag: &Pag) -> Vec<u64> {
+        use parcfl_pag::algo::{longest_path_through, tarjan_scc};
+        let all: Vec<NodeId> = pag.node_ids().collect();
+        let (mut cds, mut local) = (vec![0; all.len()], vec![0; all.len()]);
+        for nodes in Groups::build(pag, &all).members {
+            for (i, &v) in nodes.iter().enumerate() {
+                local[v.index()] = i;
+            }
+            let direct = |v: NodeId| pag.outgoing(v).iter().filter(|e| e.kind.is_direct());
+            let succ: Vec<Vec<usize>> = (nodes.iter())
+                .map(|&v| direct(v).map(|e| local[e.dst.index()]).collect())
+                .collect();
+            let scc = tarjan_scc(nodes.len(), |v| succ[v].iter().copied());
+            let comp = |v: usize| scc.component_of(v) as u32;
+            let mut cedges: Vec<(u32, u32)> = (0..nodes.len())
+                .flat_map(|v| succ[v].iter().map(move |&w| (comp(v), comp(w))))
+                .filter(|(a, b)| a != b)
+                .collect();
+            cedges.sort_unstable();
+            cedges.dedup();
+            let lp = longest_path_through(scc.component_count(), &cedges);
+            for (i, &v) in nodes.iter().enumerate() {
+                cds[v.index()] = lp[scc.component_of(i)];
+            }
+        }
+        cds
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
@@ -270,6 +300,23 @@ mod tests {
                 .collect();
             let new = rebalance(groups.clone().into_iter(), m);
             proptest::prop_assert_eq!(new, pending_rebalance(groups, m));
+        }
+
+        /// On generated programs (assign cycles left in) under caps none,
+        /// 1, 4, 16 and a random one, the schedule over the one-pass
+        /// connection distances is the one over the reference's.
+        #[test]
+        fn one_pass_schedule_is_the_reference(seed in 0u64..5000, cap in 1usize..40) {
+            let profile = if seed % 2 == 0 { Profile::tiny(seed) } else { Profile::small(seed) };
+            let pag = parcfl_frontend::extract(&parcfl_synth::generate(&profile)).unwrap().pag;
+            let (queries, levels) = (pag.application_locals(), pag.types().levels());
+            for max_group_size in [None, Some(1), Some(4), Some(16), Some(cap)] {
+                let opts = ScheduleOptions { max_group_size };
+                let want = schedule_by(&pag, &queries, &opts, &levels, &reference_cds(&pag));
+                let got = build_schedule(&pag, &queries, &opts);
+                proptest::prop_assert_eq!(got.groups, want.groups);
+                proptest::prop_assert_eq!(got.avg_group_size, want.avg_group_size);
+            }
         }
     }
 

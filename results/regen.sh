@@ -35,11 +35,18 @@ gate() {
 }
 timings=""
 for name in table1 table2 fig6 fig7 fig8 memory ablation_tau ablation_group warm_cache; do
-    err=/dev/stderr
-    if [ "$name" = ablation_tau ] && ! $check; then err="$root/results/$name.time"; fi
+    # Each binary's standard error goes to fd 3: the script's own, shared
+    # rather than re-opened, so a redirected run (`--check 2> log`) keeps
+    # what came before it, a stale file's `diff -u` included.
+    if [ "$name" = ablation_tau ] && ! $check; then
+        exec 3>"$root/results/$name.time"
+    else
+        exec 3>&2
+    fi
     SECONDS=0
     cargo run --release --offline -q --manifest-path "$root/Cargo.toml" -p parcfl-bench --bin "$name" \
-        >"$name.txt" 2>"$err"
+        >"$name.txt" 2>&3
+    exec 3>&-
     timings+="$name ${SECONDS}s"$'\n'
     gate "$name.txt"
 done
