@@ -13,6 +13,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod solver;
+mod solver;
 
 pub use solver::{analyze, AndersenResult};

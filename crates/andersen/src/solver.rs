@@ -32,11 +32,6 @@ impl AndersenResult {
         &self.pts[v.index()]
     }
 
-    /// Total of all points-to set sizes (a precision measure).
-    pub fn total_pts(&self) -> usize {
-        self.pts.iter().map(|s| s.len()).sum()
-    }
-
     /// Whether `o ∈ pts(v)` (binary search over the sorted set).
     pub fn pts_contains(&self, v: NodeId, o: NodeId) -> bool {
         self.pts[v.index()].binary_search(&o).is_ok()
@@ -46,32 +41,24 @@ impl AndersenResult {
     pub fn pts_len(&self, v: NodeId) -> usize {
         self.pts[v.index()].len()
     }
-
-    /// Whether `pts(v) ⊇ objs` — the soundness test a demand-driven
-    /// answer must pass (the inclusion-based solution over-approximates
-    /// every context-sensitive demand answer). Returns the first object
-    /// *not* covered, or `None` when the subset relation holds.
-    pub fn covers(&self, v: NodeId, objs: &[NodeId]) -> Option<NodeId> {
-        objs.iter().copied().find(|&o| !self.pts_contains(v, o))
-    }
 }
 
 /// The constraint system shared by the sequential and parallel solvers.
 pub(crate) struct Constraints {
     /// Node count of the PAG (constraint nodes `0..n` are PAG nodes).
-    pub n: usize,
+    pub(crate) n: usize,
     /// Static subset edges `src → dst` from non-heap PAG edges.
-    pub copy_out: Vec<Vec<Idx>>,
+    pub(crate) copy_out: Vec<Vec<Idx>>,
     /// Loads with base `v`: `(field, dst)`.
-    pub loads_at: Vec<Vec<(FieldId, Idx)>>,
+    pub(crate) loads_at: Vec<Vec<(FieldId, Idx)>>,
     /// Stores with base `v`: `(field, src)`.
-    pub stores_at: Vec<Vec<(FieldId, Idx)>>,
+    pub(crate) stores_at: Vec<Vec<(FieldId, Idx)>>,
     /// Initial points-to facts from `new` edges: `(var, object)`.
-    pub inits: Vec<(Idx, NodeId)>,
+    pub(crate) inits: Vec<(Idx, NodeId)>,
 }
 
 impl Constraints {
-    pub fn build(pag: &Pag) -> Constraints {
+    pub(crate) fn build(pag: &Pag) -> Constraints {
         let n = pag.node_count();
         let mut copy_out: Vec<Vec<Idx>> = vec![Vec::new(); n];
         let mut loads_at: Vec<Vec<(FieldId, Idx)>> = vec![Vec::new(); n];
@@ -149,18 +136,18 @@ pub fn analyze(pag: &Pag) -> AndersenResult {
 /// Mutable solver state.
 pub(crate) struct State {
     /// Points-to per constraint node.
-    pub pts: Vec<FxHashSet<NodeId>>,
+    pub(crate) pts: Vec<FxHashSet<NodeId>>,
     /// Unpropagated recent additions.
-    pub delta: Vec<Vec<NodeId>>,
+    pub(crate) delta: Vec<Vec<NodeId>>,
     /// Dynamic + static copy edges.
-    pub out: Vec<FxHashSet<Idx>>,
+    pub(crate) out: Vec<FxHashSet<Idx>>,
     /// Field slot interner.
-    pub slots: FxHashMap<(NodeId, FieldId), Idx>,
-    pub propagations: u64,
+    pub(crate) slots: FxHashMap<(NodeId, FieldId), Idx>,
+    pub(crate) propagations: u64,
 }
 
 impl State {
-    pub fn new(c: &Constraints) -> State {
+    pub(crate) fn new(c: &Constraints) -> State {
         let mut out: Vec<FxHashSet<Idx>> = vec![FxHashSet::default(); c.n];
         for (v, succs) in c.copy_out.iter().enumerate() {
             out[v].extend(succs.iter().copied());
@@ -175,7 +162,7 @@ impl State {
     }
 
     /// Adds `o` to `pts(v)`; true if new.
-    pub fn add(&mut self, v: Idx, o: NodeId) -> bool {
+    pub(crate) fn add(&mut self, v: Idx, o: NodeId) -> bool {
         if self.pts[v as usize].insert(o) {
             self.delta[v as usize].push(o);
             true
@@ -185,7 +172,7 @@ impl State {
     }
 
     /// Interns the `(object, field)` slot, growing the node space.
-    pub fn slot(&mut self, o: NodeId, f: FieldId) -> Idx {
+    pub(crate) fn slot(&mut self, o: NodeId, f: FieldId) -> Idx {
         if let Some(&s) = self.slots.get(&(o, f)) {
             return s;
         }
@@ -197,12 +184,12 @@ impl State {
         s
     }
 
-    pub fn out_edges(&self, v: Idx) -> Vec<Idx> {
+    pub(crate) fn out_edges(&self, v: Idx) -> Vec<Idx> {
         self.out[v as usize].iter().copied().collect()
     }
 
     /// Adds a copy edge `u → w`, seeding `w` with `pts(u)`.
-    pub fn add_edge(&mut self, u: Idx, w: Idx, work: &mut Vec<Idx>) {
+    pub(crate) fn add_edge(&mut self, u: Idx, w: Idx, work: &mut Vec<Idx>) {
         if u == w || !self.out[u as usize].insert(w) {
             return;
         }
@@ -216,7 +203,7 @@ impl State {
         }
     }
 
-    pub fn finish(self, c: &Constraints) -> AndersenResult {
+    pub(crate) fn finish(self, c: &Constraints) -> AndersenResult {
         let field_slots = self.slots.len();
         let pts = self.pts[..c.n]
             .iter()
@@ -312,7 +299,8 @@ mod tests {
         assert_eq!(pts_names(&pag, &r, "x@A.m"), vec!["o2@A.m"]);
         assert!(r.field_slots >= 1);
         assert!(r.propagations > 0);
-        assert_eq!(r.total_pts(), 4); // p, q, x, y each point to one object
+        // p, q, x, y each point to one object.
+        assert_eq!(r.pts.iter().map(Vec::len).sum::<usize>(), 4);
     }
 
     #[test]

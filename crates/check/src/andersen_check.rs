@@ -18,14 +18,12 @@ use parcfl_pag::{NodeId, Pag};
 /// inclusion-based solution.
 #[derive(Clone, Debug, Default)]
 pub struct SoundnessReport {
-    /// Total answers inspected.
-    pub queries: usize,
     /// Answers that completed (and were checked).
     pub completed: usize,
     /// Σ demand points-to set sizes over completed queries.
-    pub demand_pts: usize,
+    pub(crate) demand_pts: usize,
     /// Σ inclusion-based points-to set sizes over the same queries.
-    pub inclusion_pts: usize,
+    pub(crate) inclusion_pts: usize,
     /// Violations: `(query, object)` pairs present in the demand answer
     /// but absent from the inclusion-based solution.
     pub violations: Vec<(NodeId, NodeId)>,
@@ -57,14 +55,11 @@ pub fn check_soundness(pag: &Pag, answers: &[(NodeId, Answer)]) -> SoundnessRepo
 
 /// [`check_soundness`] against a precomputed solution (reuse it across
 /// runs on the same PAG).
-pub fn check_soundness_against(
+pub(crate) fn check_soundness_against(
     incl: &AndersenResult,
     answers: &[(NodeId, Answer)],
 ) -> SoundnessReport {
-    let mut report = SoundnessReport {
-        queries: answers.len(),
-        ..SoundnessReport::default()
-    };
+    let mut report = SoundnessReport::default();
     for (q, ans) in answers {
         let Some(objs) = ans.nodes() else { continue };
         report.completed += 1;

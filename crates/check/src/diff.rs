@@ -51,7 +51,7 @@ impl<'a> OracleCache<'a> {
     }
 
     /// The oracle's `PointsTo(q, ∅)` answer, computed on first use.
-    pub fn points_to(&mut self, q: NodeId) -> &OracleAnswer {
+    pub(crate) fn points_to(&mut self, q: NodeId) -> &OracleAnswer {
         if !self.answers.contains_key(&q) {
             let pag = self.pag;
             let cfg = self.cfg.clone();
@@ -63,7 +63,7 @@ impl<'a> OracleCache<'a> {
 
     /// Precomputes (in one big-stack hop, sharing the oracle memo across
     /// queries) the answers for all `queries`.
-    pub fn warm(&mut self, queries: &[NodeId]) {
+    pub(crate) fn warm(&mut self, queries: &[NodeId]) {
         let missing: Vec<NodeId> = queries
             .iter()
             .copied()
@@ -89,9 +89,9 @@ impl<'a> OracleCache<'a> {
 #[derive(Clone, Debug)]
 pub struct Mismatch {
     /// The query variable.
-    pub query: NodeId,
+    pub(crate) query: NodeId,
     /// Human-readable description of the disagreement.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 /// Outcome of diffing one answer batch against the oracle.
@@ -100,7 +100,7 @@ pub struct DiffReport {
     /// Answers compared exactly (solver complete, oracle complete).
     pub compared: usize,
     /// Answers skipped because the solver ran out of budget.
-    pub skipped_oob: usize,
+    pub(crate) skipped_oob: usize,
     /// Answers skipped because the oracle hit its practical step cap.
     pub skipped_cap: usize,
     /// Disagreements found.

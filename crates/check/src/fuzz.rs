@@ -127,11 +127,6 @@ pub struct FuzzReport {
 }
 
 impl FuzzReport {
-    /// True when no iteration failed.
-    pub fn ok(&self) -> bool {
-        self.failure.is_none()
-    }
-
     /// Demand/inclusion precision ratio over everything checked.
     pub fn precision_ratio(&self) -> f64 {
         if self.inclusion_pts == 0 {
@@ -214,7 +209,7 @@ fn check(
 /// out on a solver with no store under the same budget too. Every query
 /// that rule ended is among them, its start recorded by the rule itself
 /// or already there. The first that completes is described.
-pub fn exhausted_start_divergence(
+pub(crate) fn exhausted_start_divergence(
     pag: &Pag,
     cfg: &SolverConfig,
     store: &SharedJmpStore,
@@ -243,7 +238,7 @@ pub fn exhausted_start_divergence(
 /// Complete-vs-Complete pairs are compared — warm stores legitimately
 /// move budget verdicts (fewer steps to the same fixpoint). `None` for
 /// scenarios without an edit script.
-pub fn incremental_divergence(scenario: &Scenario) -> Option<String> {
+pub(crate) fn incremental_divergence(scenario: &Scenario) -> Option<String> {
     if scenario.deltas.is_empty() {
         return None;
     }

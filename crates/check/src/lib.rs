@@ -9,11 +9,11 @@
 //! 2. [`andersen_check`] — every completed demand answer must be a subset
 //!    of the Andersen whole-program solution on the same PAG; the size
 //!    gap is the demand analysis' precision.
-//! 3. [`fuzz`] — a seeded scenario fuzzer driving the simulated backend
-//!    through perturbed interleavings (and the threaded backend through
-//!    real ones), differential-checking every run; failures are shrunk
-//!    ([`mod@shrink`]) to minimal counterexamples and serialised
-//!    ([`snapshot`]) for the regression corpus in `tests/corpus/`.
+//! 3. [`run_fuzz`] — a seeded scenario fuzzer driving the simulated
+//!    backend through perturbed interleavings (and the threaded backend
+//!    through real ones), differential-checking every run; failures are
+//!    shrunk to minimal counterexamples and serialised as a [`Scenario`]
+//!    for the regression corpus in `tests/corpus/`.
 //!
 //! Exposed to users as `parcfl check` (see `parcfl check --help`).
 
@@ -22,21 +22,17 @@
 
 pub mod andersen_check;
 pub mod diff;
-pub mod fuzz;
-pub mod inject;
+mod fuzz;
+mod inject;
 pub mod oracle;
 pub mod seed;
-pub mod shrink;
-pub mod snapshot;
+mod shrink;
+mod snapshot;
 
-pub use andersen_check::{check_soundness, check_soundness_against, SoundnessReport};
-pub use diff::{diff_answers, with_big_stack, DiffReport, Mismatch, OracleCache};
-pub use fuzz::{
-    failure_detail, incremental_divergence, run_fuzz, scenario_fails, FuzzConfig, FuzzFailure,
-    FuzzReport,
-};
+pub use andersen_check::check_soundness;
+pub use diff::{diff_answers, with_big_stack, OracleCache};
+pub use fuzz::{failure_detail, run_fuzz, scenario_fails, FuzzConfig, FuzzFailure, FuzzReport};
 pub use inject::{Fault, SimPerturb};
-pub use oracle::{IncompleteReason, Oracle, OracleAnswer, OracleConfig};
-pub use seed::{test_seed, DEFAULT_SEED, SEED_ENV};
-pub use shrink::{shrink, ShrinkStats};
+pub use oracle::{Oracle, OracleConfig};
+pub use seed::test_seed;
 pub use snapshot::Scenario;

@@ -34,10 +34,10 @@ use std::sync::Arc;
 
 /// A call string, innermost call site last (same convention as
 /// `parcfl_core::Ctx`).
-pub type OCtx = Vec<u32>;
+pub(crate) type OCtx = Vec<u32>;
 
 /// A `(node, call string)` traversal state.
-pub type OState = (NodeId, OCtx);
+pub(crate) type OState = (NodeId, OCtx);
 
 /// Why the oracle abandoned a query.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -131,11 +131,6 @@ pub struct Oracle<'a> {
 }
 
 impl<'a> Oracle<'a> {
-    /// Creates an oracle over `pag` with default configuration.
-    pub fn new(pag: &'a Pag) -> Self {
-        Oracle::with_config(pag, OracleConfig::default())
-    }
-
     /// Creates an oracle over `pag` with the given configuration.
     pub fn with_config(pag: &'a Pag, cfg: OracleConfig) -> Self {
         Oracle {
@@ -161,7 +156,7 @@ impl<'a> Oracle<'a> {
     /// The mutual recursion can nest up to `max_recursion_depth` levels of
     /// native stack frames — call from a thread with a generous stack (see
     /// [`crate::diff::with_big_stack`]).
-    pub fn points_to(&mut self, l: NodeId) -> OracleAnswer {
+    pub(crate) fn points_to(&mut self, l: NodeId) -> OracleAnswer {
         self.reset_query();
         let set = self.pts(l, Vec::new());
         self.answer(set)

@@ -7,13 +7,13 @@
 //! the seed.
 
 /// Environment variable overriding the base test seed.
-pub const SEED_ENV: &str = "PARCFL_TEST_SEED";
+pub(crate) const SEED_ENV: &str = "PARCFL_TEST_SEED";
 
 /// Fixed fallback seed used when [`SEED_ENV`] is unset or unparsable.
-pub const DEFAULT_SEED: u64 = 0xC0FFEE;
+pub(crate) const DEFAULT_SEED: u64 = 0xC0FFEE;
 
 /// The base seed for randomized tests: `PARCFL_TEST_SEED` if set (decimal
-/// or `0x`-prefixed hex), else [`DEFAULT_SEED`].
+/// or `0x`-prefixed hex), else `0xC0FFEE`.
 pub fn test_seed() -> u64 {
     match std::env::var(SEED_ENV) {
         Ok(v) => parse_seed(&v).unwrap_or(DEFAULT_SEED),

@@ -83,7 +83,10 @@ pub struct ShrinkStats {
 /// candidate. `scenario` itself must fail (debug-asserted); the result is
 /// 1-minimal: removing any single remaining edge or query makes the
 /// failure disappear (or flake).
-pub fn shrink(scenario: Scenario, fails: &dyn Fn(&Scenario) -> bool) -> (Scenario, ShrinkStats) {
+pub(crate) fn shrink(
+    scenario: Scenario,
+    fails: &dyn Fn(&Scenario) -> bool,
+) -> (Scenario, ShrinkStats) {
     let mut stats = ShrinkStats {
         edges: (scenario.pag.edge_count(), scenario.pag.edge_count()),
         queries: (scenario.queries.len(), scenario.queries.len()),

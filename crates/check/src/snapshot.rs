@@ -87,7 +87,7 @@ pub struct Scenario {
     /// no answer or deterministic counter.
     pub trace_level: TraceLevel,
     /// Mutate-then-requery edit script. Empty means a plain one-shot
-    /// run; non-empty routes [`Self::run`] through an analysis session
+    /// run; non-empty routes the run through an analysis session
     /// that answers cold, applies each op as its own delta (selective
     /// invalidation of jmp/answer state) and re-queries warm.
     pub deltas: Vec<DeltaOp>,
@@ -97,7 +97,7 @@ pub struct Scenario {
 
 impl Scenario {
     /// The run configuration this scenario describes.
-    pub fn run_config(&self) -> RunConfig {
+    pub(crate) fn run_config(&self) -> RunConfig {
         RunConfig::new(self.mode, self.threads, self.backend)
             .with_solver(self.solver.clone())
             .with_tracing(self.trace_level)
@@ -106,14 +106,14 @@ impl Scenario {
     /// Replays the scenario once and returns the answers. Scenarios
     /// with an edit script return the final warm re-query result (see
     /// [`Self::run_incremental`]).
-    pub fn run(&self) -> RunResult {
+    pub(crate) fn run(&self) -> RunResult {
         self.run_on(&SharedJmpStore::new())
     }
 
     /// [`Self::run`] on the caller's `store`, so a check can read what the
     /// run left there. A sharing mode fills it; a scenario with an edit
     /// script runs through a session of its own and leaves it empty.
-    pub fn run_on(&self, store: &SharedJmpStore) -> RunResult {
+    pub(crate) fn run_on(&self, store: &SharedJmpStore) -> RunResult {
         if !self.deltas.is_empty() {
             return self.run_incremental().0;
         }
@@ -139,7 +139,7 @@ impl Scenario {
     /// warm result, the edited graph, and one [`DeltaReport`] per op.
     /// With [`Fault::skip_invalidation`] there is no session and nothing
     /// is invalidated: the same batches run against one store.
-    pub fn run_incremental(&self) -> (RunResult, Pag, Vec<DeltaReport>) {
+    pub(crate) fn run_incremental(&self) -> (RunResult, Pag, Vec<DeltaReport>) {
         if self.fault.skip_invalidation {
             return replay_reusing_store(self);
         }
@@ -164,7 +164,7 @@ impl Scenario {
     /// same edge set, so this equals the one-at-a-time application the
     /// incremental replay performs — it is the graph cold-run oracles
     /// must be consulted against.
-    pub fn final_pag(&self) -> Pag {
+    pub(crate) fn final_pag(&self) -> Pag {
         if self.deltas.is_empty() {
             return self.pag.clone();
         }

@@ -35,12 +35,12 @@ pub type Chunk = [u64; CHUNK_WORDS];
 /// Chunk kernels: straight-line u64×8 block ops with no data-dependent
 /// branches or early exits, so LLVM autovectorises each loop into a single
 /// full-width vector operation per chunk.
-pub mod kernel {
+pub(crate) mod kernel {
     use super::{Chunk, CHUNK_WORDS};
 
     /// `dst |= src`; returns how many bits the union newly set.
     #[inline]
-    pub fn union_into(dst: &mut Chunk, src: &Chunk) -> u32 {
+    pub(crate) fn union_into(dst: &mut Chunk, src: &Chunk) -> u32 {
         let mut added = 0u32;
         for w in 0..CHUNK_WORDS {
             added += (src[w] & !dst[w]).count_ones();
@@ -50,14 +50,14 @@ pub mod kernel {
     }
 
     /// Population count of the whole chunk.
-    #[inline]
-    pub fn count_ones(c: &Chunk) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn count_ones(c: &Chunk) -> u32 {
         c.iter().map(|w| w.count_ones()).sum()
     }
 
     /// `dst = 0` (the retained-capacity clear).
     #[inline]
-    pub fn zero(dst: &mut Chunk) {
+    pub(crate) fn zero(dst: &mut Chunk) {
         dst.fill(0);
     }
 }
@@ -81,14 +81,14 @@ impl ChunkedBitset {
     }
 
     /// Number of ids in the set.
-    #[inline]
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the set is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
@@ -122,7 +122,7 @@ impl ChunkedBitset {
 
     /// Whether `id` is in the set.
     #[inline]
-    pub fn contains(&self, id: u32) -> bool {
+    pub(crate) fn contains(&self, id: u32) -> bool {
         let chunk_idx = id as usize / CHUNK_BITS;
         match self.chunks.get(chunk_idx) {
             Some(Some(chunk)) => {
@@ -147,7 +147,7 @@ impl ChunkedBitset {
         self.len = 0;
     }
 
-    /// Unions `other` into `self` — one [`kernel::union_into`] per
+    /// Unions `other` into `self` — one chunk-wide `|=` kernel per
     /// allocated source chunk.
     pub fn union_with(&mut self, other: &ChunkedBitset) {
         if other.chunks.len() > self.chunks.len() {
@@ -163,7 +163,8 @@ impl ChunkedBitset {
     /// Recounts the members chunk-by-chunk with [`kernel::count_ones`].
     /// Always equals [`ChunkedBitset::len`]; exists so the kernels (and
     /// the incremental `len` bookkeeping) can be cross-checked.
-    pub fn count_ones(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn count_ones(&self) -> usize {
         self.chunks
             .iter()
             .flatten()
@@ -171,22 +172,8 @@ impl ChunkedBitset {
             .sum()
     }
 
-    /// Number of chunk slots (allocated or not) — the iteration bound for
-    /// [`ChunkedBitset::chunk`].
-    #[inline]
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// The `ci`-th chunk, or `None` if that slot was never touched. Chunk
-    /// `ci` covers ids `ci * CHUNK_BITS ..`.
-    #[inline]
-    pub fn chunk(&self, ci: usize) -> Option<&Chunk> {
-        self.chunks.get(ci).and_then(|c| c.as_deref())
-    }
-
     /// Iterates the set ids in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         self.chunks.iter().enumerate().flat_map(|(ci, chunk)| {
             let base = (ci * CHUNK_BITS) as u32;
             chunk
@@ -198,10 +185,11 @@ impl ChunkedBitset {
     }
 
     /// `u64` words currently allocated: the chunks plus one pointer-sized
-    /// directory slot per chunk position, allocated or not (the honest
-    /// memory figure dense state reporting uses; `len()` counts logical
-    /// members instead).
-    pub fn allocated_words(&self) -> u64 {
+    /// directory slot per chunk position, allocated or not (what
+    /// [`DenseVisitSet::approx_words`] counts for a spill; `len()` counts
+    /// logical members instead).
+    #[cfg(test)]
+    pub(crate) fn allocated_words(&self) -> u64 {
         (self.chunks.iter().flatten().count() * CHUNK_WORDS + self.chunks.len()) as u64
     }
 }
@@ -692,20 +680,6 @@ mod tests {
         assert_eq!(u[0], 0b1111);
         kernel::zero(&mut u);
         assert_eq!(u, [0; CHUNK_WORDS]);
-    }
-
-    #[test]
-    fn chunk_accessors_follow_allocation() {
-        let mut a = ChunkedBitset::new();
-        for i in [3u32, 511, 512, 1999] {
-            a.insert(i);
-        }
-        assert_eq!(a.chunk_count(), 4);
-        assert_eq!(kernel::count_ones(a.chunk(0).unwrap()), 2);
-        assert!(a.chunk(2).is_none(), "untouched slot stays unallocated");
-        assert!(a.chunk(4).is_none(), "past the directory");
-        a.clear();
-        assert_eq!(a.chunk(0), Some(&[0; CHUNK_WORDS]), "cleared, still held");
     }
 
     /// Deterministic model test: a cheap LCG drives interleaved

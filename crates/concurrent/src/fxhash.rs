@@ -76,7 +76,7 @@ impl Hasher for FxHasher {
 }
 
 /// Hashes a single value with FxHash (convenience for shard selection).
-pub fn fx_hash_one<T: std::hash::Hash>(value: &T) -> u64 {
+pub(crate) fn fx_hash_one<T: std::hash::Hash>(value: &T) -> u64 {
     let mut h = FxHasher::default();
     value.hash(&mut h);
     h.finish()

@@ -176,16 +176,6 @@ impl CtxInterner {
         }
     }
 
-    /// Stack depth of `id` (walks the parent chain).
-    pub fn depth(&self, mut id: CtxId) -> usize {
-        let mut d = 0;
-        while !id.is_empty() {
-            id = self.parent(id);
-            d += 1;
-        }
-        d
-    }
-
     /// Materialises `id` as a call-site stack in bottom-to-top order.
     pub fn stack_of(&self, mut id: CtxId) -> Vec<u32> {
         let mut out = Vec::new();
@@ -379,7 +369,7 @@ mod tests {
             CtxId::EMPTY,
             "pop of empty is empty"
         );
-        assert_eq!(t.depth(CtxId::EMPTY), 0);
+        assert_eq!(t.stack_of(CtxId::EMPTY).len(), 0);
         assert!(t.stack_of(CtxId::EMPTY).is_empty());
         assert_eq!(t.len(), 1, "the empty context is always resident");
     }
@@ -389,7 +379,7 @@ mod tests {
         let t = CtxInterner::new();
         let c1 = t.intern(CtxId::EMPTY, 3);
         let c2 = t.intern(c1, 7);
-        assert_eq!(t.depth(c2), 2);
+        assert_eq!(t.stack_of(c2).len(), 2);
         assert_eq!(t.top(c2), Some(7));
         assert_eq!(t.parent(c2), c1);
         assert_eq!(t.parent(c1), CtxId::EMPTY);
@@ -422,7 +412,7 @@ mod tests {
         for i in 0..n {
             c = t.intern(c, i);
         }
-        assert_eq!(t.depth(c), n as usize);
+        assert_eq!(t.stack_of(c).len(), n as usize);
         assert_eq!(t.top(c), Some(n - 1));
         let stack = t.stack_of(c);
         assert_eq!(stack.len(), n as usize);

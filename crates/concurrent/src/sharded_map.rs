@@ -117,11 +117,6 @@ impl<K: Eq + Hash, V> ShardedMap<K, V> {
         removed
     }
 
-    /// Number of shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Visits every entry under per-shard read locks.
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
         for s in &self.shards {
@@ -250,7 +245,7 @@ mod tests {
         for i in 0..64 {
             m.insert(i, i * 3);
         }
-        assert_eq!(m.shard_count(), 8);
+        assert_eq!(m.shards.len(), 8);
         let mut seen = Vec::new();
         m.for_each(|k, v| {
             assert_eq!(*v, *k * 3);

@@ -61,7 +61,7 @@ pub struct SharedWorkList<T> {
 
 impl<T> SharedWorkList<T> {
     /// Creates an empty work list.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SharedWorkList {
             queue: Mutex::new(VecDeque::new()),
         }
@@ -72,11 +72,6 @@ impl<T> SharedWorkList<T> {
         SharedWorkList {
             queue: Mutex::new(items.into_iter().collect()),
         }
-    }
-
-    /// Appends an item at the back.
-    pub fn push(&self, item: T) {
-        self.queue.lock().push_back(item);
     }
 
     /// Fetches the next item, or `None` when the list is (momentarily)
@@ -93,16 +88,6 @@ impl<T> SharedWorkList<T> {
         let mut q = self.queue.lock();
         let wait = t0.elapsed().as_nanos() as u64;
         (q.pop_front(), wait)
-    }
-
-    /// Number of queued items.
-    pub fn len(&self) -> usize {
-        self.queue.lock().len()
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.queue.lock().is_empty()
     }
 }
 
@@ -141,12 +126,9 @@ mod tests {
     fn fifo_order() {
         let w = SharedWorkList::with_items([1, 2, 3]);
         assert_eq!(w.pop(), Some(1));
-        w.push(4);
         assert_eq!(w.pop(), Some(2));
         assert_eq!(w.pop(), Some(3));
-        assert_eq!(w.pop(), Some(4));
         assert_eq!(w.pop(), None);
-        assert!(w.is_empty());
     }
 
     #[test]

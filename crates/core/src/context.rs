@@ -19,7 +19,7 @@
 //! §8).
 
 use parcfl_concurrent::{CtxId, CtxInterner};
-use parcfl_pag::{CallSiteId, NodeId};
+use parcfl_pag::NodeId;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -41,38 +41,6 @@ impl Ctx {
         Ctx(None)
     }
 
-    /// Whether the stack is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.0.is_none()
-    }
-
-    /// The topmost call site, if any.
-    #[inline]
-    pub fn top(&self) -> Option<CallSiteId> {
-        self.as_slice().last().map(|&i| CallSiteId::new(i))
-    }
-
-    /// Stack depth.
-    #[inline]
-    pub fn depth(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// Returns a context with `site` pushed on top.
-    #[must_use]
-    pub fn push(&self, site: CallSiteId) -> Ctx {
-        Ctx::from_stack([self.as_slice(), &[site.raw()]].concat())
-    }
-
-    /// Returns a context with the top removed. Popping the empty context
-    /// yields the empty context (callers guard with [`Ctx::top`] first).
-    #[must_use]
-    pub fn pop(&self) -> Ctx {
-        let s = self.as_slice();
-        Ctx::from_stack(s[..s.len().saturating_sub(1)].to_vec())
-    }
-
     /// Builds a context from a bottom-to-top call-site stack.
     pub fn from_stack(stack: Vec<u32>) -> Ctx {
         Ctx((!stack.is_empty()).then(|| Arc::new(stack.into_boxed_slice())))
@@ -82,11 +50,6 @@ impl Ctx {
     #[inline]
     pub fn as_slice(&self) -> &[u32] {
         self.0.as_ref().map_or(&[], |s| &s[..])
-    }
-
-    /// Interns this call string into `interner`, returning its `Copy` id.
-    pub fn intern(&self, interner: &CtxInterner) -> CtxId {
-        interner.intern_stack(self.as_slice())
     }
 
     /// Materialises an interned id back into an owned call string.
@@ -146,43 +109,42 @@ mod tests {
 
     #[test]
     fn push_pop_top() {
-        let c = Ctx::empty();
-        assert!(c.is_empty());
-        assert_eq!(c.top(), None);
-        let c1 = c.push(CallSiteId::new(3));
-        let c2 = c1.push(CallSiteId::new(7));
-        assert_eq!(c2.depth(), 2);
-        assert_eq!(c2.top(), Some(CallSiteId::new(7)));
-        assert_eq!(c2.pop(), c1);
-        assert_eq!(c1.pop(), c);
-        assert_eq!(c.pop(), c, "popping empty stays empty");
-        // push is persistent: c1 unchanged.
-        assert_eq!(c1.depth(), 1);
+        // A lane pushes and pops interned ids and materialises the result.
+        let t = CtxInterner::new();
+        let c1 = t.intern(CtxId::EMPTY, 3);
+        let c2 = t.intern(c1, 7);
+        let at = |id| Ctx::materialize(&t, id);
+        assert_eq!(at(c2).as_slice(), &[3, 7]);
+        assert_eq!(t.top(c2), Some(7));
+        assert_eq!(at(t.parent(c2)), at(c1));
+        assert_eq!(at(t.parent(c1)), Ctx::empty());
+        assert_eq!(
+            at(c1).as_slice(),
+            &[3],
+            "a push leaves its parent as it was"
+        );
     }
 
     #[test]
     fn backward_param_matching() {
-        let i = CallSiteId::new(5);
-        let j = CallSiteId::new(6);
-        let empty = Ctx::empty();
+        let t = CtxInterner::new();
+        let (i, j) = (5, 6);
         // What a backward `param_i` step reads (the solver's `Pop`): an
         // empty context has no top to match and stays empty (partially
         // balanced paths are allowed) …
-        assert_eq!(empty.top(), None);
-        assert_eq!(empty.pop(), empty);
+        assert_eq!(t.top(CtxId::EMPTY), None);
+        assert_eq!(t.parent(CtxId::EMPTY), CtxId::EMPTY);
         // … a top equal to the edge's site is popped, any other top makes
         // the path unrealisable.
-        let c = empty.push(i);
-        assert_eq!(c.top(), Some(i));
-        assert_eq!(c.pop(), empty);
-        assert_ne!(c.top(), Some(j), "mismatched site is unrealisable");
+        let c = t.intern(CtxId::EMPTY, i);
+        assert_eq!(t.top(c), Some(i));
+        assert_eq!(t.parent(c), CtxId::EMPTY);
+        assert_ne!(t.top(c), Some(j), "mismatched site is unrealisable");
     }
 
     #[test]
     fn display_and_order() {
-        let c = Ctx::empty()
-            .push(CallSiteId::new(1))
-            .push(CallSiteId::new(2));
+        let c = Ctx::from_stack(vec![1, 2]);
         assert_eq!(c.to_string(), "[1,2]");
         assert_eq!(Ctx::empty().to_string(), "[]");
         assert!(Ctx::empty() < c);
@@ -191,25 +153,21 @@ mod tests {
     #[test]
     fn intern_materialize_roundtrip() {
         let t = CtxInterner::new();
-        let c = Ctx::empty()
-            .push(CallSiteId::new(4))
-            .push(CallSiteId::new(9));
-        let id = c.intern(&t);
+        let c = Ctx::from_stack(vec![4, 9]);
+        let id = t.intern_stack(c.as_slice());
         assert_eq!(Ctx::materialize(&t, id), c);
-        assert_eq!(Ctx::empty().intern(&t), CtxId::EMPTY);
         assert_eq!(Ctx::materialize(&t, CtxId::EMPTY), Ctx::empty());
-        // Interned push/pop agree with materialised push/pop.
-        assert_eq!(t.parent(id), c.pop().intern(&t));
+        // The interned pop agrees with the call string's.
+        assert_eq!(t.parent(id), t.intern_stack(&[4]));
         assert_eq!(t.top(id), Some(9));
-        assert_eq!(Ctx::from_stack(vec![4, 9]), c);
         assert_eq!(c.as_slice(), &[4, 9]);
     }
 
     #[test]
     fn hash_equality_by_content() {
         use std::collections::HashSet;
-        let a = Ctx::empty().push(CallSiteId::new(1));
-        let b = Ctx::empty().push(CallSiteId::new(1));
+        let a = Ctx::from_stack(vec![1]);
+        let b = Ctx::from_stack(vec![1]);
         let mut s = HashSet::new();
         s.insert(a);
         assert!(!s.insert(b), "structurally equal contexts collide");
@@ -230,9 +188,10 @@ mod handle_tests {
         assert_eq!(size_of::<crate::Answer>(), 16);
     }
 
-    /// The context a stack reaches by pushes from `∅`.
+    /// The context a lane materialises for `stack` from its interned id.
     fn pushed(stack: &[u32]) -> Ctx {
-        (stack.iter()).fold(Ctx::empty(), |c, &s| c.push(CallSiteId::new(s)))
+        let t = CtxInterner::new();
+        Ctx::materialize(&t, t.intern_stack(stack))
     }
 
     proptest! {
@@ -258,8 +217,7 @@ mod handle_tests {
             prop_assert_eq!(ca.to_string(), display(&a));
             prop_assert_eq!(format!("{ca:?}"), format!("Ctx {{ stack: {a:?} }}"));
             prop_assert_eq!(format!("{cb:?}"), format!("Ctx {{ stack: {b:?} }}"));
-            prop_assert_eq!(ca.is_empty(), a.is_empty());
-            prop_assert_eq!(ca.pop().as_slice(), &a[..a.len().saturating_sub(1)]);
+            prop_assert_eq!(ca == Ctx::empty(), a.is_empty());
         }
     }
 }
@@ -270,15 +228,11 @@ mod depth_tests {
 
     #[test]
     fn deep_stacks_behave() {
-        let mut c = Ctx::empty();
-        for i in 0..1000 {
-            c = c.push(CallSiteId::new(i));
-        }
-        assert_eq!(c.depth(), 1000);
-        assert_eq!(c.top(), Some(CallSiteId::new(999)));
-        for _ in 0..1000 {
-            c = c.pop();
-        }
-        assert!(c.is_empty());
+        let t = CtxInterner::new();
+        let deep = (0..1000).fold(CtxId::EMPTY, |c, site| t.intern(c, site));
+        let c = Ctx::materialize(&t, deep);
+        assert_eq!(c.as_slice().len(), 1000);
+        assert_eq!(c.as_slice().last(), Some(&999));
+        assert_eq!((0..1000).fold(deep, |c, _| t.parent(c)), CtxId::EMPTY);
     }
 }

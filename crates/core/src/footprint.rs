@@ -80,19 +80,10 @@ impl Footprint {
     }
 
     /// Nodes recorded (distinct count).
-    pub fn node_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn node_count(&self) -> usize {
         let words = self.nodes().iter().flat_map(|b| b.words);
         words.map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Whether `n` is in the recorded node set.
-    pub fn touches_node(&self, n: NodeId) -> bool {
-        blocks_meet(self.nodes(), &[n.raw()])
-    }
-
-    /// Whether `f` is in the recorded field set.
-    pub fn touches_field(&self, f: FieldId) -> bool {
-        blocks_meet(self.fields(), &[f.raw()])
     }
 
     /// The `u64` words the stored sets hold.
@@ -329,13 +320,6 @@ fn sorted(ids: impl Iterator<Item = u32>) -> Vec<u32> {
     ids
 }
 
-/// Puts `id` into the sorted, duplicate-free `ids`.
-fn insert_sorted(ids: &mut Vec<u32>, id: u32) {
-    if let Err(at) = ids.binary_search(&id) {
-        ids.insert(at, id);
-    }
-}
-
 impl DirtySet {
     /// Builds the dirty set of an applied delta's *effective* changes:
     /// both endpoints of every added/removed edge, plus the fields of
@@ -345,26 +329,6 @@ impl DirtySet {
             nodes: sorted(effect.dirty_nodes().map(NodeId::raw)),
             fields: sorted(effect.dirty_fields().map(FieldId::raw)),
         }
-    }
-
-    /// Whether nothing is dirty (a no-op delta).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty() && self.fields.is_empty()
-    }
-
-    /// Marks a node dirty directly (tests and synthetic invalidation).
-    pub fn insert_node(&mut self, n: NodeId) {
-        insert_sorted(&mut self.nodes, n.raw());
-    }
-
-    /// Marks a field dirty directly.
-    pub fn insert_field(&mut self, f: FieldId) {
-        insert_sorted(&mut self.fields, f.raw());
-    }
-
-    /// Distinct dirty nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 }
 
@@ -376,6 +340,15 @@ pub(crate) fn reading(nodes: &[u32], fields: &[u32]) -> Arc<Footprint> {
     nodes.iter().for_each(|&n| log.node(NodeId::new(n)));
     fields.iter().for_each(|&f| log.field(FieldId::new(f)));
     log.finish().expect("nothing poisons a plain read")
+}
+
+/// The dirty set of exactly `nodes` and `fields`.
+#[cfg(test)]
+pub(crate) fn dirtying(nodes: &[u32], fields: &[u32]) -> DirtySet {
+    DirtySet {
+        nodes: sorted(nodes.iter().copied()),
+        fields: sorted(fields.iter().copied()),
+    }
 }
 
 #[cfg(test)]
@@ -390,24 +363,18 @@ mod tests {
     #[test]
     fn disjoint_footprint_survives_overlapping_does_not() {
         let f = fp(&[1, 2, 700], &[3]);
-        let mut clean = DirtySet::default();
-        clean.insert_node(NodeId::new(5));
-        clean.insert_field(FieldId::new(9));
+        let clean = dirtying(&[5], &[9]);
         assert!(!f.intersects(&clean), "disjoint in both dimensions");
-        let mut node_hit = clean.clone();
-        node_hit.insert_node(NodeId::new(700));
+        let node_hit = dirtying(&[5, 700], &[9]);
         assert!(f.intersects(&node_hit), "node overlap in a later chunk");
-        let mut field_hit = clean;
-        field_hit.insert_field(FieldId::new(3));
+        let field_hit = dirtying(&[5], &[3, 9]);
         assert!(f.intersects(&field_hit), "field overlap alone suffices");
     }
 
     #[test]
     fn empty_dirty_set_never_invalidates() {
         let f = fp(&[0, 1, 2], &[0]);
-        let d = DirtySet::default();
-        assert!(d.is_empty());
-        assert!(!f.intersects(&d));
+        assert!(!f.intersects(&DirtySet::default()));
     }
 
     /// The reference the log is held to: a frame's footprint is the set
@@ -596,18 +563,18 @@ mod tests {
                     continue;
                 };
                 for _ in 0..4 {
-                    let (mut dirty, mut read) = (DirtySet::default(), false);
+                    let (mut nodes, mut fields, mut read) = (vec![], vec![], false);
                     for _ in 0..rng.below(6) {
                         let n = rng.id_near(&want.nodes);
-                        dirty.insert_node(NodeId::new(n));
+                        nodes.push(n);
                         read |= want.nodes.contains(&n);
                     }
                     for _ in 0..rng.below(3) {
                         let f = rng.id_near(&want.fields);
-                        dirty.insert_field(FieldId::new(f));
+                        fields.push(f);
                         read |= want.fields.contains(&f);
                     }
-                    assert_eq!(got.intersects(&dirty), read);
+                    assert_eq!(got.intersects(&dirtying(&nodes, &fields)), read);
                     met += usize::from(read);
                 }
                 kept += 1;
@@ -637,9 +604,9 @@ mod tests {
         log.field(FieldId::new(1_000_000));
         let whole = log.finish().unwrap();
         assert_eq!(whole.node_count(), 3);
-        assert!(whole.touches_node(NodeId::new(1_000_000)));
-        assert!(whole.touches_field(FieldId::new(1_000_000)));
-        assert!(!whole.touches_field(FieldId::new(1)));
+        assert!(whole.intersects(&dirtying(&[1_000_000], &[])));
+        assert!(whole.intersects(&dirtying(&[], &[1_000_000])));
+        assert!(!whole.intersects(&dirtying(&[], &[1])));
         assert!(whole.words() <= 3 * CHUNK_WORDS, "{} words", whole.words());
     }
 
@@ -725,7 +692,7 @@ mod tests {
         assert!(Arc::ptr_eq(&log.absorbed[0], &child));
         let parent = log.close(outer, true).unwrap();
         assert_eq!(parent.node_count(), 11);
-        assert!(parent.touches_field(FieldId::new(3)));
+        assert!(parent.intersects(&dirtying(&[], &[3])));
         assert_eq!(
             log.absorbed.len(),
             1,
@@ -770,7 +737,7 @@ mod tests {
             rejected_ops: 0,
         };
         let d = DirtySet::from_effect(&effect);
-        assert_eq!(d.node_count(), 4);
+        assert_eq!(d.nodes.len(), 4);
         assert!(fp(&[9], &[]).intersects(&d));
         assert!(fp(&[600], &[]).intersects(&d));
         assert!(fp(&[], &[1]).intersects(&d), "field-only reader is dirty");

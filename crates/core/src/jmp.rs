@@ -99,13 +99,13 @@ impl JmpEntry {
     }
 
     /// Whether this is a finished (complete-result) entry.
-    pub fn is_finished(&self) -> bool {
+    pub(crate) fn is_finished(&self) -> bool {
         matches!(self, JmpEntry::Finished { .. })
     }
 
     /// The steps figure of the entry: recomputation cost for finished,
     /// the early-termination bound `s` for unfinished.
-    pub fn steps(&self) -> u64 {
+    pub(crate) fn steps(&self) -> u64 {
         match self {
             JmpEntry::Finished { total_steps, .. } => *total_steps,
             JmpEntry::Unfinished { s, .. } => *s,
@@ -115,7 +115,7 @@ impl JmpEntry {
     /// The jmp edges the entry records, as Table I's `#Jumps`, Fig. 7 and
     /// `jmp_inserts` count them: one per pair of a finished set (at least
     /// one), and one for an unfinished entry.
-    pub fn edges(&self) -> u64 {
+    pub(crate) fn edges(&self) -> u64 {
         match self {
             JmpEntry::Finished { rch, .. } => Self::set_edges(rch.len()),
             JmpEntry::Unfinished { .. } => 1,
@@ -133,23 +133,18 @@ impl JmpEntry {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct JmpStoreStats {
     /// Number of finished entries (recorded `ReachableNodes` results).
-    pub finished_entries: usize,
+    pub(crate) finished_entries: usize,
     /// Number of individual finished jmp edges (the sum of
     /// [`JmpEntry::edges`]) — Table I's `#Jumps` counts edges.
-    pub finished_edges: usize,
+    pub(crate) finished_edges: usize,
     /// Number of unfinished entries/edges.
-    pub unfinished: usize,
+    pub(crate) unfinished: usize,
 }
 
 impl JmpStoreStats {
     /// Total jmp edges (`#Jumps` in Table I).
     pub fn total_edges(&self) -> usize {
         self.finished_edges + self.unfinished
-    }
-
-    /// Entries currently resident.
-    pub fn entries(&self) -> usize {
-        self.finished_entries + self.unfinished
     }
 }
 
@@ -602,7 +597,6 @@ mod tests {
         assert_eq!(st.finished_edges, 1);
         assert_eq!(st.unfinished, 0);
         assert_eq!(st.total_edges(), 1);
-        assert_eq!(st.entries(), 1);
         assert!(s.approx_bytes() > 0);
         assert_eq!(s.entry_count(), 1);
     }
@@ -716,7 +710,7 @@ mod tests {
 
     #[test]
     fn footprints_round_trip_and_gate_invalidation() {
-        use crate::footprint::{reading, DirtySet};
+        use crate::footprint::{dirtying, reading};
         let s = SharedJmpStore::new();
         let fp = Some(reading(&[42], &[]));
         assert!(s.publish_finished(key(1), 100, Arc::new(vec![]), 0, fp));
@@ -724,12 +718,11 @@ mod tests {
         assert!(publish(&s, 2, 100));
         assert!(s.publish_unfinished(key(3), 10_000, 0));
         let (_, got) = s.lookup(&key(1), 0).unwrap();
-        assert!(got.unwrap().touches_node(NodeId::new(42)));
+        assert!(got.unwrap().intersects(&dirtying(&[42], &[])));
         assert!(s.lookup(&key(2), 0).unwrap().1.is_none());
         // Disjoint dirty set: the footprinted entry survives; the
         // footprint-less and unfinished ones are unconditionally dropped.
-        let mut d = DirtySet::default();
-        d.insert_node(NodeId::new(9));
+        let d = dirtying(&[9], &[]);
         assert_eq!(s.epoch(), 0);
         assert_eq!(s.invalidate_delta(&d), (2, 1));
         assert!(s.lookup(&key(1), 0).is_some());
@@ -739,8 +732,7 @@ mod tests {
         assert_eq!(s.invalidate_delta(&d), (0, 1));
         assert_eq!(s.epoch(), 1);
         // Dirtying a footprinted node takes the survivor too.
-        let mut d2 = DirtySet::default();
-        d2.insert_node(NodeId::new(42));
+        let d2 = dirtying(&[42], &[]);
         assert_eq!(s.invalidate_delta(&d2), (1, 0));
         assert_eq!(s.entry_count(), 0);
         assert_eq!(s.epoch(), 2);

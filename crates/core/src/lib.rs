@@ -6,12 +6,13 @@
 //! paths as `jmp` shortcut edges in a concurrent store so that concurrent
 //! (and subsequent) queries avoid redundant graph traversals.
 //!
-//! * [`solver::Solver`] — Algorithms 1 & 2 (`PointsTo`, `FlowsTo`,
+//! * [`Solver`] — Algorithms 1 & 2 (`PointsTo`, `FlowsTo`,
 //!   `ReachableNodes`);
-//! * [`context::Ctx`] — call-string calling contexts;
+//! * [`Ctx`] — call-string calling contexts;
 //! * [`jmp`] — the shortcut store (finished/unfinished entries, Fig. 3);
-//! * [`config::SolverConfig`] — budget `B`, thresholds `τF`/`τU`, toggles;
-//! * [`stats`] — per-query statistics and the Fig. 7 histogram.
+//! * [`SolverConfig`] — budget `B`, thresholds `τF`/`τU`, toggles;
+//! * [`QueryStats`] and [`JmpHistogram`] — per-query statistics and the
+//!   Fig. 7 histogram.
 //!
 //! ```
 //! use parcfl_core::{Solver, SolverConfig, NoJmpStore};
@@ -30,13 +31,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
+mod config;
 pub mod context;
-pub mod footprint;
+mod footprint;
 pub mod jmp;
-pub mod solver;
-pub mod stats;
-pub mod witness;
+mod solver;
+mod stats;
+mod witness;
 
 pub use config::{SolverConfig, StateBackend};
 pub use context::Ctx;
@@ -45,7 +46,7 @@ pub use jmp::{Dir, JmpEntry, JmpStore, NoJmpStore, SharedJmpStore};
 pub use parcfl_concurrent::{CtxId, CtxInterner};
 pub use solver::{CtxNode, Solver};
 pub use stats::{Answer, AnswerSet, JmpHistogram, QueryOutput, QueryStats};
-pub use witness::{Trace, Via, Witness, WitnessStep};
+pub use witness::{Trace, Witness};
 
 #[cfg(test)]
 mod tests;

@@ -28,8 +28,8 @@ pub struct QueryStats {
     /// Steps saved by taking finished shortcuts (the recorded cost of each
     /// shortcut, which would otherwise have been re-traversed).
     pub steps_saved: u64,
-    /// Finished jmp *edges* this query published (sum of
-    /// [`JmpEntry::edges`](crate::JmpEntry::edges)).
+    /// Finished jmp *edges* this query published (one per pair of each
+    /// finished set, at least one per set).
     pub finished_published: u64,
     /// Unfinished jmp edges this query published.
     pub unfinished_published: u64,
@@ -160,7 +160,7 @@ pub struct JmpHistogram {
 
 impl JmpHistogram {
     /// Bucket index for a step count: `floor(log2(s))` clamped to `0..=17`.
-    pub fn bucket(s: u64) -> usize {
+    pub(crate) fn bucket(s: u64) -> usize {
         if s == 0 {
             0
         } else {
@@ -169,7 +169,8 @@ impl JmpHistogram {
     }
 
     /// Builds the histogram from a store's current contents: each entry
-    /// contributes its [`JmpEntry::edges`](crate::JmpEntry::edges) at its steps figure.
+    /// contributes its jmp edges (one per pair of a finished set, at least
+    /// one; one for an unfinished entry) at its steps figure.
     pub fn of(store: &SharedJmpStore) -> Self {
         let mut h = JmpHistogram::default();
         store.for_each(|_, e| {
@@ -234,10 +235,7 @@ mod tests {
         let a = Answer::Complete(
             vec![
                 (NodeId::new(3), Ctx::empty()),
-                (
-                    NodeId::new(1),
-                    Ctx::empty().push(parcfl_pag::CallSiteId::new(0)),
-                ),
+                (NodeId::new(1), Ctx::from_stack(vec![0])),
                 (NodeId::new(1), Ctx::empty()),
             ]
             .into(),
@@ -249,7 +247,7 @@ mod tests {
 
     #[test]
     fn answer_set_remove_copies_on_write() {
-        let c = Ctx::empty().push(parcfl_pag::CallSiteId::new(2));
+        let c = Ctx::from_stack(vec![2]);
         let v = vec![(NodeId::new(1), Ctx::empty()), (NodeId::new(4), c.clone())];
         let mut set = AnswerSet::from(v.clone());
         let other = set.clone();

@@ -17,7 +17,7 @@ use parcfl_pag::{NodeId, Pag};
 
 /// How one traversal state was reached from its parent.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Via {
+pub(crate) enum Via {
     /// The root of the query.
     Root,
     /// A direct PAG edge (label as rendered by `EdgeKind::label`).
@@ -55,13 +55,13 @@ pub struct Trace {
 
 /// One step of a reconstructed witness path.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WitnessStep {
+pub(crate) struct WitnessStep {
     /// The traversal state.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Its calling context.
-    pub ctx: Ctx,
+    pub(crate) ctx: Ctx,
     /// How the *next* step (towards the object) is reached.
-    pub via: Via,
+    pub(crate) via: Via,
 }
 
 /// A witness: the chain of states from the queried variable (first entry)
@@ -69,7 +69,7 @@ pub struct WitnessStep {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Witness {
     /// Steps from query root to the object.
-    pub steps: Vec<WitnessStep>,
+    pub(crate) steps: Vec<WitnessStep>,
 }
 
 impl Witness {
@@ -84,16 +84,6 @@ impl Witness {
             out.push_str(&format!("[{}]", s.via));
         }
         out
-    }
-
-    /// Number of hops.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// A witness always has at least the root and the object.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
     }
 }
 

@@ -14,16 +14,12 @@ use std::ops::Range;
 
 /// A dense method index across the whole program.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct MethodIdx(pub u32);
+pub(crate) struct MethodIdx(pub u32);
 
 /// The program-wide method table plus the CHA call graph.
-pub struct CallGraph {
+pub(crate) struct CallGraph {
     /// `(class index, method index within class)` for each dense method.
-    pub methods: Vec<(usize, usize)>,
-    /// Dense index of each class's first method, and the method count.
-    class_start: Vec<u32>,
-    /// Successor methods (call targets) per method, deduplicated.
-    pub callees: Vec<Vec<MethodIdx>>,
+    pub(crate) methods: Vec<(usize, usize)>,
     /// Per call statement — program order: methods in dense order, each
     /// body in statement order — its targets as a range of `targets`.
     calls: Vec<Range<u32>>,
@@ -37,9 +33,10 @@ impl CallGraph {
     /// target cannot be resolved are skipped (they contribute no edges);
     /// `warnings` records them. CHA dispatch runs once per (declared
     /// class, method name).
-    pub fn build(h: &Hierarchy<'_>, warnings: &mut Vec<String>) -> CallGraph {
+    pub(crate) fn build(h: &Hierarchy<'_>, warnings: &mut Vec<String>) -> CallGraph {
         let classes = &h.program.classes;
         let mut methods = Vec::new();
+        // Dense index of each class's first method, and the method count.
         let mut class_start = Vec::with_capacity(classes.len() + 1);
         for (ci, c) in classes.iter().enumerate() {
             class_start.push(methods.len() as u32);
@@ -52,6 +49,7 @@ impl CallGraph {
         let mut resolved = HashMap::new();
         // The caller's variables: name → type of its first declaration.
         let mut declared: HashMap<&str, &TypeRef> = HashMap::new();
+        // Successor methods (call targets) per method, deduplicated.
         let mut callees: Vec<Vec<MethodIdx>> = vec![Vec::new(); methods.len()];
         for (&(ci, mi), out) in methods.iter().zip(&mut callees) {
             let method = &classes[ci].methods[mi];
@@ -124,8 +122,6 @@ impl CallGraph {
         let scc = tarjan_scc(n, |v| callees[v].iter().map(|m| m.0 as usize));
         CallGraph {
             methods,
-            class_start,
-            callees,
             calls,
             targets,
             scc,
@@ -133,29 +129,19 @@ impl CallGraph {
     }
 
     /// Number of methods.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.methods.len()
-    }
-
-    /// Whether there are no methods.
-    pub fn is_empty(&self) -> bool {
-        self.methods.is_empty()
     }
 
     /// Whether a call from `caller` to `callee` is recursive (both in the
     /// same call-graph SCC). Self-calls are trivially recursive.
-    pub fn is_recursive_call(&self, caller: MethodIdx, callee: MethodIdx) -> bool {
+    pub(crate) fn is_recursive_call(&self, caller: MethodIdx, callee: MethodIdx) -> bool {
         self.scc.component_of(caller.0 as usize) == self.scc.component_of(callee.0 as usize)
-    }
-
-    /// Dense index for a `(class, method)` pair.
-    pub fn method_idx(&self, class: usize, method: usize) -> MethodIdx {
-        MethodIdx(self.class_start[class] + method as u32)
     }
 
     /// The resolved targets of the `call`-th call statement (counted in
     /// program order); empty if it did not resolve.
-    pub fn call_targets(&self, call: usize) -> &[MethodIdx] {
+    pub(crate) fn call_targets(&self, call: usize) -> &[MethodIdx] {
         let range = &self.calls[call];
         &self.targets[range.start as usize..range.end as usize]
     }
@@ -182,9 +168,8 @@ mod tests {
              class C extends B { method f() { } }",
         );
         assert!(w.is_empty());
-        let am = cg.method_idx(0, 0);
-        // A.m can reach B.f and C.f via CHA on declared type B.
-        assert_eq!(cg.callees[am.0 as usize].len(), 2);
+        // A.m's call can reach B.f and C.f via CHA on declared type B.
+        assert_eq!(cg.call_targets(0), &[MethodIdx(1), MethodIdx(2)]);
     }
 
     #[test]
@@ -197,10 +182,7 @@ mod tests {
                method k() { call this.f(); }
              }",
         );
-        let f = cg.method_idx(0, 0);
-        let g = cg.method_idx(0, 1);
-        let hh = cg.method_idx(0, 2);
-        let k = cg.method_idx(0, 3);
+        let [f, g, hh, k] = [0, 1, 2, 3].map(MethodIdx);
         assert!(cg.is_recursive_call(f, g));
         assert!(cg.is_recursive_call(g, f));
         assert!(cg.is_recursive_call(hh, hh)); // self-recursion
@@ -219,8 +201,7 @@ mod tests {
     fn static_call_resolution() {
         let (cg, w) = graph("class A { static method s() { } method m() { call A.s(); } }");
         assert!(w.is_empty());
-        let m = cg.method_idx(0, 1);
-        let s = cg.method_idx(0, 0);
-        assert_eq!(cg.callees[m.0 as usize], vec![s]);
+        // The one call, in A.m, resolves to A.s.
+        assert_eq!(cg.call_targets(0), &[MethodIdx(0)]);
     }
 }

@@ -112,7 +112,7 @@ fn assign_sources(pag: &Pag) -> (Vec<u32>, Vec<u32>) {
         starts[v] += starts[v - 1];
     }
     let mut srcs = Vec::with_capacity(starts[n] as usize);
-    srcs.extend(assigns().map(|e| e.src.0));
+    srcs.extend(assigns().map(|e| e.src.raw()));
     (starts, srcs)
 }
 
@@ -271,7 +271,7 @@ mod tests {
             !incoming_built(&c.pag),
             "the quotient leaves it to its first read"
         );
-        pag.incoming(NodeId(0));
+        pag.incoming(NodeId::new(0));
         assert!(incoming_built(&pag), "the probe sees a built table");
     }
 
@@ -313,7 +313,7 @@ mod tests {
             for v in 0..n {
                 let kind = NodeKind::Local { method: m };
                 let name = format!("n{v}").into();
-                b.add_node(NodeInfo { kind, ty: TypeId(0), name, is_application: v % 2 == 0 });
+                b.add_node(NodeInfo { kind, ty: TypeId::new(0), name, is_application: v % 2 == 0 });
             }
             for &(s, d, k) in &raw {
                 let kind = match k {
@@ -321,7 +321,7 @@ mod tests {
                     1 => EdgeKind::Load(f),
                     _ => EdgeKind::AssignLocal,
                 };
-                b.add_edge(NodeId(s), NodeId(d), kind);
+                b.add_edge(NodeId::new(s), NodeId::new(d), kind);
             }
             let pag = b.freeze();
             let c = collapse_assign_cycles(&pag);

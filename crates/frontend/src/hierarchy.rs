@@ -39,9 +39,9 @@ impl std::error::Error for HierarchyError {}
 
 /// Resolved class hierarchy over a [`Program`].
 #[derive(Debug)]
-pub struct Hierarchy<'p> {
+pub(crate) struct Hierarchy<'p> {
     /// The underlying program.
-    pub program: &'p Program,
+    pub(crate) program: &'p Program,
     by_name: HashMap<&'p str, usize>,
     /// Direct subclasses of each class.
     children: Vec<Vec<usize>>,
@@ -51,7 +51,7 @@ pub struct Hierarchy<'p> {
 
 impl<'p> Hierarchy<'p> {
     /// Builds and validates the hierarchy.
-    pub fn new(program: &'p Program) -> Result<Self, HierarchyError> {
+    pub(crate) fn new(program: &'p Program) -> Result<Self, HierarchyError> {
         let mut by_name = HashMap::new();
         for (i, c) in program.classes.iter().enumerate() {
             if by_name.insert(&*c.name, i).is_some() {
@@ -93,17 +93,17 @@ impl<'p> Hierarchy<'p> {
     }
 
     /// Index of a class by name.
-    pub fn class_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn class_index(&self, name: &str) -> Option<usize> {
         self.by_name.get(name).copied()
     }
 
     /// Direct superclass index.
-    pub fn parent(&self, class: usize) -> Option<usize> {
+    pub(crate) fn parent(&self, class: usize) -> Option<usize> {
         self.parent[class]
     }
 
     /// All subtypes of `class`, including itself (preorder).
-    pub fn subtypes(&self, class: usize) -> Vec<usize> {
+    pub(crate) fn subtypes(&self, class: usize) -> Vec<usize> {
         let mut out = Vec::new();
         let mut stack = vec![class];
         while let Some(c) = stack.pop() {
@@ -113,22 +113,10 @@ impl<'p> Hierarchy<'p> {
         out
     }
 
-    /// Whether `sub` is `sup` or inherits from it.
-    pub fn is_subtype(&self, sub: usize, sup: usize) -> bool {
-        let mut cur = Some(sub);
-        while let Some(c) = cur {
-            if c == sup {
-                return true;
-            }
-            cur = self.parent[c];
-        }
-        false
-    }
-
     /// Resolves the implementation of method `name` seen from `class`,
     /// walking up the superclass chain (Java method inheritance). Returns
     /// `(defining class index, method index within that class)`.
-    pub fn resolve_method(&self, class: usize, name: &str) -> Option<(usize, usize)> {
+    pub(crate) fn resolve_method(&self, class: usize, name: &str) -> Option<(usize, usize)> {
         let mut cur = Some(class);
         while let Some(c) = cur {
             if let Some(mi) = self.program.classes[c]
@@ -147,7 +135,7 @@ impl<'p> Hierarchy<'p> {
     /// where `recv`'s declared type is `decl_class`. Considers every subtype
     /// of the declared type and resolves the method each would execute;
     /// deduplicates the resulting set.
-    pub fn dispatch(&self, decl_class: usize, name: &str) -> Vec<(usize, usize)> {
+    pub(crate) fn dispatch(&self, decl_class: usize, name: &str) -> Vec<(usize, usize)> {
         let mut targets = Vec::new();
         for sub in self.subtypes(decl_class) {
             if let Some(t) = self.resolve_method(sub, name) {
@@ -181,12 +169,10 @@ mod tests {
         let a = h.class_index("A").unwrap();
         let b = h.class_index("B").unwrap();
         let c = h.class_index("C").unwrap();
-        assert!(h.is_subtype(c, a));
-        assert!(h.is_subtype(b, a));
-        assert!(!h.is_subtype(a, b));
         let mut subs = h.subtypes(a);
         subs.sort_unstable();
         assert_eq!(subs, vec![a, b, c]);
+        assert_eq!(h.subtypes(b), vec![b, c]);
         // m is overridden in B: dispatch from A sees both A.m and B.m
         // (C inherits B.m, already in the set).
         let targets = h.dispatch(a, "m");

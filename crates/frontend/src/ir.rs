@@ -266,11 +266,6 @@ pub struct Program {
 }
 
 impl Program {
-    /// Looks up a class by name.
-    pub fn class(&self, name: &str) -> Option<&ClassDecl> {
-        self.classes.iter().find(|c| c.name == name)
-    }
-
     /// Total number of methods.
     pub fn method_count(&self) -> usize {
         self.classes.iter().map(|c| c.methods.len()).sum()
@@ -326,8 +321,6 @@ mod tests {
                 }],
             }],
         };
-        assert!(p.class("A").is_some());
-        assert!(p.class("B").is_none());
         assert_eq!(p.method_count(), 1);
     }
 }

@@ -6,7 +6,7 @@ use std::fmt;
 
 /// A lexical token.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Tok<'src> {
+pub(crate) enum Tok<'src> {
     /// Identifier or keyword candidate.
     Ident(&'src str),
     /// `{`
@@ -59,22 +59,22 @@ impl fmt::Display for Tok<'_> {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Spanned<'src> {
     /// The token.
-    pub tok: Tok<'src>,
+    pub(crate) tok: Tok<'src>,
     /// 1-based source line.
-    pub line: u32,
+    pub(crate) line: u32,
     /// 1-based byte column within the line.
-    pub col: u32,
+    pub(crate) col: u32,
 }
 
 /// A lexing error.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LexError {
     /// 1-based source line of the offending character.
-    pub line: u32,
+    pub(crate) line: u32,
     /// 1-based byte column of the offending character.
-    pub col: u32,
+    pub(crate) col: u32,
     /// The offending character.
-    pub ch: char,
+    pub(crate) ch: char,
 }
 
 impl fmt::Display for LexError {
@@ -181,7 +181,7 @@ impl<'src> Lexer<'src> {
     }
 }
 
-/// Tokenises all of `src`, ending with [`Tok::Eof`].
+/// Tokenises all of `src`, ending with an end-of-input token.
 pub fn lex(src: &str) -> Result<Vec<Spanned<'_>>, LexError> {
     let mut lexer = Lexer::new(src);
     let mut toks = Vec::new();

@@ -3,12 +3,13 @@
 //! The paper analyses Java programs represented by Soot as Pointer
 //! Assignment Graphs. This crate is our substitution for that pipeline: a
 //! typed mini-Java intermediate representation ([`ir`]), a textual `.mj`
-//! format ([`parser`], [`pretty`]), class-hierarchy resolution and CHA
-//! virtual dispatch ([`hierarchy`]), call-graph construction with
-//! recursion-cycle detection ([`callgraph`]), PAG extraction ([`extract()`]),
-//! and points-to cycle elimination ([`cycles`]).
+//! format ([`parse()`], [`pretty`]), class-hierarchy resolution and CHA
+//! virtual dispatch, call-graph construction with recursion-cycle
+//! detection, PAG extraction ([`extract()`]), and points-to cycle
+//! elimination ([`cycles`]).
 //!
-//! The quickest entry points are [`build_pag`] and [`build_pag_collapsed`]:
+//! The quickest entry point is [`build_pag`]; the paper's evaluation then
+//! collapses points-to cycles with [`cycles::collapse_assign_cycles`]:
 //!
 //! ```
 //! let src = "class Obj { }
@@ -20,13 +21,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod callgraph;
+mod callgraph;
 pub mod cycles;
 pub mod extract;
-pub mod hierarchy;
+mod hierarchy;
 pub mod ir;
 pub mod lexer;
-pub mod parser;
+mod parser;
 pub mod pretty;
 
 pub use extract::{extract, ExtractError, Extraction};
@@ -72,14 +73,6 @@ pub fn build_pag(src: &str) -> Result<Extraction, FrontendError> {
     Ok(extract::extract(&program)?)
 }
 
-/// Parses `.mj` source, extracts its PAG, and collapses points-to
-/// (`assign_l`) cycles — the full preprocessing pipeline the paper's
-/// evaluation uses.
-pub fn build_pag_collapsed(src: &str) -> Result<cycles::Collapsed, FrontendError> {
-    let e = build_pag(src)?;
-    Ok(cycles::collapse_assign_cycles(&e.pag))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,7 +82,7 @@ mod tests {
         let src = "class Obj { }
                    class A { method m() { var x: Obj; var y: Obj; x = new Obj; x = y; y = x; } }";
         let e = build_pag(src).unwrap();
-        let c = build_pag_collapsed(src).unwrap();
+        let c = cycles::collapse_assign_cycles(&e.pag);
         assert_eq!(c.merged_nodes, 1);
         assert_eq!(c.pag.node_count(), e.pag.node_count() - 1);
     }

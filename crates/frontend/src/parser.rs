@@ -35,17 +35,17 @@ use std::fmt;
 
 /// The highest array rank a type may have: the JVM's own limit (JVMS
 /// §4.3.2).
-pub const MAX_ARRAY_RANK: usize = 255;
+pub(crate) const MAX_ARRAY_RANK: usize = 255;
 
 /// A parse error with where it happened.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
     /// 1-based source line.
-    pub line: u32,
+    pub(crate) line: u32,
     /// 1-based byte column within the line.
-    pub col: u32,
+    pub(crate) col: u32,
     /// Description of what went wrong.
-    pub msg: String,
+    pub(crate) msg: String,
 }
 
 impl fmt::Display for ParseError {

@@ -233,16 +233,6 @@ impl UnionFind {
         }
     }
 
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// Whether the structure is empty.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
     /// Finds the representative of `x`'s set (with path compression).
     pub fn find(&mut self, x: usize) -> usize {
         let mut root = x;
@@ -374,7 +364,6 @@ mod tests {
         assert!(!uf.same(1, 3));
         uf.union(1, 4);
         assert!(uf.same(0, 3));
-        assert_eq!(uf.len(), 5);
     }
 
     #[test]

@@ -58,12 +58,12 @@ pub enum EdgeClass {
 }
 
 /// Number of [`EdgeClass`] variants (size of the per-node sub-range table).
-pub const EDGE_CLASSES: usize = 7;
+pub(crate) const EDGE_CLASSES: usize = 7;
 
 impl EdgeKind {
     /// The payload-free class of this kind (see [`EdgeClass`]).
     #[inline]
-    pub fn class(self) -> EdgeClass {
+    pub(crate) fn class(self) -> EdgeClass {
         match self {
             EdgeKind::New => EdgeClass::New,
             EdgeKind::AssignLocal => EdgeClass::AssignLocal,

@@ -23,9 +23,6 @@ pub struct PagBuilder {
     call_sites: u32,
     /// The names [`PagBuilder::add_named`] wrote, one after another.
     names: String,
-    /// The text a written name points at until the freeze points it at
-    /// `names`: a per-builder token, never read.
-    pending: Arc<Box<str>>,
 }
 
 /// [`PagBuilder::new`]: the type table predeclares `arr`.
@@ -45,7 +42,6 @@ impl PagBuilder {
             method_names: Vec::new(),
             call_sites: 0,
             names: String::new(),
-            pending: Arc::default(),
         }
     }
 
@@ -78,7 +74,7 @@ impl PagBuilder {
     ) -> NodeId {
         let start = self.names.len();
         write!(self.names, "{name}").expect("writing to a String cannot fail");
-        let name = NodeName::range(&self.pending, start, self.names.len() - start);
+        let name = NodeName::written(start, self.names.len() - start);
         self.add_node(NodeInfo {
             kind,
             ty,
@@ -108,11 +104,6 @@ impl PagBuilder {
         id
     }
 
-    /// Read access to the type table during construction.
-    pub fn types(&self) -> &TypeTable {
-        &self.types
-    }
-
     /// Mutable access to the type table during construction.
     pub fn types_mut(&mut self) -> &mut TypeTable {
         &mut self.types
@@ -123,19 +114,14 @@ impl PagBuilder {
         self.nodes.len()
     }
 
-    /// Number of edges added so far (before dedup).
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Freezes the builder into an immutable [`Pag`], deduplicating edges
     /// and constructing the traversal indexes.
     ///
     /// Both edge arrays are laid out *kind-major* within each node's CSR
     /// range: all `new` edges first, then `assign_l`, and so on in
     /// [`EdgeClass`] order. The per-class boundaries are recorded in a flat
-    /// `n × EDGE_CLASSES + 1` offset table so [`Pag::incoming_kind`] /
-    /// [`Pag::outgoing_kind`] are plain sub-slice reads and the solver's
+    /// `n × EDGE_CLASSES + 1` offset table so [`Pag::incoming_classes`] /
+    /// [`Pag::outgoing_classes`] are plain sub-slice reads and the solver's
     /// dispatch loops never branch on `EdgeKind` per edge. Neither offset
     /// table is built here: each side is built by the graph's first read
     /// of it. Each node's `param` in-edges and `ret` out-edges are also
@@ -148,9 +134,7 @@ impl PagBuilder {
     pub fn freeze(mut self) -> Pag {
         let text = Arc::new(std::mem::take(&mut self.names).into_boxed_str());
         for node in &mut self.nodes {
-            if node.name.is_in(&self.pending) {
-                node.name = node.name.rebased(&text);
-            }
+            node.name.freeze(&text);
         }
         self.nodes.shrink_to_fit();
         self.method_names.shrink_to_fit();
@@ -295,7 +279,7 @@ impl<'e> ClassSlices<'e> {
 
     /// All the node's edges.
     #[inline]
-    pub fn all(self) -> &'e [Edge] {
+    pub(crate) fn all(self) -> &'e [Edge] {
         &self.edges[self.bounds[0] as usize..self.bounds[EDGE_CLASSES] as usize]
     }
 }
@@ -560,13 +544,6 @@ impl Pag {
         self.incoming_classes(n).of(class)
     }
 
-    /// The outgoing edges of `n` whose kind belongs to `class`, as a direct
-    /// sub-slice of [`Pag::outgoing`].
-    #[inline]
-    pub fn outgoing_kind(&self, n: NodeId, class: EdgeClass) -> &[Edge] {
-        self.outgoing_classes(n).of(class)
-    }
-
     /// [`Pag::incoming_kind`] of every class of `n`, from one read of its
     /// offsets.
     #[inline]
@@ -574,8 +551,8 @@ impl Pag {
         classes(&self.edges, self.in_kind(), n)
     }
 
-    /// [`Pag::outgoing_kind`] of every class of `n`, from one read of its
-    /// offsets.
+    /// The outgoing edges of `n` by class, each a direct sub-slice of
+    /// [`Pag::outgoing`], from one read of its offsets.
     #[inline]
     pub fn outgoing_classes(&self, n: NodeId) -> ClassSlices<'_> {
         let out = self.out_side();
@@ -616,8 +593,8 @@ impl Pag {
     }
 
     /// The `ret` edges out of `n` at call site `site`: the members of
-    /// `outgoing_kind(n, Ret)` of that site, in its order. The first lookup
-    /// builds the outgoing side if no read has yet.
+    /// `outgoing_classes(n).of(Ret)` of that site, in its order. The first
+    /// lookup builds the outgoing side if no read has yet.
     #[inline]
     pub fn outgoing_ret_at(&self, n: NodeId, site: CallSiteId) -> impl Iterator<Item = Edge> + '_ {
         let kind = EdgeKind::Ret(site);
@@ -838,9 +815,9 @@ mod tests {
         assert_eq!(g.incoming_kind(y, EdgeClass::AssignLocal).len(), 1);
         assert_eq!(g.incoming_kind(y, EdgeClass::Load).len(), 1);
         // p's outgoing: one load, one store.
-        assert_eq!(g.outgoing_kind(p, EdgeClass::Load).len(), 1);
-        assert_eq!(g.outgoing_kind(p, EdgeClass::Store).len(), 1);
-        assert!(g.outgoing_kind(p, EdgeClass::New).is_empty());
+        assert_eq!(g.outgoing_classes(p).of(EdgeClass::Load).len(), 1);
+        assert_eq!(g.outgoing_classes(p).of(EdgeClass::Store).len(), 1);
+        assert!(g.outgoing_classes(p).of(EdgeClass::New).is_empty());
         // For every node the per-class slices concatenate to the full range.
         for n in g.node_ids() {
             let mut concat_in = 0;
@@ -860,12 +837,12 @@ mod tests {
                     assert_eq!(e.kind.class(), class);
                     assert_eq!(e.dst, n);
                 }
-                for e in g.outgoing_kind(n, class) {
+                for e in g.outgoing_classes(n).of(class) {
                     assert_eq!(e.kind.class(), class);
                     assert_eq!(e.src, n);
                 }
                 concat_in += g.incoming_kind(n, class).len();
-                concat_out += g.outgoing_kind(n, class).len();
+                concat_out += g.outgoing_classes(n).of(class).len();
             }
             assert_eq!(concat_in, g.incoming(n).len());
             assert_eq!(concat_out, g.outgoing(n).len());
@@ -880,7 +857,7 @@ mod tests {
         for mut b in [PagBuilder::default(), PagBuilder::new()] {
             let f = b.types_mut().add_field("f");
             assert_ne!(f, FieldId::ARR);
-            assert_eq!(b.types_mut().field_name(FieldId::ARR), "arr");
+            assert_eq!(b.types_mut().field_count(), 2, "`arr` and `f`");
         }
         assert_eq!(TypeTable::default().field_count(), 1);
     }
@@ -996,7 +973,7 @@ mod tests {
                 let want = scanned(g.incoming_kind(v, EdgeClass::Param), site);
                 prop_assert_eq!(param, want, "param into {:?} at {}", v, site);
                 let ret: Vec<Edge> = g.outgoing_ret_at(v, CallSiteId(site)).collect();
-                let want = scanned(g.outgoing_kind(v, EdgeClass::Ret), site);
+                let want = scanned(g.outgoing_classes(v).of(EdgeClass::Ret), site);
                 prop_assert_eq!(ret, want, "ret out of {:?} at {}", v, site);
             }
         }
@@ -1137,10 +1114,11 @@ mod tests {
 
         /// A builder mixing written names (`add_named`) with names given
         /// to `add_node` — standalone, or read off another graph — freezes
-        /// every name to the one it was built with, leaves none pointing at
-        /// its pending token, writes its own into one text, one after the
-        /// other, and keeps a foreign one on its graph's text. The quotient,
-        /// `with_edges` and an effective delta read the same names.
+        /// every name to the one it was built with, writes its own into one
+        /// text, one after the other, that holds one reference per written
+        /// name and no other, and keeps a foreign one on its graph's text.
+        /// The quotient, `with_edges` and an effective delta read the same
+        /// names.
         #[test]
         fn names_read_as_built_through_freeze_quotient_with_edges_and_delta(
             (n, draws, merge) in (1usize..30).prop_flat_map(|n| {
@@ -1155,7 +1133,6 @@ mod tests {
             let foreign = foreign.freeze();
 
             let mut b = PagBuilder::new();
-            let pending = Arc::clone(&b.pending);
             let mut want = Vec::new();
             for &(how, k) in &draws {
                 // Every fifth written or standalone name is empty.
@@ -1180,8 +1157,11 @@ mod tests {
             }
             let g = b.freeze();
             names_are(&g, &want)?;
-            prop_assert!(g.nodes.iter().all(|v| !v.name.is_in(&pending)), "a pending name");
-            let written = g.node_ids().filter(|v| draws[v.index()].0 == 0);
+            let written: Vec<NodeId> = g.node_ids().filter(|v| draws[v.index()].0 == 0).collect();
+            for &v in &written {
+                prop_assert_eq!(g.node(v).name.text_holders(), written.len(), "one count per name");
+            }
+            let written = written.into_iter();
             let ends = written.map(|v| (g.node(v).name.as_ptr() as usize, g.node(v).name.len()));
             let ends: Vec<_> = ends.collect();
             for w in ends.windows(2) {

@@ -10,7 +10,7 @@ macro_rules! dense_id {
     ($(#[$meta:meta])* $name:ident, $prefix:literal) => {
         $(#[$meta])*
         #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-        pub struct $name(pub u32);
+        pub struct $name(pub(crate) u32);
 
         impl $name {
             /// Constructs an id from a raw index.

@@ -24,7 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod algo;
-pub mod delta;
+mod delta;
 pub mod dot;
 mod edge;
 mod graph;
@@ -34,7 +34,7 @@ pub mod stats;
 pub mod types;
 
 pub use delta::{DeltaEffect, DeltaOp, PagDelta};
-pub use edge::{Edge, EdgeClass, EdgeKind, EDGE_CLASSES};
+pub use edge::{Edge, EdgeClass, EdgeKind};
 pub use graph::{ClassSlices, PackedAdj, Pag, PagBuilder};
 pub use ids::{CallSiteId, FieldId, MethodId, NodeId, TypeId};
 pub use node::{NodeInfo, NodeKind, NodeName};

@@ -52,60 +52,60 @@ impl NodeKind {
     pub fn is_global(self) -> bool {
         matches!(self, NodeKind::Global)
     }
-
-    /// The owning method, if the node is method-scoped.
-    #[inline]
-    pub fn method(self) -> Option<MethodId> {
-        match self {
-            NodeKind::Local { method } | NodeKind::Object { method } => Some(method),
-            NodeKind::Global => None,
-        }
-    }
 }
 
 /// A node's human-readable name: a range of a text shared by every name a
 /// [`crate::PagBuilder`] wrote, so a frozen graph holds one allocation for
 /// all its names, and a clone is a reference-count bump. 16 bytes: a thin
-/// pointer to the text and the range as two `u32`s.
+/// pointer to the text and the range as two `u32`s. A name the builder
+/// wrote is a bare range until the freeze points it at the text.
 ///
 /// Compared, hashed, displayed and debug-printed as the string it reads;
 /// `From<String>` and `From<&str>` give a name with a text of its own.
 #[derive(Clone)]
 pub struct NodeName {
-    text: Arc<Box<str>>,
+    /// `None` only for a name a builder wrote and has not frozen yet.
+    text: Option<Arc<Box<str>>>,
     start: u32,
     len: u32,
 }
 
 impl NodeName {
-    /// The name `text[start .. start + len]`.
-    pub(crate) fn range(text: &Arc<Box<str>>, start: usize, len: usize) -> Self {
+    /// The range `start .. start + len` of a builder's text of names, which
+    /// [`NodeName::freeze`] supplies.
+    pub(crate) fn written(start: usize, len: usize) -> Self {
         let at = |i: usize| u32::try_from(i).expect("a graph's names fit in 4 GiB of text");
         NodeName {
-            text: Arc::clone(text),
+            text: None,
             start: at(start),
             len: at(len),
         }
     }
 
-    /// The same range of another text.
-    pub(crate) fn rebased(&self, text: &Arc<Box<str>>) -> Self {
-        NodeName {
-            text: Arc::clone(text),
-            ..*self
+    /// Points a written name at the frozen `text` it is a range of; any
+    /// other name keeps its own text.
+    #[inline]
+    pub(crate) fn freeze(&mut self, text: &Arc<Box<str>>) {
+        if self.text.is_none() {
+            self.text = Some(Arc::clone(text));
         }
     }
 
-    /// Whether the name is a range of `text`.
-    pub(crate) fn is_in(&self, text: &Arc<Box<str>>) -> bool {
-        Arc::ptr_eq(&self.text, text)
+    /// How many names (and other holders) share this name's text.
+    #[cfg(test)]
+    pub(crate) fn text_holders(&self) -> usize {
+        self.text.as_ref().map_or(0, Arc::strong_count)
     }
 
     /// The name.
     #[inline]
     pub fn as_str(&self) -> &str {
+        let text = self
+            .text
+            .as_deref()
+            .expect("a builder freezes every name it wrote");
         let start = self.start as usize;
-        &self.text[start..start + self.len as usize]
+        &text[start..start + self.len as usize]
     }
 }
 
@@ -157,8 +157,9 @@ impl Hash for NodeName {
 
 impl From<String> for NodeName {
     fn from(name: String) -> Self {
-        let len = name.len();
-        NodeName::range(&Arc::new(name.into_boxed_str()), 0, len)
+        let mut written = NodeName::written(0, name.len());
+        written.freeze(&Arc::new(name.into_boxed_str()));
+        written
     }
 }
 
@@ -201,24 +202,5 @@ mod tests {
         assert!(l.is_variable() && l.is_local() && !l.is_global() && !l.is_object());
         assert!(g.is_variable() && g.is_global() && !g.is_local() && !g.is_object());
         assert!(o.is_object() && !o.is_variable());
-    }
-
-    #[test]
-    fn owning_method() {
-        assert_eq!(
-            NodeKind::Local {
-                method: MethodId(3)
-            }
-            .method(),
-            Some(MethodId(3))
-        );
-        assert_eq!(NodeKind::Global.method(), None);
-        assert_eq!(
-            NodeKind::Object {
-                method: MethodId(5)
-            }
-            .method(),
-            Some(MethodId(5))
-        );
     }
 }

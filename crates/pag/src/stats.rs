@@ -8,11 +8,11 @@ use crate::graph::Pag;
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PagStats {
     /// Total node count (Table I column "#Nodes").
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Total edge count (Table I column "#Edges").
-    pub edges: usize,
+    pub(crate) edges: usize,
     /// Local-variable nodes.
-    pub locals: usize,
+    pub(crate) locals: usize,
     /// Global-variable nodes.
     pub globals: usize,
     /// Object nodes.
@@ -32,7 +32,7 @@ pub struct PagStats {
     /// `ret_i` edges.
     pub rets: usize,
     /// Call sites.
-    pub call_sites: usize,
+    pub(crate) call_sites: usize,
     /// Methods.
     pub methods: usize,
 }

@@ -64,13 +64,9 @@ impl TypeTable {
     }
 
     /// Number of types.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.types.len()
-    }
-
-    /// Whether the table holds no types.
-    pub fn is_empty(&self) -> bool {
-        self.types.is_empty()
     }
 
     /// Number of interned field names (including the builtin `arr`).
@@ -86,19 +82,6 @@ impl TypeTable {
     /// Mutable lookup (the frontend patches fields in as it parses).
     pub fn get_mut(&mut self, id: TypeId) -> &mut TypeInfo {
         &mut self.types[id.index()]
-    }
-
-    /// Looks up a field name.
-    pub fn field_name(&self, id: FieldId) -> &str {
-        &self.field_names[id.index()]
-    }
-
-    /// Iterates over `(id, info)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (TypeId, &TypeInfo)> {
-        self.types
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (TypeId::from_usize(i), t))
     }
 
     /// Computes `L(t)` for every type:
@@ -178,9 +161,9 @@ mod tests {
     #[test]
     fn interning_and_lookup() {
         let mut t = TypeTable::new();
-        assert_eq!(t.field_name(FieldId::ARR), "arr");
+        assert_eq!(t.field_names[FieldId::ARR.index()], "arr");
         let f = t.add_field("elems");
-        assert_eq!(t.field_name(f), "elems");
+        assert_eq!(t.field_names[f.index()], "elems");
         let a = t.add_type(ty("A", true));
         assert_eq!(t.get(a).name, "A");
         assert_eq!(t.len(), 1);

@@ -35,19 +35,19 @@ pub(crate) enum Clock {
 
 /// What every lane of one batch shares.
 pub(crate) struct Batch<'a> {
-    pub pag: &'a Pag,
-    pub cfg: &'a SolverConfig,
+    pub(crate) pag: &'a Pag,
+    pub(crate) cfg: &'a SolverConfig,
     /// The jmp store the batch shares through. `None` is the whole of "no
     /// data sharing": the lanes' solvers get a [`NoJmpStore`] and the
     /// epilogue has no store to report on.
-    pub store: Option<&'a SharedJmpStore>,
+    pub(crate) store: Option<&'a SharedJmpStore>,
     /// The batch's base virtual time (0 for one-shot runs): where its
     /// lanes' clocks start and their solvers' warm floor.
-    pub base: u64,
-    pub tracing: TraceLevel,
-    pub clock: Clock,
+    pub(crate) base: u64,
+    pub(crate) tracing: TraceLevel,
+    pub(crate) clock: Clock,
     /// When the batch began: the wall clock's epoch.
-    pub start: Instant,
+    pub(crate) start: Instant,
 }
 
 /// One worker's share of a batch.
@@ -76,10 +76,10 @@ pub(crate) struct Lane<'a> {
 #[derive(Default)]
 pub(crate) struct Answers {
     /// `(query, answer)` in completion order.
-    pub list: Vec<(NodeId, Answer)>,
+    pub(crate) list: Vec<(NodeId, Answer)>,
     /// Each answer's whole-query footprint, index for index with `list`,
     /// from a batch whose solvers record; empty otherwise.
-    pub footprints: Vec<Option<Arc<Footprint>>>,
+    pub(crate) footprints: Vec<Option<Arc<Footprint>>>,
 }
 
 impl Answers {

@@ -8,11 +8,12 @@
 //! There is one batch driver (`batch.rs`: one per-query
 //! body, one epilogue) and three executors over it that differ only in
 //! clock and in who pulls the next group: [`run_seq`] inline on the
-//! calling thread, [`sim`] on a virtual clock, [`threaded`] on OS threads
-//! popping the paper's shared work list.
+//! calling thread, [`sim`] on a virtual clock, [`run_threaded`] on OS
+//! threads popping the paper's shared work list.
 //!
-//! A run reports its [`RunStats`] counters and one [`WorkerObs`] record
-//! per worker. With [`RunConfig::tracing`] above [`TraceLevel::Off`] it
+//! A run reports its [`RunStats`] counters and one
+//! [`WorkerObs`](parcfl_concurrent::WorkerObs) record per worker. With
+//! [`RunConfig::with_tracing`] above [`TraceLevel::Off`] it
 //! also hands back a [`RunTrace`]: one [`QuerySpan`] per query, on the
 //! worker that ran it. DESIGN.md §9.
 //!
@@ -20,7 +21,7 @@
 //! per call. Clients answering *several* batches over one PAG should hold
 //! an [`AnalysisSession`] instead: later batches warm-start from earlier
 //! batches' jmp edges, and answers it already holds are not traversed
-//! again (see [`session`]).
+//! again (see [`AnalysisSession`]).
 //!
 //! ```
 //! use parcfl_runtime::{run, run_seq, Backend, Mode, RunConfig};
@@ -41,18 +42,17 @@
 mod batch;
 mod mode;
 mod seq;
-pub mod session;
+mod session;
 pub mod sim;
 mod stats;
-pub mod threaded;
+mod threaded;
 mod trace;
 
 pub use mode::{Backend, Engine, Mode, RunConfig};
-pub use parcfl_concurrent::WorkerObs;
 pub use seq::run_seq;
 pub use session::{AnalysisSession, DeltaReport};
 pub use sim::{run_simulated, run_simulated_batch};
-pub use stats::{MergeClass, Metric, RunResult, RunStats, Unit, Value};
+pub use stats::{Metric, RunResult, RunStats, Unit, Value};
 pub use threaded::{run_threaded, run_threaded_batch};
 pub use trace::{QuerySpan, RunTrace, TraceLevel, WorkerTrace};
 

@@ -22,7 +22,7 @@ impl Mode {
 
     /// Whether the DQ schedule is used (vs. input order, one query per
     /// fetch).
-    pub fn schedules_queries(self) -> bool {
+    pub(crate) fn schedules_queries(self) -> bool {
         matches!(self, Mode::DataSharingSched)
     }
 
@@ -63,7 +63,7 @@ pub struct RunConfig {
     /// Strategy.
     pub mode: Mode,
     /// Worker-thread count `t` (real or simulated).
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Execution backend.
     pub backend: Backend,
     /// Solver configuration. Whether the run shares data is the mode's
@@ -79,7 +79,7 @@ pub struct RunConfig {
     /// [`crate::QuerySpan`] per query on the worker that ran it, returned
     /// as [`crate::RunResult::trace`]. Answers and step counts are
     /// identical at both levels.
-    pub tracing: TraceLevel,
+    pub(crate) tracing: TraceLevel,
 }
 
 impl RunConfig {

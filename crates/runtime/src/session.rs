@@ -21,8 +21,7 @@
 //! boundary is exact.
 //!
 //! Like the paper's map, neither is bounded: a jmp entry or kept answer
-//! leaves only when an edit invalidates it or [`AnalysisSession::reset`]
-//! forgets everything. There is at most one kept answer per distinct query
+//! leaves only when an edit invalidates it. There is at most one kept answer per distinct query
 //! node, and it is the allocation the client was handed: an answer's set
 //! is shared, so keeping it and serving it again copy nothing.
 
@@ -145,7 +144,7 @@ impl<'p> AnalysisSession<'p> {
     }
 
     /// Sets the tracing level for every subsequent batch (see
-    /// [`RunConfig::tracing`]): batch results carry a
+    /// [`RunConfig::with_tracing`]): batch results carry a
     /// [`crate::RunTrace`] of their query spans.
     pub fn with_tracing(mut self, tracing: TraceLevel) -> Self {
         self.tracing = tracing;
@@ -254,11 +253,6 @@ impl<'p> AnalysisSession<'p> {
         &self.cumulative
     }
 
-    /// Batches submitted so far.
-    pub fn batches(&self) -> usize {
-        self.cumulative.batches
-    }
-
     /// The session's jmp store.
     pub fn store(&self) -> &SharedJmpStore {
         &self.store
@@ -270,7 +264,8 @@ impl<'p> AnalysisSession<'p> {
     }
 
     /// The next batch's base virtual time.
-    pub fn virtual_clock(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn virtual_clock(&self) -> u64 {
         self.vclock
     }
 
@@ -329,17 +324,6 @@ impl<'p> AnalysisSession<'p> {
             retained_answers,
             rejected_ops: effect.rejected_ops,
         }
-    }
-
-    /// Forgets everything warm — kept answers, store contents, virtual
-    /// clock, cumulative stats — returning the session to its
-    /// just-constructed state (the configuration is kept, and so is the
-    /// *graph*: applied deltas are program state, not warm state).
-    pub fn reset(&mut self) {
-        self.store.clear();
-        self.kept.clear();
-        self.vclock = 0;
-        self.cumulative = RunStats::default();
     }
 
     fn run_config(&self, mode: Mode, backend: Backend) -> RunConfig {
@@ -635,7 +619,6 @@ mod tests {
         );
         assert_eq!(cum.warm_hits, a.stats.warm_hits + b.stats.warm_hits);
         assert_eq!(cum.batches, 2);
-        assert_eq!(s.batches(), 2);
         assert_eq!(cum.store_entries, s.store_entries());
     }
 
@@ -681,21 +664,6 @@ mod tests {
         assert_eq!(cold.stats.warm_hits, 0);
         assert_eq!(warm.stats.retained_answers, 1);
         assert!(warm.stats.traversed_steps < cold.stats.traversed_steps);
-    }
-
-    #[test]
-    fn reset_returns_to_cold() {
-        let pag = build_pag(SRC).unwrap().pag;
-        let queries = pag.application_locals();
-        let mut s = AnalysisSession::new(&pag).with_solver(solver());
-        let cold = s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
-        s.reset();
-        assert_eq!(s.store_entries(), 0);
-        assert_eq!(s.virtual_clock(), 0);
-        assert_eq!(s.batches(), 0);
-        let again = s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
-        assert_eq!(again.stats.traversed_steps, cold.stats.traversed_steps);
-        assert_eq!(again.stats.warm_hits, 0);
     }
 
     #[test]
@@ -813,12 +781,6 @@ mod tests {
             warm.stats.workers.iter().map(|w| w.queries).sum::<u64>(),
             report.invalidated_answers
         );
-        // reset() forgets warm state, not the program: the edit stays.
-        s.reset();
-        assert_eq!(s.store_entries(), 0);
-        assert_eq!(s.pag().revision(), 1);
-        let again = s.submit(&queries, Mode::DataSharingSched, Backend::Simulated);
-        assert_eq!(again.stats.retained_answers, 0, "reset forgets the answers");
     }
 
     #[test]

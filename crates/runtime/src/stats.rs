@@ -9,9 +9,11 @@ use parcfl_core::{Answer, QueryStats};
 use parcfl_pag::NodeId;
 use std::time::Duration;
 
-/// How a metric folds when one accumulator is merged into another.
+/// How a metric folds when one accumulator is merged into another: what
+/// a `run_stats!` row declares, kept beside the row for the merge test.
+#[cfg(test)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MergeClass {
+enum MergeClass {
     /// A counter: every merge adds.
     Sum,
     /// A peak: the larger side wins.
@@ -43,7 +45,8 @@ pub struct Metric {
     /// The `RunStats` field, and the key every exporter uses.
     pub name: &'static str,
     /// How [`RunStats::merge`] folds it.
-    pub class: MergeClass,
+    #[cfg(test)]
+    class: MergeClass,
     /// What it counts.
     pub unit: Unit,
 }
@@ -120,6 +123,7 @@ macro_rules! run_stats {
             /// Every scalar metric of a run, in declaration order.
             pub const SCHEMA: &'static [Metric] = &[ $( Metric {
                 name: stringify!($field),
+                #[cfg(test)]
                 class: MergeClass::$class,
                 unit: Unit::$unit,
             }, )* ];
@@ -251,7 +255,7 @@ run_stats! {
 
 impl RunStats {
     /// Folds one query's stats in.
-    pub fn absorb(&mut self, qs: &QueryStats, answer: &Answer) {
+    pub(crate) fn absorb(&mut self, qs: &QueryStats, answer: &Answer) {
         self.queries += 1;
         match answer {
             Answer::Complete(_) => self.completed += 1,
@@ -274,7 +278,7 @@ impl RunStats {
 
     /// Merges another accumulator: per-thread partials within a run, or a
     /// finished batch into a session's cumulative stats. Each scalar folds
-    /// by its declared [`MergeClass`]. `Latest` rows describe *current*
+    /// by its declared merge class: `Sum`, `Max` or `Latest`. `Latest` rows describe *current*
     /// shared state, not accumulation: when `other` is a finished batch
     /// (`other.batches > 0`) they take `other`'s observation verbatim —
     /// including zero, which is a real residency report (an earlier
@@ -282,7 +286,7 @@ impl RunStats {
     /// count). Per-thread partials within a run carry `batches == 0` and
     /// no gauge observations, so intra-run merging leaves gauges alone.
     /// Per-worker records sum slot-wise, growing the vector as needed.
-    pub fn merge(&mut self, other: &RunStats) {
+    pub(crate) fn merge(&mut self, other: &RunStats) {
         self.merge_scalars(other);
         for (i, w) in other.workers.iter().enumerate() {
             if self.workers.len() <= i {

@@ -23,7 +23,7 @@ pub enum TraceLevel {
 impl TraceLevel {
     /// Whether anything is recorded at all.
     #[inline]
-    pub fn enabled(self) -> bool {
+    pub(crate) fn enabled(self) -> bool {
         !matches!(self, TraceLevel::Off)
     }
 
@@ -51,7 +51,7 @@ pub struct QuerySpan {
     /// When its answer was ready.
     pub end: u64,
     /// Whether the answer was complete (`false`: out of budget).
-    pub complete: bool,
+    pub(crate) complete: bool,
 }
 
 /// One worker's spans for one batch.

@@ -16,8 +16,6 @@ use parcfl_pag::{NodeId, Pag};
 /// The direct-relation components of a PAG, restricted to the query set.
 #[derive(Clone, Debug)]
 pub struct Groups {
-    /// For every PAG node, its component root (dense per-PAG).
-    root_of: Vec<u32>,
     /// Query variables per component, in input order; only components that
     /// contain at least one query are kept.
     pub members: Vec<Vec<NodeId>>,
@@ -47,22 +45,7 @@ impl Groups {
             });
             members[slot].push(q);
         }
-        Groups { root_of, members }
-    }
-
-    /// Number of groups (components containing at least one query).
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether there are no groups.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Whether two nodes share a component.
-    pub fn same_group(&self, a: NodeId, b: NodeId) -> bool {
-        self.root_of[a.index()] == self.root_of[b.index()]
+        Groups { members }
     }
 }
 
@@ -70,6 +53,11 @@ impl Groups {
 mod tests {
     use super::*;
     use parcfl_frontend::build_pag;
+
+    /// Whether queries `a` and `b` landed in one group.
+    fn grouped(g: &Groups, a: NodeId, b: NodeId) -> bool {
+        g.members.iter().any(|m| m.contains(&a) && m.contains(&b))
+    }
 
     #[test]
     fn assign_connects_loads_do_not() {
@@ -91,11 +79,11 @@ mod tests {
         let p = pag.node_by_name("p@A.m").unwrap();
         let x = pag.node_by_name("x@A.m").unwrap();
         let g = Groups::build(&pag, &[a, b, p, x]);
-        assert!(g.same_group(a, b), "assign connects");
-        assert!(!g.same_group(p, x), "load does not connect base to dst");
-        assert!(!g.same_group(a, p));
+        assert!(grouped(&g, a, b), "assign connects");
+        assert!(!grouped(&g, p, x), "load does not connect base to dst");
+        assert!(!grouped(&g, a, p));
         // a+b together; p alone; x alone.
-        assert_eq!(g.len(), 3);
+        assert_eq!(g.members.len(), 3);
         assert_eq!(g.members.iter().map(|m| m.len()).sum::<usize>(), 4);
     }
 
@@ -111,9 +99,9 @@ mod tests {
         let o = pag.node_by_name("o@A.id").unwrap();
         let r = pag.node_by_name("r@A.m").unwrap();
         let g = Groups::build(&pag, &[x, o, r]);
-        assert!(g.same_group(x, o), "param edge connects actual and formal");
-        assert!(g.same_group(o, r), "ret edge connects through $ret");
-        assert_eq!(g.len(), 1);
+        assert!(grouped(&g, x, o), "param edge connects actual and formal");
+        assert!(grouped(&g, o, r), "ret edge connects through $ret");
+        assert_eq!(g.members.len(), 1);
     }
 
     #[test]
@@ -126,16 +114,15 @@ mod tests {
                    }";
         let pag = build_pag(src).unwrap().pag;
         let r = pag.node_by_name("r@A.m").unwrap();
-        let g = Groups::build(&pag, &[r]);
-        assert_eq!(g.len(), 1);
-        assert!(g.same_group(r, pag.node_by_name("$ret@A.id").unwrap()));
+        let ret = pag.node_by_name("$ret@A.id").unwrap();
+        assert_eq!(Groups::build(&pag, &[r]).members.len(), 1);
+        assert!(grouped(&Groups::build(&pag, &[r, ret]), r, ret));
     }
 
     #[test]
     fn empty_queries_empty_groups() {
         let pag = build_pag("class A { }").unwrap().pag;
         let g = Groups::build(&pag, &[]);
-        assert!(g.is_empty());
-        assert_eq!(g.len(), 0);
+        assert!(g.members.is_empty());
     }
 }

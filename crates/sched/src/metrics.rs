@@ -20,7 +20,7 @@ use parcfl_pag::{NodeId, Pag};
 /// run, and two sweeps over Tarjan's component numbering, which is
 /// reverse topological: an edge between components runs from the higher
 /// number to the lower.
-pub fn connection_distances(pag: &Pag) -> Vec<u64> {
+pub(crate) fn connection_distances(pag: &Pag) -> Vec<u64> {
     let n = pag.node_count();
     let direct = || pag.edges().iter().filter(|e| e.kind.is_direct());
     let mut starts = vec![0usize; n + 1];
@@ -64,7 +64,7 @@ pub fn connection_distances(pag: &Pag) -> Vec<u64> {
 /// A group's scheduling key: its maximum member type level, read off the
 /// per-type level table. Groups are issued in *decreasing* max level,
 /// which is increasing dependence depth `DD = 1/L` (the paper's order).
-pub fn group_level(all_levels: &[u32], pag: &Pag, members: &[NodeId]) -> u32 {
+pub(crate) fn group_level(all_levels: &[u32], pag: &Pag, members: &[NodeId]) -> u32 {
     (members.iter())
         .map(|&m| all_levels[pag.node(m).ty.index()])
         .max()

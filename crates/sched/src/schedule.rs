@@ -62,7 +62,7 @@ pub fn build_schedule(pag: &Pag, queries: &[NodeId], opts: &ScheduleOptions) -> 
 /// [`build_schedule`] with the per-type level table precomputed —
 /// the query-independent metadata a [`crate::cache::ScheduleCache`]
 /// computes once per PAG and reuses across batches.
-pub fn build_schedule_with_levels(
+pub(crate) fn build_schedule_with_levels(
     pag: &Pag,
     queries: &[NodeId],
     opts: &ScheduleOptions,

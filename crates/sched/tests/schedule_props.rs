@@ -1,8 +1,10 @@
 //! Property tests for schedule construction over generated programs.
 
+use parcfl_pag::NodeId;
 use parcfl_sched::{build_schedule, Groups, ScheduleOptions};
 use parcfl_synth::{generate, Profile};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn profile(seed: u64, apps: usize) -> Profile {
     Profile {
@@ -40,29 +42,23 @@ proptest! {
         prop_assert!(s.groups.iter().all(|g| !g.is_empty()));
     }
 
-    /// Grouping is consistent with the direct relation: members of one
-    /// component never split across unbalanced groups' *metadata* (the
-    /// Groups structure), and same_group is an equivalence.
+    /// Grouping is consistent with the direct relation: the groups
+    /// partition the queries, and a direct edge between two queries never
+    /// joins two groups.
     #[test]
     fn groups_form_equivalence(seed in 0u64..5000) {
         let prog = generate(&profile(seed, 2));
         let pag = parcfl_frontend::extract(&prog).unwrap().pag;
         let queries = pag.application_locals();
         let g = Groups::build(&pag, &queries);
+        let group_of: HashMap<NodeId, usize> = (g.members.iter().enumerate())
+            .flat_map(|(i, m)| m.iter().map(move |&q| (q, i)))
+            .collect();
         let total: usize = g.members.iter().map(|m| m.len()).sum();
-        prop_assert_eq!(total, queries.len());
-        for (i, members) in g.members.iter().enumerate() {
-            for &a in members {
-                for &b in members {
-                    prop_assert!(g.same_group(a, b));
-                }
-                for (j, other) in g.members.iter().enumerate() {
-                    if i != j {
-                        for &b in other {
-                            prop_assert!(!g.same_group(a, b));
-                        }
-                    }
-                }
+        prop_assert_eq!((total, group_of.len()), (queries.len(), queries.len()));
+        for e in pag.edges().iter().filter(|e| e.kind.is_direct()) {
+            if let (Some(a), Some(b)) = (group_of.get(&e.src), group_of.get(&e.dst)) {
+                prop_assert_eq!(a, b);
             }
         }
     }

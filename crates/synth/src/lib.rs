@@ -12,12 +12,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod generator;
+mod generator;
 pub mod mutate;
 mod names;
-pub mod profile;
-pub mod stress;
-pub mod suite;
+mod profile;
+mod stress;
+mod suite;
 
 pub use generator::generate;
 pub use profile::{table1_profiles, Profile};

@@ -18,9 +18,9 @@ const HUBS: usize = 32;
 const LEAVES_PER_HUB: usize = 16;
 
 /// Builds the sweep-stress bench: `ROOTS` roots, each assigned from
-/// [`HUBS`] hubs, each hub assigned from [`LEAVES_PER_HUB`] private
+/// `HUBS` hubs, each hub assigned from `LEAVES_PER_HUB` private
 /// leaves, each leaf allocating one private object. A points-to query on
-/// a root therefore walks layers of width 1 → [`HUBS`] →
+/// a root therefore walks layers of width 1 → `HUBS` →
 /// `HUBS * LEAVES_PER_HUB` (= 512) → objects. The graph is acyclic,
 /// context-free and built deterministically — every solver observable is
 /// bit-reproducible.
@@ -57,13 +57,11 @@ pub fn sweep_stress_bench() -> Bench {
     let raw_nodes = pag.node_count();
     let raw_edges = pag.edge_count();
     let solver = parcfl_core::SolverConfig::default();
-    let budget = solver.budget;
     Bench {
         name: "sweepstress".to_string(),
         solver,
         pag,
         queries,
-        budget,
         raw_nodes,
         raw_edges,
         classes: 1,

@@ -21,8 +21,6 @@ pub struct Bench {
     /// deduplicated (cycle collapsing may merge several locals into one
     /// node).
     pub queries: Vec<NodeId>,
-    /// Per-query budget for this benchmark.
-    pub budget: u64,
     /// Structural counts before collapsing (Table I's #Nodes/#Edges are
     /// reported on the original PAG).
     pub raw_nodes: usize,
@@ -52,7 +50,6 @@ pub fn build_bench(profile: &Profile) -> Bench {
         solver: profile.solver_config(),
         pag: collapsed.pag,
         queries,
-        budget: profile.budget,
         raw_nodes,
         raw_edges,
         classes,
