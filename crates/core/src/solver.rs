@@ -66,7 +66,7 @@ use crate::config::{SolverConfig, StateBackend};
 use crate::context::{sort_canonical, Ctx};
 use crate::footprint::{Footprint, ReadLog};
 use crate::jmp::{Dir, ExhaustedStarts, JmpEntry, JmpKey, JmpLookup, JmpStore, RchSet};
-use crate::stats::{Answer, QueryOutput, QueryStats};
+use crate::stats::{Answer, AnswerSet, QueryOutput, QueryStats};
 use crate::witness::{Trace, Via};
 use parcfl_concurrent::{
     CtxId, CtxInterner, CtxMirror, DenseVisitSet, FxHashMap, HashVisitSet, StateSet,
@@ -293,6 +293,19 @@ fn materialised(table: &mut FxHashMap<CtxId, Ctx>, ctxs: &CtxInterner, c: CtxId)
         .clone()
 }
 
+/// A digest of a result set's states that does not depend on their order:
+/// a forward set is in the order it was found. Equal sets of states, and
+/// so equal answers, digest equal; unequal ones rarely do, and then only
+/// miss the sharing.
+fn digest(set: &[IState]) -> u64 {
+    let mix = |&(n, c): &IState| {
+        let x = (n.raw() as u64) << 32 | c.raw() as u64;
+        let z = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z ^ z >> 32
+    };
+    set.iter().map(mix).fold(0, u64::wrapping_add)
+}
+
 /// Marker error: the query exhausted its budget (Algorithm 1's `exit()`).
 #[derive(Debug)]
 struct Oob;
@@ -404,9 +417,16 @@ struct Scratch<S> {
     /// reasons.
     materialised: FxHashMap<CtxId, Ctx>,
     /// The answer being closed, sorted and deduplicated here before it is
-    /// moved into its own allocation at its exact length. Empty between
-    /// queries.
+    /// looked up in `answers`. Empty between queries.
     answer: Vec<CtxNode>,
+    /// The answer sets the lane has closed, under the [`digest`] of their
+    /// states (DESIGN.md §8): an answer equal to the set under its digest
+    /// is handed out as that set, and any other is moved into an
+    /// allocation of its own, at its exact length, which then takes the
+    /// digest's place. Never invalidated: a set is immutable. A batch
+    /// builds its lanes' solvers, so it holds its own sets for the batch
+    /// only.
+    answers: FxHashMap<u64, AnswerSet>,
     /// The query's open calls, outermost first (see [`QueryState::open`]):
     /// what re-entry and the depth bound are checked against, and what
     /// `OutOfBudget` publishes unfinished jmps and the exhausted start for.
@@ -576,7 +596,21 @@ impl<'a, S: StateSet> QueryState<'a, S> {
                 s.answer.extend(set.iter().map(mat));
                 s.answer.sort_unstable();
                 s.answer.dedup();
-                let answer = Answer::Complete(s.answer.drain(..).collect());
+                // Equal contexts of one lane are one allocation, so the
+                // comparison of a hit reads no call string.
+                let key = digest(&set);
+                let closed = match s.answers.get(&key) {
+                    Some(closed) if closed[..] == s.answer[..] => {
+                        s.answer.clear();
+                        closed.clone()
+                    }
+                    _ => {
+                        let closed: AnswerSet = s.answer.drain(..).collect();
+                        s.answers.insert(key, closed.clone());
+                        closed
+                    }
+                };
+                let answer = Answer::Complete(closed);
                 self.release_stack(set);
                 (answer, self.s.reads.finish())
             }

@@ -87,7 +87,9 @@ impl Answer {
 /// A complete answer's `(object, context)` set: one immutable allocation
 /// at its exact length, shared by every holder — a clone is a
 /// reference-count bump, so a session hands out the very set it keeps
-/// (DESIGN.md §12). Reads as a slice; equal by contents; prints as a list.
+/// (DESIGN.md §12), and a lane hands out one set for every answer of its
+/// batch equal to it (DESIGN.md §8). Reads as a slice; equal by contents;
+/// prints as a list.
 #[derive(Clone, PartialEq, Eq)]
 pub struct AnswerSet(Arc<[CtxNode]>);
 

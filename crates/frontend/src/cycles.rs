@@ -246,10 +246,10 @@ mod tests {
         }
     }
 
-    /// Whether `pag` has built its incoming offset table, read off its
+    /// Whether `pag` has built its incoming class rows, read off its
     /// `Debug` form (an unbuilt `OnceLock` prints `<uninit>`).
     fn incoming_built(pag: &Pag) -> bool {
-        !format!("{pag:?}").contains("in_kind: OnceLock(<uninit>)")
+        !format!("{pag:?}").contains("in_rows: OnceLock(<uninit>)")
     }
 
     #[test]

@@ -119,11 +119,11 @@ impl PagBuilder {
     ///
     /// Both edge arrays are laid out *kind-major* within each node's CSR
     /// range: all `new` edges first, then `assign_l`, and so on in
-    /// [`EdgeClass`] order. The per-class boundaries are recorded in a flat
-    /// `n × EDGE_CLASSES + 1` offset table so [`Pag::incoming_classes`] /
+    /// [`EdgeClass`] order. The per-class boundaries are recorded in a
+    /// 10-byte row per node (`ClassRows`) so [`Pag::incoming_classes`] /
     /// [`Pag::outgoing_classes`] are plain sub-slice reads and the solver's
-    /// dispatch loops never branch on `EdgeKind` per edge. Neither offset
-    /// table is built here: each side is built by the graph's first read
+    /// dispatch loops never branch on `EdgeKind` per edge. Neither side's
+    /// rows are built here: each side is built by the graph's first read
     /// of it. Each node's `param` in-edges and `ret` out-edges are also
     /// indexed by call site ([`Pag::incoming_param_at`],
     /// [`Pag::outgoing_ret_at`]), on the first lookup. The node and
@@ -172,8 +172,8 @@ fn freeze_edges(
 /// incoming order (dst-major, kind-class within a node, then
 /// `(src, payload)` within a class), into the immutable CSR
 /// representation: the tail of [`freeze_edges`] and [`Pag::quotient`].
-/// Only the field indexes are built: both offset tables, and with them
-/// the outgoing side, are left to their first reads.
+/// Only the field indexes are built: both sides' class rows, and with
+/// them the outgoing edge array, are left to their first reads.
 fn build_pag_tables(
     nodes: Arc<Vec<NodeInfo>>,
     edges: Vec<Edge>,
@@ -201,7 +201,7 @@ fn build_pag_tables(
         nodes,
         variables,
         edges,
-        in_kind: OnceLock::new(),
+        in_rows: OnceLock::new(),
         out: OnceLock::new(),
         param_in: OnceLock::new(),
         ret_out: OnceLock::new(),
@@ -245,28 +245,130 @@ fn bucketed<K: Ord>(
     sorted
 }
 
-/// The CSR table of `edges`, sorted by `(end(e), class)`, read off in one
-/// sweep: where each class of each node starts (`n × EDGE_CLASSES`
-/// entries), then the array's length. Class `k` of node `v` is
-/// `table[v·K + k] .. table[v·K + k + 1]` for every class, the last one
-/// included, and node `v`'s whole range `table[v·K] .. table[(v + 1)·K]`.
-fn class_offsets(edges: &[Edge], n: usize, end: fn(&Edge) -> NodeId) -> Vec<u32> {
-    let mut kind = Vec::with_capacity(n * EDGE_CLASSES + 1);
-    for (i, e) in edges.iter().enumerate() {
-        // Every class from the last one seen up to this edge's starts here.
-        let class = end(e).index() * EDGE_CLASSES + e.kind.class() as usize;
-        kind.resize(class + 1, i as u32);
-    }
-    kind.resize(n * EDGE_CLASSES + 1, edges.len() as u32);
-    kind
+/// What the first end byte of a wide node's [`Row`] reads. A node with
+/// fewer edges on the side has every class end below it.
+const WIDE: u8 = u8::MAX;
+
+/// One node's row of a [`ClassRows`] table: where its edges start, and
+/// where each class but the last ends, counted from that start. The last
+/// class ends where the next node's edges start. The start is a `u32`
+/// stored as bytes, so a row packs into 10 bytes (seven `u32` starts took
+/// 28).
+#[derive(Copy, Clone, Debug)]
+struct Row {
+    start: [u8; 4],
+    ends: [u8; EDGE_CLASSES - 1],
 }
 
-/// One node's edges in one direction, split by class: the node's row of a
-/// `class_offsets` table, read once, over the edge array it indexes.
+/// Where each node's edges of each class lie in one edge array sorted by
+/// `(end, class)`: a [`Row`] per node, then one whose start is the array's
+/// length. A node with [`WIDE`] edges or more on the side cannot count its
+/// ends in bytes. Its row is flagged (the first end reads [`WIDE`], the
+/// next four its index in `wide`) and its bounds are kept whole.
+#[derive(Clone, Debug)]
+struct ClassRows {
+    rows: Vec<Row>,
+    /// The bounds of each wide node, in node order.
+    wide: Vec<[u32; EDGE_CLASSES + 1]>,
+}
+
+impl ClassRows {
+    /// The table of `edges`, sorted by `(end(e), class)`, over `n` nodes,
+    /// read off in one sweep.
+    fn of(edges: &[Edge], n: usize, end: impl Fn(&Edge) -> NodeId) -> Self {
+        let mut table = ClassRows {
+            rows: Vec::with_capacity(n + 1),
+            wide: Vec::new(),
+        };
+        // The row of a node with no edges left, up to the next that has
+        // some: its edges start and end at `at`.
+        let empty = |at: usize| Row {
+            start: (at as u32).to_le_bytes(),
+            ends: [0; EDGE_CLASSES - 1],
+        };
+        let mut i = 0;
+        while let Some(first) = edges.get(i) {
+            let (v, start) = (end(first).index(), i);
+            debug_assert!(v >= table.rows.len(), "edges sorted by (end, class)");
+            table.rows.resize(v, empty(start));
+            // A class ends after its last edge, an empty one where the
+            // class before it ends.
+            let mut ends = [0; EDGE_CLASSES];
+            while let Some(e) = edges.get(i).filter(|e| end(e).index() == v) {
+                i += 1;
+                ends[e.kind.class() as usize] = (i - start) as u32;
+            }
+            for k in 1..EDGE_CLASSES {
+                ends[k] = ends[k].max(ends[k - 1]);
+            }
+            table.push(start, ends);
+        }
+        table.rows.resize(n + 1, empty(edges.len()));
+        table.wide.shrink_to_fit();
+        table
+    }
+
+    /// Appends the row of a node whose edges start at `start` and whose
+    /// class `k` ends `ends[k]` edges on.
+    #[inline]
+    fn push(&mut self, start: usize, ends: [u32; EDGE_CLASSES]) {
+        let mut row = Row {
+            start: (start as u32).to_le_bytes(),
+            ends: [WIDE; EDGE_CLASSES - 1],
+        };
+        if ends[EDGE_CLASSES - 1] < WIDE as u32 {
+            for (end, &at) in row.ends.iter_mut().zip(&ends) {
+                *end = at as u8;
+            }
+        } else {
+            row.ends[1..5].copy_from_slice(&(self.wide.len() as u32).to_le_bytes());
+            let mut bounds = [start as u32; EDGE_CLASSES + 1];
+            for (bound, &at) in bounds[1..].iter_mut().zip(&ends) {
+                *bound = start as u32 + at;
+            }
+            self.wide.push(bounds);
+        }
+        self.rows.push(row);
+    }
+
+    /// Node `v`'s bounds: class `k` is `bounds[k] .. bounds[k + 1]`.
+    #[inline]
+    fn bounds(&self, v: usize) -> [u32; EDGE_CLASSES + 1] {
+        let [row, next] = &self.rows[v..v + 2] else {
+            unreachable!("a two-row range holds two rows")
+        };
+        if row.ends[0] == WIDE {
+            return self.wide_bounds(row.ends);
+        }
+        let start = u32::from_le_bytes(row.start);
+        let mut bounds = [start; EDGE_CLASSES + 1];
+        for (bound, &end) in bounds[1..].iter_mut().zip(&row.ends) {
+            *bound = start + end as u32;
+        }
+        bounds[EDGE_CLASSES] = u32::from_le_bytes(next.start);
+        bounds
+    }
+
+    /// The bounds of the wide node whose row ends in `ends`.
+    #[cold]
+    fn wide_bounds(&self, ends: [u8; EDGE_CLASSES - 1]) -> [u32; EDGE_CLASSES + 1] {
+        let at = u32::from_le_bytes(ends[1..5].try_into().expect("four bytes"));
+        self.wide[at as usize]
+    }
+
+    /// Number of nodes.
+    fn node_count(&self) -> usize {
+        self.rows.len() - 1
+    }
+}
+
+/// One node's edges in one direction, split by class: the node's bounds
+/// from its side's `ClassRows` table, read once, over the edge array it
+/// indexes.
 #[derive(Copy, Clone)]
 pub struct ClassSlices<'e> {
     edges: &'e [Edge],
-    bounds: &'e [u32; EDGE_CLASSES + 1],
+    bounds: [u32; EDGE_CLASSES + 1],
 }
 
 impl<'e> ClassSlices<'e> {
@@ -284,14 +386,12 @@ impl<'e> ClassSlices<'e> {
     }
 }
 
-/// Node `n`'s row of the `class_offsets` table `table` over `edges`.
+/// Node `n`'s classes by the table `rows` over `edges`.
 #[inline]
-fn classes<'e>(edges: &'e [Edge], table: &'e [u32], n: NodeId) -> ClassSlices<'e> {
-    let at = n.index() * EDGE_CLASSES;
-    let bounds = table[at..at + EDGE_CLASSES + 1].try_into();
+fn classes<'e>(edges: &'e [Edge], rows: &ClassRows, n: NodeId) -> ClassSlices<'e> {
     ClassSlices {
         edges,
-        bounds: bounds.expect("a node's row is EDGE_CLASSES + 1 offsets"),
+        bounds: rows.bounds(n.index()),
     }
 }
 
@@ -309,10 +409,10 @@ struct BySite {
 }
 
 impl BySite {
-    /// The index of `class` over the edge array `edges`, its offset table
-    /// `kind` and the end of an edge away from the node (`far`).
-    fn build(edges: &[Edge], kind: &[u32], class: EdgeClass, far: fn(&Edge) -> NodeId) -> Self {
-        let n = kind.len() / EDGE_CLASSES;
+    /// The index of `class` over the edge array `edges`, its class rows
+    /// `rows` and the end of an edge away from the node (`far`).
+    fn build(edges: &[Edge], rows: &ClassRows, class: EdgeClass, far: fn(&Edge) -> NodeId) -> Self {
+        let n = rows.node_count();
         let site = |e: &Edge| e.kind.call_site().expect("a call edge").raw();
         let mut index = BySite {
             start: Vec::with_capacity(n + 1),
@@ -321,7 +421,7 @@ impl BySite {
         index.start.push(0);
         for v in 0..n {
             let at = index.entries.len();
-            let slice = classes(edges, kind, NodeId::from_usize(v)).of(class);
+            let slice = classes(edges, rows, NodeId::from_usize(v)).of(class);
             index
                 .entries
                 .extend(slice.iter().map(|e| (site(e), far(e))));
@@ -347,12 +447,12 @@ impl BySite {
 }
 
 /// The same edge set as [`Pag::edges`] materialised in `(src, class, dst)`
-/// order, with its `class_offsets` table, so outgoing ranges are direct
-/// slices too — no index indirection on the forward hot path.
+/// order, with its class rows, so outgoing ranges are direct slices too —
+/// no index indirection on the forward hot path.
 #[derive(Clone, Debug)]
 struct OutSide {
     edges: Vec<Edge>,
-    kind: Vec<u32>,
+    rows: ClassRows,
 }
 
 impl OutSide {
@@ -361,8 +461,8 @@ impl OutSide {
     #[cold]
     fn of(edges: &[Edge], n: usize) -> Self {
         let edges = bucketed(edges, n, |e| e.src, out_order);
-        let kind = class_offsets(&edges, n, |e| e.src);
-        OutSide { edges, kind }
+        let rows = ClassRows::of(&edges, n, |e| e.src);
+        OutSide { edges, rows }
     }
 }
 
@@ -427,11 +527,10 @@ pub struct Pag {
     /// All edges, sorted `(dst, class, src)` — this *is* the incoming-edge
     /// array, kind-major within each node's range.
     edges: Vec<Edge>,
-    /// Per-node per-class start offsets into `edges`, then its length
-    /// (`n × EDGE_CLASSES + 1`, see `class_offsets`), built by the first
-    /// incoming read: the frontend's graph, which the cycle collapse reads
-    /// through [`Pag::edges`] only, never holds one.
-    in_kind: OnceLock<Vec<u32>>,
+    /// Where each node's classes lie in `edges` (see [`ClassRows`]), built
+    /// by the first incoming read: the frontend's graph, which the cycle
+    /// collapse reads through [`Pag::edges`] only, never holds one.
+    in_rows: OnceLock<ClassRows>,
     /// The outgoing side, built by the first outgoing read: a graph no
     /// traversal walks forward — the frontend's, before its cycles are
     /// collapsed — never holds one.
@@ -548,7 +647,7 @@ impl Pag {
     /// offsets.
     #[inline]
     pub fn incoming_classes(&self, n: NodeId) -> ClassSlices<'_> {
-        classes(&self.edges, self.in_kind(), n)
+        classes(&self.edges, self.in_rows(), n)
     }
 
     /// The outgoing edges of `n` by class, each a direct sub-slice of
@@ -556,16 +655,16 @@ impl Pag {
     #[inline]
     pub fn outgoing_classes(&self, n: NodeId) -> ClassSlices<'_> {
         let out = self.out_side();
-        classes(&out.edges, &out.kind, n)
+        classes(&out.edges, &out.rows, n)
     }
 
-    /// The incoming offset table, built from [`Pag::edges`] on the first
+    /// The incoming class rows, built from [`Pag::edges`] on the first
     /// call.
     #[inline]
-    fn in_kind(&self) -> &[u32] {
+    fn in_rows(&self) -> &ClassRows {
         let n = self.nodes.len();
-        self.in_kind
-            .get_or_init(|| class_offsets(&self.edges, n, |e| e.dst))
+        self.in_rows
+            .get_or_init(|| ClassRows::of(&self.edges, n, |e| e.dst))
     }
 
     /// The outgoing side, built from [`Pag::edges`] on the first call.
@@ -608,10 +707,10 @@ impl Pag {
     #[cold]
     fn site_index(&self, class: EdgeClass) -> BySite {
         match class {
-            EdgeClass::Param => BySite::build(&self.edges, self.in_kind(), class, |e| e.src),
+            EdgeClass::Param => BySite::build(&self.edges, self.in_rows(), class, |e| e.src),
             EdgeClass::Ret => {
                 let out = self.out_side();
-                BySite::build(&out.edges, &out.kind, class, |e| e.dst)
+                BySite::build(&out.edges, &out.rows, class, |e| e.dst)
             }
             _ => unreachable!("only call edges are indexed by site"),
         }
@@ -672,7 +771,7 @@ impl Pag {
     /// exactly `edges` (any order, duplicates allowed), frozen as
     /// [`PagBuilder::freeze`] freezes: node ids are kept, so queries against
     /// `self` stay valid against the result. Its revision is 0, and its
-    /// offset tables, outgoing side and by-site indexes are left to their
+    /// class rows, outgoing side and by-site indexes are left to their
     /// first reads.
     pub fn with_edges(&self, edges: &[Edge]) -> Pag {
         freeze_edges(
@@ -1014,7 +1113,7 @@ mod tests {
             }
             let g = b.freeze();
             prop_assert!(g.out.get().is_none(), "freeze builds no outgoing side");
-            prop_assert!(g.in_kind.get().is_none(), "freeze builds no offset table");
+            prop_assert!(g.in_rows.get().is_none(), "freeze builds no class rows");
             is_the_reference_freeze(&g, edges)?;
         }
 
@@ -1050,7 +1149,7 @@ mod tests {
             let nodes: Vec<NodeInfo> = (0..n).map(|v| g.node(remap[v]).clone()).collect();
             let q = g.quotient(nodes, &remap);
             prop_assert!(q.out.get().is_none(), "quotient builds no outgoing side");
-            prop_assert!(q.in_kind.get().is_none(), "quotient builds no offset table");
+            prop_assert!(q.in_rows.get().is_none(), "quotient builds no class rows");
             let renamed = g.edges().iter().map(|e| Edge {
                 src: remap[e.src.index()],
                 dst: remap[e.dst.index()],
@@ -1075,7 +1174,7 @@ mod tests {
             }
             let (edited, effect) = q.apply_delta(&d);
             prop_assert!(effect.is_noop() || edited.out.get().is_none());
-            prop_assert!(effect.is_noop() || edited.in_kind.get().is_none());
+            prop_assert!(effect.is_noop() || edited.in_rows.get().is_none());
             let kept = q.edges().iter().filter(|e| !effect.removed_edges.contains(e));
             let want: Vec<Edge> = kept.chain(&effect.added_edges).copied().collect();
             is_the_reference_freeze(&edited, want.clone())?;
@@ -1093,7 +1192,7 @@ mod tests {
             }
             let again = q.with_edges(&messy);
             prop_assert!(again.out.get().is_none(), "with_edges builds no outgoing side");
-            prop_assert!(again.in_kind.get().is_none(), "with_edges builds no offset table");
+            prop_assert!(again.in_rows.get().is_none(), "with_edges builds no class rows");
             prop_assert_eq!(again.revision(), 0);
             is_the_reference_freeze(&again, messy)?;
             by_site_is_the_scan(&again)?;
@@ -1188,16 +1287,26 @@ mod tests {
         }
     }
 
-    /// `g`'s tables — edge arrays, offset tables and field indexes, the
+    /// `rows` read back as the flat offset table of [`reference_freeze`]:
+    /// each node's class starts, then the edge array's length.
+    fn table(rows: &ClassRows) -> Vec<u32> {
+        let n = rows.node_count();
+        let starts = (0..n).flat_map(|v| rows.bounds(v)[..EDGE_CLASSES].to_vec());
+        starts
+            .chain([u32::from_le_bytes(rows.rows[n].start)])
+            .collect()
+    }
+
+    /// `g`'s tables — edge arrays, class rows and field indexes, the
     /// lazily built ones read through their accessors — against the
     /// reference freeze of `edges` over `g`'s nodes.
     fn is_the_reference_freeze(g: &Pag, edges: Vec<Edge>) -> Result<(), TestCaseError> {
         let [(ins, in_kind), (outs, out_kind)] = reference_freeze(edges, g.node_count());
         prop_assert_eq!(&g.edges, &ins);
-        prop_assert_eq!(g.in_kind(), &in_kind[..]);
+        prop_assert_eq!(table(g.in_rows()), in_kind);
         let out = g.out_side();
         prop_assert_eq!(&out.edges, &outs);
-        prop_assert_eq!(&out.kind, &out_kind);
+        prop_assert_eq!(table(&out.rows), out_kind);
         for f in 0..g.types().field_count() as u32 {
             let of = |kind: EdgeKind| ins.iter().filter(move |e| e.kind == kind);
             let loads: Vec<_> = of(EdgeKind::Load(FieldId(f)))
@@ -1220,17 +1329,17 @@ mod tests {
     }
 
     /// Freeze, quotient, an edit of a parent that built both sides and
-    /// `with_edges` all leave the incoming offset table and the outgoing
+    /// `with_edges` all leave the incoming class rows and the outgoing
     /// side unbuilt; the first read of each builds it, it is a fresh
     /// freeze's, and neither side's read builds the other.
     #[test]
     fn freeze_and_quotient_leave_the_outgoing_side_to_the_first_read() {
         let (g, ids) = mini();
         assert!(g.out.get().is_none());
-        assert!(g.in_kind.get().is_none());
+        assert!(g.in_rows.get().is_none());
         g.incoming(ids[1]);
         assert!(
-            g.in_kind.get().is_some(),
+            g.in_rows.get().is_some(),
             "the first incoming read builds it"
         );
         g.incoming_param_at(ids[1], CallSiteId(0)).count();
@@ -1248,20 +1357,20 @@ mod tests {
 
         let raw = fixed_edges();
         let g = random_pag(20, &raw);
-        assert!(g.in_kind.get().is_none());
+        assert!(g.in_rows.get().is_none());
         g.incoming(NodeId(0));
         let remap: Vec<NodeId> = (0..20).map(|v| NodeId(v / 2)).collect();
         let nodes = (0..10).map(|v| g.node(NodeId(v)).clone()).collect();
         let q = g.quotient(nodes, &remap);
         assert!(q.out.get().is_none());
         assert!(
-            q.in_kind.get().is_none(),
+            q.in_rows.get().is_none(),
             "a built parent table is not carried"
         );
         // A `ret` lookup reads the outgoing side too, and only that side.
         q.outgoing_ret_at(NodeId(0), CallSiteId(0)).count();
         assert!(q.out.get().is_some());
-        assert!(q.in_kind.get().is_none(), "outgoing reads leave it unbuilt");
+        assert!(q.in_rows.get().is_none(), "outgoing reads leave it unbuilt");
 
         let (added, removed) = ((3, 17, 6, 2), raw[5]);
         let mut d = crate::PagDelta::new();
@@ -1278,7 +1387,7 @@ mod tests {
         let [(_, want_in), _] = reference_freeze(fresh.edges().to_vec(), 20);
         for h in [&edited, &rebuilt] {
             assert!(h.out.get().is_none(), "left to the first read");
-            assert!(h.in_kind.get().is_none(), "left to the first read");
+            assert!(h.in_rows.get().is_none(), "left to the first read");
             assert_eq!(h.edges(), fresh.edges());
             for v in fresh.node_ids() {
                 for k in 0..7 {
@@ -1292,7 +1401,7 @@ mod tests {
                 }
             }
             assert!(h.out.get().is_some());
-            assert!(h.in_kind.get().is_none());
+            assert!(h.in_rows.get().is_none());
             for v in fresh.node_ids() {
                 for k in 0..7 {
                     let class = kind_of(k, 0).class();
@@ -1305,7 +1414,7 @@ mod tests {
                     assert_eq!(param(h), param(&fresh), "param into {v:?} at {site}");
                 }
             }
-            assert_eq!(h.in_kind.get(), Some(&want_in), "the reference table");
+            assert_eq!(h.in_rows.get().map(table).as_ref(), Some(&want_in), "the reference table");
         }
     }
 
@@ -1337,24 +1446,75 @@ mod tests {
     fn threads_racing_on_the_first_incoming_read_see_one_table() {
         let g = random_pag(20, &fixed_edges());
         let start = std::sync::Barrier::new(4);
-        let seen: Vec<(&[u32], Vec<&[Edge]>)> = std::thread::scope(|s| {
+        let seen: Vec<(&ClassRows, Vec<&[Edge]>)> = std::thread::scope(|s| {
             let read = || {
                 start.wait();
                 let slices = g.node_ids().map(|v| g.incoming(v)).collect();
-                (g.in_kind(), slices)
+                (g.in_rows(), slices)
             };
             let threads: Vec<_> = (0..4).map(|_| s.spawn(read)).collect();
             threads.into_iter().map(|t| t.join().unwrap()).collect()
         });
-        for (table, slices) in &seen[1..] {
-            assert_eq!(table.as_ptr(), seen[0].0.as_ptr(), "one built table");
+        for (rows, slices) in &seen[1..] {
+            assert!(std::ptr::eq(*rows, seen[0].0), "one built table");
             assert_eq!(slices, &seen[0].1);
         }
         let [(_, want), _] = reference_freeze(g.edges().to_vec(), 20);
-        assert_eq!(g.in_kind(), &want[..]);
+        assert_eq!(table(g.in_rows()), want);
         let fresh = random_pag(20, &fixed_edges());
         for v in fresh.node_ids() {
             assert_eq!(seen[0].1[v.index()], fresh.incoming(v));
+        }
+    }
+
+    /// Nodes with 255 edges or more on a side — 500 of five classes into
+    /// one, 400 `param` edges of four sites into another, 400 `ret` edges
+    /// out of a third, and exactly 255 — read their whole rows from the
+    /// side table, and one with 254 reads its bytes. Both sides' rows are
+    /// the reference freeze's tables, and every by-site lookup is the scan
+    /// of its class slice.
+    #[test]
+    fn hub_rows_read_as_the_reference() {
+        let mut raw = Vec::new();
+        for s in 1..=100 {
+            raw.extend((0..5).map(|k| (s, 0, k, s % 4)));
+        }
+        for s in 2..=101 {
+            raw.extend((0..4).map(|site| (s, 1, 5, site)));
+        }
+        for d in 103..=202 {
+            raw.extend((0..4).map(|site| (2, d, 6, site)));
+        }
+        raw.extend((5..259).map(|s| (s, 3, 1, 0)));
+        raw.extend((5..260).map(|s| (s, 4, 1, 0)));
+        let g = random_pag(300, &raw);
+        let edges: Vec<Edge> = (raw.iter())
+            .map(|&(s, d, k, p)| Edge { src: NodeId(s), dst: NodeId(d), kind: kind_of(k, p) })
+            .collect();
+        is_the_reference_freeze(&g, edges).unwrap();
+        by_site_is_the_scan(&g).unwrap();
+
+        let wide = |rows: &ClassRows| -> Vec<usize> {
+            (0..rows.node_count()).filter(|&v| rows.rows[v].ends[0] == WIDE).collect()
+        };
+        assert_eq!(g.incoming(NodeId(3)).len(), 254);
+        assert_eq!(g.incoming(NodeId(4)).len(), 255);
+        assert_eq!(wide(g.in_rows()), [0, 1, 4]);
+        assert_eq!(g.in_rows().wide.len(), 3);
+        assert_eq!(g.outgoing(NodeId(2)).len(), 409);
+        assert_eq!(wide(&g.out_side().rows), [2]);
+        assert_eq!(g.out_side().rows.wide.len(), 1);
+    }
+
+    /// A row is 10 bytes, and a side's table holds one per node and one
+    /// more, at its length; a graph with no wide node holds no side table.
+    #[test]
+    fn class_rows_are_ten_bytes_a_node() {
+        assert_eq!(std::mem::size_of::<Row>(), 10);
+        let g = random_pag(37, &fixed_edges());
+        for rows in [g.in_rows(), &g.out_side().rows] {
+            assert_eq!(rows.rows.capacity(), 38);
+            assert_eq!(rows.wide.capacity(), 0);
         }
     }
 

@@ -25,11 +25,14 @@ pub struct TypeInfo {
     pub supertype: Option<TypeId>,
 }
 
-/// The table of all types, indexed by [`TypeId`].
+/// The table of all types, indexed by [`TypeId`], and the count of the
+/// program's fields. A field's name is not kept: nothing reads it back,
+/// and the frontend interns names in its own map.
 #[derive(Clone, Debug)]
 pub struct TypeTable {
     types: Vec<TypeInfo>,
-    field_names: Vec<String>,
+    /// Number of fields interned, the builtin `arr` included.
+    fields: u32,
 }
 
 /// [`TypeTable::new`]: `arr` is predeclared here too.
@@ -45,7 +48,7 @@ impl TypeTable {
     pub fn new() -> Self {
         TypeTable {
             types: Vec::new(),
-            field_names: vec!["arr".to_string()],
+            fields: 1,
         }
     }
 
@@ -56,10 +59,11 @@ impl TypeTable {
         id
     }
 
-    /// Adds (interns) a field name and returns its id.
-    pub fn add_field(&mut self, name: impl Into<String>) -> FieldId {
-        let id = FieldId::from_usize(self.field_names.len());
-        self.field_names.push(name.into());
+    /// Adds a field and returns its id, the next one free. Its `name` is
+    /// not kept.
+    pub fn add_field(&mut self, _name: impl Into<String>) -> FieldId {
+        let id = FieldId::new(self.fields);
+        self.fields += 1;
         id
     }
 
@@ -69,9 +73,9 @@ impl TypeTable {
         self.types.len()
     }
 
-    /// Number of interned field names (including the builtin `arr`).
+    /// Number of fields (including the builtin `arr`).
     pub fn field_count(&self) -> usize {
-        self.field_names.len()
+        self.fields as usize
     }
 
     /// Looks up a type.
@@ -161,13 +165,15 @@ mod tests {
     #[test]
     fn interning_and_lookup() {
         let mut t = TypeTable::new();
-        assert_eq!(t.field_names[FieldId::ARR.index()], "arr");
+        assert_eq!(FieldId::ARR.index(), 0);
+        assert_eq!(t.field_count(), 1, "`arr` is predeclared");
         let f = t.add_field("elems");
-        assert_eq!(t.field_names[f.index()], "elems");
+        assert_eq!(f, FieldId(1), "the first field added follows `arr`");
+        assert_eq!(t.add_field(String::from("next")), FieldId(2));
         let a = t.add_type(ty("A", true));
         assert_eq!(t.get(a).name, "A");
         assert_eq!(t.len(), 1);
-        assert_eq!(t.field_count(), 2);
+        assert_eq!(t.field_count(), 3);
     }
 
     #[test]

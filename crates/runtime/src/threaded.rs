@@ -153,6 +153,48 @@ mod tests {
         }
     }
 
+    /// Queries with equal answers — `x`, `z` and `w` each point to the
+    /// object `mk` returns, in the context of its one call — are handed
+    /// one allocation by one lane: under `run_seq` and on a one-lane
+    /// threaded batch, sharing or not. Each batch's lanes close their own
+    /// sets: an equal set from another batch is another allocation.
+    #[test]
+    fn equal_answers_of_one_lane_are_one_allocation() {
+        let src = "class Obj { }
+            class A {
+              method mk(): Obj { var t: Obj; t = new Obj; return t; }
+              method m() {
+                var x: Obj; var z: Obj; var w: Obj;
+                x = call this.mk();
+                z = x;
+                w = z;
+              }
+            }";
+        let pag = build_pag(src).unwrap().pag;
+        let queries = pag.application_locals();
+        let var = |name: &str| pag.node_by_name(name).expect("a variable");
+        let (x, z, w, t) = (var("x@A.m"), var("z@A.m"), var("w@A.m"), var("t@A.mk"));
+        let set = |r: &RunResult, q: NodeId| -> *const [parcfl_core::CtxNode] {
+            let (_, a) = r.answers.iter().find(|(at, _)| *at == q).expect("answered");
+            a.complete().expect("complete")
+        };
+        let seq = || run_seq(&pag, &queries, &SolverConfig::default());
+        let one_lane = |mode| run_threaded(&pag, &queries, &RunConfig::new(mode, 1, Backend::Threaded));
+        let batches = [seq(), one_lane(Mode::Naive), one_lane(Mode::DataSharingSched)];
+        for r in &batches {
+            assert_eq!(r.stats.queries, queries.len());
+            assert_eq!(set(r, x).len(), 1);
+            assert!(std::ptr::eq(set(r, x), set(r, z)), "one set for x and z");
+            assert!(std::ptr::eq(set(r, x), set(r, w)), "one set for x and w");
+            assert!(!std::ptr::eq(set(r, x), set(r, t)), "t's context differs");
+        }
+        let again = seq();
+        assert_eq!(again.sorted_answers(), batches[0].sorted_answers());
+        for r in &batches {
+            assert!(!std::ptr::eq(set(r, x), set(&again, x)), "another batch's set");
+        }
+    }
+
     #[test]
     fn sharing_mode_populates_store() {
         let pag = build_pag(SRC).unwrap().pag;
