@@ -23,7 +23,9 @@
 //! lane answers a key it has been served before from its own copy, so the
 //! shared map sees each hit key once plus every miss. `--reps 1` is the CI
 //! gate. The DQ pass also prints its early terminations and the share of
-//! its traversed steps that went into queries that ran out of budget.
+//! its traversed steps that went into queries that ran out of budget, in
+//! two parts: the queries that exhausted the budget themselves, and those
+//! that stopped early.
 //!
 //! The DQ pass's count moves with the default τF. Since τF went from 100
 //! to 20 it traverses a quarter of the steps and spends much of its time
@@ -31,7 +33,13 @@
 //! taken at τF = 100. It moved again when a walk that pops an exhausted
 //! query's start began to stop there (5 237 302 steps before, 75 % of
 //! them in out-of-budget queries): `SEQ_STEPS` and `DQ_OUT_OF_BUDGET` did
-//! not, and they are what shows that rule changed no verdict.
+//! not, and they are what shows that rule changed no verdict. It moved
+//! once more (2 114 950 steps and 25 511 lookups before) when the
+//! schedule began to order a group's members by flow depth and a query's
+//! own walk began to go breadth-first once a start is exhausted: more
+//! queries stop at an exhausted start, and sooner (3 403 early
+//! terminations before; 814 208 steps in out-of-budget queries, 38.5 %).
+//! Again neither `SEQ_STEPS` nor `DQ_OUT_OF_BUDGET` moved.
 //!
 //! ```text
 //! cargo run --release -p parcfl-bench --bin step_probe [-- --reps N]
@@ -47,10 +55,10 @@ use std::sync::Arc;
 /// `run_seq`'s traversed steps over the light programs.
 const SEQ_STEPS: u64 = 9_943_260;
 /// The one-worker DQ pass's traversed steps and out-of-budget queries.
-const DQ_STEPS: u64 = 2_114_950;
+const DQ_STEPS: u64 = 1_602_012;
 const DQ_OUT_OF_BUDGET: u64 = 3_713;
 /// The lookups the one-worker DQ pass makes in the shared store.
-const DQ_LOOKUPS: u64 = 25_511;
+const DQ_LOOKUPS: u64 = 24_982;
 
 /// On-CPU nanoseconds of the calling thread so far.
 fn thread_cpu_ns() -> u64 {
@@ -69,8 +77,11 @@ struct Work {
     lookups: u64,
     /// Early terminations (DQ only).
     early: u64,
-    /// Traversed steps of the queries that ran out of budget (DQ only).
-    oob_steps: u64,
+    /// Traversed steps of the queries that ran out of budget (DQ only):
+    /// those that exhausted the budget themselves, and those that stopped
+    /// early.
+    exhausted_steps: u64,
+    early_steps: u64,
 }
 
 impl std::iter::Sum for Work {
@@ -80,7 +91,8 @@ impl std::iter::Sum for Work {
             out_of_budget: a.out_of_budget + w.out_of_budget,
             lookups: a.lookups + w.lookups,
             early: a.early + w.early,
-            oob_steps: a.oob_steps + w.oob_steps,
+            exhausted_steps: a.exhausted_steps + w.exhausted_steps,
+            early_steps: a.early_steps + w.early_steps,
         })
     }
 }
@@ -163,11 +175,17 @@ fn dq_lane(b: &Bench, record: bool) -> Work {
     let mut work = Work::default();
     for q in schedule.flat_order() {
         let out = solver.points_to_query(q, 0);
-        let oob = matches!(out.answer, Answer::OutOfBudget);
-        work.steps += out.stats.traversed_steps;
-        work.out_of_budget += u64::from(oob);
-        work.early += u64::from(out.stats.early_terminated);
-        work.oob_steps += if oob { out.stats.traversed_steps } else { 0 };
+        let (steps, early) = (out.stats.traversed_steps, out.stats.early_terminated);
+        work.steps += steps;
+        work.early += u64::from(early);
+        if matches!(out.answer, Answer::OutOfBudget) {
+            work.out_of_budget += 1;
+            if early {
+                work.early_steps += steps;
+            } else {
+                work.exhausted_steps += steps;
+            }
+        }
     }
     work.lookups = counting.lookups.into_inner();
     work
@@ -256,11 +274,17 @@ fn main() {
         );
     }
     let w = dq[0].work;
+    let share = |steps: u64| 100.0 * steps as f64 / w.steps.max(1) as f64;
+    let oob_steps = w.exhausted_steps + w.early_steps;
     println!(
-        "DQ early terminations {}, steps in out-of-budget queries {} ({:.1} % of the pass's)",
+        "DQ early terminations {}, steps in out-of-budget queries {oob_steps} ({:.1} % of the pass's): \
+         {} ({:.1} %) exhausting the budget, {} ({:.1} %) stopping early",
         w.early,
-        w.oob_steps,
-        100.0 * w.oob_steps as f64 / w.steps.max(1) as f64
+        share(oob_steps),
+        w.exhausted_steps,
+        share(w.exhausted_steps),
+        w.early_steps,
+        share(w.early_steps)
     );
     println!(
         "DQ recording over plain: {:.2}x ns/step (fastest passes)",

@@ -39,7 +39,7 @@
 use crate::footprint::{DirtySet, Footprint};
 use parcfl_concurrent::{CtxId, CtxInterner, ShardedMap};
 use parcfl_pag::NodeId;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Traversal direction of the `ReachableNodes` call a jmp entry summarises.
@@ -264,6 +264,9 @@ pub struct ExhaustedStarts {
     bits: OnceLock<Box<[AtomicU64]>>,
     /// `(s, created_at)` per start.
     map: ShardedMap<(Dir, NodeId), (u64, u64)>,
+    /// Whether the map holds a start: set by every record, cleared with
+    /// the map.
+    held: AtomicBool,
 }
 
 impl ExhaustedStarts {
@@ -271,6 +274,7 @@ impl ExhaustedStarts {
         ExhaustedStarts {
             bits: OnceLock::new(),
             map: ShardedMap::with_shards(8),
+            held: AtomicBool::new(false),
         }
     }
 
@@ -313,6 +317,7 @@ impl ExhaustedStarts {
             .get_or_init(|| (0..START_BITS / 64).map(|_| AtomicU64::new(0)).collect());
         let (word, mask) = Self::bit(dir, x);
         bits[word].fetch_or(mask, Ordering::Release);
+        self.held.store(true, Ordering::Relaxed);
         true
     }
 
@@ -321,13 +326,16 @@ impl ExhaustedStarts {
         self.map.len()
     }
 
-    /// Whether nothing is recorded.
+    /// Whether nothing is recorded: one load, which a query makes once to
+    /// choose how its walk pops (DESIGN.md §7).
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        !self.held.load(Ordering::Relaxed)
     }
 
     /// Drops every start.
     fn clear(&self) {
+        self.held.store(false, Ordering::Relaxed);
         self.map.clear();
         for word in self.bits.get().into_iter().flatten() {
             word.store(0, Ordering::Relaxed);

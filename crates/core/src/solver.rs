@@ -36,6 +36,13 @@
 //! that pops that start at the empty context stops there: it would pop
 //! everything the exhausted walk did.
 //!
+//! Walks pop depth-first, except one: a query's own outermost walk pops
+//! breadth-first once the store holds an exhausted start, so it reaches
+//! the start nearest in hops first. Nested walks build sets that the pop
+//! order does not change, and a run without a store has no start to
+//! reach, so both keep the cheaper stack. The order is chosen once per
+//! walk: the work loop is compiled per pop order as it is per direction.
+//!
 //! ## Interned contexts (DESIGN.md §8)
 //!
 //! Traversal states are `(NodeId, CtxId)`: contexts are hash-consed into
@@ -350,12 +357,29 @@ struct Walk<S> {
     /// The objects the answer holds so far (backward only).
     collected: Option<Box<S>>,
     visited: Box<S>,
-    /// The work list.
+    /// The work list. A breadth-first walk pops it from the front and
+    /// never shortens it: `head` states of it are popped.
     w: Vec<IState>,
+    head: usize,
     /// The answer, in the order it was found.
     out: Vec<IState>,
     /// Whether this traversal records the query's discovery forest.
     tracing: bool,
+}
+
+impl<S> Walk<S> {
+    /// The next state to pop, if any: the newest, or with `FIFO` the
+    /// oldest not yet popped.
+    #[inline(always)]
+    fn pop<const FIFO: bool>(&mut self) -> Option<IState> {
+        if FIFO {
+            let next = self.w.get(self.head).copied();
+            self.head += 1;
+            next
+        } else {
+            self.w.pop()
+        }
+    }
 }
 
 /// What a query reads and never writes: the solver's inputs.
@@ -751,14 +775,22 @@ impl<'a, S: StateSet> QueryState<'a, S> {
             collected: (dir == Dir::Bwd).then(|| self.acquire()),
             visited: self.acquire(),
             w: self.acquire_stack(),
+            head: 0,
             out: self.acquire_stack(),
             // Recorded for the outermost traversal only, and only
             // `traced_points_to_query` asks for it.
             tracing: self.s.frames.len() == 1 && self.trace.is_some(),
         };
-        let r = match dir {
-            Dir::Bwd => self.work_loop::<false>(x, c, &mut t),
-            Dir::Fwd => self.work_loop::<true>(x, c, &mut t),
+        // The query's own walk goes breadth-first once the store holds an
+        // exhausted start, so that it pops the one nearest in hops first
+        // (DESIGN.md §7). Every other walk stays depth-first, which costs
+        // less per pop and has no start to reach sooner.
+        let fifo = self.s.frames.len() == 1 && self.starts.is_some_and(|st| !st.is_empty());
+        let r = match (dir, fifo) {
+            (Dir::Bwd, false) => self.work_loop::<false, false>(x, c, &mut t),
+            (Dir::Bwd, true) => self.work_loop::<false, true>(x, c, &mut t),
+            (Dir::Fwd, false) => self.work_loop::<true, false>(x, c, &mut t),
+            (Dir::Fwd, true) => self.work_loop::<true, true>(x, c, &mut t),
         };
         if let Some(set) = t.collected {
             self.release(set);
@@ -785,8 +817,10 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         sort_canonical(v, |a, b| mirror.cmp_stacks(ctxs, a, b));
     }
 
-    /// The work loop of both traversals, compiled once per direction.
-    fn work_loop<const FWD: bool>(
+    /// The work loop of both traversals, compiled once per direction and
+    /// pop order: depth-first pops the newest state, breadth-first
+    /// (`FIFO`) the oldest.
+    fn work_loop<const FWD: bool, const FIFO: bool>(
         &mut self,
         start: NodeId,
         c: CtxId,
@@ -795,7 +829,7 @@ impl<'a, S: StateSet> QueryState<'a, S> {
         let dir = if FWD { Dir::Fwd } else { Dir::Bwd };
         t.visited.insert(start.raw(), c);
         t.w.push((start, c));
-        while let Some((x, cx)) = t.w.pop() {
+        while let Some((x, cx)) = t.pop::<FIFO>() {
             self.tick()?;
             if cx.is_empty() && self.starts.is_some_and(|st| st.may_hold(dir, x)) {
                 self.stop_at_start(dir, x)?;

@@ -459,6 +459,49 @@ fn exhausted_starts_fire_only_where_they_hold() {
     assert_eq!(y.answer.nodes().map(|n| n.len()), Some(1), "{:?}", y.stats);
 }
 
+/// Once the store holds an exhausted start, a query's own walk goes
+/// breadth-first and pops the start nearest in hops first. `q = a` with
+/// `a = s`, `s` in front of a chain longer than the budget, and a fan of
+/// `q = f{i}`, each `f{i}` in front of a chain of its own: depth-first
+/// pops the last-stored fan member and its chain first, and every fan
+/// chain before `a`; breadth-first pops `q`, `a`, the fan, then `s`.
+#[test]
+fn a_walk_goes_breadth_first_to_the_nearest_exhausted_start() {
+    const FAN: usize = 30;
+    let fan_vars: String = (0..FAN)
+        .map(|i| format!(" var f{i}: Obj; var g{i}: Obj;"))
+        .collect();
+    let fan: String = (0..FAN)
+        .map(|i| format!(" q = f{i}; f{i} = g{i}; g{i} = new Obj;"))
+        .collect();
+    let chain_vars: String = (0..=100).map(|i| format!(" var c{i}: Obj;")).collect();
+    let chain: String = (1..=100).map(|i| format!(" c{} = c{i};", i - 1)).collect();
+    let p = pag(&format!(
+        "class Obj {{ }} class A {{ method m() {{ var q: Obj; var a: Obj; var s: Obj;{fan_vars}{chain_vars} \
+         q = a; a = s; s = c0;{chain} c100 = new Obj;{fan} }} }}"
+    ));
+    let cfg = SolverConfig::default()
+        .with_budget(50)
+        .without_tau_thresholds();
+    let (q, s) = (node(&p, "q@A.m"), node(&p, "s@A.m"));
+    let plain = Solver::new(&p, &cfg, &NoJmpStore).points_to_query(q, 0);
+    assert_eq!(plain.answer, Answer::OutOfBudget);
+    assert_eq!(plain.stats.traversed_steps, 51);
+
+    let store = SharedJmpStore::new();
+    let mut solver = Solver::new(&p, &cfg, &store);
+    assert_eq!(solver.points_to_query(s, 0).answer, Answer::OutOfBudget);
+    assert!(starts(&store).get(Dir::Bwd, s).is_some());
+    let out = solver.points_to_query(q, 0);
+    assert_eq!(out.answer, plain.answer);
+    assert!(out.stats.early_terminated, "{:?}", out.stats);
+    assert!(
+        out.stats.traversed_steps <= FAN as u64 + 3,
+        "{:?}",
+        out.stats
+    );
+}
+
 /// A burn and an unfinished-entry early termination leave no start: a
 /// re-entry depends on the frames around the walk, and an unfinished
 /// bound was measured from another frame, so neither shows that the

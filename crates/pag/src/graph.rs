@@ -414,17 +414,19 @@ impl BySite {
     fn build(edges: &[Edge], rows: &ClassRows, class: EdgeClass, far: fn(&Edge) -> NodeId) -> Self {
         let n = rows.node_count();
         let site = |e: &Edge| e.kind.call_site().expect("a call edge").raw();
+        let slice = |v: usize| classes(edges, rows, NodeId::from_usize(v)).of(class);
+        // Sized from the rows, so the index holds no growth slack.
+        let len = (0..n).map(|v| slice(v).len()).sum();
         let mut index = BySite {
             start: Vec::with_capacity(n + 1),
-            entries: Vec::new(),
+            entries: Vec::with_capacity(len),
         };
         index.start.push(0);
         for v in 0..n {
             let at = index.entries.len();
-            let slice = classes(edges, rows, NodeId::from_usize(v)).of(class);
             index
                 .entries
-                .extend(slice.iter().map(|e| (site(e), far(e))));
+                .extend(slice(v).iter().map(|e| (site(e), far(e))));
             index.entries[at..].sort_unstable();
             index.start.push(index.entries.len() as u32);
         }
@@ -1532,6 +1534,18 @@ mod tests {
         assert_eq!(g.method_names.capacity(), 5);
         let g = random_pag(37, &fixed_edges());
         assert_eq!(g.nodes.capacity(), 37, "a builder grows to 64");
+    }
+
+    /// The `param` / `ret` by-site indexes are sized from the class rows:
+    /// their entry tables hold no growth slack either.
+    #[test]
+    fn by_site_indexes_hold_no_growth_slack() {
+        let g = random_pag(37, &fixed_edges());
+        for class in [EdgeClass::Param, EdgeClass::Ret] {
+            let index = g.site_index(class);
+            assert!(!index.entries.is_empty(), "{class:?}");
+            assert_eq!(index.entries.capacity(), index.entries.len(), "{class:?}");
+        }
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Schedule construction has two cost classes: the per-type level table
 //! (`pag.types().levels()`, query-independent — one pass over the type
-//! hierarchy) and the per-query-set work (grouping, connection distances,
-//! ordering). A [`ScheduleCache`] computes the level table once, lazily,
-//! and builds every schedule over it.
+//! hierarchy) and the per-query-set work (grouping, flow depths and
+//! connection distances, ordering). A [`ScheduleCache`] computes the level
+//! table once, lazily, and builds every schedule over it.
 //!
 //! Whole schedules are not kept. A session answers a query it has asked
 //! before from the answer it kept, before any schedule is asked for, so

@@ -9,7 +9,6 @@
 //! their endpoints). Queries in the same group share traversal structure,
 //! so they are dispatched to a thread together.
 
-use parcfl_concurrent::FxHashMap;
 use parcfl_pag::algo::UnionFind;
 use parcfl_pag::{NodeId, Pag};
 
@@ -31,19 +30,18 @@ impl Groups {
                 uf.union(e.src.index(), e.dst.index());
             }
         }
-        let root_of: Vec<u32> = (0..n).map(|v| uf.find(v) as u32).collect();
-
         // Bucket queries by root, keeping first-seen order of roots so the
         // result is deterministic in the input order.
-        let mut index_of_root: FxHashMap<u32, usize> = FxHashMap::default();
+        const NONE: u32 = u32::MAX;
+        let mut slot_of_root = vec![NONE; n];
         let mut members: Vec<Vec<NodeId>> = Vec::new();
         for &q in queries {
-            let r = root_of[q.index()];
-            let slot = *index_of_root.entry(r).or_insert_with(|| {
+            let slot = &mut slot_of_root[uf.find(q.index())];
+            if *slot == NONE {
+                *slot = members.len() as u32;
                 members.push(Vec::new());
-                members.len() - 1
-            });
-            members[slot].push(q);
+            }
+            members[*slot as usize].push(q);
         }
         Groups { members }
     }

@@ -7,10 +7,11 @@
 //!
 //! 1. [`Groups`] — queries are grouped by connectivity under the `direct`
 //!    relation (assignments, parameters, returns; grammar (5));
-//! 2. connection distances (longest direct path through each variable,
-//!    modulo recursion) order queries *within* a group; dependence depths
-//!    (`1/L(t)` from the type containment hierarchy) order the groups
-//!    themselves;
+//! 2. flow depths (longest value-flow path into each variable, through
+//!    the heap too), then connection distances (longest direct path
+//!    through it), both modulo recursion, order queries *within* a group;
+//!    dependence depths (`1/L(t)` from the type containment hierarchy)
+//!    order the groups themselves;
 //! 3. [`build_schedule`] — groups are rebalanced towards the mean size `M`
 //!    (split/merge) and emitted in increasing-DD order.
 //!

@@ -1,12 +1,12 @@
 //! Schedule assembly (paper Section III-C): group queries by the `direct`
-//! relation, order members by increasing connection distance, order groups
-//! by increasing dependence depth (decreasing type level), then rebalance
-//! group sizes towards the mean `M` — groups larger than `M` are split,
-//! smaller adjacent groups are merged — for load balance on the shared
-//! work list.
+//! relation, order members by increasing flow depth and then connection
+//! distance, order groups by increasing dependence depth (decreasing type
+//! level), then rebalance group sizes towards the mean `M` — groups larger
+//! than `M` are split, smaller adjacent groups are merged — for load
+//! balance on the shared work list.
 
 use crate::groups::Groups;
-use crate::metrics::{connection_distances, group_level};
+use crate::metrics::{group_level, keys, Keys};
 use parcfl_pag::{NodeId, Pag};
 use std::cmp::Reverse;
 
@@ -74,31 +74,31 @@ pub(crate) fn build_schedule_with_levels(
             avg_group_size: 0.0,
         };
     }
-    schedule_by(pag, queries, opts, all_levels, &connection_distances(pag))
+    schedule_by(pag, queries, opts, all_levels, &keys(pag))
 }
 
 /// Groups `queries`, orders the groups and their members, and rebalances,
-/// over the connection distances `cds`.
+/// over the member keys `keys`.
 fn schedule_by(
     pag: &Pag,
     queries: &[NodeId],
     opts: &ScheduleOptions,
     all_levels: &[u32],
-    cds: &[u64],
+    keys: &Keys,
 ) -> Schedule {
     let groups = Groups::build(pag, queries);
 
-    // Order members within each group by increasing CD (ties by node id for
-    // determinism), and groups by decreasing max type level == increasing
-    // DD = 1/L. Level-0 groups (primitives/opaque) sort last. Ties broken
-    // by smallest member id for determinism.
+    // Order members within each group by increasing flow depth, then CD
+    // (ties by node id for determinism), and groups by decreasing max type
+    // level == increasing DD = 1/L. Level-0 groups (primitives/opaque)
+    // sort last. Ties broken by smallest member id for determinism.
     let mut ordered: Vec<_> = groups
         .members
         .into_iter()
         .map(|mut m| {
             let level = group_level(all_levels, pag, &m);
             let key = (level == 0, Reverse(level), m.iter().min().copied());
-            m.sort_by_key(|v| (cds[v.index()], *v));
+            m.sort_by_key(|&v| keys.of(v));
             (key, m)
         })
         .collect();
@@ -180,6 +180,26 @@ mod tests {
     }
 
     #[test]
+    fn within_group_upstream_heap_flow_first() {
+        // `p.f = y; x = q.f` with `p`, `q` aliased, and `a = x; a = y`:
+        // one group, equal CD, and `x` has the smaller id; `y` flows into
+        // `x` through the heap, so `y` is issued first.
+        let src = "class Obj { }
+                   class Box { field f: Obj; }
+                   class A { method m() {
+                     var x: Obj; var y: Obj; var p: Box; var q: Box; var a: Obj;
+                     p = new Box; q = p; y = new Obj;
+                     p.f = y; x = q.f;
+                     a = x; a = y;
+                   } }";
+        let pag = build_pag(src).unwrap().pag;
+        let [x, y] = ["x@A.m", "y@A.m"].map(|n| pag.node_by_name(n).unwrap());
+        let s = build_schedule(&pag, &[x, y], &ScheduleOptions::default());
+        assert_eq!(s.avg_group_size, 2.0, "one group");
+        assert_eq!(s.flat_order(), vec![y, x]);
+    }
+
+    #[test]
     fn rebalance_splits_and_merges_to_mean() {
         // One group of 6 and three singletons: average M = ceil(9/4) = 3
         // ... build 6-chain plus 3 isolated vars.
@@ -255,7 +275,7 @@ mod tests {
     /// The connection distances before the one-pass sweep, kept as the
     /// reference: per component a CSR off `outgoing`, a Tarjan run, a
     /// sorted condensation and a Kahn pass (`longest_path_through`).
-    fn reference_cds(pag: &Pag) -> Vec<u64> {
+    fn reference_cds(pag: &Pag) -> Vec<u32> {
         use parcfl_pag::algo::{longest_path_through, tarjan_scc};
         let all: Vec<NodeId> = pag.node_ids().collect();
         let (mut cds, mut local) = (vec![0; all.len()], vec![0; all.len()]);
@@ -277,10 +297,71 @@ mod tests {
             cedges.dedup();
             let lp = longest_path_through(scc.component_count(), &cedges);
             for (i, &v) in nodes.iter().enumerate() {
-                cds[v.index()] = lp[scc.component_of(i)];
+                cds[v.index()] = lp[scc.component_of(i)] as u32;
             }
         }
         cds
+    }
+
+    /// The flow depths by another route: the hub arcs read off the PAG's
+    /// per-field load and store lists, the generic Tarjan, and the
+    /// longest path into each component by a Kahn pass over the sorted
+    /// condensation.
+    fn reference_depths(pag: &Pag) -> Vec<u32> {
+        use parcfl_pag::algo::tarjan_scc;
+        use parcfl_pag::FieldId;
+        let n = pag.node_count();
+        let hubs = pag.types().field_count();
+        let mut succ: Vec<Vec<usize>> = (pag.node_ids())
+            .map(|v| {
+                (pag.outgoing(v).iter().filter(|e| e.kind.is_direct()))
+                    .map(|e| e.dst.index())
+                    .collect()
+            })
+            .collect();
+        succ.resize(n + hubs, Vec::new());
+        for f in 0..hubs {
+            let f = FieldId::new(f as u32);
+            for &(_, rhs) in pag.stores_of(f) {
+                succ[rhs.index()].push(n + f.index());
+            }
+            for &(_, dst) in pag.loads_of(f) {
+                succ[n + f.index()].push(dst.index());
+            }
+        }
+        let scc = tarjan_scc(n + hubs, |v| succ[v].iter().copied());
+        let comps = scc.component_count();
+        let mut cedges: Vec<(usize, usize)> = (0..n + hubs)
+            .flat_map(|v| succ[v].iter().map(move |&w| (v, w)))
+            .map(|(v, w)| (scc.component_of(v), scc.component_of(w)))
+            .filter(|(a, b)| a != b)
+            .collect();
+        cedges.sort_unstable();
+        cedges.dedup();
+        let mut indeg = vec![0usize; comps];
+        for &(_, b) in &cedges {
+            indeg[b] += 1;
+        }
+        let mut ready: Vec<usize> = (0..comps).filter(|&c| indeg[c] == 0).collect();
+        let mut lin = vec![0u32; comps];
+        while let Some(c) = ready.pop() {
+            let from = cedges.partition_point(|&(a, _)| a < c);
+            for &(_, d) in cedges[from..].iter().take_while(|&&(a, _)| a == c) {
+                lin[d] = lin[d].max(lin[c] + 1);
+                indeg[d] -= 1;
+                if indeg[d] == 0 {
+                    ready.push(d);
+                }
+            }
+        }
+        (0..n).map(|v| lin[scc.component_of(v)]).collect()
+    }
+
+    fn reference_keys(pag: &Pag) -> Keys {
+        Keys {
+            cd: reference_cds(pag),
+            depth: reference_depths(pag),
+        }
     }
 
     proptest::proptest! {
@@ -303,16 +384,17 @@ mod tests {
         }
 
         /// On generated programs (assign cycles left in) under caps none,
-        /// 1, 4, 16 and a random one, the schedule over the one-pass
-        /// connection distances is the one over the reference's.
+        /// 1, 4, 16 and a random one, the schedule over the one-pass keys
+        /// is the one over the reference's.
         #[test]
         fn one_pass_schedule_is_the_reference(seed in 0u64..5000, cap in 1usize..40) {
             let profile = if seed % 2 == 0 { Profile::tiny(seed) } else { Profile::small(seed) };
             let pag = parcfl_frontend::extract(&parcfl_synth::generate(&profile)).unwrap().pag;
             let (queries, levels) = (pag.application_locals(), pag.types().levels());
+            let reference = reference_keys(&pag);
             for max_group_size in [None, Some(1), Some(4), Some(16), Some(cap)] {
                 let opts = ScheduleOptions { max_group_size };
-                let want = schedule_by(&pag, &queries, &opts, &levels, &reference_cds(&pag));
+                let want = schedule_by(&pag, &queries, &opts, &levels, &reference);
                 let got = build_schedule(&pag, &queries, &opts);
                 proptest::prop_assert_eq!(got.groups, want.groups);
                 proptest::prop_assert_eq!(got.avg_group_size, want.avg_group_size);

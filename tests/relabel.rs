@@ -6,8 +6,13 @@
 //! every completed answer and every out-of-budget verdict must map through
 //! the permutation, for `run_seq` and for simulated DQ at 16 workers, and
 //! `run_seq` and naive runs must take the same steps. D and DQ step counts
-//! are not compared: how soon an out-of-budget walk fails depends on the
-//! order the ids are stored in.
+//! are not compared: how soon an out-of-budget query stops depends on
+//! which exhausted starts are recorded when its walk runs, and so on the
+//! query order, where the schedule breaks ties of flow depth and CD by id
+//! (and, less, on the order a walk pops ids in). The schedule's keys
+//! themselves map through a renumbering (`parcfl-sched`'s
+//! `keys_map_through_a_relabelling`); the DQ steps of the suite move by
+//! a few per cent between numberings (EXPERIMENTS.md).
 
 use parcfl::core::{Ctx, SolverConfig};
 use parcfl::pag::{NodeId, Pag};
