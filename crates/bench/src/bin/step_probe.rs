@@ -45,6 +45,7 @@
 //! cargo run --release -p parcfl-bench --bin step_probe [-- --reps N]
 //! ```
 
+use parcfl_bench::thread_cpu_ns;
 use parcfl_core::jmp::{ExhaustedStarts, JmpKey, JmpLookup, RchSet};
 use parcfl_core::{Answer, CtxInterner, Footprint, JmpStore, SharedJmpStore, Solver};
 use parcfl_runtime::{run, run_seq, schedule_with_cap, Backend, Mode, RunConfig};
@@ -59,14 +60,6 @@ const DQ_STEPS: u64 = 1_602_012;
 const DQ_OUT_OF_BUDGET: u64 = 3_713;
 /// The lookups the one-worker DQ pass makes in the shared store.
 const DQ_LOOKUPS: u64 = 24_982;
-
-/// On-CPU nanoseconds of the calling thread so far.
-fn thread_cpu_ns() -> u64 {
-    let stat = std::fs::read_to_string("/proc/thread-self/schedstat")
-        .expect("/proc/thread-self/schedstat (Linux) to read on-CPU time from");
-    let ns = stat.split_whitespace().next().and_then(|f| f.parse().ok());
-    ns.expect("schedstat's first field: nanoseconds on the CPU")
-}
 
 /// The work of a pass, or of one program in it.
 #[derive(Clone, Copy, Default)]

@@ -44,6 +44,21 @@ pub fn run_mode(b: &Bench, mode: Mode, threads: usize) -> RunResult {
     run_simulated(&b.pag, &b.queries, &cfg_for(b, mode, threads))
 }
 
+/// On-CPU nanoseconds of the calling thread so far, from
+/// `/proc/thread-self/schedstat` (Linux): time another process takes from
+/// the core is not counted, which is what lets the pinned probes
+/// (`step_probe`, `frontend_probe`) tell two builds apart to a few per
+/// cent on a shared host. The kernel brings a running thread's count up
+/// to date only at a tick or a pass through the scheduler, so this yields
+/// first: without it a reading lags by up to a tick (4 ms at 250 Hz).
+pub fn thread_cpu_ns() -> u64 {
+    std::thread::yield_now();
+    let stat = std::fs::read_to_string("/proc/thread-self/schedstat")
+        .expect("/proc/thread-self/schedstat (Linux) to read on-CPU time from");
+    let ns = stat.split_whitespace().next().and_then(|f| f.parse().ok());
+    ns.expect("schedstat's first field: nanoseconds on the CPU")
+}
+
 /// Arithmetic mean (the paper reports arithmetic averages).
 pub fn average(xs: &[f64]) -> f64 {
     if xs.is_empty() {

@@ -7,9 +7,8 @@
 //! which keeps call-string contexts finite.
 
 use crate::hierarchy::Hierarchy;
-use crate::ir::{Stmt, TypeRef, VarRef};
+use crate::ir::{Name, NameMap, Stmt, TypeRef, VarRef};
 use parcfl_pag::algo::{tarjan_scc, SccResult};
-use std::collections::HashMap;
 use std::ops::Range;
 
 /// A dense method index across the whole program.
@@ -46,9 +45,9 @@ impl CallGraph {
         let dense = |(c, m): (usize, usize)| MethodIdx(class_start[c] + m as u32);
 
         let (mut calls, mut targets) = (Vec::new(), Vec::new());
-        let mut resolved = HashMap::new();
+        let mut resolved: NameMap<(usize, &Name, bool), Range<u32>> = NameMap::default();
         // The caller's variables: name → type of its first declaration.
-        let mut declared: HashMap<&str, &TypeRef> = HashMap::new();
+        let mut declared: NameMap<&Name, &TypeRef> = NameMap::default();
         // Successor methods (call targets) per method, deduplicated.
         let mut callees: Vec<Vec<MethodIdx>> = vec![Vec::new(); methods.len()];
         for (&(ci, mi), out) in methods.iter().zip(&mut callees) {
@@ -66,7 +65,7 @@ impl CallGraph {
                         // Dispatch from the declared type of the receiver.
                         let decl = match recv {
                             VarRef::Local(r) if !method.is_static && *r == "this" => Some(ci),
-                            VarRef::Local(r) => match declared.get(&**r) {
+                            VarRef::Local(r) => match declared.get(r) {
                                 Some(TypeRef::Class(c)) => h.class_index(c),
                                 _ => None,
                             },
@@ -83,17 +82,15 @@ impl CallGraph {
                     _ => continue,
                 };
                 let range = decl.map_or(0..0, |d| {
-                    let range = resolved
-                        .entry((d, &**name, virtual_call))
-                        .or_insert_with(|| {
-                            let start = targets.len() as u32;
-                            if virtual_call {
-                                targets.extend(h.dispatch(d, name).into_iter().map(dense));
-                            } else {
-                                targets.extend(h.resolve_method(d, name).map(dense));
-                            }
-                            start..targets.len() as u32
-                        });
+                    let range = resolved.entry((d, name, virtual_call)).or_insert_with(|| {
+                        let start = targets.len() as u32;
+                        if virtual_call {
+                            targets.extend(h.dispatch(d, name).into_iter().map(dense));
+                        } else {
+                            targets.extend(h.resolve_method(d, name).map(dense));
+                        }
+                        start..targets.len() as u32
+                    });
                     range.clone()
                 });
                 if range.is_empty() {

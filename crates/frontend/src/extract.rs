@@ -16,11 +16,10 @@
 
 use crate::callgraph::{CallGraph, MethodIdx};
 use crate::hierarchy::{Hierarchy, HierarchyError};
-use crate::ir::{MethodDecl, Program, Stmt, TypeRef, VarRef};
+use crate::ir::{MethodDecl, Name, NameMap, Program, Stmt, TypeRef, VarRef};
 use parcfl_pag::{
     EdgeKind, FieldId, MethodId, NodeId, NodeKind, Pag, PagBuilder, TypeId, TypeInfo,
 };
-use std::collections::HashMap;
 use std::fmt;
 
 /// An extraction failure.
@@ -82,46 +81,70 @@ pub fn extract(program: &Program) -> Result<Extraction, ExtractError> {
     let hierarchy = Hierarchy::new(program)?;
     let mut warnings = Vec::new();
     let callgraph = CallGraph::build(&hierarchy, &mut warnings);
+    let this = Name::from("this");
     let mut ex = Extractor {
         h: &hierarchy,
         cg: &callgraph,
+        this: &this,
         builder: PagBuilder::new(),
-        types: HashMap::new(),
-        fields: HashMap::new(),
+        types: NameMap::default(),
+        fields: NameMap::default(),
         class_ty: Vec::new(),
-        globals: HashMap::new(),
+        globals: NameMap::default(),
         methods: Vec::new(),
         cur: 0,
-        env: HashMap::new(),
+        env: NameMap::default(),
         suffix: String::new(),
         calls: 0,
         warnings,
         tmp_counter: 0,
     };
     ex.intern_types();
+    let (nodes, edges) = ex.counts();
+    ex.builder.reserve(nodes, edges);
     ex.declare_globals();
     ex.declare_methods();
     ex.lower_bodies()?;
+    debug_assert_eq!(
+        (ex.builder.node_count(), ex.builder.edge_count()),
+        (nodes, edges),
+        "the counts the builder was sized from"
+    );
     Ok(Extraction {
         pag: ex.builder.freeze(),
         warnings: ex.warnings,
     })
 }
 
-/// The lowering state. Names are looked up as `&str` borrowed from the
-/// program: the only strings this allocates are the PAG's own names.
+/// Appends the decimal spelling of `n` to `text`.
+fn push_decimal(text: &mut String, n: usize) {
+    if n >= 10 {
+        push_decimal(text, n / 10);
+    }
+    text.push(char::from(b'0' + (n % 10) as u8));
+}
+
+/// 1 if reading or writing `v` goes through a fresh temp: `v` is a static.
+fn via_tmp(v: &VarRef) -> usize {
+    usize::from(matches!(v, VarRef::Static(..)))
+}
+
+/// The lowering state. Every table is keyed by the program's own
+/// [`Name`]s, which carry their hash: the only strings this allocates are
+/// the PAG's own names and method names.
 struct Extractor<'p> {
     h: &'p Hierarchy<'p>,
     cg: &'p CallGraph,
+    /// The implicit receiver's name.
+    this: &'p Name,
     builder: PagBuilder,
-    /// (element spelling, array rank) → type id; `int` spells
-    /// [`TypeRef::Int`].
-    types: HashMap<(&'p str, usize), TypeId>,
-    fields: HashMap<&'p str, FieldId>,
+    /// (element class, array rank) → type id; `None` is [`TypeRef::Int`].
+    types: NameMap<(Option<&'p Name>, usize), TypeId>,
+    fields: NameMap<&'p Name, FieldId>,
     /// Class index → type id.
     class_ty: Vec<TypeId>,
     /// (class index, static field name) → its global node and type.
-    globals: HashMap<(usize, &'p str), (NodeId, TypeId)>,
+    globals: NameMap<(usize, &'p Name), (NodeId, TypeId)>,
     /// Dense method index → PAG method id, first node (`this`, the
     /// parameters and the locals are numbered from it) and return node.
     methods: Vec<(MethodId, NodeId, Option<NodeId>)>,
@@ -129,7 +152,7 @@ struct Extractor<'p> {
     /// `@Class.method` suffix of its node names, and the call statements
     /// lowered so far (which index [`CallGraph::call_targets`]).
     cur: usize,
-    env: HashMap<&'p str, NodeId>,
+    env: NameMap<&'p Name, NodeId>,
     suffix: String,
     calls: usize,
     warnings: Vec<String>,
@@ -138,7 +161,7 @@ struct Extractor<'p> {
 
 impl<'p> Extractor<'p> {
     /// The class name and declaration of dense method `m`.
-    fn method(&self, m: usize) -> (&'p str, &'p MethodDecl) {
+    fn method(&self, m: usize) -> (&'p Name, &'p MethodDecl) {
         let program: &'p Program = self.h.program;
         let class = &program.classes[self.cg.methods[m].0];
         (&class.name, &class.methods[self.cg.methods[m].1])
@@ -154,9 +177,9 @@ impl<'p> Extractor<'p> {
         // Intern `int` and all classes first so fields can refer to any
         // class (including forward references).
         let program = self.h.program;
-        self.add_type(("int", 0), "int".into(), false, Vec::new());
+        self.add_type((None, 0), "int".into(), false, Vec::new());
         for c in &program.classes {
-            let id = self.add_type((&c.name, 0), c.name.to_string(), true, Vec::new());
+            let id = self.add_type((Some(&c.name), 0), c.name.to_string(), true, Vec::new());
             self.class_ty.push(id);
         }
         // Patch superclass links and instance fields (may intern array
@@ -174,7 +197,7 @@ impl<'p> Extractor<'p> {
 
     fn add_type(
         &mut self,
-        key: (&'p str, usize),
+        key: (Option<&'p Name>, usize),
         name: String,
         is_ref: bool,
         fields: Vec<(FieldId, TypeId)>,
@@ -197,20 +220,21 @@ impl<'p> Extractor<'p> {
         if let Some(&id) = self.types.get(&(base, rank)) {
             return id;
         }
+        let spelling = base.map_or("int", |c| c);
         let mut id = match self.types.get(&(base, 0)) {
             Some(&id) => id,
             None => {
                 // Undefined class used as a type: an opaque ref type.
-                let warning = format!("reference to undefined class `{base}`");
+                let warning = format!("reference to undefined class `{spelling}`");
                 self.warnings.push(warning);
-                self.add_type((base, 0), base.to_string(), true, Vec::new())
+                self.add_type((base, 0), spelling.to_string(), true, Vec::new())
             }
         };
         for r in 1..=rank {
             id = match self.types.get(&(base, r)) {
                 Some(&id) => id,
                 None => {
-                    let name = format!("{base}{}", "[]".repeat(r));
+                    let name = format!("{spelling}{}", "[]".repeat(r));
                     self.add_type((base, r), name, true, vec![(FieldId::ARR, id)])
                 }
             };
@@ -218,53 +242,145 @@ impl<'p> Extractor<'p> {
         id
     }
 
-    fn field_id(&mut self, name: &'p str) -> FieldId {
+    fn field_id(&mut self, name: &'p Name) -> FieldId {
         let types = self.builder.types_mut();
         *self
             .fields
             .entry(name)
-            .or_insert_with(|| types.add_field(name))
+            .or_insert_with(|| types.add_field(&**name))
     }
 
     // ----- declarations -----
+
+    /// The nodes and edges the declarations and the lowering will add, read
+    /// off the IR and the call graph before any is added. It mirrors
+    /// [`Extractor::lower_stmt`]: a statement that reaches a static through
+    /// a temp adds that temp and its `assign_g` edge.
+    fn counts(&self) -> (usize, usize) {
+        let program = self.h.program;
+        let mut nodes: usize = program.classes.iter().map(|c| c.statics.len()).sum();
+        let (mut edges, mut call) = (0, 0);
+        for m in 0..self.cg.len() {
+            let (_, method) = self.method(m);
+            let declared = method.params.len() + method.locals.len();
+            nodes += declared + usize::from(!method.is_static) + usize::from(method.ret.is_some());
+            for stmt in &method.body {
+                // The statement's temps, and its edges besides theirs.
+                let (temps, plain) = match stmt {
+                    Stmt::New { dst, .. } => {
+                        nodes += 1;
+                        (via_tmp(dst), 1)
+                    }
+                    // Only a global-to-global copy takes a temp.
+                    Stmt::Assign { dst, src } => (via_tmp(dst) * via_tmp(src), 1),
+                    Stmt::Load { dst, base, .. } | Stmt::ArrayLoad { dst, base } => {
+                        (via_tmp(dst) + via_tmp(base), 1)
+                    }
+                    Stmt::Store { base, src, .. } | Stmt::ArrayStore { base, src } => {
+                        (via_tmp(base) + via_tmp(src), 1)
+                    }
+                    Stmt::VirtualCall {
+                        dst, recv, args, ..
+                    } => {
+                        let (temps, plain) = self.call_counts(call, true, args, dst);
+                        (via_tmp(recv) + temps, plain)
+                    }
+                    Stmt::StaticCall { dst, args, .. } => self.call_counts(call, false, args, dst),
+                    Stmt::Return { val: Some(v) } if method.ret.is_some() => (via_tmp(v), 1),
+                    Stmt::Return { .. } => (0, 0),
+                };
+                call += usize::from(matches!(
+                    stmt,
+                    Stmt::VirtualCall { .. } | Stmt::StaticCall { .. }
+                ));
+                nodes += temps;
+                edges += temps + plain;
+            }
+        }
+        (nodes, edges)
+    }
+
+    /// [`Extractor::counts`] of call statement `call`: the temps of its
+    /// actuals and of a global destination, and its `param` and `ret`
+    /// edges, as [`Extractor::lower_call`] adds them.
+    fn call_counts(
+        &self,
+        call: usize,
+        recv: bool,
+        args: &[VarRef],
+        dst: &Option<VarRef>,
+    ) -> (usize, usize) {
+        let targets = self.cg.call_targets(call);
+        if targets.is_empty() {
+            return (0, 0);
+        }
+        let mut temps: usize = args.iter().map(via_tmp).sum();
+        let mut plain = 0;
+        for &t in targets {
+            let (_, target) = self.method(t.0 as usize);
+            plain += usize::from(recv && !target.is_static) + target.params.len().min(args.len());
+            if let (Some(d), Some(_)) = (dst, &target.ret) {
+                temps += via_tmp(d);
+                plain += 1;
+            }
+        }
+        (temps, plain)
+    }
 
     fn declare_globals(&mut self) {
         let program: &'p Program = self.h.program;
         for (ci, c) in program.classes.iter().enumerate() {
             for sf in &c.statics {
                 let ty = self.type_id(&sf.ty);
-                let name = format_args!("{}.{}", c.name, sf.name);
-                let node = self
-                    .builder
-                    .add_named(NodeKind::Global, ty, name, c.is_application);
+                let global = |text: &mut String| {
+                    text.push_str(&c.name);
+                    text.push('.');
+                    text.push_str(&sf.name);
+                };
+                let node =
+                    self.builder
+                        .add_named_with(NodeKind::Global, ty, c.is_application, global);
                 self.globals.insert((ci, &sf.name), (node, ty));
             }
         }
     }
 
+    /// Sets [`Extractor::suffix`] to dense method `m`'s `@Class.method`.
+    fn set_suffix(&mut self, m: usize) {
+        let (class, method) = self.method(m);
+        self.suffix.clear();
+        self.suffix.push('@');
+        self.suffix.push_str(class);
+        self.suffix.push('.');
+        self.suffix.push_str(&method.name);
+    }
+
     fn declare_methods(&mut self) {
         for m in 0..self.cg.len() {
-            let (class, method) = self.method(m);
-            let qualified = format!("{class}.{}", method.name);
-            let suffix = format!("@{qualified}");
-            let mid = self.builder.add_method(qualified);
+            let (_, method) = self.method(m);
+            self.set_suffix(m);
+            let mid = self.builder.add_method(&self.suffix[1..]);
             let first = NodeId::from_usize(self.builder.node_count());
             let is_application = self.is_application(m);
-            let local = |b: &mut PagBuilder, name: &str, ty| {
+            let local = |ex: &mut Self, name: &str, ty| {
                 let kind = NodeKind::Local { method: mid };
-                b.add_named(kind, ty, format_args!("{name}{suffix}"), is_application)
+                let suffix = &ex.suffix;
+                ex.builder.add_named_with(kind, ty, is_application, |text| {
+                    text.push_str(name);
+                    text.push_str(suffix);
+                })
             };
             if !method.is_static {
                 let this_ty = self.class_ty[self.cg.methods[m].0];
-                local(&mut self.builder, "this", this_ty);
+                local(self, "this", this_ty);
             }
             for v in method.params.iter().chain(&method.locals) {
                 let ty = self.type_id(&v.ty);
-                local(&mut self.builder, &v.name, ty);
+                local(self, &v.name, ty);
             }
             let ret = method.ret.as_ref().map(|rt| {
                 let ty = self.type_id(rt);
-                local(&mut self.builder, "$ret", ty)
+                local(self, "$ret", ty)
             });
             self.methods.push((mid, first, ret));
         }
@@ -274,15 +390,15 @@ impl<'p> Extractor<'p> {
 
     fn lower_bodies(&mut self) -> Result<(), ExtractError> {
         for m in 0..self.cg.len() {
-            let (class, method) = self.method(m);
+            let (_, method) = self.method(m);
             self.cur = m;
-            self.suffix = format!("@{class}.{}", method.name);
+            self.set_suffix(m);
             // `this`, parameters and locals in node order; a later
             // declaration of a name shadows an earlier one.
             self.env.clear();
             let declared = method.params.iter().chain(&method.locals);
-            let this = (!method.is_static).then_some("this");
-            let names = this.into_iter().chain(declared.map(|v| &*v.name));
+            let this = (!method.is_static).then_some(self.this);
+            let names = this.into_iter().chain(declared.map(|v| &v.name));
             let first = self.methods[m].1.index();
             for (slot, name) in names.enumerate() {
                 self.env.insert(name, NodeId::from_usize(first + slot));
@@ -294,7 +410,7 @@ impl<'p> Extractor<'p> {
         Ok(())
     }
 
-    fn local(&self, name: &str) -> Result<NodeId, ExtractError> {
+    fn local(&self, name: &Name) -> Result<NodeId, ExtractError> {
         self.env.get(name).copied().ok_or_else(|| {
             let (class, method) = self.method(self.cur);
             ExtractError::UndeclaredVariable {
@@ -306,7 +422,7 @@ impl<'p> Extractor<'p> {
     }
 
     /// The global node of `class.field` and its declared type.
-    fn global(&self, class: &str, field: &str) -> Result<(NodeId, TypeId), ExtractError> {
+    fn global(&self, class: &Name, field: &Name) -> Result<(NodeId, TypeId), ExtractError> {
         // Statics are inherited: walk up the superclass chain.
         let mut cur = self.h.class_index(class);
         while let Some(c) = cur {
@@ -326,9 +442,13 @@ impl<'p> Extractor<'p> {
         let kind = NodeKind::Local {
             method: self.methods[self.cur].0,
         };
-        let name = format_args!("$tmp{}", self.tmp_counter);
+        let n = self.tmp_counter as usize;
         let is_application = self.is_application(self.cur);
-        self.builder.add_named(kind, ty, name, is_application)
+        self.builder
+            .add_named_with(kind, ty, is_application, |text| {
+                text.push_str("$tmp");
+                push_decimal(text, n);
+            })
     }
 
     /// Materialises a readable local for `v`: statics go through a fresh
@@ -371,9 +491,15 @@ impl<'p> Extractor<'p> {
                 let kind = NodeKind::Object {
                     method: self.methods[self.cur].0,
                 };
-                let name = format_args!("o{si}{}", self.suffix);
                 let is_application = self.is_application(self.cur);
-                let obj = self.builder.add_named(kind, tid, name, is_application);
+                let suffix = &self.suffix;
+                let obj = self
+                    .builder
+                    .add_named_with(kind, tid, is_application, |text| {
+                        text.push('o');
+                        push_decimal(text, si);
+                        text.push_str(suffix);
+                    });
                 match dst {
                     VarRef::Local(_) => self.write(dst, obj, EdgeKind::New)?,
                     VarRef::Static(class, field) => {

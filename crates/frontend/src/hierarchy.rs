@@ -1,8 +1,7 @@
 //! Class-hierarchy resolution: subtype queries, method lookup, and CHA
 //! (Class Hierarchy Analysis) virtual-dispatch resolution.
 
-use crate::ir::Program;
-use std::collections::HashMap;
+use crate::ir::{Name, NameMap, Program};
 use std::fmt;
 
 /// An error produced while resolving a program's class hierarchy.
@@ -42,7 +41,7 @@ impl std::error::Error for HierarchyError {}
 pub(crate) struct Hierarchy<'p> {
     /// The underlying program.
     pub(crate) program: &'p Program,
-    by_name: HashMap<&'p str, usize>,
+    by_name: NameMap<&'p Name, usize>,
     /// Direct subclasses of each class.
     children: Vec<Vec<usize>>,
     /// Direct superclass index, if any.
@@ -52,9 +51,9 @@ pub(crate) struct Hierarchy<'p> {
 impl<'p> Hierarchy<'p> {
     /// Builds and validates the hierarchy.
     pub(crate) fn new(program: &'p Program) -> Result<Self, HierarchyError> {
-        let mut by_name = HashMap::new();
+        let mut by_name = NameMap::default();
         for (i, c) in program.classes.iter().enumerate() {
-            if by_name.insert(&*c.name, i).is_some() {
+            if by_name.insert(&c.name, i).is_some() {
                 return Err(HierarchyError::DuplicateClass(c.name.to_string()));
             }
         }
@@ -63,7 +62,7 @@ impl<'p> Hierarchy<'p> {
         for (i, c) in program.classes.iter().enumerate() {
             if let Some(sup) = &c.superclass {
                 let pi = *by_name
-                    .get(&**sup)
+                    .get(sup)
                     .ok_or_else(|| HierarchyError::UnknownSuperclass {
                         class: c.name.to_string(),
                         superclass: sup.to_string(),
@@ -93,7 +92,7 @@ impl<'p> Hierarchy<'p> {
     }
 
     /// Index of a class by name.
-    pub(crate) fn class_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn class_index(&self, name: &Name) -> Option<usize> {
         self.by_name.get(name).copied()
     }
 
@@ -116,13 +115,13 @@ impl<'p> Hierarchy<'p> {
     /// Resolves the implementation of method `name` seen from `class`,
     /// walking up the superclass chain (Java method inheritance). Returns
     /// `(defining class index, method index within that class)`.
-    pub(crate) fn resolve_method(&self, class: usize, name: &str) -> Option<(usize, usize)> {
+    pub(crate) fn resolve_method(&self, class: usize, name: &Name) -> Option<(usize, usize)> {
         let mut cur = Some(class);
         while let Some(c) = cur {
             if let Some(mi) = self.program.classes[c]
                 .methods
                 .iter()
-                .position(|m| m.name == name)
+                .position(|m| m.name == *name)
             {
                 return Some((c, mi));
             }
@@ -135,7 +134,7 @@ impl<'p> Hierarchy<'p> {
     /// where `recv`'s declared type is `decl_class`. Considers every subtype
     /// of the declared type and resolves the method each would execute;
     /// deduplicates the resulting set.
-    pub(crate) fn dispatch(&self, decl_class: usize, name: &str) -> Vec<(usize, usize)> {
+    pub(crate) fn dispatch(&self, decl_class: usize, name: &Name) -> Vec<(usize, usize)> {
         let mut targets = Vec::new();
         for sub in self.subtypes(decl_class) {
             if let Some(t) = self.resolve_method(sub, name) {
@@ -166,31 +165,29 @@ mod tests {
              class C extends B { }",
         );
         let h = Hierarchy::new(&p).unwrap();
-        let a = h.class_index("A").unwrap();
-        let b = h.class_index("B").unwrap();
-        let c = h.class_index("C").unwrap();
+        let [a, b, c] = ["A", "B", "C"].map(|n| h.class_index(&n.into()).unwrap());
+        let [m, n] = ["m", "n"].map(Name::from);
         let mut subs = h.subtypes(a);
         subs.sort_unstable();
         assert_eq!(subs, vec![a, b, c]);
         assert_eq!(h.subtypes(b), vec![b, c]);
         // m is overridden in B: dispatch from A sees both A.m and B.m
         // (C inherits B.m, already in the set).
-        let targets = h.dispatch(a, "m");
+        let targets = h.dispatch(a, &m);
         assert_eq!(targets, vec![(a, 0), (b, 0)]);
         // n is only defined in A.
-        assert_eq!(h.dispatch(a, "n"), vec![(a, 1)]);
+        assert_eq!(h.dispatch(a, &n), vec![(a, 1)]);
         // Dispatch from B only sees B.m.
-        assert_eq!(h.dispatch(b, "m"), vec![(b, 0)]);
+        assert_eq!(h.dispatch(b, &m), vec![(b, 0)]);
     }
 
     #[test]
     fn inherited_method_resolution() {
         let p = prog("class A { method m() { } } class B extends A { }");
         let h = Hierarchy::new(&p).unwrap();
-        let b = h.class_index("B").unwrap();
-        let a = h.class_index("A").unwrap();
-        assert_eq!(h.resolve_method(b, "m"), Some((a, 0)));
-        assert_eq!(h.resolve_method(b, "zzz"), None);
+        let [a, b] = ["A", "B"].map(|n| h.class_index(&n.into()).unwrap());
+        assert_eq!(h.resolve_method(b, &"m".into()), Some((a, 0)));
+        assert_eq!(h.resolve_method(b, &"zzz".into()), None);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Pull lexer for the `.mj` mini-Java textual format: a cursor over the
 //! source bytes that hands out one token per call, identifiers as slices
-//! of the source — nothing is allocated.
+//! of the source with the hash their [`Name`](crate::ir::Name) will carry,
+//! folded in the same scan — nothing is allocated.
 
+use crate::ir::NameHasher;
 use std::fmt;
 
 /// A lexical token.
@@ -60,6 +62,9 @@ impl fmt::Display for Tok<'_> {
 pub struct Spanned<'src> {
     /// The token.
     pub(crate) tok: Tok<'src>,
+    /// An identifier's hash ([`NameHasher::of`] its text); 0 for any other
+    /// token.
+    pub(crate) hash: u64,
     /// 1-based source line.
     pub(crate) line: u32,
     /// 1-based byte column within the line.
@@ -95,6 +100,7 @@ pub(crate) struct Lexer<'src> {
     pos: usize,
     line: u32,
     line_start: usize,
+    hasher: NameHasher,
 }
 
 impl<'src> Lexer<'src> {
@@ -105,6 +111,7 @@ impl<'src> Lexer<'src> {
             pos: 0,
             line: 1,
             line_start: 0,
+            hasher: NameHasher::new(),
         }
     }
 
@@ -115,7 +122,7 @@ impl<'src> Lexer<'src> {
         loop {
             let start = self.pos;
             let Some(&b) = bytes.get(start) else {
-                return Ok(self.spanned(Tok::Eof, start));
+                return Ok(self.spanned(Tok::Eof, 0, start));
             };
             self.pos += 1;
             let tok = match b {
@@ -141,10 +148,14 @@ impl<'src> Lexer<'src> {
                 b',' => Tok::Comma,
                 b'.' => Tok::Dot,
                 b'=' => Tok::Eq,
-                b'0'..=b'9' => self.ident(start, |c| c.is_ascii_alphanumeric() || c == b'_'),
-                b'a'..=b'z' | b'A'..=b'Z' | b'_' | b'<' => self.ident(start, |c| {
-                    c.is_ascii_alphanumeric() || matches!(c, b'_' | b'<' | b'>' | b'$')
-                }),
+                b'0'..=b'9' => {
+                    return Ok(self.ident(start, |c| c.is_ascii_alphanumeric() || c == b'_'))
+                }
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' | b'<' => {
+                    return Ok(self.ident(start, |c| {
+                        c.is_ascii_alphanumeric() || matches!(c, b'_' | b'<' | b'>' | b'$')
+                    }))
+                }
                 _ => {
                     // Anything else is an error, bar non-ASCII whitespace.
                     let ch = self.src[start..].chars().next().unwrap_or('\0');
@@ -160,24 +171,38 @@ impl<'src> Lexer<'src> {
                     });
                 }
             };
-            return Ok(self.spanned(tok, start));
+            return Ok(self.spanned(tok, 0, start));
         }
     }
 
-    /// The identifier starting at `start` and running while `more` holds.
-    fn ident(&mut self, start: usize, more: fn(u8) -> bool) -> Tok<'src> {
-        let rest = &self.src.as_bytes()[self.pos..];
-        self.pos += rest.iter().position(|&c| !more(c)).unwrap_or(rest.len());
-        Tok::Ident(&self.src[start..self.pos])
+    /// The identifier starting at `start` and running while `more` holds,
+    /// hashed byte by byte as it is scanned.
+    #[inline]
+    fn ident(&mut self, start: usize, more: impl Fn(u8) -> bool) -> Spanned<'src> {
+        let bytes = self.src.as_bytes();
+        let mut state = NameHasher::step(self.hasher.start(), bytes[start]);
+        let mut end = self.pos;
+        while let Some(&c) = bytes.get(end).filter(|&&c| more(c)) {
+            state = NameHasher::step(state, c);
+            end += 1;
+        }
+        self.pos = end;
+        let hash = self.hasher.finish(state, end - start);
+        self.spanned(Tok::Ident(&self.src[start..end]), hash, start)
     }
 
     fn col(&self, at: usize) -> u32 {
         (at - self.line_start + 1) as u32
     }
 
-    fn spanned(&self, tok: Tok<'src>, at: usize) -> Spanned<'src> {
+    fn spanned(&self, tok: Tok<'src>, hash: u64, at: usize) -> Spanned<'src> {
         let (line, col) = (self.line, self.col(at));
-        Spanned { tok, line, col }
+        Spanned {
+            tok,
+            hash,
+            line,
+            col,
+        }
     }
 }
 
@@ -192,6 +217,17 @@ pub fn lex(src: &str) -> Result<Vec<Spanned<'_>>, LexError> {
             return Ok(toks);
         }
     }
+}
+
+/// The number of tokens [`lex`] would return, counted as they stream by:
+/// lexing alone, without the vector that keeps them.
+pub fn count_tokens(src: &str) -> Result<usize, LexError> {
+    let mut lexer = Lexer::new(src);
+    let mut count = 1;
+    while lexer.next_token()?.tok != Tok::Eof {
+        count += 1;
+    }
+    Ok(count)
 }
 
 #[cfg(test)]
@@ -209,6 +245,14 @@ mod tests {
             kinds("x = y.f;"),
             [Ident("x"), Eq, Ident("y"), Dot, Ident("f"), Semi, Eof]
         );
+    }
+
+    #[test]
+    fn counting_streams_what_lex_keeps() {
+        for src in ["", "x = y.f; // c", "class A { }\n"] {
+            assert_eq!(count_tokens(src), Ok(lex(src).unwrap().len()));
+        }
+        assert!(count_tokens("a # b").is_err());
     }
 
     #[test]
@@ -247,6 +291,17 @@ mod tests {
             }
         );
         assert_eq!(lex("/").unwrap_err().ch, '/');
+    }
+
+    #[test]
+    fn identifiers_carry_their_names_hash() {
+        let hasher = NameHasher::new();
+        for t in lex("x = _200_check.<init>; // c\n 2<x$").unwrap() {
+            match t.tok {
+                Tok::Ident(s) => assert_eq!(t.hash, hasher.of(s), "{s}"),
+                _ => assert_eq!(t.hash, 0),
+            }
+        }
     }
 
     #[test]

@@ -27,11 +27,11 @@
 //! [`MAX_ARRAY_RANK`].
 
 use crate::ir::{
-    ClassDecl, FieldDecl, LocalDecl, MethodDecl, Name, Program, Stmt, TypeRef, VarRef,
+    ClassDecl, FieldDecl, LocalDecl, MethodDecl, Name, NameMap, Program, Stmt, TypeRef, VarRef,
 };
 use crate::lexer::{LexError, Lexer, Spanned, Tok};
-use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// The highest array rank a type may have: the JVM's own limit (JVMS
 /// §4.3.2).
@@ -90,19 +90,42 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
 }
 
 /// Every `NAME` of a `class NAME` token pair, read by lexing all of `src`.
-fn class_names(src: &str) -> Result<Vec<&str>, LexError> {
+fn class_names(src: &str) -> Result<Vec<Spelling<'_>>, LexError> {
     let (mut lexer, mut names, mut after_class) = (Lexer::new(src), Vec::new(), false);
     loop {
-        match lexer.next_token()?.tok {
+        let t = lexer.next_token()?;
+        match t.tok {
             Tok::Eof => return Ok(names),
-            Tok::Ident(s) => {
+            Tok::Ident(text) => {
                 if after_class {
-                    names.push(s);
+                    names.push(Spelling { text, hash: t.hash });
                 }
-                after_class = s == "class";
+                after_class = text == "class";
             }
             _ => after_class = false,
         }
+    }
+}
+
+/// An identifier as the lexer read it: a slice of the source and its
+/// name's hash, which is all the intern table hashes.
+#[derive(Clone, Copy)]
+struct Spelling<'src> {
+    text: &'src str,
+    hash: u64,
+}
+
+impl PartialEq for Spelling<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.text == other.text
+    }
+}
+
+impl Eq for Spelling<'_> {}
+
+impl Hash for Spelling<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash)
     }
 }
 
@@ -120,7 +143,7 @@ struct Parser<'src> {
     /// The lookahead token.
     tok: Spanned<'src>,
     /// Each distinct identifier spelling, interned once.
-    names: HashMap<&'src str, Interned>,
+    names: NameMap<Spelling<'src>, Interned>,
     /// Reused buffers for the lists of one method: each list is read into
     /// its buffer and moved out at exactly its length (see [`exact`]).
     decls: Vec<LocalDecl>,
@@ -143,10 +166,11 @@ impl<'src> Parser<'src> {
             lexer: Lexer::new(src),
             tok: Spanned {
                 tok: Tok::Eof,
+                hash: 0,
                 line: 1,
                 col: 1,
             },
-            names: HashMap::new(),
+            names: NameMap::default(),
             decls: Vec::new(),
             stmts: Vec::new(),
             args: Vec::new(),
@@ -159,8 +183,12 @@ impl<'src> Parser<'src> {
 
     fn bump(&mut self) -> Result<(), ParseError> {
         let next = self.lexer.next_token()?;
-        if let (Tok::Ident("class"), Tok::Ident(name)) = (self.tok.tok, next.tok) {
-            self.entry(name).class = true;
+        if let (Tok::Ident("class"), Tok::Ident(text)) = (self.tok.tok, next.tok) {
+            self.entry(Spelling {
+                text,
+                hash: next.hash,
+            })
+            .class = true;
         }
         self.tok = next;
         Ok(())
@@ -188,31 +216,32 @@ impl<'src> Parser<'src> {
         Ok(found)
     }
 
-    fn ident(&mut self) -> Result<&'src str, ParseError> {
+    fn ident(&mut self) -> Result<Spelling<'src>, ParseError> {
         match self.peek() {
-            Tok::Ident(s) => {
+            Tok::Ident(text) => {
+                let hash = self.tok.hash;
                 self.bump()?;
-                Ok(s)
+                Ok(Spelling { text, hash })
             }
             other => self.err(format!("expected identifier, found {other}")),
         }
     }
 
-    fn entry(&mut self, s: &'src str) -> &mut Interned {
+    fn entry(&mut self, s: Spelling<'src>) -> &mut Interned {
         self.names.entry(s).or_insert_with(|| Interned {
-            name: s.into(),
+            name: Name::hashed(s.text, s.hash),
             class: false,
             variable: false,
         })
     }
 
-    fn intern(&mut self, s: &'src str) -> Name {
+    fn intern(&mut self, s: Spelling<'src>) -> Name {
         self.entry(s).name.clone()
     }
 
     /// The `base` of `base.x`, and whether it is a class as far as the
     /// parse has read.
-    fn base(&mut self, base: &'src str) -> (Name, bool) {
+    fn base(&mut self, base: Spelling<'src>) -> (Name, bool) {
         let e = self.entry(base);
         e.variable |= !e.class;
         (e.name.clone(), e.class)
@@ -327,9 +356,10 @@ impl<'src> Parser<'src> {
     }
 
     fn type_ref(&mut self) -> Result<TypeRef, ParseError> {
-        let mut ty = match self.ident()? {
+        let base = self.ident()?;
+        let mut ty = match base.text {
             "int" => TypeRef::Int,
-            base => TypeRef::Class(self.intern(base)),
+            _ => TypeRef::Class(self.intern(base)),
         };
         let mut rank = 0;
         while self.peek() == Tok::LBracket {

@@ -54,6 +54,13 @@ impl PagBuilder {
         }
     }
 
+    /// Makes room for `nodes` more nodes and `edges` more edges, so that a
+    /// producer that knows its counts up front grows each table once.
+    pub fn reserve(&mut self, nodes: usize, edges: usize) {
+        self.nodes.reserve_exact(nodes);
+        self.edges.reserve_exact(edges);
+    }
+
     /// Adds a node and returns its id. Its name is kept as it is: a name
     /// read off another graph goes on sharing that graph's text.
     pub fn add_node(&mut self, info: NodeInfo) -> NodeId {
@@ -72,8 +79,24 @@ impl PagBuilder {
         name: impl fmt::Display,
         is_application: bool,
     ) -> NodeId {
+        self.add_named_with(kind, ty, is_application, |text| {
+            write!(text, "{name}").expect("writing to a String cannot fail")
+        })
+    }
+
+    /// Adds a node whose name `write` appends, piece by piece, to the
+    /// builder's text of names, and returns its id: [`PagBuilder::add_named`]
+    /// without a formatter between the pieces and the text. The name is
+    /// what `write` appends; it must not touch what the text held before.
+    pub fn add_named_with(
+        &mut self,
+        kind: NodeKind,
+        ty: TypeId,
+        is_application: bool,
+        write: impl FnOnce(&mut String),
+    ) -> NodeId {
         let start = self.names.len();
-        write!(self.names, "{name}").expect("writing to a String cannot fail");
+        write(&mut self.names);
         let name = NodeName::written(start, self.names.len() - start);
         self.add_node(NodeInfo {
             kind,
@@ -112,6 +135,11 @@ impl PagBuilder {
     /// Number of nodes added so far.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// Number of edges added so far, duplicates included.
+    pub fn edge_count(&self) -> usize {
+        self.edges.len()
     }
 
     /// Freezes the builder into an immutable [`Pag`], deduplicating edges
@@ -1416,7 +1444,11 @@ mod tests {
                     assert_eq!(param(h), param(&fresh), "param into {v:?} at {site}");
                 }
             }
-            assert_eq!(h.in_rows.get().map(table).as_ref(), Some(&want_in), "the reference table");
+            assert_eq!(
+                h.in_rows.get().map(table).as_ref(),
+                Some(&want_in),
+                "the reference table"
+            );
         }
     }
 
@@ -1491,13 +1523,19 @@ mod tests {
         raw.extend((5..260).map(|s| (s, 4, 1, 0)));
         let g = random_pag(300, &raw);
         let edges: Vec<Edge> = (raw.iter())
-            .map(|&(s, d, k, p)| Edge { src: NodeId(s), dst: NodeId(d), kind: kind_of(k, p) })
+            .map(|&(s, d, k, p)| Edge {
+                src: NodeId(s),
+                dst: NodeId(d),
+                kind: kind_of(k, p),
+            })
             .collect();
         is_the_reference_freeze(&g, edges).unwrap();
         by_site_is_the_scan(&g).unwrap();
 
         let wide = |rows: &ClassRows| -> Vec<usize> {
-            (0..rows.node_count()).filter(|&v| rows.rows[v].ends[0] == WIDE).collect()
+            (0..rows.node_count())
+                .filter(|&v| rows.rows[v].ends[0] == WIDE)
+                .collect()
         };
         assert_eq!(g.incoming(NodeId(3)).len(), 254);
         assert_eq!(g.incoming(NodeId(4)).len(), 255);

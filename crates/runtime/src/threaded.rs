@@ -179,8 +179,13 @@ mod tests {
             a.complete().expect("complete")
         };
         let seq = || run_seq(&pag, &queries, &SolverConfig::default());
-        let one_lane = |mode| run_threaded(&pag, &queries, &RunConfig::new(mode, 1, Backend::Threaded));
-        let batches = [seq(), one_lane(Mode::Naive), one_lane(Mode::DataSharingSched)];
+        let one_lane =
+            |mode| run_threaded(&pag, &queries, &RunConfig::new(mode, 1, Backend::Threaded));
+        let batches = [
+            seq(),
+            one_lane(Mode::Naive),
+            one_lane(Mode::DataSharingSched),
+        ];
         for r in &batches {
             assert_eq!(r.stats.queries, queries.len());
             assert_eq!(set(r, x).len(), 1);
@@ -191,7 +196,10 @@ mod tests {
         let again = seq();
         assert_eq!(again.sorted_answers(), batches[0].sorted_answers());
         for r in &batches {
-            assert!(!std::ptr::eq(set(r, x), set(&again, x)), "another batch's set");
+            assert!(
+                !std::ptr::eq(set(r, x), set(&again, x)),
+                "another batch's set"
+            );
         }
     }
 

@@ -68,6 +68,10 @@ pub(crate) fn local(names: &mut Names, k: usize) -> Name {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
+    use std::collections::hash_map::RandomState;
+    use std::hash::BuildHasher;
 
     #[test]
     fn names_are_distinct_per_index() {
@@ -79,6 +83,54 @@ mod tests {
         assert_eq!(method(n, 2), "m2");
         assert_eq!(local(n, 9), "v9");
         assert_eq!(fixed(n, "this"), "this");
+    }
+
+    /// Fixed spellings; `v1` is also what [`local`] spells for 1.
+    const FIXED: [&str; 3] = ["this", "get", "v1"];
+
+    /// Spelling `i` of kind `kind`, and the name the generator builds for it.
+    fn synthesised(names: &mut Names, kind: usize, i: usize) -> (String, Name) {
+        let name = match kind {
+            0 => local(names, i),
+            1 => method(names, i),
+            2 => box_class(names, i),
+            _ => fixed(names, FIXED[i % FIXED.len()]),
+        };
+        (name.to_string(), name)
+    }
+
+    proptest! {
+        /// The generator's, the parser's and `From`'s names of a spelling
+        /// are one name: equal exactly when their text is, and hashed
+        /// alike when equal.
+        #[test]
+        fn names_are_equal_exactly_when_their_text_is(
+            picks in collection::vec((0..4usize, 0..6usize), 1..12),
+        ) {
+            let names = &mut Names::default();
+            let mut all: Vec<(String, Name)> = Vec::new();
+            for &(kind, i) in &picks {
+                let (text, name) = synthesised(names, kind, i);
+                all.push((text.clone(), Name::from(text.as_str())));
+                all.push((text.clone(), Name::from(text.clone())));
+                all.push((text, name));
+            }
+            let spellings: Vec<String> = all.iter().step_by(3).map(|(t, _)| t.clone()).collect();
+            let fields: String = spellings.iter().map(|t| format!("field {t}: int; ")).collect();
+            let parsed = parcfl_frontend::parse(&format!("class C {{ {fields}}}")).unwrap();
+            let parsed = parsed.classes[0].fields.iter().map(|f| f.name.clone());
+            all.extend(spellings.into_iter().zip(parsed));
+            let keys = RandomState::new();
+            for (s, a) in &all {
+                prop_assert_eq!(&**a, s.as_str());
+                for (t, b) in &all {
+                    prop_assert_eq!(a == b, s == t, "{s} against {t}");
+                    if a == b {
+                        prop_assert_eq!(keys.hash_one(a), keys.hash_one(b));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
